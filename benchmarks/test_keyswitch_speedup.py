@@ -6,7 +6,8 @@ Two acceptance bars, both measured (not asserted from theory):
   per-limb ``reference`` path at dnum >= 3 limb counts (the paper-scale
   regime the backend was sized for), and
 * a hoisted batch of k rotations beats k sequential ``he_rotate`` calls
-  (the decompose + ModUp of c1 runs once instead of k times).
+  by a measured margin (the decompose + ModUp of c1 *and* the forward
+  transforms of the raised digits run once instead of k times).
 
 Correctness is guarded by ``tests/fhe/test_keyswitch.py`` (both backends
 bit-exact on key_switch and rotation outputs); this file only times.
@@ -25,6 +26,10 @@ pytestmark = pytest.mark.bench
 #: dnum=3, max_level=19 -> 20 ciphertext limbs (paper-scale limb count).
 PARAMS = CkksParameters.boot_test()
 REPEATS = 5
+#: Six hoisted rotations against six sequential ones measure 1.40-1.52x
+#: with the raised digits kept in EVAL form (1.22-1.28x when every
+#: rotation re-transformed them); the floor leaves room for a noisy host.
+HOISTED_FLOOR = 1.25
 
 
 def median_seconds(fn, repeats=REPEATS):
@@ -95,9 +100,9 @@ def test_hoisted_rotation_batch_beats_sequential(fhe_contexts):
     print(f"\n{len(rotations)} rotations at {ct.level + 1} limbs: "
           f"sequential {t_seq * 1e3:.1f} ms, hoisted {t_hoist * 1e3:.1f} ms "
           f"({speedup:.2f}x)")
-    assert speedup > 1.0, (
-        f"hoisted batch should beat sequential rotations, "
-        f"got {speedup:.2f}x")
+    assert speedup >= HOISTED_FLOOR, (
+        f"hoisted batch should be >= {HOISTED_FLOOR}x faster than "
+        f"sequential rotations, got {speedup:.2f}x")
 
 
 def test_hoisting_win_grows_with_batch_size(fhe_contexts):

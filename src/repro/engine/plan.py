@@ -378,8 +378,9 @@ class ExecutablePlan:
             if payload is None:
                 raise PlanError(
                     f"op {op.op_id} ({kind.value}) has no recorded "
-                    "plaintext payload; only traces recorded in this "
-                    "process replay (payloads are not serialized)")
+                    "plaintext payload; it replays only from a trace "
+                    "recorded in real mode or a plan loaded from an "
+                    ".rpa that carries the PAYLOADS section")
             if kind is OpKind.POLY_ADD:
                 return ev.poly_add(args[0], payload)
             return ev.poly_mult(args[0], payload, rescale)

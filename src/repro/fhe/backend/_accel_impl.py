@@ -283,7 +283,8 @@ class AccelBackend(StackedBackend):
         ctx = self.batched_ntt(tuple(moduli))
         if not self._ntt_dword(ctx, data):
             return super().ntt_forward(data, moduli)
-        a = reduce_stack(np.array(data, copy=True), ctx.moduli)
+        a = reduce_stack(np.array(data, copy=True, order="C"),
+                         ctx.moduli)
         _nb_ntt_forward(_u64_2d(a), _u64_2d(ctx.psi_rev),
                         np.ascontiguousarray(ctx.psi_rev_shoup),
                         np.ascontiguousarray(ctx.q_u_col[:, 0, 0]))
@@ -293,7 +294,8 @@ class AccelBackend(StackedBackend):
         ctx = self.batched_ntt(tuple(moduli))
         if not self._ntt_dword(ctx, data):
             return super().ntt_inverse(data, moduli)
-        a = reduce_stack(np.array(data, copy=True), ctx.moduli)
+        a = reduce_stack(np.array(data, copy=True, order="C"),
+                         ctx.moduli)
         _nb_ntt_inverse(_u64_2d(a), _u64_2d(ctx.psi_inv_rev),
                         np.ascontiguousarray(ctx.psi_inv_rev_shoup),
                         _u64_2d(ctx.n_inv_col)[:, 0],

@@ -139,7 +139,11 @@ class ComputeBackend(abc.ABC):
 
     @abc.abstractmethod
     def ntt_forward(self, data: Any, moduli: tuple[int, ...]) -> Any:
-        """Negacyclic NTT of every limb: coefficient -> evaluation form."""
+        """Negacyclic NTT of every limb: coefficient -> evaluation form.
+
+        Limbs may hold any integers (signed centered lifts included);
+        each is reduced modulo its own prime before the first stage.
+        """
 
     @abc.abstractmethod
     def ntt_inverse(self, data: Any, moduli: tuple[int, ...]) -> Any:
@@ -147,18 +151,31 @@ class ComputeBackend(abc.ABC):
 
     @abc.abstractmethod
     def automorphism(self, data: Any, moduli: tuple[int, ...],
-                     dest: np.ndarray, flip: np.ndarray) -> Any:
-        """Apply x -> x^g: coefficient i moves to ``dest[i]``, negated
-        where ``flip[i]`` (negacyclic wrap)."""
+                     src: np.ndarray, flip: np.ndarray | None) -> Any:
+        """Apply x -> x^g as a signed gather, in either representation.
+
+        Entry i of every output limb is entry ``src[i]`` of the input
+        limb, negated at the positions listed in ``flip``.  The tables
+        (:func:`repro.fhe.poly.galois_tables`) decide the representation:
+        COEFF storage takes the coefficient permutation with its
+        negacyclic sign flips and returns COEFF storage; EVAL storage
+        takes the evaluation-point permutation with ``flip=None`` — no
+        arithmetic at all — and returns EVAL storage.
+        """
 
     @abc.abstractmethod
     def rescale_last(self, data: Any, moduli: tuple[int, ...]) -> Any:
-        """Exact RNS divide-and-round by the last modulus.
+        """Exact RNS divide-and-round by the last modulus, EVAL to EVAL.
 
-        Input is coefficient-form storage over ``moduli``; the result is
-        storage over ``moduli[:-1]`` holding
-        ``round(x / q_last)`` per coefficient (centered lift of the dropped
-        limb, then exact division via ``q_last^{-1} mod q_i``).
+        Input is evaluation-form storage over ``moduli``; the result is
+        evaluation-form storage over ``moduli[:-1]`` holding
+        ``round(x / q_last)`` (centered lift of the dropped limb, then
+        exact division via ``q_last^{-1} mod q_i``).  Only the dropped
+        limb is taken to coefficient form: its centered lift is
+        transformed modulo each remaining prime and subtracted from the
+        evaluations, so the cost is one inverse row plus one forward row
+        per remaining limb, run through :meth:`ntt_inverse` /
+        :meth:`ntt_forward`.
         """
 
     # -- key switching -----------------------------------------------------
@@ -203,15 +220,20 @@ class ComputeBackend(abc.ABC):
 
     @abc.abstractmethod
     def mod_down(self, data: Any, ksctx: KeySwitchContext) -> Any:
-        """Divide extended-basis COEFF storage by P, back to C_level.
+        """Divide extended-basis storage by P, back to C_level; EVAL to EVAL.
 
         ``x' = (x - lift([x]_P)) * P^{-1} mod q_i`` using the precomputed
-        ``ksctx.p_inv`` scalars.  The lift of the special-prime part
-        follows ``ksctx.mod_down_mode``: ``"exact"`` (default) is the
-        exact centered CRT; ``"approx"`` is the float-corrected
-        approximate base conversion, off by at most 1 per output
-        coefficient (see :func:`repro.fhe.noise.mod_down_error_bound`)
-        and identical across backends.
+        ``ksctx.p_inv`` scalars.  Input is evaluation-form storage over
+        ``ksctx.extended``, output evaluation-form storage over
+        ``ksctx.ct_moduli``.  Only the special-prime limbs are taken to
+        coefficient form (through :meth:`ntt_inverse`); their lift to the
+        ciphertext basis comes back through one :meth:`ntt_forward` and
+        the subtraction and scaling run on evaluations.  The lift follows
+        ``ksctx.mod_down_mode``: ``"exact"`` (default) is the exact
+        centered CRT; ``"approx"`` is the float-corrected approximate
+        base conversion, off by at most 1 per output *coefficient* (see
+        :func:`repro.fhe.noise.mod_down_error_bound`) and identical
+        across backends.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

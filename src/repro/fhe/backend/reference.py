@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..modmath import (addmod_vec, limb_dtype, mulmod_vec, native_class,
-                       negmod_vec, reduce_vec, rescale_constants,
-                       submod_vec)
+from ..modmath import (addmod_vec, mulmod_vec, native_class, negmod_vec,
+                       reduce_vec, rescale_constants, submod_vec)
 from ..rns import approx_moddown_quotient
 from .base import ComputeBackend
 from .registry import register_backend
@@ -71,11 +70,12 @@ class ReferenceBackend(ComputeBackend):
         return [self.ntt_context(q).inverse(limb)
                 for limb, q in zip(data, moduli)]
 
-    def automorphism(self, data, moduli, dest, flip):
+    def automorphism(self, data, moduli, src, flip):
         out_limbs = []
         for limb, q in zip(data, moduli):
-            out = np.zeros_like(limb)
-            out[dest] = np.where(flip, negmod_vec(limb, q), limb)
+            out = limb[src]
+            if flip is not None:
+                out[flip] = negmod_vec(out[flip], q)
             out_limbs.append(out)
         return out_limbs
 
@@ -123,51 +123,58 @@ class ReferenceBackend(ComputeBackend):
         return out
 
     def mod_down(self, data, ksctx):
+        # Only the special-prime limbs leave EVAL form; the lift comes
+        # back through one forward transform and the subtract + P^{-1}
+        # scaling run on evaluations (the NTT is linear per limb).
+        special = self.ntt_inverse(data[ksctx.num_ct:],
+                                   ksctx.special_moduli)
         if ksctx.mod_down_mode == "approx":
-            return self._mod_down_approx(data, ksctx)
-        lifted = ksctx.p_basis.convert_exact(list(data[ksctx.num_ct:]),
-                                             list(ksctx.ct_moduli))
-        out = []
-        for limb, lift_limb, p_inv, q in zip(data[:ksctx.num_ct], lifted,
-                                             ksctx.p_inv, ksctx.ct_moduli):
-            diff = submod_vec(limb, lift_limb, q)
-            out.append(mulmod_vec(diff, p_inv, q))
-        return out
+            lift = self._lift_special_approx(special, ksctx)
+        else:
+            lift = ksctx.p_basis.convert_exact(special,
+                                               list(ksctx.ct_moduli))
+        lift = self.ntt_forward(lift, ksctx.ct_moduli)
+        return [mulmod_vec(submod_vec(limb, lift_limb, q), p_inv, q)
+                for limb, lift_limb, p_inv, q in zip(
+                    data[:ksctx.num_ct], lift, ksctx.p_inv,
+                    ksctx.ct_moduli)]
 
-    def _mod_down_approx(self, data, ksctx):
+    def _lift_special_approx(self, special, ksctx):
         """Float-corrected approximate lift of the special-prime part.
 
         ``lift mod q = sum_j yc_j * (hat{p}_j mod q) - e * (P mod q)``
         with centered ``yc_j`` and the float64 quotient ``e`` from
         :func:`~repro.fhe.rns.approx_moddown_quotient`; off by at most
         one from the exact centered lift (see noise.mod_down_error_bound).
+        COEFF limbs over the special primes in, COEFF limbs over
+        ``ksctx.ct_moduli`` out.
         """
         p_basis = ksctx.p_basis
         centered = []
-        for limb, hat_inv, p in zip(data[ksctx.num_ct:],
-                                    p_basis.punctured_inv, p_basis.primes):
+        for limb, hat_inv, p in zip(special, p_basis.punctured_inv,
+                                    p_basis.primes):
             y = mulmod_vec(limb, hat_inv, p)
             centered.append(y - np.where(y > p // 2, p, 0))
         rows = np.stack([np.asarray(c) for c in centered])
         e = approx_moddown_quotient(rows, ksctx.moddown_prime_fracs)
         out = []
-        for i, (limb, q) in enumerate(zip(data[:ksctx.num_ct],
-                                          ksctx.ct_moduli)):
+        for i, q in enumerate(ksctx.ct_moduli):
             acc = None
             for c, w in zip(centered, ksctx.moddown_weights[i]):
                 term = mulmod_vec(np.remainder(c, q), int(w), q)
                 acc = term if acc is None else addmod_vec(acc, term, q)
             corr = mulmod_vec(np.remainder(e, q),
                               ksctx.moddown_p_mod_q[i], q)
-            lift = submod_vec(acc, corr, q)
-            diff = submod_vec(limb, lift, q)
-            out.append(mulmod_vec(diff, ksctx.p_inv[i], q))
+            out.append(submod_vec(acc, corr, q))
         return out
 
     def rescale_last(self, data, moduli):
         q_last = int(moduli[-1])
-        last = data[-1]
-        # Centered lift of the dropped limb keeps the rounding error small.
+        rest = moduli[:-1]
+        # Only the dropped limb leaves EVAL form; its centered lift (which
+        # keeps the rounding error small) is reduced modulo each remaining
+        # prime by the forward transform itself.
+        last = self.ntt_inverse(data[-1:], moduli[-1:])[0]
         half = q_last // 2
         if native_class(q_last) != "object" and last.dtype != object:
             centered = last.astype(np.int64) - np.where(last > half,
@@ -175,15 +182,8 @@ class ReferenceBackend(ComputeBackend):
         else:
             centered = last.astype(object) - np.where(
                 last.astype(object) > half, q_last, 0)
+        lift = self.ntt_forward([centered] * len(rest), rest)
         invs, _ = rescale_constants(tuple(int(q) for q in moduli))
-        out_limbs = []
-        for limb, q, inv in zip(data[:-1], moduli[:-1], invs):
-            if centered.dtype != object and limb.dtype != object:
-                # |limb - centered| < q + q_last/2 < 2**62 stays in int64.
-                diff = (limb.astype(np.int64) - centered) % q
-                out_limbs.append(mulmod_vec(diff, inv, q))
-            else:
-                diff = (limb.astype(object) - centered) % q
-                limb_out = mulmod_vec(diff, inv, q)
-                out_limbs.append(limb_out.astype(limb_dtype(q), copy=False))
-        return out_limbs
+        return [mulmod_vec(submod_vec(limb, lift_limb, q), inv, q)
+                for limb, lift_limb, q, inv in zip(data[:-1], lift, rest,
+                                                   invs)]

@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..modmath import (addmod_stack, from_mont_stack, mont_mulmod_stack,
-                       mulmod_stack, negmod_stack, reduce_stack,
-                       rescale_constants, scalar_add_stack, scalar_mul_stack,
+                       mulmod_stack, negmod_stack, rescale_constants,
+                       scalar_add_stack, scalar_mul_stack,
                        shoup_scalar_mul_stack, stack_native_class,
                        stack_residues, submod_stack, to_mont_stack,
                        unstack_residues)
@@ -28,6 +28,15 @@ from ..ntt import BatchedNttContext
 from ..rns import approx_moddown_quotient
 from .base import ComputeBackend
 from .registry import register_backend
+
+
+def _find_run(basis: tuple[int, ...], run: tuple[int, ...]) -> int | None:
+    """Index at which ``run`` occurs as consecutive limbs of ``basis``."""
+    try:
+        start = basis.index(run[0])
+    except ValueError:
+        return None
+    return start if basis[start:start + len(run)] == run else None
 
 
 @register_backend("stacked")
@@ -90,19 +99,23 @@ class StackedBackend(ComputeBackend):
     def batched_ntt(self, moduli: tuple[int, ...]) -> BatchedNttContext:
         """Stacked twiddle tables for an RNS basis (lazily built, cached).
 
-        Bases that are prefixes of an already-cached basis (every level
-        drop walks down such a prefix) share its stacked tables as views;
-        only genuinely new bases (e.g. the extended key-switching basis)
-        allocate fresh stacks, keeping the cache O(L * N) overall.  The
+        Bases that are a contiguous run of limbs of an already-cached
+        basis — every level drop walks down a prefix, rescale transforms
+        the dropped limb alone, ModDown the special primes alone — share
+        its stacked tables as row views; only genuinely new bases (e.g.
+        the extended key-switching basis below the top level) allocate
+        fresh stacks, keeping the cache O(L * N) overall.  The
         per-modulus :class:`NttContext` power tables are shared either way.
         """
         ctx = self._batched_ntt.get(moduli)
         if ctx is None:
             want = stack_native_class(moduli)
+            count = len(moduli)
             for cached_moduli, cached in self._batched_ntt.items():
-                if (cached_moduli[:len(moduli)] == moduli
+                start = _find_run(cached_moduli, moduli)
+                if (start is not None
                         and stack_native_class(cached_moduli) == want):
-                    ctx = cached.prefix(moduli)
+                    ctx = cached.rows(start, start + count)
                     break
             else:
                 per_limb = [self.ntt_context(q) for q in moduli]
@@ -117,10 +130,10 @@ class StackedBackend(ComputeBackend):
     def ntt_inverse(self, data, moduli):
         return self.batched_ntt(tuple(moduli)).inverse(data)
 
-    def automorphism(self, data, moduli, dest, flip):
-        out = np.zeros_like(data)
-        out[:, dest] = np.where(flip[None, :], negmod_stack(data, moduli),
-                                data)
+    def automorphism(self, data, moduli, src, flip):
+        out = np.take(data, src, axis=1)
+        if flip is not None:
+            out[:, flip] = negmod_stack(out[:, flip], moduli)
         return out
 
     # -- key switching -----------------------------------------------------
@@ -180,35 +193,41 @@ class StackedBackend(ComputeBackend):
         return np.remainder(acc, p_col)
 
     def mod_down(self, data, ksctx):
-        if ksctx.mod_down_mode == "approx":
-            return self._mod_down_approx(data, ksctx)
         ct_moduli = ksctx.ct_moduli
-        # Exact centered CRT of the special-prime part (word-split planes,
-        # native per-target folds), then two batched sweeps for the
-        # subtract + P^{-1} scaling.  Shares rns.convert_exact with the
-        # reference backend, so both lifts are the same integers.
-        lifted = stack_residues(
-            ksctx.p_basis.convert_exact(list(data[ksctx.num_ct:]),
-                                        list(ct_moduli)), ct_moduli)
-        diff = submod_stack(data[:ksctx.num_ct], lifted, ct_moduli)
+        # Only the special-prime rows leave EVAL form: their lift to the
+        # ciphertext basis is transformed back and the subtract + P^{-1}
+        # scaling run on evaluations (the NTT is linear per limb, so the
+        # integers equal the COEFF-domain ModDown's, transformed).
+        special = self.ntt_inverse(data[ksctx.num_ct:],
+                                   ksctx.special_moduli)
+        if ksctx.mod_down_mode == "approx":
+            lift = self._lift_special_approx(special, ksctx)
+        else:
+            # Exact centered CRT (word-split planes, native per-target
+            # folds); shares rns.convert_exact with the reference
+            # backend, so both lifts are the same integers.
+            lift = stack_residues(
+                ksctx.p_basis.convert_exact(list(special), list(ct_moduli)),
+                ct_moduli)
+        diff = submod_stack(data[:ksctx.num_ct],
+                            self.ntt_forward(lift, ct_moduli), ct_moduli)
         return shoup_scalar_mul_stack(diff, ksctx.p_inv,
                                       ksctx.p_inv_shoup, ct_moduli)
 
-    def _mod_down_approx(self, data, ksctx):
+    def _lift_special_approx(self, special, ksctx):
         """Float-corrected approximate lift (see the reference backend)."""
         p_basis = ksctx.p_basis
-        special = tuple(p_basis.primes)
-        dtype = object if data.dtype == object else np.int64
-        y = scalar_mul_stack(data[ksctx.num_ct:], p_basis.punctured_inv,
-                             special)
-        p_col = np.array(special, dtype=dtype).reshape(len(special), 1)
+        primes = tuple(p_basis.primes)
+        dtype = object if special.dtype == object else np.int64
+        y = scalar_mul_stack(special, p_basis.punctured_inv, primes)
+        p_col = np.array(primes, dtype=dtype).reshape(len(primes), 1)
         yc = y - np.where(y > p_col // 2, p_col, 0)
         e = approx_moddown_quotient(yc, ksctx.moddown_prime_fracs)
         ct_moduli = ksctx.ct_moduli
         q_col = np.array(list(ct_moduli), dtype=dtype).reshape(
             len(ct_moduli), 1)
         acc = None
-        for j in range(len(special)):
+        for j in range(len(primes)):
             c_mod = np.remainder(yc[j][None, :], q_col)
             term = mulmod_stack(c_mod, ksctx.moddown_weights[:, j:j + 1],
                                 ct_moduli)
@@ -217,19 +236,21 @@ class StackedBackend(ComputeBackend):
             len(ct_moduli), 1)
         corr = mulmod_stack(np.remainder(e[None, :], q_col), p_mod_col,
                             ct_moduli)
-        lift = submod_stack(acc, corr, ct_moduli)
-        diff = submod_stack(data[:ksctx.num_ct], lift, ct_moduli)
-        return shoup_scalar_mul_stack(diff, ksctx.p_inv,
-                                      ksctx.p_inv_shoup, ct_moduli)
+        return submod_stack(acc, corr, ct_moduli)
 
     def rescale_last(self, data, moduli):
         q_last = int(moduli[-1])
         rest_moduli = moduli[:-1]
-        last = data[-1]
-        half = q_last // 2
-        # Centered lift of the dropped limb (same math as the reference
-        # backend, vectorized across all remaining limbs at once).
-        centered = last - np.where(last > half, q_last, 0)
+        # Only the dropped limb leaves EVAL form.  Its centered lift is
+        # the same polynomial modulo every remaining q_i, so one forward
+        # sweep (which reduces each row modulo its own prime first) gives
+        # the evaluations to subtract.
+        last = self.ntt_inverse(data[-1:], moduli[-1:])[0]
+        centered = last - np.where(last > q_last // 2, q_last, 0)
+        lift = self.ntt_forward(
+            np.broadcast_to(centered, (len(rest_moduli), len(centered))),
+            rest_moduli)
         invs, quots = rescale_constants(tuple(int(q) for q in moduli))
-        diff = reduce_stack(data[:-1] - centered[None, :], rest_moduli)
+        diff = submod_stack(data[:-1], lift, rest_moduli)
         return shoup_scalar_mul_stack(diff, invs, quots, rest_moduli)
+

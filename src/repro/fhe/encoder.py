@@ -11,23 +11,58 @@ Both directions run in O(N log N) through a length-2N complex FFT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .params import CkksParameters
+from .poly import PolyContext, Polynomial, Representation
 
 
 @dataclass
 class Plaintext:
-    """Encoded message: signed integer coefficients plus its scale."""
+    """Encoded message: signed integer coefficients plus its scale.
+
+    A plaintext that is an *operand* of PolyAdd / PolyMult is needed in
+    EVAL form over the ciphertext's basis.  :meth:`as_eval` prepares that
+    once per ``(basis, backend name, domain)`` and keeps the limb data on
+    the plaintext itself, as backend-native storage rather than as a
+    :class:`~repro.fhe.poly.Polynomial`: a recorded payload lives on a
+    plan shared by every tenant of the process, and must not pin the
+    :class:`~repro.fhe.poly.PolyContext` (keys' RNG, backend tables) of
+    whichever tenant replayed it first.  The cache lives exactly as long
+    as the plaintext; its size is one ``(limbs, N)`` array per entry.
+    """
 
     coeffs: list[int]
     scale: float
     num_slots: int
+    _prepared: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __len__(self) -> int:
         return len(self.coeffs)
+
+    def as_eval(self, context: PolyContext, moduli: tuple[int, ...],
+                mont: bool = False) -> Polynomial:
+        """This plaintext over ``moduli`` in EVAL form, in ``context``.
+
+        ``mont=True`` gives the Montgomery-domain operand PolyMult wants.
+        The lift + NTT (+ domain conversion) runs on first use; later
+        calls — every replay of a recorded plan, on any tenant's context
+        with the same backend — wrap the stored limbs, which are shared
+        and must be treated as read-only like all kernel inputs.  Two
+        threads that miss together both compute the same integers; the
+        second store wins and nothing is lost.
+        """
+        key = (moduli, context.backend.name, mont)
+        data = self._prepared.get(key)
+        if data is None:
+            poly = context.from_big_coeffs(self.coeffs, moduli).to_eval()
+            data = (poly.to_mont() if mont else poly).data
+            self._prepared[key] = data
+        return Polynomial(context, data, moduli, Representation.EVAL,
+                          mont=mont)
 
 
 class CkksEncoder:

@@ -32,10 +32,11 @@ class CkksEncryptor:
         b = pk.b.at_basis(moduli)
         a = pk.a.at_basis(moduli)
         u = self.context.random_ternary(moduli).to_eval()
-        e0 = self.context.random_gaussian(moduli, self.sigma).to_eval()
+        e0 = self.context.random_gaussian(moduli, self.sigma)
         e1 = self.context.random_gaussian(moduli, self.sigma).to_eval()
-        m = self.context.from_big_coeffs(plaintext.coeffs, moduli).to_eval()
-        c0 = b * u + e0 + m
+        # e0 and m are both COEFF here: one transform carries their sum.
+        m = self.context.from_big_coeffs(plaintext.coeffs, moduli)
+        c0 = b * u + (e0 + m).to_eval()
         c1 = a * u + e1
         return Ciphertext(c0=c0, c1=c1, level=level, scale=plaintext.scale)
 

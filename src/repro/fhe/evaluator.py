@@ -3,9 +3,15 @@
 Implements ScalarAdd, ScalarMult, PolyAdd, PolyMult, HEAdd, HEMult,
 HERotate (with KeySwitch) and HERescale on RNS ciphertexts, plus rotation
 hoisting: for a batch of rotations of one ciphertext the digit decompose +
-ModUp of c1 (the expensive half of KeySwitch) runs once and the raised
+ModUp + NTT of c1 (the expensive half of KeySwitch) runs once and the raised
 digits are reused across every automorphism in the batch (HEAAN
 Demystified's hoisting; exact here because ModUp uses centered residues).
+
+Ciphertexts stay in EVAL form throughout: automorphisms are gathers of
+evaluation slots, rescale and ModDown take only the limbs they must round
+through coefficient form, and plaintext operands are prepared once per
+:class:`~repro.fhe.encoder.Plaintext` (the accounting is in
+``backend/README.md``, "Where the transforms are").
 """
 
 from __future__ import annotations
@@ -32,15 +38,16 @@ SCALE_TOLERANCE = 1e-7
 class HoistedCiphertext:
     """A ciphertext with the hoistable half of KeySwitch precomputed.
 
-    ``raised`` holds the ModUp'ed digits of c1 over the extended basis;
-    any number of rotations/conjugations can then be applied for the cost
-    of an automorphism + key product + ModDown each, skipping the repeated
-    digit decompose + base conversion.  Results are bit-exact with the
-    sequential :meth:`CkksEvaluator.he_rotate` path.
+    ``raised`` holds the ModUp'ed digits of c1 over the extended basis in
+    **EVAL** form, like ``ct`` itself; any number of rotations /
+    conjugations can then be applied for the cost of one gather per digit
+    and per component + key product + ModDown each, skipping the repeated
+    digit decompose, base conversion *and* forward transforms.  Results
+    are bit-exact with the sequential :meth:`CkksEvaluator.he_rotate`
+    path.
     """
 
     ct: Ciphertext
-    c0_coeff: Polynomial
     raised: list[Polynomial]
     ksctx: KeySwitchContext
 
@@ -99,8 +106,7 @@ class CkksEvaluator:
     def poly_add(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """PolyAdd: add an unencrypted polynomial to a ciphertext."""
         self._check_scale(ct.scale, pt.scale)
-        moduli = self.params.moduli[:ct.level + 1]
-        m = self.context.from_big_coeffs(pt.coeffs, moduli).to_eval()
+        m = pt.as_eval(self.context, self.params.moduli[:ct.level + 1])
         return Ciphertext(c0=ct.c0 + m, c1=ct.c1.copy(), level=ct.level,
                           scale=ct.scale)
 
@@ -110,11 +116,11 @@ class CkksEvaluator:
 
         Followed by HERescale (paper: restores scale Delta^2 -> Delta).
         """
-        moduli = self.params.moduli[:ct.level + 1]
-        # One Montgomery conversion of the plaintext operand serves both
-        # ciphertext components (products land back in the plain domain).
-        m = self.context.from_big_coeffs(pt.coeffs, moduli).to_eval() \
-            .to_mont()
+        # The Montgomery-form operand is prepared once per plaintext and
+        # basis; it serves both ciphertext components of every replay
+        # (products land back in the plain domain).
+        m = pt.as_eval(self.context, self.params.moduli[:ct.level + 1],
+                       mont=True)
         out = Ciphertext(c0=ct.c0 * m, c1=ct.c1 * m, level=ct.level,
                          scale=ct.scale * pt.scale)
         return self.rescale(out) if rescale else out
@@ -189,27 +195,24 @@ class CkksEvaluator:
 
     def _apply_galois(self, ct: Ciphertext, galois: int,
                       key) -> Ciphertext:
-        c0_auto = ct.c0.to_coeff().automorphism(galois).to_eval()
-        c1_auto = ct.c1.to_coeff().automorphism(galois).to_eval()
-        ks0, ks1 = key_switch(c1_auto, key, self.params)
-        return Ciphertext(c0=c0_auto + ks0, c1=ks1, level=ct.level,
-                          scale=ct.scale)
+        # In EVAL form x -> x^g is a gather: no transform before the one
+        # inverse KeySwitch itself needs.
+        ks0, ks1 = key_switch(ct.c1.automorphism(galois), key, self.params)
+        return Ciphertext(c0=ct.c0.automorphism(galois) + ks0, c1=ks1,
+                          level=ct.level, scale=ct.scale)
 
     # -- hoisted rotations -------------------------------------------------
 
     def hoist(self, ct: Ciphertext) -> HoistedCiphertext:
         """Precompute the shared half of KeySwitch for a rotation batch.
 
-        Runs digit decompose + ModUp on c1 once; the returned handle feeds
-        :meth:`rotate_hoisted` / :meth:`conjugate_hoisted`, each of which
-        then costs only an automorphism + key product + ModDown.
+        Runs digit decompose + ModUp + NTT on c1 once; the returned handle
+        feeds :meth:`rotate_hoisted` / :meth:`conjugate_hoisted`, each of
+        which then costs only gathers + key product + ModDown.
         """
-        backend = self.context.backend
-        ksctx = backend.keyswitch_context(ct.level)
+        ksctx = self.context.backend.keyswitch_context(ct.level)
         return HoistedCiphertext(
-            ct=ct,
-            c0_coeff=ct.c0.to_coeff(),
-            raised=raise_digits(ct.c1.to_coeff(), ksctx),
+            ct=ct, raised=raise_digits(ct.c1.to_coeff(), ksctx),
             ksctx=ksctx)
 
     def rotate_hoisted(self, hoisted: HoistedCiphertext,
@@ -254,15 +257,15 @@ class CkksEvaluator:
                               key) -> Ciphertext:
         """Automorphism of the *raised digits* + key product + ModDown.
 
-        The automorphism commutes exactly with decompose + centered ModUp,
-        so applying it to the precomputed digits yields the same integers
-        as the sequential automorphism-then-KeySwitch path.
+        The automorphism commutes exactly with decompose + centered ModUp
+        and with the per-limb NTT, so gathering the precomputed EVAL
+        digits yields the same integers as the sequential
+        automorphism-then-KeySwitch path.
         """
         raised = [d_j.automorphism(galois) for d_j in hoisted.raised]
         ks0, ks1 = inner_product_keyswitch(raised, key, hoisted.ksctx)
-        c0_auto = hoisted.c0_coeff.automorphism(galois).to_eval()
-        return Ciphertext(c0=c0_auto + ks0, c1=ks1, level=hoisted.level,
-                          scale=hoisted.scale)
+        return Ciphertext(c0=hoisted.ct.c0.automorphism(galois) + ks0,
+                          c1=ks1, level=hoisted.level, scale=hoisted.scale)
 
     # -- scale and level management ---------------------------------------
 
@@ -279,10 +282,9 @@ class CkksEvaluator:
     def _rescale_poly(self, poly: Polynomial, q_last: int) -> Polynomial:
         if poly.moduli[-1] != q_last:
             raise ValueError("rescale modulus does not match the last limb")
-        # Divide-and-round by q_last runs in the compute backend (the
-        # stacked backend does the centered lift + exact division across
-        # every remaining limb at once).
-        return poly.to_coeff().rescale_last().to_eval()
+        # Divide-and-round by q_last runs in the compute backend, EVAL to
+        # EVAL: only the dropped limb is inverse-transformed.
+        return poly.rescale_last()
 
     def mod_drop(self, ct: Ciphertext, levels: int = 1) -> Ciphertext:
         """Drop limbs without scaling (level switch)."""

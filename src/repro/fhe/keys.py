@@ -152,19 +152,21 @@ class KeyGenerator:
 
 def raise_digits(poly_coeff: Polynomial,
                  ksctx: KeySwitchContext) -> list[Polynomial]:
-    """Digit decompose + ModUp: the hoistable half of KeySwitch.
+    """Digit decompose + ModUp + NTT: the hoistable half of KeySwitch.
 
-    Takes a COEFF polynomial over ``ksctx.ct_moduli`` and returns one COEFF
-    polynomial per digit over the extended basis C_l + P.  Rotation hoisting
-    calls this once and reuses the raised digits across a whole batch of
-    automorphisms (the digits commute exactly with them because ModUp uses
-    centered residues — see :meth:`ComputeBackend.mod_up`).
+    Takes a COEFF polynomial over ``ksctx.ct_moduli`` and returns one EVAL
+    polynomial per digit over the extended basis C_l + P, ready for the
+    key product.  Rotation hoisting calls this once and reuses the raised
+    digits across a whole batch of automorphisms: ModUp uses centered
+    residues (see :meth:`ComputeBackend.mod_up`), so the digits commute
+    exactly with x -> x^g, and in EVAL form that map is a gather — each
+    further rotation skips the digits' forward transforms as well.
     """
     context = poly_coeff.context
     backend = context.backend
     digits = backend.digit_decompose(poly_coeff.data, ksctx)
     return [Polynomial(context, backend.mod_up(digit, j, ksctx),
-                       ksctx.extended, Representation.COEFF)
+                       ksctx.extended, Representation.COEFF).to_eval()
             for j, digit in enumerate(digits)]
 
 
@@ -173,14 +175,14 @@ def inner_product_keyswitch(raised: list[Polynomial], key: SwitchingKey,
                             ) -> tuple[Polynomial, Polynomial]:
     """Key product + ModDown: sum_j d_j * evk_j, then divide by P.
 
-    The key components are stored in Montgomery form, so each ``d_j *
-    b_j`` / ``d_j * a_j`` below is one REDC per limb with a plain-domain
-    result (bit-identical to the Barrett product of the plain values).
+    ``raised`` are the EVAL digits of :func:`raise_digits`.  The key
+    components are stored in Montgomery form, so each ``d_j * b_j`` /
+    ``d_j * a_j`` below is one REDC per limb with a plain-domain result
+    (bit-identical to the Barrett product of the plain values).
     """
     acc0 = acc1 = None
     for d_j, b_j, a_j in zip(raised, key.bs, key.as_):
-        d_eval = d_j.to_eval()
-        t0, t1 = d_eval * b_j, d_eval * a_j
+        t0, t1 = d_j * b_j, d_j * a_j
         acc0 = t0 if acc0 is None else acc0 + t0
         acc1 = t1 if acc1 is None else acc1 + t1
     return mod_down_poly(acc0, ksctx), mod_down_poly(acc1, ksctx)
@@ -194,7 +196,9 @@ def key_switch(poly: Polynomial, key: SwitchingKey,
     ks0 + ks1*s ~ poly * s_source (small noise).  This is the paper's
     KeySwitch operation: digit decompose -> ModUp -> key product -> ModDown,
     with every per-level constant coming from the backend's cached
-    :class:`~repro.fhe.rns.KeySwitchContext`.
+    :class:`~repro.fhe.rns.KeySwitchContext`.  The one inverse transform
+    of ``poly`` here is forced: digit decomposition and base conversion
+    read coefficients.
     """
     context = poly.context
     ksctx = context.backend.keyswitch_context(key.level)
@@ -207,11 +211,17 @@ def key_switch(poly: Polynomial, key: SwitchingKey,
 
 
 def mod_down_poly(poly: Polynomial, ksctx: KeySwitchContext) -> Polynomial:
-    """ModDown via the compute backend, returning an EVAL polynomial."""
+    """ModDown via the compute backend: EVAL over ``ksctx.extended`` in,
+    EVAL over ``ksctx.ct_moduli`` out.
+
+    Only the special-prime limbs leave EVAL form on the way (see
+    :meth:`ComputeBackend.mod_down`).
+    """
+    if poly.rep is not Representation.EVAL or poly.mont:
+        raise ValueError("ModDown requires plain-domain EVAL form")
     context = poly.context
-    data = context.backend.mod_down(poly.to_coeff().data, ksctx)
-    out = Polynomial(context, data, ksctx.ct_moduli, Representation.COEFF)
-    return out.to_eval()
+    data = context.backend.mod_down(poly.data, ksctx)
+    return Polynomial(context, data, ksctx.ct_moduli, Representation.EVAL)
 
 
 def mod_down(poly: Polynomial, params: CkksParameters,

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .ciphertext import Ciphertext
+from .encoder import Plaintext
 from .evaluator import CkksEvaluator, HoistedCiphertext
 from .poly import Polynomial
 
@@ -43,8 +44,10 @@ def matrix_diagonals(matrix: np.ndarray) -> dict[int, np.ndarray]:
 class LinearTransform:
     """A plaintext n x n matrix applied homomorphically via BSGS.
 
-    Encoded diagonal plaintexts are cached per ciphertext level, so repeated
-    applications (e.g. every bootstrap call) pay encoding costs once.
+    Each diagonal is encoded once; its EVAL-form operand is prepared once
+    per ciphertext level by the plaintext itself
+    (:meth:`~repro.fhe.encoder.Plaintext.as_eval`), so repeated
+    applications (e.g. every bootstrap call) pay neither cost again.
     """
 
     def __init__(self, evaluator: CkksEvaluator, matrix: np.ndarray,
@@ -57,7 +60,7 @@ class LinearTransform:
             raise ValueError(
                 f"matrix dimension {self.dimension} != slot count "
                 f"{evaluator.params.num_slots}")
-        self._encoded: dict[tuple[int, int], Polynomial] = {}
+        self._encoded: dict[int, Plaintext] = {}
 
     @property
     def num_diagonals(self) -> int:
@@ -127,24 +130,21 @@ class LinearTransform:
 
     def _encoded_diagonal(self, k: int, shift: int,
                           ct: Ciphertext) -> Polynomial:
-        """Encode rot_{-shift}(d_k) at the ciphertext's level (cached).
+        """rot_{-shift}(d_k) as an operand at the ciphertext's level.
 
-        Cached in Montgomery form: the BSGS accumulation multiplies every
-        baby-step component against these constants, so each product is a
-        single REDC per limb with a plain-domain result.
+        Montgomery form: the BSGS accumulation multiplies every baby-step
+        component against these constants, so each product is a single
+        REDC per limb with a plain-domain result.  ``shift`` is a function
+        of ``k`` alone, so one encoding per diagonal serves every level.
         """
-        cache_key = (k, ct.level)
-        cached = self._encoded.get(cache_key)
-        if cached is not None:
-            return cached
         evaluator = self.evaluator
-        diag = np.roll(self.diagonals[k], shift)
-        pt = evaluator.encoder.encode(diag, evaluator.params.scale)
-        moduli = evaluator.params.moduli[:ct.level + 1]
-        poly = evaluator.context.from_big_coeffs(pt.coeffs, moduli) \
-            .to_eval().to_mont()
-        self._encoded[cache_key] = poly
-        return poly
+        pt = self._encoded.get(k)
+        if pt is None:
+            diag = np.roll(self.diagonals[k], shift)
+            pt = evaluator.encoder.encode(diag, evaluator.params.scale)
+            self._encoded[k] = pt
+        return pt.as_eval(evaluator.context,
+                          evaluator.params.moduli[:ct.level + 1], mont=True)
 
 
 def multiply_by_i(evaluator: CkksEvaluator, ct: Ciphertext) -> Ciphertext:

@@ -47,7 +47,11 @@ def bit_reverse(value: int, bits: int) -> int:
 def bit_reverse_permutation(n: int) -> np.ndarray:
     """Index array mapping i -> bit-reversed i for a power-of-two n."""
     bits = (n - 1).bit_length()
-    return np.array([bit_reverse(i, bits) for i in range(n)], dtype=np.int64)
+    index = np.arange(n, dtype=np.int64)
+    rev = np.zeros(n, dtype=np.int64)
+    for b in range(bits):
+        rev |= ((index >> b) & 1) << (bits - 1 - b)
+    return rev
 
 
 class NttContext:
@@ -259,29 +263,29 @@ class BatchedNttContext:
             self.n_inv_shoup_col = None
             self.q_u_col = None
 
-    def prefix(self, moduli) -> "BatchedNttContext":
-        """Context for a prefix sub-basis, sharing twiddle storage as views.
+    def rows(self, start: int, stop: int) -> "BatchedNttContext":
+        """Context for limbs ``[start, stop)``, sharing twiddle storage as
+        views.
 
-        Level drops walk down prefixes of the same basis, so sharing the
-        stacked tables keeps the cache at O(L * N) instead of one copy per
-        level (O(L^2 * N)).
+        Level drops walk down prefixes of one basis, and rescale / ModDown
+        transform the dropped limb or the special primes alone; all of
+        them are row ranges of a stack that is already cached, so sharing
+        it keeps the cache at O(L * N) instead of one copy per level and
+        sub-basis.
         """
-        moduli = tuple(moduli)
-        k = len(moduli)
-        if self.moduli[:k] != moduli:
-            raise ValueError("not a prefix of this basis")
+        rows = slice(start, stop)
         out = object.__new__(BatchedNttContext)
-        out.moduli = moduli
+        out.moduli = self.moduli[rows]
         out.n = self.n
         out.klass = self.klass
-        out.psi_rev = self.psi_rev[:k]
-        out.psi_inv_rev = self.psi_inv_rev[:k]
-        out.n_inv_col = self.n_inv_col[:k]
+        out.psi_rev = self.psi_rev[rows]
+        out.psi_inv_rev = self.psi_inv_rev[rows]
+        out.n_inv_col = self.n_inv_col[rows]
         if self.klass == "dword":
-            out.psi_rev_shoup = self.psi_rev_shoup[:k]
-            out.psi_inv_rev_shoup = self.psi_inv_rev_shoup[:k]
-            out.n_inv_shoup_col = self.n_inv_shoup_col[:k]
-            out.q_u_col = self.q_u_col[:k]
+            out.psi_rev_shoup = self.psi_rev_shoup[rows]
+            out.psi_inv_rev_shoup = self.psi_inv_rev_shoup[rows]
+            out.n_inv_shoup_col = self.n_inv_shoup_col[rows]
+            out.q_u_col = self.q_u_col[rows]
         else:
             out.psi_rev_shoup = None
             out.psi_inv_rev_shoup = None
@@ -297,7 +301,9 @@ class BatchedNttContext:
         """Batched negacyclic NTT: coefficient stack -> evaluation stack."""
         moduli, n = self.moduli, self.n
         rows = len(moduli)
-        a = reduce_stack(np.array(stack, copy=True), moduli)
+        # C order whatever the input's strides (a broadcast row, say): the
+        # stages reshape ``a`` and write through the views.
+        a = reduce_stack(np.array(stack, copy=True, order="C"), moduli)
         if self._use_dword(a):
             return self._forward_dword(a)
         t = n
@@ -341,7 +347,7 @@ class BatchedNttContext:
         """Batched inverse NTT: evaluation stack -> coefficient stack."""
         moduli, n = self.moduli, self.n
         rows = len(moduli)
-        a = reduce_stack(np.array(stack, copy=True), moduli)
+        a = reduce_stack(np.array(stack, copy=True, order="C"), moduli)
         if self._use_dword(a):
             return self._inverse_dword(a)
         t = 1

@@ -14,13 +14,14 @@ regardless of backend; treat the returned arrays as read-only.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Iterable
 
 import numpy as np
 
 from .backend import create_backend, resolve_backend_name
 from .modmath import limb_dtype, random_residues, reduce_vec
-from .ntt import NttContext
+from .ntt import NttContext, bit_reverse_permutation
 from .params import CkksParameters
 
 
@@ -29,6 +30,42 @@ class Representation(enum.Enum):
 
     COEFF = "coeff"
     EVAL = "eval"
+
+
+@functools.lru_cache(maxsize=256)
+def galois_tables(ring_degree: int, galois_element: int,
+                  rep: Representation
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gather tables ``(src, flip)`` of x -> x^g in one representation.
+
+    In either form the automorphism is a signed permutation: entry i of
+    the image is entry ``src[i]`` of the operand, negated at the
+    positions ``flip`` lists.
+
+    * COEFF: coefficient j moves to exponent ``j*g mod 2N`` and picks up
+      a sign when it wraps past N (x^N = -1), so coefficient i of the
+      image comes from ``j = i*g^-1 mod 2N``, folded the same way.
+    * EVAL: slot i of the merged (bit-reversed-output) NTT holds the
+      evaluation at ``psi^(2*brev(i)+1)``, and ``a(x^g)`` at ``psi^e`` is
+      ``a`` at ``psi^(g*e)``: a pure gather from the slot j with
+      ``2*brev(j)+1 = g*(2*brev(i)+1) mod 2N``; ``flip`` is ``None``.
+
+    Cached per ``(N, g, rep)`` and shared by every caller, so the arrays
+    are read-only.
+    """
+    n, two_n = ring_degree, 2 * ring_degree
+    if rep is Representation.COEFF:
+        exponents = (np.arange(n, dtype=np.int64)
+                     * pow(galois_element, -1, two_n)) % two_n
+        src = exponents % n
+        flip = np.flatnonzero(exponents >= n)
+        flip.setflags(write=False)
+    else:
+        brev = bit_reverse_permutation(n)
+        src = brev[((2 * brev + 1) * galois_element % two_n - 1) // 2]
+        flip = None
+    src.setflags(write=False)
+    return src, flip
 
 
 class PolyContext:
@@ -279,33 +316,32 @@ class Polynomial:
     def automorphism(self, galois_element: int) -> "Polynomial":
         """Apply x -> x^g (paper's psi_r when g = 5^r mod 2N).
 
-        Requires coefficient form: coefficient i moves to exponent
-        ``i*g mod 2N`` with a sign flip when it wraps past N (negacyclic).
+        Works in either representation and stays in it: a signed
+        permutation of coefficients in COEFF form, a plain gather of
+        evaluation slots in EVAL form (see :func:`galois_tables`), so
+        ``a.to_eval().automorphism(g) == a.automorphism(g).to_eval()``.
         """
-        if self.rep is not Representation.COEFF:
-            raise ValueError("automorphism requires COEFF form")
-        n = self.context.params.ring_degree
-        two_n = 2 * n
+        two_n = 2 * self.context.params.ring_degree
         g = galois_element % two_n
         if g % 2 == 0:
             raise ValueError("Galois element must be odd")
-        indices = (np.arange(n, dtype=np.int64) * g) % two_n
-        dest = indices % n
-        flip = indices >= n
+        src, flip = galois_tables(two_n // 2, g, self.rep)
         data = self.context.backend.automorphism(self.data, self.moduli,
-                                                 dest, flip)
+                                                 src, flip)
         return self._wrap(data)
 
     # -- basis management --------------------------------------------------
 
     def rescale_last(self) -> "Polynomial":
-        """Exact divide-and-round by the last limb's modulus (COEFF form).
+        """Exact divide-and-round by the last limb's modulus (EVAL form).
 
         The HERescale workhorse: drops the last limb and returns
-        ``round(x / q_last)`` over the remaining basis.
+        ``round(x / q_last)`` over the remaining basis, still in EVAL
+        form — only the dropped limb is ever taken to coefficient form
+        (see :meth:`ComputeBackend.rescale_last`).
         """
-        if self.rep is not Representation.COEFF:
-            raise ValueError("rescale_last requires COEFF form")
+        if self.rep is not Representation.EVAL or self.mont:
+            raise ValueError("rescale_last requires plain-domain EVAL form")
         if len(self.moduli) < 2:
             raise ValueError("cannot rescale away the only limb")
         data = self.context.backend.rescale_last(self.data, self.moduli)

@@ -5,8 +5,8 @@ Request flow (see README.md for the full diagram)::
     submit(values, tenant,            ──► SlotBatcher ──► Batch ──► priority
            priority, deadline_s)           │ (admission:             queue
       │ admission gates:                   │  max_batch / max_wait)    │
-      │  breaker → shed → quota →          ▼                           ▼
-      │  saturation → deadline       backpressure                  worker pool
+      │  shed → quota → depth →            ▼                           ▼
+      │  deadline → breaker          backpressure                  worker pool
       ▼                              (ServerSaturated)            retry w/
     typed rejects                                                 backoff, then
     (CircuitOpen, LoadShed,                                       bisection on

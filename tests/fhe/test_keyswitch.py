@@ -229,13 +229,16 @@ class TestApproxModDown:
             + exact_params.special_moduli
         exact_ctx = PolyContext(exact_params, seed=9, backend=backend)
         approx_ctx = PolyContext(approx_params, seed=9, backend=backend)
-        poly_e = exact_ctx.random_uniform(extended, Representation.COEFF)
-        poly_a = approx_ctx.random_uniform(extended, Representation.COEFF)
+        poly_e = exact_ctx.random_uniform(extended, Representation.EVAL)
+        poly_a = approx_ctx.random_uniform(extended, Representation.EVAL)
         ks_e = exact_ctx.backend.keyswitch_context(level)
         ks_a = approx_ctx.backend.keyswitch_context(level)
         assert ks_a.mod_down_mode == "approx"
-        out_e = exact_ctx.backend.mod_down(poly_e.data, ks_e)
-        out_a = approx_ctx.backend.mod_down(poly_a.data, ks_a)
+        # ModDown is EVAL to EVAL; the +-1 bound is per *coefficient*.
+        out_e = exact_ctx.backend.ntt_inverse(
+            exact_ctx.backend.mod_down(poly_e.data, ks_e), ks_e.ct_moduli)
+        out_a = approx_ctx.backend.ntt_inverse(
+            approx_ctx.backend.mod_down(poly_a.data, ks_a), ks_a.ct_moduli)
         bound = mod_down_error_bound(approx_params)
         assert bound == 1.0
         for i, q in enumerate(ks_e.ct_moduli):

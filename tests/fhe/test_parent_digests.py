@@ -1,0 +1,81 @@
+"""Ciphertext bits pinned against the commit before the EVAL-domain rewrite.
+
+The oracle tests in ``test_eval_domain_ops.py`` compare the EVAL-domain
+automorphism, rescale and ModDown with this repo's own COEFF kernels;
+this module compares them with what shipped.  The four digests below
+were recorded at commit 5af5927 (COEFF round trips everywhere) by running
+this very file; any later change to the integers a scoring replay, a
+hoisted rotation batch, a conjugation or an HEMult produces — at the
+int64 tier (``toy``) or the double-word tier (``pw54``) — changes one.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.fhe import CkksContext, CkksParameters
+from repro.serve.workloads import scoring_workload
+
+
+def _pw54() -> CkksParameters:
+    """The 54-bit paper word on a toy ring (``bench.workloads.pw54``)."""
+    return CkksParameters._build(ring_degree=1 << 10, scale_bits=50,
+                                 prime_bits=54, max_level=5, boot_levels=2,
+                                 dnum=2, fft_iterations=1)
+
+
+PRESETS = {"toy": CkksParameters.toy, "pw54": _pw54}
+
+PARENT_DIGESTS = {
+    ("scoring", "toy"):
+        "c1c54bc39e09a37c4e16c0ed19183745efafb4c8ff1aac0e39c419546de99e01",
+    ("scoring", "pw54"):
+        "935455a5c6aab3dd6caae4e60e9a9348af176aafa6869163115c52245808b2ea",
+    ("galois_mult", "toy"):
+        "97a44f17da529be7ab973b422a687168bff071510ca9813b8b150127c9727c18",
+    ("galois_mult", "pw54"):
+        "1fb9312fcd76a1a3c1f6b93e2738831cbb25fd29809f39041c3cd406c1bf4c00",
+}
+
+
+def _digest(ciphertexts) -> str:
+    sha = hashlib.sha256()
+    for ct in ciphertexts:
+        sha.update(f"{ct.level}:{ct.scale!r};".encode())
+        for poly in (ct.c0, ct.c1):
+            for limb in poly.limbs:
+                sha.update(np.ascontiguousarray(limb, dtype=np.int64)
+                           .tobytes())
+    return sha.hexdigest()
+
+
+def _inputs(params: CkksParameters) -> np.ndarray:
+    return np.random.default_rng(7).uniform(-1.0, 1.0, params.num_slots)
+
+
+def _scoring(params: CkksParameters) -> str:
+    plan = scoring_workload(16).compile(params)
+    ctx = CkksContext(params, seed=123)
+    ct = ctx.encrypt(_inputs(params))
+    return _digest([plan.execute(ctx, sources=[ct]).output])
+
+
+def _galois_mult(params: CkksParameters) -> str:
+    ctx = CkksContext(params, seed=123)
+    ev = ctx.evaluator
+    ct = ctx.encrypt(_inputs(params))
+    other = ctx.encrypt(_inputs(params)[::-1])
+    rotated = ev.hoisted_rotations(ct, [1, 2, 5])
+    return _digest([rotated[1], rotated[2], rotated[5],
+                    ev.he_conjugate(ct), ev.he_mult(ct, other)])
+
+
+WORKLOADS = {"scoring": _scoring, "galois_mult": _galois_mult}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_bits_match_the_parent_commit(workload, preset):
+    got = WORKLOADS[workload](PRESETS[preset]())
+    assert got == PARENT_DIGESTS[(workload, preset)]

@@ -115,10 +115,19 @@ class TestScalarOps:
 
 
 class TestAutomorphism:
-    def test_requires_coeff(self, context, moduli):
-        a = context.random_uniform(moduli, Representation.EVAL)
-        with pytest.raises(ValueError):
-            a.automorphism(5)
+    def test_commutes_with_the_ntt(self, context, moduli):
+        """Either representation: a gather of evaluation slots in EVAL
+        form is the coefficient permutation, transformed."""
+        n = context.params.ring_degree
+        a = context.random_uniform(moduli, Representation.COEFF)
+        for g in (rotation_galois_element(1, n),
+                  rotation_galois_element(100, n),
+                  conjugation_galois_element(n)):
+            lhs = a.to_eval().automorphism(g)
+            rhs = a.automorphism(g).to_eval()
+            assert lhs.rep is Representation.EVAL
+            for x, y in zip(lhs.limbs, rhs.limbs):
+                assert np.array_equal(x, y)
 
     def test_rejects_even_element(self, context, moduli):
         a = context.random_uniform(moduli, Representation.COEFF)
