@@ -40,10 +40,9 @@ def time_backend(backend: str, params: CkksParameters,
     level = ct.level
     key = ctx.keygen.relinearization_key(level)
     ksctx = ctx.keygen.context.backend.keyswitch_context(level)
-    c1_coeff = ct.c1.to_coeff()
     # Warm twiddle/key caches before timing.
-    raised = raise_digits(c1_coeff, ksctx)
-    acc = raised[0].to_eval() * key.bs[0]
+    raised = raise_digits(ct.c1, ksctx)
+    acc = raised[0] * key.bs[0]
     key_switch(ct.c1, key, params)
     rotations = [1, 2, 4, 8, 16, 32]
     ev.hoisted_rotations(ct, rotations)
@@ -51,7 +50,7 @@ def time_backend(backend: str, params: CkksParameters,
         ev.he_rotate(ct, r)
     return {
         "modup_raise_digits": median_seconds(
-            lambda: raise_digits(c1_coeff, ksctx), repeats),
+            lambda: raise_digits(ct.c1, ksctx), repeats),
         "inner_product_keyswitch": median_seconds(
             lambda: inner_product_keyswitch(raised, key, ksctx), repeats),
         "moddown": median_seconds(

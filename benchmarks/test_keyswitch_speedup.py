@@ -2,7 +2,7 @@
 
 Two acceptance bars, both measured (not asserted from theory):
 
-* the ``stacked`` backend runs KeySwitch at least 2x faster than the
+* the ``stacked`` backend runs KeySwitch at least 2.5x faster than the
   per-limb ``reference`` path at dnum >= 3 limb counts (the paper-scale
   regime the backend was sized for), and
 * a hoisted batch of k rotations beats k sequential ``he_rotate`` calls
@@ -26,7 +26,13 @@ pytestmark = pytest.mark.bench
 #: dnum=3, max_level=19 -> 20 ciphertext limbs (paper-scale limb count).
 PARAMS = CkksParameters.boot_test()
 REPEATS = 5
-#: Six hoisted rotations against six sequential ones measure 1.40-1.52x
+#: Stacked against reference KeySwitch measures 3.3-3.5x now that the
+#: stacked ModDown lift is one integer matmul and its transforms and
+#: scalings run on tables bound per context (2.0-2.6x while both backends
+#: shared ``convert_exact``'s word planes and the stage kernels re-derived
+#: their dtype tier per call); the floor leaves room for a noisy host.
+KEYSWITCH_FLOOR = 2.5
+#: Six hoisted rotations against six sequential ones measure 1.56-1.66x
 #: with the raised digits kept in EVAL form (1.22-1.28x when every
 #: rotation re-transformed them); the floor leaves room for a noisy host.
 HOISTED_FLOOR = 1.25
@@ -76,8 +82,9 @@ def test_keyswitch_speedup(fhe_contexts):
     print(f"\nKeySwitch at {ct_ref.level + 1} limbs, dnum={PARAMS.dnum}: "
           f"reference {t_ref * 1e3:.1f} ms, stacked {t_stk * 1e3:.1f} ms "
           f"({speedup:.1f}x)")
-    assert speedup >= 2.0, (
-        f"stacked KeySwitch should be >= 2x faster, got {speedup:.2f}x")
+    assert speedup >= KEYSWITCH_FLOOR, (
+        f"stacked KeySwitch should be >= {KEYSWITCH_FLOOR}x faster, "
+        f"got {speedup:.2f}x")
 
 
 def test_hoisted_rotation_batch_beats_sequential(fhe_contexts):

@@ -34,8 +34,9 @@ from __future__ import annotations
 import numba
 import numpy as np
 
+from .. import modmath
 from ..modmath import (_barrett_columns, _mont_columns, _stack_native_ok,
-                       reduce_stack, scalar_mul_stack, stack_native_class)
+                       reduce_stack, stack_native_class)
 from .registry import register_backend
 from .stacked import StackedBackend
 
@@ -277,7 +278,7 @@ class AccelBackend(StackedBackend):
 
     def _ntt_dword(self, ctx, data) -> bool:
         return (ctx.klass == "dword" and data.dtype != object
-                and stack_native_class(ctx.moduli) == "dword")
+                and not modmath._OBJECT_ONLY)
 
     def ntt_forward(self, data, moduli):
         ctx = self.batched_ntt(tuple(moduli))
@@ -306,18 +307,15 @@ class AccelBackend(StackedBackend):
     # -- key switching ---------------------------------------------------
 
     def mod_up(self, digit, digit_index, ksctx):
-        mode = ksctx.modup_mode if digit.dtype != object else "object"
-        if (mode != "dword"
+        if (ksctx.modup_mode != "dword" or digit.dtype == object
                 or stack_native_class(ksctx.extended) != "dword"):
             return super().mod_up(digit, digit_index, ksctx)
-        basis = ksctx.digit_bases[digit_index]
-        primes = tuple(basis.primes)
-        y = scalar_mul_stack(digit, basis.punctured_inv, primes)
-        q_col = np.array(primes, dtype=np.int64).reshape(len(primes), 1)
-        c = y - np.where(y > q_col // 2, q_col, 0)
+        y = ksctx.digit_unpuncture[digit_index](digit)
+        q_col = ksctx.digit_q_col[digit_index]
+        c = y - np.where(y > ksctx.digit_half_col[digit_index], q_col, 0)
         weights = ksctx.modup_weights[digit_index]
-        p_i64 = np.array(list(ksctx.extended), dtype=np.int64)
-        q_u, ratio_lo, ratio_hi = _barrett_columns(tuple(ksctx.extended), 1)
+        p_i64 = ksctx.extended_col[:, 0]
+        q_u, ratio_lo, ratio_hi = _barrett_columns(ksctx.extended, 1)
         out = np.empty((len(ksctx.extended), digit.shape[1]),
                        dtype=np.uint64)
         _nb_mod_up(np.ascontiguousarray(c),

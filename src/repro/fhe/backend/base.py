@@ -64,8 +64,12 @@ class ComputeBackend(abc.ABC):
         """Deep copy of native storage."""
 
     @abc.abstractmethod
-    def select_limbs(self, data: Any, picks: list[int]) -> Any:
+    def select_limbs(self, data: Any, picks: "list[int] | range") -> Any:
         """Native storage restricted to the given limb indices, in order."""
+
+    @abc.abstractmethod
+    def concat_limbs(self, parts: list[Any]) -> Any:
+        """Native storage holding the limbs of ``parts``, in order."""
 
     # -- elementwise kernels ---------------------------------------------
 
@@ -198,12 +202,15 @@ class ComputeBackend(abc.ABC):
 
     @abc.abstractmethod
     def digit_decompose(self, data: Any, ksctx: KeySwitchContext) -> list[Any]:
-        """Split COEFF storage over ``ksctx.ct_moduli`` into scaled digits.
+        """Split storage over ``ksctx.ct_moduli`` into scaled digits.
 
         Digit j is the limb range ``ksctx.digit_spans[j]`` with limb i
         multiplied by ``[hat{Q}_j^{-1}]_{q_i}``, i.e. the canonical RNS
         digit ``[x * hat{Q}_j^{-1}]_{Q_j}``.  Returns one native storage per
-        digit (over that digit's sub-basis).
+        digit (over that digit's sub-basis).  A per-limb scaling, so it
+        commutes with the NTT: COEFF storage gives the digits ModUp
+        converts, EVAL storage their evaluations — the raised digits'
+        rows on their own primes (:func:`repro.fhe.keys.raise_digits`).
         """
 
     @abc.abstractmethod
@@ -228,12 +235,13 @@ class ComputeBackend(abc.ABC):
         ``ksctx.ct_moduli``.  Only the special-prime limbs are taken to
         coefficient form (through :meth:`ntt_inverse`); their lift to the
         ciphertext basis comes back through one :meth:`ntt_forward` and
-        the subtraction and scaling run on evaluations.  The lift follows
-        ``ksctx.mod_down_mode``: ``"exact"`` (default) is the exact
-        centered CRT; ``"approx"`` is the float-corrected approximate
-        base conversion, off by at most 1 per output *coefficient* (see
-        :func:`repro.fhe.noise.mod_down_error_bound`) and identical
-        across backends.
+        the subtraction and scaling run on evaluations.  The lift is
+        ``sum_j y_j * hat{p}_j - e * P`` with the quotient rule of
+        ``ksctx.mod_down_mode``: ``"exact"`` (default) takes the true
+        ``e``, which makes it the exact centered CRT lift; ``"approx"``
+        takes ``e`` as float64 rounds it, off by at most 1 per output
+        *coefficient* (see :func:`repro.fhe.noise.mod_down_error_bound`)
+        and identical across backends.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

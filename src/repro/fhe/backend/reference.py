@@ -39,6 +39,9 @@ class ReferenceBackend(ComputeBackend):
     def select_limbs(self, data, picks):
         return [data[i] for i in picks]
 
+    def concat_limbs(self, parts):
+        return [limb for part in parts for limb in part]
+
     # -- elementwise kernels ---------------------------------------------
 
     def add(self, a, b, moduli):
@@ -183,7 +186,7 @@ class ReferenceBackend(ComputeBackend):
             centered = last.astype(object) - np.where(
                 last.astype(object) > half, q_last, 0)
         lift = self.ntt_forward([centered] * len(rest), rest)
-        invs, _ = rescale_constants(tuple(int(q) for q in moduli))
+        invs = rescale_constants(tuple(moduli)).scalars
         return [mulmod_vec(submod_vec(limb, lift_limb, q), inv, q)
                 for limb, lift_limb, q, inv in zip(data[:-1], lift, rest,
                                                    invs)]

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..modmath import (addmod_stack, from_mont_stack, mont_mulmod_stack,
-                       mulmod_stack, negmod_stack, rescale_constants,
-                       scalar_add_stack, scalar_mul_stack,
-                       shoup_scalar_mul_stack, stack_native_class,
-                       stack_residues, submod_stack, to_mont_stack,
-                       unstack_residues)
+from .. import modmath
+from ..modmath import (_addmod_u64, _as_object_array, _shoup_mulmod_u64,
+                       addmod_stack, center_stack, from_mont_stack,
+                       mont_mulmod_stack, mulmod_stack, negmod_stack,
+                       rescale_constants, scalar_add_stack, scalar_mul_stack,
+                       stack_native_class, stack_residues, submod_stack,
+                       to_mont_stack, unstack_residues)
 from ..ntt import BatchedNttContext
-from ..rns import approx_moddown_quotient
+from ..rns import approx_moddown_quotient, exact_moddown_quotient
 from .base import ComputeBackend
 from .registry import register_backend
 
@@ -61,7 +62,13 @@ class StackedBackend(ComputeBackend):
         return data.copy()
 
     def select_limbs(self, data, picks):
+        if isinstance(picks, range) and picks.step == 1:
+            # A run of limbs is a view: kernels never write their inputs.
+            return data[picks.start:picks.stop]
         return data[picks]
+
+    def concat_limbs(self, parts):
+        return np.concatenate(parts)
 
     # -- elementwise kernels ---------------------------------------------
 
@@ -101,20 +108,22 @@ class StackedBackend(ComputeBackend):
 
         Bases that are a contiguous run of limbs of an already-cached
         basis — every level drop walks down a prefix, rescale transforms
-        the dropped limb alone, ModDown the special primes alone — share
-        its stacked tables as row views; only genuinely new bases (e.g.
-        the extended key-switching basis below the top level) allocate
-        fresh stacks, keeping the cache O(L * N) overall.  The
-        per-modulus :class:`NttContext` power tables are shared either way.
+        the dropped limb alone, ModDown the special primes alone, ModUp
+        the extended basis on either side of a digit — share its stacked
+        tables as row views; only genuinely new bases (e.g. the extended
+        key-switching basis below the top level) allocate fresh stacks,
+        keeping the cache O(L * N) overall.  The per-modulus
+        :class:`NttContext` power tables are shared either way.
         """
         ctx = self._batched_ntt.get(moduli)
         if ctx is None:
             want = stack_native_class(moduli)
             count = len(moduli)
             for cached_moduli, cached in self._batched_ntt.items():
+                if cached.klass != want:
+                    continue
                 start = _find_run(cached_moduli, moduli)
-                if (start is not None
-                        and stack_native_class(cached_moduli) == want):
+                if start is not None:
                     ctx = cached.rows(start, start + count)
                     break
             else:
@@ -123,6 +132,15 @@ class StackedBackend(ComputeBackend):
                                         per_limb=per_limb)
             self._batched_ntt[moduli] = ctx
         return ctx
+
+    def keyswitch_context(self, level):
+        ksctx = super().keyswitch_context(level)
+        # ModUp transforms a raised digit as the runs of the extended
+        # basis around the digit's own limbs; with the extended stack
+        # cached those runs are views of it, not one fresh twiddle copy
+        # per (level, digit).
+        self.batched_ntt(ksctx.extended)
+        return ksctx
 
     def ntt_forward(self, data, moduli):
         return self.batched_ntt(tuple(moduli)).forward(data)
@@ -139,101 +157,121 @@ class StackedBackend(ComputeBackend):
     # -- key switching -----------------------------------------------------
 
     def digit_decompose(self, data, ksctx):
-        return [scalar_mul_stack(data[start:stop], hat_invs,
-                                 ksctx.ct_moduli[start:stop])
-                for (start, stop), hat_invs in zip(ksctx.digit_spans,
-                                                   ksctx.digit_hat_inv)]
+        return [scale(data[start:stop])
+                for (start, stop), scale in zip(ksctx.digit_spans,
+                                                ksctx.digit_scale)]
 
     def mod_up(self, digit, digit_index, ksctx):
-        basis = ksctx.digit_bases[digit_index]
-        primes = tuple(basis.primes)
         weights = ksctx.modup_weights[digit_index]
-        mode = ksctx.modup_mode if digit.dtype != object else "object"
-        dtype = np.int64 if mode != "object" else object
+        p_col = ksctx.extended_col
         # Centered y_i = [d_i * hat{q}_i^{-1}]_{q_i}, one sweep per stack.
-        y = scalar_mul_stack(digit, basis.punctured_inv, primes)
-        q_col = np.array(primes, dtype=dtype).reshape(len(primes), 1)
-        half_col = q_col // 2
-        c = y - np.where(y > half_col, q_col, 0)
-        p_col = np.array(list(ksctx.extended),
-                         dtype=dtype).reshape(len(ksctx.extended), 1)
-        if mode == "int64" and ksctx.modup_matmul_safe[digit_index]:
+        y = ksctx.digit_unpuncture[digit_index](digit)
+        q_col = ksctx.digit_q_col[digit_index]
+        half_col = ksctx.digit_half_col[digit_index]
+        if y.dtype == object or ksctx.modup_mode == "object":
+            # Object dtype is overflow-free: one dot per digit, then one
+            # reduction per target prime.
+            y, weights, q_col, half_col, p_col = map(
+                _as_object_array, (y, weights, q_col, half_col, p_col))
+            return np.dot(weights, center_stack(y, q_col, half_col)) % p_col
+        c = center_stack(y, q_col, half_col)
+        if ksctx.modup_matmul_safe[digit_index]:
             # Single integer matmul over the centered weights: every sum of
             # d products stays below 2**63 (bound checked when the context
             # was built), so one (T, d) @ (d, N) sweep plus one reduction
             # replaces the per-term remainder pass.
             acc = ksctx.modup_centered_weights[digit_index] @ c
-            return np.remainder(acc, p_col)
-        if mode == "dword":
-            # 2-D double-word sweeps: per digit limb, broadcast its
-            # centered residues against every target prime and fold with a
-            # reduced modular add, so no intermediate leaves [0, p).
-            acc = None
-            for i in range(len(primes)):
-                c_mod = np.remainder(c[i][None, :], p_col)
-                term = mulmod_stack(c_mod, weights[:, i:i + 1],
-                                    ksctx.extended)
-                acc = term if acc is None else addmod_stack(
-                    acc, term, ksctx.extended)
+            acc %= p_col
             return acc
-        if mode == "object":
-            if c.dtype != object:
-                c = c.astype(object)
-            # Object dtype is overflow-free: one dot per digit, then one
-            # reduction per target prime.
-            acc = np.dot(weights, c)
-            return acc % p_col
+        if ksctx.modup_mode == "dword":
+            # 2-D double-word sweeps: per digit limb, broadcast its
+            # centered residues against every target prime (a Shoup
+            # multiply by the weight column) and fold with a reduced
+            # modular add, so no intermediate leaves [0, p).
+            p_u = p_col.view(np.uint64)
+            w_u = weights.view(np.uint64)
+            w_shoup = ksctx.modup_weights_shoup[digit_index]
+            acc = None
+            for i in range(len(c)):
+                c_mod = np.remainder(c[i][None, :], p_col).view(np.uint64)
+                term = _shoup_mulmod_u64(c_mod, w_u[:, i:i + 1],
+                                         w_shoup[:, i:i + 1], p_u)
+                acc = term if acc is None else _addmod_u64(acc, term, p_u)
+            return acc.view(np.int64)
         # int64 but too many limbs for the matmul bound: broadcast over all
         # (target, digit-limb) pairs with per-term reduction (|c*w| < 2**61,
         # then sums of < 32 reduced terms < 2**36).
-        w = weights.reshape(weights.shape + (1,))
-        terms = c[None, :, :] * w
-        terms = np.remainder(terms, p_col[:, :, None])
+        terms = c[None, :, :] * weights[:, :, None]
+        terms %= p_col[:, :, None]
         acc = terms.sum(axis=1)
-        return np.remainder(acc, p_col)
+        acc %= p_col
+        return acc
 
     def mod_down(self, data, ksctx):
-        ct_moduli = ksctx.ct_moduli
         # Only the special-prime rows leave EVAL form: their lift to the
         # ciphertext basis is transformed back and the subtract + P^{-1}
         # scaling run on evaluations (the NTT is linear per limb, so the
         # integers equal the COEFF-domain ModDown's, transformed).
         special = self.ntt_inverse(data[ksctx.num_ct:],
                                    ksctx.special_moduli)
-        if ksctx.mod_down_mode == "approx":
-            lift = self._lift_special_approx(special, ksctx)
-        else:
-            # Exact centered CRT (word-split planes, native per-target
-            # folds); shares rns.convert_exact with the reference
-            # backend, so both lifts are the same integers.
-            lift = stack_residues(
-                ksctx.p_basis.convert_exact(list(special), list(ct_moduli)),
-                ct_moduli)
-        diff = submod_stack(data[:ksctx.num_ct],
-                            self.ntt_forward(lift, ct_moduli), ct_moduli)
-        return shoup_scalar_mul_stack(diff, ksctx.p_inv,
-                                      ksctx.p_inv_shoup, ct_moduli)
+        lift = self.ntt_forward(self.lift_special(special, ksctx),
+                                ksctx.ct_moduli)
+        return ksctx.p_inv_scale.sub_mul(data[:ksctx.num_ct], lift)
 
-    def _lift_special_approx(self, special, ksctx):
-        """Float-corrected approximate lift (see the reference backend)."""
-        p_basis = ksctx.p_basis
-        primes = tuple(p_basis.primes)
-        dtype = object if special.dtype == object else np.int64
-        y = scalar_mul_stack(special, p_basis.punctured_inv, primes)
-        p_col = np.array(primes, dtype=dtype).reshape(len(primes), 1)
-        yc = y - np.where(y > p_col // 2, p_col, 0)
+    def lift_special(self, special, ksctx):
+        """Centered lift of the special-prime part to the ciphertext basis.
+
+        ``special`` is the COEFF ``(k, N)`` stack over the special primes;
+        the result is the ``(n, N)`` stack of
+        ``sum_j y_j * hat{p}_j - e * P mod q_i`` with centered
+        ``y_j = [x_j * hat{p}_j^{-1}]_{p_j}`` and the quotient ``e`` of
+        ``ksctx.mod_down_mode``.  On the int64 tier that is one
+        ``(n, k + 1) @ (k + 1, N)`` integer matmul; elsewhere (and where
+        the context refused the matmul) the exact rule keeps
+        :meth:`RnsBasis.convert_exact` — the same integers, shared with
+        the reference backend — and the approx rule its per-prime sweeps.
+        """
+        exact = ksctx.mod_down_mode == "exact"
+        matrix = ksctx.moddown_lift_matrix
+        if matrix is None or special.dtype == object or modmath._OBJECT_ONLY:
+            if exact:
+                ct_moduli = ksctx.ct_moduli
+                return stack_residues(
+                    ksctx.p_basis.convert_exact(list(special),
+                                                list(ct_moduli)), ct_moduli)
+            return self._lift_special_sweep(special, ksctx)
+        k = len(special)
+        operands = np.empty((k + 1, special.shape[1]), dtype=np.int64)
+        operands[:k] = center_stack(ksctx.special_unpuncture(special),
+                                    ksctx.special_col,
+                                    ksctx.special_half_col)
+        fracs = ksctx.moddown_prime_fracs
+        operands[k] = exact_moddown_quotient(operands[:k], fracs,
+                                             ksctx.p_basis) if exact \
+            else approx_moddown_quotient(operands[:k], fracs)
+        lift = matrix @ operands
+        lift %= ksctx.ct_col
+        return lift
+
+    def _lift_special_sweep(self, special, ksctx):
+        """The approx lift as per-prime sweeps (see the reference backend)."""
+        y = ksctx.special_unpuncture(special)
+        p_col, half_col, q_col = (ksctx.special_col, ksctx.special_half_col,
+                                  ksctx.ct_col)
+        if y.dtype == object:
+            p_col, half_col, q_col = map(_as_object_array,
+                                         (p_col, half_col, q_col))
+        yc = center_stack(y, p_col, half_col)
         e = approx_moddown_quotient(yc, ksctx.moddown_prime_fracs)
         ct_moduli = ksctx.ct_moduli
-        q_col = np.array(list(ct_moduli), dtype=dtype).reshape(
-            len(ct_moduli), 1)
         acc = None
-        for j in range(len(primes)):
+        for j in range(len(yc)):
             c_mod = np.remainder(yc[j][None, :], q_col)
             term = mulmod_stack(c_mod, ksctx.moddown_weights[:, j:j + 1],
                                 ct_moduli)
             acc = term if acc is None else addmod_stack(acc, term, ct_moduli)
-        p_mod_col = np.array(ksctx.moddown_p_mod_q, dtype=dtype).reshape(
-            len(ct_moduli), 1)
+        p_mod_col = np.array(ksctx.moddown_p_mod_q,
+                             dtype=q_col.dtype).reshape(-1, 1)
         corr = mulmod_stack(np.remainder(e[None, :], q_col), p_mod_col,
                             ct_moduli)
         return submod_stack(acc, corr, ct_moduli)
@@ -250,7 +288,4 @@ class StackedBackend(ComputeBackend):
         lift = self.ntt_forward(
             np.broadcast_to(centered, (len(rest_moduli), len(centered))),
             rest_moduli)
-        invs, quots = rescale_constants(tuple(int(q) for q in moduli))
-        diff = submod_stack(data[:-1], lift, rest_moduli)
-        return shoup_scalar_mul_stack(diff, invs, quots, rest_moduli)
-
+        return rescale_constants(tuple(moduli)).sub_mul(data[:-1], lift)

@@ -212,7 +212,7 @@ class CkksEvaluator:
         """
         ksctx = self.context.backend.keyswitch_context(ct.level)
         return HoistedCiphertext(
-            ct=ct, raised=raise_digits(ct.c1.to_coeff(), ksctx),
+            ct=ct, raised=raise_digits(ct.c1, ksctx),
             ksctx=ksctx)
 
     def rotate_hoisted(self, hoisted: HoistedCiphertext,

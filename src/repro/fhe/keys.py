@@ -29,7 +29,6 @@ class SecretKey:
     """Ternary secret s, stored in EVAL form over the full extended basis."""
 
     s: Polynomial                   # EVAL over moduli + special_moduli
-    s_coeff: Polynomial             # COEFF over the same basis
 
 
 @dataclass
@@ -69,8 +68,8 @@ class KeyGenerator:
         self.context = PolyContext(params, seed=seed, backend=backend)
         self.sigma = sigma
         full_basis = params.moduli + params.special_moduli
-        s_coeff = self.context.random_ternary(full_basis, hamming_weight)
-        self.secret_key = SecretKey(s=s_coeff.to_eval(), s_coeff=s_coeff)
+        self.secret_key = SecretKey(s=self.context.random_ternary(
+            full_basis, hamming_weight).to_eval())
         self._switching_keys: dict[tuple[str, int, int], SwitchingKey] = {}
         self.public_key = self._make_public_key()
 
@@ -112,8 +111,8 @@ class KeyGenerator:
 
     def _automorphed_secret(self, galois: int,
                             basis: tuple[int, ...]) -> Polynomial:
-        s_coeff = self.secret_key.s_coeff.at_basis(basis)
-        return s_coeff.automorphism(galois).to_eval()
+        # In EVAL form x -> x^g is a gather: no transform per key.
+        return self.secret_key.s.at_basis(basis).automorphism(galois)
 
     def _switching_key(self, kind: str, tag: int, level: int,
                        target_fn) -> SwitchingKey:
@@ -150,24 +149,50 @@ class KeyGenerator:
                             digit_spans=list(ksctx.digit_spans))
 
 
-def raise_digits(poly_coeff: Polynomial,
+def raise_digits(poly: Polynomial,
                  ksctx: KeySwitchContext) -> list[Polynomial]:
     """Digit decompose + ModUp + NTT: the hoistable half of KeySwitch.
 
-    Takes a COEFF polynomial over ``ksctx.ct_moduli`` and returns one EVAL
-    polynomial per digit over the extended basis C_l + P, ready for the
-    key product.  Rotation hoisting calls this once and reuses the raised
-    digits across a whole batch of automorphisms: ModUp uses centered
-    residues (see :meth:`ComputeBackend.mod_up`), so the digits commute
-    exactly with x -> x^g, and in EVAL form that map is a gather — each
-    further rotation skips the digits' forward transforms as well.
+    Takes a plain EVAL polynomial over ``ksctx.ct_moduli`` and returns one
+    EVAL polynomial per digit over the extended basis C_l + P, ready for
+    the key product.  The one inverse transform of ``poly`` here is
+    forced — base conversion reads coefficients — but on the digit's own
+    primes nothing is converted: every term of
+    ``sum_i c_i * hat{q}_i`` except ``i = j`` carries the factor ``q_j``,
+    so the raised digit is the scaled digit itself there, and scaling
+    commutes with the per-limb NTT.  Those rows are ``poly``'s existing
+    evaluations times ``[hat{Q}_j^{-1}]_{q_i}``; only the rest of the
+    extended basis — the runs before and after the digit's span — goes
+    through the forward transform.
+
+    Rotation hoisting calls this once and reuses the raised digits across
+    a whole batch of automorphisms: ModUp uses centered residues (see
+    :meth:`ComputeBackend.mod_up`), so the digits commute exactly with
+    x -> x^g, and in EVAL form that map is a gather — each further
+    rotation skips the digits' forward transforms as well.
     """
-    context = poly_coeff.context
+    if poly.rep is not Representation.EVAL or poly.mont:
+        raise ValueError("raise_digits requires plain-domain EVAL form")
+    context = poly.context
     backend = context.backend
-    digits = backend.digit_decompose(poly_coeff.data, ksctx)
-    return [Polynomial(context, backend.mod_up(digit, j, ksctx),
-                       ksctx.extended, Representation.COEFF).to_eval()
-            for j, digit in enumerate(digits)]
+    extended = ksctx.extended
+    own = backend.digit_decompose(poly.data, ksctx)
+    digits = backend.digit_decompose(poly.to_coeff().data, ksctx)
+    raised = []
+    for j, (start, stop) in enumerate(ksctx.digit_spans):
+        up = backend.mod_up(digits[j], j, ksctx)
+
+        def forward(lo: int, hi: int):
+            return backend.ntt_forward(
+                backend.select_limbs(up, range(lo, hi)), extended[lo:hi])
+
+        # The special primes always follow the span; digit 0 has no run
+        # before it.
+        parts = ([forward(0, start)] if start else []) \
+            + [own[j], forward(stop, len(extended))]
+        raised.append(Polynomial(context, backend.concat_limbs(parts),
+                                 extended, Representation.EVAL))
+    return raised
 
 
 def inner_product_keyswitch(raised: list[Polynomial], key: SwitchingKey,
@@ -196,9 +221,7 @@ def key_switch(poly: Polynomial, key: SwitchingKey,
     ks0 + ks1*s ~ poly * s_source (small noise).  This is the paper's
     KeySwitch operation: digit decompose -> ModUp -> key product -> ModDown,
     with every per-level constant coming from the backend's cached
-    :class:`~repro.fhe.rns.KeySwitchContext`.  The one inverse transform
-    of ``poly`` here is forced: digit decomposition and base conversion
-    read coefficients.
+    :class:`~repro.fhe.rns.KeySwitchContext`.
     """
     context = poly.context
     ksctx = context.backend.keyswitch_context(key.level)
@@ -206,7 +229,7 @@ def key_switch(poly: Polynomial, key: SwitchingKey,
         raise ValueError("polynomial basis does not match key level")
     if list(key.digit_spans) != list(ksctx.digit_spans):
         raise ValueError("switching key digit layout does not match level")
-    raised = raise_digits(poly.to_coeff(), ksctx)
+    raised = raise_digits(poly, ksctx)
     return inner_product_keyswitch(raised, key, ksctx)
 
 

@@ -27,9 +27,18 @@ additions and multiplications (paper section 2.2).  This module provides:
   - object-dtype fallback: numpy arrays of Python ints, exact for any
     word size; only moduli of 61+ bits take this path now.
 
-The choice is automatic per modulus; see :func:`mulmod_vec`.  For
-benchmarking (and for pitting the native paths against the bignum oracle)
-:func:`force_object_dtype` disables both native paths.
+The generic kernels (``*_vec`` per limb, ``*_stack`` across a limb stack)
+choose the path automatically per call; see :func:`mulmod_vec`.  The hot
+paths do not pay that choice per call: a ``BatchedNttContext`` binds its
+tier and modulus columns when it is built and runs its stages as direct
+ufuncs, and the per-level constant multiplies of the key-switch datapath
+are :class:`BoundScalarMul` objects held by the ``KeySwitchContext``
+(see "The three dtype paths" in ``backend/README.md``).  Conditional
+subtractions on the double-word tier are branch-free:
+``np.minimum(r, r - q)`` in uint64, where ``r - q`` wraps past ``r``
+exactly when ``r < q``.  For benchmarking (and for pitting the native
+paths against the bignum oracle) :func:`force_object_dtype` disables both
+native paths — bound contexts read that flag once per call.
 """
 
 from __future__ import annotations
@@ -303,7 +312,8 @@ def _barrett_reduce_dword(hi, lo, q_u, ratio_lo, ratio_hi):
     carry = t_hi + (tmp2 < t_lo)
     quot = hi * ratio_hi + round1 + carry
     r = lo - quot * q_u
-    return np.where(r >= q_u, r - q_u, r)
+    # r < 2q < 2**62, so r - q wraps past r exactly when r < q.
+    return np.minimum(r, r - q_u)
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,7 +367,8 @@ def _shoup_mulmod_u64(a, w, w_shoup, q_u):
     """
     qhat = _mulhi64(w_shoup, a)
     r = w * a - qhat * q_u
-    return np.where(r >= q_u, r - q_u, r)
+    # r < 2q < 2**62, so r - q wraps past r exactly when r < q.
+    return np.minimum(r, r - q_u)
 
 
 def shoup_mulmod_vec(a: np.ndarray, w: int, w_shoup: int,
@@ -376,13 +387,16 @@ def shoup_mulmod_vec(a: np.ndarray, w: int, w_shoup: int,
 def _addmod_u64(a, b, q_u):
     """uint64 modular addition of reduced operands (broadcastable q)."""
     s = a + b
-    return np.where(s >= q_u, s - q_u, s)
+    # s < 2q < 2**62, so s - q wraps past s exactly when s < q.
+    return np.minimum(s, s - q_u)
 
 
 def _submod_u64(a, b, q_u):
     """uint64 modular subtraction of reduced operands (broadcastable q)."""
-    d = a + (q_u - b)
-    return np.where(d >= q_u, d - q_u, d)
+    d = a - b
+    # a, b < q < 2**61: d wraps above 2**63 exactly when a < b, and d + q
+    # then wraps back into [0, q); otherwise d < q <= d + q.
+    return np.minimum(d, d + q_u)
 
 
 # -- Montgomery-domain (R = 2**64) vector kernels -----------------------------
@@ -431,7 +445,8 @@ def _mont_mulmod_u64(a, b, q_u, qprime_u):
     hi, lo = _mul64(a, b)
     m = lo * qprime_u
     u = hi + _mulhi64(m, q_u) + (lo != np.uint64(0))
-    return np.where(u >= q_u, u - q_u, u)
+    # u < 2q < 2**62, so u - q wraps past u exactly when u < q.
+    return np.minimum(u, u - q_u)
 
 
 def mont_mulmod_vec(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -479,9 +494,10 @@ def from_mont_vec(a: np.ndarray, q: int) -> np.ndarray:
     if native_class(q) == "dword" and a.dtype != object:
         au = _as_u64(a)
         m = au * np.uint64(qprime)
-        u = _mulhi64(m, np.uint64(q)) + (au != np.uint64(0))
         q_u = np.uint64(q)
-        return np.where(u >= q_u, u - q_u, u).view(np.int64)
+        u = _mulhi64(m, q_u) + (au != np.uint64(0))
+        # u <= q < 2**61, so u - q wraps past u exactly when u < q.
+        return np.minimum(u, u - q_u).view(np.int64)
     return mulmod_vec(a, r_inv, q)
 
 
@@ -803,6 +819,19 @@ def reduce_stack(a: np.ndarray, moduli) -> np.ndarray:
     return a % qcol
 
 
+def center_stack(y: np.ndarray, q_col: np.ndarray,
+                 half_col: np.ndarray) -> np.ndarray:
+    """Centered lift of reduced residues: ``y - q`` where ``y > q // 2``.
+
+    ``q_col`` / ``half_col`` are the moduli and their floor halves as
+    columns broadcastable against ``y``.
+    """
+    if y.dtype == object or q_col.dtype == object:
+        return y - np.where(y > half_col, q_col, 0)
+    # Sign mask of half - y: all ones exactly where y > half.
+    return y - (q_col & ((half_col - y) >> 63))
+
+
 def scalar_mul_stack(a: np.ndarray, scalars: list[int], moduli) -> np.ndarray:
     """Multiply limb i by ``scalars[i] mod q_i`` across the whole stack."""
     if len(scalars) != len(moduli):
@@ -814,33 +843,70 @@ def scalar_mul_stack(a: np.ndarray, scalars: list[int], moduli) -> np.ndarray:
     return mulmod_stack(a, col, moduli)
 
 
-def shoup_scalar_mul_stack(a: np.ndarray, scalars, shoup_quots,
-                           moduli) -> np.ndarray:
-    """:func:`scalar_mul_stack` with precomputed Shoup quotients.
+class BoundScalarMul:
+    """:func:`scalar_mul_stack` for per-limb constants that never change.
 
-    ``scalars[i]`` must be a *reduced* residue mod ``moduli[i]`` and
-    ``shoup_quots[i]`` its :func:`shoup_precompute` quotient — the
-    per-level constants of rescale and ModDown (``q_last^{-1}``,
-    ``P^{-1}``) are fixed per modulus chain, so callers pay the bigint
-    quotient once (:func:`rescale_constants`,
-    ``KeySwitchContext.p_inv_shoup``).  Bit-identical to
-    :func:`scalar_mul_stack`: the double-word tier swaps the Barrett
-    sweep for the cheaper Shoup multiply (one MULHI + two low
-    multiplies); every other tier falls through to the generic path.
+    The per-level constants of the key-switch datapath (``hat{Q}_j^{-1}``,
+    ``hat{q}_i^{-1}``, ``P^{-1}``, ``q_last^{-1}``) are fixed per modulus
+    chain, so everything :func:`scalar_mul_stack` re-derives per call is
+    resolved here once: the reduced scalars, the kernel class of the
+    basis, and the ready ``(L, 1)`` columns — including, on the
+    double-word tier, the Shoup quotients, which swap the Barrett sweep
+    for one MULHI + two low multiplies.  A call is then a straight line
+    of ufuncs, bit-identical to :func:`scalar_mul_stack` in every tier.
+
+    The bound class is that of the *basis*; :func:`force_object_dtype`
+    and object-dtype operands are honoured per call (one read of the
+    module flag) by falling through to the generic kernel.
     """
-    if len(scalars) != len(moduli) or len(shoup_quots) != len(moduli):
-        raise ValueError("need one scalar and one quotient per limb")
-    if stack_native_class(moduli) != "dword" \
-            or not _stack_native_ok(moduli, a):
-        return scalar_mul_stack(a, scalars, moduli)
-    shape = (len(moduli),) + (1,) * (a.ndim - 1)
-    w = np.array([int(s) for s in scalars],
-                 dtype=np.uint64).reshape(shape)
-    w_shoup = np.array([int(s) for s in shoup_quots],
-                       dtype=np.uint64).reshape(shape)
-    q_u = np.array([int(q) for q in moduli],
-                   dtype=np.uint64).reshape(shape)
-    return _shoup_mulmod_u64(_as_u64(a), w, w_shoup, q_u).view(np.int64)
+
+    def __init__(self, scalars, moduli):
+        self.moduli = tuple(int(q) for q in moduli)
+        if len(scalars) != len(self.moduli):
+            raise ValueError("need one scalar per limb")
+        self.scalars = [int(s) % q for s, q in zip(scalars, self.moduli)]
+        self.klass = _basis_class(self.moduli)
+        if self.klass == "object":
+            return
+        shape = (len(self.moduli), 1)
+        self.q_col = np.array(self.moduli, dtype=np.int64).reshape(shape)
+        self.col = np.array(self.scalars, dtype=np.int64).reshape(shape)
+        if self.klass == "dword":
+            self.shoup_col = np.array(
+                [shoup_precompute(w, q)
+                 for w, q in zip(self.scalars, self.moduli)],
+                dtype=np.uint64).reshape(shape)
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        """Limb i of the 2-D stack ``a`` times ``scalars[i] mod q_i``."""
+        if _OBJECT_ONLY or self.klass == "object" or a.dtype == object:
+            return scalar_mul_stack(a, self.scalars, self.moduli)
+        if self.klass == "int64":
+            out = a * self.col
+            out %= self.q_col
+            return out
+        return _shoup_mulmod_u64(_as_u64(a), self.col.view(np.uint64),
+                                 self.shoup_col,
+                                 self.q_col.view(np.uint64)).view(np.int64)
+
+    def sub_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Limb i of ``a - b`` times ``scalars[i] mod q_i`` (reduced
+        operands): the subtract-and-scale tail of rescale and ModDown."""
+        if (_OBJECT_ONLY or self.klass == "object" or a.dtype == object
+                or b.dtype == object):
+            return scalar_mul_stack(submod_stack(a, b, self.moduli),
+                                    self.scalars, self.moduli)
+        if self.klass == "int64":
+            # |a - b| < q < 2**31, so the signed product fits and the
+            # floor remainder lands in [0, q) without a sign fix-up.
+            out = a - b
+            out *= self.col
+            out %= self.q_col
+            return out
+        q_u = self.q_col.view(np.uint64)
+        return _shoup_mulmod_u64(_submod_u64(_as_u64(a), _as_u64(b), q_u),
+                                 self.col.view(np.uint64), self.shoup_col,
+                                 q_u).view(np.int64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -906,27 +972,24 @@ def from_mont_stack(a: np.ndarray, moduli) -> np.ndarray:
         au = _as_u64(a)
         m = au * qprime
         u = _mulhi64(m, q_u) + (au != np.uint64(0))
-        return np.where(u >= q_u, u - q_u, u).view(np.int64)
+        # u <= q < 2**61, so u - q wraps past u exactly when u < q.
+        return np.minimum(u, u - q_u).view(np.int64)
     return scalar_mul_stack(a, _mont_rinv(moduli), moduli)
 
 
 @functools.lru_cache(maxsize=256)
-def rescale_constants(moduli: tuple[int, ...]
-                      ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-level rescale constants for dropping ``moduli[-1]``.
+def rescale_constants(moduli: tuple[int, ...]) -> BoundScalarMul:
+    """The bound ``q_last^{-1} mod q_i`` scaling for dropping ``moduli[-1]``.
 
-    Returns ``(invs, shoup_quots)``: ``invs[i] = q_last^{-1} mod q_i``
-    for each remaining limb, plus the Shoup quotients for
-    :func:`shoup_scalar_mul_stack`.  Cached per modulus chain so the
-    per-call ``pow(q_last, -1, q)`` inversions the backends used to run
-    are paid once per level.
+    ``.scalars[i]`` is the inverse for each remaining limb (what the
+    per-limb reference backend reads); calling the result scales a whole
+    ``(L - 1, N)`` stack.  Cached per modulus chain so the
+    ``pow(q_last, -1, q)`` inversions and the columns are paid once per
+    level.
     """
     q_last = int(moduli[-1])
     rest = [int(q) for q in moduli[:-1]]
-    invs = tuple(invmod(q_last % q, q) for q in rest)
-    quots = tuple(shoup_precompute(inv, q)
-                  for inv, q in zip(invs, rest))
-    return invs, quots
+    return BoundScalarMul([invmod(q_last % q, q) for q in rest], rest)
 
 
 def scalar_add_stack(a: np.ndarray, scalars: list[int], moduli) -> np.ndarray:

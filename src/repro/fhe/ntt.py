@@ -234,14 +234,23 @@ class BatchedNttContext:
         ctxs = per_limb or [NttContext(q, n) for q in self.moduli]
         if any(c.n != n for c in ctxs):
             raise ValueError("per-limb NTT contexts disagree on length")
+        # The kernel class is bound here, once: forward / inverse run the
+        # stages of this tier as direct ufuncs over the columns below.
         self.klass = stack_native_class(self.moduli)
         dtype = np.int64 if self.klass != "object" else object
+        rows = len(ctxs)
         self.psi_rev = np.stack(
             [np.asarray(c.psi_rev, dtype=dtype) for c in ctxs])
         self.psi_inv_rev = np.stack(
             [np.asarray(c.psi_inv_rev, dtype=dtype) for c in ctxs])
         self.n_inv_col = np.array([c.n_inv for c in ctxs],
-                                  dtype=dtype).reshape(len(ctxs), 1)
+                                  dtype=dtype).reshape(rows, 1)
+        self.q_col = np.array(self.moduli, dtype=dtype).reshape(rows, 1)
+        self.psi_rev_shoup = self.psi_inv_rev_shoup = None
+        self.n_inv_shoup_col = self.q_u_col = None
+        if self.klass != "object":
+            # Modulus column in stage shape (rows, blocks, half-block).
+            self.q_u_col = self.q_col.view(np.uint64).reshape(rows, 1, 1)
         if self.klass == "dword":
             # Rows below 2**31 have no per-limb Shoup tables (they run the
             # int64 path solo) but need them inside a mixed stack.
@@ -254,21 +263,15 @@ class BatchedNttContext:
                  for c in ctxs])
             self.n_inv_shoup_col = np.array(
                 [(c.n_inv << 64) // c.q for c in ctxs],
-                dtype=np.uint64).reshape(len(ctxs), 1)
-            self.q_u_col = np.array(self.moduli,
-                                    dtype=np.uint64).reshape(len(ctxs), 1, 1)
-        else:
-            self.psi_rev_shoup = None
-            self.psi_inv_rev_shoup = None
-            self.n_inv_shoup_col = None
-            self.q_u_col = None
+                dtype=np.uint64).reshape(rows, 1)
 
     def rows(self, start: int, stop: int) -> "BatchedNttContext":
         """Context for limbs ``[start, stop)``, sharing twiddle storage as
         views.
 
-        Level drops walk down prefixes of one basis, and rescale / ModDown
-        transform the dropped limb or the special primes alone; all of
+        Level drops walk down prefixes of one basis, rescale / ModDown
+        transform the dropped limb or the special primes alone, and ModUp
+        transforms a raised digit on either side of its own limbs; all of
         them are row ranges of a stack that is already cached, so sharing
         it keeps the cache at O(L * N) instead of one copy per level and
         sub-basis.
@@ -278,34 +281,107 @@ class BatchedNttContext:
         out.moduli = self.moduli[rows]
         out.n = self.n
         out.klass = self.klass
-        out.psi_rev = self.psi_rev[rows]
-        out.psi_inv_rev = self.psi_inv_rev[rows]
-        out.n_inv_col = self.n_inv_col[rows]
-        if self.klass == "dword":
-            out.psi_rev_shoup = self.psi_rev_shoup[rows]
-            out.psi_inv_rev_shoup = self.psi_inv_rev_shoup[rows]
-            out.n_inv_shoup_col = self.n_inv_shoup_col[rows]
-            out.q_u_col = self.q_u_col[rows]
-        else:
-            out.psi_rev_shoup = None
-            out.psi_inv_rev_shoup = None
-            out.n_inv_shoup_col = None
-            out.q_u_col = None
+        for name in ("psi_rev", "psi_inv_rev", "n_inv_col", "q_col",
+                     "psi_rev_shoup", "psi_inv_rev_shoup",
+                     "n_inv_shoup_col", "q_u_col"):
+            table = getattr(self, name)
+            setattr(out, name, None if table is None else table[rows])
         return out
 
-    def _use_dword(self, stack: np.ndarray) -> bool:
-        return (self.klass == "dword" and stack.dtype != object
-                and stack_native_class(self.moduli) == "dword")
+    def _reduced(self, stack: np.ndarray) -> np.ndarray | None:
+        """Fresh C-order int64 copy of ``stack`` reduced row-wise, or None
+        when this transform must take the generic object-capable path:
+        an object-tier context, object-dtype input, or — one read of the
+        module flag per transform — :func:`modmath.force_object_dtype`
+        active around a context that was built outside it.
+        """
+        if (self.klass == "object" or modmath._OBJECT_ONLY
+                or stack.dtype == object):
+            return None
+        # C order whatever the input's strides (a broadcast row, say): the
+        # stages reshape the copy and write through the views.
+        a = np.empty(stack.shape, dtype=np.int64)
+        np.remainder(stack, self.q_col, out=a)
+        return a
 
     def forward(self, stack: np.ndarray) -> np.ndarray:
         """Batched negacyclic NTT: coefficient stack -> evaluation stack."""
+        stack = np.asarray(stack)
+        a = self._reduced(stack)
+        if a is None:
+            return self._forward_generic(stack)
+        n, rows = self.n, len(self.moduli)
+        q = self.q_u_col
+        au = a.view(np.uint64)
+        tw_u = self.psi_rev.view(np.uint64)
+        shoup = self.psi_rev_shoup
+        t = n
+        m = 1
+        while m < n:
+            t //= 2
+            block = au.reshape(rows, m, 2 * t)
+            lo = block[:, :, :t]
+            hi = block[:, :, t:]
+            tw = tw_u[:, m:2 * m, None]
+            if shoup is None:
+                # q < 2**31: the product fits one machine word.
+                v = hi * tw
+                v %= q
+            else:
+                v = _shoup_mulmod_u64(hi, tw, shoup[:, m:2 * m, None], q)
+            # Both results are fresh arrays, so writing the halves back
+            # cannot alias the operands.
+            s = _addmod_u64(lo, v, q)
+            block[:, :, t:] = _submod_u64(lo, v, q)
+            block[:, :, :t] = s
+            m *= 2
+        return a
+
+    def inverse(self, stack: np.ndarray) -> np.ndarray:
+        """Batched inverse NTT: evaluation stack -> coefficient stack."""
+        stack = np.asarray(stack)
+        a = self._reduced(stack)
+        if a is None:
+            return self._inverse_generic(stack)
+        n, rows = self.n, len(self.moduli)
+        q = self.q_u_col
+        au = a.view(np.uint64)
+        tw_u = self.psi_inv_rev.view(np.uint64)
+        shoup = self.psi_inv_rev_shoup
+        t = 1
+        m = n
+        while m > 1:
+            h = m // 2
+            block = au.reshape(rows, h, 2 * t)
+            lo = block[:, :, :t]
+            hi = block[:, :, t:]
+            tw = tw_u[:, h:2 * h, None]
+            d = _submod_u64(lo, hi, q)
+            block[:, :, :t] = _addmod_u64(lo, hi, q)
+            if shoup is None:
+                d *= tw
+                d %= q
+                block[:, :, t:] = d
+            else:
+                block[:, :, t:] = _shoup_mulmod_u64(
+                    d, tw, shoup[:, h:2 * h, None], q)
+            t *= 2
+            m = h
+        q = q[:, :, 0]
+        n_inv = self.n_inv_col.view(np.uint64)
+        if shoup is None:
+            au *= n_inv
+            au %= q
+            return a
+        return _shoup_mulmod_u64(au, n_inv, self.n_inv_shoup_col,
+                                 q).view(np.int64)
+
+    # -- object tier: the generic kernels, exact for any word size -------
+
+    def _forward_generic(self, stack: np.ndarray) -> np.ndarray:
         moduli, n = self.moduli, self.n
         rows = len(moduli)
-        # C order whatever the input's strides (a broadcast row, say): the
-        # stages reshape ``a`` and write through the views.
         a = reduce_stack(np.array(stack, copy=True, order="C"), moduli)
-        if self._use_dword(a):
-            return self._forward_dword(a)
         t = n
         m = 1
         while m < n:
@@ -323,33 +399,10 @@ class BatchedNttContext:
             m *= 2
         return a
 
-    def _forward_dword(self, a: np.ndarray) -> np.ndarray:
-        """Per-row Shoup butterflies across the whole stack (uint64)."""
-        n, rows = self.n, len(self.moduli)
-        q_u = self.q_u_col
-        au = a.view(np.uint64)
-        tw_u = self.psi_rev.view(np.uint64)
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            tw = tw_u[:, m:2 * m, None]
-            tws = self.psi_rev_shoup[:, m:2 * m, None]
-            block = au.reshape(rows, m, 2 * t)
-            u = block[:, :, :t].copy()
-            v = _shoup_mulmod_u64(block[:, :, t:], tw, tws, q_u)
-            block[:, :, :t] = _addmod_u64(u, v, q_u)
-            block[:, :, t:] = _submod_u64(u, v, q_u)
-            m *= 2
-        return a
-
-    def inverse(self, stack: np.ndarray) -> np.ndarray:
-        """Batched inverse NTT: evaluation stack -> coefficient stack."""
+    def _inverse_generic(self, stack: np.ndarray) -> np.ndarray:
         moduli, n = self.moduli, self.n
         rows = len(moduli)
         a = reduce_stack(np.array(stack, copy=True, order="C"), moduli)
-        if self._use_dword(a):
-            return self._inverse_dword(a)
         t = 1
         m = n
         while m > 1:
@@ -365,30 +418,6 @@ class BatchedNttContext:
             t *= 2
             m = h
         return mulmod_stack(a, self.n_inv_col, moduli)
-
-    def _inverse_dword(self, a: np.ndarray) -> np.ndarray:
-        """Per-row Shoup Gentleman--Sande stages across the stack."""
-        n, rows = self.n, len(self.moduli)
-        q_u = self.q_u_col
-        au = a.view(np.uint64)
-        tw_u = self.psi_inv_rev.view(np.uint64)
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            tw = tw_u[:, h:2 * h, None]
-            tws = self.psi_inv_rev_shoup[:, h:2 * h, None]
-            block = au.reshape(rows, h, 2 * t)
-            u = block[:, :, :t].copy()
-            v = block[:, :, t:].copy()
-            block[:, :, :t] = _addmod_u64(u, v, q_u)
-            block[:, :, t:] = _shoup_mulmod_u64(_submod_u64(u, v, q_u), tw,
-                                                tws, q_u)
-            t *= 2
-            m = h
-        out = _shoup_mulmod_u64(au, self.n_inv_col.view(np.uint64),
-                                self.n_inv_shoup_col, self.q_u_col[:, :, 0])
-        return out.view(np.int64)
 
 
 def negacyclic_convolution_naive(a: np.ndarray, b: np.ndarray,

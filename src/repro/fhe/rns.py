@@ -19,10 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import modmath
-from .modmath import (add_planes, addmod_vec, horner_fold_mod, invmod,
-                      join_words, limb_dtype, mont_precompute_vec,
-                      mulmod_vec, reduce_vec, shoup_precompute, split_words,
-                      stack_native_class, sub_planes, submod_vec)
+from .modmath import (BoundScalarMul, add_planes, addmod_vec,
+                      horner_fold_mod, invmod, join_words, limb_dtype,
+                      mont_precompute_vec, mulmod_vec, reduce_vec,
+                      shoup_precompute_vec, split_words, stack_native_class,
+                      sub_planes, submod_vec)
 
 _U32_MASK = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -325,6 +326,21 @@ class RnsBasis:
                                                      copy=False))
         return out
 
+    def round_quotient(self, centered_columns: np.ndarray) -> list[int]:
+        """Exact ``round(sum_i y_i / q_i)`` per column, in Python integers.
+
+        ``centered_columns`` holds centered scaled residues ``y_i`` (one
+        row per prime).  ``sum_i y_i / q_i = S / Q`` with
+        ``S = sum_i y_i * hat{q}_i``; Q is odd, so ``2S + Q`` is odd and
+        the floor below never sits on a tie.
+        """
+        q = self.big_modulus
+        out = []
+        for column in centered_columns.T:
+            total = sum(int(y) * hat for y, hat in zip(column, self.punctured))
+            out.append((2 * total + q) // (2 * q))
+        return out
+
     def subbasis(self, count: int) -> "RnsBasis":
         """Basis formed by the first ``count`` primes."""
         return RnsBasis(self.primes[:count])
@@ -345,59 +361,135 @@ def digit_spans(level: int, alpha: int) -> list[tuple[int, int]]:
     return spans
 
 
+#: A float64 quotient sum whose fractional part is within this distance of
+#: 1/2 is not trusted to round the right way; see
+#: :func:`exact_moddown_quotient`.
+QUOTIENT_GUARD = 2.0 ** -40
+
+
+def _moddown_quotient_sum(centered_rows: np.ndarray,
+                          prime_fracs: np.ndarray) -> np.ndarray:
+    """``sum_j y_j / p_j`` in float64, one fixed order of operations.
+
+    Each term is off by at most ``2**-53`` (``|y_j / p_j| <= 1/2``, two
+    roundings) and the k - 1 sequential additions by at most
+    ``(k - 1) * (k / 2) * 2**-53`` in all, so the sum is within
+    ``k * (k + 1) * 2**-54`` of the true value.
+    """
+    return (centered_rows.astype(np.float64)
+            * prime_fracs.reshape(-1, 1)).sum(axis=0)
+
+
 def approx_moddown_quotient(centered_rows: np.ndarray,
                             prime_fracs: np.ndarray) -> np.ndarray:
-    """Float-corrected CRT quotient for approximate ModDown.
+    """Float-rounded CRT quotient: the ``approx`` ModDown quotient rule.
 
     ``centered_rows`` holds the centered scaled residues ``y_j`` of the
     special-prime part (one row per special prime); the true value
     satisfies ``sum_j y_j * hat{p}_j = v + e*P`` with
     ``e = round(sum_j y_j / p_j)`` and ``|v| <= P/2``.  The sum of
-    ``y_j / p_j`` is evaluated in float64; both backends call this one
-    helper on identically-shaped arrays so the rounding (and therefore
-    the opt-in approximation) is bit-identical across backends.
+    ``y_j / p_j`` is evaluated in float64 and rounded as is — off by one
+    from ``e`` where the sum lands within float error of a half-integer.
+    Both backends call this one helper on identically-shaped arrays so
+    the rounding (and therefore the opt-in approximation) is
+    bit-identical across backends.
     """
-    v = (centered_rows.astype(np.float64)
-         * prime_fracs.reshape(-1, 1)).sum(axis=0)
-    return np.rint(v).astype(np.int64)
+    return np.rint(_moddown_quotient_sum(centered_rows,
+                                         prime_fracs)).astype(np.int64)
+
+
+def exact_moddown_quotient(centered_rows: np.ndarray,
+                           prime_fracs: np.ndarray,
+                           basis: RnsBasis) -> np.ndarray:
+    """The true ``e = round(sum_j y_j / p_j)``: the ``exact`` quotient rule.
+
+    Same float64 sum as :func:`approx_moddown_quotient`; its error is
+    far below :data:`QUOTIENT_GUARD` (see :func:`_moddown_quotient_sum`),
+    so rounding it is exact wherever the fractional part keeps that
+    distance from 1/2.  The remaining columns — about ``2**-39`` of them
+    on uniform input — are rounded in Python integers
+    (:meth:`RnsBasis.round_quotient`; P is odd, so no tie exists).
+    """
+    v = _moddown_quotient_sum(centered_rows, prime_fracs)
+    e = np.rint(v).astype(np.int64)
+    near = np.flatnonzero(np.abs(v - np.floor(v) - 0.5) < QUOTIENT_GUARD)
+    if near.size:
+        e[near] = basis.round_quotient(centered_rows[:, near])
+    return e
 
 
 class KeySwitchContext:
     """Precomputed per-level tables for hybrid key switching.
 
-    Everything :func:`repro.fhe.keys.key_switch` and ModDown used to rebuild
-    with ``pow(..., -1, ...)`` on every call is computed once here and cached
-    per level by :meth:`repro.fhe.backend.ComputeBackend.keyswitch_context`:
+    Everything KeySwitch needs per level is resolved once here — the
+    constants, the kernel class of each basis, and the ready columns and
+    matrices the stacked kernels sweep — and cached per level by
+    :meth:`repro.fhe.backend.ComputeBackend.keyswitch_context`.  Built
+    eagerly: worker threads share these contexts.
 
-    * ``digit_hat_inv`` — the per-limb residues of ``hat{Q}_j^{-1} mod Q_j``
-      that scale digit j during decomposition,
+    Digit decomposition and ModUp
+
+    * ``digit_hat_inv[j]`` — the per-limb residues of
+      ``hat{Q}_j^{-1} mod Q_j`` that scale digit j during decomposition;
+      ``digit_scale[j]`` is the same scaling bound to its columns
+      (:class:`~repro.fhe.modmath.BoundScalarMul`),
+    * ``digit_unpuncture[j]`` — the bound ``hat{q}_i^{-1}`` scaling that
+      starts ModUp, with ``digit_q_col[j]`` / ``digit_half_col[j]`` to
+      center its result,
     * ``modup_weights[j]`` — the ``(|extended|, |digit j|)`` matrix of
       punctured digit products ``hat{q}_i mod p`` driving the approximate
-      base conversion of ModUp (centered variant; see :attr:`modup_mode`),
-    * ``p_inv`` — ``P^{-1} mod q_i`` per ciphertext limb for ModDown
-      (with ``p_inv_shoup``, its precomputed Shoup quotients),
-    * ``mont`` — per-extended-modulus Montgomery REDC constants
-      ``(qprime, r_mod_q, r_shoup, r_inv)`` backing the Montgomery-form
-      switching keys (the key product then costs one REDC per pointwise
-      multiply instead of a full Barrett reduction),
+      base conversion of ModUp (centered variant; see :attr:`modup_mode`);
+      ``modup_centered_weights[j]`` is its centered copy for the single
+      int64 matmul (where ``modup_matmul_safe[j]``) and
+      ``modup_weights_shoup[j]`` its Shoup quotients on the double-word
+      tier,
+    * ``extended_col`` — the extended basis as a column.
+
+    ModDown
+
+    * ``p_inv`` — ``P^{-1} mod q_i`` per ciphertext limb; ``p_inv_scale``
+      is the same scaling bound to its columns,
     * ``p_basis`` — the special-prime basis with its exact-CRT tables,
-    * the approximate-ModDown tables (``moddown_weights``,
-      ``moddown_p_mod_q``, ``moddown_prime_fracs``) when
-      ``mod_down_mode="approx"`` is selected.
+    * ``special_unpuncture`` / ``special_col`` / ``special_half_col`` —
+      the centered scaled residues ``y_j = [x_j * hat{p}_j^{-1}]_{p_j}``
+      of the special limbs,
+    * ``moddown_prime_fracs`` — ``1 / p_j`` in float64, for the quotient
+      ``e = round(sum_j y_j / p_j)``,
+    * ``moddown_lift_matrix`` — the ``(n, k + 1)`` int64 matrix
+      ``[ [hat{p}_j]_{q_i} | -[P]_{q_i} ]`` of centered residues: the
+      lift of the special part is ``matrix @ [y; e] mod q_i``, one
+      integer matmul.  ``None`` unless every extended prime is on the
+      int64 tier and no row sum can reach ``2**63``
+      (``sum_j |w_ij| * (p_j - 1)/2 + |[P]_{q_i}| * (k/2 + 1)``, checked
+      here like ``modup_matmul_safe``); the stacked backend then keeps
+      :meth:`RnsBasis.convert_exact`,
+    * ``ct_col`` — the ciphertext basis as a column,
+    * ``moddown_weights`` / ``moddown_p_mod_q`` — the uncentered
+      ``hat{p}_j mod q_i`` and ``P mod q_i`` of the per-prime ``approx``
+      sweeps (``mod_down_mode="approx"`` only).
 
-    ``mod_down_mode`` selects how ModDown lifts the special-prime part:
+    ``mont`` — per-extended-modulus Montgomery REDC constants
+    ``(qprime, r_mod_q, r_shoup, r_inv)`` backing the Montgomery-form
+    switching keys (the key product then costs one REDC per pointwise
+    multiply instead of a full Barrett reduction).
 
-    * ``"exact"`` (default) — exact centered CRT composition; the result
-      is the true rounded division by P, bit-identical to the seed path;
-    * ``"approx"`` — float-corrected approximate base conversion
-      (HEAAN-style): native per-prime sweeps plus one float64 quotient
-      estimate, off by at most 1 per coefficient versus exact (see
+    ``mod_down_mode`` selects the quotient rule of the ModDown lift
+    ``sum_j y_j * hat{p}_j - e * P``:
+
+    * ``"exact"`` (default) — the true ``e``
+      (:func:`exact_moddown_quotient`): the exact centered lift, so the
+      result is the true rounded division by P, bit-identical to exact
+      CRT composition;
+    * ``"approx"`` — ``e`` as float64 rounds it
+      (:func:`approx_moddown_quotient`, HEAAN-style), off by at most 1
+      per coefficient versus exact (see
       :func:`repro.fhe.noise.mod_down_error_bound`).  Opt in via
       ``CkksParameters(mod_down_mode="approx")``.
 
-    The tables are backend-agnostic: the ``reference`` backend walks them
-    limb by limb, the ``stacked`` backend broadcasts them across whole limb
-    stacks.  Both consume identical integers, keeping the backends bit-exact.
+    The tables are backend-agnostic: the ``reference`` backend walks the
+    plain lists limb by limb, the ``stacked`` backend sweeps the bound
+    columns across whole limb stacks.  Both consume identical integers,
+    keeping the backends bit-exact.
     """
 
     MOD_DOWN_MODES = ("exact", "approx")
@@ -424,32 +516,41 @@ class KeySwitchContext:
         self.p_basis = RnsBasis(list(special))
         self.p_prod = self.p_basis.big_modulus
         self.p_inv = [invmod(self.p_prod % q, q) for q in ct_moduli]
-        # Precomputed Shoup quotients for the P^{-1} scaling that ends
-        # every ModDown (shoup_scalar_mul_stack); built once per level
-        # alongside the inverses themselves.
-        self.p_inv_shoup = [shoup_precompute(w, q)
-                            for w, q in zip(self.p_inv, ct_moduli)]
+        self.p_inv_scale = BoundScalarMul(self.p_inv, ct_moduli)
         # Per-extended-modulus REDC constants (qprime, r_mod_q, r_shoup,
         # r_inv) for the Montgomery-domain key product: switching keys are
         # stored in Montgomery form over this basis, so building the
         # context warms the constant cache for every extended prime.
         self.mont = tuple(mont_precompute_vec(int(p)) for p in self.extended)
-        # ModUp kernel class for the extended basis: "int64" keeps the
-        # single-multiply sweeps (with the matmul fast path below),
-        # "dword" drives the double-word Barrett/Shoup sweeps at the
-        # paper's 54-bit word, "object" is the 61+-bit fallback.
+        # Kernel class of the extended basis, bound here for ModUp and the
+        # ModDown lift: "int64" keeps the single-multiply sweeps (with the
+        # matmul fast paths below), "dword" drives the double-word
+        # Barrett/Shoup sweeps at the paper's 54-bit word, "object" is the
+        # 61+-bit fallback.
+        klass = stack_native_class(self.extended)
+        col_dtype = np.int64 if klass != "object" else object
+
+        def column(values) -> np.ndarray:
+            return np.array(list(values), dtype=col_dtype).reshape(-1, 1)
+
+        self.extended_col = column(self.extended)
+        self.ct_col = column(ct_moduli)
         max_digit = max(stop - start for start, stop in self.digit_spans)
-        self.modup_mode = stack_native_class(self.extended)
+        self.modup_mode = klass
         if self.modup_mode == "int64" and max_digit >= 32:
             # Sums of 32+ reduced int64 terms could overflow; the
             # double-word accumulation reduces after every add instead.
             self.modup_mode = "dword"
         self.modup_int64 = self.modup_mode == "int64"
-        weight_dtype = np.int64 if self.modup_mode != "object" else object
         self.digit_bases: list[RnsBasis] = []
         self.digit_hat_inv: list[list[int]] = []
         self.digit_hat: list[int] = []
+        self.digit_scale: list[BoundScalarMul] = []
+        self.digit_unpuncture: list[BoundScalarMul] = []
+        self.digit_q_col: list[np.ndarray] = []
+        self.digit_half_col: list[np.ndarray] = []
         self.modup_weights: list[np.ndarray] = []
+        self.modup_weights_shoup: list[np.ndarray | None] = []
         self.modup_centered_weights: list[np.ndarray | None] = []
         self.modup_matmul_safe: list[bool] = []
         max_w = max(p // 2 for p in self.extended)
@@ -460,9 +561,19 @@ class KeySwitchContext:
             self.digit_bases.append(basis)
             self.digit_hat.append(hat_qj)
             self.digit_hat_inv.append([hat_qj_inv % q for q in basis.primes])
+            self.digit_scale.append(
+                BoundScalarMul(self.digit_hat_inv[-1], basis.primes))
+            self.digit_unpuncture.append(
+                BoundScalarMul(basis.punctured_inv, basis.primes))
+            self.digit_q_col.append(column(basis.primes))
+            self.digit_half_col.append(column(q // 2 for q in basis.primes))
             weights = np.array([[hat % p for hat in basis.punctured]
-                                for p in self.extended], dtype=weight_dtype)
+                                for p in self.extended], dtype=col_dtype)
             self.modup_weights.append(weights)
+            self.modup_weights_shoup.append(
+                np.stack([shoup_precompute_vec(row, p)
+                          for row, p in zip(weights, self.extended)])
+                if self.modup_mode == "dword" else None)
             # Centered weights enable a single int64 matmul per digit in the
             # stacked backend: |c| <= (q-1)/2 and |w| <= p/2 bound every
             # product below 2**60, so sums of up to `size` terms stay exact
@@ -473,22 +584,43 @@ class KeySwitchContext:
             safe = (self.modup_int64
                     and basis.size * max_c * max_w < (1 << 63))
             self.modup_matmul_safe.append(safe)
-            if safe:
-                p_col = np.array(list(self.extended),
-                                 dtype=np.int64).reshape(-1, 1)
-                self.modup_centered_weights.append(
-                    weights - np.where(weights > p_col // 2, p_col, 0))
-            else:
-                self.modup_centered_weights.append(None)
+            self.modup_centered_weights.append(
+                weights - np.where(weights > self.extended_col // 2,
+                                   self.extended_col, 0) if safe else None)
+        self.special_unpuncture = BoundScalarMul(self.p_basis.punctured_inv,
+                                                 special)
+        self.special_col = column(special)
+        self.special_half_col = column(p // 2 for p in special)
+        self.moddown_prime_fracs = np.array([1.0 / p for p in special],
+                                            dtype=np.float64)
+        self.moddown_lift_matrix = self._lift_matrix() \
+            if klass == "int64" else None
         if mod_down_mode == "approx":
-            moddown_dtype = np.int64 \
-                if stack_native_class(self.extended) != "object" else object
             self.moddown_weights = np.array(
                 [[hat % q for hat in self.p_basis.punctured]
-                 for q in ct_moduli], dtype=moddown_dtype)
+                 for q in ct_moduli], dtype=col_dtype)
             self.moddown_p_mod_q = [self.p_prod % q for q in ct_moduli]
-            self.moddown_prime_fracs = np.array(
-                [1.0 / p for p in special], dtype=np.float64)
+
+    def _lift_matrix(self) -> np.ndarray | None:
+        """``[ [hat{p}_j]_{q_i} | -[P]_{q_i} ]`` centered, or None when a
+        row of ``matrix @ [y; e]`` could leave int64 or the float64
+        quotient sum could drift to within reach of the guard band."""
+        special = self.special_moduli
+        k = len(special)
+
+        def centered(value: int, q: int) -> int:
+            value %= q
+            return value - q if value > q // 2 else value
+
+        rows = [[centered(hat, q) for hat in self.p_basis.punctured]
+                + [centered(-self.p_prod, q)] for q in self.ct_moduli]
+        # |y_j| <= (p_j - 1)/2 and |e| = |round(sum_j y_j / p_j)| <= k/2 + 1.
+        operand_max = [(p - 1) // 2 for p in special] + [k // 2 + 1]
+        worst = max(sum(abs(w) * m for w, m in zip(row, operand_max))
+                    for row in rows)
+        if worst >= 1 << 63 or k * (k + 1) * 2.0 ** -54 >= QUOTIENT_GUARD / 2:
+            return None
+        return np.array(rows, dtype=np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"KeySwitchContext(level={self.level}, "

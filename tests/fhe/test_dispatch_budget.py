@@ -1,0 +1,101 @@
+"""How often a warm HE op re-derives what its contexts already bound.
+
+``modmath._stack_native_ok`` and ``modmath._q_column`` are the per-call
+dispatch of the generic stack kernels: the dtype tier of a basis and its
+modulus column, looked up by hashing the modulus tuple.  The transforms
+and the key-switch kernels bind both when their ``BatchedNttContext`` /
+``KeySwitchContext`` is built, so a warm op only pays them in the
+elementwise ``Polynomial`` arithmetic around those kernels.  Before the
+tables were bound one ``he_rotate`` made 251 + 239 such calls, 220 of
+each from inside the ten butterfly stages of its seven transforms; the
+ceilings below are today's counts (15 + 11 for the rotation) with room
+for a handful of extra elementwise ops, far below the 30 per transform
+that routing one stage loop back through the generic kernels would add.
+"""
+
+import sys
+
+import pytest
+
+from repro.fhe import CkksContext, CkksParameters, modmath
+from repro.fhe.ntt import BatchedNttContext
+from test_keyswitch import ct_equal
+
+TOY = CkksParameters.toy()
+VALUES = [1.0, -2.0, 3.5]
+
+#: op -> ceiling on (``_stack_native_ok``, ``_q_column``) calls.
+CEILINGS = {
+    "he_rotate": (20, 16),
+    "he_square_rescale": (40, 28),
+    "encrypt": (12, 8),
+}
+
+TRANSFORMS = {BatchedNttContext.forward.__code__,
+              BatchedNttContext.inverse.__code__}
+
+
+def warm_context() -> CkksContext:
+    ctx = CkksContext(TOY, seed=3, backend="stacked")
+    ct = ctx.encrypt(VALUES)
+    ctx.evaluator.he_rotate(ct, 1)
+    ctx.evaluator.he_square(ct)
+    return ctx
+
+
+def ops(ctx: CkksContext):
+    ev = ctx.evaluator
+    ct = ctx.encrypt(VALUES)
+    return {
+        "he_rotate": lambda: ev.he_rotate(ct, 1),
+        "he_square_rescale": lambda: ev.he_square(ct),
+        "encrypt": lambda: ctx.encrypt(VALUES),
+    }
+
+
+class Counter:
+    """Counts calls to one ``modmath`` function, and how many of them
+    have a batched transform somewhere up their stack."""
+
+    def __init__(self, monkeypatch, name: str):
+        self.calls = self.inside_transform = 0
+        original = getattr(modmath, name)
+
+        def counting(*args, **kwargs):
+            self.calls += 1
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code in TRANSFORMS:
+                    self.inside_transform += 1
+                    break
+                frame = frame.f_back
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(modmath, name, counting)
+
+
+@pytest.mark.parametrize("op", sorted(CEILINGS))
+def test_warm_op_stays_inside_its_dispatch_budget(op, monkeypatch):
+    run = ops(warm_context())[op]
+    native_ok = Counter(monkeypatch, "_stack_native_ok")
+    q_column = Counter(monkeypatch, "_q_column")
+    run()
+    assert native_ok.inside_transform == 0
+    assert q_column.inside_transform == 0
+    assert 0 < native_ok.calls <= CEILINGS[op][0]
+    assert 0 < q_column.calls <= CEILINGS[op][1]
+
+
+@pytest.mark.parametrize("op", sorted(CEILINGS))
+def test_bound_contexts_still_fall_to_the_object_path(op):
+    """Contexts built and warmed *outside* ``force_object_dtype`` bound
+    the int64 tier; used inside the block they must run the bignum
+    kernels all the same — and produce the native result."""
+    native, forced = warm_context(), warm_context()
+    want = ops(native)[op]()
+    run = ops(forced)[op]
+    with modmath.force_object_dtype():
+        got = run()
+    assert all(limb.dtype == object
+               for poly in (got.c0, got.c1) for limb in poly.limbs)
+    assert ct_equal(got, want)

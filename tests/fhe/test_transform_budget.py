@@ -63,8 +63,9 @@ class Budget:
     @property
     def key_switch(self) -> int:
         n, k, d = self.n, self.k, self.d
-        # c1 to COEFF, d raised digits to EVAL, 2 ModDowns (k in, n out).
-        return n + d * (n + k) + 2 * (k + n)
+        # c1 to COEFF (n), d raised digits to EVAL except on their own
+        # limbs (d(n+k) - n), 2 ModDowns (k in, n out).
+        return d * (n + k) + 2 * (k + n)
 
     @property
     def rescale(self) -> int:
@@ -139,8 +140,9 @@ def test_further_hoisted_rotations_only_pay_mod_down(budget):
         nonlocal hoisted
         hoisted = ev.hoist(ct)
 
-    # The hoist: c1 to COEFF once, d raised digits to EVAL once.
-    assert budget.rows(hoist) == n + d * (n + k)
+    # The hoist: c1 to COEFF once, d raised digits to EVAL once — the
+    # digits' own limbs are c1's evaluations, scaled.
+    assert budget.rows(hoist) == d * (n + k)
     for rotation in (1, 2, 3):
         assert budget.rows(
             lambda: ev.rotate_hoisted(hoisted, rotation)) == 2 * (k + n)
