@@ -30,7 +30,7 @@ from .blocks import BlockCost
 WAVE = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockTiming:
     """Timing decomposition of one block execution (cycles)."""
 

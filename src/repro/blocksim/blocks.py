@@ -29,9 +29,13 @@ class BlockType(enum.Enum):
     MOD_RAISE = "ModRaise"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockCost:
-    """Aggregate operation and byte counts for one block execution."""
+    """Aggregate operation and byte counts for one block execution.
+
+    Immutable: :meth:`BlockCostModel.cost` hands the same object to every
+    caller asking for the same block kind.
+    """
 
     name: str
     mod_mul: float = 0.0
@@ -81,6 +85,7 @@ class BlockCostModel:
 
     def __init__(self, params: CkksParameters | None = None):
         self.params = params or CkksParameters.paper()
+        self._costs: dict[tuple[BlockType, int], BlockCost] = {}
 
     # -- shared quantities -------------------------------------------------
 
@@ -118,21 +123,15 @@ class BlockCostModel:
     # -- Table 2 blocks ----------------------------------------------------
 
     def cost(self, block: BlockType, level: int) -> BlockCost:
-        """Dispatch to the per-block counting rules."""
-        builders = {
-            BlockType.SCALAR_ADD: self._scalar_add,
-            BlockType.SCALAR_MULT: self._scalar_mult,
-            BlockType.POLY_ADD: self._poly_add,
-            BlockType.POLY_MULT: self._poly_mult,
-            BlockType.HE_ADD: self._he_add,
-            BlockType.HE_MULT: self._he_mult,
-            BlockType.HE_ROTATE: self._he_rotate,
-            BlockType.HE_RESCALE: self._rescale,
-            BlockType.MOD_RAISE: self._mod_raise,
-        }
-        if level < 0 or level > self.params.max_level:
-            raise ValueError(f"level {level} out of range")
-        return builders[block](level)
+        """The per-block counting rules, priced once per (block, level):
+        costs are pure functions of ``params``."""
+        cost = self._costs.get((block, level))
+        if cost is None:
+            if level < 0 or level > self.params.max_level:
+                raise ValueError(f"level {level} out of range")
+            cost = self._costs[block, level] = \
+                self._BUILDERS[block](self, level)
+        return cost
 
     def _scalar_add(self, level: int) -> BlockCost:
         limbs = level + 1
@@ -324,6 +323,18 @@ class BlockCostModel:
             output_bytes=self.ct_bytes(self.params.max_level),
             intermediate_bytes=self.ct_bytes(self.params.max_level),
         )
+
+    _BUILDERS = {
+        BlockType.SCALAR_ADD: _scalar_add,
+        BlockType.SCALAR_MULT: _scalar_mult,
+        BlockType.POLY_ADD: _poly_add,
+        BlockType.POLY_MULT: _poly_mult,
+        BlockType.HE_ADD: _he_add,
+        BlockType.HE_MULT: _he_mult,
+        BlockType.HE_ROTATE: _he_rotate,
+        BlockType.HE_RESCALE: _rescale,
+        BlockType.MOD_RAISE: _mod_raise,
+    }
 
 
 @dataclass

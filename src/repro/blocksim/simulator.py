@@ -9,6 +9,8 @@ that share switching keys.
 
 from __future__ import annotations
 
+from typing import Any
+
 import networkx as nx
 
 from repro.fhe.params import CkksParameters
@@ -17,8 +19,8 @@ from repro.gme.features import FeatureSet
 from repro.gme.labs import LabsScheduler
 from repro.gpusim.config import GpuConfig, mi100
 
-from .analytical import AnalyticalTimingModel
-from .blocks import BlockCostModel, BlockInstance
+from .analytical import AnalyticalTimingModel, BlockTiming
+from .blocks import BlockCost, BlockCostModel, BlockInstance, BlockType
 from .metrics import WorkloadMetrics
 
 
@@ -41,31 +43,40 @@ class BlockGraphSimulator:
         self.cost_model = BlockCostModel(self.params)
         self.timing = AnalyticalTimingModel(features, self.config)
         self.seed = seed
+        self.torus: ConcentratedTorus | None = None
+        self.gas: GlobalLds | None = None
         if features.cnoc:
             self.torus = ConcentratedTorus(self.config)
             self.gas = GlobalLds(self.torus, lds_scale=features.lds_scale)
-        else:
-            self.torus = None
-            self.gas = None
 
     # -- scheduling ---------------------------------------------------------
 
-    def _order(self, graph: nx.DiGraph) -> list:
+    def _order(self, graph: nx.DiGraph) -> list[Any]:
+        """The block issue order: a function of the graph, LABS on or
+        off, the router count and the seed — of nothing else in the
+        feature set, so one order serves a whole sweep (:meth:`run`'s
+        ``order``).  Only the ordering half of LABS runs here; no cycle
+        depends on where the annealer places the parts."""
         if self.features.labs:
-            def key_of(node):
+            def key_of(node: Any) -> Any:
                 return graph.nodes[node]["block"].metadata.get("key")
             scheduler = LabsScheduler(
                 self.torus or ConcentratedTorus(self.config),
                 seed=self.seed)
-            return scheduler.schedule(graph, key_of=key_of).block_order
+            return scheduler.order(graph, key_of=key_of)[0]
         # Greedy baseline: plain topological order (stream issue order).
         return list(nx.topological_sort(graph))
 
     # -- execution ---------------------------------------------------------
 
     def run(self, graph: nx.DiGraph, name: str = "workload",
-            record: list | None = None) -> WorkloadMetrics:
+            record: list[dict[str, Any]] | None = None,
+            order: list[Any] | None = None) -> WorkloadMetrics:
         """Execute the DAG; returns aggregate metrics.
+
+        ``order`` is a block order :meth:`_order` produced for this graph
+        (a plan keeps one per LABS setting); without it the run computes
+        its own.
 
         When ``record`` is a list, one dict per executed block is
         appended to it — block id/type/level, the op id it lowered from
@@ -75,10 +86,18 @@ class BlockGraphSimulator:
         :meth:`repro.engine.ExecutablePlan.profile` and
         :func:`repro.blocksim.trace.trace_run` consume.
         """
-        order = self._order(graph)
+        if order is None:
+            order = self._order(graph)
         metrics = WorkloadMetrics(name=name, config=self.config)
-        if self.gas is not None:
-            self.gas.clear()
+        gas = self.gas
+        if gas is not None:
+            gas.clear()
+        labs = self.features.labs
+        # A run prices each case once: a workload has thousands of blocks
+        # and a few hundred distinct (type, level, repeat, resident bytes,
+        # key grouped) cases.
+        priced: dict[tuple[BlockType, int, int, float, bool],
+                     tuple[BlockCost, BlockTiming]] = {}
         # Keys whose slices are still live in the global LDS: LABS keeps a
         # window of recently-streamed keys resident (section 3.3).  The
         # window size is a FeatureSet knob so ablations can sweep it.
@@ -87,22 +106,19 @@ class BlockGraphSimulator:
         previous_node = None
         for node in order:
             instance: BlockInstance = graph.nodes[node]["block"]
-            cost = self.cost_model.cost(instance.block_type, instance.level)
-            if instance.repeat != 1:
-                cost = cost.scaled(instance.repeat)
             # Inter-block residency: the baseline dispatcher "forces cache
             # flushes when transitioning from one block to the next"
             # (section 3.3), so without LABS only the immediately preceding
             # block's output survives in the LDS (stream locality).
             resident_bytes = 0.0
-            if self.gas is not None:
-                for pred in graph.predecessors(node):
-                    edge_bytes = graph[pred][node].get("bytes", 0.0)
-                    survives = self.gas.is_resident(pred) if \
-                        self.features.labs else pred == previous_node
+            if gas is not None:
+                for pred, edge in graph.pred[node].items():
+                    edge_bytes = edge.get("bytes", 0.0)
+                    survives = gas.is_resident(pred) if labs \
+                        else pred == previous_node
                     if survives:
-                        stored = self.gas._resident.get(pred, edge_bytes)
-                        hit = min(edge_bytes, stored)
+                        hit = min(edge_bytes,
+                                  gas.resident_bytes(pred, edge_bytes))
                         resident_bytes += hit
                         metrics.resident_hits += 1
                         metrics.resident_hit_bytes += hit
@@ -112,17 +128,24 @@ class BlockGraphSimulator:
                 recent_keys.append(key_id)
                 if len(recent_keys) > window:
                     recent_keys.pop(0)
-            timing = self.timing.block_timing(
-                cost,
-                resident_input_bytes=resident_bytes,
-                resident_output=self.gas is not None,
-                labs_grouped=labs_grouped,
-            )
-            if self.gas is not None and cost.output_bytes:
+            case = (instance.block_type, instance.level, instance.repeat,
+                    resident_bytes, labs_grouped)
+            if case not in priced:
+                cost = self.cost_model.cost(instance.block_type,
+                                            instance.level)
+                if instance.repeat != 1:
+                    cost = cost.scaled(instance.repeat)
+                priced[case] = cost, self.timing.block_timing(
+                    cost,
+                    resident_input_bytes=resident_bytes,
+                    resident_output=gas is not None,
+                    labs_grouped=labs_grouped,
+                )
+            cost, timing = priced[case]
+            if gas is not None and cost.output_bytes:
                 # Partial residency: store what fits; the remainder would
                 # stream from DRAM on consumption.
-                store = min(cost.output_bytes, self.gas.capacity_bytes)
-                self.gas.put(node, store)
+                gas.put(node, min(cost.output_bytes, gas.capacity_bytes))
             if record is not None:
                 record.append({
                     "workload": name,

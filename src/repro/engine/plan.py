@@ -163,6 +163,9 @@ class ExecutablePlan:
             {op.op_id: op for op in trace.ops} if trace is not None else {}
         self._sim_cache: dict[FeatureSet, WorkloadMetrics] = {}
         self._profile_cache: dict[FeatureSet, PlanProfile] = {}
+        #: LABS on / off -> block issue order.  Nothing else a feature
+        #: set carries moves the order, so a sweep schedules once.
+        self._orders: dict[bool, list] = {}
 
     def lint(self, **kwargs):
         """Lint this plan's trace (:func:`repro.analysis.analyze_trace`).
@@ -241,9 +244,20 @@ class ExecutablePlan:
                                        config=config).run(self.graph,
                                                           self.name)
         if features not in self._sim_cache:
-            self._sim_cache[features] = BlockGraphSimulator(
-                features, params=self.params).run(self.graph, self.name)
+            self._sim_cache[features] = self._run(features)
         return self._sim_cache[features]
+
+    def _run(self, features: FeatureSet,
+             record: list | None = None) -> WorkloadMetrics:
+        """One BlockSim run in this plan's block order for ``features``,
+        computed by the first run that needs it."""
+        simulator = BlockGraphSimulator(features, params=self.params)
+        order = self._orders.get(features.labs)
+        if order is None:
+            order = self._orders[features.labs] = \
+                simulator._order(self.graph)
+        return simulator.run(self.graph, self.name, record=record,
+                             order=order)
 
     # -- back-end: per-op attribution --------------------------------------
 
@@ -264,8 +278,7 @@ class ExecutablePlan:
         # the run's metrics seed the simulate cache (simulation is
         # deterministic, so a prior simulate() saw identical cycles).
         records: list[dict] = []
-        metrics = BlockGraphSimulator(features, params=self.params).run(
-            self.graph, self.name, record=records)
+        metrics = self._run(features, record=records)
         rows: dict[object, dict] = {}
         for record in records:
             op_id = record["op_id"]

@@ -38,6 +38,12 @@ class ConcentratedTorus:
             raise ValueError(
                 f"{self.num_routers} routers x {self.concentration} CUs "
                 f"!= {self.config.num_cus} CUs")
+        #: ``hops[a][b]``: shortest torus distance between two routers
+        #: (wraparound per dimension), for every ordered pair.
+        self.hops: tuple[tuple[int, ...], ...] = tuple(
+            tuple(self._torus_distance(a, b)
+                  for b in range(self.num_routers))
+            for a in range(self.num_routers))
         self.bytes_transferred = 0.0
 
     # -- topology ----------------------------------------------------------
@@ -62,8 +68,7 @@ class ConcentratedTorus:
                                                 else 0)
         return degree
 
-    def hop_distance(self, router_a: int, router_b: int) -> int:
-        """Shortest torus distance (wraparound per dimension)."""
+    def _torus_distance(self, router_a: int, router_b: int) -> int:
         ra, ca = self.router_coords(router_a)
         rb, cb = self.router_coords(router_b)
         dr = abs(ra - rb)
@@ -71,6 +76,13 @@ class ConcentratedTorus:
         dr = min(dr, self.dims.rows - dr)
         dc = min(dc, self.dims.cols - dc)
         return dr + dc
+
+    def hop_distance(self, router_a: int, router_b: int) -> int:
+        """Shortest torus distance (wraparound per dimension)."""
+        if not (0 <= router_a < self.num_routers
+                and 0 <= router_b < self.num_routers):
+            raise ValueError(f"bad router ids {router_a}, {router_b}")
+        return self.hops[router_a][router_b]
 
     @property
     def diameter(self) -> int:
@@ -80,9 +92,7 @@ class ConcentratedTorus:
     def average_hops(self) -> float:
         """Mean router-to-router distance over all ordered pairs."""
         n = self.num_routers
-        total = sum(self.hop_distance(a, b)
-                    for a in range(n) for b in range(n))
-        return total / (n * n)
+        return sum(map(sum, self.hops)) / (n * n)
 
     # -- timing --------------------------------------------------------------
 
@@ -130,6 +140,9 @@ class GlobalLds:
         self.capacity_bytes = (config.num_cus * config.lds_kb_per_cu
                                * 1024 * lds_scale)
         self._resident: dict[str, float] = {}
+        # Running total of ``_resident``'s values: buffer sizes are
+        # integer-valued floats far below 2**53, so it is exact.
+        self._used = 0.0
         self.evictions = 0
 
     def address_home(self, address: int) -> tuple[int, int]:
@@ -140,7 +153,7 @@ class GlobalLds:
 
     @property
     def used_bytes(self) -> float:
-        return sum(self._resident.values())
+        return self._used
 
     @property
     def free_bytes(self) -> float:
@@ -148,6 +161,10 @@ class GlobalLds:
 
     def is_resident(self, name: str) -> bool:
         return name in self._resident
+
+    def resident_bytes(self, name: str, default: float = 0.0) -> float:
+        """Bytes pinned under ``name``; ``default`` if it is not resident."""
+        return self._resident.get(name, default)
 
     def put(self, name: str, num_bytes: float) -> bool:
         """Pin a buffer; evicts LRU-ish (insertion order) on pressure.
@@ -158,20 +175,24 @@ class GlobalLds:
         if num_bytes > self.capacity_bytes:
             return False
         if name in self._resident:
+            self._used += num_bytes - self._resident[name]
             self._resident[name] = num_bytes
             return True
-        while self.used_bytes + num_bytes > self.capacity_bytes:
+        while self._resident \
+                and self._used + num_bytes > self.capacity_bytes:
             oldest = next(iter(self._resident))
-            del self._resident[oldest]
+            self._used -= self._resident.pop(oldest)
             self.evictions += 1
         self._resident[name] = num_bytes
+        self._used += num_bytes
         return True
 
     def drop(self, name: str) -> None:
-        self._resident.pop(name, None)
+        self._used -= self._resident.pop(name, 0.0)
 
     def clear(self) -> None:
         self._resident.clear()
+        self._used = 0.0
 
 
 def barrier_cycles(torus: ConcentratedTorus, scope: str = "global") -> float:

@@ -17,49 +17,112 @@ Two cooperating compile-time algorithms:
 The resulting schedule orders blocks so producers and consumers run close
 together in time and space, which is what lets ciphertexts stay resident in
 the global LDS across blocks.
+
+:class:`LabsScheduler` keeps the two apart.  :meth:`LabsScheduler.order`
+(partition, then an affinity topological order) is the half BlockSim
+consumes: the simulator issues blocks serially and models residency by
+*when* a block runs, so its cycles depend on the parts and never on the
+routers they land on.  :meth:`LabsScheduler.place` (annealing, Gamma) is
+for whoever wants the placement — :meth:`LabsScheduler.schedule` composes
+both into a :class:`LabsSchedule` — and is not on the simulate path.
+
+Both algorithms read a graph's node and edge ``weight`` attributes only
+(default 1.0), so they run on a :class:`WeightedGraph` — two plain dicts —
+rather than on a copy of the block graph.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import Any
 
 import networkx as nx
 import numpy as np
 
 from .cnoc import ConcentratedTorus
 
+#: One edge as the cost functions read it: (u, v, weight).
+Edge = tuple[Any, Any, float]
 
-def cut_cost(graph: nx.Graph, parts: dict) -> float:
-    """Phi: total weight of edges crossing partition boundaries."""
+
+class WeightedGraph:
+    """The part of a graph LABS reads: node weights and symmetric edge
+    weights (default 1.0), as plain dicts.
+
+    Built from a networkx graph in the node and neighbour insertion
+    order of ``graph.to_undirected()`` without its deep copy of every
+    node and edge payload, so heavy-edge ties, the shuffle stream and the
+    refinement sweep see the order they always saw.
+    """
+
+    def __init__(self, nodes: dict[Any, float],
+                 adj: dict[Any, dict[Any, float]]):
+        self.nodes = nodes
+        self.adj = adj
+
+    @classmethod
+    def of(cls, graph: nx.Graph) -> WeightedGraph:
+        """The weights of a networkx graph, a directed one read as
+        undirected."""
+        nodes = {node: data.get("weight", 1.0)
+                 for node, data in graph.nodes(data=True)}
+        if not graph.is_directed():
+            return cls(nodes, {
+                node: {nbr: data.get("weight", 1.0)
+                       for nbr, data in nbrs.items()}
+                for node, nbrs in graph.adj.items()})
+        adj: dict[Any, dict[Any, float]] = {node: {} for node in nodes}
+        for u, nbrs in graph.adj.items():
+            for v, data in nbrs.items():
+                # A reciprocal pair merges into one edge whose later
+                # attributes win, as ``to_undirected()`` merges it.
+                weight = data.get("weight", adj[u].get(v, 1.0))
+                adj[u][v] = adj[v][u] = weight
+        return cls(nodes, adj)
+
+    def edges(self) -> Iterator[Edge]:
+        """Every edge once, in ``nx.Graph.edges()`` order."""
+        seen: set[Any] = set()
+        for u, nbrs in self.adj.items():
+            for v, weight in nbrs.items():
+                if v not in seen:
+                    yield u, v, weight
+            seen.add(u)
+
+
+def _cut(edges: Iterable[Edge], parts: dict[Any, int]) -> float:
     total = 0.0
-    for u, v, data in graph.edges(data=True):
+    for u, v, weight in edges:
         if parts[u] != parts[v]:
-            total += data.get("weight", 1.0)
+            total += weight
     return total
 
 
-def mapping_cost(graph: nx.Graph, parts: dict, assignment: dict,
+def cut_cost(graph: nx.Graph, parts: dict[Any, int]) -> float:
+    """Phi: total weight of edges crossing partition boundaries."""
+    return _cut(graph.edges(data="weight", default=1.0), parts)
+
+
+def mapping_cost(graph: nx.Graph, parts: dict[Any, int],
+                 assignment: dict[int, int],
                  torus: ConcentratedTorus) -> float:
     """Gamma: cut weight scaled by torus hop distance of the mapping."""
+    hops = torus.hops
     total = 0.0
-    for u, v, data in graph.edges(data=True):
+    for u, v, weight in graph.edges(data="weight", default=1.0):
         pu, pv = parts[u], parts[v]
         if pu != pv:
-            hops = torus.hop_distance(assignment[pu], assignment[pv])
-            total += data.get("weight", 1.0) * hops
+            total += weight * hops[assignment[pu]][assignment[pv]]
     return total
-
-
-def _node_weight(graph: nx.Graph, node) -> float:
-    return graph.nodes[node].get("weight", 1.0)
 
 
 @dataclass
 class PartitionResult:
     """Outcome of the GPP stage."""
 
-    parts: dict
+    parts: dict[Any, int]
     num_parts: int
     phi: float
     part_weights: list[float] = field(default_factory=list)
@@ -71,6 +134,11 @@ class PartitionResult:
             return 0.0
         avg = sum(self.part_weights) / len(self.part_weights)
         return max(self.part_weights) / avg - 1.0 if avg else 0.0
+
+
+#: One level of the multilevel hierarchy: its graph and the map of each
+#: of its nodes to the representative in the next (coarser) level.
+_Level = tuple[WeightedGraph, dict[Any, Any]]
 
 
 class MultilevelPartitioner:
@@ -88,102 +156,80 @@ class MultilevelPartitioner:
     # -- public API ----------------------------------------------------------
 
     def partition(self, graph: nx.Graph) -> PartitionResult:
-        """Partition an undirected weighted graph into num_parts parts."""
-        if graph.number_of_nodes() == 0:
+        """Partition a weighted graph (a directed one by its undirected
+        weights) into num_parts parts."""
+        work = WeightedGraph.of(graph)
+        if not work.nodes:
             return PartitionResult({}, self.num_parts, 0.0,
                                    [0.0] * self.num_parts)
-        work = graph.to_undirected() if graph.is_directed() else graph
-        levels = self._coarsen(work)
-        coarsest = levels[-1][0]
-        parts = self._initial_partition(coarsest)
-        parts = self._refine(coarsest, parts)
+        levels, coarsest = self._coarsen(work)
+        parts = self._refine(coarsest, self._initial_partition(coarsest))
         # Project back up through the levels, refining at each.
-        for finer, matching in reversed(levels[:-1]):
-            projected = {}
-            for node in finer.nodes:
-                projected[node] = parts[matching[node]]
-            parts = self._refine(finer, projected)
+        for finer, matching in reversed(levels):
+            parts = self._refine(finer, {node: parts[matching[node]]
+                                         for node in finer.nodes})
         weights = [0.0] * self.num_parts
         for node, part in parts.items():
-            weights[part] += _node_weight(work, node)
+            weights[part] += work.nodes[node]
         return PartitionResult(parts=parts, num_parts=self.num_parts,
-                               phi=cut_cost(work, parts),
+                               phi=_cut(work.edges(), parts),
                                part_weights=weights)
 
     # -- multilevel machinery -----------------------------------------------
 
-    def _coarsen(self, graph: nx.Graph):
-        """Heavy-edge matching coarsening.
-
-        Returns a list of (graph, matching) pairs; ``matching`` maps each
-        node of the level's graph to its representative in the next
-        (coarser) level.  The last entry's matching is None.
-        """
+    def _coarsen(self, graph: WeightedGraph
+                 ) -> tuple[list[_Level], WeightedGraph]:
+        """Heavy-edge matching coarsening: the levels that were matched,
+        finest first, and the coarsest graph they end in."""
         rng = np.random.default_rng(self.seed)
-        levels = []
+        levels: list[_Level] = []
         current = graph
-        while current.number_of_nodes() > self.coarsen_floor:
-            matching: dict = {}
-            matched: set = set()
+        while len(current.nodes) > self.coarsen_floor:
+            matching: dict[Any, Any] = {}
             nodes = list(current.nodes)
             rng.shuffle(nodes)
             for node in nodes:
-                if node in matched:
+                if node in matching:
                     continue
                 # Heaviest incident edge to an unmatched neighbour.
                 best, best_w = None, -1.0
-                for nbr in current.neighbors(node):
-                    if nbr in matched or nbr == node:
+                for nbr, w in current.adj[node].items():
+                    if nbr in matching or nbr == node:
                         continue
-                    w = current[node][nbr].get("weight", 1.0)
                     if w > best_w:
                         best, best_w = nbr, w
                 super_node = ("m", len(matching))
-                if best is None:
-                    matching[node] = super_node
-                    matched.add(node)
-                else:
-                    matching[node] = super_node
+                matching[node] = super_node
+                if best is not None:
                     matching[best] = super_node
-                    matched.update((node, best))
-            coarse = nx.Graph()
+            weights: dict[Any, float] = {}
             for node, super_node in matching.items():
-                if super_node not in coarse:
-                    coarse.add_node(super_node, weight=0.0)
-                coarse.nodes[super_node]["weight"] += \
-                    _node_weight(current, node)
-            for u, v, data in current.edges(data=True):
+                weights[super_node] = weights.get(super_node, 0.0) \
+                    + current.nodes[node]
+            # Adjacency inserted in edge order, as ``add_edge`` would.
+            adj: dict[Any, dict[Any, float]] = {s: {} for s in weights}
+            for u, v, w in current.edges():
                 su, sv = matching[u], matching[v]
-                if su == sv:
-                    continue
-                w = data.get("weight", 1.0)
-                if coarse.has_edge(su, sv):
-                    coarse[su][sv]["weight"] += w
-                else:
-                    coarse.add_edge(su, sv, weight=w)
-            if coarse.number_of_nodes() >= current.number_of_nodes():
+                if su != sv:
+                    adj[su][sv] = adj[sv][su] = adj[su].get(sv, 0.0) + w
+            if len(weights) >= len(current.nodes):
                 break   # no progress (e.g. fully disconnected)
             levels.append((current, matching))
-            current = coarse
-        levels.append((current, None))
-        return levels
+            current = WeightedGraph(weights, adj)
+        return levels, current
 
-    def _initial_partition(self, graph: nx.Graph) -> dict:
+    def _initial_partition(self, graph: WeightedGraph) -> dict[Any, int]:
         """Greedy balanced growth from high-weight seed nodes."""
-        target = sum(_node_weight(graph, n) for n in graph.nodes) \
-            / self.num_parts
-        parts: dict = {}
+        target = sum(graph.nodes.values()) / self.num_parts
+        parts: dict[Any, int] = {}
         loads = [0.0] * self.num_parts
-        order = sorted(graph.nodes,
-                       key=lambda n: -_node_weight(graph, n))
-        for node in order:
+        for node in sorted(graph.nodes, key=lambda n: -graph.nodes[n]):
             # Prefer the part with the most attraction (edge weight to it),
             # penalized by load.
             scores = [0.0] * self.num_parts
-            for nbr in graph.neighbors(node):
+            for nbr, w in graph.adj[node].items():
                 if nbr in parts:
-                    scores[parts[nbr]] += graph[node][nbr].get("weight",
-                                                               1.0)
+                    scores[parts[nbr]] += w
             best, best_score = 0, -math.inf
             for p in range(self.num_parts):
                 if loads[p] > target * (1 + self.balance_tolerance):
@@ -192,30 +238,28 @@ class MultilevelPartitioner:
                 if score > best_score:
                     best, best_score = p, score
             parts[node] = best
-            loads[best] += _node_weight(graph, node)
+            loads[best] += graph.nodes[node]
         return parts
 
-    def _refine(self, graph: nx.Graph, parts: dict) -> dict:
+    def _refine(self, graph: WeightedGraph,
+                parts: dict[Any, int]) -> dict[Any, int]:
         """Kernighan--Lin style boundary refinement (greedy passes)."""
         parts = dict(parts)
-        target = sum(_node_weight(graph, n) for n in graph.nodes) \
-            / self.num_parts
+        target = sum(graph.nodes.values()) / self.num_parts
         limit = target * (1 + self.balance_tolerance)
         loads = [0.0] * self.num_parts
         for node, part in parts.items():
-            loads[part] += _node_weight(graph, node)
+            loads[part] += graph.nodes[node]
         for _ in range(3):                      # bounded number of passes
             improved = False
-            for node in graph.nodes:
+            for node, node_w in graph.nodes.items():
                 here = parts[node]
                 # Gain of moving node to each neighbouring part.
                 attraction: dict[int, float] = {}
-                for nbr in graph.neighbors(node):
-                    w = graph[node][nbr].get("weight", 1.0)
-                    attraction[parts[nbr]] = \
-                        attraction.get(parts[nbr], 0.0) + w
+                for nbr, w in graph.adj[node].items():
+                    part = parts[nbr]
+                    attraction[part] = attraction.get(part, 0.0) + w
                 internal = attraction.get(here, 0.0)
-                node_w = _node_weight(graph, node)
                 best_part, best_gain = here, 0.0
                 for part, weight in attraction.items():
                     if part == here:
@@ -245,7 +289,8 @@ class SimulatedAnnealingMapper:
         self.iterations = iterations
         self.initial_temperature = initial_temperature
 
-    def map_parts(self, graph: nx.Graph, parts: dict) -> dict[int, int]:
+    def map_parts(self, graph: nx.Graph,
+                  parts: dict[Any, int]) -> dict[int, int]:
         """Return part -> router assignment minimizing Gamma."""
         num_parts = max(parts.values()) + 1 if parts else 0
         routers = self.torus.num_routers
@@ -254,17 +299,17 @@ class SimulatedAnnealingMapper:
         rng = np.random.default_rng(self.seed)
         # Aggregate inter-part traffic once.
         traffic: dict[tuple[int, int], float] = {}
-        work = graph.to_undirected() if graph.is_directed() else graph
-        for u, v, data in work.edges(data=True):
+        for u, v, weight in WeightedGraph.of(graph).edges():
             pu, pv = parts[u], parts[v]
             if pu == pv:
                 continue
             key = (min(pu, pv), max(pu, pv))
-            traffic[key] = traffic.get(key, 0.0) + data.get("weight", 1.0)
+            traffic[key] = traffic.get(key, 0.0) + weight
         assignment = {p: p for p in range(num_parts)}
+        hops = self.torus.hops
 
         def gamma_of(asn: dict[int, int]) -> float:
-            return sum(w * self.torus.hop_distance(asn[a], asn[b])
+            return sum(w * hops[asn[a]][asn[b]]
                        for (a, b), w in traffic.items())
 
         current = gamma_of(assignment)
@@ -320,67 +365,85 @@ class SimulatedAnnealingMapper:
 class LabsSchedule:
     """Compile-time schedule LABS hands to the dispatcher."""
 
-    block_order: list
-    block_router: dict
-    parts: dict
+    block_order: list[Any]
+    block_router: dict[Any, int]
+    parts: dict[Any, int]
     phi: float
     gamma: float
     phi_unpartitioned: float
 
 
 class LabsScheduler:
-    """End-to-end LABS: partition, map, and order the block graph."""
+    """End-to-end LABS: partition, order, and map the block graph."""
 
     def __init__(self, torus: ConcentratedTorus | None = None,
                  seed: int = 2023):
         self.torus = torus or ConcentratedTorus()
         self.seed = seed
 
-    def schedule(self, block_graph: nx.DiGraph,
-                 key_of=None) -> LabsSchedule:
-        """Produce a locality-aware schedule for a block DAG.
+    def order(self, block_graph: nx.DiGraph,
+              key_of: Callable[[Any], Any] | None = None,
+              ) -> tuple[list[Any], PartitionResult]:
+        """The ordering half: partition the block DAG, then order it.
 
         Blocks are ordered topologically with partition affinity as the
         primary tiebreak and shared switching keys (``key_of(node)``) as
         the secondary one, so blocks sharing data or keys run back-to-back
-        and their shared state stays live in the global LDS.
+        and their shared state stays live in the global LDS.  The order
+        reads the parts only, never the routers they are mapped to.
         """
         num_parts = min(self.torus.num_routers,
-                        max(1, block_graph.number_of_nodes() // 4))
-        partitioner = MultilevelPartitioner(num_parts, seed=self.seed)
-        result = partitioner.partition(block_graph)
-        mapper = SimulatedAnnealingMapper(self.torus, seed=self.seed)
-        assignment = mapper.map_parts(block_graph, result.parts)
-        gamma = mapping_cost(block_graph, result.parts, assignment,
-                             self.torus)
-        order = self._affinity_topological_order(block_graph, result.parts,
-                                                 key_of)
-        block_router = {node: assignment[result.parts[node]]
+                        max(1, len(block_graph.nodes) // 4))
+        result = MultilevelPartitioner(num_parts, seed=self.seed) \
+            .partition(block_graph)
+        return self._affinity_topological_order(
+            block_graph, result.parts, key_of), result
+
+    def place(self, block_graph: nx.DiGraph,
+              parts: dict[Any, int]) -> tuple[dict[Any, int], float]:
+        """The mapping half: anneal the parts onto the torus; returns
+        each block's router and the mapping's Gamma."""
+        assignment = SimulatedAnnealingMapper(self.torus, seed=self.seed) \
+            .map_parts(block_graph, parts)
+        block_router = {node: assignment[parts[node]]
                         for node in block_graph.nodes}
+        return block_router, mapping_cost(block_graph, parts, assignment,
+                                          self.torus)
+
+    def schedule(self, block_graph: nx.DiGraph,
+                 key_of: Callable[[Any], Any] | None = None,
+                 ) -> LabsSchedule:
+        """Produce a locality-aware schedule for a block DAG: its
+        :meth:`order` and its :meth:`place`-ment."""
+        block_order, result = self.order(block_graph, key_of)
+        block_router, gamma = self.place(block_graph, result.parts)
         # Reference cost: every block on its own part (total edge weight).
-        phi_all = sum(d.get("weight", 1.0)
-                      for _, _, d in block_graph.edges(data=True))
-        return LabsSchedule(block_order=order, block_router=block_router,
-                            parts=result.parts, phi=result.phi,
-                            gamma=gamma, phi_unpartitioned=phi_all)
+        phi_all = sum(weight for _, _, weight
+                      in block_graph.edges(data="weight", default=1.0))
+        return LabsSchedule(block_order=block_order,
+                            block_router=block_router, parts=result.parts,
+                            phi=result.phi, gamma=gamma,
+                            phi_unpartitioned=phi_all)
 
     @staticmethod
-    def _affinity_topological_order(graph: nx.DiGraph, parts: dict,
-                                    key_of=None) -> list:
+    def _affinity_topological_order(
+            graph: nx.DiGraph, parts: dict[Any, int],
+            key_of: Callable[[Any], Any] | None = None) -> list[Any]:
         """Kahn's algorithm; ready blocks from the active part go first,
         and among those, blocks sharing the active switching key."""
-        indeg = {n: graph.in_degree(n) for n in graph.nodes}
+        indeg = dict(graph.in_degree())
+        keys = {n: key_of(n) for n in graph.nodes} \
+            if key_of is not None else {}
         ready = sorted(n for n, d in indeg.items() if d == 0)
-        order = []
+        order: list[Any] = []
         current_part = None
         current_key = None
         while ready:
             pick = None
-            if key_of is not None:
+            if current_key is not None:
                 for candidate in ready:
                     if parts.get(candidate) == current_part \
-                            and key_of(candidate) is not None \
-                            and key_of(candidate) == current_key:
+                            and keys[candidate] == current_key:
                         pick = candidate
                         break
             if pick is None:
@@ -393,10 +456,9 @@ class LabsScheduler:
                 current_part = parts.get(pick)
             ready.remove(pick)
             order.append(pick)
-            if key_of is not None:
-                key = key_of(pick)
-                if key is not None:
-                    current_key = key
+            key = keys.get(pick)
+            if key is not None:
+                current_key = key
             for succ in sorted(graph.successors(pick)):
                 indeg[succ] -= 1
                 if indeg[succ] == 0:

@@ -55,6 +55,20 @@ class TestTopology:
                     assert torus.hop_distance(a, b) <= \
                         torus.hop_distance(a, c) + torus.hop_distance(c, b)
 
+    def test_hop_table_is_the_wraparound_distance(self, torus):
+        rows, cols = torus.dims.rows, torus.dims.cols
+        for a in range(15):
+            for b in range(15):
+                dr, dc = abs(a // cols - b // cols), abs(a % cols - b % cols)
+                assert torus.hops[a][b] == torus.hop_distance(a, b) \
+                    == min(dr, rows - dr) + min(dc, cols - dc)
+        assert torus.average_hops == 420 / 225
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, 15), (99, 3)])
+    def test_bad_router_rejected(self, torus, pair):
+        with pytest.raises(ValueError):
+            torus.hop_distance(*pair)
+
     def test_mismatched_geometry_rejected(self):
         with pytest.raises(ValueError):
             ConcentratedTorus(dims=TorusDimensions(rows=4, cols=5))
@@ -111,6 +125,40 @@ class TestGlobalLds:
         assert gas.evictions >= 1
         assert not gas.is_resident("buf0")
         assert gas.used_bytes <= gas.capacity_bytes
+
+    def test_running_total_tracks_the_resident_set(self, torus):
+        """put / overwrite / evict / drop / clear keep ``used_bytes`` equal
+        to the sum over the resident buffers."""
+        gas = GlobalLds(torus)
+        mb = 1024.0 * 1024.0
+
+        def check():
+            assert gas.used_bytes == sum(gas._resident.values())
+
+        for i in range(6):
+            gas.put(f"buf{i}", mb)
+            check()
+        gas.put("buf2", 0.5 * mb)               # overwrite, smaller
+        check()
+        gas.put("buf3", 1.25 * mb)              # overwrite, larger
+        check()
+        gas.put("big", 3 * mb)                  # evicts buf0, buf1
+        check()
+        assert gas.evictions == 2 and not gas.is_resident("buf1")
+        gas.drop("buf4")
+        gas.drop("never-there")
+        check()
+        assert not gas.put("huge", 8 * mb)      # rejected: nothing moves
+        check()
+        assert gas.free_bytes == gas.capacity_bytes - gas.used_bytes
+        gas.clear()
+        assert gas.used_bytes == 0.0 and not gas.is_resident("big")
+
+    def test_resident_bytes(self, torus):
+        gas = GlobalLds(torus)
+        gas.put("ct0", 4096.0)
+        assert gas.resident_bytes("ct0", 1.0) == 4096.0
+        assert gas.resident_bytes("ct1", 1.0) == 1.0
 
     def test_oversized_buffer_rejected(self, torus):
         gas = GlobalLds(torus)
