@@ -18,11 +18,3 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if _BENCH_DIR in pathlib.Path(str(item.path)).resolve().parents:
             item.add_marker(pytest.mark.bench)
-
-
-@pytest.fixture(scope="session")
-def workload_graphs():
-    """Legacy golden DAGs, via the engine's plan wrapper."""
-    from repro.workloads import workload_plans
-    return {name: plan.graph
-            for name, plan in workload_plans(source="legacy").items()}

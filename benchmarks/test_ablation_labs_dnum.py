@@ -14,13 +14,12 @@ from repro.blocksim.blocks import BlockCostModel
 from repro.fhe.params import CkksParameters
 from repro.gme import LabsScheduler, MultilevelPartitioner, cut_cost
 from repro.gme.features import GME_FULL
-from repro.workloads import build_bootstrap_graph
+from repro.workloads import compile_workload
 
 
 @pytest.fixture(scope="module")
 def boot_graph():
-    graph, _, _ = build_bootstrap_graph()
-    return graph
+    return compile_workload("boot").graph
 
 
 @pytest.mark.benchmark(group="ablation-labs")

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any
 from repro.trace.diff import count_deltas
 from repro.trace.ir import OpTrace
 
-from .format import ArtifactError
 from .reader import Artifact, read_artifact
 from .writer import build_header
 
@@ -74,10 +73,6 @@ def artifact_view(plan: "ExecutablePlan") -> Artifact:
     checker diffs freshly compiled plans through.
     """
     from repro.fhe.encoder import Plaintext
-    if plan.trace is None:
-        raise ArtifactError(
-            f"plan {plan.name!r} has no trace; only compiled plans have "
-            "an artifact view")
     # Only real plaintext payloads serialize (symbolic ones are
     # in-memory only), so the view mirrors the writer's filter.
     payloads = {op_id: p for op_id, p in plan.trace.payloads.items()

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any
 from repro.trace.ir import TRACE_FORMAT_VERSION, OpTrace
 
 from .columnar import encode_dag, encode_payloads, encode_trace_ops
-from .format import (CONTAINER_VERSION, ArtifactBlockType, ArtifactError,
+from .format import (CONTAINER_VERSION, ArtifactBlockType,
                      content_fingerprint, pack_json, params_fingerprint,
                      write_container)
 
@@ -86,10 +86,6 @@ def trace_blocks(trace: OpTrace, *,
 def plan_blocks(plan: "ExecutablePlan", *,
                 include_payloads: bool = True) -> list[tuple[int, bytes]]:
     """HEADER + TRACE_OPS + DAG + PROVENANCE (+ PAYLOADS) for a plan."""
-    if plan.trace is None:
-        raise ArtifactError(
-            f"plan {plan.name!r} wraps a hand-built graph and has no "
-            "trace; only compiled plans serialize to .rpa")
     trace = plan.trace
     payloads, count = _payload_block(trace, include_payloads)
     header = build_header(trace, kind="plan", graph=plan.graph,

@@ -10,13 +10,9 @@ from .blocks import BlockCost, BlockCostModel, BlockInstance, BlockType
 from .metrics import (WorkloadMetrics, amortized_mult_time_per_slot_ns,
                       speedup)
 from .simulator import BlockGraphSimulator, make_block_node
-from .trace import (compare_feature_traces, read_trace, summarize_trace,
-                    trace_run, write_trace)
 
 __all__ = [
     "AnalyticalTimingModel", "BlockCost", "BlockCostModel", "BlockInstance",
     "BlockGraphSimulator", "BlockTiming", "BlockType", "WorkloadMetrics",
-    "amortized_mult_time_per_slot_ns", "compare_feature_traces",
-    "make_block_node", "read_trace", "speedup", "summarize_trace",
-    "trace_run", "write_trace",
+    "amortized_mult_time_per_slot_ns", "make_block_node", "speedup",
 ]

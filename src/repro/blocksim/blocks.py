@@ -75,7 +75,7 @@ def ciphertext_bytes(params: CkksParameters, level: int) -> float:
     """Bytes of one ciphertext at ``level`` (pair of ring elements).
 
     Single source of truth for the edge-byte annotations of workload
-    DAGs (legacy builders and the trace lowering alike).
+    DAGs.
     """
     return 2 * (level + 1) * params.ring_degree * params.prime_bits / 8
 

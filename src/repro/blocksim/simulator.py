@@ -79,12 +79,11 @@ class BlockGraphSimulator:
         its own.
 
         When ``record`` is a list, one dict per executed block is
-        appended to it — block id/type/level, the op id it lowered from
-        (traced graphs), its start/end cycle under serial block issue,
-        and the timing lanes.  The records decompose exactly the cycles
+        appended to it — block id/type/level, the op id it lowered from,
+        its start/end cycle under serial block issue, and the timing
+        lanes.  The records decompose exactly the cycles
         this run accumulates, which is what
-        :meth:`repro.engine.ExecutablePlan.profile` and
-        :func:`repro.blocksim.trace.trace_run` consume.
+        :meth:`repro.engine.ExecutablePlan.profile` consumes.
         """
         if order is None:
             order = self._order(graph)

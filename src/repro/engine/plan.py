@@ -55,7 +55,7 @@ class PlanError(RuntimeError):
 class OpProfile:
     """Attributed cost of one trace op under one simulated feature set."""
 
-    op_id: int | None
+    op_id: int
     kind: str
     region: str
     key: str | None
@@ -133,15 +133,10 @@ class PlanExecution:
 # ---------------------------------------------------------------------------
 
 class ExecutablePlan:
-    """A compiled HE program: trace + lowered DAG + retargetable runs.
-
-    Plans for hand-built (legacy golden) DAGs carry no trace
-    (:meth:`from_graph`); they simulate and profile at block granularity
-    but cannot :meth:`execute`.
-    """
+    """A compiled HE program: trace + lowered DAG + retargetable runs."""
 
     def __init__(self, params: CkksParameters, graph: nx.DiGraph,
-                 name: str, trace: OpTrace | None = None,
+                 name: str, trace: OpTrace,
                  program: HeProgram | None = None,
                  passes: tuple = ()):
         self.params = params
@@ -160,7 +155,7 @@ class ExecutablePlan:
         #: compiled plans.
         self.provenance: dict | None = None
         self._ops_by_id: dict[int, TraceOp] = \
-            {op.op_id: op for op in trace.ops} if trace is not None else {}
+            {op.op_id: op for op in trace.ops}
         self._sim_cache: dict[FeatureSet, WorkloadMetrics] = {}
         self._profile_cache: dict[FeatureSet, PlanProfile] = {}
         #: LABS on / off -> block issue order.  Nothing else a feature
@@ -172,10 +167,7 @@ class ExecutablePlan:
 
         The report is cached on :attr:`lint_report` (plans are
         immutable) unless non-default check options are passed.
-        Plans without a trace (:meth:`from_graph`) cannot lint.
         """
-        if self.trace is None:
-            raise PlanError(f"plan {self.name!r} has no trace to lint")
         from repro.analysis import analyze_trace
         if kwargs:
             return analyze_trace(self.trace, normalized=True,
@@ -186,16 +178,10 @@ class ExecutablePlan:
                                              name=self.name)
         return self.lint_report
 
-    @classmethod
-    def from_graph(cls, graph: nx.DiGraph, params: CkksParameters,
-                   name: str) -> "ExecutablePlan":
-        """Wrap a pre-built BlockSim DAG (no trace, no replay)."""
-        return cls(params=params, graph=graph, name=name)
-
     def __repr__(self) -> str:
-        ops = len(self.trace) if self.trace is not None else "no trace"
         return (f"ExecutablePlan({self.name!r}, "
-                f"{self.graph.number_of_nodes()} blocks, {ops} ops)")
+                f"{self.graph.number_of_nodes()} blocks, "
+                f"{len(self.trace)} ops)")
 
     @property
     def num_blocks(self) -> int:
@@ -206,8 +192,6 @@ class ExecutablePlan:
         """Content fingerprint (name + parameters + artifact counts) —
         the same value a saved ``.rpa`` artifact stamps in its header,
         so a loaded plan and its source file compare by string equality.
-        Plans without a trace (:meth:`from_graph`) have no artifact view
-        and raise.
         """
         from repro.artifact import artifact_view
         return artifact_view(self).fingerprint
@@ -222,8 +206,7 @@ class ExecutablePlan:
         ``include_payloads=False``) the recorded plaintext payloads.
         :func:`repro.engine.load_plan` rebuilds a plan that simulates
         and profiles identically and — with payloads — executes
-        bit-identically.  Plans wrapping hand-built graphs (no trace)
-        cannot be saved.
+        bit-identically.
         """
         from repro.artifact import save_plan
         save_plan(self, path, include_payloads=include_payloads)
@@ -268,8 +251,7 @@ class ExecutablePlan:
         the ``op_id`` metadata lowering stamps on every block, giving
         per-HE-op (and per-region) cycle/byte attribution.  The profile's
         ``total_cycles`` equals :meth:`simulate`'s cycle count for the
-        same feature set.  Plans wrapped from hand-built graphs profile
-        too, with ops synthesized from block ids.
+        same feature set.
         """
         if features in self._profile_cache:
             return self._profile_cache[features]
@@ -279,16 +261,12 @@ class ExecutablePlan:
         # deterministic, so a prior simulate() saw identical cycles).
         records: list[dict] = []
         metrics = self._run(features, record=records)
-        rows: dict[object, dict] = {}
+        rows: dict[int, dict] = {}
         for record in records:
-            op_id = record["op_id"]
-            key = op_id if op_id is not None else record["block"]
-            row = rows.setdefault(key, {
-                "op_id": op_id, "blocks": 0, "cycles": 0.0,
+            row = rows.setdefault(record["op_id"], {
+                "blocks": 0, "cycles": 0.0,
                 "compute_cycles": 0.0, "dram_cycles": 0.0,
                 "onchip_cycles": 0.0, "dram_bytes": 0.0,
-                "type": record["type"], "level": record["level"],
-                "block": record["block"],
             })
             row["blocks"] += 1
             row["cycles"] += record["end_cycle"] - record["start_cycle"]
@@ -297,17 +275,14 @@ class ExecutablePlan:
             row["onchip_cycles"] += record["onchip_cycles"]
             row["dram_bytes"] += record["dram_bytes"]
         ops = []
-        for row in rows.values():
-            trace_op = self._ops_by_id.get(row["op_id"])
+        for op_id, row in rows.items():
+            trace_op = self._ops_by_id[op_id]
             ops.append(OpProfile(
-                op_id=row["op_id"],
-                kind=trace_op.kind.value if trace_op is not None
-                else row["type"],
-                region=trace_op.region if trace_op is not None
-                else row["block"],
-                key=trace_op.key if trace_op is not None else None,
-                level=trace_op.level if trace_op is not None
-                else row["level"],
+                op_id=op_id,
+                kind=trace_op.kind.value,
+                region=trace_op.region,
+                key=trace_op.key,
+                level=trace_op.level,
                 blocks=row["blocks"],
                 cycles=row["cycles"],
                 compute_cycles=row["compute_cycles"],
@@ -334,10 +309,6 @@ class ExecutablePlan:
         ciphertexts it is bit-identical to running the program directly
         against ``ctx.evaluator`` (see :func:`bit_identical`).
         """
-        if self.trace is None:
-            raise PlanError(
-                f"plan {self.name!r} wraps a hand-built graph and has no "
-                "trace to execute")
         if ctx.params != self.params:
             raise PlanError(
                 "context parameters differ from the plan's; compile the "
@@ -507,15 +478,21 @@ def _apply_lint(plan: ExecutablePlan,
     """Run the static analyzer over a compiled plan per ``lint`` mode."""
     if lint is None:
         return plan
-    report = plan.lint()
+    _report_lint(plan.lint(), lint)
+    return plan
+
+
+def _report_lint(report, lint: str) -> None:
+    """Raise on errors (``"strict"``) or warn with the rendered report
+    (``"warn"``).  Called one frame below :func:`compile_program`, so
+    ``stacklevel=4`` attributes the warning to its caller."""
     if lint == "strict":
         report.raise_for_errors()
     elif len(report):
         import warnings
 
         from repro.analysis import LintWarning
-        warnings.warn(report.render(), LintWarning, stacklevel=3)
-    return plan
+        warnings.warn(report.render(), LintWarning, stacklevel=4)
 
 
 def _plan_from_trace(trace: OpTrace, passes: tuple, name: str | None,
@@ -525,13 +502,7 @@ def _plan_from_trace(trace: OpTrace, passes: tuple, name: str | None,
     if lint is not None:
         from repro.analysis import analyze_trace
         report = analyze_trace(trace, name=name or trace.name)
-        if lint == "strict":
-            report.raise_for_errors()
-        elif len(report):
-            import warnings
-
-            from repro.analysis import LintWarning
-            warnings.warn(report.render(), LintWarning, stacklevel=3)
+        _report_lint(report, lint)
     normalized = run_passes(trace, passes)
     graph = lower_expanded_trace(normalized)
     assert_workload_dag(graph, params=trace.params,

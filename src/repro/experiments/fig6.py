@@ -9,9 +9,9 @@ METRICS = ("cu_utilization", "avg_cpt", "dram_bw_utilization",
            "dram_traffic_gb", "l1_utilization", "cpi")
 
 
-def run(source: str = "traced") -> dict:
+def run() -> dict:
     """{workload: {feature_name: {metric: value}}}, Figure 6 ladder."""
-    plans = engine.workload_plans(source=source)
+    plans = engine.workload_plans()
     out = {}
     for name, plan in plans.items():
         out[name] = {}
@@ -28,8 +28,8 @@ def run(source: str = "traced") -> dict:
     return out
 
 
-def main(source: str = "traced") -> None:
-    rows = run(source)
+def main() -> None:
+    rows = run()
     for workload, ladder in rows.items():
         print(f"\nFigure 6 -- {workload}")
         header = f"{'feature':22s}" + "".join(f"{m:>16s}" for m in METRICS)

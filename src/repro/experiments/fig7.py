@@ -6,9 +6,9 @@ from repro.gme.features import figure7_configs
 from repro import engine
 
 
-def run(source: str = "traced") -> dict:
+def run() -> dict:
     """{workload: [(feature_name, cumulative_speedup), ...]}."""
-    plans = engine.workload_plans(source=source)
+    plans = engine.workload_plans()
     out = {}
     for name, plan in plans.items():
         cycles = []
@@ -21,8 +21,8 @@ def run(source: str = "traced") -> dict:
     return out
 
 
-def main(source: str = "traced") -> None:
-    rows = run(source)
+def main() -> None:
+    rows = run()
     print("Figure 7: cumulative speedup (each bar includes the previous "
           "features)")
     for workload, ladder in rows.items():

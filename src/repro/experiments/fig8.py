@@ -12,9 +12,9 @@ LDS_SIZES_MB = (7.5, 11.5, 15.5, 19.5, 23.5, 27.5, 31.5)
 PAPER_15P5 = {"boot": 1.74, "helr": 1.53, "resnet": 1.51}
 
 
-def run(source: str = "traced") -> dict:
+def run() -> dict:
     """{workload: [(lds_mb, speedup_vs_7.5), ...]} on full GME."""
-    plans = engine.workload_plans(source=source)
+    plans = engine.workload_plans()
     out = {}
     for name, plan in plans.items():
         cycles = []
@@ -26,8 +26,8 @@ def run(source: str = "traced") -> dict:
     return out
 
 
-def main(source: str = "traced") -> None:
-    rows = run(source)
+def main() -> None:
+    rows = run()
     print("Figure 8: LDS size sweep (speedup vs 7.5 MB, full GME)")
     header = f"{'workload':10s}" + "".join(f"{s:>8.1f}" for s in
                                            LDS_SIZES_MB)

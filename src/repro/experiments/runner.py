@@ -6,26 +6,19 @@ Command line::
     python -m repro.experiments.runner --list             # harness slugs
     python -m repro.experiments.runner --only table8      # one harness
     python -m repro.experiments.runner --only table8 fig7 --json out.json
-    python -m repro.experiments.runner --only fig6 --source legacy
 
 ``--json`` collects each selected harness's ``run()`` result into one
 machine-readable document (tuples serialize as lists) instead of the
 human-readable report, wrapped in the shared schema envelope of
 :mod:`repro.experiments.export` (``schema_version``/``kind``/... plus
-this artifact's payload key ``"harnesses"`` and its ``"source"``).
-``--source {traced,legacy}`` is threaded into
-the workload registry for the harnesses that consume workload plans
-(fig6-8, table8), so the golden-reference comparison — legacy hand-built
-DAGs vs compiled programs — is runnable from the CLI.
+this artifact's payload key ``"harnesses"`` and the constant
+``"source": "traced"``, kept so the export schema does not change).
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import time
-
-from repro.workloads.registry import SOURCES
 
 from . import (fig6, fig7, fig8, opmix, table4, table6, table7, table8,
                table9)
@@ -44,13 +37,6 @@ HARNESSES = {
 }
 
 
-def _source_kwargs(fn, source: str) -> dict:
-    """``{"source": source}`` when ``fn`` accepts it (fig6-8/table8)."""
-    if "source" in inspect.signature(fn).parameters:
-        return {"source": source}
-    return {}
-
-
 def _jsonable(value):
     """Recursively coerce run() output into JSON-clean structures."""
     if isinstance(value, dict):
@@ -62,15 +48,14 @@ def _jsonable(value):
     return str(value)
 
 
-def collect(only: list[str] | None = None,
-            source: str = "traced") -> dict:
+def collect(only: list[str] | None = None) -> dict:
     """{slug: {"result": run() output, "seconds": wall time}}."""
     selected = only or list(HARNESSES)
     out = {}
     for slug in selected:
         harness = HARNESSES[slug]
         start = time.perf_counter()
-        result = harness.run(**_source_kwargs(harness.run, source))
+        result = harness.run()
         out[slug] = {"result": _jsonable(result),
                      "seconds": time.perf_counter() - start}
     return out
@@ -86,11 +71,6 @@ def main(argv: list[str] | None = None) -> None:
                         metavar="HARNESS",
                         help="subset to run (default: all); choices: "
                         + ", ".join(sorted(HARNESSES)))
-    parser.add_argument("--source", choices=SOURCES, default="traced",
-                        help="workload source for the registry-backed "
-                        "harnesses (fig6-8, table8): 'traced' compiled "
-                        "programs (default) or 'legacy' hand-built "
-                        "golden DAGs")
     parser.add_argument("--json", metavar="PATH",
                         help="write run() results as JSON to PATH "
                         "('-' for stdout) instead of printing reports")
@@ -102,9 +82,8 @@ def main(argv: list[str] | None = None) -> None:
         return
 
     if args.json is not None:
-        results = collect(args.only, source=args.source)
-        doc = envelope("experiments.runner", source=args.source,
-                       harnesses=results)
+        doc = envelope("experiments.runner", source="traced",
+                       harnesses=collect(args.only))
         write_json(doc, args.json)
         return
 
@@ -115,7 +94,7 @@ def main(argv: list[str] | None = None) -> None:
         print("=" * 72)
         print(f"== {name}")
         print("=" * 72)
-        module.main(**_source_kwargs(module.main, args.source))
+        module.main()
         print()
 
 

@@ -16,10 +16,10 @@ from repro import engine
 from .table7 import run as run_table7
 
 
-def run(source: str = "traced") -> dict:
+def run() -> dict:
     """Returns {config: {metric: (measured, paper)}} for our two rows."""
     params = CkksParameters.paper()
-    plans = engine.workload_plans(source=source)
+    plans = engine.workload_plans()
     table7 = run_table7()
     out = {}
     for label, features, paper_row in (
@@ -73,8 +73,8 @@ def headline_speedups(rows: dict | None = None) -> dict:
     }
 
 
-def main(source: str = "traced") -> None:
-    rows = run(source)
+def main() -> None:
+    rows = run()
     print("Table 8: workload execution times")
     print(f"{'accelerator':16s} {'T_A.S.(ns)':>22s} {'Boot(ms)':>22s} "
           f"{'HE-LR(ms)':>22s} {'ResNet(ms)':>22s}")

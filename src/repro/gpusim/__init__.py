@@ -1,35 +1,22 @@
-"""NaviSim-like functional/cycle GPU model of the AMD CDNA MI100.
+"""Static model of the AMD CDNA MI100 that the timing models read.
 
-Public entry points::
-
-    from repro.gpusim import Gpu, mi100, PipelineProfile
-    gpu = Gpu(mi100(), PipelineProfile.VANILLA)
-    result = gpu.run_kernel(kernel)
+Four pieces: the MI100 hardware configuration (:mod:`.config`, paper
+Table 5), the ISA issue-occupancy and latency tables per pipeline
+profile (:mod:`.isa`), the scoreboard pipeline that measures paper
+Table 4 from those tables (:mod:`.pipeline`), and the LDS bank-conflict
+model it samples (:mod:`.lds`).  Cycle counts of blocks and workloads
+come from :mod:`repro.blocksim`, which consumes the configuration and
+the issue tables.
 """
 
-from .cache import BankedCache, Cache
-from .compute_unit import ComputeUnit
 from .config import GpuConfig, mi100
-from .dispatcher import DispatchResult, GreedyDispatcher
-from .dram import HbmModel
-from .engine import EventEngine
-from .gpu import Gpu, KernelResult, LAUNCH_OVERHEAD_CYCLES
-from .interconnect import MemSideCrossbar
 from .isa import (ISSUE_CYCLES, LATENCY_SEQUENCES, PAPER_TABLE4, MicroOp,
                   PipelineProfile)
-from .kernels import (KernelDescriptor, WORKGROUP_SIZE, automorphism_kernel,
-                      base_conversion_kernel, elementwise_kernel, ntt_kernel)
 from .lds import LdsModel
 from .pipeline import ScoreboardPipeline, measure_table4
-from .wavefront import WorkGroup, Wavefront
 
 __all__ = [
-    "BankedCache", "Cache", "ComputeUnit", "DispatchResult", "EventEngine",
-    "GpuConfig", "GreedyDispatcher", "Gpu", "HbmModel", "ISSUE_CYCLES",
-    "KernelDescriptor", "KernelResult", "LATENCY_SEQUENCES",
-    "LAUNCH_OVERHEAD_CYCLES", "LdsModel", "MemSideCrossbar", "MicroOp",
-    "PAPER_TABLE4", "PipelineProfile", "ScoreboardPipeline",
-    "WORKGROUP_SIZE", "Wavefront", "WorkGroup", "automorphism_kernel",
-    "base_conversion_kernel", "elementwise_kernel", "measure_table4",
-    "mi100", "ntt_kernel",
+    "GpuConfig", "ISSUE_CYCLES", "LATENCY_SEQUENCES", "LdsModel",
+    "MicroOp", "PAPER_TABLE4", "PipelineProfile", "ScoreboardPipeline",
+    "measure_table4", "mi100",
 ]

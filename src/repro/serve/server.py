@@ -85,17 +85,14 @@ def _plan_fingerprint(plan) -> str | None:
 
     Plans loaded from an ``.rpa`` artifact carry the header fingerprint
     in their provenance; freshly compiled plans compute the identical
-    value.  Plans without a trace (hand-built graphs) have none.
+    value.  Only a server without a plan has none.
     """
     if plan is None:
         return None
     provenance = getattr(plan, "provenance", None)
     if provenance and provenance.get("fingerprint"):
         return str(provenance["fingerprint"])
-    try:
-        return str(plan.fingerprint)
-    except ValueError:
-        return None
+    return str(plan.fingerprint)
 
 
 @dataclass(frozen=True)

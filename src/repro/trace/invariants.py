@@ -1,9 +1,8 @@
 """Structural invariants every BlockSim workload DAG must satisfy.
 
-Shared by the trace lowering tests and the legacy hand-built builders:
-whichever path produced a graph, :func:`dag_violations` returns the list
-of structural problems (empty = healthy), and :func:`assert_workload_dag`
-raises with the full list.
+Checked on every compiled or loaded plan and by the lowering tests:
+:func:`dag_violations` returns the list of structural problems (empty =
+healthy), and :func:`assert_workload_dag` raises with the full list.
 
 Invariants:
 
@@ -16,7 +15,7 @@ Invariants:
 * every ``HERotate`` block names its switching key
   (``metadata["key"]``), which LABS grouping and the key-residency
   window depend on;
-* optionally (traced graphs), every key-switch block — rotations *and*
+* optionally (lowered graphs), every key-switch block — rotations *and*
   HEMult relinearizations — carries ``metadata["keyswitch"]`` with the
   hybrid-decomposition shape.
 """

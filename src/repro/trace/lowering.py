@@ -15,9 +15,8 @@ Node metadata carries what the simulator's locality features consume:
 
 * ``key`` — the switching-key id on rotation/conjugation blocks, which
   is what :class:`~repro.gme.labs.LabsScheduler` groups on and what the
-  key-residency window in the simulator tracks (matching the legacy
-  hand-built DAG convention, where relinearization keys are not LABS
-  grouping candidates);
+  key-residency window in the simulator tracks (relinearization keys
+  are not LABS grouping candidates);
 * ``keyswitch`` — dnum / digit-count / key id for *every* key-switch
   block, including HEMult relinearizations;
 * ``hoist_group`` — rotations sharing one hoisted Decomp+ModUp;
@@ -58,7 +57,7 @@ KIND_TO_BLOCK = {
     OpKind.MOD_RAISE: BlockType.MOD_RAISE,
 }
 
-#: Short node-id stem per kind (mirrors the legacy builders' vocabulary).
+#: Short node-id stem per kind.
 _KIND_STEM = {
     OpKind.SCALAR_ADD: "sadd",
     OpKind.SCALAR_MULT: "scalar",
@@ -123,7 +122,7 @@ def lower_expanded_trace(trace: OpTrace, prefix: str = "") -> nx.DiGraph:
 
         block_type = KIND_TO_BLOCK[op.kind]
         # MOD_RAISE operates over the full chain; its block level is the
-        # raised level (legacy convention), not the level-0 input.
+        # raised level, not the level-0 input.
         level = op.out_level if op.kind is OpKind.MOD_RAISE else op.level
         metadata: dict[str, Any] = {"op_id": op.op_id}
         if op.kind in KEYSWITCH_KINDS:

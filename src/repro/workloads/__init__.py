@@ -1,27 +1,21 @@
 """Paper workloads: bootstrapping, HE-LR, encrypted ResNet-20.
 
-Two representations per workload:
-
-* evaluator *programs* (:mod:`.programs`) registered in the catalog
-  (:mod:`.registry`) and compiled through :mod:`repro.engine` into
-  :class:`~repro.engine.ExecutablePlan` objects — the measured path
-  every experiment consumes;
-* legacy hand-built graph builders (``build_*_graph``) kept as golden
-  references for the trace-equivalence tests.
+Evaluator *programs* (:mod:`.programs`) are registered in the catalog
+(:mod:`.registry`) and compiled through :mod:`repro.engine` into
+:class:`~repro.engine.ExecutablePlan` objects — the measured path every
+experiment consumes.  :mod:`.helr` and :mod:`.resnet20` hold the
+functional encrypted trainer and convolution layer.
 """
 
-from .bootstrap_graph import build_bootstrap_graph
-from .helr import (EncryptedLogisticRegression, SIGMOID_COEFFS,
-                   build_helr_graph)
+from .helr import EncryptedLogisticRegression, SIGMOID_COEFFS
 from .programs import bootstrap_program, helr_program, resnet20_program
 from .registry import (build_workload, compile_workload,
                        register_workload, workload_names, workload_plans)
-from .resnet20 import EncryptedConvLayer, build_resnet20_graph
+from .resnet20 import EncryptedConvLayer
 
 __all__ = [
     "EncryptedConvLayer", "EncryptedLogisticRegression", "SIGMOID_COEFFS",
-    "bootstrap_program", "build_bootstrap_graph", "build_helr_graph",
-    "build_resnet20_graph", "build_workload", "compile_workload",
+    "bootstrap_program", "build_workload", "compile_workload",
     "helr_program", "register_workload", "resnet20_program",
     "workload_names", "workload_plans",
 ]

@@ -1,81 +1,22 @@
 """HE-LR: homomorphic logistic-regression training (Han et al. [35]).
 
-Two deliverables:
-
-* :func:`build_helr_graph` -- the block DAG of 30 training iterations with
-  one embedded bootstrap, at paper parameters, for the performance model
-  (Table 8 / Figures 6-7).
-* :class:`EncryptedLogisticRegression` -- a *functional* encrypted LR
-  trainer running on the real CKKS substrate at test parameters (used by
-  the examples and integration tests).
+:class:`EncryptedLogisticRegression` is a *functional* encrypted LR
+trainer running on the real CKKS substrate at test parameters (used by
+the examples and integration tests).  The 30-iteration block DAG of the
+performance model (Table 8 / Figures 6-7) is compiled from
+:func:`repro.workloads.programs.helr_program`.
 """
 
 from __future__ import annotations
 
-import math
-
-import networkx as nx
 import numpy as np
 
-from repro.blocksim import calibration as cal
-from repro.blocksim.blocks import BlockType
 from repro.fhe import CkksContext
 from repro.fhe.packing import rotate_sum
-from repro.fhe.params import CkksParameters
 from repro.fhe.polyval import evaluate_polynomial
-
-from .bootstrap_graph import _add, build_bootstrap_graph
 
 #: Degree-3 least-squares sigmoid approximation used by HELR [35].
 SIGMOID_COEFFS = [0.5, 0.15012, 0.0, -0.0015930]
-
-
-def build_helr_graph(params: CkksParameters | None = None
-                     ) -> nx.DiGraph:
-    """30 training iterations + 1 bootstrap, matching the 100x benchmark.
-
-    Per iteration: the encrypted gradient step costs 2 HEMult (inner
-    product + sigmoid), log2-tree rotations for the batch sum, plaintext
-    re-encodings and rescales.  Levels descend until the bootstrap point.
-    """
-    params = params or CkksParameters.paper()
-    graph = nx.DiGraph()
-    rotations = max(2, int(math.log2(cal.HELR_FEATURES)) // 4)
-    level = params.max_level - 1
-    frontier = _add(graph, params, "helr/encrypt-weights",
-                    BlockType.SCALAR_ADD, level, [])
-    boot_at = cal.HELR_ITERATIONS // 2
-    for it in range(cal.HELR_ITERATIONS):
-        reset = level < 4
-        if reset:
-            level = params.max_level - 4
-        pre = f"helr/it{it}"
-        dot = _add(graph, params, f"{pre}/dot", BlockType.HE_MULT, level,
-                   [frontier], refresh=reset)
-        acc = dot
-        for r in range(rotations):
-            acc = _add(graph, params, f"{pre}/rotsum{r}",
-                       BlockType.HE_ROTATE, level, [acc],
-                       key=f"rot-{1 << r}")
-        sig = _add(graph, params, f"{pre}/sigmoid", BlockType.HE_MULT,
-                   level - 1, [acc])
-        grad = _add(graph, params, f"{pre}/grad", BlockType.POLY_MULT,
-                    level - 2, [sig])
-        upd = _add(graph, params, f"{pre}/update", BlockType.HE_ADD,
-                   level - 2, [grad, frontier], refresh=reset)
-        frontier = _add(graph, params, f"{pre}/rescale",
-                        BlockType.HE_RESCALE, level - 2, [upd])
-        level -= 3
-        if it == boot_at:
-            boot_graph, entry, exit_id = build_bootstrap_graph(
-                params, prefix=f"{pre}/boot")
-            graph.update(boot_graph)
-            graph.add_edge(frontier, entry,
-                           bytes=2 * (level + 1) * params.ring_degree
-                           * params.prime_bits / 8)
-            frontier = exit_id
-            level = params.max_level - params.boot_levels + 2
-    return graph
 
 
 class EncryptedLogisticRegression:

@@ -7,16 +7,17 @@ one through a :class:`~repro.trace.TracingEvaluator` wrapping a
 the BlockSim DAG — the block multiplicities are *measured from the
 execution* instead of being transcribed constants, so any drift between
 the functional ``repro.fhe`` library and the simulated graphs surfaces
-as a golden-test failure (see ``tests/workloads/test_trace_equivalence``).
+as a test failure (``tests/workloads/test_catalog_shape`` pins the
+per-(block type, level) histograms at paper parameters).
 
-The programs mirror the structure of the legacy hand-built graphs in
-``bootstrap_graph.py`` / ``helr.py`` / ``resnet20.py`` (kept as golden
-references): same BSGS stage shapes, same EvalMod depth schedule, same
-per-iteration HE-LR step, same multiplexed-convolution layer.  Rotation
+Structure (section 2.2 at Table 3 parameters: fftIter = 4
+linear-transform stages on each side, L_boot = 17 levels consumed): BSGS
+stages of radix n^(1/fftIter), a scaled-sine EvalMod depth schedule, the
+per-iteration HE-LR step, the multiplexed-convolution layer.  Rotation
 amounts are chosen so the switching-key reuse pattern (what LABS groups
-on) matches the legacy key annotations: 4 distinct baby-step keys shared
-between CoeffToSlot and SlotToCoeff, 4 giant-step keys, 9 convolution
-tap keys, log2-tree reduction keys.
+on) is 4 distinct baby-step keys shared between CoeffToSlot and
+SlotToCoeff, 4 giant-step keys, 9 convolution tap keys, log2-tree
+reduction keys.
 """
 
 from __future__ import annotations
@@ -25,17 +26,18 @@ import math
 
 from repro.blocksim import calibration as cal
 
-#: EvalMod shape (same constants the legacy builder uses).
-from .bootstrap_graph import (EVALMOD_MULTS_PER_BRANCH,
-                              EVALMOD_SCALARS_PER_BRANCH)
+#: EvalMod shape: Chebyshev degree ~31 plus double-angle squarings per
+#: branch (real and imaginary coefficient halves).
+EVALMOD_MULTS_PER_BRANCH = 20
+EVALMOD_SCALARS_PER_BRANCH = 10
 
 
 def _to_level(ev, ct, level: int):
     """Bring a handle to ``level``: drop limbs, or refresh upward.
 
-    An upward move models the legacy builders' schematic level resets
-    (fresh ciphertext / elided bootstrap); it exists only on the symbolic
-    evaluator and marks the consuming block ``metadata["refresh"]``.
+    An upward move models a schematic level reset (fresh ciphertext /
+    elided bootstrap); it exists only on the symbolic evaluator and
+    marks the consuming block ``metadata["refresh"]``.
     """
     if ct.level > level:
         return ev.mod_drop(ct, ct.level - level)

@@ -1,9 +1,8 @@
 """Workload catalog: named HE programs, compiled through ``repro.engine``.
 
 This module is a thin registry.  A workload is an evaluator *program*
-(:data:`~repro.engine.HeProgram`) plus, optionally, the legacy
-hand-built golden builder kept for the trace-equivalence tests.  All
-compilation, lowering, simulation, replay, and profiling happen in
+(:data:`~repro.engine.HeProgram`).  All compilation, lowering,
+simulation, replay, and profiling happen in
 :mod:`repro.engine` — newcomers should start there (and at
 ``src/repro/engine/README.md``); this file only names programs::
 
@@ -17,14 +16,8 @@ compilation, lowering, simulation, replay, and profiling happen in
     plan = compile_workload("mine")          # ExecutablePlan
     plan.simulate(GME_FULL)                  # BlockSim metrics
 
-Two sources per workload:
-
-* ``traced`` (default) — the program compiled by
-  :func:`repro.engine.compile` (measurement; plans are cached, so
-  sweeps compile once and simulate many times);
-* ``legacy`` — the hand-built golden graph wrapped via
-  :meth:`repro.engine.ExecutablePlan.from_graph` (transcription;
-  simulates and profiles, cannot replay).
+Plans are cached by :func:`repro.engine.compile`, so sweeps compile
+once and simulate many times.
 
 The pre-engine entry points (``trace_workload``, ``workload_graphs``)
 served their one-release deprecation window and are gone; use
@@ -34,7 +27,6 @@ served their one-release deprecation window and are gone; use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import networkx as nx
@@ -42,23 +34,15 @@ import networkx as nx
 from repro import engine
 from repro.fhe.params import CkksParameters
 
-from .bootstrap_graph import build_bootstrap_graph
-from .helr import build_helr_graph
 from .programs import bootstrap_program, helr_program, resnet20_program
-from .resnet20 import build_resnet20_graph
-
-#: The registry's two workload sources.
-SOURCES = ("traced", "legacy")
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """One registered workload: an evaluator program and (optionally)
-    the legacy hand-built golden builder."""
+    """One registered workload: a name and its evaluator program."""
 
     name: str
     program: Callable
-    legacy_builder: Callable[[CkksParameters], nx.DiGraph] | None = None
 
 
 def _boot_program(ev):
@@ -66,21 +50,13 @@ def _boot_program(ev):
         return bootstrap_program(ev, ev.fresh(level=0))
 
 
-def _legacy_boot(params: CkksParameters) -> nx.DiGraph:
-    graph, _, _ = build_bootstrap_graph(params)
-    return graph
-
-
 _REGISTRY: dict[str, WorkloadSpec] = {}
 
 
-def register_workload(name: str, program: Callable,
-                      legacy_builder=None) -> WorkloadSpec:
+def register_workload(name: str, program: Callable) -> WorkloadSpec:
     """Register (or replace) a workload; returns its spec."""
-    spec = WorkloadSpec(name=name, program=program,
-                        legacy_builder=legacy_builder)
+    spec = WorkloadSpec(name=name, program=program)
     _REGISTRY[name] = spec
-    _legacy_plan.cache_clear()
     return spec
 
 
@@ -89,58 +65,32 @@ def workload_names() -> list[str]:
 
 
 def compile_workload(name: str, params: CkksParameters | None = None,
-                     source: str = "traced",
                      lint: str | None = None) -> engine.ExecutablePlan:
     """The :class:`~repro.engine.ExecutablePlan` for one workload.
 
-    Traced plans come from the engine's memoized compile — requesting
-    the same workload at the same parameters returns the same plan
+    Plans come from the engine's memoized compile — requesting the
+    same workload at the same parameters returns the same plan
     object, whatever feature sets it later simulates.  ``lint`` is
     forwarded to :func:`repro.engine.compile` (``"warn"``/``"strict"``
     static analysis of the compiled trace).
     """
-    if source not in SOURCES:
-        raise ValueError(f"unknown workload source {source!r}; "
-                         f"expected one of {SOURCES}")
-    spec = _REGISTRY[name]
     params = params or CkksParameters.paper()
-    if source == "traced":
-        return engine.compile(spec.program, params, name=name,
-                              lint=lint)
-    if spec.legacy_builder is None:
-        raise ValueError(f"workload {name!r} has no legacy builder")
-    return _legacy_plan(name, params)
+    return engine.compile(_REGISTRY[name].program, params, name=name,
+                          lint=lint)
 
 
-@lru_cache(maxsize=16)
-def _legacy_plan(name: str,
-                 params: CkksParameters) -> engine.ExecutablePlan:
-    graph = _REGISTRY[name].legacy_builder(params)
-    return engine.ExecutablePlan.from_graph(graph, params, name)
-
-
-def workload_plans(params: CkksParameters | None = None,
-                   source: str = "traced"
+def workload_plans(params: CkksParameters | None = None
                    ) -> dict[str, engine.ExecutablePlan]:
-    """Every registered workload as a compiled plan.
-
-    Legacy source skips workloads that have no golden builder.
-    """
-    params = params or CkksParameters.paper()
-    out = {}
-    for name, spec in _REGISTRY.items():
-        if source == "legacy" and spec.legacy_builder is None:
-            continue
-        out[name] = compile_workload(name, params, source=source)
-    return out
+    """Every registered workload as a compiled plan."""
+    return {name: compile_workload(name, params) for name in _REGISTRY}
 
 
-def build_workload(name: str, params: CkksParameters | None = None,
-                   source: str = "traced") -> nx.DiGraph:
-    """One workload DAG from the requested source (golden-test helper)."""
-    return compile_workload(name, params, source=source).graph
+def build_workload(name: str,
+                   params: CkksParameters | None = None) -> nx.DiGraph:
+    """The lowered BlockSim DAG of one workload."""
+    return compile_workload(name, params).graph
 
 
-register_workload("boot", _boot_program, _legacy_boot)
-register_workload("helr", helr_program, build_helr_graph)
-register_workload("resnet", resnet20_program, build_resnet20_graph)
+register_workload("boot", _boot_program)
+register_workload("helr", helr_program)
+register_workload("resnet", resnet20_program)

@@ -1,90 +1,17 @@
 """Encrypted ResNet-20 on CIFAR-10 (Lee et al. [50]).
 
-* :func:`build_resnet20_graph` -- block DAG of the full network with
-  multiplexed parallel convolutions and inter-stage bootstraps, at paper
-  parameters (Table 8 / Figures 6-8).
-* :class:`EncryptedConvLayer` -- functional encrypted 3x3 convolution on
-  the CKKS substrate (rotation + plaintext-multiply formulation), used by
-  the encrypted-inference example and integration tests.
+:class:`EncryptedConvLayer` is a functional encrypted 3x3 convolution on
+the CKKS substrate (rotation + plaintext-multiply formulation), used by
+the encrypted-inference example and integration tests.  The block DAG of
+the full network (Table 8 / Figures 6-8) is compiled from
+:func:`repro.workloads.programs.resnet20_program`.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
-from repro.blocksim import calibration as cal
-from repro.blocksim.blocks import BlockType
 from repro.fhe import CkksContext
-from repro.fhe.params import CkksParameters
-
-from .bootstrap_graph import _add, build_bootstrap_graph
-
-
-def build_resnet20_graph(params: CkksParameters | None = None
-                         ) -> nx.DiGraph:
-    """The 19 multiplexed conv layers + FC, with inter-stage bootstraps.
-
-    Each convolution block: one rotation per kernel offset and channel
-    slice (multiplexed packing), a plaintext multiply per rotation batch,
-    a ciphertext multiply for the squaring activation, and a rescale.
-    Bootstraps are distributed across layers (RESNET_BOOTSTRAPS total),
-    folded into per-layer bootstrap subgraphs with repeat counts.
-    """
-    params = params or CkksParameters.paper()
-    graph = nx.DiGraph()
-    level = params.max_level - 1
-    frontier = _add(graph, params, "resnet/input", BlockType.SCALAR_ADD,
-                    level, [])
-    boots_done = 0
-    boot_every = max(1, cal.RESNET_CONV_LAYERS // cal.RESNET_BOOTSTRAPS)
-    for layer in range(cal.RESNET_CONV_LAYERS):
-        pre = f"resnet/conv{layer}"
-        reset = level < 5
-        if reset:
-            level = params.max_level - 3
-        rotated = []
-        for r in range(cal.RESNET_ROTATIONS_PER_CONV):
-            rot = _add(graph, params, f"{pre}/rot{r}",
-                       BlockType.HE_ROTATE, level, [frontier],
-                       key=f"conv-off-{r % 9}", refresh=reset)
-            rotated.append(rot)
-        muls = []
-        for m in range(cal.RESNET_MULTS_PER_CONV):
-            src = rotated[m * len(rotated) // cal.RESNET_MULTS_PER_CONV]
-            pm = _add(graph, params, f"{pre}/pmul{m}",
-                      BlockType.POLY_MULT, level, [src])
-            muls.append(pm)
-        acc = muls[0]
-        for m, pm in enumerate(muls[1:]):
-            acc = _add(graph, params, f"{pre}/add{m}", BlockType.HE_ADD,
-                       level, [acc, pm])
-        act = _add(graph, params, f"{pre}/square", BlockType.HE_MULT,
-                   level - 1, [acc])
-        frontier = _add(graph, params, f"{pre}/rescale",
-                        BlockType.HE_RESCALE, level - 1, [act])
-        level -= 2
-        if (layer + 1) % boot_every == 0 \
-                and boots_done < cal.RESNET_BOOTSTRAPS:
-            # Fold this stage's bootstrap share into one subgraph.
-            share = 1
-            boot_graph, entry, exit_id = build_bootstrap_graph(
-                params, prefix=f"{pre}/boot", repeat=share)
-            graph.update(boot_graph)
-            graph.add_edge(frontier, entry,
-                           bytes=2 * (level + 1) * params.ring_degree
-                           * params.prime_bits / 8)
-            frontier = exit_id
-            boots_done += share
-            level = params.max_level - params.boot_levels + 2
-    # Average pool + fully connected layer.
-    pool = _add(graph, params, "resnet/avgpool", BlockType.HE_ROTATE,
-                max(2, level), [frontier], key="pool")
-    fc = _add(graph, params, "resnet/fc", BlockType.HE_MULT,
-              max(2, level), [pool])
-    _add(graph, params, "resnet/output", BlockType.HE_RESCALE,
-         max(2, level), [fc])
-    return graph
 
 
 class EncryptedConvLayer:

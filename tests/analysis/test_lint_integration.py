@@ -104,6 +104,23 @@ class TestEngineCompileLint:
         assert plan.lint_report is not None
         assert plan.lint_report.codes() == {"HE120": 1}
 
+    def test_warning_is_attributed_to_the_compile_caller(self):
+        """Both entry points (a program through ``_apply_lint``, a
+        pre-recorded trace through ``_plan_from_trace``) report the
+        ``engine.compile`` call site, not a frame inside the engine."""
+        def dead_rotate(ev):
+            ct = ev.fresh(level=4)
+            ev.he_rotate(ct, 1)  # dead: result never used
+            return ct
+
+        with pytest.warns(LintWarning, match="HE120") as from_program:
+            engine.compile(dead_rotate, TOY, lint="warn")
+        trace, code = overlapping_windows_trace()
+        with pytest.warns(LintWarning, match=code) as from_trace:
+            engine.compile(trace, lint="warn")
+        for record in (from_program, from_trace):
+            assert [w.filename for w in record] == [__file__]
+
     def test_lint_mode_is_validated(self):
         with pytest.raises(ValueError, match="lint='loud'"):
             engine.compile("boot", TOY, lint="loud")

@@ -150,18 +150,6 @@ class TestPlanRoundTrip:
         with pytest.raises(engine.PlanError, match="payload"):
             loaded.execute(ctx, sources=[ct])
 
-    def test_graph_only_plan_refuses_to_save(self, tmp_path):
-        import networkx as nx
-
-        from repro.artifact import ArtifactError
-        from repro.blocksim import BlockInstance, BlockType, make_block_node
-        graph = nx.DiGraph()
-        make_block_node(graph, BlockInstance("add0", BlockType.HE_ADD,
-                                             level=2))
-        plan = engine.ExecutablePlan.from_graph(graph, TOY, "golden")
-        with pytest.raises(ArtifactError, match="no trace"):
-            plan.save(str(tmp_path / "x.rpa"))
-
     def test_trace_artifact_loads_as_plan(self, tmp_path):
         """A bare trace artifact lowers on load and still simulates."""
         plan = engine.compile("boot", TOY)

@@ -1,13 +1,16 @@
 """Tests for the block-graph simulator and workload DAGs."""
 
+import re
+
 import networkx as nx
 import pytest
 
 from repro.blocksim import (BlockGraphSimulator, BlockInstance, BlockType,
                             make_block_node)
+from repro.blocksim import calibration as cal
 from repro.gme.features import BASELINE, FeatureSet, GME_FULL
-from repro.workloads import (build_bootstrap_graph, build_helr_graph,
-                             build_resnet20_graph)
+from repro.trace import OpKind
+from repro.workloads import compile_workload
 
 
 def _chain(n=4, block=BlockType.HE_MULT, level=20):
@@ -42,7 +45,7 @@ class TestSimulator:
         assert metrics.resident_hits == 0
 
     def test_labs_order_is_topological(self):
-        graph, entry, exit_id = build_bootstrap_graph()
+        graph = compile_workload("boot").graph
         sim = BlockGraphSimulator(GME_FULL)
         order = sim._order(graph)
         position = {b: i for i, b in enumerate(order)}
@@ -72,7 +75,7 @@ class TestSimulator:
     def test_key_residency_window_is_sweepable(self):
         """The LABS key window is a FeatureSet knob: closing it (0)
         disables key grouping and can only slow the run down."""
-        graph, _, _ = build_bootstrap_graph()
+        graph = compile_workload("boot").graph
         default = BlockGraphSimulator(GME_FULL).run(graph, "boot")
         closed = BlockGraphSimulator(
             GME_FULL.with_key_residency_window(0)).run(graph, "boot")
@@ -87,13 +90,9 @@ class TestSimulator:
 
 
 class TestWorkloadGraphs:
-    @pytest.mark.parametrize("builder", [
-        lambda: build_bootstrap_graph()[0],
-        build_helr_graph,
-        build_resnet20_graph,
-    ])
-    def test_graphs_are_dags(self, builder):
-        graph = builder()
+    @pytest.mark.parametrize("name", ["boot", "helr", "resnet"])
+    def test_graphs_are_dags(self, name):
+        graph = compile_workload(name).graph
         assert nx.is_directed_acyclic_graph(graph)
         assert graph.number_of_nodes() > 50
         for node, data in graph.nodes(data=True):
@@ -104,23 +103,36 @@ class TestWorkloadGraphs:
             assert data.get("bytes", 0) > 0
 
     def test_bootstrap_levels_descend(self):
-        graph, entry, exit_id = build_bootstrap_graph()
+        graph = compile_workload("boot").graph
+        (entry,) = [n for n in graph if graph.in_degree(n) == 0]
+        (exit_id,) = [n for n in graph if graph.out_degree(n) == 0]
+        assert graph.nodes[entry]["block"].block_type \
+            is BlockType.MOD_RAISE
         top = graph.nodes[entry]["block"].level
         bottom = graph.nodes[exit_id]["block"].level
         assert top > bottom
 
     def test_bootstrap_has_rotation_keys(self):
-        graph, _, _ = build_bootstrap_graph()
+        graph = compile_workload("boot").graph
         keys = {graph.nodes[n]["block"].metadata.get("key")
                 for n in graph.nodes} - {None}
         assert len(keys) > 3
 
     def test_resnet_contains_bootstraps(self):
-        graph = build_resnet20_graph()
-        boot_nodes = [n for n in graph.nodes if "/boot/" in n]
-        assert len(boot_nodes) > 100
+        """One ModRaise per embedded bootstrap, and the blocks lowered
+        from ops recorded inside ``.../boot`` regions are the bulk."""
+        plan = compile_workload("resnet")
+        raises = [op for op in plan.trace.ops
+                  if op.kind is OpKind.MOD_RAISE]
+        assert len(raises) == cal.RESNET_BOOTSTRAPS
+        region_of = {op.op_id: op.region for op in plan.trace.ops}
+        regions = [region_of[data["block"].metadata["op_id"]]
+                   for _, data in plan.graph.nodes(data=True)]
+        boot_blocks = [r for r in regions if "boot" in r.split("/")]
+        assert len(boot_blocks) > 100
 
     def test_helr_iteration_count(self):
-        graph = build_helr_graph()
-        dots = [n for n in graph.nodes if n.endswith("/dot")]
-        assert len(dots) == 30
+        trace = compile_workload("helr").trace
+        iterations = {op.region for op in trace.ops
+                      if re.fullmatch(r"helr/it\d+", op.region)}
+        assert len(iterations) == cal.HELR_ITERATIONS == 30

@@ -127,33 +127,6 @@ class TestSimulateProfileConsistency:
         assert plan.simulate(GME_FULL).cycles == direct.cycles
 
 
-class TestLegacyPlans:
-    def test_legacy_plan_simulates(self):
-        plan = compile_workload("boot", source="legacy")
-        assert plan.trace is None
-        assert plan.simulate(BASELINE).cycles > 0
-        profile = plan.profile(BASELINE)
-        assert profile.total_cycles == plan.simulate(BASELINE).cycles
-
-    def test_legacy_plan_cannot_execute(self):
-        plan = compile_workload("boot", source="legacy")
-        with pytest.raises(engine.PlanError, match="no.*trace"):
-            plan.execute(CkksContext.toy())
-
-    @pytest.mark.parametrize("name", ["boot", "helr", "resnet"])
-    def test_traced_and_legacy_simulate_close(self, name):
-        """Baseline cycles agree exactly (count goldens); under LABS the
-        helr/resnet key-id namespaces differ slightly between the two
-        families (see test_trace_equivalence), so GME allows 2%."""
-        traced_plan = compile_workload(name)
-        legacy_plan = compile_workload(name, source="legacy")
-        assert traced_plan.simulate(BASELINE).cycles \
-            == legacy_plan.simulate(BASELINE).cycles
-        assert traced_plan.simulate(GME_FULL).cycles \
-            == pytest.approx(legacy_plan.simulate(GME_FULL).cycles,
-                             rel=0.02)
-
-
 class TestExecuteReplay:
     """Acceptance: plan.execute vs direct evaluator, bit-identical."""
 

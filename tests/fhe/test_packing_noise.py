@@ -179,8 +179,7 @@ class TestBudget:
         assert noise < 1e-4      # ~1.5e-6 typical at Delta = 2^29
 
     def test_circuit_depth_of_workloads(self):
-        from repro.workloads import build_bootstrap_graph
-        graph, _, _ = build_bootstrap_graph()
-        depth = circuit_depth(graph)
+        from repro.workloads import compile_workload
+        depth = circuit_depth(compile_workload("boot").graph)
         # The bootstrap pipeline consumes most of L_boot's levels.
         assert 10 <= depth <= 60

@@ -1,15 +1,10 @@
-"""Tests for the pipeline (Table 4), CU model, dispatcher and GPU."""
+"""Tests for the MI100 config, the Table-4 pipeline and the LDS model."""
 
-import math
-
+import numpy as np
 import pytest
 
-from repro.gpusim import (Gpu, GreedyDispatcher, ComputeUnit,
-                          KernelDescriptor, LAUNCH_OVERHEAD_CYCLES,
-                          PAPER_TABLE4, PipelineProfile, ScoreboardPipeline,
-                          WorkGroup, automorphism_kernel,
-                          base_conversion_kernel, elementwise_kernel,
-                          measure_table4, mi100, ntt_kernel)
+from repro.gpusim import (PAPER_TABLE4, LdsModel, PipelineProfile,
+                          ScoreboardPipeline, measure_table4, mi100)
 
 
 class TestConfig:
@@ -71,141 +66,31 @@ class TestTable4Pipeline:
             b.measure_instruction("mod_mul", 100)
 
 
-class TestComputeUnit:
-    def test_issue_cycles_scale_with_count(self):
-        cu = ComputeUnit(0, mi100(), PipelineProfile.VANILLA)
-        one = cu.issue_cycles({"mod_mul": 1})
-        many = cu.issue_cycles({"mod_mul": 10})
-        assert many == 10 * one
+class TestLds:
+    def test_conflict_free_unit_stride(self):
+        lds = LdsModel()
+        cycles = lds.access_strided(1)
+        assert cycles == lds.base_latency
 
-    def test_wmac_higher_throughput(self):
-        mix = {"mod_mul": 100, "mod_add": 100}
-        vanilla = ComputeUnit(0, mi100(), PipelineProfile.VANILLA)
-        wmac = ComputeUnit(0, mi100(), PipelineProfile.MOD_WMAC)
-        assert wmac.issue_cycles(mix) < vanilla.issue_cycles(mix) / 3
+    def test_power_of_two_stride_conflicts(self):
+        lds = LdsModel()
+        # Stride 32 words: every lane hits the same bank -> 16-way serial.
+        cycles = lds.access_strided(32)
+        assert cycles == lds.base_latency + 15
 
-    def test_workgroup_cycles_use_all_simds(self):
-        cu = ComputeUnit(0, mi100(), PipelineProfile.VANILLA)
-        wg = WorkGroup(0, 4, {"mod_add": 64})
-        expected = cu.issue_cycles(wg.inst_mix) / mi100().simd_per_cu
-        assert cu.workgroup_cycles(wg) == pytest.approx(expected)
+    def test_same_bank_addresses_serialize(self):
+        lds = LdsModel()
+        addrs = np.zeros(16, dtype=int)           # all lanes, one address
+        assert lds.access_addresses(addrs) == lds.base_latency + 15
 
-    def test_lds_fit_check(self):
-        cu = ComputeUnit(0, mi100())
-        assert cu.lds_fits(WorkGroup(0, 4, {}, lds_bytes=64 * 1024))
-        assert not cu.lds_fits(WorkGroup(0, 4, {}, lds_bytes=65 * 1024))
+    def test_distinct_banks_no_conflict(self):
+        lds = LdsModel()
+        addrs = np.arange(16) * 4
+        assert lds.access_addresses(addrs) == lds.base_latency
 
-
-class TestDispatcher:
-    def _cus(self, n):
-        return [ComputeUnit(i, mi100()) for i in range(n)]
-
-    def test_single_wg(self):
-        disp = GreedyDispatcher(self._cus(4))
-        res = disp.dispatch([WorkGroup(0, 4, {"mod_add": 10})])
-        assert res.makespan > 0
-        assert res.wg_cu_assignment[0] == 0
-
-    def test_load_balanced_across_cus(self):
-        disp = GreedyDispatcher(self._cus(4), max_concurrent_wgs=1)
-        wgs = [WorkGroup(i, 4, {"mod_add": 10}) for i in range(8)]
-        res = disp.dispatch(wgs)
-        assigned = set(res.wg_cu_assignment.values())
-        assert assigned == {0, 1, 2, 3}
-        # Perfect balance: 2 wgs per CU -> makespan = 2 * wg duration.
-        one = self._cus(1)[0].workgroup_cycles(wgs[0])
-        assert res.makespan == pytest.approx(2 * one)
-
-    def test_oversubscription_hides_stall_time(self):
-        """Extra wg slots overlap durations that include stall time."""
-        def stall_heavy(cu, wg):
-            return cu.workgroup_cycles(wg) + 1000.0   # memory stalls
-        serial = GreedyDispatcher(self._cus(1), max_concurrent_wgs=1)
-        overlapped = GreedyDispatcher(self._cus(1), max_concurrent_wgs=4)
-        wgs_a = [WorkGroup(i, 4, {"mod_add": 10}) for i in range(4)]
-        wgs_b = [WorkGroup(i, 4, {"mod_add": 10}) for i in range(4)]
-        t_serial = serial.dispatch(wgs_a, duration_fn=stall_heavy).makespan
-        t_overlap = overlapped.dispatch(wgs_b,
-                                        duration_fn=stall_heavy).makespan
-        assert t_overlap < t_serial
-
-    def test_utilization_bounds(self):
-        disp = GreedyDispatcher(self._cus(2))
-        wgs = [WorkGroup(i, 4, {"mod_add": 5}) for i in range(16)]
-        res = disp.dispatch(wgs)
-        assert 0.0 < res.cu_utilization <= 1.0
-
-
-class TestKernels:
-    def test_ntt_kernel_counts(self):
-        k = ntt_kernel(ring_degree=1 << 16, num_limbs=32, word_bytes=6.75)
-        stages = 16
-        assert sum(wg.inst_mix["ntt_butterfly"]
-                   for wg in k.workgroups()) == pytest.approx(
-            32 * (1 << 15) * stages, rel=0.01)
-        assert k.dram_read_bytes > k.dram_write_bytes  # twiddles included
-
-    def test_elementwise_kernel(self):
-        k = elementwise_kernel("limb_mult", "mod_mul", 1 << 16, 32, 6.75)
-        assert k.total_instructions == pytest.approx(32 * (1 << 16),
-                                                     rel=0.01)
-        limb = (1 << 16) * 6.75
-        assert k.dram_read_bytes == pytest.approx(2 * 32 * limb)
-        assert k.dram_write_bytes == pytest.approx(32 * limb)
-
-    def test_automorphism_is_data_movement(self):
-        k = automorphism_kernel(1 << 12, 8, 8)
-        assert set(k.inst_mix_per_wg) == {"mov"}
-        assert k.dram_read_bytes == k.dram_write_bytes
-
-    def test_base_conversion_quadratic_in_limbs(self):
-        small = base_conversion_kernel(1 << 12, 4, 8, 8)
-        big = base_conversion_kernel(1 << 12, 8, 8, 8)
-        assert big.total_instructions > 1.5 * small.total_instructions
-
-    def test_workgroup_shares_sum_to_totals(self):
-        k = elementwise_kernel("x", "mod_add", 1 << 12, 4, 8)
-        wgs = k.workgroups()
-        assert sum(w.dram_read_bytes for w in wgs) == pytest.approx(
-            k.dram_read_bytes)
-
-
-class TestGpu:
-    def test_memory_bound_kernel(self):
-        gpu = Gpu(mi100(), PipelineProfile.VANILLA, bw_efficiency=0.5)
-        k = KernelDescriptor(name="copy", num_workgroups=100,
-                             inst_mix_per_wg={"mov": 10},
-                             dram_read_bytes=1 << 30,
-                             dram_write_bytes=1 << 30)
-        res = gpu.run_kernel(k)
-        assert not res.compute_bound
-        assert res.cycles > res.compute_cycles
-
-    def test_compute_bound_kernel(self):
-        gpu = Gpu(mi100(), PipelineProfile.VANILLA)
-        k = KernelDescriptor(name="math", num_workgroups=2000,
-                             inst_mix_per_wg={"mod_mul": 5000},
-                             dram_read_bytes=1 << 10,
-                             dram_write_bytes=1 << 10)
-        res = gpu.run_kernel(k)
-        assert res.compute_bound
-
-    def test_wmac_speeds_up_compute_bound(self):
-        k = KernelDescriptor(name="math", num_workgroups=2000,
-                             inst_mix_per_wg={"mod_mul": 5000},
-                             dram_read_bytes=1 << 10)
-        t_vanilla = Gpu(mi100(), PipelineProfile.VANILLA).run_kernel(k)
-        t_wmac = Gpu(mi100(), PipelineProfile.MOD_WMAC).run_kernel(k)
-        speedup = t_vanilla.cycles / t_wmac.cycles
-        assert speedup > 3.0
-
-    def test_launch_overhead_floor(self):
-        gpu = Gpu(mi100())
-        k = KernelDescriptor(name="tiny", num_workgroups=1,
-                             inst_mix_per_wg={"mov": 1})
-        res = gpu.run_kernel(k)
-        assert res.cycles >= LAUNCH_OVERHEAD_CYCLES
-
-    def test_to_us(self):
-        gpu = Gpu(mi100())
-        assert gpu.to_us(1502) == pytest.approx(1.0)
+    def test_random_access_overhead_is_small(self):
+        lds = LdsModel()
+        rng = np.random.default_rng(3)
+        total = sum(lds.access_random(rng) for _ in range(500))
+        avg = total / 500
+        assert lds.base_latency < avg < lds.base_latency + 4

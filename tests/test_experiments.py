@@ -90,32 +90,6 @@ class TestRunnerCli:
         out = capsys.readouterr().out.split()
         assert out == sorted(HARNESSES)
 
-    def test_unknown_source_rejected(self):
-        from repro.experiments.runner import main
-        with pytest.raises(SystemExit):
-            main(["--only", "table6", "--source", "nope"])
-
-    def test_source_threads_into_registry_harnesses(self):
-        """fig6-8/table8 accept the registry source; the others must
-        not receive the kwarg (signature-driven threading)."""
-        import inspect
-        from repro.experiments.runner import HARNESSES, _source_kwargs
-        for slug in ("fig6", "fig7", "fig8", "table8"):
-            run = HARNESSES[slug].run
-            assert "source" in inspect.signature(run).parameters
-            assert _source_kwargs(run, "legacy") == {"source": "legacy"}
-        for slug in ("table4", "table6", "table7", "table9"):
-            assert _source_kwargs(HARNESSES[slug].run, "legacy") == {}
-
-    def test_legacy_source_runs_from_the_cli_registry_path(self):
-        """The golden-reference comparison is runnable from the CLI:
-        the registry hands fig/table harnesses legacy golden plans."""
-        from repro.workloads.registry import compile_workload
-        legacy = compile_workload("boot", source="legacy")
-        traced = compile_workload("boot", source="traced")
-        assert legacy.trace is None and traced.trace is not None
-        assert legacy.num_blocks == traced.num_blocks
-
 
 class TestComparatorModels:
     def test_platform_roofline_orders_platforms(self):
