@@ -288,7 +288,7 @@ class AccelBackend(StackedBackend):
                          ctx.moduli)
         _nb_ntt_forward(_u64_2d(a), _u64_2d(ctx.psi_rev),
                         np.ascontiguousarray(ctx.psi_rev_shoup),
-                        np.ascontiguousarray(ctx.q_u_col[:, 0, 0]))
+                        _u64_2d(ctx.q_col)[:, 0])
         return a
 
     def ntt_inverse(self, data, moduli):
@@ -301,7 +301,7 @@ class AccelBackend(StackedBackend):
                         np.ascontiguousarray(ctx.psi_inv_rev_shoup),
                         _u64_2d(ctx.n_inv_col)[:, 0],
                         np.ascontiguousarray(ctx.n_inv_shoup_col)[:, 0],
-                        np.ascontiguousarray(ctx.q_u_col[:, 0, 0]))
+                        _u64_2d(ctx.q_col)[:, 0])
         return a
 
     # -- key switching ---------------------------------------------------

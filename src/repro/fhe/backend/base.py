@@ -34,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from ..modmath import from_mont_vec, mont_mulmod_vec, to_mont_vec
-from ..ntt import NttContext
+from ..ntt import NttContext, ntt_context
 from ..rns import KeySwitchContext
 
 
@@ -46,7 +46,6 @@ class ComputeBackend(abc.ABC):
 
     def __init__(self, params):
         self.params = params
-        self._ntt_cache: dict[int, NttContext] = {}
         self._ks_cache: dict[int, KeySwitchContext] = {}
 
     # -- storage ---------------------------------------------------------
@@ -134,12 +133,9 @@ class ComputeBackend(abc.ABC):
     # -- transforms -------------------------------------------------------
 
     def ntt_context(self, q: int) -> NttContext:
-        """Per-modulus NTT tables (built lazily, cached, shared)."""
-        ctx = self._ntt_cache.get(q)
-        if ctx is None:
-            ctx = NttContext(q, self.params.ring_degree)
-            self._ntt_cache[q] = ctx
-        return ctx
+        """Per-modulus NTT tables: built once per process, read-only,
+        shared by every backend (:func:`repro.fhe.ntt.ntt_context`)."""
+        return ntt_context(q, self.params.ring_degree)
 
     @abc.abstractmethod
     def ntt_forward(self, data: Any, moduli: tuple[int, ...]) -> Any:

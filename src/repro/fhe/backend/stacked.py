@@ -2,7 +2,7 @@
 
 Stores all RNS limbs of a polynomial as one ``(limbs, N)`` array with a
 per-limb modulus vector, so every elementwise kernel and every NTT
-butterfly stage executes once across the whole stack instead of once per
+step executes once across the whole stack instead of once per
 limb (GME section 2.2: the per-limb kernels of RNS-CKKS are independent
 and batch perfectly).  At the paper's limb counts (dnum >= 3, 20+ limbs)
 this removes a limb-count factor of Python/numpy dispatch overhead from
@@ -10,8 +10,10 @@ every hot path; see ``benchmarks/test_backend_speedup.py``.
 
 Bit-exact with the reference backend: both run the same exact integer
 arithmetic (int64 single-multiply path for stacks whose moduli are all
-below 2**31, double-word uint64 sweeps below 2**61 — the paper's 54-bit
-word included — and object dtype beyond that).
+below 2**31 — their NTT as two exact float64 matrix products —
+double-word uint64 sweeps below 2**61, the paper's 54-bit word included,
+and object dtype beyond that).  NTT tables are not this backend's: they
+are built once per process and shared (:mod:`repro.fhe.ntt`).
 """
 
 from __future__ import annotations
@@ -23,30 +25,17 @@ from ..modmath import (_addmod_u64, _as_object_array, _shoup_mulmod_u64,
                        addmod_stack, center_stack, from_mont_stack,
                        mont_mulmod_stack, mulmod_stack, negmod_stack,
                        rescale_constants, scalar_add_stack, scalar_mul_stack,
-                       stack_native_class, stack_residues, submod_stack,
-                       to_mont_stack, unstack_residues)
-from ..ntt import BatchedNttContext
+                       stack_residues, submod_stack, to_mont_stack,
+                       unstack_residues)
+from ..ntt import BatchedNttContext, batched_ntt_context
 from ..rns import approx_moddown_quotient, exact_moddown_quotient
 from .base import ComputeBackend
 from .registry import register_backend
 
 
-def _find_run(basis: tuple[int, ...], run: tuple[int, ...]) -> int | None:
-    """Index at which ``run`` occurs as consecutive limbs of ``basis``."""
-    try:
-        start = basis.index(run[0])
-    except ValueError:
-        return None
-    return start if basis[start:start + len(run)] == run else None
-
-
 @register_backend("stacked")
 class StackedBackend(ComputeBackend):
     """One 2-D ``(limbs, N)`` array per polynomial; batched kernels."""
-
-    def __init__(self, params):
-        super().__init__(params)
-        self._batched_ntt: dict[tuple[int, ...], BatchedNttContext] = {}
 
     # -- storage ---------------------------------------------------------
 
@@ -104,34 +93,9 @@ class StackedBackend(ComputeBackend):
     # -- transforms -------------------------------------------------------
 
     def batched_ntt(self, moduli: tuple[int, ...]) -> BatchedNttContext:
-        """Stacked twiddle tables for an RNS basis (lazily built, cached).
-
-        Bases that are a contiguous run of limbs of an already-cached
-        basis — every level drop walks down a prefix, rescale transforms
-        the dropped limb alone, ModDown the special primes alone, ModUp
-        the extended basis on either side of a digit — share its stacked
-        tables as row views; only genuinely new bases (e.g. the extended
-        key-switching basis below the top level) allocate fresh stacks,
-        keeping the cache O(L * N) overall.  The per-modulus
-        :class:`NttContext` power tables are shared either way.
-        """
-        ctx = self._batched_ntt.get(moduli)
-        if ctx is None:
-            want = stack_native_class(moduli)
-            count = len(moduli)
-            for cached_moduli, cached in self._batched_ntt.items():
-                if cached.klass != want:
-                    continue
-                start = _find_run(cached_moduli, moduli)
-                if start is not None:
-                    ctx = cached.rows(start, start + count)
-                    break
-            else:
-                per_limb = [self.ntt_context(q) for q in moduli]
-                ctx = BatchedNttContext(moduli, self.params.ring_degree,
-                                        per_limb=per_limb)
-            self._batched_ntt[moduli] = ctx
-        return ctx
+        """Stacked NTT tables for an RNS basis: the process-wide, shared
+        ones (:func:`repro.fhe.ntt.batched_ntt_context`)."""
+        return batched_ntt_context(moduli, self.params.ring_degree)
 
     def keyswitch_context(self, level):
         ksctx = super().keyswitch_context(level)

@@ -30,8 +30,9 @@ additions and multiplications (paper section 2.2).  This module provides:
 The generic kernels (``*_vec`` per limb, ``*_stack`` across a limb stack)
 choose the path automatically per call; see :func:`mulmod_vec`.  The hot
 paths do not pay that choice per call: a ``BatchedNttContext`` binds its
-tier and modulus columns when it is built and runs its stages as direct
-ufuncs, and the per-level constant multiplies of the key-switch datapath
+tier, modulus columns and tables when it is built and runs that tier's
+kernel directly (two float64 matrix products below 2**31, Shoup
+butterfly stages as uint64 ufuncs up to 2**61), and the per-level constant multiplies of the key-switch datapath
 are :class:`BoundScalarMul` objects held by the ``KeySwitchContext``
 (see "The three dtype paths" in ``backend/README.md``).  Conditional
 subtractions on the double-word tier are branch-free:

@@ -17,6 +17,11 @@ plans per process; this module adds the two service-level caches:
   key-residency window (``FeatureSet.key_residency_window``): it bounds
   how many tenants' ~100 MB switching-key sets stay resident; an
   evicted tenant pays keygen again on return.
+
+What a context needs that does *not* depend on the tenant — the NTT
+tables of its moduli — is not in either cache: :mod:`repro.fhe.ntt`
+builds those once per process and every tenant context shares them
+(:func:`clear_serve_caches` drops them along with the plans).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import threading
 import zlib
 
 from repro.fhe import CkksContext
+from repro.fhe.ntt import clear_table_cache
 from repro.fhe.params import CkksParameters
 
 #: Seed offset so tenant streams never collide with test seeds.
@@ -37,7 +43,12 @@ def tenant_seed(tenant: str) -> int:
 
 
 class TenantKeyCache:
-    """LRU cache of per-tenant contexts (keys + encoder + evaluator)."""
+    """LRU cache of per-tenant contexts (keys + encoder + evaluator).
+
+    Keys are per tenant and live here; the NTT tables under them are
+    process-wide (:func:`repro.fhe.ntt.ntt_context`), so a miss pays
+    key generation, not table construction.
+    """
 
     def __init__(self, max_resident: int = 8,
                  hamming_weight: int = 64):
@@ -146,6 +157,9 @@ def plan_cache_stats() -> dict:
 
 
 def clear_serve_caches() -> None:
-    """Drop shared plans (tests / benchmarks)."""
+    """Drop everything tenants share — compiled plans and the
+    process-wide NTT tables — so the next deployment starts cold (tests /
+    benchmarks).  Tenant keys live in each :class:`TenantKeyCache`."""
     with _PLAN_LOCK:
         _PLAN_CACHE.clear()
+    clear_table_cache()

@@ -7,10 +7,14 @@ and the key-switch kernels bind both when their ``BatchedNttContext`` /
 ``KeySwitchContext`` is built, so a warm op only pays them in the
 elementwise ``Polynomial`` arithmetic around those kernels.  Before the
 tables were bound one ``he_rotate`` made 251 + 239 such calls, 220 of
-each from inside the ten butterfly stages of its seven transforms; the
-ceilings below are today's counts (15 + 11 for the rotation) with room
-for a handful of extra elementwise ops, far below the 30 per transform
-that routing one stage loop back through the generic kernels would add.
+each from inside its seven transforms (ten butterfly stages apiece);
+the ceilings below are today's counts (15 + 11 for the rotation) with
+room for a handful of extra elementwise ops.  A transform is whatever
+runs under ``BatchedNttContext.forward`` / ``inverse`` — on this
+preset's int64 tier two matrix products and a twiddle scale, on the
+double-word tier the Shoup butterfly stages — and neither may look a
+tier up per call: routing either back through the generic kernels would
+add tens of lookups per transform, and ``inside_transform`` must stay 0.
 """
 
 import sys
