@@ -10,10 +10,11 @@ every hot path; see ``benchmarks/test_backend_speedup.py``.
 
 Bit-exact with the reference backend: both run the same exact integer
 arithmetic (int64 single-multiply path for stacks whose moduli are all
-below 2**31 — their NTT as two exact float64 matrix products —
-double-word uint64 sweeps below 2**61, the paper's 54-bit word included,
-and object dtype beyond that).  NTT tables are not this backend's: they
-are built once per process and shared (:mod:`repro.fhe.ntt`).
+below 2**31, double-word uint64 sweeps below 2**61, the paper's 54-bit
+word included — on both, the NTT and the key-switch base conversions as
+exact matrix products — and object dtype beyond that).  NTT tables are
+not this backend's: they are built once per process and shared
+(:mod:`repro.fhe.ntt`).
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from .. import modmath
-from ..modmath import (_addmod_u64, _as_object_array, _shoup_mulmod_u64,
-                       addmod_stack, center_stack, from_mont_stack,
-                       mont_mulmod_stack, mulmod_stack, negmod_stack,
-                       rescale_constants, scalar_add_stack, scalar_mul_stack,
-                       stack_residues, submod_stack, to_mont_stack,
-                       unstack_residues)
+from ..modmath import (_as_object_array, addmod_stack, center_stack,
+                       from_mont_stack, mont_mulmod_stack, mulmod_stack,
+                       negmod_stack, rescale_constants, scalar_add_stack,
+                       scalar_mul_stack, stack_residues, submod_stack,
+                       to_mont_stack, unstack_residues)
 from ..ntt import BatchedNttContext, batched_ntt_context
 from ..rns import approx_moddown_quotient, exact_moddown_quotient
 from .base import ComputeBackend
@@ -148,20 +148,10 @@ class StackedBackend(ComputeBackend):
             acc %= p_col
             return acc
         if ksctx.modup_mode == "dword":
-            # 2-D double-word sweeps: per digit limb, broadcast its
-            # centered residues against every target prime (a Shoup
-            # multiply by the weight column) and fold with a reduced
-            # modular add, so no intermediate leaves [0, p).
-            p_u = p_col.view(np.uint64)
-            w_u = weights.view(np.uint64)
-            w_shoup = ksctx.modup_weights_shoup[digit_index]
-            acc = None
-            for i in range(len(c)):
-                c_mod = np.remainder(c[i][None, :], p_col).view(np.uint64)
-                term = _shoup_mulmod_u64(c_mod, w_u[:, i:i + 1],
-                                         w_shoup[:, i:i + 1], p_u)
-                acc = term if acc is None else _addmod_u64(acc, term, p_u)
-            return acc.view(np.int64)
+            # The same (T, d) @ (d, N) product where no integer matmul
+            # can hold it: exact float64 matmuls over split words.
+            return ksctx.modup_matmul.left(ksctx.modup_tables[digit_index],
+                                           c, p_col, ksctx.extended_inv_col)
         # int64 but too many limbs for the matmul bound: broadcast over all
         # (target, digit-limb) pairs with per-term reduction (|c*w| < 2**61,
         # then sums of < 32 reduced terms < 2**36).
@@ -189,15 +179,17 @@ class StackedBackend(ComputeBackend):
         the result is the ``(n, N)`` stack of
         ``sum_j y_j * hat{p}_j - e * P mod q_i`` with centered
         ``y_j = [x_j * hat{p}_j^{-1}]_{p_j}`` and the quotient ``e`` of
-        ``ksctx.mod_down_mode``.  On the int64 tier that is one
-        ``(n, k + 1) @ (k + 1, N)`` integer matmul; elsewhere (and where
-        the context refused the matmul) the exact rule keeps
+        ``ksctx.mod_down_mode``.  That is one ``(n, k + 1) @ (k + 1, N)``
+        matmul — in int64 on the int64 tier, over split float64 words on
+        the double-word tier; on the object tier (and where the context
+        bound neither) the exact rule keeps
         :meth:`RnsBasis.convert_exact` — the same integers, shared with
         the reference backend — and the approx rule its per-prime sweeps.
         """
         exact = ksctx.mod_down_mode == "exact"
-        matrix = ksctx.moddown_lift_matrix
-        if matrix is None or special.dtype == object or modmath._OBJECT_ONLY:
+        matrix, matmul = ksctx.moddown_lift_matrix, ksctx.moddown_lift_matmul
+        if ((matrix is None and matmul is None) or special.dtype == object
+                or modmath._OBJECT_ONLY):
             if exact:
                 ct_moduli = ksctx.ct_moduli
                 return stack_residues(
@@ -213,6 +205,9 @@ class StackedBackend(ComputeBackend):
         operands[k] = exact_moddown_quotient(operands[:k], fracs,
                                              ksctx.p_basis) if exact \
             else approx_moddown_quotient(operands[:k], fracs)
+        if matmul is not None:
+            return matmul.left(ksctx.moddown_lift_table, operands,
+                               ksctx.ct_col, ksctx.ct_inv_col)
         lift = matrix @ operands
         lift %= ksctx.ct_col
         return lift

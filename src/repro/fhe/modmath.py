@@ -31,8 +31,11 @@ The generic kernels (``*_vec`` per limb, ``*_stack`` across a limb stack)
 choose the path automatically per call; see :func:`mulmod_vec`.  The hot
 paths do not pay that choice per call: a ``BatchedNttContext`` binds its
 tier, modulus columns and tables when it is built and runs that tier's
-kernel directly (two float64 matrix products below 2**31, Shoup
-butterfly stages as uint64 ufuncs up to 2**61), and the per-level constant multiplies of the key-switch datapath
+kernel directly (one exact float64 matrix product per factor of N on
+both native tiers, :class:`BoundModMatmul`, with int64 twiddle scales
+below 2**31 and Shoup ones up to 2**61), both base conversions of a key
+switch are the same bound matmul at the paper's word size, and the
+per-level constant multiplies of the key-switch datapath
 are :class:`BoundScalarMul` objects held by the ``KeySwitchContext``
 (see "The three dtype paths" in ``backend/README.md``).  Conditional
 subtractions on the double-word tier are branch-free:
@@ -908,6 +911,193 @@ class BoundScalarMul:
         return _shoup_mulmod_u64(_submod_u64(_as_u64(a), _as_u64(b), q_u),
                                  self.col.view(np.uint64), self.shoup_col,
                                  q_u).view(np.int64)
+
+
+#: Most words an operand or a table entry is cut into before
+#: :func:`matmul_split_plan` gives up.
+MATMUL_MAX_WORDS = 8
+
+
+def matmul_split_plan(q_max: int, width: int,
+                      operand_modulus: int) -> tuple[int, int, int, int]:
+    """``(pieces, bits, table_pieces, table_bits)`` of
+    :class:`BoundModMatmul` for ``width``-term dot products of residues
+    of ``operand_modulus`` with table entries below ``q_max``.
+
+    For each count of table words, the fewest operand words that keep a
+    dot product below 2**53; then one table word if that is possible at
+    all (it reduces with a plain ``%``, no quotient estimate), else the
+    fewest partial products ``pieces * table_pieces``, ties toward fewer
+    table words.
+    """
+    word = (q_max - 1).bit_length()
+    operand_word = (operand_modulus - 1).bit_length()
+    plans = []
+    for table_pieces in range(1, MATMUL_MAX_WORDS + 1):
+        table_bits = -(-word // table_pieces)
+        table_max = (1 << table_bits) - 1 if table_pieces > 1 else q_max - 1
+        for pieces in range(1, MATMUL_MAX_WORDS + 1):
+            bits = -(-operand_word // pieces)
+            if pieces * width * ((1 << bits) - 1) * table_max < 1 << 53:
+                plans.append((pieces, bits, table_pieces, table_bits))
+                break
+    if not plans:
+        raise ValueError(
+            f"no split of {operand_word}-bit operands and {word}-bit table "
+            f"entries into <= {MATMUL_MAX_WORDS} words each keeps a "
+            f"{width}-term dot product below 2**53")
+    return min(plans, key=lambda plan: (plan[2] > 1, plan[0] * plan[2],
+                                        plan[2]))
+
+
+class BoundModMatmul:
+    """Exact ``A @ X mod q`` by float64 matrix products, any ``q < 2**61``.
+
+    Bound to a size — the largest modulus, the contraction width K and the
+    modulus the operands are residues of — it derives, once, how to cut
+    both sides into words float64 can multiply and add exactly:
+
+    * an operand (reduced, or centered: the words carry the sign) is cut
+      into ``pieces`` words of ``bits`` bits, the top word keeping the
+      sign, and the shifts are absorbed into the table,
+      ``[A | A * 2**bits | ...] mod q``, so one product over the
+      concatenated words is the product with the whole operand;
+    * every absorbed table entry (``< q``) is cut into ``table_pieces``
+      words of ``table_bits`` bits, one array and one ``np.matmul``
+      each.
+
+    The plan (:func:`matmul_split_plan`) satisfies ``pieces * K *
+    (2**bits - 1) * (2**table_bits - 1) < 2**53`` (a single table word
+    is bounded by ``q_max - 1`` instead): every partial sum ``R_t`` is
+    then an integer below 2**53 in magnitude, exact in float64 in
+    whatever order BLAS adds.  Moduli below 2**31 get one table word (2 x
+    16 operand bits at K = 32, 3 x 11 at K = 64); a 54-bit word at K = 32
+    or 64 gets 3 x 18 operand bits against 2 x 27 table bits, 6 partial
+    products; ``ValueError`` when 8 x 8 words do not suffice.
+
+    Recombination.  With one table word the product is ``R_0 % q``.
+    Otherwise ``y = sum_t R_t * 2**(t * table_bits)`` does not fit 64
+    bits, and does not need to: the table words of an entry sum to less
+    than q, so ``|y| / q < pieces * K * 2**bits`` — about
+    ``2**(53 - table_bits)`` by the bound above; a float64 Horner sum of
+    the ``R_t`` times a float64 ``1 / q`` makes ``table_pieces + 1``
+    roundings of relative size ``2**-53``, an error of order
+    ``(table_pieces + 1) * 2**-table_bits`` in the quotient (asserted
+    below 1/4 when the plan is built), so rounded to the nearest integer
+    ``k`` it is within 3/4 of ``y / q`` for *any* row modulus, narrow
+    rows beside wide ones included; and ``r = (y mod 2**64) - k * q`` in
+    wrap-around int64 is the true ``y - k * q`` in ``(-q, q)``, which one
+    conditional ``+ q`` brings into ``[0, q)``.
+
+    The tables live with the caller (an NTT context slices them per limb
+    row, a key-switch context keeps one per digit): :meth:`table` builds
+    one, :meth:`left` / :meth:`right` multiply by it.
+    """
+
+    def __init__(self, q_max: int, width: int,
+                 operand_modulus: int | None = None):
+        self.width = width
+        self.pieces, self.bits, self.table_pieces, self.table_bits = \
+            matmul_split_plan(q_max, width, operand_modulus or q_max)
+        if q_max >= NATIVE_SAFE_MODULUS or ((self.table_pieces + 3)
+                                            * self.pieces * width
+                                            << self.bits) >= 1 << 51:
+            raise ValueError(f"quotient estimate of a {width}-term product "
+                             f"mod {q_max} is not within 1/4")
+
+    def table(self, matrix: np.ndarray, moduli, axis: int) -> tuple:
+        """The float64 table of an int64 ``matrix`` of residues, row i of
+        its first axis modulo ``moduli[i]``: the absorbed copies
+        ``matrix * 2**(p * bits) mod q`` concatenated along ``axis`` (the
+        contraction axis, -1 for :meth:`left`, -2 for :meth:`right`), cut
+        into ``table_pieces`` arrays, one per table word."""
+        shape = (len(moduli),) + (1,) * (matrix.ndim - 1)
+        absorbed = np.concatenate(
+            [matrix] + [mulmod_stack(
+                matrix, np.array([(1 << (p * self.bits)) % q for q in moduli],
+                                 dtype=np.int64).reshape(shape), moduli)
+                for p in range(1, self.pieces)], axis=axis)
+        mask = (1 << self.table_bits) - 1
+        words = [(absorbed >> (t * self.table_bits)) & mask
+                 for t in range(self.table_pieces - 1)]
+        words.append(absorbed >> ((self.table_pieces - 1) * self.table_bits))
+        # C order whatever layout the caller's gathers left behind: BLAS
+        # reads these on every call.
+        return tuple(np.ascontiguousarray(word, dtype=np.float64)
+                     for word in words)
+
+    def words(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """The float64 words of int64 operands, word p + 1 stacked after
+        word p along ``axis``."""
+        pieces, bits = self.pieces, self.bits
+        shape = list(x.shape)
+        shape.insert(axis, pieces)
+        words = np.empty(shape)
+        mask = (1 << bits) - 1
+        for p in range(pieces):
+            word = x >> (p * bits) if p else x
+            words[(slice(None),) * axis + (p,)] = \
+                word & mask if p < pieces - 1 else word
+        shape[axis:axis + 2] = [pieces * x.shape[axis]]
+        return words.reshape(shape)
+
+    def left(self, table, x, q_col, q_inv_col=None) -> np.ndarray:
+        """``A @ x mod q`` for a :meth:`table` of ``A`` built along axis
+        -1.  ``q_col`` is the int64 ``(rows, 1)`` column of moduli, one
+        per index of the product's first axis; ``q_inv_col`` its float64
+        reciprocals (unused with one table word)."""
+        return self._multiply(table, self.words(x, x.ndim - 2), True,
+                              q_col, q_inv_col)
+
+    def right(self, x, table, q_col, q_inv_col=None) -> np.ndarray:
+        """``x @ A mod q`` for a :meth:`table` of ``A`` built along axis
+        -2."""
+        return self._multiply(table, self.words(x, x.ndim - 1), False,
+                              q_col, q_inv_col)
+
+    def _multiply(self, table, words, table_first: bool, q, q_inv):
+        """One matmul per table word, recombined mod q.
+
+        The reductions sweep one row per modulus, so a column broadcasts
+        along whole rows instead of along the product's last axis.
+        """
+        parts = [np.matmul(word, words) if table_first
+                 else np.matmul(words, word) for word in table]
+        rows = len(q)
+        # Every R_t is an integer below 2**53: the casts are exact.
+        if len(parts) == 1:
+            out = parts.pop().astype(np.int64)
+            flat = out.reshape(rows, -1)
+            flat %= q
+            return out
+        del words       # spent; see _recombine
+        shape = parts[0].shape
+        parts = [part.reshape(rows, -1) for part in parts]
+        return self._recombine(parts, q, q_inv).reshape(shape)
+
+    def _recombine(self, parts: list, q, q_inv) -> np.ndarray:
+        """``sum_t R_t * 2**(t * table_bits) mod q`` through the quotient
+        estimate; consumes ``parts``, letting each go as soon as it is
+        spent — past a dozen limbs every intermediate is beyond malloc's
+        mmap threshold, where holding one longer than needed is paid in
+        page faults."""
+        estimate = parts.pop()
+        y = estimate.astype(np.int64)
+        scale = float(1 << self.table_bits)
+        while parts:
+            # Horner, in wrap-around int64 and in float64 side by side.
+            part = parts.pop()
+            y <<= self.table_bits
+            y += part.astype(np.int64)
+            estimate *= scale
+            estimate += part
+        estimate *= q_inv
+        # |y / q - estimate| < 1/4, so rounding it leaves |r| < q.
+        y -= np.rint(estimate, out=estimate).astype(np.int64) * q
+        u = y.view(np.uint64)
+        # A negative r reads as r + 2**64: adding q wraps it into [0, q),
+        # below itself; a non-negative one only grows.
+        return np.minimum(u, u + q.view(np.uint64)).view(np.int64)
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,25 +15,33 @@ per stage with numpy, on every word size; it is the ``reference``
 backend's kernel and the oracle of the stacked one.
 :class:`BatchedNttContext` transforms a whole limb stack and binds one of
 three kernel classes (see :func:`repro.fhe.modmath.stack_native_class`)
-when it is built:
+when it is built.  Both native classes run the same multi-step
+transform: N = n_1 * ... * n_k (:func:`factors`: 32 x 32 at 2**10,
+64 x 64 at 2**12, 32 x 32 x 64 at the paper's 2**16), one batched matrix
+product per factor with a pointwise twiddle scale between products, the
+bit-reversed layout baked into the matrices' row order.  The products
+are float64 and exact (:class:`repro.fhe.modmath.BoundModMatmul`): each
+residue is split into ``pieces`` words of ``bits`` bits, the matrix
+``[W | W * 2**bits | ...] mod q`` absorbs the shifts, and the word sizes
+are the coarsest that keep every dot product below 2**53 — so every
+partial sum is an integer float64 holds exactly, in whatever order BLAS
+adds.  The classes differ in the word sizes and the twiddle multiply:
 
-* ``int64`` (every q < 2**31): a four-step transform, N = n1 * n2 — two
-  batched float64 matrix products around one pointwise twiddle scale,
-  the bit-reversed layout baked into the matrices' row / column order.
-  Exact because each residue is split into ``pieces`` words of ``bits``
-  bits and the matrix ``[W | W * 2**bits | ...] mod q`` absorbs the
-  shifts: a product is below ``(2**bits - 1) * (q - 1)``, a dot product
-  sums ``pieces * max(n1, n2)`` of them, and ``pieces`` is the smallest
-  count that keeps that sum below 2**53 — so every partial sum is an
-  integer float64 holds exactly, in whatever order BLAS adds;
-* ``dword`` (q < 2**61, the paper's 54-bit word): butterflies in uint64
-  with per-root Shoup precomputed quotients — one MULHI + two low
-  multiplies + one conditional subtraction per twiddle product, the
-  constant-multiply sequence GME's NTT kernels use (as matrix products
-  a 54 x 54-bit multiply would take >= 8 partial products plus a
-  double-word recombination: not attempted);
+* ``int64`` (every q < 2**31): a matrix entry is one float64 word, a
+  product is reduced with ``%``, a twiddle scale is one int64 multiply
+  and ``%`` (two matmuls and four ``%`` per transform at N = 2**10);
+* ``dword`` (q < 2**61, the paper's 54-bit word): the matrix entries are
+  split into ``table_pieces`` words too (3 x 18 operand bits against
+  2 x 27 table bits at 54 bits: six partial products per step, not the
+  eight-plus once guessed here), the partial sums are recombined with a
+  float64 quotient estimate and wrap-around int64 — no double-word
+  arithmetic — and the twiddle scale is one Shoup multiply in uint64
+  (one MULHI + two low multiplies + one conditional subtraction, the
+  constant-multiply sequence GME's NTT kernels use), its quotients
+  gathered from the per-limb tables;
 * ``object`` (61+ bits, or :func:`repro.fhe.modmath.force_object_dtype`):
-  the generic stack kernels, exact for any word size.
+  log2 N butterfly stages through the generic stack kernels, exact for
+  any word size.
 
 Tables are a pure function of ``(q, N)``: :func:`ntt_context` and
 :func:`batched_ntt_context` build them once per process, read-only, and
@@ -43,16 +51,17 @@ share them between every backend instance (see :class:`_TableCache`).
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from collections import OrderedDict
 
 import numpy as np
 
 from . import modmath
-from .modmath import (_addmod_u64, _shoup_mulmod_u64, _submod_u64,
-                      addmod_stack, addmod_vec, invmod, limb_dtype,
-                      mont_precompute_vec, mulmod, mulmod_stack, mulmod_vec,
-                      native_class, reduce_stack, reduce_vec,
+from .modmath import (BoundModMatmul, _addmod_u64, _shoup_mulmod_u64,
+                      _submod_u64, addmod_stack, addmod_vec, invmod,
+                      limb_dtype, mont_precompute_vec, mulmod, mulmod_stack,
+                      mulmod_vec, native_class, reduce_stack, reduce_vec,
                       shoup_precompute_vec, stack_native_class, submod_stack,
                       submod_vec)
 from .primes import primitive_nth_root
@@ -247,23 +256,33 @@ class NttContext:
         return self.inverse(mulmod_vec(fa, fb, self.q))
 
 
-def _split_plan(q_max: int, width: int) -> tuple[int, int]:
-    """``(pieces, bits)`` for the four-step transform's float64 products.
+#: Largest factor of the multi-step transform (see :func:`factors`).  A
+#: step is a dense ``n_j x n_j`` matrix product per limb — n_j multiplies
+#: per coefficient where butterflies take log2 n_j — so factors want to
+#: be small; but every extra step is another pass of word splitting,
+#: recombination and twiddle scaling over the whole stack, so there want
+#: to be few.  Forward transform of a 3-limb stack, ms, two factors
+#: against three (measured by lifting this cap): at N = 2**12, 64 x 64
+#: 0.41 against 16 x 16 x 16 0.46 with 30-bit primes and 0.86 against
+#: 0.80 with 54-bit ones (six partial products per step instead of
+#: three: the tiers disagree, mildly); at 2**13, 64 x 128 2.11 against
+#: 16 x 16 x 32 1.58 (54-bit); at 2**14, 128 x 128 4.89 against 3.92; at
+#: the paper's 2**16, 256 x 256 31.7 against 32 x 32 x 64 21.1 (four
+#: factors of 16: 26.7; the per-limb butterflies: 27.2).  At 2**10 two
+#: factors beat three on both tiers (0.09 against 0.13, 0.20 against
+#: 0.25).  So: as few factors as fit under 64.
+MAX_FACTOR = 64
 
-    A residue below ``q_max`` is cut into ``pieces`` words of ``bits``
-    bits; a dot product then sums ``pieces * width`` terms, each at most
-    ``(2**bits - 1) * (q_max - 1)``.  Returns the smallest ``pieces`` that
-    keeps that sum below 2**53, where float64 arithmetic on integers is
-    exact.
-    """
-    word = (q_max - 1).bit_length()
-    for pieces in range(1, 9):
-        bits = -(-word // pieces)
-        if pieces * width * ((1 << bits) - 1) * (q_max - 1) < 1 << 53:
-            return pieces, bits
-    raise ValueError(
-        f"no split of a {word}-bit residue into <= 8 words keeps a "
-        f"{width}-term dot product below 2**53")
+
+def factors(n: int) -> tuple[int, ...]:
+    """The grid a length-``n`` transform runs on: the fewest power-of-two
+    factors, each at most :data:`MAX_FACTOR`, as equal as they can be,
+    smaller ones first — 32 x 32 at 2**10, 32 x 64 at 2**11, 64 x 64 at
+    2**12, 16 x 16 x 32 at 2**13, 32 x 32 x 64 at 2**16."""
+    log = n.bit_length() - 1
+    count = max(1, -(-log // (MAX_FACTOR.bit_length() - 1)))
+    low, wider = divmod(log, count)
+    return (1 << low,) * (count - wider) + (2 << low,) * wider
 
 
 def _stacked_twiddles(ctxs: list[NttContext], dtype) -> tuple:
@@ -281,12 +300,13 @@ class BatchedNttContext:
     Where :class:`NttContext` transforms one limb, this context transforms
     a ``(limbs, N)`` array with per-row tables, the batching GME exploits
     on the GPU (each limb is an independent instance of the same kernel).
-    The kernel class is bound here, once (see the module docstring): two
-    float64 matrix products per transform when every modulus is below
-    2**31, uint64 Shoup butterflies with per-row quotient tables up to the
-    paper's 54-bit word, the generic stack kernels beyond.  Results are
-    bit-exact with the per-limb transforms on every tier: all of them do
-    exact integer arithmetic, only its arrangement differs.
+    The kernel class is bound here, once (see the module docstring): the
+    multi-step transform — one exact float64 matrix product per factor of
+    N, pointwise twiddles between them — on both native tiers, up to the
+    paper's 54-bit word and beyond it to 2**61; the generic stack kernels
+    past that.  Results are bit-exact with the per-limb transforms on
+    every tier: all of them do exact integer arithmetic, only its
+    arrangement differs.
 
     Every table is read-only; the contexts :func:`batched_ntt_context`
     hands out are shared between backends and threads.
@@ -299,21 +319,25 @@ class BatchedNttContext:
         Power-of-two transform length (the ring degree N).
     """
 
-    #: Per-row tables; ``rows`` slices whichever of them the tier built.
-    _PER_ROW = ("q_col", "q_grid",
+    #: Per-row tables: arrays, or tuples of them — one twiddle per step
+    #: boundary, one tuple of table words per step; ``rows`` slices
+    #: whichever of them the tier built.
+    _PER_ROW = ("q_col", "q_grid", "q_inv_col",
                 "psi_rev", "psi_inv_rev", "n_inv_col",
                 "psi_rev_shoup", "psi_inv_rev_shoup", "n_inv_shoup_col",
-                "fwd_left", "fwd_twiddle", "fwd_right",
-                "inv_right", "inv_twiddle", "inv_left")
+                "fwd_matrices", "fwd_twiddles", "fwd_twiddle_shoups",
+                "inv_matrices", "inv_twiddles", "inv_twiddle_shoups")
 
     def __init__(self, moduli, n: int):
         self.moduli = tuple(moduli)
         self.n = n
         #: The context whose storage this one views (``rows``), if any.
         self.owner = None
-        #: int64 tier only: each limb as the four-step's ``n1 x n2``
-        #: matrix, and how a residue is cut into float64 words.
-        self.grid = self.pieces = self.bits = None
+        #: Native tiers only: the factors of N (each limb is transformed
+        #: as a grid of that shape), the product of the factors before
+        #: each, and the kernel of every step's matrix product, which
+        #: holds how residues and tables are cut into float64 words.
+        self.grid = self.axes = self.leads = self.matmul = None
         for name in self._PER_ROW:
             setattr(self, name, None)
         ctxs = [ntt_context(q, n) for q in self.moduli]
@@ -321,19 +345,29 @@ class BatchedNttContext:
         dtype = np.int64 if self.klass != "object" else object
         rows = len(ctxs)
         self.q_col = np.array(self.moduli, dtype=dtype).reshape(rows, 1)
-        if self.klass != "object":
-            # Modulus column in the kernels' shape: (rows, n1, n2) grids,
-            # (rows, blocks, half-block) butterfly stages.
-            self.q_grid = self.q_col.reshape(rows, 1, 1)
-        if self.klass == "int64":
-            self._bind_matmul(ctxs)
-        else:
+        if self.klass != "int64":
+            # What the generic stages (and the accel backend's JIT loops)
+            # read; an int64-tier context stacks them on demand.
             self.psi_rev, self.psi_inv_rev, self.n_inv_col = \
                 _stacked_twiddles(ctxs, dtype)
         if self.klass == "dword":
             self._bind_shoup(ctxs)
+        if self.klass != "object":
+            self._bind_steps(ctxs)
         #: Bytes of table storage this context owns (0 for a view).
-        self.nbytes = _freeze(getattr(self, name) for name in self._PER_ROW)
+        self.nbytes = _freeze(self._tables())
+
+    def _tables(self):
+        """Every per-row array this context holds."""
+        def arrays(value):
+            if isinstance(value, tuple):
+                for item in value:
+                    yield from arrays(item)
+            elif value is not None:
+                yield value
+
+        for name in self._PER_ROW:
+            yield from arrays(getattr(self, name))
 
     def _bind_shoup(self, ctxs: list[NttContext]) -> None:
         """Stack the Shoup quotients beside the double-word twiddles."""
@@ -349,54 +383,100 @@ class BatchedNttContext:
             [(c.n_inv << 64) // c.q for c in ctxs],
             dtype=np.uint64).reshape(len(ctxs), 1)
 
-    def _bind_matmul(self, ctxs: list[NttContext]) -> None:
-        """Gather the four-step matrices from the per-limb power tables.
+    def _bind_steps(self, ctxs: list[NttContext]) -> None:
+        """Gather the multi-step matrices and twiddles from the per-limb
+        power tables.
 
-        With input index ``i = i1 * n2 + i2`` and evaluation exponent
-        ``2k + 1``, ``k = k1 + n1 * k2``, the transform factors as
-        ``psi**((2k + 1) i) = psi**(n2 (2 k1 + 1) i1) * psi**((2 k1 + 1)
-        i2) * psi**(2 n1 k2 i2)``: a left matrix over ``i1``, a pointwise
-        twiddle, a right matrix over ``i2``.  Ordering the left matrix's
-        rows and the right one's columns by bit-reversed ``k1`` / ``k2``
-        makes the ``(n1, n2)`` result, read row-major, the bit-reversed
-        evaluation layout.  The inverse runs the same chain backwards
-        with negated exponents and ``N**-1`` folded into its twiddles.
+        With N = n_1 * ... * n_k, input index ``i = i_1 * N / n_1 + i'``
+        and evaluation exponent ``2k + 1``, ``k = k_1 + n_1 * k'``,
+
+            psi**((2k + 1) i) = psi**((2 k_1 + 1) (N / n_1) i_1)
+                                * psi**((2 k_1 + 1) i')
+                                * (psi**(2 n_1))**(k' i'):
+
+        a matrix over ``i_1``, a pointwise twiddle, and a *cyclic*
+        transform of length ``M = N / n_1`` over ``i'`` with the root
+        ``w = psi**(2 n_1)``, which splits the same way, ``i' = i_2 * M /
+        n_2 + i''`` and ``k' = k_2 + n_2 * k''``:
+
+            w**(k' i') = w**((M / n_2) k_2 i_2) * w**(k_2 i'')
+                         * (w**n_2)**(k'' i''),
+
+        and so on down to the last factor.  Step j therefore contracts
+        axis j of the ``(n_1, ..., n_k)`` grid with an ``n_j x n_j``
+        matrix and (but for the last) scales by a twiddle over axes j and
+        beyond.  Ordering every matrix's rows by bit-reversed ``k_j``
+        makes the grid, read row-major, the bit-reversed evaluation
+        layout.  The inverse runs the chain backwards with negated
+        exponents, ``N**-1`` folded into the matrix it ends on.  The last
+        axis (of two or more) is contracted from the right, ``x @ A``,
+        the others from the left, ``A @ x``, the grid's leading axes
+        riding along as matmul batch axes (a table between the first and
+        the last axis carries the singleton axis that broadcasts against
+        them).
         """
-        n, rows = self.n, len(ctxs)
-        n1 = 1 << ((n.bit_length() - 1) // 2)
-        n2 = n // n1
-        self.grid = (n1, n2)
-        self.pieces, self.bits = _split_plan(max(self.moduli), max(n1, n2))
-        q = self.q_grid
+        n, rows, moduli = self.n, len(ctxs), self.moduli
+        self.grid = grid = factors(n)
+        self.axes = tuple(range(len(grid)))
+        self.leads = tuple(math.prod(grid[:j]) for j in self.axes)
+        self.matmul = kernel = BoundModMatmul(max(moduli), max(grid))
+        self.q_grid = self.q_col.reshape(rows, 1, 1)
+        dword = self.klass == "dword"
+        if kernel.table_pieces > 1:
+            self.q_inv_col = 1.0 / self.q_col
         # psi**e for e < 2N out of the bit-reversed tables, by
-        # psi**(N + e) = -psi**e; psi**-e is entry 2N - e.
-        natural = np.stack([c.psi_rev for c in ctxs])[
-            :, bit_reverse_permutation(n)]
-        powers = np.concatenate([natural, self.q_col - natural], axis=1)
-        k1 = 2 * bit_reverse_permutation(n1) + 1
-        k2 = bit_reverse_permutation(n2)
-        left = n2 * np.outer(k1, np.arange(n1))
-        twiddle = np.outer(k1, np.arange(n2))
-        right = 2 * n1 * np.outer(np.arange(n2), k2)
-
-        def gather(exponents):
-            return powers[:, exponents % (2 * n)]
-
-        def words(matrix, axis):
-            # [W | W * 2**bits | ...] (axis 2) or the same stacked
-            # downwards (axis 1), reduced: the operand's shifts, absorbed.
-            return np.ascontiguousarray(np.concatenate(
-                [(matrix << (p * self.bits)) % q
-                 for p in range(self.pieces)], axis=axis), dtype=np.float64)
-
+        # psi**(N + e) = -psi**e; psi**-e is entry 2N - e.  The Shoup
+        # quotient of q - w is the complement of w's: w * 2**64 / q is
+        # never an integer.
+        natural = bit_reverse_permutation(n)
+        powers = np.stack([c.psi_rev for c in ctxs])[:, natural]
+        powers = np.concatenate([powers, self.q_col - powers], axis=1)
+        if dword:
+            shoups = self.psi_rev_shoup[:, natural]
+            shoups = np.concatenate([shoups, ~shoups], axis=1)
         n_inv = np.array([c.n_inv for c in ctxs]).reshape(rows, 1, 1)
-        self.fwd_left = words(gather(left), 2)
-        self.fwd_twiddle = np.ascontiguousarray(gather(twiddle))
-        self.fwd_right = words(gather(right), 1)
-        self.inv_right = words(gather(-right.T), 1)
-        self.inv_twiddle = np.ascontiguousarray(
-            gather(-twiddle) * n_inv % q)
-        self.inv_left = words(gather(-left.T), 2)
+
+        def gather(table, exponents):
+            # C order: a gather by an index array comes back transposed.
+            return np.ascontiguousarray(table[:, exponents % (2 * n)])
+
+        last = len(grid) - 1
+
+        def bind(sign: int) -> tuple:
+            """One direction's ``(matrices, twiddles, twiddle_shoups)``:
+            the forward chain, or with ``sign`` -1 the inverse one."""
+            matrices, twiddles, twiddle_shoups = [], [], []
+            for j, (n_j, lead) in enumerate(zip(grid, self.leads)):
+                k_j = bit_reverse_permutation(n_j)
+                rest = n // (lead * n_j)
+                # The exponent of psi at this level's k_j-th point, rows
+                # in bit-reversed k_j: psi**(2 k_1 + 1), then the current
+                # root w = psi**(2 lead) to the k_j.
+                point = sign * (2 * k_j + 1 if j == 0
+                                else 2 * lead * k_j)[:, None]
+                exponents = point * rest * np.arange(n_j)
+                right = last > 0 and j == last
+                # A forward table multiplies from the left as it stands;
+                # contracting from the right or inverting transposes it.
+                if right != (sign < 0):
+                    exponents = exponents.T
+                matrix = gather(powers, exponents[None] if 0 < j < last
+                                else exponents)
+                if sign < 0 and j == 0:
+                    matrix = mulmod_stack(matrix, n_inv, moduli)
+                matrices.append(kernel.table(matrix, moduli,
+                                             -2 if right else -1))
+                if j < last:
+                    exponents = (point * np.arange(rest)).reshape(1, -1)
+                    twiddles.append(gather(powers, exponents))
+                    if dword:
+                        twiddle_shoups.append(gather(shoups, exponents))
+            return tuple(matrices), tuple(twiddles), tuple(twiddle_shoups)
+
+        self.fwd_matrices, self.fwd_twiddles, self.fwd_twiddle_shoups = \
+            bind(1)
+        self.inv_matrices, self.inv_twiddles, self.inv_twiddle_shoups = \
+            bind(-1)
 
     def rows(self, start: int, stop: int) -> "BatchedNttContext":
         """Context for limbs ``[start, stop)``, sharing table storage as
@@ -410,14 +490,19 @@ class BatchedNttContext:
         sub-basis.
         """
         rows = slice(start, stop)
+
+        def view(value):
+            if isinstance(value, tuple):
+                return tuple(view(item) for item in value)
+            return None if value is None else value[rows]
+
         out = object.__new__(BatchedNttContext)
         out.__dict__.update(self.__dict__)
         out.moduli = self.moduli[rows]
         out.owner = self.owner or self
         out.nbytes = 0
         for name in self._PER_ROW:
-            table = getattr(self, name)
-            setattr(out, name, None if table is None else table[rows])
+            setattr(out, name, view(getattr(self, name)))
         return out
 
     def _reduced(self, stack: np.ndarray) -> np.ndarray | None:
@@ -431,7 +516,7 @@ class BatchedNttContext:
                 or stack.dtype == object):
             return None
         # C order whatever the input's strides (a broadcast row, say): the
-        # kernels reshape the copy and write through the views.
+        # steps reshape the copy.
         a = np.empty(stack.shape, dtype=np.int64)
         np.remainder(stack, self.q_col, out=a)
         return a
@@ -442,14 +527,8 @@ class BatchedNttContext:
         a = self._reduced(stack)
         if a is None:
             return self._forward_generic(stack)
-        if self.klass == "dword":
-            return self._forward_shoup(a)
-        a = a.reshape(-1, *self.grid)
-        a = self._matmul_mod(self.fwd_left, self._words(a, 1))
-        a *= self.fwd_twiddle       # int64, products < 2**62
-        a %= self.q_grid
-        a = self._matmul_mod(self._words(a, 2), self.fwd_right)
-        return a.reshape(stack.shape)
+        return self._steps(a, 1, self.fwd_matrices, self.fwd_twiddles,
+                           self.fwd_twiddle_shoups).reshape(stack.shape)
 
     def inverse(self, stack: np.ndarray) -> np.ndarray:
         """Batched inverse NTT: evaluation stack -> coefficient stack."""
@@ -457,92 +536,46 @@ class BatchedNttContext:
         a = self._reduced(stack)
         if a is None:
             return self._inverse_generic(stack)
-        if self.klass == "dword":
-            return self._inverse_shoup(a)
-        a = a.reshape(-1, *self.grid)
-        a = self._matmul_mod(self._words(a, 2), self.inv_right)
-        a *= self.inv_twiddle       # int64, products < 2**62
-        a %= self.q_grid
-        a = self._matmul_mod(self.inv_left, self._words(a, 1))
-        return a.reshape(stack.shape)
+        return self._steps(a, -1, self.inv_matrices, self.inv_twiddles,
+                           self.inv_twiddle_shoups).reshape(stack.shape)
 
-    # -- int64 tier: four-step transform, exact float64 matmuls ----------
+    # -- native tiers: multi-step transform, exact float64 matmuls -------
 
-    def _words(self, a: np.ndarray, axis: int) -> np.ndarray:
-        """The float64 words of reduced ``(rows, n1, n2)`` residues, word
-        p + 1 stacked below (``axis`` 1) or beside (``axis`` 2) word p."""
-        pieces, bits = self.pieces, self.bits
-        shape = list(a.shape)
-        shape.insert(axis, pieces)
-        words = np.empty(shape)
-        mask = (1 << bits) - 1
-        for p in range(pieces):
-            word = a >> (p * bits) if p else a
-            words[(slice(None),) * axis + (p,)] = \
-                word & mask if p < pieces - 1 else word
-        shape[axis:axis + 2] = [pieces * a.shape[axis]]
-        return words.reshape(shape)
-
-    def _matmul_mod(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """``left @ right mod q`` per limb: one operand a table
-        ``[W | W * 2**bits | ...]`` (left) or the same stacked downwards
-        (right), the other the matching :meth:`_words` of the residues.
-        Every partial sum is an integer below 2**53, so float64 is exact.
-        """
-        out = np.matmul(left, right).astype(np.int64)
-        out %= self.q_grid
-        return out
-
-    # -- dword tier: Shoup butterflies in uint64 --------------------------
-
-    def _forward_shoup(self, a: np.ndarray) -> np.ndarray:
-        """Cooley--Tukey stages over the reduced copy ``a``, in place."""
-        n, rows = self.n, len(self.moduli)
-        q = self.q_grid.view(np.uint64)
-        au = a.view(np.uint64)
-        tw_u = self.psi_rev.view(np.uint64)
-        shoup = self.psi_rev_shoup
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            block = au.reshape(rows, m, 2 * t)
-            lo = block[:, :, :t]
-            hi = block[:, :, t:]
-            v = _shoup_mulmod_u64(hi, tw_u[:, m:2 * m, None],
-                                  shoup[:, m:2 * m, None], q)
-            # Both results are fresh arrays, so writing the halves back
-            # cannot alias the operands.
-            s = _addmod_u64(lo, v, q)
-            block[:, :, t:] = _submod_u64(lo, v, q)
-            block[:, :, :t] = s
-            m *= 2
+    def _steps(self, a: np.ndarray, direction: int, matrices: tuple,
+               twiddles: tuple, shoups: tuple) -> np.ndarray:
+        """The reduced stack ``a`` through every step of one direction's
+        chain: axis 0 first going forward (``direction`` 1), last axis
+        first going back (-1).  Each step contracts its axis of the grid
+        with its matrix, then scales by the twiddle that sits between
+        that axis and the next one to go — over both and everything
+        after them, broadcast over the axes before."""
+        rows, grid, kernel = len(a), self.grid, self.matmul
+        q_col, q_inv_col = self.q_col, self.q_inv_col
+        last = len(grid) - 1
+        for j in self.axes[::direction]:
+            if j == 0:
+                a = kernel.left(matrices[0], a.reshape(rows, grid[0], -1),
+                                q_col, q_inv_col)
+            elif j == last:
+                a = kernel.right(a.reshape(rows, -1, grid[j]), matrices[j],
+                                 q_col, q_inv_col)
+            else:
+                a = kernel.left(
+                    matrices[j], a.reshape(rows, self.leads[j], grid[j], -1),
+                    q_col, q_inv_col)
+            between = j if direction > 0 else j - 1
+            if not 0 <= between < last:
+                continue
+            a = a.reshape(rows, self.leads[between], -1)
+            if shoups:
+                a = _shoup_mulmod_u64(
+                    a.view(np.uint64), twiddles[between].view(np.uint64),
+                    shoups[between], self.q_grid.view(np.uint64)
+                ).view(np.int64)
+            else:
+                a *= twiddles[between]      # int64, products < 2**62
+                a %= self.q_grid
         return a
-
-    def _inverse_shoup(self, a: np.ndarray) -> np.ndarray:
-        """Gentleman--Sande stages over the reduced copy ``a``, then the
-        ``N**-1`` scaling."""
-        n, rows = self.n, len(self.moduli)
-        q = self.q_grid.view(np.uint64)
-        au = a.view(np.uint64)
-        tw_u = self.psi_inv_rev.view(np.uint64)
-        shoup = self.psi_inv_rev_shoup
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            block = au.reshape(rows, h, 2 * t)
-            lo = block[:, :, :t]
-            hi = block[:, :, t:]
-            d = _submod_u64(lo, hi, q)
-            block[:, :, :t] = _addmod_u64(lo, hi, q)
-            block[:, :, t:] = _shoup_mulmod_u64(
-                d, tw_u[:, h:2 * h, None], shoup[:, h:2 * h, None], q)
-            t *= 2
-            m = h
-        return _shoup_mulmod_u64(au, self.n_inv_col.view(np.uint64),
-                                 self.n_inv_shoup_col,
-                                 q[:, :, 0]).view(np.int64)
 
     # -- object tier: the generic kernels, exact for any word size -------
 
@@ -621,10 +654,19 @@ class _TableCache:
       modulus (object-dtype tables count their pointers only);
     * ``(moduli, N)`` -> :class:`BatchedNttContext`.  A basis that is a
       run of limbs of a cached stack is a view of it and owns nothing;
-      any other basis copies its limbs' tables into a fresh stack:
-      ``32 * N`` bytes per limb on the double-word tier,
-      ``16 * N + 16 * pieces * (n1**2 + n2**2)`` on the int64 tier
-      (80 KB per limb at N = 2**10, 448 KB at N = 2**12).
+      any other basis copies its limbs' tables into a fresh stack.  Per
+      limb that is a twiddle of ``8 * N / lead_j`` bytes per direction
+      after every step but the last (``lead_j`` the product of the
+      factors before n_j: the first one, N entries, dominates) and a
+      matrix of ``8 * pieces * table_pieces * n_j**2`` bytes per step
+      and direction: ``16 * N + 16 * pieces * (n1**2 + n2**2)`` on the
+      int64 tier with two factors (80 KB at N = 2**10, 448 KB at 2**12).
+      The double-word tier has ``pieces * table_pieces`` = 6 to 8 words
+      per entry, a Shoup quotient beside every twiddle entry, and keeps
+      the ``32 * N`` bytes of stacked butterfly tables (for the accel
+      backend's loops and the object-dtype fallback): 192 + 32 + 32 =
+      256 KB at N = 2**10, and at the paper's N = 2**16 about 0.7 MB of
+      matrices, 2.1 MB of twiddles and 2 MB of butterfly tables.
 
     ``max_bytes`` bounds the sum over entries; the entry count is bounded
     by it too, each stack owner having at most one view per run of its

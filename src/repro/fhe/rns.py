@@ -19,11 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import modmath
-from .modmath import (BoundScalarMul, add_planes, addmod_vec,
-                      horner_fold_mod, invmod, join_words, limb_dtype,
-                      mont_precompute_vec, mulmod_vec, reduce_vec,
-                      shoup_precompute_vec, split_words, stack_native_class,
-                      sub_planes, submod_vec)
+from .modmath import (BoundModMatmul, BoundScalarMul, add_planes,
+                      addmod_vec, horner_fold_mod, invmod, join_words,
+                      limb_dtype, mont_precompute_vec, mulmod_vec, reduce_vec,
+                      split_words, stack_native_class, sub_planes, submod_vec)
 
 _U32_MASK = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -440,10 +439,12 @@ class KeySwitchContext:
       punctured digit products ``hat{q}_i mod p`` driving the approximate
       base conversion of ModUp (centered variant; see :attr:`modup_mode`);
       ``modup_centered_weights[j]`` is its centered copy for the single
-      int64 matmul (where ``modup_matmul_safe[j]``) and
-      ``modup_weights_shoup[j]`` its Shoup quotients on the double-word
-      tier,
-    * ``extended_col`` — the extended basis as a column.
+      int64 matmul (where ``modup_matmul_safe[j]``); in ``"dword"`` mode
+      ``modup_matmul`` is the split-word float64 matmul sized for the
+      widest digit (:class:`~repro.fhe.modmath.BoundModMatmul`) and
+      ``modup_tables[j]`` its table of ``modup_weights[j]``,
+    * ``extended_col`` — the extended basis as a column,
+      ``extended_inv_col`` its float64 reciprocals.
 
     ModDown
 
@@ -461,9 +462,15 @@ class KeySwitchContext:
       integer matmul.  ``None`` unless every extended prime is on the
       int64 tier and no row sum can reach ``2**63``
       (``sum_j |w_ij| * (p_j - 1)/2 + |[P]_{q_i}| * (k/2 + 1)``, checked
-      here like ``modup_matmul_safe``); the stacked backend then keeps
-      :meth:`RnsBasis.convert_exact`,
-    * ``ct_col`` — the ciphertext basis as a column,
+      here like ``modup_matmul_safe``),
+    * ``moddown_lift_matmul`` / ``moddown_lift_table`` — the same matrix
+      on the double-word tier, uncentered, as the split-word float64
+      matmul of :class:`~repro.fhe.modmath.BoundModMatmul` and its
+      table.  Where a context binds neither (an int64-tier row sum out
+      of range, the object tier, a quotient sum too long for the guard
+      band) the stacked backend keeps :meth:`RnsBasis.convert_exact`,
+    * ``ct_col`` — the ciphertext basis as a column, ``ct_inv_col`` its
+      float64 reciprocals,
     * ``moddown_weights`` / ``moddown_p_mod_q`` — the uncentered
       ``hat{p}_j mod q_i`` and ``P mod q_i`` of the per-prime ``approx``
       sweeps (``mod_down_mode="approx"`` only).
@@ -524,9 +531,9 @@ class KeySwitchContext:
         self.mont = tuple(mont_precompute_vec(int(p)) for p in self.extended)
         # Kernel class of the extended basis, bound here for ModUp and the
         # ModDown lift: "int64" keeps the single-multiply sweeps (with the
-        # matmul fast paths below), "dword" drives the double-word
-        # Barrett/Shoup sweeps at the paper's 54-bit word, "object" is the
-        # 61+-bit fallback.
+        # integer matmul fast paths below), "dword" runs both conversions
+        # as split-word float64 matmuls at the paper's 54-bit word,
+        # "object" is the 61+-bit fallback.
         klass = stack_native_class(self.extended)
         col_dtype = np.int64 if klass != "object" else object
 
@@ -539,9 +546,16 @@ class KeySwitchContext:
         self.modup_mode = klass
         if self.modup_mode == "int64" and max_digit >= 32:
             # Sums of 32+ reduced int64 terms could overflow; the
-            # double-word accumulation reduces after every add instead.
+            # double-word mode never forms them.
             self.modup_mode = "dword"
         self.modup_int64 = self.modup_mode == "int64"
+        self.modup_matmul = None
+        if self.modup_mode == "dword":
+            self.modup_matmul = BoundModMatmul(
+                max(self.extended), max_digit, max(ct_moduli))
+        if klass != "object":
+            self.extended_inv_col = 1.0 / self.extended_col
+            self.ct_inv_col = self.extended_inv_col[:self.num_ct]
         self.digit_bases: list[RnsBasis] = []
         self.digit_hat_inv: list[list[int]] = []
         self.digit_hat: list[int] = []
@@ -550,7 +564,7 @@ class KeySwitchContext:
         self.digit_q_col: list[np.ndarray] = []
         self.digit_half_col: list[np.ndarray] = []
         self.modup_weights: list[np.ndarray] = []
-        self.modup_weights_shoup: list[np.ndarray | None] = []
+        self.modup_tables: list[np.ndarray | None] = []
         self.modup_centered_weights: list[np.ndarray | None] = []
         self.modup_matmul_safe: list[bool] = []
         max_w = max(p // 2 for p in self.extended)
@@ -570,10 +584,9 @@ class KeySwitchContext:
             weights = np.array([[hat % p for hat in basis.punctured]
                                 for p in self.extended], dtype=col_dtype)
             self.modup_weights.append(weights)
-            self.modup_weights_shoup.append(
-                np.stack([shoup_precompute_vec(row, p)
-                          for row, p in zip(weights, self.extended)])
-                if self.modup_mode == "dword" else None)
+            self.modup_tables.append(
+                self.modup_matmul.table(weights, self.extended, -1)
+                if self.modup_matmul else None)
             # Centered weights enable a single int64 matmul per digit in the
             # stacked backend: |c| <= (q-1)/2 and |w| <= p/2 bound every
             # product below 2**60, so sums of up to `size` terms stay exact
@@ -593,34 +606,44 @@ class KeySwitchContext:
         self.special_half_col = column(p // 2 for p in special)
         self.moddown_prime_fracs = np.array([1.0 / p for p in special],
                                             dtype=np.float64)
-        self.moddown_lift_matrix = self._lift_matrix() \
-            if klass == "int64" else None
+        self.moddown_lift_matrix = self.moddown_lift_matmul = \
+            self.moddown_lift_table = None
+        if klass != "object":
+            self._bind_lift(klass)
         if mod_down_mode == "approx":
             self.moddown_weights = np.array(
                 [[hat % q for hat in self.p_basis.punctured]
                  for q in ct_moduli], dtype=col_dtype)
             self.moddown_p_mod_q = [self.p_prod % q for q in ct_moduli]
 
-    def _lift_matrix(self) -> np.ndarray | None:
-        """``[ [hat{p}_j]_{q_i} | -[P]_{q_i} ]`` centered, or None when a
-        row of ``matrix @ [y; e]`` could leave int64 or the float64
-        quotient sum could drift to within reach of the guard band."""
-        special = self.special_moduli
+    def _bind_lift(self, klass: str) -> None:
+        """``[ [hat{p}_j]_{q_i} | -[P]_{q_i} ]`` as the tier's matmul:
+        centered int64 on the int64 tier, split-word float64 on the
+        double-word tier.  Neither when a row of the int64 ``matrix @
+        [y; e]`` could leave int64, or the float64 quotient sum could
+        drift to within reach of the guard band."""
+        special, ct_moduli = self.special_moduli, self.ct_moduli
         k = len(special)
-
-        def centered(value: int, q: int) -> int:
-            value %= q
-            return value - q if value > q // 2 else value
-
-        rows = [[centered(hat, q) for hat in self.p_basis.punctured]
-                + [centered(-self.p_prod, q)] for q in self.ct_moduli]
+        if k * (k + 1) * 2.0 ** -54 >= QUOTIENT_GUARD / 2:
+            return
+        rows = [[hat % q for hat in self.p_basis.punctured]
+                + [-self.p_prod % q] for q in ct_moduli]
+        if klass == "dword":
+            # Operands: centered residues of the special primes, and the
+            # quotient |e| <= k/2 + 1, far smaller.
+            self.moddown_lift_matmul = BoundModMatmul(
+                max(ct_moduli), k + 1, max(special))
+            self.moddown_lift_table = self.moddown_lift_matmul.table(
+                np.array(rows, dtype=np.int64), ct_moduli, -1)
+            return
+        rows = [[w - q if w > q // 2 else w for w in row]
+                for row, q in zip(rows, ct_moduli)]
         # |y_j| <= (p_j - 1)/2 and |e| = |round(sum_j y_j / p_j)| <= k/2 + 1.
         operand_max = [(p - 1) // 2 for p in special] + [k // 2 + 1]
         worst = max(sum(abs(w) * m for w, m in zip(row, operand_max))
                     for row in rows)
-        if worst >= 1 << 63 or k * (k + 1) * 2.0 ** -54 >= QUOTIENT_GUARD / 2:
-            return None
-        return np.array(rows, dtype=np.int64)
+        if worst < 1 << 63:
+            self.moddown_lift_matrix = np.array(rows, dtype=np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"KeySwitchContext(level={self.level}, "

@@ -10,11 +10,13 @@ tables were bound one ``he_rotate`` made 251 + 239 such calls, 220 of
 each from inside its seven transforms (ten butterfly stages apiece);
 the ceilings below are today's counts (15 + 11 for the rotation) with
 room for a handful of extra elementwise ops.  A transform is whatever
-runs under ``BatchedNttContext.forward`` / ``inverse`` — on this
-preset's int64 tier two matrix products and a twiddle scale, on the
-double-word tier the Shoup butterfly stages — and neither may look a
-tier up per call: routing either back through the generic kernels would
-add tens of lookups per transform, and ``inside_transform`` must stay 0.
+runs under ``BatchedNttContext.forward`` / ``inverse`` — on both native
+tiers the step driver (``_contract`` / ``_scale``) and, below it, the
+split-word matmul kernel ``modmath.BoundModMatmul``; the frame walk
+below finds ``forward`` / ``inverse`` above all of them — and none of it
+may look a tier up per call: routing a step back through the generic
+kernels would add tens of lookups per transform, and
+``inside_transform`` must stay 0.
 """
 
 import sys

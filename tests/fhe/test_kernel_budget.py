@@ -1,0 +1,74 @@
+"""How much work the 54-bit tier's hot kernels do, as exact counts.
+
+Before its transforms and base conversions became split-word matrix
+products, a double-word ``forward`` ran log2 N butterfly stages (one
+Shoup twiddle multiply each, its MULHI emulated from 32-bit splits) and
+every exact ModDown lift walked ``RnsBasis.convert_exact``'s 32-bit word
+planes.  Now a transform is one step per factor of N — ``table_pieces``
+float64 matmuls and, between steps, one Shoup multiply — and a warm key
+switch never leaves the bound matmuls.  These counts fail on the commit
+before (10 Shoup multiplies and no matmul per N = 2**10 transform, two
+``convert_exact`` calls per key switch).
+"""
+
+import numpy as np
+import pytest
+
+from repro.fhe import CkksContext, ntt, rns
+from repro.fhe.keys import key_switch
+from repro.fhe.ntt import BatchedNttContext
+from repro.fhe.primes import generate_ntt_primes
+from test_parent_digests import PRESETS
+
+PW54 = PRESETS["pw54"]()
+
+
+class Calls:
+    """Counts calls to ``owner.name``."""
+
+    def __init__(self, monkeypatch, owner, name: str):
+        self.count = 0
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            self.count += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+
+def test_warm_dword_key_switch_never_walks_word_planes(monkeypatch):
+    ctx = CkksContext(PW54, seed=5, backend="stacked")
+    ct = ctx.encrypt([1.0, -0.5, 0.25])
+    assert ct.level == 5
+    key = ctx.keygen.relinearization_key(ct.level)
+    want = key_switch(ct.c1, key, PW54)
+    convert_exact = Calls(monkeypatch, rns.RnsBasis, "convert_exact")
+    horner_fold = Calls(monkeypatch, rns, "horner_fold_mod")
+    round_quotient = Calls(monkeypatch, rns.RnsBasis, "round_quotient")
+    got = key_switch(ct.c1, key, PW54)
+    assert convert_exact.count == horner_fold.count == 0
+    # The Python-integer quotient is for coefficients within P * 2**-40
+    # of +-P/2 only; random ones never get there.
+    assert round_quotient.count == 0
+    for a, b in zip(got, want):
+        assert all(np.array_equal(x, y) for x, y in zip(a.limbs, b.limbs))
+
+
+@pytest.mark.parametrize("n,steps", [(64, 1), (1 << 10, 2), (1 << 13, 3)])
+def test_a_dword_transform_is_one_matmul_round_per_factor(n, steps,
+                                                          monkeypatch):
+    moduli = tuple(generate_ntt_primes(3, 54, n))
+    ctx = BatchedNttContext(moduli, n)
+    assert ctx.klass == "dword" and len(ctx.grid) == steps
+    table_pieces = ctx.matmul.table_pieces
+    assert table_pieces == 2
+    stack = np.random.default_rng(3).integers(
+        0, min(moduli), size=(3, n), dtype=np.int64)
+    shoup = Calls(monkeypatch, ntt, "_shoup_mulmod_u64")
+    matmul = Calls(monkeypatch, np, "matmul")
+    for transform in (ctx.forward, ctx.inverse):
+        shoup.count = matmul.count = 0
+        transform(stack)
+        assert shoup.count == steps - 1
+        assert matmul.count == table_pieces * steps

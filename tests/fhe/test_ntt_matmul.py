@@ -1,28 +1,35 @@
-"""The int64 tier's four-step matmul NTT against the per-limb butterflies.
+"""The multi-step matmul NTT against the per-limb butterflies.
 
-``BatchedNttContext`` transforms a stack whose moduli are all below 2**31
-as two float64 matrix products around a twiddle scale; the oracle is the
-1-D ``NttContext``, ten butterfly stages in exact integer arithmetic.
+``BatchedNttContext`` transforms a stack on either native tier as one
+exact float64 matrix product per factor of N with pointwise twiddles in
+between — residues cut into words, and beyond 2**31 the tables too
+(``repro.fhe.modmath.BoundModMatmul``); the oracle is the 1-D
+``NttContext``, log2 N butterfly stages in exact integer arithmetic.
 Every comparison is ``array_equal``: the layout (bit-reversed
-evaluations) and every residue must match for any ring degree — odd
-log2 N gives a non-square ``n1 x n2`` grid — any row count, unreduced or
-oddly strided input, and row-range views; and every context built here
-must satisfy the 2**53 bound its exactness rests on.
+evaluations) and every residue must match for any ring degree — one, two
+or three factors, equal or not — any row count, unreduced or oddly
+strided input, and row-range views; and every context built here must
+satisfy the 2**53 bound its exactness rests on.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fhe import modmath
-from repro.fhe.ntt import (BatchedNttContext, _split_plan,
-                           batched_ntt_context, ntt_context)
+from repro.fhe import CkksParameters, modmath
+from repro.fhe.modmath import matmul_split_plan
+from repro.fhe.ntt import (MAX_FACTOR, BatchedNttContext,
+                           batched_ntt_context, factors, ntt_context)
 from repro.fhe.primes import generate_ntt_primes, is_prime
 from test_transform_pins import seeded_inputs
 
 RING_DEGREES = [1 << log for log in range(1, 13)]
 ROW_COUNTS = [1, 2, 6, 13]
+DWORD_RING_DEGREES = [1 << log for log in range(1, 14)]
+DWORD_ROW_COUNTS = [1, 3, 9]
 
 
 def basis(n: int, rows: int) -> tuple[int, ...]:
@@ -30,6 +37,16 @@ def basis(n: int, rows: int) -> tuple[int, ...]:
     big = generate_ntt_primes((rows + 1) // 2, 31, n)
     return tuple(big + generate_ntt_primes(rows // 2, 30, n,
                                            descending=False))
+
+
+def dword_basis(n: int, rows: int) -> tuple[int, ...]:
+    """55- and 54-bit NTT primes, largest first (``pw54``'s mix)."""
+    big = generate_ntt_primes((rows + 1) // 2, 55, n)
+    return tuple(big + generate_ntt_primes(rows // 2, 54, n,
+                                           descending=False))
+
+
+BASES = {"int64": basis, "dword": dword_basis}
 
 
 def inputs(moduli: tuple[int, ...], n: int) -> dict[str, np.ndarray]:
@@ -47,28 +64,51 @@ def oracle(moduli, n: int, stack: np.ndarray, direction: str) -> np.ndarray:
                      for q, row in zip(moduli, stack)])
 
 
-def assert_bound(ctx: BatchedNttContext) -> None:
+def assert_bound(ctx: BatchedNttContext, klass: str) -> None:
     """The exactness argument, recomputed from what the context bound."""
-    assert ctx.klass == "int64"
-    n1, n2 = ctx.grid
+    assert ctx.klass == klass
+    grid, kernel = ctx.grid, ctx.matmul
+    pieces, bits = kernel.pieces, kernel.bits
+    table_pieces, table_bits = kernel.table_pieces, kernel.table_bits
+    assert grid == factors(ctx.n) == tuple(sorted(grid))
+    assert math.prod(grid) == ctx.n
+    assert max(grid) <= min(MAX_FACTOR, 2 * min(grid))
     q_max = max((ctx.owner or ctx).moduli)
-    assert n1 * n2 == ctx.n and n2 in (n1, 2 * n1)
-    assert ctx.pieces * ctx.bits >= (q_max - 1).bit_length()
-    assert ctx.pieces * max(n1, n2) * ((1 << ctx.bits) - 1) * (q_max - 1) \
-        < 1 << 53
-    for table in (ctx.fwd_left, ctx.fwd_right, ctx.inv_left, ctx.inv_right):
-        assert table.dtype == np.float64
-        assert table.min() >= 0 and (table < ctx.q_grid).all()
-    assert ctx.fwd_left.shape[1:] == (n1, ctx.pieces * n1)
-    assert ctx.fwd_right.shape[1:] == (ctx.pieces * n2, n2)
+    word = (q_max - 1).bit_length()
+    assert pieces * bits >= word and table_pieces * table_bits >= word
+    assert table_pieces == 1 or klass == "dword"
+    assert (ctx.q_inv_col is None) == (table_pieces == 1)
+    table_max = q_max - 1 if table_pieces == 1 else (1 << table_bits) - 1
+    assert pieces * max(grid) * ((1 << bits) - 1) * table_max < 1 << 53
+    for tables in (ctx.fwd_matrices, ctx.inv_matrices):
+        assert len(tables) == len(grid)
+        for j, (table, n_j) in enumerate(zip(tables, grid)):
+            # One array per table word.  The last of several axes is
+            # contracted from the right; a table between the first and
+            # the last axis broadcasts over the axes before its own.
+            shape = (pieces * n_j, n_j) if 0 < j == len(grid) - 1 \
+                else (n_j, pieces * n_j)
+            if 0 < j < len(grid) - 1:
+                shape = (1,) + shape
+            assert len(table) == table_pieces
+            for word in table:
+                assert word.dtype == np.float64 and word.shape[1:] == shape
+                assert word.min() >= 0 and word.max() <= table_max
+            # The table words of an entry are the words of a residue.
+            entry = sum(word.astype(np.int64) << (t * table_bits)
+                        for t, word in enumerate(table))
+            assert (entry < ctx.q_col.reshape((-1,) + (1,) * len(shape))
+                    ).all()
+    # Gathers by index arrays come back transposed; a strided table costs
+    # every transform that reads it.
+    assert all(table.flags.c_contiguous for table in ctx._tables())
+    for twiddles in (ctx.fwd_twiddles, ctx.inv_twiddles):
+        assert [t.shape[1:] for t in twiddles] == [
+            (1, ctx.n // math.prod(grid[:j])) for j in range(len(grid) - 1)]
 
 
-@pytest.mark.parametrize("rows", ROW_COUNTS)
-@pytest.mark.parametrize("n", RING_DEGREES)
-def test_matmul_transform_is_the_butterfly_transform(n, rows):
-    moduli = basis(n, rows)
-    ctx = BatchedNttContext(moduli, n)
-    assert_bound(ctx)
+def assert_transforms(ctx, moduli, n, klass):
+    assert_bound(ctx, klass)
     for kind, stack in inputs(moduli, n).items():
         fwd, inv = ctx.forward(stack), ctx.inverse(stack)
         assert fwd.dtype == inv.dtype == np.int64, kind
@@ -78,17 +118,31 @@ def test_matmul_transform_is_the_butterfly_transform(n, rows):
         assert np.array_equal(ctx.inverse(fwd), stack % ctx.q_col), kind
 
 
-@pytest.mark.parametrize("n", [8, 1 << 10, 1 << 11])
-def test_row_range_views_transform_their_own_limbs(n):
-    moduli = basis(n, 13)
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+@pytest.mark.parametrize("n", RING_DEGREES)
+def test_matmul_transform_is_the_butterfly_transform(n, rows):
+    moduli = basis(n, rows)
+    assert_transforms(BatchedNttContext(moduli, n), moduli, n, "int64")
+
+
+@pytest.mark.parametrize("rows", DWORD_ROW_COUNTS)
+@pytest.mark.parametrize("n", DWORD_RING_DEGREES)
+def test_dword_matmul_transform_is_the_butterfly_transform(n, rows):
+    moduli = dword_basis(n, rows)
+    assert_transforms(BatchedNttContext(moduli, n), moduli, n, "dword")
+
+
+def assert_row_views(n: int, klass: str) -> None:
+    moduli = BASES[klass](n, 13)
     ctx = BatchedNttContext(moduli, n)
     stack = inputs(moduli, n)["centered"]
     for start, stop in [(0, 13), (0, 1), (12, 13), (3, 9), (6, 7)]:
         view = ctx.rows(start, stop)
-        assert_bound(view)
+        assert_bound(view, klass)
         assert view.owner is ctx and view.nbytes == 0
         assert view.moduli == moduli[start:stop]
-        assert np.shares_memory(view.fwd_left, ctx.fwd_left)
+        for mine, owned in zip(view._tables(), ctx._tables()):
+            assert np.shares_memory(mine, owned) and len(mine) == stop - start
         part = stack[start:stop]
         assert np.array_equal(
             view.forward(part), oracle(view.moduli, n, part, "forward"))
@@ -96,18 +150,58 @@ def test_row_range_views_transform_their_own_limbs(n):
             view.inverse(part), oracle(view.moduli, n, part, "inverse"))
     nested = ctx.rows(2, 10).rows(1, 3)
     assert nested.owner is ctx and nested.moduli == moduli[3:5]
+    part = stack[3:5]
+    assert np.array_equal(nested.forward(part),
+                          oracle(nested.moduli, n, part, "forward"))
+
+
+@pytest.mark.parametrize("n", [8, 1 << 10, 1 << 11])
+def test_row_range_views_transform_their_own_limbs(n):
+    assert_row_views(n, "int64")
+
+
+@pytest.mark.parametrize("n", [8, 1 << 10, 1 << 13])
+def test_dword_row_range_views_transform_their_own_limbs(n):
+    assert_row_views(n, "dword")
+
+
+def test_grid_is_the_fewest_balanced_factors_up_to_the_cap():
+    assert MAX_FACTOR == 64
+    assert {log: factors(1 << log) for log in (1, 3, 6, 7, 10, 11, 12, 13,
+                                                16, 17, 18, 19)} == {
+        1: (2,), 3: (8,), 6: (64,), 7: (8, 16), 10: (32, 32), 11: (32, 64),
+        12: (64, 64), 13: (16, 16, 32), 16: (32, 32, 64), 17: (32, 64, 64),
+        18: (64, 64, 64), 19: (16, 32, 32, 32)}
 
 
 def test_split_is_derived_from_the_bound_not_configured():
-    assert _split_plan((1 << 31) - 1, 32) == (2, 16)     # N = 2**10
-    assert _split_plan((1 << 31) - 1, 64) == (3, 11)     # N = 2**12
-    assert _split_plan((1 << 20) - 3, 2) == (1, 20)
+    def plan(bits, width):
+        q_max = (1 << bits) - 1
+        return matmul_split_plan(q_max, width, q_max)
+
+    assert plan(31, 32) == (2, 16, 1, 31)       # N = 2**10
+    assert plan(31, 64) == (3, 11, 1, 31)       # N = 2**12
+    assert matmul_split_plan((1 << 20) - 3, 2, (1 << 20) - 3) \
+        == (1, 20, 1, 20)
+    # The paper's word: 6 partial products per step at either width; the
+    # 55-bit special primes beside it move a word from operand to table.
+    assert plan(54, 32) == plan(54, 64) == (3, 18, 2, 27)
+    assert plan(55, 32) == (2, 28, 3, 19)
+    assert plan(55, 64) == (4, 14, 2, 28)
     with pytest.raises(ValueError, match="2\\*\\*53"):
-        _split_plan((1 << 31) - 1, 1 << 20)
-    toy = batched_ntt_context(basis(1 << 10, 10), 1 << 10)
-    test = batched_ntt_context(basis(1 << 12, 13), 1 << 12)
-    assert (toy.pieces, toy.bits, toy.grid) == (2, 16, (32, 32))
-    assert (test.pieces, test.bits, test.grid) == (3, 11, (64, 64))
+        plan(60, 1 << 40)
+    # The int64 presets keep the grids and splits they had when theirs
+    # was the only tier on matrix products.
+    for preset, want in [("toy", ((32, 32), 2, 16)),
+                         ("test", ((64, 64), 3, 11)),
+                         ("boot_test", ((32, 32), 2, 16))]:
+        params = getattr(CkksParameters, preset)()
+        ctx = batched_ntt_context(
+            tuple(params.moduli) + tuple(params.special_moduli),
+            params.ring_degree)
+        kernel = ctx.matmul
+        assert (ctx.grid, kernel.pieces, kernel.bits) == want
+        assert kernel.table_pieces == 1 and ctx.klass == "int64"
 
 
 def _ntt_prime(bits: int, n: int, start: int) -> int:
@@ -122,11 +216,12 @@ def _ntt_prime(bits: int, n: int, start: int) -> int:
 
 
 @st.composite
-def random_prime_stacks(draw):
+def random_prime_stacks(draw, min_bits, max_bits):
     n = 1 << draw(st.integers(1, 8))
     moduli = []
     for _ in range(draw(st.integers(1, 4))):
-        bits = draw(st.integers(max(20, n.bit_length() + 2), 31))
+        bits = draw(st.integers(max(min_bits, n.bit_length() + 2),
+                                max_bits))
         q = _ntt_prime(bits, n, draw(st.integers(0, 1 << 30)))
         if q not in moduli:
             moduli.append(q)
@@ -134,12 +229,22 @@ def random_prime_stacks(draw):
     return tuple(moduli), n, seed
 
 
-@given(random_prime_stacks())
+@given(random_prime_stacks(20, 31))
 @settings(max_examples=60, deadline=None)
 def test_random_20_to_31_bit_primes(case):
+    assert_random_stack(case, "int64")
+
+
+@given(random_prime_stacks(32, 60))
+@settings(max_examples=60, deadline=None)
+def test_random_32_to_60_bit_primes(case):
+    assert_random_stack(case, "dword")
+
+
+def assert_random_stack(case, klass: str) -> None:
     moduli, n, seed = case
     ctx = BatchedNttContext(moduli, n)
-    assert_bound(ctx)
+    assert_bound(ctx, klass)
     rng = np.random.default_rng(seed)
     stack = rng.integers(-(1 << 62), 1 << 62, size=(len(moduli), n),
                          dtype=np.int64)
@@ -148,29 +253,37 @@ def test_random_20_to_31_bit_primes(case):
     assert np.array_equal(ctx.inverse(fwd), stack % ctx.q_col)
 
 
-def test_a_wider_modulus_keeps_the_stack_on_the_shoup_butterflies(
-        monkeypatch):
+@pytest.mark.parametrize("wide_bits,table_pieces",
+                         [(32, 1), (40, 2), (55, 2)])
+def test_a_wider_modulus_moves_the_stack_to_split_table_words(
+        wide_bits, table_pieces, monkeypatch):
+    """One row past 2**31 takes the whole stack off the int64 tier — onto
+    the same matrix products, not onto butterflies: its twiddles become
+    Shoup multiplies and, once a 64-term dot product of whole table
+    entries no longer fits below 2**53, its tables split."""
     n = 64
     moduli = (generate_ntt_primes(1, 30, n)[0],
-              generate_ntt_primes(1, 32, n)[0])
+              generate_ntt_primes(1, wide_bits, n)[0])
     ctx = BatchedNttContext(moduli, n)
-    assert ctx.klass == "dword" and ctx.pieces is None
-    assert ctx.fwd_left is None and ctx.psi_rev_shoup is not None
+    assert_bound(ctx, "dword")
+    assert ctx.matmul.table_pieces == table_pieces
 
-    def no_matmul(*args, **kwargs):
-        raise AssertionError("matmul path on the double-word tier")
+    def no_butterflies(*args, **kwargs):
+        raise AssertionError("butterfly stages on a native tier")
 
-    monkeypatch.setattr(BatchedNttContext, "_matmul_mod", no_matmul)
+    monkeypatch.setattr(BatchedNttContext, "_forward_generic", no_butterflies)
+    monkeypatch.setattr(BatchedNttContext, "_inverse_generic", no_butterflies)
     stack = inputs(moduli, n)["centered"]
     fwd = ctx.forward(stack)
     assert np.array_equal(fwd, oracle(moduli, n, stack, "forward"))
     assert np.array_equal(ctx.inverse(fwd), stack % ctx.q_col)
 
 
-def test_forced_object_dtype_around_a_warm_int64_context():
+def assert_forced_object_dtype_around_a_warm_context(klass: str) -> None:
     n = 1 << 6
-    moduli = basis(n, 3)
+    moduli = BASES[klass](n, 3)
     ctx = batched_ntt_context(moduli, n)
+    assert ctx.klass == klass
     stack = inputs(moduli, n)["reduced"]
     want_fwd, want_inv = ctx.forward(stack), ctx.inverse(stack)
     with modmath.force_object_dtype():
@@ -182,3 +295,11 @@ def test_forced_object_dtype_around_a_warm_int64_context():
     # Object-dtype input takes the same fallback outside the block.
     assert np.array_equal(ctx.forward(stack.astype(object)), want_fwd)
     assert batched_ntt_context(moduli, n) is ctx
+
+
+def test_forced_object_dtype_around_a_warm_int64_context():
+    assert_forced_object_dtype_around_a_warm_context("int64")
+
+
+def test_forced_object_dtype_around_a_warm_dword_context():
+    assert_forced_object_dtype_around_a_warm_context("dword")

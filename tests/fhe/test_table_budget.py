@@ -8,8 +8,9 @@ read-only, built under a lock, shared by every backend instance and
 worker thread, dropped by ``clear_serve_caches()``.  Its bound, as its
 docstring states it: ``max_bytes`` (512 MB) over all entries, where a
 ``(q, N)`` entry is 16 * N bytes (32 * N with Shoup quotients) and a
-stack owns 80 KB per limb on the int64 tier at N = 2**10 (views own
-nothing); least recently used entries go first.
+stack owns 80 KB per limb on the int64 tier at N = 2**10, 256 KB on the
+double-word tier (views own nothing); least recently used entries go
+first.
 
 The counts below are exact.  Tables are built lazily, so each context
 is driven through one encrypt, one rotation and one squaring before it
@@ -28,9 +29,13 @@ from repro.fhe import ntt
 from repro.fhe.ntt import BatchedNttContext, NttContext, _TableCache
 from repro.serve import TenantKeyCache, clear_serve_caches
 from test_keyswitch import ct_equal
+from test_parent_digests import PRESETS
 
 TOY = CkksParameters.toy()
 MODULI = tuple(TOY.moduli) + tuple(TOY.special_moduli)
+#: The 54-bit paper word on the same ring (``bench.workloads.pw54``).
+PW54 = PRESETS["pw54"]()
+PW54_MODULI = tuple(PW54.moduli) + tuple(PW54.special_moduli)
 VALUES = [1.0, -2.0, 3.5]
 
 
@@ -67,8 +72,9 @@ class Builds:
         return counts
 
 
-def context(seed: int, backend: str = "stacked") -> CkksContext:
-    return CkksContext(TOY, seed=seed, backend=backend)
+def context(seed: int, backend: str = "stacked",
+            params: CkksParameters = TOY) -> CkksContext:
+    return CkksContext(params, seed=seed, backend=backend)
 
 
 def drive(ctx: CkksContext):
@@ -86,15 +92,25 @@ def shared_tables(ctx: CkksContext) -> list:
         + per_modulus_tables(ctx)
 
 
-def test_tables_are_built_once_per_modulus_not_once_per_context(monkeypatch):
+def assert_built_once_per_modulus(monkeypatch, params) -> None:
+    moduli = tuple(params.moduli) + tuple(params.special_moduli)
     builds = Builds(monkeypatch)
-    drive(context(0))
-    assert sorted(builds.moduli) == sorted(MODULI)
+    drive(context(0, params=params))
+    assert sorted(builds.moduli) == sorted(moduli)
     per_limb, stacks = builds.take()
-    assert per_limb == len(MODULI) == 10 and 1 <= stacks <= TOY.num_limbs
+    assert per_limb == len(moduli) == 10 and 1 <= stacks <= params.num_limbs
     for seed in range(1, 5):
-        drive(context(seed))
+        drive(context(seed, params=params))
         assert builds.take() == (0, 0)
+
+
+def test_tables_are_built_once_per_modulus_not_once_per_context(monkeypatch):
+    assert_built_once_per_modulus(monkeypatch, TOY)
+
+
+def test_dword_tables_are_built_once_per_modulus_not_once_per_context(
+        monkeypatch):
+    assert_built_once_per_modulus(monkeypatch, PW54)
 
 
 def test_reference_and_stacked_backends_share_the_per_modulus_tables(
@@ -107,16 +123,25 @@ def test_reference_and_stacked_backends_share_the_per_modulus_tables(
                                       per_modulus_tables(reference)))
 
 
-def test_key_cache_churn_builds_tables_for_the_first_tenant_only(
-        monkeypatch):
+def assert_churn_builds_for_the_first_tenant_only(monkeypatch, params):
     builds = Builds(monkeypatch)
     cache = TenantKeyCache(max_resident=2)
     for tenant in range(6):
-        drive(cache.get(f"tenant-{tenant}", TOY))
+        drive(cache.get(f"tenant-{tenant}", params))
         per_limb, stacks = builds.take()
         assert per_limb == (10 if tenant == 0 else 0)
         assert tenant == 0 or stacks == 0
     assert cache.stats()["evictions"] == 4
+
+
+def test_key_cache_churn_builds_tables_for_the_first_tenant_only(
+        monkeypatch):
+    assert_churn_builds_for_the_first_tenant_only(monkeypatch, TOY)
+
+
+def test_dword_key_cache_churn_builds_tables_for_the_first_tenant_only(
+        monkeypatch):
+    assert_churn_builds_for_the_first_tenant_only(monkeypatch, PW54)
 
 
 def test_clear_serve_caches_makes_the_next_context_cold(monkeypatch):
@@ -133,21 +158,48 @@ def test_clear_serve_caches_makes_the_next_context_cold(monkeypatch):
     assert not any(a is b for a, b in zip(shared_tables(ctx), before))
 
 
-def test_every_shared_table_is_read_only():
-    ctx = context(0)
+def table_arrays(tables) -> list[np.ndarray]:
+    """Every array a context holds, nested tuples of tables included."""
+    def arrays(value):
+        if isinstance(value, tuple):
+            return [a for item in value for a in arrays(item)]
+        return [value] if isinstance(value, np.ndarray) else []
+
+    return [a for value in vars(tables).values() for a in arrays(value)]
+
+
+def assert_every_shared_table_is_read_only(params, stack_arrays) -> None:
+    moduli = tuple(params.moduli) + tuple(params.special_moduli)
+    ctx = context(0, params=params)
     drive(ctx)
-    arrays = []
-    for tables in shared_tables(ctx) \
-            + [ctx.keygen.context.backend.batched_ntt(MODULI[2:5])]:
-        arrays += [value for value in vars(tables).values()
-                   if isinstance(value, np.ndarray)]
-    assert len(arrays) >= 8 + 8 + 2 * len(MODULI)
+    backend = ctx.keygen.context.backend
+    stack, view = backend.batched_ntt(moduli), backend.batched_ntt(moduli[2:5])
+    assert view.owner is stack and view.nbytes == 0
+    assert len(table_arrays(stack)) == len(table_arrays(view)) == stack_arrays
+    assert stack.nbytes == sum(a.nbytes for a in table_arrays(stack))
+    arrays = table_arrays(stack) + table_arrays(view)
+    for q in moduli:
+        arrays += table_arrays(backend.ntt_context(q))
+    assert len(arrays) >= 2 * stack_arrays + 2 * len(moduli)
     for array in arrays:
         assert array.flags.writeable is False
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
     with pytest.raises(ValueError, match="read-only"):
-        ntt.bit_reverse_permutation(TOY.ring_degree)[0] = 1
+        ntt.bit_reverse_permutation(params.ring_degree)[0] = 1
+
+
+def test_every_shared_table_is_read_only():
+    # Moduli as a column and as a grid, a matrix per step and a twiddle
+    # between steps, both directions.
+    assert_every_shared_table_is_read_only(TOY, 2 + 2 * (2 + 1))
+
+
+def test_every_shared_dword_table_is_read_only():
+    # As above with three table words per matrix, plus the reciprocals,
+    # a Shoup table per twiddle, and the butterfly tables with theirs
+    # (what the accel backend's loops read).
+    assert_every_shared_table_is_read_only(PW54, 3 + 2 * (2 * 3 + 2) + 6)
 
 
 def test_concurrent_contexts_end_up_holding_the_same_tables(monkeypatch):
@@ -213,3 +265,18 @@ def test_cache_stays_inside_its_byte_budget(monkeypatch):
     # Evicted tables stay valid for whoever still holds them.
     stack = np.arange(2 * n, dtype=np.int64).reshape(2, n)
     assert np.array_equal(first.inverse(first.forward(stack)), stack)
+
+
+def test_dword_stack_owns_what_the_cache_docstring_says():
+    n = PW54.ring_degree
+    ctx = BatchedNttContext(PW54_MODULI[:2], n)
+    kernel, (n1, n2) = ctx.matmul, ctx.grid
+    words = kernel.pieces * kernel.table_pieces
+    assert (words, n1, n2) == (6, 32, 32)
+    # Per limb: a float64 matrix of `words` n_j x n_j blocks per step and
+    # direction, a twiddle and its Shoup quotients per direction, the
+    # butterfly tables with theirs, and the modulus three times over.
+    assert ctx.nbytes == 2 * (2 * 8 * words * (n1 * n1 + n2 * n2)
+                              + 2 * 16 * n + (32 * n + 16) + 24)
+    assert ctx.nbytes == 2 * (256 * 1024 + 40)
+    assert NttContext(PW54_MODULI[0], n).nbytes == 32 * n

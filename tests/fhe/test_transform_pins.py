@@ -14,6 +14,15 @@ unchanged on both sides of the change.  Presets: ``toy`` (int64 tier,
 residue at ``q - 1``, a signed centered lift (what rescale and ModDown
 hand to ``forward``) and one row broadcast with stride 0 over all limbs
 (how rescale passes it).
+
+``PARENT_STACK_DIGESTS`` pins the same four input kinds on 3-limb stacks
+away from the presets' ring degree, recorded at commit 27cb4ec (the
+54-bit tier still on Shoup butterflies, a fixed ``n1 x n2`` grid on the
+int64 tier) before the 54-bit tier's transform became matrix products
+too: 54-bit and 30-bit primes at N = 8 and 64 (one factor now), 2^11
+(32 x 64) and 2^13 (three factors), and one mixed-width stack — a 30-bit
+row beside two 55-bit rows, the case the quotient estimate of the
+split-word matmul must cover.
 """
 
 import hashlib
@@ -24,6 +33,7 @@ import pytest
 from repro.fhe import CkksParameters
 from repro.fhe.modmath import stack_native_class
 from repro.fhe.ntt import BatchedNttContext, NttContext
+from repro.fhe.primes import generate_ntt_primes
 from test_parent_digests import PRESETS as _SCORING_PRESETS
 
 PRESETS = {**_SCORING_PRESETS, "test": CkksParameters.test}
@@ -65,6 +75,85 @@ PARENT_TABLE_DIGESTS = {
 }
 
 
+#: Ring degrees of the 3-limb stacks: one factor, 32 x 64, three factors.
+STACK_DEGREES = (8, 64, 1 << 11, 1 << 13)
+
+PARENT_STACK_DIGESTS = {
+    (30, 8, "broadcast"):
+        "854371949b40ccf1228aae52264fdbfa435db36a37bb97e9c2b076c787647865",
+    (30, 8, "centered"):
+        "b52e6196aaefcd2c6484ab16482a2e99efdaeafda603a8b60f0cad31c713bfd0",
+    (30, 8, "q_minus_1"):
+        "5fed41ee860f7d10191e398afda2a37767da40083bd7de24a519558f35f75c81",
+    (30, 8, "reduced"):
+        "b52e6196aaefcd2c6484ab16482a2e99efdaeafda603a8b60f0cad31c713bfd0",
+    (30, 64, "broadcast"):
+        "34c3406f2165b7230ea059f1b6b3b8a6565c4ddfb95fa337a032b53a4858ec8d",
+    (30, 64, "centered"):
+        "d5dd0a5b467374664a7edbb38bcd0921577015605f10bc8d2f5129f1a7a5e356",
+    (30, 64, "q_minus_1"):
+        "1369fe0403eea6427ebed58a8df05277c47b8a3a4549387de22990e6f406f7e7",
+    (30, 64, "reduced"):
+        "d5dd0a5b467374664a7edbb38bcd0921577015605f10bc8d2f5129f1a7a5e356",
+    (30, 2048, "broadcast"):
+        "a2620074a26d926b4371583951d1b695c448fd0e92d61a3f8cba2df196e01d0e",
+    (30, 2048, "centered"):
+        "d52150d29db06e62988fefae9e0669c93c61ade73563476732cd199e7c4bbf95",
+    (30, 2048, "q_minus_1"):
+        "06b249f4c5a4716e2954b528e617813fb92774197256fd92340fd34a93c216dc",
+    (30, 2048, "reduced"):
+        "d52150d29db06e62988fefae9e0669c93c61ade73563476732cd199e7c4bbf95",
+    (30, 8192, "broadcast"):
+        "823da671c99d95c45658edac7253f053c93d02631f640d41ed809d738ab7c9cc",
+    (30, 8192, "centered"):
+        "17e6b3504e8f872dddb4101e99af2ee7f94e963682d4d71a3e18802de63ae989",
+    (30, 8192, "q_minus_1"):
+        "9576ae47e457bb1e38cff4be3bffe5e72204e45295f200f025b7c586c0401905",
+    (30, 8192, "reduced"):
+        "17e6b3504e8f872dddb4101e99af2ee7f94e963682d4d71a3e18802de63ae989",
+    (54, 8, "broadcast"):
+        "14133f8353a17b17b4609c4217bff355385d90e6f05ad0e33a02672203c735dd",
+    (54, 8, "centered"):
+        "f30559d8d425e0eb477a0bbf748b105c06329bc8501c744b5ff066c61bec9120",
+    (54, 8, "q_minus_1"):
+        "180e4d933ec85e7e0a6ac9b12ca4fdf31d164e21390d3699688cecc8f52fa09b",
+    (54, 8, "reduced"):
+        "f30559d8d425e0eb477a0bbf748b105c06329bc8501c744b5ff066c61bec9120",
+    (54, 64, "broadcast"):
+        "7979574cd3db3f8d4e1be5c9321b00403737493936e49ecf45a029633496acb5",
+    (54, 64, "centered"):
+        "193cc0e465d8a9209f739741bfb6e0babf57f35271a5ca53931aef4dbd9baa22",
+    (54, 64, "q_minus_1"):
+        "18735dfc29fee276aa566386d1e00e72203138a568f3968fa6c3a05c11e7fb5c",
+    (54, 64, "reduced"):
+        "193cc0e465d8a9209f739741bfb6e0babf57f35271a5ca53931aef4dbd9baa22",
+    (54, 2048, "broadcast"):
+        "79bcc04ac39d5ce7aee81d148666a2259eefd1665f396811ffb082cab5e495e8",
+    (54, 2048, "centered"):
+        "c65ab0866d6d0d45d238ef5a81f76951c2c3b20608c47811478a0ffc3545ad0c",
+    (54, 2048, "q_minus_1"):
+        "945dc3738166ae1f59c65e912f4ed04edfdd2e8aa45dcd14ad87c94b10fbaf5c",
+    (54, 2048, "reduced"):
+        "c65ab0866d6d0d45d238ef5a81f76951c2c3b20608c47811478a0ffc3545ad0c",
+    (54, 8192, "broadcast"):
+        "625c9fe5fd0074be4f1095625c4a8ad3f31fd4600f4dbab4fbe58a49623c495b",
+    (54, 8192, "centered"):
+        "ee507d0b312e61fd628e949d281f4a7faf9cc63b48ef64df869a0d1b55baf806",
+    (54, 8192, "q_minus_1"):
+        "05706db2cdc0de916e1e990d73fa826df2c3391e4fc5661ed7b74396d0b43f68",
+    (54, 8192, "reduced"):
+        "ee507d0b312e61fd628e949d281f4a7faf9cc63b48ef64df869a0d1b55baf806",
+    ("mixed", 1024, "broadcast"):
+        "eb0319f07ea363772c9056c7bb36194cb9f819c512a1d8fbb2e4ef53584fa054",
+    ("mixed", 1024, "centered"):
+        "d60aebe90b2a03848149b92eece04210befcc9427b9ee9add178783d2a1fcd41",
+    ("mixed", 1024, "q_minus_1"):
+        "8b37edb15094495e60b2e1e8f263f3535e31984feac232ad5e50edadce8384f8",
+    ("mixed", 1024, "reduced"):
+        "d60aebe90b2a03848149b92eece04210befcc9427b9ee9add178783d2a1fcd41",
+}
+
+
 def _basis(params: CkksParameters) -> tuple[int, ...]:
     """The top-level extended basis: every modulus the preset owns."""
     return tuple(params.moduli) + tuple(params.special_moduli)
@@ -98,6 +187,21 @@ def transform_digest(preset: str, kind: str) -> str:
     return _sha(ctx.forward(stack), ctx.inverse(stack))
 
 
+def stack_moduli(word, n: int) -> tuple[int, ...]:
+    """Three ``word``-bit NTT primes, or the mixed-width stack."""
+    if word == "mixed":
+        return tuple(generate_ntt_primes(1, 30, n)
+                     + generate_ntt_primes(2, 55, n))
+    return tuple(generate_ntt_primes(3, word, n))
+
+
+def stack_digest(word, n: int, kind: str) -> str:
+    moduli = stack_moduli(word, n)
+    ctx = BatchedNttContext(moduli, n)
+    stack = seeded_inputs(moduli, n)[kind]
+    return _sha(ctx.forward(stack), ctx.inverse(stack))
+
+
 def table_digest(preset: str) -> str:
     params = PRESETS[preset]()
     tables = []
@@ -118,6 +222,12 @@ def test_transform_bits_match_the_parent_commit(preset, kind):
         == PARENT_TRANSFORM_DIGESTS[(preset, kind)]
 
 
+@pytest.mark.parametrize("word,n,kind", sorted(PARENT_STACK_DIGESTS, key=str))
+def test_stack_bits_match_the_parent_commit(word, n, kind):
+    assert stack_digest(word, n, kind) \
+        == PARENT_STACK_DIGESTS[(word, n, kind)]
+
+
 @pytest.mark.parametrize("preset", sorted(PARENT_TABLE_DIGESTS))
 def test_table_bits_match_the_parent_commit(preset):
     assert table_digest(preset) == PARENT_TABLE_DIGESTS[preset]
@@ -134,5 +244,10 @@ def test_pinned_presets_sit_on_both_sides_of_the_tier_split():
 if __name__ == "__main__":
     for key in sorted(PARENT_TRANSFORM_DIGESTS):
         print(f"    {key!r}:\n        \"{transform_digest(*key)}\",")
+    for key in [(word, n, kind)
+                for word, degrees in ((30, STACK_DEGREES), (54, STACK_DEGREES),
+                                      ("mixed", (1 << 10,)))
+                for n in degrees for kind in sorted(seeded_inputs((3,), 2))]:
+        print(f"    {key!r}:\n        \"{stack_digest(*key)}\",")
     for key in sorted(PARENT_TABLE_DIGESTS):
         print(f"    {key!r}:\n        \"{table_digest(key)}\",")
