@@ -1,8 +1,8 @@
 """Export native-vs-object modmath timings at the paper word (CI artifact).
 
 Writes ``BENCH_modmath.json`` with median wall-clock timings of the hot
-FHE kernels (NTT forward, HEMult, rescale, full KeySwitch, exact and
-approximate ModDown) at a 54-bit-prime preset, once on the native
+FHE kernels (NTT forward, HEMult, rescale, full KeySwitch, the exact
+ModDown) at a 54-bit-prime preset, once on the native
 double-word path and once with :func:`repro.fhe.modmath.force_object_dtype`
 re-enabling the seed's object-dtype Python-int path.  CI uploads the file
 as a build artifact so the native-kernel speedup at paper word sizes is
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import time
 
 import numpy as np
@@ -69,19 +68,11 @@ def time_kernels(params: CkksParameters, repeats: int) -> dict:
     b = ctx.encrypt([0.5, 2.0, -1.0])
     key = ctx.keygen.relinearization_key(a.level)
     c1_coeff = a.c1.to_coeff()
-    approx_params = dataclasses.replace(params, mod_down_mode="approx")
-    approx_ctx = CkksContext(approx_params, seed=7, backend="stacked")
-    approx_key = approx_ctx.keygen.relinearization_key(a.level)
-    approx_c1 = approx_ctx.encrypt([1.0, -0.5]).c1
     # Warm twiddle/key/KeySwitchContext caches before timing.
     ev.he_mult(a, b)
     key_switch(a.c1, key, params)
-    key_switch(approx_c1, approx_key, approx_params)
     ksctx = ctx.keygen.context.backend.keyswitch_context(a.level)
     extended_poly = ctx.keygen.context.random_uniform(ksctx.extended)
-    aksctx = approx_ctx.keygen.context.backend.keyswitch_context(a.level)
-    approx_extended = approx_ctx.keygen.context.random_uniform(
-        aksctx.extended)
     return {
         "ntt_forward": median_seconds(lambda: c1_coeff.to_eval(), repeats),
         "he_mult": median_seconds(lambda: ev.he_mult(a, b), repeats),
@@ -92,11 +83,6 @@ def time_kernels(params: CkksParameters, repeats: int) -> dict:
             lambda: key_switch(a.c1, key, params), repeats),
         "moddown_exact": median_seconds(
             lambda: mod_down_poly(extended_poly, ksctx), repeats),
-        "moddown_approx": median_seconds(
-            lambda: mod_down_poly(approx_extended, aksctx), repeats),
-        "keyswitch_full_approx_moddown": median_seconds(
-            lambda: key_switch(approx_c1, approx_key, approx_params),
-            repeats),
     }
 
 

@@ -17,9 +17,8 @@ table).  Three front doors:
 """
 
 from .checks import (check_hoists, check_keys, check_levels,
-                     check_liveness, check_noise, check_scales,
-                     check_structure, check_windows, lint_trace,
-                     lint_traces)
+                     check_liveness, check_scales, check_structure,
+                     check_windows, lint_trace, lint_traces)
 from .diagnostics import (CODES, Diagnostic, DiagnosticReport, LintError,
                           LintWarning, Severity)
 from .report import analyze_trace, op_mix, render_report
@@ -36,7 +35,6 @@ __all__ = [
     "check_keys",
     "check_levels",
     "check_liveness",
-    "check_noise",
     "check_scales",
     "check_structure",
     "check_windows",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Sequence
 
-from repro.fhe.noise import NOISE_FLOOR_LOG2, approx_mod_down_slot_error
+from repro.fhe.noise import NOISE_FLOOR_LOG2
 from repro.fhe.params import CkksParameters
 from repro.gme.features import GME_FULL, FeatureSet
 from repro.trace.ir import (KEYSWITCH_KINDS, TRANSPARENT_KINDS, OpKind,
@@ -37,11 +37,6 @@ ADD_SCALE_TOLERANCE_LOG2 = 8.0
 #: than this many bits.  Chained toy-modulus rescales drift ~1 bit each;
 #: 4 bits flags only sustained one-directional drift.
 RESCALE_DRIFT_TOLERANCE_LOG2 = 4.0
-
-#: HE131 fires when the accumulated worst-case approximate-ModDown slot
-#: error across every key switch of the trace exceeds this budget
-#: (about half the precision a 20-bit-fraction fixed-point result needs).
-APPROX_MOD_DOWN_SLOT_BUDGET = 1e-6
 
 #: Kinds whose output scale should equal max(input scales) (additive).
 _ADDITIVE_KINDS = frozenset({OpKind.HE_ADD, OpKind.HE_SUB,
@@ -411,33 +406,6 @@ def check_hoists(trace: OpTrace,
 
 
 # ---------------------------------------------------------------------------
-# noise budget (HE131)
-
-def check_noise(trace: OpTrace) -> list[Diagnostic]:
-    """HE131: accumulated approximate-ModDown slot error vs budget.
-
-    The per-op noise floor itself is enforced by :func:`check_scales`
-    (HE030); this check covers the *mode-dependent* extra error the
-    evaluator's approximate ModDown adds per key switch, cross-checked
-    against :func:`repro.fhe.noise.approx_mod_down_slot_error`.
-    """
-    params = trace.params
-    if getattr(params, "mod_down_mode", "exact") != "approx":
-        return []
-    num_ks = sum(1 for op in trace.ops if op.kind in KEYSWITCH_KINDS)
-    if num_ks == 0:
-        return []
-    error = approx_mod_down_slot_error(params, num_ks)
-    if error <= APPROX_MOD_DOWN_SLOT_BUDGET:
-        return []
-    return [make(
-        "HE131", f"{num_ks} key switches under mod_down_mode='approx' "
-        f"accumulate worst-case slot error {error:.2e} > budget "
-        f"{APPROX_MOD_DOWN_SLOT_BUDGET:.0e} (N = {params.ring_degree}, "
-        f"Delta = 2^{params.scale_bits})")]
-
-
-# ---------------------------------------------------------------------------
 # serve slot windows (HE040/HE041)
 
 def check_windows(trace: OpTrace) -> list[Diagnostic]:
@@ -514,7 +482,6 @@ def lint_trace(trace: OpTrace, *, normalized: bool = False,
     report.extend(check_keys(trace, available_keys))
     report.extend(check_liveness(trace))
     report.extend(check_hoists(trace, features))
-    report.extend(check_noise(trace))
     report.extend(check_windows(trace))
     return report
 

@@ -111,10 +111,6 @@ CODES: dict[str, CodeInfo] = dict([
           "Rotations of one source ciphertext at one level run separate "
           "Decomp+ModUp stages that hoisting could share; the message "
           "quotes the BlockSim cycle cost left on the table."),
-    _info("HE131", Severity.WARNING, "approximate ModDown error budget",
-          "With mod_down_mode='approx', the accumulated worst-case slot "
-          "error of all key switches (repro.fhe.noise."
-          "approx_mod_down_slot_error) exceeds the precision budget."),
 ])
 
 

@@ -65,10 +65,10 @@ class Artifact:
 
 
 def _params_from_header(header: dict[str, Any]) -> CkksParameters:
-    fields_doc = dict(header["params"])
-    fields_doc["moduli"] = tuple(fields_doc["moduli"])
-    fields_doc["special_moduli"] = tuple(fields_doc["special_moduli"])
-    return CkksParameters(**fields_doc)
+    try:
+        return CkksParameters.from_doc(header.get("params"))
+    except ValueError as exc:
+        raise ArtifactFormatError(f"HEADER: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,16 @@ expression to float64, silently destroying exactness.
 
 from __future__ import annotations
 
+import functools
+from types import SimpleNamespace
+
 import numba
 import numpy as np
 
 from .. import modmath
 from ..modmath import (_barrett_columns, _mont_columns, _stack_native_ok,
                        reduce_stack, stack_native_class)
+from ..ntt import ntt_context
 from .registry import register_backend
 from .stacked import StackedBackend
 
@@ -245,6 +249,31 @@ def _u64_2d(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+@functools.lru_cache(maxsize=64)
+def _butterfly_stacks(moduli: tuple[int, ...], n: int) -> SimpleNamespace:
+    """The per-limb butterfly tables of a double-word basis, stacked as
+    the uint64 arrays the JIT loops read.  Only these loops read them:
+    the stacked transform gathers tables of its own."""
+    ctxs = [ntt_context(q, n) for q in moduli]
+
+    def stack(name: str) -> tuple[np.ndarray, np.ndarray]:
+        return (np.stack([getattr(c, name) for c in ctxs]).view(np.uint64),
+                np.stack([c.shoups(name) for c in ctxs]))
+
+    psi_rev, psi_rev_shoup = stack("psi_rev")
+    psi_inv_rev, psi_inv_rev_shoup = stack("psi_inv_rev")
+    tables = SimpleNamespace(
+        psi_rev=psi_rev, psi_rev_shoup=psi_rev_shoup,
+        psi_inv_rev=psi_inv_rev, psi_inv_rev_shoup=psi_inv_rev_shoup,
+        n_inv=np.array([c.n_inv for c in ctxs], dtype=np.uint64),
+        n_inv_shoup=np.array([(c.n_inv << 64) // c.q for c in ctxs],
+                             dtype=np.uint64),
+        q=np.array(moduli, dtype=np.uint64))
+    for table in vars(tables).values():     # cached, so shared
+        table.setflags(write=False)
+    return tables
+
+
 @register_backend("accel")
 class AccelBackend(StackedBackend):
     """Stacked storage layout + numba-JIT double-word kernels."""
@@ -286,9 +315,9 @@ class AccelBackend(StackedBackend):
             return super().ntt_forward(data, moduli)
         a = reduce_stack(np.array(data, copy=True, order="C"),
                          ctx.moduli)
-        _nb_ntt_forward(_u64_2d(a), _u64_2d(ctx.psi_rev),
-                        np.ascontiguousarray(ctx.psi_rev_shoup),
-                        _u64_2d(ctx.q_col)[:, 0])
+        tables = _butterfly_stacks(ctx.moduli, ctx.n)
+        _nb_ntt_forward(_u64_2d(a), tables.psi_rev, tables.psi_rev_shoup,
+                        tables.q)
         return a
 
     def ntt_inverse(self, data, moduli):
@@ -297,17 +326,16 @@ class AccelBackend(StackedBackend):
             return super().ntt_inverse(data, moduli)
         a = reduce_stack(np.array(data, copy=True, order="C"),
                          ctx.moduli)
-        _nb_ntt_inverse(_u64_2d(a), _u64_2d(ctx.psi_inv_rev),
-                        np.ascontiguousarray(ctx.psi_inv_rev_shoup),
-                        _u64_2d(ctx.n_inv_col)[:, 0],
-                        np.ascontiguousarray(ctx.n_inv_shoup_col)[:, 0],
-                        _u64_2d(ctx.q_col)[:, 0])
+        tables = _butterfly_stacks(ctx.moduli, ctx.n)
+        _nb_ntt_inverse(_u64_2d(a), tables.psi_inv_rev,
+                        tables.psi_inv_rev_shoup, tables.n_inv,
+                        tables.n_inv_shoup, tables.q)
         return a
 
     # -- key switching ---------------------------------------------------
 
     def mod_up(self, digit, digit_index, ksctx):
-        if (ksctx.modup_mode != "dword" or digit.dtype == object
+        if (digit.dtype == object
                 or stack_native_class(ksctx.extended) != "dword"):
             return super().mod_up(digit, digit_index, ksctx)
         y = ksctx.digit_unpuncture[digit_index](digit)

@@ -232,12 +232,9 @@ class ComputeBackend(abc.ABC):
         coefficient form (through :meth:`ntt_inverse`); their lift to the
         ciphertext basis comes back through one :meth:`ntt_forward` and
         the subtraction and scaling run on evaluations.  The lift is
-        ``sum_j y_j * hat{p}_j - e * P`` with the quotient rule of
-        ``ksctx.mod_down_mode``: ``"exact"`` (default) takes the true
-        ``e``, which makes it the exact centered CRT lift; ``"approx"``
-        takes ``e`` as float64 rounds it, off by at most 1 per output
-        *coefficient* (see :func:`repro.fhe.noise.mod_down_error_bound`)
-        and identical across backends.
+        ``sum_j y_j * hat{p}_j - e * P`` with the true quotient
+        ``e = round(sum_j y_j / p_j)``: the exact centered CRT lift,
+        identical across backends.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..modmath import (addmod_vec, mulmod_vec, native_class, negmod_vec,
-                       reduce_vec, rescale_constants, submod_vec)
-from ..rns import approx_moddown_quotient
+from ..modmath import (addmod_vec, limb_dtype, mulmod_vec, native_class,
+                       negmod_vec, rescale_constants, submod_vec)
 from .base import ComputeBackend
 from .registry import register_backend
 
@@ -102,27 +101,16 @@ class ReferenceBackend(ComputeBackend):
         for limb, hat_inv, q in zip(digit, basis.punctured_inv, basis.primes):
             y = mulmod_vec(limb, hat_inv, q)
             centered.append(y - np.where(y > q // 2, q, 0))
-        mode = ksctx.modup_mode
-        if any(c.dtype == object for c in centered):
-            mode = "object"
+        # Reduce the centered residue into [0, p), one constant mulmod per
+        # (limb, target) term, and a modular add after every term: no sum
+        # leaves [0, p) at any word size.
         out = []
-        if mode == "dword":
-            # Double-word sweeps: reduce the centered residue into [0, p),
-            # one native constant mulmod per (limb, target) term, and a
-            # modular add after every term so sums never leave [0, p).
-            for t, p in enumerate(ksctx.extended):
-                acc = None
-                for c, w in zip(centered, weights[t]):
-                    term = mulmod_vec(np.remainder(c, p), int(w), p)
-                    acc = term if acc is None else addmod_vec(acc, term, p)
-                out.append(acc)
-            return out
         for t, p in enumerate(ksctx.extended):
             acc = None
             for c, w in zip(centered, weights[t]):
-                term = np.remainder(c * w, p)
-                acc = term if acc is None else acc + term
-            out.append(reduce_vec(acc, p))
+                term = mulmod_vec(np.remainder(c, p), int(w), p)
+                acc = term if acc is None else addmod_vec(acc, term, p)
+            out.append(acc.astype(limb_dtype(p), copy=False))
         return out
 
     def mod_down(self, data, ksctx):
@@ -131,45 +119,13 @@ class ReferenceBackend(ComputeBackend):
         # scaling run on evaluations (the NTT is linear per limb).
         special = self.ntt_inverse(data[ksctx.num_ct:],
                                    ksctx.special_moduli)
-        if ksctx.mod_down_mode == "approx":
-            lift = self._lift_special_approx(special, ksctx)
-        else:
-            lift = ksctx.p_basis.convert_exact(special,
-                                               list(ksctx.ct_moduli))
-        lift = self.ntt_forward(lift, ksctx.ct_moduli)
+        lift = self.ntt_forward(
+            ksctx.p_basis.convert_exact(special, list(ksctx.ct_moduli)),
+            ksctx.ct_moduli)
         return [mulmod_vec(submod_vec(limb, lift_limb, q), p_inv, q)
                 for limb, lift_limb, p_inv, q in zip(
                     data[:ksctx.num_ct], lift, ksctx.p_inv,
                     ksctx.ct_moduli)]
-
-    def _lift_special_approx(self, special, ksctx):
-        """Float-corrected approximate lift of the special-prime part.
-
-        ``lift mod q = sum_j yc_j * (hat{p}_j mod q) - e * (P mod q)``
-        with centered ``yc_j`` and the float64 quotient ``e`` from
-        :func:`~repro.fhe.rns.approx_moddown_quotient`; off by at most
-        one from the exact centered lift (see noise.mod_down_error_bound).
-        COEFF limbs over the special primes in, COEFF limbs over
-        ``ksctx.ct_moduli`` out.
-        """
-        p_basis = ksctx.p_basis
-        centered = []
-        for limb, hat_inv, p in zip(special, p_basis.punctured_inv,
-                                    p_basis.primes):
-            y = mulmod_vec(limb, hat_inv, p)
-            centered.append(y - np.where(y > p // 2, p, 0))
-        rows = np.stack([np.asarray(c) for c in centered])
-        e = approx_moddown_quotient(rows, ksctx.moddown_prime_fracs)
-        out = []
-        for i, q in enumerate(ksctx.ct_moduli):
-            acc = None
-            for c, w in zip(centered, ksctx.moddown_weights[i]):
-                term = mulmod_vec(np.remainder(c, q), int(w), q)
-                acc = term if acc is None else addmod_vec(acc, term, q)
-            corr = mulmod_vec(np.remainder(e, q),
-                              ksctx.moddown_p_mod_q[i], q)
-            out.append(submod_vec(acc, corr, q))
-        return out
 
     def rescale_last(self, data, moduli):
         q_last = int(moduli[-1])

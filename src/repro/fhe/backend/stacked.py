@@ -28,7 +28,7 @@ from ..modmath import (_as_object_array, addmod_stack, center_stack,
                        scalar_mul_stack, stack_residues, submod_stack,
                        to_mont_stack, unstack_residues)
 from ..ntt import BatchedNttContext, batched_ntt_context
-from ..rns import approx_moddown_quotient, exact_moddown_quotient
+from ..rns import exact_moddown_quotient
 from .base import ComputeBackend
 from .registry import register_backend
 
@@ -132,34 +132,17 @@ class StackedBackend(ComputeBackend):
         y = ksctx.digit_unpuncture[digit_index](digit)
         q_col = ksctx.digit_q_col[digit_index]
         half_col = ksctx.digit_half_col[digit_index]
-        if y.dtype == object or ksctx.modup_mode == "object":
+        if y.dtype == object or ksctx.modup_matmul is None:
             # Object dtype is overflow-free: one dot per digit, then one
             # reduction per target prime.
             y, weights, q_col, half_col, p_col = map(
                 _as_object_array, (y, weights, q_col, half_col, p_col))
             return np.dot(weights, center_stack(y, q_col, half_col)) % p_col
-        c = center_stack(y, q_col, half_col)
-        if ksctx.modup_matmul_safe[digit_index]:
-            # Single integer matmul over the centered weights: every sum of
-            # d products stays below 2**63 (bound checked when the context
-            # was built), so one (T, d) @ (d, N) sweep plus one reduction
-            # replaces the per-term remainder pass.
-            acc = ksctx.modup_centered_weights[digit_index] @ c
-            acc %= p_col
-            return acc
-        if ksctx.modup_mode == "dword":
-            # The same (T, d) @ (d, N) product where no integer matmul
-            # can hold it: exact float64 matmuls over split words.
-            return ksctx.modup_matmul.left(ksctx.modup_tables[digit_index],
-                                           c, p_col, ksctx.extended_inv_col)
-        # int64 but too many limbs for the matmul bound: broadcast over all
-        # (target, digit-limb) pairs with per-term reduction (|c*w| < 2**61,
-        # then sums of < 32 reduced terms < 2**36).
-        terms = c[None, :, :] * weights[:, :, None]
-        terms %= p_col[:, :, None]
-        acc = terms.sum(axis=1)
-        acc %= p_col
-        return acc
+        # One (T, d) @ (d, N) product on either native tier: exact
+        # float64 matmuls over split words.
+        return ksctx.modup_matmul.left(
+            ksctx.modup_tables[digit_index],
+            center_stack(y, q_col, half_col), p_col, ksctx.extended_inv_col)
 
     def mod_down(self, data, ksctx):
         # Only the special-prime rows leave EVAL form: their lift to the
@@ -178,62 +161,29 @@ class StackedBackend(ComputeBackend):
         ``special`` is the COEFF ``(k, N)`` stack over the special primes;
         the result is the ``(n, N)`` stack of
         ``sum_j y_j * hat{p}_j - e * P mod q_i`` with centered
-        ``y_j = [x_j * hat{p}_j^{-1}]_{p_j}`` and the quotient ``e`` of
-        ``ksctx.mod_down_mode``.  That is one ``(n, k + 1) @ (k + 1, N)``
-        matmul — in int64 on the int64 tier, over split float64 words on
-        the double-word tier; on the object tier (and where the context
-        bound neither) the exact rule keeps
-        :meth:`RnsBasis.convert_exact` — the same integers, shared with
-        the reference backend — and the approx rule its per-prime sweeps.
+        ``y_j = [x_j * hat{p}_j^{-1}]_{p_j}`` and the true quotient ``e``
+        (:func:`~repro.fhe.rns.exact_moddown_quotient`): the exact
+        centered CRT lift.  That is one ``(n, k + 1) @ (k + 1, N)``
+        matmul over split float64 words on either native tier; where the
+        context bound none (the object tier, a quotient sum too long for
+        the guard band) it is :meth:`RnsBasis.convert_exact` — the same
+        integers, shared with the reference backend.
         """
-        exact = ksctx.mod_down_mode == "exact"
-        matrix, matmul = ksctx.moddown_lift_matrix, ksctx.moddown_lift_matmul
-        if ((matrix is None and matmul is None) or special.dtype == object
-                or modmath._OBJECT_ONLY):
-            if exact:
-                ct_moduli = ksctx.ct_moduli
-                return stack_residues(
-                    ksctx.p_basis.convert_exact(list(special),
-                                                list(ct_moduli)), ct_moduli)
-            return self._lift_special_sweep(special, ksctx)
+        matmul = ksctx.moddown_lift_matmul
+        if matmul is None or special.dtype == object or modmath._OBJECT_ONLY:
+            ct_moduli = ksctx.ct_moduli
+            return stack_residues(
+                ksctx.p_basis.convert_exact(list(special), list(ct_moduli)),
+                ct_moduli)
         k = len(special)
         operands = np.empty((k + 1, special.shape[1]), dtype=np.int64)
         operands[:k] = center_stack(ksctx.special_unpuncture(special),
                                     ksctx.special_col,
                                     ksctx.special_half_col)
-        fracs = ksctx.moddown_prime_fracs
-        operands[k] = exact_moddown_quotient(operands[:k], fracs,
-                                             ksctx.p_basis) if exact \
-            else approx_moddown_quotient(operands[:k], fracs)
-        if matmul is not None:
-            return matmul.left(ksctx.moddown_lift_table, operands,
-                               ksctx.ct_col, ksctx.ct_inv_col)
-        lift = matrix @ operands
-        lift %= ksctx.ct_col
-        return lift
-
-    def _lift_special_sweep(self, special, ksctx):
-        """The approx lift as per-prime sweeps (see the reference backend)."""
-        y = ksctx.special_unpuncture(special)
-        p_col, half_col, q_col = (ksctx.special_col, ksctx.special_half_col,
-                                  ksctx.ct_col)
-        if y.dtype == object:
-            p_col, half_col, q_col = map(_as_object_array,
-                                         (p_col, half_col, q_col))
-        yc = center_stack(y, p_col, half_col)
-        e = approx_moddown_quotient(yc, ksctx.moddown_prime_fracs)
-        ct_moduli = ksctx.ct_moduli
-        acc = None
-        for j in range(len(yc)):
-            c_mod = np.remainder(yc[j][None, :], q_col)
-            term = mulmod_stack(c_mod, ksctx.moddown_weights[:, j:j + 1],
-                                ct_moduli)
-            acc = term if acc is None else addmod_stack(acc, term, ct_moduli)
-        p_mod_col = np.array(ksctx.moddown_p_mod_q,
-                             dtype=q_col.dtype).reshape(-1, 1)
-        corr = mulmod_stack(np.remainder(e[None, :], q_col), p_mod_col,
-                            ct_moduli)
-        return submod_stack(acc, corr, ct_moduli)
+        operands[k] = exact_moddown_quotient(
+            operands[:k], ksctx.moddown_prime_fracs, ksctx.p_basis)
+        return matmul.left(ksctx.moddown_lift_table, operands,
+                           ksctx.ct_col, ksctx.ct_inv_col)
 
     def rescale_last(self, data, moduli):
         q_last = int(moduli[-1])

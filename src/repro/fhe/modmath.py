@@ -34,13 +34,13 @@ tier, modulus columns and tables when it is built and runs that tier's
 kernel directly (one exact float64 matrix product per factor of N on
 both native tiers, :class:`BoundModMatmul`, with int64 twiddle scales
 below 2**31 and Shoup ones up to 2**61), both base conversions of a key
-switch are the same bound matmul at the paper's word size, and the
-per-level constant multiplies of the key-switch datapath
-are :class:`BoundScalarMul` objects held by the ``KeySwitchContext``
-(see "The three dtype paths" in ``backend/README.md``).  Conditional
-subtractions on the double-word tier are branch-free:
-``np.minimum(r, r - q)`` in uint64, where ``r - q`` wraps past ``r``
-exactly when ``r < q``.  For benchmarking (and for pitting the native
+switch are the same bound matmul on both native tiers (one table word
+and a plain ``%`` below 2**31), and the per-level constant multiplies of
+the key-switch datapath are :class:`BoundScalarMul` objects held by the
+``KeySwitchContext`` (see "The three dtype paths" in
+``backend/README.md``).  Conditional subtractions on the double-word
+tier are branch-free: ``np.minimum(r, r - q)`` in uint64, where
+``r - q`` wraps past ``r`` exactly when ``r < q``.  For benchmarking (and for pitting the native
 paths against the bignum oracle) :func:`force_object_dtype` disables both
 native paths — bound contexts read that flag once per call.
 """
@@ -678,11 +678,6 @@ def stack_native_class(moduli: tuple[int, ...] | list[int]) -> str:
     if _OBJECT_ONLY:
         return "object"
     return _basis_class(tuple(moduli))
-
-
-def stack_is_int64_safe(moduli: tuple[int, ...] | list[int]) -> bool:
-    """True when every modulus can use the single-multiply int64 path."""
-    return stack_native_class(moduli) == "int64"
 
 
 def stack_is_native(moduli: tuple[int, ...] | list[int]) -> bool:

@@ -66,46 +66,6 @@ class LevelBudget:
         return self.params.max_level >= depth
 
 
-#: Worst-case per-coefficient error of one approximate (float-corrected)
-#: ModDown versus the exact centered-CRT lift.  The float64 quotient
-#: estimate ``e = round(sum_j y_j / p_j)`` can land one off the true
-#: centered quotient (rounding-boundary ties and accumulated float error
-#: of ~L*2**-52), shifting the lifted value by exactly one multiple of P;
-#: after the ``P^{-1}`` scaling that is exactly +-1 on the output
-#: coefficient.  Everywhere else the computation is exact integer
-#: arithmetic, so the bound is 1 — below the rescale rounding error a
-#: ciphertext already carries.
-APPROX_MOD_DOWN_COEFF_ERROR = 1.0
-
-
-def mod_down_error_bound(params: CkksParameters,
-                         mode: str | None = None) -> float:
-    """Per-coefficient additive error of one ModDown in the given mode.
-
-    ``"exact"`` is error-free (the lift is the true centered residue);
-    ``"approx"`` is bounded by :data:`APPROX_MOD_DOWN_COEFF_ERROR`.
-    Defaults to the mode configured on ``params``.
-    """
-    mode = mode or getattr(params, "mod_down_mode", "exact")
-    return 0.0 if mode == "exact" else APPROX_MOD_DOWN_COEFF_ERROR
-
-
-def approx_mod_down_slot_error(params: CkksParameters,
-                               num_keyswitches: int = 1) -> float:
-    """Worst-case decoded-slot error from approximate ModDown.
-
-    A coefficient-domain error of at most 1 per KeySwitch amplifies by at
-    most the ring degree through the canonical embedding and divides by
-    the encoding scale, so ``num_keyswitches * N / Delta`` bounds the
-    extra slot error.  This is what the budget planner should add per
-    level when ``mod_down_mode="approx"`` is enabled (e.g. ~2**-38 per
-    KeySwitch at the paper's N=2**16, Delta=2**54 — negligible against
-    the rescale noise floor).
-    """
-    return (num_keyswitches * APPROX_MOD_DOWN_COEFF_ERROR
-            * params.ring_degree / params.scale)
-
-
 def measure_fresh_noise(ctx, trials: int = 5) -> float:
     """Empirical fresh-encryption noise (max abs slot error).
 

@@ -13,13 +13,14 @@ value at ``psi**(2 * bit_reverse(j) + 1)``.
 :class:`NttContext` runs those butterfly stages on one limb, vectorized
 per stage with numpy, on every word size; it is the ``reference``
 backend's kernel and the oracle of the stacked one.
-:class:`BatchedNttContext` transforms a whole limb stack and binds one of
-three kernel classes (see :func:`repro.fhe.modmath.stack_native_class`)
-when it is built.  Both native classes run the same multi-step
-transform: N = n_1 * ... * n_k (:func:`factors`: 32 x 32 at 2**10,
-64 x 64 at 2**12, 32 x 32 x 64 at the paper's 2**16), one batched matrix
-product per factor with a pointwise twiddle scale between products, the
-bit-reversed layout baked into the matrices' row order.  The products
+:class:`BatchedNttContext` transforms a whole limb stack by one
+algorithm, bound to the stack's kernel class (see
+:func:`repro.fhe.modmath.stack_native_class`) when it is built.  Both
+native classes run the same multi-step transform: N = n_1 * ... * n_k
+(:func:`factors`: 32 x 32 at 2**10, 64 x 64 at 2**12, 32 x 32 x 64 at
+the paper's 2**16), one batched matrix product per factor with a
+pointwise twiddle scale between products, the bit-reversed layout baked
+into the matrices' row order.  The products
 are float64 and exact (:class:`repro.fhe.modmath.BoundModMatmul`): each
 residue is split into ``pieces`` words of ``bits`` bits, the matrix
 ``[W | W * 2**bits | ...] mod q`` absorbs the shifts, and the word sizes
@@ -39,9 +40,10 @@ adds.  The classes differ in the word sizes and the twiddle multiply:
   (one MULHI + two low multiplies + one conditional subtraction, the
   constant-multiply sequence GME's NTT kernels use), its quotients
   gathered from the per-limb tables;
-* ``object`` (61+ bits, or :func:`repro.fhe.modmath.force_object_dtype`):
-  log2 N butterfly stages through the generic stack kernels, exact for
-  any word size.
+* ``object`` (61+ bits, object-dtype input, or
+  :func:`repro.fhe.modmath.force_object_dtype`): no stacked algorithm of
+  its own — the oracle, row by row (:class:`NttContext`, log2 N
+  butterfly stages per limb, exact for any word size).
 
 Tables are a pure function of ``(q, N)``: :func:`ntt_context` and
 :func:`batched_ntt_context` build them once per process, read-only, and
@@ -59,11 +61,9 @@ import numpy as np
 
 from . import modmath
 from .modmath import (BoundModMatmul, _addmod_u64, _shoup_mulmod_u64,
-                      _submod_u64, addmod_stack, addmod_vec, invmod,
-                      limb_dtype, mont_precompute_vec, mulmod, mulmod_stack,
-                      mulmod_vec, native_class, reduce_stack, reduce_vec,
-                      shoup_precompute_vec, stack_native_class, submod_stack,
-                      submod_vec)
+                      _submod_u64, addmod_vec, invmod, limb_dtype, mulmod,
+                      mulmod_stack, mulmod_vec, native_class, reduce_vec,
+                      shoup_precompute_vec, stack_native_class, submod_vec)
 from .primes import primitive_nth_root
 
 
@@ -132,10 +132,6 @@ class NttContext:
         self.psi_rev = self._power_table(self.psi)[rev]
         self.psi_inv_rev = self._power_table(self.psi_inv)[rev]
         self.klass = native_class(q)
-        # Per-modulus REDC constants (qprime, r_mod_q, r_shoup, r_inv) for
-        # the Montgomery-domain EVAL fast path; building the context warms
-        # the process-wide constant cache for this modulus.
-        self.mont = mont_precompute_vec(q)
         if self.klass == "dword":
             self.psi_rev_shoup = shoup_precompute_vec(self.psi_rev, q)
             self.psi_inv_rev_shoup = shoup_precompute_vec(self.psi_inv_rev, q)
@@ -160,6 +156,15 @@ class NttContext:
             base = mulmod(base, base, q)
             m *= 2
         return powers
+
+    def shoups(self, name: str) -> np.ndarray:
+        """Shoup quotients of the table ``name``: the stored companion on
+        the double-word tier, computed for a modulus below 2**31 — alone
+        it runs the int64 tier and keeps none, but inside a mixed stack
+        its row needs them."""
+        stored = getattr(self, name + "_shoup")
+        return stored if stored is not None \
+            else shoup_precompute_vec(getattr(self, name), self.q)
 
     def _use_dword(self, a: np.ndarray) -> bool:
         return (self.klass == "dword" and a.dtype != object
@@ -285,15 +290,6 @@ def factors(n: int) -> tuple[int, ...]:
     return (1 << low,) * (count - wider) + (2 << low,) * wider
 
 
-def _stacked_twiddles(ctxs: list[NttContext], dtype) -> tuple:
-    """``(psi_rev, psi_inv_rev, n_inv_col)`` stacked over per-limb tables:
-    what the butterfly stages read."""
-    return (np.stack([np.asarray(c.psi_rev, dtype=dtype) for c in ctxs]),
-            np.stack([np.asarray(c.psi_inv_rev, dtype=dtype) for c in ctxs]),
-            np.array([c.n_inv for c in ctxs],
-                     dtype=dtype).reshape(len(ctxs), 1))
-
-
 class BatchedNttContext:
     """Negacyclic NTT over a whole stack of RNS limbs at once.
 
@@ -303,10 +299,10 @@ class BatchedNttContext:
     The kernel class is bound here, once (see the module docstring): the
     multi-step transform — one exact float64 matrix product per factor of
     N, pointwise twiddles between them — on both native tiers, up to the
-    paper's 54-bit word and beyond it to 2**61; the generic stack kernels
-    past that.  Results are bit-exact with the per-limb transforms on
-    every tier: all of them do exact integer arithmetic, only its
-    arrangement differs.
+    paper's 54-bit word and beyond it to 2**61; past that, the per-limb
+    oracle row by row.  Results are bit-exact with the per-limb
+    transforms on every tier: all of them do exact integer arithmetic,
+    only its arrangement differs.
 
     Every table is read-only; the contexts :func:`batched_ntt_context`
     hands out are shared between backends and threads.
@@ -323,8 +319,6 @@ class BatchedNttContext:
     #: boundary, one tuple of table words per step; ``rows`` slices
     #: whichever of them the tier built.
     _PER_ROW = ("q_col", "q_grid", "q_inv_col",
-                "psi_rev", "psi_inv_rev", "n_inv_col",
-                "psi_rev_shoup", "psi_inv_rev_shoup", "n_inv_shoup_col",
                 "fwd_matrices", "fwd_twiddles", "fwd_twiddle_shoups",
                 "inv_matrices", "inv_twiddles", "inv_twiddle_shoups")
 
@@ -343,15 +337,7 @@ class BatchedNttContext:
         ctxs = [ntt_context(q, n) for q in self.moduli]
         self.klass = stack_native_class(self.moduli)
         dtype = np.int64 if self.klass != "object" else object
-        rows = len(ctxs)
-        self.q_col = np.array(self.moduli, dtype=dtype).reshape(rows, 1)
-        if self.klass != "int64":
-            # What the generic stages (and the accel backend's JIT loops)
-            # read; an int64-tier context stacks them on demand.
-            self.psi_rev, self.psi_inv_rev, self.n_inv_col = \
-                _stacked_twiddles(ctxs, dtype)
-        if self.klass == "dword":
-            self._bind_shoup(ctxs)
+        self.q_col = np.array(self.moduli, dtype=dtype).reshape(-1, 1)
         if self.klass != "object":
             self._bind_steps(ctxs)
         #: Bytes of table storage this context owns (0 for a view).
@@ -368,20 +354,6 @@ class BatchedNttContext:
 
         for name in self._PER_ROW:
             yield from arrays(getattr(self, name))
-
-    def _bind_shoup(self, ctxs: list[NttContext]) -> None:
-        """Stack the Shoup quotients beside the double-word twiddles."""
-        # Rows below 2**31 have no per-limb Shoup tables (they run the
-        # int64 path solo) but need them inside a mixed stack.
-        self.psi_rev_shoup = np.stack(
-            [c.psi_rev_shoup if c.psi_rev_shoup is not None
-             else shoup_precompute_vec(c.psi_rev, c.q) for c in ctxs])
-        self.psi_inv_rev_shoup = np.stack(
-            [c.psi_inv_rev_shoup if c.psi_inv_rev_shoup is not None
-             else shoup_precompute_vec(c.psi_inv_rev, c.q) for c in ctxs])
-        self.n_inv_shoup_col = np.array(
-            [(c.n_inv << 64) // c.q for c in ctxs],
-            dtype=np.uint64).reshape(len(ctxs), 1)
 
     def _bind_steps(self, ctxs: list[NttContext]) -> None:
         """Gather the multi-step matrices and twiddles from the per-limb
@@ -432,7 +404,8 @@ class BatchedNttContext:
         powers = np.stack([c.psi_rev for c in ctxs])[:, natural]
         powers = np.concatenate([powers, self.q_col - powers], axis=1)
         if dword:
-            shoups = self.psi_rev_shoup[:, natural]
+            shoups = np.stack([c.shoups("psi_rev")
+                               for c in ctxs])[:, natural]
             shoups = np.concatenate([shoups, ~shoups], axis=1)
         n_inv = np.array([c.n_inv for c in ctxs]).reshape(rows, 1, 1)
 
@@ -505,39 +478,37 @@ class BatchedNttContext:
             setattr(out, name, view(getattr(self, name)))
         return out
 
-    def _reduced(self, stack: np.ndarray) -> np.ndarray | None:
-        """Fresh C-order int64 copy of ``stack`` reduced row-wise, or None
-        when this transform must take the generic object-capable path:
-        an object-tier context, object-dtype input, or — one read of the
-        module flag per transform — :func:`modmath.force_object_dtype`
-        active around a context that was built outside it.
-        """
+    def _transform(self, stack: np.ndarray, direction: int, matrices,
+                   twiddles, shoups) -> np.ndarray:
+        """One direction's chain over ``stack`` on a native tier; on the
+        object tier — an object-tier context, object-dtype input, or (one
+        read of the module flag per transform)
+        :func:`modmath.force_object_dtype` active around a context that
+        was built outside it — the per-limb oracle, row by row, exact
+        for any word size."""
+        stack = np.asarray(stack)
         if (self.klass == "object" or modmath._OBJECT_ONLY
                 or stack.dtype == object):
-            return None
-        # C order whatever the input's strides (a broadcast row, say): the
-        # steps reshape the copy.
+            name = "forward" if direction > 0 else "inverse"
+            return np.array(
+                [getattr(ntt_context(q, self.n), name)(row)
+                 for q, row in zip(self.moduli, stack)], dtype=object)
+        # Reduced row-wise into a fresh C-order copy, whatever the input's
+        # strides (a broadcast row, say): the steps reshape it.
         a = np.empty(stack.shape, dtype=np.int64)
         np.remainder(stack, self.q_col, out=a)
-        return a
+        return self._steps(a, direction, matrices, twiddles,
+                           shoups).reshape(stack.shape)
 
     def forward(self, stack: np.ndarray) -> np.ndarray:
         """Batched negacyclic NTT: coefficient stack -> evaluation stack."""
-        stack = np.asarray(stack)
-        a = self._reduced(stack)
-        if a is None:
-            return self._forward_generic(stack)
-        return self._steps(a, 1, self.fwd_matrices, self.fwd_twiddles,
-                           self.fwd_twiddle_shoups).reshape(stack.shape)
+        return self._transform(stack, 1, self.fwd_matrices,
+                               self.fwd_twiddles, self.fwd_twiddle_shoups)
 
     def inverse(self, stack: np.ndarray) -> np.ndarray:
         """Batched inverse NTT: evaluation stack -> coefficient stack."""
-        stack = np.asarray(stack)
-        a = self._reduced(stack)
-        if a is None:
-            return self._inverse_generic(stack)
-        return self._steps(a, -1, self.inv_matrices, self.inv_twiddles,
-                           self.inv_twiddle_shoups).reshape(stack.shape)
+        return self._transform(stack, -1, self.inv_matrices,
+                               self.inv_twiddles, self.inv_twiddle_shoups)
 
     # -- native tiers: multi-step transform, exact float64 matmuls -------
 
@@ -577,60 +548,6 @@ class BatchedNttContext:
                 a %= self.q_grid
         return a
 
-    # -- object tier: the generic kernels, exact for any word size -------
-
-    def _generic_twiddles(self) -> tuple:
-        """The butterfly tables of the generic stages.  An int64-tier
-        context keeps none, so its fallback (object-dtype input, or
-        ``force_object_dtype`` around it) stacks them per call."""
-        if self.klass == "int64":
-            return _stacked_twiddles(
-                [ntt_context(q, self.n) for q in self.moduli], np.int64)
-        return self.psi_rev, self.psi_inv_rev, self.n_inv_col
-
-    def _forward_generic(self, stack: np.ndarray) -> np.ndarray:
-        moduli, n = self.moduli, self.n
-        rows = len(moduli)
-        a = reduce_stack(np.array(stack, copy=True, order="C"), moduli)
-        t = n
-        m = 1
-        psi_rev, _, _ = self._generic_twiddles()
-        while m < n:
-            t //= 2
-            twiddles = psi_rev[:, m:2 * m, None]
-            block = a.reshape(rows, m, 2 * t)
-            u = block[:, :, :t]
-            v = mulmod_stack(block[:, :, t:], twiddles, moduli)
-            # add/sub allocate fresh arrays from the views, so writing the
-            # halves back afterwards cannot alias (no u.copy() needed).
-            s = addmod_stack(u, v, moduli)
-            d = submod_stack(u, v, moduli)
-            block[:, :, :t] = s
-            block[:, :, t:] = d
-            m *= 2
-        return a
-
-    def _inverse_generic(self, stack: np.ndarray) -> np.ndarray:
-        moduli, n = self.moduli, self.n
-        rows = len(moduli)
-        a = reduce_stack(np.array(stack, copy=True, order="C"), moduli)
-        t = 1
-        m = n
-        _, psi_inv_rev, n_inv_col = self._generic_twiddles()
-        while m > 1:
-            h = m // 2
-            twiddles = psi_inv_rev[:, h:2 * h, None]
-            block = a.reshape(rows, h, 2 * t)
-            u = block[:, :, :t]
-            v = block[:, :, t:]
-            s = addmod_stack(u, v, moduli)
-            d = mulmod_stack(submod_stack(u, v, moduli), twiddles, moduli)
-            block[:, :, :t] = s
-            block[:, :, t:] = d
-            t *= 2
-            m = h
-        return mulmod_stack(a, n_inv_col, moduli)
-
 
 def _find_run(basis: tuple[int, ...], run: tuple[int, ...]) -> int | None:
     """Index at which ``run`` occurs as consecutive limbs of ``basis``."""
@@ -662,11 +579,10 @@ class _TableCache:
       and direction: ``16 * N + 16 * pieces * (n1**2 + n2**2)`` on the
       int64 tier with two factors (80 KB at N = 2**10, 448 KB at 2**12).
       The double-word tier has ``pieces * table_pieces`` = 6 to 8 words
-      per entry, a Shoup quotient beside every twiddle entry, and keeps
-      the ``32 * N`` bytes of stacked butterfly tables (for the accel
-      backend's loops and the object-dtype fallback): 192 + 32 + 32 =
-      256 KB at N = 2**10, and at the paper's N = 2**16 about 0.7 MB of
-      matrices, 2.1 MB of twiddles and 2 MB of butterfly tables.
+      per entry and a Shoup quotient beside every twiddle entry: 192 +
+      32 = 224 KB at N = 2**10, and at the paper's N = 2**16 about
+      0.7 MB of matrices and 2.1 MB of twiddles.  An object-tier stack
+      owns its moduli only.
 
     ``max_bytes`` bounds the sum over entries; the entry count is bounded
     by it too, each stack owner having at most one view per run of its

@@ -18,7 +18,7 @@ coefficient (54-bit packed words), which is how the paper arrives at a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .primes import generate_ntt_primes
 
@@ -39,13 +39,6 @@ class CkksParameters:
     #: :class:`~repro.fhe.poly.PolyContext`; the ``REPRO_FHE_BACKEND``
     #: environment variable overrides this for tests/CI.
     backend: str = "stacked"
-    #: ModDown lift mode for key switching: ``"exact"`` (default, exact
-    #: centered CRT of the special-prime part) or ``"approx"``
-    #: (float-corrected approximate base conversion, off by at most one
-    #: per coefficient — see :class:`repro.fhe.rns.KeySwitchContext` and
-    #: :func:`repro.fhe.noise.mod_down_error_bound`).  Opt in with
-    #: ``dataclasses.replace(params, mod_down_mode="approx")``.
-    mod_down_mode: str = "exact"
     moduli: tuple[int, ...] = field(default=(), repr=False)
     special_moduli: tuple[int, ...] = field(default=(), repr=False)
 
@@ -164,6 +157,29 @@ class CkksParameters:
                    boot_levels=boot_levels, dnum=dnum,
                    fft_iterations=fft_iterations, backend=backend,
                    moduli=moduli, special_moduli=special)
+
+    @classmethod
+    def from_doc(cls, doc: object) -> "CkksParameters":
+        """The parameters a ``dataclasses.asdict`` document stands for
+        (an ``.rpa`` header, a JSONL trace header); ``ValueError`` naming
+        the key where the document has one too many or too few."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"params document is not a mapping: {doc!r}")
+        doc = dict(doc)
+        # Documents written before the ModDown lift lost its second
+        # quotient rule carry the one value that is left.
+        if doc.pop("mod_down_mode", "exact") != "exact":
+            raise ValueError(
+                "params key 'mod_down_mode': the 'approx' ModDown mode was "
+                "removed (the lift is always exact); re-trace the program")
+        names = {f.name for f in fields(cls)}
+        for what, keys in (("unknown", set(doc) - names),
+                           ("missing", names - set(doc))):
+            if keys:
+                raise ValueError(f"params document has {what} key(s) "
+                                 f"{', '.join(map(repr, sorted(keys)))}")
+        return cls(**{**doc, "moduli": tuple(doc["moduli"]),
+                      "special_moduli": tuple(doc["special_moduli"])})
 
     @property
     def scale(self) -> float:

@@ -3,8 +3,11 @@
 Implements the limb decomposition described in paper section 2.2: the
 ciphertext modulus Q is a product of word-sized primes and every big-integer
 coefficient is carried as its tuple of residues (its *limbs*).  Also provides
-the approximate fast-base-conversion used by hybrid key switching (ModUp /
-ModDown), following the standard RNS-CKKS construction.
+the per-level tables of hybrid key switching (:class:`KeySwitchContext`,
+following the standard RNS-CKKS construction): ModUp's approximate fast
+base conversion and the exact ModDown lift, each bound to one modular
+matmul on both native tiers, with :meth:`RnsBasis.convert_exact` as the
+lift of the object tier and of the ``reference`` backend.
 
 The big-integer lifts (``decompose_vec``, ``compose_vec`` and the exact
 base conversions) carry values as 32-bit *word planes* wherever they can:
@@ -18,11 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import modmath
 from .modmath import (BoundModMatmul, BoundScalarMul, add_planes,
-                      addmod_vec, horner_fold_mod, invmod, join_words,
-                      limb_dtype, mont_precompute_vec, mulmod_vec, reduce_vec,
-                      split_words, stack_native_class, sub_planes, submod_vec)
+                      horner_fold_mod, invmod, join_words, limb_dtype,
+                      mulmod_vec, reduce_vec, split_words, stack_native_class,
+                      sub_planes, submod_vec)
 
 _U32_MASK = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -233,57 +235,6 @@ class RnsBasis:
         return value - self.big_modulus if value > self.big_modulus // 2 \
             else value
 
-    def convert_approx(self, limbs: list[np.ndarray],
-                       target_primes: list[int]) -> list[np.ndarray]:
-        """Approximate fast base conversion (uncentered variant).
-
-        Computes, for each target prime p,
-        ``sum_i [x_i * hat{q}_i^{-1}]_{q_i} * hat{q}_i mod p``
-        which equals ``x + e*Q mod p`` for a small overshoot
-        ``0 <= e < size``.
-
-        Note: key switching no longer uses this — the canonical ModUp is
-        :meth:`ComputeBackend.mod_up`, which uses *centered* residues
-        (overshoot ``|e| <= size/2``) so that raised digits commute
-        exactly with negacyclic automorphisms (rotation hoisting).  This
-        uncentered primitive remains as a standalone RNS utility and test
-        oracle; do not substitute it back into the KeySwitch datapath.
-        """
-        # y_i = [x_i * \hat{q}_i^{-1}]_{q_i}, exact small residues.
-        ys = [mulmod_vec(limb, hat_inv, q) for limb, hat_inv, q in
-              zip(limbs, self.punctured_inv, self.primes)]
-        all_small = (modmath.stack_is_int64_safe(self.primes)
-                     and modmath.stack_is_int64_safe(target_primes)
-                     and len(self.primes) < 32)
-        out = []
-        if all_small:
-            # int64 path, one batched sweep per target prime: each term
-            # (y * (hat mod p)) mod p < 2**31, and summing < 32 of them
-            # stays below 2**63.
-            y_stack = np.stack([y.astype(np.int64, copy=False) for y in ys])
-            for p in target_primes:
-                w_col = np.array([hat % p for hat in self.punctured],
-                                 dtype=np.int64).reshape(len(ys), 1)
-                terms = y_stack * w_col
-                np.remainder(terms, p, out=terms)
-                out.append(terms.sum(axis=0) % p)
-            return out
-        native = all(y.dtype != object for y in ys)
-        for p in target_primes:
-            if native and modmath._is_native(p):
-                # Double-word path: one native mulmod + add-reduce per limb.
-                acc = None
-                for y, hat in zip(ys, self.punctured):
-                    term = mulmod_vec(reduce_vec(y, p), hat % p, p)
-                    acc = term if acc is None else addmod_vec(acc, term, p)
-                out.append(acc)
-                continue
-            acc = np.zeros(len(limbs[0]), dtype=object)
-            for y, hat in zip(ys, self.punctured):
-                acc = acc + y.astype(object) * (hat % p)
-            out.append(reduce_vec(acc, p).astype(limb_dtype(p), copy=False))
-        return out
-
     def compose_centered_vec(self, limbs: list[np.ndarray]) -> np.ndarray:
         """Vectorized exact CRT: residue limbs -> centered big integers.
 
@@ -298,10 +249,10 @@ class RnsBasis:
                       target_primes: list[int]) -> list[np.ndarray]:
         """Exact base conversion through centered CRT composition.
 
-        Slower than :meth:`convert_approx` but free of the ``e*Q`` overshoot;
-        used by exact ModDown (where the overshoot would not divide away) and
-        by tests as an oracle.  The centered value ``v - Q*[v > Q/2]`` is
-        reduced per target as ``(v mod p) - (Q mod p)``: for native bases
+        The ModDown lift of the ``reference`` backend and of every context
+        that binds no matmul, and the tests' oracle.  The centered value
+        ``v - Q*[v > Q/2]`` is reduced per target as
+        ``(v mod p) - (Q mod p)``: for native bases
         the composed value never leaves its 32-bit plane representation
         and every per-target reduction is a native Horner fold — no
         object-dtype arithmetic anywhere on the exact ModDown path.
@@ -366,50 +317,26 @@ def digit_spans(level: int, alpha: int) -> list[tuple[int, int]]:
 QUOTIENT_GUARD = 2.0 ** -40
 
 
-def _moddown_quotient_sum(centered_rows: np.ndarray,
-                          prime_fracs: np.ndarray) -> np.ndarray:
-    """``sum_j y_j / p_j`` in float64, one fixed order of operations.
-
-    Each term is off by at most ``2**-53`` (``|y_j / p_j| <= 1/2``, two
-    roundings) and the k - 1 sequential additions by at most
-    ``(k - 1) * (k / 2) * 2**-53`` in all, so the sum is within
-    ``k * (k + 1) * 2**-54`` of the true value.
-    """
-    return (centered_rows.astype(np.float64)
-            * prime_fracs.reshape(-1, 1)).sum(axis=0)
-
-
-def approx_moddown_quotient(centered_rows: np.ndarray,
-                            prime_fracs: np.ndarray) -> np.ndarray:
-    """Float-rounded CRT quotient: the ``approx`` ModDown quotient rule.
-
-    ``centered_rows`` holds the centered scaled residues ``y_j`` of the
-    special-prime part (one row per special prime); the true value
-    satisfies ``sum_j y_j * hat{p}_j = v + e*P`` with
-    ``e = round(sum_j y_j / p_j)`` and ``|v| <= P/2``.  The sum of
-    ``y_j / p_j`` is evaluated in float64 and rounded as is — off by one
-    from ``e`` where the sum lands within float error of a half-integer.
-    Both backends call this one helper on identically-shaped arrays so
-    the rounding (and therefore the opt-in approximation) is
-    bit-identical across backends.
-    """
-    return np.rint(_moddown_quotient_sum(centered_rows,
-                                         prime_fracs)).astype(np.int64)
-
-
 def exact_moddown_quotient(centered_rows: np.ndarray,
                            prime_fracs: np.ndarray,
                            basis: RnsBasis) -> np.ndarray:
-    """The true ``e = round(sum_j y_j / p_j)``: the ``exact`` quotient rule.
+    """The quotient ``e = round(sum_j y_j / p_j)`` of the ModDown lift.
 
-    Same float64 sum as :func:`approx_moddown_quotient`; its error is
-    far below :data:`QUOTIENT_GUARD` (see :func:`_moddown_quotient_sum`),
-    so rounding it is exact wherever the fractional part keeps that
-    distance from 1/2.  The remaining columns — about ``2**-39`` of them
-    on uniform input — are rounded in Python integers
-    (:meth:`RnsBasis.round_quotient`; P is odd, so no tie exists).
+    ``centered_rows`` holds the centered scaled residues ``y_j`` of the
+    special-prime part, one row per special prime; the value they stand
+    for satisfies ``sum_j y_j * hat{p}_j = v + e * P`` with
+    ``|v| <= P / 2``.  The sum is taken in float64: each term is off by
+    at most ``2**-53`` (``|y_j / p_j| <= 1/2``, two roundings) and the
+    k - 1 sequential additions by at most ``(k - 1) * (k / 2) * 2**-53``
+    in all, so it is within ``k * (k + 1) * 2**-54`` of the true value —
+    far below :data:`QUOTIENT_GUARD` — and rounding it is exact wherever
+    the fractional part keeps that distance from 1/2.  The remaining
+    columns — about ``2**-39`` of them on uniform input — are rounded in
+    Python integers (:meth:`RnsBasis.round_quotient`; P is odd, so no tie
+    exists).
     """
-    v = _moddown_quotient_sum(centered_rows, prime_fracs)
+    v = (centered_rows.astype(np.float64)
+         * prime_fracs.reshape(-1, 1)).sum(axis=0)
     e = np.rint(v).astype(np.int64)
     near = np.flatnonzero(np.abs(v - np.floor(v) - 0.5) < QUOTIENT_GUARD)
     if near.size:
@@ -422,7 +349,7 @@ class KeySwitchContext:
 
     Everything KeySwitch needs per level is resolved once here — the
     constants, the kernel class of each basis, and the ready columns and
-    matrices the stacked kernels sweep — and cached per level by
+    tables the stacked kernels sweep — and cached per level by
     :meth:`repro.fhe.backend.ComputeBackend.keyswitch_context`.  Built
     eagerly: worker threads share these contexts.
 
@@ -437,12 +364,13 @@ class KeySwitchContext:
       center its result,
     * ``modup_weights[j]`` — the ``(|extended|, |digit j|)`` matrix of
       punctured digit products ``hat{q}_i mod p`` driving the approximate
-      base conversion of ModUp (centered variant; see :attr:`modup_mode`);
-      ``modup_centered_weights[j]`` is its centered copy for the single
-      int64 matmul (where ``modup_matmul_safe[j]``); in ``"dword"`` mode
-      ``modup_matmul`` is the split-word float64 matmul sized for the
-      widest digit (:class:`~repro.fhe.modmath.BoundModMatmul`) and
-      ``modup_tables[j]`` its table of ``modup_weights[j]``,
+      base conversion of ModUp (centered variant: ``weights @ c mod p``
+      for the centered residues ``c``),
+    * ``modup_matmul`` / ``modup_tables[j]`` — that product on either
+      native tier: the split-word float64 matmul sized for the widest
+      digit (:class:`~repro.fhe.modmath.BoundModMatmul`; one table word,
+      reduced with ``%``, below 2**31) and its table of
+      ``modup_weights[j]``.  ``None`` on the object tier,
     * ``extended_col`` — the extended basis as a column,
       ``extended_inv_col`` its float64 reciprocals.
 
@@ -455,43 +383,17 @@ class KeySwitchContext:
       the centered scaled residues ``y_j = [x_j * hat{p}_j^{-1}]_{p_j}``
       of the special limbs,
     * ``moddown_prime_fracs`` — ``1 / p_j`` in float64, for the quotient
-      ``e = round(sum_j y_j / p_j)``,
-    * ``moddown_lift_matrix`` — the ``(n, k + 1)`` int64 matrix
-      ``[ [hat{p}_j]_{q_i} | -[P]_{q_i} ]`` of centered residues: the
-      lift of the special part is ``matrix @ [y; e] mod q_i``, one
-      integer matmul.  ``None`` unless every extended prime is on the
-      int64 tier and no row sum can reach ``2**63``
-      (``sum_j |w_ij| * (p_j - 1)/2 + |[P]_{q_i}| * (k/2 + 1)``, checked
-      here like ``modup_matmul_safe``),
-    * ``moddown_lift_matmul`` / ``moddown_lift_table`` — the same matrix
-      on the double-word tier, uncentered, as the split-word float64
-      matmul of :class:`~repro.fhe.modmath.BoundModMatmul` and its
-      table.  Where a context binds neither (an int64-tier row sum out
-      of range, the object tier, a quotient sum too long for the guard
-      band) the stacked backend keeps :meth:`RnsBasis.convert_exact`,
+      ``e = round(sum_j y_j / p_j)`` (:func:`exact_moddown_quotient`),
+    * ``moddown_lift_matmul`` / ``moddown_lift_table`` — the
+      ``(n, k + 1)`` matrix ``[ [hat{p}_j]_{q_i} | -[P]_{q_i} ]`` as the
+      same kernel and its table: the lift of the special part,
+      ``sum_j y_j * hat{p}_j - e * P``, is ``matrix @ [y; e] mod q_i`` —
+      the exact centered lift, bit-identical to exact CRT composition.
+      ``None`` on the object tier and where the float64 quotient sum
+      could drift to within reach of the guard band (some 90 special
+      primes); there the lift stays :meth:`RnsBasis.convert_exact`,
     * ``ct_col`` — the ciphertext basis as a column, ``ct_inv_col`` its
-      float64 reciprocals,
-    * ``moddown_weights`` / ``moddown_p_mod_q`` — the uncentered
-      ``hat{p}_j mod q_i`` and ``P mod q_i`` of the per-prime ``approx``
-      sweeps (``mod_down_mode="approx"`` only).
-
-    ``mont`` — per-extended-modulus Montgomery REDC constants
-    ``(qprime, r_mod_q, r_shoup, r_inv)`` backing the Montgomery-form
-    switching keys (the key product then costs one REDC per pointwise
-    multiply instead of a full Barrett reduction).
-
-    ``mod_down_mode`` selects the quotient rule of the ModDown lift
-    ``sum_j y_j * hat{p}_j - e * P``:
-
-    * ``"exact"`` (default) — the true ``e``
-      (:func:`exact_moddown_quotient`): the exact centered lift, so the
-      result is the true rounded division by P, bit-identical to exact
-      CRT composition;
-    * ``"approx"`` — ``e`` as float64 rounds it
-      (:func:`approx_moddown_quotient`, HEAAN-style), off by at most 1
-      per coefficient versus exact (see
-      :func:`repro.fhe.noise.mod_down_error_bound`).  Opt in via
-      ``CkksParameters(mod_down_mode="approx")``.
+      float64 reciprocals.
 
     The tables are backend-agnostic: the ``reference`` backend walks the
     plain lists limb by limb, the ``stacked`` backend sweeps the bound
@@ -499,15 +401,7 @@ class KeySwitchContext:
     keeping the backends bit-exact.
     """
 
-    MOD_DOWN_MODES = ("exact", "approx")
-
-    def __init__(self, params, level: int, mod_down_mode: str | None = None):
-        if mod_down_mode is None:
-            mod_down_mode = getattr(params, "mod_down_mode", "exact")
-        if mod_down_mode not in self.MOD_DOWN_MODES:
-            raise ValueError(
-                f"mod_down_mode must be one of {self.MOD_DOWN_MODES}, "
-                f"got {mod_down_mode!r}")
+    def __init__(self, params, level: int):
         ct_moduli = tuple(params.moduli[:level + 1])
         special = tuple(params.special_moduli)
         self.level = level
@@ -515,7 +409,6 @@ class KeySwitchContext:
         self.special_moduli = special
         self.extended = ct_moduli + special
         self.num_ct = len(ct_moduli)
-        self.mod_down_mode = mod_down_mode
         self.digit_spans = digit_spans(level, params.alpha)
         self.q_big = 1
         for q in ct_moduli:
@@ -524,38 +417,26 @@ class KeySwitchContext:
         self.p_prod = self.p_basis.big_modulus
         self.p_inv = [invmod(self.p_prod % q, q) for q in ct_moduli]
         self.p_inv_scale = BoundScalarMul(self.p_inv, ct_moduli)
-        # Per-extended-modulus REDC constants (qprime, r_mod_q, r_shoup,
-        # r_inv) for the Montgomery-domain key product: switching keys are
-        # stored in Montgomery form over this basis, so building the
-        # context warms the constant cache for every extended prime.
-        self.mont = tuple(mont_precompute_vec(int(p)) for p in self.extended)
-        # Kernel class of the extended basis, bound here for ModUp and the
-        # ModDown lift: "int64" keeps the single-multiply sweeps (with the
-        # integer matmul fast paths below), "dword" runs both conversions
-        # as split-word float64 matmuls at the paper's 54-bit word,
-        # "object" is the 61+-bit fallback.
-        klass = stack_native_class(self.extended)
-        col_dtype = np.int64 if klass != "object" else object
+        # Both native tiers run ModUp and the ModDown lift through one
+        # kernel, bound here; the object tier (61+ bits) binds none.
+        native = stack_native_class(self.extended) != "object"
+        col_dtype = np.int64 if native else object
 
         def column(values) -> np.ndarray:
             return np.array(list(values), dtype=col_dtype).reshape(-1, 1)
 
         self.extended_col = column(self.extended)
         self.ct_col = column(ct_moduli)
-        max_digit = max(stop - start for start, stop in self.digit_spans)
-        self.modup_mode = klass
-        if self.modup_mode == "int64" and max_digit >= 32:
-            # Sums of 32+ reduced int64 terms could overflow; the
-            # double-word mode never forms them.
-            self.modup_mode = "dword"
-        self.modup_int64 = self.modup_mode == "int64"
-        self.modup_matmul = None
-        if self.modup_mode == "dword":
-            self.modup_matmul = BoundModMatmul(
-                max(self.extended), max_digit, max(ct_moduli))
-        if klass != "object":
+        self.modup_matmul = self.moddown_lift_matmul = \
+            self.moddown_lift_table = None
+        if native:
             self.extended_inv_col = 1.0 / self.extended_col
             self.ct_inv_col = self.extended_inv_col[:self.num_ct]
+            # Operands: centered residues of the ciphertext primes.
+            self.modup_matmul = BoundModMatmul(
+                max(self.extended),
+                max(stop - start for start, stop in self.digit_spans),
+                max(ct_moduli))
         self.digit_bases: list[RnsBasis] = []
         self.digit_hat_inv: list[list[int]] = []
         self.digit_hat: list[int] = []
@@ -564,10 +445,7 @@ class KeySwitchContext:
         self.digit_q_col: list[np.ndarray] = []
         self.digit_half_col: list[np.ndarray] = []
         self.modup_weights: list[np.ndarray] = []
-        self.modup_tables: list[np.ndarray | None] = []
-        self.modup_centered_weights: list[np.ndarray | None] = []
-        self.modup_matmul_safe: list[bool] = []
-        max_w = max(p // 2 for p in self.extended)
+        self.modup_tables: list[tuple | None] = []
         for start, stop in self.digit_spans:
             basis = RnsBasis(list(ct_moduli[start:stop]))
             hat_qj = self.q_big // basis.big_modulus
@@ -586,67 +464,25 @@ class KeySwitchContext:
             self.modup_weights.append(weights)
             self.modup_tables.append(
                 self.modup_matmul.table(weights, self.extended, -1)
-                if self.modup_matmul else None)
-            # Centered weights enable a single int64 matmul per digit in the
-            # stacked backend: |c| <= (q-1)/2 and |w| <= p/2 bound every
-            # product below 2**60, so sums of up to `size` terms stay exact
-            # in int64 whenever the bound below holds (d <= 7 at 31-bit
-            # words).  The residues mod p are unchanged, keeping the matmul
-            # path bit-exact with the per-term-reduction path.
-            max_c = max((q - 1) // 2 for q in basis.primes)
-            safe = (self.modup_int64
-                    and basis.size * max_c * max_w < (1 << 63))
-            self.modup_matmul_safe.append(safe)
-            self.modup_centered_weights.append(
-                weights - np.where(weights > self.extended_col // 2,
-                                   self.extended_col, 0) if safe else None)
+                if native else None)
         self.special_unpuncture = BoundScalarMul(self.p_basis.punctured_inv,
                                                  special)
         self.special_col = column(special)
         self.special_half_col = column(p // 2 for p in special)
         self.moddown_prime_fracs = np.array([1.0 / p for p in special],
                                             dtype=np.float64)
-        self.moddown_lift_matrix = self.moddown_lift_matmul = \
-            self.moddown_lift_table = None
-        if klass != "object":
-            self._bind_lift(klass)
-        if mod_down_mode == "approx":
-            self.moddown_weights = np.array(
-                [[hat % q for hat in self.p_basis.punctured]
-                 for q in ct_moduli], dtype=col_dtype)
-            self.moddown_p_mod_q = [self.p_prod % q for q in ct_moduli]
-
-    def _bind_lift(self, klass: str) -> None:
-        """``[ [hat{p}_j]_{q_i} | -[P]_{q_i} ]`` as the tier's matmul:
-        centered int64 on the int64 tier, split-word float64 on the
-        double-word tier.  Neither when a row of the int64 ``matrix @
-        [y; e]`` could leave int64, or the float64 quotient sum could
-        drift to within reach of the guard band."""
-        special, ct_moduli = self.special_moduli, self.ct_moduli
         k = len(special)
-        if k * (k + 1) * 2.0 ** -54 >= QUOTIENT_GUARD / 2:
-            return
-        rows = [[hat % q for hat in self.p_basis.punctured]
-                + [-self.p_prod % q] for q in ct_moduli]
-        if klass == "dword":
+        if native and k * (k + 1) * 2.0 ** -54 < QUOTIENT_GUARD / 2:
             # Operands: centered residues of the special primes, and the
             # quotient |e| <= k/2 + 1, far smaller.
             self.moddown_lift_matmul = BoundModMatmul(
                 max(ct_moduli), k + 1, max(special))
             self.moddown_lift_table = self.moddown_lift_matmul.table(
-                np.array(rows, dtype=np.int64), ct_moduli, -1)
-            return
-        rows = [[w - q if w > q // 2 else w for w in row]
-                for row, q in zip(rows, ct_moduli)]
-        # |y_j| <= (p_j - 1)/2 and |e| = |round(sum_j y_j / p_j)| <= k/2 + 1.
-        operand_max = [(p - 1) // 2 for p in special] + [k // 2 + 1]
-        worst = max(sum(abs(w) * m for w, m in zip(row, operand_max))
-                    for row in rows)
-        if worst < 1 << 63:
-            self.moddown_lift_matrix = np.array(rows, dtype=np.int64)
+                np.array([[hat % q for hat in self.p_basis.punctured]
+                          + [-self.p_prod % q] for q in ct_moduli],
+                         dtype=np.int64), ct_moduli, -1)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"KeySwitchContext(level={self.level}, "
                 f"digits={len(self.digit_spans)}, "
-                f"extended={len(self.extended)} limbs, "
-                f"mod_down={self.mod_down_mode})")
+                f"extended={len(self.extended)} limbs)")

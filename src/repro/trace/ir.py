@@ -193,10 +193,8 @@ class OpTrace:
         if header.get("version") != TRACE_FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported trace format version "
                              f"{header.get('version')!r}")
-        fields = dict(header["params"])
-        fields["moduli"] = tuple(fields["moduli"])
-        fields["special_moduli"] = tuple(fields["special_moduli"])
-        trace = cls(params=CkksParameters(**fields), name=header["name"],
+        trace = cls(params=CkksParameters.from_doc(header.get("params")),
+                    name=header["name"],
                     output_op_id=header.get("output_op_id"))
         for line in lines[1:]:
             trace.append(_op_from_json(json.loads(line)))

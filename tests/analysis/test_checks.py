@@ -6,8 +6,6 @@ code (``report.codes() == {code: n}``) — no collateral findings, no
 misses.  Clean traces must lint empty.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.analysis import (CODES, Severity, lint_trace)
@@ -276,14 +274,6 @@ class TestHoists:
 
 
 class TestNoise:
-    def test_he131_approx_moddown_budget(self):
-        params = dataclasses.replace(TOY, mod_down_mode="approx")
-        t = _trace(params=params)
-        src = _add(t, OpKind.SOURCE, level=4)
-        _add(t, OpKind.HE_MULT, [src, src], level=4,
-             out_scale=DELTA * DELTA, key="relin", meta=_mult_meta(4))
-        assert _codes(t) == {"HE131": 1}
-
     def test_exact_moddown_is_silent(self):
         t = _trace()
         src = _add(t, OpKind.SOURCE, level=4)

@@ -158,6 +158,50 @@ class TestUnknownBlocks:
             read_artifact(str(path))
 
 
+class TestParamsDocument:
+    """``read_artifact`` promises ``ArtifactError``; a params document
+    with a key too many or too few used to escape it as the bare
+    ``TypeError`` of ``CkksParameters(**fields)``."""
+
+    @staticmethod
+    def _read_with_params(tmp_path, mutate):
+        from repro.artifact.writer import trace_blocks
+        trace = _toy_trace()
+        blocks = trace_blocks(trace)
+        header = unpack_json(blocks[0][1], "HEADER")
+        mutate(header["params"])
+        blocks[0] = (blocks[0][0], pack_json(header))
+        path = tmp_path / "params.rpa"
+        stream = io.BytesIO()
+        write_container(stream, blocks)
+        path.write_bytes(stream.getvalue())
+        return trace, read_artifact(str(path))
+
+    def test_legacy_exact_mod_down_mode_is_dropped(self, tmp_path):
+        """Every artifact written before the knob went carries it."""
+        trace, artifact = self._read_with_params(
+            tmp_path, lambda doc: doc.update(mod_down_mode="exact"))
+        assert artifact.trace == trace
+        assert artifact.params == trace.params
+
+    def test_removed_approx_mode_is_refused_by_name(self, tmp_path):
+        with pytest.raises(ArtifactFormatError,
+                           match="mod_down_mode.*approx.*removed"):
+            self._read_with_params(
+                tmp_path, lambda doc: doc.update(mod_down_mode="approx"))
+
+    def test_unknown_key_is_a_format_error_naming_it(self, tmp_path):
+        with pytest.raises(ArtifactFormatError,
+                           match="unknown key.*'ring_dimension'"):
+            self._read_with_params(
+                tmp_path, lambda doc: doc.update(ring_dimension=1024))
+
+    def test_missing_key_is_a_format_error_naming_it(self, tmp_path):
+        with pytest.raises(ArtifactFormatError,
+                           match="missing key.*'dnum'"):
+            self._read_with_params(tmp_path, lambda doc: doc.pop("dnum"))
+
+
 class TestPayloadEncodings:
     def test_pack_json_round_trip(self):
         doc = {"a": 1, "nested": {"b": [1, 2, 3]}, "s": "text"}

@@ -117,7 +117,7 @@ class TestKernelsBitExact:
 
     def test_mod_up_matches_stacked(self, accel, stacked):
         ksctx = stacked.keyswitch_context(2)
-        assert ksctx.modup_mode == "dword"
+        assert ksctx.modup_matmul.table_pieces == 2
         data = _random_stack(ksctx.ct_moduli, PARAMS.ring_degree, 6)
         digits = stacked.digit_decompose(data, ksctx)
         for j, digit in enumerate(digits):

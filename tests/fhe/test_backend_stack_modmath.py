@@ -16,9 +16,9 @@ from repro.fhe.modmath import (MontgomeryContext, addmod, addmod_stack,
                                barrett_reduce, barrett_reduce_single,
                                limb_dtype, mulmod, mulmod_stack,
                                negmod_stack, reduce_stack, scalar_add_stack,
-                               scalar_mul_stack, stack_is_int64_safe,
-                               stack_native_class, stack_residues, submod,
-                               submod_stack, unstack_residues)
+                               scalar_mul_stack, stack_native_class,
+                               stack_residues, submod, submod_stack,
+                               unstack_residues)
 from repro.fhe.primes import generate_ntt_primes
 
 N = 8
@@ -49,9 +49,6 @@ class TestStackLayout:
         assert stack_for(HUGE_PRIMES, 0).dtype == object
 
     def test_native_class_predicates(self):
-        assert stack_is_int64_safe(SMALL_PRIMES)
-        assert not stack_is_int64_safe(BIG_PRIMES)
-        assert not stack_is_int64_safe(MIXED_PRIMES)
         assert stack_native_class(SMALL_PRIMES) == "int64"
         assert stack_native_class(BIG_PRIMES) == "dword"
         assert stack_native_class(MIXED_PRIMES) == "dword"

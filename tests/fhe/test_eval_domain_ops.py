@@ -11,7 +11,6 @@ latter through ``test_accel_backend``'s stub-``njit`` route when numba is
 absent), at the int64 tier (``toy``) and at the paper's 54-bit word.
 """
 
-import dataclasses
 import gc
 import weakref
 
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 from repro.fhe import (CkksContext, CkksParameters, Plaintext, PolyContext,
                        Polynomial, Representation)
 from repro.fhe.keys import mod_down_poly
-from repro.fhe.rns import RnsBasis, approx_moddown_quotient
+from repro.fhe.rns import RnsBasis
 from test_accel_backend import IMPL
 
 TOY = CkksParameters.toy()
@@ -179,44 +178,26 @@ class TestRescale:
 # ---------------------------------------------------------------------------
 
 def coeff_mod_down(poly_coeff: Polynomial, ksctx) -> list[np.ndarray]:
-    """(x - lift([x]_P)) * P^-1 mod q_i on big integers.
-
-    ``exact``: the lift is the centered CRT value of the special-prime
-    residues.  ``approx``: ``sum_j yc_j * hat{p}_j - e * P`` with the
-    float64 quotient ``e`` — the one quantity of that mode that is
-    *defined* by floating-point arithmetic, so it comes from the shared
-    helper; everything around it is exact here.
-    """
-    limbs = as_ints(poly_coeff)
-    special = limbs[ksctx.num_ct:]
-    p_basis, p_prod = ksctx.p_basis, ksctx.p_prod
-    if ksctx.mod_down_mode == "exact":
-        lift = [centered(int(v), p_prod)
-                for v in p_basis.compose_vec(poly_coeff.limbs[ksctx.num_ct:])]
-    else:
-        rows = [[centered(int(x) * inv, p) for x in limb]
-                for limb, inv, p in zip(special, p_basis.punctured_inv,
-                                        p_basis.primes)]
-        e = approx_moddown_quotient(np.array(rows, dtype=object),
-                                    ksctx.moddown_prime_fracs)
-        lift = [sum(y * hat for y, hat in zip(column, p_basis.punctured))
-                - int(e_i) * p_prod
-                for column, e_i in zip(zip(*rows), e)]
+    """(x - lift([x]_P)) * P^-1 mod q_i on big integers, the lift being
+    the centered CRT value of the special-prime residues."""
+    p_prod = ksctx.p_prod
+    lift = [centered(int(v), p_prod) for v in ksctx.p_basis.compose_vec(
+        poly_coeff.limbs[ksctx.num_ct:])]
     return [np.array([(int(x) - v) * pow(p_prod, -1, q) % q
                       for x, v in zip(limb, lift)], dtype=object)
-            for limb, q in zip(limbs, ksctx.ct_moduli)]
+            for limb, q in zip(as_ints(poly_coeff), ksctx.ct_moduli)]
 
 
 class TestModDown:
-    @cases
-    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    # One quotient rule, the exact one; the ids have said so since there
+    # were two.
+    @pytest.mark.parametrize(
+        "preset,backend", [(p, b) for p in PRESETS for b in BACKENDS],
+        ids=[f"exact-{p}-{b}" for p in PRESETS for b in BACKENDS])
     @pytest.mark.parametrize("level", [1, 3])
-    def test_matches_the_coeff_definition(self, preset, backend, mode,
-                                          level):
-        params = dataclasses.replace(PRESETS[preset], mod_down_mode=mode)
-        context = poly_context(params, backend, seed=17)
+    def test_matches_the_coeff_definition(self, preset, backend, level):
+        context = poly_context(PRESETS[preset], backend, seed=17)
         ksctx = context.backend.keyswitch_context(level)
-        assert ksctx.mod_down_mode == mode
         a = context.random_uniform(ksctx.extended, Representation.EVAL)
         out = mod_down_poly(a, ksctx)
         assert out.rep is Representation.EVAL

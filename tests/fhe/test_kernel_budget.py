@@ -1,4 +1,4 @@
-"""How much work the 54-bit tier's hot kernels do, as exact counts.
+"""How much work the hot kernels of both native tiers do, as exact counts.
 
 Before its transforms and base conversions became split-word matrix
 products, a double-word ``forward`` ran log2 N butterfly stages (one
@@ -9,6 +9,13 @@ float64 matmuls and, between steps, one Shoup multiply — and a warm key
 switch never leaves the bound matmuls.  These counts fail on the commit
 before (10 Shoup multiplies and no matmul per N = 2**10 transform, two
 ``convert_exact`` calls per key switch).
+
+Since the int64 tier binds the same kernel for its conversions — it had
+an int64 ``@`` for narrow digits, a broadcast sweep for wide ones and
+``convert_exact`` past a row-sum bound — the count is one for both
+tiers: a warm key switch is ``len(digit_spans) + 2`` ``left`` calls on
+the context's own kernels (``toy`` made none on the commit before).  And
+the object tier is the per-limb oracle, one call per row.
 """
 
 import numpy as np
@@ -16,7 +23,8 @@ import pytest
 
 from repro.fhe import CkksContext, ntt, rns
 from repro.fhe.keys import key_switch
-from repro.fhe.ntt import BatchedNttContext
+from repro.fhe.modmath import BoundModMatmul, force_object_dtype
+from repro.fhe.ntt import BatchedNttContext, NttContext
 from repro.fhe.primes import generate_ntt_primes
 from test_parent_digests import PRESETS
 
@@ -72,3 +80,53 @@ def test_a_dword_transform_is_one_matmul_round_per_factor(n, steps,
         transform(stack)
         assert shoup.count == steps - 1
         assert matmul.count == table_pieces * steps
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_a_warm_key_switch_is_one_matmul_per_digit_and_one_per_lift(
+        preset, monkeypatch):
+    params = PRESETS[preset]()
+    ctx = CkksContext(params, seed=5, backend="stacked")
+    ct = ctx.encrypt([1.0, -0.5, 0.25])
+    key = ctx.keygen.relinearization_key(ct.level)
+    want = key_switch(ct.c1, key, params)
+    ksctx = ctx.keygen.context.backend.keyswitch_context(ct.level)
+    conversions = []
+    left = BoundModMatmul.left
+
+    def counting(kernel, *args, **kwargs):
+        # The transforms' kernel is another object: counted apart.
+        conversions.append(
+            "modup" if kernel is ksctx.modup_matmul else
+            "lift" if kernel is ksctx.moddown_lift_matmul else "ntt")
+        return left(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(BoundModMatmul, "left", counting)
+    convert_exact = Calls(monkeypatch, rns.RnsBasis, "convert_exact")
+    got = key_switch(ct.c1, key, params)
+    digits = len(ksctx.digit_spans)
+    assert digits == 2
+    # One ModUp per digit, one lift per polynomial of the pair.
+    assert [conversions.count(kind) for kind in ("modup", "lift")] \
+        == [digits, 2]
+    assert convert_exact.count == 0
+    for a, b in zip(got, want):
+        assert all(np.array_equal(x, y) for x, y in zip(a.limbs, b.limbs))
+
+
+@pytest.mark.parametrize("word,klass", [(30, "int64"), (54, "dword")])
+def test_a_forced_object_transform_is_one_oracle_call_per_row(
+        word, klass, monkeypatch):
+    n, rows = 64, 3
+    moduli = tuple(generate_ntt_primes(rows, word, n))
+    ctx = BatchedNttContext(moduli, n)
+    assert ctx.klass == klass
+    stack = np.random.default_rng(3).integers(
+        0, min(moduli), size=(rows, n), dtype=np.int64)
+    want = ctx.forward(stack)
+    forward = Calls(monkeypatch, NttContext, "forward")
+    matmul = Calls(monkeypatch, np, "matmul")
+    with force_object_dtype():
+        got = ctx.forward(stack)
+    assert (forward.count, matmul.count) == (rows, 0)
+    assert got.dtype == object and np.array_equal(got, want)

@@ -7,8 +7,6 @@ handle must reproduce the sequential ``he_rotate`` path bit for bit
 (centered ModUp makes the raised digits commute with automorphisms).
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -147,9 +145,10 @@ class TestBackendOpsBitExact:
 
 
 class TestWideDigitFallback:
-    """A 16-limb digit at the 30-bit word exceeds the int64 matmul bound
-    (16 * 2**29 * 2**30 >= 2**63), so the stacked backend must take the
-    per-term-reduction sweep — and stay bit-exact with reference."""
+    """A 16-limb digit at the 30-bit word: its row sums (16 * 2**29 *
+    2**30 >= 2**63) once sent the stacked backend to a per-term sweep.
+    The split-word matmul has no such bound — there is no fallback left
+    to take — and stays bit-exact with reference."""
 
     def test_wide_digit_keyswitch_matches(self):
         params = CkksParameters._build(ring_degree=1 << 8, scale_bits=29,
@@ -158,9 +157,9 @@ class TestWideDigitFallback:
         assert params.alpha == 16
         ref = CkksContext(params, seed=41, backend="reference")
         stk = CkksContext(params, seed=41, backend="stacked")
-        ks_ref = ref.keygen.context.backend.keyswitch_context(
+        ksctx = stk.keygen.context.backend.keyswitch_context(
             params.max_level)
-        assert not all(ks_ref.modup_matmul_safe)
+        assert ksctx.modup_matmul.width == 16
         ct_ref = ref.encrypt([1.0, -2.0])
         ct_stk = stk.encrypt([1.0, -2.0])
         out_ref = ref.evaluator.he_rotate(ct_ref, 3)
@@ -196,90 +195,6 @@ class TestBigWordKeySwitch:
         out = ev.hoisted_rotations(ct, [1, 2])
         for r in (1, 2):
             assert ct_equal(out[r], ev.he_rotate(ct, r))
-
-
-class TestApproxModDown:
-    """Opt-in float-corrected ModDown: off by default, within the
-    documented +-1 centered-residue bound of exact, bit-exact across
-    backends, and decrypting correctly at the paper's 54-bit word."""
-
-    PARAMS_54 = TestBigWordKeySwitch.PARAMS_54
-    APPROX_54 = dataclasses.replace(PARAMS_54, mod_down_mode="approx")
-    APPROX_TOY = dataclasses.replace(TOY, mod_down_mode="approx")
-
-    def test_exact_is_the_default(self):
-        assert CkksParameters.toy().mod_down_mode == "exact"
-        ksctx = KeySwitchContext(TOY, 2)
-        assert ksctx.mod_down_mode == "exact"
-        assert not hasattr(ksctx, "moddown_weights")
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mod_down_mode"):
-            KeySwitchContext(TOY, 2, mod_down_mode="fast")
-
-    @pytest.mark.parametrize("exact_params,approx_params", [
-        (TOY, APPROX_TOY), (PARAMS_54, APPROX_54),
-    ], ids=["toy-30bit", "paper-word-54bit"])
-    @pytest.mark.parametrize("backend", ["reference", "stacked"])
-    def test_centered_error_within_documented_bound(self, exact_params,
-                                                    approx_params, backend):
-        from repro.fhe.noise import mod_down_error_bound
-        level = exact_params.max_level
-        extended = exact_params.moduli[:level + 1] \
-            + exact_params.special_moduli
-        exact_ctx = PolyContext(exact_params, seed=9, backend=backend)
-        approx_ctx = PolyContext(approx_params, seed=9, backend=backend)
-        poly_e = exact_ctx.random_uniform(extended, Representation.EVAL)
-        poly_a = approx_ctx.random_uniform(extended, Representation.EVAL)
-        ks_e = exact_ctx.backend.keyswitch_context(level)
-        ks_a = approx_ctx.backend.keyswitch_context(level)
-        assert ks_a.mod_down_mode == "approx"
-        # ModDown is EVAL to EVAL; the +-1 bound is per *coefficient*.
-        out_e = exact_ctx.backend.ntt_inverse(
-            exact_ctx.backend.mod_down(poly_e.data, ks_e), ks_e.ct_moduli)
-        out_a = approx_ctx.backend.ntt_inverse(
-            approx_ctx.backend.mod_down(poly_a.data, ks_a), ks_a.ct_moduli)
-        bound = mod_down_error_bound(approx_params)
-        assert bound == 1.0
-        for i, q in enumerate(ks_e.ct_moduli):
-            xe = np.asarray(list(out_e)[i], dtype=object)
-            xa = np.asarray(list(out_a)[i], dtype=object)
-            diff = (xa - xe) % q
-            centered = np.where(diff > q // 2, diff - q, diff)
-            worst = int(np.max(np.abs(centered.astype(object))))
-            assert worst <= bound, f"limb {i}: off by {worst}"
-
-    def test_backends_bit_exact_in_approx_mode(self):
-        ref = PolyContext(self.APPROX_54, seed=3, backend="reference")
-        stk = PolyContext(self.APPROX_54, seed=3, backend="stacked")
-        level = self.APPROX_54.max_level
-        extended = self.APPROX_54.moduli[:level + 1] \
-            + self.APPROX_54.special_moduli
-        p_ref = ref.random_uniform(extended, Representation.EVAL)
-        p_stk = stk.random_uniform(extended, Representation.EVAL)
-        assert limbs_equal(mod_down(p_ref, self.APPROX_54, level),
-                           mod_down(p_stk, self.APPROX_54, level))
-
-    def test_approx_keyswitch_decrypts_correctly(self):
-        """Full HEMult + rotation under approx ModDown at the 54-bit word:
-        the +-1 coefficient error is far below the noise floor."""
-        ctx = CkksContext(self.APPROX_54, seed=11, backend="stacked")
-        ev = ctx.evaluator
-        v = np.array([0.5, -0.75, 1.25])
-        prod = ev.he_mult(ctx.encrypt(v), ctx.encrypt(v))
-        got = ctx.decrypt(prod)[:3].real
-        assert np.max(np.abs(got - v ** 2)) < 1e-6
-        rot = ev.he_rotate(ctx.encrypt(v), 1)
-        got = ctx.decrypt(rot)[:2].real
-        assert np.max(np.abs(got - v[1:3])) < 1e-6
-
-    def test_slot_error_budget_is_negligible(self):
-        from repro.fhe.noise import approx_mod_down_slot_error
-        paper = CkksParameters.paper()
-        # One KeySwitch adds at most N/Delta slot error: ~2**-38 at the
-        # paper's N=2**16, Delta=2**54.
-        assert approx_mod_down_slot_error(paper) < 2 ** -37
-        assert approx_mod_down_slot_error(paper, num_keyswitches=0) == 0.0
 
 
 class TestModUpOvershoot:

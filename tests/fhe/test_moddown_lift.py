@@ -1,15 +1,13 @@
 """The stacked ModDown lift is the exact centered CRT lift.
 
 ``StackedBackend.lift_special`` evaluates
-``sum_j y_j * hat{p}_j - e * P mod q_i`` as one int64 matmul with the
-quotient ``e = round(sum_j y_j / p_j)`` taken from a float64 sum and, in
-a guard band around the half-integers, from Python integers.  It is held
-here to ``RnsBasis.convert_exact`` (what the reference backend and the
-54-bit tier run) and to the definition — the big integer itself,
+``sum_j y_j * hat{p}_j - e * P mod q_i`` as one split-word matmul with
+the quotient ``e = round(sum_j y_j / p_j)`` taken from a float64 sum and,
+in a guard band around the half-integers, from Python integers.  It is
+held here to ``RnsBasis.convert_exact`` (what the reference backend and
+the object tier run) and to the definition — the big integer itself,
 centered, reduced modulo each target prime.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -59,8 +57,10 @@ class TestExactLift:
     def test_presets_take_the_matmul(self, preset):
         _, ksctx = lift_setup(PRESETS[preset])
         n, k = ksctx.num_ct, len(ksctx.special_moduli)
-        assert ksctx.moddown_lift_matrix.shape == (n, k + 1)
-        assert ksctx.moddown_lift_matrix.dtype == np.int64
+        kernel = ksctx.moddown_lift_matmul
+        assert (kernel.width, kernel.table_pieces) == (k + 1, 1)
+        table, = ksctx.moddown_lift_table
+        assert table.shape == (n, kernel.pieces * (k + 1))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -98,46 +98,21 @@ class TestExactLift:
         assert flagged == [4]
         assert np.array_equal(got, centered_crt(values, ksctx))
 
-    def test_approx_rule_is_within_one_p_and_backend_independent(
-            self, preset):
-        params = dataclasses.replace(PRESETS[preset], mod_down_mode="approx")
-        stacked, ksctx = lift_setup(params)
-        reference, ks_ref = lift_setup(params, backend="reference")
-        assert ksctx.mod_down_mode == "approx"
-        values = random_values(13, 64, ksctx.p_prod)
-        values[:7] = boundary_values(ksctx.p_prod)
-        special = special_stack(values, ksctx)
-        got = stacked.lift_special(special, ksctx)
-        assert np.array_equal(got, np.stack(
-            reference._lift_special_approx(list(special), ks_ref)))
-        # One unit of the quotient is one P in the lift — one unit of the
-        # ModDown output after the division by P.
-        exact = centered_crt(values, ksctx)
-        for row, want, q in zip(got, exact, ksctx.ct_moduli):
-            off = (row - want) % q
-            p_mod_q = ksctx.p_prod % q
-            assert np.all((off == 0) | (off == p_mod_q)
-                          | (off == q - p_mod_q))
-
 
 class TestOverflowBound:
-    """33 special primes at the 30-bit word: a row of the matmul could
-    reach 33 * 2**30 * 2**29 > 2**63, so the context must refuse it."""
+    """33 special primes at the 30-bit word: a row of an int64 matmul
+    could reach 33 * 2**30 * 2**29 > 2**63, which once left this lift to
+    ``convert_exact``.  Split into words it is bounded like any other."""
 
     PARAMS = CkksParameters._build(ring_degree=1 << 8, scale_bits=29,
                                    prime_bits=30, max_level=31, dnum=1,
                                    boot_levels=4, fft_iterations=2)
 
-    def test_context_refuses_the_matmul_and_the_lift_stays_exact(self):
+    def test_the_lift_stays_exact_past_the_int64_row_sum(self):
         backend, ksctx = lift_setup(self.PARAMS)
         assert len(ksctx.special_moduli) == 33
-        assert ksctx.moddown_lift_matrix is None
+        assert ksctx.moddown_lift_matmul.pieces == 3
         values = random_values(17, 16, ksctx.p_prod)
         values[:7] = boundary_values(ksctx.p_prod)
         got = backend.lift_special(special_stack(values, ksctx), ksctx)
         assert np.array_equal(got, centered_crt(values, ksctx))
-
-    def test_a_row_sum_decides_not_the_tier(self):
-        """The same word size with few special primes keeps the matmul."""
-        assert KeySwitchContext(CkksParameters.toy(), 2) \
-            .moddown_lift_matrix is not None

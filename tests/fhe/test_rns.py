@@ -78,35 +78,6 @@ class TestBaseConversion:
             for t, p in enumerate(targets):
                 assert int(out[t][i]) == centered % p
 
-    def test_approx_conversion_overshoot_bounded(self, basis):
-        """convert_approx = x + e*Q mod p with 0 <= e < basis size."""
-        rng = np.random.default_rng(2)
-        values = [int(v) % basis.big_modulus
-                  for v in rng.integers(0, 1 << 62, size=32)]
-        limbs = basis.decompose_vec(values)
-        p = PRIMES_30[5]
-        out = basis.convert_approx(limbs, [p])[0]
-        for i, v in enumerate(values):
-            candidates = {(v + e * basis.big_modulus) % p
-                          for e in range(basis.size + 1)}
-            assert int(out[i]) % p in candidates
-
-    def test_approx_matches_exact_up_to_q_multiple(self, basis):
-        """convert_approx differs from convert_exact by a multiple of Q
-        (the overshoot e*Q plus the centering offset)."""
-        rng = np.random.default_rng(3)
-        values = [int(v) % basis.big_modulus
-                  for v in rng.integers(0, 1 << 62, size=16)]
-        limbs = basis.decompose_vec(values)
-        p = PRIMES_30[5]
-        approx = basis.convert_approx(limbs, [p])[0]
-        exact = basis.convert_exact(limbs, [p])[0]
-        q_mod_p = basis.big_modulus % p
-        for x_a, x_e in zip(approx, exact):
-            diff = (int(x_a) - int(x_e)) % p
-            candidates = {(e * q_mod_p) % p for e in range(basis.size + 2)}
-            assert diff in candidates
-
     def test_paper_word_native_path(self):
         """54-bit basis: the word-split native lift stays exact."""
         basis = RnsBasis(PRIMES_BIG[:2])

@@ -8,7 +8,7 @@ read-only, built under a lock, shared by every backend instance and
 worker thread, dropped by ``clear_serve_caches()``.  Its bound, as its
 docstring states it: ``max_bytes`` (512 MB) over all entries, where a
 ``(q, N)`` entry is 16 * N bytes (32 * N with Shoup quotients) and a
-stack owns 80 KB per limb on the int64 tier at N = 2**10, 256 KB on the
+stack owns 80 KB per limb on the int64 tier at N = 2**10, 224 KB on the
 double-word tier (views own nothing); least recently used entries go
 first.
 
@@ -196,10 +196,10 @@ def test_every_shared_table_is_read_only():
 
 
 def test_every_shared_dword_table_is_read_only():
-    # As above with three table words per matrix, plus the reciprocals,
-    # a Shoup table per twiddle, and the butterfly tables with theirs
-    # (what the accel backend's loops read).
-    assert_every_shared_table_is_read_only(PW54, 3 + 2 * (2 * 3 + 2) + 6)
+    # As above with three table words per matrix, plus the reciprocals
+    # and a Shoup table per twiddle.  No stacked butterfly tables: what
+    # the accel backend's loops read, that backend stacks.
+    assert_every_shared_table_is_read_only(PW54, 3 + 2 * (2 * 3 + 2))
 
 
 def test_concurrent_contexts_end_up_holding_the_same_tables(monkeypatch):
@@ -274,9 +274,9 @@ def test_dword_stack_owns_what_the_cache_docstring_says():
     words = kernel.pieces * kernel.table_pieces
     assert (words, n1, n2) == (6, 32, 32)
     # Per limb: a float64 matrix of `words` n_j x n_j blocks per step and
-    # direction, a twiddle and its Shoup quotients per direction, the
-    # butterfly tables with theirs, and the modulus three times over.
+    # direction, a twiddle and its Shoup quotients per direction, and the
+    # modulus three times over.
     assert ctx.nbytes == 2 * (2 * 8 * words * (n1 * n1 + n2 * n2)
-                              + 2 * 16 * n + (32 * n + 16) + 24)
-    assert ctx.nbytes == 2 * (256 * 1024 + 40)
+                              + 2 * 16 * n + 24)
+    assert ctx.nbytes == 2 * (224 * 1024 + 24)
     assert NttContext(PW54_MODULI[0], n).nbytes == 32 * n

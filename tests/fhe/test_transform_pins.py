@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.fhe import CkksParameters
-from repro.fhe.modmath import stack_native_class
+from repro.fhe.modmath import force_object_dtype, stack_native_class
 from repro.fhe.ntt import BatchedNttContext, NttContext
 from repro.fhe.primes import generate_ntt_primes
 from test_parent_digests import PRESETS as _SCORING_PRESETS
@@ -153,6 +153,61 @@ PARENT_STACK_DIGESTS = {
         "d60aebe90b2a03848149b92eece04210befcc9427b9ee9add178783d2a1fcd41",
 }
 
+#: ``(word, N)`` of the 3-limb stacks pinned on the object tier.
+OBJECT_STACKS = tuple((word, n) for word in (30, 54, 62)
+                      for n in (64, 1 << 10))
+
+PARENT_OBJECT_DIGESTS = {
+    (30, 64, "broadcast"):
+        "34c3406f2165b7230ea059f1b6b3b8a6565c4ddfb95fa337a032b53a4858ec8d",
+    (30, 64, "centered"):
+        "d5dd0a5b467374664a7edbb38bcd0921577015605f10bc8d2f5129f1a7a5e356",
+    (30, 64, "q_minus_1"):
+        "1369fe0403eea6427ebed58a8df05277c47b8a3a4549387de22990e6f406f7e7",
+    (30, 64, "reduced"):
+        "d5dd0a5b467374664a7edbb38bcd0921577015605f10bc8d2f5129f1a7a5e356",
+    (30, 1024, "broadcast"):
+        "ccf1a1f427f40b21c62d291b2b30d91490a3d42bc20c70eabd8105b2d08ae0a3",
+    (30, 1024, "centered"):
+        "b9bf34dc69602d7a7de800ca6d8f6d5a5ef4597db4eed16c2279d55df699867d",
+    (30, 1024, "q_minus_1"):
+        "89c37ea1f8d98f73518a00f03270a84e20e480a185bb7abc76aab09c1caf8124",
+    (30, 1024, "reduced"):
+        "b9bf34dc69602d7a7de800ca6d8f6d5a5ef4597db4eed16c2279d55df699867d",
+    (54, 64, "broadcast"):
+        "7979574cd3db3f8d4e1be5c9321b00403737493936e49ecf45a029633496acb5",
+    (54, 64, "centered"):
+        "193cc0e465d8a9209f739741bfb6e0babf57f35271a5ca53931aef4dbd9baa22",
+    (54, 64, "q_minus_1"):
+        "18735dfc29fee276aa566386d1e00e72203138a568f3968fa6c3a05c11e7fb5c",
+    (54, 64, "reduced"):
+        "193cc0e465d8a9209f739741bfb6e0babf57f35271a5ca53931aef4dbd9baa22",
+    (54, 1024, "broadcast"):
+        "fddebbd2482be3e255dc604a6368637d8c081466c43abca1aec321ada400ee57",
+    (54, 1024, "centered"):
+        "7791eaf38b55463b78700df5ddbb7e4a18dd64d5ce7bffd8aff8623bd24f2a83",
+    (54, 1024, "q_minus_1"):
+        "d5ce28dbded91d103efb4efcf3d8a10fe5b9d022dea3b931d88e3c4d92559fe4",
+    (54, 1024, "reduced"):
+        "7791eaf38b55463b78700df5ddbb7e4a18dd64d5ce7bffd8aff8623bd24f2a83",
+    (62, 64, "broadcast"):
+        "5967a1aba6bad3feea65b2bdbc83af5e55920712887bb5782eca0cd1c805630f",
+    (62, 64, "centered"):
+        "4b292cb8d652847509e933cb728adf7214a0548d333a16403082359ddc6de962",
+    (62, 64, "q_minus_1"):
+        "d1527e8c08e06feb1e770720b5d4b9ffb833338bd4d027e2178b237c42825f4f",
+    (62, 64, "reduced"):
+        "4b292cb8d652847509e933cb728adf7214a0548d333a16403082359ddc6de962",
+    (62, 1024, "broadcast"):
+        "558825f1b9d3e46f08bd128854d05689ecb3c4d8a60589fca98ec455b4b95d0d",
+    (62, 1024, "centered"):
+        "6af5f1670e9eea5d53c0028dc844b6d415f6441abeba09bb616cb8cb8c3af322",
+    (62, 1024, "q_minus_1"):
+        "720316df11d106314189a226bb90c452682202ff64e59d0c10f9b640c79e4a92",
+    (62, 1024, "reduced"):
+        "6af5f1670e9eea5d53c0028dc844b6d415f6441abeba09bb616cb8cb8c3af322",
+}
+
 
 def _basis(params: CkksParameters) -> tuple[int, ...]:
     """The top-level extended basis: every modulus the preset owns."""
@@ -202,6 +257,25 @@ def stack_digest(word, n: int, kind: str) -> str:
     return _sha(ctx.forward(stack), ctx.inverse(stack))
 
 
+def object_digests(word, n: int, kind: str) -> set[str]:
+    """Every road to the object tier, one digest each: a context built
+    inside ``force_object_dtype``, one built outside it and called
+    inside, and object-dtype input to a native context — or, at 62 bits,
+    the context as it builds anyway."""
+    moduli = stack_moduli(word, n)
+    stack = seeded_inputs(moduli, n)[kind]
+    warm = BatchedNttContext(moduli, n)
+    with force_object_dtype():
+        forced = BatchedNttContext(moduli, n)
+        assert forced.klass == "object"
+        outputs = [(forced.forward(stack), forced.inverse(stack)),
+                   (warm.forward(stack), warm.inverse(stack))]
+    as_object = stack.astype(object)
+    outputs.append((warm.forward(as_object), warm.inverse(as_object)))
+    assert all(a.dtype == object for pair in outputs for a in pair)
+    return {_sha(*pair) for pair in outputs}
+
+
 def table_digest(preset: str) -> str:
     params = PRESETS[preset]()
     tables = []
@@ -228,6 +302,12 @@ def test_stack_bits_match_the_parent_commit(word, n, kind):
         == PARENT_STACK_DIGESTS[(word, n, kind)]
 
 
+@pytest.mark.parametrize("word,n,kind", sorted(PARENT_OBJECT_DIGESTS))
+def test_object_tier_bits_match_the_parent_commit(word, n, kind):
+    assert object_digests(word, n, kind) \
+        == {PARENT_OBJECT_DIGESTS[(word, n, kind)]}
+
+
 @pytest.mark.parametrize("preset", sorted(PARENT_TABLE_DIGESTS))
 def test_table_bits_match_the_parent_commit(preset):
     assert table_digest(preset) == PARENT_TABLE_DIGESTS[preset]
@@ -249,5 +329,9 @@ if __name__ == "__main__":
                                       ("mixed", (1 << 10,)))
                 for n in degrees for kind in sorted(seeded_inputs((3,), 2))]:
         print(f"    {key!r}:\n        \"{stack_digest(*key)}\",")
+    for key in [(word, n, kind) for word, n in OBJECT_STACKS
+                for kind in sorted(seeded_inputs((3,), 2))]:
+        digest, = object_digests(*key)
+        print(f"    {key!r}:\n        \"{digest}\",")
     for key in sorted(PARENT_TABLE_DIGESTS):
         print(f"    {key!r}:\n        \"{table_digest(key)}\",")

@@ -1,13 +1,25 @@
-"""The surface removed with the second plan source and timing model.
+"""The surface removed with the second plan source and timing model,
+and with the second quotient rule, conversion kernels and stacked
+transform of the key-switch path.
 
 One road to a cycle count: a catalog name compiles to a traced plan and
-BlockSim prices it.  Each case pins the absence of the fork it names.
+BlockSim prices it.  One road through a key switch: ModUp and the
+ModDown lift are one bound matmul, the lift's quotient is the true one,
+a stacked transform is the multi-step chain.  Each case pins the absence
+of the fork it names.
 """
+
+import dataclasses
 
 import pytest
 
 import repro.gpusim
 from repro import engine
+from repro.analysis import diagnostics
+from repro.fhe import modmath, noise, rns
+from repro.fhe.backend.reference import ReferenceBackend
+from repro.fhe.backend.stacked import StackedBackend
+from repro.fhe.ntt import BatchedNttContext, NttContext
 from repro.fhe.params import CkksParameters
 from repro.serve.server import _plan_fingerprint
 from repro.workloads import compile_workload, workload_names
@@ -58,3 +70,46 @@ def test_every_plan_has_a_fingerprint():
 
     with pytest.raises(ValueError, match="no artifact view"):
         _plan_fingerprint(Unfingerprintable())
+
+
+def test_mod_down_has_no_mode():
+    params = CkksParameters.toy()
+    for mode in ("exact", "approx"):
+        with pytest.raises(TypeError, match="mod_down_mode"):
+            dataclasses.replace(params, mod_down_mode=mode)
+        with pytest.raises(TypeError, match="mod_down_mode"):
+            rns.KeySwitchContext(params, 2, mod_down_mode=mode)
+    assert "HE131" not in diagnostics.CODES
+    for owner, names in (
+            (rns.KeySwitchContext, ["MOD_DOWN_MODES"]),
+            (rns, ["approx_moddown_quotient"]),
+            (rns.RnsBasis, ["convert_approx"]),
+            (modmath, ["stack_is_int64_safe"]),
+            (noise, ["mod_down_error_bound", "approx_mod_down_slot_error"]),
+            (ReferenceBackend, ["_lift_special_approx"]),
+            (StackedBackend, ["_lift_special_sweep"])):
+        for name in names:
+            assert not hasattr(owner, name), name
+
+
+def test_a_key_switch_context_binds_one_kernel_per_conversion():
+    ksctx = rns.KeySwitchContext(CkksParameters.toy(), 5)
+    for gone in ("modup_mode", "modup_int64", "modup_centered_weights",
+                 "modup_matmul_safe", "moddown_lift_matrix",
+                 "moddown_weights", "moddown_p_mod_q", "mod_down_mode",
+                 "mont"):
+        assert not hasattr(ksctx, gone), gone
+    assert isinstance(ksctx.modup_matmul, modmath.BoundModMatmul)
+    assert isinstance(ksctx.moddown_lift_matmul, modmath.BoundModMatmul)
+
+
+def test_a_stacked_transform_has_one_algorithm():
+    for gone in ("_forward_generic", "_inverse_generic", "_generic_twiddles",
+                 "_bind_shoup"):
+        assert not hasattr(BatchedNttContext, gone), gone
+    assert not {"psi_rev", "psi_inv_rev", "n_inv_col", "psi_rev_shoup",
+                "psi_inv_rev_shoup", "n_inv_shoup_col"} \
+        & set(BatchedNttContext._PER_ROW)
+    moduli = CkksParameters.toy().moduli[:2]
+    assert not hasattr(BatchedNttContext(moduli, 1 << 10), "psi_rev")
+    assert not hasattr(NttContext(moduli[0], 1 << 10), "mont")

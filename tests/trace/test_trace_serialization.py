@@ -1,5 +1,7 @@
 """OpTrace JSONL serialization: exact round-trip + the diff CLI."""
 
+import json
+
 import pytest
 
 from repro.fhe.params import CkksParameters
@@ -73,6 +75,35 @@ class TestRoundTrip:
         path.write_text('{"something": "else"}\n')
         with pytest.raises(ValueError, match="not an OpTrace"):
             OpTrace.load_jsonl(str(path))
+
+    @staticmethod
+    def _load_with_params(tmp_path, mutate):
+        trace = _record_toy_trace()
+        path = tmp_path / "toy.jsonl"
+        trace.save_jsonl(str(path))
+        head, rest = path.read_text().split("\n", 1)
+        header = json.loads(head)
+        mutate(header["params"])
+        path.write_text(json.dumps(header) + "\n" + rest)
+        return trace, OpTrace.load_jsonl(str(path))
+
+    def test_legacy_exact_mod_down_mode_is_dropped(self, tmp_path):
+        """Every JSONL trace written before the knob went carries it."""
+        trace, back = self._load_with_params(
+            tmp_path, lambda doc: doc.update(mod_down_mode="exact"))
+        assert back == trace
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda doc: doc.update(mod_down_mode="approx"),
+         "mod_down_mode.*approx.*removed"),
+        (lambda doc: doc.update(ring_dimension=1024),
+         "unknown key.*'ring_dimension'"),
+        (lambda doc: doc.pop("dnum"), "missing key.*'dnum'"),
+    ], ids=["approx", "unknown", "missing"])
+    def test_a_bad_params_document_is_a_value_error_naming_the_key(
+            self, tmp_path, mutate, message):
+        with pytest.raises(ValueError, match=message):
+            self._load_with_params(tmp_path, mutate)
 
 
 class TestDiffTool:
