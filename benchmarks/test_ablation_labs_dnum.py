@@ -31,11 +31,10 @@ def test_labs_schedule_benchmark(benchmark, boot_graph):
 
 def test_partitioner_beats_random_on_real_workload(boot_graph):
     """Multilevel GPP cuts far less traffic than random placement."""
-    undirected = boot_graph.to_undirected()
-    result = MultilevelPartitioner(15, seed=3).partition(undirected)
+    result = MultilevelPartitioner(15, seed=3).partition(boot_graph)
     rng = np.random.default_rng(0)
-    random_parts = {n: int(rng.integers(0, 15)) for n in undirected.nodes}
-    assert result.phi < 0.7 * cut_cost(undirected, random_parts)
+    random_parts = {n: int(rng.integers(0, 15)) for n in boot_graph.nodes}
+    assert result.phi < 0.7 * cut_cost(boot_graph, random_parts)
 
 
 def test_labs_reduces_workload_time(boot_graph):

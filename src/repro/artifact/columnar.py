@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from typing import Any
 
-import networkx as nx
 import numpy as np
 
 from repro.blocksim.blocks import BlockInstance, BlockType
+from repro.dag import DiGraph
 from repro.fhe.encoder import Plaintext
 from repro.fhe.params import CkksParameters
+from repro.fhe.poly import coeff_array
+from repro.fhe.rns import WORD_BOUND
 from repro.trace.ir import OpTrace, TraceOp
 
 from .format import ArtifactError, pack_arrays, unpack_arrays
@@ -247,7 +249,7 @@ _NODE_COLUMNAR_KEYS = frozenset({"op_id", "key", "hoist_group",
                                  "refresh", "keyswitch"})
 
 
-def encode_dag(graph: "nx.DiGraph") -> bytes:
+def encode_dag(graph: DiGraph) -> bytes:
     """Node + edge tables for one lowered BlockSim DAG.
 
     Node and edge file order is graph insertion order, which the
@@ -341,7 +343,7 @@ def _ks_encodable(value: Any) -> bool:
     return True
 
 
-def decode_dag(payload: bytes, where: str = "DAG") -> "nx.DiGraph":
+def decode_dag(payload: bytes, where: str = "DAG") -> DiGraph:
     """Rebuild the lowered DAG from its tables."""
     scalars, arrays = unpack_arrays(payload, where)
     n = int(scalars["num_nodes"])
@@ -353,7 +355,7 @@ def decode_dag(payload: bytes, where: str = "DAG") -> "nx.DiGraph":
         raise ArtifactError(f"{where}: node id table has "
                             f"{len(node_ids)} entries, expected {n}")
 
-    graph: nx.DiGraph = nx.DiGraph()
+    graph = DiGraph()
     for i, node_id in enumerate(node_ids):
         type_name = _lookup(types, int(arrays["type"][i]),
                             f"{where}: node {i} type")
@@ -402,6 +404,18 @@ def decode_dag(payload: bytes, where: str = "DAG") -> "nx.DiGraph":
 # plaintext payloads (real-mode replay)
 # ---------------------------------------------------------------------------
 
+def _wire_column(op_id: int, coeffs: "np.ndarray[Any, Any] | list[int]"
+                 ) -> np.ndarray[Any, Any]:
+    """One plaintext's coefficients as the int64 column the wire holds."""
+    column = coeff_array(coeffs)
+    beyond = np.flatnonzero((column < -WORD_BOUND) | (column >= WORD_BOUND))
+    if beyond.size:
+        raise ArtifactError(
+            f"payload for op {op_id}: coefficient {column[beyond[0]]} does "
+            "not fit the int64 wire format")
+    return column.astype(np.int64, copy=False)
+
+
 def encode_payloads(payloads: dict[int, object]) -> bytes | None:
     """Pack the real :class:`Plaintext` payloads; ``None`` if there are
     none (symbolic traces carry shape-only handles, which replay never
@@ -414,20 +428,12 @@ def encode_payloads(payloads: dict[int, object]) -> bytes | None:
     op_ids = np.array([op_id for op_id, _ in rows], dtype=np.int64)
     scales = np.array([pt.scale for _, pt in rows], dtype=np.float64)
     slots = np.array([pt.num_slots for _, pt in rows], dtype=np.int32)
+    columns = [_wire_column(op_id, pt.coeffs) for op_id, pt in rows]
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    coeffs: list[int] = []
-    bound = 1 << 62
-    for i, (op_id, pt) in enumerate(rows):
-        for c in pt.coeffs:
-            if not -bound <= c < bound:
-                raise ArtifactError(
-                    f"payload for op {op_id}: coefficient {c} does not "
-                    "fit the int64 wire format")
-        coeffs.extend(pt.coeffs)
-        offsets[i + 1] = len(coeffs)
+    np.cumsum([len(column) for column in columns], out=offsets[1:])
     arrays: dict[str, np.ndarray[Any, Any]] = {
         "op_id": op_ids, "scale": scales, "num_slots": slots,
-        "offsets": offsets, "coeffs": np.asarray(coeffs, dtype=np.int64),
+        "offsets": offsets, "coeffs": np.concatenate(columns),
     }
     return pack_arrays({"num_payloads": len(rows)}, arrays)
 
@@ -439,11 +445,12 @@ def decode_payloads(payload: bytes,
     n = int(scalars["num_payloads"])
     out: dict[int, Plaintext] = {}
     offsets = arrays["offsets"]
-    coeffs = arrays["coeffs"]
+    # Every plaintext is a slice of the one int64 column.
+    coeffs = arrays["coeffs"].astype(np.int64, copy=False)
     for i in range(n):
         start, stop = int(offsets[i]), int(offsets[i + 1])
         out[int(arrays["op_id"][i])] = Plaintext(
-            coeffs=[int(c) for c in coeffs[start:stop]],
+            coeffs=coeffs[start:stop],
             scale=float(arrays["scale"][i]),
             num_slots=int(arrays["num_slots"][i]))
     return out

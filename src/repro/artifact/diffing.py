@@ -30,8 +30,7 @@ from .reader import Artifact, read_artifact
 from .writer import build_header
 
 if TYPE_CHECKING:
-    import networkx as nx
-
+    from repro.dag import DiGraph
     from repro.engine.plan import ExecutablePlan
 
 
@@ -116,7 +115,7 @@ def _trace_structural_hash(trace: OpTrace) -> str:
     return digest.hexdigest()[:16]
 
 
-def _dag_structural_hash(graph: "nx.DiGraph") -> str:
+def _dag_structural_hash(graph: "DiGraph") -> str:
     digest = hashlib.sha256()
     for node_id in sorted(graph.nodes):
         block = graph.nodes[node_id]["block"]
@@ -165,7 +164,7 @@ def _diff_trace(a: OpTrace, b: OpTrace) -> BlockDiff:
     return block
 
 
-def _diff_dag(a: "nx.DiGraph", b: "nx.DiGraph") -> BlockDiff:
+def _diff_dag(a: "DiGraph", b: "DiGraph") -> BlockDiff:
     block = BlockDiff("DAG")
     types_a: Counter[str] = Counter(
         data["block"].block_type.value

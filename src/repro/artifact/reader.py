@@ -24,8 +24,7 @@ from .format import (ArtifactBlockType, ArtifactError, ArtifactFormatError,
                      UnknownBlockWarning, read_container, unpack_json)
 
 if TYPE_CHECKING:
-    import networkx as nx
-
+    from repro.dag import DiGraph
     from repro.engine.plan import ExecutablePlan
 
 
@@ -40,7 +39,7 @@ class Artifact:
 
     header: dict[str, Any]
     trace: OpTrace | None = None
-    graph: "nx.DiGraph | None" = None
+    graph: "DiGraph | None" = None
     provenance: dict[str, Any] | None = None
     payloads: dict[int, Any] = field(default_factory=dict)
     path: str | None = None

@@ -30,13 +30,12 @@ from .format import (CONTAINER_VERSION, ArtifactBlockType,
                      write_container)
 
 if TYPE_CHECKING:
-    import networkx as nx
-
+    from repro.dag import DiGraph
     from repro.engine.plan import ExecutablePlan
 
 
 def build_header(trace: OpTrace, *, kind: str,
-                 graph: "nx.DiGraph | None" = None,
+                 graph: "DiGraph | None" = None,
                  num_payloads: int = 0) -> dict[str, Any]:
     """The HEADER block document for one trace (and optional DAG)."""
     counts = {"ops": len(trace.ops), "payloads": num_payloads}

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
-import networkx as nx
-
+from repro import dag
 from repro.fhe.params import CkksParameters
 from repro.gme.cnoc import ConcentratedTorus, GlobalLds
 from repro.gme.features import FeatureSet
@@ -24,7 +23,7 @@ from .blocks import BlockCost, BlockCostModel, BlockInstance, BlockType
 from .metrics import WorkloadMetrics
 
 
-def make_block_node(graph: nx.DiGraph, instance: BlockInstance) -> str:
+def make_block_node(graph: dag.DiGraph, instance: BlockInstance) -> str:
     """Insert a block instance as a graph node; returns its id."""
     graph.add_node(instance.block_id, block=instance)
     return instance.block_id
@@ -51,7 +50,7 @@ class BlockGraphSimulator:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _order(self, graph: nx.DiGraph) -> list[Any]:
+    def _order(self, graph: dag.DiGraph) -> list[Any]:
         """The block issue order: a function of the graph, LABS on or
         off, the router count and the seed — of nothing else in the
         feature set, so one order serves a whole sweep (:meth:`run`'s
@@ -65,11 +64,11 @@ class BlockGraphSimulator:
                 seed=self.seed)
             return scheduler.order(graph, key_of=key_of)[0]
         # Greedy baseline: plain topological order (stream issue order).
-        return list(nx.topological_sort(graph))
+        return list(dag.topological_sort(graph))
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, graph: nx.DiGraph, name: str = "workload",
+    def run(self, graph: dag.DiGraph, name: str = "workload",
             record: list[dict[str, Any]] | None = None,
             order: list[Any] | None = None) -> WorkloadMetrics:
         """Execute the DAG; returns aggregate metrics.
@@ -173,7 +172,7 @@ class BlockGraphSimulator:
     def run_blocks(self, instances: list[BlockInstance],
                    name: str = "chain") -> WorkloadMetrics:
         """Convenience: run a linear chain of blocks."""
-        graph = nx.DiGraph()
+        graph = dag.DiGraph()
         prev = None
         for instance in instances:
             make_block_node(graph, instance)

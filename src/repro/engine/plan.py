@@ -27,10 +27,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-import networkx as nx
 import numpy as np
 
 from repro.blocksim import BlockGraphSimulator, WorkloadMetrics
+from repro.dag import DiGraph
 from repro.fhe.params import CkksParameters
 from repro.gme.features import FeatureSet
 from repro.trace import (DEFAULT_PASSES, OpKind, OpTrace,
@@ -135,7 +135,7 @@ class PlanExecution:
 class ExecutablePlan:
     """A compiled HE program: trace + lowered DAG + retargetable runs."""
 
-    def __init__(self, params: CkksParameters, graph: nx.DiGraph,
+    def __init__(self, params: CkksParameters, graph: DiGraph,
                  name: str, trace: OpTrace,
                  program: HeProgram | None = None,
                  passes: tuple = ()):

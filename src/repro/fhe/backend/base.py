@@ -33,7 +33,8 @@ from typing import Any
 
 import numpy as np
 
-from ..modmath import from_mont_vec, mont_mulmod_vec, to_mont_vec
+from ..modmath import (from_mont_vec, mont_mulmod_vec, reduce_vec,
+                       to_mont_vec)
 from ..ntt import NttContext, ntt_context
 from ..rns import KeySwitchContext
 
@@ -69,6 +70,13 @@ class ComputeBackend(abc.ABC):
     @abc.abstractmethod
     def concat_limbs(self, parts: list[Any]) -> Any:
         """Native storage holding the limbs of ``parts``, in order."""
+
+    def reduce_coeffs(self, coeffs: np.ndarray,
+                      moduli: tuple[int, ...]) -> Any:
+        """Native COEFF storage of one signed coefficient vector: limb i
+        is ``coeffs mod moduli[i]`` (int64 or object-dtype input)."""
+        return self.as_native([reduce_vec(coeffs, q) for q in moduli],
+                              moduli)
 
     # -- elementwise kernels ---------------------------------------------
 

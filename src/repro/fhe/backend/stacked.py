@@ -22,11 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from .. import modmath
-from ..modmath import (_as_object_array, addmod_stack, center_stack,
-                       from_mont_stack, mont_mulmod_stack, mulmod_stack,
-                       negmod_stack, rescale_constants, scalar_add_stack,
-                       scalar_mul_stack, stack_residues, submod_stack,
-                       to_mont_stack, unstack_residues)
+from ..modmath import (_as_object_array, _stack_native_ok, addmod_stack,
+                       center_stack, from_mont_stack, mont_mulmod_stack,
+                       mulmod_stack, negmod_stack, reduce_stack,
+                       rescale_constants, scalar_add_stack, scalar_mul_stack,
+                       stack_residues, submod_stack, to_mont_stack,
+                       unstack_residues)
 from ..ntt import BatchedNttContext, batched_ntt_context
 from ..rns import exact_moddown_quotient
 from .base import ComputeBackend
@@ -58,6 +59,13 @@ class StackedBackend(ComputeBackend):
 
     def concat_limbs(self, parts):
         return np.concatenate(parts)
+
+    def reduce_coeffs(self, coeffs, moduli):
+        if _stack_native_ok(moduli, coeffs):
+            # One sweep, (1, N) % (limbs, 1), straight into the stack.
+            return reduce_stack(coeffs.astype(np.int64, copy=False)[None],
+                                moduli)
+        return super().reduce_coeffs(coeffs, moduli)
 
     # -- elementwise kernels ---------------------------------------------
 

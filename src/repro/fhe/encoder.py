@@ -17,11 +17,33 @@ import numpy as np
 
 from .params import CkksParameters
 from .poly import PolyContext, Polynomial, Representation
+from .rns import WORD_BOUND
+
+
+def round_coeffs(coeffs: np.ndarray) -> np.ndarray | list[int]:
+    """Round float coefficients to integers, ties to even.
+
+    One int64 array where every coefficient is inside
+    :data:`~repro.fhe.rns.WORD_BOUND`: ``np.rint`` rounds as Python's
+    ``round`` does and a float of that size converts to int64 exactly,
+    so the array holds the integers ``int(round(c))`` would.  Anything
+    else — a coefficient at or past the bound, NaN (every comparison
+    with it is false), an infinity — takes the per-coefficient path,
+    which grows without bound and raises on a non-finite value instead
+    of wrapping it.
+    """
+    if np.abs(coeffs).max() < WORD_BOUND:
+        return np.rint(coeffs).astype(np.int64)
+    return [int(round(c)) for c in coeffs]
 
 
 @dataclass
 class Plaintext:
     """Encoded message: signed integer coefficients plus its scale.
+
+    ``coeffs`` is one int64 array wherever every coefficient fits the
+    wire format (:data:`~repro.fhe.rns.WORD_BOUND`), a list of Python
+    integers beyond (:func:`round_coeffs`).
 
     A plaintext that is an *operand* of PolyAdd / PolyMult is needed in
     EVAL form over the ciphertext's basis.  :meth:`as_eval` prepares that
@@ -34,7 +56,7 @@ class Plaintext:
     as the plaintext; its size is one ``(limbs, N)`` array per entry.
     """
 
-    coeffs: list[int]
+    coeffs: np.ndarray | list[int]
     scale: float
     num_slots: int
     _prepared: dict = field(default_factory=dict, init=False, repr=False,
@@ -102,8 +124,8 @@ class CkksEncoder:
         # a_k = (2*scale/N) * Re( sum_j z_j * zeta^{-e_j k} ), k < N.
         transform = np.fft.fft(spread)[:params.ring_degree]
         coeffs_float = (2.0 * scale / params.ring_degree) * transform.real
-        coeffs = [int(round(c)) for c in coeffs_float]
-        return Plaintext(coeffs=coeffs, scale=scale, num_slots=n)
+        return Plaintext(coeffs=round_coeffs(coeffs_float), scale=scale,
+                         num_slots=n)
 
     def decode(self, coeffs: np.ndarray | list[int] | list[float],
                scale: float) -> np.ndarray:
@@ -111,7 +133,9 @@ class CkksEncoder:
         params = self.params
         two_n = 2 * params.ring_degree
         arr = np.zeros(two_n, dtype=np.complex128)
-        arr[:params.ring_degree] = np.array([float(c) for c in coeffs])
+        # An int64 array, or Python integers of any size as a list or an
+        # object array: each rounds to nearest-even, as float(int) does.
+        arr[:params.ring_degree] = coeffs
         # z_j = conj( FFT_{2N}(a)[e_j] ) / scale  for real a.
         transform = np.fft.fft(arr)
         return np.conj(transform[self.slot_exponents]) / scale
@@ -126,7 +150,7 @@ class CkksEncoder:
         """
         params = self.params
         scale = float(scale if scale is not None else params.scale)
-        coeffs = [0] * params.ring_degree
-        coeffs[0] = int(round(scale * value))
-        return Plaintext(coeffs=coeffs, scale=scale,
+        coeffs = np.zeros(params.ring_degree)
+        coeffs[0] = scale * value
+        return Plaintext(coeffs=round_coeffs(coeffs), scale=scale,
                          num_slots=params.num_slots)

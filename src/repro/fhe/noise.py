@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.dag import topological_sort
+
 from .params import CkksParameters
 
 
@@ -88,10 +90,9 @@ def circuit_depth(graph) -> int:
     Nodes are :class:`repro.blocksim.blocks.BlockInstance`; HEMult,
     PolyMult, ScalarMult and HERescale consume a level each.
     """
-    import networkx as nx
     consuming = {"HEMult", "PolyMult", "ScalarMult", "HERescale"}
     depth: dict = {}
-    for node in nx.topological_sort(graph):
+    for node in topological_sort(graph):
         block = graph.nodes[node]["block"]
         own = 1 if block.block_type.value in consuming else 0
         best_pred = max((depth[p] for p in graph.predecessors(node)),

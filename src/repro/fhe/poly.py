@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .backend import create_backend, resolve_backend_name
-from .modmath import limb_dtype, random_residues, reduce_vec
+from .modmath import limb_dtype, random_residues
 from .ntt import NttContext, bit_reverse_permutation
 from .params import CkksParameters
 
@@ -66,6 +66,20 @@ def galois_tables(ring_degree: int, galois_element: int,
         flip = None
     src.setflags(write=False)
     return src, flip
+
+
+def coeff_array(coeffs: np.ndarray | list[int]) -> np.ndarray:
+    """Signed coefficients of any size as one array.
+
+    An int64 array (a :class:`~repro.fhe.encoder.Plaintext` inside the
+    word bound) is taken as it is and a list whose integers fit int64
+    becomes one; anything larger is lifted to a single object-dtype
+    array of Python integers.
+    """
+    try:
+        return np.asarray(coeffs, dtype=np.int64)
+    except (OverflowError, TypeError):
+        return np.array([int(c) for c in coeffs], dtype=object)
 
 
 class PolyContext:
@@ -120,36 +134,35 @@ class PolyContext:
         coeffs[positions] = signs
         return self.from_signed_coeffs(coeffs, moduli)
 
+    def gaussian_coeffs(self, sigma: float = 3.2) -> np.ndarray:
+        """Signed discrete-Gaussian error coefficients (one draw of N)."""
+        n = self.params.ring_degree
+        return np.rint(self.rng.normal(0.0, sigma, size=n)).astype(np.int64)
+
     def random_gaussian(self, moduli: Iterable[int],
                         sigma: float = 3.2) -> "Polynomial":
         """Discrete-Gaussian error polynomial (COEFF)."""
-        n = self.params.ring_degree
-        coeffs = np.rint(self.rng.normal(0.0, sigma, size=n)).astype(np.int64)
-        return self.from_signed_coeffs(coeffs, moduli)
+        return self.from_signed_coeffs(self.gaussian_coeffs(sigma), moduli)
 
     def from_signed_coeffs(self, coeffs: np.ndarray | list[int],
                            moduli: Iterable[int]) -> "Polynomial":
-        """Lift signed integer coefficients into each limb (COEFF)."""
-        moduli = tuple(moduli)
-        arr = np.asarray(coeffs)
-        limbs = [reduce_vec(arr, q) for q in moduli]
-        return Polynomial(self, limbs, moduli, Representation.COEFF)
+        """Lift signed integer coefficients into each limb (COEFF).
 
-    def from_big_coeffs(self, coeffs: list[int],
+        The array is reduced once against the whole basis, straight into
+        backend-native storage
+        (:meth:`~repro.fhe.backend.ComputeBackend.reduce_coeffs`).
+        """
+        moduli = tuple(moduli)
+        data = self.backend.reduce_coeffs(np.asarray(coeffs), moduli)
+        return Polynomial(self, data, moduli, Representation.COEFF)
+
+    def from_big_coeffs(self, coeffs: np.ndarray | list[int],
                         moduli: Iterable[int]) -> "Polynomial":
         """Lift arbitrary-precision signed coefficients (COEFF).
 
-        One vectorized reduction per limb: coefficients that fit int64 take
-        the machine path, anything larger is lifted to a single object-dtype
-        array first (no per-coefficient Python loop per limb).
+        One vectorized reduction over :func:`coeff_array` of them.
         """
-        moduli = tuple(moduli)
-        try:
-            arr = np.asarray(coeffs, dtype=np.int64)
-        except (OverflowError, TypeError):
-            arr = np.array([int(c) for c in coeffs], dtype=object)
-        limbs = [reduce_vec(arr, q) for q in moduli]
-        return Polynomial(self, limbs, moduli, Representation.COEFF)
+        return self.from_signed_coeffs(coeff_array(coeffs), moduli)
 
     def _zeros(self, q: int) -> np.ndarray:
         return np.zeros(self.params.ring_degree, dtype=limb_dtype(q))

@@ -29,6 +29,11 @@ from .modmath import (BoundModMatmul, BoundScalarMul, add_planes,
 _U32_MASK = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
+#: Integers strictly inside ``+-WORD_BOUND`` cross a batch's edges as
+#: int64 (the ``.rpa`` wire format's own bound on a coefficient); one
+#: beyond it takes the arbitrary-precision paths.
+WORD_BOUND = 1 << 62
+
 
 class RnsBasis:
     """An ordered basis of pairwise-coprime word-sized primes.
@@ -52,6 +57,12 @@ class RnsBasis:
                               for p, q in zip(self.punctured, primes)]
         self._hat_planes: list[np.ndarray] | None = None
         self._q_planes: tuple[np.ndarray, np.ndarray] | None = None
+        # For compose_centered_words: q_0^{-1} mod q_1, and the largest
+        # |d_1| that keeps |d_0 + d_1 * q_0| below WORD_BOUND.
+        if self.size > 1:
+            q0, q1 = primes[:2]
+            self._radix_inv = invmod(q0 % q1, q1)
+            self._digit_bound = (WORD_BOUND - 1 - q0 // 2) // q0
 
     def decompose(self, value: int) -> list[int]:
         """Big integer -> residue tuple (one residue per limb)."""
@@ -244,6 +255,45 @@ class RnsBasis:
         total = self._compose_total_vec(limbs)
         half = self.big_modulus // 2
         return np.where(total > half, total - self.big_modulus, total)
+
+    def compose_centered_words(self, limbs: "list[np.ndarray] | np.ndarray"
+                               ) -> np.ndarray | None:
+        """:meth:`compose_centered_vec` as one int64 array, or ``None``.
+
+        A decrypted message is small next to Q: its balanced mixed-radix
+        digits beyond the second are all zero.  So take the two lowest,
+        ``d_0 = [x_0]_{q_0}`` and ``d_1 = [(x_1 - d_0) * q_0^{-1}]_{q_1}``
+        (both centered), form the candidate ``v = d_0 + d_1 * q_0`` in
+        machine words and check it: ``v = x_i (mod q_i)`` on every
+        remaining limb makes v congruent to the composed value modulo Q,
+        and ``|v| <= (q_0 * q_1 - 1) / 2 < Q / 2`` (odd primes) makes it
+        *the* centered representative — the very integers the exact
+        composition returns, with no big integer in between.  With one
+        or two limbs there is nothing left to check.
+
+        Declines (``None``) wherever that cannot be shown from the data:
+        a ``|d_1|`` that could carry v past :data:`WORD_BOUND`, a limb v
+        disagrees with, object-dtype limbs or an object-tier basis.
+        ``limbs`` is a list of residue vectors or one ``(size, N)`` stack.
+        """
+        if stack_native_class(self.primes) == "object" or any(
+                limb.dtype == object for limb in limbs):
+            return None
+        q0 = self.primes[0]
+        v = limbs[0] - np.where(limbs[0] > q0 // 2, q0, 0)
+        if self.size == 1:
+            return v
+        q1 = self.primes[1]
+        d1 = mulmod_vec(submod_vec(limbs[1], reduce_vec(v, q1), q1),
+                        self._radix_inv, q1)
+        d1 -= np.where(d1 > q1 // 2, q1, 0)
+        if np.abs(d1).max() > self._digit_bound:
+            return None
+        v += d1 * q0
+        for limb, q in zip(limbs[2:], self.primes[2:]):
+            if not np.array_equal(v % q, limb):
+                return None
+        return v
 
     def convert_exact(self, limbs: list[np.ndarray],
                       target_primes: list[int]) -> list[np.ndarray]:

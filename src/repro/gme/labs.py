@@ -38,8 +38,9 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
-import networkx as nx
 import numpy as np
+
+from repro.dag import DiGraph
 
 from .cnoc import ConcentratedTorus
 
@@ -51,8 +52,8 @@ class WeightedGraph:
     """The part of a graph LABS reads: node weights and symmetric edge
     weights (default 1.0), as plain dicts.
 
-    Built from a networkx graph in the node and neighbour insertion
-    order of ``graph.to_undirected()`` without its deep copy of every
+    Built from a graph in the node and neighbour insertion order of
+    networkx's ``graph.to_undirected()`` without its deep copy of every
     node and edge payload, so heavy-edge ties, the shuffle stream and the
     refinement sweep see the order they always saw.
     """
@@ -63,9 +64,11 @@ class WeightedGraph:
         self.adj = adj
 
     @classmethod
-    def of(cls, graph: nx.Graph) -> WeightedGraph:
-        """The weights of a networkx graph, a directed one read as
-        undirected."""
+    def of(cls, graph: DiGraph) -> WeightedGraph:
+        """The weights of a :class:`~repro.dag.DiGraph` — or of anything
+        with its ``nodes(data=True)`` / ``adj`` / ``is_directed()``
+        surface, a networkx graph of either kind included — a directed
+        one read as undirected."""
         nodes = {node: data.get("weight", 1.0)
                  for node, data in graph.nodes(data=True)}
         if not graph.is_directed():
@@ -83,7 +86,7 @@ class WeightedGraph:
         return cls(nodes, adj)
 
     def edges(self) -> Iterator[Edge]:
-        """Every edge once, in ``nx.Graph.edges()`` order."""
+        """Every edge once, in ``networkx.Graph.edges()`` order."""
         seen: set[Any] = set()
         for u, nbrs in self.adj.items():
             for v, weight in nbrs.items():
@@ -100,12 +103,12 @@ def _cut(edges: Iterable[Edge], parts: dict[Any, int]) -> float:
     return total
 
 
-def cut_cost(graph: nx.Graph, parts: dict[Any, int]) -> float:
+def cut_cost(graph: DiGraph, parts: dict[Any, int]) -> float:
     """Phi: total weight of edges crossing partition boundaries."""
     return _cut(graph.edges(data="weight", default=1.0), parts)
 
 
-def mapping_cost(graph: nx.Graph, parts: dict[Any, int],
+def mapping_cost(graph: DiGraph, parts: dict[Any, int],
                  assignment: dict[int, int],
                  torus: ConcentratedTorus) -> float:
     """Gamma: cut weight scaled by torus hop distance of the mapping."""
@@ -155,7 +158,7 @@ class MultilevelPartitioner:
 
     # -- public API ----------------------------------------------------------
 
-    def partition(self, graph: nx.Graph) -> PartitionResult:
+    def partition(self, graph: DiGraph) -> PartitionResult:
         """Partition a weighted graph (a directed one by its undirected
         weights) into num_parts parts."""
         work = WeightedGraph.of(graph)
@@ -289,7 +292,7 @@ class SimulatedAnnealingMapper:
         self.iterations = iterations
         self.initial_temperature = initial_temperature
 
-    def map_parts(self, graph: nx.Graph,
+    def map_parts(self, graph: DiGraph,
                   parts: dict[Any, int]) -> dict[int, int]:
         """Return part -> router assignment minimizing Gamma."""
         num_parts = max(parts.values()) + 1 if parts else 0
@@ -381,7 +384,7 @@ class LabsScheduler:
         self.torus = torus or ConcentratedTorus()
         self.seed = seed
 
-    def order(self, block_graph: nx.DiGraph,
+    def order(self, block_graph: DiGraph,
               key_of: Callable[[Any], Any] | None = None,
               ) -> tuple[list[Any], PartitionResult]:
         """The ordering half: partition the block DAG, then order it.
@@ -399,7 +402,7 @@ class LabsScheduler:
         return self._affinity_topological_order(
             block_graph, result.parts, key_of), result
 
-    def place(self, block_graph: nx.DiGraph,
+    def place(self, block_graph: DiGraph,
               parts: dict[Any, int]) -> tuple[dict[Any, int], float]:
         """The mapping half: anneal the parts onto the torus; returns
         each block's router and the mapping's Gamma."""
@@ -410,7 +413,7 @@ class LabsScheduler:
         return block_router, mapping_cost(block_graph, parts, assignment,
                                           self.torus)
 
-    def schedule(self, block_graph: nx.DiGraph,
+    def schedule(self, block_graph: DiGraph,
                  key_of: Callable[[Any], Any] | None = None,
                  ) -> LabsSchedule:
         """Produce a locality-aware schedule for a block DAG: its
@@ -427,7 +430,7 @@ class LabsScheduler:
 
     @staticmethod
     def _affinity_topological_order(
-            graph: nx.DiGraph, parts: dict[Any, int],
+            graph: DiGraph, parts: dict[Any, int],
             key_of: Callable[[Any], Any] | None = None) -> list[Any]:
         """Kahn's algorithm; ready blocks from the active part go first,
         and among those, blocks sharing the active switching key."""

@@ -22,21 +22,20 @@ Invariants:
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.blocksim.blocks import BlockInstance, BlockType
+from repro.dag import DiGraph, is_directed_acyclic_graph
 from repro.fhe.params import CkksParameters
 
 #: Block types that perform a key switch.
 KEYSWITCH_BLOCKS = frozenset({BlockType.HE_MULT, BlockType.HE_ROTATE})
 
 
-def dag_violations(graph: nx.DiGraph,
+def dag_violations(graph: DiGraph,
                    params: CkksParameters | None = None,
                    require_keyswitch_meta: bool = False) -> list[str]:
     """All structural problems found in a workload DAG."""
     problems: list[str] = []
-    if not nx.is_directed_acyclic_graph(graph):
+    if not is_directed_acyclic_graph(graph):
         problems.append("graph contains a cycle")
     max_level = params.max_level if params is not None else None
     for node, data in graph.nodes(data=True):
@@ -74,7 +73,7 @@ def dag_violations(graph: nx.DiGraph,
     return problems
 
 
-def assert_workload_dag(graph: nx.DiGraph,
+def assert_workload_dag(graph: DiGraph,
                         params: CkksParameters | None = None,
                         require_keyswitch_meta: bool = False) -> None:
     """Raise ``AssertionError`` listing every violated invariant."""

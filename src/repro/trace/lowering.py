@@ -33,10 +33,9 @@ from __future__ import annotations
 
 from typing import Any
 
-import networkx as nx
-
 from repro.blocksim.blocks import (BlockInstance, BlockType,
                                    ciphertext_bytes)
+from repro.dag import DiGraph
 
 from .ir import KEYSWITCH_KINDS, TRANSPARENT_KINDS, OpKind, OpTrace, TraceOp
 
@@ -75,7 +74,7 @@ _KIND_STEM = {
 }
 
 
-def lower_trace(trace: OpTrace, prefix: str = "") -> nx.DiGraph:
+def lower_trace(trace: OpTrace, prefix: str = "") -> DiGraph:
     """Build the BlockSim DAG for one recorded execution.
 
     Convenience wrapper: expands implicit rescales first, then lowers.
@@ -86,10 +85,10 @@ def lower_trace(trace: OpTrace, prefix: str = "") -> nx.DiGraph:
     return lower_expanded_trace(expand_implicit_rescales(trace), prefix)
 
 
-def lower_expanded_trace(trace: OpTrace, prefix: str = "") -> nx.DiGraph:
+def lower_expanded_trace(trace: OpTrace, prefix: str = "") -> DiGraph:
     """Lower a trace whose implicit rescales are already expanded."""
     params = trace.params
-    graph = nx.DiGraph()
+    graph = DiGraph()
     # op id -> (node id or None, went-through-refresh flag)
     resolved: dict[int, tuple[str | None, bool]] = {}
     counters: dict[tuple[str, str], int] = {}

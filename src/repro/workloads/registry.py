@@ -29,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import networkx as nx
-
 from repro import engine
+from repro.dag import DiGraph
 from repro.fhe.params import CkksParameters
 
 from .programs import bootstrap_program, helr_program, resnet20_program
@@ -86,7 +85,7 @@ def workload_plans(params: CkksParameters | None = None
 
 
 def build_workload(name: str,
-                   params: CkksParameters | None = None) -> nx.DiGraph:
+                   params: CkksParameters | None = None) -> DiGraph:
     """The lowered BlockSim DAG of one workload."""
     return compile_workload(name, params).graph
 

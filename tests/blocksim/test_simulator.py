@@ -8,6 +8,7 @@ import pytest
 from repro.blocksim import (BlockGraphSimulator, BlockInstance, BlockType,
                             make_block_node)
 from repro.blocksim import calibration as cal
+from repro.dag import is_directed_acyclic_graph
 from repro.gme.features import BASELINE, FeatureSet, GME_FULL
 from repro.trace import OpKind
 from repro.workloads import compile_workload
@@ -93,7 +94,7 @@ class TestWorkloadGraphs:
     @pytest.mark.parametrize("name", ["boot", "helr", "resnet"])
     def test_graphs_are_dags(self, name):
         graph = compile_workload(name).graph
-        assert nx.is_directed_acyclic_graph(graph)
+        assert is_directed_acyclic_graph(graph)
         assert graph.number_of_nodes() > 50
         for node, data in graph.nodes(data=True):
             assert "block" in data, node

@@ -13,10 +13,9 @@ calls, 4 topological sorts and 6 500 deep copies.
 
 import copy
 
-import networkx as nx
 import pytest
 
-from repro import engine
+from repro import dag, engine
 from repro.blocksim.blocks import BlockCostModel
 from repro.fhe.params import CkksParameters
 from repro.gme import (LabsScheduler, MultilevelPartitioner,
@@ -54,18 +53,14 @@ class Budget:
                                 "partition")
         self.mappings = Calls(monkeypatch, SimulatedAnnealingMapper,
                               "map_parts")
-        self.sorts = Calls(monkeypatch, nx, "topological_sort")
-        # networkx binds ``deepcopy`` by name in the modules whose
-        # ``to_undirected()`` / ``copy()`` use it.
-        self.copies = [Calls(monkeypatch, module, "deepcopy")
-                       for module in (copy, nx.classes.graph,
-                                      nx.classes.digraph)]
+        self.sorts = Calls(monkeypatch, dag, "topological_sort")
+        self.copies = Calls(monkeypatch, copy, "deepcopy")
         self.builders = [Calls(monkeypatch, BlockCostModel._BUILDERS, kind)
                          for kind in list(BlockCostModel._BUILDERS)]
 
     @property
     def deep_copies(self) -> int:
-        return sum(calls.count for calls in self.copies)
+        return self.copies.count
 
     @property
     def builder_calls(self) -> int:

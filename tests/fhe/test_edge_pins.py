@@ -1,0 +1,304 @@
+"""What crosses a batch's two edges, pinned against the parent commit.
+
+``encode`` -> lift -> encrypt on the way in and decrypt -> compose ->
+``decode`` on the way out used to push each of the N coefficients
+through a Python integer; they now stay in int64 wherever the values
+allow.  The digests below were recorded at commit fd7307e (per-coefficient
+``int(round(c))``, ``compose_centered_vec`` through word planes,
+``[float(c) for c in ...]``) by running this very file
+(``python tests/fhe/test_edge_pins.py`` prints the tables), before any
+file under ``src/`` changed; they pass unchanged on both commits.
+
+Coefficients are hashed as ``','.join(str(int(c)) for c in pt.coeffs)``,
+so one pin reads a list of Python integers and an int64 array alike.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.fhe import CkksContext, CkksEncoder, CkksParameters
+from repro.fhe.packing import SlotLayout
+from repro.serve.workloads import ServedWorkload, scoring_workload
+from test_parent_digests import PRESETS as _TWO
+
+PRESETS = {**_TWO, "test": CkksParameters.test}
+BACKENDS = ("stacked", "reference")
+WIDTH = 16
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# -- encode ------------------------------------------------------------------
+
+def _uniform(params, seed=11):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, params.num_slots)
+
+
+def _complex(params):
+    rng = np.random.default_rng(12)
+    n = params.num_slots
+    return rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+
+
+def _encodings(params):
+    """``name -> [Plaintext, ...]`` for one parameter set."""
+    enc = CkksEncoder(params)
+    n, scale = params.num_slots, params.scale
+    # A constant vector v embeds as the constant polynomial scale * v,
+    # exactly: coefficient 0 lands on a .5 tie, either sign, odd and even.
+    ties = [k + 0.5 for k in range(-4, 4)]
+    return {
+        "uniform": [enc.encode(_uniform(params))],
+        "complex": [enc.encode(_complex(params))],
+        "short": [enc.encode([1.5, -2.5, 0.125])],
+        "zeros": [enc.encode(np.zeros(n))],
+        "ties": [enc.encode([t / scale] * n) for t in ties],
+        "other_scale": [enc.encode(_uniform(params), scale=2.0 ** 40)],
+        # Beyond the int64 wire bound: the big-integer path.
+        "scale_2_80": [enc.encode(_uniform(params), scale=2.0 ** 80)],
+        # Either side of 2**62: the last float below it, then 2**62.
+        "below_2_62": [enc.encode([1.0 - 2.0 ** -53] * n, scale=2.0 ** 62)],
+        "at_2_62": [enc.encode([1.0] * n, scale=2.0 ** 62),
+                    enc.encode([-1.0] * n, scale=2.0 ** 62)],
+    }
+
+
+def _encode_digest(plaintexts) -> str:
+    sha = hashlib.sha256()
+    for pt in plaintexts:
+        sha.update(f"{pt.scale!r}:{pt.num_slots}:{len(pt.coeffs)};".encode())
+        sha.update(",".join(str(int(c)) for c in pt.coeffs).encode())
+    return sha.hexdigest()
+
+
+ENCODE_PINS = {
+    ("pw54", "at_2_62"):
+        "f1b69fb6cac47f51133ef4218313bc99c09b41c5045f653692ddded6a110c279",
+    ("pw54", "below_2_62"):
+        "71c445b4bade4bd38dfe128003dbc775951bc2943922498b6f51c1768fb736ef",
+    ("pw54", "complex"):
+        "4c25efc74e9bd63303e2c143c3f2d61fd2b5bfd72645a392d7a2af222dbd3bef",
+    ("pw54", "other_scale"):
+        "3ba7b8cdca6a24e78f9f811a300db86d3cf9782d434a78245ba16945f4c0412d",
+    ("pw54", "scale_2_80"):
+        "2f4de661d742765c24195d55cd05b75fa0f4623e22cd424f43db3e13c37f56c9",
+    ("pw54", "short"):
+        "7d39402f0998d0d384666c51fddc8435a3934e0a06462dd913d00202e0b3de92",
+    ("pw54", "ties"):
+        "f13d4eedf48ce7c05e08707e8da4ed44a7c78613e36c631be28acfe9ccd45f8c",
+    ("pw54", "uniform"):
+        "56ed6510e5d0d0b109876157fd28d5f66e3f32381250f9c16ba4f3653af65c4a",
+    ("pw54", "zeros"):
+        "4e709466fb3cf4ac265f09ebb1ad47d978d362e8f8c59f21145c37186567693c",
+    ("test", "at_2_62"):
+        "ab790a72849abef9155fd22f0aca168dd868a91e45104771df1c87eded43d15a",
+    ("test", "below_2_62"):
+        "3fa09f696218f647cdef6511e36af437081f33270a32e3f0e37059b2fd127964",
+    ("test", "complex"):
+        "a8f6fe1c30c45e6f9cc22165779f568065662a066e30eca1e4f280a29114b420",
+    ("test", "other_scale"):
+        "438833ca77429c1f57ed10e33ce90c19d3e745708b12ac868c98f985c2316789",
+    ("test", "scale_2_80"):
+        "8b4f9be3abebec363b051c5372af7725edd2fcbeb0574652ecdec8da3b05ae13",
+    ("test", "short"):
+        "f402875a6a3417d3323460675f68935cc22d575433b60e305b64a58c935a5143",
+    ("test", "ties"):
+        "0d4b437b6b2b6a60f1d7cf7c2fa550f9d825744e142f092a15676bfcb2d6039d",
+    ("test", "uniform"):
+        "b726ac70b4429edcc85ca48917f196a7dda83e6354ae6d1d744d24050ec0d206",
+    ("test", "zeros"):
+        "b12b101037039484ad09e2f1dae50a6e24e9efc43c4ee1cb3d124d12444bfb24",
+    ("toy", "at_2_62"):
+        "f1b69fb6cac47f51133ef4218313bc99c09b41c5045f653692ddded6a110c279",
+    ("toy", "below_2_62"):
+        "71c445b4bade4bd38dfe128003dbc775951bc2943922498b6f51c1768fb736ef",
+    ("toy", "complex"):
+        "18c1ed515fc98b10d2ee26a5ee8bb6992ba9bc9fad61f564fdc42cab4d681779",
+    ("toy", "other_scale"):
+        "3ba7b8cdca6a24e78f9f811a300db86d3cf9782d434a78245ba16945f4c0412d",
+    ("toy", "scale_2_80"):
+        "2f4de661d742765c24195d55cd05b75fa0f4623e22cd424f43db3e13c37f56c9",
+    ("toy", "short"):
+        "aad4b9f8dfbe792c53b4624d9f19660fc57e0b3431161bba8b5dae78b470fb5b",
+    ("toy", "ties"):
+        "34b74ba887e1de6e5da294e325a323799bdbe4162718c4642d5b629063274106",
+    ("toy", "uniform"):
+        "bec6724fc35c7dc76938eb6a035d5ecbb56e0d71061d645979b170da408e9e5c",
+    ("toy", "zeros"):
+        "3ce5f350974ea43c4305aa8cbaab5e33b52f58e160974434736b2b5c118f13e6",
+}
+
+
+# -- encrypt -----------------------------------------------------------------
+
+def _ct_digest(ciphertexts) -> str:
+    sha = hashlib.sha256()
+    for ct in ciphertexts:
+        sha.update(f"{ct.level}:{ct.scale!r};".encode())
+        for poly in (ct.c0, ct.c1):
+            for limb in poly.limbs:
+                sha.update(np.ascontiguousarray(limb, dtype=np.int64)
+                           .tobytes())
+    return sha.hexdigest()
+
+
+def _levels(params):
+    return sorted({params.max_level, 3, 0}, reverse=True)
+
+
+def _encrypt_digest(params, backend) -> str:
+    """Five encryptions off one seeded context: the RNG draw order is
+    part of the pin."""
+    ctx = CkksContext(params, seed=123, backend=backend)
+    cts = [ctx.encrypt(_uniform(params), level=level)
+           for level in _levels(params)]
+    cts.append(ctx.encrypt(_complex(params)))
+    cts.append(ctx.encrypt(_uniform(params), scale=2.0 ** 80))
+    return _ct_digest(cts)
+
+
+ENCRYPT_PINS = {
+    "pw54":
+        "864f595065eba36ef059ddfa9a3a826f368a557c40ddc82ed09c837ccf98d2ba",
+    "test":
+        "b2e38036a727d6e51edcfe5fdd71075eba0ae7bf8094d2f2f8f78dc7e84792ed",
+    "toy":
+        "59d851e22643b17dccb2f3c2122c7ccac38737e8c2a26692e73bc0ee47c05524",
+}
+
+
+# -- decrypt -----------------------------------------------------------------
+
+_AFFINE = tuple(np.linspace(lo, hi, WIDTH) for lo, hi in
+                ((0.5, 1.0), (-0.5, 0.5), (1.0, 0.25), (0.25, -0.25)))
+
+
+def _affine_workload() -> ServedWorkload:
+    """``bench``'s key-switch-free lane: ``(x*a + b)*c + d`` slot-wise."""
+
+    def build(layout: SlotLayout):
+        a, b, c, d = (np.tile(v, layout.capacity) for v in _AFFINE)
+
+        def affine(ev, ct):
+            encode = ev.encoder.encode
+            y = ev.poly_mult(ct, encode(a), rescale=True)
+            y = ev.poly_add(y, encode(b, y.scale))
+            y = ev.poly_mult(y, encode(c), rescale=True)
+            return ev.poly_add(y, encode(d, y.scale))
+
+        return affine
+
+    return ServedWorkload(name=f"affine-w{WIDTH}", width=WIDTH,
+                          build_program=build, result_slots=WIDTH)
+
+
+PLANS = {"scoring": lambda: scoring_workload(WIDTH),
+         "affine": _affine_workload}
+
+
+def _decrypt_digests(params, backend) -> dict[str, str]:
+    """``case -> sha256(ctx.decrypt(ct).tobytes())`` off one context."""
+    ctx = CkksContext(params, seed=123, backend=backend)
+    out = {}
+    for level in _levels(params):
+        ct = ctx.encrypt(_uniform(params), level=level)
+        out[f"fresh_l{level}"] = _sha(ctx.decrypt(ct).tobytes())
+    ct = ctx.encrypt(_complex(params))
+    out["fresh_complex"] = _sha(ctx.decrypt(ct).tobytes())
+    # Coefficients past 2**62: the exact composition.
+    ct = ctx.encrypt(_uniform(params), scale=2.0 ** 80)
+    out["fresh_2_80"] = _sha(ctx.decrypt(ct).tobytes())
+    if params.ring_degree == 1 << 10:
+        for name, workload in PLANS.items():
+            plan = workload().compile(params)
+            ct = ctx.encrypt(_uniform(params, seed=7))
+            result = plan.execute(ctx, sources=[ct]).output
+            out[name] = _sha(ctx.decrypt(result).tobytes())
+    return out
+
+
+DECRYPT_PINS = {
+    ("pw54", "affine"):
+        "c9e34822ac1559173d0514dd595cea72825b777da0e72573c9dfa1f8f3fd7cf8",
+    ("pw54", "fresh_2_80"):
+        "a99eda04a1557fee4a170796f67ebbf6b4e72e01aa40ebdd852f544293d617f4",
+    ("pw54", "fresh_complex"):
+        "ef044198b7fdaca1956d3c15cbbaca581760c51c47213b49ab6b186cadbee05f",
+    ("pw54", "fresh_l0"):
+        "c669cbb4eb713f41b185e72b3ca2a653a25149062c6832fee8ed1a7cfdd78ebb",
+    ("pw54", "fresh_l3"):
+        "3c5ab819e4ca7aaa25ae0a95a4b3b0303ad2809422e5d764a3f11e9834316bed",
+    ("pw54", "fresh_l5"):
+        "6e4425e15d6d213443dc6b4d9ae8a8440e2b266cc8d7e0ba5ae12a6554eef55d",
+    ("pw54", "scoring"):
+        "45f61c24d5618ea015c7c845287d4d2558b2cb5b02c60ae5295bdc295bd36161",
+    ("test", "fresh_2_80"):
+        "83ee663c0d59ea86e549cdd7d744ac08de9bc54b44c16502b5dc27e187970cd5",
+    ("test", "fresh_complex"):
+        "7c25c22809559ef691111c02e6a231d9a42458cca610b62bb178772409cb54de",
+    ("test", "fresh_l0"):
+        "eea7ad508c4a250fddbf1cfbc39072d7c6aba6515922993bec30be6f9ea7a7bd",
+    ("test", "fresh_l3"):
+        "070f978a8f55de079a533ae086243eac38e574e2e49a69b797ac4f7270c67c4c",
+    ("test", "fresh_l7"):
+        "a8260bb19ec00a43177b08178f76679a6d8c0aa8c79f9580a40e4334b14a9628",
+    ("toy", "affine"):
+        "f8e27fe4388be78fb652f1c66ed61d9af65fc5cbfff12dbdbe9ae6d430397a85",
+    ("toy", "fresh_2_80"):
+        "25eea560d655a1afacf1535366ae06dbcefba68318e3ebab05cc7e1fc00dd9ea",
+    ("toy", "fresh_complex"):
+        "bf769edf84b58196642d502047dfc9a6d6a58c0ea1d27e7b8b00fd6d1030242e",
+    ("toy", "fresh_l0"):
+        "4eed4b520f3f6abea241f8fee4c092e72e1ba3aa047d1161fc7f20d251acd435",
+    ("toy", "fresh_l3"):
+        "2383d6ced1dab4f3098c6dae5fff41c925efc4843d8b2a46c4a8ba79f06f3c0d",
+    ("toy", "fresh_l5"):
+        "cd11c558b0683619bd3ad51dd2c25e406015c53e05e392c9ee5c232b035b8e22",
+    ("toy", "scoring"):
+        "eec481e32cf045a27100174eecb9b6642547092ff7274a1b8acca6fdaf5ef818",
+}
+
+
+# -- tests -------------------------------------------------------------------
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_encode_coefficients_match_the_parent_commit(preset):
+    got = {(preset, name): _encode_digest(pts)
+           for name, pts in _encodings(PRESETS[preset]()).items()}
+    assert got == {key: pin for key, pin in ENCODE_PINS.items()
+                   if key[0] == preset}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_encrypt_bits_match_the_parent_commit(preset, backend):
+    assert _encrypt_digest(PRESETS[preset](), backend) \
+        == ENCRYPT_PINS[preset]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_decrypted_bytes_match_the_parent_commit(preset, backend):
+    got = _decrypt_digests(PRESETS[preset](), backend)
+    assert got == {name: pin for (p, name), pin in DECRYPT_PINS.items()
+                   if p == preset}
+
+
+if __name__ == "__main__":  # pragma: no cover - re-pin deliberately
+    import pprint
+    encode, encrypt, decrypt = {}, {}, {}
+    for preset, build in sorted(PRESETS.items()):
+        params = build()
+        for name, pts in _encodings(params).items():
+            encode[(preset, name)] = _encode_digest(pts)
+        encrypt[preset] = _encrypt_digest(params, "stacked")
+        for name, digest in _decrypt_digests(params, "stacked").items():
+            decrypt[(preset, name)] = digest
+    for title, table in (("ENCODE_PINS", encode), ("ENCRYPT_PINS", encrypt),
+                         ("DECRYPT_PINS", decrypt)):
+        print(f"{title} = ", end="")
+        pprint.pprint(table, width=79)

@@ -55,8 +55,13 @@ class TestRoundtrip:
 
 class TestStructure:
     def test_coefficients_are_integers(self, encoder):
+        """Either representation: one int64 array inside the word
+        bound, Python integers beyond it."""
         pt = encoder.encode([1.5, -2.5])
-        assert all(isinstance(c, int) for c in pt.coeffs)
+        assert isinstance(pt.coeffs, np.ndarray)
+        assert pt.coeffs.dtype == np.int64
+        big = encoder.encode([1.5, -2.5], scale=2.0 ** 80)
+        assert all(isinstance(c, int) for c in big.coeffs)
 
     def test_encoding_is_additive(self, encoder):
         """encode(a) + encode(b) decodes to a + b (linearity)."""

@@ -21,7 +21,8 @@ the object tier is the per-limb oracle, one call per row.
 import numpy as np
 import pytest
 
-from repro.fhe import CkksContext, ntt, rns
+from repro.fhe import CkksContext, encoder, modmath, ntt, rns
+from repro.fhe.backend.stacked import StackedBackend
 from repro.fhe.keys import key_switch
 from repro.fhe.modmath import BoundModMatmul, force_object_dtype
 from repro.fhe.ntt import BatchedNttContext, NttContext
@@ -130,3 +131,58 @@ def test_a_forced_object_transform_is_one_oracle_call_per_row(
         got = ctx.forward(stack)
     assert (forward.count, matmul.count) == (rows, 0)
     assert got.dtype == object and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_a_warm_edge_never_leaves_machine_words(preset, monkeypatch):
+    """encode -> lift -> encrypt and decrypt -> compose -> decode used to
+    push each coefficient through a Python integer (``int(round(c))``, a
+    fresh ``RnsBasis``, word planes, ``join_words``, ``[float(c)]``);
+    a message-sized batch now crosses both edges in int64, with the same
+    transforms as ever: three forward over L + 1 rows each, one inverse
+    over l + 1."""
+    params = PRESETS[preset]()
+    ctx = CkksContext(params, seed=5, backend="stacked")
+    values = np.random.default_rng(8).uniform(-1, 1, params.num_slots)
+    low = ctx.encrypt(values, level=2)
+    want = ctx.decrypt(low)                         # warms level 2's basis
+    ctx.decrypt(ctx.encrypt(values))                # ... and level L's
+    counted = [
+        Calls(monkeypatch, rns, "join_words"),
+        Calls(monkeypatch, rns, "split_words"),
+        Calls(monkeypatch, rns.RnsBasis, "_compose_planes"),
+        Calls(monkeypatch, rns.RnsBasis, "compose_centered_vec"),
+        Calls(monkeypatch, rns.RnsBasis, "__init__"),
+        Calls(monkeypatch, modmath, "_as_object_array"),
+    ]
+    rounds = []
+    monkeypatch.setattr(encoder, "round", rounds.append, raising=False)
+    crossed = []                       # dtype of what crosses each seam
+    transforms = {"ntt_forward": [], "ntt_inverse": []}
+
+    def spy(owner, name, note):
+        original = getattr(owner, name)
+
+        def spying(self, data, *args):
+            note(data)
+            return original(self, data, *args)
+
+        monkeypatch.setattr(owner, name, spying)
+
+    spy(StackedBackend, "reduce_coeffs", lambda a: crossed.append(a.dtype))
+    spy(encoder.CkksEncoder, "decode", lambda a: crossed.append(a.dtype))
+    for name, rows in transforms.items():
+        spy(StackedBackend, name, lambda data, rows=rows:
+            rows.append(len(data)))
+
+    fresh = ctx.encrypt(values)
+    assert transforms == {"ntt_forward": [params.max_level + 1] * 3,
+                          "ntt_inverse": []}
+    ctx.decrypt(fresh)
+    got = ctx.decrypt(low)
+    assert transforms["ntt_inverse"] == [params.max_level + 1, 3]
+    assert len(transforms["ntt_forward"]) == 3
+    assert [c.count for c in counted] == [0] * len(counted)
+    assert rounds == []
+    assert crossed == [np.int64] * 5               # 3 lifts, 2 decodes
+    assert got.tobytes() == want.tobytes()

@@ -1,10 +1,10 @@
 """Lowering tests: trace -> BlockSim DAG, and the full round trip."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro.blocksim import BlockGraphSimulator, BlockType
+from repro.dag import is_directed_acyclic_graph
 from repro.fhe import CkksContext
 from repro.fhe.params import CkksParameters
 from repro.gme.features import GME_FULL, cumulative_configs
@@ -89,7 +89,7 @@ class TestLowering:
                        if b.block_type is BlockType.HE_RESCALE)
         params = sym.params
         expected = 2 * 5 * params.ring_degree * params.prime_bits / 8
-        assert graph[mult][rescale]["bytes"] == pytest.approx(expected)
+        assert graph.edges[mult, rescale]["bytes"] == pytest.approx(expected)
 
     def test_prefix_and_regions_name_nodes(self, sym):
         with sym.region("stage0"):
@@ -157,6 +157,6 @@ class TestRoundTrip:
                                                       traced_conv):
         tev, *_ = traced_conv
         graph = lower_trace(tev.trace)
-        assert nx.is_directed_acyclic_graph(graph)
+        assert is_directed_acyclic_graph(graph)
         assert all(d["bytes"] > 0
                    for _, _, d in graph.edges(data=True))
