@@ -22,8 +22,9 @@ from typing import Callable, Iterable, Sequence
 from repro.fhe.noise import NOISE_FLOOR_LOG2
 from repro.fhe.params import CkksParameters
 from repro.gme.features import GME_FULL, FeatureSet
-from repro.trace.ir import (KEYSWITCH_KINDS, TRANSPARENT_KINDS, OpKind,
-                            OpTrace, TraceOp)
+from repro.trace.ir import OpKind, OpTrace, TraceOp
+from repro.trace.ops import (MAX_SCALE, OPS, expected_out_level, key_id,
+                             structural_problems)
 
 from .diagnostics import Diagnostic, DiagnosticReport, make
 
@@ -38,13 +39,9 @@ ADD_SCALE_TOLERANCE_LOG2 = 8.0
 #: 4 bits flags only sustained one-directional drift.
 RESCALE_DRIFT_TOLERANCE_LOG2 = 4.0
 
-#: Kinds whose output scale should equal max(input scales) (additive).
-_ADDITIVE_KINDS = frozenset({OpKind.HE_ADD, OpKind.HE_SUB,
-                             OpKind.POLY_ADD, OpKind.SCALAR_ADD})
-
-#: Kinds that multiply two ciphertext/plaintext scales together.
-_MULTIPLICATIVE_KINDS = frozenset({OpKind.HE_MULT, OpKind.HE_SQUARE,
-                                   OpKind.POLY_MULT, OpKind.SCALAR_MULT})
+#: What a key-switch op with a fixed key id is called in HE020.
+_FIXED_KEY_WORDS = {"relin": ("multiply", "products"),
+                    "conj": ("conjugate", "conjugation")}
 
 
 def _log2_q_at(params: CkksParameters, level: int) -> float:
@@ -65,18 +62,8 @@ def check_structure(trace: OpTrace) -> list[Diagnostic]:
     """HE050: structural invariants every other check relies on."""
     findings: list[Diagnostic] = []
     for position, op in enumerate(trace.ops):
-        if op.op_id != position:
-            findings.append(make(
-                "HE050", f"op_id {op.op_id} at position {position}; ids "
-                "must be dense and ordered", op))
-        if op.kind is OpKind.SOURCE and op.inputs:
-            findings.append(make(
-                "HE050", f"source op has inputs {op.inputs}", op))
-        for input_id in op.inputs:
-            if not 0 <= input_id < position:
-                findings.append(make(
-                    "HE050", f"input {input_id} does not reference an "
-                    "earlier op", op))
+        findings.extend(make("HE050", problem, op)
+                        for problem in structural_problems(op, position))
     if (trace.output_op_id is not None
             and not 0 <= trace.output_op_id < len(trace.ops)):
         findings.append(make(
@@ -110,7 +97,7 @@ def check_levels(trace: OpTrace) -> list[Diagnostic]:
                 "HE001", "rescale at level 0 has no limb left to drop",
                 op))
             continue
-        if (op.kind in _MULTIPLICATIVE_KINDS and op.level == 0
+        if (OPS[op.kind].fused_rescale and op.level == 0
                 and op.meta.get("rescaled")):
             findings.append(make(
                 "HE001", "fused multiply+rescale at level 0 has no limb "
@@ -125,28 +112,14 @@ def check_levels(trace: OpTrace) -> list[Diagnostic]:
                     f"sit at level {operand_level}", op))
                 continue
         # output level must follow the kind's rule
-        expected = _expected_out_level(op, max_level)
+        expected = expected_out_level(OPS[op.kind], op.level, op.meta,
+                                      max_level)
         if expected is not None and op.out_level != expected:
             findings.append(make(
                 "HE002", f"out_level {op.out_level} but a "
                 f"{op.kind.value} at level {op.level} must produce "
                 f"level {expected}", op))
     return findings
-
-
-def _expected_out_level(op: TraceOp, max_level: int) -> int | None:
-    if op.kind is OpKind.REFRESH:
-        return None  # resets to the level the program asked for
-    if op.kind is OpKind.RESCALE:
-        return op.level - 1
-    if op.kind is OpKind.MOD_DROP:
-        levels = op.meta.get("levels", 1)
-        return op.level - int(levels)
-    if op.kind is OpKind.MOD_RAISE:
-        return max_level
-    if op.kind in _MULTIPLICATIVE_KINDS and op.meta.get("rescaled"):
-        return op.level - 1
-    return op.level
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +173,7 @@ def check_scales(trace: OpTrace) -> list[Diagnostic]:
                 f"2^{NOISE_FLOOR_LOG2:.0f} noise floor; the message is "
                 "lost in rescale rounding noise", op))
             continue
-        if op.kind in _ADDITIVE_KINDS and len(op.inputs) == 2:
+        if OPS[op.kind].scale is MAX_SCALE:
             in_scales = [s for s in (_log2_scale(trace.op(i))
                                      for i in op.inputs)
                          if s is not None]
@@ -234,7 +207,7 @@ def check_keys(trace: OpTrace,
     params = trace.params
     key_set = set(available_keys) if available_keys is not None else None
     for op in trace.ops:
-        if op.kind not in KEYSWITCH_KINDS:
+        if OPS[op.kind].key is None:
             continue
         if op.key is None:
             findings.append(make(
@@ -247,17 +220,14 @@ def check_keys(trace: OpTrace,
 
 def _check_key_id(op: TraceOp, params: CkksParameters,
                   key_set: set[str] | None) -> list[Diagnostic]:
-    key = op.key
-    assert key is not None
-    if op.kind in (OpKind.HE_MULT, OpKind.HE_SQUARE):
-        if key != "relin":
-            return [make("HE020", f"multiply names key {key!r}; only "
-                         "'relin' exists for products", op)]
-    elif op.kind is OpKind.CONJUGATE:
-        if key != "conj":
-            return [make("HE020", f"conjugate names key {key!r}; only "
-                         "'conj' exists for conjugation", op)]
-    else:  # HE_ROTATE
+    key, spec = op.key, OPS[op.kind]
+    assert key is not None and spec.key is not None
+    if spec.key in _FIXED_KEY_WORDS:
+        if key != key_id(spec, op.meta):
+            noun, what = _FIXED_KEY_WORDS[spec.key]
+            return [make("HE020", f"{noun} names key {key!r}; only "
+                         f"{spec.key!r} exists for {what}", op)]
+    else:  # a rotation key, rot-<amount>
         prefix, _, amount_str = key.partition("-")
         if prefix != "rot" or not amount_str.isdigit():
             return [make("HE020", f"malformed rotation key id {key!r} "
@@ -281,7 +251,7 @@ def _check_ks_shape(op: TraceOp, params: CkksParameters
                     ) -> list[Diagnostic]:
     if not 0 <= op.level <= params.max_level:
         return []  # level checks already flagged it
-    expected_digits = math.ceil((op.level + 1) / params.alpha)
+    expected_digits = params.digits_at(op.level)
     findings: list[Diagnostic] = []
     dnum = op.meta.get("dnum")
     if dnum is not None and int(dnum) != params.dnum:
@@ -366,7 +336,7 @@ def check_hoists(trace: OpTrace,
 
     buckets: dict[tuple[int, int], list[TraceOp]] = {}
     for op in trace.ops:
-        if op.kind not in (OpKind.HE_ROTATE, OpKind.CONJUGATE):
+        if OPS[op.kind].hoisted_method is None:
             continue
         if len(op.inputs) != 1:
             continue

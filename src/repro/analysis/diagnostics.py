@@ -98,8 +98,9 @@ CODES: dict[str, CodeInfo] = dict([
           "rotation contract of repro.fhe.packing.SlotLayout."),
     _info("HE050", Severity.ERROR, "malformed trace",
           "The trace violates a structural invariant (op ids not dense "
-          "and ordered, inputs referencing non-earlier ops, sources "
-          "with inputs); data-flow checks are skipped."),
+          "and ordered, inputs referencing non-earlier ops, an input "
+          "count other than the op table's); data-flow checks are "
+          "skipped."),
     _info("HE110", Severity.WARNING, "scale drift",
           "A rescale output's scale deviates from the encoding scale "
           "Delta by more than the drift tolerance; precision degrades "

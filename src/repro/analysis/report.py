@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.trace.ir import KEYSWITCH_KINDS, TRANSPARENT_KINDS, OpTrace
+from repro.trace.ir import OpTrace
+from repro.trace.ops import OPS
 
 from .checks import lint_trace
 from .diagnostics import DiagnosticReport
@@ -23,10 +24,9 @@ def op_mix(trace: OpTrace) -> dict[str, Any]:
     counts = {kind.value: count
               for kind, count in sorted(trace.counts_by_kind().items(),
                                         key=lambda kv: kv[0].value)}
-    keyswitches = sum(1 for op in trace.ops
-                      if op.kind in KEYSWITCH_KINDS)
+    keyswitches = len(trace.keyswitch_ops())
     block_ops = sum(1 for op in trace.ops
-                    if op.kind not in TRANSPARENT_KINDS)
+                    if OPS[op.kind].block is not None)
     levels = [op.level for op in trace.ops]
     hoist_groups = {op.hoist_group for op in trace.ops
                     if op.hoist_group is not None}

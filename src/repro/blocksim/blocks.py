@@ -116,7 +116,7 @@ class BlockCostModel:
 
     def switching_key_bytes(self, level: int) -> float:
         """Key material streamed for one key switch at ``level``."""
-        num_digits = math.ceil((level + 1) / self.params.alpha)
+        num_digits = self.params.digits_at(level)
         raised = (level + 1) + self.params.num_special_limbs
         return num_digits * 2 * raised * self.limb_bytes()
 
@@ -195,7 +195,7 @@ class BlockCostModel:
         params = self.params
         limbs = level + 1
         alpha = params.alpha
-        num_digits = math.ceil(limbs / alpha)
+        num_digits = params.digits_at(level)
         raised = limbs + params.num_special_limbs
         n = self.n
         intt = self.ntt_limbs(limbs)
@@ -223,7 +223,7 @@ class BlockCostModel:
         limbs = level + 1
         alpha = params.alpha
         specials = params.num_special_limbs
-        num_digits = math.ceil(limbs / alpha)
+        num_digits = params.digits_at(level)
         raised = limbs + specials
         n = self.n
         # ModUp: iNTT each digit's limbs (= all ct limbs once), base-convert

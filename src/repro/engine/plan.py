@@ -38,6 +38,7 @@ from repro.trace import (DEFAULT_PASSES, OpKind, OpTrace,
                          assert_workload_dag, lower_expanded_trace,
                          run_passes)
 from repro.trace.ir import TraceOp
+from repro.trace.ops import OPS
 
 #: An HE program: any callable issuing evaluator ops on its argument.
 HeProgram = Callable
@@ -338,9 +339,13 @@ class ExecutablePlan:
         return dict(zip(source_ids, [sources]))
 
     def _replay_op(self, ev, op: TraceOp, args: list, source_map: dict):
-        kind, meta = op.kind, op.meta
-        rescale = meta.get("rescaled", False)
-        if kind is OpKind.SOURCE:
+        """Apply one recorded op the way its row of the op table says.
+
+        The method is looked up on ``ev`` at call time, so a proxy
+        evaluator sees every replayed call.
+        """
+        spec, meta = OPS[op.kind], op.meta
+        if op.kind is OpKind.SOURCE:
             if op.op_id not in source_map:
                 raise PlanError(
                     f"no source ciphertext supplied for SOURCE op "
@@ -351,51 +356,35 @@ class ExecutablePlan:
                     f"source for op {op.op_id} is at level {ct.level}, "
                     f"trace recorded level {op.level}")
             return ct
-        if kind is OpKind.SCALAR_ADD:
-            return ev.scalar_add(args[0], meta["value"])
-        if kind is OpKind.SCALAR_MULT:
-            return ev.scalar_mult(args[0], meta["value"], rescale)
-        if kind is OpKind.SCALAR_MULT_INT:
-            return ev.scalar_mult_int(args[0], meta["value"])
-        if kind in (OpKind.POLY_ADD, OpKind.POLY_MULT):
+        if not spec.real:
+            raise PlanError(
+                f"op {op.op_id} ({op.kind.value}) is symbolic-only and "
+                "cannot replay on a real evaluator")
+        if len(args) != spec.arity:
+            raise PlanError(
+                f"op {op.op_id} ({op.kind.value}) cannot replay: it has "
+                f"{len(args)} ciphertext inputs, the call takes "
+                f"{spec.arity}")
+        if spec.method is None:     # COPY, of a ciphertext or a handle
+            return getattr(args[0], "ct", args[0]).copy()
+        if spec.payload:
             payload = self.trace.payloads.get(op.op_id)
             if payload is None:
                 raise PlanError(
-                    f"op {op.op_id} ({kind.value}) has no recorded "
+                    f"op {op.op_id} ({op.kind.value}) has no recorded "
                     "plaintext payload; it replays only from a trace "
                     "recorded in real mode or a plan loaded from an "
                     ".rpa that carries the PAYLOADS section")
-            if kind is OpKind.POLY_ADD:
-                return ev.poly_add(args[0], payload)
-            return ev.poly_mult(args[0], payload, rescale)
-        if kind is OpKind.HE_ADD:
-            return ev.he_add(args[0], args[1])
-        if kind is OpKind.HE_SUB:
-            return ev.he_sub(args[0], args[1])
-        if kind is OpKind.HE_MULT:
-            return ev.he_mult(args[0], args[1], rescale)
-        if kind is OpKind.HE_SQUARE:
-            return ev.he_square(args[0], rescale)
-        if kind is OpKind.HE_ROTATE:
-            if meta.get("hoisted"):
-                return ev.rotate_hoisted(args[0], meta["rotation"])
-            return ev.he_rotate(args[0], meta["rotation"])
-        if kind is OpKind.CONJUGATE:
-            if meta.get("hoisted"):
-                return ev.conjugate_hoisted(args[0])
-            return ev.he_conjugate(args[0])
-        if kind is OpKind.RESCALE:
-            return ev.rescale(args[0])
-        if kind is OpKind.MOD_DROP:
-            return ev.mod_drop(args[0], meta.get("levels", 1))
-        if kind is OpKind.HOIST:
-            return ev.hoist(args[0])
-        if kind is OpKind.COPY:
-            operand = args[0]
-            return getattr(operand, "ct", operand).copy()
-        raise PlanError(
-            f"op {op.op_id} ({kind.value}) is symbolic-only and cannot "
-            "replay on a real evaluator")
+            args.append(payload)
+        try:
+            args += [meta[key] for key in spec.meta_args]
+        except KeyError as missing:
+            raise PlanError(f"op {op.op_id} ({op.kind.value}) cannot "
+                            f"replay: no meta[{missing}]") from None
+        if spec.fused_rescale:
+            args.append(meta.get("rescaled", False))
+        method = spec.hoisted_method if meta.get("hoisted") else spec.method
+        return getattr(ev, method)(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,10 @@ class CkksParameters:
         """Limbs per key-switching digit: ceil((L + 1) / dnum)."""
         return math.ceil((self.max_level + 1) / self.dnum)
 
+    def digits_at(self, level: int) -> int:
+        """Key-switch digits a ciphertext at ``level`` decomposes into."""
+        return math.ceil((level + 1) / self.alpha)
+
     @property
     def num_special_limbs(self) -> int:
         """Extension limbs for the raised modulus (paper: alpha + 1)."""

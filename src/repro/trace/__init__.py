@@ -12,21 +12,19 @@ See README.md in this directory for the architecture.  Quick use::
 
 from .invariants import (KEYSWITCH_BLOCKS, assert_workload_dag,
                          dag_violations)
-from .ir import (KEYSWITCH_KINDS, TRANSPARENT_KINDS, OpKind, OpTrace,
-                 TraceOp)
-from .lowering import KIND_TO_BLOCK, lower_expanded_trace, lower_trace
+from .ir import OpKind, OpTrace, TraceOp
+from .lowering import lower_expanded_trace, lower_trace
 from .passes import (DEFAULT_PASSES, TraceValidationError,
                      expand_implicit_rescales, infer_hoist_groups,
                      run_passes, validate_trace)
 from .recorder import TracingEvaluator
 from .symbolic import (SymbolicCiphertext, SymbolicEvaluator,
-                       SymbolicHoisted, SymbolicPlaintext)
+                       SymbolicPlaintext)
 
 __all__ = [
-    "DEFAULT_PASSES", "KEYSWITCH_BLOCKS", "KEYSWITCH_KINDS",
-    "KIND_TO_BLOCK", "OpKind", "OpTrace", "SymbolicCiphertext",
-    "SymbolicEvaluator", "SymbolicHoisted", "SymbolicPlaintext",
-    "TRANSPARENT_KINDS", "TraceOp", "TraceValidationError",
+    "DEFAULT_PASSES", "KEYSWITCH_BLOCKS", "OpKind", "OpTrace",
+    "SymbolicCiphertext", "SymbolicEvaluator", "SymbolicPlaintext",
+    "TraceOp", "TraceValidationError",
     "TracingEvaluator", "assert_workload_dag", "dag_violations",
     "expand_implicit_rescales", "infer_hoist_groups",
     "lower_expanded_trace", "lower_trace", "run_passes", "validate_trace",

@@ -33,7 +33,9 @@ class OpKind(enum.Enum):
 
     The first group lowers 1:1 onto BlockSim block types; the second group
     ("plumbing") is transparent to lowering: those ops move values between
-    representations without doing block-level work.
+    representations without doing block-level work.  What each kind *is*
+    — arity, operands, key, level and scale rule, block — is its row of
+    :data:`repro.trace.ops.OPS`, and nowhere else.
     """
 
     SCALAR_ADD = "scalar_add"
@@ -55,18 +57,6 @@ class OpKind(enum.Enum):
     HOIST = "hoist"             # shared Decomp+ModUp of a rotation batch
     COPY = "copy"               # rotation by 0 / explicit copy
     REFRESH = "refresh"         # symbolic level reset (implicit bootstrap)
-
-
-#: Kinds that perform a key switch and therefore stream key material.
-KEYSWITCH_KINDS = frozenset({
-    OpKind.HE_MULT, OpKind.HE_SQUARE, OpKind.HE_ROTATE, OpKind.CONJUGATE,
-})
-
-#: Kinds that carry no block-level work; lowering routes through them.
-TRANSPARENT_KINDS = frozenset({
-    OpKind.SOURCE, OpKind.MOD_DROP, OpKind.HOIST, OpKind.COPY,
-    OpKind.REFRESH,
-})
 
 
 @dataclass
@@ -134,7 +124,8 @@ class OpTrace:
 
     def keyswitch_ops(self) -> list[TraceOp]:
         """The ops that stream switching-key material."""
-        return [op for op in self.ops if op.kind in KEYSWITCH_KINDS]
+        from .ops import OPS
+        return [op for op in self.ops if OPS[op.kind].key is not None]
 
     def keys_used(self) -> set[str]:
         """Distinct switching-key ids the execution touched."""

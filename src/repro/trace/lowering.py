@@ -37,41 +37,8 @@ from repro.blocksim.blocks import (BlockInstance, BlockType,
                                    ciphertext_bytes)
 from repro.dag import DiGraph
 
-from .ir import KEYSWITCH_KINDS, TRANSPARENT_KINDS, OpKind, OpTrace, TraceOp
-
-#: Block type each op kind lowers to.
-KIND_TO_BLOCK = {
-    OpKind.SCALAR_ADD: BlockType.SCALAR_ADD,
-    OpKind.SCALAR_MULT: BlockType.SCALAR_MULT,
-    OpKind.SCALAR_MULT_INT: BlockType.SCALAR_MULT,
-    OpKind.POLY_ADD: BlockType.POLY_ADD,
-    OpKind.POLY_MULT: BlockType.POLY_MULT,
-    OpKind.HE_ADD: BlockType.HE_ADD,
-    OpKind.HE_SUB: BlockType.HE_ADD,
-    OpKind.HE_MULT: BlockType.HE_MULT,
-    OpKind.HE_SQUARE: BlockType.HE_MULT,
-    OpKind.HE_ROTATE: BlockType.HE_ROTATE,
-    OpKind.CONJUGATE: BlockType.HE_ROTATE,
-    OpKind.RESCALE: BlockType.HE_RESCALE,
-    OpKind.MOD_RAISE: BlockType.MOD_RAISE,
-}
-
-#: Short node-id stem per kind.
-_KIND_STEM = {
-    OpKind.SCALAR_ADD: "sadd",
-    OpKind.SCALAR_MULT: "scalar",
-    OpKind.SCALAR_MULT_INT: "scalar",
-    OpKind.POLY_ADD: "padd",
-    OpKind.POLY_MULT: "pmul",
-    OpKind.HE_ADD: "add",
-    OpKind.HE_SUB: "sub",
-    OpKind.HE_MULT: "mult",
-    OpKind.HE_SQUARE: "mult",
-    OpKind.HE_ROTATE: "rot",
-    OpKind.CONJUGATE: "conj",
-    OpKind.RESCALE: "rescale",
-    OpKind.MOD_RAISE: "modraise",
-}
+from .ir import OpKind, OpTrace, TraceOp
+from .ops import OPS
 
 
 def lower_trace(trace: OpTrace, prefix: str = "") -> DiGraph:
@@ -94,7 +61,7 @@ def lower_expanded_trace(trace: OpTrace, prefix: str = "") -> DiGraph:
     counters: dict[tuple[str, str], int] = {}
 
     def node_name(op: TraceOp) -> str:
-        stem = _KIND_STEM[op.kind]
+        stem = OPS[op.kind].stem
         parts = [p for p in (prefix, op.region) if p]
         region = "/".join(parts)
         seq = counters.get((region, stem), 0)
@@ -109,7 +76,8 @@ def lower_expanded_trace(trace: OpTrace, prefix: str = "") -> DiGraph:
             metadata=metadata))
 
     for op in trace.ops:
-        if op.kind in TRANSPARENT_KINDS:
+        spec = OPS[op.kind]
+        if spec.block is None:
             if op.inputs:
                 node, refreshed = resolved[op.inputs[0]]
             else:
@@ -119,17 +87,13 @@ def lower_expanded_trace(trace: OpTrace, prefix: str = "") -> DiGraph:
             resolved[op.op_id] = (node, refreshed)
             continue
 
-        block_type = KIND_TO_BLOCK[op.kind]
-        # MOD_RAISE operates over the full chain; its block level is the
-        # raised level, not the level-0 input.
-        level = op.out_level if op.kind is OpKind.MOD_RAISE else op.level
         metadata: dict[str, Any] = {"op_id": op.op_id}
-        if op.kind in KEYSWITCH_KINDS:
+        if spec.key is not None:
             metadata["keyswitch"] = {"key": op.key, "level": op.level,
                                      **{k: op.meta[k]
                                         for k in ("dnum", "digits")
                                         if k in op.meta}}
-        if block_type is BlockType.HE_ROTATE and op.key:
+        if spec.block is BlockType.HE_ROTATE and op.key:
             metadata["key"] = op.key
         if op.hoist_group is not None:
             metadata["hoist_group"] = op.hoist_group
@@ -142,7 +106,8 @@ def lower_expanded_trace(trace: OpTrace, prefix: str = "") -> DiGraph:
                 metadata["refresh"] = True
             if pred is not None:
                 preds.append(pred)
-        add_block(node_id, block_type, level, metadata)
+        add_block(node_id, spec.block, getattr(op, spec.block_level),
+                  metadata)
         for pred in preds:
             pred_level = graph.nodes[pred]["block"].level
             graph.add_edge(pred, node_id,

@@ -1,0 +1,262 @@
+"""The op table: what each :class:`~repro.trace.ir.OpKind` *is*.
+
+:data:`OPS` holds one :class:`OpSpec` per kind — the evaluator method
+that applies it, its ciphertext arity, where its plaintext operand
+lives, its switching key, its level and scale rules, the BlockSim block
+it lowers to.  The recorder, the symbolic evaluator, replay
+(:meth:`repro.engine.ExecutablePlan.execute`), lowering, the
+``validate_trace`` pass and the linter read this table and the rule
+functions below; none of them restates a per-kind fact.  ``README.md``
+in this directory carries :func:`render_table`'s output.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, NamedTuple
+
+from repro.blocksim.blocks import BlockType
+from repro.fhe.params import CkksParameters
+
+from .ir import OpKind, TraceOp
+
+
+class LevelRule(NamedTuple):
+    """Output level from ``(operating level, meta, max_level)``; ``None``
+    is no expectation.  ``reads``: the meta keys the rule indexes."""
+
+    name: str
+    apply: Callable[[int, Mapping[str, Any], int], int | None]
+    reads: tuple[str, ...] = ()
+
+
+class ScaleRule(NamedTuple):
+    """Output scale from ``(scales, params, operating level)``; ``scales``
+    are the inputs' followed by the plaintext operand's, if any."""
+
+    name: str
+    apply: Callable[[Sequence[float], CkksParameters, int], float]
+
+
+SAME_LEVEL = LevelRule("level", lambda level, meta, top: level)
+ONE_DOWN = LevelRule("level - 1", lambda level, meta, top: level - 1)
+#: ``mod_drop`` by ``levels <= 0`` is a copy on every evaluator.
+DROPPED = LevelRule(
+    'level - meta["levels"]',
+    lambda level, meta, top: level - max(int(meta["levels"]), 0),
+    reads=("levels",))
+MAX_LEVEL = LevelRule("max_level", lambda level, meta, top: top)
+ASKED_LEVEL = LevelRule("as the program asked",
+                        lambda level, meta, top: None)
+
+KEEP_SCALE = ScaleRule("keep", lambda scales, params, level: scales[0])
+MAX_SCALE = ScaleRule("max", lambda scales, params, level: max(scales))
+#: ct x ct, ct x plaintext operand, or (a single scale) a square.
+PRODUCT_SCALE = ScaleRule(
+    "product", lambda scales, params, level: scales[0] * scales[-1])
+RESCALED_SCALE = ScaleRule(
+    "scale / q_level",
+    lambda scales, params, level: scales[0] / params.moduli[level])
+RESET_SCALE = ScaleRule("Delta", lambda scales, params, level: params.scale)
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """Everything the trace stack knows about one op kind."""
+
+    kind: OpKind
+    #: Evaluator method that applies the op.  ``None``: no evaluator
+    #: call (the caller supplies a source, a copy is ``.copy()``).
+    method: str | None
+    #: Ciphertext inputs, the method's leading parameters.
+    arity: int
+    #: Block the op lowers to, and its node-id stem; ``None`` for
+    #: plumbing, which lowering routes through.
+    block: BlockType | None = None
+    stem: str = ""
+    #: The parameters that follow, recorded in ``meta`` under the same
+    #: names (JSON-safe scalars) and read back from there by replay.
+    meta_args: tuple[str, ...] = ()
+    #: The method takes an encoded plaintext ``pt`` instead, kept in
+    #: ``trace.payloads``.
+    payload: bool = False
+    #: The method ends in ``rescale=True``, recorded as
+    #: ``meta["rescaled"]``: one more level down, scale over q_level.
+    fused_rescale: bool = False
+    #: Id of the switching key the op streams, as a template over
+    #: ``meta`` (``None``: no key switch).
+    key: str | None = None
+    #: The method that applies the op to a hoisted handle
+    #: (``meta["hoisted"]``).
+    hoisted_method: str | None = None
+    level: LevelRule = SAME_LEVEL
+    scale: ScaleRule = KEEP_SCALE
+    #: The :class:`TraceOp` field that is the lowered block's level.
+    block_level: str = "level"
+    #: Replays on a :class:`~repro.fhe.evaluator.CkksEvaluator`.
+    real: bool = True
+
+
+_K, _B = OpKind, BlockType
+
+OPS: dict[OpKind, OpSpec] = {spec.kind: spec for spec in (
+    OpSpec(_K.SCALAR_ADD, "scalar_add", 1, _B.SCALAR_ADD, "sadd",
+           meta_args=("value",)),
+    OpSpec(_K.SCALAR_MULT, "scalar_mult", 1, _B.SCALAR_MULT, "scalar",
+           meta_args=("value",), fused_rescale=True, scale=PRODUCT_SCALE),
+    OpSpec(_K.SCALAR_MULT_INT, "scalar_mult_int", 1, _B.SCALAR_MULT,
+           "scalar", meta_args=("value",)),
+    OpSpec(_K.POLY_ADD, "poly_add", 1, _B.POLY_ADD, "padd", payload=True),
+    OpSpec(_K.POLY_MULT, "poly_mult", 1, _B.POLY_MULT, "pmul",
+           payload=True, fused_rescale=True, scale=PRODUCT_SCALE),
+    OpSpec(_K.HE_ADD, "he_add", 2, _B.HE_ADD, "add", scale=MAX_SCALE),
+    OpSpec(_K.HE_SUB, "he_sub", 2, _B.HE_ADD, "sub", scale=MAX_SCALE),
+    OpSpec(_K.HE_MULT, "he_mult", 2, _B.HE_MULT, "mult",
+           fused_rescale=True, key="relin", scale=PRODUCT_SCALE),
+    OpSpec(_K.HE_SQUARE, "he_square", 1, _B.HE_MULT, "mult",
+           fused_rescale=True, key="relin", scale=PRODUCT_SCALE),
+    OpSpec(_K.HE_ROTATE, "he_rotate", 1, _B.HE_ROTATE, "rot",
+           meta_args=("rotation",), key="rot-{rotation}",
+           hoisted_method="rotate_hoisted"),
+    OpSpec(_K.CONJUGATE, "he_conjugate", 1, _B.HE_ROTATE, "conj",
+           key="conj", hoisted_method="conjugate_hoisted"),
+    OpSpec(_K.RESCALE, "rescale", 1, _B.HE_RESCALE, "rescale",
+           level=ONE_DOWN, scale=RESCALED_SCALE),
+    # MOD_RAISE works over the full chain: its block sits at the raised
+    # level, not at the level-0 input.
+    OpSpec(_K.MOD_RAISE, "mod_raise", 1, _B.MOD_RAISE, "modraise",
+           level=MAX_LEVEL, block_level="out_level", real=False),
+    OpSpec(_K.SOURCE, None, 0),
+    OpSpec(_K.MOD_DROP, "mod_drop", 1, meta_args=("levels",),
+           level=DROPPED),
+    OpSpec(_K.HOIST, "hoist", 1),
+    OpSpec(_K.COPY, None, 1),
+    # refresh(ct, level): the one parameter no trace records.
+    OpSpec(_K.REFRESH, "refresh", 1, level=ASKED_LEVEL, scale=RESET_SCALE,
+           real=False),
+)}
+
+
+# -- the rules over a spec ---------------------------------------------------
+
+def expected_out_level(spec: OpSpec, level: int, meta: Mapping[str, Any],
+                       max_level: int) -> int | None:
+    """Level an op at operating level ``level`` must produce (``None``:
+    the table has no expectation)."""
+    if spec.fused_rescale and meta.get("rescaled"):
+        return level - 1
+    return spec.level.apply(level, meta, max_level)
+
+
+def out_scale(spec: OpSpec, params: CkksParameters, level: int,
+              scales: Sequence[float], rescaled: bool = False) -> float:
+    """Scale of the result; ``scales`` as :class:`ScaleRule` takes them."""
+    scale = spec.scale.apply(scales, params, level)
+    return scale / params.moduli[level] if rescaled else scale
+
+
+def key_id(spec: OpSpec, meta: Mapping[str, Any]) -> str | None:
+    """Id of the switching key the op streams (``None``: no key switch)."""
+    return spec.key and spec.key.format_map(meta)
+
+
+def keyswitch_meta(params: CkksParameters, level: int) -> dict[str, int]:
+    """Key-switch shape at ``level`` (hybrid decomposition)."""
+    return {"dnum": params.dnum, "digits": params.digits_at(level)}
+
+
+def structural_problems(op: TraceOp, position: int) -> list[str]:
+    """What makes the op at ``position`` unreadable to every data-flow
+    check and to its own level rule: an id out of sequence, a dangling
+    input, a wrong input count, a meta key the rule indexes."""
+    spec = OPS[op.kind]
+    problems = []
+    if op.op_id != position:
+        problems.append(f"op_id {op.op_id} at position {position}; ids "
+                        "must be dense and ordered")
+    for input_id in op.inputs:
+        if not 0 <= input_id < position:
+            problems.append(f"input {input_id} does not reference an "
+                            "earlier op")
+    if len(op.inputs) != spec.arity:
+        problems.append(f"{op.kind.value} op has inputs {op.inputs}; it "
+                        f"takes {spec.arity}")
+    for key in spec.level.reads:
+        if key not in op.meta:
+            problems.append(f"{op.kind.value} op carries no meta[{key!r}]")
+    return problems
+
+
+# -- the evaluator call surface ----------------------------------------------
+
+#: The only defaults on the call surface.
+_DEFAULTS = {"rescale": True, "levels": 1}
+
+
+def install_methods(cls: type) -> None:
+    """Give ``cls`` every evaluator method of the table it does not define
+    itself, as ``method(*cts, *operands[, rescale])`` forwarding to
+    ``cls._apply(spec, cts, operands, rescale)`` (``rescale`` is ``None``
+    where the op fuses none).  Operands and ``rescale`` bind by position
+    or by name."""
+    for spec in OPS.values():
+        for name in (spec.method, spec.hoisted_method):
+            if name is not None and name not in vars(cls):
+                setattr(cls, name, _method(spec, name))
+
+
+def _method(spec: OpSpec, name: str) -> Callable[..., Any]:
+    names = spec.meta_args + ("pt",) * spec.payload \
+        + ("rescale",) * spec.fused_rescale
+    arity, fused = spec.arity, spec.fused_rescale
+
+    def method(self: Any, *args: Any, **kwargs: Any) -> Any:
+        if kwargs or len(args) != arity + len(names):
+            args = _bind(name, arity, names, args, kwargs)
+        if fused:
+            return self._apply(spec, args[:arity], args[arity:-1], args[-1])
+        return self._apply(spec, args[:arity], args[arity:], None)
+
+    method.__name__ = name
+    return method
+
+
+def _bind(name: str, arity: int, names: tuple[str, ...],
+          args: tuple[Any, ...], kwargs: dict[str, Any]) -> tuple[Any, ...]:
+    """``args`` completed from ``kwargs`` and the surface's defaults."""
+    rest = list(args[arity:])
+    for missing in names[len(rest):]:
+        if missing in kwargs:
+            rest.append(kwargs.pop(missing))
+        elif missing in _DEFAULTS:
+            rest.append(_DEFAULTS[missing])
+    if kwargs or len(args) < arity or len(rest) != len(names):
+        raise TypeError(f"{name}() takes {arity} ciphertext(s) then "
+                        f"{names}; got {args} {kwargs}")
+    return args[:arity] + tuple(rest)
+
+
+# -- the table, rendered -----------------------------------------------------
+
+def render_table() -> str:
+    """:data:`OPS` as the markdown table ``README.md`` carries."""
+    header = ("kind", "evaluator method", "cts", "then (from `meta`)",
+              "plaintext operand", "fused `rescale=`", "key", "out level",
+              "out scale", "block", "replays")
+    rows = [header, ("---",) * len(header)]
+    for spec in OPS.values():
+        methods = [m for m in (spec.method, spec.hoisted_method) if m]
+        operand = "`trace.payloads`" if spec.payload else \
+            '`meta["value"]`' if "value" in spec.meta_args else "—"
+        block = "—" if spec.block is None else \
+            f"{spec.block.value}, `{spec.stem}N` at `{spec.block_level}`"
+        rows.append((
+            f"`{spec.kind.value}`",
+            ", ".join(f"`{m}`" for m in methods) or "—", str(spec.arity),
+            ", ".join(f"`{a}`" for a in spec.meta_args) or "—", operand,
+            "yes" if spec.fused_rescale else "—",
+            f"`{spec.key}`" if spec.key else "—", spec.level.name,
+            spec.scale.name, block,
+            "yes" if spec.real else "symbolic only"))
+    return "\n".join("| " + " | ".join(row) + " |" for row in rows)

@@ -6,8 +6,9 @@ engine (:mod:`repro.engine`) runs when compiling a program:
 
 * :func:`validate_trace` — trace-level invariants (the op-stream
   counterpart of :mod:`repro.trace.invariants`' DAG checks): op ids are
-  dense and ordered, inputs reference earlier ops, levels are in range
-  and consistent, key-switch ops carry their key and decomposition shape;
+  dense and ordered, inputs reference earlier ops, levels are in range,
+  and every op has the input count, key and output level its row of the
+  op table (:mod:`repro.trace.ops`) prescribes;
 * :func:`expand_implicit_rescales` — ops recorded with an implicit
   rescale (``he_mult(..., rescale=True)`` etc.) are split into the op
   plus an explicit ``RESCALE`` op, because that work is really executed.
@@ -27,7 +28,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import replace
 
-from .ir import KEYSWITCH_KINDS, OpKind, OpTrace, TraceOp
+from .ir import OpKind, OpTrace, TraceOp
+from .ops import OPS, expected_out_level, structural_problems
 
 
 class TraceValidationError(ValueError):
@@ -43,25 +45,24 @@ def validate_trace(trace: OpTrace) -> OpTrace:
     max_level = trace.params.max_level
     for position, op in enumerate(trace.ops):
         where = f"op {op.op_id} ({op.kind.value})"
-        if op.op_id != position:
-            problems.append(f"{where}: op_id out of order at index "
-                            f"{position}")
-        for input_id in op.inputs:
-            if not 0 <= input_id < position:
-                problems.append(f"{where}: input {input_id} does not "
-                                "reference an earlier op")
+        malformed = structural_problems(op, position)
+        problems += [f"{where}: {problem}" for problem in malformed]
         for label, level in (("level", op.level),
                              ("out_level", op.out_level)):
             if not 0 <= level <= max_level:
                 problems.append(f"{where}: {label} {level} outside "
                                 f"[0, {max_level}]")
-        if op.kind in KEYSWITCH_KINDS and not op.key:
+        spec = OPS[op.kind]
+        if spec.key is not None and not op.key:
             problems.append(f"{where}: key-switch op without a key id")
-        if op.kind is OpKind.RESCALE and op.out_level != op.level - 1:
-            problems.append(f"{where}: rescale {op.level} -> "
-                            f"{op.out_level} is not one level")
-        if op.kind is OpKind.SOURCE and op.inputs:
-            problems.append(f"{where}: source op with inputs")
+        if malformed:
+            continue    # the level rule may read what is missing
+        expected = expected_out_level(spec, op.level, op.meta, max_level)
+        if expected is not None and op.out_level != expected:
+            step = "one level" if expected == op.level - 1 \
+                else f"level {expected}"
+            problems.append(f"{where}: {op.kind.value} {op.level} -> "
+                            f"{op.out_level} is not {step}")
     if problems:
         summary = "\n  ".join(problems[:20])
         more = f"\n  ... {len(problems) - 20} more" \
@@ -132,7 +133,7 @@ def infer_hoist_groups(trace: OpTrace) -> OpTrace:
     """
     candidates: dict[int, list[int]] = {}
     for op in trace.ops:
-        if op.kind in (OpKind.HE_ROTATE, OpKind.CONJUGATE) \
+        if OPS[op.kind].hoisted_method is not None \
                 and op.hoist_group is None and len(op.inputs) == 1:
             candidates.setdefault(op.inputs[0], []).append(op.op_id)
     groups = {source: ids for source, ids in candidates.items()

@@ -22,12 +22,12 @@ and its results re-enter the trace as sources.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from typing import Any
 
 from .ir import OpKind, OpTrace, TraceOp
+from .ops import OPS, OpSpec, install_methods, key_id, keyswitch_meta
 
 
 class TracingEvaluator:
@@ -73,137 +73,75 @@ class TracingEvaluator:
 
     def _resolve(self, operand: Any) -> int:
         """Op id that produced ``operand``; a lazy SOURCE if unseen."""
-        op_id = self._producers.get(id(operand))
-        if op_id is not None:
-            return op_id
-        level = operand.level
-        source = self._record(OpKind.SOURCE, (), level, level,
-                              getattr(operand, "scale", 0.0))
-        self._track(operand, source.op_id)
-        return source.op_id
-
-    def _track(self, obj: Any, op_id: int) -> None:
-        self._producers[id(obj)] = op_id
-        self._keepalive.append(obj)
+        if id(operand) not in self._producers:
+            self._emit(OpKind.SOURCE, (), operand)
+        return self._producers[id(operand)]
 
     def producer_of(self, obj: Any) -> int | None:
         """Op id that produced ``obj``, or None if untracked (used by
         the engine to mark the program's returned value)."""
         return self._producers.get(id(obj))
 
-    def _record(self, kind: OpKind, inputs: tuple[int, ...], level: int,
-                out_level: int, out_scale: float, key: str | None = None,
-                hoist_group: int | None = None, **meta: Any) -> TraceOp:
-        op = TraceOp(op_id=len(self.trace.ops), kind=kind, inputs=inputs,
-                     level=level, out_level=out_level, out_scale=out_scale,
-                     key=key, hoist_group=hoist_group,
-                     region=self.current_region, meta=meta)
-        return self.trace.append(op)
-
     def _emit(self, kind: OpKind, operands: tuple[Any, ...], result: Any,
-              key: str | None = None, hoist_group: int | None = None,
-              **meta: Any) -> Any:
-        """Record one op over ciphertext operands and track its result."""
-        inputs = tuple(self._resolve(operand) for operand in operands)
-        level = min((o.level for o in operands),
-                    default=result.level)
-        op = self._record(kind, inputs, level, result.level, result.scale,
-                          key=key, hoist_group=hoist_group, **meta)
-        self._track(result, op.op_id)
+              hoist_group: int | None = None, **meta: Any) -> Any:
+        """Record one op over ciphertext operands and track its result;
+        the key id and key-switch shape are its table row's."""
+        spec = OPS[kind]
+        inputs = tuple([self._resolve(operand) for operand in operands])
+        level = min([o.level for o in operands], default=result.level)
+        if spec.key is not None:
+            meta.update(keyswitch_meta(self.params, level))
+        op = TraceOp(op_id=len(self.trace.ops), kind=kind, inputs=inputs,
+                     level=level, out_level=result.level,
+                     out_scale=getattr(result, "scale", 0.0),
+                     key=key_id(spec, meta), hoist_group=hoist_group,
+                     region=self.current_region, meta=meta)
+        self.trace.append(op)
+        self._producers[id(result)] = op.op_id
+        self._keepalive.append(result)
         return result
 
-    def _ks_meta(self, level: int) -> dict[str, int]:
-        """Key-switch shape at ``level`` (hybrid decomposition)."""
-        params = self.params
-        return {"dnum": params.dnum,
-                "digits": math.ceil((level + 1) / params.alpha)}
-
-    def _attach_payload(self, op: TraceOp, payload: Any) -> None:
-        """Keep the concrete plaintext operand so the trace can replay."""
-        self.trace.payloads[op.op_id] = payload
-
-    # -- plaintext-operand blocks -----------------------------------------
+    # -- the evaluator call surface ----------------------------------------
     #
-    # Scalar values are recorded in ``meta`` (JSON-safe) and encoded
-    # plaintexts in ``trace.payloads`` so that
-    # :meth:`repro.engine.ExecutablePlan.execute` can replay the trace
-    # against a real context bit-identically.
+    # One method per row of the op table, installed below
+    # (:func:`repro.trace.ops.install_methods`); the explicit ones are
+    # the hoisting surface, rotation by 0 and ``refresh``.
 
-    def scalar_add(self, ct: Any, value: Any) -> Any:
-        return self._emit(OpKind.SCALAR_ADD, (ct,),
-                          self.inner.scalar_add(ct, value), value=value)
-
-    def scalar_mult(self, ct: Any, value: Any,
-                    rescale: bool = True) -> Any:
-        return self._emit(OpKind.SCALAR_MULT, (ct,),
-                          self.inner.scalar_mult(ct, value, rescale),
-                          rescaled=rescale, value=value)
-
-    def scalar_mult_int(self, ct: Any, value: Any) -> Any:
-        return self._emit(OpKind.SCALAR_MULT_INT, (ct,),
-                          self.inner.scalar_mult_int(ct, value),
-                          value=value)
-
-    def poly_add(self, ct: Any, pt: Any) -> Any:
-        result = self._emit(OpKind.POLY_ADD, (ct,),
-                            self.inner.poly_add(ct, pt))
-        self._attach_payload(self.trace.ops[-1], pt)
+    def _apply(self, spec: OpSpec, cts: tuple[Any, ...],
+               operands: tuple[Any, ...], rescale: bool | None) -> Any:
+        """Delegate one call and record it the way its row says: scalar
+        operands in ``meta`` (JSON-safe), an encoded plaintext in
+        ``trace.payloads``, so that
+        :meth:`repro.engine.ExecutablePlan.execute` can replay the
+        trace against a real context bit-identically."""
+        assert spec.method is not None
+        fused = () if rescale is None else (rescale,)
+        result = getattr(self.inner, spec.method)(*cts, *operands, *fused)
+        meta = {} if rescale is None else {"rescaled": rescale}
+        meta.update(zip(spec.meta_args, operands))
+        self._emit(spec.kind, cts, result, **meta)
+        if spec.payload:
+            self.trace.payloads[self._producers[id(result)]] = operands[0]
         return result
-
-    def poly_mult(self, ct: Any, pt: Any, rescale: bool = True) -> Any:
-        result = self._emit(OpKind.POLY_MULT, (ct,),
-                            self.inner.poly_mult(ct, pt, rescale),
-                            rescaled=rescale)
-        self._attach_payload(self.trace.ops[-1], pt)
-        return result
-
-    # -- ciphertext-ciphertext blocks --------------------------------------
-
-    def he_add(self, ct1: Any, ct2: Any) -> Any:
-        return self._emit(OpKind.HE_ADD, (ct1, ct2),
-                          self.inner.he_add(ct1, ct2))
-
-    def he_sub(self, ct1: Any, ct2: Any) -> Any:
-        return self._emit(OpKind.HE_SUB, (ct1, ct2),
-                          self.inner.he_sub(ct1, ct2))
-
-    def he_mult(self, ct1: Any, ct2: Any, rescale: bool = True) -> Any:
-        level = min(ct1.level, ct2.level)
-        return self._emit(OpKind.HE_MULT, (ct1, ct2),
-                          self.inner.he_mult(ct1, ct2, rescale),
-                          key="relin", rescaled=rescale,
-                          **self._ks_meta(level))
-
-    def he_square(self, ct: Any, rescale: bool = True) -> Any:
-        return self._emit(OpKind.HE_SQUARE, (ct,),
-                          self.inner.he_square(ct, rescale),
-                          key="relin", rescaled=rescale,
-                          **self._ks_meta(ct.level))
 
     def he_rotate(self, ct: Any, rotation: int) -> Any:
         amount = rotation % self.params.num_slots
-        result = self.inner.he_rotate(ct, rotation)
         if amount == 0:
-            return self._emit(OpKind.COPY, (ct,), result)
-        return self._emit(OpKind.HE_ROTATE, (ct,), result,
-                          key=f"rot-{amount}", rotation=amount,
-                          **self._ks_meta(ct.level))
+            return self._emit(OpKind.COPY, (ct,),
+                              self.inner.he_rotate(ct, rotation))
+        return self._apply(OPS[OpKind.HE_ROTATE], (ct,), (amount,), None)
 
-    def he_conjugate(self, ct: Any) -> Any:
-        return self._emit(OpKind.CONJUGATE, (ct,),
-                          self.inner.he_conjugate(ct),
-                          key="conj", **self._ks_meta(ct.level))
+    def refresh(self, ct: Any, level: int) -> Any:
+        """Schematic level reset; requires a symbolic inner evaluator."""
+        return self._emit(OpKind.REFRESH, (ct,),
+                          self.inner.refresh(ct, level))
 
     # -- hoisted rotations -------------------------------------------------
 
     def hoist(self, ct: Any) -> Any:
-        hoisted = self.inner.hoist(ct)
         self._hoist_groups += 1
-        op = self._record(OpKind.HOIST, (self._resolve(ct),), ct.level,
-                          ct.level, ct.scale,
+        return self._emit(OpKind.HOIST, (ct,), self.inner.hoist(ct),
                           hoist_group=self._hoist_groups)
-        self._track(hoisted, op.op_id)
-        return hoisted
 
     def rotate_hoisted(self, hoisted: Any, rotation: int) -> Any:
         amount = rotation % self.params.num_slots
@@ -212,16 +150,13 @@ class TracingEvaluator:
             return self._emit(OpKind.COPY, (hoisted,), result)
         group = self.trace.op(self._resolve(hoisted)).hoist_group
         return self._emit(OpKind.HE_ROTATE, (hoisted,), result,
-                          key=f"rot-{amount}", hoist_group=group,
-                          rotation=amount, hoisted=True,
-                          **self._ks_meta(hoisted.level))
+                          hoist_group=group, rotation=amount, hoisted=True)
 
     def conjugate_hoisted(self, hoisted: Any) -> Any:
         group = self.trace.op(self._resolve(hoisted)).hoist_group
         return self._emit(OpKind.CONJUGATE, (hoisted,),
                           self.inner.conjugate_hoisted(hoisted),
-                          key="conj", hoist_group=group, hoisted=True,
-                          **self._ks_meta(hoisted.level))
+                          hoist_group=group, hoisted=True)
 
     def hoisted_rotations(self, ct: Any,
                           rotations: Iterable[int]) -> dict[int, Any]:
@@ -238,23 +173,5 @@ class TracingEvaluator:
             out[r] = self.rotate_hoisted(hoisted, r)
         return out
 
-    # -- scale and level management ---------------------------------------
 
-    def rescale(self, ct: Any) -> Any:
-        return self._emit(OpKind.RESCALE, (ct,), self.inner.rescale(ct))
-
-    def mod_drop(self, ct: Any, levels: int = 1) -> Any:
-        return self._emit(OpKind.MOD_DROP, (ct,),
-                          self.inner.mod_drop(ct, levels), levels=levels)
-
-    # -- symbolic-only ops (bootstrap stages / schematic programs) ---------
-
-    def mod_raise(self, ct: Any) -> Any:
-        """Bootstrap entry lift; requires a symbolic inner evaluator."""
-        return self._emit(OpKind.MOD_RAISE, (ct,),
-                          self.inner.mod_raise(ct))
-
-    def refresh(self, ct: Any, level: int) -> Any:
-        """Schematic level reset; requires a symbolic inner evaluator."""
-        return self._emit(OpKind.REFRESH, (ct,),
-                          self.inner.refresh(ct, level))
+install_methods(TracingEvaluator)

@@ -21,9 +21,13 @@ Two extra ops exist only symbolically:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.fhe.params import CkksParameters
+
+from .ir import OpKind
+from .ops import (OPS, OpSpec, expected_out_level, install_methods,
+                  out_scale)
 
 
 @dataclass
@@ -48,21 +52,6 @@ class SymbolicPlaintext:
     scale: float
 
 
-@dataclass
-class SymbolicHoisted:
-    """Counterpart of :class:`~repro.fhe.evaluator.HoistedCiphertext`."""
-
-    ct: SymbolicCiphertext
-
-    @property
-    def level(self) -> int:
-        return self.ct.level
-
-    @property
-    def scale(self) -> float:
-        return self.ct.scale
-
-
 class SymbolicEvaluator:
     """Level/scale-faithful evaluator over :class:`SymbolicCiphertext`."""
 
@@ -83,112 +72,60 @@ class SymbolicEvaluator:
         """An encoded plaintext operand."""
         return SymbolicPlaintext(scale or self.params.scale)
 
-    # -- plaintext-operand blocks -----------------------------------------
+    # -- the evaluator call surface ----------------------------------------
+    #
+    # One method per row of the op table, installed below
+    # (:func:`repro.trace.ops.install_methods`); each result handle is
+    # what the row prescribes: its level rule over the aligned operand
+    # level, its scale rule over the operand scales.
 
-    def scalar_add(self, ct: SymbolicCiphertext,
-                   value: float | complex) -> SymbolicCiphertext:
-        return SymbolicCiphertext(ct.level, ct.scale)
-
-    def scalar_mult(self, ct: SymbolicCiphertext, value: float,
-                    rescale: bool = True) -> SymbolicCiphertext:
-        out = SymbolicCiphertext(ct.level, ct.scale * self.params.scale)
-        return self.rescale(out) if rescale else out
-
-    def scalar_mult_int(self, ct: SymbolicCiphertext,
-                        value: int) -> SymbolicCiphertext:
-        return SymbolicCiphertext(ct.level, ct.scale)
-
-    def poly_add(self, ct: SymbolicCiphertext,
-                 pt: SymbolicPlaintext) -> SymbolicCiphertext:
-        return SymbolicCiphertext(ct.level, ct.scale)
-
-    def poly_mult(self, ct: SymbolicCiphertext, pt: SymbolicPlaintext,
-                  rescale: bool = True) -> SymbolicCiphertext:
-        out = SymbolicCiphertext(ct.level, ct.scale * pt.scale)
-        return self.rescale(out) if rescale else out
-
-    # -- ciphertext-ciphertext blocks --------------------------------------
-
-    def he_add(self, ct1: SymbolicCiphertext,
-               ct2: SymbolicCiphertext) -> SymbolicCiphertext:
-        level = min(ct1.level, ct2.level)
-        return SymbolicCiphertext(level, max(ct1.scale, ct2.scale))
-
-    def he_sub(self, ct1: SymbolicCiphertext,
-               ct2: SymbolicCiphertext) -> SymbolicCiphertext:
-        return self.he_add(ct1, ct2)
-
-    def he_mult(self, ct1: SymbolicCiphertext, ct2: SymbolicCiphertext,
-                rescale: bool = True) -> SymbolicCiphertext:
-        level = min(ct1.level, ct2.level)
-        out = SymbolicCiphertext(level, ct1.scale * ct2.scale)
-        return self.rescale(out) if rescale else out
-
-    def he_square(self, ct: SymbolicCiphertext,
-                  rescale: bool = True) -> SymbolicCiphertext:
-        out = SymbolicCiphertext(ct.level, ct.scale * ct.scale)
-        return self.rescale(out) if rescale else out
-
-    def he_rotate(self, ct: SymbolicCiphertext,
-                  rotation: int) -> SymbolicCiphertext:
-        return SymbolicCiphertext(ct.level, ct.scale)
-
-    def he_conjugate(self, ct: SymbolicCiphertext) -> SymbolicCiphertext:
-        return SymbolicCiphertext(ct.level, ct.scale)
+    def _apply(self, spec: OpSpec, cts: tuple[SymbolicCiphertext, ...],
+               operands: tuple[Any, ...],
+               rescale: bool | None) -> SymbolicCiphertext:
+        level = min([ct.level for ct in cts])
+        out_level = expected_out_level(
+            spec, level, dict(zip(spec.meta_args, operands),
+                              rescaled=rescale), self.params.max_level)
+        assert out_level is not None
+        self._check_level(out_level)
+        scales = [ct.scale for ct in cts]
+        if spec.payload:
+            scales.append(operands[0].scale)
+        elif "value" in spec.meta_args:
+            scales.append(self.params.scale)
+        return SymbolicCiphertext(out_level, out_scale(
+            spec, self.params, level, scales, bool(rescale)))
 
     # -- hoisted rotations -------------------------------------------------
-
-    def hoist(self, ct: SymbolicCiphertext) -> SymbolicHoisted:
-        return SymbolicHoisted(ct=SymbolicCiphertext(ct.level, ct.scale))
-
-    def rotate_hoisted(self, hoisted: SymbolicHoisted,
-                       rotation: int) -> SymbolicCiphertext:
-        return SymbolicCiphertext(hoisted.level, hoisted.scale)
-
-    def conjugate_hoisted(self,
-                          hoisted: SymbolicHoisted) -> SymbolicCiphertext:
-        return SymbolicCiphertext(hoisted.level, hoisted.scale)
+    #
+    # A hoisted handle is one more (level, scale) handle: ``hoist`` and
+    # the ``*_hoisted`` methods are rows of the table too.
 
     def hoisted_rotations(self, ct: SymbolicCiphertext,
                           rotations: Iterable[int]
                           ) -> dict[int, SymbolicCiphertext]:
-        wanted = sorted({r % self.params.num_slots for r in rotations})
-        out: dict[int, SymbolicCiphertext] = {}
-        hoisted = self.hoist(ct)
-        for r in wanted:
-            out[r] = ct.copy() if r == 0 else \
-                self.rotate_hoisted(hoisted, r)
-        return out
-
-    # -- scale and level management ---------------------------------------
-
-    def rescale(self, ct: SymbolicCiphertext) -> SymbolicCiphertext:
-        if ct.level == 0:
-            raise ValueError("cannot rescale at level 0")
-        q_last = self.params.moduli[ct.level]
-        return SymbolicCiphertext(ct.level - 1, ct.scale / q_last)
-
-    def mod_drop(self, ct: SymbolicCiphertext,
-                 levels: int = 1) -> SymbolicCiphertext:
-        if levels <= 0:
-            return ct.copy()
-        if ct.level - levels < 0:
-            raise ValueError("cannot drop below level 0")
-        return SymbolicCiphertext(ct.level - levels, ct.scale)
+        rotate = OPS[OpKind.HE_ROTATE]
+        return {r: ct.copy() if r == 0
+                else self._apply(rotate, (ct,), (r,), None)
+                for r in sorted({r % self.params.num_slots
+                                 for r in rotations})}
 
     # -- symbolic-only ops -------------------------------------------------
-
-    def mod_raise(self, ct: SymbolicCiphertext) -> SymbolicCiphertext:
-        """Bootstrap entry: re-read residues over the full chain."""
-        return SymbolicCiphertext(self.params.max_level, ct.scale)
+    #
+    # ``mod_raise`` (the bootstrap entry lift, re-reading the residues
+    # over the full chain) is a row of the table like any other.
 
     def refresh(self, ct: SymbolicCiphertext,
                 level: int) -> SymbolicCiphertext:
         """Schematic level reset (an elided bootstrap in a program)."""
         self._check_level(level)
-        return SymbolicCiphertext(level, self.params.scale)
+        return SymbolicCiphertext(level, out_scale(
+            OPS[OpKind.REFRESH], self.params, ct.level, [ct.scale]))
 
     def _check_level(self, level: int) -> None:
         if level < 0 or level > self.params.max_level:
             raise ValueError(f"level {level} out of range "
                              f"[0, {self.params.max_level}]")
+
+
+install_methods(SymbolicEvaluator)

@@ -5,15 +5,19 @@ transform of the key-switch path.
 One road to a cycle count: a catalog name compiles to a traced plan and
 BlockSim prices it.  One road through a key switch: ModUp and the
 ModDown lift are one bound matmul, the lift's quotient is the true one,
-a stacked transform is the multi-step chain.  Each case pins the absence
-of the fork it names.
+a stacked transform is the multi-step chain.  One owner of what an HE
+op is: ``repro.trace.ops.OPS``.  Each case pins the absence of the fork
+it names.
 """
 
+import ast
 import dataclasses
+import pathlib
 
 import pytest
 
 import repro.gpusim
+import repro.trace
 from repro import engine
 from repro.analysis import diagnostics
 from repro.fhe import modmath, noise, rns
@@ -113,3 +117,100 @@ def test_a_stacked_transform_has_one_algorithm():
     moduli = CkksParameters.toy().moduli[:2]
     assert not hasattr(BatchedNttContext(moduli, 1 << 10), "psi_rev")
     assert not hasattr(NttContext(moduli[0], 1 << 10), "mont")
+
+
+# -- one op table ------------------------------------------------------------
+
+def _is_opkind(node) -> bool:
+    return (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "OpKind")
+
+
+def _kinds_in(nodes) -> int:
+    return sum(_is_opkind(node) for node in nodes if node is not None)
+
+
+def _kind_tests(function) -> int:
+    """``OpKind`` members a function compares against with ``is`` /
+    ``is not`` / ``in`` / ``not in`` (each member of a tuple counts)."""
+    count = 0
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Compare):
+            continue
+        for op, right in zip(node.ops, node.comparators):
+            if not isinstance(op, (ast.Is, ast.IsNot, ast.In, ast.NotIn)):
+                continue
+            count += _kinds_in(right.elts if isinstance(
+                right, (ast.Tuple, ast.List, ast.Set)) else [right])
+    return count
+
+
+def _per_kind_switches(tree):
+    """``(line, what)`` for every per-kind table or ladder in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict) and _kinds_in(node.keys) >= 3:
+            yield node.lineno, "dict keyed by OpKind members"
+        elif isinstance(node, ast.Set) and _kinds_in(node.elts) >= 3:
+            yield node.lineno, "set of OpKind members"
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)
+              and node.func.id in ("set", "frozenset") and node.args
+              and isinstance(node.args[0], (ast.List, ast.Tuple))
+              and _kinds_in(node.args[0].elts) >= 3):
+            yield node.lineno, "set of OpKind members"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and _kind_tests(node) >= 4:
+            yield node.lineno, f"{node.name}() switches on OpKind"
+
+
+def test_the_guard_sees_what_it_is_there_to_stop():
+    found = sorted(_per_kind_switches(ast.parse(
+        "BLOCKS = {OpKind.A: 1, OpKind.B: 2, OpKind.C: 3}\n"
+        "KINDS = frozenset({OpKind.A, OpKind.B, OpKind.C})\n"
+        "ALSO = frozenset([OpKind.A, OpKind.B, OpKind.C])\n"
+        "def replay(op):\n"
+        "    if op.kind is OpKind.A: return 1\n"
+        "    if op.kind in (OpKind.B, OpKind.C): return 2\n"
+        "    if op.kind is not OpKind.D: return 3\n"
+        "def fine(op):\n"
+        "    return op.kind in (OpKind.A, OpKind.B) or op.kind is OpKind.C\n"
+        "PAIR = {OpKind.A, OpKind.B}\n")))
+    assert found == [(1, "dict keyed by OpKind members"),
+                     (2, "set of OpKind members"),
+                     (3, "set of OpKind members"),
+                     (4, "replay() switches on OpKind")]
+
+
+def test_only_the_op_table_knows_what_an_op_is():
+    """No dict / set of three or more ``OpKind`` members and no function
+    testing four or more of them outside ``trace/ops.py``: a new per-kind
+    fact is a column of ``OPS``, not a switch at the site that needs it."""
+    root = pathlib.Path(repro.trace.__file__).parents[1]
+    offenders, references = [], 0
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "trace" / "ops.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.relative_to(root)}:{line}: {what}"
+                      for line, what in _per_kind_switches(tree)]
+        references += _kinds_in(ast.walk(tree))
+    assert not offenders, "\n".join(offenders)
+    assert references <= 40, references     # 109 before the table
+
+
+def test_the_per_kind_tables_and_ladders_are_gone():
+    from repro.analysis import checks
+    from repro.trace import ir, lowering, symbolic
+    for owner, names in (
+            (lowering, ["KIND_TO_BLOCK", "_KIND_STEM"]),
+            (ir, ["KEYSWITCH_KINDS", "TRANSPARENT_KINDS"]),
+            (repro.trace, ["KIND_TO_BLOCK", "KEYSWITCH_KINDS",
+                           "TRANSPARENT_KINDS", "SymbolicHoisted"]),
+            (checks, ["_ADDITIVE_KINDS", "_MULTIPLICATIVE_KINDS",
+                      "_expected_out_level"]),
+            (symbolic, ["SymbolicHoisted"]),
+            (repro.trace.TracingEvaluator, ["_ks_meta", "_record",
+                                            "_attach_payload"])):
+        for name in names:
+            assert not hasattr(owner, name), name

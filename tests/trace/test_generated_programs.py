@@ -1,0 +1,174 @@
+"""Generated evaluator programs: record -> compile -> execute is
+bit-identical to calling the evaluator, and what the op table calls
+well-typed lints without an error.
+
+The strategy does not know any op: it walks ``repro.trace.ops.OPS``.  A
+step is any row that replays on a real evaluator, applied to values the
+program already holds, and it is kept when the table's own level and
+scale rules — evaluated by the table-driven ``SymbolicEvaluator`` — land
+inside the modulus chain.  The real ``CkksEvaluator`` is then held to
+what the walk promised.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import engine
+from repro.fhe import CkksContext, CkksParameters
+from repro.fhe.evaluator import SCALE_TOLERANCE
+from repro.fhe.noise import NOISE_FLOOR_LOG2
+from repro.trace import SymbolicEvaluator
+from repro.trace.ops import MAX_SCALE, OPS
+
+TOY = CkksParameters.toy()
+SLOTS = np.linspace(-0.75, 0.75, TOY.num_slots)
+PLAIN = np.linspace(0.5, -0.25, TOY.num_slots)
+
+#: Values each named operand of the table is drawn from.
+OPERANDS = {"value": (0.5, -1.25), "rotation": (0, 1, 5, TOY.num_slots - 2),
+            "levels": (1, 2)}
+REAL = [spec for spec in OPS.values() if spec.real and spec.method]
+
+
+def _log2_q(level: int) -> float:
+    return sum(math.log2(q) for q in TOY.moduli[:level + 1])
+
+
+def _operand_choices(spec):
+    """Every operand tuple a row's method can take here."""
+    choices = [()]
+    for name in spec.meta_args:
+        values = (2, 3) if spec.method == "scalar_mult_int" \
+            else OPERANDS[name]
+        choices = [c + (v,) for c in choices for v in values]
+    if spec.payload:
+        choices = [c + ("pt",) for c in choices]
+    return choices
+
+
+def _candidates(sym, handles, hoisted):
+    """``(method, input indices, operands, kwargs, result handle)`` for
+    every call the table's rules accept on the values held so far."""
+    plain = [i for i in range(len(handles)) if i not in hoisted]
+    for spec in REAL:
+        on_handles = [(spec.method, plain)]
+        if spec.hoisted_method:
+            on_handles.append((spec.hoisted_method, sorted(hoisted)))
+        for method, pool in on_handles:
+            pairs = [(i,) for i in pool] if spec.arity == 1 else \
+                [(i, j) for i in pool for j in pool]
+            for inputs in pairs:
+                cts = [handles[i] for i in inputs]
+                if spec.scale is MAX_SCALE and abs(
+                        cts[0].scale - cts[1].scale) > SCALE_TOLERANCE \
+                        * max(cts[0].scale, cts[1].scale):
+                    continue    # additive operands share a scale
+                for operands in _operand_choices(spec):
+                    for kwargs in ([{"rescale": True}, {"rescale": False}]
+                                   if spec.fused_rescale else [{}]):
+                        args = [sym.plaintext() if o == "pt" else o
+                                for o in operands]
+                        try:
+                            out = getattr(sym, method)(*cts, *args,
+                                                       **kwargs)
+                        except ValueError:
+                            continue    # below level 0
+                        if NOISE_FLOOR_LOG2 < math.log2(out.scale) \
+                                < _log2_q(out.level) - 1:
+                            yield method, inputs, operands, kwargs, out
+
+
+@st.composite
+def programs(draw, max_ops):
+    """``(source levels, steps)`` of one well-typed program."""
+    sym = SymbolicEvaluator(TOY)
+    levels = draw(st.lists(st.integers(2, TOY.max_level), min_size=1,
+                           max_size=2))
+    handles, hoisted, steps = [sym.fresh(level=l) for l in levels], set(), []
+    for _ in range(draw(st.integers(1, max_ops))):
+        by_method = {}
+        for candidate in _candidates(sym, handles, hoisted):
+            by_method.setdefault(candidate[0], []).append(candidate)
+        if not by_method:
+            break
+        # The method first, so a row with many operand choices is no
+        # likelier than one with a single call.
+        method, inputs, operands, kwargs, out = draw(st.sampled_from(
+            by_method[draw(st.sampled_from(sorted(by_method)))]))
+        if method == "hoist":
+            hoisted.add(len(handles))
+        handles.append(out)
+        steps.append((method, inputs, operands, kwargs))
+    if len(handles) - 1 in hoisted:     # a program returns a ciphertext
+        steps.append(("rotate_hoisted", (len(handles) - 1,), (1,), {}))
+    return levels, steps
+
+
+def _run(ev, sources, steps):
+    """The program against any evaluator; also which sources it read,
+    in first-use order (the order their SOURCE ops are recorded in)."""
+    values, used = list(sources), []
+    for method, inputs, operands, kwargs in steps:
+        used.extend(i for i in inputs
+                    if i < len(sources) and i not in used)
+        cts = [values[i] for i in inputs]
+        # A plaintext added to a ciphertext is encoded at its scale.
+        args = [ev.encoder.encode(PLAIN, cts[0].scale
+                                  if method == "poly_add" else None)
+                if o == "pt" else o for o in operands]
+        values.append(getattr(ev, method)(*cts, *args, **kwargs))
+    return values[-1], used
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    return CkksContext(TOY, seed=21)
+
+
+def _check(ctx, levels, steps):
+    sources = [ctx.encrypt(SLOTS, level=level) for level in levels]
+    direct, used = _run(ctx.evaluator, sources, steps)
+    plan = engine.compile(lambda ev: _run(ev, sources, steps)[0],
+                          context=ctx, name="generated")
+    replay = plan.execute(ctx, sources=[sources[i] for i in used])
+    assert engine.bit_identical(replay.output, direct)
+    report = plan.lint()
+    assert not report.has_errors, report.render()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(programs(max_ops=8))
+def test_generated_programs_replay_bit_identically_and_lint_clean(
+        ctx, program):
+    _check(ctx, *program)
+
+
+@pytest.mark.slow
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(programs(max_ops=12))
+def test_deeper_generated_programs(ctx, program):
+    _check(ctx, *program)
+
+
+def test_the_walk_reaches_every_real_row():
+    """The strategy is only as good as its coverage: from two fresh
+    ciphertexts and a hoisted handle every replayable method is a
+    candidate (a rescale only of an unrescaled product: elsewhere it
+    would sink the scale below the noise floor)."""
+    sym = SymbolicEvaluator(TOY)
+    fresh = sym.fresh(level=4)
+    handles = [fresh, sym.fresh(level=3), sym.hoist(fresh),
+               sym.he_square(fresh, rescale=False)]
+    offered = {c[0] for c in _candidates(sym, handles, {2})}
+    wanted = {s.method for s in REAL} \
+        | {s.hoisted_method for s in REAL if s.hoisted_method}
+    assert offered == wanted

@@ -1,0 +1,189 @@
+"""Traces, lowered DAGs and replayed residues pinned against the commit
+before the op table.
+
+Record, replay, the symbolic rules and lowering each used to restate per
+``OpKind`` what an op is; they now read ``repro.trace.ops.OPS``.  A
+change of owner must leave every recorded row, every lowered block and
+every replayed residue where it was, so the digests below were recorded
+at commit f81a58d — hand-written recorder / symbolic methods, the
+``_replay_op`` ladder, ``KIND_TO_BLOCK`` / ``_KIND_STEM`` — by running
+this very file (``PYTHONPATH=src python tests/trace/test_op_table_pins.py``
+prints the tables), before any file under ``src/`` changed; they pass
+unchanged on both commits.  Floats are hashed by ``repr``: bit-identical
+or not at all.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.fhe import CkksContext, CkksParameters
+from repro.fhe.packing import SlotLayout
+from repro.serve.workloads import ServedWorkload, scoring_workload
+from repro.workloads import compile_workload
+
+CATALOG = ("boot", "helr", "resnet")
+WIDTH = 16
+
+
+def _pw54() -> CkksParameters:
+    """The 54-bit paper word on a toy ring (``bench.workloads.pw54``)."""
+    return CkksParameters._build(ring_degree=1 << 10, scale_bits=50,
+                                 prime_bits=54, max_level=5, boot_levels=2,
+                                 dnum=2, fft_iterations=1)
+
+
+OFFLINE_PRESETS = {"paper": CkksParameters.paper,
+                   "test": CkksParameters.test}
+REAL_PRESETS = {"toy": CkksParameters.toy, "pw54": _pw54}
+
+
+# -- symbolic record -> passes -> lower ---------------------------------------
+
+def _trace_digest(trace) -> str:
+    sha = hashlib.sha256()
+    sha.update(f"{trace.name}|{trace.output_op_id}|{len(trace.ops)}\n"
+               .encode())
+    for op in trace.ops:
+        sha.update(repr((op.op_id, op.kind.value, op.inputs, op.level,
+                         op.out_level, repr(op.out_scale), op.key,
+                         op.hoist_group, op.region,
+                         sorted(op.meta.items()))).encode())
+        sha.update(b"\n")
+    return sha.hexdigest()
+
+
+def _dag_digest(graph) -> str:
+    sha = hashlib.sha256()
+    for node_id, attrs in graph.nodes(data=True):
+        block = attrs["block"]
+        sha.update(repr((node_id, block.block_id, block.block_type.value,
+                         block.level,
+                         sorted(block.metadata.items(),
+                                key=lambda item: item[0]))).encode())
+        sha.update(b"\n")
+    for u, v, attrs in graph.edges(data=True):
+        sha.update(repr((u, v, repr(attrs["bytes"]))).encode())
+        sha.update(b"\n")
+    return sha.hexdigest()
+
+
+#: (workload, preset) -> (trace digest, DAG digest).
+OFFLINE_PINS = {
+    ("boot", "paper"): (
+        "76d818e22eaa2e1b4d00273551c3f9538c130d8aa4f47e0b6f85d8f332d0e527",
+        "01de880c5cfd16f46f0df63b24c6af1b68f7cca9f39cf116eaade2ddd0bde280"),
+    ("boot", "test"): (
+        "8a597b0b25a698c1fbcc3f8e707917069d4958b8e2e95bed79cebab633237d36",
+        "ef2b61bc603b84eda1f4e864e6cb74dd951770ae51ae9b11d24790d9a574b55d"),
+    ("helr", "paper"): (
+        "c33c032084e220801a7075cf4663f9906af0a7bb018c7c597bda162eb412dd1e",
+        "41be1ad0a04a3e085636a363d82142da001b613839eb8ea68805caf8602628b5"),
+    ("helr", "test"): (
+        "2ad3cf54319a3794963096dfb35e9d9922bfbdaf3af33094f4a4b6512431c152",
+        "a68a6d2b60f8e1ad0750215cf8ea17caadb4a766811a34c31025236fdc333f56"),
+    ("resnet", "paper"): (
+        "637555ca6279598e4591397ad466e53170e9de2a44d50272f086c603f466d336",
+        "03fe4e0750968079269c5637bfb3d4181d73a7632734c438b091d9282c10bbb9"),
+    ("resnet", "test"): (
+        "39e387795dedb2a2b9d5bc457b9a3ef5906b1d2aff11c89b7c7b02d73ec21783",
+        "1a44f999a51024b59b0777fa2379675d92c514bcb1a1a769d5516326c6a3c673"),
+}
+
+
+@pytest.mark.parametrize("workload,preset", sorted(OFFLINE_PINS))
+def test_recorded_rows_and_lowered_blocks_are_the_parents(workload, preset):
+    plan = compile_workload(workload, OFFLINE_PRESETS[preset]())
+    trace_pin, dag_pin = OFFLINE_PINS[workload, preset]
+    assert _trace_digest(plan.trace) == trace_pin
+    assert _dag_digest(plan.graph) == dag_pin
+
+
+# -- real record -> replay ----------------------------------------------------
+
+_AFFINE = tuple(np.linspace(lo, hi, WIDTH) for lo, hi in
+                ((0.5, 1.0), (-0.5, 0.5), (1.0, 0.25), (0.25, -0.25)))
+
+
+def _affine_workload() -> ServedWorkload:
+    """``bench``'s key-switch-free lane: ``(x*a + b)*c + d`` slot-wise."""
+
+    def build(layout: SlotLayout):
+        a, b, c, d = (np.tile(v, layout.capacity) for v in _AFFINE)
+
+        def affine(ev, ct):
+            encode = ev.encoder.encode
+            y = ev.poly_mult(ct, encode(a), rescale=True)
+            y = ev.poly_add(y, encode(b, y.scale))
+            y = ev.poly_mult(y, encode(c), rescale=True)
+            return ev.poly_add(y, encode(d, y.scale))
+
+        return affine
+
+    return ServedWorkload(name=f"affine-w{WIDTH}", width=WIDTH,
+                          build_program=build, result_slots=WIDTH)
+
+
+SERVED = {"scoring": lambda: scoring_workload(WIDTH),
+          "affine": _affine_workload}
+
+
+def _replay_digests(workload: str, preset: str) -> tuple[str, str]:
+    """(digest of the served plan's trace rows, digest of every value
+    ``plan.execute`` produced, op by op) for one seeded context."""
+    params = REAL_PRESETS[preset]()
+    plan = SERVED[workload]().compile(params)
+    ctx = CkksContext(params, seed=123)
+    slots = np.random.default_rng(7).uniform(-1.0, 1.0, params.num_slots)
+    run = plan.execute(ctx, sources=[ctx.encrypt(slots)])
+    sha = hashlib.sha256()
+    for op in plan.trace.ops:
+        value = run.values[op.op_id]
+        ct = getattr(value, "ct", value)      # a HOIST yields a handle
+        sha.update(f"{op.op_id}:{ct.level}:{ct.scale!r};".encode())
+        for poly in (ct.c0, ct.c1):
+            for limb in poly.limbs:
+                sha.update(np.ascontiguousarray(limb, dtype=np.int64)
+                           .tobytes())
+    assert run.output is run.values[plan.trace.output_op_id]
+    return _trace_digest(plan.trace), sha.hexdigest()
+
+
+#: (workload, preset) -> (trace digest, digest of the replayed residues).
+REPLAY_PINS = {
+    ("scoring", "toy"): (
+        "5b0185bb399c51a87d5e795256bf0091690d0a927b7e57a8c86c881a6e9e66d3",
+        "8a660cc41b681e6d7f7481df900c957c9713fb19ceef06b6bcd1ea05effb9b21"),
+    ("scoring", "pw54"): (
+        "fb71a45dc85c6831af5cf487d2fb37e27104c2d3d7b56b0caf39167b091ec7dc",
+        "6fc94f2c465debedbdc0ca9df7b9429d13d976e9f5b9ca7bf3381e94dc57343d"),
+    ("affine", "toy"): (
+        "583fd19258c40f2aa31bae75fa135211c7bb687cabec475f4bf360f00ec63fa2",
+        "8811e9c27b3a9163a81a8162e8502fd76c9fc97f19db1746eb16acd8e4d83f87"),
+    ("affine", "pw54"): (
+        "940813f3bda4b14ad0aded41d9804eb200c049e8792bd264311b50ffaf82d21a",
+        "6164ae506502abccf38999ad4668d07f704b6b5be0e6889a1614d3fddc7ba706"),
+}
+
+
+@pytest.mark.parametrize("workload,preset", sorted(REPLAY_PINS))
+def test_replayed_residues_are_the_parents(workload, preset):
+    assert _replay_digests(workload, preset) == REPLAY_PINS[workload, preset]
+
+
+if __name__ == "__main__":
+    print("OFFLINE_PINS = {")
+    for name in CATALOG:
+        for preset_name, preset in OFFLINE_PRESETS.items():
+            plan = compile_workload(name, preset())
+            print(f'    ("{name}", "{preset_name}"): (\n'
+                  f'        "{_trace_digest(plan.trace)}",\n'
+                  f'        "{_dag_digest(plan.graph)}"),')
+    print("}\nREPLAY_PINS = {")
+    for name in SERVED:
+        for preset_name in REAL_PRESETS:
+            rows, residues = _replay_digests(name, preset_name)
+            print(f'    ("{name}", "{preset_name}"): (\n'
+                  f'        "{rows}",\n        "{residues}"),')
+    print("}")
