@@ -234,7 +234,7 @@ def test_dword_stacked_ntt_speedup():
 
 def test_dword_exact_lift_speedup():
     """The ModDown lift at the 54-bit word: one split-word matmul against
-    ``RnsBasis.convert_exact``'s 32-bit word planes (what the stacked
+    ``RnsBasis.convert_exact``, the big-integer CRT (what the stacked
     backend ran before, and the reference backend still does): ~9x
     measured, 4x floor; bit-identical."""
     import numpy as np

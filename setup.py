@@ -44,12 +44,6 @@ setup(
         "lint": [
             "ruff",
         ],
-        # Optional JIT acceleration: enables the "accel" compute backend
-        # (numba kernels).  Without it the backend registers as gated and
-        # selection falls back to the default with a warning.
-        "accel": [
-            "numba",
-        ],
     },
     # Ship non-code package assets (e.g. the backend architecture README).
     include_package_data=True,

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import (BackendUnavailableWarning, ComputeBackend,
-                      available_backends, create_backend, gated_backends,
+from .backend import (ComputeBackend, available_backends, create_backend,
                       register_backend, resolve_backend_name)
 from .ciphertext import Ciphertext
 from .encoder import CkksEncoder, Plaintext
@@ -29,7 +28,6 @@ from .poly import (PolyContext, Polynomial, Representation,
 from .rns import KeySwitchContext, RnsBasis
 
 __all__ = [
-    "BackendUnavailableWarning",
     "Ciphertext", "CkksContext", "CkksDecryptor", "CkksEncoder",
     "CkksEncryptor", "CkksEvaluator", "CkksParameters", "ComputeBackend",
     "HoistedCiphertext", "KeyGenerator", "KeySwitchContext", "LevelBudget",
@@ -37,7 +35,6 @@ __all__ = [
     "RnsBasis", "SecretKey", "SlotLayout", "SwitchingKey",
     "available_backends",
     "circuit_depth", "conjugation_galois_element", "create_backend",
-    "gated_backends",
     "register_backend", "resolve_backend_name", "rotation_galois_element",
 ]
 

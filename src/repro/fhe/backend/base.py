@@ -4,8 +4,8 @@ A compute backend owns the *storage layout* and the *kernels* for RNS
 polynomial limb data.  :class:`~repro.fhe.poly.Polynomial` stores whatever
 the backend's :meth:`ComputeBackend.as_native` returns and routes every ring
 operation through the backend, so swapping backends never changes results —
-only how the per-limb kernels are scheduled (per-limb loops, one batched
-sweep over a limb stack, and in the future numba/GPU dispatch).
+only how the per-limb kernels are scheduled (per-limb loops or one batched
+sweep over a limb stack).
 
 Backends must be **bit-exact** with each other: all kernels are exact
 integer arithmetic, so any divergence is a bug (and is cross-checked by

@@ -11,20 +11,15 @@ precedence, highest first:
 3. ``CkksParameters.backend``,
 4. :data:`DEFAULT_BACKEND`.
 
-Backends with optional dependencies (the ``accel`` numba backend) register
-as **gated** when their import fails: :func:`register_gated_backend`
-records the captured failure reason, selection of a gated name falls back
-to :data:`DEFAULT_BACKEND` with a :class:`BackendUnavailableWarning`
-naming the reason, and unknown-name errors list both the registered and
-the gated backends.  This keeps the selection/fallback logic exercised on
-numpy-only installs while real speedups land wherever the accelerator
-exists.
+A name that is not registered is an error wherever it came from — there
+is no fallback: :func:`create_backend` raises ``ValueError`` listing
+:func:`available_backends`, and :func:`resolve_backend_name` raises one
+that names the environment variable when the bad value came from there.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 
 from .base import ComputeBackend
 
@@ -36,13 +31,6 @@ DEFAULT_BACKEND = "stacked"
 
 _REGISTRY: dict[str, type[ComputeBackend]] = {}
 
-#: Gated backends: name -> human-readable reason the import failed.
-_GATED: dict[str, str] = {}
-
-
-class BackendUnavailableWarning(UserWarning):
-    """A gated backend was requested; falling back to the default."""
-
 
 def register_backend(name: str):
     """Class decorator registering a :class:`ComputeBackend` under ``name``."""
@@ -52,23 +40,9 @@ def register_backend(name: str):
             raise ValueError(f"compute backend {name!r} already registered")
         cls.name = name
         _REGISTRY[name] = cls
-        _GATED.pop(name, None)
         return cls
 
     return decorator
-
-
-def register_gated_backend(name: str, reason: str) -> None:
-    """Record ``name`` as known-but-unavailable with the failure ``reason``.
-
-    Called by backend modules whose optional dependency failed to import;
-    the reason is surfaced by :func:`gated_backends`, by the fallback
-    warning, and by unknown-backend errors.
-    """
-    if name in _REGISTRY:
-        raise ValueError(
-            f"compute backend {name!r} is registered; cannot gate it")
-    _GATED[name] = reason
 
 
 def available_backends() -> tuple[str, ...]:
@@ -76,50 +50,25 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def gated_backends() -> dict[str, str]:
-    """Known-but-unavailable backends: ``{name: import-failure reason}``."""
-    return dict(_GATED)
-
-
 def resolve_backend_name(requested: str | None = None) -> str:
     """Resolve a backend name: env var > ``requested`` > default."""
     env = os.environ.get(BACKEND_ENV_VAR, "").strip()
     if env:
+        if env not in _REGISTRY:
+            raise ValueError(
+                f"{BACKEND_ENV_VAR}={env!r} names no compute backend; "
+                f"available: {', '.join(available_backends())}")
         return env
     if requested:
         return requested
     return DEFAULT_BACKEND
 
 
-def _known_backends_message() -> str:
-    parts = [f"available: {', '.join(available_backends()) or '(none)'}"]
-    if _GATED:
-        gated = "; ".join(f"{name} ({reason})"
-                          for name, reason in sorted(_GATED.items()))
-        parts.append(f"gated (unavailable): {gated}")
-    return "; ".join(parts)
-
-
 def create_backend(name: str, params) -> ComputeBackend:
-    """Instantiate the backend registered under ``name`` for ``params``.
-
-    A gated name (e.g. ``accel`` on a numpy-only install) falls back to
-    :data:`DEFAULT_BACKEND` with a :class:`BackendUnavailableWarning`
-    carrying the captured import-failure reason, so code written against
-    the accelerated backend keeps running — just unaccelerated — on
-    machines that lack the optional dependency.
-    """
+    """Instantiate the backend registered under ``name`` for ``params``."""
     cls = _REGISTRY.get(name)
     if cls is None:
-        reason = _GATED.get(name)
-        if reason is not None:
-            warnings.warn(
-                f"compute backend {name!r} is unavailable ({reason}); "
-                f"falling back to {DEFAULT_BACKEND!r}",
-                BackendUnavailableWarning, stacklevel=2)
-            cls = _REGISTRY[DEFAULT_BACKEND]
-        else:
-            raise ValueError(
-                f"unknown compute backend {name!r}; "
-                f"{_known_backends_message()}")
+        raise ValueError(
+            f"unknown compute backend {name!r}; "
+            f"available: {', '.join(available_backends())}")
     return cls(params)

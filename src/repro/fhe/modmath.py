@@ -320,14 +320,15 @@ def _barrett_reduce_dword(hi, lo, q_u, ratio_lo, ratio_hi):
     return np.minimum(r, r - q_u)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _shoup_scalar(w: int, q: int) -> tuple[np.uint64, np.uint64, np.uint64]:
     """Cached ``(w, shoup(w), q)`` uint64 triple for a scalar constant.
 
-    Scalar multiplicands on the hot paths (ModUp weights, rescale
-    inverses, ``P^{-1}``) are fixed per level, so the Python-bigint
-    quotient ``(w << 64) // q`` is paid once per (constant, modulus)
-    pair, mirroring :func:`_barrett128`.
+    The per-level constants of the per-limb paths (rescale inverses,
+    ``P^{-1}``, CRT inverses) are fixed, so the Python-bigint quotient
+    ``(w << 64) // q`` is paid once per (constant, modulus) pair,
+    mirroring :func:`_barrett128`.  Bounded: ``scalar_mul`` feeds this
+    request-supplied scalars, and a miss only costs that one quotient.
     """
     return np.uint64(w), np.uint64((w << 64) // q), np.uint64(q)
 
@@ -503,90 +504,6 @@ def from_mont_vec(a: np.ndarray, q: int) -> np.ndarray:
         # u <= q < 2**61, so u - q wraps past u exactly when u < q.
         return np.minimum(u, u - q_u).view(np.int64)
     return mulmod_vec(a, r_inv, q)
-
-
-# -- word-split helpers (big-integer <-> 32-bit planes) ----------------------
-
-
-def split_words(values, num_words: int | None = None) -> np.ndarray:
-    """Split non-negative Python ints into a ``(W, N)`` int64 plane array.
-
-    Plane ``w`` holds bits ``[32w, 32w+32)`` of every value.  Used by the
-    RNS lifts to replace per-limb object arithmetic with native Horner
-    folds over the planes (word-split accumulation).
-    """
-    vals = [int(v) for v in values]
-    if any(v < 0 for v in vals):
-        raise ValueError("split_words requires non-negative values")
-    if num_words is None:
-        num_words = max((v.bit_length() for v in vals), default=1)
-        num_words = (num_words + 31) // 32 or 1
-    raw = b"".join(v.to_bytes(num_words * 4, "little") for v in vals)
-    planes = np.frombuffer(raw, dtype="<u4").reshape(len(vals), num_words)
-    return planes.T.astype(np.int64)
-
-
-def join_words(planes: np.ndarray) -> list[int]:
-    """Inverse of :func:`split_words`: ``(W, N)`` planes -> Python ints."""
-    u32 = np.ascontiguousarray(planes.T.astype(np.uint32))
-    raw = u32.tobytes()
-    step = 4 * planes.shape[0]
-    return [int.from_bytes(raw[i * step:(i + 1) * step], "little")
-            for i in range(planes.shape[1])]
-
-
-def add_planes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Plane-wise addition with carry propagation.
-
-    ``a`` and ``b`` are ``(W, N)`` int64 arrays of 32-bit words (``b`` may
-    be shorter; missing high words are zero).  Returns ``(sum, carry_out)``
-    with ``carry_out`` the final carry per column (0/1).
-    """
-    w_total, n = a.shape
-    out = np.empty_like(a)
-    carry = np.zeros(n, dtype=np.int64)
-    for w in range(w_total):
-        s = a[w] + (b[w] if w < len(b) else 0) + carry
-        carry = s >> 32
-        out[w] = s & 0xFFFFFFFF
-    return out, carry
-
-
-def sub_planes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Plane-wise subtraction with borrow propagation.
-
-    Returns ``(diff, borrow_out)``; ``borrow_out[i] = 1`` means column i
-    of ``a`` was smaller than ``b`` (the diff then holds ``a - b + 2**32W``
-    wrapped, which callers must discard or correct).
-    """
-    w_total, n = a.shape
-    out = np.empty_like(a)
-    borrow = np.zeros(n, dtype=np.int64)
-    for w in range(w_total):
-        d = a[w] - (b[w] if w < len(b) else 0) - borrow
-        borrow = (d < 0).astype(np.int64)
-        out[w] = d + (borrow << 32)
-    return out, borrow
-
-
-def horner_fold_mod(planes: np.ndarray, q: int) -> np.ndarray:
-    """Reduce word-split planes mod ``q``: ``sum_w plane_w * 2**(32w)``.
-
-    A most-significant-first Horner fold: one native constant mulmod and
-    one add-reduce per plane, entirely in machine integers for native
-    ``q`` (no object arithmetic).
-    """
-    if not _is_native(q):
-        acc = np.zeros(planes.shape[1], dtype=object)
-        for plane in planes[::-1]:
-            acc = (acc * (1 << 32) + plane.astype(object)) % q
-        return acc
-    base = (1 << 32) % q
-    acc = np.zeros(planes.shape[1], dtype=np.int64)
-    for plane in planes[::-1]:
-        # acc*base reduced < q, plus a 32-bit plane word: fits int64.
-        acc = np.remainder(mulmod_vec(acc, base, q) + plane, q)
-    return acc
 
 
 def addmod_vec(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -1103,7 +1020,7 @@ def _mont_columns(moduli: tuple[int, ...], ndim: int
     The stacked REDC constants, mirroring :func:`_barrett_columns`: one
     cached column set per (basis, broadcast rank), shared by
     :func:`mont_mulmod_stack` / :func:`to_mont_stack` /
-    :func:`from_mont_stack` and by the accel backend's JIT kernels.
+    :func:`from_mont_stack`.
     """
     shape = (len(moduli),) + (1,) * (ndim - 1)
     consts = [mont_precompute_vec(int(q)) for q in moduli]

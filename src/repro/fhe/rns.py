@@ -9,25 +9,21 @@ base conversion and the exact ModDown lift, each bound to one modular
 matmul on both native tiers, with :meth:`RnsBasis.convert_exact` as the
 lift of the object tier and of the ``reference`` backend.
 
-The big-integer lifts (``decompose_vec``, ``compose_vec`` and the exact
-base conversions) carry values as 32-bit *word planes* wherever they can:
-per-limb reductions become native Horner folds over the planes and the CRT
-accumulation becomes carry-save plane arithmetic, so object-dtype Python
-ints only appear at the unavoidable boundaries (materializing a composed
-big integer, reducing it mod Q).
+The big-integer lifts (``decompose_vec``, ``compose_vec``,
+``compose_centered_vec`` and :meth:`RnsBasis.convert_exact`) are the
+oracle and the fallback, not a fast path: the scaled residues
+``[x_i * hat{q}_i^{-1}]_{q_i}`` come from the per-limb kernels and
+everything past them is one object array of Python integers — one CRT sum
+(:meth:`RnsBasis._total_object`) for every basis, one ``%`` per target
+prime.  A warm batch reaches none of it (``test_kernel_budget.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .modmath import (BoundModMatmul, BoundScalarMul, add_planes,
-                      horner_fold_mod, invmod, join_words, limb_dtype,
-                      mulmod_vec, reduce_vec, split_words, stack_native_class,
-                      sub_planes, submod_vec)
-
-_U32_MASK = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+from .modmath import (BoundModMatmul, BoundScalarMul, invmod, mulmod_vec,
+                      reduce_vec, stack_native_class, submod_vec)
 
 #: Integers strictly inside ``+-WORD_BOUND`` cross a batch's edges as
 #: int64 (the ``.rpa`` wire format's own bound on a coefficient); one
@@ -55,8 +51,6 @@ class RnsBasis:
         self.punctured = [self.big_modulus // q for q in primes]
         self.punctured_inv = [invmod(p % q, q)
                               for p, q in zip(self.punctured, primes)]
-        self._hat_planes: list[np.ndarray] | None = None
-        self._q_planes: tuple[np.ndarray, np.ndarray] | None = None
         # For compose_centered_words: q_0^{-1} mod q_1, and the largest
         # |d_1| that keeps |d_0 + d_1 * q_0| below WORD_BOUND.
         if self.size > 1:
@@ -71,24 +65,16 @@ class RnsBasis:
     def decompose_vec(self, values: list[int] | np.ndarray) -> list[np.ndarray]:
         """Vector of big integers -> list of residue vectors (limbs).
 
-        Machine-integer inputs take one vectorized reduction per limb.
-        Python bigints are split into 32-bit word planes once (plus a sign
-        mask) and every limb is a native Horner fold over the planes — no
-        per-coefficient object arithmetic per limb.
+        Machine-integer inputs take one vectorized reduction per limb;
+        anything else becomes one object array of Python integers,
+        reduced per limb.
         """
         if isinstance(values, np.ndarray) and values.dtype.kind == "i":
             return [reduce_vec(values, q) for q in self.primes]
-        # Unsigned arrays also go through the plane lift: uint64 values
-        # >= 2**63 would wrap in reduce_vec's int64 cast.
-        vals = [int(v) for v in values]
-        neg = np.array([v < 0 for v in vals], dtype=bool)
-        planes = split_words([-v if v < 0 else v for v in vals])
-        limbs = []
-        for q in self.primes:
-            r = horner_fold_mod(planes, q)
-            limbs.append(np.where(neg, (q - r) % q, r).astype(
-                limb_dtype(q), copy=False))
-        return limbs
+        # Unsigned arrays too: uint64 values >= 2**63 would wrap in
+        # reduce_vec's int64 cast.
+        big = np.array([int(v) for v in values], dtype=object)
+        return [reduce_vec(big, q) for q in self.primes]
 
     def compose(self, residues: list[int]) -> int:
         """Residue tuple -> unique big integer in [0, Q) (exact CRT)."""
@@ -101,144 +87,19 @@ class RnsBasis:
             total += ((int(r) * hat_inv) % q) * hat
         return total % self.big_modulus
 
-    def _hat_word_planes(self) -> list[np.ndarray]:
-        """32-bit word decomposition of every punctured product (cached)."""
-        if self._hat_planes is None:
-            width = (self.big_modulus.bit_length() + 31) // 32 or 1
-            self._hat_planes = [
-                np.frombuffer(hat.to_bytes(width * 4, "little"),
-                              dtype="<u4").astype(np.uint64)
-                for hat in self.punctured]
-        return self._hat_planes
-
-    def _q_word_planes(self) -> tuple[np.ndarray, np.ndarray]:
-        """32-bit words of Q and of Q//2 + 1 (cached; for plane reduction)."""
-        if self._q_planes is None:
-            width = (self.big_modulus.bit_length() + 31) // 32 or 1
-            q_words = split_words([self.big_modulus],
-                                  num_words=width + 3)[:, 0]
-            half_words = split_words([self.big_modulus // 2 + 1],
-                                     num_words=width + 3)[:, 0]
-            self._q_planes = (q_words.reshape(-1, 1),
-                              half_words.reshape(-1, 1))
-        return self._q_planes
-
-    def _scaled_ys(self, limbs: list[np.ndarray]
-                   ) -> tuple[list[np.ndarray], bool]:
-        """Scaled residues ``y_i = [x_i * hat{q}_i^{-1}]_{q_i}``.
-
-        Returns ``(ys, native)``; ``native`` is False when the basis or
-        the inputs require the object-dtype composition path (the ys are
-        still exact and reusable there).
-        """
-        ys = [mulmod_vec(limb, hat_inv, q) for limb, hat_inv, q in
-              zip(limbs, self.punctured_inv, self.primes)]
-        native = (stack_native_class(self.primes) != "object"
-                  and all(y.dtype != object for y in ys))
-        return ys, native
-
-    def _compose_planes(self, ys: list[np.ndarray]
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact ``sum_i y_i * hat{q}_i mod Q`` as 32-bit planes (native).
-
-        Carry-save accumulation: every y (< 2**61) splits into two 32-bit
-        halves; each half times each 32-bit hat word is a uint64 product
-        whose lo/hi words add into planes w and w+1.  At most 4*size
-        partials (< 2**32 each) land in one plane, far from uint64
-        overflow, so carries propagate once.  The reduction mod Q uses a
-        float64 estimate of the CRT quotient ``k = floor(sum y_i / q_i)``
-        followed by *exact* plane fix-ups (the estimate is off by at most
-        one, and both corrections compare in integer planes), so the
-        result is exact — no float error can survive.
-
-        Returns ``(planes, wrap)`` with ``planes`` holding the reduced
-        value in [0, Q) and ``wrap`` the boolean mask ``value > Q//2``
-        (used by the centered lifts).
-        """
-        n = len(ys[0])
-        hat_planes = self._hat_word_planes()
-        width = len(hat_planes[0])
-        acc = np.zeros((width + 3, n), dtype=np.uint64)
-        for y, hat_words in zip(ys, hat_planes):
-            y_u = y.view(np.uint64)
-            y_lo = y_u & _U32_MASK
-            y_hi = y_u >> _SHIFT32
-            for w, hword in enumerate(hat_words):
-                if hword == 0:
-                    continue
-                p_lo = y_lo * hword
-                acc[w] += p_lo & _U32_MASK
-                acc[w + 1] += p_lo >> _SHIFT32
-                p_hi = y_hi * hword
-                acc[w + 1] += p_hi & _U32_MASK
-                acc[w + 2] += p_hi >> _SHIFT32
-        total = np.empty((width + 3, n), dtype=np.int64)
-        carry = np.zeros(n, dtype=np.uint64)
-        for w in range(width + 3):
-            cur = acc[w] + carry
-            total[w] = (cur & _U32_MASK).view(np.int64)
-            carry = cur >> _SHIFT32
-        # k_hat = floor(sum y_i / q_i) from float64; exact k is within 1.
-        fracs = np.array([1.0 / q for q in self.primes], dtype=np.float64)
-        v = (np.stack(ys).astype(np.float64) * fracs.reshape(-1, 1))\
-            .sum(axis=0)
-        k_hat = np.maximum(np.floor(v).astype(np.int64), 0)
-        q_words, half_words = self._q_word_planes()
-        # k_hat * Q in planes: one uint64 product per (word, column), then
-        # a single carry propagation (products < 2**39).
-        prod = q_words.view(np.uint64) * k_hat[None, :].view(np.uint64)
-        kq_acc = np.zeros((width + 3, n), dtype=np.uint64)
-        kq_acc += prod & _U32_MASK
-        kq_acc[1:] += (prod >> _SHIFT32)[:-1]
-        kq = np.empty((width + 3, n), dtype=np.int64)
-        carry = np.zeros(n, dtype=np.uint64)
-        for w in range(width + 3):
-            cur = kq_acc[w] + carry
-            kq[w] = (cur & _U32_MASK).view(np.int64)
-            carry = cur >> _SHIFT32
-        r, borrow = sub_planes(total, kq)
-        if borrow.any():
-            # k_hat overshot by one: add Q back (the add's carry-out
-            # cancels the wrapped borrow).
-            fixed, _ = add_planes(r, q_words)
-            r = np.where(borrow.astype(bool)[None, :], fixed, r)
-        r_sub, borrow2 = sub_planes(r, q_words)
-        under = borrow2 == 0            # still >= Q: k_hat undershot by one
-        if under.any():
-            r = np.where(under[None, :], r_sub, r)
-        _, borrow3 = sub_planes(r, half_words)
-        wrap = borrow3 == 0             # value > Q//2
-        return r[:width], wrap
-
-    def _compose_total_vec(self, limbs: list[np.ndarray]) -> np.ndarray:
-        """Vectorized exact CRT sum reduced into [0, Q) (object dtype).
-
-        Native bases accumulate in 32-bit planes and only materialize
-        Python ints once at the end; object bases fall back to bignum
-        accumulation (reusing the same scaled residues).
-        """
-        ys, native = self._scaled_ys(limbs)
-        if not native:
-            return self._total_object(ys)
-        planes, _ = self._compose_planes(ys)
-        return np.array(join_words(planes), dtype=object)
-
-    def _total_object(self, ys: list[np.ndarray]) -> np.ndarray:
-        """Bignum fallback of the CRT sum: ``sum_i y_i * hat{q}_i mod Q``."""
-        total = np.zeros(len(ys[0]), dtype=object)
-        for y, hat in zip(ys, self.punctured):
-            total = total + y.astype(object) * hat
+    def _total_object(self, limbs: list[np.ndarray]) -> np.ndarray:
+        """The exact CRT sum in Python integers, reduced into [0, Q):
+        ``sum_i [x_i * hat{q}_i^{-1}]_{q_i} * hat{q}_i mod Q``."""
+        total = np.zeros(len(limbs[0]), dtype=object)
+        for limb, q, hat, hat_inv in zip(limbs, self.primes, self.punctured,
+                                         self.punctured_inv):
+            total = total + mulmod_vec(limb, hat_inv, q).astype(object) * hat
         total %= self.big_modulus
         return total
 
     def compose_vec(self, limbs: list[np.ndarray]) -> list[int]:
-        """List of residue vectors -> vector of big integers in [0, Q).
-
-        Same machinery as :meth:`compose_centered_vec`: native scaled
-        residues + carry-save plane accumulation instead of a Python CRT
-        loop per coefficient.
-        """
-        return [int(v) for v in self._compose_total_vec(limbs)]
+        """List of residue vectors -> vector of big integers in [0, Q)."""
+        return [int(v) for v in self._total_object(limbs)]
 
     def compose_centered(self, residues: list[int]) -> int:
         """Exact CRT with result centered in (-Q/2, Q/2]."""
@@ -249,10 +110,9 @@ class RnsBasis:
     def compose_centered_vec(self, limbs: list[np.ndarray]) -> np.ndarray:
         """Vectorized exact CRT: residue limbs -> centered big integers.
 
-        Same math as :meth:`compose_centered` per coefficient, carried by
-        the carry-save plane accumulation of :meth:`_compose_total_vec`.
+        Same math as :meth:`compose_centered` per coefficient.
         """
-        total = self._compose_total_vec(limbs)
+        total = self._total_object(limbs)
         half = self.big_modulus // 2
         return np.where(total > half, total - self.big_modulus, total)
 
@@ -300,31 +160,11 @@ class RnsBasis:
         """Exact base conversion through centered CRT composition.
 
         The ModDown lift of the ``reference`` backend and of every context
-        that binds no matmul, and the tests' oracle.  The centered value
-        ``v - Q*[v > Q/2]`` is reduced per target as
-        ``(v mod p) - (Q mod p)``: for native bases
-        the composed value never leaves its 32-bit plane representation
-        and every per-target reduction is a native Horner fold — no
-        object-dtype arithmetic anywhere on the exact ModDown path.
+        that binds no matmul, and the tests' oracle: compose, center,
+        reduce per target prime.
         """
-        ys, native = self._scaled_ys(limbs)
-        if native:
-            planes, wrap = self._compose_planes(ys)
-        else:
-            total = self._total_object(ys)
-            wrap = (total > self.big_modulus // 2).astype(bool)
-            planes = split_words(total)
-        out = []
-        for p in target_primes:
-            r = horner_fold_mod(planes, p)
-            if r.dtype == object:
-                corr = wrap.astype(object) * (self.big_modulus % p)
-            else:
-                corr = np.where(wrap, self.big_modulus % p,
-                                0).astype(np.int64)
-            out.append(submod_vec(r, corr, p).astype(limb_dtype(p),
-                                                     copy=False))
-        return out
+        centered = self.compose_centered_vec(limbs)
+        return [reduce_vec(centered, p) for p in target_primes]
 
     def round_quotient(self, centered_columns: np.ndarray) -> list[int]:
         """Exact ``round(sum_i y_i / q_i)`` per column, in Python integers.

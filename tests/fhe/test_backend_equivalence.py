@@ -16,8 +16,7 @@ from repro.fhe import (CkksContext, CkksParameters, PolyContext,
                        available_backends, create_backend,
                        resolve_backend_name)
 from repro.fhe.backend import (BACKEND_ENV_VAR, DEFAULT_BACKEND,
-                               BackendUnavailableWarning, gated_backends,
-                               register_backend, register_gated_backend)
+                               register_backend)
 from repro.fhe.backend.registry import _REGISTRY
 from repro.fhe.modmath import stack_residues
 from repro.fhe.ntt import BatchedNttContext, NttContext
@@ -79,57 +78,34 @@ class TestRegistry:
         for name, cls in _REGISTRY.items():
             assert cls.name == name
 
+    @pytest.mark.filterwarnings("error")
+    def test_unregistered_env_value_raises_naming_the_variable(
+            self, monkeypatch):
+        """``accel`` was a gated name that fell back with a warning; a
+        lane still setting it must fail, and say where the name is."""
+        monkeypatch.setenv(BACKEND_ENV_VAR, "accel")
+        with pytest.raises(ValueError) as err:
+            PolyContext(CkksParameters.toy(), seed=1)
+        assert str(err.value) == (
+            "REPRO_FHE_BACKEND='accel' names no compute backend; "
+            f"available: {', '.join(available_backends())}")
+        # An explicit argument still bypasses the variable.
+        assert PolyContext(CkksParameters.toy(), seed=1,
+                           backend="stacked").backend.name == "stacked"
 
-def _numba_available() -> bool:
-    try:
-        import numba  # noqa: F401
-        return True
-    except ImportError:
-        return False
-
-
-HAS_NUMBA = _numba_available()
-
-
-class TestGatedBackends:
-    """numpy-only installs must degrade gracefully around ``accel``."""
-
-    def test_gating_a_registered_name_is_rejected(self):
-        with pytest.raises(ValueError, match="registered"):
-            register_gated_backend("stacked", "should never happen")
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba installed; accel is live")
-    def test_accel_gated_with_import_reason(self):
-        gated = gated_backends()
-        assert "accel" in gated
-        assert "numba" in gated["accel"]
-        assert "accel" not in available_backends()
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba installed; accel is live")
-    def test_accel_falls_back_to_default_with_warning(self):
-        with pytest.warns(BackendUnavailableWarning, match="numba"):
-            backend = create_backend("accel", CkksParameters.toy())
-        assert backend.name == DEFAULT_BACKEND
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba installed; accel is live")
-    def test_context_with_accel_request_still_works(self):
-        with pytest.warns(BackendUnavailableWarning):
-            ctx = CkksContext(CkksParameters.toy(), seed=11, backend="accel")
-        assert ctx.evaluator.context.backend.name == DEFAULT_BACKEND
-        assert np.allclose(ctx.decrypt(ctx.encrypt([1.0, 2.0]))[:2],
-                           [1.0, 2.0], atol=1e-3)
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba installed; accel is live")
-    def test_unknown_name_error_lists_gated(self):
-        with pytest.raises(ValueError, match="gated"):
-            create_backend("does-not-exist", CkksParameters.toy())
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="requires numba")
-    def test_accel_registered_when_numba_present(self):
-        assert "accel" in available_backends()
-        assert "accel" not in gated_backends()
-        backend = create_backend("accel", CkksParameters.toy())
-        assert backend.name == "accel"
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("how", ["argument", "params"])
+    def test_unregistered_name_in_code_keeps_its_message(self, monkeypatch,
+                                                         how):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        with pytest.raises(ValueError) as err:
+            if how == "argument":
+                CkksContext(CkksParameters.toy(), backend="accel")
+            else:
+                PolyContext(CkksParameters.toy(backend="accel"), seed=1)
+        assert str(err.value) == (
+            "unknown compute backend 'accel'; "
+            f"available: {', '.join(available_backends())}")
 
 
 class TestBatchedNttBitExact:

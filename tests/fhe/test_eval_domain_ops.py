@@ -6,9 +6,8 @@ and come back.  The NTT is an exact ring isomorphism per limb, so each
 has an EVAL-domain form that yields the same integers; these tests hold
 the new kernels to the coefficient-domain *definitions* — a Python-loop
 automorphism and exact big-integer CRT arithmetic written out below, not
-the kernels themselves — on ``reference``, ``stacked`` and ``accel`` (the
-latter through ``test_accel_backend``'s stub-``njit`` route when numba is
-absent), at the int64 tier (``toy``) and at the paper's 54-bit word.
+the kernels themselves — on ``reference`` and ``stacked``, at the int64
+tier (``toy``) and at the paper's 54-bit word.
 """
 
 import gc
@@ -23,43 +22,17 @@ from repro.fhe import (CkksContext, CkksParameters, Plaintext, PolyContext,
                        Polynomial, Representation)
 from repro.fhe.keys import mod_down_poly
 from repro.fhe.rns import RnsBasis
-from test_accel_backend import IMPL
 
 TOY = CkksParameters.toy()
-#: The 54-bit word on a ring small enough for the pure-Python accel loops.
+#: The 54-bit word on a small ring.
 WORD54 = CkksParameters._build(ring_degree=1 << 6, scale_bits=50,
                                prime_bits=54, max_level=3, boot_levels=2,
                                dnum=2, fft_iterations=1)
 PRESETS = {"toy": TOY, "word54": WORD54}
-BACKENDS = ("reference", "stacked", "accel")
-
-# The stub-njit accel loops wrap uint64 scalars on purpose (numba does the
-# same silently); numpy scalars warn about it.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning")
+BACKENDS = ("reference", "stacked")
 
 cases = pytest.mark.parametrize(
     "preset,backend", [(p, b) for p in PRESETS for b in BACKENDS])
-
-
-def poly_context(params: CkksParameters, backend: str,
-                 seed: int = 11) -> PolyContext:
-    """A context on ``backend``; accel shares the stacked storage layout,
-    so its (possibly stub-njit) kernels are swapped into a stacked one."""
-    if backend != "accel":
-        return PolyContext(params, seed=seed, backend=backend)
-    context = PolyContext(params, seed=seed, backend="stacked")
-    context.backend = IMPL.AccelBackend(params)
-    return context
-
-
-def ckks_context(params: CkksParameters, backend: str,
-                 seed: int = 5) -> CkksContext:
-    if backend != "accel":
-        return CkksContext(params, seed=seed, backend=backend)
-    ctx = CkksContext(params, seed=seed, backend="stacked")
-    ctx.keygen.context.backend = IMPL.AccelBackend(params)
-    return ctx
 
 
 def as_ints(poly: Polynomial) -> list[np.ndarray]:
@@ -106,7 +79,7 @@ def naive_automorphism(poly: Polynomial, g: int) -> list[np.ndarray]:
 
 
 class TestAutomorphism:
-    CONTEXTS = {(p, b): poly_context(PRESETS[p], b)
+    CONTEXTS = {(p, b): PolyContext(PRESETS[p], seed=11, backend=b)
                 for p in PRESETS for b in BACKENDS}
 
     @cases
@@ -154,7 +127,7 @@ class TestRescale:
     @cases
     @pytest.mark.parametrize("limbs", [2, 4])
     def test_matches_exact_division(self, preset, backend, limbs):
-        context = poly_context(PRESETS[preset], backend)
+        context = PolyContext(PRESETS[preset], seed=11, backend=backend)
         a = context.random_uniform(context.params.moduli[:limbs],
                                    Representation.EVAL)
         out = a.rescale_last()
@@ -163,7 +136,7 @@ class TestRescale:
         assert_limbs(out.to_coeff(), exact_rescale(a.to_coeff()))
 
     def test_needs_plain_eval_form_and_two_limbs(self):
-        context = poly_context(TOY, "stacked")
+        context = PolyContext(TOY, seed=11, backend="stacked")
         a = context.random_uniform(TOY.moduli[:2], Representation.EVAL)
         with pytest.raises(ValueError, match="EVAL"):
             a.to_coeff().rescale_last()
@@ -196,7 +169,7 @@ class TestModDown:
         ids=[f"exact-{p}-{b}" for p in PRESETS for b in BACKENDS])
     @pytest.mark.parametrize("level", [1, 3])
     def test_matches_the_coeff_definition(self, preset, backend, level):
-        context = poly_context(PRESETS[preset], backend, seed=17)
+        context = PolyContext(PRESETS[preset], seed=17, backend=backend)
         ksctx = context.backend.keyswitch_context(level)
         a = context.random_uniform(ksctx.extended, Representation.EVAL)
         out = mod_down_poly(a, ksctx)
@@ -205,7 +178,7 @@ class TestModDown:
         assert_limbs(out.to_coeff(), coeff_mod_down(a.to_coeff(), ksctx))
 
     def test_needs_plain_eval_form(self):
-        context = poly_context(TOY, "stacked")
+        context = PolyContext(TOY, seed=11, backend="stacked")
         ksctx = context.backend.keyswitch_context(2)
         a = context.random_uniform(ksctx.extended, Representation.EVAL)
         with pytest.raises(ValueError, match="EVAL"):
@@ -222,8 +195,8 @@ class TestEncrypt:
     @cases
     def test_one_transform_for_e0_plus_m(self, preset, backend):
         """Same RNG draws (u, e0, e1), e0 and m transformed separately."""
-        ctx = ckks_context(PRESETS[preset], backend)
-        twin = ckks_context(PRESETS[preset], backend)
+        ctx = CkksContext(PRESETS[preset], seed=5, backend=backend)
+        twin = CkksContext(PRESETS[preset], seed=5, backend=backend)
         values = [0.5, -1.25, 2.0]
         got = ctx.encrypt(values)
         context = twin.keygen.context
@@ -241,7 +214,7 @@ class TestEncrypt:
 class TestHoistedDigitsInEvalForm:
     @cases
     def test_hoisted_equals_sequential(self, preset, backend):
-        ctx = ckks_context(PRESETS[preset], backend)
+        ctx = CkksContext(PRESETS[preset], seed=5, backend=backend)
         ev = ctx.evaluator
         ct = ctx.encrypt([1.0, -2.0, 3.5, 0.25])
         hoisted = ev.hoist(ct)

@@ -53,10 +53,10 @@ def test_warm_dword_key_switch_never_walks_word_planes(monkeypatch):
     key = ctx.keygen.relinearization_key(ct.level)
     want = key_switch(ct.c1, key, PW54)
     convert_exact = Calls(monkeypatch, rns.RnsBasis, "convert_exact")
-    horner_fold = Calls(monkeypatch, rns, "horner_fold_mod")
+    crt_sum = Calls(monkeypatch, rns.RnsBasis, "_total_object")
     round_quotient = Calls(monkeypatch, rns.RnsBasis, "round_quotient")
     got = key_switch(ct.c1, key, PW54)
-    assert convert_exact.count == horner_fold.count == 0
+    assert convert_exact.count == crt_sum.count == 0
     # The Python-integer quotient is for coefficients within P * 2**-40
     # of +-P/2 only; random ones never get there.
     assert round_quotient.count == 0
@@ -137,7 +137,7 @@ def test_a_forced_object_transform_is_one_oracle_call_per_row(
 def test_a_warm_edge_never_leaves_machine_words(preset, monkeypatch):
     """encode -> lift -> encrypt and decrypt -> compose -> decode used to
     push each coefficient through a Python integer (``int(round(c))``, a
-    fresh ``RnsBasis``, word planes, ``join_words``, ``[float(c)]``);
+    fresh ``RnsBasis``, the big-integer CRT sum, ``[float(c)]``);
     a message-sized batch now crosses both edges in int64, with the same
     transforms as ever: three forward over L + 1 rows each, one inverse
     over l + 1."""
@@ -148,9 +148,7 @@ def test_a_warm_edge_never_leaves_machine_words(preset, monkeypatch):
     want = ctx.decrypt(low)                         # warms level 2's basis
     ctx.decrypt(ctx.encrypt(values))                # ... and level L's
     counted = [
-        Calls(monkeypatch, rns, "join_words"),
-        Calls(monkeypatch, rns, "split_words"),
-        Calls(monkeypatch, rns.RnsBasis, "_compose_planes"),
+        Calls(monkeypatch, rns.RnsBasis, "_total_object"),
         Calls(monkeypatch, rns.RnsBasis, "compose_centered_vec"),
         Calls(monkeypatch, rns.RnsBasis, "__init__"),
         Calls(monkeypatch, modmath, "_as_object_array"),

@@ -5,8 +5,8 @@ The tentpole claim of the native-kernel PR: for every modulus below
 precomputed-quotient multiply produce exactly the residues of the scalar
 Python-int oracles — classic Barrett, single-subtraction Barrett, and
 Montgomery — across random primes of every width from 32 to 61 bits.
-Also covers the word-split plane helpers the RNS lifts are built on, the
-object-dtype fallback at 61+ bits, and the ``force_object_dtype`` switch.
+Also covers the object-dtype fallback at 61+ bits and the
+``force_object_dtype`` switch.
 """
 
 import numpy as np
@@ -18,10 +18,9 @@ from repro.fhe import modmath
 from repro.fhe.modmath import (MontgomeryContext, NATIVE_SAFE_MODULUS,
                                barrett_precompute, barrett_precompute_single,
                                barrett_reduce, barrett_reduce_single,
-                               join_words, horner_fold_mod, limb_dtype,
-                               mulmod_stack, mulmod_vec, native_class,
-                               shoup_mulmod_vec, shoup_precompute,
-                               split_words, stack_native_class,
+                               limb_dtype, mulmod_stack, mulmod_vec,
+                               native_class, shoup_mulmod_vec,
+                               shoup_precompute, stack_native_class,
                                stack_residues)
 from repro.fhe.primes import is_prime
 
@@ -133,25 +132,6 @@ class TestDwordAgainstScalarOracles:
         assert np.array_equal(np.asarray(native, dtype=object), oracle)
 
 
-class TestWordSplitHelpers:
-    @given(st.lists(st.integers(0, (1 << 300) - 1), min_size=1, max_size=8))
-    @settings(max_examples=60, deadline=None)
-    def test_split_join_roundtrip(self, values):
-        assert join_words(split_words(values)) == values
-
-    @given(st.lists(st.integers(0, (1 << 300) - 1), min_size=1, max_size=8),
-           st.sampled_from(DWORD_PRIMES))
-    @settings(max_examples=60, deadline=None)
-    def test_horner_fold_matches_mod(self, values, q):
-        got = horner_fold_mod(split_words(values), q)
-        assert got.dtype == np.int64
-        assert [int(v) for v in got] == [v % q for v in values]
-
-    def test_split_rejects_negative(self):
-        with pytest.raises(ValueError):
-            split_words([-1])
-
-
 class TestDispatchBoundaries:
     def test_native_class_tiers(self):
         assert native_class((1 << 31) - 1) == "int64"
@@ -187,3 +167,21 @@ class TestDispatchBoundaries:
         a = np.array([q - 1, q - 2, 1, 0], dtype=np.int64)
         out = mulmod_vec(a, a, q)
         assert [int(v) for v in out] == [(int(x) * int(x)) % q for x in a]
+
+
+def test_scalar_constant_cache_is_bounded():
+    """A scalar multiplicand keeps its Shoup quotient cached per
+    ``(scalar, modulus)``; the ``reference`` backend's ``scalar_mul``
+    hands this request-supplied scalars, so distinct ones must not pile
+    up for the life of the process."""
+    q = DWORD_PRIMES[54 - 32]
+    assert q.bit_length() == 54
+    cache = modmath._shoup_scalar
+    bound = cache.cache_info().maxsize
+    assert bound is not None and bound < 10 ** 4
+    a = np.array([q - 1, q // 2, 12345, 1, 0], dtype=np.int64)
+    for s in range(1, 10 ** 4 + 1):
+        s *= 0x9E3779B97F4A7C15        # spread over (and past) the word
+        assert [int(v) for v in mulmod_vec(a, s, q)] \
+            == [(int(x) * s) % q for x in a]
+    assert cache.cache_info().currsize <= bound

@@ -197,8 +197,7 @@ def test_every_shared_table_is_read_only():
 
 def test_every_shared_dword_table_is_read_only():
     # As above with three table words per matrix, plus the reciprocals
-    # and a Shoup table per twiddle.  No stacked butterfly tables: what
-    # the accel backend's loops read, that backend stacks.
+    # and a Shoup table per twiddle.  No stacked butterfly tables.
     assert_every_shared_table_is_read_only(PW54, 3 + 2 * (2 * 3 + 2))
 
 

@@ -6,16 +6,21 @@ One road to a cycle count: a catalog name compiles to a traced plan and
 BlockSim prices it.  One road through a key switch: ModUp and the
 ModDown lift are one bound matmul, the lift's quotient is the true one,
 a stacked transform is the multi-step chain.  One owner of what an HE
-op is: ``repro.trace.ops.OPS``.  Each case pins the absence of the fork
-it names.
+op is: ``repro.trace.ops.OPS``.  One fast backend and one plain oracle:
+``stacked`` on its bound kernels, ``reference`` per limb, the exact CRT
+underneath both in Python integers.  Each case pins the absence of the
+fork it names.
 """
 
 import ast
 import dataclasses
 import pathlib
+import re
+import sys
 
 import pytest
 
+import repro.fhe.backend
 import repro.gpusim
 import repro.trace
 from repro import engine
@@ -214,3 +219,81 @@ def test_the_per_kind_tables_and_ladders_are_gone():
                                             "_attach_payload"])):
         for name in names:
             assert not hasattr(owner, name), name
+
+
+# -- one fast path, one plain oracle -----------------------------------------
+
+SRC = pathlib.Path(repro.trace.__file__).parents[2]
+
+
+def _setup_keyword(name: str):
+    """A literal keyword argument of ``setup.py``'s ``setup(...)`` call."""
+    tree = ast.parse((SRC.parent / "setup.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") \
+                == "setup":
+            return ast.literal_eval(next(
+                kw.value for kw in node.keywords if kw.arg == name))
+    raise AssertionError("setup.py calls no setup()")
+
+
+def test_two_backends_and_no_gate():
+    from repro.fhe.backend import registry
+    # Tests and ``bench`` register instrumented subclasses of their own.
+    shipped = tuple(sorted(name for name, cls in registry._REGISTRY.items()
+                           if cls.__module__.startswith("repro.")))
+    assert shipped == ("reference", "stacked")
+    for owner in (registry, repro.fhe.backend, repro.fhe):
+        for gone in ("register_gated_backend", "gated_backends", "_GATED",
+                     "BackendUnavailableWarning"):
+            assert not hasattr(owner, gone), (owner.__name__, gone)
+    assert not hasattr(repro.fhe.backend, "accel")
+    assert "accel" not in _setup_keyword("extras_require")
+
+
+def test_the_exact_crt_has_one_composition_and_no_word_planes():
+    for owner, names in (
+            (modmath, ["split_words", "join_words", "add_planes",
+                       "sub_planes", "horner_fold_mod"]),
+            (rns.RnsBasis, ["_compose_planes", "_hat_word_planes",
+                            "_q_word_planes", "_compose_total_vec",
+                            "_scaled_ys"])):
+        for name in names:
+            assert not hasattr(owner, name), name
+    basis = rns.RnsBasis(list(CkksParameters.toy().special_moduli))
+    assert not {"_hat_planes", "_q_planes"} & set(vars(basis))
+
+
+def _foreign_imports(tree, allowed) -> list[tuple[int, str]]:
+    """``(line, module)`` for every absolute import outside ``allowed``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, module) for module in modules
+                  if module.split(".")[0] not in allowed]
+    return found
+
+
+def test_src_imports_only_what_an_install_provides():
+    """Every import under ``src/`` is the standard library, ``repro``
+    itself or a requirement ``setup.py`` installs — so code this
+    container cannot run (an optional JIT, a graph library the tests
+    happen to have) cannot come back unnoticed."""
+    requires = {re.split(r"[^A-Za-z0-9_.-]", req, maxsplit=1)[0]
+                for req in _setup_keyword("install_requires")}
+    assert requires == {"numpy"}
+    allowed = sys.stdlib_module_names | requires | {"repro"}
+    assert _foreign_imports(ast.parse(
+        "import os, numba\nfrom networkx import DiGraph\n"
+        "from . import x\nimport numpy.linalg\nfrom repro.fhe import rns\n"
+    ), allowed) == [(1, "numba"), (2, "networkx")]
+    offenders = [f"{path.relative_to(SRC)}:{line}: imports {module}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for line, module in _foreign_imports(
+                     ast.parse(path.read_text(encoding="utf-8")), allowed)]
+    assert not offenders, "\n".join(offenders)
