@@ -9,9 +9,9 @@ table).  Three front doors:
 
 - ``engine.compile(program, params, lint="warn" | "strict")`` lints the
   normalized trace of every compiled plan;
-- ``python -m repro.analysis <workload | trace.jsonl>`` lints anything
-  in the workload catalog or a saved JSONL trace (``--json`` for the
-  machine-readable report, ``--catalog`` for everything at once);
+- ``python -m repro.analysis <workload | file.rpa>`` lints anything in
+  the workload catalog or a saved ``.rpa`` trace / plan (``--json`` for
+  the machine-readable report, ``--catalog`` for everything at once);
 - the CI ``lint-analysis`` lane holds the catalog to a zero-error
   budget against checked-in expected-warning goldens.
 """

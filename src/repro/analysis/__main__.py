@@ -1,9 +1,9 @@
-"""CLI: lint a catalog workload or a saved trace.
+"""CLI: lint a catalog workload or a saved ``.rpa`` trace / plan.
 
 Usage::
 
     python -m repro.analysis boot --params paper
-    python -m repro.analysis path/to/trace.jsonl --json report.json
+    python -m repro.analysis path/to/plan.rpa --json report.json
     python -m repro.analysis --catalog --params paper \
         --golden tests/analysis/catalog_warnings.json
 
@@ -37,7 +37,7 @@ def _params(preset: str) -> CkksParameters:
 
 def _lint_target(target: str, params: CkksParameters,
                  preset: str) -> DiagnosticReport:
-    """Lint one catalog workload name or one saved JSONL trace."""
+    """Lint one catalog workload name or one ``.rpa`` trace / plan."""
     from repro.workloads.registry import compile_workload, workload_names
     if target in workload_names():
         plan = compile_workload(target, params)
@@ -46,9 +46,9 @@ def _lint_target(target: str, params: CkksParameters,
     if not os.path.exists(target):
         raise FileNotFoundError(
             f"{target!r} is neither a catalog workload "
-            f"({', '.join(workload_names())}) nor an existing trace file")
-    from repro.trace.ir import OpTrace
-    trace = OpTrace.load_jsonl(target)
+            f"({', '.join(workload_names())}) nor an existing .rpa file")
+    from repro.artifact import load_trace
+    trace = load_trace(target)
     return analyze_trace(trace, name=trace.name or target)
 
 
@@ -97,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.analysis",
         description="Static lint of HE programs (workloads or traces).")
     parser.add_argument("target", nargs="?",
-                        help="catalog workload name or trace .jsonl path")
+                        help="catalog workload name or .rpa artifact path")
     parser.add_argument("--catalog", action="store_true",
                         help="lint every workload in the catalog")
     parser.add_argument("--params", default="paper", choices=PRESETS,
@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
             reports = _lint_catalog(params, args.params)
         else:
             reports = [_lint_target(args.target, params, args.params)]
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

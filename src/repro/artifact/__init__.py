@@ -4,18 +4,18 @@ One compiled HE program — the columnar op trace, the lowered BlockSim
 DAG with per-block ``op_id`` provenance, the pass pipeline that produced
 it, and (optionally) the plaintext payloads needed for real-mode
 replay — travels as a single magic-tagged, block-framed, CRC-checked
-binary file.  Readers skip unrecognized block types with a warning, so
-old readers degrade gracefully on new writers; only a newer container
-framing version refuses to load.
+binary file, the only on-disk form of a trace or a plan.  Readers skip
+unrecognized block types with a warning, so old readers degrade
+gracefully on new writers; anything else wrong is an
+:class:`ArtifactError` naming the file and the block.
 
 Entry points:
 
 * :func:`save_plan` / :func:`load_plan` — round-trip an
   :class:`~repro.engine.ExecutablePlan` (also exposed as
   ``plan.save(path)`` and ``repro.engine.load_plan``);
-* :func:`save_trace` / :func:`load_trace` — binary sibling of
-  :meth:`OpTrace.save_jsonl <repro.trace.OpTrace.save_jsonl>` (also
-  ``trace.save_binary`` / ``OpTrace.load_binary``);
+* :func:`save_trace` / :func:`load_trace` — round-trip an
+  :class:`~repro.trace.OpTrace` (``load_trace`` reads plans too);
 * :func:`read_artifact` / :func:`diff_artifacts` — block-level
   inspection and the cheap CI structural diff
   (``python -m repro.artifact inspect|diff|corpus``);
@@ -26,14 +26,14 @@ Entry points:
 from .corpus import (DEFAULT_CORPUS_DIR, CorpusCheck, check_corpus,
                      corpus_params, corpus_path, regen_corpus)
 from .diffing import (ArtifactDiff, BlockDiff, artifact_view, diff_artifacts,
-                      diff_json, load_any, render_diff, run_diff, trace_view)
+                      diff_json, render_diff)
 from .format import (CONTAINER_VERSION, MAGIC, ArtifactBlockType,
                      ArtifactError, ArtifactFormatError,
                      ArtifactIntegrityError, ArtifactVersionError,
-                     UnknownBlockWarning, content_fingerprint,
+                     UnknownBlockWarning, block_name, content_fingerprint,
                      params_fingerprint)
-from .reader import (BLOCK_HANDLERS, Artifact, block_name, load_plan,
-                     load_trace, read_artifact, read_artifact_stream)
+from .reader import (BLOCK_HANDLERS, Artifact, load_plan, load_trace,
+                     read_artifact, read_artifact_stream)
 from .writer import (build_header, plan_blocks, save_plan, save_trace,
                      trace_blocks, write_artifact)
 
@@ -64,12 +64,9 @@ __all__ = [
     "ArtifactDiff",
     "BlockDiff",
     "artifact_view",
-    "trace_view",
-    "load_any",
     "diff_artifacts",
     "diff_json",
     "render_diff",
-    "run_diff",
     "DEFAULT_CORPUS_DIR",
     "CorpusCheck",
     "corpus_params",

@@ -1,13 +1,14 @@
 """CLI for ``.rpa`` plan/trace artifacts::
 
     python -m repro.artifact inspect plan.rpa [--json]
-    python -m repro.artifact diff a.rpa b.rpa        # b may be .jsonl
+    python -m repro.artifact diff a.rpa b.rpa [--json]
     python -m repro.artifact corpus [--regen] [--dir DIR] [--params P]
 
 Exit status: ``inspect`` 0/2 (unreadable); ``diff`` 0 identical,
 1 structural delta, 2 unreadable; ``corpus`` (check mode) 0 when every
 workload matches its golden, 1 on any delta or missing golden, 2 on
-unexpected errors.  ``--json`` documents use the shared export envelope
+unexpected errors.  Every unreadable file is one ``error:`` line naming
+it.  ``--json`` documents use the shared export envelope
 (:mod:`repro.experiments.export`).
 """
 
@@ -20,7 +21,7 @@ from typing import Any
 from repro.fhe.params import CkksParameters
 
 from .corpus import check_corpus, regen_corpus
-from .diffing import diff_artifacts, diff_json, load_any
+from .diffing import diff_artifacts, diff_json, render_diff
 from .format import ArtifactError
 from .reader import Artifact, read_artifact
 
@@ -49,11 +50,7 @@ def _inspect_doc(artifact: Artifact) -> dict[str, Any]:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    try:
-        artifact = read_artifact(args.path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    artifact = read_artifact(args.path)
     doc = _inspect_doc(artifact)
     if args.json:
         from repro.experiments.export import envelope, write_json
@@ -79,17 +76,12 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    if not args.json:
-        from .diffing import run_diff
-        return run_diff(args.a, args.b)
-    try:
-        a, b = load_any(args.a), load_any(args.b)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    diff = diff_artifacts(a, b)
-    from repro.experiments.export import envelope, write_json
-    write_json(envelope("artifact.diff", diff=diff_json(diff)), "-")
+    diff = diff_artifacts(read_artifact(args.a), read_artifact(args.b))
+    if args.json:
+        from repro.experiments.export import envelope, write_json
+        write_json(envelope("artifact.diff", diff=diff_json(diff)), "-")
+    else:
+        print(render_diff(diff))
     return 1 if diff else 0
 
 
@@ -131,8 +123,8 @@ def main(argv: list[str] | None = None) -> int:
                          help="emit the shared export envelope")
     inspect.set_defaults(func=_cmd_inspect)
 
-    diff = sub.add_parser("diff", help="per-block structural diff "
-                          "(.rpa or .jsonl on either side)")
+    diff = sub.add_parser("diff", help="per-block structural diff of "
+                          "two .rpa artifacts")
     diff.add_argument("a")
     diff.add_argument("b")
     diff.add_argument("--json", action="store_true",
@@ -156,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         result: int = args.func(args)
-    except ArtifactError as exc:
+    except (OSError, ArtifactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return result

@@ -1,18 +1,20 @@
 """Columnar encodings of the trace, the lowered DAG, and the payloads.
 
-JSONL spends ~200 bytes of punctuation and repeated key names per op;
-these tables store each :class:`~repro.trace.ir.TraceOp` field as one
-typed column (interned string tables for kinds / keys / regions, CSR
-layout for the variable-length input lists) and push only the
-*irregular* residue — scalar operand values, slot-window annotations,
-forward-compatible unknown meta keys — through a tagged-JSON side
-channel.  The round trip is exact: ``decode(encode(trace)) == trace``
-field for field, including meta dicts (dict equality is order-free).
+A row-per-op text form spends ~200 bytes of punctuation and repeated key
+names per op; these tables store each :class:`~repro.trace.ir.TraceOp`
+field as one typed column (interned string tables for kinds / keys /
+regions, CSR layout for the variable-length input lists) and push only
+the *irregular* residue — scalar operand values, slot-window
+annotations, forward-compatible unknown meta keys — through a
+tagged-JSON side channel.  The round trip is exact:
+``decode(encode(trace)) == trace`` field for field, including meta dicts
+(dict equality is order-free).
 
 The same pattern serializes the lowered BlockSim DAG (node and edge
 tables plus a residual-metadata channel) and the optional plaintext
 payload table that real-mode :meth:`~repro.engine.ExecutablePlan.
-execute` replay needs.
+execute` replay needs.  Decoders check a block against this schema
+before indexing anything (:func:`_scalars`, :func:`_columns`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from repro.fhe.poly import coeff_array
 from repro.fhe.rns import WORD_BOUND
 from repro.trace.ir import OpTrace, TraceOp
 
-from .format import ArtifactError, pack_arrays, unpack_arrays
+from .format import (ArtifactError, ArtifactFormatError, pack_arrays,
+                     unpack_arrays)
 
 #: Meta keys stored as typed columns; everything else (scalar ``value``
 #: operands, ``slot_windows`` annotations, future keys) rides in the
@@ -42,8 +45,6 @@ _META_INT_COLUMNS: dict[str, tuple[str, int]] = {
 }
 #: Boolean meta columns: -1 absent, 0 False, 1 True.
 _META_BOOL_COLUMNS = ("rescaled", "hoisted")
-
-_I32 = np.iinfo(np.int32)
 
 
 class _Interner:
@@ -64,27 +65,77 @@ class _Interner:
         return idx
 
 
-def _lookup(table: list[str], idx: int, where: str) -> str | None:
-    if idx == -1:
-        return None
-    if not 0 <= idx < len(table):
-        raise ArtifactError(f"{where}: string index {idx} outside the "
-                            f"interned table of {len(table)}")
-    return table[idx]
-
-
 def _meta_to_json(value: Any) -> Any:
-    """Tag the one non-JSON meta scalar (complex) as in the JSONL path."""
+    """Tag the one non-JSON meta scalar (complex) for the residual."""
     if isinstance(value, complex):
         return {"__complex__": [value.real, value.imag]}
     return value
 
 
-def _meta_from_json(value: Any) -> Any:
-    if isinstance(value, dict) and "__complex__" in value:
+def _meta_from_json(value: Any, where: str) -> Any:
+    if not (isinstance(value, dict) and "__complex__" in value):
+        return value
+    try:
         real, imag = value["__complex__"]
         return complex(real, imag)
-    return value
+    except (TypeError, ValueError):
+        raise ArtifactFormatError(f"{where}: malformed complex meta "
+                                  "value") from None
+
+
+# ---------------------------------------------------------------------------
+# the check every decoder runs before it indexes anything
+# ---------------------------------------------------------------------------
+
+def _scalars(scalars: dict[str, Any], where: str, *names: str) -> list[Any]:
+    """The named scalars, each checked: ``num_*`` is a row count,
+    ``meta_residual`` a map of objects, any other an interned table."""
+    out = []
+    for name in names:
+        value = scalars.get(name, {} if name == "meta_residual" else None)
+        if name.startswith("num_"):
+            what, ok = "a row count", type(value) is int and value >= 0
+        elif name == "meta_residual":
+            what, ok = "a map of objects", isinstance(value, dict) and all(
+                isinstance(entry, dict) for entry in value.values())
+        else:
+            what, ok = "a list of strings", isinstance(value, list) and all(
+                isinstance(entry, str) for entry in value)
+        if not ok:
+            raise ArtifactFormatError(f"{where}: scalar {name!r} is not "
+                                      f"{what}")
+        out.append(value)
+    return out
+
+
+def _columns(arrays: dict[str, np.ndarray[Any, Any]], where: str,
+             spec: dict[str, tuple[str, int | None, range | str | None]]
+             ) -> dict[str, np.ndarray[Any, Any]]:
+    """Check and return the columns ``spec`` names.
+
+    ``spec`` gives a column's wire dtype, its row count (``None``: any)
+    and what its values index: a ``range`` they lie in, or the column
+    they are CSR offsets into (monotone from 0 to its length; list that
+    column first).  One vectorized bound check per column.
+    """
+    for name, (dtype, rows, target) in spec.items():
+        column = arrays.get(name)
+        if column is None:
+            raise ArtifactFormatError(f"{where}: missing column {name!r}")
+        if column.dtype.str != dtype or rows not in (None, len(column)):
+            raise ArtifactFormatError(
+                f"{where}: column {name!r} is {len(column)} x "
+                f"{column.dtype.str}, expected {rows} x {dtype}")
+        if isinstance(target, str):
+            inside = (column[0] == 0 and column[-1] == len(arrays[target])
+                      and not (np.diff(column) < 0).any())
+        else:
+            inside = target is None or not column.size or (
+                target.start <= column.min() and column.max() < target.stop)
+        if not inside:
+            raise ArtifactFormatError(f"{where}: column {name!r} holds an "
+                                      f"index outside {target}")
+    return {name: arrays[name] for name in spec}
 
 
 def _column_encodable(key: str, value: Any) -> bool:
@@ -178,65 +229,51 @@ def decode_trace_ops(payload: bytes, params: CkksParameters, name: str,
     """Rebuild the :class:`OpTrace` from its columnar tables."""
     from repro.trace.ir import OpKind
     scalars, arrays = unpack_arrays(payload, where)
-    n = int(scalars["num_ops"])
-    kinds: list[str] = list(scalars["kinds"])
-    keys: list[str] = list(scalars["keys"])
-    regions: list[str] = list(scalars["regions"])
-    residual: dict[str, dict[str, Any]] = scalars.get("meta_residual", {})
-    required = {"kind", "level", "out_level", "out_scale", "key",
-                "region", "hoist_group", "input_offsets", "inputs"}
-    missing = required - set(arrays)
-    if missing:
-        raise ArtifactError(f"{where}: missing columns "
-                            f"{sorted(missing)}")
-    for column_name, column in arrays.items():
-        expected = n + 1 if column_name == "input_offsets" else n
-        if column_name != "inputs" and len(column) != expected:
-            raise ArtifactError(
-                f"{where}: column {column_name!r} has {len(column)} "
-                f"rows, expected {expected}")
+    n, kinds, keys, regions, residual = _scalars(
+        scalars, where, "num_ops", "kinds", "keys", "regions", "meta_residual")
+    c = {k: v.tolist() for k, v in _columns(arrays, where, {
+        "kind": ("<i2", n, range(len(kinds))),
+        "level": ("<i4", n, None), "out_level": ("<i4", n, None),
+        "out_scale": ("<f8", n, None), "hoist_group": ("<i8", n, None),
+        "key": ("<i4", n, range(-1, len(keys))),
+        "region": ("<i4", n, range(-1, len(regions))),
+        "inputs": ("<i8", None, range(n)),
+        "input_offsets": ("<i8", n + 1, "inputs"),
+        **{f"meta_{key}": (dtype, n, None)
+           for key, (dtype, _) in _META_INT_COLUMNS.items()},
+        **{f"meta_{key}": ("|i1", n, None) for key in _META_BOOL_COLUMNS},
+    }).items()}
+    if output_op_id is not None and not 0 <= output_op_id < n:
+        raise ArtifactFormatError(f"{where}: output_op_id {output_op_id} "
+                                  f"outside the {n} ops")
+    by_value = {kind.value: kind for kind in OpKind}
+    flags = [(key, c[f"meta_{key}"]) for key in _META_BOOL_COLUMNS]
+    ints = [(key, sentinel, c[f"meta_{key}"])
+            for key, (_, sentinel) in _META_INT_COLUMNS.items()]
+    offsets, inputs = c["input_offsets"], c["inputs"]
 
     trace = OpTrace(params=params, name=name, output_op_id=output_op_id)
-    offsets = arrays["input_offsets"]
-    flat_inputs = arrays["inputs"]
     for i in range(n):
-        kind_name = _lookup(kinds, int(arrays["kind"][i]),
-                            f"{where}: op {i} kind")
-        try:
-            kind = OpKind(kind_name)
-        except ValueError:
-            raise ArtifactError(
-                f"{where}: op {i}: unknown op kind {kind_name!r} "
-                f"(known: {', '.join(k.value for k in OpKind)})"
-            ) from None
-        start, stop = int(offsets[i]), int(offsets[i + 1])
-        meta: dict[str, Any] = {}
-        for meta_key in _META_BOOL_COLUMNS:
-            flag = int(arrays[f"meta_{meta_key}"][i])
-            if flag != -1:
-                meta[meta_key] = bool(flag)
-        for meta_key, (_, sentinel) in _META_INT_COLUMNS.items():
-            raw = int(arrays[f"meta_{meta_key}"][i])
-            if raw != sentinel:
-                meta[meta_key] = raw
+        kind = by_value.get(kinds[c["kind"][i]])
+        if kind is None:
+            raise ArtifactFormatError(
+                f"{where}: op {i}: unknown op kind {kinds[c['kind'][i]]!r} "
+                f"(known: {', '.join(by_value)})")
+        meta: dict[str, Any] = {key: bool(flag[i])
+                                for key, flag in flags if flag[i] != -1}
+        meta.update((key, column[i]) for key, sentinel, column in ints
+                    if column[i] != sentinel)
         for meta_key, tagged in residual.get(str(i), {}).items():
-            meta[meta_key] = _meta_from_json(tagged)
-        hoist_raw = int(arrays["hoist_group"][i])
-        region = _lookup(regions, int(arrays["region"][i]),
-                         f"{where}: op {i} region")
+            meta[meta_key] = _meta_from_json(tagged, f"{where}: op {i}")
+        key, region, hoist = c["key"][i], c["region"][i], c["hoist_group"][i]
         trace.append(TraceOp(
-            op_id=i,
-            kind=kind,
-            inputs=tuple(int(v) for v in flat_inputs[start:stop]),
-            level=int(arrays["level"][i]),
-            out_level=int(arrays["out_level"][i]),
-            out_scale=float(arrays["out_scale"][i]),
-            key=_lookup(keys, int(arrays["key"][i]),
-                        f"{where}: op {i} key"),
-            hoist_group=None if hoist_raw == -1 else hoist_raw,
-            region=region if region is not None else "",
-            meta=meta,
-        ))
+            op_id=i, kind=kind,
+            inputs=tuple(inputs[offsets[i]:offsets[i + 1]]),
+            level=c["level"][i], out_level=c["out_level"][i],
+            out_scale=c["out_scale"][i],
+            key=None if key == -1 else keys[key],
+            hoist_group=None if hoist == -1 else hoist,
+            region="" if region == -1 else regions[region], meta=meta))
     return trace
 
 
@@ -346,57 +383,58 @@ def _ks_encodable(value: Any) -> bool:
 def decode_dag(payload: bytes, where: str = "DAG") -> DiGraph:
     """Rebuild the lowered DAG from its tables."""
     scalars, arrays = unpack_arrays(payload, where)
-    n = int(scalars["num_nodes"])
-    node_ids: list[str] = list(scalars["node_ids"])
-    types: list[str] = list(scalars["types"])
-    keys: list[str] = list(scalars["keys"])
-    residual: dict[str, dict[str, Any]] = scalars.get("meta_residual", {})
+    n, num_edges, node_ids, types, keys, residual = _scalars(
+        scalars, where, "num_nodes", "num_edges", "node_ids", "types", "keys",
+        "meta_residual")
     if len(node_ids) != n:
-        raise ArtifactError(f"{where}: node id table has "
-                            f"{len(node_ids)} entries, expected {n}")
+        raise ArtifactFormatError(f"{where}: node id table has "
+                                  f"{len(node_ids)} entries, expected {n}")
+    key_index, node = range(-1, len(keys)), range(n)
+    c = {k: v.tolist() for k, v in _columns(arrays, where, {
+        "type": ("<i2", n, range(len(types))), "level": ("<i4", n, None),
+        "repeat": ("<i4", n, None), "op_id": ("<i8", n, None),
+        "key": ("<i4", n, key_index), "hoist_group": ("<i8", n, None),
+        "refresh": ("|i1", n, None), "ks_present": ("|i1", n, None),
+        "ks_key": ("<i4", n, key_index), "ks_level": ("<i4", n, None),
+        "ks_dnum": ("<i2", n, None), "ks_digits": ("<i2", n, None),
+        "edge_src": ("<i4", num_edges, node),
+        "edge_dst": ("<i4", num_edges, node),
+        "edge_bytes": ("<f8", num_edges, None),
+    }).items()}
+    by_value = {block_type.value: block_type for block_type in BlockType}
 
     graph = DiGraph()
     for i, node_id in enumerate(node_ids):
-        type_name = _lookup(types, int(arrays["type"][i]),
-                            f"{where}: node {i} type")
-        try:
-            block_type = BlockType(type_name)
-        except ValueError:
-            raise ArtifactError(
-                f"{where}: node {i}: unknown block type "
-                f"{type_name!r}") from None
+        block_type = by_value.get(types[c["type"][i]])
+        if block_type is None:
+            raise ArtifactFormatError(f"{where}: node {i}: unknown block "
+                                      f"type {types[c['type'][i]]!r}")
         metadata: dict[str, Any] = {}
-        if int(arrays["op_id"][i]) != -1:
-            metadata["op_id"] = int(arrays["op_id"][i])
-        key = _lookup(keys, int(arrays["key"][i]),
-                      f"{where}: node {i} key")
-        if key is not None:
-            metadata["key"] = key
-        if int(arrays["hoist_group"][i]) != -1:
-            metadata["hoist_group"] = int(arrays["hoist_group"][i])
-        if int(arrays["refresh"][i]) != -1:
-            metadata["refresh"] = bool(int(arrays["refresh"][i]))
-        if int(arrays["ks_present"][i]):
+        if c["op_id"][i] != -1:
+            metadata["op_id"] = c["op_id"][i]
+        if c["key"][i] != -1:
+            metadata["key"] = keys[c["key"][i]]
+        if c["hoist_group"][i] != -1:
+            metadata["hoist_group"] = c["hoist_group"][i]
+        if c["refresh"][i] != -1:
+            metadata["refresh"] = bool(c["refresh"][i])
+        if c["ks_present"][i]:
+            ks_key = c["ks_key"][i]
             keyswitch: dict[str, Any] = {
-                "key": _lookup(keys, int(arrays["ks_key"][i]),
-                               f"{where}: node {i} keyswitch key"),
-                "level": int(arrays["ks_level"][i]),
-            }
-            if int(arrays["ks_dnum"][i]) != -1:
-                keyswitch["dnum"] = int(arrays["ks_dnum"][i])
-            if int(arrays["ks_digits"][i]) != -1:
-                keyswitch["digits"] = int(arrays["ks_digits"][i])
+                "key": None if ks_key == -1 else keys[ks_key],
+                "level": c["ks_level"][i]}
+            if c["ks_dnum"][i] != -1:
+                keyswitch["dnum"] = c["ks_dnum"][i]
+            if c["ks_digits"][i] != -1:
+                keyswitch["digits"] = c["ks_digits"][i]
             metadata["keyswitch"] = keyswitch
         metadata.update(residual.get(str(i), {}))
         graph.add_node(node_id, block=BlockInstance(
-            block_id=node_id, block_type=block_type,
-            level=int(arrays["level"][i]),
-            repeat=int(arrays["repeat"][i]), metadata=metadata))
+            block_id=node_id, block_type=block_type, level=c["level"][i],
+            repeat=c["repeat"][i], metadata=metadata))
 
-    for j in range(int(scalars["num_edges"])):
-        u = node_ids[int(arrays["edge_src"][j])]
-        v = node_ids[int(arrays["edge_dst"][j])]
-        graph.add_edge(u, v, bytes=float(arrays["edge_bytes"][j]))
+    for u, v, nbytes in zip(c["edge_src"], c["edge_dst"], c["edge_bytes"]):
+        graph.add_edge(node_ids[u], node_ids[v], bytes=nbytes)
     return graph
 
 
@@ -419,7 +457,7 @@ def _wire_column(op_id: int, coeffs: "np.ndarray[Any, Any] | list[int]"
 def encode_payloads(payloads: dict[int, object]) -> bytes | None:
     """Pack the real :class:`Plaintext` payloads; ``None`` if there are
     none (symbolic traces carry shape-only handles, which replay never
-    needs and which are not serialized — matching the JSONL contract).
+    needs and which are not serialized).
     """
     rows = [(op_id, payload) for op_id, payload in sorted(payloads.items())
             if isinstance(payload, Plaintext)]
@@ -442,15 +480,15 @@ def decode_payloads(payload: bytes,
                     where: str = "PAYLOADS") -> dict[int, Plaintext]:
     """Rebuild the ``op_id -> Plaintext`` payload map."""
     scalars, arrays = unpack_arrays(payload, where)
-    n = int(scalars["num_payloads"])
-    out: dict[int, Plaintext] = {}
-    offsets = arrays["offsets"]
-    # Every plaintext is a slice of the one int64 column.
-    coeffs = arrays["coeffs"].astype(np.int64, copy=False)
-    for i in range(n):
-        start, stop = int(offsets[i]), int(offsets[i + 1])
-        out[int(arrays["op_id"][i])] = Plaintext(
-            coeffs=coeffs[start:stop],
-            scale=float(arrays["scale"][i]),
-            num_slots=int(arrays["num_slots"][i]))
-    return out
+    (n,) = _scalars(scalars, where, "num_payloads")
+    columns = _columns(arrays, where, {
+        "op_id": ("<i8", n, None), "scale": ("<f8", n, None),
+        "num_slots": ("<i4", n, None), "coeffs": ("<i8", None, None),
+        "offsets": ("<i8", n + 1, "coeffs")})
+    offsets = columns["offsets"].tolist()
+    coeffs = columns["coeffs"]          # every plaintext is a slice of it
+    rows = zip(columns["op_id"].tolist(), columns["scale"].tolist(),
+               columns["num_slots"].tolist())
+    return {op_id: Plaintext(coeffs=coeffs[offsets[i]:offsets[i + 1]],
+                             scale=scale, num_slots=num_slots)
+            for i, (op_id, scale, num_slots) in enumerate(rows)}

@@ -1,4 +1,4 @@
-"""Per-block structural diffing of ``.rpa`` artifacts (and JSONL traces).
+"""Per-block structural diffing of ``.rpa`` artifacts.
 
 This is the cheap CI regression gate: instead of re-simulating a
 workload to notice that tracing or lowering changed, two artifacts are
@@ -9,10 +9,10 @@ hash), and pass provenance.  A delta anywhere is a structural change and
 exits 1; byte-level differences that decode to identical structures
 (e.g. a different compression level) are *not* deltas.
 
-Either side may also be a JSONL trace (``OpTrace.save_jsonl``); sections
-one side cannot have (a JSONL has no DAG) are compared only when both
-sides carry them, except that two ``plan`` artifacts must agree on which
-blocks they carry.
+Sections one side cannot have (a ``trace`` artifact has no DAG) are
+compared only when both sides carry them, except that two ``plan``
+artifacts must agree on which blocks they carry.
+``python -m repro.artifact diff`` is the command-line front door.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.trace.diff import count_deltas
 from repro.trace.ir import OpTrace
 
-from .reader import Artifact, read_artifact
-from .writer import build_header
+from .reader import Artifact
+from .writer import build_header, plan_provenance, real_payloads
 
 if TYPE_CHECKING:
     from repro.dag import DiGraph
@@ -60,10 +59,6 @@ class ArtifactDiff:
         return [block for block in self.blocks if block]
 
 
-# ---------------------------------------------------------------------------
-# views and loading
-# ---------------------------------------------------------------------------
-
 def artifact_view(plan: "ExecutablePlan") -> Artifact:
     """An in-memory :class:`Artifact` over a compiled plan.
 
@@ -71,33 +66,11 @@ def artifact_view(plan: "ExecutablePlan") -> Artifact:
     round trip is exact), minus the disk I/O — what the golden-corpus
     checker diffs freshly compiled plans through.
     """
-    from repro.fhe.encoder import Plaintext
-    # Only real plaintext payloads serialize (symbolic ones are
-    # in-memory only), so the view mirrors the writer's filter.
-    payloads = {op_id: p for op_id, p in plan.trace.payloads.items()
-                if isinstance(p, Plaintext)}
+    payloads = real_payloads(plan.trace)
     header = build_header(plan.trace, kind="plan", graph=plan.graph,
                           num_payloads=len(payloads))
-    provenance = {"tool": "repro.artifact",
-                  "passes": [getattr(p, "__name__", repr(p))
-                             for p in plan.passes],
-                  "plan_name": plan.name}
     return Artifact(header=header, trace=plan.trace, graph=plan.graph,
-                    provenance=provenance, payloads=payloads)
-
-
-def trace_view(trace: OpTrace, path: str | None = None) -> Artifact:
-    """An in-memory :class:`Artifact` over a bare trace (JSONL side)."""
-    header = build_header(trace, kind="trace", num_payloads=0)
-    return Artifact(header=header, trace=trace, path=path)
-
-
-def load_any(path: str) -> Artifact:
-    """Load ``path`` as an artifact: ``.rpa`` container or JSONL trace."""
-    if path.endswith(".rpa"):
-        return read_artifact(path)
-    trace = OpTrace.load_jsonl(path)
-    return trace_view(trace, path=path)
+                    provenance=plan_provenance(plan), payloads=payloads)
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +118,20 @@ def _diff_header(a: Artifact, b: Artifact) -> BlockDiff:
     return block
 
 
+def _count_rows(block: BlockDiff, label: str, a: Counter[Any],
+                b: Counter[Any]) -> None:
+    """One ``label[key]`` row per key whose multiplicity differs."""
+    for key in sorted(set(a) | set(b), key=str):
+        if a[key] != b[key]:
+            block.rows[f"{label}[{key}]"] = (a[key], b[key])
+
+
 def _diff_trace(a: OpTrace, b: OpTrace) -> BlockDiff:
     block = BlockDiff("TRACE_OPS")
-    deltas = count_deltas(a, b)
-    for kind, pair in deltas["by_kind"].items():
-        block.rows[f"kind[{kind}]"] = pair
-    for level, pair in deltas["by_level"].items():
-        block.rows[f"level[{level}]"] = pair
+    _count_rows(block, "kind", Counter(op.kind.value for op in a.ops),
+                Counter(op.kind.value for op in b.ops))
+    _count_rows(block, "level", Counter(op.level for op in a.ops),
+                Counter(op.level for op in b.ops))
     keys_a, keys_b = a.keys_used(), b.keys_used()
     if keys_a != keys_b:
         block.rows["keys_used"] = (len(keys_a), len(keys_b))
@@ -166,16 +146,9 @@ def _diff_trace(a: OpTrace, b: OpTrace) -> BlockDiff:
 
 def _diff_dag(a: "DiGraph", b: "DiGraph") -> BlockDiff:
     block = BlockDiff("DAG")
-    types_a: Counter[str] = Counter(
-        data["block"].block_type.value
-        for _, data in a.nodes(data=True))
-    types_b: Counter[str] = Counter(
-        data["block"].block_type.value
-        for _, data in b.nodes(data=True))
-    for type_name in sorted(set(types_a) | set(types_b)):
-        if types_a.get(type_name, 0) != types_b.get(type_name, 0):
-            block.rows[f"blocks[{type_name}]"] = (
-                types_a.get(type_name, 0), types_b.get(type_name, 0))
+    _count_rows(block, "blocks", *(
+        Counter(data["block"].block_type.value
+                for _, data in graph.nodes(data=True)) for graph in (a, b)))
     if a.number_of_edges() != b.number_of_edges():
         block.rows["edges"] = (a.number_of_edges(), b.number_of_edges())
     hash_a, hash_b = _dag_structural_hash(a), _dag_structural_hash(b)
@@ -219,7 +192,7 @@ def diff_artifacts(a: Artifact, b: Artifact) -> ArtifactDiff:
 
 
 # ---------------------------------------------------------------------------
-# rendering + CLI seam (shared by repro.trace.diff and repro.artifact)
+# rendering
 # ---------------------------------------------------------------------------
 
 def render_diff(diff: ArtifactDiff) -> str:
@@ -255,22 +228,3 @@ def diff_json(diff: ArtifactDiff) -> dict[str, Any]:
                                  for row, pair in block.rows.items()}
                    for block in diff.deltas()},
     }
-
-
-def run_diff(path_a: str, path_b: str) -> int:
-    """Diff two artifact/trace files, print the report, return the exit
-    status (0 identical, 1 structural delta, 2 unreadable input)."""
-    import sys
-    loaded: list[Artifact] = []
-    for path in (path_a, path_b):
-        try:
-            loaded.append(load_any(path))
-        except (OSError, ValueError) as exc:
-            message = str(exc)
-            if not message.startswith(path):
-                message = f"{path}: {message}"
-            print(f"error: {message}", file=sys.stderr)
-            return 2
-    diff = diff_artifacts(loaded[0], loaded[1])
-    print(render_diff(diff))
-    return 1 if diff else 0

@@ -53,6 +53,10 @@ MAGIC = b"\x89RPA\r\n\x1a\n"
 #: unknown blocks).
 CONTAINER_VERSION = 1
 
+#: Schema version of the columnar trace tables, stamped into HEADER as
+#: ``schema_version``; readers refuse newer schemas.
+TRACE_FORMAT_VERSION = 1
+
 _VERSION_STRUCT = struct.Struct("<H")
 _FRAME_STRUCT = struct.Struct("<HHQ")
 _CRC_STRUCT = struct.Struct("<I")
@@ -97,6 +101,14 @@ class UnknownBlockWarning(UserWarning):
     """A recognized container carried a block type this reader skips."""
 
 
+def block_name(block_type: int) -> str:
+    """Display name for a block type (``type-N`` for unknown ids)."""
+    try:
+        return ArtifactBlockType(block_type).name
+    except ValueError:
+        return f"type-{block_type}"
+
+
 # ---------------------------------------------------------------------------
 # frame writer / reader
 # ---------------------------------------------------------------------------
@@ -130,11 +142,11 @@ def read_container(stream: BinaryIO,
         raise ArtifactIntegrityError(f"{where}: truncated before the "
                                      "container version field")
     (version,) = _VERSION_STRUCT.unpack(version_bytes)
-    if version > CONTAINER_VERSION:
+    if not 1 <= version <= CONTAINER_VERSION:
         raise ArtifactVersionError(
-            f"{where}: container format version {version} is newer than "
-            f"this reader (supports <= {CONTAINER_VERSION}); upgrade "
-            "repro to read it")
+            f"{where}: container format version {version} is not one this "
+            f"reader knows (1..{CONTAINER_VERSION}); if it is newer, "
+            "upgrade repro to read it")
     blocks: list[tuple[int, bytes]] = []
     index = 0
     while True:
@@ -146,30 +158,27 @@ def read_container(stream: BinaryIO,
                 f"{where}: block {index}: truncated block header "
                 f"({len(frame)} of {_FRAME_STRUCT.size} bytes)")
         block_type, flags, payload_len = _FRAME_STRUCT.unpack(frame)
+        label = f"{where}: block {index} ({block_name(block_type)})"
         if flags != 0:
-            raise ArtifactFormatError(
-                f"{where}: block {index}: reserved flags field is "
-                f"{flags:#x} (must be 0)")
+            raise ArtifactFormatError(f"{label}: reserved flags field is "
+                                      f"{flags:#x} (must be 0)")
         if payload_len > MAX_BLOCK_PAYLOAD:
             raise ArtifactIntegrityError(
-                f"{where}: block {index}: implausible payload length "
-                f"{payload_len}")
+                f"{label}: implausible payload length {payload_len}")
         payload = stream.read(payload_len)
         if len(payload) < payload_len:
             raise ArtifactIntegrityError(
-                f"{where}: block {index} (type {block_type}): truncated "
-                f"payload ({len(payload)} of {payload_len} bytes)")
+                f"{label}: truncated payload ({len(payload)} of "
+                f"{payload_len} bytes)")
         crc_bytes = stream.read(_CRC_STRUCT.size)
         if len(crc_bytes) < _CRC_STRUCT.size:
-            raise ArtifactIntegrityError(
-                f"{where}: block {index} (type {block_type}): truncated "
-                "CRC field")
+            raise ArtifactIntegrityError(f"{label}: truncated CRC field")
         (crc,) = _CRC_STRUCT.unpack(crc_bytes)
         actual = zlib.crc32(payload)
         if crc != actual:
             raise ArtifactIntegrityError(
-                f"{where}: block {index} (type {block_type}): CRC "
-                f"mismatch (stored {crc:#010x}, computed {actual:#010x})")
+                f"{label}: CRC mismatch (stored {crc:#010x}, computed "
+                f"{actual:#010x})")
         blocks.append((block_type, payload))
         index += 1
 
@@ -189,7 +198,7 @@ def pack_json(doc: dict[str, Any]) -> bytes:
 def unpack_json(payload: bytes, where: str = "block") -> dict[str, Any]:
     try:
         doc = json.loads(zlib.decompress(payload).decode("utf-8"))
-    except (zlib.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (zlib.error, ValueError, RecursionError) as exc:
         raise ArtifactFormatError(f"{where}: undecodable JSON payload "
                                   f"({exc})") from None
     if not isinstance(doc, dict):
@@ -236,7 +245,8 @@ def pack_arrays(scalars: dict[str, Any],
 def unpack_arrays(payload: bytes, where: str = "block"
                   ) -> tuple[dict[str, Any],
                              dict[str, "np.ndarray[Any, Any]"]]:
-    """Inverse of :func:`pack_arrays`."""
+    """Inverse of :func:`pack_arrays`; a malformed index is an
+    :class:`ArtifactFormatError`, never a bare exception."""
     try:
         inner = zlib.decompress(payload)
     except zlib.error as exc:
@@ -248,14 +258,23 @@ def unpack_arrays(payload: bytes, where: str = "block"
     start = _INDEX_LEN.size
     try:
         index = json.loads(inner[start:start + index_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ArtifactFormatError(f"{where}: undecodable array index "
                                   f"({exc})") from None
+    if not (isinstance(index, dict) and isinstance(index.get("scalars"), dict)
+            and isinstance(index.get("arrays"), list)):
+        raise ArtifactFormatError(f"{where}: array index is not an object "
+                                  "of scalars and an array list")
     offset = start + index_len
     arrays: dict[str, np.ndarray[Any, Any]] = {}
-    for entry in index.get("arrays", []):
+    for entry in index["arrays"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and entry.get("dtype") in _WIRE_DTYPES
+                and type(entry.get("length")) is int and entry["length"] >= 0):
+            raise ArtifactFormatError(f"{where}: malformed array index "
+                                      f"entry {str(entry)[:80]}")
         dtype = np.dtype(entry["dtype"])
-        nbytes = dtype.itemsize * int(entry["length"])
+        nbytes = dtype.itemsize * entry["length"]
         if offset + nbytes > len(inner):
             raise ArtifactFormatError(
                 f"{where}: array {entry['name']!r} runs past the "
@@ -263,11 +282,7 @@ def unpack_arrays(payload: bytes, where: str = "block"
         arrays[entry["name"]] = np.frombuffer(
             inner[offset:offset + nbytes], dtype=dtype).copy()
         offset += nbytes
-    scalars = index.get("scalars", {})
-    if not isinstance(scalars, dict):
-        raise ArtifactFormatError(f"{where}: array index scalars are "
-                                  "not an object")
-    return scalars, arrays
+    return index["scalars"], arrays
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ the failure mode inverted: a *recognized container* carrying an
 :class:`~repro.artifact.format.UnknownBlockWarning` instead of raising,
 so an old reader degrades gracefully on a new writer's extra blocks.
 Only a newer **container** version (a framing change) refuses to load.
+
+This is the one way outside bytes become a trace or a plan: it raises
+only :class:`~repro.artifact.format.ArtifactError` subclasses naming the
+file and the block, and holds the blocks to the HEADER's promises.
 """
 
 from __future__ import annotations
@@ -17,11 +21,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable
 
 from repro.fhe.params import CkksParameters
-from repro.trace.ir import TRACE_FORMAT_VERSION, OpTrace
+from repro.trace.ir import OpTrace
 
 from .columnar import decode_dag, decode_payloads, decode_trace_ops
-from .format import (ArtifactBlockType, ArtifactError, ArtifactFormatError,
-                     UnknownBlockWarning, read_container, unpack_json)
+from .format import (TRACE_FORMAT_VERSION, ArtifactBlockType, ArtifactError,
+                     ArtifactFormatError, UnknownBlockWarning, block_name,
+                     read_container, unpack_json)
 
 if TYPE_CHECKING:
     from repro.dag import DiGraph
@@ -66,7 +71,7 @@ class Artifact:
 def _params_from_header(header: dict[str, Any]) -> CkksParameters:
     try:
         return CkksParameters.from_doc(header.get("params"))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ArtifactFormatError(f"HEADER: {exc}") from None
 
 
@@ -109,20 +114,42 @@ def _handle_payloads(payload: bytes, artifact: Artifact) -> None:
     artifact.payloads = dict(decode_payloads(payload))
 
 
-#: Central registry: block type -> (name, decoder).  Append-only.
-BLOCK_HANDLERS: dict[int, tuple[str, Callable[[bytes, Artifact], None]]] = {
-    int(ArtifactBlockType.HEADER): ("HEADER", _handle_header),
-    int(ArtifactBlockType.TRACE_OPS): ("TRACE_OPS", _handle_trace_ops),
-    int(ArtifactBlockType.DAG): ("DAG", _handle_dag),
-    int(ArtifactBlockType.PROVENANCE): ("PROVENANCE", _handle_provenance),
-    int(ArtifactBlockType.PAYLOADS): ("PAYLOADS", _handle_payloads),
+#: Central registry: block type -> decoder.  Append-only.
+BLOCK_HANDLERS: dict[int, Callable[[bytes, Artifact], None]] = {
+    int(ArtifactBlockType.HEADER): _handle_header,
+    int(ArtifactBlockType.TRACE_OPS): _handle_trace_ops,
+    int(ArtifactBlockType.DAG): _handle_dag,
+    int(ArtifactBlockType.PROVENANCE): _handle_provenance,
+    int(ArtifactBlockType.PAYLOADS): _handle_payloads,
 }
 
 
-def block_name(block_type: int) -> str:
-    """Display name for a block type (``type-N`` for unknown ids)."""
-    entry = BLOCK_HANDLERS.get(block_type)
-    return entry[0] if entry is not None else f"type-{block_type}"
+#: The blocks each artifact kind always carries.
+_REQUIRED_BLOCKS = {"trace": ("TRACE_OPS",),
+                    "plan": ("TRACE_OPS", "DAG", "PROVENANCE")}
+
+
+def _check_header(artifact: Artifact, where: str) -> None:
+    """Hold the decoded blocks to what HEADER says the file carries."""
+    required = _REQUIRED_BLOCKS.get(artifact.kind)
+    if required is None:
+        raise ArtifactFormatError(f"{where}: HEADER: unknown artifact "
+                                  f"kind {artifact.kind!r}")
+    for name in required:
+        if name not in artifact.block_sizes:
+            raise ArtifactFormatError(f"{where}: {artifact.kind} artifact "
+                                      f"has no {name} block")
+    assert artifact.trace is not None       # every kind carries TRACE_OPS
+    found = {"ops": len(artifact.trace.ops),
+             "payloads": len(artifact.payloads)}
+    if artifact.graph is not None:
+        found.update(nodes=artifact.graph.number_of_nodes(),
+                     edges=artifact.graph.number_of_edges())
+    counts = artifact.header.get("counts")
+    if not isinstance(counts, dict) \
+            or {key: counts.get(key) for key in found} != found:
+        raise ArtifactFormatError(f"{where}: HEADER counts {counts} do not "
+                                  f"match the decoded blocks {found}")
 
 
 def read_artifact_stream(stream: BinaryIO,
@@ -130,7 +157,8 @@ def read_artifact_stream(stream: BinaryIO,
     """Decode one container from an open binary stream."""
     blocks = read_container(stream, where)
     if not blocks:
-        raise ArtifactFormatError(f"{where}: container has no blocks")
+        raise ArtifactFormatError(f"{where}: container has no blocks, "
+                                  "not even HEADER")
     first_type = blocks[0][0]
     if first_type != int(ArtifactBlockType.HEADER):
         raise ArtifactFormatError(
@@ -138,18 +166,22 @@ def read_artifact_stream(stream: BinaryIO,
             "expected HEADER")
     artifact = Artifact(header={}, path=None)
     for block_type, payload in blocks:
-        entry = BLOCK_HANDLERS.get(block_type)
-        if entry is None:
+        handler = BLOCK_HANDLERS.get(block_type)
+        if handler is None:
             warnings.warn(
                 f"{where}: skipping unrecognized block type "
                 f"{block_type} ({len(payload)} bytes); written by a "
                 "newer repro?", UnknownBlockWarning, stacklevel=2)
             artifact.skipped_blocks.append(block_type)
             continue
-        name, handler = entry
-        handler(payload, artifact)
+        try:
+            handler(payload, artifact)
+        except ArtifactError as exc:
+            raise type(exc)(f"{where}: {exc}") from None
+        name = block_name(block_type)
         artifact.block_sizes[name] = \
             artifact.block_sizes.get(name, 0) + len(payload)
+    _check_header(artifact, where)
     if artifact.trace is not None and artifact.payloads:
         artifact.trace.payloads.update(artifact.payloads)
     return artifact
@@ -168,11 +200,11 @@ def read_artifact(path: str) -> Artifact:
 # ---------------------------------------------------------------------------
 
 def load_trace(path: str) -> OpTrace:
-    """Load the :class:`OpTrace` from an ``.rpa`` artifact."""
-    artifact = read_artifact(path)
-    if artifact.trace is None:
-        raise ArtifactError(f"{path}: artifact has no TRACE_OPS block")
-    return artifact.trace
+    """Load the :class:`OpTrace` from an ``.rpa`` artifact (trace or
+    plan kind)."""
+    trace = read_artifact(path).trace
+    assert trace is not None                # every kind carries TRACE_OPS
+    return trace
 
 
 def load_plan(path: str) -> "ExecutablePlan":
@@ -181,29 +213,28 @@ def load_plan(path: str) -> "ExecutablePlan":
     :func:`repro.engine.compile` produced before saving.
 
     The lowered DAG is rebuilt from the artifact's tables (no
-    re-lowering) and re-validated against the workload-DAG invariants;
+    re-lowering) and re-validated against the workload-DAG invariants
+    (a violation is an :class:`ArtifactFormatError` naming the first);
     the loaded plan's provenance (pass names, producing tool) is kept on
     :attr:`~repro.engine.ExecutablePlan.provenance`.
     """
     from repro.engine.plan import ExecutablePlan
-    from repro.trace import assert_workload_dag
+    from repro.trace import dag_violations, lower_expanded_trace
 
     artifact = read_artifact(path)
-    if artifact.trace is None:
-        raise ArtifactError(f"{path}: artifact has no TRACE_OPS block")
-    graph = artifact.graph
-    if graph is None:
-        if artifact.kind == "plan":
-            raise ArtifactError(f"{path}: plan artifact has no DAG "
-                                "block")
-        # A bare trace artifact still loads as a plan: lower it now.
-        from repro.trace import lower_expanded_trace
-        graph = lower_expanded_trace(artifact.trace)
+    trace = artifact.trace
+    assert trace is not None                # every kind carries TRACE_OPS
+    # A bare trace artifact still loads as a plan: lower it now.
+    graph = artifact.graph if artifact.graph is not None \
+        else lower_expanded_trace(trace)
     params = artifact.params
-    assert_workload_dag(graph, params=params,
-                        require_keyswitch_meta=True)
+    problems = dag_violations(graph, params=params,
+                              require_keyswitch_meta=True)
+    if problems:
+        raise ArtifactFormatError(f"{path}: DAG: {len(problems)} invariant "
+                                  f"violation(s), first {problems[0]}")
     plan = ExecutablePlan(params=params, graph=graph,
-                          name=artifact.name, trace=artifact.trace)
+                          name=artifact.name, trace=trace)
     plan.provenance = dict(artifact.provenance or {})
     plan.provenance.setdefault("fingerprint", artifact.fingerprint)
     plan.provenance.setdefault("artifact_path", path)

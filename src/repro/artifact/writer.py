@@ -2,8 +2,8 @@
 
 Two writers share one block pipeline:
 
-* :func:`save_trace` — HEADER + TRACE_OPS (+ PAYLOADS) — the binary
-  sibling of :meth:`repro.trace.OpTrace.save_jsonl`;
+* :func:`save_trace` — HEADER + TRACE_OPS (+ PAYLOADS) — the one way an
+  :class:`~repro.trace.OpTrace` is written to disk;
 * :func:`save_plan` — HEADER + TRACE_OPS + DAG + PROVENANCE
   (+ PAYLOADS) — everything :func:`repro.artifact.reader.load_plan`
   needs to rebuild an :class:`~repro.engine.ExecutablePlan` that
@@ -22,12 +22,13 @@ import os
 import tempfile
 from typing import TYPE_CHECKING, Any
 
-from repro.trace.ir import TRACE_FORMAT_VERSION, OpTrace
+from repro.fhe.encoder import Plaintext
+from repro.trace.ir import OpTrace
 
 from .columnar import encode_dag, encode_payloads, encode_trace_ops
-from .format import (CONTAINER_VERSION, ArtifactBlockType,
-                     content_fingerprint, pack_json, params_fingerprint,
-                     write_container)
+from .format import (CONTAINER_VERSION, TRACE_FORMAT_VERSION,
+                     ArtifactBlockType, content_fingerprint, pack_json,
+                     params_fingerprint, write_container)
 
 if TYPE_CHECKING:
     from repro.dag import DiGraph
@@ -57,17 +58,17 @@ def build_header(trace: OpTrace, *, kind: str,
     }
 
 
+def real_payloads(trace: OpTrace) -> dict[int, Plaintext]:
+    """The payloads a PAYLOADS block carries: the real plaintexts
+    (symbolic traces hold shape-only handles, which stay in memory)."""
+    return {op_id: p for op_id, p in trace.payloads.items()
+            if isinstance(p, Plaintext)}
+
+
 def _payload_block(trace: OpTrace,
                    include_payloads: bool) -> tuple[bytes | None, int]:
-    if not include_payloads:
-        return None, 0
-    encoded = encode_payloads(trace.payloads)
-    if encoded is None:
-        return None, 0
-    from repro.fhe.encoder import Plaintext
-    count = sum(1 for p in trace.payloads.values()
-                if isinstance(p, Plaintext))
-    return encoded, count
+    payloads = real_payloads(trace) if include_payloads else {}
+    return encode_payloads(payloads), len(payloads)
 
 
 def trace_blocks(trace: OpTrace, *,
@@ -82,6 +83,14 @@ def trace_blocks(trace: OpTrace, *,
     return blocks
 
 
+def plan_provenance(plan: "ExecutablePlan") -> dict[str, Any]:
+    """The PROVENANCE block document for one plan."""
+    return {"tool": "repro.artifact",
+            "passes": [getattr(p, "__name__", repr(p))
+                       for p in plan.passes],
+            "plan_name": plan.name}
+
+
 def plan_blocks(plan: "ExecutablePlan", *,
                 include_payloads: bool = True) -> list[tuple[int, bytes]]:
     """HEADER + TRACE_OPS + DAG + PROVENANCE (+ PAYLOADS) for a plan."""
@@ -89,16 +98,11 @@ def plan_blocks(plan: "ExecutablePlan", *,
     payloads, count = _payload_block(trace, include_payloads)
     header = build_header(trace, kind="plan", graph=plan.graph,
                           num_payloads=count)
-    provenance = {
-        "tool": "repro.artifact",
-        "passes": [getattr(p, "__name__", repr(p))
-                   for p in plan.passes],
-        "plan_name": plan.name,
-    }
     blocks = [(int(ArtifactBlockType.HEADER), pack_json(header)),
               (int(ArtifactBlockType.TRACE_OPS), encode_trace_ops(trace)),
               (int(ArtifactBlockType.DAG), encode_dag(plan.graph)),
-              (int(ArtifactBlockType.PROVENANCE), pack_json(provenance))]
+              (int(ArtifactBlockType.PROVENANCE),
+               pack_json(plan_provenance(plan)))]
     if payloads is not None:
         blocks.append((int(ArtifactBlockType.PAYLOADS), payloads))
     return blocks

@@ -404,8 +404,8 @@ def compile_program(program: "HeProgram | str | OpTrace",
     returns the same memoized plan object the registry would — the one
     front door covers both ad-hoc programs and the catalog.  Named
     workloads compile symbolically; combining a name with ``context``
-    raises.  A pre-recorded :class:`~repro.trace.OpTrace` (e.g. loaded
-    from JSONL) compiles directly without re-tracing.
+    raises.  A pre-recorded :class:`~repro.trace.OpTrace` (e.g. one
+    :func:`repro.artifact.load_trace` read) compiles without re-tracing.
 
     ``lint`` runs the static analyzer (:mod:`repro.analysis`) over the
     compiled trace: ``"warn"`` emits the report as a

@@ -165,8 +165,8 @@ class CkksParameters:
     @classmethod
     def from_doc(cls, doc: object) -> "CkksParameters":
         """The parameters a ``dataclasses.asdict`` document stands for
-        (an ``.rpa`` header, a JSONL trace header); ``ValueError`` naming
-        the key where the document has one too many or too few."""
+        (an ``.rpa`` header); ``ValueError`` naming the key where the
+        document has one too many or too few."""
         if not isinstance(doc, dict):
             raise ValueError(f"params document is not a mapping: {doc!r}")
         doc = dict(doc)

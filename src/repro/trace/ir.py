@@ -13,19 +13,12 @@ simulatable workload without hand-maintained DAG transcription.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-import json
-import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.fhe.params import CkksParameters
-
-#: Serialization format version written into the JSONL header.
-TRACE_FORMAT_VERSION = 1
 
 
 class OpKind(enum.Enum):
@@ -90,9 +83,9 @@ class OpTrace:
     ``payloads`` maps op ids to the concrete plaintext operands the
     recorder captured (real :class:`~repro.fhe.encoder.Plaintext` objects
     in real mode) so :meth:`repro.engine.ExecutablePlan.execute` can
-    replay the trace bit-identically.  Payloads are in-memory only: they
-    are excluded from equality and from JSONL serialization (a loaded
-    trace replays only if it is payload-free or payloads are re-supplied).
+    replay the trace bit-identically.  They are excluded from equality;
+    the one on-disk form, a ``.rpa`` artifact (:mod:`repro.artifact`),
+    carries the real ones.
 
     ``output_op_id`` names the op that produced the value the traced
     program *returned* (``None`` when the program returned nothing the
@@ -131,134 +124,3 @@ class OpTrace:
         """Distinct switching-key ids the execution touched."""
         return {op.key for op in self.keyswitch_ops()
                 if op.key is not None}
-
-    # -- serialization (JSON lines) ---------------------------------------
-
-    def save_jsonl(self, path: str) -> None:
-        """Write the trace as JSON lines: one header, then one op/line.
-
-        The round trip through :meth:`load_jsonl` is exact (op fields,
-        meta, and the full parameter set including the generated moduli);
-        ``payloads`` are not serialized.  The write is atomic (temp file
-        in the destination directory + ``os.replace``): readers never
-        observe a truncated trace.
-        """
-        header = {
-            "format": "optrace",
-            "version": TRACE_FORMAT_VERSION,
-            "name": self.name,
-            "output_op_id": self.output_op_id,
-            "params": dataclasses.asdict(self.params),
-        }
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(path) + ".",
-            suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(json.dumps(header) + "\n")
-                for op in self.ops:
-                    f.write(json.dumps(_op_to_json(op)) + "\n")
-            # mkstemp creates 0600; give the trace normal file modes.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp_path, 0o666 & ~umask)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
-    @classmethod
-    def load_jsonl(cls, path: str) -> "OpTrace":
-        """Read a trace written by :meth:`save_jsonl`."""
-        with open(path) as f:
-            lines = [line for line in f if line.strip()]
-        if not lines:
-            raise ValueError(f"{path}: empty trace file")
-        header = json.loads(lines[0])
-        if header.get("format") != "optrace":
-            raise ValueError(f"{path}: not an OpTrace JSONL file")
-        if header.get("version") != TRACE_FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported trace format version "
-                             f"{header.get('version')!r}")
-        trace = cls(params=CkksParameters.from_doc(header.get("params")),
-                    name=header["name"],
-                    output_op_id=header.get("output_op_id"))
-        for line in lines[1:]:
-            trace.append(_op_from_json(json.loads(line)))
-        return trace
-
-    # -- serialization (binary .rpa container) -----------------------------
-
-    def save_binary(self, path: str, *,
-                    include_payloads: bool = True) -> None:
-        """Write the trace as a ``.rpa`` artifact (columnar op tables).
-
-        The binary sibling of :meth:`save_jsonl`: the round trip through
-        :meth:`load_binary` is exact, several times smaller on disk, and
-        — unlike JSONL — also carries real plaintext ``payloads`` (when
-        present and ``include_payloads``) so a loaded trace can replay.
-        See :mod:`repro.artifact` for the container format.
-        """
-        from repro.artifact import save_trace
-        save_trace(self, path, include_payloads=include_payloads)
-
-    @classmethod
-    def load_binary(cls, path: str) -> "OpTrace":
-        """Read a trace from a ``.rpa`` artifact (trace or plan kind)."""
-        from repro.artifact import load_trace
-        return load_trace(path)
-
-
-def _meta_to_json(value: Any) -> Any:
-    """Meta values are JSON scalars except complex (tagged pair)."""
-    if isinstance(value, complex):
-        return {"__complex__": [value.real, value.imag]}
-    return value
-
-
-def _meta_from_json(value: Any) -> Any:
-    if isinstance(value, dict) and "__complex__" in value:
-        real, imag = value["__complex__"]
-        return complex(real, imag)
-    return value
-
-
-def _op_to_json(op: TraceOp) -> dict[str, Any]:
-    return {
-        "op_id": op.op_id,
-        "kind": op.kind.value,
-        "inputs": list(op.inputs),
-        "level": op.level,
-        "out_level": op.out_level,
-        "out_scale": op.out_scale,
-        "key": op.key,
-        "hoist_group": op.hoist_group,
-        "region": op.region,
-        "meta": {k: _meta_to_json(v) for k, v in op.meta.items()},
-    }
-
-
-def _op_from_json(doc: dict[str, Any]) -> TraceOp:
-    try:
-        kind = OpKind(doc["kind"])
-    except ValueError:
-        raise ValueError(
-            f"op {doc.get('op_id')}: unknown op kind {doc['kind']!r} "
-            f"(known kinds: {', '.join(k.value for k in OpKind)})"
-        ) from None
-    return TraceOp(
-        op_id=doc["op_id"],
-        kind=kind,
-        inputs=tuple(doc["inputs"]),
-        level=doc["level"],
-        out_level=doc["out_level"],
-        out_scale=doc["out_scale"],
-        key=doc["key"],
-        hoist_group=doc["hoist_group"],
-        region=doc["region"],
-        meta={k: _meta_from_json(v) for k, v in doc["meta"].items()},
-    )

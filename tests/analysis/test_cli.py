@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.analysis.__main__ import main
+from repro.artifact import save_trace
 from repro.fhe.params import CkksParameters
 from repro.trace.ir import OpKind, OpTrace, TraceOp
 
@@ -20,7 +21,7 @@ TOY = CkksParameters.toy()
 
 
 def _defect_trace(tmp_path):
-    """One HE001 (rescale at level 0) saved as JSONL."""
+    """One HE001 (rescale at level 0) saved as a trace artifact."""
     trace = OpTrace(params=TOY, name="defect")
     trace.append(TraceOp(op_id=0, kind=OpKind.SOURCE, inputs=(),
                          level=0, out_level=0,
@@ -28,8 +29,8 @@ def _defect_trace(tmp_path):
     trace.append(TraceOp(op_id=1, kind=OpKind.RESCALE, inputs=(0,),
                          level=0, out_level=0,
                          out_scale=2.0 ** TOY.scale_bits))
-    path = tmp_path / "defect.jsonl"
-    trace.save_jsonl(str(path))
+    path = tmp_path / "defect.rpa"
+    save_trace(trace, str(path))
     return str(path)
 
 
@@ -43,8 +44,8 @@ def _dead_op_trace(tmp_path):
                          level=4, out_level=4, out_scale=delta))
     trace.append(TraceOp(op_id=2, kind=OpKind.HE_ADD, inputs=(0, 0),
                          level=4, out_level=4, out_scale=delta))
-    path = tmp_path / "deadop.jsonl"
-    trace.save_jsonl(str(path))
+    path = tmp_path / "deadop.rpa"
+    save_trace(trace, str(path))
     return str(path)
 
 
@@ -71,10 +72,10 @@ class TestTargets:
         assert "neither a catalog workload" in err
 
     def test_unreadable_trace_exits_two(self, tmp_path, capsys):
-        bad = tmp_path / "bad.jsonl"
+        bad = tmp_path / "bad.rpa"
         bad.write_text('{"format": "something-else"}\n')
         assert main([str(bad)]) == 2
-        assert "not an OpTrace" in capsys.readouterr().err
+        assert "not an .rpa artifact" in capsys.readouterr().err
 
     def test_target_and_catalog_are_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):

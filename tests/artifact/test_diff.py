@@ -1,18 +1,18 @@
-"""Per-block artifact diffing: semantics, CLI exit codes, routing.
+"""Per-block artifact diffing: semantics and CLI exit codes.
 
 Covers ``repro.artifact.diffing`` (equal artifacts diff empty; each
-block type reports its own deltas; artifact-vs-JSONL compares only
-shared sections) and both CLI front doors: ``python -m repro.artifact
-diff`` and the ``.rpa`` routing in ``python -m repro.trace.diff``.
+block type reports its own deltas; a trace-kind and a plan-kind
+artifact compare only shared sections) and the one CLI front door,
+``python -m repro.artifact diff``.
 """
 
 import pytest
 
 from repro import engine
-from repro.artifact import diff_artifacts, load_any, render_diff
+from repro.artifact import (diff_artifacts, load_trace, read_artifact,
+                            render_diff, save_trace)
 from repro.artifact.diffing import artifact_view
 from repro.fhe.params import CkksParameters
-from repro.trace.diff import main as trace_diff_main
 
 TOY = CkksParameters.toy()
 
@@ -35,7 +35,7 @@ def resnet_rpa(tmp_path):
 
 class TestDiffSemantics:
     def test_equal_artifacts_no_deltas(self, boot_rpa):
-        a, b = load_any(boot_rpa), load_any(boot_rpa)
+        a, b = read_artifact(boot_rpa), read_artifact(boot_rpa)
         diff = diff_artifacts(a, b)
         assert not diff
         assert diff.deltas() == []
@@ -44,11 +44,12 @@ class TestDiffSemantics:
     def test_saved_equals_in_memory_view(self, boot_rpa):
         plan = engine.compile("boot", TOY)
         assert not diff_artifacts(artifact_view(plan),
-                                  load_any(boot_rpa))
+                                  read_artifact(boot_rpa))
 
     def test_different_workloads_delta_everywhere(self, boot_rpa,
                                                   resnet_rpa):
-        diff = diff_artifacts(load_any(boot_rpa), load_any(resnet_rpa))
+        diff = diff_artifacts(read_artifact(boot_rpa),
+                              read_artifact(resnet_rpa))
         blocks = {d.block for d in diff.deltas()}
         assert {"HEADER", "TRACE_OPS", "DAG"} <= blocks
 
@@ -66,23 +67,24 @@ class TestDiffSemantics:
         plan = engine.compile("boot", TOY)
         path_a = str(tmp_path / "a.rpa")
         path_b = str(tmp_path / "b.rpa")
-        plan.trace.save_binary(path_a)
-        mutated = plan.trace.__class__.load_binary(path_a)
+        save_trace(plan.trace, path_a)
+        mutated = load_trace(path_a)
         mutated.ops[1].meta["rotation"] = 999
-        mutated.save_binary(path_b)
-        diff = diff_artifacts(load_any(path_a), load_any(path_b))
+        save_trace(mutated, path_b)
+        diff = diff_artifacts(read_artifact(path_a), read_artifact(path_b))
         trace_block = next(d for d in diff.deltas()
                            if d.block == "TRACE_OPS")
         assert "op_stream" in trace_block.rows
         assert not any(row.startswith("kind[")
                        for row in trace_block.rows)
 
-    def test_artifact_vs_jsonl_shared_sections_only(self, tmp_path,
-                                                    boot_rpa):
+    def test_trace_and_plan_artifacts_share_sections(self, tmp_path,
+                                                     boot_rpa):
         plan = engine.compile("boot", TOY)
-        jsonl = str(tmp_path / "boot.jsonl")
-        plan.trace.save_jsonl(jsonl)
-        diff = diff_artifacts(load_any(boot_rpa), load_any(jsonl))
+        trace_rpa = str(tmp_path / "boot-trace.rpa")
+        save_trace(plan.trace, trace_rpa)
+        diff = diff_artifacts(read_artifact(boot_rpa),
+                              read_artifact(trace_rpa))
         # Same trace; DAG/provenance exist on one side only, and the
         # node/edge counts must not leak into the header comparison.
         assert not diff
@@ -128,28 +130,24 @@ class TestArtifactDiffCli:
         assert "TRACE_OPS" in doc["diff"]["deltas"]
 
 
-class TestTraceDiffRouting:
-    def test_rpa_vs_rpa_routes_to_artifact_differ(self, boot_rpa,
-                                                  capsys):
-        assert trace_diff_main([boot_rpa, boot_rpa]) == 0
-        assert "no structural deltas" in capsys.readouterr().out
 
-    def test_rpa_vs_jsonl_mixed(self, tmp_path, boot_rpa, capsys):
-        plan = engine.compile("boot", TOY)
-        jsonl = str(tmp_path / "boot.jsonl")
-        plan.trace.save_jsonl(jsonl)
-        assert trace_diff_main([boot_rpa, jsonl]) == 0
+class TestTraceDiffRouting:
+    """Saved traces (trace-kind artifacts) diff through the same
+    per-block differ as plans: there is one diff."""
+
+    def test_rpa_vs_rpa_routes_to_artifact_differ(self, tmp_path, capsys):
+        from repro.artifact.__main__ import main
+        path = str(tmp_path / "boot-trace.rpa")
+        save_trace(engine.compile("boot", TOY).trace, path)
+        assert main(["diff", path, path]) == 0
+        out = capsys.readouterr().out
+        assert "(boot, trace, " in out
+        assert "no structural deltas" in out
 
     def test_unreadable_rpa_exit_two(self, tmp_path, boot_rpa, capsys):
+        from repro.artifact.__main__ import main
         garbage = tmp_path / "bad.rpa"
         garbage.write_bytes(b"\x00" * 32)
-        assert trace_diff_main([str(garbage), boot_rpa]) == 2
+        assert main(["diff", str(garbage), boot_rpa]) == 2
         err = capsys.readouterr().err
         assert "bad.rpa" in err
-
-    def test_jsonl_only_path_unchanged(self, tmp_path, capsys):
-        plan = engine.compile("boot", TOY)
-        jsonl = str(tmp_path / "boot.jsonl")
-        plan.trace.save_jsonl(jsonl)
-        assert trace_diff_main([jsonl, jsonl]) == 0
-        assert "(no deltas)" in capsys.readouterr().out

@@ -16,7 +16,7 @@ import pytest
 from repro.artifact import (CONTAINER_VERSION, MAGIC, ArtifactBlockType,
                             ArtifactFormatError, ArtifactIntegrityError,
                             ArtifactVersionError, UnknownBlockWarning,
-                            read_artifact)
+                            read_artifact, save_trace)
 from repro.artifact.format import (pack_arrays, pack_json, read_container,
                                    unpack_arrays, unpack_json,
                                    write_container)
@@ -37,7 +37,7 @@ def _toy_trace() -> OpTrace:
 @pytest.fixture()
 def artifact_path(tmp_path):
     path = tmp_path / "fmt.rpa"
-    _toy_trace().save_binary(str(path))
+    save_trace(_toy_trace(), str(path))
     return path
 
 
@@ -121,7 +121,7 @@ class TestUnknownBlocks:
     def test_unknown_block_skipped_with_warning(self, tmp_path):
         trace = _toy_trace()
         path = tmp_path / "extended.rpa"
-        trace.save_binary(str(path))
+        save_trace(trace, str(path))
         # Append a frame of an unregistered type, as a newer writer
         # with an extra block would.
         blocks = read_container(io.BytesIO(path.read_bytes()), "mem")

@@ -1,0 +1,180 @@
+"""Hostile bytes: the ``.rpa`` reader raises only ``ArtifactError``.
+
+Every golden-corpus file is truncated at every offset, bit-flipped at
+every byte within 16 of each block boundary, and rewritten with crafted
+blocks whose CRCs are valid but whose contents lie: a missing column or
+scalar, a scalar of the wrong type, an index outside its table.  Each
+must raise an :class:`ArtifactError` subclass whose message names the
+block (or, inside the 10-byte preamble, the magic / version field).
+Nothing else may escape, and nothing may load.
+"""
+
+import io
+import re
+import struct
+import warnings
+import zlib
+
+import numpy as np
+import pytest
+
+from repro.artifact import (ArtifactBlockType, ArtifactError,
+                            UnknownBlockWarning, corpus_path,
+                            read_artifact_stream)
+from repro.artifact.columnar import encode_payloads
+from repro.artifact.format import (MAGIC, pack_arrays, pack_json,
+                                   read_container, unpack_arrays,
+                                   unpack_json, write_container)
+from repro.fhe.encoder import Plaintext
+
+NAMES = ("boot", "helr", "resnet")
+HEADER, TRACE_OPS, DAG, PAYLOADS = (
+    int(ArtifactBlockType[name])
+    for name in ("HEADER", "TRACE_OPS", "DAG", "PAYLOADS"))
+#: A message names the block it refuses — or the preamble field.
+NAMED = re.compile(r"HEADER|TRACE_OPS|DAG|PROVENANCE|PAYLOADS|type-\d+"
+                   r"|block \d+|magic|version")
+
+
+def _corpus(name: str) -> bytes:
+    return corpus_path(name).read_bytes()
+
+
+def _read(data: bytes):
+    # A flipped block-type id reads as a block from a newer writer.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnknownBlockWarning)
+        return read_artifact_stream(io.BytesIO(data), "hostile.rpa")
+
+
+def _refusal(data: bytes) -> str:
+    """The message of the ``ArtifactError`` reading ``data`` raises; any
+    other exception propagates and a successful load fails the test."""
+    try:
+        _read(data)
+    except ArtifactError as exc:
+        message = str(exc)
+        assert NAMED.search(message), message
+        return message
+    raise AssertionError("hostile bytes loaded")
+
+
+def _boundaries(data: bytes) -> list[int]:
+    """Where each block frame starts, and the end of the file."""
+    edges, offset = [], len(MAGIC) + 2
+    for _, payload in read_container(io.BytesIO(data)):
+        edges.append(offset)
+        offset += 12 + len(payload) + 4
+    return edges + [offset]
+
+
+def _rewrite(data: bytes, block_type: int, mutate) -> bytes:
+    """``data`` with one block's payload replaced (its CRC recomputed)."""
+    blocks = read_container(io.BytesIO(data))
+    (index,) = [i for i, (kind, _) in enumerate(blocks) if kind == block_type]
+    blocks[index] = (block_type, mutate(blocks[index][1]))
+    stream = io.BytesIO()
+    write_container(stream, blocks)
+    return stream.getvalue()
+
+
+def _tables(edit):
+    """A mutation of one columnar block through ``edit(scalars, arrays)``."""
+    def mutate(payload: bytes) -> bytes:
+        scalars, arrays = unpack_arrays(payload)
+        edit(scalars, arrays)
+        return pack_arrays(scalars, arrays)
+    return mutate
+
+
+def _set(column: str, row: int, value: int):
+    return _tables(lambda scalars, arrays:
+                   arrays[column].__setitem__(row, value))
+
+
+def _with_payloads(data: bytes) -> bytes:
+    """A corpus plan carrying one real plaintext payload (and saying so
+    in HEADER), so the PAYLOADS decoder has a block to refuse."""
+    plaintext = Plaintext(coeffs=np.arange(8, dtype=np.int64),
+                          scale=2.0 ** 20, num_slots=4)
+
+    def count_it(payload: bytes) -> bytes:
+        header = unpack_json(payload)
+        header["counts"]["payloads"] = 1
+        return pack_json(header)
+
+    blocks = read_container(io.BytesIO(_rewrite(data, HEADER, count_it)))
+    blocks.append((PAYLOADS, encode_payloads({0: plaintext})))
+    stream = io.BytesIO()
+    write_container(stream, blocks)
+    return stream.getvalue()
+
+
+#: Crafted, CRC-valid lies: (block, mutation).  Before the reader
+#: checked its tables, the first nine escaped as KeyError /
+#: AttributeError / ValueError / TypeError / IndexError and the last two
+#: loaded (an edge from the last node, a truncated input list).
+CRAFTED = {
+    "dag-without-its-type-column":
+        (DAG, _tables(lambda s, a: a.pop("type"))),
+    "dag-without-num-nodes":
+        (DAG, _tables(lambda s, a: s.pop("num_nodes"))),
+    "payloads-without-offsets":
+        (PAYLOADS, _tables(lambda s, a: a.pop("offsets"))),
+    "array-index-is-a-json-list":
+        (TRACE_OPS, lambda payload: zlib.compress(
+            struct.pack("<I", 2) + b"[]")),
+    "num-ops-is-a-string":
+        (TRACE_OPS, _tables(lambda s, a: s.update(num_ops="x"))),
+    "kinds-is-a-number":
+        (TRACE_OPS, _tables(lambda s, a: s.update(kinds=5))),
+    "meta-residual-entry-is-a-list":
+        (TRACE_OPS, _tables(lambda s, a: s.update(
+            meta_residual={"0": [1, 2]}))),
+    "edge-endpoint-past-the-nodes": (DAG, _set("edge_src", 0, 10 ** 6)),
+    "num-edges-one-past-the-columns":
+        (DAG, _tables(lambda s, a: s.update(num_edges=s["num_edges"] + 1))),
+    "edge-endpoint-minus-one": (DAG, _set("edge_dst", 0, -1)),
+    "input-offset-past-the-inputs":
+        (TRACE_OPS, _set("input_offsets", 1, 10 ** 9)),
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_crafted_bases_load(name):
+    """The mutations start from files that load: the lie is the cause."""
+    data = _with_payloads(_corpus(name))
+    for block_type in (TRACE_OPS, DAG, PAYLOADS):
+        artifact = _read(_rewrite(data, block_type, _tables(
+            lambda scalars, arrays: None)))
+        assert artifact.payloads[0].num_slots == 4
+    assert _read(data).trace == _read(_corpus(name)).trace
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED))
+@pytest.mark.parametrize("name", NAMES)
+def test_a_crafted_block_is_refused_by_name(name, case):
+    block_type, mutate = CRAFTED[case]
+    message = _refusal(_rewrite(_with_payloads(_corpus(name)), block_type,
+                                mutate))
+    assert ArtifactBlockType(block_type).name in message, message
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_truncation_is_refused(name):
+    data = _corpus(name)
+    for end in range(len(data)):
+        _refusal(data[:end])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_bit_flip_near_a_block_boundary_is_refused(name):
+    data = _corpus(name)
+    offsets = sorted({offset for edge in _boundaries(data)
+                      for offset in range(edge - 16, edge + 16)
+                      if 0 <= offset < len(data)})
+    for offset in offsets:
+        for bit in range(8):
+            flipped = bytearray(data)
+            flipped[offset] ^= 1 << bit
+            _refusal(bytes(flipped))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.artifact import load_plan, load_trace, save_plan
+from repro.artifact import load_plan, load_trace, save_plan, save_trace
 from repro.fhe import CkksContext
 from repro.fhe.params import CkksParameters
 from repro.gme.features import BASELINE, GME_FULL
@@ -42,8 +42,8 @@ class TestTraceRoundTrip:
     def test_exact_round_trip(self, tmp_path, params):
         trace = _meta_rich_trace(params)
         path = str(tmp_path / "rich.rpa")
-        trace.save_binary(path)
-        loaded = OpTrace.load_binary(path)
+        save_trace(trace, path)
+        loaded = load_trace(path)
         assert loaded == trace          # field-for-field dataclass eq
         assert loaded.params == trace.params
         assert loaded.output_op_id == trace.output_op_id
@@ -52,26 +52,18 @@ class TestTraceRoundTrip:
             assert type(restored.level) is int
             assert type(restored.out_scale) is float
 
-    def test_matches_jsonl_round_trip(self, tmp_path):
-        """Binary and JSONL decoders agree op for op."""
-        trace = _meta_rich_trace(TOY)
-        rpa, jsonl = (str(tmp_path / "t.rpa"), str(tmp_path / "t.jsonl"))
-        trace.save_binary(rpa)
-        trace.save_jsonl(jsonl)
-        assert OpTrace.load_binary(rpa) == OpTrace.load_jsonl(jsonl)
-
     def test_byte_deterministic(self, tmp_path):
         trace = _meta_rich_trace(TOY)
         a, b = (tmp_path / "a.rpa", tmp_path / "b.rpa")
-        trace.save_binary(str(a))
-        trace.save_binary(str(b))
+        save_trace(trace, str(a))
+        save_trace(trace, str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_load_binary_reads_plan_artifacts(self, tmp_path):
         plan = engine.compile("boot", TOY)
         path = str(tmp_path / "boot.rpa")
         plan.save(path)
-        assert OpTrace.load_binary(path) == plan.trace
+        assert load_trace(path) == plan.trace
 
 
 class TestPlanRoundTrip:
@@ -154,7 +146,7 @@ class TestPlanRoundTrip:
         """A bare trace artifact lowers on load and still simulates."""
         plan = engine.compile("boot", TOY)
         path = str(tmp_path / "trace_only.rpa")
-        plan.trace.save_binary(path)
+        save_trace(plan.trace, path)
         loaded = load_plan(path)
         assert (loaded.simulate(GME_FULL).cycles
                 == plan.simulate(GME_FULL).cycles)
@@ -177,30 +169,17 @@ class TestPlanRoundTrip:
 
 
 class TestAtomicWrites:
-    def test_jsonl_atomic_replace(self, tmp_path):
+    def test_binary_atomic_replace(self, tmp_path):
         """A failed save never clobbers the previous good file, and no
         temp litter survives."""
         trace = _meta_rich_trace(TOY)
-        path = tmp_path / "t.jsonl"
-        trace.save_jsonl(str(path))
-        good = path.read_bytes()
-
-        bad = _meta_rich_trace(TOY)
-        bad.ops[0].meta["value"] = object()      # json.dumps will raise
-        with pytest.raises(TypeError):
-            bad.save_jsonl(str(path))
-        assert path.read_bytes() == good
-        assert list(tmp_path.glob("*.tmp")) == []
-
-    def test_binary_atomic_replace(self, tmp_path):
-        trace = _meta_rich_trace(TOY)
         path = tmp_path / "t.rpa"
-        trace.save_binary(str(path))
+        save_trace(trace, str(path))
         good = path.read_bytes()
 
         bad = _meta_rich_trace(TOY)
         bad.ops[0].meta["value"] = object()      # unserializable meta
         with pytest.raises(Exception):
-            bad.save_binary(str(path))
+            save_trace(bad, str(path))
         assert path.read_bytes() == good
         assert list(tmp_path.glob("*.tmp")) == []

@@ -8,18 +8,21 @@ ModDown lift are one bound matmul, the lift's quotient is the true one,
 a stacked transform is the multi-step chain.  One owner of what an HE
 op is: ``repro.trace.ops.OPS``.  One fast backend and one plain oracle:
 ``stacked`` on its bound kernels, ``reference`` per limb, the exact CRT
-underneath both in Python integers.  Each case pins the absence of the
-fork it names.
+underneath both in Python integers.  One on-disk form of a program:
+``.rpa`` through ``repro.artifact``, and one diff.  Each case pins the
+absence of the fork it names.
 """
 
 import ast
 import dataclasses
+import importlib
 import pathlib
 import re
 import sys
 
 import pytest
 
+import repro.artifact
 import repro.fhe.backend
 import repro.gpusim
 import repro.trace
@@ -264,9 +267,8 @@ def test_the_exact_crt_has_one_composition_and_no_word_planes():
     assert not {"_hat_planes", "_q_planes"} & set(vars(basis))
 
 
-def _foreign_imports(tree, allowed) -> list[tuple[int, str]]:
-    """``(line, module)`` for every absolute import outside ``allowed``."""
-    found = []
+def _imports(tree):
+    """``(line, module)`` for every absolute import in a module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
@@ -274,9 +276,13 @@ def _foreign_imports(tree, allowed) -> list[tuple[int, str]]:
             modules = [node.module]
         else:
             continue
-        found += [(node.lineno, module) for module in modules
-                  if module.split(".")[0] not in allowed]
-    return found
+        yield from ((node.lineno, module) for module in modules)
+
+
+def _foreign_imports(tree, allowed) -> list[tuple[int, str]]:
+    """``(line, module)`` for every absolute import outside ``allowed``."""
+    return [(line, module) for line, module in _imports(tree)
+            if module.split(".")[0] not in allowed]
 
 
 def test_src_imports_only_what_an_install_provides():
@@ -296,4 +302,46 @@ def test_src_imports_only_what_an_install_provides():
                  for path in sorted(SRC.rglob("*.py"))
                  for line, module in _foreign_imports(
                      ast.parse(path.read_text(encoding="utf-8")), allowed)]
+    assert not offenders, "\n".join(offenders)
+
+
+# -- one on-disk form of a program -------------------------------------------
+
+def test_rpa_is_the_only_trace_serialization_and_one_diff():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.trace.diff")
+    for gone in ("save_jsonl", "load_jsonl", "save_binary", "load_binary"):
+        assert not hasattr(repro.trace.OpTrace, gone), gone
+    for gone in ("load_any", "trace_view", "run_diff"):
+        assert not hasattr(repro.artifact, gone), gone
+        assert gone not in repro.artifact.__all__
+
+
+#: What the IR would need to write files again.
+_FILE_MODULES = frozenset({"json", "os", "tempfile"})
+
+
+def _file_imports(tree) -> list[tuple[int, str]]:
+    """``(line, module)`` for every import of a file-writing module."""
+    return sorted((line, module) for line, module in _imports(tree)
+                  if module.split(".")[0] in _FILE_MODULES)
+
+
+def test_the_file_guard_sees_what_it_is_there_to_stop():
+    assert _file_imports(ast.parse(
+        "import json\nimport os.path\nfrom tempfile import mkstemp\n"
+        "import enum, os\nfrom . import json\nfrom jsonschema import x\n"
+        "def f():\n    import json as j\n"
+    )) == [(1, "json"), (2, "os.path"), (3, "tempfile"), (4, "os"),
+           (8, "json")]
+
+
+def test_the_trace_ir_does_not_touch_disk():
+    """No module under ``repro/trace/`` imports ``json``, ``os`` or
+    ``tempfile``: a trace reaches disk only through ``repro.artifact``."""
+    root = pathlib.Path(repro.trace.__file__).parent
+    offenders = [f"{path.name}:{line}: imports {module}"
+                 for path in sorted(root.rglob("*.py"))
+                 for line, module in _file_imports(
+                     ast.parse(path.read_text(encoding="utf-8")))]
     assert not offenders, "\n".join(offenders)
