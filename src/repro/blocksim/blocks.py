@@ -71,15 +71,6 @@ class BlockCost:
         )
 
 
-def ciphertext_bytes(params: CkksParameters, level: int) -> float:
-    """Bytes of one ciphertext at ``level`` (pair of ring elements).
-
-    Single source of truth for the edge-byte annotations of workload
-    DAGs.
-    """
-    return 2 * (level + 1) * params.ring_degree * params.prime_bits / 8
-
-
 class BlockCostModel:
     """Derives per-block costs from the CKKS algebra at paper parameters."""
 
@@ -93,19 +84,6 @@ class BlockCostModel:
     def n(self) -> int:
         return self.params.ring_degree
 
-    @property
-    def word_bytes(self) -> float:
-        return self.params.prime_bits / 8
-
-    def limb_bytes(self) -> float:
-        return self.n * self.word_bytes
-
-    def poly_bytes(self, level: int) -> float:
-        return (level + 1) * self.limb_bytes()
-
-    def ct_bytes(self, level: int) -> float:
-        return 2 * self.poly_bytes(level)
-
     def ntt_poly(self, level: int) -> float:
         """Butterflies for one full-polynomial (i)NTT at ``level``."""
         return (level + 1) * (self.n / 2) * math.log2(self.n)
@@ -118,7 +96,7 @@ class BlockCostModel:
         """Key material streamed for one key switch at ``level``."""
         num_digits = self.params.digits_at(level)
         raised = (level + 1) + self.params.num_special_limbs
-        return num_digits * 2 * raised * self.limb_bytes()
+        return num_digits * 2 * raised * self.params.limb_bytes()
 
     # -- Table 2 blocks ----------------------------------------------------
 
@@ -138,8 +116,8 @@ class BlockCostModel:
         return BlockCost(
             name=BlockType.SCALAR_ADD.value,
             mod_add=self.n * limbs,
-            input_bytes=self.ct_bytes(level),
-            output_bytes=self.ct_bytes(level),
+            input_bytes=self.params.ciphertext_bytes(level),
+            output_bytes=self.params.ciphertext_bytes(level),
         )
 
     def _scalar_mult(self, level: int) -> BlockCost:
@@ -147,8 +125,8 @@ class BlockCostModel:
         return BlockCost(
             name=BlockType.SCALAR_MULT.value,
             mod_mul=2 * self.n * limbs,
-            input_bytes=self.ct_bytes(level),
-            output_bytes=self.ct_bytes(level),
+            input_bytes=self.params.ciphertext_bytes(level),
+            output_bytes=self.params.ciphertext_bytes(level),
         )
 
     def _poly_add(self, level: int) -> BlockCost:
@@ -156,8 +134,9 @@ class BlockCostModel:
         return BlockCost(
             name=BlockType.POLY_ADD.value,
             mod_add=self.n * limbs,
-            input_bytes=self.ct_bytes(level) + self.poly_bytes(level),
-            output_bytes=self.ct_bytes(level),
+            input_bytes=(self.params.ciphertext_bytes(level)
+                         + self.params.poly_bytes(level)),
+            output_bytes=self.params.ciphertext_bytes(level),
         )
 
     def _poly_mult(self, level: int) -> BlockCost:
@@ -165,8 +144,9 @@ class BlockCostModel:
         return BlockCost(
             name=BlockType.POLY_MULT.value,
             mod_mul=2 * self.n * limbs,
-            input_bytes=self.ct_bytes(level) + self.poly_bytes(level),
-            output_bytes=self.ct_bytes(level),
+            input_bytes=(self.params.ciphertext_bytes(level)
+                         + self.params.poly_bytes(level)),
+            output_bytes=self.params.ciphertext_bytes(level),
         )
 
     def _he_add(self, level: int) -> BlockCost:
@@ -174,8 +154,8 @@ class BlockCostModel:
         return BlockCost(
             name=BlockType.HE_ADD.value,
             mod_add=2 * self.n * limbs,
-            input_bytes=2 * self.ct_bytes(level),
-            output_bytes=self.ct_bytes(level),
+            input_bytes=2 * self.params.ciphertext_bytes(level),
+            output_bytes=self.params.ciphertext_bytes(level),
         )
 
     def mod_up_cost(self, level: int) -> BlockCost:
@@ -205,15 +185,15 @@ class BlockCostModel:
         ntt_up = self.ntt_limbs(num_digits * raised - limbs)
         # The ModUp share of _key_switch's intermediate traffic: the
         # limb-NTT read+write passes plus the materialized raised digits.
-        intermediate = (num_digits * raised * self.limb_bytes() * 2
-                        + num_digits * raised * self.limb_bytes())
+        intermediate = (num_digits * raised * self.params.limb_bytes() * 2
+                        + num_digits * raised * self.params.limb_bytes())
         return BlockCost(
             name="ModUp",
             mod_mul=base_up_macs,
             mod_add=base_up_macs,
             ntt_butterflies=intt + ntt_up,
-            input_bytes=self.poly_bytes(level),
-            output_bytes=num_digits * raised * self.limb_bytes(),
+            input_bytes=self.params.poly_bytes(level),
+            output_bytes=num_digits * raised * self.params.limb_bytes(),
             intermediate_bytes=intermediate,
         )
 
@@ -247,9 +227,9 @@ class BlockCostModel:
         # and the two accumulator polynomials are read-modified per digit.
         limb_passes = (limbs + (num_digits * raised - limbs)
                        + 2 * specials + 2 * limbs)
-        intermediate = (limb_passes * self.limb_bytes() * 2
-                        + num_digits * raised * self.limb_bytes()
-                        + 2 * raised * self.limb_bytes() * 2)
+        intermediate = (limb_passes * self.params.limb_bytes() * 2
+                        + num_digits * raised * self.params.limb_bytes()
+                        + 2 * raised * self.params.limb_bytes() * 2)
         return BlockCost(
             name="KeySwitch",
             mod_mul=base_up_macs + key_macs + base_down_macs + fixup / 2,
@@ -269,13 +249,13 @@ class BlockCostModel:
             mod_mul=tensor_muls + ks.mod_mul,
             mod_add=tensor_adds + ks.mod_add,
             ntt_butterflies=ks.ntt_butterflies,
-            input_bytes=2 * self.ct_bytes(level),
+            input_bytes=2 * self.params.ciphertext_bytes(level),
             key_bytes=ks.key_bytes,
-            output_bytes=self.ct_bytes(level),
+            output_bytes=self.params.ciphertext_bytes(level),
             intermediate_bytes=ks.intermediate_bytes,
             # The three tensor polynomials d0..d2 exceed the LDS and bounce
             # through DRAM even with cNoC.
-            spill_bytes=3 * self.poly_bytes(level),
+            spill_bytes=3 * self.params.poly_bytes(level),
         )
 
     def _he_rotate(self, level: int) -> BlockCost:
@@ -287,11 +267,11 @@ class BlockCostModel:
             mod_add=ks.mod_add + self.n * limbs,
             ntt_butterflies=ks.ntt_butterflies,
             mov=2 * self.n * limbs,            # automorphism permutation
-            input_bytes=self.ct_bytes(level),
+            input_bytes=self.params.ciphertext_bytes(level),
             key_bytes=ks.key_bytes,
-            output_bytes=self.ct_bytes(level),
+            output_bytes=self.params.ciphertext_bytes(level),
             intermediate_bytes=ks.intermediate_bytes
-            + self.ct_bytes(level),
+            + self.params.ciphertext_bytes(level),
         )
 
     def _rescale(self, level: int) -> BlockCost:
@@ -306,10 +286,10 @@ class BlockCostModel:
             mod_mul=fixup / 2,
             mod_add=fixup / 2,
             ntt_butterflies=intt + ntt,
-            input_bytes=self.ct_bytes(level),
-            output_bytes=self.ct_bytes(level - 1),
+            input_bytes=self.params.ciphertext_bytes(level),
+            output_bytes=self.params.ciphertext_bytes(level - 1),
             # Both polynomials bounce through an iNTT + NTT pass.
-            intermediate_bytes=2 * self.ct_bytes(level),
+            intermediate_bytes=2 * self.params.ciphertext_bytes(level),
         )
 
     def _mod_raise(self, level: int) -> BlockCost:
@@ -319,9 +299,9 @@ class BlockCostModel:
             name=BlockType.MOD_RAISE.value,
             mod_add=2 * self.n * limbs,
             ntt_butterflies=2 * self.ntt_limbs(limbs),
-            input_bytes=self.ct_bytes(0),
-            output_bytes=self.ct_bytes(self.params.max_level),
-            intermediate_bytes=self.ct_bytes(self.params.max_level),
+            input_bytes=self.params.ciphertext_bytes(0),
+            output_bytes=self.params.ciphertext_bytes(),
+            intermediate_bytes=self.params.ciphertext_bytes(),
         )
 
     _BUILDERS = {

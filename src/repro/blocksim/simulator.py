@@ -177,7 +177,7 @@ class BlockGraphSimulator:
         for instance in instances:
             make_block_node(graph, instance)
             if prev is not None:
-                out_bytes = self.cost_model.ct_bytes(
+                out_bytes = self.cost_model.params.ciphertext_bytes(
                     graph.nodes[prev]["block"].level)
                 graph.add_edge(prev, instance.block_id, bytes=out_bytes)
             prev = instance.block_id

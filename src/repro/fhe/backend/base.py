@@ -109,7 +109,8 @@ class ComputeBackend(abc.ABC):
     # -- Montgomery-domain kernels ----------------------------------------
     #
     # The EVAL-form fast path: limbs mapped into Montgomery form
-    # (``a * 2**64 mod q``) stay there across chains of pointwise products,
+    # (``a * R mod q``, ``R = modmath.mont_radix(q)``: 2**64 from 2**31
+    # up, 1 below) stay there across chains of pointwise products,
     # paying one REDC per product instead of a full Barrett reduction.
     # With exactly one operand in Montgomery form ``mont_mul`` returns a
     # plain residue (the one-conversion trick for cached constants such as
@@ -120,20 +121,20 @@ class ComputeBackend(abc.ABC):
     # backend overrides them with single-sweep stack kernels.
 
     def mont_mul(self, a: Any, b: Any, moduli: tuple[int, ...]) -> Any:
-        """Pointwise REDC multiply: limb i is ``a*b * 2**-64 mod q_i``."""
+        """Pointwise REDC multiply: limb i is ``a*b * R_i**-1 mod q_i``."""
         out = [mont_mulmod_vec(x, y, q)
                for x, y, q in zip(self.to_limbs(a, moduli),
                                   self.to_limbs(b, moduli), moduli)]
         return self.as_native(out, moduli)
 
     def to_mont(self, a: Any, moduli: tuple[int, ...]) -> Any:
-        """Map reduced limbs into Montgomery form (``* 2**64 mod q_i``)."""
+        """Map reduced limbs into Montgomery form (``* R_i mod q_i``)."""
         out = [to_mont_vec(x, q)
                for x, q in zip(self.to_limbs(a, moduli), moduli)]
         return self.as_native(out, moduli)
 
     def from_mont(self, a: Any, moduli: tuple[int, ...]) -> Any:
-        """Map limbs out of Montgomery form (``* 2**-64 mod q_i``)."""
+        """Map limbs out of Montgomery form (``* R_i**-1 mod q_i``)."""
         out = [from_mont_vec(x, q)
                for x, q in zip(self.to_limbs(a, moduli), moduli)]
         return self.as_native(out, moduli)

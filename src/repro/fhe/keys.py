@@ -48,8 +48,11 @@ class SwitchingKey:
     KeySwitch multiplies each raised digit against these cached constants,
     so paying the domain conversion once at generation turns all those
     products into single-REDC multiplies whose results land directly in
-    the plain domain (one-conversion trick).  ``digit_spans`` records the
-    [start, stop) limb range of each digit at this level.
+    the plain domain (one-conversion trick).  Limb i holds
+    ``k * R_i mod q_i``, ``R_i = 2**64`` for ``q_i >= 2**31``; below
+    that ``R_i = 1``, so an int64-tier key is stored as its plain values
+    and its products are plain ones, one ``%`` each.  ``digit_spans``
+    records the [start, stop) limb range of each digit at this level.
     """
 
     bs: list[Polynomial]

@@ -7,12 +7,15 @@ additions and multiplications (paper section 2.2).  This module provides:
   Shivdikar et al. [76] that uses a single conditional subtraction),
 * Montgomery multiplication: the scalar :class:`MontgomeryContext` (a test
   oracle and the ISA model's sizing reference) and its vectorized
-  ``R = 2**64`` REDC counterpart (:func:`mont_precompute_vec`,
-  :func:`mont_mulmod_vec`, :func:`to_mont_vec` / :func:`from_mont_vec`
-  plus the ``*_stack`` variants) used by the EVAL-form fast path: limbs
-  that stay in Montgomery domain across chains of pointwise products pay
-  one REDC per product instead of a full 128-bit Barrett reduction
-  (HEAAN Demystified's amortized-reduction observation),
+  counterpart (:func:`mont_precompute_vec`, :func:`mont_mulmod_vec`,
+  :func:`to_mont_vec` / :func:`from_mont_vec` plus the ``*_stack``
+  variants) used by the EVAL-form fast path: limbs that stay in
+  Montgomery domain across chains of pointwise products pay one REDC per
+  product instead of a full 128-bit Barrett reduction (HEAAN
+  Demystified's amortized-reduction observation).  The radix is a
+  property of the modulus (:func:`mont_radix`): ``R = 2**64`` from 2**31
+  up, ``R = 1`` below, where a product is one multiply and one ``%``
+  already and Montgomery form is the identity,
 * vectorized numpy backends.  Products of two word-size residues overflow
   64-bit integers for the paper's 54-bit primes, so there are three paths:
 
@@ -404,36 +407,51 @@ def _submod_u64(a, b, q_u):
     return np.minimum(d, d + q_u)
 
 
-# -- Montgomery-domain (R = 2**64) vector kernels -----------------------------
+# -- Montgomery-domain vector kernels -----------------------------------------
 #
 # The EVAL-form fast path: limbs mapped into Montgomery form (a*R mod q)
 # stay there across chains of pointwise products, paying one REDC per
 # product (one full multiply + one low multiply + one MULHI) instead of
 # the full 128-bit Barrett sequence.  R = 2**64 makes the "mod R" and
 # "div R" of REDC free on a 64-bit datapath: they are exactly the uint64
-# wrap-around and the high product word.  Round trips and products are
-# exact, so results are bit-identical with the Barrett path in every
-# dispatch tier (the int64/object tiers run the same algebra through the
-# generic mulmod kernels).
+# wrap-around and the high product word.
+#
+# R is a property of the modulus, not of the dispatch tier: 2**64 from
+# 2**31 up, 1 below.  Under 2**31 a plain product is already one machine
+# multiply and one ``%``, which REDC cannot beat and an R of 2**64 could
+# only follow with a second ``%`` (by R**-1 mod q), so there Montgomery
+# form is the identity and ``mont_mul`` is ``mulmod``.  Round trips and
+# products are exact, so results are bit-identical with the Barrett path
+# in every dispatch tier (the object tier, and stacks mixing both classes
+# of modulus, run the same algebra through the generic mulmod kernels
+# with each row's own R).
+
+
+def mont_radix(q: int) -> int:
+    """The Montgomery radix of residues mod ``q``: ``2**64`` for
+    ``q >= 2**31``, else 1 (Montgomery form is then the identity)."""
+    return 1 if q < INT64_SAFE_MODULUS else 1 << 64
 
 
 @functools.lru_cache(maxsize=None)
 def mont_precompute_vec(q: int) -> tuple[int, int, int, int]:
-    """REDC constants for ``R = 2**64``: ``(qprime, r_mod_q, r_shoup, r_inv)``.
+    """REDC constants for ``R = mont_radix(q)``:
+    ``(qprime, r_mod_q, r_shoup, r_inv)``.
 
-    ``qprime = -q^{-1} mod 2**64`` drives the REDC low-word multiply,
-    ``r_mod_q = 2**64 mod q`` (with its Shoup quotient ``r_shoup``) is the
-    to-Montgomery constant, and ``r_inv = (2**64)^{-1} mod q`` is the
-    from-Montgomery constant used by the non-dword tiers.  Cached per
-    modulus, mirroring :func:`_barrett128`; requires an odd modulus (all
-    NTT primes are odd).
+    ``qprime = -q^{-1} mod R`` drives the REDC low-word multiply,
+    ``r_mod_q = R mod q`` (with its Shoup quotient ``r_shoup``) is the
+    to-Montgomery constant, and ``r_inv = R^{-1} mod q`` is the
+    from-Montgomery constant used by the generic tiers; below 2**31 they
+    are ``(0, 1, 2**64 // q, 1)``.  Cached per modulus, mirroring
+    :func:`_barrett128`; requires an odd modulus (all NTT primes are
+    odd).
     """
     if q % 2 == 0:
         raise ValueError("Montgomery form requires an odd modulus")
     if q <= 1:
         raise ValueError(f"modulus must be > 1, got {q}")
-    r = 1 << 64
-    qprime = (-invmod(q, r)) % r
+    r = mont_radix(q)
+    qprime = (-pow(q, -1, r)) % r
     r_mod_q = r % q
     return qprime, r_mod_q, (r_mod_q << 64) // q, invmod(r_mod_q, q)
 
@@ -455,7 +473,7 @@ def _mont_mulmod_u64(a, b, q_u, qprime_u):
 
 
 def mont_mulmod_vec(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Vector REDC multiply: ``a * b * 2**-64 mod q`` for reduced operands.
+    """Vector REDC multiply: ``a * b * R**-1 mod q`` for reduced operands.
 
     With both operands in Montgomery form the result stays in Montgomery
     form; with exactly one operand in Montgomery form the result is a
@@ -463,37 +481,39 @@ def mont_mulmod_vec(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     such as switching keys and encoded diagonals).  Dispatch mirrors
     :func:`mulmod_vec`: the uint64 REDC kernel on the double-word tier,
     the exact generic formulation (multiply, then multiply by
-    ``2**-64 mod q``) on the int64/object tiers — bit-identical either
-    way.
+    ``R**-1 mod q`` unless that is 1) on the int64/object tiers —
+    bit-identical either way.
     """
     qprime, _, _, r_inv = mont_precompute_vec(q)
     if native_class(q) == "dword" and a.dtype != object and b.dtype != object:
         out = _mont_mulmod_u64(_as_u64(a), _as_u64(b), np.uint64(q),
                                np.uint64(qprime))
         return out.view(np.int64)
-    return mulmod_vec(mulmod_vec(a, b, q), r_inv, q)
+    product = mulmod_vec(a, b, q)
+    return product if r_inv == 1 else mulmod_vec(product, r_inv, q)
 
 
 def to_mont_vec(a: np.ndarray, q: int) -> np.ndarray:
-    """Map reduced residues into Montgomery form: ``a * 2**64 mod q``.
+    """Map reduced residues into Montgomery form: ``a * R mod q``.
 
     A Shoup constant multiply by the cached ``2**64 mod q`` on the
-    double-word tier; generic mulmod elsewhere.
+    double-word tier; ``a`` itself where ``R = 1``; generic mulmod
+    elsewhere.
     """
     _, r_mod_q, r_shoup, _ = mont_precompute_vec(q)
     if native_class(q) == "dword" and a.dtype != object:
         return _shoup_mulmod_u64(_as_u64(a), np.uint64(r_mod_q),
                                  np.uint64(r_shoup),
                                  np.uint64(q)).view(np.int64)
-    return mulmod_vec(a, r_mod_q, q)
+    return a if r_mod_q == 1 else mulmod_vec(a, r_mod_q, q)
 
 
 def from_mont_vec(a: np.ndarray, q: int) -> np.ndarray:
-    """Map out of Montgomery form: ``a * 2**-64 mod q``.
+    """Map out of Montgomery form: ``a * R**-1 mod q``.
 
     On the double-word tier this is a bare REDC of the single word ``a``
-    (t_hi = 0), cheaper than a full multiply; elsewhere a generic mulmod
-    by the cached ``2**-64 mod q``.
+    (t_hi = 0), cheaper than a full multiply; ``a`` itself where
+    ``R = 1``; elsewhere a generic mulmod by the cached ``R**-1 mod q``.
     """
     qprime, _, _, r_inv = mont_precompute_vec(q)
     if native_class(q) == "dword" and a.dtype != object:
@@ -503,7 +523,7 @@ def from_mont_vec(a: np.ndarray, q: int) -> np.ndarray:
         u = _mulhi64(m, q_u) + (au != np.uint64(0))
         # u <= q < 2**61, so u - q wraps past u exactly when u < q.
         return np.minimum(u, u - q_u).view(np.int64)
-    return mulmod_vec(a, r_inv, q)
+    return a if r_inv == 1 else mulmod_vec(a, r_inv, q)
 
 
 def addmod_vec(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -720,10 +740,16 @@ def mulmod_stack(a: np.ndarray, b: np.ndarray, moduli) -> np.ndarray:
 
 
 def negmod_stack(a: np.ndarray, moduli) -> np.ndarray:
-    """Stacked modular negation."""
+    """Stacked modular negation of reduced operands: ``q_i - a`` with
+    ``q_i`` mapped to 0 by a compare-and-select, no division."""
     use64 = _stack_native_ok(moduli, a)
     qcol = _q_column(moduli, a.ndim, use64)
-    return (qcol - a) % qcol
+    d = qcol - a
+    if use64:
+        # d in [1, q]: d - q wraps past d unless d == q, where it is 0.
+        u = d.view(np.uint64)
+        return np.minimum(u, u - qcol.view(np.uint64), out=u).view(np.int64)
+    return np.where(a == 0, 0, d)
 
 
 def reduce_stack(a: np.ndarray, moduli) -> np.ndarray:
@@ -911,6 +937,13 @@ class BoundModMatmul:
         self.width = width
         self.pieces, self.bits, self.table_pieces, self.table_bits = \
             matmul_split_plan(q_max, width, operand_modulus or q_max)
+        #: The least operand magnitude whose top word can leave
+        #: ``±(2**bits - 1)``, the word range the plan was derived for:
+        #: any int64 operand with ``|x| < reach``, reduced or not, is
+        #: multiplied exactly (its words recombine to ``x``, and the
+        #: table is taken mod q).
+        top = (self.pieces - 1) * self.bits
+        self.reach = (((1 << self.bits) - 1) << top) + 1
         if q_max >= NATIVE_SAFE_MODULUS or ((self.table_pieces + 3)
                                             * self.pieces * width
                                             << self.bits) >= 1 << 51:
@@ -1034,50 +1067,73 @@ def _mont_columns(moduli: tuple[int, ...], ndim: int
     return q_u, qprime, r_mod_q, r_shoup
 
 
-def _mont_rinv(moduli) -> list[int]:
-    """Per-limb ``2**-64 mod q`` constants (generic-tier from-Montgomery)."""
-    return [mont_precompute_vec(int(q))[3] for q in moduli]
+@functools.lru_cache(maxsize=None)
+def _mont_scalars(moduli: tuple[int, ...]
+                  ) -> tuple[list[int], list[int]] | None:
+    """Per-row ``(R mod q, R**-1 mod q)`` scalars of a basis for the
+    generic kernels; ``None`` when every row has ``R = 1``."""
+    if all(mont_radix(int(q)) == 1 for q in moduli):
+        return None
+    consts = [mont_precompute_vec(int(q)) for q in moduli]
+    return [c[1] for c in consts], [c[3] for c in consts]
+
+
+def _mont_scale(a: np.ndarray, moduli, inverse: bool) -> np.ndarray:
+    """Row i of ``a`` times ``R_i mod q_i`` (``R_i**-1`` with
+    ``inverse``); ``a`` itself on an all-``R = 1`` basis."""
+    scalars = _mont_scalars(tuple(moduli))
+    return a if scalars is None else scalar_mul_stack(a, scalars[inverse],
+                                                      moduli)
+
+
+def _redc_ok(moduli, *arrays) -> bool:
+    """True when the uint64 REDC / Shoup sweeps apply: the double-word
+    tier with ``R = 2**64`` on every row.  A stack mixing in rows below
+    2**31 takes the generic kernels, each row with its own ``R``."""
+    return (stack_native_class(moduli) == "dword"
+            and min(moduli) >= INT64_SAFE_MODULUS
+            and _stack_native_ok(moduli, *arrays))
 
 
 def mont_mulmod_stack(a: np.ndarray, b: np.ndarray, moduli) -> np.ndarray:
-    """Stacked REDC multiply: row i is ``a_i * b_i * 2**-64 mod q_i``.
+    """Stacked REDC multiply: row i is ``a_i * b_i * R_i**-1 mod q_i``.
 
     The stacked counterpart of :func:`mont_mulmod_vec`: one uint64 REDC
     sweep across the whole limb stack on the double-word tier, the exact
-    generic formulation (full product, then multiply by ``2**-64 mod q``)
-    on the int64/object tiers — bit-identical either way.
+    generic formulation (full product, then multiply by ``R**-1 mod q``)
+    elsewhere — on an all-``R = 1`` basis just :func:`mulmod_stack`,
+    one ``%`` per product.  Bit-identical either way.
     """
-    if stack_native_class(moduli) == "dword" and _stack_native_ok(moduli,
-                                                                  a, b):
+    if _redc_ok(moduli, a, b):
         q_u, qprime, _, _ = _mont_columns(tuple(moduli), a.ndim)
         out = _mont_mulmod_u64(_as_u64(a), _as_u64(b), q_u, qprime)
         return out.view(np.int64)
-    return scalar_mul_stack(mulmod_stack(a, b, moduli), _mont_rinv(moduli),
-                            moduli)
+    return _mont_scale(mulmod_stack(a, b, moduli), moduli, inverse=True)
 
 
 def to_mont_stack(a: np.ndarray, moduli) -> np.ndarray:
     """Map a reduced limb stack into Montgomery form: row i times
-    ``2**64 mod q_i`` (a Shoup sweep on the double-word tier)."""
-    if stack_native_class(moduli) == "dword" and _stack_native_ok(moduli, a):
+    ``R_i mod q_i`` (a Shoup sweep on the double-word tier, ``a`` itself
+    on an all-``R = 1`` basis)."""
+    if _redc_ok(moduli, a):
         q_u, _, r_mod_q, r_shoup = _mont_columns(tuple(moduli), a.ndim)
         return _shoup_mulmod_u64(_as_u64(a), r_mod_q, r_shoup,
                                  q_u).view(np.int64)
-    consts = [mont_precompute_vec(int(q))[1] for q in moduli]
-    return scalar_mul_stack(a, consts, moduli)
+    return _mont_scale(a, moduli, inverse=False)
 
 
 def from_mont_stack(a: np.ndarray, moduli) -> np.ndarray:
     """Map a limb stack out of Montgomery form: row i times
-    ``2**-64 mod q_i`` (a bare single-word REDC on the double-word tier)."""
-    if stack_native_class(moduli) == "dword" and _stack_native_ok(moduli, a):
+    ``R_i**-1 mod q_i`` (a bare single-word REDC on the double-word tier,
+    ``a`` itself on an all-``R = 1`` basis)."""
+    if _redc_ok(moduli, a):
         q_u, qprime, _, _ = _mont_columns(tuple(moduli), a.ndim)
         au = _as_u64(a)
         m = au * qprime
         u = _mulhi64(m, q_u) + (au != np.uint64(0))
         # u <= q < 2**61, so u - q wraps past u exactly when u < q.
         return np.minimum(u, u - q_u).view(np.int64)
-    return scalar_mul_stack(a, _mont_rinv(moduli), moduli)
+    return _mont_scale(a, moduli, inverse=True)
 
 
 @functools.lru_cache(maxsize=256)
@@ -1115,13 +1171,17 @@ def random_residues(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
     therefore identical to the seed implementation at any word size (and
     under :func:`force_object_dtype`), so same-seed ciphertexts are
     bit-identical across dispatch regimes; only the storage dtype follows
-    :func:`limb_dtype`.
+    :func:`limb_dtype`.  The hi/lo word is composed and reduced in
+    uint64 below 2**61 and in Python integers only beyond.
     """
     if q < INT64_SAFE_MODULUS:
         vals = rng.integers(0, q, size=n, dtype=np.int64)
     else:
-        lo = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(object)
-        hi = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(object)
-        vals = ((hi << 32) | lo) % q
+        lo = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
+        hi = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
+        if q < NATIVE_SAFE_MODULUS:
+            vals = (((hi << _SHIFT32) | lo) % np.uint64(q)).view(np.int64)
+        else:
+            vals = ((hi.astype(object) << 32) | lo.astype(object)) % q
     dtype = limb_dtype(q)
     return vals if vals.dtype == dtype else vals.astype(dtype)

@@ -30,7 +30,9 @@ adds.  The classes differ in the word sizes and the twiddle multiply:
 
 * ``int64`` (every q < 2**31): a matrix entry is one float64 word, a
   product is reduced with ``%``, a twiddle scale is one int64 multiply
-  and ``%`` (two matmuls and four ``%`` per transform at N = 2**10);
+  and ``%`` (two matmuls and three ``%`` per transform at N = 2**10, a
+  fourth only for input beyond the kernel's ``reach``, which is
+  reduced first on either tier);
 * ``dword`` (q < 2**61, the paper's 54-bit word): the matrix entries are
   split into ``table_pieces`` words too (3 x 18 operand bits against
   2 x 27 table bits at 54 bits: six partial products per step, not the
@@ -480,12 +482,12 @@ class BatchedNttContext:
 
     def _transform(self, stack: np.ndarray, direction: int, matrices,
                    twiddles, shoups) -> np.ndarray:
-        """One direction's chain over ``stack`` on a native tier; on the
-        object tier — an object-tier context, object-dtype input, or (one
-        read of the module flag per transform)
-        :func:`modmath.force_object_dtype` active around a context that
-        was built outside it — the per-limb oracle, row by row, exact
-        for any word size."""
+        """One direction's chain over ``stack`` (any integers) on a
+        native tier; on the object tier — an object-tier context,
+        object-dtype input, or (one read of the module flag per
+        transform) :func:`modmath.force_object_dtype` active around a
+        context that was built outside it — the per-limb oracle, row by
+        row, exact for any word size."""
         stack = np.asarray(stack)
         if (self.klass == "object" or modmath._OBJECT_ONLY
                 or stack.dtype == object):
@@ -493,10 +495,16 @@ class BatchedNttContext:
             return np.array(
                 [getattr(ntt_context(q, self.n), name)(row)
                  for q, row in zip(self.moduli, stack)], dtype=object)
-        # Reduced row-wise into a fresh C-order copy, whatever the input's
-        # strides (a broadcast row, say): the steps reshape it.
-        a = np.empty(stack.shape, dtype=np.int64)
-        np.remainder(stack, self.q_col, out=a)
+        # The first step only splits its input into words, and any int64
+        # within the kernel's reach splits exactly: reduced residues,
+        # centered lifts.  Anything else is reduced row-wise first.
+        reach = self.matmul.reach
+        if (stack.dtype == np.int64 and -reach < stack.min()
+                and stack.max() < reach):
+            a = stack
+        else:
+            a = np.empty(stack.shape, dtype=np.int64)
+            np.remainder(stack, self.q_col, out=a)
         return self._steps(a, direction, matrices, twiddles,
                            shoups).reshape(stack.shape)
 

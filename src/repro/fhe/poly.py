@@ -173,14 +173,16 @@ class Polynomial:
 
     ``mont`` flags the Montgomery *domain* of the limbs: ``False`` (plain
     residues, the default everywhere) or ``True`` (limbs hold
-    ``a * 2**64 mod q_i``).  EVAL-form operands that feed chains of
-    pointwise products — switching keys, BSGS diagonals, HEMult operands —
-    are mapped in once via :meth:`to_mont`; each chained product then
-    costs one REDC instead of a full Barrett reduction, and a product
-    with exactly one Montgomery operand lands directly back in the plain
-    domain (the one-conversion trick).  Montgomery form is additively
-    closed, so add/sub/neg/automorphism preserve the domain; mixing
-    domains in an addition is an error.
+    ``a * R_i mod q_i``, with ``R_i = 2**64`` for ``q_i >= 2**31`` and
+    ``R_i = 1`` below, where the two domains hold the same integers; see
+    :func:`repro.fhe.modmath.mont_radix`).  EVAL-form operands that feed
+    chains of pointwise products — switching keys, BSGS diagonals, HEMult
+    operands — are mapped in once via :meth:`to_mont`; each chained
+    product then costs one REDC instead of a full Barrett reduction, and
+    a product with exactly one Montgomery operand lands directly back in
+    the plain domain (the one-conversion trick).  Montgomery form is
+    additively closed, so add/sub/neg/automorphism preserve the domain;
+    mixing domains in an addition is an error.
     """
 
     __slots__ = ("context", "data", "moduli", "rep", "mont")
@@ -235,8 +237,9 @@ class Polynomial:
     def to_mont(self) -> "Polynomial":
         """Map the limbs into Montgomery form (EVAL only); no-op if there.
 
-        One Shoup constant multiply per limb; afterwards pointwise
-        products through :meth:`__mul__` cost one REDC each.
+        One Shoup constant multiply per ``R = 2**64`` limb, nothing per
+        ``R = 1`` limb; afterwards pointwise products through
+        :meth:`__mul__` cost one REDC each.
         """
         if self.mont:
             return self

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.blocksim.blocks import (BlockInstance, BlockType,
-                                   ciphertext_bytes)
+from repro.blocksim.blocks import BlockInstance, BlockType
 from repro.dag import DiGraph
 
 from .ir import OpKind, OpTrace, TraceOp
@@ -111,6 +110,6 @@ def lower_expanded_trace(trace: OpTrace, prefix: str = "") -> DiGraph:
         for pred in preds:
             pred_level = graph.nodes[pred]["block"].level
             graph.add_edge(pred, node_id,
-                           bytes=ciphertext_bytes(params, pred_level))
+                           bytes=params.ciphertext_bytes(pred_level))
         resolved[op.op_id] = (node_id, False)
     return graph

@@ -20,12 +20,12 @@ class TestCostCounts:
         (The paper counts 32 limbs from logQ = 1728 / 54; at L = 23 the
         active ciphertext carries 24 limbs ~ 21.2 MB.)
         """
-        assert cost_model.limb_bytes() / 1e6 == pytest.approx(0.44,
-                                                              rel=0.05)
-        full_32_limbs = 2 * 32 * cost_model.limb_bytes()
+        limb_bytes = cost_model.params.limb_bytes()
+        assert limb_bytes / 1e6 == pytest.approx(0.44, rel=0.05)
+        full_32_limbs = 2 * 32 * limb_bytes
         assert full_32_limbs / 1e6 == pytest.approx(28.3, rel=0.05)
-        assert cost_model.ct_bytes(23) / 1e6 == pytest.approx(21.2,
-                                                              rel=0.05)
+        ct_bytes = cost_model.params.ciphertext_bytes(23)
+        assert ct_bytes / 1e6 == pytest.approx(21.2, rel=0.05)
 
     def test_switching_key_order_of_magnitude(self, cost_model):
         """Paper: ~112 MB of switching-key data per key switch (we derive

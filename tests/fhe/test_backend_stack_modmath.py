@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from repro.fhe.modmath import (MontgomeryContext, addmod, addmod_stack,
                                barrett_precompute, barrett_precompute_single,
                                barrett_reduce, barrett_reduce_single,
-                               limb_dtype, mulmod, mulmod_stack,
+                               force_object_dtype, limb_dtype, mulmod,
+                               mulmod_stack,
                                negmod_stack, reduce_stack, scalar_add_stack,
                                scalar_mul_stack, stack_native_class,
                                stack_residues, submod, submod_stack,
@@ -134,6 +135,27 @@ def test_neg_and_reduce(moduli, seed):
     for i, q in enumerate(moduli):
         for j in range(N):
             assert int(red[i, j]) == int(signed[i, j]) % q
+
+
+@PRIME_SETS
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), zeros=st.integers(0, N - 1))
+def test_negation_selects_instead_of_dividing(moduli, seed, zeros):
+    """``q_i - a`` with ``q_i`` mapped to 0 by a select: the integers of
+    the ``(q_i - a) % q_i`` it replaced, on every tier and under
+    ``force_object_dtype``, zeros and ``q_i - 1`` included."""
+    a = stack_for(moduli, seed)
+    a[:, :zeros] = 0
+    for i, q in enumerate(moduli):
+        a[i, -1] = q - 1
+    want = [[(q - int(x)) % q for x in row] for q, row in zip(moduli, a)]
+    native = negmod_stack(a, moduli)
+    assert native.dtype == a.dtype
+    with force_object_dtype():
+        forced = negmod_stack(stack_residues(list(a), moduli), moduli)
+    assert forced.dtype == object
+    for got in (native, forced):
+        assert [[int(x) for x in row] for row in got] == want
 
 
 def test_54_bit_word_products_are_exact():

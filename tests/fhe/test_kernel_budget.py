@@ -27,6 +27,7 @@ from repro.fhe.keys import key_switch
 from repro.fhe.modmath import BoundModMatmul, force_object_dtype
 from repro.fhe.ntt import BatchedNttContext, NttContext
 from repro.fhe.primes import generate_ntt_primes
+from repro.serve.workloads import scoring_workload
 from test_parent_digests import PRESETS
 
 PW54 = PRESETS["pw54"]()
@@ -184,3 +185,67 @@ def test_a_warm_edge_never_leaves_machine_words(preset, monkeypatch):
     assert rounds == []
     assert crossed == [np.int64] * 5               # 3 lifts, 2 decodes
     assert got.tobytes() == want.tobytes()
+
+
+class Remainders:
+    """Counts the explicit ``np.remainder`` sweeps — the int64 tier's
+    ``%`` of a product, a transform's input reduce — made inside each
+    of the named stacked-backend kernels (innermost kernel wins)."""
+
+    def __init__(self, monkeypatch, names):
+        self.calls = dict.fromkeys(names, 0)
+        self.remainders = dict.fromkeys(names, 0)
+        inside = []
+        remainder = np.remainder
+
+        def counting(*args, **kwargs):
+            if inside:
+                self.remainders[inside[-1]] += 1
+            return remainder(*args, **kwargs)
+
+        monkeypatch.setattr(np, "remainder", counting)
+        for name in names:
+            original = getattr(StackedBackend, name)
+
+            def spying(backend, *args, name=name, original=original):
+                self.calls[name] += 1
+                inside.append(name)
+                try:
+                    return original(backend, *args)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(StackedBackend, name, spying)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_one_remainder_per_product_and_none_per_transform(preset,
+                                                          monkeypatch):
+    """Below 2**31 the Montgomery radix is 1: a key product is one
+    multiply and one ``%`` (it was two: the product, then ``R**-1``),
+    and a key is stored without a ``to_mont`` sweep (it was one ``%``
+    per component).  On both tiers a transform reduces no input that
+    is already within its kernel's reach — everything a scoring batch
+    hands one (it was one ``%`` per transform)."""
+    params = PRESETS[preset]()
+    plan = scoring_workload(16).compile(params)
+    ctx = CkksContext(params, seed=123, backend="stacked")
+    values = np.random.default_rng(7).uniform(-1, 1, params.num_slots)
+    ct = ctx.encrypt(values)
+    want = plan.execute(ctx, sources=[ct]).output   # warms keys and tables
+    names = ("to_mont", "mont_mul", "ntt_forward", "ntt_inverse")
+    spy = Remainders(monkeypatch, names)
+    got = plan.execute(ctx, sources=[ct]).output
+    assert min(spy.calls[name] for name in names[1:]) > 0
+    per_product = 1 if preset == "toy" else 0
+    assert spy.remainders == {
+        "to_mont": 0, "mont_mul": per_product * spy.calls["mont_mul"],
+        "ntt_forward": 0, "ntt_inverse": 0}
+    for a, b in ((got.c0, want.c0), (got.c1, want.c1)):
+        assert np.array_equal(a.data, b.data)
+    # A cold key: 2 * dnum components into Montgomery form, none of
+    # them a sweep of remainders.
+    spy.calls["to_mont"] = 0
+    ctx.keygen.rotation_key(7, ct.level)
+    assert spy.calls["to_mont"] == 2 * params.dnum
+    assert spy.remainders["to_mont"] == 0

@@ -9,6 +9,16 @@ at commit 2b1b21a, before that change, on ``reference`` and ``stacked``
 alike: one rotation key, then the conjugation key drawn after it, at the
 int64 tier (``toy``) and the double-word tier (``pw54``).  They sit next
 to the ciphertext digests of ``test_parent_digests.py``.
+
+The Montgomery radix is a property of the modulus (``R = 1`` below
+2**31, ``R = 2**64`` from there up), so ``toy`` keys are stored as their
+plain values.  Their two digests were re-recorded at commit 3b90ed9,
+before that change, as the sha256 of each key's limbs mapped out of
+Montgomery form with ``from_mont()``: the key *values* did not move,
+only their representation.  Old -> new:
+
+* rotation: ``83adec51…`` -> ``4835c721…``;
+* conjugation: ``8c2ec535…`` -> ``1e3e6643…``.
 """
 
 import hashlib
@@ -21,9 +31,9 @@ from test_parent_digests import PRESETS
 
 PARENT_KEY_DIGESTS = {
     ("rotation", "toy"):
-        "83adec51bb25713b5914a7dba1d58e0a54ed347b689d17595203a18321520154",
+        "4835c721cb5ea4b8f3e05f322a4a8283cc556efabbcb1a74119136480e9cde02",
     ("conjugation", "toy"):
-        "8c2ec535e2d22d2637f252e13ed718d60b552edbe15f0293e1e2708714b44f35",
+        "1e3e664348dcd787da12529ffa7e52901061bb1c7eb06c61fb1d878a60cd2734",
     ("rotation", "pw54"):
         "9ccf16f070e91a35945bd7002c20f79c4cfa4721682441941263fc06f0cf062e",
     ("conjugation", "pw54"):

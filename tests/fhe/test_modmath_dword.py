@@ -185,3 +185,36 @@ def test_scalar_constant_cache_is_bounded():
         assert [int(v) for v in mulmod_vec(a, s, q)] \
             == [(int(x) * s) % q for x in a]
     assert cache.cache_info().currsize <= bound
+
+
+def _object_draw(n: int, q: int, rng: np.random.Generator) -> list[int]:
+    """The wide-modulus draw as first written: hi / lo words composed
+    and reduced in Python integers."""
+    lo = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(object)
+    hi = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(object)
+    return [int(v) for v in ((hi << 32) | lo) % q]
+
+
+@given(bits=st.integers(32, 61), offset=st.integers(0, 1 << 40),
+       seed=st.integers(0, 2**32 - 1), forced=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_uniform_draws_in_machine_words_match_the_object_formula(
+        bits, offset, seed, forced):
+    """Below 2**61 ``random_residues`` composes hi:lo in uint64: the same
+    two RNG calls and the same values as the Python-integer formula,
+    plain and under ``force_object_dtype`` (where only the dtype
+    differs)."""
+    q = _prime_near((1 << (bits - 1)) + offset, bits)
+    assert 1 << 31 <= q < NATIVE_SAFE_MODULUS
+    want_rng = np.random.default_rng(seed)
+    want = _object_draw(257, q, want_rng)
+    rng = np.random.default_rng(seed)
+    if forced:
+        with modmath.force_object_dtype():
+            got = modmath.random_residues(257, q, rng)
+    else:
+        got = modmath.random_residues(257, q, rng)
+    assert got.dtype == (object if forced else np.int64)
+    assert [int(v) for v in got] == want
+    # Same calls: the streams stay in step.
+    assert rng.integers(0, 1 << 62) == want_rng.integers(0, 1 << 62)

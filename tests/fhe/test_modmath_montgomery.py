@@ -6,9 +6,10 @@ operands into Montgomery form, chaining REDC products in-domain, and
 converting back must produce exactly the residues of the scalar
 Python-int oracles (``MontgomeryContext`` and plain ``(a*b) % q``), on
 the 1-D, stacked, and object-dtype (``force_object_dtype``) tiers alike.
-Also covers the REDC constant identities and the Polynomial-level domain
-guard rails (Montgomery limbs must never reach the NTT, scalar adds, or
-the serializer).
+Also covers the REDC constant identities of both radix classes (``R =
+2**64`` from 2**31 up, ``R = 1`` below), stacks that mix the two on both
+backends, and the Polynomial-level domain guard rails (Montgomery limbs
+must never reach the NTT, scalar adds, or the serializer).
 """
 
 import numpy as np
@@ -17,18 +18,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fhe import CkksParameters, PolyContext
+from repro.fhe.backend import create_backend
 from repro.fhe.modmath import (MontgomeryContext, force_object_dtype,
                                from_mont_stack, from_mont_vec,
                                mont_mulmod_stack, mont_mulmod_vec,
-                               mont_precompute_vec, mulmod_stack,
-                               stack_native_class, stack_residues,
-                               to_mont_stack, to_mont_vec)
+                               mont_precompute_vec, mont_radix,
+                               mulmod_stack, stack_native_class,
+                               stack_residues, to_mont_stack, to_mont_vec)
 from repro.fhe.poly import Representation
 from repro.fhe.serialization import _poly_to_arrays
 
 from test_modmath_dword import DWORD_PRIMES, N, prime_and_operands
 
 Q_SMALL = 1032193  # 20-bit companion for mixed-width stacks
+#: Primes on either side of 2**31, where R changes class (the 32-bit
+#: ``DWORD_PRIMES[0]`` already stands just above it).
+BELOW_2_31 = [3, Q_SMALL, (1 << 31) - 1]
+ABOVE_2_31 = [(1 << 31) + 11]
 
 
 @st.composite
@@ -42,14 +48,32 @@ def prime_and_chain(draw):
 
 
 class TestRedcConstants:
-    @pytest.mark.parametrize("q", DWORD_PRIMES)
+    @pytest.mark.parametrize("q", ABOVE_2_31 + DWORD_PRIMES)
     def test_constant_identities(self, q):
         qprime, r_mod_q, r_shoup, r_inv = mont_precompute_vec(q)
         r = 1 << 64
+        assert mont_radix(q) == r
         assert (qprime * q) % r == r - 1          # q' = -q^{-1} mod 2^64
         assert r_mod_q == r % q
         assert r_shoup == (r_mod_q << 64) // q
         assert (r_inv * r_mod_q) % q == 1
+
+    @pytest.mark.parametrize("q", BELOW_2_31)
+    def test_radix_is_one_below_2_31(self, q):
+        """One machine multiply and one ``%`` is already the cheapest
+        product there: Montgomery form is the identity."""
+        assert mont_radix(q) == 1
+        assert mont_precompute_vec(q) == (0, 1, (1 << 64) // q, 1)
+        a = np.arange(N, dtype=np.int64) * (q // N)
+        b = a[::-1].copy()
+        assert to_mont_vec(a, q) is a and from_mont_vec(a, q) is a
+        assert np.array_equal(mont_mulmod_vec(a, b, q), a * b % q)
+        moduli = (q, q)
+        stack = np.stack([a, b])
+        assert to_mont_stack(stack, moduli) is stack
+        assert from_mont_stack(stack, moduli) is stack
+        assert np.array_equal(mont_mulmod_stack(stack, stack, moduli),
+                              stack * stack % q)
 
     def test_even_modulus_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -166,6 +190,45 @@ class TestMontgomeryStack:
                 moduli)
         assert np.array_equal(np.asarray(native, dtype=object),
                               np.asarray(obj, dtype=object))
+
+
+class TestMixedClassStacks:
+    """Rows below and above 2**31 in one basis: each row keeps its own R,
+    and both backends agree with each other and with
+    ``force_object_dtype`` limb by limb."""
+
+    @staticmethod
+    def _run(backend_name, moduli, a, b):
+        backend = create_backend(backend_name, CkksParameters.toy())
+        limbs = [[np.array(x % q) for q in moduli] for x in (a, b)]
+        data_a, data_b = (backend.as_native(x, moduli) for x in limbs)
+        am, bm = backend.to_mont(data_a, moduli), backend.to_mont(data_b,
+                                                                  moduli)
+        outs = (am, backend.mont_mul(am, bm, moduli),
+                backend.mont_mul(am, data_b, moduli),
+                backend.from_mont(backend.mont_mul(am, bm, moduli), moduli))
+        return [[[int(v) for v in limb]
+                 for limb in backend.to_limbs(out, moduli)] for out in outs]
+
+    @given(prime_and_operands())
+    @settings(max_examples=15, deadline=None)
+    def test_backends_and_tiers_agree_row_by_row(self, qab):
+        q, a, b = qab
+        moduli = (Q_SMALL, q, BELOW_2_31[-1])
+        assert stack_native_class(moduli) == "dword"
+        runs = [self._run(name, moduli, a, b)
+                for name in ("reference", "stacked")]
+        with force_object_dtype():
+            runs += [self._run(name, moduli, a, b)
+                     for name in ("reference", "stacked")]
+        assert all(run == runs[0] for run in runs[1:])
+        am, both, one, back = runs[0]
+        for i, p in enumerate(moduli):
+            r = mont_radix(p)
+            x, y = [int(v) % p for v in a], [int(v) % p for v in b]
+            assert am[i] == [v * r % p for v in x]
+            assert both[i] == [u * v * r % p for u, v in zip(x, y)]
+            assert one[i] == back[i] == [u * v % p for u, v in zip(x, y)]
 
 
 @pytest.fixture(params=["reference", "stacked"])

@@ -304,3 +304,34 @@ def test_forced_object_dtype_around_a_warm_int64_context():
 
 def test_forced_object_dtype_around_a_warm_dword_context():
     assert_forced_object_dtype_around_a_warm_context("dword")
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [8, 1 << 10])
+@pytest.mark.parametrize("klass", sorted(BASES))
+def test_input_is_reduced_only_past_the_kernels_reach(klass, n, sign,
+                                                      monkeypatch):
+    """The first step only cuts its input into words, so a transform
+    reduces its input only where a word could leave the range the split
+    was derived for: one entry at ``±(reach - 1)`` goes straight in, one
+    at ``±reach`` is reduced first — the same evaluations either way."""
+    moduli = BASES[klass](n, 3)
+    ctx = BatchedNttContext(moduli, n)
+    reach = ctx.matmul.reach
+    assert max(moduli) < reach < 1 << 62
+    remainders = []
+    remainder = np.remainder
+
+    def counting(*args, **kwargs):
+        remainders.append(args[0].shape)
+        return remainder(*args, **kwargs)
+
+    monkeypatch.setattr(np, "remainder", counting)
+    for edge, reduced in ((reach - 1, 0), (reach, 1)):
+        stack = inputs(moduli, n)["centered"].copy()
+        stack[1, n // 2] = sign * edge
+        for direction in ("forward", "inverse"):
+            remainders.clear()
+            got = getattr(ctx, direction)(stack)
+            assert len(remainders) == reduced, (edge, direction)
+            assert np.array_equal(got, oracle(moduli, n, stack, direction))
