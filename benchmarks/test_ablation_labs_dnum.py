@@ -1,6 +1,6 @@
 """Ablations: LABS partitioning quality and the dnum trade-off.
 
-DESIGN.md calls out two design choices this bench isolates:
+Two design choices this bench isolates:
 * LABS's multilevel GPP + SA mapping vs naive scheduling (section 3.3);
 * the key-switching digit count dnum, which trades key size against
   ModUp compute (section 2.2).

@@ -1,71 +1,21 @@
-"""Secondary quantitative claims from the paper's prose (section 4.3 / 1).
-
-* HEMult/HERotate data-transfer time reduced ~12x by the extensions;
-* HERescale average memory-transaction latency reduced ~13x (cNoC);
-* redundant memory operations reduced ~38% (cNoC, section 3.1);
-* GME surpasses FAB-2 (8-FPGA scale-out) by ~1.4x on HE-LR.
-"""
-
-import pytest
-
-from repro.baselines import FAB2_HELR_MS, TABLE8
-from repro.blocksim import AnalyticalTimingModel, BlockCostModel, BlockType
-from repro.gme.features import BASELINE, FeatureSet
+"""Section 4.3 / 1 prose claims: the ledger's ``Sec 4.3`` / ``Sec 1`` rows."""
 
 
-@pytest.fixture(scope="module")
-def models():
-    return (BlockCostModel(), AnalyticalTimingModel(BASELINE),
-            AnalyticalTimingModel(FeatureSet(cnoc=True, mod=True,
-                                             wmac=True)))
+def test_data_transfer_reduction_12x(off):
+    assert not off(r"Sec 4\.3/(HEMult|Rotate) memory cut", 2)
 
 
-def test_data_transfer_reduction_12x(models):
-    """Paper sec 4.3: data-transfer time cut ~12x for HEMult/HERotate."""
-    cost_model, base, gme = models
-    for block in (BlockType.HE_MULT, BlockType.HE_ROTATE):
-        cost = cost_model.cost(block, 23)
-        t_base = base.block_timing(cost)
-        t_gme = gme.block_timing(cost, resident_input_bytes=0.0,
-                                 resident_output=True)
-        reduction = t_base.memory_cycles / t_gme.memory_cycles
-        assert 6.0 < reduction < 20.0, f"{block}: {reduction:.1f}x"
+def test_rescale_memory_latency_reduction(off):
+    assert not off(r"Sec 4\.3/Rescale memory cut", 1)
 
 
-def test_rescale_memory_latency_reduction(models):
-    """Paper sec 4.3: HERescale memory latency down ~13x via cNoC."""
-    cost_model, base, gme = models
-    cost = cost_model.cost(BlockType.HE_RESCALE, 23)
-    t_base = base.block_timing(cost)
-    t_gme = gme.block_timing(cost)
-    reduction = t_base.memory_cycles / t_gme.memory_cycles
-    assert 7.0 < reduction < 25.0, f"{reduction:.1f}x"
+def test_redundant_memory_reduction_38pct(off):
+    assert not off("Sec 1/redundant DRAM traffic removed", 1)
 
 
-def test_redundant_memory_reduction_38pct(models):
-    """Paper secs 1/3.1: >= 38% of memory operations are redundant and
-    removed by cNoC(+LABS)."""
-    cost_model, base, gme = models
-    total_base = total_gme = 0.0
-    for block in (BlockType.HE_MULT, BlockType.HE_ROTATE,
-                  BlockType.HE_RESCALE, BlockType.HE_ADD):
-        cost = cost_model.cost(block, 23)
-        total_base += base.block_timing(cost).dram_bytes
-        total_gme += gme.block_timing(cost,
-                                      resident_output=True).dram_bytes
-    reduction = 1 - total_gme / total_base
-    assert reduction >= 0.38, f"only {reduction:.0%} removed"
+def test_gme_beats_fab2(off):
+    assert not off(r"Sec 4\.3/GME vs FAB-2/helr_ms", 1)
 
 
-def test_gme_beats_fab2():
-    """Paper: multi-FPGA FAB-2 loses to GME by ~1.4x on HE-LR."""
-    from repro.experiments.table8 import run
-    gme_helr = run()["GME"]["helr_ms"][0]
-    assert FAB2_HELR_MS / gme_helr > 1.2
-
-
-def test_hbm_bandwidth_gap_to_asics():
-    """Paper discussion: ARK's HBM3 gives ~2x the MI100's bandwidth --
-    encoded in the published comparison, where ARK wins bootstrapping by
-    ~9x despite similar word width."""
-    assert TABLE8["ARK"]["boot_ms"] * 8 < TABLE8["GME"]["boot_ms"] * 1.2
+def test_hbm_bandwidth_gap_to_asics(off):
+    assert not off(r"Table 8 speedups/ARK vs GME/boot_ms \(published\)", 1)

@@ -1,32 +1,19 @@
-"""Benchmark + reproduction assertions for Table 6 (area/power/Fmax)."""
+"""Table 6, timed: its claims are the ledger's ``Table 6`` rows."""
 
 import pytest
 
 from repro.experiments import table6
-from repro.gpusim.config import mi100
 
 
 @pytest.mark.benchmark(group="table6")
-def test_table6_regenerates(benchmark):
-    rows = benchmark(table6.run)
-    for name, metrics in rows.items():
-        for metric, (modeled, paper) in metrics.items():
-            assert modeled == pytest.approx(paper, rel=0.12), \
-                f"{name}/{metric}: {modeled} vs {paper}"
+def test_table6_regenerates(benchmark, off):
+    benchmark(table6.run)
+    assert not off(r"Table 6/(cNoC|MOD|WMAC)/(area_mm2|power_w|fmax_ghz)", 9)
 
 
-def test_fmax_above_mi100_clock():
-    """Paper: extensions sustain Fmax >= the MI100's 1.5 GHz, so they do
-    not degrade the critical path."""
-    rows = table6.run()
-    for name, metrics in rows.items():
-        assert metrics["fmax_ghz"][0] >= mi100().core_freq_ghz, name
+def test_fmax_above_mi100_clock(off):
+    assert not off(r"Table 6/\w+/fmax_ghz over the MI100 clock", 3)
 
 
-def test_extension_overhead_is_fraction_of_gpu():
-    """GME adds ~186 mm^2 / ~108 W on a ~700 mm^2 / 300 W GPU."""
-    rows = table6.run()
-    total_area = sum(m["area_mm2"][0] for m in rows.values())
-    total_power = sum(m["power_w"][0] for m in rows.values())
-    assert total_area == pytest.approx(186.2, rel=0.15)
-    assert total_power == pytest.approx(107.5, rel=0.15)
+def test_extension_overhead_is_fraction_of_gpu(off):
+    assert not off(r"Table 6/total/\w+", 2)

@@ -1,13 +1,8 @@
-"""Benchmark + reproduction assertions for Table 7 (block latencies)."""
+"""Table 7, timed: its claims are the ledger's ``Table 7`` rows."""
 
 import pytest
 
 from repro.experiments import table7
-
-
-@pytest.fixture(scope="module")
-def rows():
-    return table7.run()
 
 
 @pytest.mark.benchmark(group="table7")
@@ -15,36 +10,21 @@ def test_table7_regenerates(benchmark):
     benchmark(table7.run)
 
 
-def test_block_latencies_within_band(rows):
-    """Every modeled cell lands within 30% of the paper's measurement."""
-    for name, cells in rows.items():
-        for config in ("baseline", "gme"):
-            measured, paper = cells[config]
-            assert measured == pytest.approx(paper, rel=0.30), \
-                f"{name}/{config}: {measured:.1f} vs {paper}"
+def test_block_latencies_within_band(off):
+    assert not off(r"Table 7/\w+/(baseline|gme)", 10)
 
 
-def test_speedups_in_paper_band(rows):
-    """GME speeds up every block 6-15x over the baseline (paper: 7.8-9.9x)."""
-    for name, cells in rows.items():
-        speedup = cells["speedup_vs_baseline"][0]
-        assert 5.0 < speedup < 16.0, f"{name}: {speedup:.1f}x"
+def test_speedups_in_paper_band(off):
+    assert not off(r"Table 7/\w+/speedup_vs_baseline", 5)
 
 
-def test_mult_and_rotate_most_expensive(rows):
-    """Paper: HEMult and HERotate dominate (key-switch data transfers)."""
-    for config in ("baseline", "gme"):
-        times = {name: cells[config][0] for name, cells in rows.items()}
-        ordered = sorted(times, key=times.get, reverse=True)
-        assert set(ordered[:2]) == {"HEMult", "Rotate"}
+def test_mult_and_rotate_most_expensive(off):
+    assert not off(r"Table 7/two slowest/\w+", 2)
 
 
-def test_average_speedup_vs_100x(rows):
-    """Paper section 4.3: ~6.4x average over the five blocks."""
-    avg = table7.average_speedup_vs_100x(rows)
-    assert avg == pytest.approx(6.4, rel=0.25)
+def test_average_speedup_vs_100x(off):
+    assert not off("Table 7/mean/speedup_vs_100x", 1)
 
 
-def test_beats_tfhe_on_every_block(rows):
-    for name, cells in rows.items():
-        assert cells["speedup_vs_tfhe"][0] > 1.0, name
+def test_beats_tfhe_on_every_block(off):
+    assert not off(r"Table 7/\w+/speedup_vs_tfhe", 5)

@@ -1,13 +1,8 @@
-"""Benchmark + reproduction assertions for Table 8 (workload times)."""
+"""Table 8, timed: its claims are the ledger's ``Table 8`` rows."""
 
 import pytest
 
 from repro.experiments import table8
-
-
-@pytest.fixture(scope="module")
-def rows():
-    return table8.run()
 
 
 @pytest.mark.benchmark(group="table8")
@@ -15,42 +10,17 @@ def test_table8_regenerates(benchmark):
     benchmark.pedantic(table8.run, rounds=1, iterations=1)
 
 
-def test_workload_times_within_band(rows):
-    for label, cells in rows.items():
-        for metric, (measured, paper) in cells.items():
-            assert measured == pytest.approx(paper, rel=0.35), \
-                f"{label}/{metric}: {measured:.1f} vs {paper}"
+def test_workload_times_within_band(off):
+    assert not off(r"Table 8/[\w ]+/\w+", 8)
 
 
-def test_headline_speedups(rows):
-    """The paper's comparison claims, within a generous band."""
-    claims = table8.headline_speedups(rows)
-    assert 9.0 < claims["gme_vs_baseline_boot"] < 16.0   # ~12.3x
-    assert 12.0 < claims["gme_vs_100x_boot"] < 19.0      # 15.7x
-    assert 10.0 < claims["gme_vs_100x_helr"] < 18.0      # 14.2x
-    assert claims["gme_vs_lattigo_boot"] > 400           # ~514x
-    assert claims["gme_vs_lattigo_helr"] > 300           # ~427x (HELR)
-    assert 2.0 < claims["gme_vs_fab_boot"] < 3.5         # 2.7x
-    assert 1.4 < claims["gme_vs_fab_helr"] < 2.5         # 1.9x
-    assert claims["gme_vs_f1_helr"] > 14                 # 18.7x
-    assert claims["ark_vs_gme_boot"] > 5                 # loses to ARK
+def test_headline_speedups(off):
+    assert not off(r"Table 8 speedups/GME vs .+", 8)
 
 
-def test_amortized_mult_time(rows):
-    """Equation (1) rows: 863 ns baseline, 74.5 ns GME."""
-    assert rows["Baseline MI100"]["tas_ns"][0] == pytest.approx(863,
-                                                                rel=0.25)
-    assert rows["GME"]["tas_ns"][0] == pytest.approx(74.5, rel=0.25)
+def test_amortized_mult_time(off):
+    assert not off(r"Table 8/[\w ]+/tas_ns( by Eq\. 1)?", 4)
 
 
-def test_asics_still_faster(rows):
-    """Paper: GME falls short of BTS/CL/ARK on amortized mult time
-    (their larger on-chip memory and HBM3 bandwidth win)."""
-    from repro.baselines import TABLE8
-    gme_tas = rows["GME"]["tas_ns"][0]
-    for asic in ("BTS", "CL", "ARK"):
-        assert TABLE8[asic]["tas_ns"] < gme_tas
-    # CL and ARK also win end-to-end bootstrapping.
-    gme_boot = rows["GME"]["boot_ms"][0]
-    for asic in ("CL", "ARK"):
-        assert TABLE8[asic]["boot_ms"] < gme_boot
+def test_asics_still_faster(off):
+    assert not off(r"Table 8 speedups/(BTS|CL|ARK) vs GME/\w+", 5)

@@ -1,12 +1,9 @@
-"""Comparator architectures: published numbers + analytic sanity models."""
+"""The paper's published numbers: comparator rows and prose claims."""
 
-from .models import (ASIC_ARK, CPU_LATTIGO, FPGA_FAB, GPU_100X,
-                     PlatformModel)
 from .published import (FAB2_HELR_MS, TABLE6, TABLE6_GME_EXTENSIONS,
                         TABLE7_US, TABLE8, TABLE9, AcceleratorSpec)
 
 __all__ = [
-    "ASIC_ARK", "AcceleratorSpec", "CPU_LATTIGO", "FAB2_HELR_MS",
-    "FPGA_FAB", "GPU_100X", "PlatformModel", "TABLE6",
-    "TABLE6_GME_EXTENSIONS", "TABLE7_US", "TABLE8", "TABLE9",
+    "AcceleratorSpec", "FAB2_HELR_MS", "TABLE6", "TABLE6_GME_EXTENSIONS",
+    "TABLE7_US", "TABLE8", "TABLE9",
 ]

@@ -2,7 +2,9 @@
 
 We do not re-run Lattigo, 100x, FAB, or the ASICs; like the paper, the
 comparison tables quote their published results.  Every value here carries
-its table of origin.
+its table, figure or section of origin, and it is the only place a paper
+number is written down (besides ``repro.gpusim.isa.PAPER_TABLE4``):
+``repro.experiments.claims`` reads them from here.
 """
 
 from __future__ import annotations
@@ -89,6 +91,34 @@ TABLE8 = {
 
 #: FAB scaled to 8 FPGAs for HE-LR (paper: GME surpasses FAB-2 by 1.4x).
 FAB2_HELR_MS = 54.5 * 1.4
+
+# -- numbers the paper states in prose, not in a table ------------------------
+
+#: Section 4.3: HEMult/HERotate data-transfer time cut by the extensions.
+DATA_TRANSFER_CUT_X = 12
+#: Section 4.3: HERescale average memory-transaction latency cut by cNoC.
+RESCALE_MEMORY_CUT_X = 13
+#: Sections 1 / 3.1: share of memory operations that are redundant.
+REDUNDANT_TRAFFIC_SHARE = 0.38
+#: Section 4.3: GME's average block speedup over 100x.
+SPEEDUP_VS_100X_AVG = 6.4
+#: Section 7: mod-red cycles the MOD unit saves (Table 4's 46 -> 26).
+MOD_RED_CUT = 0.43
+#: Figure 7: LABS adds "more than" this on top of cNoC+MOD+WMAC.
+LABS_MIN_SPEEDUP = 1.5
+#: Figure 8: speedup of a 15.5 MB LDS over the 7.5 MB one, full GME.
+FIG8_SPEEDUP_15P5 = {"boot": 1.74, "helr": 1.53, "resnet": 1.51}
+#: What Figures 6-8 show without printing a number.
+FIGURE_SHAPES = {
+    "cu_utilization": "cNoC ends CU data starvation",
+    "dram_traffic_gb": "cNoC, then LABS, remove redundant DRAM traffic",
+    "avg_cpt": "cycles per memory transaction fall with cNoC",
+    "resnet_cpt": "ResNet-20 has lower CPT than HE-LR (more reuse)",
+    "l1_utilization": "LDS traffic bypasses the L1",
+    "cpi": "MOD's fused instructions raise CPI",
+    "ladder": "every extension adds speedup",
+    "lds_sweep": "speedup rises with LDS size, then DRAM bandwidth caps it",
+}
 
 #: Paper Table 9: applicability of each extension to other workloads.
 #: Values: "yes", "no", "maybe".

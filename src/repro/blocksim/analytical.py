@@ -47,10 +47,6 @@ class BlockTiming:
     def memory_cycles(self) -> float:
         return self.dram_cycles + self.onchip_cycles
 
-    @property
-    def compute_bound(self) -> bool:
-        return self.compute_cycles >= self.memory_cycles
-
 
 class AnalyticalTimingModel:
     """Maps block costs to cycles for a (GPU config, feature set) pair."""

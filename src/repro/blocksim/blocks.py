@@ -84,10 +84,6 @@ class BlockCostModel:
     def n(self) -> int:
         return self.params.ring_degree
 
-    def ntt_poly(self, level: int) -> float:
-        """Butterflies for one full-polynomial (i)NTT at ``level``."""
-        return (level + 1) * (self.n / 2) * math.log2(self.n)
-
     def ntt_limbs(self, limbs: float) -> float:
         """Butterflies for ``limbs`` single-limb (i)NTTs."""
         return limbs * (self.n / 2) * math.log2(self.n)
@@ -163,10 +159,10 @@ class BlockCostModel:
 
         This is the stage rotation hoisting shares across a batch
         (``CkksEvaluator.hoist``): iNTT of the ciphertext limbs, the
-        approximate base conversion of every digit into the raised
-        basis, and the NTTs of the new limbs.  The counting rules match
-        the ModUp portion of :meth:`_key_switch` exactly, so static
-        analysis (:mod:`repro.analysis`) can price a *missed* hoist —
+        exact base conversion of every digit into the raised basis, and
+        the NTTs of the new limbs.  :meth:`_key_switch` takes its ModUp
+        counts from here, so static analysis (:mod:`repro.analysis`)
+        prices a *missed* hoist with the key switch's own numbers —
         ``k`` rotations of one source that each redo this stage waste
         ``(k - 1)`` of these blocks.
         """
@@ -201,18 +197,11 @@ class BlockCostModel:
         """Hybrid key switch (section 2.2): ModUp, key products, ModDown."""
         params = self.params
         limbs = level + 1
-        alpha = params.alpha
         specials = params.num_special_limbs
         num_digits = params.digits_at(level)
         raised = limbs + specials
         n = self.n
-        # ModUp: iNTT each digit's limbs (= all ct limbs once), base-convert
-        # each digit to the raised basis, NTT the new limbs.
-        intt = self.ntt_limbs(limbs)
-        base_up_macs = sum(
-            n * min(alpha, limbs - d * alpha) * (raised - min(
-                alpha, limbs - d * alpha)) for d in range(num_digits))
-        ntt_up = self.ntt_limbs(num_digits * raised - limbs)
+        up = self.mod_up_cost(level)
         # Key products: 2 output polys x digits x raised limbs, MAC each.
         key_macs = 2 * num_digits * raised * n
         key_adds = key_macs
@@ -232,9 +221,9 @@ class BlockCostModel:
                         + 2 * raised * self.params.limb_bytes() * 2)
         return BlockCost(
             name="KeySwitch",
-            mod_mul=base_up_macs + key_macs + base_down_macs + fixup / 2,
-            mod_add=base_up_macs + key_adds + base_down_macs + fixup / 2,
-            ntt_butterflies=intt + ntt_up + intt_down + ntt_down,
+            mod_mul=up.mod_mul + key_macs + base_down_macs + fixup / 2,
+            mod_add=up.mod_add + key_adds + base_down_macs + fixup / 2,
+            ntt_butterflies=up.ntt_butterflies + intt_down + ntt_down,
             key_bytes=self.switching_key_bytes(level),
             intermediate_bytes=intermediate,
         )

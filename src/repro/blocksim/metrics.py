@@ -64,39 +64,16 @@ class WorkloadMetrics:
         total = self.dram_bytes + self.noc_bytes + self.lds_bytes
         return self.dram_bytes / total if total else 0.0
 
-    def merged(self, other: "WorkloadMetrics") -> "WorkloadMetrics":
-        """Combine two runs (e.g. workload phases)."""
-        return WorkloadMetrics(
-            name=f"{self.name}+{other.name}",
-            cycles=self.cycles + other.cycles,
-            compute_cycles=self.compute_cycles + other.compute_cycles,
-            dram_bytes=self.dram_bytes + other.dram_bytes,
-            noc_bytes=self.noc_bytes + other.noc_bytes,
-            lds_bytes=self.lds_bytes + other.lds_bytes,
-            instructions=self.instructions + other.instructions,
-            blocks=self.blocks + other.blocks,
-            resident_hits=self.resident_hits + other.resident_hits,
-            resident_hit_bytes=self.resident_hit_bytes
-            + other.resident_hit_bytes,
-            config=self.config,
-        )
-
 
 def amortized_mult_time_per_slot_ns(boot_ms: float, mult_us: float,
                                     usable_levels: int,
                                     num_slots: int) -> float:
     """Equation (1): T_A.S. = (T_boot + K * T_mult) / (K * n).
 
-    The published rows are only consistent when K is the number of usable
-    levels between bootstraps (L_boot = 17) and T_mult the full-level HEMult
-    time; see EXPERIMENTS.md "Equation 1 discrepancy".
+    K is the number of usable levels between bootstraps (L_boot = 17) and
+    T_mult the full-level HEMult time: so read, the published Boot and
+    HEMult cells give the published T_A.S. cells (the claims ledger's
+    ``by Eq. 1`` rows).
     """
     total_ns = boot_ms * 1e6 + usable_levels * mult_us * 1e3
     return total_ns / (usable_levels * num_slots)
-
-
-def speedup(baseline: WorkloadMetrics, improved: WorkloadMetrics) -> float:
-    """Wall-clock speedup of ``improved`` over ``baseline``."""
-    if improved.cycles <= 0:
-        raise ValueError("improved run has no cycles")
-    return baseline.cycles / improved.cycles

@@ -5,9 +5,6 @@ from __future__ import annotations
 from repro.gme.features import cumulative_configs
 from repro import engine
 
-METRICS = ("cu_utilization", "avg_cpt", "dram_bw_utilization",
-           "dram_traffic_gb", "l1_utilization", "cpi")
-
 
 def run() -> dict:
     """{workload: {feature_name: {metric: value}}}, Figure 6 ladder."""
@@ -26,18 +23,3 @@ def run() -> dict:
                 "cpi": metrics.cpi,
             }
     return out
-
-
-def main() -> None:
-    rows = run()
-    for workload, ladder in rows.items():
-        print(f"\nFigure 6 -- {workload}")
-        header = f"{'feature':22s}" + "".join(f"{m:>16s}" for m in METRICS)
-        print(header)
-        for feature_name, metrics in ladder.items():
-            cells = "".join(f"{metrics[m]:16.3f}" for m in METRICS)
-            print(f"{feature_name:22s}{cells}")
-
-
-if __name__ == "__main__":
-    main()

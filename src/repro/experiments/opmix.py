@@ -1,10 +1,7 @@
 """Op-mix + static-diagnostics table for every catalog workload.
 
-The per-workload breakdown a microcoded accelerator study needs (how
-many of each HE op, how many key switches, the level span, the hoist
-structure — ROADMAP item 5), produced by the same analysis pass that
-lints the catalog (:mod:`repro.analysis`), so the table and the
-zero-error budget come from one artifact.
+Each workload's op counts, key switches, level span and hoists, from the
+same analysis pass that lints the catalog (:mod:`repro.analysis`).
 """
 
 from __future__ import annotations
@@ -12,7 +9,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.analysis import analyze_trace
-from repro.analysis.report import render_op_mix
 from repro.fhe.params import CkksParameters
 from repro.workloads.registry import compile_workload, workload_names
 
@@ -28,16 +24,3 @@ def run(params_name: str = "paper") -> dict[str, Any]:
                        "diagnostics": report.codes(),
                        "errors": len(report.errors)}
     return table
-
-
-def main() -> None:
-    table = run()
-    print("Per-workload op mix and static diagnostics (paper params)")
-    for name, row in table.items():
-        diags = row["diagnostics"] or "clean"
-        print(f"\n{name}  —  diagnostics: {diags}")
-        print(render_op_mix(row["op_mix"]))
-
-
-if __name__ == "__main__":
-    main()

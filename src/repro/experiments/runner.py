@@ -1,18 +1,19 @@
-"""Run the table/figure harnesses: full evaluation or a selected subset.
+"""Run the table/figure harnesses: the claims ledger, or their raw results.
 
 Command line::
 
-    python -m repro.experiments.runner                    # print everything
+    python -m repro.experiments.runner                    # the whole ledger
     python -m repro.experiments.runner --list             # harness slugs
-    python -m repro.experiments.runner --only table8      # one harness
+    python -m repro.experiments.runner --only table8      # one harness's rows
     python -m repro.experiments.runner --only table8 fig7 --json out.json
 
-``--json`` collects each selected harness's ``run()`` result into one
-machine-readable document (tuples serialize as lists) instead of the
-human-readable report, wrapped in the shared schema envelope of
-:mod:`repro.experiments.export` (``schema_version``/``kind``/... plus
-this artifact's payload key ``"harnesses"`` and the constant
-``"source": "traced"``, kept so the export schema does not change).
+The report is :func:`repro.experiments.claims.render` over the selected
+harnesses' rows; ``opmix`` has none, so ``--only opmix`` is a usage error
+without ``--json``.  ``--json`` collects each selected
+harness's ``run()`` result instead (tuples serialize as lists), wrapped in
+the shared schema envelope of :mod:`repro.experiments.export` (payload key
+``"harnesses"`` and the constant ``"source": "traced"``, kept so the
+export schema does not change).
 """
 
 from __future__ import annotations
@@ -20,16 +21,11 @@ from __future__ import annotations
 import argparse
 import time
 
-from . import (fig6, fig7, fig8, opmix, table4, table6, table7, table8,
-               table9)
+from . import (claims, fig6, fig7, fig8, opmix, table4, table6, table7,
+               table8, table9)
 from .export import envelope, write_json
 
-ALL = (("Table 4", table4), ("Table 6", table6), ("Table 7", table7),
-       ("Table 8", table8), ("Table 9", table9), ("Figure 6", fig6),
-       ("Figure 7", fig7), ("Figure 8", fig8),
-       ("Op mix / lint", opmix))
-
-#: CLI slug -> harness module (every module exposes run() and main()).
+#: CLI slug -> harness module (every module exposes run()).
 HARNESSES = {
     "table4": table4, "table6": table6, "table7": table7,
     "table8": table8, "table9": table9, "fig6": fig6, "fig7": fig7,
@@ -87,15 +83,12 @@ def main(argv: list[str] | None = None) -> None:
         write_json(doc, args.json)
         return
 
-    wanted = {HARNESSES[slug] for slug in args.only} if args.only else None
-    for name, module in ALL:
-        if wanted is not None and module not in wanted:
-            continue
-        print("=" * 72)
-        print(f"== {name}")
-        print("=" * 72)
-        module.main()
-        print()
+    rows = claims.ledger(args.only and [HARNESSES[slug] for slug in args.only])
+    if not rows:
+        parser.error("opmix has no ledger rows: write its run() result with "
+                     "--json PATH, or print the op-mix report with "
+                     "`python -m repro.analysis --catalog --op-mix`")
+    print(claims.render(rows))
 
 
 if __name__ == "__main__":

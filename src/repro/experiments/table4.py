@@ -5,12 +5,6 @@ from __future__ import annotations
 from repro.gpusim.isa import PAPER_TABLE4, PipelineProfile
 from repro.gpusim.pipeline import measure_table4
 
-ROW_LABELS = {
-    PipelineProfile.VANILLA: "Vanilla MI100",
-    PipelineProfile.MOD: "MOD",
-    PipelineProfile.MOD_WMAC: "MOD+WMAC",
-}
-
 
 def run(count: int = 10_000) -> dict:
     """Measure all nine cells; returns {profile: {op: (measured, paper)}}."""
@@ -20,18 +14,3 @@ def run(count: int = 10_000) -> dict:
                   for op in ("mod_red", "mod_add", "mod_mul")}
         for profile in PipelineProfile
     }
-
-
-def main() -> None:
-    rows = run()
-    print("Table 4: cycle counts for 64-bit modulus instructions")
-    print(f"{'feature':16s} {'mod-red':>16s} {'mod-add':>16s} "
-          f"{'mod-mul':>16s}")
-    for profile, cells in rows.items():
-        parts = [f"{m:6.1f} (paper {p:2d})" for m, p in cells.values()]
-        print(f"{ROW_LABELS[profile]:16s} {parts[0]:>16s} {parts[1]:>16s} "
-              f"{parts[2]:>16s}")
-
-
-if __name__ == "__main__":
-    main()

@@ -1,8 +1,8 @@
-"""Table 6: architecture comparison + GME extension area/power/Fmax."""
+"""Table 6: area / power / Fmax of the three GME extension columns."""
 
 from __future__ import annotations
 
-from repro.baselines import TABLE6, TABLE6_GME_EXTENSIONS
+from repro.baselines import TABLE6_GME_EXTENSIONS
 from repro.rtlmodel import synthesize_all
 
 
@@ -18,23 +18,3 @@ def run() -> dict:
             "fmax_ghz": (result.fmax_ghz, paper_fmax),
         }
     return out
-
-
-def main() -> None:
-    print("Table 6 (GME extension columns): modeled vs paper")
-    for name, metrics in run().items():
-        area = metrics["area_mm2"]
-        power = metrics["power_w"]
-        fmax = metrics["fmax_ghz"]
-        print(f"  {name:5s} area {area[0]:7.2f} mm^2 (paper {area[1]:6.2f})"
-              f"  power {power[0]:6.2f} W (paper {power[1]:5.2f})"
-              f"  Fmax {fmax[0]:.2f} GHz (paper {fmax[1]:.2f})")
-    print("\nComparison columns (published, source=paper):")
-    for name, spec in TABLE6.items():
-        print(f"  {spec.name:14s} {spec.platform:5s} "
-              f"area={spec.area_mm2} mm^2 power={spec.power_w} W "
-              f"freq={spec.freq_ghz} GHz onchip={spec.onchip_mb} MB")
-
-
-if __name__ == "__main__":
-    main()

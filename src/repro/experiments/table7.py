@@ -3,8 +3,7 @@
 Measurement context (mirrors the paper's single-block methodology, with
 LABS excluded): blocks are timed mid-stream -- for two-operand blocks one
 operand is the in-flight ciphertext (LDS-resident under cNoC); HERescale
-flushes its output.  The residency policy per block is the ``POLICY``
-table below and is documented in EXPERIMENTS.md.
+flushes its output.  ``POLICY`` below is that residency per block.
 """
 
 from __future__ import annotations
@@ -52,44 +51,14 @@ def run(level: int | None = None) -> dict:
         name = PAPER_NAMES[block]
         base_us = base_model.to_us(t_base.total_cycles)
         gme_us = gme_model.to_us(t_gme.total_cycles)
+        paper = {row: cells[name] for row, cells in TABLE7_US.items()}
+        base, gme = paper["Baseline MI100"], paper["GME"]
         out[name] = {
-            "baseline": (base_us, TABLE7_US["Baseline MI100"][name]),
-            "gme": (gme_us, TABLE7_US["GME"][name]),
-            "speedup_vs_baseline": (base_us / gme_us,
-                                    TABLE7_US["Baseline MI100"][name]
-                                    / TABLE7_US["GME"][name]),
-            "speedup_vs_100x": (TABLE7_US["100x"][name] / gme_us,
-                                TABLE7_US["100x"][name]
-                                / TABLE7_US["GME"][name]),
-            "speedup_vs_tfhe": (TABLE7_US["T-FHE"][name] / gme_us,
-                                TABLE7_US["T-FHE"][name]
-                                / TABLE7_US["GME"][name]),
+            "baseline": (base_us, base),
+            "gme": (gme_us, gme),
+            "speedup_vs_baseline": (base_us / gme_us, base / gme),
+            "speedup_vs_100x": (paper["100x"] / gme_us, paper["100x"] / gme),
+            "speedup_vs_tfhe": (paper["T-FHE"] / gme_us,
+                                paper["T-FHE"] / gme),
         }
     return out
-
-
-def average_speedup_vs_100x(rows: dict | None = None) -> float:
-    """Paper section 4.3: ~6.4x average over the five blocks."""
-    rows = rows or run()
-    speedups = [cells["speedup_vs_100x"][0] for cells in rows.values()]
-    return sum(speedups) / len(speedups)
-
-
-def main() -> None:
-    rows = run()
-    print("Table 7: FHE building-block performance (us)")
-    print(f"{'block':9s} {'baseline':>22s} {'GME':>22s} "
-          f"{'speedup':>18s}")
-    for name, cells in rows.items():
-        b_m, b_p = cells["baseline"]
-        g_m, g_p = cells["gme"]
-        s_m, s_p = cells["speedup_vs_baseline"]
-        print(f"{name:9s} {b_m:8.1f} (paper {b_p:5.0f}) "
-              f"{g_m:8.1f} (paper {g_p:4.0f}) "
-              f"{s_m:6.1f}x (paper {s_p:4.1f}x)")
-    print(f"average speedup vs 100x: {average_speedup_vs_100x(rows):.1f}x "
-          f"(paper 6.4x)")
-
-
-if __name__ == "__main__":
-    main()

@@ -57,18 +57,3 @@ def run() -> dict:
                for ext in ("NOC", "MOD", "WMAC", "LABS")}
         for name, traits in TRAITS.items()
     }
-
-
-def main() -> None:
-    rows = run()
-    print("Table 9: extension applicability (classified vs paper)")
-    print(f"{'workload':14s} {'NOC':>12s} {'MOD':>12s} {'WMAC':>12s} "
-          f"{'LABS':>12s}")
-    for name, cells in rows.items():
-        parts = [f"{c}/{p}" for c, p in cells.values()]
-        print(f"{name:14s} {parts[0]:>12s} {parts[1]:>12s} "
-              f"{parts[2]:>12s} {parts[3]:>12s}")
-
-
-if __name__ == "__main__":
-    main()

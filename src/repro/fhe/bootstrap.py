@@ -7,7 +7,7 @@ the standard scaled-sine construction: a Chebyshev approximation of
 ``r`` cosine double-angle squarings, yielding ``sin(2*pi*t)`` whose value at
 ``t = a/q0`` recovers ``a mod q0`` for coefficients small relative to q0.
 
-Precision characteristics (documented deviation, DESIGN.md section 7):
+Precision characteristics (a deviation from production parameter sets):
 the sine approximation requires message magnitudes small relative to q0, so
 :meth:`Bootstrapper.bootstrap` expects ``|z| <~ 0.05`` and refreshes with
 absolute error around 1e-2 at the test parameter sets.  The error floor is

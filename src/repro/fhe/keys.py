@@ -9,7 +9,7 @@ accumulated pair is brought back down by dividing by P (ModDown).
 Switching keys here are generated lazily per (target-key, level) pair.  A
 production library shares one full-level key across levels; the per-level
 variant is mathematically identical for the limbs in use and keeps the
-implementation transparent (see DESIGN.md section 7).  Performance modeling
+implementation transparent.  Performance modeling
 always uses the paper-parameter key sizes from
 :meth:`repro.fhe.params.CkksParameters.switching_key_bytes`.
 """

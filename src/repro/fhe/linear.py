@@ -66,15 +66,6 @@ class LinearTransform:
     def num_diagonals(self) -> int:
         return len(self.diagonals)
 
-    def rotations_required(self) -> list[int]:
-        """Rotation amounts the BSGS schedule will request (for key prep)."""
-        if not self.diagonals:
-            return []
-        giant = self._giant_step()
-        babies = sorted({k % giant for k in self.diagonals} - {0})
-        giants = sorted({(k // giant) * giant for k in self.diagonals} - {0})
-        return babies + giants
-
     def _giant_step(self) -> int:
         return max(1, int(math.ceil(math.sqrt(len(self.diagonals)))))
 

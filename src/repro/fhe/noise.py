@@ -47,9 +47,6 @@ class LevelBudget:
         new_log_scale = 2 * self.log_scale - math.log2(q_next)
         return LevelBudget(self.params, self.level - 1, new_log_scale)
 
-    def after_plaintext_mult(self) -> "LevelBudget":
-        return self.after_mult()
-
     def after_rotation(self) -> "LevelBudget":
         """Rotations preserve level and scale."""
         return LevelBudget(self.params, self.level, self.log_scale)
@@ -62,10 +59,6 @@ class LevelBudget:
             budget = budget.after_mult()
             count += 1
         return count
-
-    def can_bootstrap(self, depth: int) -> bool:
-        """Whether a bootstrap of the given depth fits above level 0."""
-        return self.params.max_level >= depth
 
 
 def measure_fresh_noise(ctx, trials: int = 5) -> float:

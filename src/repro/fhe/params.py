@@ -7,8 +7,8 @@ Three presets are provided:
   examples, and the functional workloads.
 * :meth:`CkksParameters.paper` -- N=2^16, 54-bit word, logQ=1728, L=23,
   L_boot=17, dnum=3, fftIter=4 (paper Table 3).  Used for *size and graph*
-  computations that feed the performance model; functional encryption at
-  this scale is not required by any experiment (see DESIGN.md section 3).
+  computations that feed the performance model; it also runs functionally
+  (slowly), but no experiment needs it to.
 
 All byte-size accounting uses the paper's convention of ``log q`` bits per
 coefficient (54-bit packed words), which is how the paper arrives at a
@@ -65,11 +65,6 @@ class CkksParameters:
     def num_special_limbs(self) -> int:
         """Extension limbs for the raised modulus (paper: alpha + 1)."""
         return len(self.special_moduli)
-
-    @property
-    def log_big_modulus(self) -> int:
-        """log Q ~ num_limbs * prime_bits."""
-        return self.num_limbs * self.prime_bits
 
     def limb_bytes(self) -> float:
         """Size of one limb in bytes (N coefficients of log q bits)."""
@@ -189,12 +184,3 @@ class CkksParameters:
     def scale(self) -> float:
         """Delta, the encoding scale."""
         return float(1 << self.scale_bits)
-
-    @property
-    def level0_capacity(self) -> float:
-        """Largest |value| representable at level 0: q_0 / (2 * Delta).
-
-        Exceeding this wraps the message around q_0; deep circuits must
-        keep final values inside this bound (a standard CKKS constraint).
-        """
-        return self.moduli[0] / (2.0 * self.scale)

@@ -103,10 +103,6 @@ class PolyContext:
         """NTT context for modulus ``q`` (built lazily, cached)."""
         return self.backend.ntt_context(q)
 
-    def moduli_at_level(self, level: int) -> tuple[int, ...]:
-        """The RNS basis {q_0 .. q_level}."""
-        return self.params.moduli[:level + 1]
-
     def zero(self, moduli: Iterable[int],
              rep: Representation = Representation.COEFF) -> "Polynomial":
         """The zero polynomial over the given basis."""

@@ -20,7 +20,7 @@ Each modulus instruction is described two ways:
   wavefront occupancy).
 
 Latency values are calibrated against the paper's NaviSim measurements
-(Table 4); the calibration is recorded in EXPERIMENTS.md.
+(Table 4): the claims ledger's Table 4 rows name ``LATENCY_SEQUENCES``.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ ISSUE_CYCLES: dict[PipelineProfile, dict[str, int]] = {
                                "ntt_butterfly": 20},
 }
 
-#: Paper Table 4 reference values (cycles), used by tests and EXPERIMENTS.md.
+#: Paper Table 4 (cycles), read by ``gme.mod_unit`` and the claims ledger.
 PAPER_TABLE4 = {
     PipelineProfile.VANILLA: {"mod_red": 46, "mod_add": 62, "mod_mul": 63},
     PipelineProfile.MOD: {"mod_red": 26, "mod_add": 18, "mod_mul": 38},

@@ -55,7 +55,3 @@ class LdsModel:
         addresses = rng.integers(0, self.num_banks * 64,
                                  size=self.lanes) * self.word_bytes
         return self.access_addresses(addresses)
-
-    @property
-    def average_conflict_overhead(self) -> float:
-        return self.conflict_cycles / self.accesses if self.accesses else 0.0

@@ -24,11 +24,10 @@ from .ir import OpKind, TraceOp
 
 class LevelRule(NamedTuple):
     """Output level from ``(operating level, meta, max_level)``; ``None``
-    is no expectation.  ``reads``: the meta keys the rule indexes."""
+    is no expectation.  A rule reads only its op's ``meta_args``."""
 
     name: str
     apply: Callable[[int, Mapping[str, Any], int], int | None]
-    reads: tuple[str, ...] = ()
 
 
 class ScaleRule(NamedTuple):
@@ -44,8 +43,7 @@ ONE_DOWN = LevelRule("level - 1", lambda level, meta, top: level - 1)
 #: ``mod_drop`` by ``levels <= 0`` is a copy on every evaluator.
 DROPPED = LevelRule(
     'level - meta["levels"]',
-    lambda level, meta, top: level - max(int(meta["levels"]), 0),
-    reads=("levels",))
+    lambda level, meta, top: level - max(int(meta["levels"]), 0))
 MAX_LEVEL = LevelRule("max_level", lambda level, meta, top: top)
 ASKED_LEVEL = LevelRule("as the program asked",
                         lambda level, meta, top: None)
@@ -168,8 +166,8 @@ def keyswitch_meta(params: CkksParameters, level: int) -> dict[str, int]:
 
 def structural_problems(op: TraceOp, position: int) -> list[str]:
     """What makes the op at ``position`` unreadable to every data-flow
-    check and to its own level rule: an id out of sequence, a dangling
-    input, a wrong input count, a meta key the rule indexes."""
+    check and to its own replay: an id out of sequence, a dangling
+    input, a wrong input count, a missing ``meta_args`` key."""
     spec = OPS[op.kind]
     problems = []
     if op.op_id != position:
@@ -182,7 +180,7 @@ def structural_problems(op: TraceOp, position: int) -> list[str]:
     if len(op.inputs) != spec.arity:
         problems.append(f"{op.kind.value} op has inputs {op.inputs}; it "
                         f"takes {spec.arity}")
-    for key in spec.level.reads:
+    for key in spec.meta_args:
         if key not in op.meta:
             problems.append(f"{op.kind.value} op carries no meta[{key!r}]")
     return problems

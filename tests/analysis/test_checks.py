@@ -143,7 +143,7 @@ class TestScaleChecks:
                     out_scale=DELTA)
         # ... after which defects are caught again
         _add(t, OpKind.SCALAR_MULT, [back], level=2,
-             out_scale=2.0 ** 116, key=None)
+             out_scale=2.0 ** 116, key=None, meta={"value": 0.5})
         assert _codes(t) == {"HE010": 1}
 
 
@@ -152,13 +152,15 @@ class TestKeyChecks:
         t = _trace()
         src = _add(t, OpKind.SOURCE, level=4)
         _add(t, OpKind.HE_ROTATE, [src], level=4,
-             key=f"rot-{TOY.num_slots + 88}")
+             key=f"rot-{TOY.num_slots + 88}",
+             meta={"rotation": TOY.num_slots + 88})
         assert _codes(t) == {"HE020": 1}
 
     def test_he020_malformed_key_id(self):
         t = _trace()
         src = _add(t, OpKind.SOURCE, level=4)
-        _add(t, OpKind.HE_ROTATE, [src], level=4, key="rot-abc")
+        _add(t, OpKind.HE_ROTATE, [src], level=4, key="rot-abc",
+             meta={"rotation": 1})
         assert _codes(t) == {"HE020": 1}
 
     def test_he020_key_disagrees_with_recorded_rotation(self):
@@ -203,7 +205,8 @@ class TestKeyChecks:
     def test_he022_keyswitch_without_key_id(self):
         t = _trace()
         src = _add(t, OpKind.SOURCE, level=4)
-        _add(t, OpKind.HE_ROTATE, [src], level=4, key=None)
+        _add(t, OpKind.HE_ROTATE, [src], level=4, key=None,
+             meta={"rotation": 1})
         assert _codes(t) == {"HE022": 1}
 
 
@@ -368,7 +371,8 @@ class TestDiagnosticsFramework:
         src = _add(t, OpKind.SOURCE, level=4)
         r1 = _add(t, OpKind.HE_ROTATE, [src], level=4, key="rot-1",
                   meta={"rotation": 1, **_mult_meta(4)})
-        r2 = _add(t, OpKind.HE_ROTATE, [src], level=4, key=None)
+        r2 = _add(t, OpKind.HE_ROTATE, [src], level=4, key=None,
+                  meta={"rotation": 2, **_mult_meta(4)})
         _add(t, OpKind.HE_ADD, [r1, r2], level=4)
         report = lint_trace(t, normalized=True)
         ranks = [d.severity.rank for d in report.sorted()]

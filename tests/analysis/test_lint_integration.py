@@ -56,7 +56,8 @@ def absent_rotation_key_trace():
     t = OpTrace(params=TOY, name="inject-absent-key")
     src = _add(t, OpKind.SOURCE, level=4)
     _add(t, OpKind.HE_ROTATE, [src], level=4,
-         key=f"rot-{TOY.num_slots + 3}")
+         key=f"rot-{TOY.num_slots + 3}",
+         meta={"rotation": TOY.num_slots + 3})
     return t, "HE020"
 
 

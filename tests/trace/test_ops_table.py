@@ -136,9 +136,27 @@ def test_a_wrong_input_count_fails_validation():
 
 
 def test_a_wrong_input_count_is_he050():
-    assert lint_trace(_two_defect_trace()).codes() == {"HE050": 1}
+    assert lint_trace(_two_defect_trace()).codes() == {"HE050": 2}
     with pytest.raises(LintError, match="HE050"):
         engine.compile(_two_defect_trace(), lint="strict")
+
+
+@pytest.mark.parametrize("kind, key", [(OpKind.HE_ROTATE, "rot-1"),
+                                       (OpKind.SCALAR_MULT, None)],
+                         ids=["he_rotate", "scalar_mult"])
+def test_a_missing_method_operand_is_structural(kind, key):
+    """Every ``meta_args`` key is required up front, so the op fails
+    validation instead of replay."""
+    trace = OpTrace(params=TOY, name="no-operand")
+    trace.append(TraceOp(0, OpKind.SOURCE, (), 4, 4, out_scale=DELTA))
+    trace.append(TraceOp(1, kind, (0,), 4, 4, out_scale=DELTA, key=key,
+                         meta={"rescaled": False}))
+    (arg,) = OPS[kind].meta_args
+    assert lint_trace(trace).codes() == {"HE050": 1}
+    with pytest.raises(TraceValidationError, match=rf"meta\['{arg}'\]"):
+        validate_trace(trace)
+    with pytest.raises(LintError, match="HE050"):
+        engine.compile(trace, lint="strict")
 
 
 def test_replay_raises_plan_error_for_an_op_it_cannot_apply(ctx):
