@@ -6,18 +6,12 @@ ModDown) at a 54-bit-prime preset, once on the native
 double-word path and once with :func:`repro.fhe.modmath.force_object_dtype`
 re-enabling the seed's object-dtype Python-int path.  CI uploads the file
 as a build artifact so the native-kernel speedup at paper word sizes is
-tracked across PRs.
-
-The envelope also carries a ``mont_chain`` section timing chained
-EVAL-form pointwise products (Montgomery in-domain REDC vs per-product
-Barrett) at the paper word; ``--assert-mont-chain FLOOR`` turns that
-measurement into a hard gate.  ``--large-ring`` adds a native-vs-object
-comparison at an N=2^13 ring (slow; run by the nightly lane only).
+tracked across PRs.  ``--large-ring`` adds a native-vs-object comparison
+at an N=2^13 ring (slow; run by the nightly lane only).
 
 Usage::
 
-    python benchmarks/export_modmath_bench.py --out BENCH_modmath.json \
-        --assert-mont-chain 1.5
+    python benchmarks/export_modmath_bench.py --out BENCH_modmath.json
 """
 
 from __future__ import annotations
@@ -25,8 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import time
-
-import numpy as np
 
 from repro.experiments.export import envelope, write_json
 from repro.fhe import CkksContext, CkksParameters, modmath
@@ -41,16 +33,6 @@ def median_seconds(fn, repeats: int) -> float:
         times.append(time.perf_counter() - start)
     times.sort()
     return times[len(times) // 2]
-
-
-def best_seconds(fn, repeats: int) -> float:
-    """Min over repeats: the stablest estimator for short numpy kernels."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
 
 
 def bench_params() -> CkksParameters:
@@ -86,49 +68,6 @@ def time_kernels(params: CkksParameters, repeats: int) -> dict:
     }
 
 
-def time_mont_chain(params: CkksParameters, repeats: int,
-                    n: int = 1 << 12, k: int = 8) -> dict:
-    """Chained pointwise products: in-domain Montgomery vs Barrett.
-
-    The operands convert to Montgomery form outside the timed region,
-    matching how the evaluator caches switching keys and BSGS diagonals;
-    the timed chain is k-1 REDC products plus one final conversion.
-    n=2^12 keeps the working set cache-resident so the measurement
-    reflects the kernels rather than memory traffic.
-    """
-    moduli = tuple(int(q) for q in params.moduli)
-    rng = np.random.default_rng(3)
-    ops = [np.stack([modmath.random_residues(n, q, rng) for q in moduli])
-           for _ in range(k)]
-    ops_mont = [modmath.to_mont_stack(op, moduli) for op in ops]
-
-    def barrett_chain():
-        acc = ops[0]
-        for op in ops[1:]:
-            acc = modmath.mulmod_stack(acc, op, moduli)
-        return acc
-
-    def mont_chain():
-        acc = ops_mont[0]
-        for op in ops_mont[1:]:
-            acc = modmath.mont_mulmod_stack(acc, op, moduli)
-        return modmath.from_mont_stack(acc, moduli)
-
-    if not np.array_equal(barrett_chain(), mont_chain()):
-        raise AssertionError(
-            "Montgomery chain is not bit-identical to the Barrett chain")
-    t_barrett = best_seconds(barrett_chain, max(repeats, 5))
-    t_mont = best_seconds(mont_chain, max(repeats, 5))
-    return {
-        "n": n,
-        "chain_length": k,
-        "num_limbs": len(moduli),
-        "barrett_chain_seconds": t_barrett,
-        "mont_chain_seconds": t_mont,
-        "speedup_mont_vs_barrett": t_barrett / t_mont,
-    }
-
-
 def large_ring_params() -> CkksParameters:
     """54-bit word at N=2^13: the nightly native-vs-object regime."""
     return CkksParameters._build(ring_degree=1 << 13, scale_bits=50,
@@ -160,10 +99,6 @@ def main() -> None:
                         help="output JSON path")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats per op (median is reported)")
-    parser.add_argument("--assert-mont-chain", type=float, default=None,
-                        metavar="FLOOR",
-                        help="fail unless the Montgomery chain beats the "
-                             "Barrett chain by at least FLOOR x")
     parser.add_argument("--large-ring", action="store_true",
                         help="also run the native-vs-object comparison at "
                              "an N=2^13 ring (slow; nightly lane only)")
@@ -175,7 +110,6 @@ def main() -> None:
                         ("object", modmath.force_object_dtype)):
         with guard():
             regimes[name] = time_kernels(params, args.repeats)
-    mont_chain = time_mont_chain(params, args.repeats)
     extra = {}
     if args.large_ring:
         lparams = large_ring_params()
@@ -205,25 +139,16 @@ def main() -> None:
         speedups_native_vs_object={
             op: regimes["object"][op] / regimes["native"][op]
             for op in regimes["native"]},
-        mont_chain=mont_chain,
         **extra,
     )
     write_json(report, args.out)
     print(f"wrote {args.out}")
     for name, value in sorted(report["speedups_native_vs_object"].items()):
         print(f"  {name}: {value:.2f}x")
-    chain_speedup = mont_chain["speedup_mont_vs_barrett"]
-    print(f"  mont_chain (k={mont_chain['chain_length']}, "
-          f"n={mont_chain['n']}): {chain_speedup:.2f}x")
     if args.large_ring:
         for name, value in sorted(
                 extra["large_ring"]["speedups_native_vs_object"].items()):
             print(f"  large_ring/{name}: {value:.2f}x")
-    if args.assert_mont_chain is not None \
-            and chain_speedup < args.assert_mont_chain:
-        raise SystemExit(
-            f"Montgomery chain speedup {chain_speedup:.2f}x is below the "
-            f"required floor {args.assert_mont_chain}x")
 
 
 if __name__ == "__main__":

@@ -92,92 +92,6 @@ def test_ntt_native_speedup(native_vs_object):
         f"primes, got {native_vs_object['ntt']:.2f}x")
 
 
-def test_shoup_rescale_constants_speedup():
-    """The per-level rescale/ModDown scalar constants take the Shoup path.
-
-    ``rescale_last`` / ``mod_down`` end with one scalar multiply per
-    remaining limb (``q_last^{-1}``, ``P^{-1}``).  With the constants
-    bound per level (``modmath.rescale_constants``,
-    ``KeySwitchContext.p_inv_scale`` — ``BoundScalarMul`` objects holding
-    the Shoup quotients as ready columns), that multiply must be
-    bit-identical to the generic Barrett sweep and measurably faster at
-    the paper's 54-bit word (~4.5x measured; 1.5x floor).
-    """
-    import numpy as np
-
-    chain = tuple(int(q) for q in PARAMS_54.moduli)
-    moduli = chain[:-1]
-    assert modmath.stack_native_class(moduli) == "dword"
-    scale = modmath.rescale_constants(chain)
-    invs = scale.scalars
-    assert len(invs) == len(moduli)
-    rng = np.random.default_rng(7)
-    stack = np.stack([modmath.random_residues(1 << 14, q, rng)
-                      for q in moduli])
-    barrett = modmath.scalar_mul_stack(stack, invs, moduli)
-    shoup = scale(stack)
-    assert np.array_equal(barrett, shoup), (
-        "Shoup scalar stack multiply must be bit-identical to the "
-        "Barrett path")
-    t_barrett = median_seconds(
-        lambda: modmath.scalar_mul_stack(stack, invs, moduli), repeats=5)
-    t_shoup = median_seconds(lambda: scale(stack), repeats=5)
-    speedup = t_barrett / t_shoup
-    print(f"\n54-bit rescale-constant multiply: Shoup {speedup:.1f}x "
-          "over Barrett")
-    assert speedup >= 1.5, (
-        f"precomputed Shoup constants should beat the per-call Barrett "
-        f"sweep by >= 1.5x at 54-bit primes, got {speedup:.2f}x")
-
-
-def test_montgomery_chain_speedup():
-    """Chained EVAL-form pointwise products: Montgomery vs Barrett.
-
-    Models the cached-operand chains of the Montgomery EVAL fast path
-    (switching keys, BSGS diagonals, HEMult operands): the operands are
-    converted into Montgomery form once, outside the timed region —
-    exactly as the evaluator caches them — so the timed chain is k-1
-    in-domain REDC products plus one final from-Montgomery conversion.
-    That must beat the per-product Barrett chain by >= 1.5x at the
-    paper's 54-bit word, and be bit-identical with it.
-    """
-    import numpy as np
-
-    moduli = tuple(int(q) for q in PARAMS_54.moduli)
-    assert modmath.stack_native_class(moduli) == "dword"
-    rng = np.random.default_rng(3)
-    # n=2^12 keeps the 8-operand working set L2-resident, so the timing
-    # reflects the kernels (REDC vs Barrett) rather than memory traffic;
-    # the nightly --large-ring export covers the N=2^13 regime.
-    n, k = 1 << 12, 8
-    ops = [np.stack([modmath.random_residues(n, q, rng) for q in moduli])
-           for _ in range(k)]
-    ops_mont = [modmath.to_mont_stack(op, moduli) for op in ops]
-
-    def barrett_chain():
-        acc = ops[0]
-        for op in ops[1:]:
-            acc = modmath.mulmod_stack(acc, op, moduli)
-        return acc
-
-    def mont_chain():
-        acc = ops_mont[0]
-        for op in ops_mont[1:]:
-            acc = modmath.mont_mulmod_stack(acc, op, moduli)
-        return modmath.from_mont_stack(acc, moduli)
-
-    assert np.array_equal(barrett_chain(), mont_chain()), (
-        "Montgomery chain must be bit-identical to the Barrett chain")
-    t_barrett = best_seconds(barrett_chain)
-    t_mont = best_seconds(mont_chain)
-    speedup = t_barrett / t_mont
-    print(f"\n54-bit chained pointwise multiply (k={k}, n=2^12): "
-          f"Montgomery {speedup:.1f}x over Barrett")
-    assert speedup >= 1.5, (
-        f"in-domain Montgomery chains should beat per-product Barrett by "
-        f">= 1.5x at 54-bit primes, got {speedup:.2f}x")
-
-
 def _pw54_stack(rows, n=PARAMS_54.ring_degree):
     """``rows`` limbs of the 54-bit basis with seeded residues."""
     import numpy as np
@@ -203,9 +117,10 @@ def test_dword_stacked_ntt_speedup():
     """One stacked transform of nine 54-bit limbs against nine per-limb
     ones.
 
-    The stacked transform is two split-word matmul steps and one Shoup
-    twiddle scale over the whole stack; the per-limb one is ten Shoup
-    butterfly stages per limb.  When the stack ran butterflies too the
+    The stacked transform is two split-word matmul steps and one
+    ``_mulmod_f64`` twiddle scale over the whole stack; the per-limb one
+    is ten butterfly stages per limb through the generic ``*_vec``
+    kernels.  When the stack ran butterflies too the
     ratio was stacking alone (~2.5x); the matmul steps measured 3.2-3.9x
     (3.0x floor).  A regression to butterflies, or a recombination that
     grows a few passes, lands below it.

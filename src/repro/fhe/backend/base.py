@@ -108,20 +108,17 @@ class ComputeBackend(abc.ABC):
 
     # -- Montgomery-domain kernels ----------------------------------------
     #
-    # The EVAL-form fast path: limbs mapped into Montgomery form
-    # (``a * R mod q``, ``R = modmath.mont_radix(q)``: 2**64 from 2**31
-    # up, 1 below) stay there across chains of pointwise products,
-    # paying one REDC per product instead of a full Barrett reduction.
-    # With exactly one operand in Montgomery form ``mont_mul`` returns a
-    # plain residue (the one-conversion trick for cached constants such as
-    # switching keys and encoded diagonals); with both in Montgomery form
-    # the result stays in-domain.  All three kernels are exact in every
-    # dispatch tier, so backends remain bit-identical with the Barrett
-    # path.  The generic implementations below loop per limb; the stacked
-    # backend overrides them with single-sweep stack kernels.
+    # ``R = 1`` for every modulus (see ``modmath``): a plain product is
+    # already the cheapest one on every tier, so Montgomery form is the
+    # plain residue, the conversions return their input and ``mont_mul``
+    # is ``mul``.  The ``Polynomial.mont`` flag and its call sites still
+    # route through these three until they go.  The generic
+    # implementations below loop per limb; the stacked backend overrides
+    # them with single-sweep stack kernels.
 
     def mont_mul(self, a: Any, b: Any, moduli: tuple[int, ...]) -> Any:
-        """Pointwise REDC multiply: limb i is ``a*b * R_i**-1 mod q_i``."""
+        """Pointwise in-domain multiply: limb i is ``a*b * R_i**-1 mod
+        q_i``, with ``R_i = 1``."""
         out = [mont_mulmod_vec(x, y, q)
                for x, y, q in zip(self.to_limbs(a, moduli),
                                   self.to_limbs(b, moduli), moduli)]

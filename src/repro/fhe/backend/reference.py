@@ -5,7 +5,7 @@ through a Python-level loop over limbs, exactly as the original
 ``poly.py``/``evaluator.py`` hot paths did.  It is the correctness oracle
 the :mod:`~repro.fhe.backend.stacked` backend is cross-checked against.
 The per-limb kernels themselves dispatch through :mod:`~repro.fhe.modmath`
-(int64 below 2**31, double-word native below 2**61, object beyond).
+(int64 below 2**31, double-word native below 2**56, object beyond).
 """
 
 from __future__ import annotations

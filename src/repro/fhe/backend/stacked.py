@@ -10,9 +10,10 @@ every hot path; see ``benchmarks/test_backend_speedup.py``.
 
 Bit-exact with the reference backend: both run the same exact integer
 arithmetic (int64 single-multiply path for stacks whose moduli are all
-below 2**31, double-word uint64 sweeps below 2**61, the paper's 54-bit
-word included — on both, the NTT and the key-switch base conversions as
-exact matrix products — and object dtype beyond that).  NTT tables are
+below 2**31, one int64 product with float64 quotient estimates below
+2**56, the paper's 54-bit word included — on both, the NTT and the
+key-switch base conversions as exact matrix products — and object dtype
+beyond that).  NTT tables are
 not this backend's: they are built once per process and shared
 (:mod:`repro.fhe.ntt`).
 """

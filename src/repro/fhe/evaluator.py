@@ -147,10 +147,9 @@ class CkksEvaluator:
         levels are aligned by dropping limbs.
         """
         ct1, ct2 = self._align(ct1, ct2, check_scale=False)
-        # Montgomery EVAL fast path: two Shoup conversions of ct2's pair
-        # buy single-REDC products for all four tensor cross terms (each
-        # product has exactly one Montgomery operand, so results land in
-        # the plain domain, bit-identical with the Barrett products).
+        # ct2's pair is flagged Montgomery form (R = 1: nothing is
+        # converted); each cross term has exactly one in-domain operand,
+        # so all four land in the plain domain.
         b0 = ct2.c0.to_mont()
         b1 = ct2.c1.to_mont()
         d0 = ct1.c0 * b0
@@ -164,8 +163,8 @@ class CkksEvaluator:
 
     def he_square(self, ct: Ciphertext, rescale: bool = True) -> Ciphertext:
         """Squaring (saves one polynomial product vs he_mult)."""
-        # Same Montgomery trick as he_mult: convert one copy of the pair,
-        # then the three tensor products are one REDC per limb each.
+        # As in he_mult: one copy of the pair flagged Montgomery form,
+        # the three tensor products land in the plain domain.
         c0m = ct.c0.to_mont()
         c1m = ct.c1.to_mont()
         d0 = ct.c0 * c0m

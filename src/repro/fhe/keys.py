@@ -43,16 +43,13 @@ class PublicKey:
 class SwitchingKey:
     """Hybrid switching key: one (b_j, a_j) pair per digit (EVAL).
 
-    Components live over the extended basis C_level + P and are stored in
-    **Montgomery form** (``Polynomial.mont``): the key product of every
-    KeySwitch multiplies each raised digit against these cached constants,
-    so paying the domain conversion once at generation turns all those
-    products into single-REDC multiplies whose results land directly in
-    the plain domain (one-conversion trick).  Limb i holds
-    ``k * R_i mod q_i``, ``R_i = 2**64`` for ``q_i >= 2**31``; below
-    that ``R_i = 1``, so an int64-tier key is stored as its plain values
-    and its products are plain ones, one ``%`` each.  ``digit_spans``
-    records the [start, stop) limb range of each digit at this level.
+    Components live over the extended basis C_level + P and are flagged
+    as **Montgomery form** (``Polynomial.mont``).  ``R = 1`` on every
+    tier, so a key is stored as its plain values and each key product is
+    a plain one: one ``%`` on the int64 tier, one
+    :func:`repro.fhe.modmath._mulmod_f64` on the double-word tier.
+    ``digit_spans`` records the [start, stop) limb range of each digit at
+    this level.
     """
 
     bs: list[Polynomial]
@@ -143,9 +140,9 @@ class KeyGenerator:
             a_j = self.context.random_uniform(extended)
             e_j = self.context.random_gaussian(extended, self.sigma).to_eval()
             b_j = -(a_j * s) + e_j + s_target.scalar_mul(factor)
-            # Stored in Montgomery form: the RNG draws above are untouched,
-            # so the key *values* match the seed path exactly and every
-            # later key product is a single REDC per limb.
+            # Flagged Montgomery form, with R = 1 the plain values: the
+            # RNG draws above are untouched, so the key matches the seed
+            # path exactly.
             bs.append(b_j.to_mont())
             as_.append(a_j.to_mont())
         return SwitchingKey(bs=bs, as_=as_, level=level,
@@ -204,9 +201,9 @@ def inner_product_keyswitch(raised: list[Polynomial], key: SwitchingKey,
     """Key product + ModDown: sum_j d_j * evk_j, then divide by P.
 
     ``raised`` are the EVAL digits of :func:`raise_digits`.  The key
-    components are stored in Montgomery form, so each ``d_j * b_j`` /
-    ``d_j * a_j`` below is one REDC per limb with a plain-domain result
-    (bit-identical to the Barrett product of the plain values).
+    components are flagged Montgomery form with ``R = 1``, so each
+    ``d_j * b_j`` / ``d_j * a_j`` below is the plain product of the plain
+    values.
     """
     acc0 = acc1 = None
     for d_j, b_j, a_j in zip(raised, key.bs, key.as_):

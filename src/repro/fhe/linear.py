@@ -123,9 +123,8 @@ class LinearTransform:
                           ct: Ciphertext) -> Polynomial:
         """rot_{-shift}(d_k) as an operand at the ciphertext's level.
 
-        Montgomery form: the BSGS accumulation multiplies every baby-step
-        component against these constants, so each product is a single
-        REDC per limb with a plain-domain result.  ``shift`` is a function
+        Flagged Montgomery form (``R = 1``): each product with a baby-step
+        component lands in the plain domain.  ``shift`` is a function
         of ``k`` alone, so one encoding per diagonal serves every level.
         """
         evaluator = self.evaluator
@@ -157,8 +156,8 @@ def _monomial_eval(evaluator: CkksEvaluator, power: int,
                    moduli: tuple[int, ...]) -> Polynomial:
     """NTT of x^power over the given basis (cached on the evaluator).
 
-    Cached in Montgomery form so each multiply-by-monomial costs one REDC
-    per limb (the product's other operand is plain, so the result is too).
+    Cached flagged Montgomery form (``R = 1``); the product's other
+    operand is plain, so the result is too.
     """
     cache = getattr(evaluator, "_monomial_cache", None)
     if cache is None:

@@ -4,31 +4,30 @@ All FHE building blocks in the paper reduce to 64-bit-wide scalar modular
 additions and multiplications (paper section 2.2).  This module provides:
 
 * scalar Barrett reduction (classic and the "modified Barrett" variant of
-  Shivdikar et al. [76] that uses a single conditional subtraction),
-* Montgomery multiplication: the scalar :class:`MontgomeryContext` (a test
-  oracle and the ISA model's sizing reference) and its vectorized
-  counterpart (:func:`mont_precompute_vec`, :func:`mont_mulmod_vec`,
-  :func:`to_mont_vec` / :func:`from_mont_vec` plus the ``*_stack``
-  variants) used by the EVAL-form fast path: limbs that stay in
-  Montgomery domain across chains of pointwise products pay one REDC per
-  product instead of a full 128-bit Barrett reduction (HEAAN
-  Demystified's amortized-reduction observation).  The radix is a
-  property of the modulus (:func:`mont_radix`): ``R = 2**64`` from 2**31
-  up, ``R = 1`` below, where a product is one multiply and one ``%``
-  already and Montgomery form is the identity,
+  Shivdikar et al. [76] that uses a single conditional subtraction) and
+  scalar Montgomery multiplication (:class:`MontgomeryContext`): the
+  test oracles and the ISA model's sizing references for what a MOD-unit
+  computes,
 * vectorized numpy backends.  Products of two word-size residues overflow
   64-bit integers for the paper's 54-bit primes, so there are three paths:
 
   - ``int64`` fast path: a single machine multiply, exact whenever
     ``q < 2**31`` (products < 2**62); used by the toy/test presets;
-  - double-word native path: exact for any ``q < 2**61`` (in particular
-    the paper's 54-bit word).  Products are carried as a pair of uint64
-    words via 32-bit splits and reduced with a 128-bit Barrett sequence
-    (the same algorithm a MOD-unit implements in hardware), or with the
-    Shoup precomputed-quotient multiply when one operand is a known
-    constant (NTT twiddles, scalar tables);
+  - double-word native path: exact for any ``q < 2**56`` (the paper's
+    54-bit word and its 55-bit ``q_0`` / special primes).  A product is
+    one wrapping int64 multiply, corrected by two float64 quotient
+    estimates (:func:`_mulmod_f64`) — arrays, constants and NTT twiddles
+    alike, with no 32-bit splits and no 128-bit emulation;
   - object-dtype fallback: numpy arrays of Python ints, exact for any
-    word size; only moduli of 61+ bits take this path now.
+    word size; moduli of 56+ bits take this path.
+
+Montgomery form is the identity on every tier (``R = 1``): a product is
+one multiply and one ``%`` below 2**31 and one :func:`_mulmod_f64` above,
+and REDC could only add work to either.  :func:`to_mont_vec` /
+:func:`from_mont_vec` and the ``*_stack`` variants return their input and
+:func:`mont_mulmod_vec` / :func:`mont_mulmod_stack` are the plain
+products; they stay until the ``Polynomial.mont`` flag that calls them
+goes.
 
 The generic kernels (``*_vec`` per limb, ``*_stack`` across a limb stack)
 choose the path automatically per call; see :func:`mulmod_vec`.  The hot
@@ -36,14 +35,12 @@ paths do not pay that choice per call: a ``BatchedNttContext`` binds its
 tier, modulus columns and tables when it is built and runs that tier's
 kernel directly (one exact float64 matrix product per factor of N on
 both native tiers, :class:`BoundModMatmul`, with int64 twiddle scales
-below 2**31 and Shoup ones up to 2**61), both base conversions of a key
-switch are the same bound matmul on both native tiers (one table word
-and a plain ``%`` below 2**31), and the per-level constant multiplies of
-the key-switch datapath are :class:`BoundScalarMul` objects held by the
-``KeySwitchContext`` (see "The three dtype paths" in
-``backend/README.md``).  Conditional subtractions on the double-word
-tier are branch-free: ``np.minimum(r, r - q)`` in uint64, where
-``r - q`` wraps past ``r`` exactly when ``r < q``.  For benchmarking (and for pitting the native
+below 2**31 and :func:`_mulmod_f64` ones up to 2**56), both base
+conversions of a key switch are the same bound matmul on both native
+tiers (one table word and a plain ``%`` below 2**31), and the per-level
+constant multiplies of the key-switch datapath are :class:`BoundScalarMul`
+objects held by the ``KeySwitchContext`` (see "The three dtype paths" in
+``backend/README.md``).  For benchmarking (and for pitting the native
 paths against the bignum oracle) :func:`force_object_dtype` disables both
 native paths — bound contexts read that flag once per call.
 """
@@ -60,10 +57,11 @@ import numpy as np
 INT64_SAFE_MODULUS = 1 << 31
 
 #: Moduli strictly below this bound can use the exact double-word native
-#: path (32-bit-split products + 128-bit Barrett / Shoup reduction).  The
-#: 61-bit ceiling keeps the Barrett remainder estimate within one
-#: conditional subtraction and lets reduced sums stay inside int64.
-NATIVE_SAFE_MODULUS = 1 << 61
+#: path (one int64 product and two float64 quotient estimates,
+#: :func:`_mulmod_f64`).  The 56-bit ceiling keeps the first estimate
+#: within 41 of the true quotient, so the remainder it leaves stays inside
+#: int64 (``41 q < 2**62``).
+NATIVE_SAFE_MODULUS = 1 << 56
 
 #: When True, every vector kernel takes the object-dtype path regardless
 #: of modulus size (see :func:`force_object_dtype`).
@@ -224,8 +222,9 @@ def native_class(q: int) -> str:
     """Kernel class for one modulus: ``"int64"``, ``"dword"``, ``"object"``.
 
     ``int64`` means a single machine multiply is exact (q < 2**31);
-    ``dword`` means the double-word Barrett/Shoup path applies
-    (q < 2**61); ``object`` is the arbitrary-precision fallback.
+    ``dword`` means one int64 product and two float64 quotient estimates
+    are (q < 2**56, :func:`_mulmod_f64`); ``object`` is the
+    arbitrary-precision fallback.
     """
     if q < INT64_SAFE_MODULUS and not _OBJECT_ONLY:
         return "int64"
@@ -243,287 +242,81 @@ def _as_object_array(a: np.ndarray) -> np.ndarray:
     return a.astype(object) if a.dtype != object else a
 
 
-# -- double-word (uint64-pair) primitives ------------------------------------
+# -- the double-word product --------------------------------------------------
 #
-# numpy has no 128-bit integer, so products of two residues beyond 2**31 are
-# carried as (hi, lo) uint64 pairs built from 32-bit splits -- the exact
-# digit decomposition a GPU's 32-bit integer datapath performs (paper
-# section 2.2 / Table 4).  All arithmetic below relies on uint64 wrap-around
-# being well-defined in numpy.
-
-_U32_MASK = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-_WORD64_MASK = (1 << 64) - 1
+# numpy has no 128-bit integer, and a GPU's 32-bit datapath has none either:
+# it builds a 64-bit modular product out of 32-bit pieces (paper section 2.2
+# / Table 4).  Here the pieces are not needed.  The product's low 64 bits
+# are one wrapping int64 multiply, and the quotient that turns them into
+# the remainder is estimated in float64 closely enough to be exact.
 
 
-def _as_u64(a: np.ndarray) -> np.ndarray:
-    """Reinterpret non-negative int64 storage as uint64 (no copy)."""
-    if isinstance(a, np.ndarray) and a.dtype == np.int64:
-        return a.view(np.uint64)
-    return np.asarray(a).astype(np.uint64)
+def _mulmod_f64(a, b, b_f64, q, q_inv):
+    """``a * b mod q`` for ``q < 2**56``, ``|a| < q``, ``0 <= b < q``.
 
+    ``a`` and ``b`` are int64; ``b_f64`` is ``b`` as float64 (or ``b``
+    itself, converted inside the multiply); ``q`` is int64 and ``q_inv``
+    its float64 reciprocal — scalars or columns that broadcast against
+    the operands, one modulus per row, any mix of widths.  Returns int64
+    residues in ``[0, q)``.
 
-def _mul64(a, b):
-    """Full 64x64 -> 128-bit product as a ``(hi, lo)`` uint64 pair."""
-    a0 = a & _U32_MASK
-    a1 = a >> _SHIFT32
-    b0 = b & _U32_MASK
-    b1 = b >> _SHIFT32
-    p00 = a0 * b0
-    mid1 = a1 * b0 + (p00 >> _SHIFT32)
-    mid2 = a0 * b1 + (mid1 & _U32_MASK)
-    hi = a1 * b1 + (mid1 >> _SHIFT32) + (mid2 >> _SHIFT32)
-    lo = (mid2 << _SHIFT32) | (p00 & _U32_MASK)
-    return hi, lo
+    Round 1.  ``k = rint(fl(a) * fl(b) * fl(1/q))`` makes five roundings
+    of relative size ``u = 2**-53`` — three conversions, two products —
+    on a value below q, so ``|k - ab/q| < 5.01 u q + 1/2``, which is
+    below 41 for ``q < 2**56``.  The true remainder ``r = ab - kq`` then
+    has ``|r| < 41 q < 2**62``, and wrapping int64 arithmetic computes it
+    exactly as ``(ab mod 2**64) - (kq mod 2**64)``.
 
-
-def _mulhi64(a, b):
-    """High 64 bits of the 64x64-bit product (the MULHI instruction)."""
-    a0 = a & _U32_MASK
-    a1 = a >> _SHIFT32
-    b0 = b & _U32_MASK
-    b1 = b >> _SHIFT32
-    mid1 = a1 * b0 + ((a0 * b0) >> _SHIFT32)
-    mid2 = a0 * b1 + (mid1 & _U32_MASK)
-    return a1 * b1 + (mid1 >> _SHIFT32) + (mid2 >> _SHIFT32)
+    Round 2.  ``k = rint(fl(r) * fl(1/q))`` makes three roundings on
+    ``|r| / q < 41``: within ``3.01 u * 41 + 1/2 < 1`` of ``r / q``, so
+    ``r - kq`` lands in ``(-q, q)``.  A negative value reads as itself
+    plus ``2**64`` in uint64, and adding q wraps it into ``[0, q)``,
+    below itself; a non-negative one only grows — ``min(u, u + q)`` in
+    uint64 is the residue.
+    """
+    k = np.multiply(a, b_f64, dtype=np.float64)
+    k *= q_inv
+    np.rint(k, out=k)
+    r = a * b
+    kq = k.astype(np.int64)
+    kq *= q
+    r -= kq
+    np.multiply(r, q_inv, out=k)
+    np.rint(k, out=k)
+    kq[...] = k
+    kq *= q
+    r -= kq
+    np.add(r, q, out=kq)
+    u = r.view(np.uint64)
+    return np.minimum(u, kq.view(np.uint64), out=u).view(np.int64)
 
 
 @functools.lru_cache(maxsize=None)
-def _barrett128(q: int) -> tuple[np.uint64, np.uint64, np.uint64]:
-    """``(q, ratio_lo, ratio_hi)`` with ``ratio = floor(2**128 / q)``.
-
-    The two ratio words drive the 128-bit Barrett reduction of
-    :func:`_barrett_reduce_dword`; they are what a MOD-unit's constant
-    registers would hold for this modulus.
-    """
-    ratio = (1 << 128) // q
-    return (np.uint64(q), np.uint64(ratio & _WORD64_MASK),
-            np.uint64(ratio >> 64))
-
-
-def _barrett_reduce_dword(hi, lo, q_u, ratio_lo, ratio_hi):
-    """Barrett-reduce a 128-bit value ``hi:lo`` modulo ``q`` (uint64 out).
-
-    Estimates ``t ~ floor(x * ratio / 2**128)`` keeping only the carries
-    of the low cross products; for ``x < q**2`` and ``q < 2**61`` the
-    estimate is off by at most one multiple of ``q``, so a single
-    conditional subtraction finishes the reduction (the modified Barrett
-    sequence of [76] widened to a double word).
-    """
-    carry = _mulhi64(lo, ratio_lo)
-    t_hi, t_lo = _mul64(lo, ratio_hi)
-    tmp = t_lo + carry
-    round1 = t_hi + (tmp < t_lo)
-    t_hi, t_lo = _mul64(hi, ratio_lo)
-    tmp2 = tmp + t_lo
-    carry = t_hi + (tmp2 < t_lo)
-    quot = hi * ratio_hi + round1 + carry
-    r = lo - quot * q_u
-    # r < 2q < 2**62, so r - q wraps past r exactly when r < q.
-    return np.minimum(r, r - q_u)
+def _f64_columns(moduli: tuple[int, ...],
+                 ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(q, 1 / q)`` int64 / float64 columns of a basis, shaped
+    ``(L, 1, ..)``: what binds :func:`_mulmod_f64` to it.  Cached per
+    basis; callers must never write into them."""
+    q_max = max(moduli)
+    # Round 1 within 41 of the quotient, its remainder inside int64.
+    assert 5.01 * q_max / 2**53 + 0.5 < 41 and 41 * q_max < 1 << 62, q_max
+    q = np.array(moduli, dtype=np.int64).reshape(
+        (len(moduli),) + (1,) * (ndim - 1))
+    return q, 1.0 / q
 
 
-@functools.lru_cache(maxsize=4096)
-def _shoup_scalar(w: int, q: int) -> tuple[np.uint64, np.uint64, np.uint64]:
-    """Cached ``(w, shoup(w), q)`` uint64 triple for a scalar constant.
-
-    The per-level constants of the per-limb paths (rescale inverses,
-    ``P^{-1}``, CRT inverses) are fixed, so the Python-bigint quotient
-    ``(w << 64) // q`` is paid once per (constant, modulus) pair,
-    mirroring :func:`_barrett128`.  Bounded: ``scalar_mul`` feeds this
-    request-supplied scalars, and a miss only costs that one quotient.
-    """
-    return np.uint64(w), np.uint64((w << 64) // q), np.uint64(q)
-
-
-def _mulmod_dword(a: np.ndarray, b, q: int) -> np.ndarray:
-    """Exact vector mulmod for ``q < 2**61`` via the double-word path.
-
-    Operands must be reduced residues in ``[0, q)``.  Returns int64 (the
-    native storage dtype).  ``b`` may be an array or an integer scalar;
-    scalars take the cheaper Shoup multiply with a cached precomputed
-    quotient.
-    """
-    au = _as_u64(a)
-    if isinstance(b, (int, np.integer)):
-        w, w_shoup, q_u = _shoup_scalar(int(b) % q, q)
-        return _shoup_mulmod_u64(au, w, w_shoup, q_u).view(np.int64)
-    q_u, ratio_lo, ratio_hi = _barrett128(q)
-    hi, lo = _mul64(au, _as_u64(b))
-    return _barrett_reduce_dword(hi, lo, q_u, ratio_lo, ratio_hi).view(
-        np.int64)
-
-
-def shoup_precompute(w: int, q: int) -> int:
-    """Shoup quotient ``floor(w * 2**64 / q)`` for a constant ``w < q``."""
-    if not 0 <= w < q:
-        raise ValueError(f"Shoup constant must be reduced: {w} mod {q}")
-    return (w << 64) // q
-
-
-def shoup_precompute_vec(values, q: int) -> np.ndarray:
-    """Shoup quotients for a table of reduced constants (uint64)."""
-    return np.array([(int(w) << 64) // q for w in values], dtype=np.uint64)
-
-
-def _shoup_mulmod_u64(a, w, w_shoup, q_u):
-    """``a * w mod q`` with the precomputed quotient (all uint64).
-
-    One MULHI + two low multiplies + one conditional subtraction — the
-    constant-multiply sequence the paper's NTT kernels use for twiddles.
-    Exact for ``a < q``, ``w < q``, ``q < 2**63``.
-    """
-    qhat = _mulhi64(w_shoup, a)
-    r = w * a - qhat * q_u
-    # r < 2q < 2**62, so r - q wraps past r exactly when r < q.
-    return np.minimum(r, r - q_u)
-
-
-def shoup_mulmod_vec(a: np.ndarray, w: int, w_shoup: int,
-                     q: int) -> np.ndarray:
-    """Vector Shoup multiply by a constant; int64 in, int64 out.
-
-    ``w_shoup`` must come from :func:`shoup_precompute`.  Used by tests as
-    the public face of the Shoup path; the NTT contexts call the uint64
-    kernel directly on their precomputed tables.
-    """
-    out = _shoup_mulmod_u64(_as_u64(a), np.uint64(w), np.uint64(w_shoup),
-                            np.uint64(q))
-    return out.view(np.int64) if out.dtype == np.uint64 else out
-
-
-def _addmod_u64(a, b, q_u):
-    """uint64 modular addition of reduced operands (broadcastable q)."""
-    s = a + b
-    # s < 2q < 2**62, so s - q wraps past s exactly when s < q.
-    return np.minimum(s, s - q_u)
-
-
-def _submod_u64(a, b, q_u):
-    """uint64 modular subtraction of reduced operands (broadcastable q)."""
-    d = a - b
-    # a, b < q < 2**61: d wraps above 2**63 exactly when a < b, and d + q
-    # then wraps back into [0, q); otherwise d < q <= d + q.
-    return np.minimum(d, d + q_u)
-
-
-# -- Montgomery-domain vector kernels -----------------------------------------
+# -- Montgomery form ----------------------------------------------------------
 #
-# The EVAL-form fast path: limbs mapped into Montgomery form (a*R mod q)
-# stay there across chains of pointwise products, paying one REDC per
-# product (one full multiply + one low multiply + one MULHI) instead of
-# the full 128-bit Barrett sequence.  R = 2**64 makes the "mod R" and
-# "div R" of REDC free on a 64-bit datapath: they are exactly the uint64
-# wrap-around and the high product word.
-#
-# R is a property of the modulus, not of the dispatch tier: 2**64 from
-# 2**31 up, 1 below.  Under 2**31 a plain product is already one machine
-# multiply and one ``%``, which REDC cannot beat and an R of 2**64 could
-# only follow with a second ``%`` (by R**-1 mod q), so there Montgomery
-# form is the identity and ``mont_mul`` is ``mulmod``.  Round trips and
-# products are exact, so results are bit-identical with the Barrett path
-# in every dispatch tier (the object tier, and stacks mixing both classes
-# of modulus, run the same algebra through the generic mulmod kernels
-# with each row's own R).
+# ``R = 1`` for every modulus (see the module docstring): entering or
+# leaving the domain returns the input, and an in-domain product is the
+# plain one.
 
 
-def mont_radix(q: int) -> int:
-    """The Montgomery radix of residues mod ``q``: ``2**64`` for
-    ``q >= 2**31``, else 1 (Montgomery form is then the identity)."""
-    return 1 if q < INT64_SAFE_MODULUS else 1 << 64
+def _identity(a: np.ndarray, _moduli) -> np.ndarray:
+    return a
 
 
-@functools.lru_cache(maxsize=None)
-def mont_precompute_vec(q: int) -> tuple[int, int, int, int]:
-    """REDC constants for ``R = mont_radix(q)``:
-    ``(qprime, r_mod_q, r_shoup, r_inv)``.
-
-    ``qprime = -q^{-1} mod R`` drives the REDC low-word multiply,
-    ``r_mod_q = R mod q`` (with its Shoup quotient ``r_shoup``) is the
-    to-Montgomery constant, and ``r_inv = R^{-1} mod q`` is the
-    from-Montgomery constant used by the generic tiers; below 2**31 they
-    are ``(0, 1, 2**64 // q, 1)``.  Cached per modulus, mirroring
-    :func:`_barrett128`; requires an odd modulus (all NTT primes are
-    odd).
-    """
-    if q % 2 == 0:
-        raise ValueError("Montgomery form requires an odd modulus")
-    if q <= 1:
-        raise ValueError(f"modulus must be > 1, got {q}")
-    r = mont_radix(q)
-    qprime = (-pow(q, -1, r)) % r
-    r_mod_q = r % q
-    return qprime, r_mod_q, (r_mod_q << 64) // q, invmod(r_mod_q, q)
-
-
-def _mont_mulmod_u64(a, b, q_u, qprime_u):
-    """REDC product of uint64 Montgomery operands (broadcastable q).
-
-    ``t = a*b``; ``m = t_lo * q' mod 2**64``; ``u = (t + m*q) / 2**64``
-    computed as ``t_hi + mulhi(m, q) + carry`` where the carry of the low
-    half ``t_lo + m*q_lo`` is 1 exactly when ``t_lo != 0`` (the low half
-    sums to 0 mod 2**64 by construction).  ``u < 2q`` for ``q < 2**61``,
-    so one conditional subtraction finishes.
-    """
-    hi, lo = _mul64(a, b)
-    m = lo * qprime_u
-    u = hi + _mulhi64(m, q_u) + (lo != np.uint64(0))
-    # u < 2q < 2**62, so u - q wraps past u exactly when u < q.
-    return np.minimum(u, u - q_u)
-
-
-def mont_mulmod_vec(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Vector REDC multiply: ``a * b * R**-1 mod q`` for reduced operands.
-
-    With both operands in Montgomery form the result stays in Montgomery
-    form; with exactly one operand in Montgomery form the result is a
-    plain residue (the one-conversion trick used for cached constants
-    such as switching keys and encoded diagonals).  Dispatch mirrors
-    :func:`mulmod_vec`: the uint64 REDC kernel on the double-word tier,
-    the exact generic formulation (multiply, then multiply by
-    ``R**-1 mod q`` unless that is 1) on the int64/object tiers —
-    bit-identical either way.
-    """
-    qprime, _, _, r_inv = mont_precompute_vec(q)
-    if native_class(q) == "dword" and a.dtype != object and b.dtype != object:
-        out = _mont_mulmod_u64(_as_u64(a), _as_u64(b), np.uint64(q),
-                               np.uint64(qprime))
-        return out.view(np.int64)
-    product = mulmod_vec(a, b, q)
-    return product if r_inv == 1 else mulmod_vec(product, r_inv, q)
-
-
-def to_mont_vec(a: np.ndarray, q: int) -> np.ndarray:
-    """Map reduced residues into Montgomery form: ``a * R mod q``.
-
-    A Shoup constant multiply by the cached ``2**64 mod q`` on the
-    double-word tier; ``a`` itself where ``R = 1``; generic mulmod
-    elsewhere.
-    """
-    _, r_mod_q, r_shoup, _ = mont_precompute_vec(q)
-    if native_class(q) == "dword" and a.dtype != object:
-        return _shoup_mulmod_u64(_as_u64(a), np.uint64(r_mod_q),
-                                 np.uint64(r_shoup),
-                                 np.uint64(q)).view(np.int64)
-    return a if r_mod_q == 1 else mulmod_vec(a, r_mod_q, q)
-
-
-def from_mont_vec(a: np.ndarray, q: int) -> np.ndarray:
-    """Map out of Montgomery form: ``a * R**-1 mod q``.
-
-    On the double-word tier this is a bare REDC of the single word ``a``
-    (t_hi = 0), cheaper than a full multiply; ``a`` itself where
-    ``R = 1``; elsewhere a generic mulmod by the cached ``R**-1 mod q``.
-    """
-    qprime, _, _, r_inv = mont_precompute_vec(q)
-    if native_class(q) == "dword" and a.dtype != object:
-        au = _as_u64(a)
-        m = au * np.uint64(qprime)
-        q_u = np.uint64(q)
-        u = _mulhi64(m, q_u) + (au != np.uint64(0))
-        # u <= q < 2**61, so u - q wraps past u exactly when u < q.
-        return np.minimum(u, u - q_u).view(np.int64)
-    return a if r_inv == 1 else mulmod_vec(a, r_inv, q)
+to_mont_vec = from_mont_vec = to_mont_stack = from_mont_stack = _identity
 
 
 def addmod_vec(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -548,24 +341,26 @@ def mulmod_vec(a: np.ndarray, b: np.ndarray | int, q: int) -> np.ndarray:
     """Vector modular multiplication of **reduced** operands.
 
     Dispatches on the modulus: the int64 fast path when products cannot
-    overflow (``q < 2**31``), the double-word Barrett/Shoup path for
-    ``q < 2**61`` (the paper's 54-bit primes), and the object-dtype
+    overflow (``q < 2**31``), the double-word :func:`_mulmod_f64` for
+    ``q < 2**56`` (the paper's 54-bit primes), and the object-dtype
     arbitrary-precision path beyond that.  Like the other vector kernels,
-    array operands must already be residues in ``[0, q)`` — the
-    double-word path reinterprets int64 storage as uint64, so signed or
-    oversized inputs must go through :func:`reduce_vec` first (integer
-    scalars ``b`` are reduced internally).
+    array operands must already be residues in ``[0, q)`` — signed or
+    oversized inputs go through :func:`reduce_vec` first (integer scalars
+    ``b`` are reduced internally).
     """
     b_is_scalar = isinstance(b, (int, np.integer))
     if a.dtype != object and (b_is_scalar or b.dtype != object):
+        b = int(b) % q if b_is_scalar else b.astype(np.int64, copy=False)
         if _is_int64_safe(q):
-            prod = a.astype(np.int64) * (b if b_is_scalar
-                                         else b.astype(np.int64))
-            return prod % q
+            return a.astype(np.int64) * b % q
         if _is_native(q):
-            return _mulmod_dword(a, b, q)
+            return _mulmod_f64(a.astype(np.int64, copy=False), b, b,
+                               np.int64(q), 1.0 / q)
     bo = b if b_is_scalar else _as_object_array(b)
     return (_as_object_array(a) * bo) % q
+
+
+mont_mulmod_vec = mulmod_vec
 
 
 def negmod_vec(a: np.ndarray, q: int) -> np.ndarray:
@@ -597,7 +392,7 @@ def reduce_vec(a: np.ndarray, q: int) -> np.ndarray:
 # kernel below executes once across the whole stack instead of once per limb
 # (GME section 2.2: per-limb kernels are independent and batchable).  The
 # dtype auto-selection mirrors the 1-D variants: int64 storage whenever
-# *every* modulus in the stack is below 2**61 (with the double-word multiply
+# *every* modulus in the stack is below 2**56 (with the double-word multiply
 # kicking in past 2**31), object dtype only beyond that.
 
 
@@ -618,7 +413,7 @@ def stack_native_class(moduli: tuple[int, ...] | list[int]) -> str:
 
 
 def stack_is_native(moduli: tuple[int, ...] | list[int]) -> bool:
-    """True when the whole stack stores int64 (every modulus < 2**61)."""
+    """True when the whole stack stores int64 (every modulus < 2**56)."""
     return stack_native_class(moduli) != "object"
 
 
@@ -638,19 +433,6 @@ def _q_column(moduli, ndim: int, use_int64: bool) -> np.ndarray:
     return _q_column_cached(tuple(moduli), ndim, use_int64)
 
 
-@functools.lru_cache(maxsize=None)
-def _barrett_columns(moduli: tuple[int, ...],
-                     ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row ``(q, ratio_lo, ratio_hi)`` uint64 columns for a basis."""
-    shape = (len(moduli),) + (1,) * (ndim - 1)
-    q_u = np.array(list(moduli), dtype=np.uint64).reshape(shape)
-    ratios = [(1 << 128) // q for q in moduli]
-    lo = np.array([r & _WORD64_MASK for r in ratios],
-                  dtype=np.uint64).reshape(shape)
-    hi = np.array([r >> 64 for r in ratios], dtype=np.uint64).reshape(shape)
-    return q_u, lo, hi
-
-
 def _stack_native_ok(moduli, *arrays) -> bool:
     return stack_is_native(moduli) and all(
         isinstance(a, (int, np.integer)) or a.dtype != object
@@ -661,7 +443,7 @@ def stack_residues(limbs: list[np.ndarray],
                    moduli: tuple[int, ...] | list[int]) -> np.ndarray:
     """Stack per-limb residue vectors into one ``(limbs, N)`` array.
 
-    Uses int64 when every modulus is below 2**61 (the paper's 54-bit word
+    Uses int64 when every modulus is below 2**56 (the paper's 54-bit word
     included), object dtype otherwise, exactly as in 1-D.
     """
     if len(limbs) != len(moduli):
@@ -708,10 +490,10 @@ def mulmod_stack(a: np.ndarray, b: np.ndarray, moduli) -> np.ndarray:
 
     ``b`` may be any shape broadcastable against ``a`` (e.g. per-stage
     twiddle columns).  Exact for any word size: the int64 single-multiply
-    path below 2**31, the double-word Barrett sweep below 2**61, and the
+    path below 2**31, :func:`_mulmod_f64` below 2**56, and the
     object-dtype path beyond.  As with :func:`mulmod_vec`, operands must
-    be residues in ``[0, q_i)`` — the double-word sweep reinterprets
-    int64 rows as uint64 (use :func:`reduce_stack` for signed values).
+    be residues in ``[0, q_i)`` (use :func:`reduce_stack` for signed
+    values).
     """
     klass = stack_native_class(moduli) if _stack_native_ok(moduli, a, b) \
         else "object"
@@ -722,21 +504,20 @@ def mulmod_stack(a: np.ndarray, b: np.ndarray, moduli) -> np.ndarray:
         return p
     if klass == "dword":
         if isinstance(b, (int, np.integer)):
-            # Reduce integer scalars per modulus (as mulmod_vec does) —
-            # the uint64 reinterpretation below is only exact for
-            # residues in [0, q_i).
+            # Reduce integer scalars per modulus, as mulmod_vec does.
             b = np.array([int(b) % int(q) for q in moduli],
                          dtype=np.int64).reshape(
                              (len(moduli),) + (1,) * (a.ndim - 1))
-        q_u, ratio_lo, ratio_hi = _barrett_columns(tuple(moduli), a.ndim)
-        hi, lo = _mul64(_as_u64(a), _as_u64(b))
-        return _barrett_reduce_dword(hi, lo, q_u, ratio_lo,
-                                     ratio_hi).view(np.int64)
+        q_col, q_inv_col = _f64_columns(tuple(moduli), a.ndim)
+        return _mulmod_f64(a, b, b, q_col, q_inv_col)
     qcol = _q_column(moduli, a.ndim, False)
     a = a if a.dtype == object else a.astype(object)
     b = b if isinstance(b, (int, np.integer)) or b.dtype == object \
         else b.astype(object)
     return (a * b) % qcol
+
+
+mont_mulmod_stack = mulmod_stack
 
 
 def negmod_stack(a: np.ndarray, moduli) -> np.ndarray:
@@ -792,10 +573,10 @@ class BoundScalarMul:
     ``hat{q}_i^{-1}``, ``P^{-1}``, ``q_last^{-1}``) are fixed per modulus
     chain, so everything :func:`scalar_mul_stack` re-derives per call is
     resolved here once: the reduced scalars, the kernel class of the
-    basis, and the ready ``(L, 1)`` columns — including, on the
-    double-word tier, the Shoup quotients, which swap the Barrett sweep
-    for one MULHI + two low multiplies.  A call is then a straight line
-    of ufuncs, bit-identical to :func:`scalar_mul_stack` in every tier.
+    basis, and the ready ``(L, 1)`` columns — on the double-word tier the
+    constants as float64 too, and the float64 reciprocals of the moduli,
+    all :func:`_mulmod_f64` needs.  A call is then a straight line of
+    ufuncs, bit-identical to :func:`scalar_mul_stack` in every tier.
 
     The bound class is that of the *basis*; :func:`force_object_dtype`
     and object-dtype operands are honoured per call (one read of the
@@ -810,14 +591,9 @@ class BoundScalarMul:
         self.klass = _basis_class(self.moduli)
         if self.klass == "object":
             return
-        shape = (len(self.moduli), 1)
-        self.q_col = np.array(self.moduli, dtype=np.int64).reshape(shape)
-        self.col = np.array(self.scalars, dtype=np.int64).reshape(shape)
-        if self.klass == "dword":
-            self.shoup_col = np.array(
-                [shoup_precompute(w, q)
-                 for w, q in zip(self.scalars, self.moduli)],
-                dtype=np.uint64).reshape(shape)
+        self.q_col, self.q_inv_col = _f64_columns(self.moduli, 2)
+        self.col = np.array(self.scalars, dtype=np.int64).reshape(-1, 1)
+        self.col_f64 = self.col.astype(np.float64)
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         """Limb i of the 2-D stack ``a`` times ``scalars[i] mod q_i``."""
@@ -827,9 +603,8 @@ class BoundScalarMul:
             out = a * self.col
             out %= self.q_col
             return out
-        return _shoup_mulmod_u64(_as_u64(a), self.col.view(np.uint64),
-                                 self.shoup_col,
-                                 self.q_col.view(np.uint64)).view(np.int64)
+        return _mulmod_f64(a, self.col, self.col_f64, self.q_col,
+                           self.q_inv_col)
 
     def sub_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Limb i of ``a - b`` times ``scalars[i] mod q_i`` (reduced
@@ -838,17 +613,16 @@ class BoundScalarMul:
                 or b.dtype == object):
             return scalar_mul_stack(submod_stack(a, b, self.moduli),
                                     self.scalars, self.moduli)
+        # |a - b| < q: both tiers multiply the signed difference.
+        out = a - b
         if self.klass == "int64":
-            # |a - b| < q < 2**31, so the signed product fits and the
-            # floor remainder lands in [0, q) without a sign fix-up.
-            out = a - b
+            # The product fits, and the floor remainder lands in [0, q)
+            # without a sign fix-up.
             out *= self.col
             out %= self.q_col
             return out
-        q_u = self.q_col.view(np.uint64)
-        return _shoup_mulmod_u64(_submod_u64(_as_u64(a), _as_u64(b), q_u),
-                                 self.col.view(np.uint64), self.shoup_col,
-                                 q_u).view(np.int64)
+        return _mulmod_f64(out, self.col, self.col_f64, self.q_col,
+                           self.q_inv_col)
 
 
 #: Most words an operand or a table entry is cut into before
@@ -889,7 +663,7 @@ def matmul_split_plan(q_max: int, width: int,
 
 
 class BoundModMatmul:
-    """Exact ``A @ X mod q`` by float64 matrix products, any ``q < 2**61``.
+    """Exact ``A @ X mod q`` by float64 matrix products, any ``q < 2**56``.
 
     Bound to a size — the largest modulus, the contraction width K and the
     modulus the operands are residues of — it derives, once, how to cut
@@ -1045,97 +819,6 @@ class BoundModMatmul:
         return np.minimum(u, u + q.view(np.uint64)).view(np.int64)
 
 
-@functools.lru_cache(maxsize=None)
-def _mont_columns(moduli: tuple[int, ...], ndim: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row ``(q, qprime, r_mod_q, r_shoup)`` uint64 columns for a basis.
-
-    The stacked REDC constants, mirroring :func:`_barrett_columns`: one
-    cached column set per (basis, broadcast rank), shared by
-    :func:`mont_mulmod_stack` / :func:`to_mont_stack` /
-    :func:`from_mont_stack`.
-    """
-    shape = (len(moduli),) + (1,) * (ndim - 1)
-    consts = [mont_precompute_vec(int(q)) for q in moduli]
-    q_u = np.array(list(moduli), dtype=np.uint64).reshape(shape)
-    qprime = np.array([c[0] for c in consts],
-                      dtype=np.uint64).reshape(shape)
-    r_mod_q = np.array([c[1] for c in consts],
-                       dtype=np.uint64).reshape(shape)
-    r_shoup = np.array([c[2] for c in consts],
-                       dtype=np.uint64).reshape(shape)
-    return q_u, qprime, r_mod_q, r_shoup
-
-
-@functools.lru_cache(maxsize=None)
-def _mont_scalars(moduli: tuple[int, ...]
-                  ) -> tuple[list[int], list[int]] | None:
-    """Per-row ``(R mod q, R**-1 mod q)`` scalars of a basis for the
-    generic kernels; ``None`` when every row has ``R = 1``."""
-    if all(mont_radix(int(q)) == 1 for q in moduli):
-        return None
-    consts = [mont_precompute_vec(int(q)) for q in moduli]
-    return [c[1] for c in consts], [c[3] for c in consts]
-
-
-def _mont_scale(a: np.ndarray, moduli, inverse: bool) -> np.ndarray:
-    """Row i of ``a`` times ``R_i mod q_i`` (``R_i**-1`` with
-    ``inverse``); ``a`` itself on an all-``R = 1`` basis."""
-    scalars = _mont_scalars(tuple(moduli))
-    return a if scalars is None else scalar_mul_stack(a, scalars[inverse],
-                                                      moduli)
-
-
-def _redc_ok(moduli, *arrays) -> bool:
-    """True when the uint64 REDC / Shoup sweeps apply: the double-word
-    tier with ``R = 2**64`` on every row.  A stack mixing in rows below
-    2**31 takes the generic kernels, each row with its own ``R``."""
-    return (stack_native_class(moduli) == "dword"
-            and min(moduli) >= INT64_SAFE_MODULUS
-            and _stack_native_ok(moduli, *arrays))
-
-
-def mont_mulmod_stack(a: np.ndarray, b: np.ndarray, moduli) -> np.ndarray:
-    """Stacked REDC multiply: row i is ``a_i * b_i * R_i**-1 mod q_i``.
-
-    The stacked counterpart of :func:`mont_mulmod_vec`: one uint64 REDC
-    sweep across the whole limb stack on the double-word tier, the exact
-    generic formulation (full product, then multiply by ``R**-1 mod q``)
-    elsewhere — on an all-``R = 1`` basis just :func:`mulmod_stack`,
-    one ``%`` per product.  Bit-identical either way.
-    """
-    if _redc_ok(moduli, a, b):
-        q_u, qprime, _, _ = _mont_columns(tuple(moduli), a.ndim)
-        out = _mont_mulmod_u64(_as_u64(a), _as_u64(b), q_u, qprime)
-        return out.view(np.int64)
-    return _mont_scale(mulmod_stack(a, b, moduli), moduli, inverse=True)
-
-
-def to_mont_stack(a: np.ndarray, moduli) -> np.ndarray:
-    """Map a reduced limb stack into Montgomery form: row i times
-    ``R_i mod q_i`` (a Shoup sweep on the double-word tier, ``a`` itself
-    on an all-``R = 1`` basis)."""
-    if _redc_ok(moduli, a):
-        q_u, _, r_mod_q, r_shoup = _mont_columns(tuple(moduli), a.ndim)
-        return _shoup_mulmod_u64(_as_u64(a), r_mod_q, r_shoup,
-                                 q_u).view(np.int64)
-    return _mont_scale(a, moduli, inverse=False)
-
-
-def from_mont_stack(a: np.ndarray, moduli) -> np.ndarray:
-    """Map a limb stack out of Montgomery form: row i times
-    ``R_i**-1 mod q_i`` (a bare single-word REDC on the double-word tier,
-    ``a`` itself on an all-``R = 1`` basis)."""
-    if _redc_ok(moduli, a):
-        q_u, qprime, _, _ = _mont_columns(tuple(moduli), a.ndim)
-        au = _as_u64(a)
-        m = au * qprime
-        u = _mulhi64(m, q_u) + (au != np.uint64(0))
-        # u <= q < 2**61, so u - q wraps past u exactly when u < q.
-        return np.minimum(u, u - q_u).view(np.int64)
-    return _mont_scale(a, moduli, inverse=True)
-
-
 @functools.lru_cache(maxsize=256)
 def rescale_constants(moduli: tuple[int, ...]) -> BoundScalarMul:
     """The bound ``q_last^{-1} mod q_i`` scaling for dropping ``moduli[-1]``.
@@ -1172,7 +855,7 @@ def random_residues(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
     under :func:`force_object_dtype`), so same-seed ciphertexts are
     bit-identical across dispatch regimes; only the storage dtype follows
     :func:`limb_dtype`.  The hi/lo word is composed and reduced in
-    uint64 below 2**61 and in Python integers only beyond.
+    uint64 below 2**56 and in Python integers only beyond.
     """
     if q < INT64_SAFE_MODULUS:
         vals = rng.integers(0, q, size=n, dtype=np.int64)
@@ -1180,7 +863,8 @@ def random_residues(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
         lo = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
         hi = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
         if q < NATIVE_SAFE_MODULUS:
-            vals = (((hi << _SHIFT32) | lo) % np.uint64(q)).view(np.int64)
+            vals = (((hi << np.uint64(32)) | lo)
+                    % np.uint64(q)).view(np.int64)
         else:
             vals = ((hi.astype(object) << 32) | lo.astype(object)) % q
     dtype = limb_dtype(q)

@@ -33,16 +33,16 @@ adds.  The classes differ in the word sizes and the twiddle multiply:
   and ``%`` (two matmuls and three ``%`` per transform at N = 2**10, a
   fourth only for input beyond the kernel's ``reach``, which is
   reduced first on either tier);
-* ``dword`` (q < 2**61, the paper's 54-bit word): the matrix entries are
+* ``dword`` (q < 2**56, the paper's 54-bit word): the matrix entries are
   split into ``table_pieces`` words too (3 x 18 operand bits against
   2 x 27 table bits at 54 bits: six partial products per step, not the
   eight-plus once guessed here), the partial sums are recombined with a
   float64 quotient estimate and wrap-around int64 — no double-word
-  arithmetic — and the twiddle scale is one Shoup multiply in uint64
-  (one MULHI + two low multiplies + one conditional subtraction, the
-  constant-multiply sequence GME's NTT kernels use), its quotients
-  gathered from the per-limb tables;
-* ``object`` (61+ bits, object-dtype input, or
+  arithmetic — and the twiddle scale is one
+  :func:`repro.fhe.modmath._mulmod_f64` (an int64 product corrected by
+  two float64 quotient estimates), against a float64 copy of each
+  twiddle table;
+* ``object`` (56+ bits, object-dtype input, or
   :func:`repro.fhe.modmath.force_object_dtype`): no stacked algorithm of
   its own — the oracle, row by row (:class:`NttContext`, log2 N
   butterfly stages per limb, exact for any word size).
@@ -62,10 +62,9 @@ from collections import OrderedDict
 import numpy as np
 
 from . import modmath
-from .modmath import (BoundModMatmul, _addmod_u64, _shoup_mulmod_u64,
-                      _submod_u64, addmod_vec, invmod, limb_dtype, mulmod,
-                      mulmod_stack, mulmod_vec, native_class, reduce_vec,
-                      shoup_precompute_vec, stack_native_class, submod_vec)
+from .modmath import (BoundModMatmul, _f64_columns, _mulmod_f64, addmod_vec,
+                      invmod, limb_dtype, mulmod, mulmod_stack, mulmod_vec,
+                      reduce_vec, stack_native_class, submod_vec)
 from .primes import primitive_nth_root
 
 
@@ -106,11 +105,9 @@ def _freeze(tables) -> int:
 class NttContext:
     """Precomputed negacyclic NTT tables for one prime modulus.
 
-    For double-word moduli (31..60 bits) the twiddle tables carry Shoup
-    companion tables: ``psi_rev_shoup[i] = floor(psi_rev[i] * 2**64 / q)``,
-    one precomputed quotient per root, so every butterfly stage multiplies
-    by its twiddles with the two-multiply Shoup sequence instead of a full
-    Barrett reduction.
+    The butterfly stages run through the generic per-limb kernels
+    (:func:`repro.fhe.modmath.mulmod_vec` and friends), so every word
+    size takes the same loop, each product on its own tier's kernel.
 
     Parameters
     ----------
@@ -133,19 +130,9 @@ class NttContext:
         rev = bit_reverse_permutation(n)
         self.psi_rev = self._power_table(self.psi)[rev]
         self.psi_inv_rev = self._power_table(self.psi_inv)[rev]
-        self.klass = native_class(q)
-        if self.klass == "dword":
-            self.psi_rev_shoup = shoup_precompute_vec(self.psi_rev, q)
-            self.psi_inv_rev_shoup = shoup_precompute_vec(self.psi_inv_rev, q)
-            self.n_inv_shoup = np.uint64((self.n_inv << 64) // q)
-        else:
-            self.psi_rev_shoup = None
-            self.psi_inv_rev_shoup = None
-            self.n_inv_shoup = None
         #: Bytes of table storage; the tables are shared between backends
         #: and threads (see :func:`ntt_context`), hence read-only.
-        self.nbytes = _freeze((self.psi_rev, self.psi_inv_rev,
-                               self.psi_rev_shoup, self.psi_inv_rev_shoup))
+        self.nbytes = _freeze((self.psi_rev, self.psi_inv_rev))
 
     def _power_table(self, base: int) -> np.ndarray:
         """``base**i mod q`` for i < n, in log2 n doubling passes."""
@@ -159,25 +146,10 @@ class NttContext:
             m *= 2
         return powers
 
-    def shoups(self, name: str) -> np.ndarray:
-        """Shoup quotients of the table ``name``: the stored companion on
-        the double-word tier, computed for a modulus below 2**31 — alone
-        it runs the int64 tier and keeps none, but inside a mixed stack
-        its row needs them."""
-        stored = getattr(self, name + "_shoup")
-        return stored if stored is not None \
-            else shoup_precompute_vec(getattr(self, name), self.q)
-
-    def _use_dword(self, a: np.ndarray) -> bool:
-        return (self.klass == "dword" and a.dtype != object
-                and modmath._is_native(self.q))
-
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Negacyclic NTT: coefficient form -> evaluation form."""
         q, n = self.q, self.n
         a = reduce_vec(np.array(coeffs, copy=True), q)
-        if self._use_dword(a):
-            return self._forward_dword(a)
         t = n
         m = 1
         while m < n:
@@ -191,32 +163,10 @@ class NttContext:
             m *= 2
         return a
 
-    def _forward_dword(self, a: np.ndarray) -> np.ndarray:
-        """Shoup-multiply Cooley--Tukey stages in uint64 (in place)."""
-        n = self.n
-        q_u = np.uint64(self.q)
-        au = a.view(np.uint64)
-        tw_u = self.psi_rev.view(np.uint64)
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            tw = tw_u[m:2 * m, None]
-            tws = self.psi_rev_shoup[m:2 * m, None]
-            block = au.reshape(m, 2 * t)
-            u = block[:, :t].copy()
-            v = _shoup_mulmod_u64(block[:, t:], tw, tws, q_u)
-            block[:, :t] = _addmod_u64(u, v, q_u)
-            block[:, t:] = _submod_u64(u, v, q_u)
-            m *= 2
-        return a
-
     def inverse(self, evals: np.ndarray) -> np.ndarray:
         """Inverse negacyclic NTT: evaluation form -> coefficient form."""
         q, n = self.q, self.n
         a = reduce_vec(np.array(evals, copy=True), q)
-        if self._use_dword(a):
-            return self._inverse_dword(a)
         t = 1
         m = n
         while m > 1:
@@ -231,30 +181,6 @@ class NttContext:
             t *= 2
             m = h
         return mulmod_vec(a, self.n_inv, q)
-
-    def _inverse_dword(self, a: np.ndarray) -> np.ndarray:
-        """Shoup-multiply Gentleman--Sande stages in uint64 (in place)."""
-        n = self.n
-        q_u = np.uint64(self.q)
-        au = a.view(np.uint64)
-        tw_u = self.psi_inv_rev.view(np.uint64)
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            tw = tw_u[h:2 * h, None]
-            tws = self.psi_inv_rev_shoup[h:2 * h, None]
-            block = au.reshape(h, 2 * t)
-            u = block[:, :t].copy()
-            v = block[:, t:].copy()
-            block[:, :t] = _addmod_u64(u, v, q_u)
-            block[:, t:] = _shoup_mulmod_u64(_submod_u64(u, v, q_u), tw, tws,
-                                             q_u)
-            t *= 2
-            m = h
-        out = _shoup_mulmod_u64(au, np.uint64(self.n_inv), self.n_inv_shoup,
-                                q_u)
-        return out.view(np.int64)
 
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Multiply two coefficient-form polynomials mod (x^n + 1, q)."""
@@ -300,11 +226,11 @@ class BatchedNttContext:
     on the GPU (each limb is an independent instance of the same kernel).
     The kernel class is bound here, once (see the module docstring): the
     multi-step transform — one exact float64 matrix product per factor of
-    N, pointwise twiddles between them — on both native tiers, up to the
-    paper's 54-bit word and beyond it to 2**61; past that, the per-limb
-    oracle row by row.  Results are bit-exact with the per-limb
-    transforms on every tier: all of them do exact integer arithmetic,
-    only its arrangement differs.
+    N, pointwise twiddles between them — on both native tiers, the
+    paper's 54-bit word and its 55-bit primes included (up to 2**56);
+    past that, the per-limb oracle row by row.  Results are bit-exact
+    with the per-limb transforms on every tier: all of them do exact
+    integer arithmetic, only its arrangement differs.
 
     Every table is read-only; the contexts :func:`batched_ntt_context`
     hands out are shared between backends and threads.
@@ -320,9 +246,9 @@ class BatchedNttContext:
     #: Per-row tables: arrays, or tuples of them — one twiddle per step
     #: boundary, one tuple of table words per step; ``rows`` slices
     #: whichever of them the tier built.
-    _PER_ROW = ("q_col", "q_grid", "q_inv_col",
-                "fwd_matrices", "fwd_twiddles", "fwd_twiddle_shoups",
-                "inv_matrices", "inv_twiddles", "inv_twiddle_shoups")
+    _PER_ROW = ("q_col", "q_grid", "q_inv_col", "q_inv_grid",
+                "fwd_matrices", "fwd_twiddles", "fwd_twiddles_f64",
+                "inv_matrices", "inv_twiddles", "inv_twiddles_f64")
 
     def __init__(self, moduli, n: int):
         self.moduli = tuple(moduli)
@@ -398,17 +324,14 @@ class BatchedNttContext:
         dword = self.klass == "dword"
         if kernel.table_pieces > 1:
             self.q_inv_col = 1.0 / self.q_col
+        if dword:
+            # Asserts the bound the twiddle scale's exactness rests on.
+            self.q_inv_grid = _f64_columns(moduli, 3)[1]
         # psi**e for e < 2N out of the bit-reversed tables, by
-        # psi**(N + e) = -psi**e; psi**-e is entry 2N - e.  The Shoup
-        # quotient of q - w is the complement of w's: w * 2**64 / q is
-        # never an integer.
+        # psi**(N + e) = -psi**e; psi**-e is entry 2N - e.
         natural = bit_reverse_permutation(n)
         powers = np.stack([c.psi_rev for c in ctxs])[:, natural]
         powers = np.concatenate([powers, self.q_col - powers], axis=1)
-        if dword:
-            shoups = np.stack([c.shoups("psi_rev")
-                               for c in ctxs])[:, natural]
-            shoups = np.concatenate([shoups, ~shoups], axis=1)
         n_inv = np.array([c.n_inv for c in ctxs]).reshape(rows, 1, 1)
 
         def gather(table, exponents):
@@ -418,9 +341,9 @@ class BatchedNttContext:
         last = len(grid) - 1
 
         def bind(sign: int) -> tuple:
-            """One direction's ``(matrices, twiddles, twiddle_shoups)``:
+            """One direction's ``(matrices, twiddles, twiddles_f64)``:
             the forward chain, or with ``sign`` -1 the inverse one."""
-            matrices, twiddles, twiddle_shoups = [], [], []
+            matrices, twiddles, twiddles_f64 = [], [], []
             for j, (n_j, lead) in enumerate(zip(grid, self.leads)):
                 k_j = bit_reverse_permutation(n_j)
                 rest = n // (lead * n_j)
@@ -445,12 +368,12 @@ class BatchedNttContext:
                     exponents = (point * np.arange(rest)).reshape(1, -1)
                     twiddles.append(gather(powers, exponents))
                     if dword:
-                        twiddle_shoups.append(gather(shoups, exponents))
-            return tuple(matrices), tuple(twiddles), tuple(twiddle_shoups)
+                        twiddles_f64.append(twiddles[-1].astype(np.float64))
+            return tuple(matrices), tuple(twiddles), tuple(twiddles_f64)
 
-        self.fwd_matrices, self.fwd_twiddles, self.fwd_twiddle_shoups = \
+        self.fwd_matrices, self.fwd_twiddles, self.fwd_twiddles_f64 = \
             bind(1)
-        self.inv_matrices, self.inv_twiddles, self.inv_twiddle_shoups = \
+        self.inv_matrices, self.inv_twiddles, self.inv_twiddles_f64 = \
             bind(-1)
 
     def rows(self, start: int, stop: int) -> "BatchedNttContext":
@@ -481,7 +404,7 @@ class BatchedNttContext:
         return out
 
     def _transform(self, stack: np.ndarray, direction: int, matrices,
-                   twiddles, shoups) -> np.ndarray:
+                   twiddles, twiddles_f64) -> np.ndarray:
         """One direction's chain over ``stack`` (any integers) on a
         native tier; on the object tier — an object-tier context,
         object-dtype input, or (one read of the module flag per
@@ -506,22 +429,22 @@ class BatchedNttContext:
             a = np.empty(stack.shape, dtype=np.int64)
             np.remainder(stack, self.q_col, out=a)
         return self._steps(a, direction, matrices, twiddles,
-                           shoups).reshape(stack.shape)
+                           twiddles_f64).reshape(stack.shape)
 
     def forward(self, stack: np.ndarray) -> np.ndarray:
         """Batched negacyclic NTT: coefficient stack -> evaluation stack."""
         return self._transform(stack, 1, self.fwd_matrices,
-                               self.fwd_twiddles, self.fwd_twiddle_shoups)
+                               self.fwd_twiddles, self.fwd_twiddles_f64)
 
     def inverse(self, stack: np.ndarray) -> np.ndarray:
         """Batched inverse NTT: evaluation stack -> coefficient stack."""
         return self._transform(stack, -1, self.inv_matrices,
-                               self.inv_twiddles, self.inv_twiddle_shoups)
+                               self.inv_twiddles, self.inv_twiddles_f64)
 
     # -- native tiers: multi-step transform, exact float64 matmuls -------
 
     def _steps(self, a: np.ndarray, direction: int, matrices: tuple,
-               twiddles: tuple, shoups: tuple) -> np.ndarray:
+               twiddles: tuple, twiddles_f64: tuple) -> np.ndarray:
         """The reduced stack ``a`` through every step of one direction's
         chain: axis 0 first going forward (``direction`` 1), last axis
         first going back (-1).  Each step contracts its axis of the grid
@@ -546,11 +469,9 @@ class BatchedNttContext:
             if not 0 <= between < last:
                 continue
             a = a.reshape(rows, self.leads[between], -1)
-            if shoups:
-                a = _shoup_mulmod_u64(
-                    a.view(np.uint64), twiddles[between].view(np.uint64),
-                    shoups[between], self.q_grid.view(np.uint64)
-                ).view(np.int64)
+            if twiddles_f64:
+                a = _mulmod_f64(a, twiddles[between], twiddles_f64[between],
+                                self.q_grid, self.q_inv_grid)
             else:
                 a *= twiddles[between]      # int64, products < 2**62
                 a %= self.q_grid
@@ -575,8 +496,7 @@ class _TableCache:
     of the process; all of it is read-only.  Two kinds of entry:
 
     * ``(q, N)`` -> :class:`NttContext`: the bit-reversed power tables,
-      ``16 * N`` bytes, ``32 * N`` with the Shoup quotients of a 31..60-bit
-      modulus (object-dtype tables count their pointers only);
+      ``16 * N`` bytes (object-dtype tables count their pointers only);
     * ``(moduli, N)`` -> :class:`BatchedNttContext`.  A basis that is a
       run of limbs of a cached stack is a view of it and owns nothing;
       any other basis copies its limbs' tables into a fresh stack.  Per
@@ -587,7 +507,7 @@ class _TableCache:
       and direction: ``16 * N + 16 * pieces * (n1**2 + n2**2)`` on the
       int64 tier with two factors (80 KB at N = 2**10, 448 KB at 2**12).
       The double-word tier has ``pieces * table_pieces`` = 6 to 8 words
-      per entry and a Shoup quotient beside every twiddle entry: 192 +
+      per entry and a float64 copy beside every twiddle entry: 192 +
       32 = 224 KB at N = 2**10, and at the paper's N = 2**16 about
       0.7 MB of matrices and 2.1 MB of twiddles.  An object-tier stack
       owns its moduli only.

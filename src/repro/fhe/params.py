@@ -122,7 +122,8 @@ class CkksParameters:
         """Paper Table 3: N=2^16, 54-bit word, L=23, L_boot=17, dnum=3.
 
         The 54-bit word runs on the native double-word kernels
-        (int64 storage, Barrett/Shoup multiplies), so functional
+        (int64 storage, one int64 product and two float64 quotient
+        estimates per modular multiply), so functional
         encryption at full paper scale is feasible (seconds per op, not
         object-dtype minutes); experiments still use these parameters
         mainly for op/byte counting.

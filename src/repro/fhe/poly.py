@@ -169,16 +169,15 @@ class Polynomial:
 
     ``mont`` flags the Montgomery *domain* of the limbs: ``False`` (plain
     residues, the default everywhere) or ``True`` (limbs hold
-    ``a * R_i mod q_i``, with ``R_i = 2**64`` for ``q_i >= 2**31`` and
-    ``R_i = 1`` below, where the two domains hold the same integers; see
-    :func:`repro.fhe.modmath.mont_radix`).  EVAL-form operands that feed
-    chains of pointwise products — switching keys, BSGS diagonals, HEMult
-    operands — are mapped in once via :meth:`to_mont`; each chained
-    product then costs one REDC instead of a full Barrett reduction, and
-    a product with exactly one Montgomery operand lands directly back in
-    the plain domain (the one-conversion trick).  Montgomery form is
-    additively closed, so add/sub/neg/automorphism preserve the domain;
-    mixing domains in an addition is an error.
+    ``a * R_i mod q_i``).  ``R_i = 1`` for every modulus (see
+    :mod:`repro.fhe.modmath`), so both domains hold the same integers:
+    :meth:`to_mont` / :meth:`from_mont` only flip the flag and a product
+    is the plain one either way.  EVAL-form operands that feed chains of
+    pointwise products — switching keys, BSGS diagonals, HEMult operands
+    — are still flagged in via :meth:`to_mont`, and the guard rails
+    below (no NTT, no scalar add, no serialization in-domain; no
+    additions across domains) still hold; the flag is the next thing to
+    go.
     """
 
     __slots__ = ("context", "data", "moduli", "rep", "mont")
@@ -233,9 +232,7 @@ class Polynomial:
     def to_mont(self) -> "Polynomial":
         """Map the limbs into Montgomery form (EVAL only); no-op if there.
 
-        One Shoup constant multiply per ``R = 2**64`` limb, nothing per
-        ``R = 1`` limb; afterwards pointwise products through
-        :meth:`__mul__` cost one REDC each.
+        With ``R = 1`` no limb is touched: only the flag moves.
         """
         if self.mont:
             return self
@@ -280,12 +277,10 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         """Pointwise product; both operands must be in EVAL form.
 
-        Domains may mix: plain x plain runs the Barrett kernel; a product
-        involving a Montgomery operand runs one REDC per limb and the
-        result is plain when exactly one operand was in Montgomery form
-        (``a * bR * R^-1 = ab``) and Montgomery when both were (chains
-        stay in-domain).  All variants produce identical integers to the
-        plain-domain product of the same values.
+        Domains may mix: the result is plain when exactly one operand was
+        in Montgomery form (``a * bR * R^-1 = ab``) and Montgomery when
+        both were (chains stay in-domain).  With ``R = 1`` every variant
+        is the plain product of the same integers.
         """
         self._check_compatible(other, same_domain=False)
         if self.rep is not Representation.EVAL:

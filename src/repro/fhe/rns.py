@@ -308,7 +308,7 @@ class KeySwitchContext:
         self.p_inv = [invmod(self.p_prod % q, q) for q in ct_moduli]
         self.p_inv_scale = BoundScalarMul(self.p_inv, ct_moduli)
         # Both native tiers run ModUp and the ModDown lift through one
-        # kernel, bound here; the object tier (61+ bits) binds none.
+        # kernel, bound here; the object tier (56+ bits) binds none.
         native = stack_native_class(self.extended) != "object"
         col_dtype = np.int64 if native else object
 

@@ -31,7 +31,7 @@ def _poly_to_arrays(poly: Polynomial, prefix: str,
     for i, limb in enumerate(poly.limbs):
         arr = np.asarray(limb)
         if arr.dtype == object:
-            # Object-dtype limbs (moduli of 61+ bits) hold Python ints;
+            # Object-dtype limbs (moduli of 56+ bits) hold Python ints;
             # they are lossless on the int64 wire only below 2**63 —
             # reject anything larger instead of letting the cast wrap or
             # throw a bare OverflowError mid-save.
@@ -51,7 +51,7 @@ def _poly_from_arrays(context: PolyContext, header: dict, prefix: str,
     # Restore the repo-wide dtype convention through the single shared
     # helper (modmath.limb_dtype, also used by poly._zeros,
     # from_big_coeffs and rns.decompose_vec): int64 storage for every
-    # native modulus (below 2**61 — the double-word kernels keep 54-bit
+    # native modulus (below 2**56 — the double-word kernels keep 54-bit
     # products exact), object dtype beyond, so the save/load threshold can
     # never drift from the compute threshold.
     limbs = []

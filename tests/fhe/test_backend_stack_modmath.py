@@ -4,7 +4,7 @@ The stacked kernels must agree elementwise with the scalar oracles
 (``mulmod``, Barrett in both variants, Montgomery) in *every* kernel
 regime: the int64 fast path (30-bit test primes), the double-word native
 path (the paper's 54-bit word, including mixed-width stacks), and the
-object-dtype arbitrary-precision fallback (61+-bit primes).
+object-dtype arbitrary-precision fallback (56+-bit primes; 62-bit here).
 """
 
 import numpy as np

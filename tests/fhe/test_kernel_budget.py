@@ -5,10 +5,12 @@ products, a double-word ``forward`` ran log2 N butterfly stages (one
 Shoup twiddle multiply each, its MULHI emulated from 32-bit splits) and
 every exact ModDown lift walked ``RnsBasis.convert_exact``'s 32-bit word
 planes.  Now a transform is one step per factor of N — ``table_pieces``
-float64 matmuls and, between steps, one Shoup multiply — and a warm key
-switch never leaves the bound matmuls.  These counts fail on the commit
-before (10 Shoup multiplies and no matmul per N = 2**10 transform, two
-``convert_exact`` calls per key switch).
+float64 matmuls and, between steps, one ``_mulmod_f64`` twiddle scale —
+and a warm key switch never leaves the bound matmuls.  These counts fail
+on the commit before (10 Shoup multiplies and no matmul per N = 2**10
+transform, two ``convert_exact`` calls per key switch).  Nothing a warm
+double-word batch runs splits a word into 32-bit halves any more: every
+product is one int64 multiply and two float64 quotient estimates.
 
 Since the int64 tier binds the same kernel for its conversions — it had
 an int64 ``@`` for narrow digits, a broadcast sweep for wide ones and
@@ -17,6 +19,10 @@ tiers: a warm key switch is ``len(digit_spans) + 2`` ``left`` calls on
 the context's own kernels (``toy`` made none on the commit before).  And
 the object tier is the per-limb oracle, one call per row.
 """
+
+import inspect
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -75,12 +81,12 @@ def test_a_dword_transform_is_one_matmul_round_per_factor(n, steps,
     assert table_pieces == 2
     stack = np.random.default_rng(3).integers(
         0, min(moduli), size=(3, n), dtype=np.int64)
-    shoup = Calls(monkeypatch, ntt, "_shoup_mulmod_u64")
+    scale = Calls(monkeypatch, ntt, "_mulmod_f64")
     matmul = Calls(monkeypatch, np, "matmul")
     for transform in (ctx.forward, ctx.inverse):
-        shoup.count = matmul.count = 0
+        scale.count = matmul.count = 0
         transform(stack)
-        assert shoup.count == steps - 1
+        assert scale.count == steps - 1
         assert matmul.count == table_pieces * steps
 
 
@@ -249,3 +255,59 @@ def test_one_remainder_per_product_and_none_per_transform(preset,
     ctx.keygen.rotation_key(7, ct.level)
     assert spy.calls["to_mont"] == 2 * params.dnum
     assert spy.remainders["to_mont"] == 0
+
+
+#: A uint64 word cut into 32-bit halves: its high half shifted down, its
+#: low half masked off — how ``_mul64`` / ``_mulhi64`` emulated a
+#: 64 x 64 -> 128-bit product before the double-word tier's products
+#: became one int64 multiply with float64 quotient estimates.
+_SPLIT = re.compile(r">>\s*(?:np\.uint64\(\s*)?(?:32\b|_SHIFT32)"
+                    r"|&\s*(?:np\.uint64\(\s*)?(?:0x[fF]{8}\b|_U32_MASK)")
+
+
+def _splits(code) -> list[str]:
+    """The source lines of a function or code object that split a word
+    in two."""
+    return [line.strip() for line in inspect.getsourcelines(code)[0]
+            if _SPLIT.search(line)]
+
+
+def test_the_split_guard_sees_what_it_is_there_to_stop():
+    for line in ("a0 = a & _U32_MASK", "a1 = a >> _SHIFT32",
+                 "b0 = b & np.uint64(0xFFFFFFFF)", "hi = x >> np.uint64(32)",
+                 "mid >> 32"):
+        assert _SPLIT.search(line), line
+    for line in ("(hi << np.uint64(32)) | lo", "d >> 63", "w & mask",
+                 "x >> 320", "r & 0xFFFFFFFFFF"):
+        assert not _SPLIT.search(line), line
+    assert _splits(modmath._mulmod_f64) == []
+
+
+def test_a_warm_pw54_batch_makes_no_32_bit_splits():
+    """Every repro function a warm ``pw54`` scoring batch runs, read
+    line by line: none cuts a word into 32-bit halves (the emulated
+    Barrett, REDC and Shoup products did, ~15-45 array passes each)."""
+    plan = scoring_workload(16).compile(PW54)
+    ctx = CkksContext(PW54, seed=123, backend="stacked")
+    ct = ctx.encrypt(np.random.default_rng(7).uniform(-1, 1,
+                                                      PW54.num_slots))
+    want = plan.execute(ctx, sources=[ct]).output    # warms keys and tables
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        got = plan.execute(ctx, sources=[ct]).output
+    finally:
+        sys.setprofile(None)
+    assert np.array_equal(got.c0.data, want.c0.data)
+    assert np.array_equal(got.c1.data, want.c1.data)
+    ours = {code for code in ran if "/repro/" in code.co_filename}
+    names = {code.co_name for code in ours}
+    assert {"_mulmod_f64", "_steps", "sub_mul"} <= names
+    offenders = {f"{code.co_filename}:{code.co_name}": _splits(code)
+                 for code in ours if _splits(code)}
+    assert offenders == {}

@@ -19,6 +19,15 @@ only their representation.  Old -> new:
 
 * rotation: ``83adec51…`` -> ``4835c721…``;
 * conjugation: ``8c2ec535…`` -> ``1e3e6643…``.
+
+The double-word tier's product became one float64-estimated multiply
+(``modmath._mulmod_f64``), which leaves no REDC to pay for, so ``R = 1``
+on every modulus and ``pw54`` keys are stored as their plain values too.
+Their two digests were re-recorded at commit 4a2b261, before that
+change, the same way (``from_mont()`` of each key's limbs).  Old -> new:
+
+* rotation: ``9ccf16f0…`` -> ``099311c8…``;
+* conjugation: ``4060d5eb…`` -> ``dc80eaf3…``.
 """
 
 import hashlib
@@ -35,9 +44,9 @@ PARENT_KEY_DIGESTS = {
     ("conjugation", "toy"):
         "1e3e664348dcd787da12529ffa7e52901061bb1c7eb06c61fb1d878a60cd2734",
     ("rotation", "pw54"):
-        "9ccf16f070e91a35945bd7002c20f79c4cfa4721682441941263fc06f0cf062e",
+        "099311c82b3005400868a7e5baf2d89a40b0b506c9b4d5278f3ad5bf352619e3",
     ("conjugation", "pw54"):
-        "4060d5ebf2c45c1ec565c148f2d153f2dd9d9ddf5a628598446383a8c5a77317",
+        "dc80eaf31429cef8626703be5257bc2d78cdda2ace5a9ad52e85042218e53c91",
 }
 
 

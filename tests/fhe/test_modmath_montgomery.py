@@ -1,15 +1,17 @@
-"""Property tests for the vectorized Montgomery (REDC) kernels.
+"""Property tests for the vectorized Montgomery-domain kernels.
 
-The Montgomery-domain EVAL fast path claims bit-identity with the plain
-Barrett kernels: for every modulus width from 32 to 61 bits, converting
-operands into Montgomery form, chaining REDC products in-domain, and
-converting back must produce exactly the residues of the scalar
-Python-int oracles (``MontgomeryContext`` and plain ``(a*b) % q``), on
-the 1-D, stacked, and object-dtype (``force_object_dtype``) tiers alike.
-Also covers the REDC constant identities of both radix classes (``R =
-2**64`` from 2**31 up, ``R = 1`` below), stacks that mix the two on both
-backends, and the Polynomial-level domain guard rails (Montgomery limbs
-must never reach the NTT, scalar adds, or the serializer).
+The Montgomery radix is 1 for every modulus: a plain product is already
+one multiply and one ``%`` below 2**31 and one ``_mulmod_f64`` above, so
+REDC has nothing left to save.  Converting operands into Montgomery
+form, chaining products in-domain, and converting back must still
+produce exactly the residues of the scalar Python-int oracles
+(``MontgomeryContext`` and plain ``(a*b) % q``), on the 1-D, stacked,
+and object-dtype (``force_object_dtype``) tiers alike, for every modulus
+width from 32 to 61 bits — on both sides of the double-word ceiling —
+and on stacks mixing widths on both backends.  Also covers the
+Polynomial-level domain guard rails (Montgomery limbs must never reach
+the NTT, scalar adds, or the serializer) that stay until the ``mont``
+flag goes.
 """
 
 import numpy as np
@@ -20,19 +22,19 @@ from hypothesis import strategies as st
 from repro.fhe import CkksParameters, PolyContext
 from repro.fhe.backend import create_backend
 from repro.fhe.modmath import (MontgomeryContext, force_object_dtype,
-                               from_mont_stack, from_mont_vec,
+                               from_mont_stack, from_mont_vec, limb_dtype,
                                mont_mulmod_stack, mont_mulmod_vec,
-                               mont_precompute_vec, mont_radix,
                                mulmod_stack, stack_native_class,
                                stack_residues, to_mont_stack, to_mont_vec)
 from repro.fhe.poly import Representation
 from repro.fhe.serialization import _poly_to_arrays
 
-from test_modmath_dword import DWORD_PRIMES, N, prime_and_operands
+from test_modmath_dword import (DWORD_PRIMES, N, WIDE_PRIMES,
+                                prime_and_operands)
 
 Q_SMALL = 1032193  # 20-bit companion for mixed-width stacks
-#: Primes on either side of 2**31, where R changes class (the 32-bit
-#: ``DWORD_PRIMES[0]`` already stands just above it).
+#: Primes on either side of 2**31, where R used to change class (the
+#: 32-bit ``DWORD_PRIMES[0]`` already stands just above it).
 BELOW_2_31 = [3, Q_SMALL, (1 << 31) - 1]
 ABOVE_2_31 = [(1 << 31) + 11]
 
@@ -47,37 +49,40 @@ def prime_and_chain(draw):
     return q, ops
 
 
+def assert_radix_is_one(q: int) -> None:
+    """Montgomery form is the identity mod ``q`` and an in-domain
+    product the plain one, in whichever storage ``q`` takes."""
+    a = np.array([(i * (q // N)) % q for i in range(N)], dtype=limb_dtype(q))
+    b = a[::-1].copy()
+    want = [int(x) * int(y) % q for x, y in zip(a, b)]
+    assert to_mont_vec(a, q) is a and from_mont_vec(a, q) is a
+    assert [int(v) for v in mont_mulmod_vec(a, b, q)] == want
+    moduli = (q, q)
+    stack = np.stack([a, b])
+    assert to_mont_stack(stack, moduli) is stack
+    assert from_mont_stack(stack, moduli) is stack
+    assert [int(v) for v in mont_mulmod_stack(stack, stack[::-1],
+                                              moduli)[0]] == want
+
+
 class TestRedcConstants:
-    @pytest.mark.parametrize("q", ABOVE_2_31 + DWORD_PRIMES)
+    """``R = 1`` for every modulus: below 2**31, on the double-word tier,
+    and past its 2**56 ceiling (``WIDE_PRIMES``, the object tier)."""
+
+    @pytest.mark.parametrize("q", ABOVE_2_31 + DWORD_PRIMES + WIDE_PRIMES)
     def test_constant_identities(self, q):
-        qprime, r_mod_q, r_shoup, r_inv = mont_precompute_vec(q)
-        r = 1 << 64
-        assert mont_radix(q) == r
-        assert (qprime * q) % r == r - 1          # q' = -q^{-1} mod 2^64
-        assert r_mod_q == r % q
-        assert r_shoup == (r_mod_q << 64) // q
-        assert (r_inv * r_mod_q) % q == 1
+        assert_radix_is_one(q)
 
     @pytest.mark.parametrize("q", BELOW_2_31)
     def test_radix_is_one_below_2_31(self, q):
         """One machine multiply and one ``%`` is already the cheapest
         product there: Montgomery form is the identity."""
-        assert mont_radix(q) == 1
-        assert mont_precompute_vec(q) == (0, 1, (1 << 64) // q, 1)
-        a = np.arange(N, dtype=np.int64) * (q // N)
-        b = a[::-1].copy()
-        assert to_mont_vec(a, q) is a and from_mont_vec(a, q) is a
-        assert np.array_equal(mont_mulmod_vec(a, b, q), a * b % q)
-        moduli = (q, q)
-        stack = np.stack([a, b])
-        assert to_mont_stack(stack, moduli) is stack
-        assert from_mont_stack(stack, moduli) is stack
-        assert np.array_equal(mont_mulmod_stack(stack, stack, moduli),
-                              stack * stack % q)
+        assert_radix_is_one(q)
 
     def test_even_modulus_rejected(self):
+        """The scalar REDC oracle needs an odd modulus."""
         with pytest.raises(ValueError, match="odd"):
-            mont_precompute_vec(1 << 32)
+            MontgomeryContext(1 << 32)
 
 
 class TestMontgomeryVec:
@@ -98,10 +103,10 @@ class TestMontgomeryVec:
         out = from_mont_vec(prod_m, q)
         for x, y, gm, got in zip(a, b, prod_m, out):
             x, y = int(x), int(y)
-            # In-domain value against the explicit R = 2**64 bigint oracle
+            # In-domain value: with R = 1 the plain product
             # (MontgomeryContext uses R = 2**bitlen(q), so only its
             # plain-domain output is comparable).
-            assert int(gm) == ((x * y) << 64) % q
+            assert int(gm) == (x * y) % q
             assert int(got) == mont.from_mont(
                 mont.mulmod(mont.to_mont(x), mont.to_mont(y)))
             assert int(got) == (x * y) % q
@@ -193,9 +198,9 @@ class TestMontgomeryStack:
 
 
 class TestMixedClassStacks:
-    """Rows below and above 2**31 in one basis: each row keeps its own R,
-    and both backends agree with each other and with
-    ``force_object_dtype`` limb by limb."""
+    """Rows below and above 2**31 in one basis, ``R = 1`` on each: both
+    backends agree with each other and with ``force_object_dtype`` limb
+    by limb."""
 
     @staticmethod
     def _run(backend_name, moduli, a, b):
@@ -224,11 +229,10 @@ class TestMixedClassStacks:
         assert all(run == runs[0] for run in runs[1:])
         am, both, one, back = runs[0]
         for i, p in enumerate(moduli):
-            r = mont_radix(p)
             x, y = [int(v) % p for v in a], [int(v) % p for v in b]
-            assert am[i] == [v * r % p for v in x]
-            assert both[i] == [u * v * r % p for u, v in zip(x, y)]
-            assert one[i] == back[i] == [u * v % p for u, v in zip(x, y)]
+            assert am[i] == x
+            assert both[i] == one[i] == back[i] == [
+                u * v % p for u, v in zip(x, y)]
 
 
 @pytest.fixture(params=["reference", "stacked"])

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fhe import CkksParameters, modmath
-from repro.fhe.modmath import matmul_split_plan
+from repro.fhe.modmath import NATIVE_SAFE_MODULUS, matmul_split_plan
 from repro.fhe.ntt import (MAX_FACTOR, BatchedNttContext, NttContext,
                            batched_ntt_context, factors, ntt_context)
 from repro.fhe.primes import generate_ntt_primes, is_prime
@@ -238,13 +238,19 @@ def test_random_20_to_31_bit_primes(case):
 @given(random_prime_stacks(32, 60))
 @settings(max_examples=60, deadline=None)
 def test_random_32_to_60_bit_primes(case):
-    assert_random_stack(case, "dword")
+    """The double-word tier below 2**56; a stack with a wider row is the
+    object tier, the per-limb oracle row by row."""
+    wide = max(case[0]) >= NATIVE_SAFE_MODULUS
+    assert_random_stack(case, "object" if wide else "dword")
 
 
 def assert_random_stack(case, klass: str) -> None:
     moduli, n, seed = case
     ctx = BatchedNttContext(moduli, n)
-    assert_bound(ctx, klass)
+    if klass == "object":
+        assert ctx.klass == klass and ctx.matmul is None
+    else:
+        assert_bound(ctx, klass)
     rng = np.random.default_rng(seed)
     stack = rng.integers(-(1 << 62), 1 << 62, size=(len(moduli), n),
                          dtype=np.int64)
@@ -258,9 +264,9 @@ def assert_random_stack(case, klass: str) -> None:
 def test_a_wider_modulus_moves_the_stack_to_split_table_words(
         wide_bits, table_pieces, monkeypatch):
     """One row past 2**31 takes the whole stack off the int64 tier — onto
-    the same matrix products, not onto butterflies: its twiddles become
-    Shoup multiplies and, once a 64-term dot product of whole table
-    entries no longer fits below 2**53, its tables split."""
+    the same matrix products, not onto butterflies: its twiddle scales
+    become ``_mulmod_f64`` products and, once a 64-term dot product of
+    whole table entries no longer fits below 2**53, its tables split."""
     n = 64
     moduli = (generate_ntt_primes(1, 30, n)[0],
               generate_ntt_primes(1, wide_bits, n)[0])

@@ -7,10 +7,9 @@ now live in one process-wide cache (``repro.fhe.ntt._TableCache``):
 read-only, built under a lock, shared by every backend instance and
 worker thread, dropped by ``clear_serve_caches()``.  Its bound, as its
 docstring states it: ``max_bytes`` (512 MB) over all entries, where a
-``(q, N)`` entry is 16 * N bytes (32 * N with Shoup quotients) and a
-stack owns 80 KB per limb on the int64 tier at N = 2**10, 224 KB on the
-double-word tier (views own nothing); least recently used entries go
-first.
+``(q, N)`` entry is 16 * N bytes and a stack owns 80 KB per limb on the
+int64 tier at N = 2**10, 224 KB on the double-word tier (views own
+nothing); least recently used entries go first.
 
 The counts below are exact.  Tables are built lazily, so each context
 is driven through one encrypt, one rotation and one squaring before it
@@ -197,8 +196,9 @@ def test_every_shared_table_is_read_only():
 
 def test_every_shared_dword_table_is_read_only():
     # As above with three table words per matrix, plus the reciprocals
-    # and a Shoup table per twiddle.  No stacked butterfly tables.
-    assert_every_shared_table_is_read_only(PW54, 3 + 2 * (2 * 3 + 2))
+    # of the moduli as a column and as a grid and a float64 copy of each
+    # twiddle.  No stacked butterfly tables.
+    assert_every_shared_table_is_read_only(PW54, 4 + 2 * (2 * 3 + 2))
 
 
 def test_concurrent_contexts_end_up_holding_the_same_tables(monkeypatch):
@@ -273,9 +273,9 @@ def test_dword_stack_owns_what_the_cache_docstring_says():
     words = kernel.pieces * kernel.table_pieces
     assert (words, n1, n2) == (6, 32, 32)
     # Per limb: a float64 matrix of `words` n_j x n_j blocks per step and
-    # direction, a twiddle and its Shoup quotients per direction, and the
-    # modulus three times over.
+    # direction, a twiddle and its float64 copy per direction, and the
+    # modulus four times over (column, grid, and both reciprocated).
     assert ctx.nbytes == 2 * (2 * 8 * words * (n1 * n1 + n2 * n2)
-                              + 2 * 16 * n + 24)
-    assert ctx.nbytes == 2 * (224 * 1024 + 24)
-    assert NttContext(PW54_MODULI[0], n).nbytes == 32 * n
+                              + 2 * 16 * n + 32)
+    assert ctx.nbytes == 2 * (224 * 1024 + 32)
+    assert NttContext(PW54_MODULI[0], n).nbytes == 16 * n

@@ -282,11 +282,14 @@ def table_digest(preset: str) -> str:
     for q in _basis(params):
         ctx = NttContext(q, params.ring_degree)
         tables += [ctx.psi_rev, ctx.psi_inv_rev, [ctx.n_inv]]
-        if ctx.psi_rev_shoup is not None:
-            # uint64 quotients: hash the bit patterns.
-            tables += [ctx.psi_rev_shoup.view(np.int64),
-                       ctx.psi_inv_rev_shoup.view(np.int64),
-                       np.array([ctx.n_inv_shoup]).view(np.int64)]
+        if q >= 1 << 31:
+            # The Shoup quotients floor(w * 2**64 / q) the double-word
+            # tier stored until its products became one float64-estimated
+            # multiply; derived from the tables, as uint64 bit patterns.
+            tables += [np.array([(int(w) << 64) // q for w in table],
+                                dtype=np.uint64).view(np.int64)
+                       for table in (ctx.psi_rev, ctx.psi_inv_rev,
+                                     [ctx.n_inv])]
     return _sha(*tables)
 
 

@@ -115,6 +115,32 @@ def test_a_key_switch_context_binds_one_kernel_per_conversion():
     assert isinstance(ksctx.moddown_lift_matmul, modmath.BoundModMatmul)
 
 
+def test_the_double_word_tier_has_one_product():
+    """One kernel, ``_mulmod_f64``, where the 54-bit word had an emulated
+    128-bit Barrett, a REDC and a Shoup multiply, each built from 32-bit
+    splits; the Montgomery radix is 1 on every tier."""
+    for owner, names in (
+            (modmath, ["_mul64", "_mulhi64", "_barrett128",
+                       "_barrett_reduce_dword", "_barrett_columns",
+                       "_mulmod_dword", "_shoup_scalar", "shoup_precompute",
+                       "shoup_precompute_vec", "shoup_mulmod_vec",
+                       "_shoup_mulmod_u64", "_mont_mulmod_u64",
+                       "_mont_columns", "mont_radix", "mont_precompute_vec",
+                       "_mont_scalars", "_mont_scale", "_redc_ok"]),
+            (NttContext, ["shoups", "_use_dword", "_forward_dword",
+                          "_inverse_dword"])):
+        for name in names:
+            assert not hasattr(owner, name), name
+    ctx = NttContext(CkksParameters._build(
+        ring_degree=64, scale_bits=50, prime_bits=54, max_level=1,
+        boot_levels=0, dnum=1, fft_iterations=1).moduli[0], 64)
+    assert not {"psi_rev_shoup", "psi_inv_rev_shoup", "n_inv_shoup"} \
+        & set(vars(ctx))
+    assert not {"fwd_twiddle_shoups", "inv_twiddle_shoups"} \
+        & set(BatchedNttContext._PER_ROW)
+    assert modmath.mont_mulmod_stack is modmath.mulmod_stack
+
+
 def test_a_stacked_transform_has_one_algorithm():
     for gone in ("_forward_generic", "_inverse_generic", "_generic_twiddles",
                  "_bind_shoup"):
