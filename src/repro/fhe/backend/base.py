@@ -33,8 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from ..modmath import (from_mont_vec, mont_mulmod_vec, reduce_vec,
-                       to_mont_vec)
+from ..modmath import reduce_vec
 from ..ntt import NttContext, ntt_context
 from ..rns import KeySwitchContext
 
@@ -105,36 +104,6 @@ class ComputeBackend(abc.ABC):
     def scalar_add(self, a: Any, scalars: list[int],
                    moduli: tuple[int, ...]) -> Any:
         """Add the integer ``scalars[i]`` to every residue of limb i."""
-
-    # -- Montgomery-domain kernels ----------------------------------------
-    #
-    # ``R = 1`` for every modulus (see ``modmath``): a plain product is
-    # already the cheapest one on every tier, so Montgomery form is the
-    # plain residue, the conversions return their input and ``mont_mul``
-    # is ``mul``.  The ``Polynomial.mont`` flag and its call sites still
-    # route through these three until they go.  The generic
-    # implementations below loop per limb; the stacked backend overrides
-    # them with single-sweep stack kernels.
-
-    def mont_mul(self, a: Any, b: Any, moduli: tuple[int, ...]) -> Any:
-        """Pointwise in-domain multiply: limb i is ``a*b * R_i**-1 mod
-        q_i``, with ``R_i = 1``."""
-        out = [mont_mulmod_vec(x, y, q)
-               for x, y, q in zip(self.to_limbs(a, moduli),
-                                  self.to_limbs(b, moduli), moduli)]
-        return self.as_native(out, moduli)
-
-    def to_mont(self, a: Any, moduli: tuple[int, ...]) -> Any:
-        """Map reduced limbs into Montgomery form (``* R_i mod q_i``)."""
-        out = [to_mont_vec(x, q)
-               for x, q in zip(self.to_limbs(a, moduli), moduli)]
-        return self.as_native(out, moduli)
-
-    def from_mont(self, a: Any, moduli: tuple[int, ...]) -> Any:
-        """Map limbs out of Montgomery form (``* R_i**-1 mod q_i``)."""
-        out = [from_mont_vec(x, q)
-               for x, q in zip(self.to_limbs(a, moduli), moduli)]
-        return self.as_native(out, moduli)
 
     # -- transforms -------------------------------------------------------
 

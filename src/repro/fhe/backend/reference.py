@@ -57,7 +57,7 @@ class ReferenceBackend(ComputeBackend):
 
     def scalar_mul(self, a, scalars, moduli):
         return [mulmod_vec(x, s % q, q)
-                for x, s, q in zip(a, scalars, moduli)]
+                for x, s, q in zip(a, scalars, moduli, strict=True)]
 
     def scalar_add(self, a, scalars, moduli):
         return [(x + (s % q)) % q for x, s, q in zip(a, scalars, moduli)]

@@ -47,7 +47,7 @@ class Plaintext:
 
     A plaintext that is an *operand* of PolyAdd / PolyMult is needed in
     EVAL form over the ciphertext's basis.  :meth:`as_eval` prepares that
-    once per ``(basis, backend name, domain)`` and keeps the limb data on
+    once per ``(basis, backend name)`` and keeps the limb data on
     the plaintext itself, as backend-native storage rather than as a
     :class:`~repro.fhe.poly.Polynomial`: a recorded payload lives on a
     plan shared by every tenant of the process, and must not pin the
@@ -65,26 +65,24 @@ class Plaintext:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def as_eval(self, context: PolyContext, moduli: tuple[int, ...],
-                mont: bool = False) -> Polynomial:
+    def as_eval(self, context: PolyContext,
+                moduli: tuple[int, ...]) -> Polynomial:
         """This plaintext over ``moduli`` in EVAL form, in ``context``.
 
-        ``mont=True`` gives the Montgomery-domain operand PolyMult wants.
-        The lift + NTT (+ domain conversion) runs on first use; later
-        calls — every replay of a recorded plan, on any tenant's context
-        with the same backend — wrap the stored limbs, which are shared
-        and must be treated as read-only like all kernel inputs.  Two
-        threads that miss together both compute the same integers; the
-        second store wins and nothing is lost.
+        One entry serves PolyMult and PolyAdd alike.  The lift + NTT runs
+        on first use; later calls — every replay of a recorded plan, on
+        any tenant's context with the same backend — wrap the stored
+        limbs, which are shared and must be treated as read-only like all
+        kernel inputs.  Two threads that miss together both compute the
+        same integers; the second store wins and nothing is lost.
         """
-        key = (moduli, context.backend.name, mont)
+        key = (moduli, context.backend.name)
         data = self._prepared.get(key)
         if data is None:
-            poly = context.from_big_coeffs(self.coeffs, moduli).to_eval()
-            data = (poly.to_mont() if mont else poly).data
+            data = context.from_big_coeffs(self.coeffs,
+                                           moduli).to_eval().data
             self._prepared[key] = data
-        return Polynomial(context, data, moduli, Representation.EVAL,
-                          mont=mont)
+        return Polynomial(context, data, moduli, Representation.EVAL)
 
 
 class CkksEncoder:

@@ -116,11 +116,9 @@ class CkksEvaluator:
 
         Followed by HERescale (paper: restores scale Delta^2 -> Delta).
         """
-        # The Montgomery-form operand is prepared once per plaintext and
-        # basis; it serves both ciphertext components of every replay
-        # (products land back in the plain domain).
-        m = pt.as_eval(self.context, self.params.moduli[:ct.level + 1],
-                       mont=True)
+        # The EVAL operand is prepared once per plaintext and basis; it
+        # serves both ciphertext components of every replay.
+        m = pt.as_eval(self.context, self.params.moduli[:ct.level + 1])
         out = Ciphertext(c0=ct.c0 * m, c1=ct.c1 * m, level=ct.level,
                          scale=ct.scale * pt.scale)
         return self.rescale(out) if rescale else out
@@ -147,14 +145,9 @@ class CkksEvaluator:
         levels are aligned by dropping limbs.
         """
         ct1, ct2 = self._align(ct1, ct2, check_scale=False)
-        # ct2's pair is flagged Montgomery form (R = 1: nothing is
-        # converted); each cross term has exactly one in-domain operand,
-        # so all four land in the plain domain.
-        b0 = ct2.c0.to_mont()
-        b1 = ct2.c1.to_mont()
-        d0 = ct1.c0 * b0
-        d1 = ct1.c0 * b1 + ct1.c1 * b0
-        d2 = ct1.c1 * b1
+        d0 = ct1.c0 * ct2.c0
+        d1 = ct1.c0 * ct2.c1 + ct1.c1 * ct2.c0
+        d2 = ct1.c1 * ct2.c1
         evk = self.keygen.relinearization_key(ct1.level)
         ks0, ks1 = key_switch(d2, evk, self.params)
         out = Ciphertext(c0=d0 + ks0, c1=d1 + ks1, level=ct1.level,
@@ -163,14 +156,10 @@ class CkksEvaluator:
 
     def he_square(self, ct: Ciphertext, rescale: bool = True) -> Ciphertext:
         """Squaring (saves one polynomial product vs he_mult)."""
-        # As in he_mult: one copy of the pair flagged Montgomery form,
-        # the three tensor products land in the plain domain.
-        c0m = ct.c0.to_mont()
-        c1m = ct.c1.to_mont()
-        d0 = ct.c0 * c0m
-        cross = ct.c0 * c1m
+        d0 = ct.c0 * ct.c0
+        cross = ct.c0 * ct.c1
         d1 = cross + cross
-        d2 = ct.c1 * c1m
+        d2 = ct.c1 * ct.c1
         evk = self.keygen.relinearization_key(ct.level)
         ks0, ks1 = key_switch(d2, evk, self.params)
         out = Ciphertext(c0=d0 + ks0, c1=d1 + ks1, level=ct.level,

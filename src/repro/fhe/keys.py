@@ -43,10 +43,8 @@ class PublicKey:
 class SwitchingKey:
     """Hybrid switching key: one (b_j, a_j) pair per digit (EVAL).
 
-    Components live over the extended basis C_level + P and are flagged
-    as **Montgomery form** (``Polynomial.mont``).  ``R = 1`` on every
-    tier, so a key is stored as its plain values and each key product is
-    a plain one: one ``%`` on the int64 tier, one
+    Components live over the extended basis C_level + P as plain
+    residues; each key product is one ``%`` on the int64 tier, one
     :func:`repro.fhe.modmath._mulmod_f64` on the double-word tier.
     ``digit_spans`` records the [start, stop) limb range of each digit at
     this level.
@@ -139,12 +137,8 @@ class KeyGenerator:
             factor = ksctx.p_prod * hat_qj
             a_j = self.context.random_uniform(extended)
             e_j = self.context.random_gaussian(extended, self.sigma).to_eval()
-            b_j = -(a_j * s) + e_j + s_target.scalar_mul(factor)
-            # Flagged Montgomery form, with R = 1 the plain values: the
-            # RNG draws above are untouched, so the key matches the seed
-            # path exactly.
-            bs.append(b_j.to_mont())
-            as_.append(a_j.to_mont())
+            bs.append(-(a_j * s) + e_j + s_target.scalar_mul(factor))
+            as_.append(a_j)
         return SwitchingKey(bs=bs, as_=as_, level=level,
                             digit_spans=list(ksctx.digit_spans))
 
@@ -153,7 +147,7 @@ def raise_digits(poly: Polynomial,
                  ksctx: KeySwitchContext) -> list[Polynomial]:
     """Digit decompose + ModUp + NTT: the hoistable half of KeySwitch.
 
-    Takes a plain EVAL polynomial over ``ksctx.ct_moduli`` and returns one
+    Takes an EVAL polynomial over ``ksctx.ct_moduli`` and returns one
     EVAL polynomial per digit over the extended basis C_l + P, ready for
     the key product.  The one inverse transform of ``poly`` here is
     forced — base conversion reads coefficients — but on the digit's own
@@ -171,8 +165,8 @@ def raise_digits(poly: Polynomial,
     x -> x^g, and in EVAL form that map is a gather — each further
     rotation skips the digits' forward transforms as well.
     """
-    if poly.rep is not Representation.EVAL or poly.mont:
-        raise ValueError("raise_digits requires plain-domain EVAL form")
+    if poly.rep is not Representation.EVAL:
+        raise ValueError("raise_digits requires EVAL form")
     context = poly.context
     backend = context.backend
     extended = ksctx.extended
@@ -200,10 +194,7 @@ def inner_product_keyswitch(raised: list[Polynomial], key: SwitchingKey,
                             ) -> tuple[Polynomial, Polynomial]:
     """Key product + ModDown: sum_j d_j * evk_j, then divide by P.
 
-    ``raised`` are the EVAL digits of :func:`raise_digits`.  The key
-    components are flagged Montgomery form with ``R = 1``, so each
-    ``d_j * b_j`` / ``d_j * a_j`` below is the plain product of the plain
-    values.
+    ``raised`` are the EVAL digits of :func:`raise_digits`.
     """
     acc0 = acc1 = None
     for d_j, b_j, a_j in zip(raised, key.bs, key.as_):
@@ -240,8 +231,8 @@ def mod_down_poly(poly: Polynomial, ksctx: KeySwitchContext) -> Polynomial:
     Only the special-prime limbs leave EVAL form on the way (see
     :meth:`ComputeBackend.mod_down`).
     """
-    if poly.rep is not Representation.EVAL or poly.mont:
-        raise ValueError("ModDown requires plain-domain EVAL form")
+    if poly.rep is not Representation.EVAL:
+        raise ValueError("ModDown requires EVAL form")
     context = poly.context
     data = context.backend.mod_down(poly.data, ksctx)
     return Polynomial(context, data, ksctx.ct_moduli, Representation.EVAL)

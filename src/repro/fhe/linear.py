@@ -123,9 +123,8 @@ class LinearTransform:
                           ct: Ciphertext) -> Polynomial:
         """rot_{-shift}(d_k) as an operand at the ciphertext's level.
 
-        Flagged Montgomery form (``R = 1``): each product with a baby-step
-        component lands in the plain domain.  ``shift`` is a function
-        of ``k`` alone, so one encoding per diagonal serves every level.
+        ``shift`` is a function of ``k`` alone, so one encoding per
+        diagonal serves every level.
         """
         evaluator = self.evaluator
         pt = self._encoded.get(k)
@@ -134,7 +133,7 @@ class LinearTransform:
             pt = evaluator.encoder.encode(diag, evaluator.params.scale)
             self._encoded[k] = pt
         return pt.as_eval(evaluator.context,
-                          evaluator.params.moduli[:ct.level + 1], mont=True)
+                          evaluator.params.moduli[:ct.level + 1])
 
 
 def multiply_by_i(evaluator: CkksEvaluator, ct: Ciphertext) -> Ciphertext:
@@ -154,11 +153,7 @@ def multiply_by_i(evaluator: CkksEvaluator, ct: Ciphertext) -> Ciphertext:
 
 def _monomial_eval(evaluator: CkksEvaluator, power: int,
                    moduli: tuple[int, ...]) -> Polynomial:
-    """NTT of x^power over the given basis (cached on the evaluator).
-
-    Cached flagged Montgomery form (``R = 1``); the product's other
-    operand is plain, so the result is too.
-    """
+    """NTT of x^power over the given basis (cached on the evaluator)."""
     cache = getattr(evaluator, "_monomial_cache", None)
     if cache is None:
         cache = {}
@@ -167,7 +162,6 @@ def _monomial_eval(evaluator: CkksEvaluator, power: int,
     if key not in cache:
         coeffs = np.zeros(evaluator.params.ring_degree, dtype=np.int64)
         coeffs[power] = 1
-        poly = evaluator.context.from_signed_coeffs(coeffs, moduli) \
-            .to_eval().to_mont()
-        cache[key] = poly
+        cache[key] = evaluator.context.from_signed_coeffs(coeffs,
+                                                          moduli).to_eval()
     return cache[key]

@@ -21,14 +21,6 @@ additions and multiplications (paper section 2.2).  This module provides:
   - object-dtype fallback: numpy arrays of Python ints, exact for any
     word size; moduli of 56+ bits take this path.
 
-Montgomery form is the identity on every tier (``R = 1``): a product is
-one multiply and one ``%`` below 2**31 and one :func:`_mulmod_f64` above,
-and REDC could only add work to either.  :func:`to_mont_vec` /
-:func:`from_mont_vec` and the ``*_stack`` variants return their input and
-:func:`mont_mulmod_vec` / :func:`mont_mulmod_stack` are the plain
-products; they stay until the ``Polynomial.mont`` flag that calls them
-goes.
-
 The generic kernels (``*_vec`` per limb, ``*_stack`` across a limb stack)
 choose the path automatically per call; see :func:`mulmod_vec`.  The hot
 paths do not pay that choice per call: a ``BatchedNttContext`` binds its
@@ -305,20 +297,6 @@ def _f64_columns(moduli: tuple[int, ...],
     return q, 1.0 / q
 
 
-# -- Montgomery form ----------------------------------------------------------
-#
-# ``R = 1`` for every modulus (see the module docstring): entering or
-# leaving the domain returns the input, and an in-domain product is the
-# plain one.
-
-
-def _identity(a: np.ndarray, _moduli) -> np.ndarray:
-    return a
-
-
-to_mont_vec = from_mont_vec = to_mont_stack = from_mont_stack = _identity
-
-
 def addmod_vec(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Vector modular addition of reduced operands."""
     if _is_native(q) and a.dtype != object and b.dtype != object:
@@ -358,9 +336,6 @@ def mulmod_vec(a: np.ndarray, b: np.ndarray | int, q: int) -> np.ndarray:
                                np.int64(q), 1.0 / q)
     bo = b if b_is_scalar else _as_object_array(b)
     return (_as_object_array(a) * bo) % q
-
-
-mont_mulmod_vec = mulmod_vec
 
 
 def negmod_vec(a: np.ndarray, q: int) -> np.ndarray:
@@ -515,9 +490,6 @@ def mulmod_stack(a: np.ndarray, b: np.ndarray, moduli) -> np.ndarray:
     b = b if isinstance(b, (int, np.integer)) or b.dtype == object \
         else b.astype(object)
     return (a * b) % qcol
-
-
-mont_mulmod_stack = mulmod_stack
 
 
 def negmod_stack(a: np.ndarray, moduli) -> np.ndarray:

@@ -165,34 +165,19 @@ class PolyContext:
 
 
 class Polynomial:
-    """An element of R_Q held in backend-native limb storage.
+    """An element of R_Q held in backend-native limb storage."""
 
-    ``mont`` flags the Montgomery *domain* of the limbs: ``False`` (plain
-    residues, the default everywhere) or ``True`` (limbs hold
-    ``a * R_i mod q_i``).  ``R_i = 1`` for every modulus (see
-    :mod:`repro.fhe.modmath`), so both domains hold the same integers:
-    :meth:`to_mont` / :meth:`from_mont` only flip the flag and a product
-    is the plain one either way.  EVAL-form operands that feed chains of
-    pointwise products — switching keys, BSGS diagonals, HEMult operands
-    — are still flagged in via :meth:`to_mont`, and the guard rails
-    below (no NTT, no scalar add, no serialization in-domain; no
-    additions across domains) still hold; the flag is the next thing to
-    go.
-    """
-
-    __slots__ = ("context", "data", "moduli", "rep", "mont")
+    __slots__ = ("context", "data", "moduli", "rep")
 
     def __init__(self, context: PolyContext,
                  limbs: "list[np.ndarray] | np.ndarray",
-                 moduli: tuple[int, ...], rep: Representation,
-                 mont: bool = False):
+                 moduli: tuple[int, ...], rep: Representation):
         if len(limbs) != len(moduli):
             raise ValueError("limb count does not match modulus count")
         self.context = context
         self.data = context.backend.as_native(limbs, moduli)
         self.moduli = moduli
         self.rep = rep
-        self.mont = mont
 
     @property
     def limbs(self) -> list[np.ndarray]:
@@ -200,12 +185,10 @@ class Polynomial:
         return self.context.backend.to_limbs(self.data, self.moduli)
 
     def _wrap(self, data, moduli: tuple[int, ...] | None = None,
-              rep: Representation | None = None,
-              mont: bool | None = None) -> "Polynomial":
+              rep: Representation | None = None) -> "Polynomial":
         return Polynomial(self.context, data,
                           self.moduli if moduli is None else moduli,
-                          self.rep if rep is None else rep,
-                          self.mont if mont is None else mont)
+                          self.rep if rep is None else rep)
 
     # -- representation management -------------------------------------
 
@@ -220,46 +203,16 @@ class Polynomial:
         """Convert to coefficient form; no-op if already there."""
         if self.rep is Representation.COEFF:
             return self
-        if self.mont:
-            raise ValueError(
-                "NTT conversion requires plain-domain limbs; "
-                "call from_mont() first")
         data = self.context.backend.ntt_inverse(self.data, self.moduli)
         return self._wrap(data, rep=Representation.COEFF)
 
-    # -- Montgomery domain management -----------------------------------
-
-    def to_mont(self) -> "Polynomial":
-        """Map the limbs into Montgomery form (EVAL only); no-op if there.
-
-        With ``R = 1`` no limb is touched: only the flag moves.
-        """
-        if self.mont:
-            return self
-        if self.rep is not Representation.EVAL:
-            raise ValueError("Montgomery domain is for EVAL-form operands")
-        data = self.context.backend.to_mont(self.data, self.moduli)
-        return self._wrap(data, mont=True)
-
-    def from_mont(self) -> "Polynomial":
-        """Map the limbs back to the plain domain; no-op if already plain."""
-        if not self.mont:
-            return self
-        data = self.context.backend.from_mont(self.data, self.moduli)
-        return self._wrap(data, mont=False)
-
     # -- ring operations -------------------------------------------------
 
-    def _check_compatible(self, other: "Polynomial",
-                          same_domain: bool = True) -> None:
+    def _check_compatible(self, other: "Polynomial") -> None:
         if self.moduli != other.moduli:
             raise ValueError("operands live over different RNS bases")
         if self.rep is not other.rep:
             raise ValueError("operands are in different representations")
-        if same_domain and self.mont is not other.mont:
-            raise ValueError(
-                "operands are in different domains (Montgomery vs plain); "
-                "additive ops require matching domains")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
@@ -275,20 +228,11 @@ class Polynomial:
         return self._wrap(self.context.backend.neg(self.data, self.moduli))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        """Pointwise product; both operands must be in EVAL form.
-
-        Domains may mix: the result is plain when exactly one operand was
-        in Montgomery form (``a * bR * R^-1 = ab``) and Montgomery when
-        both were (chains stay in-domain).  With ``R = 1`` every variant
-        is the plain product of the same integers.
-        """
-        self._check_compatible(other, same_domain=False)
+        """Pointwise product; both operands must be in EVAL form."""
+        self._check_compatible(other)
         if self.rep is not Representation.EVAL:
             raise ValueError("ring multiplication requires EVAL form")
         backend = self.context.backend
-        if self.mont or other.mont:
-            data = backend.mont_mul(self.data, other.data, self.moduli)
-            return self._wrap(data, mont=self.mont and other.mont)
         return self._wrap(backend.mul(self.data, other.data, self.moduli))
 
     def scalar_mul(self, scalar: int) -> "Polynomial":
@@ -297,21 +241,8 @@ class Polynomial:
         backend = self.context.backend
         return self._wrap(backend.scalar_mul(self.data, scalars, self.moduli))
 
-    def scalar_mul_per_limb(self, scalars: list[int]) -> "Polynomial":
-        """Multiply limb i by scalars[i] (used by rescale and ModDown)."""
-        if len(scalars) != len(self.moduli):
-            raise ValueError("need one scalar per limb")
-        backend = self.context.backend
-        return self._wrap(backend.scalar_mul(self.data, list(scalars),
-                                             self.moduli))
-
     def scalar_add_per_limb(self, scalars: list[int]) -> "Polynomial":
         """Add scalars[i] to every residue of limb i (constant folding)."""
-        if self.mont:
-            raise ValueError(
-                "scalar_add_per_limb requires plain-domain limbs "
-                "(adding a plain constant to Montgomery-form residues "
-                "would change the value)")
         if len(scalars) != len(self.moduli):
             raise ValueError("need one scalar per limb")
         backend = self.context.backend
@@ -347,17 +278,11 @@ class Polynomial:
         form — only the dropped limb is ever taken to coefficient form
         (see :meth:`ComputeBackend.rescale_last`).
         """
-        if self.rep is not Representation.EVAL or self.mont:
-            raise ValueError("rescale_last requires plain-domain EVAL form")
+        if self.rep is not Representation.EVAL:
+            raise ValueError("rescale_last requires EVAL form")
         if len(self.moduli) < 2:
             raise ValueError("cannot rescale away the only limb")
         data = self.context.backend.rescale_last(self.data, self.moduli)
-        return self._wrap(data, moduli=self.moduli[:-1])
-
-    def drop_last_limb(self) -> "Polynomial":
-        """Drop the last limb (used by rescale after exact division)."""
-        picks = list(range(len(self.moduli) - 1))
-        data = self.context.backend.select_limbs(self.data, picks)
         return self._wrap(data, moduli=self.moduli[:-1])
 
     def at_basis(self, moduli: tuple[int, ...]) -> "Polynomial":
@@ -385,9 +310,8 @@ class Polynomial:
         return len(self.moduli)
 
     def __repr__(self) -> str:
-        domain = ", domain=mont" if self.mont else ""
-        return (f"Polynomial(limbs={self.num_limbs}, rep={self.rep.value}"
-                f"{domain}, n={self.context.params.ring_degree}, "
+        return (f"Polynomial(limbs={self.num_limbs}, rep={self.rep.value}, "
+                f"n={self.context.params.ring_degree}, "
                 f"backend={self.context.backend.name})")
 
 

@@ -20,13 +20,6 @@ from .poly import PolyContext, Polynomial, Representation
 
 def _poly_to_arrays(poly: Polynomial, prefix: str,
                     arrays: dict) -> dict:
-    if poly.mont:
-        # The wire format carries plain residues only; Montgomery-domain
-        # polynomials are transient compute operands (keys, diagonals) and
-        # must be converted back before leaving the process.
-        raise ValueError(
-            f"cannot serialize {prefix}: limbs are in Montgomery form; "
-            "call from_mont() first")
     header = {"rep": poly.rep.value, "moduli": list(poly.moduli)}
     for i, limb in enumerate(poly.limbs):
         arr = np.asarray(limb)

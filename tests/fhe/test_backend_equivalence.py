@@ -280,7 +280,8 @@ class TestPolynomialStorage:
         p_r = ref.random_uniform(params.moduli, Representation.COEFF)
         p_s = stk.random_uniform(params.moduli, Representation.COEFF)
         assert limbs_equal(p_r.automorphism(5), p_s.automorphism(5))
-        assert limbs_equal(p_r.drop_last_limb(), p_s.drop_last_limb())
+        prefix = params.moduli[:-1]
+        assert limbs_equal(p_r.at_basis(prefix), p_s.at_basis(prefix))
         sub = params.moduli[:2]
         assert limbs_equal(p_r.at_basis(sub), p_s.at_basis(sub))
         assert limbs_equal(-p_r, -p_s)

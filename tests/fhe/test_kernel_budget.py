@@ -227,34 +227,34 @@ class Remainders:
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_one_remainder_per_product_and_none_per_transform(preset,
                                                           monkeypatch):
-    """Below 2**31 the Montgomery radix is 1: a key product is one
-    multiply and one ``%`` (it was two: the product, then ``R**-1``),
-    and a key is stored without a ``to_mont`` sweep (it was one ``%``
-    per component).  On both tiers a transform reduces no input that
-    is already within its kernel's reach — everything a scoring batch
-    hands one (it was one ``%`` per transform)."""
+    """Below 2**31 every product — key products included — is one
+    multiply and one ``%`` (a key product was two while keys were held
+    in Montgomery form: the product, then ``R**-1``), and a key is
+    stored as it is drawn (it took one ``to_mont`` call per component,
+    ``2 * dnum`` per key; now none).  On both tiers a transform reduces
+    no input that is already within its kernel's reach — everything a
+    scoring batch hands one (it was one ``%`` per transform)."""
     params = PRESETS[preset]()
     plan = scoring_workload(16).compile(params)
     ctx = CkksContext(params, seed=123, backend="stacked")
     values = np.random.default_rng(7).uniform(-1, 1, params.num_slots)
     ct = ctx.encrypt(values)
     want = plan.execute(ctx, sources=[ct]).output   # warms keys and tables
-    names = ("to_mont", "mont_mul", "ntt_forward", "ntt_inverse")
+    names = ("mul", "ntt_forward", "ntt_inverse")
     spy = Remainders(monkeypatch, names)
     got = plan.execute(ctx, sources=[ct]).output
-    assert min(spy.calls[name] for name in names[1:]) > 0
+    assert min(spy.calls.values()) > 0
     per_product = 1 if preset == "toy" else 0
     assert spy.remainders == {
-        "to_mont": 0, "mont_mul": per_product * spy.calls["mont_mul"],
+        "mul": per_product * spy.calls["mul"],
         "ntt_forward": 0, "ntt_inverse": 0}
     for a, b in ((got.c0, want.c0), (got.c1, want.c1)):
         assert np.array_equal(a.data, b.data)
-    # A cold key: 2 * dnum components into Montgomery form, none of
-    # them a sweep of remainders.
-    spy.calls["to_mont"] = 0
+    # A cold key: one product per digit (a_j * s), and nothing else.
+    spy.calls["mul"] = spy.remainders["mul"] = 0
     ctx.keygen.rotation_key(7, ct.level)
-    assert spy.calls["to_mont"] == 2 * params.dnum
-    assert spy.remainders["to_mont"] == 0
+    assert spy.calls["mul"] == params.dnum
+    assert spy.remainders["mul"] == per_product * params.dnum
 
 
 #: A uint64 word cut into 32-bit halves: its high half shifted down, its

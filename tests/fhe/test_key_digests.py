@@ -28,6 +28,10 @@ change, the same way (``from_mont()`` of each key's limbs).  Old -> new:
 
 * rotation: ``9ccf16f0…`` -> ``099311c8…``;
 * conjugation: ``4060d5eb…`` -> ``dc80eaf3…``.
+
+With ``R = 1`` everywhere the ``Polynomial.mont`` flag changed no
+integer, and it is gone: keys are plain polynomials.  The digests hash
+``.limbs`` alone, never the flag, so all four stand unchanged.
 """
 
 import hashlib

@@ -9,13 +9,15 @@ a stacked transform is the multi-step chain.  One owner of what an HE
 op is: ``repro.trace.ops.OPS``.  One fast backend and one plain oracle:
 ``stacked`` on its bound kernels, ``reference`` per limb, the exact CRT
 underneath both in Python integers.  One on-disk form of a program:
-``.rpa`` through ``repro.artifact``, and one diff.  Each case pins the
-absence of the fork it names.
+``.rpa`` through ``repro.artifact``, and one diff.  One domain for a
+residue: the plain one.  Each case pins the absence of the fork it
+names.
 """
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import pathlib
 import re
 import sys
@@ -29,10 +31,13 @@ import repro.trace
 from repro import engine
 from repro.analysis import diagnostics
 from repro.fhe import modmath, noise, rns
+from repro.fhe.backend.base import ComputeBackend
 from repro.fhe.backend.reference import ReferenceBackend
 from repro.fhe.backend.stacked import StackedBackend
+from repro.fhe.encoder import Plaintext
 from repro.fhe.ntt import BatchedNttContext, NttContext
 from repro.fhe.params import CkksParameters
+from repro.fhe.poly import Polynomial
 from repro.serve.server import _plan_fingerprint
 from repro.workloads import compile_workload, workload_names
 
@@ -138,7 +143,73 @@ def test_the_double_word_tier_has_one_product():
         & set(vars(ctx))
     assert not {"fwd_twiddle_shoups", "inv_twiddle_shoups"} \
         & set(BatchedNttContext._PER_ROW)
-    assert modmath.mont_mulmod_stack is modmath.mulmod_stack
+
+
+# -- one residue, one domain -------------------------------------------------
+
+#: The calls that moved limbs into, out of and within the Montgomery
+#: domain.
+_DOMAIN_CALLS = frozenset({"to_mont", "from_mont", "mont_mul"})
+
+
+def _domain_uses(tree) -> list[tuple[int, str]]:
+    """``(line, what)`` for every ``.mont`` attribute, every call of a
+    domain function and every definition of one in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "mont":
+            found.append((node.lineno, ".mont"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", None)
+            if name in _DOMAIN_CALLS:
+                found.append((node.lineno, f"calls {name}"))
+        elif isinstance(node, ast.FunctionDef) and node.name in _DOMAIN_CALLS:
+            found.append((node.lineno, f"defines {node.name}"))
+    return sorted(found)
+
+
+def test_the_domain_guard_sees_what_it_is_there_to_stop():
+    assert _domain_uses(ast.parse(
+        "if poly.mont: pass\n"
+        "key = b.to_mont()\n"
+        "x = from_mont(y, q)\n"
+        "z = backend.mont_mul(a, b, moduli)\n"
+        "def to_mont(self, a): return a\n"
+        "mont = MontgomeryContext(q)\n"
+        "w = self.mul(a, b) + p.montage + a_mont\n"
+    )) == [(1, ".mont"), (2, "calls to_mont"), (3, "calls from_mont"),
+           (4, "calls mont_mul"), (5, "defines to_mont")]
+
+
+def test_one_residue_one_domain():
+    """Limbs are plain residues everywhere: no ``Polynomial.mont`` flag,
+    no conversions, no Montgomery aliases in ``modmath``, one prepared
+    plaintext entry per (basis, backend).  The scalar REDC oracle stays,
+    and so do two stubs on ``StackedBackend`` that ``bench``'s span probes
+    wrap by name; nothing under ``src/`` calls either."""
+    assert "mont" not in Polynomial.__slots__
+    for owner, names in (
+            (Polynomial, ["mont", "to_mont", "from_mont", "drop_last_limb",
+                          "scalar_mul_per_limb"]),
+            (modmath, ["to_mont_vec", "from_mont_vec", "to_mont_stack",
+                       "from_mont_stack", "_identity", "mont_mulmod_vec",
+                       "mont_mulmod_stack"]),
+            (ComputeBackend, sorted(_DOMAIN_CALLS)),
+            (ReferenceBackend, sorted(_DOMAIN_CALLS)),
+            (StackedBackend, ["from_mont"])):
+        for name in names:
+            assert not hasattr(owner, name), (owner.__name__, name)
+    assert "mont" not in inspect.signature(Plaintext.as_eval).parameters
+    uses = {f"{path.relative_to(SRC)}: {what}"
+            for path in sorted(SRC.rglob("*.py"))
+            for _, what in _domain_uses(
+                ast.parse(path.read_text(encoding="utf-8")))}
+    assert uses == {"repro/fhe/backend/stacked.py: defines mont_mul",
+                    "repro/fhe/backend/stacked.py: defines to_mont",
+                    "repro/fhe/modmath.py: defines to_mont",
+                    "repro/fhe/modmath.py: defines from_mont"}, uses
 
 
 def test_a_stacked_transform_has_one_algorithm():
