@@ -12,8 +12,8 @@ table).  Three front doors:
 - ``python -m repro.analysis <workload | file.rpa>`` lints anything in
   the workload catalog or a saved ``.rpa`` trace / plan (``--json`` for
   the machine-readable report, ``--catalog`` for everything at once);
-- the CI ``lint-analysis`` lane holds the catalog to a zero-error
-  budget against checked-in expected-warning goldens.
+- ``tests/analysis/test_cli.py::TestGoldens`` holds the catalog to a
+  zero-error budget against checked-in expected-warning goldens.
 """
 
 from .checks import (check_hoists, check_keys, check_levels,

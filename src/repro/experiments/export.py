@@ -1,18 +1,18 @@
-"""Shared machine-readable export schema for runner --json and BENCH_*.
+"""Shared machine-readable export schema for the ``--json`` CLIs.
 
-Every JSON artifact this repo emits for machines — the experiment
-runner's ``--json`` document and the ``BENCH_*.json`` files CI uploads —
-shares one stable envelope so downstream tooling (trend dashboards, CI
-assertions) can parse any of them without per-artifact special cases:
+The ``--json`` documents of the experiment runner, ``python -m
+repro.analysis`` and ``python -m repro.artifact`` share one stable
+envelope so downstream tooling can parse any of them without
+per-document special cases:
 
 * ``schema_version`` (int) — bumped only on breaking key changes;
   additive keys do not bump it;
-* ``kind`` (str) — which artifact this is (``"experiments.runner"``,
-  ``"bench.pipeline"``, ``"bench.serve"``, ...);
+* ``kind`` (str) — which document this is (``"experiments.runner"``,
+  ``"analysis.lint"``, ``"artifact.diff"``, ...);
 * ``python`` / ``machine`` (str) — interpreter version and platform
-  machine tag, for segmenting measurements across CI runners;
-* one artifact-specific payload key (``"harnesses"`` for the runner,
-  ``"lanes"`` for the serve bench, ...) plus any artifact-specific
+  machine tag, for segmenting measurements across machines;
+* one document-specific payload key (``"harnesses"`` for the runner,
+  ``"diff"`` for an artifact diff, ...) plus any document-specific
   scalar context (``"source"``, ``"params"``, ...).
 
 The envelope keys are reserved: payloads must not reuse them.

@@ -26,7 +26,7 @@ Public surface:
   state machine, configured via :class:`ResilienceConfig`;
 * :class:`FaultInjectingExecutor` / :class:`FaultPlan`
   (:mod:`repro.serve.faults`) — deterministic seeded fault injection
-  wrapping any executor, for chaos tests and `BENCH_resilience`.
+  wrapping any executor, for the chaos tests (``tests/serve/test_faults.py``).
 
 Also reachable as ``repro.engine.serve`` (the engine front door
 re-exports this module lazily).

@@ -4,8 +4,8 @@ One :class:`ServeMetrics` instance belongs to one
 :class:`~repro.serve.server.PlanServer`.  The server mutates it from the
 event loop (admission counters) and from worker threads (batch service
 accounting, guarded by a lock); :meth:`ServeMetrics.snapshot` renders a
-JSON-clean dict that the serve bench exports under the shared
-``BENCH_*`` schema (:mod:`repro.experiments.export`).
+JSON-clean dict that ``python3 -m bench`` reports and the serving tests
+(``tests/serve/``, ``benchmarks/test_serve_speedup.py``) assert on.
 
 Two time bases coexist:
 

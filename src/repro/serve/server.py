@@ -246,16 +246,16 @@ class PlanServer:
         :func:`repro.engine.load_plan`).
         """
         from repro import engine
-        plan = plan_or_name
+        plan, source = plan_or_name, plan_or_name
         if isinstance(plan_or_name, str):
-            if plan_or_name.endswith(".rpa"):
-                plan = engine.load_plan(plan_or_name)
-                if params is not None and plan.params != params:
-                    raise ValueError(
-                        f"{plan_or_name}: artifact parameters do not "
-                        "match the requested serving parameters")
-            else:
-                plan = engine.compile(plan_or_name, params)
+            plan = (engine.load_plan(plan_or_name)
+                    if plan_or_name.endswith(".rpa")
+                    else engine.compile(plan_or_name, params))
+        else:
+            source = f"plan {plan.name!r}"
+        if params is not None and plan.params != params:
+            raise ValueError(f"{source}: plan parameters do not match the "
+                             "requested serving parameters")
         layout = SlotLayout.for_params(plan.params, width)
         executor = SimulatedExecutor(plan, layout, features=features)
         return cls(executor, config)

@@ -111,7 +111,7 @@ class TestJsonReport:
 
 class TestGoldens:
     def test_checked_in_catalog_golden_matches(self, capsys):
-        """The CI lane: catalog at paper params vs the committed golden."""
+        """The catalog at paper params vs the committed golden."""
         assert main(["--catalog", "--params", "paper",
                      "--golden", GOLDEN]) == 0
 

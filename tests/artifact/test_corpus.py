@@ -1,11 +1,12 @@
 """Golden-corpus integrity: the checked-in artifacts match the catalog.
 
-The corpus under ``tests/artifact/corpus/`` is the CI regression gate:
-every catalog workload, compiled at paper parameters, must diff clean
-against its golden artifact.  These tests run the same check the
-``artifact-corpus`` CI lane runs, plus the failure modes (missing
-golden, stale golden after a workload change) the lane relies on to
-actually fail.
+The corpus under ``tests/artifact/corpus/`` is the structural regression
+gate: every catalog workload, compiled at paper parameters, must diff
+clean against its golden artifact.  ``test_catalog_matches_goldens`` and
+``test_cli_check_and_regen`` are that diff, through the library and
+through ``python -m repro.artifact corpus``; the rest are the failure
+modes (missing golden, stale golden after a workload change) the gate
+relies on to actually fail.
 """
 
 from repro import engine

@@ -3,12 +3,13 @@
 A block order is a function of the graph, LABS on or off, the router
 count and a fixed seed; a block cost of ``(type, level)`` and the
 parameters.  A feature-set sweep over one plan changes none of them, so
-the sweep below — the five cumulative configs, a profile, a repeated
-simulate — may partition the graph once, sort it topologically once,
-never map parts to routers (no cycle depends on where they land), never
-deep-copy a block, and price each block kind once per run.  Before the
-plan owned its orders the same sweep made 2 partitions, 2 ``map_parts``
-calls, 4 topological sorts and 6 500 deep copies.
+the sweep below — the five cumulative configs, full GME at two more LDS
+sizes, a profile, a repeated simulate — may partition the graph once,
+sort it topologically once, never map parts to routers (no cycle
+depends on where they land), never deep-copy a block, and price each
+block kind once per run.  Before the plan owned its orders the same
+sweep made 2 partitions, 2 ``map_parts`` calls, 4 topological sorts and
+6 500 deep copies.
 """
 
 import copy
@@ -22,9 +23,9 @@ from repro.gme import (LabsScheduler, MultilevelPartitioner,
                        SimulatedAnnealingMapper)
 from repro.gme.features import GME_FULL, cumulative_configs
 
-#: Simulator runs of :func:`sweep`: five simulates and one profile; the
-#: closing ``simulate(GME_FULL)`` is served from the plan's cache.
-SWEEP_RUNS = 6
+#: Simulator runs of :func:`sweep`: seven simulates and one profile;
+#: the closing ``simulate(GME_FULL)`` is served from the plan's cache.
+SWEEP_RUNS = 8
 
 
 class Calls:
@@ -74,7 +75,8 @@ def plan():
 
 
 def sweep(plan):
-    for features in cumulative_configs():
+    for features in cumulative_configs() + [GME_FULL.with_lds_scale(2.0),
+                                            GME_FULL.with_lds_scale(4.0)]:
         plan.simulate(features)
     profile = plan.profile(GME_FULL)
     assert profile.total_cycles == plan.simulate(GME_FULL).cycles

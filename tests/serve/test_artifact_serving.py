@@ -117,3 +117,10 @@ class TestSimulatedFromArtifact:
         with pytest.raises(ValueError, match="parameters"):
             PlanServer.simulated(path, width=8,
                                  params=CkksParameters.paper())
+
+    def test_plan_param_mismatch_refused(self):
+        from repro import engine
+        plan = engine.compile("boot", TOY)
+        with pytest.raises(ValueError, match="plan 'boot'.*parameters"):
+            PlanServer.simulated(plan, width=8,
+                                 params=CkksParameters.test())

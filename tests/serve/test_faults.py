@@ -2,7 +2,7 @@
 
 Three tiers: :func:`window_checksum` / :class:`FaultPlan` properties,
 wrapper-level injection against a stub executor, and full-server chaos
-— ending in the acceptance scenario from ISSUE.md: a seeded 32-query
+— ending in the acceptance scenario: a seeded 32-query
 multi-tenant run over the *real* executor with 10% transient faults and
 one poisoned tenant, where only the poisoned query fails (typed), every
 co-rider is bit-identical to a fault-free run at ``round_decimals``,
@@ -169,13 +169,14 @@ class TestServerChaosStub:
 
 
 class TestAcceptanceScenario:
-    """ISSUE.md acceptance: 32 queries, 4 tenants, 10% transients, one
-    poisoned query — blast radius of exactly one, bit-identical
-    co-riders, poisoned tenant's breaker open at the end."""
+    """Acceptance: 32 queries, 4 tenants, 10% transients, one poisoned
+    query — blast radius of exactly one, bit-identical co-riders,
+    poisoned tenant's breaker open at the end, under every seed."""
 
     DECIMALS = 2
     WIDTH = 16
     POISON_IDX = 6                              # 6 % 4 == 2 -> tenant t2
+    SEEDS = (1123, 11, 23, 42)
 
     @pytest.fixture(scope="class")
     def params(self):
@@ -223,44 +224,46 @@ class TestAcceptanceScenario:
 
     def test_seeded_chaos_isolates_the_poison(
             self, workload, params, keys, queries, tenants, reference):
-        plan = FaultPlan(seed=1123, transient_rate=0.1,
-                         poisoned_payloads=(queries[self.POISON_IDX],))
-        executor = FaultInjectingExecutor(
-            RealExecutor(workload, params, key_cache=keys,
-                         round_decimals=self.DECIMALS),
-            plan, checksum_decimals=self.DECIMALS)
-        server = PlanServer(executor, ServeConfig(
-            max_batch_queries=8, workers=1,
-            round_decimals=self.DECIMALS,
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=6,
-                                  backoff_base_s=0.001),
-                breaker_failures=1)))
+        for seed in self.SEEDS:
+            plan = FaultPlan(seed=seed, transient_rate=0.1,
+                             poisoned_payloads=(queries[self.POISON_IDX],))
+            executor = FaultInjectingExecutor(
+                RealExecutor(workload, params, key_cache=keys,
+                             round_decimals=self.DECIMALS),
+                plan, checksum_decimals=self.DECIMALS)
+            server = PlanServer(executor, ServeConfig(
+                max_batch_queries=8, workers=1,
+                round_decimals=self.DECIMALS,
+                resilience=ResilienceConfig(
+                    retry=RetryPolicy(max_attempts=6,
+                                      backoff_base_s=0.001),
+                    breaker_failures=1)))
 
-        results, snapshot = serve(None, queries, tenants=tenants,
-                                  server=server,
-                                  return_exceptions=True)
+            results, snapshot = serve(None, queries, tenants=tenants,
+                                      server=server,
+                                      return_exceptions=True)
 
-        # Blast radius is exactly the poisoned query, typed + chained.
-        assert isinstance(results[self.POISON_IDX], PoisonedQueryError)
-        cause = results[self.POISON_IDX].__cause__
-        assert isinstance(cause, InjectedFault)
-        for i, r in enumerate(results):
-            if i == self.POISON_IDX:
-                continue
-            # Co-riders are served bit-identical to the fault-free run
-            # — under transient retries AND the bisection repack.
-            assert np.array_equal(r, reference[i]), f"query {i}"
+            # Blast radius is exactly the poisoned query, typed + chained.
+            poisoned = results[self.POISON_IDX]
+            assert isinstance(poisoned, PoisonedQueryError), seed
+            assert isinstance(poisoned.__cause__, InjectedFault), seed
+            for i, r in enumerate(results):
+                if i == self.POISON_IDX:
+                    continue
+                # Co-riders are served bit-identical to the fault-free
+                # run — under transient retries AND the bisection repack.
+                assert np.array_equal(r, reference[i]), (seed, i)
 
-        # The poisoned tenant's breaker opened; others stayed closed.
-        assert server.breaker("t2").state is BreakerState.OPEN
-        for tenant in ("t0", "t1", "t3"):
-            assert server.breaker(tenant).state is BreakerState.CLOSED
+            # The poisoned tenant's breaker opened; others stayed closed.
+            assert server.breaker("t2").state is BreakerState.OPEN, seed
+            for tenant in ("t0", "t1", "t3"):
+                assert server.breaker(tenant).state \
+                    is BreakerState.CLOSED, (seed, tenant)
 
-        assert snapshot["served"] == 31
-        assert snapshot["failures"] == 1
-        assert snapshot["failed_queries"] == 1
-        # Isolating 1 of 8 co-riders takes exactly log2(8) bisections.
-        assert snapshot["bisections"] == 3
-        assert snapshot["goodput"] == pytest.approx(31 / 32)
-        assert executor.injected["poisoned"] >= 1
+            assert snapshot["served"] == 31, seed
+            assert snapshot["failures"] == 1, seed
+            assert snapshot["failed_queries"] == 1, seed
+            # Isolating 1 of 8 co-riders takes exactly log2(8) bisections.
+            assert snapshot["bisections"] == 3, seed
+            assert snapshot["goodput"] == pytest.approx(31 / 32), seed
+            assert executor.injected["poisoned"] >= 1, seed

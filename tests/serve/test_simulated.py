@@ -33,9 +33,9 @@ def drive(server, num_queries):
     return results, server.metrics.snapshot()
 
 
-def simulated(batch):
+def simulated(batch, workload="helr"):
     return PlanServer.simulated(
-        "helr", WIDTH, PARAMS, features=GME_FULL,
+        workload, WIDTH, PARAMS, features=GME_FULL,
         config=ServeConfig(max_batch_queries=batch))
 
 
@@ -61,13 +61,14 @@ class TestSimulatedServing:
 
     def test_batching_multiplies_throughput_by_batch_size(self):
         """Acceptance floor: >=2x batched-vs-sequential at <=50%
-        occupancy.  The model gives exactly batch-size x."""
-        _, batched = drive(simulated(batch=16), num_queries=32)
-        _, sequential = drive(simulated(batch=1), num_queries=32)
-        assert batched["mean_occupancy"] <= 0.5
-        speedup = batched["service_qps"] / sequential["service_qps"]
-        assert speedup == pytest.approx(16.0)
-        assert speedup >= 2.0
+        occupancy, for every catalog workload.  The model gives exactly
+        batch-size x."""
+        for workload in engine.workload_names():
+            _, batched = drive(simulated(16, workload), num_queries=32)
+            _, sequential = drive(simulated(1, workload), num_queries=32)
+            assert batched["mean_occupancy"] <= 0.5, workload
+            speedup = batched["service_qps"] / sequential["service_qps"]
+            assert speedup == pytest.approx(16.0), workload
 
     def test_results_are_shape_only(self):
         results, snapshot = drive(simulated(batch=8), num_queries=8)

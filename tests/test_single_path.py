@@ -10,8 +10,8 @@ op is: ``repro.trace.ops.OPS``.  One fast backend and one plain oracle:
 ``stacked`` on its bound kernels, ``reference`` per limb, the exact CRT
 underneath both in Python integers.  One on-disk form of a program:
 ``.rpa`` through ``repro.artifact``, and one diff.  One domain for a
-residue: the plain one.  Each case pins the absence of the fork it
-names.
+residue: the plain one.  One harness per question: a floor is a test
+id.  Each case pins the absence of the fork it names.
 """
 
 import ast
@@ -442,3 +442,17 @@ def test_the_trace_ir_does_not_touch_disk():
                  for line, module in _file_imports(
                      ast.parse(path.read_text(encoding="utf-8")))]
     assert not offenders, "\n".join(offenders)
+
+
+# -- one harness per question ------------------------------------------------
+
+def test_every_floor_is_a_test_id():
+    """No exporter script asserts a floor beside the test suites, and CI
+    uploads no JSON: a floor is a test under ``tests/`` or
+    ``benchmarks/``, an end-to-end number is a ``bench`` row."""
+    root = SRC.parent
+    assert not sorted(root.glob("benchmarks/export_*.py"))
+    ci = (root / ".github" / "workflows" / "ci.yml").read_text(
+        encoding="utf-8")
+    for gone in ("benchmarks/export_", "upload-artifact", "BENCH_"):
+        assert gone not in ci, gone
