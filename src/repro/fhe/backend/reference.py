@@ -5,15 +5,15 @@ through a Python-level loop over limbs, exactly as the original
 ``poly.py``/``evaluator.py`` hot paths did.  It is the correctness oracle
 the :mod:`~repro.fhe.backend.stacked` backend is cross-checked against.
 The per-limb kernels themselves dispatch through :mod:`~repro.fhe.modmath`
-(int64 below 2**31, double-word native below 2**56, object beyond).
+(int64 below 2**31, double-word native below 2**56; nothing wider).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..modmath import (addmod_vec, limb_dtype, mulmod_vec, native_class,
-                       negmod_vec, rescale_constants, submod_vec)
+from ..modmath import (addmod_vec, mulmod_vec, negmod_vec, rescale_constants,
+                       submod_vec)
 from .base import ComputeBackend
 from .registry import register_backend
 
@@ -110,7 +110,7 @@ class ReferenceBackend(ComputeBackend):
             for c, w in zip(centered, weights[t]):
                 term = mulmod_vec(np.remainder(c, p), int(w), p)
                 acc = term if acc is None else addmod_vec(acc, term, p)
-            out.append(acc.astype(limb_dtype(p), copy=False))
+            out.append(acc)
         return out
 
     def mod_down(self, data, ksctx):
@@ -134,13 +134,7 @@ class ReferenceBackend(ComputeBackend):
         # keeps the rounding error small) is reduced modulo each remaining
         # prime by the forward transform itself.
         last = self.ntt_inverse(data[-1:], moduli[-1:])[0]
-        half = q_last // 2
-        if native_class(q_last) != "object" and last.dtype != object:
-            centered = last.astype(np.int64) - np.where(last > half,
-                                                        q_last, 0)
-        else:
-            centered = last.astype(object) - np.where(
-                last.astype(object) > half, q_last, 0)
+        centered = last - np.where(last > q_last // 2, q_last, 0)
         lift = self.ntt_forward([centered] * len(rest), rest)
         invs = rescale_constants(tuple(moduli)).scalars
         return [mulmod_vec(submod_vec(limb, lift_limb, q), inv, q)

@@ -9,24 +9,22 @@ this removes a limb-count factor of Python/numpy dispatch overhead from
 every hot path; see ``benchmarks/test_backend_speedup.py``.
 
 Bit-exact with the reference backend: both run the same exact integer
-arithmetic (int64 single-multiply path for stacks whose moduli are all
-below 2**31, one int64 product with float64 quotient estimates below
-2**56, the paper's 54-bit word included — on both, the NTT and the
-key-switch base conversions as exact matrix products — and object dtype
-beyond that).  NTT tables are
-not this backend's: they are built once per process and shared
-(:mod:`repro.fhe.ntt`).
+arithmetic on int64 residues (the single-multiply path for stacks whose
+moduli are all below 2**31, one int64 product with float64 quotient
+estimates below 2**56, the paper's 54-bit word included — on both, the
+NTT and the key-switch base conversions as exact matrix products).  NTT
+tables are not this backend's: they are built once per process and
+shared (:mod:`repro.fhe.ntt`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import modmath
-from ..modmath import (_as_object_array, _stack_native_ok, addmod_stack,
-                       center_stack, mulmod_stack, negmod_stack, reduce_stack,
-                       rescale_constants, scalar_add_stack, scalar_mul_stack,
-                       stack_residues, submod_stack, unstack_residues)
+from ..modmath import (addmod_stack, center_stack, mulmod_stack, negmod_stack,
+                       reduce_stack, rescale_constants, scalar_add_stack,
+                       scalar_mul_stack, stack_residues, submod_stack,
+                       unstack_residues)
 from ..ntt import BatchedNttContext, batched_ntt_context
 from ..rns import exact_moddown_quotient
 from .base import ComputeBackend
@@ -60,7 +58,7 @@ class StackedBackend(ComputeBackend):
         return np.concatenate(parts)
 
     def reduce_coeffs(self, coeffs, moduli):
-        if _stack_native_ok(moduli, coeffs):
+        if coeffs.dtype != object:
             # One sweep, (1, N) % (limbs, 1), straight into the stack.
             return reduce_stack(coeffs.astype(np.int64, copy=False)[None],
                                 moduli)
@@ -131,23 +129,15 @@ class StackedBackend(ComputeBackend):
                                                 ksctx.digit_scale)]
 
     def mod_up(self, digit, digit_index, ksctx):
-        weights = ksctx.modup_weights[digit_index]
-        p_col = ksctx.extended_col
-        # Centered y_i = [d_i * hat{q}_i^{-1}]_{q_i}, one sweep per stack.
+        # Centered y_i = [d_i * hat{q}_i^{-1}]_{q_i}, one sweep per stack,
+        # then one (T, d) @ (d, N) product on either tier: exact float64
+        # matmuls over split words.
         y = ksctx.digit_unpuncture[digit_index](digit)
-        q_col = ksctx.digit_q_col[digit_index]
-        half_col = ksctx.digit_half_col[digit_index]
-        if y.dtype == object or ksctx.modup_matmul is None:
-            # Object dtype is overflow-free: one dot per digit, then one
-            # reduction per target prime.
-            y, weights, q_col, half_col, p_col = map(
-                _as_object_array, (y, weights, q_col, half_col, p_col))
-            return np.dot(weights, center_stack(y, q_col, half_col)) % p_col
-        # One (T, d) @ (d, N) product on either native tier: exact
-        # float64 matmuls over split words.
         return ksctx.modup_matmul.left(
             ksctx.modup_tables[digit_index],
-            center_stack(y, q_col, half_col), p_col, ksctx.extended_inv_col)
+            center_stack(y, ksctx.digit_q_col[digit_index],
+                         ksctx.digit_half_col[digit_index]),
+            ksctx.extended_col, ksctx.extended_inv_col)
 
     def mod_down(self, data, ksctx):
         # Only the special-prime rows leave EVAL form: their lift to the
@@ -169,13 +159,13 @@ class StackedBackend(ComputeBackend):
         ``y_j = [x_j * hat{p}_j^{-1}]_{p_j}`` and the true quotient ``e``
         (:func:`~repro.fhe.rns.exact_moddown_quotient`): the exact
         centered CRT lift.  That is one ``(n, k + 1) @ (k + 1, N)``
-        matmul over split float64 words on either native tier; where the
-        context bound none (the object tier, a quotient sum too long for
-        the guard band) it is :meth:`RnsBasis.convert_exact` — the same
-        integers, shared with the reference backend.
+        matmul over split float64 words on either tier; where the context
+        bound none (a quotient sum too long for the guard band) it is
+        :meth:`RnsBasis.convert_exact` — the same integers, shared with
+        the reference backend.
         """
         matmul = ksctx.moddown_lift_matmul
-        if matmul is None or special.dtype == object or modmath._OBJECT_ONLY:
+        if matmul is None:
             ct_moduli = ksctx.ct_moduli
             return stack_residues(
                 ksctx.p_basis.convert_exact(list(special), list(ct_moduli)),

@@ -8,38 +8,40 @@ additions and multiplications (paper section 2.2).  This module provides:
   scalar Montgomery multiplication (:class:`MontgomeryContext`): the
   test oracles and the ISA model's sizing references for what a MOD-unit
   computes,
-* vectorized numpy backends.  Products of two word-size residues overflow
-  64-bit integers for the paper's 54-bit primes, so there are three paths:
+* vectorized numpy backends.  Every residue is int64, and products of two
+  word-size residues overflow 64-bit integers for the paper's 54-bit
+  primes, so there are two paths, one per tier of modulus
+  (:func:`native_class`):
 
-  - ``int64`` fast path: a single machine multiply, exact whenever
-    ``q < 2**31`` (products < 2**62); used by the toy/test presets;
-  - double-word native path: exact for any ``q < 2**56`` (the paper's
-    54-bit word and its 55-bit ``q_0`` / special primes).  A product is
-    one wrapping int64 multiply, corrected by two float64 quotient
-    estimates (:func:`_mulmod_f64`) — arrays, constants and NTT twiddles
-    alike, with no 32-bit splits and no 128-bit emulation;
-  - object-dtype fallback: numpy arrays of Python ints, exact for any
-    word size; moduli of 56+ bits take this path.
+  - ``int64``: a single machine multiply, exact whenever ``q < 2**31``
+    (products < 2**62); used by the toy/test presets;
+  - ``dword``: exact for any ``q < 2**56`` (the paper's 54-bit word and
+    its 55-bit ``q_0`` / special primes).  A product is one wrapping
+    int64 multiply, corrected by two float64 quotient estimates
+    (:func:`_mulmod_f64`) — arrays, constants and NTT twiddles alike,
+    with no 32-bit splits and no 128-bit emulation.
+
+  A modulus of 2**56 or more has no kernel: every one of them, and
+  :class:`~repro.fhe.params.CkksParameters`, refuses it with a
+  ``ValueError`` naming it.
 
 The generic kernels (``*_vec`` per limb, ``*_stack`` across a limb stack)
-choose the path automatically per call; see :func:`mulmod_vec`.  The hot
-paths do not pay that choice per call: a ``BatchedNttContext`` binds its
-tier, modulus columns and tables when it is built and runs that tier's
-kernel directly (one exact float64 matrix product per factor of N on
-both native tiers, :class:`BoundModMatmul`, with int64 twiddle scales
-below 2**31 and :func:`_mulmod_f64` ones up to 2**56), both base
-conversions of a key switch are the same bound matmul on both native
-tiers (one table word and a plain ``%`` below 2**31), and the per-level
-constant multiplies of the key-switch datapath are :class:`BoundScalarMul`
-objects held by the ``KeySwitchContext`` (see "The three dtype paths" in
-``backend/README.md``).  For benchmarking (and for pitting the native
-paths against the bignum oracle) :func:`force_object_dtype` disables both
-native paths — bound contexts read that flag once per call.
+take int64 residues and return int64 residues; the only choice they make
+per call is the multiply's tier (:func:`mulmod_vec`,
+:func:`mulmod_stack`).  The hot paths do not pay even that: a
+``BatchedNttContext`` binds its tier, modulus columns and tables when it
+is built and runs that tier's kernel directly (one exact float64 matrix
+product per factor of N, :class:`BoundModMatmul`, with int64 twiddle
+scales below 2**31 and :func:`_mulmod_f64` ones up to 2**56), both base
+conversions of a key switch are the same bound matmul (one table word
+and a plain ``%`` below 2**31), and the per-level constant multiplies of
+the key-switch datapath are :class:`BoundScalarMul` objects held by the
+``KeySwitchContext`` (see "The two dtype paths" in
+``backend/README.md``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 
 import numpy as np
@@ -50,44 +52,10 @@ INT64_SAFE_MODULUS = 1 << 31
 
 #: Moduli strictly below this bound can use the exact double-word native
 #: path (one int64 product and two float64 quotient estimates,
-#: :func:`_mulmod_f64`).  The 56-bit ceiling keeps the first estimate
-#: within 41 of the true quotient, so the remainder it leaves stays inside
-#: int64 (``41 q < 2**62``).
+#: :func:`_mulmod_f64`); no modulus at or past it is taken.  The 56-bit
+#: ceiling keeps the first estimate within 41 of the true quotient, so
+#: the remainder it leaves stays inside int64 (``41 q < 2**62``).
 NATIVE_SAFE_MODULUS = 1 << 56
-
-#: When True, every vector kernel takes the object-dtype path regardless
-#: of modulus size (see :func:`force_object_dtype`).
-_OBJECT_ONLY = False
-
-
-@contextlib.contextmanager
-def force_object_dtype():
-    """Disable the int64 and double-word paths inside the ``with`` block.
-
-    Used by benchmarks to measure the native-vs-object gap at the paper's
-    word size, and by tests to run the bignum path as an oracle on
-    parameters that would normally dispatch natively.  Contexts built
-    inside the block (NTT tables, KeySwitchContext) also classify their
-    moduli as object-only.
-    """
-    global _OBJECT_ONLY
-    saved = _OBJECT_ONLY
-    _OBJECT_ONLY = True
-    try:
-        yield
-    finally:
-        _OBJECT_ONLY = saved
-
-
-def limb_dtype(q: int) -> type:
-    """Storage dtype for residues mod ``q``: int64 natively, else object.
-
-    This is the single source of truth for the repo-wide dtype
-    convention (poly storage, NTT tables, serialization load path):
-    residues of moduli below :data:`NATIVE_SAFE_MODULUS` live in int64
-    arrays, anything wider falls back to Python-int object arrays.
-    """
-    return np.int64 if _is_native(q) else object
 
 
 def barrett_precompute(q: int, k: int | None = None) -> tuple[int, int]:
@@ -206,32 +174,20 @@ class MontgomeryContext:
         return u - self.q if u >= self.q else u
 
 
-def _is_int64_safe(q: int) -> bool:
-    return q < INT64_SAFE_MODULUS and not _OBJECT_ONLY
-
-
 def native_class(q: int) -> str:
-    """Kernel class for one modulus: ``"int64"``, ``"dword"``, ``"object"``.
+    """Kernel class for one modulus: ``"int64"`` or ``"dword"``.
 
     ``int64`` means a single machine multiply is exact (q < 2**31);
     ``dword`` means one int64 product and two float64 quotient estimates
-    are (q < 2**56, :func:`_mulmod_f64`); ``object`` is the
-    arbitrary-precision fallback.
+    are (q < 2**56, :func:`_mulmod_f64`).  Any wider modulus is refused:
+    ``ValueError`` naming it, never a fallback.
     """
-    if q < INT64_SAFE_MODULUS and not _OBJECT_ONLY:
+    if q < INT64_SAFE_MODULUS:
         return "int64"
-    if q < NATIVE_SAFE_MODULUS and not _OBJECT_ONLY:
+    if q < NATIVE_SAFE_MODULUS:
         return "dword"
-    return "object"
-
-
-def _is_native(q: int) -> bool:
-    """True when residues mod ``q`` can use a machine-integer path."""
-    return q < NATIVE_SAFE_MODULUS and not _OBJECT_ONLY
-
-
-def _as_object_array(a: np.ndarray) -> np.ndarray:
-    return a.astype(object) if a.dtype != object else a
+    raise ValueError(f"modulus {q} is 2**56 or more: residues are int64 "
+                     f"and their products exact only below 2**56")
 
 
 # -- the double-word product --------------------------------------------------
@@ -299,19 +255,15 @@ def _f64_columns(moduli: tuple[int, ...],
 
 def addmod_vec(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Vector modular addition of reduced operands."""
-    if _is_native(q) and a.dtype != object and b.dtype != object:
-        s = a.astype(np.int64) + b.astype(np.int64)
-        return np.where(s >= q, s - q, s)
-    s = _as_object_array(a) + _as_object_array(b)
+    native_class(q)
+    s = a.astype(np.int64) + b.astype(np.int64)
     return np.where(s >= q, s - q, s)
 
 
 def submod_vec(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Vector modular subtraction of reduced operands."""
-    if _is_native(q) and a.dtype != object and b.dtype != object:
-        d = a.astype(np.int64) - b.astype(np.int64)
-        return np.where(d < 0, d + q, d)
-    d = _as_object_array(a) - _as_object_array(b)
+    native_class(q)
+    d = a.astype(np.int64) - b.astype(np.int64)
     return np.where(d < 0, d + q, d)
 
 
@@ -320,112 +272,88 @@ def mulmod_vec(a: np.ndarray, b: np.ndarray | int, q: int) -> np.ndarray:
 
     Dispatches on the modulus: the int64 fast path when products cannot
     overflow (``q < 2**31``), the double-word :func:`_mulmod_f64` for
-    ``q < 2**56`` (the paper's 54-bit primes), and the object-dtype
-    arbitrary-precision path beyond that.  Like the other vector kernels,
-    array operands must already be residues in ``[0, q)`` — signed or
-    oversized inputs go through :func:`reduce_vec` first (integer scalars
-    ``b`` are reduced internally).
+    ``q < 2**56`` (the paper's 54-bit primes).  Like the other vector
+    kernels, array operands must already be residues in ``[0, q)`` —
+    signed or oversized inputs go through :func:`reduce_vec` first
+    (integer scalars ``b`` are reduced internally).
     """
-    b_is_scalar = isinstance(b, (int, np.integer))
-    if a.dtype != object and (b_is_scalar or b.dtype != object):
-        b = int(b) % q if b_is_scalar else b.astype(np.int64, copy=False)
-        if _is_int64_safe(q):
-            return a.astype(np.int64) * b % q
-        if _is_native(q):
-            return _mulmod_f64(a.astype(np.int64, copy=False), b, b,
-                               np.int64(q), 1.0 / q)
-    bo = b if b_is_scalar else _as_object_array(b)
-    return (_as_object_array(a) * bo) % q
+    klass = native_class(q)
+    b = int(b) % q if isinstance(b, (int, np.integer)) \
+        else b.astype(np.int64, copy=False)
+    if klass == "int64":
+        return a.astype(np.int64) * b % q
+    return _mulmod_f64(a.astype(np.int64, copy=False), b, b, np.int64(q),
+                       1.0 / q)
 
 
 def negmod_vec(a: np.ndarray, q: int) -> np.ndarray:
     """Vector modular negation."""
-    if _is_native(q) and a.dtype != object:
-        return np.where(a == 0, 0, q - a.astype(np.int64))
-    ao = _as_object_array(a)
-    return np.where(ao == 0, ao * 0, q - ao)
+    native_class(q)
+    return np.where(a == 0, 0, q - a.astype(np.int64))
 
 
 def reduce_vec(a: np.ndarray, q: int) -> np.ndarray:
-    """Fully reduce a vector of (possibly signed / oversized) integers.
-
-    Returns the storage dtype of :func:`limb_dtype`: object input over a
-    native modulus is reduced exactly and cast down to int64.
-    """
-    if _is_native(q) and a.dtype != object:
-        return a.astype(np.int64) % q
-    reduced = _as_object_array(a) % q
-    if _is_native(q):
-        return reduced.astype(np.int64)
-    return reduced
+    """Fully reduce a vector of (possibly signed / oversized) integers to
+    int64 residues; object input (Python integers of any size) is
+    reduced exactly first."""
+    native_class(q)
+    if a.dtype == object:
+        return (a % q).astype(np.int64)
+    return a.astype(np.int64) % q
 
 
 # -- limb-stacked (2-D) variants ---------------------------------------------
 #
 # The stacked compute backend stores all RNS limbs of a polynomial as one
-# ``limbs x N`` array with a per-limb modulus vector, so every elementwise
-# kernel below executes once across the whole stack instead of once per limb
-# (GME section 2.2: per-limb kernels are independent and batchable).  The
-# dtype auto-selection mirrors the 1-D variants: int64 storage whenever
-# *every* modulus in the stack is below 2**56 (with the double-word multiply
-# kicking in past 2**31), object dtype only beyond that.
+# ``limbs x N`` int64 array with a per-limb modulus vector, so every
+# elementwise kernel below executes once across the whole stack instead of
+# once per limb (GME section 2.2: per-limb kernels are independent and
+# batchable).  A basis takes the tier of its widest modulus: int64 when
+# every modulus is below 2**31, the double-word multiply otherwise.
 
 
 @functools.lru_cache(maxsize=None)
 def _basis_class(moduli: tuple[int, ...]) -> str:
-    if all(q < INT64_SAFE_MODULUS for q in moduli):
-        return "int64"
-    if all(q < NATIVE_SAFE_MODULUS for q in moduli):
-        return "dword"
-    return "object"
+    return native_class(max(moduli, default=0))
 
 
 def stack_native_class(moduli: tuple[int, ...] | list[int]) -> str:
-    """Kernel class for a basis: ``"int64"``, ``"dword"`` or ``"object"``."""
-    if _OBJECT_ONLY:
-        return "object"
+    """Kernel class for a basis: ``"int64"`` or ``"dword"``."""
     return _basis_class(tuple(moduli))
 
 
-def stack_is_native(moduli: tuple[int, ...] | list[int]) -> bool:
-    """True when the whole stack stores int64 (every modulus < 2**56)."""
-    return stack_native_class(moduli) != "object"
-
-
 @functools.lru_cache(maxsize=None)
-def _q_column_cached(moduli: tuple[int, ...], ndim: int,
-                     use_int64: bool) -> np.ndarray:
-    dtype = np.int64 if use_int64 else object
-    q = np.array(list(moduli), dtype=dtype)
+def _q_column_cached(moduli: tuple[int, ...], ndim: int) -> np.ndarray:
+    _basis_class(moduli)
+    q = np.array(moduli, dtype=np.int64)
     return q.reshape((len(moduli),) + (1,) * (ndim - 1))
 
 
-def _q_column(moduli, ndim: int, use_int64: bool) -> np.ndarray:
+def _q_column(moduli, ndim: int) -> np.ndarray:
     """Modulus vector shaped ``(L, 1, ..)`` for broadcasting over a stack.
 
-    Cached per basis; callers must never write into the returned array.
+    Cached per basis (a basis the kernels refuse raises instead); callers
+    must never write into the returned array.
     """
-    return _q_column_cached(tuple(moduli), ndim, use_int64)
+    return _q_column_cached(tuple(moduli), ndim)
 
 
-def _stack_native_ok(moduli, *arrays) -> bool:
-    return stack_is_native(moduli) and all(
-        isinstance(a, (int, np.integer)) or a.dtype != object
-        for a in arrays)
+def _scalar_column(scalars, moduli, ndim: int) -> np.ndarray:
+    """``scalars[i] mod q_i`` as an int64 ``(L, 1, ..)`` column."""
+    if len(scalars) != len(moduli):
+        raise ValueError("need one scalar per limb")
+    col = np.array([int(s) % int(q) for s, q in zip(scalars, moduli)],
+                   dtype=np.int64)
+    return col.reshape((len(moduli),) + (1,) * (ndim - 1))
 
 
 def stack_residues(limbs: list[np.ndarray],
                    moduli: tuple[int, ...] | list[int]) -> np.ndarray:
-    """Stack per-limb residue vectors into one ``(limbs, N)`` array.
-
-    Uses int64 when every modulus is below 2**56 (the paper's 54-bit word
-    included), object dtype otherwise, exactly as in 1-D.
-    """
+    """Stack per-limb residue vectors into one int64 ``(limbs, N)``
+    array."""
     if len(limbs) != len(moduli):
         raise ValueError("limb count does not match modulus count")
-    if _stack_native_ok(moduli, *limbs):
-        return np.stack([np.asarray(limb, dtype=np.int64) for limb in limbs])
-    return np.stack([np.asarray(limb).astype(object) for limb in limbs])
+    return np.stack([np.asarray(limb, dtype=np.int64) for limb in limbs])
 
 
 def unstack_residues(stack: np.ndarray) -> list[np.ndarray]:
@@ -435,83 +363,58 @@ def unstack_residues(stack: np.ndarray) -> list[np.ndarray]:
 
 def addmod_stack(a: np.ndarray, b: np.ndarray, moduli) -> np.ndarray:
     """Stacked modular addition of reduced operands, row i modulo q_i."""
-    use64 = _stack_native_ok(moduli, a, b)
-    qcol = _q_column(moduli, a.ndim, use64)
+    qcol = _q_column(moduli, a.ndim)
+    # Branchless conditional subtraction: subtract q, then add it back
+    # where the result went negative (sign-mask trick; ~3x faster than a
+    # masked ufunc and exact since s - q is in (-q, q)).
     s = a + b
-    if use64:
-        # Branchless conditional subtraction: subtract q, then add it back
-        # where the result went negative (sign-mask trick; ~3x faster than
-        # a masked ufunc and exact since s - q is in (-q, q)).
-        s -= qcol
-        s += qcol & (s >> 63)
-        return s
-    return np.where(s >= qcol, s - qcol, s)
+    s -= qcol
+    s += qcol & (s >> 63)
+    return s
 
 
 def submod_stack(a: np.ndarray, b: np.ndarray, moduli) -> np.ndarray:
     """Stacked modular subtraction of reduced operands."""
-    use64 = _stack_native_ok(moduli, a, b)
-    qcol = _q_column(moduli, a.ndim, use64)
+    qcol = _q_column(moduli, a.ndim)
+    # Branchless conditional addition via the sign mask of d.
     d = a - b
-    if use64:
-        # Branchless conditional addition via the sign mask of d.
-        d += qcol & (d >> 63)
-        return d
-    return np.where(d < 0, d + qcol, d)
+    d += qcol & (d >> 63)
+    return d
 
 
 def mulmod_stack(a: np.ndarray, b: np.ndarray, moduli) -> np.ndarray:
     """Stacked modular multiplication of **reduced** operands, row i mod q_i.
 
     ``b`` may be any shape broadcastable against ``a`` (e.g. per-stage
-    twiddle columns).  Exact for any word size: the int64 single-multiply
-    path below 2**31, :func:`_mulmod_f64` below 2**56, and the
-    object-dtype path beyond.  As with :func:`mulmod_vec`, operands must
-    be residues in ``[0, q_i)`` (use :func:`reduce_stack` for signed
-    values).
+    twiddle columns).  The int64 single-multiply path below 2**31,
+    :func:`_mulmod_f64` below 2**56.  As with :func:`mulmod_vec`,
+    operands must be residues in ``[0, q_i)`` (use :func:`reduce_stack`
+    for signed values).
     """
-    klass = stack_native_class(moduli) if _stack_native_ok(moduli, a, b) \
-        else "object"
-    if klass == "int64":
-        qcol = _q_column(moduli, a.ndim, True)
+    if stack_native_class(moduli) == "int64":
         p = a * b
-        np.remainder(p, qcol, out=p)
+        np.remainder(p, _q_column(moduli, a.ndim), out=p)
         return p
-    if klass == "dword":
-        if isinstance(b, (int, np.integer)):
-            # Reduce integer scalars per modulus, as mulmod_vec does.
-            b = np.array([int(b) % int(q) for q in moduli],
-                         dtype=np.int64).reshape(
-                             (len(moduli),) + (1,) * (a.ndim - 1))
-        q_col, q_inv_col = _f64_columns(tuple(moduli), a.ndim)
-        return _mulmod_f64(a, b, b, q_col, q_inv_col)
-    qcol = _q_column(moduli, a.ndim, False)
-    a = a if a.dtype == object else a.astype(object)
-    b = b if isinstance(b, (int, np.integer)) or b.dtype == object \
-        else b.astype(object)
-    return (a * b) % qcol
+    if isinstance(b, (int, np.integer)):
+        # Reduce integer scalars per modulus, as mulmod_vec does.
+        b = _scalar_column([b] * len(moduli), moduli, a.ndim)
+    q_col, q_inv_col = _f64_columns(tuple(moduli), a.ndim)
+    return _mulmod_f64(a, b, b, q_col, q_inv_col)
 
 
 def negmod_stack(a: np.ndarray, moduli) -> np.ndarray:
     """Stacked modular negation of reduced operands: ``q_i - a`` with
     ``q_i`` mapped to 0 by a compare-and-select, no division."""
-    use64 = _stack_native_ok(moduli, a)
-    qcol = _q_column(moduli, a.ndim, use64)
-    d = qcol - a
-    if use64:
-        # d in [1, q]: d - q wraps past d unless d == q, where it is 0.
-        u = d.view(np.uint64)
-        return np.minimum(u, u - qcol.view(np.uint64), out=u).view(np.int64)
-    return np.where(a == 0, 0, d)
+    qcol = _q_column(moduli, a.ndim)
+    # d in [1, q]: d - q wraps past d unless d == q, where it is 0.
+    u = (qcol - a).view(np.uint64)
+    return np.minimum(u, u - qcol.view(np.uint64), out=u).view(np.int64)
 
 
 def reduce_stack(a: np.ndarray, moduli) -> np.ndarray:
-    """Fully reduce a stacked array of (possibly signed) integers."""
-    use64 = _stack_native_ok(moduli, a)
-    qcol = _q_column(moduli, a.ndim, use64)
-    if not use64 and a.dtype != object:
-        a = a.astype(object)
-    return a % qcol
+    """Fully reduce a stacked array of (possibly signed) integers to int64
+    residues; object input is reduced exactly first."""
+    return (a % _q_column(moduli, a.ndim)).astype(np.int64, copy=False)
 
 
 def center_stack(y: np.ndarray, q_col: np.ndarray,
@@ -519,23 +422,15 @@ def center_stack(y: np.ndarray, q_col: np.ndarray,
     """Centered lift of reduced residues: ``y - q`` where ``y > q // 2``.
 
     ``q_col`` / ``half_col`` are the moduli and their floor halves as
-    columns broadcastable against ``y``.
+    int64 columns broadcastable against ``y``.
     """
-    if y.dtype == object or q_col.dtype == object:
-        return y - np.where(y > half_col, q_col, 0)
     # Sign mask of half - y: all ones exactly where y > half.
     return y - (q_col & ((half_col - y) >> 63))
 
 
 def scalar_mul_stack(a: np.ndarray, scalars: list[int], moduli) -> np.ndarray:
     """Multiply limb i by ``scalars[i] mod q_i`` across the whole stack."""
-    if len(scalars) != len(moduli):
-        raise ValueError("need one scalar per limb")
-    reduced = [int(s) % int(q) for s, q in zip(scalars, moduli)]
-    use64 = _stack_native_ok(moduli, a)
-    col = np.array(reduced, dtype=np.int64 if use64 else object)
-    col = col.reshape((len(moduli),) + (1,) * (a.ndim - 1))
-    return mulmod_stack(a, col, moduli)
+    return mulmod_stack(a, _scalar_column(scalars, moduli, a.ndim), moduli)
 
 
 class BoundScalarMul:
@@ -548,11 +443,7 @@ class BoundScalarMul:
     basis, and the ready ``(L, 1)`` columns — on the double-word tier the
     constants as float64 too, and the float64 reciprocals of the moduli,
     all :func:`_mulmod_f64` needs.  A call is then a straight line of
-    ufuncs, bit-identical to :func:`scalar_mul_stack` in every tier.
-
-    The bound class is that of the *basis*; :func:`force_object_dtype`
-    and object-dtype operands are honoured per call (one read of the
-    module flag) by falling through to the generic kernel.
+    ufuncs, bit-identical to :func:`scalar_mul_stack` on either tier.
     """
 
     def __init__(self, scalars, moduli):
@@ -561,16 +452,12 @@ class BoundScalarMul:
             raise ValueError("need one scalar per limb")
         self.scalars = [int(s) % q for s, q in zip(scalars, self.moduli)]
         self.klass = _basis_class(self.moduli)
-        if self.klass == "object":
-            return
         self.q_col, self.q_inv_col = _f64_columns(self.moduli, 2)
         self.col = np.array(self.scalars, dtype=np.int64).reshape(-1, 1)
         self.col_f64 = self.col.astype(np.float64)
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         """Limb i of the 2-D stack ``a`` times ``scalars[i] mod q_i``."""
-        if _OBJECT_ONLY or self.klass == "object" or a.dtype == object:
-            return scalar_mul_stack(a, self.scalars, self.moduli)
         if self.klass == "int64":
             out = a * self.col
             out %= self.q_col
@@ -581,10 +468,6 @@ class BoundScalarMul:
     def sub_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Limb i of ``a - b`` times ``scalars[i] mod q_i`` (reduced
         operands): the subtract-and-scale tail of rescale and ModDown."""
-        if (_OBJECT_ONLY or self.klass == "object" or a.dtype == object
-                or b.dtype == object):
-            return scalar_mul_stack(submod_stack(a, b, self.moduli),
-                                    self.scalars, self.moduli)
         # |a - b| < q: both tiers multiply the signed difference.
         out = a - b
         if self.klass == "int64":
@@ -808,36 +691,20 @@ def rescale_constants(moduli: tuple[int, ...]) -> BoundScalarMul:
 
 def scalar_add_stack(a: np.ndarray, scalars: list[int], moduli) -> np.ndarray:
     """Add ``scalars[i] mod q_i`` to every residue of limb i."""
-    if len(scalars) != len(moduli):
-        raise ValueError("need one scalar per limb")
-    reduced = [int(s) % int(q) for s, q in zip(scalars, moduli)]
-    use64 = _stack_native_ok(moduli, a)
-    col = np.array(reduced, dtype=np.int64 if use64 else object)
-    col = col.reshape((len(moduli),) + (1,) * (a.ndim - 1))
-    return addmod_stack(a, np.broadcast_to(col, a.shape), moduli)
+    return addmod_stack(a, _scalar_column(scalars, moduli, a.ndim), moduli)
 
 
 def random_residues(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform residues in ``[0, q)`` with the dtype of the fast path.
+    """Uniform int64 residues in ``[0, q)``.
 
-    The draw pattern depends only on the word size, never on the dispatch
-    mode: small moduli use one machine draw, wide moduli keep the hi/lo
-    32-bit draw of the original object-dtype path.  The RNG stream is
-    therefore identical to the seed implementation at any word size (and
-    under :func:`force_object_dtype`), so same-seed ciphertexts are
-    bit-identical across dispatch regimes; only the storage dtype follows
-    :func:`limb_dtype`.  The hi/lo word is composed and reduced in
-    uint64 below 2**56 and in Python integers only beyond.
+    The draw pattern depends only on the word size: small moduli use one
+    machine draw, wide moduli keep the hi/lo 32-bit draw of the original
+    Python-integer path, composed and reduced in uint64.  The RNG stream
+    is therefore identical to the seed implementation at every word size,
+    so same-seed ciphertexts are bit-identical to it.
     """
-    if q < INT64_SAFE_MODULUS:
-        vals = rng.integers(0, q, size=n, dtype=np.int64)
-    else:
-        lo = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-        hi = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-        if q < NATIVE_SAFE_MODULUS:
-            vals = (((hi << np.uint64(32)) | lo)
-                    % np.uint64(q)).view(np.int64)
-        else:
-            vals = ((hi.astype(object) << 32) | lo.astype(object)) % q
-    dtype = limb_dtype(q)
-    return vals if vals.dtype == dtype else vals.astype(dtype)
+    if native_class(q) == "int64":
+        return rng.integers(0, q, size=n, dtype=np.int64)
+    lo = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
+    hi = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
+    return (((hi << np.uint64(32)) | lo) % np.uint64(q)).view(np.int64)

@@ -16,7 +16,7 @@ backend's kernel and the oracle of the stacked one.
 :class:`BatchedNttContext` transforms a whole limb stack by one
 algorithm, bound to the stack's kernel class (see
 :func:`repro.fhe.modmath.stack_native_class`) when it is built.  Both
-native classes run the same multi-step transform: N = n_1 * ... * n_k
+classes run the same multi-step transform: N = n_1 * ... * n_k
 (:func:`factors`: 32 x 32 at 2**10, 64 x 64 at 2**12, 32 x 32 x 64 at
 the paper's 2**16), one batched matrix product per factor with a
 pointwise twiddle scale between products, the bit-reversed layout baked
@@ -41,11 +41,10 @@ adds.  The classes differ in the word sizes and the twiddle multiply:
   arithmetic — and the twiddle scale is one
   :func:`repro.fhe.modmath._mulmod_f64` (an int64 product corrected by
   two float64 quotient estimates), against a float64 copy of each
-  twiddle table;
-* ``object`` (56+ bits, object-dtype input, or
-  :func:`repro.fhe.modmath.force_object_dtype`): no stacked algorithm of
-  its own — the oracle, row by row (:class:`NttContext`, log2 N
-  butterfly stages per limb, exact for any word size).
+  twiddle table.
+
+A modulus of 2**56 or more has no kernel class: both contexts refuse it
+(``ValueError``).
 
 Tables are a pure function of ``(q, N)``: :func:`ntt_context` and
 :func:`batched_ntt_context` build them once per process, read-only, and
@@ -61,9 +60,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from . import modmath
 from .modmath import (BoundModMatmul, _f64_columns, _mulmod_f64, addmod_vec,
-                      invmod, limb_dtype, mulmod, mulmod_stack, mulmod_vec,
+                      invmod, mulmod, mulmod_stack, mulmod_vec, native_class,
                       reduce_vec, stack_native_class, submod_vec)
 from .primes import primitive_nth_root
 
@@ -106,8 +104,8 @@ class NttContext:
     """Precomputed negacyclic NTT tables for one prime modulus.
 
     The butterfly stages run through the generic per-limb kernels
-    (:func:`repro.fhe.modmath.mulmod_vec` and friends), so every word
-    size takes the same loop, each product on its own tier's kernel.
+    (:func:`repro.fhe.modmath.mulmod_vec` and friends), so both tiers
+    take the same loop, each product on its own tier's kernel.
 
     Parameters
     ----------
@@ -118,6 +116,7 @@ class NttContext:
     """
 
     def __init__(self, q: int, n: int):
+        native_class(q)
         if n & (n - 1):
             raise ValueError(f"transform length must be a power of two: {n}")
         if (q - 1) % (2 * n) != 0:
@@ -137,7 +136,7 @@ class NttContext:
     def _power_table(self, base: int) -> np.ndarray:
         """``base**i mod q`` for i < n, in log2 n doubling passes."""
         q, n = self.q, self.n
-        powers = np.ones(n, dtype=limb_dtype(q))
+        powers = np.ones(n, dtype=np.int64)
         m = 1
         while m < n:
             # base holds the m-th power of the root here.
@@ -226,11 +225,10 @@ class BatchedNttContext:
     on the GPU (each limb is an independent instance of the same kernel).
     The kernel class is bound here, once (see the module docstring): the
     multi-step transform — one exact float64 matrix product per factor of
-    N, pointwise twiddles between them — on both native tiers, the
-    paper's 54-bit word and its 55-bit primes included (up to 2**56);
-    past that, the per-limb oracle row by row.  Results are bit-exact
-    with the per-limb transforms on every tier: all of them do exact
-    integer arithmetic, only its arrangement differs.
+    N, pointwise twiddles between them — on both tiers, the paper's
+    54-bit word and its 55-bit primes included (up to 2**56).  Results
+    are bit-exact with the per-limb transforms: both do exact integer
+    arithmetic, only its arrangement differs.
 
     Every table is read-only; the contexts :func:`batched_ntt_context`
     hands out are shared between backends and threads.
@@ -255,19 +253,11 @@ class BatchedNttContext:
         self.n = n
         #: The context whose storage this one views (``rows``), if any.
         self.owner = None
-        #: Native tiers only: the factors of N (each limb is transformed
-        #: as a grid of that shape), the product of the factors before
-        #: each, and the kernel of every step's matrix product, which
-        #: holds how residues and tables are cut into float64 words.
-        self.grid = self.axes = self.leads = self.matmul = None
         for name in self._PER_ROW:
             setattr(self, name, None)
-        ctxs = [ntt_context(q, n) for q in self.moduli]
         self.klass = stack_native_class(self.moduli)
-        dtype = np.int64 if self.klass != "object" else object
-        self.q_col = np.array(self.moduli, dtype=dtype).reshape(-1, 1)
-        if self.klass != "object":
-            self._bind_steps(ctxs)
+        self.q_col = np.array(self.moduli, dtype=np.int64).reshape(-1, 1)
+        self._bind_steps([ntt_context(q, n) for q in self.moduli])
         #: Bytes of table storage this context owns (0 for a view).
         self.nbytes = _freeze(self._tables())
 
@@ -314,6 +304,11 @@ class BatchedNttContext:
         riding along as matmul batch axes (a table between the first and
         the last axis carries the singleton axis that broadcasts against
         them).
+
+        Bound here: the factors of N (each limb is transformed as a grid
+        of that shape), the product of the factors before each, and the
+        kernel of every step's matrix product, which holds how residues
+        and tables are cut into float64 words.
         """
         n, rows, moduli = self.n, len(ctxs), self.moduli
         self.grid = grid = factors(n)
@@ -405,19 +400,9 @@ class BatchedNttContext:
 
     def _transform(self, stack: np.ndarray, direction: int, matrices,
                    twiddles, twiddles_f64) -> np.ndarray:
-        """One direction's chain over ``stack`` (any integers) on a
-        native tier; on the object tier — an object-tier context,
-        object-dtype input, or (one read of the module flag per
-        transform) :func:`modmath.force_object_dtype` active around a
-        context that was built outside it — the per-limb oracle, row by
-        row, exact for any word size."""
+        """One direction's chain over the int64 ``stack``, reduced or
+        not."""
         stack = np.asarray(stack)
-        if (self.klass == "object" or modmath._OBJECT_ONLY
-                or stack.dtype == object):
-            name = "forward" if direction > 0 else "inverse"
-            return np.array(
-                [getattr(ntt_context(q, self.n), name)(row)
-                 for q, row in zip(self.moduli, stack)], dtype=object)
         # The first step only splits its input into words, and any int64
         # within the kernel's reach splits exactly: reduced residues,
         # centered lifts.  Anything else is reduced row-wise first.
@@ -441,7 +426,7 @@ class BatchedNttContext:
         return self._transform(stack, -1, self.inv_matrices,
                                self.inv_twiddles, self.inv_twiddles_f64)
 
-    # -- native tiers: multi-step transform, exact float64 matmuls -------
+    # -- the multi-step transform, exact float64 matmuls -----------------
 
     def _steps(self, a: np.ndarray, direction: int, matrices: tuple,
                twiddles: tuple, twiddles_f64: tuple) -> np.ndarray:
@@ -490,13 +475,13 @@ def _find_run(basis: tuple[int, ...], run: tuple[int, ...]) -> int | None:
 class _TableCache:
     """Process-wide LRU of NTT tables, bounded in bytes.
 
-    Tables are a pure function of the modulus (or basis), the ring degree
-    and whether :func:`modmath.force_object_dtype` was active, so one
-    copy serves every backend instance, tenant context and worker thread
-    of the process; all of it is read-only.  Two kinds of entry:
+    Tables are a pure function of the modulus (or basis) and the ring
+    degree, so one copy serves every backend instance, tenant context and
+    worker thread of the process; all of it is read-only.  Two kinds of
+    entry:
 
     * ``(q, N)`` -> :class:`NttContext`: the bit-reversed power tables,
-      ``16 * N`` bytes (object-dtype tables count their pointers only);
+      ``16 * N`` bytes;
     * ``(moduli, N)`` -> :class:`BatchedNttContext`.  A basis that is a
       run of limbs of a cached stack is a view of it and owns nothing;
       any other basis copies its limbs' tables into a fresh stack.  Per
@@ -509,8 +494,7 @@ class _TableCache:
       The double-word tier has ``pieces * table_pieces`` = 6 to 8 words
       per entry and a float64 copy beside every twiddle entry: 192 +
       32 = 224 KB at N = 2**10, and at the paper's N = 2**16 about
-      0.7 MB of matrices and 2.1 MB of twiddles.  An object-tier stack
-      owns its moduli only.
+      0.7 MB of matrices and 2.1 MB of twiddles.
 
     ``max_bytes`` bounds the sum over entries; the entry count is bounded
     by it too, each stack owner having at most one view per run of its
@@ -529,14 +513,14 @@ class _TableCache:
         self._lock = threading.RLock()
 
     def get(self, key: tuple, build):
-        """The tables cached under ``key = (q or moduli, n, forced)``,
-        built as ``build(*key[:2])`` on a miss."""
+        """The tables cached under ``key = (q or moduli, n)``, built as
+        ``build(*key)`` on a miss."""
         with self._lock:
             tables = self._entries.get(key)
             if tables is not None:
                 self._entries.move_to_end(key)
                 return tables
-            tables = build(*key[:2])
+            tables = build(*key)
             self._entries[key] = tables
             self.nbytes += tables.nbytes
             while self.nbytes > self.max_bytes and len(self._entries) > 1:
@@ -573,7 +557,7 @@ _TABLE_CACHE = _TableCache(max_bytes=512 << 20)
 
 def ntt_context(q: int, n: int) -> NttContext:
     """The process-wide, read-only :class:`NttContext` for ``(q, n)``."""
-    return _TABLE_CACHE.get((q, n, modmath._OBJECT_ONLY), NttContext)
+    return _TABLE_CACHE.get((q, n), NttContext)
 
 
 def batched_ntt_context(moduli, n: int) -> BatchedNttContext:
@@ -586,8 +570,7 @@ def batched_ntt_context(moduli, n: int) -> BatchedNttContext:
     views; only genuinely new bases (e.g. the extended key-switching
     basis below the top level) allocate fresh stacks.
     """
-    return _TABLE_CACHE.get((tuple(moduli), n, modmath._OBJECT_ONLY),
-                       _TABLE_CACHE.stack_or_view)
+    return _TABLE_CACHE.get((tuple(moduli), n), _TABLE_CACHE.stack_or_view)
 
 
 def clear_table_cache() -> None:
@@ -610,4 +593,4 @@ def negacyclic_convolution_naive(a: np.ndarray, b: np.ndarray,
                 result[k - n] = (result[k - n] - term) % q
             else:
                 result[k] = (result[k] + term) % q
-    return np.array(result, dtype=limb_dtype(q))
+    return np.array(result, dtype=np.int64)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+from .modmath import native_class
 from .primes import generate_ntt_primes
 
 
@@ -41,6 +42,12 @@ class CkksParameters:
     backend: str = "stacked"
     moduli: tuple[int, ...] = field(default=(), repr=False)
     special_moduli: tuple[int, ...] = field(default=(), repr=False)
+
+    def __post_init__(self):
+        # Every residue is int64 and every kernel exact below 2**56; a
+        # wider modulus is refused here, naming it, not deep in a kernel.
+        for q in (*self.moduli, *self.special_moduli):
+            native_class(q)
 
     @property
     def num_slots(self) -> int:
@@ -123,10 +130,9 @@ class CkksParameters:
 
         The 54-bit word runs on the native double-word kernels
         (int64 storage, one int64 product and two float64 quotient
-        estimates per modular multiply), so functional
-        encryption at full paper scale is feasible (seconds per op, not
-        object-dtype minutes); experiments still use these parameters
-        mainly for op/byte counting.
+        estimates per modular multiply), so functional encryption at full
+        paper scale is feasible (seconds per op); experiments still use
+        these parameters mainly for op/byte counting.
         """
         return cls._build(ring_degree=1 << 16, scale_bits=54, prime_bits=54,
                           max_level=23, boot_levels=17, dnum=3,

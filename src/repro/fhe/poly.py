@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .backend import create_backend, resolve_backend_name
-from .modmath import limb_dtype, random_residues
+from .modmath import random_residues
 from .ntt import NttContext, bit_reverse_permutation
 from .params import CkksParameters
 
@@ -107,7 +107,8 @@ class PolyContext:
              rep: Representation = Representation.COEFF) -> "Polynomial":
         """The zero polynomial over the given basis."""
         moduli = tuple(moduli)
-        limbs = [self._zeros(q) for q in moduli]
+        limbs = [np.zeros(self.params.ring_degree, dtype=np.int64)
+                 for _ in moduli]
         return Polynomial(self, limbs, moduli, rep)
 
     def random_uniform(self, moduli: Iterable[int],
@@ -159,9 +160,6 @@ class PolyContext:
         One vectorized reduction over :func:`coeff_array` of them.
         """
         return self.from_signed_coeffs(coeff_array(coeffs), moduli)
-
-    def _zeros(self, q: int) -> np.ndarray:
-        return np.zeros(self.params.ring_degree, dtype=limb_dtype(q))
 
 
 class Polynomial:

@@ -6,8 +6,8 @@ coefficient is carried as its tuple of residues (its *limbs*).  Also provides
 the per-level tables of hybrid key switching (:class:`KeySwitchContext`,
 following the standard RNS-CKKS construction): ModUp's approximate fast
 base conversion and the exact ModDown lift, each bound to one modular
-matmul on both native tiers, with :meth:`RnsBasis.convert_exact` as the
-lift of the object tier and of the ``reference`` backend.
+matmul on both kernel tiers, with :meth:`RnsBasis.convert_exact` as the
+lift of the ``reference`` backend.
 
 The big-integer lifts (``decompose_vec``, ``compose_vec``,
 ``compose_centered_vec`` and :meth:`RnsBasis.convert_exact`) are the
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .modmath import (BoundModMatmul, BoundScalarMul, invmod, mulmod_vec,
-                      reduce_vec, stack_native_class, submod_vec)
+                      reduce_vec, submod_vec)
 
 #: Integers strictly inside ``+-WORD_BOUND`` cross a batch's edges as
 #: int64 (the ``.rpa`` wire format's own bound on a coefficient); one
@@ -132,13 +132,10 @@ class RnsBasis:
         or two limbs there is nothing left to check.
 
         Declines (``None``) wherever that cannot be shown from the data:
-        a ``|d_1|`` that could carry v past :data:`WORD_BOUND`, a limb v
-        disagrees with, object-dtype limbs or an object-tier basis.
-        ``limbs`` is a list of residue vectors or one ``(size, N)`` stack.
+        a ``|d_1|`` that could carry v past :data:`WORD_BOUND` or a limb
+        v disagrees with.  ``limbs`` is a list of int64 residue vectors or
+        one ``(size, N)`` stack.
         """
-        if stack_native_class(self.primes) == "object" or any(
-                limb.dtype == object for limb in limbs):
-            return None
         q0 = self.primes[0]
         v = limbs[0] - np.where(limbs[0] > q0 // 2, q0, 0)
         if self.size == 1:
@@ -257,10 +254,10 @@ class KeySwitchContext:
       base conversion of ModUp (centered variant: ``weights @ c mod p``
       for the centered residues ``c``),
     * ``modup_matmul`` / ``modup_tables[j]`` — that product on either
-      native tier: the split-word float64 matmul sized for the widest
-      digit (:class:`~repro.fhe.modmath.BoundModMatmul`; one table word,
+      tier: the split-word float64 matmul sized for the widest digit
+      (:class:`~repro.fhe.modmath.BoundModMatmul`; one table word,
       reduced with ``%``, below 2**31) and its table of
-      ``modup_weights[j]``.  ``None`` on the object tier,
+      ``modup_weights[j]``,
     * ``extended_col`` — the extended basis as a column,
       ``extended_inv_col`` its float64 reciprocals.
 
@@ -279,9 +276,9 @@ class KeySwitchContext:
       same kernel and its table: the lift of the special part,
       ``sum_j y_j * hat{p}_j - e * P``, is ``matrix @ [y; e] mod q_i`` —
       the exact centered lift, bit-identical to exact CRT composition.
-      ``None`` on the object tier and where the float64 quotient sum
-      could drift to within reach of the guard band (some 90 special
-      primes); there the lift stays :meth:`RnsBasis.convert_exact`,
+      ``None`` where the float64 quotient sum could drift to within
+      reach of the guard band (some 90 special primes); there the lift
+      stays :meth:`RnsBasis.convert_exact`,
     * ``ct_col`` — the ciphertext basis as a column, ``ct_inv_col`` its
       float64 reciprocals.
 
@@ -307,26 +304,22 @@ class KeySwitchContext:
         self.p_prod = self.p_basis.big_modulus
         self.p_inv = [invmod(self.p_prod % q, q) for q in ct_moduli]
         self.p_inv_scale = BoundScalarMul(self.p_inv, ct_moduli)
-        # Both native tiers run ModUp and the ModDown lift through one
-        # kernel, bound here; the object tier (56+ bits) binds none.
-        native = stack_native_class(self.extended) != "object"
-        col_dtype = np.int64 if native else object
 
         def column(values) -> np.ndarray:
-            return np.array(list(values), dtype=col_dtype).reshape(-1, 1)
+            return np.array(list(values), dtype=np.int64).reshape(-1, 1)
 
+        # Both tiers run ModUp and the ModDown lift through one kernel,
+        # bound here.
         self.extended_col = column(self.extended)
         self.ct_col = column(ct_moduli)
-        self.modup_matmul = self.moddown_lift_matmul = \
-            self.moddown_lift_table = None
-        if native:
-            self.extended_inv_col = 1.0 / self.extended_col
-            self.ct_inv_col = self.extended_inv_col[:self.num_ct]
-            # Operands: centered residues of the ciphertext primes.
-            self.modup_matmul = BoundModMatmul(
-                max(self.extended),
-                max(stop - start for start, stop in self.digit_spans),
-                max(ct_moduli))
+        self.extended_inv_col = 1.0 / self.extended_col
+        self.ct_inv_col = self.extended_inv_col[:self.num_ct]
+        # Operands: centered residues of the ciphertext primes.
+        self.modup_matmul = BoundModMatmul(
+            max(self.extended),
+            max(stop - start for start, stop in self.digit_spans),
+            max(ct_moduli))
+        self.moddown_lift_matmul = self.moddown_lift_table = None
         self.digit_bases: list[RnsBasis] = []
         self.digit_hat_inv: list[list[int]] = []
         self.digit_hat: list[int] = []
@@ -335,7 +328,7 @@ class KeySwitchContext:
         self.digit_q_col: list[np.ndarray] = []
         self.digit_half_col: list[np.ndarray] = []
         self.modup_weights: list[np.ndarray] = []
-        self.modup_tables: list[tuple | None] = []
+        self.modup_tables: list[tuple] = []
         for start, stop in self.digit_spans:
             basis = RnsBasis(list(ct_moduli[start:stop]))
             hat_qj = self.q_big // basis.big_modulus
@@ -350,11 +343,10 @@ class KeySwitchContext:
             self.digit_q_col.append(column(basis.primes))
             self.digit_half_col.append(column(q // 2 for q in basis.primes))
             weights = np.array([[hat % p for hat in basis.punctured]
-                                for p in self.extended], dtype=col_dtype)
+                                for p in self.extended], dtype=np.int64)
             self.modup_weights.append(weights)
             self.modup_tables.append(
-                self.modup_matmul.table(weights, self.extended, -1)
-                if native else None)
+                self.modup_matmul.table(weights, self.extended, -1))
         self.special_unpuncture = BoundScalarMul(self.p_basis.punctured_inv,
                                                  special)
         self.special_col = column(special)
@@ -362,7 +354,7 @@ class KeySwitchContext:
         self.moddown_prime_fracs = np.array([1.0 / p for p in special],
                                             dtype=np.float64)
         k = len(special)
-        if native and k * (k + 1) * 2.0 ** -54 < QUOTIENT_GUARD / 2:
+        if k * (k + 1) * 2.0 ** -54 < QUOTIENT_GUARD / 2:
             # Operands: centered residues of the special primes, and the
             # quotient |e| <= k/2 + 1, far smaller.
             self.moddown_lift_matmul = BoundModMatmul(

@@ -13,46 +13,47 @@ import json
 import numpy as np
 
 from .ciphertext import Ciphertext
-from .modmath import limb_dtype
 from .params import CkksParameters
 from .poly import PolyContext, Polynomial, Representation
 
 
+def _residues(limb, q: int, n: int, name: str) -> np.ndarray:
+    """``limb`` as the ``n`` int64 residues mod ``q`` it must hold;
+    ``ValueError`` naming it where it holds anything else."""
+    arr = np.asarray(limb)
+    if (arr.dtype != np.int64 or arr.shape != (n,) or arr.min() < 0
+            or arr.max() >= q):
+        raise ValueError(f"{name}: not {n} int64 residues in [0, {q})")
+    return arr
+
+
 def _poly_to_arrays(poly: Polynomial, prefix: str,
                     arrays: dict) -> dict:
-    header = {"rep": poly.rep.value, "moduli": list(poly.moduli)}
-    for i, limb in enumerate(poly.limbs):
-        arr = np.asarray(limb)
-        if arr.dtype == object:
-            # Object-dtype limbs (moduli of 56+ bits) hold Python ints;
-            # they are lossless on the int64 wire only below 2**63 —
-            # reject anything larger instead of letting the cast wrap or
-            # throw a bare OverflowError mid-save.
-            top = int(max(arr.tolist(), default=0))
-            if top >= (1 << 63):
-                raise ValueError(
-                    f"cannot serialize {prefix} limb {i}: residue "
-                    f"{top} >= 2**63 does not fit the int64 wire format")
-            arr = arr.astype(np.int64)
-        arrays[f"{prefix}_limb{i}"] = np.asarray(arr, dtype=np.int64)
-    return header
+    n = poly.context.params.ring_degree
+    for i, (limb, q) in enumerate(zip(poly.limbs, poly.moduli)):
+        arrays[f"{prefix}_limb{i}"] = _residues(
+            limb, q, n, f"cannot serialize {prefix} limb {i}")
+    return {"rep": poly.rep.value, "moduli": list(poly.moduli)}
 
 
 def _poly_from_arrays(context: PolyContext, header: dict, prefix: str,
-                      arrays) -> Polynomial:
-    moduli = tuple(header["moduli"])
-    # Restore the repo-wide dtype convention through the single shared
-    # helper (modmath.limb_dtype, also used by poly._zeros,
-    # from_big_coeffs and rns.decompose_vec): int64 storage for every
-    # native modulus (below 2**56 — the double-word kernels keep 54-bit
-    # products exact), object dtype beyond, so the save/load threshold can
-    # never drift from the compute threshold.
-    limbs = []
-    for i, q in enumerate(moduli):
-        raw = np.asarray(arrays[f"{prefix}_limb{i}"])
-        limbs.append(raw.astype(limb_dtype(q), copy=False))
-    return Polynomial(context, limbs, moduli,
-                      Representation(header["rep"]))
+                      arrays, level: int) -> Polynomial:
+    """The polynomial a blob holds, if it is one of ``context``'s at
+    ``level``: its header names the context's moduli, and every limb is
+    N residues below its modulus."""
+    moduli = tuple(context.params.moduli[:level + 1])
+    named = list(header["moduli"])
+    if len(named) != len(moduli):
+        raise ValueError(f"{prefix}: {len(named)} limbs, but the context "
+                         f"has {len(moduli)} at level {level}")
+    for i, (q, want) in enumerate(zip(named, moduli)):
+        if q != want:
+            raise ValueError(f"{prefix} limb {i}: modulus {q} is not the "
+                             f"context's {want}")
+    n = context.params.ring_degree
+    limbs = [_residues(arrays[f"{prefix}_limb{i}"], q, n,
+                       f"{prefix} limb {i}") for i, q in enumerate(moduli)]
+    return Polynomial(context, limbs, moduli, Representation(header["rep"]))
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
@@ -75,17 +76,18 @@ def serialize_ciphertext(ct: Ciphertext) -> bytes:
 
 def deserialize_ciphertext(blob: bytes,
                            context: PolyContext) -> Ciphertext:
-    """Reconstruct a ciphertext; validates the ring degree."""
+    """Reconstruct a ciphertext; validates the ring degree, the modulus
+    chain and every residue."""
     with np.load(io.BytesIO(blob)) as arrays:
         header = json.loads(bytes(arrays["header"]).decode())
         if header["ring_degree"] != context.params.ring_degree:
             raise ValueError(
                 f"ciphertext ring degree {header['ring_degree']} does not "
                 f"match context {context.params.ring_degree}")
-        c0 = _poly_from_arrays(context, header["c0"], "c0", arrays)
-        c1 = _poly_from_arrays(context, header["c1"], "c1", arrays)
-    return Ciphertext(c0=c0, c1=c1, level=header["level"],
-                      scale=header["scale"])
+        level = header["level"]
+        c0 = _poly_from_arrays(context, header["c0"], "c0", arrays, level)
+        c1 = _poly_from_arrays(context, header["c1"], "c1", arrays, level)
+    return Ciphertext(c0=c0, c1=c1, level=level, scale=header["scale"])
 
 
 def serialized_size_matches_model(ct: Ciphertext,

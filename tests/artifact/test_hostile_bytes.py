@@ -3,7 +3,8 @@
 Every golden-corpus file is truncated at every offset, bit-flipped at
 every byte within 16 of each block boundary, and rewritten with crafted
 blocks whose CRCs are valid but whose contents lie: a missing column or
-scalar, a scalar of the wrong type, an index outside its table.  Each
+scalar, a scalar of the wrong type, an index outside its table, a
+modulus the parameters refuse.  Each
 must raise an :class:`ArtifactError` subclass whose message names the
 block (or, inside the 10-byte preamble, the magic / version field).
 Nothing else may escape, and nothing may load.
@@ -92,18 +93,22 @@ def _set(column: str, row: int, value: int):
                    arrays[column].__setitem__(row, value))
 
 
+def _header(edit):
+    """A mutation of the JSON HEADER block through ``edit(header)``."""
+    def mutate(payload: bytes) -> bytes:
+        header = unpack_json(payload)
+        edit(header)
+        return pack_json(header)
+    return mutate
+
+
 def _with_payloads(data: bytes) -> bytes:
     """A corpus plan carrying one real plaintext payload (and saying so
     in HEADER), so the PAYLOADS decoder has a block to refuse."""
     plaintext = Plaintext(coeffs=np.arange(8, dtype=np.int64),
                           scale=2.0 ** 20, num_slots=4)
-
-    def count_it(payload: bytes) -> bytes:
-        header = unpack_json(payload)
-        header["counts"]["payloads"] = 1
-        return pack_json(header)
-
-    blocks = read_container(io.BytesIO(_rewrite(data, HEADER, count_it)))
+    blocks = read_container(io.BytesIO(_rewrite(data, HEADER, _header(
+        lambda header: header["counts"].update(payloads=1)))))
     blocks.append((PAYLOADS, encode_payloads({0: plaintext})))
     stream = io.BytesIO()
     write_container(stream, blocks)
@@ -112,8 +117,10 @@ def _with_payloads(data: bytes) -> bytes:
 
 #: Crafted, CRC-valid lies: (block, mutation).  Before the reader
 #: checked its tables, the first nine escaped as KeyError /
-#: AttributeError / ValueError / TypeError / IndexError and the last two
-#: loaded (an edge from the last node, a truncated input list).
+#: AttributeError / ValueError / TypeError / IndexError and the next two
+#: loaded (an edge from the last node, a truncated input list); so did a
+#: modulus of 2**56 or more (the largest prime below 2**62) before the
+#: parameters refused one.
 CRAFTED = {
     "dag-without-its-type-column":
         (DAG, _tables(lambda s, a: a.pop("type"))),
@@ -137,6 +144,9 @@ CRAFTED = {
     "edge-endpoint-minus-one": (DAG, _set("edge_dst", 0, -1)),
     "input-offset-past-the-inputs":
         (TRACE_OPS, _set("input_offsets", 1, 10 ** 9)),
+    "modulus-of-2-56-or-more":
+        (HEADER, _header(lambda header: header["params"]["moduli"]
+                         .__setitem__(1, (1 << 62) - 57))),
 }
 
 

@@ -1,10 +1,9 @@
 """Property tests for the 2-D (limb-stacked) modmath paths.
 
 The stacked kernels must agree elementwise with the scalar oracles
-(``mulmod``, Barrett in both variants, Montgomery) in *every* kernel
-regime: the int64 fast path (30-bit test primes), the double-word native
-path (the paper's 54-bit word, including mixed-width stacks), and the
-object-dtype arbitrary-precision fallback (56+-bit primes; 62-bit here).
+(``mulmod``, Barrett in both variants, Montgomery) in both kernel
+regimes: the int64 fast path (30-bit test primes) and the double-word
+native path (the paper's 54-bit word, including mixed-width stacks).
 """
 
 import numpy as np
@@ -14,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.fhe.modmath import (MontgomeryContext, addmod, addmod_stack,
                                barrett_precompute, barrett_precompute_single,
                                barrett_reduce, barrett_reduce_single,
-                               force_object_dtype, limb_dtype, mulmod,
-                               mulmod_stack,
+                               mulmod, mulmod_stack,
                                negmod_stack, reduce_stack, scalar_add_stack,
                                scalar_mul_stack, stack_native_class,
                                stack_residues, submod, submod_stack,
@@ -25,12 +23,11 @@ from repro.fhe.primes import generate_ntt_primes
 N = 8
 SMALL_PRIMES = generate_ntt_primes(4, 30, 1 << 10)     # int64 regime
 BIG_PRIMES = generate_ntt_primes(3, 54, 1 << 10)       # dword regime
-HUGE_PRIMES = generate_ntt_primes(2, 62, 1 << 10)      # object regime
 MIXED_PRIMES = [SMALL_PRIMES[0], BIG_PRIMES[0]]        # widest rules: dword
 
 PRIME_SETS = pytest.mark.parametrize(
-    "moduli", [SMALL_PRIMES, BIG_PRIMES, HUGE_PRIMES, MIXED_PRIMES],
-    ids=["int64-30bit", "dword-54bit", "object-62bit", "mixed"])
+    "moduli", [SMALL_PRIMES, BIG_PRIMES, MIXED_PRIMES],
+    ids=["int64-30bit", "dword-54bit", "mixed"])
 
 
 def stack_for(moduli, seed):
@@ -38,7 +35,7 @@ def stack_for(moduli, seed):
     limbs = []
     for q in moduli:
         vals = [int(rng.integers(0, 1 << 62)) % q for _ in range(N)]
-        limbs.append(np.array(vals, dtype=limb_dtype(q)))
+        limbs.append(np.array(vals, dtype=np.int64))
     return stack_residues(limbs, moduli)
 
 
@@ -47,13 +44,11 @@ class TestStackLayout:
         assert stack_for(SMALL_PRIMES, 0).dtype == np.int64
         assert stack_for(BIG_PRIMES, 0).dtype == np.int64
         assert stack_for(MIXED_PRIMES, 0).dtype == np.int64
-        assert stack_for(HUGE_PRIMES, 0).dtype == object
 
     def test_native_class_predicates(self):
         assert stack_native_class(SMALL_PRIMES) == "int64"
         assert stack_native_class(BIG_PRIMES) == "dword"
         assert stack_native_class(MIXED_PRIMES) == "dword"
-        assert stack_native_class(HUGE_PRIMES) == "object"
 
     @PRIME_SETS
     def test_unstack_round_trips(self, moduli):
@@ -142,20 +137,16 @@ def test_neg_and_reduce(moduli, seed):
 @given(seed=st.integers(0, 2**32 - 1), zeros=st.integers(0, N - 1))
 def test_negation_selects_instead_of_dividing(moduli, seed, zeros):
     """``q_i - a`` with ``q_i`` mapped to 0 by a select: the integers of
-    the ``(q_i - a) % q_i`` it replaced, on every tier and under
-    ``force_object_dtype``, zeros and ``q_i - 1`` included."""
+    the ``(q_i - a) % q_i`` it replaced, on both tiers, zeros and
+    ``q_i - 1`` included."""
     a = stack_for(moduli, seed)
     a[:, :zeros] = 0
     for i, q in enumerate(moduli):
         a[i, -1] = q - 1
     want = [[(q - int(x)) % q for x in row] for q, row in zip(moduli, a)]
-    native = negmod_stack(a, moduli)
-    assert native.dtype == a.dtype
-    with force_object_dtype():
-        forced = negmod_stack(stack_residues(list(a), moduli), moduli)
-    assert forced.dtype == object
-    for got in (native, forced):
-        assert [[int(x) for x in row] for row in got] == want
+    got = negmod_stack(a, moduli)
+    assert got.dtype == np.int64
+    assert [[int(x) for x in row] for row in got] == want
 
 
 def test_54_bit_word_products_are_exact():
@@ -165,15 +156,5 @@ def test_54_bit_word_products_are_exact():
     assert q.bit_length() == 54
     a = stack_residues([np.array([q - 1] * N, dtype=np.int64)], [q])
     assert a.dtype == np.int64
-    out = mulmod_stack(a, a, [q])
-    assert int(out[0, 0]) == pow(q - 1, 2, q)
-
-
-def test_62_bit_word_products_are_exact():
-    """Past the native bound: the object fallback stays exact."""
-    q = HUGE_PRIMES[0]
-    assert q.bit_length() == 62
-    a = stack_residues([np.array([q - 1] * N, dtype=object)], [q])
-    assert a.dtype == object
     out = mulmod_stack(a, a, [q])
     assert int(out[0, 0]) == pow(q - 1, 2, q)

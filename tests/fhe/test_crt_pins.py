@@ -13,24 +13,30 @@ sides of the change.  Each digest covers values *and dtype*.
 
 Bases: the special-prime bases of ``toy``, ``pw54`` (55-bit), ``test``
 and ``boot_test`` (8 primes), converted to their ciphertext primes; a
-mixed 30 + 55-bit basis; a single prime; a 62-bit basis of the object
-tier — each natively and under ``force_object_dtype``.  Inputs: seeded
-residues, every residue 0 (the composed value 0), every residue
-``q_i - 1``, and residues whose composed value is exactly ``Q // 2``,
-``Q // 2 + 1`` (the two sides of the centering decision) and ``Q - 1``.
-``decompose_vec`` takes composed values, negative integers, values past
-2**64, an int64 array, an object array and a ``uint64`` array holding
-values of 2**63 and more.
+mixed 30 + 55-bit basis; a single prime; a 62-bit basis.  Two modes:
+``native`` is the library, which takes every basis and target below
+2**56; ``forced_object`` is the Python-integer oracle (``bignum.py``),
+and so is whatever the library refuses — the 62-bit basis and the 62-bit
+target the others also convert to.  The oracle returns object-dtype
+limbs where the digests were recorded with an object-dtype tier that
+took those moduli (the library has no such tier now: a modulus of 2**56
+or more is refused); its integers must be the library's, bit for bit.
+Inputs: seeded residues, every residue 0 (the composed value 0), every
+residue ``q_i - 1``, and residues whose composed value is exactly
+``Q // 2``, ``Q // 2 + 1`` (the two sides of the centering decision) and
+``Q - 1``.  ``decompose_vec`` takes composed values, negative integers,
+values past 2**64, an int64 array, an object array and a ``uint64``
+array holding values of 2**63 and more.
 """
 
-import contextlib
 import hashlib
 
 import numpy as np
 import pytest
 
+import bignum
 from repro.fhe import CkksParameters
-from repro.fhe.modmath import force_object_dtype
+from repro.fhe.modmath import NATIVE_SAFE_MODULUS
 from repro.fhe.primes import generate_ntt_primes
 from repro.fhe.rns import RnsBasis
 from test_parent_digests import PRESETS as _SCORING_PRESETS
@@ -268,7 +274,12 @@ PARENT_DECOMPOSE_DIGESTS = {
 
 
 def _stack_dtype(primes) -> type:
-    return object if max(primes) >= 1 << 61 else np.int64
+    return object if max(primes) >= NATIVE_SAFE_MODULUS else np.int64
+
+
+def _library(mode: str, *moduli: int) -> bool:
+    """Whether the library computes over ``moduli`` in ``mode``."""
+    return mode == "native" and max(moduli) < NATIVE_SAFE_MODULUS
 
 
 def inputs(basis: RnsBasis, kind: str) -> list[np.ndarray]:
@@ -297,24 +308,25 @@ def _update(sha, array: np.ndarray) -> None:
     sha.update(",".join(str(int(v)) for v in array).encode())
 
 
-def _in_mode(mode: str):
-    return force_object_dtype() if mode == "forced_object" \
-        else contextlib.nullcontext()
-
-
 def compose_digest(name: str, mode: str, kind: str) -> str:
     primes, targets = BASES[name]()
     basis = RnsBasis(primes)
     limbs = inputs(basis, kind)
+    library = _library(mode, *primes)
     sha = hashlib.sha256()
-    with _in_mode(mode):
-        for limb in basis.convert_exact(limbs, targets):
-            _update(sha, limb)
-        composed = basis.compose_vec(limbs)
-        assert type(composed) is list \
-            and all(type(v) is int for v in composed)
-        _update(sha, np.array(composed, dtype=object))
-        _update(sha, basis.compose_centered_vec(limbs))
+    for p in targets:
+        if library and _library(mode, p):
+            limb, = basis.convert_exact(limbs, [p])
+        else:
+            limb, = bignum.convert(limbs, primes, [p])
+            limb = limb.astype(np.int64 if _library(mode, p) else object)
+        _update(sha, limb)
+    composed = basis.compose_vec(limbs) if library \
+        else bignum.compose(limbs, primes).tolist()
+    assert type(composed) is list and all(type(v) is int for v in composed)
+    _update(sha, np.array(composed, dtype=object))
+    _update(sha, basis.compose_centered_vec(limbs) if library
+            else bignum.compose_centered(limbs, primes))
     return sha.hexdigest()
 
 
@@ -338,13 +350,14 @@ def decompose_inputs(basis: RnsBasis) -> dict[str, object]:
 
 
 def decompose_digest(name: str, mode: str) -> str:
-    basis = RnsBasis(BASES[name]()[0])
+    primes = BASES[name]()[0]
+    basis = RnsBasis(primes)
     sha = hashlib.sha256()
-    with _in_mode(mode):
-        for what, values in decompose_inputs(basis).items():
-            sha.update(what.encode())
-            for limb in basis.decompose_vec(values):
-                _update(sha, limb)
+    for what, values in decompose_inputs(basis).items():
+        sha.update(what.encode())
+        for limb in (basis.decompose_vec(values) if _library(mode, *primes)
+                     else bignum.decompose(values, primes)):
+            _update(sha, limb)
     return sha.hexdigest()
 
 
@@ -376,9 +389,12 @@ def test_the_pinned_inputs_compose_to_what_they_say(name):
                         ("v_q_minus_1", big - 1)):
         limbs = inputs(basis, kind)
         assert basis.compose([int(limb[0]) for limb in limbs]) == value
-        centered = basis.compose_centered_vec(limbs)
+        centered = bignum.compose_centered(limbs, basis.primes)
         assert int(centered[0]) == (value - big if value > big // 2
                                     else value)
+        if _library("native", *basis.primes):
+            assert np.array_equal(basis.compose_centered_vec(limbs),
+                                  centered)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,17 @@
 """How often a warm HE op re-derives what its contexts already bound.
 
-``modmath._stack_native_ok`` and ``modmath._q_column`` are the per-call
-dispatch of the generic stack kernels: the dtype tier of a basis and its
-modulus column, looked up by hashing the modulus tuple.  The transforms
-and the key-switch kernels bind both when their ``BatchedNttContext`` /
-``KeySwitchContext`` is built, so a warm op only pays them in the
-elementwise ``Polynomial`` arithmetic around those kernels.  Before the
-tables were bound one ``he_rotate`` made 251 + 239 such calls, 220 of
-each from inside its seven transforms (ten butterfly stages apiece);
-the ceilings below are today's counts (15 + 11 for the rotation) with
-room for a handful of extra elementwise ops.  A transform is whatever
+``modmath.stack_native_class`` and ``modmath._q_column`` are the per-call
+dispatch of the generic stack kernels: the kernel tier of a basis (only
+a multiply asks: int64 or double-word) and its modulus column, looked up
+by hashing the modulus tuple.  The transforms and the key-switch kernels
+bind both when their ``BatchedNttContext`` / ``KeySwitchContext`` is
+built, so a warm op only pays them in the elementwise ``Polynomial``
+arithmetic around those kernels.  Before the tables were bound one
+``he_rotate`` made 251 + 239 such calls, 220 of each from inside its
+seven transforms (ten butterfly stages apiece); with a third, object
+tier every elementwise kernel also asked for the tier (15 + 11 for the
+rotation).  The ceilings below are today's counts (4 + 7 for the
+rotation) with room for a handful of extra elementwise ops.  A transform is whatever
 runs under ``BatchedNttContext.forward`` / ``inverse`` — on both native
 tiers the step driver (``_contract`` / ``_scale``) and, below it, the
 split-word matmul kernel ``modmath.BoundModMatmul``; the frame walk
@@ -25,16 +27,15 @@ import pytest
 
 from repro.fhe import CkksContext, CkksParameters, modmath
 from repro.fhe.ntt import BatchedNttContext
-from test_keyswitch import ct_equal
 
 TOY = CkksParameters.toy()
 VALUES = [1.0, -2.0, 3.5]
 
-#: op -> ceiling on (``_stack_native_ok``, ``_q_column``) calls.
+#: op -> ceiling on (``stack_native_class``, ``_q_column``) calls.
 CEILINGS = {
-    "he_rotate": (20, 16),
-    "he_square_rescale": (40, 28),
-    "encrypt": (12, 8),
+    "he_rotate": (6, 10),
+    "he_square_rescale": (10, 16),
+    "encrypt": (4, 10),
 }
 
 TRANSFORMS = {BatchedNttContext.forward.__code__,
@@ -83,25 +84,10 @@ class Counter:
 @pytest.mark.parametrize("op", sorted(CEILINGS))
 def test_warm_op_stays_inside_its_dispatch_budget(op, monkeypatch):
     run = ops(warm_context())[op]
-    native_ok = Counter(monkeypatch, "_stack_native_ok")
+    tier = Counter(monkeypatch, "stack_native_class")
     q_column = Counter(monkeypatch, "_q_column")
     run()
-    assert native_ok.inside_transform == 0
+    assert tier.inside_transform == 0
     assert q_column.inside_transform == 0
-    assert 0 < native_ok.calls <= CEILINGS[op][0]
+    assert 0 < tier.calls <= CEILINGS[op][0]
     assert 0 < q_column.calls <= CEILINGS[op][1]
-
-
-@pytest.mark.parametrize("op", sorted(CEILINGS))
-def test_bound_contexts_still_fall_to_the_object_path(op):
-    """Contexts built and warmed *outside* ``force_object_dtype`` bound
-    the int64 tier; used inside the block they must run the bignum
-    kernels all the same — and produce the native result."""
-    native, forced = warm_context(), warm_context()
-    want = ops(native)[op]()
-    run = ops(forced)[op]
-    with modmath.force_object_dtype():
-        got = run()
-    assert all(limb.dtype == object
-               for poly in (got.c0, got.c1) for limb in poly.limbs)
-    assert ct_equal(got, want)

@@ -16,8 +16,7 @@ Since the int64 tier binds the same kernel for its conversions — it had
 an int64 ``@`` for narrow digits, a broadcast sweep for wide ones and
 ``convert_exact`` past a row-sum bound — the count is one for both
 tiers: a warm key switch is ``len(digit_spans) + 2`` ``left`` calls on
-the context's own kernels (``toy`` made none on the commit before).  And
-the object tier is the per-limb oracle, one call per row.
+the context's own kernels (``toy`` made none on the commit before).
 """
 
 import inspect
@@ -30,8 +29,8 @@ import pytest
 from repro.fhe import CkksContext, encoder, modmath, ntt, rns
 from repro.fhe.backend.stacked import StackedBackend
 from repro.fhe.keys import key_switch
-from repro.fhe.modmath import BoundModMatmul, force_object_dtype
-from repro.fhe.ntt import BatchedNttContext, NttContext
+from repro.fhe.modmath import BoundModMatmul
+from repro.fhe.ntt import BatchedNttContext
 from repro.fhe.primes import generate_ntt_primes
 from repro.serve.workloads import scoring_workload
 from test_parent_digests import PRESETS
@@ -122,24 +121,6 @@ def test_a_warm_key_switch_is_one_matmul_per_digit_and_one_per_lift(
         assert all(np.array_equal(x, y) for x, y in zip(a.limbs, b.limbs))
 
 
-@pytest.mark.parametrize("word,klass", [(30, "int64"), (54, "dword")])
-def test_a_forced_object_transform_is_one_oracle_call_per_row(
-        word, klass, monkeypatch):
-    n, rows = 64, 3
-    moduli = tuple(generate_ntt_primes(rows, word, n))
-    ctx = BatchedNttContext(moduli, n)
-    assert ctx.klass == klass
-    stack = np.random.default_rng(3).integers(
-        0, min(moduli), size=(rows, n), dtype=np.int64)
-    want = ctx.forward(stack)
-    forward = Calls(monkeypatch, NttContext, "forward")
-    matmul = Calls(monkeypatch, np, "matmul")
-    with force_object_dtype():
-        got = ctx.forward(stack)
-    assert (forward.count, matmul.count) == (rows, 0)
-    assert got.dtype == object and np.array_equal(got, want)
-
-
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_a_warm_edge_never_leaves_machine_words(preset, monkeypatch):
     """encode -> lift -> encrypt and decrypt -> compose -> decode used to
@@ -158,7 +139,6 @@ def test_a_warm_edge_never_leaves_machine_words(preset, monkeypatch):
         Calls(monkeypatch, rns.RnsBasis, "_total_object"),
         Calls(monkeypatch, rns.RnsBasis, "compose_centered_vec"),
         Calls(monkeypatch, rns.RnsBasis, "__init__"),
-        Calls(monkeypatch, modmath, "_as_object_array"),
     ]
     rounds = []
     monkeypatch.setattr(encoder, "round", rounds.append, raising=False)

@@ -4,8 +4,8 @@
 ``sum_j y_j * hat{p}_j - e * P mod q_i`` as one split-word matmul with
 the quotient ``e = round(sum_j y_j / p_j)`` taken from a float64 sum and,
 in a guard band around the half-integers, from Python integers.  It is
-held here to ``RnsBasis.convert_exact`` (what the reference backend and
-the object tier run) and to the definition — the big integer itself,
+held here to ``RnsBasis.convert_exact`` (what the reference backend
+runs) and to the definition — the big integer itself,
 centered, reduced modulo each target prime.
 """
 

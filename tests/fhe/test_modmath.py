@@ -118,13 +118,3 @@ class TestVectorOps:
         assert out.dtype == np.int64
         assert [int(v) for v in out] == [(int(x) * int(y)) % q
                                          for x, y in zip(a, b)]
-
-    def test_61_bit_modulus_uses_object_path(self):
-        q = 2**62 - 57
-        rng = np.random.default_rng(12)
-        a = modmath.random_residues(8, q, rng)
-        b = modmath.random_residues(8, q, rng)
-        assert a.dtype == object
-        out = modmath.mulmod_vec(a, b, q)
-        assert [int(v) for v in out] == [(int(x) * int(y)) % q
-                                         for x, y in zip(a, b)]

@@ -8,8 +8,8 @@ Montgomery) across random primes of every width from 32 to 55 bits, for
 array and constant multiplicands.  The kernel itself is held to Python
 integers from 31 bits to the largest prime below 2**56, with its first
 quotient estimate read off and checked against the bound its exactness
-rests on.  Also covers the object-dtype fallback from 56 bits up and the
-``force_object_dtype`` switch.
+rests on, and against the Python-integer oracle (``bignum.py``).  From
+56 bits up there is no kernel: the modulus is refused.
 """
 
 import numpy as np
@@ -17,14 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bignum
 from repro.fhe import modmath
 from repro.fhe.modmath import (MontgomeryContext, NATIVE_SAFE_MODULUS,
                                BoundScalarMul, _f64_columns, _mulmod_f64,
                                barrett_precompute, barrett_precompute_single,
                                barrett_reduce, barrett_reduce_single,
-                               limb_dtype, mulmod_stack, mulmod_vec,
-                               native_class, stack_native_class,
-                               stack_residues)
+                               mulmod_stack, mulmod_vec, native_class,
+                               stack_native_class, stack_residues)
 from repro.fhe.primes import is_prime
 
 N = 16
@@ -51,9 +51,9 @@ def _prime_pool() -> list[int]:
     return pool
 
 
-#: 32..55 bits: the double-word tier.
+#: 32..56 bits: the double-word tier.
 DWORD_PRIMES = [q for q in _prime_pool() if q < NATIVE_SAFE_MODULUS]
-#: 56..61 bits: past the double-word ceiling, on the object tier.
+#: 57..61 bits: past the double-word ceiling, refused.
 WIDE_PRIMES = [q for q in _prime_pool() if q >= NATIVE_SAFE_MODULUS]
 
 
@@ -141,14 +141,11 @@ class TestDwordAgainstScalarOracles:
     @given(prime_and_operands())
     @settings(max_examples=40, deadline=None)
     def test_object_oracle_agrees_under_force(self, qab):
-        """The forced bignum path is the oracle the native path must equal."""
+        """The Python-integer oracle is what the native path must equal."""
         q, a, b = qab
         native = mulmod_vec(a, b, q)
-        with modmath.force_object_dtype():
-            assert native_class(q) == "object"
-            oracle = mulmod_vec(a, b, q)
-        assert oracle.dtype == object
-        assert np.array_equal(np.asarray(native, dtype=object), oracle)
+        assert native.dtype == np.int64
+        assert np.array_equal(native.astype(object), bignum.mul(a, b, q))
 
 
 class TestDispatchBoundaries:
@@ -157,28 +154,9 @@ class TestDispatchBoundaries:
         assert native_class((1 << 31) - 1) == "int64"
         assert native_class(1 << 31) == "dword"
         assert native_class((1 << 56) - 1) == "dword"
-        assert native_class(1 << 56) == "object"
-        assert {native_class(q) for q in WIDE_PRIMES} == {"object"}
-
-    def test_61_bit_modulus_takes_object_path(self):
-        """Just past the native bound: object fallback, still exact."""
-        q = _prime_near((1 << 61) + (1 << 13), 62)
-        assert limb_dtype(q) is object
-        rng = np.random.default_rng(4)
-        a = modmath.random_residues(N, q, rng)
-        b = modmath.random_residues(N, q, rng)
-        assert a.dtype == object
-        out = mulmod_vec(a, b, q)
-        assert [int(v) for v in out] == [(int(x) * int(y)) % q
-                                         for x, y in zip(a, b)]
-
-    def test_force_object_is_scoped(self):
-        q = DWORD_PRIMES[0]
-        assert native_class(q) == "dword"
-        with modmath.force_object_dtype():
-            assert native_class(q) == "object"
-            assert limb_dtype(q) is object
-        assert native_class(q) == "dword"
+        for q in [1 << 56] + WIDE_PRIMES:
+            with pytest.raises(ValueError, match=f"modulus {q} is 2"):
+                native_class(q)
 
     def test_largest_residues_at_native_bound(self):
         """q-1 squared at the largest prime below 2**56: the largest
@@ -190,21 +168,6 @@ class TestDispatchBoundaries:
         out = mulmod_vec(a, a, q)
         assert out.dtype == np.int64
         assert [int(v) for v in out] == [(int(x) * int(x)) % q for x in a]
-
-    def test_58_bit_prime_multiplies_exactly_on_the_object_tier(self):
-        """Past the double-word ceiling a prime is stored as Python
-        integers and multiplied exactly."""
-        q = _prime_near((1 << 57) + (1 << 20), 58)
-        assert native_class(q) == "object" and limb_dtype(q) is object
-        rng = np.random.default_rng(58)
-        a = modmath.random_residues(N, q, rng)
-        b = modmath.random_residues(N, q, rng)
-        a[:2] = [q - 1, q - 2]
-        b[:2] = [q - 1, q - 1]
-        assert a.dtype == b.dtype == object
-        out = mulmod_vec(a, b, q)
-        assert [int(v) for v in out] == [(int(x) * int(y)) % q
-                                         for x, y in zip(a, b)]
 
 
 #: One prime per width from 31 to 55 bits, and the widest the tier takes.
@@ -336,25 +299,19 @@ def _object_draw(n: int, q: int, rng: np.random.Generator) -> list[int]:
 
 
 @given(bits=st.integers(32, 55), offset=st.integers(0, 1 << 40),
-       seed=st.integers(0, 2**32 - 1), forced=st.booleans())
+       seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_uniform_draws_in_machine_words_match_the_object_formula(
-        bits, offset, seed, forced):
+        bits, offset, seed):
     """Below 2**56 ``random_residues`` composes hi:lo in uint64: the same
-    two RNG calls and the same values as the Python-integer formula,
-    plain and under ``force_object_dtype`` (where only the dtype
-    differs)."""
+    two RNG calls and the same values as the Python-integer formula."""
     q = _prime_near((1 << (bits - 1)) + offset, bits)
     assert 1 << 31 <= q < NATIVE_SAFE_MODULUS
     want_rng = np.random.default_rng(seed)
     want = _object_draw(257, q, want_rng)
     rng = np.random.default_rng(seed)
-    if forced:
-        with modmath.force_object_dtype():
-            got = modmath.random_residues(257, q, rng)
-    else:
-        got = modmath.random_residues(257, q, rng)
-    assert got.dtype == (object if forced else np.int64)
+    got = modmath.random_residues(257, q, rng)
+    assert got.dtype == np.int64
     assert [int(v) for v in got] == want
     # Same calls: the streams stay in step.
     assert rng.integers(0, 1 << 62) == want_rng.integers(0, 1 << 62)

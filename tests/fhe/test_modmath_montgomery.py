@@ -4,10 +4,11 @@ There is no Montgomery domain in the library: a product is one multiply
 and one ``%`` below 2**31 and one ``_mulmod_f64`` up to 2**56, and limbs
 are always plain residues.  ``MontgomeryContext`` stays as an independent
 scalar oracle: ``mulmod_vec``, ``mulmod_stack`` and ``backend.mul`` must
-produce exactly its residues and those of plain Python integers, on the
-1-D, stacked, mixed-width and object-dtype (``force_object_dtype``)
-tiers alike, for every modulus width from 32 to 61 bits — on both sides
-of the double-word ceiling — and on both backends.
+produce exactly its residues and those of the Python-integer oracle
+(``bignum.py``), on the 1-D, stacked and mixed-width paths alike, for
+every modulus width from 32 to 56 bits, and on both backends.  Past the
+double-word ceiling (57 to 61 bits) the oracles still agree with each
+other, and the library refuses the modulus.
 """
 
 import numpy as np
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bignum
 from repro.fhe import CkksParameters
 from repro.fhe.backend import create_backend
-from repro.fhe.modmath import (MontgomeryContext, force_object_dtype,
-                               limb_dtype, mulmod_stack, mulmod_vec,
-                               stack_native_class, stack_residues)
+from repro.fhe.modmath import (NATIVE_SAFE_MODULUS, MontgomeryContext,
+                               mulmod_stack, mulmod_vec, stack_native_class,
+                               stack_residues)
 
 from test_modmath_dword import (DWORD_PRIMES, N, WIDE_PRIMES,
                                 prime_and_operands)
@@ -52,12 +54,18 @@ def as_ints(rows) -> list:
 
 def assert_products_match_oracles(q: int) -> None:
     """``mulmod_vec``, ``mulmod_stack`` and both backends' ``mul`` give
-    the oracle's residues mod ``q``, in whichever storage ``q`` takes."""
-    a = np.array([(i * (q // N)) % q for i in range(N)], dtype=limb_dtype(q))
-    b = a[::-1].copy()
+    the oracles' residues mod ``q`` — or, past 2**56, refuse ``q``."""
+    values = [(i * (q // N)) % q for i in range(N)]
     mont = MontgomeryContext(q)
-    want = [int(x) * int(y) % q for x, y in zip(a, b)]
-    assert want == [redc(mont, int(x), int(y)) for x, y in zip(a, b)]
+    want = [x * y % q for x, y in zip(values, values[::-1])]
+    assert want == [redc(mont, x, y) for x, y in zip(values, values[::-1])]
+    assert as_ints([bignum.mul(values, values[::-1], q)]) == [want]
+    if q >= NATIVE_SAFE_MODULUS:
+        with pytest.raises(ValueError, match=f"modulus {q} is 2"):
+            mulmod_vec(np.zeros(N, dtype=np.int64), 1, q)
+        return
+    a = np.array(values, dtype=np.int64)
+    b = a[::-1].copy()
     assert as_ints([mulmod_vec(a, b, q)]) == [want]
     moduli = (q, q)
     stack = np.stack([a, b])
@@ -72,8 +80,8 @@ def assert_products_match_oracles(q: int) -> None:
 
 class TestRedcConstants:
     """The scalar REDC oracle and the library's product agree for every
-    modulus: below 2**31, on the double-word tier, and past its 2**56
-    ceiling (``WIDE_PRIMES``, the object tier)."""
+    modulus below 2**31 and on the double-word tier; past its 2**56
+    ceiling (``WIDE_PRIMES``) the oracles agree and the library refuses."""
 
     @pytest.mark.parametrize("q", ABOVE_2_31 + DWORD_PRIMES + WIDE_PRIMES)
     def test_constant_identities(self, q):
@@ -121,13 +129,14 @@ class TestMontgomeryVec:
     @given(prime_and_operands())
     @settings(max_examples=20, deadline=None)
     def test_object_dtype_tier_matches_native(self, qab):
+        """Object-dtype residues are int64 residues to the kernel, and
+        the Python-integer oracle's product is the native one."""
         q, a, b = qab
         native = mulmod_vec(a, b, q)
         obj = mulmod_vec(a.astype(object), b.astype(object), q)
-        with force_object_dtype():
-            forced = mulmod_vec(a, b, q)
-        assert obj.dtype == forced.dtype == object
-        assert as_ints([native]) == as_ints([obj]) == as_ints([forced])
+        assert native.dtype == obj.dtype == np.int64
+        assert as_ints([native]) == as_ints([obj]) \
+            == as_ints([bignum.mul(a, b, q)])
 
 
 class TestMontgomeryStack:
@@ -153,22 +162,19 @@ class TestMontgomeryStack:
     @given(prime_and_operands())
     @settings(max_examples=15, deadline=None)
     def test_force_object_matches_native(self, qab):
+        """The stacked product, row by row, is the Python-integer
+        oracle's."""
         q, a, b = qab
         moduli, sa, sb = self._stacks(q, a, b)
         native = mulmod_stack(sa, sb, moduli)
-        with force_object_dtype():
-            sa_o = stack_residues([a % Q_SMALL, a], moduli)
-            sb_o = stack_residues([b % Q_SMALL, b], moduli)
-            assert sa_o.dtype == object
-            obj = mulmod_stack(sa_o, sb_o, moduli)
-        assert obj.dtype == object
-        assert as_ints(native) == as_ints(obj)
+        assert native.dtype == np.int64
+        assert as_ints(native) == as_ints(
+            [bignum.mul(x, y, p) for x, y, p in zip(sa, sb, moduli)])
 
 
 class TestMixedClassStacks:
     """Rows below and above 2**31 in one basis: both backends' ``mul``
-    agree with each other, with ``force_object_dtype`` and with the
-    oracles, limb by limb."""
+    agree with each other and with the oracles, limb by limb."""
 
     @staticmethod
     def _run(backend_name, moduli, a, b):
@@ -186,12 +192,9 @@ class TestMixedClassStacks:
         assert stack_native_class(moduli) == "dword"
         runs = [self._run(name, moduli, a, b)
                 for name in ("reference", "stacked")]
-        with force_object_dtype():
-            runs += [self._run(name, moduli, a, b)
-                     for name in ("reference", "stacked")]
-        assert all(run == runs[0] for run in runs[1:])
+        assert runs[0] == runs[1]
         for i, p in enumerate(moduli):
             mont = MontgomeryContext(p)
             x, y = [int(v) % p for v in a], [int(v) % p for v in b]
-            assert runs[0][i] == [u * v % p for u, v in zip(x, y)] == [
+            assert runs[0][i] == as_ints([bignum.mul(x, y, p)])[0] == [
                 redc(mont, u, v) for u, v in zip(x, y)]

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fhe import CkksParameters, modmath
+from repro.fhe import CkksParameters
 from repro.fhe.modmath import NATIVE_SAFE_MODULUS, matmul_split_plan
 from repro.fhe.ntt import (MAX_FACTOR, BatchedNttContext, NttContext,
                            batched_ntt_context, factors, ntt_context)
@@ -238,19 +238,20 @@ def test_random_20_to_31_bit_primes(case):
 @given(random_prime_stacks(32, 60))
 @settings(max_examples=60, deadline=None)
 def test_random_32_to_60_bit_primes(case):
-    """The double-word tier below 2**56; a stack with a wider row is the
-    object tier, the per-limb oracle row by row."""
-    wide = max(case[0]) >= NATIVE_SAFE_MODULUS
-    assert_random_stack(case, "object" if wide else "dword")
+    """The double-word tier below 2**56; a stack with a wider row is
+    refused."""
+    moduli, n, _ = case
+    if max(moduli) < NATIVE_SAFE_MODULUS:
+        assert_random_stack(case, "dword")
+        return
+    with pytest.raises(ValueError, match=f"modulus {max(moduli)} is 2"):
+        BatchedNttContext(moduli, n)
 
 
 def assert_random_stack(case, klass: str) -> None:
     moduli, n, seed = case
     ctx = BatchedNttContext(moduli, n)
-    if klass == "object":
-        assert ctx.klass == klass and ctx.matmul is None
-    else:
-        assert_bound(ctx, klass)
+    assert_bound(ctx, klass)
     rng = np.random.default_rng(seed)
     stack = rng.integers(-(1 << 62), 1 << 62, size=(len(moduli), n),
                          dtype=np.int64)
@@ -284,32 +285,6 @@ def test_a_wider_modulus_moves_the_stack_to_split_table_words(
     fwd = ctx.forward(stack)
     assert np.array_equal(fwd, want)
     assert np.array_equal(ctx.inverse(fwd), stack % ctx.q_col)
-
-
-def assert_forced_object_dtype_around_a_warm_context(klass: str) -> None:
-    n = 1 << 6
-    moduli = BASES[klass](n, 3)
-    ctx = batched_ntt_context(moduli, n)
-    assert ctx.klass == klass
-    stack = inputs(moduli, n)["reduced"]
-    want_fwd, want_inv = ctx.forward(stack), ctx.inverse(stack)
-    with modmath.force_object_dtype():
-        got_fwd, got_inv = ctx.forward(stack), ctx.inverse(stack)
-        assert batched_ntt_context(moduli, n) is not ctx
-    assert got_fwd.dtype == got_inv.dtype == object
-    assert np.array_equal(got_fwd, want_fwd)
-    assert np.array_equal(got_inv, want_inv)
-    # Object-dtype input takes the same fallback outside the block.
-    assert np.array_equal(ctx.forward(stack.astype(object)), want_fwd)
-    assert batched_ntt_context(moduli, n) is ctx
-
-
-def test_forced_object_dtype_around_a_warm_int64_context():
-    assert_forced_object_dtype_around_a_warm_context("int64")
-
-
-def test_forced_object_dtype_around_a_warm_dword_context():
-    assert_forced_object_dtype_around_a_warm_context("dword")
 
 
 @pytest.mark.parametrize("sign", [1, -1])

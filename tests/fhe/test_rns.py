@@ -90,20 +90,6 @@ class TestBaseConversion:
                 else v - basis.big_modulus
             assert int(out[i]) == centered % PRIMES_BIG[2]
 
-    def test_61_bit_object_fallback(self):
-        """62-bit basis: past the native bound the object path is used."""
-        primes = generate_ntt_primes(3, 62, 1 << 8)
-        basis = RnsBasis(primes[:2])
-        values = [0, 1, int(basis.big_modulus - 1),
-                  int(basis.big_modulus // 7)]
-        limbs = basis.decompose_vec(values)
-        assert basis.compose_vec(limbs) == values
-        out = basis.convert_exact(limbs, [primes[2]])[0]
-        for i, v in enumerate(values):
-            centered = v if v <= basis.big_modulus // 2 \
-                else v - basis.big_modulus
-            assert int(out[i]) == centered % primes[2]
-
     def test_subbasis(self, basis):
         sub = basis.subbasis(2)
         assert sub.primes == basis.primes[:2]

@@ -1,16 +1,22 @@
 """Tests for ciphertext serialization."""
 
+import dataclasses
+import io
+import json
+
 import numpy as np
 import pytest
 
 from repro.fhe import CkksContext, CkksParameters, Polynomial
 from repro.fhe.ciphertext import Ciphertext
+from repro.fhe.modmath import NATIVE_SAFE_MODULUS
+from repro.fhe.primes import generate_ntt_primes
 from repro.fhe.serialization import (deserialize_ciphertext,
                                      serialize_ciphertext,
                                      serialized_size_matches_model)
 
-#: Small ring, 54-bit word: every modulus is >= 2**31, so limbs must use
-#: object dtype end to end (the paper-word regime of the dtype convention).
+#: Small ring, 54-bit word: every modulus is >= 2**31, so every product
+#: takes the double-word kernel (the paper-word regime), on int64 limbs.
 PARAMS_54 = CkksParameters._build(ring_degree=1 << 6, scale_bits=50,
                                   prime_bits=54, max_level=3, boot_levels=2,
                                   dnum=2, fft_iterations=1)
@@ -67,10 +73,57 @@ class TestSerialization:
         assert not ser.serialized_size_matches_model(ct, ctx.params)
 
 
+def _tampered(blob: bytes, edit) -> bytes:
+    """``blob`` with ``edit(header, arrays)`` applied, re-saved."""
+    with np.load(io.BytesIO(blob)) as loaded:
+        arrays = {name: loaded[name] for name in loaded.files}
+    header = json.loads(bytes(arrays["header"]).decode())
+    edit(header, arrays)
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(),
+                                     dtype=np.uint8)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    return buffer.getvalue()
+
+
+class TestHostileBlobs:
+    """``deserialize_ciphertext`` checks a blob against the context: the
+    header's moduli are the context's chain at that level, and every limb
+    is N residues below its modulus."""
+
+    def test_a_residue_past_its_modulus_is_refused(self, ctx):
+        ct = ctx.encrypt([1.0], level=3)
+        q = ct.c0.moduli[1]
+
+        def edit(header, arrays):
+            arrays["c0_limb1"] = arrays["c0_limb1"].copy()
+            arrays["c0_limb1"][7] = q + 5
+
+        blob = _tampered(serialize_ciphertext(ct), edit)
+        with pytest.raises(ValueError, match="c0 limb 1: "):
+            deserialize_ciphertext(blob, ctx.keygen.context)
+
+    def test_a_modulus_the_context_lacks_is_refused(self, ctx):
+        ct = ctx.encrypt([1.0], level=3)
+        wide = generate_ntt_primes(1, 62, ctx.params.ring_degree)[0]
+
+        def edit(header, arrays):
+            header["c1"]["moduli"][2] = wide
+
+        blob = _tampered(serialize_ciphertext(ct), edit)
+        with pytest.raises(ValueError, match=f"c1 limb 2: modulus {wide}"):
+            deserialize_ciphertext(blob, ctx.keygen.context)
+
+    def test_a_limb_count_off_the_level_is_refused(self, ctx):
+        blob = _tampered(serialize_ciphertext(ctx.encrypt([1.0], level=3)),
+                         lambda header, arrays: header.update(level=2))
+        with pytest.raises(ValueError, match="c0: 4 limbs"):
+            deserialize_ciphertext(blob, ctx.keygen.context)
+
+
 class TestBigWordSerialization:
-    """Regression: deserialized limbs must keep the per-modulus dtype
-    convention (the shared modmath.limb_dtype helper: int64 for every
-    native modulus below 2**61, object beyond) and stay computable."""
+    """Regression: deserialized 54-bit limbs must be int64, the one
+    storage every kernel computes in, and stay computable."""
 
     @pytest.fixture(scope="class", params=["reference", "stacked"])
     def big_ctx(self, request):
@@ -87,13 +140,17 @@ class TestBigWordSerialization:
                 assert np.asarray(limb).dtype == np.int64
 
     def test_load_dtype_matches_compute_helper(self, big_ctx):
-        """Save/load and compute share one dtype threshold (limb_dtype)."""
-        from repro.fhe.modmath import NATIVE_SAFE_MODULUS, limb_dtype
-        for q in PARAMS_54.moduli:
-            assert limb_dtype(q) == np.int64
-        assert limb_dtype(NATIVE_SAFE_MODULUS - 1) == np.int64
-        assert limb_dtype(NATIVE_SAFE_MODULUS) is object
-        assert limb_dtype(1 << 62) is object
+        """Save/load and compute share one dtype, int64, at every modulus
+        the parameters take; there are none from 2**56 up."""
+        ct = big_ctx.encrypt([1.0])
+        back = deserialize_ciphertext(serialize_ciphertext(ct),
+                                      big_ctx.keygen.context)
+        computed = big_ctx.evaluator.he_add(ct, ct)
+        assert {np.asarray(limb).dtype for poly in (back.c0, computed.c0)
+                for limb in poly.limbs} == {np.dtype(np.int64)}
+        with pytest.raises(ValueError, match=f"{NATIVE_SAFE_MODULUS + 1}"):
+            dataclasses.replace(PARAMS_54, special_moduli=(
+                NATIVE_SAFE_MODULUS + 1,))
 
     def test_roundtrip_then_multiply_and_rescale(self, big_ctx):
         """The first multiply after a 54-bit round-trip must be exact."""
@@ -125,14 +182,17 @@ class TestBigWordSerialization:
         assert serialized_size_matches_model(ct, PARAMS_54)
 
     def test_save_rejects_residues_beyond_int64(self, big_ctx):
-        """Residues >= 2**63 must raise instead of wrapping on the wire."""
-        context = big_ctx.keygen.context
+        """A limb that is not int64 residues below its modulus — Python
+        integers past 2**63, or int64 past q — raises instead of
+        wrapping on the wire."""
         ct = big_ctx.encrypt([1.0])
-        huge = (1 << 63) + 12345
-        bad_limbs = [np.array([huge] * PARAMS_54.ring_degree, dtype=object)
-                     for _ in ct.c0.moduli]
-        bad_poly = Polynomial(context, bad_limbs, ct.c0.moduli, ct.c0.rep)
-        bad_ct = Ciphertext(c0=bad_poly, c1=ct.c1, level=ct.level,
-                            scale=ct.scale)
-        with pytest.raises(ValueError, match="2\\*\\*63"):
-            serialize_ciphertext(bad_ct)
+        n, q = PARAMS_54.ring_degree, ct.c0.moduli[1]
+        for bad in (np.array([(1 << 63) + 12345] * n, dtype=object),
+                    np.full(n, q + 5, dtype=np.int64)):
+            poly = Polynomial(big_ctx.keygen.context, ct.c0.limbs,
+                              ct.c0.moduli, ct.c0.rep)
+            poly.data = [ct.c0.limbs[0], bad] + list(ct.c0.limbs[2:])
+            bad_ct = Ciphertext(c0=poly, c1=ct.c1, level=ct.level,
+                                scale=ct.scale)
+            with pytest.raises(ValueError, match="c0 limb 1: not"):
+                serialize_ciphertext(bad_ct)

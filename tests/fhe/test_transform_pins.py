@@ -23,6 +23,12 @@ too: 54-bit and 30-bit primes at N = 8 and 64 (one factor now), 2^11
 (32 x 64) and 2^13 (three factors), and one mixed-width stack — a 30-bit
 row beside two 55-bit rows, the case the quotient estimate of the
 split-word matmul must cover.
+
+``PARENT_OBJECT_DIGESTS`` pins 3-limb stacks of 30-, 54- and 62-bit
+primes as the object-dtype tier transformed them (the per-limb
+butterflies in Python integers) before that tier left the library.  The
+Python-integer oracle (``bignum.py``) reproduces them now, and below
+2**56 the native context must too; a 62-bit prime the library refuses.
 """
 
 import hashlib
@@ -30,8 +36,9 @@ import hashlib
 import numpy as np
 import pytest
 
+import bignum
 from repro.fhe import CkksParameters
-from repro.fhe.modmath import force_object_dtype, stack_native_class
+from repro.fhe.modmath import NATIVE_SAFE_MODULUS, stack_native_class
 from repro.fhe.ntt import BatchedNttContext, NttContext
 from repro.fhe.primes import generate_ntt_primes
 from test_parent_digests import PRESETS as _SCORING_PRESETS
@@ -153,7 +160,7 @@ PARENT_STACK_DIGESTS = {
         "d60aebe90b2a03848149b92eece04210befcc9427b9ee9add178783d2a1fcd41",
 }
 
-#: ``(word, N)`` of the 3-limb stacks pinned on the object tier.
+#: ``(word, N)`` of the 3-limb stacks pinned on the object-dtype tier.
 OBJECT_STACKS = tuple((word, n) for word in (30, 54, 62)
                       for n in (64, 1 << 10))
 
@@ -258,21 +265,15 @@ def stack_digest(word, n: int, kind: str) -> str:
 
 
 def object_digests(word, n: int, kind: str) -> set[str]:
-    """Every road to the object tier, one digest each: a context built
-    inside ``force_object_dtype``, one built outside it and called
-    inside, and object-dtype input to a native context — or, at 62 bits,
-    the context as it builds anyway."""
+    """One digest per road to these integers: the oracle's transforms
+    and, below 2**56, the native context's."""
     moduli = stack_moduli(word, n)
     stack = seeded_inputs(moduli, n)[kind]
-    warm = BatchedNttContext(moduli, n)
-    with force_object_dtype():
-        forced = BatchedNttContext(moduli, n)
-        assert forced.klass == "object"
-        outputs = [(forced.forward(stack), forced.inverse(stack)),
-                   (warm.forward(stack), warm.inverse(stack))]
-    as_object = stack.astype(object)
-    outputs.append((warm.forward(as_object), warm.inverse(as_object)))
-    assert all(a.dtype == object for pair in outputs for a in pair)
+    outputs = [(bignum.transform(moduli, stack, "forward"),
+                bignum.transform(moduli, stack, "inverse"))]
+    if max(moduli) < NATIVE_SAFE_MODULUS:
+        ctx = BatchedNttContext(moduli, n)
+        outputs.append((ctx.forward(stack), ctx.inverse(stack)))
     return {_sha(*pair) for pair in outputs}
 
 

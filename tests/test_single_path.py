@@ -10,8 +10,10 @@ op is: ``repro.trace.ops.OPS``.  One fast backend and one plain oracle:
 ``stacked`` on its bound kernels, ``reference`` per limb, the exact CRT
 underneath both in Python integers.  One on-disk form of a program:
 ``.rpa`` through ``repro.artifact``, and one diff.  One domain for a
-residue: the plain one.  One harness per question: a floor is a test
-id.  Each case pins the absence of the fork it names.
+residue: the plain one, and one storage: int64 — two kernel tiers and
+no object tier, a modulus of 2**56 or more refused.  One harness per
+question: a floor is a test id.  Each case pins the absence of the fork
+it names.
 """
 
 import ast
@@ -30,7 +32,7 @@ import repro.gpusim
 import repro.trace
 from repro import engine
 from repro.analysis import diagnostics
-from repro.fhe import modmath, noise, rns
+from repro.fhe import modmath, noise, ntt, rns
 from repro.fhe.backend.base import ComputeBackend
 from repro.fhe.backend.reference import ReferenceBackend
 from repro.fhe.backend.stacked import StackedBackend
@@ -38,6 +40,7 @@ from repro.fhe.encoder import Plaintext
 from repro.fhe.ntt import BatchedNttContext, NttContext
 from repro.fhe.params import CkksParameters
 from repro.fhe.poly import Polynomial
+from repro.fhe.primes import is_prime
 from repro.serve.server import _plan_fingerprint
 from repro.workloads import compile_workload, workload_names
 
@@ -222,6 +225,53 @@ def test_a_stacked_transform_has_one_algorithm():
     moduli = CkksParameters.toy().moduli[:2]
     assert not hasattr(BatchedNttContext(moduli, 1 << 10), "psi_rev")
     assert not hasattr(NttContext(moduli[0], 1 << 10), "mont")
+
+
+# -- two dtype tiers ---------------------------------------------------------
+
+#: What the object-dtype tier of residues was made of.
+_OBJECT_TIER = ("force_object_dtype", "_OBJECT_ONLY", "_stack_native_ok",
+                "stack_is_native", "_as_object_array", "_is_native",
+                "_is_int64_safe", "limb_dtype")
+
+
+def test_every_residue_is_int64_on_one_of_two_tiers():
+    """No object tier and no flag that forces one: ``src/`` neither
+    defines nor names any of its pieces, a kernel tier is ``int64`` or
+    ``dword``, and a modulus past the double-word ceiling — the largest
+    prime below 2**62 — is refused by the parameters and by every kernel
+    it could reach, not run on Python integers."""
+    for name in _OBJECT_TIER:
+        assert not hasattr(modmath, name), name
+    named = {f"{path.relative_to(SRC)}: {name}"
+             for path in sorted(SRC.rglob("*.py"))
+             for name in _OBJECT_TIER
+             if re.search(rf"\b{name}\b", path.read_text(encoding="utf-8"))}
+    assert not named, named
+    toy, paper = CkksParameters.toy(), CkksParameters.paper()
+    assert {modmath.native_class(q) for q in (3, (1 << 31) - 1, 1 << 31,
+                                              (1 << 56) - 1)} \
+        == {modmath.stack_native_class(toy.moduli),
+            modmath.stack_native_class(paper.moduli)} == {"int64", "dword"}
+    wide = (1 << 62) - 57
+    assert is_prime(wide) and not any(map(is_prime, range(wide + 2, 1 << 62,
+                                                          2)))
+    refused = re.escape(f"modulus {wide} is 2**56 or more")
+    for build in (lambda: dataclasses.replace(toy, moduli=(*toy.moduli,
+                                                           wide)),
+                  lambda: NttContext(wide, 4),
+                  lambda: modmath.BoundScalarMul([1], [wide]),
+                  lambda: modmath.native_class(wide),
+                  lambda: modmath.stack_native_class((3, wide))):
+        with pytest.raises(ValueError, match=refused):
+            build()
+
+
+def test_the_table_cache_keys_a_modulus_and_a_degree():
+    ntt.ntt_context(CkksParameters.toy().moduli[0], 1 << 10)
+    ntt.batched_ntt_context(CkksParameters.toy().moduli, 1 << 10)
+    keys = list(ntt._TABLE_CACHE._entries)
+    assert keys and all(len(key) == 2 for key in keys), keys
 
 
 # -- one op table ------------------------------------------------------------
