@@ -1,10 +1,11 @@
 """``repro.artifact``: versioned binary plan/trace containers (``.rpa``).
 
-One compiled HE program — the columnar op trace, the lowered BlockSim
-DAG with per-block ``op_id`` provenance, the pass pipeline that produced
-it, and (optionally) the plaintext payloads needed for real-mode
-replay — travels as a single magic-tagged, block-framed, CRC-checked
-binary file, the only on-disk form of a trace or a plan.  Readers skip
+One compiled HE program — the columnar op trace as the compile passes
+left it, the pass pipeline that produced it, and (optionally) the
+plaintext payloads needed for real-mode replay — travels as a single
+magic-tagged, block-framed, CRC-checked binary file, the only on-disk
+form of a trace or a plan.  A plan is its trace: :func:`load_plan`
+lowers the BlockSim DAG again rather than reading one.  Readers skip
 unrecognized block types with a warning, so old readers degrade
 gracefully on new writers; anything else wrong is an
 :class:`ArtifactError` naming the file and the block.

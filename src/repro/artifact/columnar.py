@@ -1,4 +1,4 @@
-"""Columnar encodings of the trace, the lowered DAG, and the payloads.
+"""Columnar encodings of the trace and the payloads.
 
 A row-per-op text form spends ~200 bytes of punctuation and repeated key
 names per op; these tables store each :class:`~repro.trace.ir.TraceOp`
@@ -10,11 +10,12 @@ tagged-JSON side channel.  The round trip is exact:
 ``decode(encode(trace)) == trace`` field for field, including meta dicts
 (dict equality is order-free).
 
-The same pattern serializes the lowered BlockSim DAG (node and edge
-tables plus a residual-metadata channel) and the optional plaintext
-payload table that real-mode :meth:`~repro.engine.ExecutablePlan.
-execute` replay needs.  Decoders check a block against this schema
-before indexing anything (:func:`_scalars`, :func:`_columns`).
+The same pattern serializes the optional plaintext payload table that
+real-mode :meth:`~repro.engine.ExecutablePlan.execute` replay needs.
+No block graph is stored: it is a pure function of the trace, and
+:func:`repro.artifact.reader.load_plan` lowers it again.  Decoders check
+a block against this schema before indexing anything (:func:`_scalars`,
+:func:`_columns`).
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.blocksim.blocks import BlockInstance, BlockType
-from repro.dag import DiGraph
 from repro.fhe.encoder import Plaintext
 from repro.fhe.params import CkksParameters
 from repro.fhe.poly import coeff_array
@@ -275,167 +274,6 @@ def decode_trace_ops(payload: bytes, params: CkksParameters, name: str,
             hoist_group=None if hoist == -1 else hoist,
             region="" if region == -1 else regions[region], meta=meta))
     return trace
-
-
-# ---------------------------------------------------------------------------
-# lowered DAG
-# ---------------------------------------------------------------------------
-
-#: Node-metadata keys with typed columns; the rest goes to residual JSON.
-_NODE_COLUMNAR_KEYS = frozenset({"op_id", "key", "hoist_group",
-                                 "refresh", "keyswitch"})
-
-
-def encode_dag(graph: DiGraph) -> bytes:
-    """Node + edge tables for one lowered BlockSim DAG.
-
-    Node and edge file order is graph insertion order, which the
-    simulator's scheduling is sensitive to — a reconstructed graph
-    iterates identically to the one lowering built.
-    """
-    node_ids = list(graph.nodes)
-    index_of = {node_id: i for i, node_id in enumerate(node_ids)}
-    n = len(node_ids)
-    types = _Interner()
-    keys = _Interner()
-
-    type_idx = np.empty(n, dtype=np.int16)
-    level = np.empty(n, dtype=np.int32)
-    repeat = np.empty(n, dtype=np.int32)
-    op_id = np.full(n, -1, dtype=np.int64)
-    key_idx = np.full(n, -1, dtype=np.int32)
-    hoist = np.full(n, -1, dtype=np.int64)
-    refresh = np.full(n, -1, dtype=np.int8)
-    ks_present = np.zeros(n, dtype=np.int8)
-    ks_key_idx = np.full(n, -1, dtype=np.int32)
-    ks_level = np.full(n, -1, dtype=np.int32)
-    ks_dnum = np.full(n, -1, dtype=np.int16)
-    ks_digits = np.full(n, -1, dtype=np.int16)
-    residual: dict[str, dict[str, Any]] = {}
-
-    for i, node_id in enumerate(node_ids):
-        block: BlockInstance = graph.nodes[node_id]["block"]
-        type_idx[i] = types.add(block.block_type.value)
-        level[i] = block.level
-        repeat[i] = block.repeat
-        meta = block.metadata
-        leftover: dict[str, Any] = {}
-        for meta_key, meta_value in meta.items():
-            if meta_key == "op_id" and type(meta_value) is int:
-                op_id[i] = meta_value
-            elif meta_key == "key" and isinstance(meta_value, str):
-                key_idx[i] = keys.add(meta_value)
-            elif meta_key == "hoist_group" and type(meta_value) is int \
-                    and meta_value >= 0:
-                hoist[i] = meta_value
-            elif meta_key == "refresh" and type(meta_value) is bool:
-                refresh[i] = int(meta_value)
-            elif meta_key == "keyswitch" and _ks_encodable(meta_value):
-                ks_present[i] = 1
-                ks_key_idx[i] = keys.add(meta_value["key"])
-                ks_level[i] = meta_value["level"]
-                ks_dnum[i] = meta_value.get("dnum", -1)
-                ks_digits[i] = meta_value.get("digits", -1)
-            else:
-                leftover[meta_key] = meta_value
-        if leftover:
-            residual[str(i)] = leftover
-
-    edge_list = list(graph.edges(data=True))
-    src = np.empty(len(edge_list), dtype=np.int32)
-    dst = np.empty(len(edge_list), dtype=np.int32)
-    edge_bytes = np.empty(len(edge_list), dtype=np.float64)
-    for j, (u, v, data) in enumerate(edge_list):
-        src[j] = index_of[u]
-        dst[j] = index_of[v]
-        edge_bytes[j] = float(data.get("bytes", 0.0))
-
-    scalars = {"num_nodes": n, "num_edges": len(edge_list),
-               "node_ids": node_ids, "types": types.table,
-               "keys": keys.table, "meta_residual": residual}
-    arrays: dict[str, np.ndarray[Any, Any]] = {
-        "type": type_idx, "level": level, "repeat": repeat,
-        "op_id": op_id, "key": key_idx, "hoist_group": hoist,
-        "refresh": refresh, "ks_present": ks_present,
-        "ks_key": ks_key_idx, "ks_level": ks_level, "ks_dnum": ks_dnum,
-        "ks_digits": ks_digits, "edge_src": src, "edge_dst": dst,
-        "edge_bytes": edge_bytes,
-    }
-    return pack_arrays(scalars, arrays)
-
-
-def _ks_encodable(value: Any) -> bool:
-    if not isinstance(value, dict):
-        return False
-    if set(value) - {"key", "level", "dnum", "digits"}:
-        return False
-    if not isinstance(value.get("key"), str):
-        return False
-    if type(value.get("level")) is not int:
-        return False
-    for opt in ("dnum", "digits"):
-        if opt in value and (type(value[opt]) is not int
-                             or not 0 <= value[opt] < (1 << 15)):
-            return False
-    return True
-
-
-def decode_dag(payload: bytes, where: str = "DAG") -> DiGraph:
-    """Rebuild the lowered DAG from its tables."""
-    scalars, arrays = unpack_arrays(payload, where)
-    n, num_edges, node_ids, types, keys, residual = _scalars(
-        scalars, where, "num_nodes", "num_edges", "node_ids", "types", "keys",
-        "meta_residual")
-    if len(node_ids) != n:
-        raise ArtifactFormatError(f"{where}: node id table has "
-                                  f"{len(node_ids)} entries, expected {n}")
-    key_index, node = range(-1, len(keys)), range(n)
-    c = {k: v.tolist() for k, v in _columns(arrays, where, {
-        "type": ("<i2", n, range(len(types))), "level": ("<i4", n, None),
-        "repeat": ("<i4", n, None), "op_id": ("<i8", n, None),
-        "key": ("<i4", n, key_index), "hoist_group": ("<i8", n, None),
-        "refresh": ("|i1", n, None), "ks_present": ("|i1", n, None),
-        "ks_key": ("<i4", n, key_index), "ks_level": ("<i4", n, None),
-        "ks_dnum": ("<i2", n, None), "ks_digits": ("<i2", n, None),
-        "edge_src": ("<i4", num_edges, node),
-        "edge_dst": ("<i4", num_edges, node),
-        "edge_bytes": ("<f8", num_edges, None),
-    }).items()}
-    by_value = {block_type.value: block_type for block_type in BlockType}
-
-    graph = DiGraph()
-    for i, node_id in enumerate(node_ids):
-        block_type = by_value.get(types[c["type"][i]])
-        if block_type is None:
-            raise ArtifactFormatError(f"{where}: node {i}: unknown block "
-                                      f"type {types[c['type'][i]]!r}")
-        metadata: dict[str, Any] = {}
-        if c["op_id"][i] != -1:
-            metadata["op_id"] = c["op_id"][i]
-        if c["key"][i] != -1:
-            metadata["key"] = keys[c["key"][i]]
-        if c["hoist_group"][i] != -1:
-            metadata["hoist_group"] = c["hoist_group"][i]
-        if c["refresh"][i] != -1:
-            metadata["refresh"] = bool(c["refresh"][i])
-        if c["ks_present"][i]:
-            ks_key = c["ks_key"][i]
-            keyswitch: dict[str, Any] = {
-                "key": None if ks_key == -1 else keys[ks_key],
-                "level": c["ks_level"][i]}
-            if c["ks_dnum"][i] != -1:
-                keyswitch["dnum"] = c["ks_dnum"][i]
-            if c["ks_digits"][i] != -1:
-                keyswitch["digits"] = c["ks_digits"][i]
-            metadata["keyswitch"] = keyswitch
-        metadata.update(residual.get(str(i), {}))
-        graph.add_node(node_id, block=BlockInstance(
-            block_id=node_id, block_type=block_type, level=c["level"][i],
-            repeat=c["repeat"][i], metadata=metadata))
-
-    for u, v, nbytes in zip(c["edge_src"], c["edge_dst"], c["edge_bytes"]):
-        graph.add_edge(node_ids[u], node_ids[v], bytes=nbytes)
-    return graph
 
 
 # ---------------------------------------------------------------------------

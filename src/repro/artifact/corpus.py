@@ -3,9 +3,11 @@
 ``tests/artifact/corpus/`` holds one ``.rpa`` plan artifact per
 registered workload, compiled at paper parameters.  CI recompiles the
 catalog and diffs it per block against these goldens
-(:func:`check_corpus`): a structural regression in tracing, passes, or
-lowering fails a sub-second artifact diff instead of a full
-re-simulation.  After an *intentional* workload change, regenerate with
+(:func:`check_corpus`): a structural regression in tracing or passes
+fails a sub-second artifact diff instead of a full re-simulation.  The
+goldens store no block graph (loading lowers the trace again), so a
+lowering change shows in ``tests/trace/test_op_table_pins.py``
+instead.  After an *intentional* workload change, regenerate with
 ``python -m repro.artifact corpus --regen`` and commit the new
 artifacts (writes are byte-deterministic, so an unchanged workload
 rewrites identical bytes).

@@ -1,16 +1,17 @@
 """Per-block structural diffing of ``.rpa`` artifacts.
 
 This is the cheap CI regression gate: instead of re-simulating a
-workload to notice that tracing or lowering changed, two artifacts are
+workload to notice that tracing or the passes changed, two artifacts are
 compared block by block — header counts and parameter fingerprints, op
 streams (per-kind / per-level count deltas plus an exact structural
-hash), lowered DAGs (per-block-type node counts, edge counts, structural
 hash), and pass provenance.  A delta anywhere is a structural change and
 exits 1; byte-level differences that decode to identical structures
-(e.g. a different compression level) are *not* deltas.
+(e.g. a different compression level) are *not* deltas.  The block graph
+is a function of the op stream, so there is no graph section: lowering
+itself is pinned by ``tests/trace/test_op_table_pins.py``.
 
-Sections one side cannot have (a ``trace`` artifact has no DAG) are
-compared only when both sides carry them, except that two ``plan``
+Sections one side cannot have (a ``trace`` artifact has no provenance)
+are compared only when both sides carry them, except that two ``plan``
 artifacts must agree on which blocks they carry.
 ``python -m repro.artifact diff`` is the command-line front door.
 """
@@ -29,7 +30,6 @@ from .reader import Artifact
 from .writer import build_header, plan_provenance, real_payloads
 
 if TYPE_CHECKING:
-    from repro.dag import DiGraph
     from repro.engine.plan import ExecutablePlan
 
 
@@ -67,9 +67,9 @@ def artifact_view(plan: "ExecutablePlan") -> Artifact:
     checker diffs freshly compiled plans through.
     """
     payloads = real_payloads(plan.trace)
-    header = build_header(plan.trace, kind="plan", graph=plan.graph,
+    header = build_header(plan.trace, kind="plan",
                           num_payloads=len(payloads))
-    return Artifact(header=header, trace=plan.trace, graph=plan.graph,
+    return Artifact(header=header, trace=plan.trace,
                     provenance=plan_provenance(plan), payloads=payloads)
 
 
@@ -88,19 +88,6 @@ def _trace_structural_hash(trace: OpTrace) -> str:
     return digest.hexdigest()[:16]
 
 
-def _dag_structural_hash(graph: "DiGraph") -> str:
-    digest = hashlib.sha256()
-    for node_id in sorted(graph.nodes):
-        block = graph.nodes[node_id]["block"]
-        row = (node_id, block.block_type.value, block.level, block.repeat,
-               {k: str(v) for k, v in sorted(block.metadata.items())})
-        digest.update(json.dumps(row, sort_keys=True).encode("utf-8"))
-    for u, v, data in sorted(graph.edges(data=True)):
-        digest.update(json.dumps(
-            (u, v, float(data.get("bytes", 0.0)))).encode("utf-8"))
-    return digest.hexdigest()[:16]
-
-
 def _diff_header(a: Artifact, b: Artifact) -> BlockDiff:
     block = BlockDiff("HEADER")
     for key in ("schema_version", "params_fingerprint"):
@@ -108,10 +95,7 @@ def _diff_header(a: Artifact, b: Artifact) -> BlockDiff:
             block.rows[key] = (a.header.get(key), b.header.get(key))
     counts_a = dict(a.header.get("counts", {}))
     counts_b = dict(b.header.get("counts", {}))
-    both_plans = a.kind == b.kind == "plan"
     for key in sorted(set(counts_a) | set(counts_b)):
-        if key in ("nodes", "edges") and not both_plans:
-            continue
         if counts_a.get(key) != counts_b.get(key):
             block.rows[f"counts.{key}"] = (counts_a.get(key),
                                            counts_b.get(key))
@@ -144,19 +128,6 @@ def _diff_trace(a: OpTrace, b: OpTrace) -> BlockDiff:
     return block
 
 
-def _diff_dag(a: "DiGraph", b: "DiGraph") -> BlockDiff:
-    block = BlockDiff("DAG")
-    _count_rows(block, "blocks", *(
-        Counter(data["block"].block_type.value
-                for _, data in graph.nodes(data=True)) for graph in (a, b)))
-    if a.number_of_edges() != b.number_of_edges():
-        block.rows["edges"] = (a.number_of_edges(), b.number_of_edges())
-    hash_a, hash_b = _dag_structural_hash(a), _dag_structural_hash(b)
-    if hash_a != hash_b:
-        block.rows["structure"] = (hash_a, hash_b)
-    return block
-
-
 def _diff_provenance(a: dict[str, Any], b: dict[str, Any]) -> BlockDiff:
     block = BlockDiff("PROVENANCE")
     if a.get("passes") != b.get("passes"):
@@ -173,19 +144,15 @@ def diff_artifacts(a: Artifact, b: Artifact) -> ArtifactDiff:
         presence = BlockDiff("BLOCKS")
         have_a = {name for name, present in
                   (("TRACE_OPS", a.trace is not None),
-                   ("DAG", a.graph is not None),
                    ("PAYLOADS", bool(a.payloads))) if present}
         have_b = {name for name, present in
                   (("TRACE_OPS", b.trace is not None),
-                   ("DAG", b.graph is not None),
                    ("PAYLOADS", bool(b.payloads))) if present}
         if have_a != have_b:
             presence.rows["present"] = (sorted(have_a), sorted(have_b))
         diff.blocks.append(presence)
     if a.trace is not None and b.trace is not None:
         diff.blocks.append(_diff_trace(a.trace, b.trace))
-    if a.graph is not None and b.graph is not None:
-        diff.blocks.append(_diff_dag(a.graph, b.graph))
     if a.provenance is not None and b.provenance is not None:
         diff.blocks.append(_diff_provenance(a.provenance, b.provenance))
     return diff

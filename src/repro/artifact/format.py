@@ -25,7 +25,7 @@ framing change and loading fails with a clear error.
 Two payload encodings are provided: :func:`pack_json`/:func:`unpack_json`
 (zlib-compressed canonical JSON, for the header and provenance blocks)
 and :func:`pack_arrays`/:func:`unpack_arrays` (a zlib-compressed JSON
-index plus raw little-endian array bytes, for the columnar trace / DAG /
+index plus raw little-endian array bytes, for the columnar trace and
 payload tables).  Both are byte-deterministic for equal inputs, so
 regenerating an unchanged golden-corpus artifact rewrites identical
 bytes.
@@ -76,7 +76,8 @@ class ArtifactBlockType(enum.IntEnum):
 
     HEADER = 1       #: JSON: versions, name, params, fingerprint, counts
     TRACE_OPS = 2    #: columnar OpTrace tables
-    DAG = 3          #: columnar lowered BlockSim DAG tables
+    # 3 is retired (it held the lowered block graph, which load_plan
+    # lowers from TRACE_OPS); never reuse it.
     PROVENANCE = 4   #: JSON: pass pipeline + producing tool
     PAYLOADS = 5     #: columnar plaintext payloads (real-mode replay)
 

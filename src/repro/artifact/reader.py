@@ -11,7 +11,12 @@ Only a newer **container** version (a framing change) refuses to load.
 
 This is the one way outside bytes become a trace or a plan: it raises
 only :class:`~repro.artifact.format.ArtifactError` subclasses naming the
-file and the block, and holds the blocks to the HEADER's promises.
+file and the block, holds the blocks to the HEADER's promises, and
+refuses a trace no data-flow check could read
+(:func:`repro.trace.ops.structural_problems`).  A plan is its trace:
+:func:`load_plan` lowers the block graph again.  Files written while
+the format still stored that graph carry it as block type 3, which this
+reader skips like any unrecognized block.
 """
 
 from __future__ import annotations
@@ -22,14 +27,14 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Callable
 
 from repro.fhe.params import CkksParameters
 from repro.trace.ir import OpTrace
+from repro.trace.ops import structural_problems
 
-from .columnar import decode_dag, decode_payloads, decode_trace_ops
+from .columnar import decode_payloads, decode_trace_ops
 from .format import (TRACE_FORMAT_VERSION, ArtifactBlockType, ArtifactError,
                      ArtifactFormatError, UnknownBlockWarning, block_name,
                      read_container, unpack_json)
 
 if TYPE_CHECKING:
-    from repro.dag import DiGraph
     from repro.engine.plan import ExecutablePlan
 
 
@@ -44,7 +49,6 @@ class Artifact:
 
     header: dict[str, Any]
     trace: OpTrace | None = None
-    graph: "DiGraph | None" = None
     provenance: dict[str, Any] | None = None
     payloads: dict[int, Any] = field(default_factory=dict)
     path: str | None = None
@@ -97,13 +101,15 @@ def _handle_trace_ops(payload: bytes, artifact: Artifact) -> None:
     header = artifact.header
     raw_output = header.get("output_op_id")
     output_op_id = raw_output if isinstance(raw_output, int) else None
-    artifact.trace = decode_trace_ops(
+    trace = decode_trace_ops(
         payload, _params_from_header(header), str(header.get("name", "")),
         output_op_id)
-
-
-def _handle_dag(payload: bytes, artifact: Artifact) -> None:
-    artifact.graph = decode_dag(payload)
+    for position, op in enumerate(trace.ops):
+        problems = structural_problems(op, position)
+        if problems:
+            raise ArtifactFormatError(f"TRACE_OPS: op {position}: "
+                                      f"{problems[0]}")
+    artifact.trace = trace
 
 
 def _handle_provenance(payload: bytes, artifact: Artifact) -> None:
@@ -118,7 +124,6 @@ def _handle_payloads(payload: bytes, artifact: Artifact) -> None:
 BLOCK_HANDLERS: dict[int, Callable[[bytes, Artifact], None]] = {
     int(ArtifactBlockType.HEADER): _handle_header,
     int(ArtifactBlockType.TRACE_OPS): _handle_trace_ops,
-    int(ArtifactBlockType.DAG): _handle_dag,
     int(ArtifactBlockType.PROVENANCE): _handle_provenance,
     int(ArtifactBlockType.PAYLOADS): _handle_payloads,
 }
@@ -126,7 +131,7 @@ BLOCK_HANDLERS: dict[int, Callable[[bytes, Artifact], None]] = {
 
 #: The blocks each artifact kind always carries.
 _REQUIRED_BLOCKS = {"trace": ("TRACE_OPS",),
-                    "plan": ("TRACE_OPS", "DAG", "PROVENANCE")}
+                    "plan": ("TRACE_OPS", "PROVENANCE")}
 
 
 def _check_header(artifact: Artifact, where: str) -> None:
@@ -142,9 +147,6 @@ def _check_header(artifact: Artifact, where: str) -> None:
     assert artifact.trace is not None       # every kind carries TRACE_OPS
     found = {"ops": len(artifact.trace.ops),
              "payloads": len(artifact.payloads)}
-    if artifact.graph is not None:
-        found.update(nodes=artifact.graph.number_of_nodes(),
-                     edges=artifact.graph.number_of_edges())
     counts = artifact.header.get("counts")
     if not isinstance(counts, dict) \
             or {key: counts.get(key) for key in found} != found:
@@ -212,10 +214,12 @@ def load_plan(path: str) -> "ExecutablePlan":
     with a payload block, executes bit-identically to) the plan
     :func:`repro.engine.compile` produced before saving.
 
-    The lowered DAG is rebuilt from the artifact's tables (no
-    re-lowering) and re-validated against the workload-DAG invariants
-    (a violation is an :class:`ArtifactFormatError` naming the first);
-    the loaded plan's provenance (pass names, producing tool) is kept on
+    The stored trace is already past the compile passes, so its block
+    graph is lowered again (:func:`~repro.trace.lower_expanded_trace`,
+    the call compile made) and checked against the workload-DAG
+    invariants: a violation is an :class:`ArtifactFormatError` naming
+    TRACE_OPS and the first.  The loaded plan's provenance (pass names,
+    producing tool) is kept on
     :attr:`~repro.engine.ExecutablePlan.provenance`.
     """
     from repro.engine.plan import ExecutablePlan
@@ -224,15 +228,14 @@ def load_plan(path: str) -> "ExecutablePlan":
     artifact = read_artifact(path)
     trace = artifact.trace
     assert trace is not None                # every kind carries TRACE_OPS
-    # A bare trace artifact still loads as a plan: lower it now.
-    graph = artifact.graph if artifact.graph is not None \
-        else lower_expanded_trace(trace)
-    params = artifact.params
+    params = trace.params
+    graph = lower_expanded_trace(trace)
     problems = dag_violations(graph, params=params,
                               require_keyswitch_meta=True)
     if problems:
-        raise ArtifactFormatError(f"{path}: DAG: {len(problems)} invariant "
-                                  f"violation(s), first {problems[0]}")
+        raise ArtifactFormatError(
+            f"{path}: TRACE_OPS: lowers to {len(problems)} block-graph "
+            f"invariant violation(s), first {problems[0]}")
     plan = ExecutablePlan(params=params, graph=graph,
                           name=artifact.name, trace=trace)
     plan.provenance = dict(artifact.provenance or {})

@@ -4,11 +4,12 @@ Two writers share one block pipeline:
 
 * :func:`save_trace` — HEADER + TRACE_OPS (+ PAYLOADS) — the one way an
   :class:`~repro.trace.OpTrace` is written to disk;
-* :func:`save_plan` — HEADER + TRACE_OPS + DAG + PROVENANCE
-  (+ PAYLOADS) — everything :func:`repro.artifact.reader.load_plan`
-  needs to rebuild an :class:`~repro.engine.ExecutablePlan` that
-  simulates, profiles, and (with payloads) executes identically to the
-  freshly compiled one.
+* :func:`save_plan` — HEADER + TRACE_OPS + PROVENANCE (+ PAYLOADS) —
+  everything :func:`repro.artifact.reader.load_plan` needs to rebuild
+  an :class:`~repro.engine.ExecutablePlan` that simulates, profiles,
+  and (with payloads) executes identically to the freshly compiled one.
+  The stored trace is the post-pass one, so the block graph is not
+  stored: loading lowers it again.
 
 Writes are atomic (temp file in the destination directory +
 ``os.replace``): a crash mid-export never leaves a truncated container
@@ -25,24 +26,19 @@ from typing import TYPE_CHECKING, Any
 from repro.fhe.encoder import Plaintext
 from repro.trace.ir import OpTrace
 
-from .columnar import encode_dag, encode_payloads, encode_trace_ops
+from .columnar import encode_payloads, encode_trace_ops
 from .format import (CONTAINER_VERSION, TRACE_FORMAT_VERSION,
                      ArtifactBlockType, content_fingerprint, pack_json,
                      params_fingerprint, write_container)
 
 if TYPE_CHECKING:
-    from repro.dag import DiGraph
     from repro.engine.plan import ExecutablePlan
 
 
 def build_header(trace: OpTrace, *, kind: str,
-                 graph: "DiGraph | None" = None,
                  num_payloads: int = 0) -> dict[str, Any]:
-    """The HEADER block document for one trace (and optional DAG)."""
+    """The HEADER block document for one trace."""
     counts = {"ops": len(trace.ops), "payloads": num_payloads}
-    if graph is not None:
-        counts["nodes"] = graph.number_of_nodes()
-        counts["edges"] = graph.number_of_edges()
     return {
         "format": "rpa",
         "kind": kind,
@@ -93,14 +89,12 @@ def plan_provenance(plan: "ExecutablePlan") -> dict[str, Any]:
 
 def plan_blocks(plan: "ExecutablePlan", *,
                 include_payloads: bool = True) -> list[tuple[int, bytes]]:
-    """HEADER + TRACE_OPS + DAG + PROVENANCE (+ PAYLOADS) for a plan."""
+    """HEADER + TRACE_OPS + PROVENANCE (+ PAYLOADS) for a plan."""
     trace = plan.trace
     payloads, count = _payload_block(trace, include_payloads)
-    header = build_header(trace, kind="plan", graph=plan.graph,
-                          num_payloads=count)
+    header = build_header(trace, kind="plan", num_payloads=count)
     blocks = [(int(ArtifactBlockType.HEADER), pack_json(header)),
               (int(ArtifactBlockType.TRACE_OPS), encode_trace_ops(trace)),
-              (int(ArtifactBlockType.DAG), encode_dag(plan.graph)),
               (int(ArtifactBlockType.PROVENANCE),
                pack_json(plan_provenance(plan)))]
     if payloads is not None:
@@ -139,6 +133,6 @@ def save_trace(trace: OpTrace, path: str, *,
 
 def save_plan(plan: "ExecutablePlan", path: str, *,
               include_payloads: bool = True) -> None:
-    """Write one compiled plan (trace + DAG + provenance) as ``.rpa``."""
+    """Write one compiled plan (trace + provenance) as ``.rpa``."""
     write_artifact(path, plan_blocks(plan,
                                      include_payloads=include_payloads))

@@ -202,12 +202,12 @@ class ExecutablePlan:
     def save(self, path: str, *, include_payloads: bool = True) -> None:
         """Write this plan as an ``.rpa`` artifact.
 
-        The container carries the trace op tables, the lowered DAG, the
-        pass-pipeline provenance, and (for real-mode compiles, unless
+        The container carries the trace op tables, the pass-pipeline
+        provenance, and (for real-mode compiles, unless
         ``include_payloads=False``) the recorded plaintext payloads.
-        :func:`repro.engine.load_plan` rebuilds a plan that simulates
-        and profiles identically and — with payloads — executes
-        bit-identically.
+        :func:`repro.engine.load_plan` lowers the trace again into a plan
+        that simulates and profiles identically and — with payloads —
+        executes bit-identically.
         """
         from repro.artifact import save_plan
         save_plan(self, path, include_payloads=include_payloads)

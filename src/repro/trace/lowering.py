@@ -40,7 +40,7 @@ from .ir import OpKind, OpTrace, TraceOp
 from .ops import OPS
 
 
-def lower_trace(trace: OpTrace, prefix: str = "") -> DiGraph:
+def lower_trace(trace: OpTrace) -> DiGraph:
     """Build the BlockSim DAG for one recorded execution.
 
     Convenience wrapper: expands implicit rescales first, then lowers.
@@ -48,10 +48,10 @@ def lower_trace(trace: OpTrace, prefix: str = "") -> DiGraph:
     the full pass pipeline before calling :func:`lower_expanded_trace`.
     """
     from .passes import expand_implicit_rescales
-    return lower_expanded_trace(expand_implicit_rescales(trace), prefix)
+    return lower_expanded_trace(expand_implicit_rescales(trace))
 
 
-def lower_expanded_trace(trace: OpTrace, prefix: str = "") -> DiGraph:
+def lower_expanded_trace(trace: OpTrace) -> DiGraph:
     """Lower a trace whose implicit rescales are already expanded."""
     params = trace.params
     graph = DiGraph()
@@ -61,12 +61,9 @@ def lower_expanded_trace(trace: OpTrace, prefix: str = "") -> DiGraph:
 
     def node_name(op: TraceOp) -> str:
         stem = OPS[op.kind].stem
-        parts = [p for p in (prefix, op.region) if p]
-        region = "/".join(parts)
-        seq = counters.get((region, stem), 0)
-        counters[(region, stem)] = seq + 1
-        base = f"{region}/{stem}{seq}" if region else f"{stem}{seq}"
-        return base
+        seq = counters.get((op.region, stem), 0)
+        counters[(op.region, stem)] = seq + 1
+        return f"{op.region}/{stem}{seq}" if op.region else f"{stem}{seq}"
 
     def add_block(node_id: str, block_type: BlockType, level: int,
                   metadata: dict[str, Any]) -> None:

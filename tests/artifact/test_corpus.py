@@ -34,7 +34,10 @@ class TestCheckedInCorpus:
             artifact = read_artifact(str(corpus_path(name)))
             assert artifact.kind == "plan"
             assert artifact.params == expected
-            assert artifact.graph is not None
+            # A plan is its trace: no block graph, no retired type-3 block.
+            assert list(artifact.block_sizes) == ["HEADER", "TRACE_OPS",
+                                                  "PROVENANCE"]
+            assert artifact.skipped_blocks == []
 
     def test_regen_is_byte_stable(self, tmp_path):
         """Unchanged workloads rewrite identical bytes — `--regen` on a

@@ -21,9 +21,9 @@ from repro.artifact import corpus_path
 from repro.fhe.params import CkksParameters
 
 CORPUS_SHA256 = {
-    "boot": "bb0d4a1874ccae11e606cc2486c4f147fd4a2759e65c94a797090707828dbccc",
-    "helr": "2a0d9d729bb91278382153d40ac93a1b18acbb600219143f206a0e77ee16d4a6",
-    "resnet": "d179bc8f8e8e8c0c1e0394385c11dc4284e2ac1ad4943d4427eb2b2288969e6e",
+    "boot": "a49cd1d423afb05394108f82a80923a13c6aacf7121258f14bf0fc2a20e948d4",
+    "helr": "20b52b4989938dbb076aa701bfb482ef9c0681b4169e5f7ba9719920f6f85b54",
+    "resnet": "65f5c9acf3da99ff7e4ac923f4dab038be766676adedfe5ea55b246e8051d2f1",
 }
 
 

@@ -51,7 +51,7 @@ class TestDiffSemantics:
         diff = diff_artifacts(read_artifact(boot_rpa),
                               read_artifact(resnet_rpa))
         blocks = {d.block for d in diff.deltas()}
-        assert {"HEADER", "TRACE_OPS", "DAG"} <= blocks
+        assert {"HEADER", "TRACE_OPS"} <= blocks
 
     def test_param_change_shows_in_header(self, tmp_path):
         a = engine.compile("boot", TOY)
@@ -85,8 +85,7 @@ class TestDiffSemantics:
         save_trace(plan.trace, trace_rpa)
         diff = diff_artifacts(read_artifact(boot_rpa),
                               read_artifact(trace_rpa))
-        # Same trace; DAG/provenance exist on one side only, and the
-        # node/edge counts must not leak into the header comparison.
+        # Same trace; provenance exists on one side only.
         assert not diff
 
 
@@ -113,8 +112,9 @@ class TestArtifactDiffCli:
         from repro.artifact.__main__ import main
         assert main(["inspect", boot_rpa]) == 0
         out = capsys.readouterr().out
-        for block in ("HEADER", "TRACE_OPS", "DAG", "PROVENANCE"):
+        for block in ("HEADER", "TRACE_OPS", "PROVENANCE"):
             assert block in out
+        assert "DAG" not in out
 
     def test_inspect_missing_file_exit_two(self, tmp_path, capsys):
         from repro.artifact.__main__ import main

@@ -3,8 +3,8 @@
 Every golden-corpus file is truncated at every offset, bit-flipped at
 every byte within 16 of each block boundary, and rewritten with crafted
 blocks whose CRCs are valid but whose contents lie: a missing column or
-scalar, a scalar of the wrong type, an index outside its table, a
-modulus the parameters refuse.  Each
+scalar, a scalar of the wrong type, an index outside its table, an input
+that reads a later op, a modulus the parameters refuse.  Each
 must raise an :class:`ArtifactError` subclass whose message names the
 block (or, inside the 10-byte preamble, the magic / version field).
 Nothing else may escape, and nothing may load.
@@ -20,20 +20,21 @@ import numpy as np
 import pytest
 
 from repro.artifact import (ArtifactBlockType, ArtifactError,
-                            UnknownBlockWarning, corpus_path,
+                            UnknownBlockWarning, corpus_path, load_plan,
                             read_artifact_stream)
 from repro.artifact.columnar import encode_payloads
 from repro.artifact.format import (MAGIC, pack_arrays, pack_json,
                                    read_container, unpack_arrays,
                                    unpack_json, write_container)
 from repro.fhe.encoder import Plaintext
+from repro.trace.ops import OPS
 
 NAMES = ("boot", "helr", "resnet")
-HEADER, TRACE_OPS, DAG, PAYLOADS = (
+HEADER, TRACE_OPS, PAYLOADS = (
     int(ArtifactBlockType[name])
-    for name in ("HEADER", "TRACE_OPS", "DAG", "PAYLOADS"))
+    for name in ("HEADER", "TRACE_OPS", "PAYLOADS"))
 #: A message names the block it refuses — or the preamble field.
-NAMED = re.compile(r"HEADER|TRACE_OPS|DAG|PROVENANCE|PAYLOADS|type-\d+"
+NAMED = re.compile(r"HEADER|TRACE_OPS|PROVENANCE|PAYLOADS|type-\d+"
                    r"|block \d+|magic|version")
 
 
@@ -116,16 +117,13 @@ def _with_payloads(data: bytes) -> bytes:
 
 
 #: Crafted, CRC-valid lies: (block, mutation).  Before the reader
-#: checked its tables, the first nine escaped as KeyError /
-#: AttributeError / ValueError / TypeError / IndexError and the next two
-#: loaded (an edge from the last node, a truncated input list); so did a
+#: checked its tables, the first five escaped as KeyError /
+#: AttributeError / ValueError / TypeError / IndexError and the input
+#: offset past the inputs loaded as a truncated input list; so did a
 #: modulus of 2**56 or more (the largest prime below 2**62) before the
-#: parameters refused one.
+#: parameters refused one, and the first op with inputs reading the
+#: last op before the reader ran ``structural_problems``.
 CRAFTED = {
-    "dag-without-its-type-column":
-        (DAG, _tables(lambda s, a: a.pop("type"))),
-    "dag-without-num-nodes":
-        (DAG, _tables(lambda s, a: s.pop("num_nodes"))),
     "payloads-without-offsets":
         (PAYLOADS, _tables(lambda s, a: a.pop("offsets"))),
     "array-index-is-a-json-list":
@@ -138,12 +136,11 @@ CRAFTED = {
     "meta-residual-entry-is-a-list":
         (TRACE_OPS, _tables(lambda s, a: s.update(
             meta_residual={"0": [1, 2]}))),
-    "edge-endpoint-past-the-nodes": (DAG, _set("edge_src", 0, 10 ** 6)),
-    "num-edges-one-past-the-columns":
-        (DAG, _tables(lambda s, a: s.update(num_edges=s["num_edges"] + 1))),
-    "edge-endpoint-minus-one": (DAG, _set("edge_dst", 0, -1)),
     "input-offset-past-the-inputs":
         (TRACE_OPS, _set("input_offsets", 1, 10 ** 9)),
+    "input-points-at-a-later-op":
+        (TRACE_OPS, _tables(lambda s, a: a["inputs"].__setitem__(
+            0, s["num_ops"] - 1))),
     "modulus-of-2-56-or-more":
         (HEADER, _header(lambda header: header["params"]["moduli"]
                          .__setitem__(1, (1 << 62) - 57))),
@@ -154,7 +151,7 @@ CRAFTED = {
 def test_the_crafted_bases_load(name):
     """The mutations start from files that load: the lie is the cause."""
     data = _with_payloads(_corpus(name))
-    for block_type in (TRACE_OPS, DAG, PAYLOADS):
+    for block_type in (TRACE_OPS, PAYLOADS):
         artifact = _read(_rewrite(data, block_type, _tables(
             lambda scalars, arrays: None)))
         assert artifact.payloads[0].num_slots == 4
@@ -168,6 +165,29 @@ def test_a_crafted_block_is_refused_by_name(name, case):
     message = _refusal(_rewrite(_with_payloads(_corpus(name)), block_type,
                                 mutate))
     assert ArtifactBlockType(block_type).name in message, message
+
+
+def _first_block_op(data: bytes) -> int:
+    """The first op that lowers to a block at its operating level."""
+    return next(op.op_id for op in _read(data).trace.ops
+                if OPS[op.kind].block is not None
+                and OPS[op.kind].block_level == "level")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_level_past_max_level_is_refused_at_load_plan(tmp_path, name):
+    """The reader checks structure only (the linter must still load a
+    trace that breaks a level rule); ``load_plan`` lowers the trace and
+    refuses the block graph, naming TRACE_OPS."""
+    data = _corpus(name)
+    lying = _rewrite(data, TRACE_OPS, _set("level", _first_block_op(data),
+                                           99))
+    assert _read(lying).trace is not None
+    path = tmp_path / f"{name}.rpa"
+    path.write_bytes(lying)
+    with pytest.raises(ArtifactError,
+                       match=r"TRACE_OPS: .* level 99 > max 23"):
+        load_plan(str(path))
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -82,25 +82,55 @@ class TestPlanRoundTrip:
                     == plan.simulate(features).cycles)
         assert loaded.profile(GME_FULL).ops == plan.profile(GME_FULL).ops
 
-    def test_dag_reconstructed_not_relowered(self, tmp_path):
-        """The stored DAG round-trips node-for-node (ids, metadata,
-        edge weights, insertion order) rather than being recomputed."""
-        plan = engine.compile("helr", CkksParameters.test())
-        path = str(tmp_path / "helr.rpa")
-        plan.save(path)
-        loaded = engine.load_plan(path)
-        assert list(loaded.graph.nodes) == list(plan.graph.nodes)
-        assert list(loaded.graph.edges) == list(plan.graph.edges)
-        for node_id in plan.graph.nodes:
-            original = plan.graph.nodes[node_id]["block"]
-            restored = loaded.graph.nodes[node_id]["block"]
-            assert restored.block_type is original.block_type
-            assert restored.level == original.level
-            assert restored.repeat == original.repeat
-            assert restored.metadata == original.metadata
-        for edge in plan.graph.edges:
-            assert (loaded.graph.edges[edge].get("bytes")
-                    == plan.graph.edges[edge].get("bytes"))
+    def test_relowered_graph_is_the_compiled_graph(self, tmp_path):
+        """Each catalog plan's saved trace lowers to the compiled graph
+        node-for-node (ids, block fields, metadata, insertion order) and
+        edge-for-edge (order and bytes)."""
+        for name in engine.workload_names():
+            plan = engine.compile(name, CkksParameters.test())
+            path = str(tmp_path / f"{name}.rpa")
+            plan.save(path)
+            loaded = engine.load_plan(path)
+            assert list(loaded.graph.nodes) == list(plan.graph.nodes)
+            assert list(loaded.graph.edges(data=True)) \
+                == list(plan.graph.edges(data=True))
+            for node_id in plan.graph.nodes:
+                original = plan.graph.nodes[node_id]["block"]
+                restored = loaded.graph.nodes[node_id]["block"]
+                assert restored.block_id == original.block_id
+                assert restored.block_type is original.block_type
+                assert restored.level == original.level
+                assert restored.repeat == original.repeat
+                assert restored.metadata == original.metadata
+
+    def test_a_retired_dag_block_is_skipped_and_relowered(self, tmp_path):
+        """A file from before the block graph left the format (a type-3
+        block after TRACE_OPS, node / edge counts in HEADER) loads with
+        one warning and simulates to the compiled cycles."""
+        import io
+        import warnings
+
+        from repro.artifact import UnknownBlockWarning, corpus_path
+        from repro.artifact.format import (pack_json, read_container,
+                                           unpack_json, write_container)
+        plan = engine.compile("boot", PAPER)
+        blocks = read_container(io.BytesIO(corpus_path("boot").read_bytes()))
+        header = unpack_json(blocks[0][1])
+        header["counts"].update(nodes=plan.num_blocks,
+                                edges=plan.graph.number_of_edges())
+        blocks[0] = (blocks[0][0], pack_json(header))
+        blocks.insert(2, (3, b"retired block-graph tables"))
+        stream = io.BytesIO()
+        write_container(stream, blocks)
+        path = tmp_path / "boot-old.rpa"
+        path.write_bytes(stream.getvalue())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = load_plan(str(path))
+        assert [w.category for w in caught] == [UnknownBlockWarning]
+        assert "block type 3" in str(caught[0].message)
+        assert (loaded.simulate(GME_FULL).cycles
+                == plan.simulate(GME_FULL).cycles)
 
     def test_provenance_carried(self, tmp_path):
         plan = engine.compile("resnet", TOY)

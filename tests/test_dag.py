@@ -1,7 +1,7 @@
 """``repro.dag`` held to networkx, the container it replaced.
 
-Block ids, LABS tie-breaks, artifact bytes and every simulated cycle
-depend on the *orders* a graph iterates in, so the dict-backed
+Block ids, LABS tie-breaks and every simulated cycle depend on the
+*orders* a graph iterates in, so the dict-backed
 ``DiGraph`` must reproduce networkx's node order, edge order and
 ``topological_sort`` order, not just its answers.  networkx is the
 oracle here and nowhere under ``src/``.
@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import dag
-from repro.artifact import columnar
 from repro.gme.labs import WeightedGraph
 from repro.trace import lowering
 from repro.workloads import compile_workload
@@ -77,24 +76,19 @@ def _same_orders(ours: dag.DiGraph, theirs: nx.DiGraph) -> None:
 
 @pytest.mark.parametrize("name", ["boot", "helr", "resnet"])
 def test_the_catalog_dags_iterate_as_networkx_would(name, monkeypatch):
-    """The same lowering and the same ``.rpa`` decode, once into each
-    container: construction order is what sets the adjacency orders."""
+    """The same lowering, once into each container: construction order
+    is what sets the adjacency orders."""
     plan = compile_workload(name)
     ours = lowering.lower_expanded_trace(plan.trace)
     assert type(ours) is type(plan.graph) is dag.DiGraph
-    wire = columnar.encode_dag(ours)
-    loaded = columnar.decode_dag(wire)
     monkeypatch.setattr(lowering, "DiGraph", nx.DiGraph)
-    monkeypatch.setattr(columnar, "DiGraph", nx.DiGraph)
-    for mine, theirs in ((ours, lowering.lower_expanded_trace(plan.trace)),
-                         (loaded, columnar.decode_dag(wire))):
-        assert isinstance(theirs, nx.DiGraph)
-        _same_surface(mine, theirs)
-        _same_orders(mine, theirs)
-        # The functions agree on either container, and so do the bytes.
-        assert list(dag.topological_sort(theirs)) \
-            == list(nx.topological_sort(theirs))
-        assert columnar.encode_dag(theirs) == wire
+    theirs = lowering.lower_expanded_trace(plan.trace)
+    assert isinstance(theirs, nx.DiGraph)
+    _same_surface(ours, theirs)
+    _same_orders(ours, theirs)
+    # The functions agree on either container.
+    assert list(dag.topological_sort(theirs)) \
+        == list(nx.topological_sort(theirs))
 
 
 @st.composite

@@ -464,6 +464,20 @@ def test_rpa_is_the_only_trace_serialization_and_one_diff():
         assert gone not in repro.artifact.__all__
 
 
+def test_a_plan_artifact_is_its_trace():
+    """``.rpa`` stores no block graph: ``load_plan`` lowers the trace, and
+    the block id the graph had stays retired."""
+    from repro.artifact import columnar, reader
+    for gone in ("encode_dag", "decode_dag", "_ks_encodable",
+                 "_NODE_COLUMNAR_KEYS"):
+        assert not hasattr(columnar, gone), gone
+    assert "graph" not in {f.name for f in dataclasses.fields(
+        reader.Artifact)}
+    assert "DAG" not in repro.artifact.ArtifactBlockType.__members__
+    assert 3 not in {int(t) for t in repro.artifact.ArtifactBlockType}
+    assert 3 not in reader.BLOCK_HANDLERS
+
+
 #: What the IR would need to write files again.
 _FILE_MODULES = frozenset({"json", "os", "tempfile"})
 

@@ -92,10 +92,14 @@ class TestLowering:
         assert graph.edges[mult, rescale]["bytes"] == pytest.approx(expected)
 
     def test_prefix_and_regions_name_nodes(self, sym):
+        """A node is named by its region path alone: lowering adds no
+        prefix of its own, so a loaded plan's ids are the compiled ones."""
         with sym.region("stage0"):
             sym.he_rotate(sym.fresh(level=2), 1)
-        graph = lower_trace(sym.trace, prefix="wl")
-        assert list(graph.nodes) == ["wl/stage0/rot0"]
+        graph = lower_trace(sym.trace)
+        assert list(graph.nodes) == ["stage0/rot0"]
+        with pytest.raises(TypeError, match="prefix"):
+            lower_trace(sym.trace, prefix="wl")
 
     def test_mod_raise_level_is_output_level(self, sym):
         ct = sym.fresh(level=0)
@@ -133,7 +137,7 @@ class TestRoundTrip:
 
     def test_lowered_dag_structure(self, ctx, traced_conv):
         tev, *_ = traced_conv
-        graph = lower_trace(tev.trace, prefix="conv")
+        graph = lower_trace(tev.trace)
         assert_workload_dag(graph, params=ctx.params,
                             require_keyswitch_meta=True)
         types = [b.block_type for b in _blocks(graph).values()]
@@ -146,7 +150,7 @@ class TestRoundTrip:
     def test_simulates_under_every_cumulative_config(self, ctx,
                                                      traced_conv):
         tev, *_ = traced_conv
-        graph = lower_trace(tev.trace, prefix="conv")
+        graph = lower_trace(tev.trace)
         for features in cumulative_configs() + [GME_FULL]:
             metrics = BlockGraphSimulator(
                 features, params=ctx.params).run(graph, "conv")
