@@ -19,7 +19,7 @@ from .ciphertext import Ciphertext
 from .encoder import CkksEncoder, Plaintext
 from .encryptor import CkksDecryptor, CkksEncryptor
 from .evaluator import CkksEvaluator, HoistedCiphertext
-from .keys import KeyGenerator, SecretKey, PublicKey, SwitchingKey
+from .keys import KeyGenerator, SecretKey, SwitchingKey
 from .noise import LevelBudget, circuit_depth
 from .packing import SlotLayout
 from .params import CkksParameters
@@ -31,7 +31,7 @@ __all__ = [
     "Ciphertext", "CkksContext", "CkksDecryptor", "CkksEncoder",
     "CkksEncryptor", "CkksEvaluator", "CkksParameters", "ComputeBackend",
     "HoistedCiphertext", "KeyGenerator", "KeySwitchContext", "LevelBudget",
-    "Plaintext", "PolyContext", "Polynomial", "PublicKey", "Representation",
+    "Plaintext", "PolyContext", "Polynomial", "Representation",
     "RnsBasis", "SecretKey", "SlotLayout", "SwitchingKey",
     "available_backends",
     "circuit_depth", "conjugation_galois_element", "create_backend",

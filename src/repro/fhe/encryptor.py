@@ -1,4 +1,8 @@
-"""Encryption and decryption for RNS-CKKS."""
+"""Encryption and decryption for RNS-CKKS.
+
+Whoever encrypts holds the secret key (it decrypts with it), so
+encryption is the key owner's secret-key form; there is no public key.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from .rns import RnsBasis
 
 
 class CkksEncryptor:
-    """Public-key encryptor."""
+    """Secret-key encryptor."""
 
     def __init__(self, params: CkksParameters, keygen: KeyGenerator,
                  sigma: float = 3.2):
@@ -24,24 +28,27 @@ class CkksEncryptor:
 
     def encrypt(self, plaintext: Plaintext,
                 level: int | None = None) -> Ciphertext:
-        """Encrypt an encoded plaintext at the given level (default: L)."""
+        """``(NTT(m + e) - a*s, a)`` at ``level`` (default: L).
+
+        ``a`` is drawn uniform straight in EVAL form, so the one forward
+        transform is of ``m + e``, and ``c0 + c1*s`` is exactly that.
+        """
         params = self.params
         level = params.max_level if level is None else level
+        if not 0 <= level <= params.max_level:
+            raise ValueError(f"level {level} is outside "
+                             f"[0, max_level={params.max_level}]")
         moduli = params.moduli[:level + 1]
-        pk = self.keygen.public_key
-        b = pk.b.at_basis(moduli)
-        a = pk.a.at_basis(moduli)
-        u = self.context.random_ternary(moduli).to_eval()
-        e0 = self.context.gaussian_coeffs(self.sigma)
-        e1 = self.context.random_gaussian(moduli, self.sigma).to_eval()
-        # e0 and m are both signed coefficients here: one reduction and
+        a = self.context.random_uniform(moduli)
+        e = self.context.gaussian_coeffs(self.sigma)
+        # e and m are both signed coefficients here: one reduction and
         # one transform carry their sum (|m| < 2**62 in int64, so the sum
         # cannot wrap; a bigger m is an object array and cannot either).
         m = self.context.from_signed_coeffs(
-            coeff_array(plaintext.coeffs) + e0, moduli)
-        c0 = b * u + m.to_eval()
-        c1 = a * u + e1
-        return Ciphertext(c0=c0, c1=c1, level=level, scale=plaintext.scale)
+            coeff_array(plaintext.coeffs) + e, moduli).to_eval()
+        s = self.keygen.secret_key.s.at_basis(moduli)
+        return Ciphertext(c0=m - a * s, c1=a, level=level,
+                          scale=plaintext.scale)
 
 
 class CkksDecryptor:

@@ -12,6 +12,10 @@ variant is mathematically identical for the limbs in use and keeps the
 implementation transparent.  Performance modeling
 always uses the paper-parameter key sizes from
 :meth:`repro.fhe.params.CkksParameters.switching_key_bytes`.
+
+There is no public key: the key owner encrypts under the secret
+(:class:`~repro.fhe.encryptor.CkksEncryptor`), and every other key is a
+switching key, drawn when first asked for.
 """
 
 from __future__ import annotations
@@ -32,14 +36,6 @@ class SecretKey:
 
 
 @dataclass
-class PublicKey:
-    """(b, a) with b = -a*s + e over the ciphertext basis (EVAL)."""
-
-    b: Polynomial
-    a: Polynomial
-
-
-@dataclass
 class SwitchingKey:
     """Hybrid switching key: one (b_j, a_j) pair per digit (EVAL).
 
@@ -57,7 +53,7 @@ class SwitchingKey:
 
 
 class KeyGenerator:
-    """Generates the secret, public, relinearization and rotation keys."""
+    """Generates the secret, relinearization and rotation keys."""
 
     def __init__(self, params: CkksParameters, seed: int | None = 2023,
                  hamming_weight: int = 64, sigma: float = 3.2,
@@ -69,17 +65,6 @@ class KeyGenerator:
         self.secret_key = SecretKey(s=self.context.random_ternary(
             full_basis, hamming_weight).to_eval())
         self._switching_keys: dict[tuple[str, int, int], SwitchingKey] = {}
-        self.public_key = self._make_public_key()
-
-    # -- primary keys ---------------------------------------------------
-
-    def _make_public_key(self) -> PublicKey:
-        basis = self.params.moduli
-        s = self.secret_key.s.at_basis(basis)
-        a = self.context.random_uniform(basis)
-        e = self.context.random_gaussian(basis, self.sigma).to_eval()
-        b = -(a * s) + e
-        return PublicKey(b=b, a=a)
 
     # -- switching keys ---------------------------------------------------
 

@@ -12,7 +12,7 @@ plans per process; this module adds the two service-level caches:
   a saved ``.rpa`` artifact (:mod:`repro.artifact`) — and then executed
   by every worker against every tenant context;
 * :class:`TenantKeyCache` — an LRU of per-tenant
-  :class:`~repro.fhe.CkksContext` objects (secret/public/switching
+  :class:`~repro.fhe.CkksContext` objects (secret and switching
   keys).  ``max_resident`` is the service-level analogue of the LABS
   key-residency window (``FeatureSet.key_residency_window``): it bounds
   how many tenants' ~100 MB switching-key sets stay resident; an

@@ -195,10 +195,16 @@ class TestPaperWordBitExact:
     must reproduce, bit for bit, the seed's object-dtype arithmetic — the
     acceptance bar for the native-kernel rewrite.  ``SEED_OBJECT_DIGEST``
     is that arithmetic's pipeline, recorded under the object-dtype tier
-    the library had until a modulus of 2**56 or more was refused."""
+    the library had until a modulus of 2**56 or more was refused.
+
+    Encryption then became the key owner's secret-key form,
+    ``(NTT(m + e) - a*s, a)``: the pipeline's inputs draw ``a`` and one
+    ``e`` where they drew ``u``, ``e0`` and ``e1``, and no public key is
+    drawn first.  The digest was recorded at commit 693746e, before
+    that change, and re-recorded after it: ``e26afb94…`` -> ``89e5762e…``."""
 
     SEED_OBJECT_DIGEST = \
-        "e26afb94f12f49d63e2bd72d43b8e997a79bf051b6a89a2f40c9cb48eadec872"
+        "89e5762e15addb466ea337e2fcfc2e6d7c7687292bd539e99406b993fa71f1bc"
 
     PARAMS_54 = CkksParameters._build(ring_degree=1 << 8, scale_bits=50,
                                       prime_bits=54, max_level=4,

@@ -11,6 +11,37 @@ file under ``src/`` changed; they pass unchanged on both commits.
 
 Coefficients are hashed as ``','.join(str(int(c)) for c in pt.coeffs)``,
 so one pin reads a list of Python integers and an int64 array alike.
+
+Encryption became the key owner's secret-key form,
+``(NTT(m + e) - a*s, a)``, in place of the public-key form: a fresh
+ciphertext draws ``a`` and one ``e`` where it drew ``u``, ``e0`` and
+``e1``, and a key generator no longer draws a public key.  Every
+``ENCRYPT_PINS`` and ``DECRYPT_PINS`` entry was recorded at commit
+693746e, before that change, and re-recorded after it; ``ENCODE_PINS``
+held.  Old -> new:
+
+* encrypt pw54: ``864f5950…`` -> ``43937c64…``;
+* encrypt test: ``b2e38036…`` -> ``8beca2f8…``;
+* encrypt toy: ``59d851e2…`` -> ``a22c08fc…``;
+* decrypt pw54 fresh_l5: ``6e4425e1…`` -> ``45d122c1…``;
+* decrypt pw54 fresh_l3: ``3c5ab819…`` -> ``ce3b3b2f…``;
+* decrypt pw54 fresh_l0: ``c669cbb4…`` -> ``aeda5697…``;
+* decrypt pw54 fresh_complex: ``ef044198…`` -> ``ea7452a5…``;
+* decrypt pw54 fresh_2_80: ``a99eda04…`` -> ``1a7cb6ab…``;
+* decrypt pw54 scoring: ``45f61c24…`` -> ``2e46aada…``;
+* decrypt pw54 affine: ``c9e34822…`` -> ``910fba2a…``;
+* decrypt test fresh_l7: ``a8260bb1…`` -> ``318f76ad…``;
+* decrypt test fresh_l3: ``070f978a…`` -> ``5c856b73…``;
+* decrypt test fresh_l0: ``eea7ad50…`` -> ``d2033954…``;
+* decrypt test fresh_complex: ``7c25c228…`` -> ``c02aee7d…``;
+* decrypt test fresh_2_80: ``83ee663c…`` -> ``aa7d3394…``;
+* decrypt toy fresh_l5: ``cd11c558…`` -> ``ca02381c…``;
+* decrypt toy fresh_l3: ``2383d6ce…`` -> ``9fb5b091…``;
+* decrypt toy fresh_l0: ``4eed4b52…`` -> ``a03a1b7a…``;
+* decrypt toy fresh_complex: ``bf769edf…`` -> ``e8999941…``;
+* decrypt toy fresh_2_80: ``25eea560…`` -> ``c9f8a712…``;
+* decrypt toy scoring: ``eec481e3…`` -> ``da9b5174…``;
+* decrypt toy affine: ``f8e27fe4…`` -> ``3a6356b2…``.
 """
 
 import hashlib
@@ -163,11 +194,11 @@ def _encrypt_digest(params, backend) -> str:
 
 ENCRYPT_PINS = {
     "pw54":
-        "864f595065eba36ef059ddfa9a3a826f368a557c40ddc82ed09c837ccf98d2ba",
+        "43937c643fe989d4840c291a6bc7434cc1a22f9a590ca958059a68019b5723d5",
     "test":
-        "b2e38036a727d6e51edcfe5fdd71075eba0ae7bf8094d2f2f8f78dc7e84792ed",
+        "8beca2f813f240b164c9e5ac64450a2b82099aba94f85240efde4dcc463ed5f7",
     "toy":
-        "59d851e22643b17dccb2f3c2122c7ccac38737e8c2a26692e73bc0ee47c05524",
+        "a22c08fc50750d1a2efd9b28d4d4b8e9e7bf24e04715d0501b6bb98575d13574",
 }
 
 
@@ -223,43 +254,43 @@ def _decrypt_digests(params, backend) -> dict[str, str]:
 
 DECRYPT_PINS = {
     ("pw54", "affine"):
-        "c9e34822ac1559173d0514dd595cea72825b777da0e72573c9dfa1f8f3fd7cf8",
+        "910fba2ab50e494f8e251a271c3a11b306d52bc9de5092e95114d177bd618bdc",
     ("pw54", "fresh_2_80"):
-        "a99eda04a1557fee4a170796f67ebbf6b4e72e01aa40ebdd852f544293d617f4",
+        "1a7cb6ab39a8e217503abddc7dcd0324541d21d8df599249c152f416605b76c0",
     ("pw54", "fresh_complex"):
-        "ef044198b7fdaca1956d3c15cbbaca581760c51c47213b49ab6b186cadbee05f",
+        "ea7452a50ef3492fdc79978fac7feb024a8cdfeae3f6b0be2bdb43e6513809da",
     ("pw54", "fresh_l0"):
-        "c669cbb4eb713f41b185e72b3ca2a653a25149062c6832fee8ed1a7cfdd78ebb",
+        "aeda56979573e6b989db82acc7a2eca1263a1f8c3b858c45cef1deef54437aab",
     ("pw54", "fresh_l3"):
-        "3c5ab819e4ca7aaa25ae0a95a4b3b0303ad2809422e5d764a3f11e9834316bed",
+        "ce3b3b2f34c95240c71c234ad1fbb2469e2ea1dbbe8790b2a0609a0fbc70d77b",
     ("pw54", "fresh_l5"):
-        "6e4425e15d6d213443dc6b4d9ae8a8440e2b266cc8d7e0ba5ae12a6554eef55d",
+        "45d122c1e986f94171cf9969b12b624de21097c0f80f5dc254f86d893b0f2e6c",
     ("pw54", "scoring"):
-        "45f61c24d5618ea015c7c845287d4d2558b2cb5b02c60ae5295bdc295bd36161",
+        "2e46aada9b41e96442242a008d737ea01739b51486ee0b768a4539e5b7bf911b",
     ("test", "fresh_2_80"):
-        "83ee663c0d59ea86e549cdd7d744ac08de9bc54b44c16502b5dc27e187970cd5",
+        "aa7d3394fe185d4cd2972d2e54c97004fb7411c565dcbed918ada8ff04efe7ef",
     ("test", "fresh_complex"):
-        "7c25c22809559ef691111c02e6a231d9a42458cca610b62bb178772409cb54de",
+        "c02aee7d2cd31c6d0bf3d964e1a64ae0daa4df8e56c2ad8fe0a852ea1d1966cd",
     ("test", "fresh_l0"):
-        "eea7ad508c4a250fddbf1cfbc39072d7c6aba6515922993bec30be6f9ea7a7bd",
+        "d2033954c39849ebe0b594f9cf1d5d3a27d4416ae47f78a8f779325fa8cf14d6",
     ("test", "fresh_l3"):
-        "070f978a8f55de079a533ae086243eac38e574e2e49a69b797ac4f7270c67c4c",
+        "5c856b7355fcbaccd3471caf25fe2972bc7748aadc4bcac36f2719cc8046836e",
     ("test", "fresh_l7"):
-        "a8260bb19ec00a43177b08178f76679a6d8c0aa8c79f9580a40e4334b14a9628",
+        "318f76ada9068ef5e003143c1c4844f0b7b96658489488f924c38ba5d95f0415",
     ("toy", "affine"):
-        "f8e27fe4388be78fb652f1c66ed61d9af65fc5cbfff12dbdbe9ae6d430397a85",
+        "3a6356b29c81f58ece60a472aacf23d65900dec2c1752e0b19e9116177ddf9a6",
     ("toy", "fresh_2_80"):
-        "25eea560d655a1afacf1535366ae06dbcefba68318e3ebab05cc7e1fc00dd9ea",
+        "c9f8a712be6a065c220ec3818847d00d025914bcd10737e055524c200b6c83ea",
     ("toy", "fresh_complex"):
-        "bf769edf84b58196642d502047dfc9a6d6a58c0ea1d27e7b8b00fd6d1030242e",
+        "e8999941997a1202255b1b8c8647ae62300faf76a09243657adcc4d7f7447558",
     ("toy", "fresh_l0"):
-        "4eed4b520f3f6abea241f8fee4c092e72e1ba3aa047d1161fc7f20d251acd435",
+        "a03a1b7acb6ef56275cad90823228fa6acac91f60df7cced37412213d4b476e4",
     ("toy", "fresh_l3"):
-        "2383d6ced1dab4f3098c6dae5fff41c925efc4843d8b2a46c4a8ba79f06f3c0d",
+        "9fb5b091f7edc4a9de9de1242fdc609242d03e607d9e740f181f7de1de76b710",
     ("toy", "fresh_l5"):
-        "cd11c558b0683619bd3ad51dd2c25e406015c53e05e392c9ee5c232b035b8e22",
+        "ca02381c37a4a36368c2b35854dd9e6a5422fc7d3b4860833281d14c531f95b3",
     ("toy", "scoring"):
-        "eec481e32cf045a27100174eecb9b6642547092ff7274a1b8acca6fdaf5ef818",
+        "da9b5174d6924af04c81322cce0740c46caf5b5100b108f654c72ef5ff971af1",
 }
 
 

@@ -183,21 +183,38 @@ class TestModDown:
 class TestEncrypt:
     @cases
     def test_one_transform_for_e0_plus_m(self, preset, backend):
-        """Same RNG draws (u, e0, e1), e0 and m transformed separately."""
+        """Replay the draws (``a`` per limb, then ``e``): the ciphertext
+        is ``(NTT(m + e) - a*s, a)``, so the only error it carries is
+        ``e``, coefficient for coefficient."""
         ctx = CkksContext(PRESETS[preset], seed=5, backend=backend)
         twin = CkksContext(PRESETS[preset], seed=5, backend=backend)
         values = [0.5, -1.25, 2.0]
         got = ctx.encrypt(values)
         context = twin.keygen.context
         moduli = twin.params.moduli
-        u = context.random_ternary(moduli).to_eval()
-        e0 = context.random_gaussian(moduli).to_eval()
-        e1 = context.random_gaussian(moduli).to_eval()
-        m = context.from_big_coeffs(twin.encoder.encode(values).coeffs,
-                                    moduli).to_eval()
-        pk = twin.keygen.public_key
-        assert same_limbs(got.c0, pk.b * u + e0 + m)
-        assert same_limbs(got.c1, pk.a * u + e1)
+        a = context.random_uniform(moduli)
+        e = context.gaussian_coeffs()
+        m = np.asarray(twin.encoder.encode(values).coeffs, dtype=object)
+        assert same_limbs(got.c1, a)
+        s = twin.keygen.secret_key.s.at_basis(moduli)
+        phase = [(c0 + c1 * sk) % q for c0, c1, sk, q in zip(
+            as_ints(got.c0), as_ints(got.c1), as_ints(s), moduli)]
+        assert_limbs(context.from_signed_coeffs(m + e, moduli).to_eval(),
+                     phase)
+        assert ctx.decryptor.decrypt_centered(got).tolist() \
+            == (m + e).tolist()
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_level_must_lie_on_the_chain(self, preset):
+        ctx = CkksContext(PRESETS[preset], seed=5)
+        top = ctx.params.max_level
+        for level in (0, top):
+            ct = ctx.encrypt([0.5], level=level)
+            assert ct.level == level and len(ct.c0.moduli) == level + 1
+        for level in (-1, top + 1):
+            with pytest.raises(ValueError,
+                               match=rf"level {level} .*max_level={top}"):
+                ctx.encrypt([0.5], level=level)
 
 
 class TestHoistedDigitsInEvalForm:

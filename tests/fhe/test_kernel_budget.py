@@ -126,9 +126,9 @@ def test_a_warm_edge_never_leaves_machine_words(preset, monkeypatch):
     """encode -> lift -> encrypt and decrypt -> compose -> decode used to
     push each coefficient through a Python integer (``int(round(c))``, a
     fresh ``RnsBasis``, the big-integer CRT sum, ``[float(c)]``);
-    a message-sized batch now crosses both edges in int64, with the same
-    transforms as ever: three forward over L + 1 rows each, one inverse
-    over l + 1."""
+    a message-sized batch now crosses both edges in int64.  Encryption
+    lifts and transforms one polynomial, m + e, over L + 1 rows;
+    decryption makes one inverse over l + 1."""
     params = PRESETS[preset]()
     ctx = CkksContext(params, seed=5, backend="stacked")
     values = np.random.default_rng(8).uniform(-1, 1, params.num_slots)
@@ -161,15 +161,15 @@ def test_a_warm_edge_never_leaves_machine_words(preset, monkeypatch):
             rows.append(len(data)))
 
     fresh = ctx.encrypt(values)
-    assert transforms == {"ntt_forward": [params.max_level + 1] * 3,
+    assert transforms == {"ntt_forward": [params.max_level + 1],
                           "ntt_inverse": []}
     ctx.decrypt(fresh)
     got = ctx.decrypt(low)
     assert transforms["ntt_inverse"] == [params.max_level + 1, 3]
-    assert len(transforms["ntt_forward"]) == 3
+    assert len(transforms["ntt_forward"]) == 1
     assert [c.count for c in counted] == [0] * len(counted)
     assert rounds == []
-    assert crossed == [np.int64] * 5               # 3 lifts, 2 decodes
+    assert crossed == [np.int64] * 3               # 1 lift, 2 decodes
     assert got.tobytes() == want.tobytes()
 
 

@@ -32,6 +32,19 @@ change, the same way (``from_mont()`` of each key's limbs).  Old -> new:
 With ``R = 1`` everywhere the ``Polynomial.mont`` flag changed no
 integer, and it is gone: keys are plain polynomials.  The digests hash
 ``.limbs`` alone, never the flag, so all four stand unchanged.
+
+Encryption became the key owner's secret-key form,
+``(NTT(m + e) - a*s, a)``, in place of the public-key form: a fresh
+ciphertext draws ``a`` and one ``e`` where it drew ``u``, ``e0`` and
+``e1``, and a key generator no longer draws a public key.  Switching keys
+share the generator's RNG stream, so without the public key's draws in
+front of them their draws shift.  All four digests were recorded at
+commit 693746e, before that change, and re-recorded after it.  Old -> new:
+
+* rotation, pw54: ``099311c8…`` -> ``8cd53330…``;
+* conjugation, pw54: ``dc80eaf3…`` -> ``e0204508…``;
+* rotation, toy: ``4835c721…`` -> ``89f80140…``;
+* conjugation, toy: ``1e3e6643…`` -> ``bb69b5e9…``.
 """
 
 import hashlib
@@ -44,13 +57,13 @@ from test_parent_digests import PRESETS
 
 PARENT_KEY_DIGESTS = {
     ("rotation", "toy"):
-        "4835c721cb5ea4b8f3e05f322a4a8283cc556efabbcb1a74119136480e9cde02",
+        "89f80140190f49039d46371f6b65506126cb64b0b88b1048a02c52fcb4b060bc",
     ("conjugation", "toy"):
-        "1e3e664348dcd787da12529ffa7e52901061bb1c7eb06c61fb1d878a60cd2734",
+        "bb69b5e9113f30be8eb817c7563fa70e551c7b716814df05f1a82f61372ac5ef",
     ("rotation", "pw54"):
-        "099311c82b3005400868a7e5baf2d89a40b0b506c9b4d5278f3ad5bf352619e3",
+        "8cd53330075833ce53320ae613508ac597a67cbf275d035d1df932eaab49e2e4",
     ("conjugation", "pw54"):
-        "dc80eaf31429cef8626703be5257bc2d78cdda2ace5a9ad52e85042218e53c91",
+        "e020450855a5a27f7a34b74fe97b650beb6872bb5b7e57834c1cf844bf50a609",
 }
 
 

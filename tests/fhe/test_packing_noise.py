@@ -175,8 +175,11 @@ class TestBudget:
         assert budget.level == ctx.params.max_level
 
     def test_fresh_noise_floor(self, ctx):
+        # Secret-key encryption leaves one Gaussian e as the only error:
+        # 5.4e-7 here at Delta = 2^29 (the public-key form's e*u + e0 + e1*s
+        # measured 8.3e-6 on the same context).
         noise = measure_fresh_noise(ctx, trials=3)
-        assert noise < 1e-4      # ~1.5e-6 typical at Delta = 2^29
+        assert noise < 2.5e-6
 
     def test_circuit_depth_of_workloads(self):
         from repro.workloads import compile_workload

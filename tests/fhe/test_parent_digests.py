@@ -7,6 +7,18 @@ were recorded at commit 5af5927 (COEFF round trips everywhere) by running
 this very file; any later change to the integers a scoring replay, a
 hoisted rotation batch, a conjugation or an HEMult produces — at the
 int64 tier (``toy``) or the double-word tier (``pw54``) — changes one.
+
+Encryption became the key owner's secret-key form,
+``(NTT(m + e) - a*s, a)``, in place of the public-key form: a fresh
+ciphertext draws ``a`` and one ``e`` where it drew ``u``, ``e0`` and
+``e1``, and a key generator no longer draws a public key.  The encrypted
+inputs moved, so all four digests were recorded at commit 693746e,
+before that change, and re-recorded after it.  Old -> new:
+
+* scoring, toy: ``c1c54bc3…`` -> ``dd16d78f…``;
+* scoring, pw54: ``935455a5…`` -> ``400abb6e…``;
+* galois_mult, toy: ``97a44f17…`` -> ``b076c9a9…``;
+* galois_mult, pw54: ``1fb9312f…`` -> ``64813f77…``.
 """
 
 import hashlib
@@ -29,13 +41,13 @@ PRESETS = {"toy": CkksParameters.toy, "pw54": _pw54}
 
 PARENT_DIGESTS = {
     ("scoring", "toy"):
-        "c1c54bc39e09a37c4e16c0ed19183745efafb4c8ff1aac0e39c419546de99e01",
+        "dd16d78f5f0f83e18570b037c65de36665a58f33df4bd370ec5d158d6dfef3ff",
     ("scoring", "pw54"):
-        "935455a5c6aab3dd6caae4e60e9a9348af176aafa6869163115c52245808b2ea",
+        "400abb6e394622baa0889dbdaa20945642df685e581f1c135dc279f661a9eac4",
     ("galois_mult", "toy"):
-        "97a44f17da529be7ab973b422a687168bff071510ca9813b8b150127c9727c18",
+        "b076c9a934d0a36baa3e4aeba3a5bfeec34b6298ecf8b1da913cc6d62a996c2f",
     ("galois_mult", "pw54"):
-        "1fb9312fcd76a1a3c1f6b93e2738831cbb25fd29809f39041c3cd406c1bf4c00",
+        "64813f77c377dc7663a245265bd6b09650594d9818d89a8392756d807f8eafa4",
 }
 
 

@@ -24,9 +24,11 @@ class CountingBackend(StackedBackend):
     def __init__(self, params):
         super().__init__(params)
         self.rows = 0
+        self.forwards: list[int] = []       # rows of each forward call
 
     def ntt_forward(self, data, moduli):
         self.rows += len(data)
+        self.forwards.append(len(data))
         return super().ntt_forward(data, moduli)
 
     def ntt_inverse(self, data, moduli):
@@ -126,9 +128,23 @@ def test_plaintext_operands_are_prepared_once(budget):
 
 def test_encrypt_and_decrypt(budget):
     ctx = budget.ctx
+    # Secret-key encryption: a is drawn in EVAL form, only m + e is
+    # transformed.
     assert budget.rows(lambda: ctx.encrypt(
-        budget.values, level=budget.level)) == 3 * budget.n
+        budget.values, level=budget.level)) == budget.n
     assert budget.rows(lambda: ctx.decrypt(budget.ct)) == budget.n
+
+
+@pytest.mark.parametrize("preset", ["toy", "boot_test"])
+def test_a_new_context_transforms_only_its_secret(preset):
+    """There is no public key to build: a tenant's context makes one
+    forward transform, the secret's L + 1 + k rows, and no inverse."""
+    params = getattr(CkksParameters, preset)()
+    ctx = CkksContext(params, seed=3, backend="count-transforms")
+    backend = ctx.keygen.context.backend
+    assert backend.forwards == [len(params.moduli)
+                                + len(params.special_moduli)]
+    assert backend.rows == backend.forwards[0]
 
 
 def test_further_hoisted_rotations_only_pay_mod_down(budget):

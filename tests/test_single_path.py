@@ -12,8 +12,9 @@ underneath both in Python integers.  One on-disk form of a program:
 ``.rpa`` through ``repro.artifact``, and one diff.  One domain for a
 residue: the plain one, and one storage: int64 — two kernel tiers and
 no object tier, a modulus of 2**56 or more refused.  One harness per
-question: a floor is a test id.  Each case pins the absence of the fork
-it names.
+question: a floor is a test id.  One encryption: the key owner's, under
+the secret key, with no public key.  Each case pins the absence of the
+fork it names.
 """
 
 import ast
@@ -27,12 +28,13 @@ import sys
 import pytest
 
 import repro.artifact
+import repro.fhe
 import repro.fhe.backend
 import repro.gpusim
 import repro.trace
 from repro import engine
 from repro.analysis import diagnostics
-from repro.fhe import modmath, noise, ntt, rns
+from repro.fhe import keys, modmath, noise, ntt, rns
 from repro.fhe.backend.base import ComputeBackend
 from repro.fhe.backend.reference import ReferenceBackend
 from repro.fhe.backend.stacked import StackedBackend
@@ -520,3 +522,18 @@ def test_every_floor_is_a_test_id():
         encoding="utf-8")
     for gone in ("benchmarks/export_", "upload-artifact", "BENCH_"):
         assert gone not in ci, gone
+
+
+# -- one encryption ----------------------------------------------------------
+
+def test_the_key_owner_encrypts_and_there_is_no_public_key():
+    """Every caller decrypts with the key it encrypts under, so encryption
+    is the secret-key form: no ``PublicKey`` class or export, and a key
+    generator neither builds nor holds a public key."""
+    assert not hasattr(repro.fhe, "PublicKey")
+    assert "PublicKey" not in repro.fhe.__all__
+    assert not hasattr(keys, "PublicKey")
+    for gone in ("public_key", "_make_public_key"):
+        assert not hasattr(keys.KeyGenerator, gone), gone
+    keygen = keys.KeyGenerator(CkksParameters.toy(), seed=1)
+    assert not hasattr(keygen, "public_key")

@@ -11,6 +11,19 @@ this very file (``PYTHONPATH=src python tests/trace/test_op_table_pins.py``
 prints the tables), before any file under ``src/`` changed; they pass
 unchanged on both commits.  Floats are hashed by ``repr``: bit-identical
 or not at all.
+
+Encryption became the key owner's secret-key form,
+``(NTT(m + e) - a*s, a)``, in place of the public-key form: a fresh
+ciphertext draws ``a`` and one ``e`` where it drew ``u``, ``e0`` and
+``e1``, and a key generator no longer draws a public key.  The replayed
+residues of ``REPLAY_PINS`` were recorded at commit 693746e, before
+that change, and re-recorded after it; the trace digests beside them and
+every ``OFFLINE_PINS`` entry held.  Old -> new:
+
+* scoring, toy: ``8a660cc4…`` -> ``930db78e…``;
+* scoring, pw54: ``6fc94f2c…`` -> ``888977e2…``;
+* affine, toy: ``8811e9c2…`` -> ``ac57ac5c…``;
+* affine, pw54: ``6164ae50…`` -> ``214cb819…``.
 """
 
 import hashlib
@@ -154,16 +167,16 @@ def _replay_digests(workload: str, preset: str) -> tuple[str, str]:
 REPLAY_PINS = {
     ("scoring", "toy"): (
         "5b0185bb399c51a87d5e795256bf0091690d0a927b7e57a8c86c881a6e9e66d3",
-        "8a660cc41b681e6d7f7481df900c957c9713fb19ceef06b6bcd1ea05effb9b21"),
+        "930db78e668366ee84c8b40f7533680b6fff6e29708ef86edd8082ad31041b58"),
     ("scoring", "pw54"): (
         "fb71a45dc85c6831af5cf487d2fb37e27104c2d3d7b56b0caf39167b091ec7dc",
-        "6fc94f2c465debedbdc0ca9df7b9429d13d976e9f5b9ca7bf3381e94dc57343d"),
+        "888977e22796758e54cab03ad7a643b70de6c1549f4ef90d9f35e5104912b55d"),
     ("affine", "toy"): (
         "583fd19258c40f2aa31bae75fa135211c7bb687cabec475f4bf360f00ec63fa2",
-        "8811e9c27b3a9163a81a8162e8502fd76c9fc97f19db1746eb16acd8e4d83f87"),
+        "ac57ac5c21c2ce5dd6971667c9715b11df41ae61adb2d87c3be736ca180d4360"),
     ("affine", "pw54"): (
         "940813f3bda4b14ad0aded41d9804eb200c049e8792bd264311b50ffaf82d21a",
-        "6164ae506502abccf38999ad4668d07f704b6b5be0e6889a1614d3fddc7ba706"),
+        "214cb8194d07e2e7941adc10e84a9155ce4c3f93d34f01e9ca2b5b9776aac026"),
 }
 
 
