@@ -227,22 +227,27 @@ def _check_key_id(op: TraceOp, params: CkksParameters,
             noun, what = _FIXED_KEY_WORDS[spec.key]
             return [make("HE020", f"{noun} names key {key!r}; only "
                          f"{spec.key!r} exists for {what}", op)]
-    else:  # a rotation key, rot-<amount>
-        prefix, _, amount_str = key.partition("-")
-        if prefix != "rot" or not amount_str.isdigit():
-            return [make("HE020", f"malformed rotation key id {key!r} "
-                         "(expected 'rot-<amount>')", op)]
-        amount = int(amount_str)
-        if not 1 <= amount < params.num_slots:
-            return [make("HE020", f"rotation amount {amount} outside "
-                         f"[1, {params.num_slots}); no keygen holds "
-                         "this key", op)]
-        recorded = op.meta.get("rotation")
-        if recorded is not None and int(recorded) != amount:
+    else:  # rotation keys, rot-<amount>, one per amount the op names
+        for one in key.split(","):
+            prefix, _, amount_str = one.partition("-")
+            if prefix != "rot" or not amount_str.isdigit():
+                return [make("HE020", f"malformed rotation key id {one!r} "
+                             "(expected 'rot-<amount>')", op)]
+            amount = int(amount_str)
+            if not 1 <= amount < params.num_slots:
+                return [make("HE020", f"rotation amount {amount} outside "
+                             f"[1, {params.num_slots}); no keygen holds "
+                             "this key", op)]
+        if all(arg in op.meta for arg in spec.meta_args) \
+                and key != key_id(spec, op.meta):
+            recorded = ", ".join(f"{arg} {op.meta[arg]}"
+                                 for arg in spec.meta_args)
             return [make("HE020", f"key {key!r} disagrees with the "
-                         f"recorded rotation amount {recorded}", op)]
-    if key_set is not None and key not in key_set:
-        return [make("HE020", f"key {key!r} is not in the provided "
+                         f"recorded {recorded}", op)]
+    absent = [one for one in key.split(",")
+              if key_set is not None and one not in key_set]
+    if absent:
+        return [make("HE020", f"key {absent[0]!r} is not in the provided "
                      "available-key set", op)]
     return []
 
@@ -327,16 +332,17 @@ def check_hoists(trace: OpTrace,
     """HE130: rotation batches that redo a shareable Decomp+ModUp.
 
     Rotations of one (COPY-canonicalized) source at one level each pay
-    the Decomp+ModUp stage unless they share a hoist group.  ``k``
-    separate stages where one would do waste ``k - 1`` of them; the
-    message prices that with BlockSim's cost model under ``features``.
+    the Decomp+ModUp stage unless they share a hoist group; a rotation
+    group (``rotate_add``) is one stage.  ``k`` separate stages where
+    one would do waste ``k - 1`` of them; the message prices that with
+    BlockSim's cost model under ``features``.
     """
     from repro.blocksim.analytical import AnalyticalTimingModel
-    from repro.blocksim.blocks import BlockCostModel
+    from repro.blocksim.blocks import BlockCostModel, BlockType
 
     buckets: dict[tuple[int, int], list[TraceOp]] = {}
     for op in trace.ops:
-        if OPS[op.kind].hoisted_method is None:
+        if OPS[op.kind].block is not BlockType.HE_ROTATE:
             continue
         if len(op.inputs) != 1:
             continue
@@ -353,7 +359,7 @@ def check_hoists(trace: OpTrace,
     for (source, level), ops in sorted(buckets.items()):
         if len(ops) < 2 or not 0 <= level <= trace.params.max_level:
             continue
-        # one ModUp per hoist group + one per ungrouped rotation
+        # one ModUp per hoist group + one per ungrouped rotation op
         groups = {op.hoist_group for op in ops
                   if op.hoist_group is not None}
         ungrouped = [op for op in ops if op.hoist_group is None]
@@ -368,7 +374,7 @@ def check_hoists(trace: OpTrace,
             cost_model.mod_up_cost(level)).total_cycles
         wasted = (stages - 1) * cycles
         findings.append(make(
-            "HE130", f"{len(ops)} rotations of op {source} at level "
+            "HE130", f"{len(ops)} rotation ops of op {source} at level "
             f"{level} run {stages} Decomp+ModUp stages where one "
             f"hoisted stage would do; ~{wasted:,.0f} cycles wasted "
             f"({stages - 1} x {cycles:,.0f})", ops[0]))

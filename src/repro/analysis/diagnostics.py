@@ -76,8 +76,8 @@ CODES: dict[str, CodeInfo] = dict([
           "A key-switch op names a key no keygen for these parameters "
           "would hold: a malformed key id, a rotation amount outside "
           "[1, num_slots), a key id disagreeing with the recorded "
-          "rotation amount, or a key missing from an explicitly "
-          "provided available-key set."),
+          "rotation amount(s) of a rotation or rotation group, or a key "
+          "missing from an explicitly provided available-key set."),
     _info("HE021", Severity.ERROR, "key-switch shape mismatch",
           "A key-switch op's recorded hybrid-decomposition shape "
           "(dnum, digit count) disagrees with what the parameters "
@@ -110,8 +110,9 @@ CODES: dict[str, CodeInfo] = dict([
           "cycles on every execution (and every served batch)."),
     _info("HE130", Severity.HINT, "missed hoist",
           "Rotations of one source ciphertext at one level run separate "
-          "Decomp+ModUp stages that hoisting could share; the message "
-          "quotes the BlockSim cycle cost left on the table."),
+          "Decomp+ModUp stages that hoisting could share (a rotation "
+          "group is one stage); the message quotes the BlockSim cycle "
+          "cost left on the table."),
 ])
 
 

@@ -5,7 +5,9 @@ HERotate (with KeySwitch) and HERescale on RNS ciphertexts, plus rotation
 hoisting: for a batch of rotations of one ciphertext the digit decompose +
 ModUp + NTT of c1 (the expensive half of KeySwitch) runs once and the raised
 digits are reused across every automorphism in the batch (HEAAN
-Demystified's hoisting; exact here because ModUp uses centered residues).
+Demystified's hoisting; exact here because ModUp uses centered residues),
+and rotation groups: :meth:`CkksEvaluator.rotate_add` sums
+``ct + sum_r rot_r(ct)`` behind one hoist *and* one ModDown.
 
 Ciphertexts stay in EVAL form throughout: automorphisms are gathers of
 evaluation slots, rescale and ModDown take only the limbs they must round
@@ -21,8 +23,8 @@ from typing import Iterable
 
 from .ciphertext import Ciphertext
 from .encoder import CkksEncoder, Plaintext
-from .keys import (KeyGenerator, inner_product_keyswitch, key_switch,
-                   raise_digits)
+from .keys import (KeyGenerator, inner_product_keyswitch, key_product,
+                   key_switch, mod_down_poly, raise_digits)
 from .params import CkksParameters
 from .poly import (Polynomial, conjugation_galois_element,
                    rotation_galois_element)
@@ -240,6 +242,38 @@ class CkksEvaluator:
         for r in nonzero:
             out[r] = self.rotate_hoisted(hoisted, r)
         return out
+
+    def rotate_add(self, ct: Ciphertext,
+                   rotations: Iterable[int]) -> Ciphertext:
+        """``ct + sum_r rot_r(ct)``: one hoist, one ModDown per component.
+
+        c1 is raised once (:func:`~repro.fhe.keys.raise_digits`); each
+        rotation gathers the raised digits and adds its key product over
+        C_l + P, and the sum of them all is divided by P once (double
+        hoisting, Bossuat et al., Eurocrypt 2021).  ModDown is linear up
+        to its rounding, so the result decrypts to the sum of the
+        separate rotations with one rounding error where they had
+        ``len(rotations)``.  Every amount must be non-zero mod
+        ``num_slots``; repeats are summed as often as they appear.
+        """
+        amounts = [r % self.params.num_slots for r in rotations]
+        if not amounts or 0 in amounts:
+            raise ValueError("rotate_add takes rotation amounts that are "
+                             f"non-zero mod {self.params.num_slots}, got "
+                             f"{amounts} after reduction")
+        ksctx = self.context.backend.keyswitch_context(ct.level)
+        raised = raise_digits(ct.c1, ksctx)
+        c0, acc = ct.c0, None
+        for rotation in amounts:
+            galois = rotation_galois_element(rotation,
+                                             self.params.ring_degree)
+            key = self.keygen.rotation_key(rotation, ct.level)
+            acc = key_product([d_j.automorphism(galois) for d_j in raised],
+                              key, acc)
+            c0 = c0 + ct.c0.automorphism(galois)
+        return Ciphertext(c0=c0 + mod_down_poly(acc[0], ksctx),
+                          c1=ct.c1 + mod_down_poly(acc[1], ksctx),
+                          level=ct.level, scale=ct.scale)
 
     def _apply_galois_hoisted(self, hoisted: HoistedCiphertext, galois: int,
                               key) -> Ciphertext:

@@ -174,6 +174,23 @@ def raise_digits(poly: Polynomial,
     return raised
 
 
+def key_product(raised: list[Polynomial], key: SwitchingKey,
+                acc: tuple[Polynomial, Polynomial] | None = None
+                ) -> tuple[Polynomial, Polynomial]:
+    """Key product over C_l + P: ``acc + sum_j d_j * evk_j``, no ModDown.
+
+    ``raised`` are the EVAL digits of :func:`raise_digits` (or a gather
+    of them); ``acc`` is a pair to add to, ``None`` for zero.  A rotation
+    group sums every rotation's product here and divides by P once.
+    """
+    acc0, acc1 = (None, None) if acc is None else acc
+    for d_j, b_j, a_j in zip(raised, key.bs, key.as_):
+        t0, t1 = d_j * b_j, d_j * a_j
+        acc0 = t0 if acc0 is None else acc0 + t0
+        acc1 = t1 if acc1 is None else acc1 + t1
+    return acc0, acc1
+
+
 def inner_product_keyswitch(raised: list[Polynomial], key: SwitchingKey,
                             ksctx: KeySwitchContext
                             ) -> tuple[Polynomial, Polynomial]:
@@ -181,11 +198,7 @@ def inner_product_keyswitch(raised: list[Polynomial], key: SwitchingKey,
 
     ``raised`` are the EVAL digits of :func:`raise_digits`.
     """
-    acc0 = acc1 = None
-    for d_j, b_j, a_j in zip(raised, key.bs, key.as_):
-        t0, t1 = d_j * b_j, d_j * a_j
-        acc0 = t0 if acc0 is None else acc0 + t0
-        acc1 = t1 if acc1 is None else acc1 + t1
+    acc0, acc1 = key_product(raised, key)
     return mod_down_poly(acc0, ksctx), mod_down_poly(acc1, ksctx)
 
 

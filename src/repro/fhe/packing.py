@@ -1,8 +1,12 @@
 """Slot-packing utilities: the rotate-and-add idioms of FHE applications.
 
 These are the reusable building blocks the paper's workloads lean on:
-log-depth slot reductions (HE-LR batch sums), replication (broadcasting a
-scalar result), masking, and encrypted matrix-vector products.
+slot reductions (HE-LR batch sums), replication (broadcasting a scalar
+result), masking, and encrypted matrix-vector products.  Reductions and
+replication run radix-4: one :meth:`CkksEvaluator.rotate_add` (one key
+switch) per group of three rotations, so a width-16 window costs two
+key switches and a tenant holds six rotation keys plus the
+relinearization key.
 
 :class:`SlotLayout` is the public window-packing API: it carves the N/2
 CKKS slots into aligned power-of-two windows and packs/unpacks many
@@ -130,33 +134,45 @@ class SlotLayout:
         return replicate(evaluator, ct, self.width)
 
 
+def rotation_groups(width: int) -> list[list[int]]:
+    """The radix-4 rotate-and-add groups that sum a ``width`` window.
+
+    ``{s, 2s, 3s}`` for ``s = 1, 4, 16, ...``, and ``{s}`` last where
+    ``width`` is not a power of 4: width 8 is ``[[1, 2, 3], [4]]``.
+    After group ``s`` every slot holds the sum of the ``4s`` (or, last,
+    ``2s``) slots from it on, so the groups together sum the window.
+    """
+    if width & (width - 1) or width < 1:
+        raise ValueError(f"width must be a power of two, got {width}")
+    groups, s = [], 1
+    while s < width:
+        groups.append([m * s for m in (1, 2, 3) if m * s < width])
+        s *= 4
+    return groups
+
+
 def rotate_sum(evaluator: CkksEvaluator, ct: Ciphertext,
                width: int) -> Ciphertext:
     """Sum each aligned window of ``width`` slots into its first slot.
 
-    Classic log-depth reduction: after this, slot k*width holds the sum of
-    slots [k*width, (k+1)*width).  ``width`` must be a power of two.
+    After this, slot k*width holds the sum of slots
+    [k*width, (k+1)*width).  ``width`` must be a power of two.  One
+    :meth:`~CkksEvaluator.rotate_add` per radix-4 group
+    (:func:`rotation_groups`): a width-16 window is two key switches
+    over the keys ``rot-1, 2, 3, 4, 8, 12``.
     """
-    if width & (width - 1) or width < 1:
-        raise ValueError(f"width must be a power of two, got {width}")
-    shift = 1
-    while shift < width:
-        ct = evaluator.he_add(ct, evaluator.he_rotate(ct, shift))
-        shift *= 2
+    for group in rotation_groups(width):
+        ct = evaluator.rotate_add(ct, group)
     return ct
 
 
 def replicate(evaluator: CkksEvaluator, ct: Ciphertext,
               width: int) -> Ciphertext:
     """Broadcast slot k*width into its whole window (inverse of
-    rotate_sum's layout).  Rotates by negative powers of two."""
-    if width & (width - 1) or width < 1:
-        raise ValueError(f"width must be a power of two, got {width}")
+    rotate_sum's layout): :func:`rotate_sum`'s groups, negated."""
     n = evaluator.params.num_slots
-    shift = 1
-    while shift < width:
-        ct = evaluator.he_add(ct, evaluator.he_rotate(ct, n - shift))
-        shift *= 2
+    for group in rotation_groups(width):
+        ct = evaluator.rotate_add(ct, [n - r for r in group])
     return ct
 
 
@@ -175,7 +191,7 @@ def inner_product(evaluator: CkksEvaluator, ct1: Ciphertext,
     """Encrypted dot product over the first ``width`` slots.
 
     Result lands in slot 0 (and every ``width``-aligned slot).  Consumes
-    one multiplicative level plus log2(width) rotations.
+    one multiplicative level plus :func:`rotate_sum`'s rotation groups.
     """
     prod = evaluator.he_mult(ct1, ct2)
     return rotate_sum(evaluator, prod, width)

@@ -24,9 +24,11 @@ from repro.fhe.params import CkksParameters
 class OpKind(enum.Enum):
     """Evaluator-level operations the recorder distinguishes.
 
-    The first group lowers 1:1 onto BlockSim block types; the second group
-    ("plumbing") is transparent to lowering: those ops move values between
-    representations without doing block-level work.  What each kind *is*
+    The first group lowers onto BlockSim block types, one block per op
+    (a ``rotate_add`` group one rotation block per key, plus the adds of
+    its sum); the second group ("plumbing") is transparent to lowering:
+    those ops move values between representations without doing
+    block-level work.  What each kind *is*
     — arity, operands, key, level and scale rule, block — is its row of
     :data:`repro.trace.ops.OPS`, and nowhere else.
     """
@@ -41,6 +43,7 @@ class OpKind(enum.Enum):
     HE_MULT = "he_mult"
     HE_SQUARE = "he_square"
     HE_ROTATE = "he_rotate"
+    ROTATE_ADD = "rotate_add"
     CONJUGATE = "conjugate"
     RESCALE = "rescale"
     MOD_RAISE = "mod_raise"
@@ -59,9 +62,10 @@ class TraceOp:
     ``level`` is the operating level (operand level after alignment);
     ``out_level`` the level of the produced ciphertext.  ``key`` names the
     switching key for key-switch ops (``rot-<amount>``, ``conj``,
-    ``relin``); ``hoist_group`` ties rotations that share one hoisted
-    Decomp+ModUp.  ``meta`` carries op-specific detail (rotation amount,
-    key-switch digit count, whether an implicit rescale ran).
+    ``relin``; a rotation group's ids joined by ``,``); ``hoist_group``
+    ties rotations that share one hoisted Decomp+ModUp.  ``meta`` carries
+    op-specific detail (rotation amount, key-switch digit count, whether
+    an implicit rescale ran).
     """
 
     op_id: int
@@ -122,5 +126,5 @@ class OpTrace:
 
     def keys_used(self) -> set[str]:
         """Distinct switching-key ids the execution touched."""
-        return {op.key for op in self.keyswitch_ops()
-                if op.key is not None}
+        return {key for op in self.keyswitch_ops() if op.key is not None
+                for key in op.key.split(",")}

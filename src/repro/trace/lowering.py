@@ -1,7 +1,9 @@
 """Lower an :class:`OpTrace` into a BlockSim workload DAG.
 
 Each non-transparent trace op becomes one
-:class:`~repro.blocksim.blocks.BlockInstance` node; plumbing ops
+:class:`~repro.blocksim.blocks.BlockInstance` node — a rotation group
+(``rotate_add``) one rotation block per key, all of one
+``hoist_group``, plus the adds of its sum; plumbing ops
 (``SOURCE``/``MOD_DROP``/``HOIST``/``COPY``/``REFRESH``) are routed
 through, so data-flow edges connect real blocks directly.  Implicit
 rescales (``he_mult(..., rescale=True)`` etc.) are expanded into
@@ -37,7 +39,10 @@ from repro.blocksim.blocks import BlockInstance, BlockType
 from repro.dag import DiGraph
 
 from .ir import OpKind, OpTrace, TraceOp
-from .ops import OPS
+from .ops import OPS, OpSpec, key_ids
+
+#: The block a rotation group's sum lowers to.
+_SUM = OPS[OpKind.HE_ADD]
 
 
 def lower_trace(trace: OpTrace) -> DiGraph:
@@ -59,17 +64,24 @@ def lower_expanded_trace(trace: OpTrace) -> DiGraph:
     resolved: dict[int, tuple[str | None, bool]] = {}
     counters: dict[tuple[str, str], int] = {}
 
-    def node_name(op: TraceOp) -> str:
-        stem = OPS[op.kind].stem
+    def add_block(op: TraceOp, block: OpSpec, preds: list[str],
+                  metadata: dict[str, Any]) -> str:
+        """One ``block.block`` of ``op`` fed by ``preds``; its node id."""
+        assert block.block is not None
+        stem = block.stem
         seq = counters.get((op.region, stem), 0)
         counters[(op.region, stem)] = seq + 1
-        return f"{op.region}/{stem}{seq}" if op.region else f"{stem}{seq}"
-
-    def add_block(node_id: str, block_type: BlockType, level: int,
-                  metadata: dict[str, Any]) -> None:
+        node_id = f"{op.region}/{stem}{seq}" if op.region \
+            else f"{stem}{seq}"
         graph.add_node(node_id, block=BlockInstance(
-            block_id=node_id, block_type=block_type, level=level,
-            metadata=metadata))
+            block_id=node_id, block_type=block.block,
+            level=getattr(op, OPS[op.kind].block_level),
+            metadata={"op_id": op.op_id, **metadata}))
+        for pred in preds:
+            pred_level = graph.nodes[pred]["block"].level
+            graph.add_edge(pred, node_id,
+                           bytes=params.ciphertext_bytes(pred_level))
+        return node_id
 
     for op in trace.ops:
         spec = OPS[op.kind]
@@ -83,18 +95,9 @@ def lower_expanded_trace(trace: OpTrace) -> DiGraph:
             resolved[op.op_id] = (node, refreshed)
             continue
 
-        metadata: dict[str, Any] = {"op_id": op.op_id}
-        if spec.key is not None:
-            metadata["keyswitch"] = {"key": op.key, "level": op.level,
-                                     **{k: op.meta[k]
-                                        for k in ("dnum", "digits")
-                                        if k in op.meta}}
-        if spec.block is BlockType.HE_ROTATE and op.key:
-            metadata["key"] = op.key
+        metadata: dict[str, Any] = {}
         if op.hoist_group is not None:
             metadata["hoist_group"] = op.hoist_group
-
-        node_id = node_name(op)
         preds: list[str] = []
         for input_id in op.inputs:
             pred, refreshed = resolved[input_id]
@@ -102,11 +105,33 @@ def lower_expanded_trace(trace: OpTrace) -> DiGraph:
                 metadata["refresh"] = True
             if pred is not None:
                 preds.append(pred)
-        add_block(node_id, spec.block, getattr(op, spec.block_level),
-                  metadata)
-        for pred in preds:
-            pred_level = graph.nodes[pred]["block"].level
-            graph.add_edge(pred, node_id,
-                           bytes=params.ciphertext_bytes(pred_level))
-        resolved[op.op_id] = (node_id, False)
+        if spec.group is None:
+            resolved[op.op_id] = (add_block(
+                op, spec, preds, _key_metadata(op, op.key) | metadata),
+                False)
+            continue
+        # A rotation group: one block per key off the shared input, then
+        # ``input + rot_1 + ... + rot_m`` as a chain of adds.
+        total = preds[0] if preds else None
+        for key in key_ids(spec, op.meta):
+            rotated = add_block(op, spec, preds,
+                                _key_metadata(op, key) | metadata)
+            total = add_block(op, _SUM, [rotated] if total is None
+                              else [total, rotated],
+                              {"refresh": True} if "refresh" in metadata
+                              else {})
+        resolved[op.op_id] = (total, False)
     return graph
+
+
+def _key_metadata(op: TraceOp, key: str | None) -> dict[str, Any]:
+    """What a block of ``op`` streaming ``key`` tells the simulator."""
+    spec = OPS[op.kind]
+    if spec.key is None:
+        return {}
+    metadata: dict[str, Any] = {"keyswitch": {
+        "key": key, "level": op.level,
+        **{k: op.meta[k] for k in ("dnum", "digits") if k in op.meta}}}
+    if spec.block is BlockType.HE_ROTATE and key:
+        metadata["key"] = key
+    return metadata

@@ -85,6 +85,10 @@ class OpSpec:
     #: Id of the switching key the op streams, as a template over
     #: ``meta`` (``None``: no key switch).
     key: str | None = None
+    #: A ``meta`` list the op runs over (``None``: a single op): one key
+    #: per entry, the entry filling the template under the list's own
+    #: name, and one block per key, summed onto the input.
+    group: str | None = None
     #: The method that applies the op to a hoisted handle
     #: (``meta["hoisted"]``).
     hoisted_method: str | None = None
@@ -117,6 +121,10 @@ OPS: dict[OpKind, OpSpec] = {spec.kind: spec for spec in (
     OpSpec(_K.HE_ROTATE, "he_rotate", 1, _B.HE_ROTATE, "rot",
            meta_args=("rotation",), key="rot-{rotation}",
            hoisted_method="rotate_hoisted"),
+    # ct + sum_r rot_r(ct): one hoist, one ModDown per component.
+    OpSpec(_K.ROTATE_ADD, "rotate_add", 1, _B.HE_ROTATE, "rot",
+           meta_args=("rotations",), key="rot-{rotations}",
+           group="rotations"),
     OpSpec(_K.CONJUGATE, "he_conjugate", 1, _B.HE_ROTATE, "conj",
            key="conj", hoisted_method="conjugate_hoisted"),
     OpSpec(_K.RESCALE, "rescale", 1, _B.HE_RESCALE, "rescale",
@@ -154,9 +162,21 @@ def out_scale(spec: OpSpec, params: CkksParameters, level: int,
     return scale / params.moduli[level] if rescaled else scale
 
 
+def key_ids(spec: OpSpec, meta: Mapping[str, Any]) -> tuple[str, ...]:
+    """Ids of every switching key the op streams, one per block it lowers
+    to (empty: no key switch)."""
+    if spec.key is None:
+        return ()
+    if spec.group is None:
+        return (spec.key.format_map(meta),)
+    return tuple(spec.key.format_map({**meta, spec.group: entry})
+                 for entry in meta[spec.group])
+
+
 def key_id(spec: OpSpec, meta: Mapping[str, Any]) -> str | None:
-    """Id of the switching key the op streams (``None``: no key switch)."""
-    return spec.key and spec.key.format_map(meta)
+    """The key id a trace op records: :func:`key_ids` joined by ``,``
+    (``None``: no key switch)."""
+    return ",".join(key_ids(spec, meta)) or None
 
 
 def keyswitch_meta(params: CkksParameters, level: int) -> dict[str, int]:
@@ -167,7 +187,8 @@ def keyswitch_meta(params: CkksParameters, level: int) -> dict[str, int]:
 def structural_problems(op: TraceOp, position: int) -> list[str]:
     """What makes the op at ``position`` unreadable to every data-flow
     check and to its own replay: an id out of sequence, a dangling
-    input, a wrong input count, a missing ``meta_args`` key."""
+    input, a wrong input count, a missing ``meta_args`` key, a group
+    that is not a non-empty list."""
     spec = OPS[op.kind]
     problems = []
     if op.op_id != position:
@@ -183,6 +204,10 @@ def structural_problems(op: TraceOp, position: int) -> list[str]:
     for key in spec.meta_args:
         if key not in op.meta:
             problems.append(f"{op.kind.value} op carries no meta[{key!r}]")
+    if spec.group in op.meta and not (
+            isinstance(op.meta[spec.group], list) and op.meta[spec.group]):
+        problems.append(f"{op.kind.value} op's meta[{spec.group!r}] is "
+                        "not a non-empty list")
     return problems
 
 
@@ -254,7 +279,9 @@ def render_table() -> str:
             ", ".join(f"`{m}`" for m in methods) or "—", str(spec.arity),
             ", ".join(f"`{a}`" for a in spec.meta_args) or "—", operand,
             "yes" if spec.fused_rescale else "—",
-            f"`{spec.key}`" if spec.key else "—", spec.level.name,
+            (f"`{spec.key}`" if spec.key else "—")
+            + (f" per `{spec.group}` entry" if spec.group else ""),
+            spec.level.name,
             spec.scale.name, block,
             "yes" if spec.real else "symbolic only"))
     return "\n".join("| " + " | ".join(row) + " |" for row in rows)

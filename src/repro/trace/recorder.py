@@ -105,7 +105,7 @@ class TracingEvaluator:
     #
     # One method per row of the op table, installed below
     # (:func:`repro.trace.ops.install_methods`); the explicit ones are
-    # the hoisting surface, rotation by 0 and ``refresh``.
+    # the hoisting surface, rotation by 0, ``rotate_add`` and ``refresh``.
 
     def _apply(self, spec: OpSpec, cts: tuple[Any, ...],
                operands: tuple[Any, ...], rescale: bool | None) -> Any:
@@ -130,6 +130,15 @@ class TracingEvaluator:
             return self._emit(OpKind.COPY, (ct,),
                               self.inner.he_rotate(ct, rotation))
         return self._apply(OPS[OpKind.HE_ROTATE], (ct,), (amount,), None)
+
+    def rotate_add(self, ct: Any, rotations: Iterable[int]) -> Any:
+        """One op, its own hoist group: the amounts reduced mod
+        ``num_slots`` as a JSON-safe list."""
+        amounts = [int(r) % self.params.num_slots for r in rotations]
+        self._hoist_groups += 1
+        return self._emit(OpKind.ROTATE_ADD, (ct,),
+                          self.inner.rotate_add(ct, amounts),
+                          hoist_group=self._hoist_groups, rotations=amounts)
 
     def refresh(self, ct: Any, level: int) -> Any:
         """Schematic level reset; requires a symbolic inner evaluator."""

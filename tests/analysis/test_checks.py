@@ -210,6 +210,51 @@ class TestKeyChecks:
         assert _codes(t) == {"HE022": 1}
 
 
+class TestRotationGroupKeys:
+    """A ``rotate_add`` op names one ``rot-<amount>`` key per entry of
+    ``meta["rotations"]``, joined by ``,``; every amount is checked."""
+
+    def _group(self, rotations, key="recorded"):
+        t = _trace()
+        src = _add(t, OpKind.SOURCE, level=4)
+        _add(t, OpKind.ROTATE_ADD, [src], level=4, hoist_group=1,
+             key=",".join(f"rot-{r}" for r in rotations)
+             if key == "recorded" else key,
+             meta={"rotations": list(rotations), **_mult_meta(4)})
+        return t
+
+    def test_a_well_formed_group_is_silent(self):
+        assert _codes(self._group([1, 2, 3])) == {}
+        assert _codes(self._group([4, 8, 12]),
+                      available_keys=["rot-4", "rot-8", "rot-12"]) == {}
+
+    @pytest.mark.parametrize("rotations", [[1, 0, 3],
+                                           [1, TOY.num_slots + 2]],
+                             ids=["zero", "past-num-slots"])
+    def test_he020_any_amount_without_a_key(self, rotations):
+        assert _codes(self._group(rotations)) == {"HE020": 1}
+
+    def test_he020_key_disagrees_with_the_recorded_group(self):
+        t = self._group([1, 2, 3], key="rot-1,rot-2,rot-4")
+        assert _codes(t) == {"HE020": 1}
+
+    def test_he020_one_key_outside_the_available_set(self):
+        t = self._group([1, 2, 3])
+        assert _codes(t, available_keys=["rot-1", "rot-2"]) == {"HE020": 1}
+
+    def test_he022_group_without_key_ids(self):
+        t = self._group([1, 2], key=None)
+        assert _codes(t) == {"HE022": 1}
+
+    @pytest.mark.parametrize("rotations", [[], 3], ids=["empty", "scalar"])
+    def test_he050_a_group_that_is_not_a_non_empty_list(self, rotations):
+        t = _trace()
+        src = _add(t, OpKind.SOURCE, level=4)
+        _add(t, OpKind.ROTATE_ADD, [src], level=4, key="rot-3",
+             meta={"rotations": rotations, **_mult_meta(4)})
+        assert _codes(t) == {"HE050": 1}
+
+
 class TestLiveness:
     def test_he120_dead_op(self):
         t = _trace()
@@ -274,6 +319,29 @@ class TestHoists:
                   meta={"rotation": 2, **_mult_meta(4)})
         _add(t, OpKind.HE_ADD, [r1, r2], level=4)
         assert len(check_hoists(t)) == 1
+
+
+    def _group_and_rotation(self, same_source=True):
+        t = _trace()
+        src = _add(t, OpKind.SOURCE, level=4)
+        other = _add(t, OpKind.SOURCE, level=4)
+        group = _add(t, OpKind.ROTATE_ADD, [src], level=4, hoist_group=1,
+                     key="rot-1,rot-2,rot-3",
+                     meta={"rotations": [1, 2, 3], **_mult_meta(4)})
+        rot = _add(t, OpKind.HE_ROTATE, [src if same_source else other],
+                   level=4, key="rot-4",
+                   meta={"rotation": 4, **_mult_meta(4)})
+        _add(t, OpKind.HE_ADD, [group, rot], level=4)
+        return t
+
+    def test_a_rotation_group_is_one_stage(self):
+        """One ``rotate_add`` of a source is one hoisted stage: silent
+        alone, the second of two stages beside an ``he_rotate`` of the
+        same source."""
+        (finding,) = check_hoists(self._group_and_rotation())
+        assert "2 Decomp+ModUp stages" in finding.message
+        assert check_hoists(self._group_and_rotation(same_source=False)) \
+            == []
 
 
 class TestNoise:

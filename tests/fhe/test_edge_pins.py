@@ -42,6 +42,21 @@ held.  Old -> new:
 * decrypt toy fresh_2_80: ``25eea560…`` -> ``c9f8a712…``;
 * decrypt toy scoring: ``eec481e3…`` -> ``da9b5174…``;
 * decrypt toy affine: ``f8e27fe4…`` -> ``3a6356b2…``.
+
+``rotate_sum`` became two radix-4 ``rotate_add`` groups, one hoist and
+one ModDown each, in place of a log-tree of four ``he_rotate``: the
+scoring result carries one ModDown rounding per group, and the context
+draws six rotation keys where it drew four.  The affine case encrypts
+its input on that same context after the scoring case, so the two
+extra keys move its randomness too; the parent reproduces the new
+affine digests once it draws ``rot-3`` and ``rot-12`` before that
+encryption.  Recorded at commit 9084715, before that change, and
+re-recorded after it; every other entry held.  Old -> new:
+
+* decrypt pw54 scoring: ``2e46aada…`` -> ``63fd61f1…``;
+* decrypt pw54 affine: ``910fba2a…`` -> ``0359ef29…``;
+* decrypt toy scoring: ``da9b5174…`` -> ``c72b1391…``;
+* decrypt toy affine: ``3a6356b2…`` -> ``df89d839…``.
 """
 
 import hashlib
@@ -254,7 +269,7 @@ def _decrypt_digests(params, backend) -> dict[str, str]:
 
 DECRYPT_PINS = {
     ("pw54", "affine"):
-        "910fba2ab50e494f8e251a271c3a11b306d52bc9de5092e95114d177bd618bdc",
+        "0359ef2998b506070174ed580d956137bcf0af12c68ab3c020d7d59772b2c89e",
     ("pw54", "fresh_2_80"):
         "1a7cb6ab39a8e217503abddc7dcd0324541d21d8df599249c152f416605b76c0",
     ("pw54", "fresh_complex"):
@@ -266,7 +281,7 @@ DECRYPT_PINS = {
     ("pw54", "fresh_l5"):
         "45d122c1e986f94171cf9969b12b624de21097c0f80f5dc254f86d893b0f2e6c",
     ("pw54", "scoring"):
-        "2e46aada9b41e96442242a008d737ea01739b51486ee0b768a4539e5b7bf911b",
+        "63fd61f187eeccdb35e158db51b2aa60a09f617158d3f380fc6fc629adcb7e05",
     ("test", "fresh_2_80"):
         "aa7d3394fe185d4cd2972d2e54c97004fb7411c565dcbed918ada8ff04efe7ef",
     ("test", "fresh_complex"):
@@ -278,7 +293,7 @@ DECRYPT_PINS = {
     ("test", "fresh_l7"):
         "318f76ada9068ef5e003143c1c4844f0b7b96658489488f924c38ba5d95f0415",
     ("toy", "affine"):
-        "3a6356b29c81f58ece60a472aacf23d65900dec2c1752e0b19e9116177ddf9a6",
+        "df89d839d60fbb20049b40de8ca9eccfd293c2d78cf5c1ba424a68cc762559ee",
     ("toy", "fresh_2_80"):
         "c9f8a712be6a065c220ec3818847d00d025914bcd10737e055524c200b6c83ea",
     ("toy", "fresh_complex"):
@@ -290,7 +305,7 @@ DECRYPT_PINS = {
     ("toy", "fresh_l5"):
         "ca02381c37a4a36368c2b35854dd9e6a5422fc7d3b4860833281d14c531f95b3",
     ("toy", "scoring"):
-        "da9b5174d6924af04c81322cce0740c46caf5b5100b108f654c72ef5ff971af1",
+        "c72b1391c2e3be9db6bb147a010ef7d5105b9edeae9572b4a19ba2ed39701243",
 }
 
 

@@ -19,6 +19,15 @@ before that change, and re-recorded after it.  Old -> new:
 * scoring, pw54: ``935455a5…`` -> ``400abb6e…``;
 * galois_mult, toy: ``97a44f17…`` -> ``b076c9a9…``;
 * galois_mult, pw54: ``1fb9312f…`` -> ``64813f77…``.
+
+``rotate_sum`` became two radix-4 ``rotate_add`` groups (one hoist and
+one ModDown each) in place of a log-tree of four ``he_rotate``, so the
+scoring digests were recorded at commit 9084715, before that change,
+and re-recorded after it; both ``galois_mult`` digests held.  Old ->
+new:
+
+* scoring, toy: ``dd16d78f…`` -> ``b8724dea…``;
+* scoring, pw54: ``400abb6e…`` -> ``00da5f94…``.
 """
 
 import hashlib
@@ -41,9 +50,9 @@ PRESETS = {"toy": CkksParameters.toy, "pw54": _pw54}
 
 PARENT_DIGESTS = {
     ("scoring", "toy"):
-        "dd16d78f5f0f83e18570b037c65de36665a58f33df4bd370ec5d158d6dfef3ff",
+        "b8724dea8f25a290da3f6c42972d90321762ab37b9b7d48324e369cdd5dbfbf9",
     ("scoring", "pw54"):
-        "400abb6e394622baa0889dbdaa20945642df685e581f1c135dc279f661a9eac4",
+        "00da5f944c058979bdce4f0c8386c4cd16ab538411951e7628a75bcf2641723f",
     ("galois_mult", "toy"):
         "b076c9a934d0a36baa3e4aeba3a5bfeec34b6298ecf8b1da913cc6d62a996c2f",
     ("galois_mult", "pw54"):

@@ -9,31 +9,50 @@ k special limbs and d digits (see "Where the transforms are" in
 a COEFF round trip back.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.fhe import CkksContext, CkksParameters, register_backend
 from repro.fhe.backend.stacked import StackedBackend
 from repro.fhe.keys import key_switch
+from repro.serve.workloads import scoring_workload
 
 
 @register_backend("count-transforms")
 class CountingBackend(StackedBackend):
-    """The stacked backend, counting the limb rows it transforms."""
+    """The stacked backend, counting the limb rows it transforms and the
+    calls of the key-switch kernels."""
 
     def __init__(self, params):
         super().__init__(params)
         self.rows = 0
         self.forwards: list[int] = []       # rows of each forward call
+        self.calls = Counter()
 
     def ntt_forward(self, data, moduli):
         self.rows += len(data)
         self.forwards.append(len(data))
+        self.calls["ntt_forward"] += 1
         return super().ntt_forward(data, moduli)
 
     def ntt_inverse(self, data, moduli):
         self.rows += len(data)
+        self.calls["ntt_inverse"] += 1
         return super().ntt_inverse(data, moduli)
+
+    def mod_up(self, digit, digit_index, ksctx):
+        self.calls["mod_up"] += 1
+        return super().mod_up(digit, digit_index, ksctx)
+
+    def mod_down(self, data, ksctx):
+        self.calls["mod_down"] += 1
+        return super().mod_down(data, ksctx)
+
+    def mul(self, a, b, moduli):
+        self.calls["mul"] += 1
+        return super().mul(a, b, moduli)
 
 
 class Budget:
@@ -52,7 +71,7 @@ class Budget:
         self.ct = self.ctx.encrypt(self.values, level=level)
         self.pt = self.ctx.encoder.encode(rng.uniform(-1, 1, 8))
         # Key generation transforms too; it is not what is budgeted.
-        for rotation in (1, 2, 3):
+        for rotation in (1, 2, 3, 4, 8, 12):
             self.ctx.keygen.rotation_key(rotation, level)
         self.ctx.keygen.conjugation_key(level)
         self.ctx.keygen.relinearization_key(level)
@@ -61,6 +80,12 @@ class Budget:
         before = self.backend.rows
         op()
         return self.backend.rows - before
+
+    def calls(self, op) -> Counter:
+        """Kernel calls ``op`` makes."""
+        before = Counter(self.backend.calls)
+        op()
+        return self.backend.calls - before
 
     @property
     def key_switch(self) -> int:
@@ -166,3 +191,49 @@ def test_further_hoisted_rotations_only_pay_mod_down(budget):
     # A batch of m rotations: one key switch + (m - 1) ModDown pairs.
     assert budget.rows(lambda: ev.hoisted_rotations(ct, [1, 2, 3])) \
         == budget.key_switch + 2 * 2 * (k + n)
+
+
+@pytest.mark.parametrize("rotations", [[1], [1, 2, 3], [4, 8, 12, 1, 2, 3]],
+                         ids=["one", "three", "six"])
+def test_a_rotation_group_raises_once_and_moddowns_once(budget, rotations):
+    """``rotate_add``: one raise of c1 (one ModUp per digit) and two
+    ModDown calls, whatever ``|R|``; ``|R|`` key products of ``d`` digits
+    by two key components each."""
+    ev, ct, d = budget.ev, budget.ct, budget.d
+    # The transforms of one key switch, however many rotations.
+    assert budget.rows(lambda: ev.rotate_add(ct, rotations)) \
+        == budget.key_switch
+    calls = budget.calls(lambda: ev.rotate_add(ct, rotations))
+    assert (calls["mod_up"], calls["mod_down"], calls["mul"]) \
+        == (d, 2, 2 * d * len(rotations))
+
+
+@pytest.mark.parametrize("preset", ["toy", "pw54"])
+def test_a_warm_scoring_batch(preset):
+    """Encrypt, replay the width-16 scoring plan and decrypt on a warm
+    tenant: forward / inverse calls, limb rows, ModUp and ModDown calls
+    are (20, 14, 140, 6, 6) — two rotation groups and one
+    relinearization, each one raise and one ModDown per component.  The
+    count twin of the wall-clock hoisting floor in
+    ``benchmarks/test_keyswitch_speedup.py``; ``bench --trace 1`` reports
+    the same five numbers per batch."""
+    params = CkksParameters.toy() if preset == "toy" else \
+        CkksParameters._build(ring_degree=1 << 10, scale_bits=50,
+                              prime_bits=54, max_level=5, boot_levels=2,
+                              dnum=2, fft_iterations=1)
+    plan = scoring_workload(16).compile(params)
+    ctx = CkksContext(params, seed=3, backend="count-transforms")
+    backend = ctx.keygen.context.backend
+    slots = np.random.default_rng(5).uniform(-1, 1, params.num_slots)
+
+    def batch():
+        ct = ctx.encrypt(slots)
+        ctx.decrypt(plan.execute(ctx, sources=[ct]).output)
+
+    batch()     # keys and the plaintext operand are built once
+    rows = backend.rows
+    calls = Counter(backend.calls)
+    batch()
+    calls = backend.calls - calls
+    assert (calls["ntt_forward"], calls["ntt_inverse"], backend.rows - rows,
+            calls["mod_up"], calls["mod_down"]) == (20, 14, 140, 6, 6)

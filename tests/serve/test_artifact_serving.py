@@ -97,6 +97,29 @@ class TestServeFromArtifact:
                 == server.plan_fingerprint)
 
 
+@pytest.mark.parametrize("width", [8, 16])
+def test_a_saved_scoring_plan_replays_bit_identically(tmp_path, width):
+    """Deploy-from-artifact keeps every ``rotate_add`` group: save ->
+    ``load_plan`` -> execute is the compiled plan's result, bit for bit
+    (width 8 ends in the radix-2 tail ``[4]``)."""
+    from repro import engine
+    from repro.fhe import CkksContext
+    from repro.fhe.packing import rotation_groups
+    from repro.trace import OpKind
+
+    plan = scoring_workload(width).compile(TOY)
+    path = str(tmp_path / "score.rpa")
+    plan.save(path)
+    loaded = engine.load_plan(path)
+    assert loaded.trace == plan.trace
+    assert [op.meta["rotations"] for op in loaded.trace.ops
+            if op.kind is OpKind.ROTATE_ADD] == rotation_groups(width)
+    ctx = CkksContext(TOY, seed=5)
+    ct = ctx.encrypt(np.linspace(-1.0, 1.0, TOY.num_slots))
+    assert engine.bit_identical(loaded.execute(ctx, sources=[ct]).output,
+                                plan.execute(ctx, sources=[ct]).output)
+
+
 class TestSimulatedFromArtifact:
     def test_rpa_path_accepted(self, tmp_path):
         from repro import engine

@@ -30,6 +30,7 @@ PLAIN = np.linspace(0.5, -0.25, TOY.num_slots)
 
 #: Values each named operand of the table is drawn from.
 OPERANDS = {"value": (0.5, -1.25), "rotation": (0, 1, 5, TOY.num_slots - 2),
+            "rotations": ([1, 2, 3], [4], [TOY.num_slots - 2, 1]),
             "levels": (1, 2)}
 REAL = [spec for spec in OPS.values() if spec.real and spec.method]
 

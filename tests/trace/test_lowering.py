@@ -8,7 +8,7 @@ from repro.dag import is_directed_acyclic_graph
 from repro.fhe import CkksContext
 from repro.fhe.params import CkksParameters
 from repro.gme.features import GME_FULL, cumulative_configs
-from repro.trace import (SymbolicEvaluator, TracingEvaluator,
+from repro.trace import (OpKind, SymbolicEvaluator, TracingEvaluator,
                          assert_workload_dag, dag_violations, lower_trace)
 from repro.workloads import EncryptedConvLayer
 
@@ -76,6 +76,37 @@ class TestLowering:
         for block in _blocks(graph).values():
             assert block.metadata["keyswitch"]["dnum"] \
                 == sym.params.dnum
+
+    def test_a_rotation_group_is_one_block_per_key_plus_its_sum(self, sym):
+        """``rotate_add(ct, [1, 2, 3])``: three rotation blocks off the
+        input, each with its own key, one shared ``hoist_group`` and the
+        op's ``op_id``, and the adds of ``ct + rot_1 + rot_2 + rot_3``."""
+        prod = sym.he_square(sym.fresh(level=4), rescale=False)
+        sym.rotate_add(prod, [1, 2, 3 + sym.params.num_slots])
+        (group,) = [op for op in sym.trace.ops
+                    if op.kind is OpKind.ROTATE_ADD]
+        assert (group.key, group.meta["rotations"]) \
+            == ("rot-1,rot-2,rot-3", [1, 2, 3])
+        graph = lower_trace(sym.trace)
+        assert_workload_dag(graph, params=sym.params,
+                            require_keyswitch_meta=True)
+        blocks = _blocks(graph)
+        rots = [n for n, b in blocks.items()
+                if b.block_type is BlockType.HE_ROTATE]
+        adds = [n for n, b in blocks.items()
+                if b.block_type is BlockType.HE_ADD]
+        assert (rots, adds) == (["rot0", "rot1", "rot2"],
+                                ["add0", "add1", "add2"])
+        assert [blocks[n].metadata["key"] for n in rots] \
+            == ["rot-1", "rot-2", "rot-3"]
+        assert {blocks[n].metadata["hoist_group"] for n in rots} \
+            == {group.hoist_group}
+        assert {blocks[n].metadata["op_id"] for n in rots + adds} \
+            == {group.op_id}
+        assert all(list(graph.predecessors(n)) == ["mult0"] for n in rots)
+        assert [sorted(graph.predecessors(n)) for n in adds] \
+            == [["mult0", "rot0"], ["add0", "rot1"], ["add1", "rot2"]]
+        assert sym.trace.keys_used() == {"relin", "rot-1", "rot-2", "rot-3"}
 
     def test_edge_bytes_use_producer_level(self, sym):
         ct = sym.fresh(level=4)

@@ -24,6 +24,19 @@ every ``OFFLINE_PINS`` entry held.  Old -> new:
 * scoring, pw54: ``6fc94f2c…`` -> ``888977e2…``;
 * affine, toy: ``8811e9c2…`` -> ``ac57ac5c…``;
 * affine, pw54: ``6164ae50…`` -> ``214cb819…``.
+
+``rotate_sum`` became two radix-4 ``rotate_add`` ops (one hoist and one
+ModDown each) in place of four ``he_rotate`` + ``he_add`` pairs: the
+scoring trace is 7 ops where it was 13, and its replayed residues
+moved.  Both scoring entries — trace digest and residues — were
+recorded at commit 9084715, before that change, and re-recorded after
+it; the affine entries and every ``OFFLINE_PINS`` entry held.  Old ->
+new:
+
+* scoring, toy: ``5b0185bb…`` / ``930db78e…`` -> ``0e314e3e…`` /
+  ``55cfb6eb…``;
+* scoring, pw54: ``fb71a45d…`` / ``888977e2…`` -> ``294db2ef…`` /
+  ``60a6ec28…``.
 """
 
 import hashlib
@@ -166,11 +179,11 @@ def _replay_digests(workload: str, preset: str) -> tuple[str, str]:
 #: (workload, preset) -> (trace digest, digest of the replayed residues).
 REPLAY_PINS = {
     ("scoring", "toy"): (
-        "5b0185bb399c51a87d5e795256bf0091690d0a927b7e57a8c86c881a6e9e66d3",
-        "930db78e668366ee84c8b40f7533680b6fff6e29708ef86edd8082ad31041b58"),
+        "0e314e3e8a3a0f0951189a5d5af95fc3cff5eeba8d5decf47e343a559ee990aa",
+        "55cfb6eb61326353417da6e45366653e5206fc2b304340978750068f57ba3971"),
     ("scoring", "pw54"): (
-        "fb71a45dc85c6831af5cf487d2fb37e27104c2d3d7b56b0caf39167b091ec7dc",
-        "888977e22796758e54cab03ad7a643b70de6c1549f4ef90d9f35e5104912b55d"),
+        "294db2efeba366231a4cdb38a0db276c794dd213e27dbacc7ce332c950d0dfa8",
+        "60a6ec28f36a1255ffbc4f40b8cd3267e5f7d600b2d75f064629f30d6fc5fceb"),
     ("affine", "toy"): (
         "583fd19258c40f2aa31bae75fa135211c7bb687cabec475f4bf360f00ec63fa2",
         "ac57ac5c21c2ce5dd6971667c9715b11df41ae61adb2d87c3be736ca180d4360"),

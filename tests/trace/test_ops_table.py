@@ -81,7 +81,7 @@ def ctx():
 def _calls(spec, ct, other, pt):
     """``(args, kwargs)`` of one call per fused-rescale setting."""
     operands = {"value": 0.5 if spec.kind is not OpKind.SCALAR_MULT_INT
-                else 3, "rotation": 3, "levels": 2}
+                else 3, "rotation": 3, "rotations": [1, 2, 3], "levels": 2}
     args = [ct, other][:spec.arity] \
         + [operands[name] for name in spec.meta_args] \
         + [pt] * spec.payload
