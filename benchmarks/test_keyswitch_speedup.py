@@ -66,17 +66,17 @@ def test_keyswitch_speedup(fhe_contexts):
     assert PARAMS.dnum >= 3, "the bar applies at dnum >= 3"
     ct_ref = ref.encrypt([1.0, -0.5, 0.25])
     ct_stk = stk.encrypt([1.0, -0.5, 0.25])
-    key_ref = ref.keygen.relinearization_key(ct_ref.level)
-    key_stk = stk.keygen.relinearization_key(ct_stk.level)
+    key_ref = ref.keygen.relinearization_key()
+    key_stk = stk.keygen.relinearization_key()
     # Warm twiddle and KeySwitchContext caches, and check bit-exactness of
     # the two datapaths before timing them.
-    out_ref = key_switch(ct_ref.c1, key_ref, PARAMS)
-    out_stk = key_switch(ct_stk.c1, key_stk, PARAMS)
+    out_ref = key_switch(ct_ref.c1, key_ref)
+    out_stk = key_switch(ct_stk.c1, key_stk)
     assert limbs_equal(out_ref[0], out_stk[0])
     assert limbs_equal(out_ref[1], out_stk[1])
-    t_ref = median_seconds(lambda: key_switch(ct_ref.c1, key_ref, PARAMS),
+    t_ref = median_seconds(lambda: key_switch(ct_ref.c1, key_ref),
                            repeats=3)
-    t_stk = median_seconds(lambda: key_switch(ct_stk.c1, key_stk, PARAMS),
+    t_stk = median_seconds(lambda: key_switch(ct_stk.c1, key_stk),
                            repeats=3)
     speedup = t_ref / t_stk
     print(f"\nKeySwitch at {ct_ref.level + 1} limbs, dnum={PARAMS.dnum}: "
@@ -124,7 +124,7 @@ def test_hoisting_win_grows_with_batch_size(fhe_contexts):
     # within timing noise on loaded CI runners).
     small, large = [1], [1, 2, 3, 5, 9, 17, 33, 65]
     for r in large:
-        stk.keygen.rotation_key(r, ct.level)  # warm keys outside timing
+        stk.keygen.rotation_key(r)  # warm keys outside timing
     ev.hoisted_rotations(ct, large)
     per_rot_small = median_seconds(
         lambda: ev.hoisted_rotations(ct, small), repeats=3) / len(small)

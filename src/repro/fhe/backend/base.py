@@ -171,23 +171,25 @@ class ComputeBackend(abc.ABC):
             self._ks_cache[level] = ksctx
         return ksctx
 
-    @abc.abstractmethod
     def digit_decompose(self, data: Any, ksctx: KeySwitchContext) -> list[Any]:
-        """Split storage over ``ksctx.ct_moduli`` into scaled digits.
+        """Split storage over ``ksctx.ct_moduli`` into its digits.
 
-        Digit j is the limb range ``ksctx.digit_spans[j]`` with limb i
-        multiplied by ``[hat{Q}_j^{-1}]_{q_i}``, i.e. the canonical RNS
-        digit ``[x * hat{Q}_j^{-1}]_{Q_j}``.  Returns one native storage per
-        digit (over that digit's sub-basis).  A per-limb scaling, so it
-        commutes with the NTT: COEFF storage gives the digits ModUp
-        converts, EVAL storage their evaluations — the raised digits'
-        rows on their own primes (:func:`repro.fhe.keys.raise_digits`).
+        Digit j is the limb range ``ksctx.digit_spans[j]`` as it stands —
+        the residue ``[x]_{Q_j}``, unscaled, because the switching key
+        carries the CRT idempotent ``1_j`` instead (:mod:`repro.fhe.keys`).
+        Returns one native storage per digit (over that digit's
+        sub-basis), a slice of ``data``: COEFF storage gives the digits
+        ModUp converts, EVAL storage their evaluations — the raised
+        digits' rows on their own primes
+        (:func:`repro.fhe.keys.raise_digits`).
         """
+        return [self.select_limbs(data, range(start, stop))
+                for start, stop in ksctx.digit_spans]
 
     @abc.abstractmethod
     def mod_up(self, digit: Any, digit_index: int,
                ksctx: KeySwitchContext) -> Any:
-        """Raise one scaled digit to the full extended basis C_l + P.
+        """Raise one digit to the full extended basis C_l + P.
 
         Approximate base conversion with centered residues: for each target
         prime p the result is ``sum_i c_i * (hat{q}_i mod p) mod p`` where

@@ -83,16 +83,6 @@ class ReferenceBackend(ComputeBackend):
 
     # -- key switching -----------------------------------------------------
 
-    def digit_decompose(self, data, ksctx):
-        digits = []
-        for (start, stop), hat_invs in zip(ksctx.digit_spans,
-                                           ksctx.digit_hat_inv):
-            primes = ksctx.ct_moduli[start:stop]
-            digits.append([mulmod_vec(limb, inv, q)
-                           for limb, inv, q in zip(data[start:stop],
-                                                   hat_invs, primes)])
-        return digits
-
     def mod_up(self, digit, digit_index, ksctx):
         basis = ksctx.digit_bases[digit_index]
         weights = ksctx.modup_weights[digit_index]

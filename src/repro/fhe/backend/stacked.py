@@ -123,11 +123,6 @@ class StackedBackend(ComputeBackend):
 
     # -- key switching -----------------------------------------------------
 
-    def digit_decompose(self, data, ksctx):
-        return [scale(data[start:stop])
-                for (start, stop), scale in zip(ksctx.digit_spans,
-                                                ksctx.digit_scale)]
-
     def mod_up(self, digit, digit_index, ksctx):
         # Centered y_i = [d_i * hat{q}_i^{-1}]_{q_i}, one sweep per stack,
         # then one (T, d) @ (d, N) product on either tier: exact float64

@@ -6,12 +6,17 @@ digits, each digit is raised to the extended basis C_l + P (ModUp), then
 multiplied with the corresponding switching-key component, and finally the
 accumulated pair is brought back down by dividing by P (ModDown).
 
-Switching keys here are generated lazily per (target-key, level) pair.  A
-production library shares one full-level key across levels; the per-level
-variant is mathematically identical for the limbs in use and keeps the
-implementation transparent.  Performance modeling
-always uses the paper-parameter key sizes from
-:meth:`repro.fhe.params.CkksParameters.switching_key_bytes`.
+A switching key is named by its id alone — ``relin``, ``rot-{r}`` or
+``conj``, as the trace and the simulator name it — and drawn once, at
+``max_level``, over the CRT-idempotent gadget production libraries use
+for hybrid key switching: digit j's key carries ``P * 1_j * s'``, where
+``1_j = hat{Q}_j * [hat{Q}_j^{-1}]_{Q_j} mod Q_L`` is 1 on digit j's
+primes and 0 on every other ciphertext prime.  The digit is then the
+unscaled residue ``[c]_{Q_j}``, and every term of the key relation
+``b_j + a_j*s = e_j + P*1_j*s'`` holds prime by prime, so the key
+restricted to C_l + P is a valid key at every level l, a truncated last
+digit included.  That is the key
+:meth:`repro.fhe.params.CkksParameters.switching_key_bytes` prices.
 
 There is no public key: the key owner encrypts under the secret
 (:class:`~repro.fhe.encryptor.CkksEncryptor`), and every other key is a
@@ -20,12 +25,13 @@ switching key, drawn when first asked for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .params import CkksParameters
 from .poly import (PolyContext, Polynomial, Representation,
                    conjugation_galois_element, rotation_galois_element)
-from .rns import KeySwitchContext, digit_spans as _digit_spans
+from .rns import KeySwitchContext, digit_spans
 
 
 @dataclass
@@ -39,17 +45,15 @@ class SecretKey:
 class SwitchingKey:
     """Hybrid switching key: one (b_j, a_j) pair per digit (EVAL).
 
-    Components live over the extended basis C_level + P as plain
-    residues; each key product is one ``%`` on the int64 tier, one
-    :func:`repro.fhe.modmath._mulmod_f64` on the double-word tier.
-    ``digit_spans`` records the [start, stop) limb range of each digit at
-    this level.
+    Components live over the top-level extended basis C_L + P as plain
+    residues, ``dnum`` pairs; a key switch at level l multiplies by their
+    restriction to C_l + P (:func:`key_product`).  Each key product is one
+    ``%`` on the int64 tier, one :func:`repro.fhe.modmath._mulmod_f64` on
+    the double-word tier.
     """
 
     bs: list[Polynomial]
     as_: list[Polynomial]
-    level: int
-    digit_spans: list[tuple[int, int]]
 
 
 class KeyGenerator:
@@ -64,68 +68,59 @@ class KeyGenerator:
         full_basis = params.moduli + params.special_moduli
         self.secret_key = SecretKey(s=self.context.random_ternary(
             full_basis, hamming_weight).to_eval())
-        self._switching_keys: dict[tuple[str, int, int], SwitchingKey] = {}
+        self._switching_keys: dict[tuple[str, int], SwitchingKey] = {}
 
     # -- switching keys ---------------------------------------------------
 
-    def relinearization_key(self, level: int) -> SwitchingKey:
-        """Key switching s^2 -> s at the given level (for HEMult)."""
-        return self._switching_key("relin", 0, level, self._square_secret)
+    def relinearization_key(self) -> SwitchingKey:
+        """Key switching s^2 -> s (for HEMult)."""
+        return self._switching_key("relin", 0, lambda s: s * s)
 
-    def rotation_key(self, rotation: int, level: int) -> SwitchingKey:
+    def rotation_key(self, rotation: int) -> SwitchingKey:
         """Key switching psi_r(s) -> s (for HERotate by ``rotation``)."""
         galois = rotation_galois_element(rotation,
                                          self.params.ring_degree)
+        # In EVAL form x -> x^g is a gather: no transform per key.
         return self._switching_key("rot", rotation % self.params.num_slots,
-                                   level,
-                                   lambda basis: self._automorphed_secret(
-                                       galois, basis))
+                                   lambda s: s.automorphism(galois))
 
-    def conjugation_key(self, level: int) -> SwitchingKey:
+    def conjugation_key(self) -> SwitchingKey:
         """Key switching conj(s) -> s (for complex conjugation)."""
         galois = conjugation_galois_element(self.params.ring_degree)
-        return self._switching_key(
-            "conj", 0, level,
-            lambda basis: self._automorphed_secret(galois, basis))
+        return self._switching_key("conj", 0,
+                                   lambda s: s.automorphism(galois))
 
-    def _square_secret(self, basis: tuple[int, ...]) -> Polynomial:
-        s = self.secret_key.s.at_basis(basis)
-        return s * s
-
-    def _automorphed_secret(self, galois: int,
-                            basis: tuple[int, ...]) -> Polynomial:
-        # In EVAL form x -> x^g is a gather: no transform per key.
-        return self.secret_key.s.at_basis(basis).automorphism(galois)
-
-    def _switching_key(self, kind: str, tag: int, level: int,
+    def _switching_key(self, kind: str, tag: int,
                        target_fn) -> SwitchingKey:
-        cache_key = (kind, tag, level)
+        cache_key = (kind, tag)
         cached = self._switching_keys.get(cache_key)
         if cached is not None:
             return cached
-        key = self._generate_switching_key(level, target_fn)
+        key = self._generate_switching_key(target_fn)
         self._switching_keys[cache_key] = key
         return key
 
-    def digit_spans(self, level: int) -> list[tuple[int, int]]:
-        """Digit limb ranges at ``level``: dnum spans of width alpha."""
-        return _digit_spans(level, self.params.alpha)
+    def _generate_switching_key(self, target_fn) -> SwitchingKey:
+        """Build evk_j = (-a_j*s + e_j + P*1_j*s_target, a_j) over C_L + P.
 
-    def _generate_switching_key(self, level: int, target_fn) -> SwitchingKey:
-        """Build evk_j = (-a_j*s + e_j + P*hat{Q}_j*s_target, a_j)."""
-        ksctx = self.context.backend.keyswitch_context(level)
-        extended = ksctx.extended
-        s = self.secret_key.s.at_basis(extended)
-        s_target = target_fn(extended)
+        ``P*1_j`` is ``P`` modulo digit j's primes and 0 modulo every
+        other prime of C_L + P: the CRT-idempotent gadget.
+        """
+        params = self.params
+        q_big = math.prod(params.moduli)
+        p_prod = math.prod(params.special_moduli)
+        s = self.secret_key.s
+        s_target = target_fn(s)
         bs, as_ = [], []
-        for hat_qj in ksctx.digit_hat:
-            factor = ksctx.p_prod * hat_qj
-            a_j = self.context.random_uniform(extended)
-            e_j = self.context.random_gaussian(extended, self.sigma).to_eval()
-            bs.append(-(a_j * s) + e_j + s_target.scalar_mul(factor))
+        for start, stop in digit_spans(params.max_level, params.alpha):
+            q_j = math.prod(params.moduli[start:stop])
+            hat_qj = q_big // q_j
+            one_j = hat_qj * pow(hat_qj, -1, q_j) % q_big
+            a_j = self.context.random_uniform(s.moduli)
+            e_j = self.context.random_gaussian(s.moduli, self.sigma).to_eval()
+            bs.append(-(a_j * s) + e_j + s_target.scalar_mul(p_prod * one_j))
             as_.append(a_j)
-        return SwitchingKey(bs=bs, as_=as_, level=level,
-                            digit_spans=list(ksctx.digit_spans))
+        return SwitchingKey(bs=bs, as_=as_)
 
 
 def raise_digits(poly: Polynomial,
@@ -134,15 +129,13 @@ def raise_digits(poly: Polynomial,
 
     Takes an EVAL polynomial over ``ksctx.ct_moduli`` and returns one
     EVAL polynomial per digit over the extended basis C_l + P, ready for
-    the key product.  The one inverse transform of ``poly`` here is
-    forced — base conversion reads coefficients — but on the digit's own
-    primes nothing is converted: every term of
-    ``sum_i c_i * hat{q}_i`` except ``i = j`` carries the factor ``q_j``,
-    so the raised digit is the scaled digit itself there, and scaling
-    commutes with the per-limb NTT.  Those rows are ``poly``'s existing
-    evaluations times ``[hat{Q}_j^{-1}]_{q_i}``; only the rest of the
-    extended basis — the runs before and after the digit's span — goes
-    through the forward transform.
+    the key product.  Digit j is the unscaled residue ``[c]_{Q_j}``, a
+    slice of ``poly``'s limbs.  The one inverse transform of ``poly`` here
+    is forced — base conversion reads coefficients — but on the digit's
+    own primes nothing is converted: there the raised digit is ``c``
+    itself, so those rows are ``poly``'s existing evaluations; only the
+    rest of the extended basis — the runs before and after the digit's
+    span — goes through the forward transform.
 
     Rotation hoisting calls this once and reuses the raised digits across
     a whole batch of automorphisms: ModUp uses centered residues (see
@@ -182,10 +175,14 @@ def key_product(raised: list[Polynomial], key: SwitchingKey,
     ``raised`` are the EVAL digits of :func:`raise_digits` (or a gather
     of them); ``acc`` is a pair to add to, ``None`` for zero.  A rotation
     group sums every rotation's product here and divides by P once.
+    The top-level key is restricted to the digits' basis C_l + P, one
+    gather per key polynomial, and only the digits live at level l take
+    part.
     """
+    basis = raised[0].moduli
     acc0, acc1 = (None, None) if acc is None else acc
     for d_j, b_j, a_j in zip(raised, key.bs, key.as_):
-        t0, t1 = d_j * b_j, d_j * a_j
+        t0, t1 = d_j * b_j.at_basis(basis), d_j * a_j.at_basis(basis)
         acc0 = t0 if acc0 is None else acc0 + t0
         acc1 = t1 if acc1 is None else acc1 + t1
     return acc0, acc1
@@ -202,22 +199,21 @@ def inner_product_keyswitch(raised: list[Polynomial], key: SwitchingKey,
     return mod_down_poly(acc0, ksctx), mod_down_poly(acc1, ksctx)
 
 
-def key_switch(poly: Polynomial, key: SwitchingKey,
-               params: CkksParameters) -> tuple[Polynomial, Polynomial]:
-    """Hybrid key switch of ``poly`` (EVAL, basis C_level) using ``key``.
+def key_switch(poly: Polynomial,
+               key: SwitchingKey) -> tuple[Polynomial, Polynomial]:
+    """Hybrid key switch of ``poly`` (EVAL, basis C_l) using ``key``.
 
-    Returns the pair (ks0, ks1) over C_level such that
+    Returns the pair (ks0, ks1) over C_l such that
     ks0 + ks1*s ~ poly * s_source (small noise).  This is the paper's
     KeySwitch operation: digit decompose -> ModUp -> key product -> ModDown,
     with every per-level constant coming from the backend's cached
-    :class:`~repro.fhe.rns.KeySwitchContext`.
+    :class:`~repro.fhe.rns.KeySwitchContext` of ``poly``'s level.
     """
-    context = poly.context
-    ksctx = context.backend.keyswitch_context(key.level)
-    if tuple(poly.moduli) != ksctx.ct_moduli:
-        raise ValueError("polynomial basis does not match key level")
-    if list(key.digit_spans) != list(ksctx.digit_spans):
-        raise ValueError("switching key digit layout does not match level")
+    moduli = tuple(poly.moduli)
+    if moduli != tuple(poly.context.params.moduli[:len(moduli)]):
+        raise ValueError("key switch takes a polynomial over C_l, a prefix "
+                         "of the ciphertext moduli")
+    ksctx = poly.context.backend.keyswitch_context(len(moduli) - 1)
     raised = raise_digits(poly, ksctx)
     return inner_product_keyswitch(raised, key, ksctx)
 
@@ -235,13 +231,3 @@ def mod_down_poly(poly: Polynomial, ksctx: KeySwitchContext) -> Polynomial:
     data = context.backend.mod_down(poly.data, ksctx)
     return Polynomial(context, data, ksctx.ct_moduli, Representation.EVAL)
 
-
-def mod_down(poly: Polynomial, params: CkksParameters,
-             level: int) -> Polynomial:
-    """ModDown: divide an extended-basis polynomial by P, back to C_level.
-
-    x' = (x - lift([x]_P)) * P^{-1} mod q_i, with an exact centered lift of
-    the P-part so no overshoot survives the division.  Thin wrapper over the
-    backend kernel; the per-level constants are cached.
-    """
-    return mod_down_poly(poly, poly.context.backend.keyswitch_context(level))

@@ -436,8 +436,8 @@ def scalar_mul_stack(a: np.ndarray, scalars: list[int], moduli) -> np.ndarray:
 class BoundScalarMul:
     """:func:`scalar_mul_stack` for per-limb constants that never change.
 
-    The per-level constants of the key-switch datapath (``hat{Q}_j^{-1}``,
-    ``hat{q}_i^{-1}``, ``P^{-1}``, ``q_last^{-1}``) are fixed per modulus
+    The per-level constants of the key-switch datapath (``hat{q}_i^{-1}``,
+    ``P^{-1}``, ``q_last^{-1}``) are fixed per modulus
     chain, so everything :func:`scalar_mul_stack` re-derives per call is
     resolved here once: the reduced scalars, the kernel class of the
     basis, and the ready ``(L, 1)`` columns — on the double-word tier the

@@ -288,7 +288,11 @@ class Polynomial:
 
         Limbs are selected by modulus, so the target may be a prefix
         (level drop) or a prefix + the special primes (key switching).
+        This polynomial's own basis selects nothing: kernels never write
+        their inputs, so it is returned as it is.
         """
+        if tuple(moduli) == tuple(self.moduli):
+            return self
         index = {q: i for i, q in enumerate(self.moduli)}
         try:
             picks = [index[q] for q in moduli]

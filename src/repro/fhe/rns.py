@@ -242,10 +242,10 @@ class KeySwitchContext:
 
     Digit decomposition and ModUp
 
-    * ``digit_hat_inv[j]`` — the per-limb residues of
-      ``hat{Q}_j^{-1} mod Q_j`` that scale digit j during decomposition;
-      ``digit_scale[j]`` is the same scaling bound to its columns
-      (:class:`~repro.fhe.modmath.BoundScalarMul`),
+    * ``digit_spans[j]`` — the limb range of digit j; the digit is the
+      unscaled residue ``[x]_{Q_j}`` of those limbs, which the switching
+      key's CRT-idempotent gadget (:mod:`repro.fhe.keys`) makes exact,
+    * ``digit_bases[j]`` — digit j's primes with their CRT tables,
     * ``digit_unpuncture[j]`` — the bound ``hat{q}_i^{-1}`` scaling that
       starts ModUp, with ``digit_q_col[j]`` / ``digit_half_col[j]`` to
       center its result,
@@ -297,9 +297,6 @@ class KeySwitchContext:
         self.extended = ct_moduli + special
         self.num_ct = len(ct_moduli)
         self.digit_spans = digit_spans(level, params.alpha)
-        self.q_big = 1
-        for q in ct_moduli:
-            self.q_big *= q
         self.p_basis = RnsBasis(list(special))
         self.p_prod = self.p_basis.big_modulus
         self.p_inv = [invmod(self.p_prod % q, q) for q in ct_moduli]
@@ -321,9 +318,6 @@ class KeySwitchContext:
             max(ct_moduli))
         self.moddown_lift_matmul = self.moddown_lift_table = None
         self.digit_bases: list[RnsBasis] = []
-        self.digit_hat_inv: list[list[int]] = []
-        self.digit_hat: list[int] = []
-        self.digit_scale: list[BoundScalarMul] = []
         self.digit_unpuncture: list[BoundScalarMul] = []
         self.digit_q_col: list[np.ndarray] = []
         self.digit_half_col: list[np.ndarray] = []
@@ -331,13 +325,7 @@ class KeySwitchContext:
         self.modup_tables: list[tuple] = []
         for start, stop in self.digit_spans:
             basis = RnsBasis(list(ct_moduli[start:stop]))
-            hat_qj = self.q_big // basis.big_modulus
-            hat_qj_inv = invmod(hat_qj % basis.big_modulus, basis.big_modulus)
             self.digit_bases.append(basis)
-            self.digit_hat.append(hat_qj)
-            self.digit_hat_inv.append([hat_qj_inv % q for q in basis.primes])
-            self.digit_scale.append(
-                BoundScalarMul(self.digit_hat_inv[-1], basis.primes))
             self.digit_unpuncture.append(
                 BoundScalarMul(basis.punctured_inv, basis.primes))
             self.digit_q_col.append(column(basis.primes))

@@ -201,10 +201,16 @@ class TestPaperWordBitExact:
     ``(NTT(m + e) - a*s, a)``: the pipeline's inputs draw ``a`` and one
     ``e`` where they drew ``u``, ``e0`` and ``e1``, and no public key is
     drawn first.  The digest was recorded at commit 693746e, before
-    that change, and re-recorded after it: ``e26afb94…`` -> ``89e5762e…``."""
+    that change, and re-recorded after it: ``e26afb94…`` -> ``89e5762e…``.
+
+    Switching keys then became one key per id, drawn once at
+    ``max_level`` over the CRT-idempotent gadget (``P * 1_j * s'``, the
+    digit the unscaled residue ``[c]_{Q_j}``), so every key product of
+    the pipeline moved.  Recorded at commit 5c8a22f, before that change,
+    and re-recorded after it: ``89e5762e…`` -> ``e69b19df…``."""
 
     SEED_OBJECT_DIGEST = \
-        "89e5762e15addb466ea337e2fcfc2e6d7c7687292bd539e99406b993fa71f1bc"
+        "e69b19df389e770a5b990a8a3d35c75bffa3d7049293f894402ce79686618f4d"
 
     PARAMS_54 = CkksParameters._build(ring_degree=1 << 8, scale_bits=50,
                                       prime_bits=54, max_level=4,

@@ -1,13 +1,14 @@
 """Tests for the CKKS bootstrapping pipeline.
 
 The full end-to-end bootstrap is the most expensive functional test in the
-suite (~20 s); individual stages are tested separately and cheaply.
+suite (about 2.5 s a bootstrap on ``stacked``); individual stages are
+tested separately and cheaply.
 """
 
 import numpy as np
 import pytest
 
-from repro.fhe import CkksContext
+from repro.fhe import CkksContext, keys
 from repro.fhe.bootstrap import BootstrapConfig, Bootstrapper
 
 
@@ -81,7 +82,25 @@ class TestStages:
 
 @pytest.mark.slow
 class TestEndToEnd:
-    """Full bootstrap pipeline: ~40s; excluded from the fast CI lane."""
+    """Full bootstrap pipeline: about 6 s on the ``stacked`` backend;
+    excluded from the fast CI lane."""
+
+    def test_one_bootstrap_builds_one_key_per_id(self, monkeypatch):
+        """A key is drawn once, at ``max_level``, and serves every level
+        the bootstrap switches keys at: 46 ids, 46 keys (99 while keys
+        were drawn per level)."""
+        drawn = []
+        generate = keys.KeyGenerator._generate_switching_key
+
+        def counting(self, target_fn):
+            drawn.append(target_fn)
+            return generate(self, target_fn)
+
+        monkeypatch.setattr(keys.KeyGenerator, "_generate_switching_key",
+                            counting)
+        ctx = CkksContext.bootstrappable(seed=31)
+        ctx.bootstrapper().bootstrap(ctx.encrypt([0.01], level=1))
+        assert len(drawn) == len(ctx.keygen._switching_keys) == 46
 
     def test_full_bootstrap_refreshes_level(self, boot_ctx, bootstrapper):
         rng = np.random.default_rng(2)

@@ -57,6 +57,22 @@ re-recorded after it; every other entry held.  Old -> new:
 * decrypt pw54 affine: ``910fba2a…`` -> ``0359ef29…``;
 * decrypt toy scoring: ``da9b5174…`` -> ``c72b1391…``;
 * decrypt toy affine: ``3a6356b2…`` -> ``df89d839…``.
+
+A switching key became one key per id, drawn once at ``max_level``
+over the CRT-idempotent gadget: digit j's key carries ``P * 1_j * s'``
+where it carried ``P * hat{Q}_j * s'``, and the digit is the unscaled
+residue ``[c]_{Q_j}`` where it was ``[c * hat{Q}_j^{-1}]_{Q_j}``.  The
+scoring result carries other key-switch noise, and every key now draws
+over the whole top-level basis where a key for a lower level drew fewer
+rows, so the affine case, encrypted on the same context after the
+scoring case, draws other randomness too.  Recorded at commit 5c8a22f,
+before that change, and re-recorded after it; every other entry held.
+Old -> new:
+
+* decrypt pw54 scoring: ``63fd61f1…`` -> ``d337dad8…``;
+* decrypt pw54 affine: ``0359ef29…`` -> ``e2499eb8…``;
+* decrypt toy scoring: ``c72b1391…`` -> ``8e190b90…``;
+* decrypt toy affine: ``df89d839…`` -> ``5ea6ae8a…``.
 """
 
 import hashlib
@@ -269,7 +285,7 @@ def _decrypt_digests(params, backend) -> dict[str, str]:
 
 DECRYPT_PINS = {
     ("pw54", "affine"):
-        "0359ef2998b506070174ed580d956137bcf0af12c68ab3c020d7d59772b2c89e",
+        "e2499eb8334539b07a455d8fd935e946fc2ea033800f48ab31081c2faf28d1a1",
     ("pw54", "fresh_2_80"):
         "1a7cb6ab39a8e217503abddc7dcd0324541d21d8df599249c152f416605b76c0",
     ("pw54", "fresh_complex"):
@@ -281,7 +297,7 @@ DECRYPT_PINS = {
     ("pw54", "fresh_l5"):
         "45d122c1e986f94171cf9969b12b624de21097c0f80f5dc254f86d893b0f2e6c",
     ("pw54", "scoring"):
-        "63fd61f187eeccdb35e158db51b2aa60a09f617158d3f380fc6fc629adcb7e05",
+        "d337dad8487e59a28f18a9bea9fc000a003d9cf33262776ade5572370bcf998e",
     ("test", "fresh_2_80"):
         "aa7d3394fe185d4cd2972d2e54c97004fb7411c565dcbed918ada8ff04efe7ef",
     ("test", "fresh_complex"):
@@ -293,7 +309,7 @@ DECRYPT_PINS = {
     ("test", "fresh_l7"):
         "318f76ada9068ef5e003143c1c4844f0b7b96658489488f924c38ba5d95f0415",
     ("toy", "affine"):
-        "df89d839d60fbb20049b40de8ca9eccfd293c2d78cf5c1ba424a68cc762559ee",
+        "5ea6ae8ae1bf90134eb7fb43353876483c6edc906c573da51c2c4a5bf33d1824",
     ("toy", "fresh_2_80"):
         "c9f8a712be6a065c220ec3818847d00d025914bcd10737e055524c200b6c83ea",
     ("toy", "fresh_complex"):
@@ -305,7 +321,7 @@ DECRYPT_PINS = {
     ("toy", "fresh_l5"):
         "ca02381c37a4a36368c2b35854dd9e6a5422fc7d3b4860833281d14c531f95b3",
     ("toy", "scoring"):
-        "c72b1391c2e3be9db6bb147a010ef7d5105b9edeae9572b4a19ba2ed39701243",
+        "8e190b90e99ddc06e179b985b3c336e60f33516eab6199cd50d8d7054391e711",
 }
 
 

@@ -56,12 +56,12 @@ def test_warm_dword_key_switch_never_walks_word_planes(monkeypatch):
     ctx = CkksContext(PW54, seed=5, backend="stacked")
     ct = ctx.encrypt([1.0, -0.5, 0.25])
     assert ct.level == 5
-    key = ctx.keygen.relinearization_key(ct.level)
-    want = key_switch(ct.c1, key, PW54)
+    key = ctx.keygen.relinearization_key()
+    want = key_switch(ct.c1, key)
     convert_exact = Calls(monkeypatch, rns.RnsBasis, "convert_exact")
     crt_sum = Calls(monkeypatch, rns.RnsBasis, "_total_object")
     round_quotient = Calls(monkeypatch, rns.RnsBasis, "round_quotient")
-    got = key_switch(ct.c1, key, PW54)
+    got = key_switch(ct.c1, key)
     assert convert_exact.count == crt_sum.count == 0
     # The Python-integer quotient is for coefficients within P * 2**-40
     # of +-P/2 only; random ones never get there.
@@ -95,8 +95,8 @@ def test_a_warm_key_switch_is_one_matmul_per_digit_and_one_per_lift(
     params = PRESETS[preset]()
     ctx = CkksContext(params, seed=5, backend="stacked")
     ct = ctx.encrypt([1.0, -0.5, 0.25])
-    key = ctx.keygen.relinearization_key(ct.level)
-    want = key_switch(ct.c1, key, params)
+    key = ctx.keygen.relinearization_key()
+    want = key_switch(ct.c1, key)
     ksctx = ctx.keygen.context.backend.keyswitch_context(ct.level)
     conversions = []
     left = BoundModMatmul.left
@@ -110,7 +110,7 @@ def test_a_warm_key_switch_is_one_matmul_per_digit_and_one_per_lift(
 
     monkeypatch.setattr(BoundModMatmul, "left", counting)
     convert_exact = Calls(monkeypatch, rns.RnsBasis, "convert_exact")
-    got = key_switch(ct.c1, key, params)
+    got = key_switch(ct.c1, key)
     digits = len(ksctx.digit_spans)
     assert digits == 2
     # One ModUp per digit, one lift per polynomial of the pair.
@@ -232,7 +232,7 @@ def test_one_remainder_per_product_and_none_per_transform(preset,
         assert np.array_equal(a.data, b.data)
     # A cold key: one product per digit (a_j * s), and nothing else.
     spy.calls["mul"] = spy.remainders["mul"] = 0
-    ctx.keygen.rotation_key(7, ct.level)
+    ctx.keygen.rotation_key(7)
     assert spy.calls["mul"] == params.dnum
     assert spy.remainders["mul"] == per_product * params.dnum
 

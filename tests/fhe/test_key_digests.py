@@ -45,6 +45,19 @@ commit 693746e, before that change, and re-recorded after it.  Old -> new:
 * conjugation, pw54: ``dc80eaf3…`` -> ``e0204508…``;
 * rotation, toy: ``4835c721…`` -> ``89f80140…``;
 * conjugation, toy: ``1e3e6643…`` -> ``bb69b5e9…``.
+
+A switching key became one key per id, drawn once at ``max_level``
+over the CRT-idempotent gadget: digit j's key carries ``P * 1_j * s'``
+where it carried ``P * hat{Q}_j * s'``, and the digit is the unscaled
+residue ``[c]_{Q_j}`` where it was ``[c * hat{Q}_j^{-1}]_{Q_j}``.  The
+keys lose their level argument; both were already drawn at
+``max_level`` here.  All four digests were recorded at commit 5c8a22f,
+before that change, and re-recorded after it.  Old -> new:
+
+* rotation, toy: ``89f80140…`` -> ``5e1a6260…``;
+* conjugation, toy: ``bb69b5e9…`` -> ``09a3b197…``;
+* rotation, pw54: ``8cd53330…`` -> ``ceb3ff2a…``;
+* conjugation, pw54: ``e0204508…`` -> ``b3fbe781…``.
 """
 
 import hashlib
@@ -57,13 +70,13 @@ from test_parent_digests import PRESETS
 
 PARENT_KEY_DIGESTS = {
     ("rotation", "toy"):
-        "89f80140190f49039d46371f6b65506126cb64b0b88b1048a02c52fcb4b060bc",
+        "5e1a62604fbf7823a89ada393687273345687ca8a2f037aab2a58b016875342c",
     ("conjugation", "toy"):
-        "bb69b5e9113f30be8eb817c7563fa70e551c7b716814df05f1a82f61372ac5ef",
+        "09a3b1971a23dd4e69cfdf40c17c47a25e11af8be177eddb112c70c1fa887ddc",
     ("rotation", "pw54"):
-        "8cd53330075833ce53320ae613508ac597a67cbf275d035d1df932eaab49e2e4",
+        "ceb3ff2a2ef30b010e69bcea444be2dd32eb65a4483d44cf743864e8a77b1d91",
     ("conjugation", "pw54"):
-        "e020450855a5a27f7a34b74fe97b650beb6872bb5b7e57834c1cf844bf50a609",
+        "b3fbe78178a864724ff88016962c1073b774d00c8787b3a882d1026c93ea1457",
 }
 
 
@@ -81,7 +94,7 @@ def test_key_bits_match_the_parent_commit(preset, backend):
     params = PRESETS[preset]()
     keygen = CkksContext(params, seed=123, backend=backend).keygen
     # Same order as when recorded: the keys share one RNG stream.
-    rotation = _digest(keygen.rotation_key(3, params.max_level))
-    conjugation = _digest(keygen.conjugation_key(params.max_level))
+    rotation = _digest(keygen.rotation_key(3))
+    conjugation = _digest(keygen.conjugation_key())
     assert rotation == PARENT_KEY_DIGESTS[("rotation", preset)]
     assert conjugation == PARENT_KEY_DIGESTS[("conjugation", preset)]

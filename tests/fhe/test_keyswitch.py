@@ -1,19 +1,26 @@
 """The batched key-switch pipeline: backend ops, caching, and hoisting.
 
-Covers the PR-2 tentpole: the ``digit_decompose`` / ``mod_up`` /
-``mod_down`` backend ops must be bit-exact across backends, the per-level
-``KeySwitchContext`` tables must be cached, and rotations from a hoisted
-handle must reproduce the sequential ``he_rotate`` path bit for bit
-(centered ModUp makes the raised digits commute with automorphisms).
+The ``digit_decompose`` / ``mod_up`` / ``mod_down`` backend ops must be
+bit-exact across backends, the per-level ``KeySwitchContext`` tables
+must be cached, and rotations from a hoisted handle must reproduce the
+sequential ``he_rotate`` path bit for bit (centered ModUp makes the
+raised digits commute with automorphisms).  A switching key is drawn
+once, at ``max_level``, over the CRT-idempotent gadget: its relation
+holds prime by prime, so it is a valid key at every level.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.fhe import (CkksContext, CkksParameters, PolyContext,
                        Representation)
-from repro.fhe.keys import key_switch, mod_down, raise_digits
+from repro.fhe import keys
+from repro.fhe.keys import key_switch, mod_down_poly, raise_digits
+from repro.fhe.poly import rotation_galois_element
 from repro.fhe.rns import KeySwitchContext, digit_spans
+from test_parent_digests import PRESETS
 
 TOY = CkksParameters.toy()
 
@@ -51,20 +58,6 @@ class TestKeySwitchContext:
 
     def test_tables_match_direct_computation(self):
         ksctx = KeySwitchContext(TOY, TOY.max_level)
-        q_big = 1
-        for q in ksctx.ct_moduli:
-            q_big *= q
-        assert ksctx.q_big == q_big
-        for (start, stop), hat_qj, invs in zip(ksctx.digit_spans,
-                                               ksctx.digit_hat,
-                                               ksctx.digit_hat_inv):
-            digit_prod = 1
-            for q in ksctx.ct_moduli[start:stop]:
-                digit_prod *= q
-            assert hat_qj == q_big // digit_prod
-            hat_inv = pow(hat_qj % digit_prod, -1, digit_prod)
-            assert invs == [hat_inv % q
-                            for q in ksctx.ct_moduli[start:stop]]
         for q, p_inv in zip(ksctx.ct_moduli, ksctx.p_inv):
             assert (p_inv * ksctx.p_prod) % q == 1
 
@@ -122,26 +115,131 @@ class TestBackendOpsBitExact:
         stk = PolyContext(TOY, seed=3, backend="stacked")
         p_ref = ref.random_uniform(extended, Representation.EVAL)
         p_stk = stk.random_uniform(extended, Representation.EVAL)
-        assert limbs_equal(mod_down(p_ref, TOY, level),
-                           mod_down(p_stk, TOY, level))
+        assert limbs_equal(
+            mod_down_poly(p_ref, ref.backend.keyswitch_context(level)),
+            mod_down_poly(p_stk, stk.backend.keyswitch_context(level)))
 
     def test_key_switch_matches(self, contexts):
         ref, stk = contexts
         ct_ref = ref.encrypt([1.5, -2.25, 3.0])
         ct_stk = stk.encrypt([1.5, -2.25, 3.0])
-        key_ref = ref.keygen.relinearization_key(ct_ref.level)
-        key_stk = stk.keygen.relinearization_key(ct_stk.level)
-        ks_ref = key_switch(ct_ref.c1, key_ref, TOY)
-        ks_stk = key_switch(ct_stk.c1, key_stk, TOY)
+        key_ref = ref.keygen.relinearization_key()
+        key_stk = stk.keygen.relinearization_key()
+        ks_ref = key_switch(ct_ref.c1, key_ref)
+        ks_stk = key_switch(ct_stk.c1, key_stk)
         assert limbs_equal(ks_ref[0], ks_stk[0])
         assert limbs_equal(ks_ref[1], ks_stk[1])
 
     def test_key_switch_rejects_wrong_basis(self, contexts):
         ref, _ = contexts
         ct = ref.encrypt([1.0], level=2)
-        key = ref.keygen.relinearization_key(3)
-        with pytest.raises(ValueError, match="does not match key level"):
-            key_switch(ct.c1, key, TOY)
+        key = ref.keygen.relinearization_key()
+        # Not a prefix of the ciphertext moduli; the extended basis.
+        for poly in (ct.c1.at_basis(TOY.moduli[1:3]),
+                     ref.keygen.secret_key.s):
+            with pytest.raises(ValueError, match="prefix"):
+                key_switch(poly, key)
+
+
+def _one(params, j):
+    """The CRT idempotent ``1_j`` of top-level digit j, from integers."""
+    start, stop = digit_spans(params.max_level, params.alpha)[j]
+    q_big = math.prod(params.moduli)
+    digit = math.prod(params.moduli[start:stop])
+    hat = q_big // digit
+    return hat * pow(hat, -1, digit) % q_big
+
+
+def _key_ids(keygen) -> set[str]:
+    return {f"{kind}-{tag}" if kind == "rot" else kind
+            for kind, tag in keygen._switching_keys}
+
+
+class TestTopLevelKeys:
+    """One key per id, drawn at ``max_level``, valid at every level."""
+
+    @pytest.mark.parametrize("backend", ["reference", "stacked"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_the_key_relation_holds_at_every_level(self, preset, backend):
+        """``b_j + a_j*s - P*1_j*s'`` over C_l + P is the key's Gaussian
+        error for every level l and every digit live at l: the same
+        small integers on every limb."""
+        params = PRESETS[preset]()
+        keygen = CkksContext(params, seed=17, backend=backend).keygen
+        galois = rotation_galois_element(1, params.ring_degree)
+        p_prod = math.prod(params.special_moduli)
+        for key, target in (
+                (keygen.rotation_key(1),
+                 lambda s: s.automorphism(galois)),
+                (keygen.relinearization_key(), lambda s: s * s)):
+            assert len(key.bs) == len(key.as_) == params.dnum
+            for level in range(params.max_level + 1):
+                basis = params.moduli[:level + 1] + params.special_moduli
+                s = keygen.secret_key.s.at_basis(basis)
+                live = digit_spans(level, params.alpha)
+                for j in range(len(live)):
+                    b_j = key.bs[j].at_basis(basis)
+                    a_j = key.as_[j].at_basis(basis)
+                    gadget = target(s).scalar_mul(p_prod * _one(params, j))
+                    error = (b_j + a_j * s - gadget).to_coeff()
+                    rows = [np.asarray(limb, dtype=np.int64)
+                            for limb in error.limbs]
+                    rows = [np.where(row > q // 2, row - q, row)
+                            for row, q in zip(rows, basis)]
+                    assert max(int(np.abs(row).max()) for row in rows) <= 64
+                    for row in rows[1:]:
+                        assert np.array_equal(row, rows[0])
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_one_key_decrypts_at_the_top_and_at_level_one(self, preset):
+        params = PRESETS[preset]()
+        ctx = CkksContext(params, seed=19)
+        ev = ctx.evaluator
+        z = np.random.default_rng(4).uniform(-1, 1, params.num_slots)
+        for level in (params.max_level, 1):
+            ct = ctx.encrypt(z, level=level)
+            rotated = ctx.decrypt(ev.he_rotate(ct, 1)).real
+            squared = ctx.decrypt(ev.he_square(ct)).real
+            assert np.max(np.abs(rotated - np.roll(z, -1))) < 1e-4
+            assert np.max(np.abs(squared - z * z)) < 1e-4
+        assert _key_ids(ctx.keygen) == {"relin", "rot-1"}
+
+    def test_no_key_is_drawn_at_a_new_level(self, monkeypatch):
+        drawn = []
+        generate = keys.KeyGenerator._generate_switching_key
+
+        def counting(self, target_fn):
+            drawn.append(target_fn)
+            return generate(self, target_fn)
+
+        monkeypatch.setattr(keys.KeyGenerator, "_generate_switching_key",
+                            counting)
+        ctx = CkksContext(TOY, seed=21)
+        for level in (5, 3, 1):
+            ct = ctx.encrypt([0.5, -0.25, 1.0], level=level)
+            ctx.evaluator.he_square(ctx.evaluator.he_rotate(ct, 1))
+        assert len(drawn) == 2
+
+
+class TestLibraryModelKeyParity:
+    """The keys the library holds are the keys the model names and
+    prices: one per id, each ``dnum`` digits over C_L + P."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_scoring_builds_the_keys_its_trace_names(self, preset):
+        from repro.serve.workloads import scoring_workload
+
+        params = PRESETS[preset]()
+        plan = scoring_workload(16).compile(params)
+        ctx = CkksContext(params, seed=23)
+        plan.execute(ctx, sources=[ctx.encrypt([0.5] * 16)])
+        assert _key_ids(ctx.keygen) == plan.trace.keys_used()
+        limbs = params.num_limbs + params.num_special_limbs
+        for key in ctx.keygen._switching_keys.values():
+            assert len(key.bs) == len(key.as_) == params.dnum
+            assert all(poly.num_limbs == limbs for poly in key.bs + key.as_)
+        assert params.switching_key_bytes() \
+            == params.dnum * 2 * limbs * params.limb_bytes()
 
 
 class TestWideDigitFallback:
@@ -208,7 +306,7 @@ class TestModUpOvershoot:
         for j, digit in enumerate(digits):
             basis = ksctx.digit_bases[j]
             raised = ctx.backend.mod_up(digit, j, ksctx)
-            # Exact digit value, centered, from the scaled residues.
+            # Exact digit value, centered, from its residues.
             centered = basis.compose_centered_vec(list(digit))
             half = (basis.size + 1) // 2
             for t, p in enumerate(ksctx.extended):

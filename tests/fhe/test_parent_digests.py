@@ -28,6 +28,18 @@ new:
 
 * scoring, toy: ``dd16d78f…`` -> ``b8724dea…``;
 * scoring, pw54: ``400abb6e…`` -> ``00da5f94…``.
+
+A switching key became one key per id, drawn once at ``max_level``
+over the CRT-idempotent gadget: digit j's key carries ``P * 1_j * s'``
+where it carried ``P * hat{Q}_j * s'``, and the digit is the unscaled
+residue ``[c]_{Q_j}`` where it was ``[c * hat{Q}_j^{-1}]_{Q_j}``.  Every
+key product moved, so all four digests were recorded at commit 5c8a22f,
+before that change, and re-recorded after it.  Old -> new:
+
+* scoring, toy: ``b8724dea…`` -> ``aa0ec64f…``;
+* scoring, pw54: ``00da5f94…`` -> ``019b02f2…``;
+* galois_mult, toy: ``b076c9a9…`` -> ``7fe05ddd…``;
+* galois_mult, pw54: ``64813f77…`` -> ``ffa04d32…``.
 """
 
 import hashlib
@@ -50,13 +62,13 @@ PRESETS = {"toy": CkksParameters.toy, "pw54": _pw54}
 
 PARENT_DIGESTS = {
     ("scoring", "toy"):
-        "b8724dea8f25a290da3f6c42972d90321762ab37b9b7d48324e369cdd5dbfbf9",
+        "aa0ec64fb007c076f9573cb2d392130595f5acc877bb2b53aa82651ecdfd0c47",
     ("scoring", "pw54"):
-        "00da5f944c058979bdce4f0c8386c4cd16ab538411951e7628a75bcf2641723f",
+        "019b02f234992fb26c144fc0f7ae76af21c4d2de03c3192dc9c2acde9a86f5c1",
     ("galois_mult", "toy"):
-        "b076c9a934d0a36baa3e4aeba3a5bfeec34b6298ecf8b1da913cc6d62a996c2f",
+        "7fe05ddda7ec8bd70c866c9f05fce51f782ca88e2d67a131f8e246904459e503",
     ("galois_mult", "pw54"):
-        "64813f77c377dc7663a245265bd6b09650594d9818d89a8392756d807f8eafa4",
+        "ffa04d32a7c051ca104237de99233cca5b97cfa13039df8e053ef491d81236da",
 }
 
 

@@ -72,9 +72,9 @@ class Budget:
         self.pt = self.ctx.encoder.encode(rng.uniform(-1, 1, 8))
         # Key generation transforms too; it is not what is budgeted.
         for rotation in (1, 2, 3, 4, 8, 12):
-            self.ctx.keygen.rotation_key(rotation, level)
-        self.ctx.keygen.conjugation_key(level)
-        self.ctx.keygen.relinearization_key(level)
+            self.ctx.keygen.rotation_key(rotation)
+        self.ctx.keygen.conjugation_key()
+        self.ctx.keygen.relinearization_key()
 
     def rows(self, op) -> int:
         before = self.backend.rows
@@ -111,9 +111,9 @@ def test_presets_cover_two_shapes(budget):
 
 
 def test_key_switch(budget):
-    key = budget.ctx.keygen.relinearization_key(budget.level)
+    key = budget.ctx.keygen.relinearization_key()
     assert budget.rows(lambda: key_switch(
-        budget.ct.c1, key, budget.ctx.params)) == budget.key_switch
+        budget.ct.c1, key)) == budget.key_switch
 
 
 def test_rotate_and_conjugate_are_one_key_switch(budget):

@@ -13,8 +13,9 @@ underneath both in Python integers.  One on-disk form of a program:
 residue: the plain one, and one storage: int64 — two kernel tiers and
 no object tier, a modulus of 2**56 or more refused.  One harness per
 question: a floor is a test id.  One encryption: the key owner's, under
-the secret key, with no public key.  Each case pins the absence of the
-fork it names.
+the secret key, with no public key.  One switching key per id, drawn once
+at ``max_level``: no level on a key and no per-level digit scaling.  Each
+case pins the absence of the fork it names.
 """
 
 import ast
@@ -537,3 +538,26 @@ def test_the_key_owner_encrypts_and_there_is_no_public_key():
         assert not hasattr(keys.KeyGenerator, gone), gone
     keygen = keys.KeyGenerator(CkksParameters.toy(), seed=1)
     assert not hasattr(keygen, "public_key")
+
+
+# -- one switching key per id ------------------------------------------------
+
+def test_a_switching_key_is_named_by_its_id_alone():
+    """A key is drawn once, at ``max_level``, over the CRT-idempotent
+    gadget: it carries no level or digit layout, the key-switch tables
+    hold no digit scaling, a key getter takes no level, and digit
+    decomposition is one limb-slicing method shared by both backends."""
+    assert {field.name for field in dataclasses.fields(keys.SwitchingKey)} \
+        == {"bs", "as_"}
+    ksctx = rns.KeySwitchContext(CkksParameters.toy(), 5)
+    for gone in ("digit_scale", "digit_hat", "digit_hat_inv"):
+        assert not hasattr(ksctx, gone), gone
+    for getter in ("relinearization_key", "rotation_key", "conjugation_key"):
+        signature = inspect.signature(getattr(keys.KeyGenerator, getter))
+        assert "level" not in signature.parameters, getter
+    assert not hasattr(keys.KeyGenerator, "digit_spans")
+    assert not hasattr(keys, "mod_down")
+    assert list(inspect.signature(keys.key_switch).parameters) \
+        == ["poly", "key"]
+    for backend in (ReferenceBackend, StackedBackend):
+        assert "digit_decompose" not in vars(backend), backend.__name__

@@ -37,6 +37,18 @@ new:
   ``55cfb6eb…``;
 * scoring, pw54: ``fb71a45d…`` / ``888977e2…`` -> ``294db2ef…`` /
   ``60a6ec28…``.
+
+A switching key became one key per id, drawn once at ``max_level``
+over the CRT-idempotent gadget: digit j's key carries ``P * 1_j * s'``
+where it carried ``P * hat{Q}_j * s'``, and the digit is the unscaled
+residue ``[c]_{Q_j}`` where it was ``[c * hat{Q}_j^{-1}]_{Q_j}``.  The
+scoring residues moved; both scoring residue digests were recorded at
+commit 5c8a22f, before that change, and re-recorded after it.  The
+trace digests beside them, the affine entries and every
+``OFFLINE_PINS`` entry held.  Old -> new:
+
+* scoring, toy: ``55cfb6eb…`` -> ``83842333…``;
+* scoring, pw54: ``60a6ec28…`` -> ``b80707a5…``.
 """
 
 import hashlib
@@ -180,10 +192,10 @@ def _replay_digests(workload: str, preset: str) -> tuple[str, str]:
 REPLAY_PINS = {
     ("scoring", "toy"): (
         "0e314e3e8a3a0f0951189a5d5af95fc3cff5eeba8d5decf47e343a559ee990aa",
-        "55cfb6eb61326353417da6e45366653e5206fc2b304340978750068f57ba3971"),
+        "83842333134230c520bc018de5f13eb1f6fe969dd332dc70f122006b34981adf"),
     ("scoring", "pw54"): (
         "294db2efeba366231a4cdb38a0db276c794dd213e27dbacc7ce332c950d0dfa8",
-        "60a6ec28f36a1255ffbc4f40b8cd3267e5f7d600b2d75f064629f30d6fc5fceb"),
+        "b80707a5c6288919234f0f375915182c4241454a6bb2c6b2035d44b9e7562d22"),
     ("affine", "toy"): (
         "583fd19258c40f2aa31bae75fa135211c7bb687cabec475f4bf360f00ec63fa2",
         "ac57ac5c21c2ce5dd6971667c9715b11df41ae61adb2d87c3be736ca180d4360"),
