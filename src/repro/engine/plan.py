@@ -163,6 +163,13 @@ class ExecutablePlan:
         #: set carries moves the order, so a sweep schedules once.
         self._orders: dict[bool, list] = {}
 
+    @functools.cached_property
+    def _key_ids(self) -> tuple[str, ...]:
+        """Every switching key the replay uses, drawn as one batch first
+        (worked out at the first execute: a plan that is only simulated
+        never needs them)."""
+        return tuple(sorted(self.trace.keys_used()))
+
     def lint(self, **kwargs):
         """Lint this plan's trace (:func:`repro.analysis.analyze_trace`).
 
@@ -307,8 +314,11 @@ class ExecutablePlan:
         order, or a mapping of source op id to ciphertext.  The replay
         follows the recorded op stream exactly — same implicit-rescale
         placement, same hoisting structure — so given the same source
-        ciphertexts it is bit-identical to running the program directly
-        against ``ctx.evaluator`` (see :func:`bit_identical`).
+        ciphertexts and keys it is bit-identical to running the program
+        directly against ``ctx.evaluator`` (see :func:`bit_identical`).
+        Every switching key the trace names that the context does not
+        hold yet is drawn first, as one batch
+        (:meth:`repro.fhe.keys.KeyGenerator.switching_keys`).
         """
         if ctx.params != self.params:
             raise PlanError(
@@ -316,6 +326,7 @@ class ExecutablePlan:
                 "program at the context's parameters first")
         source_map = self._source_map(sources)
         ev = ctx.evaluator
+        ev.keygen.switching_keys(self._key_ids)
         values: dict[int, object] = {}
         for op in self.trace.ops:
             args = [values[i] for i in op.inputs]

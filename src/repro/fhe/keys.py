@@ -20,14 +20,22 @@ digit included.  That is the key
 
 There is no public key: the key owner encrypts under the secret
 (:class:`~repro.fhe.encryptor.CkksEncryptor`), and every other key is a
-switching key, drawn when first asked for.
+switching key.  Keys are drawn in batches
+(:meth:`KeyGenerator.switching_keys`): a plan asks for every key its
+trace names before it replays, so a tenant's keys are one batch — one
+bounded uniform draw per modulus of C_L + P and one Gaussian draw for
+all of their digits — and a key asked for alone is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
+import numpy as np
+
+from .modmath import random_residues
 from .params import CkksParameters
 from .poly import (PolyContext, Polynomial, Representation,
                    conjugation_galois_element, rotation_galois_element)
@@ -57,7 +65,13 @@ class SwitchingKey:
 
 
 class KeyGenerator:
-    """Generates the secret, relinearization and rotation keys."""
+    """Holds the secret and draws the switching keys, one per id.
+
+    Keys are named by the ids the trace records (``relin``, ``rot-{r}``,
+    ``conj``) and drawn in batches: :meth:`switching_keys` draws every
+    id of a call it does not hold yet in one batch, and each getter is a
+    one-id call of it.  A key is drawn once and held from then on.
+    """
 
     def __init__(self, params: CkksParameters, seed: int | None = 2023,
                  hamming_weight: int = 64, sigma: float = 3.2,
@@ -68,59 +82,108 @@ class KeyGenerator:
         full_basis = params.moduli + params.special_moduli
         self.secret_key = SecretKey(s=self.context.random_ternary(
             full_basis, hamming_weight).to_eval())
-        self._switching_keys: dict[tuple[str, int], SwitchingKey] = {}
+        self._switching_keys: dict[str, SwitchingKey] = {}
 
     # -- switching keys ---------------------------------------------------
 
     def relinearization_key(self) -> SwitchingKey:
         """Key switching s^2 -> s (for HEMult)."""
-        return self._switching_key("relin", 0, lambda s: s * s)
+        return self.switching_keys(["relin"])[0]
 
     def rotation_key(self, rotation: int) -> SwitchingKey:
         """Key switching psi_r(s) -> s (for HERotate by ``rotation``)."""
-        galois = rotation_galois_element(rotation,
-                                         self.params.ring_degree)
-        # In EVAL form x -> x^g is a gather: no transform per key.
-        return self._switching_key("rot", rotation % self.params.num_slots,
-                                   lambda s: s.automorphism(galois))
+        return self.switching_keys([f"rot-{rotation}"])[0]
 
     def conjugation_key(self) -> SwitchingKey:
         """Key switching conj(s) -> s (for complex conjugation)."""
-        galois = conjugation_galois_element(self.params.ring_degree)
-        return self._switching_key("conj", 0,
-                                   lambda s: s.automorphism(galois))
+        return self.switching_keys(["conj"])[0]
 
-    def _switching_key(self, kind: str, tag: int,
-                       target_fn) -> SwitchingKey:
-        cache_key = (kind, tag)
-        cached = self._switching_keys.get(cache_key)
-        if cached is not None:
-            return cached
-        key = self._generate_switching_key(target_fn)
-        self._switching_keys[cache_key] = key
-        return key
+    def switching_keys(self, key_ids: Iterable[str]) -> list[SwitchingKey]:
+        """The keys ``key_ids`` name, in order.
 
-    def _generate_switching_key(self, target_fn) -> SwitchingKey:
-        """Build evk_j = (-a_j*s + e_j + P*1_j*s_target, a_j) over C_L + P.
-
-        ``P*1_j`` is ``P`` modulo digit j's primes and 0 modulo every
-        other prime of C_L + P: the CRT-idempotent gadget.
+        Every id not held yet is drawn in one batch, in sorted id order,
+        so the keys a call draws are a function of its id set: order and
+        repeats do not move a bit.  A rotation amount is taken mod
+        ``num_slots``.
         """
-        params = self.params
-        q_big = math.prod(params.moduli)
-        p_prod = math.prod(params.special_moduli)
+        held = self._switching_keys
+        # A held id is canonical already.
+        ids = [key_id if key_id in held else self._canonical(key_id)
+               for key_id in key_ids]
+        missing = sorted({key_id for key_id in ids if key_id not in held})
+        if missing:
+            drawn = self._draw_switching_keys(
+                [self._target(key_id) for key_id in missing])
+            held.update(zip(missing, drawn))
+        return [held[key_id] for key_id in ids]
+
+    def _canonical(self, key_id: str) -> str:
+        if key_id in ("relin", "conj"):
+            return key_id
+        kind, _, amount = key_id.partition("-")
+        try:
+            if kind == "rot":
+                return f"rot-{int(amount) % self.params.num_slots}"
+        except ValueError:
+            pass
+        raise ValueError(f"{key_id!r} names no switching key: ids are "
+                         "'relin', 'rot-<r>' and 'conj'")
+
+    def _target(self, key_id: str) -> Polynomial:
+        """The key's target secret s' (EVAL over C_L + P)."""
+        s, n = self.secret_key.s, self.params.ring_degree
+        if key_id == "relin":
+            return s * s
+        # In EVAL form x -> x^g is a gather: no transform per key.
+        if key_id == "conj":
+            return s.automorphism(conjugation_galois_element(n))
+        return s.automorphism(rotation_galois_element(
+            int(key_id.removeprefix("rot-")), n))
+
+    def _draw_switching_keys(self, targets: list[Polynomial]
+                             ) -> list[SwitchingKey]:
+        """One key per target s', all drawn in one batch over C_L + P:
+        ``evk_j = (e_j - a_j*s + P*1_j*s', a_j)``.
+
+        One bounded uniform draw per modulus and one Gaussian draw cover
+        every digit of every key; each ``a_j`` is a row of the uniform
+        batch.  ``P*1_j`` is ``P`` modulo digit j's primes and 0 modulo
+        every other prime of C_L + P (the CRT-idempotent gadget), so the
+        gadget term is added on digit j's own limbs alone.
+        """
+        params, context = self.params, self.context
+        backend, rng = context.backend, context.rng
         s = self.secret_key.s
-        s_target = target_fn(s)
-        bs, as_ = [], []
-        for start, stop in digit_spans(params.max_level, params.alpha):
-            q_j = math.prod(params.moduli[start:stop])
-            hat_qj = q_big // q_j
-            one_j = hat_qj * pow(hat_qj, -1, q_j) % q_big
-            a_j = self.context.random_uniform(s.moduli)
-            e_j = self.context.random_gaussian(s.moduli, self.sigma).to_eval()
-            bs.append(-(a_j * s) + e_j + s_target.scalar_mul(p_prod * one_j))
-            as_.append(a_j)
-        return SwitchingKey(bs=bs, as_=as_)
+        basis = s.moduli
+        spans = digit_spans(params.max_level, params.alpha)
+        rows, n = len(targets) * len(spans), params.ring_degree
+        uniform = np.empty((rows, len(basis), n), dtype=np.int64)
+        for i, q in enumerate(basis):
+            uniform[:, i] = random_residues((rows, n), q, rng)
+        errors = context.gaussian_coeffs(self.sigma, rows)
+        p_prod = math.prod(params.special_moduli)
+        keys, row = [], 0
+        for target in targets:
+            bs, as_ = [], []
+            for start, stop in spans:
+                a_j = Polynomial(context, uniform[row], basis,
+                                 Representation.EVAL)
+                e_j = context.from_signed_coeffs(errors[row],
+                                                 basis).to_eval()
+                b_j = (e_j - a_j * s).data
+                own = basis[start:stop]
+                gadget = target.at_basis(own).scalar_mul(p_prod)
+                b_j = backend.concat_limbs([
+                    backend.select_limbs(b_j, range(start)),
+                    backend.add(backend.select_limbs(b_j, range(start, stop)),
+                                gadget.data, own),
+                    backend.select_limbs(b_j, range(stop, len(basis)))])
+                bs.append(Polynomial(context, b_j, basis,
+                                     Representation.EVAL))
+                as_.append(a_j)
+                row += 1
+            keys.append(SwitchingKey(bs=bs, as_=as_))
+        return keys
 
 
 def raise_digits(poly: Polynomial,

@@ -694,17 +694,11 @@ def scalar_add_stack(a: np.ndarray, scalars: list[int], moduli) -> np.ndarray:
     return addmod_stack(a, _scalar_column(scalars, moduli, a.ndim), moduli)
 
 
-def random_residues(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform int64 residues in ``[0, q)``.
+def random_residues(shape: int | tuple[int, ...], q: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Uniform int64 residues in ``[0, q)``, an array of ``shape``.
 
-    The draw pattern depends only on the word size: small moduli use one
-    machine draw, wide moduli keep the hi/lo 32-bit draw of the original
-    Python-integer path, composed and reduced in uint64.  The RNG stream
-    is therefore identical to the seed implementation at every word size,
-    so same-seed ciphertexts are bit-identical to it.
+    One bounded draw on both tiers: numpy rejection-samples it, so every
+    residue is exactly uniform below any ``q < 2**63``.
     """
-    if native_class(q) == "int64":
-        return rng.integers(0, q, size=n, dtype=np.int64)
-    lo = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-    hi = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-    return (((hi << np.uint64(32)) | lo) % np.uint64(q)).view(np.int64)
+    return rng.integers(0, q, size=shape, dtype=np.int64)

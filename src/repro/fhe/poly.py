@@ -131,15 +131,13 @@ class PolyContext:
         coeffs[positions] = signs
         return self.from_signed_coeffs(coeffs, moduli)
 
-    def gaussian_coeffs(self, sigma: float = 3.2) -> np.ndarray:
-        """Signed discrete-Gaussian error coefficients (one draw of N)."""
+    def gaussian_coeffs(self, sigma: float = 3.2,
+                        rows: int | None = None) -> np.ndarray:
+        """Signed discrete-Gaussian error coefficients: one draw of N, or
+        one of ``(rows, N)`` for ``rows`` polynomials."""
         n = self.params.ring_degree
-        return np.rint(self.rng.normal(0.0, sigma, size=n)).astype(np.int64)
-
-    def random_gaussian(self, moduli: Iterable[int],
-                        sigma: float = 3.2) -> "Polynomial":
-        """Discrete-Gaussian error polynomial (COEFF)."""
-        return self.from_signed_coeffs(self.gaussian_coeffs(sigma), moduli)
+        size = n if rows is None else (rows, n)
+        return np.rint(self.rng.normal(0.0, sigma, size=size)).astype(np.int64)
 
     def from_signed_coeffs(self, coeffs: np.ndarray | list[int],
                            moduli: Iterable[int]) -> "Polynomial":

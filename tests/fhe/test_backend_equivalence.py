@@ -207,10 +207,17 @@ class TestPaperWordBitExact:
     ``max_level`` over the CRT-idempotent gadget (``P * 1_j * s'``, the
     digit the unscaled residue ``[c]_{Q_j}``), so every key product of
     the pipeline moved.  Recorded at commit 5c8a22f, before that change,
-    and re-recorded after it: ``89e5762e…`` -> ``e69b19df…``."""
+    and re-recorded after it: ``89e5762e…`` -> ``e69b19df…``.
+
+    Switching keys then became batch draws
+    (``KeyGenerator.switching_keys``: one bounded uniform draw per
+    modulus of C_L + P and one Gaussian draw per batch), and the 54-bit
+    uniform sampler one bounded draw, so the pipeline's inputs and keys
+    moved.  Recorded at commit b703b70, before that change, and
+    re-recorded after it: ``e69b19df…`` -> ``98437b02…``."""
 
     SEED_OBJECT_DIGEST = \
-        "e69b19df389e770a5b990a8a3d35c75bffa3d7049293f894402ce79686618f4d"
+        "98437b027a4db1a36fef096bd9537a9df4f259a011c845e77f47c256a9cf8111"
 
     PARAMS_54 = CkksParameters._build(ring_degree=1 << 8, scale_bits=50,
                                       prime_bits=54, max_level=4,

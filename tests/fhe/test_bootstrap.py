@@ -90,13 +90,13 @@ class TestEndToEnd:
         the bootstrap switches keys at: 46 ids, 46 keys (99 while keys
         were drawn per level)."""
         drawn = []
-        generate = keys.KeyGenerator._generate_switching_key
+        draw = keys.KeyGenerator._draw_switching_keys
 
-        def counting(self, target_fn):
-            drawn.append(target_fn)
-            return generate(self, target_fn)
+        def counting(self, targets):
+            drawn.extend(targets)
+            return draw(self, targets)
 
-        monkeypatch.setattr(keys.KeyGenerator, "_generate_switching_key",
+        monkeypatch.setattr(keys.KeyGenerator, "_draw_switching_keys",
                             counting)
         ctx = CkksContext.bootstrappable(seed=31)
         ctx.bootstrapper().bootstrap(ctx.encrypt([0.01], level=1))

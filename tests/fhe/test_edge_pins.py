@@ -73,6 +73,29 @@ Old -> new:
 * decrypt pw54 affine: ``0359ef29…`` -> ``e2499eb8…``;
 * decrypt toy scoring: ``c72b1391…`` -> ``8e190b90…``;
 * decrypt toy affine: ``df89d839…`` -> ``5ea6ae8a…``.
+
+Switching keys became batch draws (``KeyGenerator.switching_keys``): a
+plan draws every key it names as one batch before it replays, one
+bounded uniform draw per modulus of C_L + P and one Gaussian draw for
+all of their digits, so the scoring results carry other key-switch
+noise and the affine case, encrypted on the same context after them,
+draws other randomness.  The 54-bit tier's uniform sampler became one
+bounded ``rng.integers(0, q)`` draw, as the int64 tier's already was,
+where it composed two 32-bit draws: every ``pw54`` ``a`` and every
+error drawn after it moved, while ``toy`` and ``test`` encryptions held.
+Recorded at commit b703b70, before that change, and re-recorded after
+it; every other entry held.  Old -> new:
+
+* encrypt pw54: ``43937c64…`` -> ``af719404…``;
+* decrypt pw54 fresh_l5: ``45d122c1…`` -> ``10abcdba…``;
+* decrypt pw54 fresh_l3: ``ce3b3b2f…`` -> ``ad64d4a0…``;
+* decrypt pw54 fresh_l0: ``aeda5697…`` -> ``04e12416…``;
+* decrypt pw54 fresh_complex: ``ea7452a5…`` -> ``d6d70b22…``;
+* decrypt pw54 fresh_2_80: ``1a7cb6ab…`` -> ``c9f8a712…``;
+* decrypt pw54 scoring: ``d337dad8…`` -> ``162dd2c3…``;
+* decrypt pw54 affine: ``e2499eb8…`` -> ``25d167f8…``;
+* decrypt toy scoring: ``8e190b90…`` -> ``e39739d3…``;
+* decrypt toy affine: ``5ea6ae8a…`` -> ``e7c56417…``.
 """
 
 import hashlib
@@ -225,7 +248,7 @@ def _encrypt_digest(params, backend) -> str:
 
 ENCRYPT_PINS = {
     "pw54":
-        "43937c643fe989d4840c291a6bc7434cc1a22f9a590ca958059a68019b5723d5",
+        "af719404d2bdd226b2b02be2bd48971093b0e1f0bd54fc2b1bb00b52ea6384b0",
     "test":
         "8beca2f813f240b164c9e5ac64450a2b82099aba94f85240efde4dcc463ed5f7",
     "toy":
@@ -285,19 +308,19 @@ def _decrypt_digests(params, backend) -> dict[str, str]:
 
 DECRYPT_PINS = {
     ("pw54", "affine"):
-        "e2499eb8334539b07a455d8fd935e946fc2ea033800f48ab31081c2faf28d1a1",
+        "25d167f84005dc9cfa77448bf5b03df504b7a95f7e7b7e65148506b08612412f",
     ("pw54", "fresh_2_80"):
-        "1a7cb6ab39a8e217503abddc7dcd0324541d21d8df599249c152f416605b76c0",
+        "c9f8a712be6a065c220ec3818847d00d025914bcd10737e055524c200b6c83ea",
     ("pw54", "fresh_complex"):
-        "ea7452a50ef3492fdc79978fac7feb024a8cdfeae3f6b0be2bdb43e6513809da",
+        "d6d70b22559ca8c2e81708df6b50ccac4b4c09accfb4e0f6141b9ef452064847",
     ("pw54", "fresh_l0"):
-        "aeda56979573e6b989db82acc7a2eca1263a1f8c3b858c45cef1deef54437aab",
+        "04e12416b01316722e6cb2b9268bce5fab397188d2854cd7ba012a0a2f249049",
     ("pw54", "fresh_l3"):
-        "ce3b3b2f34c95240c71c234ad1fbb2469e2ea1dbbe8790b2a0609a0fbc70d77b",
+        "ad64d4a024cd102d93b7672ad32eaaf627d4659bbf68979d0c0710d84f6544d3",
     ("pw54", "fresh_l5"):
-        "45d122c1e986f94171cf9969b12b624de21097c0f80f5dc254f86d893b0f2e6c",
+        "10abcdba9b6654bb945b18bd850cc9e6912a4b0029899ca73e16114a7e942c38",
     ("pw54", "scoring"):
-        "d337dad8487e59a28f18a9bea9fc000a003d9cf33262776ade5572370bcf998e",
+        "162dd2c3057943497e515441315ae1b5b614dd3d7aaa78af734d28db2b8eea53",
     ("test", "fresh_2_80"):
         "aa7d3394fe185d4cd2972d2e54c97004fb7411c565dcbed918ada8ff04efe7ef",
     ("test", "fresh_complex"):
@@ -309,7 +332,7 @@ DECRYPT_PINS = {
     ("test", "fresh_l7"):
         "318f76ada9068ef5e003143c1c4844f0b7b96658489488f924c38ba5d95f0415",
     ("toy", "affine"):
-        "5ea6ae8ae1bf90134eb7fb43353876483c6edc906c573da51c2c4a5bf33d1824",
+        "e7c56417a1084be420c62e3d1a8a30e0b40baf533cac8d4fd26f371097eb6652",
     ("toy", "fresh_2_80"):
         "c9f8a712be6a065c220ec3818847d00d025914bcd10737e055524c200b6c83ea",
     ("toy", "fresh_complex"):
@@ -321,7 +344,7 @@ DECRYPT_PINS = {
     ("toy", "fresh_l5"):
         "ca02381c37a4a36368c2b35854dd9e6a5422fc7d3b4860833281d14c531f95b3",
     ("toy", "scoring"):
-        "8e190b90e99ddc06e179b985b3c336e60f33516eab6199cd50d8d7054391e711",
+        "e39739d3fa96a20f5541c0dbb9b3fab6bb27898bc29dcff8c5bdb725d636da84",
 }
 
 

@@ -58,6 +58,20 @@ before that change, and re-recorded after it.  Old -> new:
 * conjugation, toy: ``bb69b5e9…`` -> ``09a3b197…``;
 * rotation, pw54: ``8cd53330…`` -> ``ceb3ff2a…``;
 * conjugation, pw54: ``e0204508…`` -> ``b3fbe781…``.
+
+Switching keys became batch draws (``KeyGenerator.switching_keys``): a
+batch makes one bounded uniform draw per modulus of C_L + P and one
+Gaussian draw for all of its digits, where each digit drew its own, and
+``b_j`` adds the gadget on digit j's own limbs.  Each getter is a batch
+of one, so the keys take other draws from the same stream, and the
+54-bit tier's uniform sampler became one bounded draw as well.  All
+four digests were recorded at commit b703b70, before that change, and
+re-recorded after it.  Old -> new:
+
+* rotation, toy: ``5e1a6260…`` -> ``41ab378c…``;
+* conjugation, toy: ``09a3b197…`` -> ``c5a7645e…``;
+* rotation, pw54: ``ceb3ff2a…`` -> ``6e083bfc…``;
+* conjugation, pw54: ``b3fbe781…`` -> ``9e812bc7…``.
 """
 
 import hashlib
@@ -70,13 +84,13 @@ from test_parent_digests import PRESETS
 
 PARENT_KEY_DIGESTS = {
     ("rotation", "toy"):
-        "5e1a62604fbf7823a89ada393687273345687ca8a2f037aab2a58b016875342c",
+        "41ab378c7f6cd09a096e48a35460359d9818494a6db142621951a2d7ee6fa81d",
     ("conjugation", "toy"):
-        "09a3b1971a23dd4e69cfdf40c17c47a25e11af8be177eddb112c70c1fa887ddc",
+        "c5a7645e1d942f7d47d4ce410b0c8f0155f6e6c0cb9a22c790a162b2ce2a65ee",
     ("rotation", "pw54"):
-        "ceb3ff2a2ef30b010e69bcea444be2dd32eb65a4483d44cf743864e8a77b1d91",
+        "6e083bfcbcc4c225b974b18b3fab74f95a8464f7b4b528fc34240f8ee004d3df",
     ("conjugation", "pw54"):
-        "b3fbe78178a864724ff88016962c1073b774d00c8787b3a882d1026c93ea1457",
+        "9e812bc778c0d8bc18a3400f26ef40d89297f6182c77948080bc525b3b451e25",
 }
 
 

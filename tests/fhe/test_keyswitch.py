@@ -151,8 +151,20 @@ def _one(params, j):
 
 
 def _key_ids(keygen) -> set[str]:
-    return {f"{kind}-{tag}" if kind == "rot" else kind
-            for kind, tag in keygen._switching_keys}
+    return set(keygen._switching_keys)
+
+
+def _drawn_targets(monkeypatch) -> list[int]:
+    """Target counts of every batch the key generators draw from here on."""
+    batches = []
+    draw = keys.KeyGenerator._draw_switching_keys
+
+    def counting(self, targets):
+        batches.append(len(targets))
+        return draw(self, targets)
+
+    monkeypatch.setattr(keys.KeyGenerator, "_draw_switching_keys", counting)
+    return batches
 
 
 class TestTopLevelKeys:
@@ -168,10 +180,12 @@ class TestTopLevelKeys:
         keygen = CkksContext(params, seed=17, backend=backend).keygen
         galois = rotation_galois_element(1, params.ring_degree)
         p_prod = math.prod(params.special_moduli)
+        # One batch of two: the second key's digits are later rows of
+        # the same draws.
+        rotation, relin = keygen.switching_keys(["rot-1", "relin"])
         for key, target in (
-                (keygen.rotation_key(1),
-                 lambda s: s.automorphism(galois)),
-                (keygen.relinearization_key(), lambda s: s * s)):
+                (rotation, lambda s: s.automorphism(galois)),
+                (relin, lambda s: s * s)):
             assert len(key.bs) == len(key.as_) == params.dnum
             for level in range(params.max_level + 1):
                 basis = params.moduli[:level + 1] + params.special_moduli
@@ -205,20 +219,12 @@ class TestTopLevelKeys:
         assert _key_ids(ctx.keygen) == {"relin", "rot-1"}
 
     def test_no_key_is_drawn_at_a_new_level(self, monkeypatch):
-        drawn = []
-        generate = keys.KeyGenerator._generate_switching_key
-
-        def counting(self, target_fn):
-            drawn.append(target_fn)
-            return generate(self, target_fn)
-
-        monkeypatch.setattr(keys.KeyGenerator, "_generate_switching_key",
-                            counting)
+        batches = _drawn_targets(monkeypatch)
         ctx = CkksContext(TOY, seed=21)
         for level in (5, 3, 1):
             ct = ctx.encrypt([0.5, -0.25, 1.0], level=level)
             ctx.evaluator.he_square(ctx.evaluator.he_rotate(ct, 1))
-        assert len(drawn) == 2
+        assert sum(batches) == 2
 
 
 class TestLibraryModelKeyParity:
@@ -240,6 +246,97 @@ class TestLibraryModelKeyParity:
             assert all(poly.num_limbs == limbs for poly in key.bs + key.as_)
         assert params.switching_key_bytes() \
             == params.dnum * 2 * limbs * params.limb_bytes()
+
+
+class _CountingRng:
+    """A generator that notes each call's name and ``size``."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append((name, kwargs.get("size")))
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def _key_bits(key) -> list[np.ndarray]:
+    return [limb for poly in key.bs + key.as_ for limb in poly.limbs]
+
+
+def _same_keys(first, second) -> bool:
+    return all(len(_key_bits(a)) == len(_key_bits(b))
+               and all(np.array_equal(x, y)
+                       for x, y in zip(_key_bits(a), _key_bits(b)))
+               for a, b in zip(first, second, strict=True))
+
+
+class TestKeyBatch:
+    """A plan's switching keys are one batch: drawn together the first
+    time it runs on a context, a function of the id set alone."""
+
+    def test_a_plan_draws_its_keys_in_one_batch(self, monkeypatch):
+        """Width-16 scoring at ``toy``: one batch of 7 keys (14 digits),
+        one bounded draw per modulus of C_L + P and one Gaussian draw
+        for all of them, and one forward transform of L + 1 + k rows
+        per digit's error; a second execute draws nothing."""
+        from repro.serve.workloads import scoring_workload
+
+        plan = scoring_workload(16).compile(TOY)
+        ctx = CkksContext(TOY, seed=23)
+        ct = ctx.encrypt([0.5] * 16)
+        batches = _drawn_targets(monkeypatch)
+        rng = ctx.keygen.context.rng = _CountingRng(ctx.keygen.context.rng)
+        backend = ctx.keygen.context.backend
+        forward = backend.ntt_forward
+        rows: list[int] = []
+
+        def counting_forward(data, moduli):
+            rows.append(len(moduli))
+            return forward(data, moduli)
+
+        monkeypatch.setattr(backend, "ntt_forward", counting_forward)
+        plan.execute(ctx, sources=[ct])
+        cold, rows[:] = rows[:], []
+        plan.execute(ctx, sources=[ct])
+        warm = rows[:]
+        digits, basis = 7 * TOY.dnum, TOY.num_limbs + TOY.num_special_limbs
+        assert batches == [7]
+        assert rng.calls == [("integers", (digits, TOY.ring_degree))] \
+            * basis + [("normal", (digits, TOY.ring_degree))]
+        assert sorted(cold) == sorted(warm + [basis] * digits)
+
+    def test_keys_are_a_function_of_the_id_set(self):
+        """Order, repeats and a rotation's representative do not move a
+        bit; the keys come back in the order asked for."""
+        ids = ["rot-3", "relin", "conj", "rot-1"]
+        asked = ["conj", f"rot-{TOY.num_slots + 1}", "relin", "rot-3",
+                 "rot-1", "conj"]
+        first = CkksContext(TOY, seed=5).keygen
+        second = CkksContext(TOY, seed=5).keygen
+        keys_by_id = dict(zip(ids, first.switching_keys(ids)))
+        got = second.switching_keys(asked)
+        assert got[0] is got[5] and got[1] is got[4]
+        assert _same_keys([keys_by_id[i] for i in
+                           ("conj", "rot-1", "relin", "rot-3")], got[:4])
+        assert _key_ids(second) == set(ids)
+
+    def test_one_batch_is_bit_identical_across_backends(self):
+        ids = ["relin", "rot-1", "rot-4", "conj"]
+        ref = CkksContext(TOY, seed=29, backend="reference").keygen
+        stk = CkksContext(TOY, seed=29, backend="stacked").keygen
+        assert _same_keys(ref.switching_keys(ids), stk.switching_keys(ids))
+
+    @pytest.mark.parametrize("key_id", ["rot-", "rot-x", "rotate-1", ""])
+    def test_an_unknown_id_is_refused(self, key_id):
+        keygen = CkksContext(TOY, seed=5).keygen
+        with pytest.raises(ValueError, match="names no switching key"):
+            keygen.switching_keys([key_id])
+        assert not keygen._switching_keys
 
 
 class TestWideDigitFallback:

@@ -290,28 +290,23 @@ def test_scalar_constant_cache_is_bounded():
     assert [cache.cache_info().currsize for cache in caches] == sizes
 
 
-def _object_draw(n: int, q: int, rng: np.random.Generator) -> list[int]:
-    """The wide-modulus draw as first written: hi / lo words composed
-    and reduced in Python integers."""
-    lo = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(object)
-    hi = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(object)
-    return [int(v) for v in ((hi << 32) | lo) % q]
-
-
 @given(bits=st.integers(32, 55), offset=st.integers(0, 1 << 40),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_uniform_draws_in_machine_words_match_the_object_formula(
+def test_uniform_draws_in_machine_words_are_one_bounded_draw(
         bits, offset, seed):
-    """Below 2**56 ``random_residues`` composes hi:lo in uint64: the same
-    two RNG calls and the same values as the Python-integer formula."""
+    """Below 2**56 ``random_residues`` is one bounded int64 draw, as at
+    the int64 tier: every residue in ``[0, q)`` across the whole range,
+    and a ``(rows, n)`` draw is the flat draw of ``rows * n`` in row
+    order, one RNG call either way."""
     q = _prime_near((1 << (bits - 1)) + offset, bits)
     assert 1 << 31 <= q < NATIVE_SAFE_MODULUS
     want_rng = np.random.default_rng(seed)
-    want = _object_draw(257, q, want_rng)
+    want = modmath.random_residues(3 * 257, q, want_rng)
     rng = np.random.default_rng(seed)
-    got = modmath.random_residues(257, q, rng)
-    assert got.dtype == np.int64
-    assert [int(v) for v in got] == want
+    got = modmath.random_residues((3, 257), q, rng)
+    assert got.dtype == np.int64 and got.shape == (3, 257)
+    assert np.array_equal(got.ravel(), want)
+    assert 0 <= int(got.min()) < q // 4 and 3 * q // 4 < int(got.max()) < q
     # Same calls: the streams stay in step.
     assert rng.integers(0, 1 << 62) == want_rng.integers(0, 1 << 62)

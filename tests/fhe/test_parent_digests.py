@@ -40,6 +40,19 @@ before that change, and re-recorded after it.  Old -> new:
 * scoring, pw54: ``00da5f94…`` -> ``019b02f2…``;
 * galois_mult, toy: ``b076c9a9…`` -> ``7fe05ddd…``;
 * galois_mult, pw54: ``64813f77…`` -> ``ffa04d32…``.
+
+Switching keys became batch draws (``KeyGenerator.switching_keys``):
+one bounded uniform draw per modulus of C_L + P and one Gaussian draw
+for every digit of a batch, and a plan draws every key it names as one
+batch before it replays, so every key moved; the 54-bit tier's uniform
+sampler became one bounded draw, so the ``pw54`` inputs moved too.  All
+four digests were recorded at commit b703b70, before that change, and
+re-recorded after it.  Old -> new:
+
+* scoring, toy: ``aa0ec64f…`` -> ``fa9d158c…``;
+* scoring, pw54: ``019b02f2…`` -> ``b664060c…``;
+* galois_mult, toy: ``7fe05ddd…`` -> ``84d570b3…``;
+* galois_mult, pw54: ``ffa04d32…`` -> ``eb5d2ce0…``.
 """
 
 import hashlib
@@ -62,13 +75,13 @@ PRESETS = {"toy": CkksParameters.toy, "pw54": _pw54}
 
 PARENT_DIGESTS = {
     ("scoring", "toy"):
-        "aa0ec64fb007c076f9573cb2d392130595f5acc877bb2b53aa82651ecdfd0c47",
+        "fa9d158c32a657de97bd11a102e59ad2e0289d0e9dac4fab0bf258bad16d37fa",
     ("scoring", "pw54"):
-        "019b02f234992fb26c144fc0f7ae76af21c4d2de03c3192dc9c2acde9a86f5c1",
+        "b664060cf44cfedcf3292fddbb607aae9fc1511c86659e5ee816abd42e94d6bc",
     ("galois_mult", "toy"):
-        "7fe05ddda7ec8bd70c866c9f05fce51f782ca88e2d67a131f8e246904459e503",
+        "84d570b30090d4d340174a17573c32e370f44128d02fb1404076c46631c97676",
     ("galois_mult", "pw54"):
-        "ffa04d32a7c051ca104237de99233cca5b97cfa13039df8e053ef491d81236da",
+        "eb5d2ce074edca60db1bd947a77b929c7e532ac12d34d9106bdbc1604af8961c",
 }
 
 

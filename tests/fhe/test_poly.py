@@ -192,7 +192,7 @@ class TestSamplers:
         assert all(int(c) in (0, 1, q - 1) for c in coeffs)
 
     def test_gaussian_is_small(self, context, moduli):
-        p = context.random_gaussian(moduli, sigma=3.2)
+        p = context.from_signed_coeffs(context.gaussian_coeffs(3.2), moduli)
         q = moduli[0]
         centered = [int(c) if int(c) < q // 2 else int(c) - q
                     for c in p.limbs[0]]
@@ -200,7 +200,7 @@ class TestSamplers:
 
     def test_limb_consistency(self, context, moduli):
         """All limbs of a sampled small poly represent the same integer."""
-        p = context.random_gaussian(moduli, sigma=3.2)
+        p = context.from_signed_coeffs(context.gaussian_coeffs(3.2), moduli)
         q0, q1 = moduli
         for c0, c1 in zip(p.limbs[0], p.limbs[1]):
             v0 = int(c0) if int(c0) < q0 // 2 else int(c0) - q0

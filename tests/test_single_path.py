@@ -14,7 +14,8 @@ residue: the plain one, and one storage: int64 — two kernel tiers and
 no object tier, a modulus of 2**56 or more refused.  One harness per
 question: a floor is a test id.  One encryption: the key owner's, under
 the secret key, with no public key.  One switching key per id, drawn once
-at ``max_level``: no level on a key and no per-level digit scaling.  Each
+at ``max_level``: no level on a key and no per-level digit scaling.  One
+keygen path: a batch draw, a single key being a batch of one.  Each
 case pins the absence of the fork it names.
 """
 
@@ -561,3 +562,19 @@ def test_a_switching_key_is_named_by_its_id_alone():
         == ["poly", "key"]
     for backend in (ReferenceBackend, StackedBackend):
         assert "digit_decompose" not in vars(backend), backend.__name__
+
+
+def test_a_single_key_is_a_batch_of_one(monkeypatch):
+    """Every switching key comes out of one batch generator: the getters
+    are one-id calls of ``switching_keys``, and the per-key generator is
+    gone."""
+    for gone in ("_generate_switching_key", "_switching_key"):
+        assert not hasattr(keys.KeyGenerator, gone), gone
+    asked = []
+    monkeypatch.setattr(keys.KeyGenerator, "switching_keys",
+                        lambda self, ids: asked.append(list(ids)) or [None])
+    keygen = repro.fhe.CkksContext(CkksParameters.toy(), seed=1).keygen
+    keygen.relinearization_key()
+    keygen.rotation_key(5)
+    keygen.conjugation_key()
+    assert asked == [["relin"], ["rot-5"], ["conj"]]

@@ -49,6 +49,20 @@ trace digests beside them, the affine entries and every
 
 * scoring, toy: ``55cfb6eb…`` -> ``83842333…``;
 * scoring, pw54: ``60a6ec28…`` -> ``b80707a5…``.
+
+Switching keys became batch draws (``KeyGenerator.switching_keys``): a
+plan draws every key it names as one batch before it replays, with one
+bounded uniform draw per modulus of C_L + P and one Gaussian draw for
+all of their digits, so the scoring residues moved.  The 54-bit tier's
+uniform sampler became one bounded draw, so the encrypted ``pw54``
+input, and with it the affine ``pw54`` residues, moved too.  The three
+residue digests were recorded at commit b703b70, before that change,
+and re-recorded after it; the trace digests beside them, the affine
+``toy`` entry and every ``OFFLINE_PINS`` entry held.  Old -> new:
+
+* scoring, toy: ``83842333…`` -> ``506fcb28…``;
+* scoring, pw54: ``b80707a5…`` -> ``0bff4134…``;
+* affine, pw54: ``214cb819…`` -> ``8940b35c…``.
 """
 
 import hashlib
@@ -192,16 +206,16 @@ def _replay_digests(workload: str, preset: str) -> tuple[str, str]:
 REPLAY_PINS = {
     ("scoring", "toy"): (
         "0e314e3e8a3a0f0951189a5d5af95fc3cff5eeba8d5decf47e343a559ee990aa",
-        "83842333134230c520bc018de5f13eb1f6fe969dd332dc70f122006b34981adf"),
+        "506fcb28bf9c1074d253dd5d8f00eb3d3a88d844b9e8a13e8cdadf22718e36df"),
     ("scoring", "pw54"): (
         "294db2efeba366231a4cdb38a0db276c794dd213e27dbacc7ce332c950d0dfa8",
-        "b80707a5c6288919234f0f375915182c4241454a6bb2c6b2035d44b9e7562d22"),
+        "0bff4134c0db743a04f1e82627f678f040638886f7dafdda50fadde1f15ed10c"),
     ("affine", "toy"): (
         "583fd19258c40f2aa31bae75fa135211c7bb687cabec475f4bf360f00ec63fa2",
         "ac57ac5c21c2ce5dd6971667c9715b11df41ae61adb2d87c3be736ca180d4360"),
     ("affine", "pw54"): (
         "940813f3bda4b14ad0aded41d9804eb200c049e8792bd264311b50ffaf82d21a",
-        "214cb8194d07e2e7941adc10e84a9155ce4c3f93d34f01e9ca2b5b9776aac026"),
+        "8940b35cc04161c97d4a095c093cea33ed9ccc17e09e38789f02e5239fcdf0f9"),
 }
 
 
