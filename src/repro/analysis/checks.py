@@ -23,7 +23,8 @@ from repro.fhe.noise import NOISE_FLOOR_LOG2
 from repro.fhe.params import CkksParameters
 from repro.gme.features import GME_FULL, FeatureSet
 from repro.trace.ir import OpKind, OpTrace, TraceOp
-from repro.trace.ops import (MAX_SCALE, OPS, expected_out_level, key_id,
+from repro.trace.ops import (MAX_SCALE, OPS, expected_out_level,
+                             hoisted_input_problems, key_id,
                              structural_problems)
 
 from .diagnostics import Diagnostic, DiagnosticReport, make
@@ -63,7 +64,8 @@ def check_structure(trace: OpTrace) -> list[Diagnostic]:
     findings: list[Diagnostic] = []
     for position, op in enumerate(trace.ops):
         findings.extend(make("HE050", problem, op)
-                        for problem in structural_problems(op, position))
+                        for problem in structural_problems(op, position)
+                        + hoisted_input_problems(op, position, trace.ops))
     if (trace.output_op_id is not None
             and not 0 <= trace.output_op_id < len(trace.ops)):
         findings.append(make(
@@ -331,40 +333,35 @@ def check_hoists(trace: OpTrace,
                  features: FeatureSet = GME_FULL) -> list[Diagnostic]:
     """HE130: rotation batches that redo a shareable Decomp+ModUp.
 
-    Rotations of one (COPY-canonicalized) source at one level each pay
-    the Decomp+ModUp stage unless they share a hoist group; a rotation
-    group (``rotate_add``) is one stage.  ``k`` separate stages where
-    one would do waste ``k - 1`` of them; the message prices that with
-    BlockSim's cost model under ``features``.
+    Rotations of one (COPY-canonicalized) source at one level pay one
+    Decomp+ModUp stage per ``HOIST`` op they read, plus one per rotation
+    op that reads none; a rotation group (``rotate_add``) is one stage.
+    ``k`` separate stages where one would do waste ``k - 1`` of them;
+    the message prices that with BlockSim's cost model under
+    ``features``.
     """
     from repro.blocksim.analytical import AnalyticalTimingModel
     from repro.blocksim.blocks import BlockCostModel, BlockType
 
-    buckets: dict[tuple[int, int], list[TraceOp]] = {}
+    # (source, level) -> (rotation op, id of the op that ran its stage)
+    buckets: dict[tuple[int, int], list[tuple[TraceOp, int]]] = {}
     for op in trace.ops:
-        if OPS[op.kind].block is not BlockType.HE_ROTATE:
+        if OPS[op.kind].block is not BlockType.HE_ROTATE \
+                or len(op.inputs) != 1:
             continue
-        if len(op.inputs) != 1:
-            continue
-        source = _canonical_source(trace, op.inputs[0])
-        source_op = trace.op(source)
-        if source_op.kind is OpKind.HOIST:
-            # already behind a shared ModUp; its group is the unit
-            source = source_op.inputs[0] if source_op.inputs else source
-        buckets.setdefault((source, op.level), []).append(op)
+        source, stage = _canonical_source(trace, op.inputs[0]), op.op_id
+        if trace.op(source).kind is OpKind.HOIST:
+            # every rotation of one handle shares the HOIST's stage
+            stage = source
+            source = _canonical_source(trace, trace.op(stage).inputs[0])
+        buckets.setdefault((source, op.level), []).append((op, stage))
 
     findings: list[Diagnostic] = []
     cost_model: BlockCostModel | None = None
     timing: AnalyticalTimingModel | None = None
-    for (source, level), ops in sorted(buckets.items()):
-        if len(ops) < 2 or not 0 <= level <= trace.params.max_level:
-            continue
-        # one ModUp per hoist group + one per ungrouped rotation op
-        groups = {op.hoist_group for op in ops
-                  if op.hoist_group is not None}
-        ungrouped = [op for op in ops if op.hoist_group is None]
-        stages = len(groups) + len(ungrouped)
-        if stages < 2:
+    for (source, level), entries in sorted(buckets.items()):
+        stages = len({stage for _, stage in entries})
+        if stages < 2 or not 0 <= level <= trace.params.max_level:
             continue
         if cost_model is None:
             cost_model = BlockCostModel(trace.params)
@@ -374,10 +371,10 @@ def check_hoists(trace: OpTrace,
             cost_model.mod_up_cost(level)).total_cycles
         wasted = (stages - 1) * cycles
         findings.append(make(
-            "HE130", f"{len(ops)} rotation ops of op {source} at level "
+            "HE130", f"{len(entries)} rotation ops of op {source} at level "
             f"{level} run {stages} Decomp+ModUp stages where one "
             f"hoisted stage would do; ~{wasted:,.0f} cycles wasted "
-            f"({stages - 1} x {cycles:,.0f})", ops[0]))
+            f"({stages - 1} x {cycles:,.0f})", entries[0][0]))
     return findings
 
 
@@ -436,11 +433,10 @@ def lint_trace(trace: OpTrace, *, normalized: bool = False,
     """Run every static check over ``trace`` and return the report.
 
     ``normalized=True`` promises the trace already went through the
-    engine's pass pipeline (rescales expanded, hoists inferred);
-    otherwise the linter normalizes a copy first so fused-rescale ops
-    and un-inferred hoist groups do not produce noise findings.  A
-    trace too malformed to normalize is linted raw — HE050/HE001/...
-    findings then explain why.
+    engine's pass pipeline (rescales expanded); otherwise the linter
+    expands a copy's rescales first so fused-rescale ops do not produce
+    noise findings.  A trace too malformed to normalize is linted raw —
+    HE050/HE001/... findings then explain why.
     """
     report = DiagnosticReport(name=name or trace.name)
 
@@ -463,11 +459,9 @@ def lint_trace(trace: OpTrace, *, normalized: bool = False,
 
 
 def _normalize(trace: OpTrace) -> OpTrace:
-    from repro.trace.passes import (expand_implicit_rescales,
-                                    infer_hoist_groups, run_passes)
+    from repro.trace.passes import expand_implicit_rescales
     try:
-        return run_passes(trace, (expand_implicit_rescales,
-                                  infer_hoist_groups))
+        return expand_implicit_rescales(trace)
     except Exception:
         return trace
 

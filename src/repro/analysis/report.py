@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.trace.ir import OpTrace
+from repro.trace.ir import OpKind, OpTrace
 from repro.trace.ops import OPS
 
 from .checks import lint_trace
@@ -21,15 +21,14 @@ from .diagnostics import DiagnosticReport
 
 def op_mix(trace: OpTrace) -> dict[str, Any]:
     """Per-workload op-mix summary of one trace."""
+    by_kind = trace.counts_by_kind()
     counts = {kind.value: count
-              for kind, count in sorted(trace.counts_by_kind().items(),
+              for kind, count in sorted(by_kind.items(),
                                         key=lambda kv: kv[0].value)}
     keyswitches = len(trace.keyswitch_ops())
     block_ops = sum(1 for op in trace.ops
                     if OPS[op.kind].block is not None)
     levels = [op.level for op in trace.ops]
-    hoist_groups = {op.hoist_group for op in trace.ops
-                    if op.hoist_group is not None}
     return {
         "ops": len(trace.ops),
         "block_ops": block_ops,
@@ -38,7 +37,7 @@ def op_mix(trace: OpTrace) -> dict[str, Any]:
         "distinct_keys": sorted(trace.keys_used()),
         "level_min": min(levels) if levels else None,
         "level_max": max(levels) if levels else None,
-        "hoist_groups": len(hoist_groups),
+        "hoists": by_kind[OpKind.HOIST] + by_kind[OpKind.ROTATE_ADD],
     }
 
 
@@ -55,7 +54,7 @@ def render_op_mix(mix: dict[str, Any]) -> str:
         f"  ops: {mix['ops']} total, {mix['block_ops']} block-level, "
         f"{mix['keyswitch_ops']} key switches",
         f"  levels: {mix['level_min']}..{mix['level_max']}, "
-        f"hoist groups: {mix['hoist_groups']}, "
+        f"hoisted stages: {mix['hoists']}, "
         f"distinct keys: {len(mix['distinct_keys'])}",
     ]
     counts = mix["counts_by_kind"]

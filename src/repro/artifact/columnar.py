@@ -43,7 +43,7 @@ _META_INT_COLUMNS: dict[str, tuple[str, int]] = {
     "levels": ("<i4", -1),
 }
 #: Boolean meta columns: -1 absent, 0 False, 1 True.
-_META_BOOL_COLUMNS = ("rescaled", "hoisted")
+_META_BOOL_COLUMNS = ("rescaled",)
 
 
 class _Interner:
@@ -166,7 +166,6 @@ def encode_trace_ops(trace: OpTrace) -> bytes:
     out_scale = np.empty(n, dtype=np.float64)
     key_idx = np.empty(n, dtype=np.int32)
     region_idx = np.empty(n, dtype=np.int32)
-    hoist = np.empty(n, dtype=np.int64)
     input_offsets = np.zeros(n + 1, dtype=np.int64)
     flat_inputs: list[int] = []
     meta_cols = {key: np.full(n, sentinel, dtype=dtype)
@@ -187,11 +186,6 @@ def encode_trace_ops(trace: OpTrace) -> bytes:
         out_scale[i] = op.out_scale
         key_idx[i] = keys.add(op.key)
         region_idx[i] = regions.add(op.region if op.region else None)
-        if op.hoist_group is not None and op.hoist_group < 0:
-            raise ArtifactError(f"op {i}: negative hoist_group "
-                                f"{op.hoist_group} collides with the "
-                                "absent sentinel")
-        hoist[i] = -1 if op.hoist_group is None else op.hoist_group
         flat_inputs.extend(op.inputs)
         input_offsets[i + 1] = len(flat_inputs)
         leftover: dict[str, Any] = {}
@@ -210,7 +204,7 @@ def encode_trace_ops(trace: OpTrace) -> bytes:
     arrays: dict[str, np.ndarray[Any, Any]] = {
         "kind": kind_idx, "level": level, "out_level": out_level,
         "out_scale": out_scale, "key": key_idx, "region": region_idx,
-        "hoist_group": hoist, "input_offsets": input_offsets,
+        "input_offsets": input_offsets,
         "inputs": np.asarray(flat_inputs, dtype=np.int64),
     }
     for name, column in meta_cols.items():
@@ -233,7 +227,7 @@ def decode_trace_ops(payload: bytes, params: CkksParameters, name: str,
     c = {k: v.tolist() for k, v in _columns(arrays, where, {
         "kind": ("<i2", n, range(len(kinds))),
         "level": ("<i4", n, None), "out_level": ("<i4", n, None),
-        "out_scale": ("<f8", n, None), "hoist_group": ("<i8", n, None),
+        "out_scale": ("<f8", n, None),
         "key": ("<i4", n, range(-1, len(keys))),
         "region": ("<i4", n, range(-1, len(regions))),
         "inputs": ("<i8", None, range(n)),
@@ -264,14 +258,13 @@ def decode_trace_ops(payload: bytes, params: CkksParameters, name: str,
                     if column[i] != sentinel)
         for meta_key, tagged in residual.get(str(i), {}).items():
             meta[meta_key] = _meta_from_json(tagged, f"{where}: op {i}")
-        key, region, hoist = c["key"][i], c["region"][i], c["hoist_group"][i]
+        key, region = c["key"][i], c["region"][i]
         trace.append(TraceOp(
             op_id=i, kind=kind,
             inputs=tuple(inputs[offsets[i]:offsets[i + 1]]),
             level=c["level"][i], out_level=c["out_level"][i],
             out_scale=c["out_scale"][i],
             key=None if key == -1 else keys[key],
-            hoist_group=None if hoist == -1 else hoist,
             region="" if region == -1 else regions[region], meta=meta))
     return trace
 

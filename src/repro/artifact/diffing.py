@@ -81,8 +81,7 @@ def _trace_structural_hash(trace: OpTrace) -> str:
     digest = hashlib.sha256()
     for op in trace.ops:
         row = (op.op_id, op.kind.value, list(op.inputs), op.level,
-               op.out_level, op.out_scale, op.key, op.hoist_group,
-               op.region,
+               op.out_level, op.out_scale, op.key, op.region,
                {k: str(v) for k, v in sorted(op.meta.items())})
         digest.update(json.dumps(row, sort_keys=True).encode("utf-8"))
     return digest.hexdigest()[:16]

@@ -54,8 +54,11 @@ MAGIC = b"\x89RPA\r\n\x1a\n"
 CONTAINER_VERSION = 1
 
 #: Schema version of the columnar trace tables, stamped into HEADER as
-#: ``schema_version``; readers refuse newer schemas.
-TRACE_FORMAT_VERSION = 1
+#: ``schema_version``; readers refuse newer schemas.  Version 2 dropped
+#: the per-op hoist-group and ``meta_hoisted`` columns (the ``HOIST`` op
+#: in the data flow is the record); the decoder reads only the columns
+#: it names, so version 1 files still load.
+TRACE_FORMAT_VERSION = 2
 
 _VERSION_STRUCT = struct.Struct("<H")
 _FRAME_STRUCT = struct.Struct("<HHQ")

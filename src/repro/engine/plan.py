@@ -350,7 +350,9 @@ class ExecutablePlan:
         return dict(zip(source_ids, [sources]))
 
     def _replay_op(self, ev, op: TraceOp, args: list, source_map: dict):
-        """Apply one recorded op the way its row of the op table says.
+        """Apply one recorded op the way its row of the op table says,
+        through the row's ``hoisted_method`` when the op reads a
+        ``HOIST`` op's handle.
 
         The method is looked up on ``ev`` at call time, so a proxy
         evaluator sees every replayed call.
@@ -394,8 +396,10 @@ class ExecutablePlan:
                             f"replay: no meta[{missing}]") from None
         if spec.fused_rescale:
             args.append(meta.get("rescaled", False))
-        method = spec.hoisted_method if meta.get("hoisted") else spec.method
-        return getattr(ev, method)(*args)
+        hoisted = any(self._ops_by_id[i].kind is OpKind.HOIST
+                      for i in op.inputs)
+        return getattr(ev, spec.hoisted_method if hoisted
+                       else spec.method)(*args)
 
 
 # ---------------------------------------------------------------------------

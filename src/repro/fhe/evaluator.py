@@ -227,20 +227,19 @@ class CkksEvaluator:
         """Rotate one ciphertext by many amounts, hoisting Decomp+ModUp.
 
         Returns ``{rotation mod num_slots: rotated ciphertext}``; rotation 0
-        maps to a copy of the input.  The digit decompose + ModUp of c1 runs
-        once for the whole batch — the dominant algorithmic win for the
-        BSGS linear transforms and bootstrapping rotation batches.
+        maps to ``he_rotate(ct, 0)``, a copy.  The digit decompose + ModUp
+        of c1 runs once for the whole batch — the dominant algorithmic win
+        for the BSGS linear transforms and bootstrapping rotation batches.
+        Written against the call surface alone (``he_rotate``, ``hoist``,
+        ``rotate_hoisted``), so the tracing and symbolic evaluators share
+        it.
         """
         wanted = sorted({r % self.params.num_slots for r in rotations})
-        out: dict[int, Ciphertext] = {}
+        out = {0: self.he_rotate(ct, 0)} if 0 in wanted else {}
         nonzero = [r for r in wanted if r != 0]
-        if 0 in wanted:
-            out[0] = ct.copy()
-        if not nonzero:
-            return out
-        hoisted = self.hoist(ct)
-        for r in nonzero:
-            out[r] = self.rotate_hoisted(hoisted, r)
+        if nonzero:
+            hoisted = self.hoist(ct)
+            out.update((r, self.rotate_hoisted(hoisted, r)) for r in nonzero)
         return out
 
     def rotate_add(self, ct: Ciphertext,

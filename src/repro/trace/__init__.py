@@ -15,8 +15,8 @@ from .invariants import (KEYSWITCH_BLOCKS, assert_workload_dag,
 from .ir import OpKind, OpTrace, TraceOp
 from .lowering import lower_expanded_trace, lower_trace
 from .passes import (DEFAULT_PASSES, TraceValidationError,
-                     expand_implicit_rescales, infer_hoist_groups,
-                     run_passes, validate_trace)
+                     expand_implicit_rescales, run_passes,
+                     validate_trace)
 from .recorder import TracingEvaluator
 from .symbolic import (SymbolicCiphertext, SymbolicEvaluator,
                        SymbolicPlaintext)
@@ -26,6 +26,6 @@ __all__ = [
     "SymbolicCiphertext", "SymbolicEvaluator", "SymbolicPlaintext",
     "TraceOp", "TraceValidationError",
     "TracingEvaluator", "assert_workload_dag", "dag_violations",
-    "expand_implicit_rescales", "infer_hoist_groups",
-    "lower_expanded_trace", "lower_trace", "run_passes", "validate_trace",
+    "expand_implicit_rescales", "lower_expanded_trace", "lower_trace",
+    "run_passes", "validate_trace",
 ]

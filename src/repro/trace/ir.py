@@ -62,10 +62,11 @@ class TraceOp:
     ``level`` is the operating level (operand level after alignment);
     ``out_level`` the level of the produced ciphertext.  ``key`` names the
     switching key for key-switch ops (``rot-<amount>``, ``conj``,
-    ``relin``; a rotation group's ids joined by ``,``); ``hoist_group``
-    ties rotations that share one hoisted Decomp+ModUp.  ``meta`` carries
-    op-specific detail (rotation amount, key-switch digit count, whether
-    an implicit rescale ran).
+    ``relin``; a rotation group's ids joined by ``,``).  Rotations that
+    share one hoisted Decomp+ModUp read the same ``HOIST`` op: the data
+    flow is the only record of hoisting.  ``meta`` carries op-specific
+    detail (rotation amount, key-switch digit count, whether an implicit
+    rescale ran).
     """
 
     op_id: int
@@ -75,7 +76,6 @@ class TraceOp:
     out_level: int
     out_scale: float = 0.0
     key: str | None = None
-    hoist_group: int | None = None
     region: str = ""
     meta: dict[str, Any] = field(default_factory=dict)
 

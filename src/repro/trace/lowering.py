@@ -2,10 +2,9 @@
 
 Each non-transparent trace op becomes one
 :class:`~repro.blocksim.blocks.BlockInstance` node — a rotation group
-(``rotate_add``) one rotation block per key, all of one
-``hoist_group``, plus the adds of its sum; plumbing ops
-(``SOURCE``/``MOD_DROP``/``HOIST``/``COPY``/``REFRESH``) are routed
-through, so data-flow edges connect real blocks directly.  Implicit
+(``rotate_add``) one rotation block per key, plus the adds of its sum;
+plumbing ops (``SOURCE``/``MOD_DROP``/``HOIST``/``COPY``/``REFRESH``)
+are routed through, so data-flow edges connect real blocks directly.  Implicit
 rescales (``he_mult(..., rescale=True)`` etc.) are expanded into
 explicit ``RESCALE`` ops by :func:`repro.trace.passes.
 expand_implicit_rescales` before lowering — :func:`lower_trace` applies
@@ -21,7 +20,6 @@ Node metadata carries what the simulator's locality features consume:
   are not LABS grouping candidates);
 * ``keyswitch`` — dnum / digit-count / key id for *every* key-switch
   block, including HEMult relinearizations;
-* ``hoist_group`` — rotations sharing one hoisted Decomp+ModUp;
 * ``refresh`` — the block consumes a value whose level was reset by a
   schematic refresh (an elided bootstrap), exempting the edge from the
   level-monotonicity invariant.
@@ -96,8 +94,6 @@ def lower_expanded_trace(trace: OpTrace) -> DiGraph:
             continue
 
         metadata: dict[str, Any] = {}
-        if op.hoist_group is not None:
-            metadata["hoist_group"] = op.hoist_group
         preds: list[str] = []
         for input_id in op.inputs:
             pred, refreshed = resolved[input_id]

@@ -89,8 +89,8 @@ class OpSpec:
     #: per entry, the entry filling the template under the list's own
     #: name, and one block per key, summed onto the input.
     group: str | None = None
-    #: The method that applies the op to a hoisted handle
-    #: (``meta["hoisted"]``).
+    #: The method that applies the op to a hoisted handle, which replay
+    #: calls when the op's input is a ``HOIST`` op.
     hoisted_method: str | None = None
     level: LevelRule = SAME_LEVEL
     scale: ScaleRule = KEEP_SCALE
@@ -209,6 +209,19 @@ def structural_problems(op: TraceOp, position: int) -> list[str]:
         problems.append(f"{op.kind.value} op's meta[{spec.group!r}] is "
                         "not a non-empty list")
     return problems
+
+
+def hoisted_input_problems(op: TraceOp, position: int,
+                           ops: Sequence[TraceOp]) -> list[str]:
+    """What makes the op at ``position`` of ``ops`` read a hoisted
+    handle it cannot take: a ``HOIST`` output feeds only an op with a
+    ``hoisted_method`` or a ``COPY``."""
+    if OPS[op.kind].hoisted_method is not None or op.kind is OpKind.COPY:
+        return []
+    return [f"input {input_id} is a hoisted handle; {op.kind.value} "
+            "takes a ciphertext" for input_id in op.inputs
+            if 0 <= input_id < position
+            and ops[input_id].kind is OpKind.HOIST]
 
 
 # -- the evaluator call surface ----------------------------------------------

@@ -7,17 +7,18 @@ engine (:mod:`repro.engine`) runs when compiling a program:
 * :func:`validate_trace` — trace-level invariants (the op-stream
   counterpart of :mod:`repro.trace.invariants`' DAG checks): op ids are
   dense and ordered, inputs reference earlier ops, levels are in range,
-  and every op has the input count, key and output level its row of the
-  op table (:mod:`repro.trace.ops`) prescribes;
+  every op has the input count, key and output level its row of the
+  op table (:mod:`repro.trace.ops`) prescribes, and a hoisted handle
+  feeds only an op that takes one;
 * :func:`expand_implicit_rescales` — ops recorded with an implicit
   rescale (``he_mult(..., rescale=True)`` etc.) are split into the op
   plus an explicit ``RESCALE`` op, because that work is really executed.
   Historically this expansion lived inside ``lowering.py``; as a pass it
-  is visible to every backend (simulation *and* replay) uniformly;
-* :func:`infer_hoist_groups` — rotations that share one source
-  ciphertext at one level can share a hoisted Decomp+ModUp even when the
-  program issued them sequentially; this analysis pass groups them (an
-  optimization hint — lowering forwards it as ``hoist_group`` metadata).
+  is visible to every backend (simulation *and* replay) uniformly.
+
+No pass adds hoisting: rotations share a Decomp+ModUp exactly when the
+program read them off one ``HOIST`` op, and replay runs what the data
+flow says.  The linter's HE130 reports the rotations that could.
 
 Passes never mutate their input: they return either the input unchanged
 (pure validation) or a rebuilt :class:`OpTrace`.
@@ -29,7 +30,8 @@ from collections.abc import Callable, Iterable
 from dataclasses import replace
 
 from .ir import OpKind, OpTrace, TraceOp
-from .ops import OPS, expected_out_level, structural_problems
+from .ops import (OPS, expected_out_level, hoisted_input_problems,
+                  structural_problems)
 
 
 class TraceValidationError(ValueError):
@@ -45,7 +47,8 @@ def validate_trace(trace: OpTrace) -> OpTrace:
     max_level = trace.params.max_level
     for position, op in enumerate(trace.ops):
         where = f"op {op.op_id} ({op.kind.value})"
-        malformed = structural_problems(op, position)
+        malformed = structural_problems(op, position) \
+            + hoisted_input_problems(op, position, trace.ops)
         problems += [f"{where}: {problem}" for problem in malformed]
         for label, level in (("level", op.level),
                              ("out_level", op.out_level)):
@@ -120,47 +123,8 @@ def expand_implicit_rescales(trace: OpTrace) -> OpTrace:
     return out
 
 
-def infer_hoist_groups(trace: OpTrace) -> OpTrace:
-    """Group ungrouped rotations that share one source ciphertext.
-
-    Rotations (and conjugations) of the *same* ciphertext at the same
-    level can share one hoisted Decomp+ModUp; programs that issue them
-    sequentially (``he_rotate(ct, r)`` in a loop over one ``ct``) still
-    expose that structure in the data flow.  This pass assigns a shared
-    ``hoist_group`` to every such set of two or more ops, continuing the
-    recorder's group numbering.  Ops already grouped (issued through the
-    hoisted path) are left untouched.
-    """
-    candidates: dict[int, list[int]] = {}
-    for op in trace.ops:
-        if OPS[op.kind].hoisted_method is not None \
-                and op.hoist_group is None and len(op.inputs) == 1:
-            candidates.setdefault(op.inputs[0], []).append(op.op_id)
-    groups = {source: ids for source, ids in candidates.items()
-              if len(ids) >= 2}
-    if not groups:
-        return trace
-    next_group = 1 + max((op.hoist_group for op in trace.ops
-                          if op.hoist_group is not None), default=0)
-    assigned: dict[int, int] = {}
-    for source in sorted(groups):
-        for op_id in groups[source]:
-            assigned[op_id] = next_group
-        next_group += 1
-    out = OpTrace(params=trace.params, name=trace.name,
-                  output_op_id=trace.output_op_id)
-    out.payloads.update(trace.payloads)
-    for op in trace.ops:
-        if op.op_id in assigned:
-            op = replace(op, hoist_group=assigned[op.op_id],
-                         meta=dict(op.meta, inferred_hoist=True))
-        out.append(op)
-    return out
-
-
 #: The standard compile pipeline (what ``repro.engine.compile`` runs).
-DEFAULT_PASSES = (validate_trace, expand_implicit_rescales,
-                  infer_hoist_groups)
+DEFAULT_PASSES = (validate_trace, expand_implicit_rescales)
 
 
 def run_passes(trace: OpTrace,

@@ -26,6 +26,8 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from typing import Any
 
+from repro.fhe.evaluator import CkksEvaluator
+
 from .ir import OpKind, OpTrace, TraceOp
 from .ops import OPS, OpSpec, install_methods, key_id, keyswitch_meta
 
@@ -49,7 +51,6 @@ class TracingEvaluator:
         #: Strong refs to every tracked object so ids stay unique.
         self._keepalive: list[Any] = []
         self._regions: list[str] = []
-        self._hoist_groups = 0
 
     def __getattr__(self, attr: str) -> Any:
         return getattr(self.inner, attr)
@@ -83,7 +84,7 @@ class TracingEvaluator:
         return self._producers.get(id(obj))
 
     def _emit(self, kind: OpKind, operands: tuple[Any, ...], result: Any,
-              hoist_group: int | None = None, **meta: Any) -> Any:
+              **meta: Any) -> Any:
         """Record one op over ciphertext operands and track its result;
         the key id and key-switch shape are its table row's."""
         spec = OPS[kind]
@@ -94,8 +95,8 @@ class TracingEvaluator:
         op = TraceOp(op_id=len(self.trace.ops), kind=kind, inputs=inputs,
                      level=level, out_level=result.level,
                      out_scale=getattr(result, "scale", 0.0),
-                     key=key_id(spec, meta), hoist_group=hoist_group,
-                     region=self.current_region, meta=meta)
+                     key=key_id(spec, meta), region=self.current_region,
+                     meta=meta)
         self.trace.append(op)
         self._producers[id(result)] = op.op_id
         self._keepalive.append(result)
@@ -105,7 +106,8 @@ class TracingEvaluator:
     #
     # One method per row of the op table, installed below
     # (:func:`repro.trace.ops.install_methods`); the explicit ones are
-    # the hoisting surface, rotation by 0, ``rotate_add`` and ``refresh``.
+    # rotation by 0, the two methods on a hoisted handle, ``rotate_add``
+    # and ``refresh``.
 
     def _apply(self, spec: OpSpec, cts: tuple[Any, ...],
                operands: tuple[Any, ...], rescale: bool | None) -> Any:
@@ -132,13 +134,12 @@ class TracingEvaluator:
         return self._apply(OPS[OpKind.HE_ROTATE], (ct,), (amount,), None)
 
     def rotate_add(self, ct: Any, rotations: Iterable[int]) -> Any:
-        """One op, its own hoist group: the amounts reduced mod
-        ``num_slots`` as a JSON-safe list."""
+        """One op: the amounts reduced mod ``num_slots`` as a JSON-safe
+        list."""
         amounts = [int(r) % self.params.num_slots for r in rotations]
-        self._hoist_groups += 1
         return self._emit(OpKind.ROTATE_ADD, (ct,),
                           self.inner.rotate_add(ct, amounts),
-                          hoist_group=self._hoist_groups, rotations=amounts)
+                          rotations=amounts)
 
     def refresh(self, ct: Any, level: int) -> Any:
         """Schematic level reset; requires a symbolic inner evaluator."""
@@ -146,41 +147,24 @@ class TracingEvaluator:
                           self.inner.refresh(ct, level))
 
     # -- hoisted rotations -------------------------------------------------
-
-    def hoist(self, ct: Any) -> Any:
-        self._hoist_groups += 1
-        return self._emit(OpKind.HOIST, (ct,), self.inner.hoist(ct),
-                          hoist_group=self._hoist_groups)
+    #
+    # ``hoist`` is a row of the table; an op that reads its handle is
+    # recorded as the plain op, and the ``HOIST`` input is what makes it
+    # hoisted.
 
     def rotate_hoisted(self, hoisted: Any, rotation: int) -> Any:
         amount = rotation % self.params.num_slots
         result = self.inner.rotate_hoisted(hoisted, rotation)
         if amount == 0:
             return self._emit(OpKind.COPY, (hoisted,), result)
-        group = self.trace.op(self._resolve(hoisted)).hoist_group
         return self._emit(OpKind.HE_ROTATE, (hoisted,), result,
-                          hoist_group=group, rotation=amount, hoisted=True)
+                          rotation=amount)
 
     def conjugate_hoisted(self, hoisted: Any) -> Any:
-        group = self.trace.op(self._resolve(hoisted)).hoist_group
         return self._emit(OpKind.CONJUGATE, (hoisted,),
-                          self.inner.conjugate_hoisted(hoisted),
-                          hoist_group=group, hoisted=True)
+                          self.inner.conjugate_hoisted(hoisted))
 
-    def hoisted_rotations(self, ct: Any,
-                          rotations: Iterable[int]) -> dict[int, Any]:
-        """Batch rotation with one recorded HOIST shared by the batch."""
-        wanted = sorted({r % self.params.num_slots for r in rotations})
-        out: dict[int, Any] = {}
-        nonzero = [r for r in wanted if r != 0]
-        if 0 in wanted:
-            out[0] = self.he_rotate(ct, 0)
-        if not nonzero:
-            return out
-        hoisted = self.hoist(ct)
-        for r in nonzero:
-            out[r] = self.rotate_hoisted(hoisted, r)
-        return out
+    hoisted_rotations = CkksEvaluator.hoisted_rotations
 
 
 install_methods(TracingEvaluator)

@@ -21,8 +21,9 @@ Two extra ops exist only symbolically:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
+from repro.fhe.evaluator import CkksEvaluator
 from repro.fhe.params import CkksParameters
 
 from .ir import OpKind
@@ -101,14 +102,7 @@ class SymbolicEvaluator:
     # A hoisted handle is one more (level, scale) handle: ``hoist`` and
     # the ``*_hoisted`` methods are rows of the table too.
 
-    def hoisted_rotations(self, ct: SymbolicCiphertext,
-                          rotations: Iterable[int]
-                          ) -> dict[int, SymbolicCiphertext]:
-        rotate = OPS[OpKind.HE_ROTATE]
-        return {r: ct.copy() if r == 0
-                else self._apply(rotate, (ct,), (r,), None)
-                for r in sorted({r % self.params.num_slots
-                                 for r in rotations})}
+    hoisted_rotations = CkksEvaluator.hoisted_rotations
 
     # -- symbolic-only ops -------------------------------------------------
     #

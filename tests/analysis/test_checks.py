@@ -24,13 +24,12 @@ def _trace(params=TOY, name="synthetic"):
 
 
 def _add(trace, kind, inputs=(), level=4, out_level=None,
-         out_scale=DELTA, key=None, hoist_group=None, meta=None):
+         out_scale=DELTA, key=None, meta=None):
     """Append one op with a dense id; returns the op id."""
     op = TraceOp(op_id=len(trace.ops), kind=kind, inputs=tuple(inputs),
                  level=level,
                  out_level=level if out_level is None else out_level,
-                 out_scale=out_scale, key=key, hoist_group=hoist_group,
-                 meta=dict(meta or {}))
+                 out_scale=out_scale, key=key, meta=dict(meta or {}))
     trace.append(op)
     return op.op_id
 
@@ -217,7 +216,7 @@ class TestRotationGroupKeys:
     def _group(self, rotations, key="recorded"):
         t = _trace()
         src = _add(t, OpKind.SOURCE, level=4)
-        _add(t, OpKind.ROTATE_ADD, [src], level=4, hoist_group=1,
+        _add(t, OpKind.ROTATE_ADD, [src], level=4,
              key=",".join(f"rot-{r}" for r in rotations)
              if key == "recorded" else key,
              meta={"rotations": list(rotations), **_mult_meta(4)})
@@ -284,26 +283,45 @@ class TestLiveness:
 
 
 class TestHoists:
-    def _rotation_pair(self, hoist_groups=(None, None)):
+    def _rotation_pair(self, hoists=(False, False)):
+        """Two rotations of one source; each reads it through a ``HOIST``
+        op where ``hoists`` says so, all such reads through one."""
         t = _trace()
         src = _add(t, OpKind.SOURCE, level=4)
-        rots = [_add(t, OpKind.HE_ROTATE, [src], level=4,
-                     key=f"rot-{i + 1}", hoist_group=group,
+        handle = _add(t, OpKind.HOIST, [src], level=4) if any(hoists) \
+            else None
+        rots = [_add(t, OpKind.HE_ROTATE, [handle if hoisted else src],
+                     level=4, key=f"rot-{i + 1}",
                      meta={"rotation": i + 1, **_mult_meta(4)})
-                for i, group in enumerate(hoist_groups)]
+                for i, hoisted in enumerate(hoists)]
         _add(t, OpKind.HE_ADD, rots, level=4)
         return t
 
     def test_he130_separate_modup_stages(self):
-        t = self._rotation_pair((None, None))
+        t = self._rotation_pair((False, False))
         assert _codes(t) == {"HE130": 1}
 
     def test_shared_hoist_group_is_silent(self):
-        t = self._rotation_pair((7, 7))
+        """Rotations that read one ``HOIST`` op share its stage."""
+        t = self._rotation_pair((True, True))
         assert _codes(t) == {}
 
+    def test_a_hoist_beside_a_plain_rotation_is_two_stages(self):
+        (finding,) = check_hoists(self._rotation_pair((True, False)))
+        assert "2 Decomp+ModUp stages" in finding.message
+
+    def test_two_hoists_of_one_source_are_two_stages(self):
+        t = _trace()
+        src = _add(t, OpKind.SOURCE, level=4)
+        rots = [_add(t, OpKind.HE_ROTATE,
+                     [_add(t, OpKind.HOIST, [src], level=4)], level=4,
+                     key=f"rot-{r}", meta={"rotation": r, **_mult_meta(4)})
+                for r in (1, 2)]
+        _add(t, OpKind.HE_ADD, rots, level=4)
+        assert _codes(t) == {"HE130": 1}
+
     def test_he130_message_prices_the_waste_in_cycles(self):
-        report = lint_trace(self._rotation_pair((None, None)),
+        report = lint_trace(self._rotation_pair((False, False)),
                             normalized=True)
         (finding,) = report.hints
         assert finding.code == "HE130"
@@ -325,7 +343,7 @@ class TestHoists:
         t = _trace()
         src = _add(t, OpKind.SOURCE, level=4)
         other = _add(t, OpKind.SOURCE, level=4)
-        group = _add(t, OpKind.ROTATE_ADD, [src], level=4, hoist_group=1,
+        group = _add(t, OpKind.ROTATE_ADD, [src], level=4,
                      key="rot-1,rot-2,rot-3",
                      meta={"rotations": [1, 2, 3], **_mult_meta(4)})
         rot = _add(t, OpKind.HE_ROTATE, [src if same_source else other],
@@ -401,6 +419,29 @@ class TestStructure:
         _add(t, OpKind.SOURCE, level=4)
         t.output_op_id = 9
         assert _codes(t) == {"HE050": 1}
+
+    @pytest.mark.parametrize("kind,arity,key,meta", [
+        (OpKind.HE_ADD, 2, None, {}),
+        (OpKind.ROTATE_ADD, 1, "rot-1", {"rotations": [1], **_mult_meta(4)}),
+        (OpKind.HOIST, 1, None, {})], ids=["he_add", "rotate_add", "hoist"])
+    def test_he050_a_hoisted_handle_read_by_an_op_that_takes_none(
+            self, kind, arity, key, meta):
+        """A ``HOIST`` output feeds only an op with a hoisted method or a
+        ``COPY``; anything else would fail at replay."""
+        t = _trace()
+        src = _add(t, OpKind.SOURCE, level=4)
+        handle = _add(t, OpKind.HOIST, [src], level=4)
+        _add(t, kind, [handle, src][:arity], level=4, key=key, meta=meta)
+        report = lint_trace(t, normalized=True)
+        assert report.codes() == {"HE050": 1}
+        assert "is a hoisted handle" in report.errors[0].message
+
+    def test_a_hoisted_handle_may_be_copied(self):
+        t = _trace()
+        src = _add(t, OpKind.SOURCE, level=4)
+        _add(t, OpKind.COPY, [_add(t, OpKind.HOIST, [src], level=4)],
+             level=4)
+        assert check_structure(t) == []
 
     def test_structural_findings_suppress_dataflow_checks(self):
         """A malformed trace reports HE050 only, never a crash."""

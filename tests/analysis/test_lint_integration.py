@@ -122,6 +122,43 @@ class TestEngineCompileLint:
         for record in (from_program, from_trace):
             assert [w.filename for w in record] == [__file__]
 
+    def test_a_missed_hoist_is_reported_not_hidden(self):
+        """Two ``he_rotate`` calls on one ciphertext run two
+        Decomp+ModUp stages at replay, and ``plan.lint()`` says so: no
+        compile pass groups them out of the linter's sight."""
+        def two_rotations(ev):
+            ct = ev.fresh(level=4)
+            return ev.he_add(ev.he_rotate(ct, 1), ev.he_rotate(ct, 2))
+
+        def hoisted(ev):
+            rotated = ev.hoisted_rotations(ev.fresh(level=4), [1, 2])
+            return ev.he_add(rotated[1], rotated[2])
+
+        report = engine.compile(two_rotations, TOY).lint()
+        assert report.codes() == {"HE130": 1}
+        assert "2 Decomp+ModUp stages" in report.hints[0].message
+        assert engine.compile(hoisted, TOY).lint().codes() == {}
+
+    def test_a_hoisted_handle_fed_to_he_add_is_refused(self, tmp_path):
+        """An ``he_add`` of a ``hoist`` output cannot replay (a handle
+        has no ``c0``): the pass pipeline, the linter and the ``.rpa``
+        reader refuse it before ``execute`` could try."""
+        from repro.artifact import ArtifactError, load_trace, save_trace
+        from repro.trace import (SymbolicEvaluator, TraceValidationError,
+                                 TracingEvaluator)
+        recorder = TracingEvaluator(SymbolicEvaluator(TOY))
+        ct = recorder.fresh(level=4)
+        recorder.he_add(recorder.hoist(ct), ct)
+        trace = recorder.trace
+        with pytest.raises(LintError, match="HE050"):
+            engine.compile(trace, lint="strict")
+        with pytest.raises(TraceValidationError, match="hoisted handle"):
+            engine.compile(trace)
+        save_trace(trace, str(tmp_path / "bad.rpa"))
+        with pytest.raises(ArtifactError, match="TRACE_OPS: op 2: input 1 "
+                           "is a hoisted handle; he_add"):
+            load_trace(str(tmp_path / "bad.rpa"))
+
     def test_lint_mode_is_validated(self):
         with pytest.raises(ValueError, match="lint='loud'"):
             engine.compile("boot", TOY, lint="loud")
@@ -193,6 +230,9 @@ class TestOpMixReport:
         assert set(mix["counts_by_kind"]) <= {k.value for k in OpKind}
         assert mix["level_min"] >= 0
         assert mix["level_max"] <= TOY.max_level
+        counts = mix["counts_by_kind"]
+        assert mix["hoists"] == counts.get("hoist", 0) \
+            + counts.get("rotate_add", 0) > 0
 
     def test_opmix_harness_runs_the_catalog(self):
         from repro.experiments import opmix

@@ -21,9 +21,9 @@ from repro.artifact import corpus_path
 from repro.fhe.params import CkksParameters
 
 CORPUS_SHA256 = {
-    "boot": "a49cd1d423afb05394108f82a80923a13c6aacf7121258f14bf0fc2a20e948d4",
-    "helr": "20b52b4989938dbb076aa701bfb482ef9c0681b4169e5f7ba9719920f6f85b54",
-    "resnet": "65f5c9acf3da99ff7e4ac923f4dab038be766676adedfe5ea55b246e8051d2f1",
+    "boot": "b160718b81d9652c7141be623d062ce062f22456bcd8edaf3d3c5a445e055181",
+    "helr": "dc72f3710a149d5f4359a4c0da0faa9af9a777d36572e4d91b6ab7f2ecb98da6",
+    "resnet": "0c0a995eb51e529257760f4d95edfd26e1c6c60baf9a9a5cd8d0005c8ee8524e",
 }
 
 

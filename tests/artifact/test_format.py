@@ -8,20 +8,28 @@ newer framing version refuses with an explicit upgrade message.
 """
 
 import io
+import pathlib
 import struct
 import zlib
 
 import pytest
 
+from repro import engine
 from repro.artifact import (CONTAINER_VERSION, MAGIC, ArtifactBlockType,
                             ArtifactFormatError, ArtifactIntegrityError,
                             ArtifactVersionError, UnknownBlockWarning,
-                            read_artifact, save_trace)
+                            load_plan, read_artifact, save_trace)
 from repro.artifact.format import (pack_arrays, pack_json, read_container,
                                    unpack_arrays, unpack_json,
                                    write_container)
 from repro.fhe.params import CkksParameters
+from repro.gme.features import figure7_configs
 from repro.trace import OpTrace, SymbolicEvaluator, TracingEvaluator
+
+#: The catalog's ``boot`` plan at paper parameters as the last version 1
+#: writer saved it, with the per-op hoist-group and ``meta_hoisted``
+#: columns that version 2 dropped.
+V1_BOOT = pathlib.Path(__file__).parent / "fixtures" / "boot_v1.rpa"
 
 
 def _toy_trace() -> OpTrace:
@@ -156,6 +164,38 @@ class TestUnknownBlocks:
         path.write_bytes(stream.getvalue())
         with pytest.raises(ValueError, match="newer than this reader"):
             read_artifact(str(path))
+
+
+class TestVersionOneFiles:
+    """Version 1 files load through the one decoder, which reads only the
+    columns it names, and lower to the plan a fresh compile builds."""
+
+    @pytest.fixture(scope="class")
+    def plans(self):
+        return (load_plan(str(V1_BOOT)),
+                engine.compile("boot", CkksParameters.paper()))
+
+    def test_the_fixture_is_a_version_1_file(self):
+        with open(V1_BOOT, "rb") as stream:
+            (payload,) = [payload for kind, payload in read_container(stream)
+                          if kind == ArtifactBlockType.TRACE_OPS]
+        assert {"hoist_group", "meta_hoisted"} \
+            <= set(unpack_arrays(payload)[1])
+        assert read_artifact(str(V1_BOOT)).header["schema_version"] == 1
+
+    def test_it_loads_the_fresh_data_flow(self, plans):
+        loaded, fresh = plans
+        assert [(op.kind, op.inputs, op.level, op.key)
+                for op in loaded.trace.ops] \
+            == [(op.kind, op.inputs, op.level, op.key)
+                for op in fresh.trace.ops]
+
+    @pytest.mark.parametrize("features", figure7_configs(),
+                             ids=lambda features: features.name)
+    def test_it_simulates_to_a_fresh_compiles_cycles(self, plans, features):
+        loaded, fresh = plans
+        assert loaded.simulate(features).cycles \
+            == fresh.simulate(features).cycles
 
 
 class TestParamsDocument:

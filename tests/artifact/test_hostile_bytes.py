@@ -4,7 +4,8 @@ Every golden-corpus file is truncated at every offset, bit-flipped at
 every byte within 16 of each block boundary, and rewritten with crafted
 blocks whose CRCs are valid but whose contents lie: a missing column or
 scalar, a scalar of the wrong type, an index outside its table, an input
-that reads a later op, a modulus the parameters refuse.  Each
+that reads a later op, an ``he_add`` that reads a hoisted handle, a
+modulus the parameters refuse.  Each
 must raise an :class:`ArtifactError` subclass whose message names the
 block (or, inside the 10-byte preamble, the magic / version field).
 Nothing else may escape, and nothing may load.
@@ -116,13 +117,25 @@ def _with_payloads(data: bytes) -> bytes:
     return stream.getvalue()
 
 
+def _he_add_reads_a_hoist(scalars, arrays) -> None:
+    """The first ``he_add`` after a ``hoist`` reads the hoisted handle
+    instead of its first operand."""
+    kinds = [scalars["kinds"][k] for k in arrays["kind"].tolist()]
+    hoist = kinds.index("hoist")
+    add = kinds.index("he_add", hoist)
+    arrays["inputs"][arrays["input_offsets"][add]] = hoist
+
+
 #: Crafted, CRC-valid lies: (block, mutation).  Before the reader
 #: checked its tables, the first five escaped as KeyError /
 #: AttributeError / ValueError / TypeError / IndexError and the input
 #: offset past the inputs loaded as a truncated input list; so did a
 #: modulus of 2**56 or more (the largest prime below 2**62) before the
 #: parameters refused one, and the first op with inputs reading the
-#: last op before the reader ran ``structural_problems``.
+#: last op before the reader ran ``structural_problems``.  An ``he_add``
+#: reading a hoisted handle loaded, compiled and linted with no error,
+#: then failed at ``execute`` with an AttributeError, before the reader
+#: ran ``hoisted_input_problems``.
 CRAFTED = {
     "payloads-without-offsets":
         (PAYLOADS, _tables(lambda s, a: a.pop("offsets"))),
@@ -141,6 +154,8 @@ CRAFTED = {
     "input-points-at-a-later-op":
         (TRACE_OPS, _tables(lambda s, a: a["inputs"].__setitem__(
             0, s["num_ops"] - 1))),
+    "he-add-reads-a-hoisted-handle":
+        (TRACE_OPS, _tables(_he_add_reads_a_hoist)),
     "modulus-of-2-56-or-more":
         (HEADER, _header(lambda header: header["params"]["moduli"]
                          .__setitem__(1, (1 << 62) - 57))),

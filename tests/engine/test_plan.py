@@ -201,6 +201,25 @@ class TestExecuteReplay:
         direct = ctx.evaluator.he_rotate(ct, 1)
         assert engine.bit_identical(replay.output, direct)
 
+    def test_replay_reads_hoisting_off_the_data_flow(self, ctx):
+        """A rotation replays through ``rotate_hoisted`` exactly when it
+        reads a ``HOIST`` op: a stray ``hoisted`` flag on a rotation of a
+        plain ciphertext changes nothing."""
+        ct = ctx.encrypt([0.3, -0.2])
+
+        def rotate_twice(ev):
+            hoisted = ev.hoisted_rotations(ct, [1])[1]
+            return ev.he_add(hoisted, ev.he_rotate(ct, 2))
+
+        plan = engine.compile(rotate_twice, context=ctx, name="rot12")
+        plain = plan.trace.ops[-2]
+        assert plain.meta["rotation"] == 2
+        plain.meta["hoisted"] = True
+        replay = plan.execute(ctx, sources=[ct])
+        direct = ctx.evaluator.he_add(ctx.evaluator.he_rotate(ct, 1),
+                                      ctx.evaluator.he_rotate(ct, 2))
+        assert engine.bit_identical(replay.output, direct)
+
     def test_profile_seeds_the_simulate_cache(self, conv_setup):
         """profile() then simulate() must not re-run the simulator."""
         plan, _, _ = conv_setup

@@ -15,8 +15,10 @@ no object tier, a modulus of 2**56 or more refused.  One harness per
 question: a floor is a test id.  One encryption: the key owner's, under
 the secret key, with no public key.  One switching key per id, drawn once
 at ``max_level``: no level on a key and no per-level digit scaling.  One
-keygen path: a batch draw, a single key being a batch of one.  Each
-case pins the absence of the fork it names.
+keygen path: a batch draw, a single key being a batch of one.  One
+record of a hoist: the ``HOIST`` op a rotation reads, with no group
+number, flag or inference pass beside it.  Each case pins the absence
+of the fork it names.
 """
 
 import ast
@@ -480,6 +482,34 @@ def test_a_plan_artifact_is_its_trace():
     assert "DAG" not in repro.artifact.ArtifactBlockType.__members__
     assert 3 not in {int(t) for t in repro.artifact.ArtifactBlockType}
     assert 3 not in reader.BLOCK_HANDLERS
+
+
+# -- one record of a hoist ---------------------------------------------------
+
+def test_a_hoist_is_its_data_flow():
+    """No group number on an op, no pass that invents groups, and no
+    ``TRACE_OPS`` column for either: a rotation is hoisted exactly when
+    it reads a ``HOIST`` op."""
+    from repro.artifact.columnar import encode_trace_ops
+    from repro.artifact.format import unpack_arrays
+    assert not hasattr(repro.trace, "infer_hoist_groups")
+    assert "infer_hoist_groups" not in repro.trace.__all__
+    assert "hoist_group" not in {
+        f.name for f in dataclasses.fields(repro.trace.TraceOp)}
+    trace = compile_workload("boot", CkksParameters.paper()).trace
+    assert any(op.kind is repro.trace.OpKind.HOIST for op in trace.ops)
+    _, columns = unpack_arrays(encode_trace_ops(trace))
+    assert not {"hoist_group", "meta_hoisted"} & set(columns)
+    assert not any({"hoisted", "inferred_hoist"} & set(op.meta)
+                   for op in trace.ops)
+
+
+def test_one_hoisted_rotations():
+    """The batch is written once, against the call surface, and every
+    evaluator shares it."""
+    shared = repro.fhe.CkksEvaluator.hoisted_rotations
+    assert repro.trace.TracingEvaluator.hoisted_rotations is shared
+    assert repro.trace.SymbolicEvaluator.hoisted_rotations is shared
 
 
 #: What the IR would need to write files again.

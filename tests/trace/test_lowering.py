@@ -79,8 +79,8 @@ class TestLowering:
 
     def test_a_rotation_group_is_one_block_per_key_plus_its_sum(self, sym):
         """``rotate_add(ct, [1, 2, 3])``: three rotation blocks off the
-        input, each with its own key, one shared ``hoist_group`` and the
-        op's ``op_id``, and the adds of ``ct + rot_1 + rot_2 + rot_3``."""
+        input, each with its own key and the op's ``op_id``, and the adds
+        of ``ct + rot_1 + rot_2 + rot_3``."""
         prod = sym.he_square(sym.fresh(level=4), rescale=False)
         sym.rotate_add(prod, [1, 2, 3 + sym.params.num_slots])
         (group,) = [op for op in sym.trace.ops
@@ -99,8 +99,6 @@ class TestLowering:
                                 ["add0", "add1", "add2"])
         assert [blocks[n].metadata["key"] for n in rots] \
             == ["rot-1", "rot-2", "rot-3"]
-        assert {blocks[n].metadata["hoist_group"] for n in rots} \
-            == {group.hoist_group}
         assert {blocks[n].metadata["op_id"] for n in rots + adds} \
             == {group.op_id}
         assert all(list(graph.predecessors(n)) == ["mult0"] for n in rots)

@@ -63,6 +63,33 @@ and re-recorded after it; the trace digests beside them, the affine
 * scoring, toy: ``83842333…`` -> ``506fcb28…``;
 * scoring, pw54: ``b80707a5…`` -> ``0bff4134…``;
 * affine, pw54: ``214cb819…`` -> ``8940b35c…``.
+
+``TraceOp.hoist_group``, the ``hoisted`` meta flag, the
+``infer_hoist_groups`` pass (and its ``inferred_hoist`` flag) and the
+blocks' ``hoist_group`` metadata left the trace stack: a rotation is
+hoisted exactly when it reads a ``HOIST`` op.  The digest helper no
+longer hashes the field, so every trace and DAG digest moved; every
+residue digest held.  Recomputed at commit d4fabed, before that change,
+with the field, those two flags and that metadata left out, each new
+digest is the old commit's.  Old -> new (trace / DAG; replay lanes
+trace only):
+
+* boot, paper: ``76d818e2…`` / ``01de880c…`` -> ``ffb8c721…`` /
+  ``4d0c608c…``;
+* boot, test: ``8a597b0b…`` / ``ef2b61bc…`` -> ``e98a567a…`` /
+  ``dba861ef…``;
+* helr, paper: ``c33c0320…`` / ``41be1ad0…`` -> ``7b1d9450…`` /
+  ``ea2feef4…``;
+* helr, test: ``2ad3cf54…`` / ``a68a6d2b…`` -> ``f7f70ed5…`` /
+  ``cd9b3ce2…``;
+* resnet, paper: ``637555ca…`` / ``03fe4e07…`` -> ``693991a6…`` /
+  ``d8e13c5c…``;
+* resnet, test: ``39e38779…`` / ``1a44f999…`` -> ``2ddeef3b…`` /
+  ``521c17e1…``;
+* scoring, toy: ``0e314e3e…`` -> ``f24ce007…``;
+* scoring, pw54: ``294db2ef…`` -> ``9dd3c778…``;
+* affine, toy: ``583fd192…`` -> ``cec91df1…``;
+* affine, pw54: ``940813f3…`` -> ``5fe28200…``.
 """
 
 import hashlib
@@ -100,8 +127,7 @@ def _trace_digest(trace) -> str:
     for op in trace.ops:
         sha.update(repr((op.op_id, op.kind.value, op.inputs, op.level,
                          op.out_level, repr(op.out_scale), op.key,
-                         op.hoist_group, op.region,
-                         sorted(op.meta.items()))).encode())
+                         op.region, sorted(op.meta.items()))).encode())
         sha.update(b"\n")
     return sha.hexdigest()
 
@@ -124,23 +150,23 @@ def _dag_digest(graph) -> str:
 #: (workload, preset) -> (trace digest, DAG digest).
 OFFLINE_PINS = {
     ("boot", "paper"): (
-        "76d818e22eaa2e1b4d00273551c3f9538c130d8aa4f47e0b6f85d8f332d0e527",
-        "01de880c5cfd16f46f0df63b24c6af1b68f7cca9f39cf116eaade2ddd0bde280"),
+        "ffb8c721852ca561dc94586b1b22d89cc8ffc2801dcfe0459e1378da4516597b",
+        "4d0c608c3852e3ea75a6d0d3f6a958e1b9deca813a21983ca523b4da5dfdd0d6"),
     ("boot", "test"): (
-        "8a597b0b25a698c1fbcc3f8e707917069d4958b8e2e95bed79cebab633237d36",
-        "ef2b61bc603b84eda1f4e864e6cb74dd951770ae51ae9b11d24790d9a574b55d"),
+        "e98a567adb015b9248694b25cb40bc98978141bcb7ff86970b0530ac228835b7",
+        "dba861ef7951f9d01c47a1ed0d120c01d467ecaaf1840a8b7d5d9d8a8732dbf2"),
     ("helr", "paper"): (
-        "c33c032084e220801a7075cf4663f9906af0a7bb018c7c597bda162eb412dd1e",
-        "41be1ad0a04a3e085636a363d82142da001b613839eb8ea68805caf8602628b5"),
+        "7b1d945095bc083c58a49ad7364875b02d2b0be87fae40f8b766ca9667c7a9e6",
+        "ea2feef4c300043d24b35586addba6e19b9932bbf1cc9ca3018bdc1c7d400a82"),
     ("helr", "test"): (
-        "2ad3cf54319a3794963096dfb35e9d9922bfbdaf3af33094f4a4b6512431c152",
-        "a68a6d2b60f8e1ad0750215cf8ea17caadb4a766811a34c31025236fdc333f56"),
+        "f7f70ed5e7f8cbde66e8c8e47567e2595c27564b604a22b318ad764b8696a2ed",
+        "cd9b3ce224123e38938e4e75d07af249637efae5449edb80d199d1269b66015c"),
     ("resnet", "paper"): (
-        "637555ca6279598e4591397ad466e53170e9de2a44d50272f086c603f466d336",
-        "03fe4e0750968079269c5637bfb3d4181d73a7632734c438b091d9282c10bbb9"),
+        "693991a6da15b985a4f55c8cf65e672db4bffc229116500e73671814dec7d450",
+        "d8e13c5c9f28ace78381434c2259b133080550f2b584677727f210836c39d442"),
     ("resnet", "test"): (
-        "39e387795dedb2a2b9d5bc457b9a3ef5906b1d2aff11c89b7c7b02d73ec21783",
-        "1a44f999a51024b59b0777fa2379675d92c514bcb1a1a769d5516326c6a3c673"),
+        "2ddeef3b3aa2c5f65d172d1c6067ba89641b59e0523abbce274ef87ffc2ad254",
+        "521c17e11151c2b14ef431dd828fa567990f8863a98e9bbe559cde7db920dba7"),
 }
 
 
@@ -205,16 +231,16 @@ def _replay_digests(workload: str, preset: str) -> tuple[str, str]:
 #: (workload, preset) -> (trace digest, digest of the replayed residues).
 REPLAY_PINS = {
     ("scoring", "toy"): (
-        "0e314e3e8a3a0f0951189a5d5af95fc3cff5eeba8d5decf47e343a559ee990aa",
+        "f24ce00766388a303209568ad26e42d034b2b9a95175a41f50bd1ac0ff5247cc",
         "506fcb28bf9c1074d253dd5d8f00eb3d3a88d844b9e8a13e8cdadf22718e36df"),
     ("scoring", "pw54"): (
-        "294db2efeba366231a4cdb38a0db276c794dd213e27dbacc7ce332c950d0dfa8",
+        "9dd3c77850dd8187725dfe7cb6ab8787fdf87c5cb36644b9bd7735b7404ee2a2",
         "0bff4134c0db743a04f1e82627f678f040638886f7dafdda50fadde1f15ed10c"),
     ("affine", "toy"): (
-        "583fd19258c40f2aa31bae75fa135211c7bb687cabec475f4bf360f00ec63fa2",
+        "cec91df1af2749ab712efe9d9666efb6e07632c87a76c7e1078e8ea8f38573d8",
         "ac57ac5c21c2ce5dd6971667c9715b11df41ae61adb2d87c3be736ca180d4360"),
     ("affine", "pw54"): (
-        "940813f3bda4b14ad0aded41d9804eb200c049e8792bd264311b50ffaf82d21a",
+        "5fe28200cfb4ec6a8ec2acba1cd4ac0c05b0ebec57dc53cb70b55cf35f60ee41",
         "8940b35cc04161c97d4a095c093cea33ed9ccc17e09e38789f02e5239fcdf0f9"),
 }
 

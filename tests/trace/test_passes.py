@@ -1,12 +1,12 @@
-"""Trace pass pipeline: validation, rescale expansion, hoist inference."""
+"""Trace pass pipeline: validation and rescale expansion."""
 
 import pytest
 
 from repro.fhe.params import CkksParameters
 from repro.trace import (DEFAULT_PASSES, OpKind, SymbolicEvaluator,
                          TraceValidationError, TracingEvaluator,
-                         expand_implicit_rescales, infer_hoist_groups,
-                         run_passes, validate_trace)
+                         expand_implicit_rescales, run_passes,
+                         validate_trace)
 from repro.trace.ir import TraceOp
 
 
@@ -31,6 +31,23 @@ class TestValidateTrace:
         sym.trace.ops[1].inputs = (5,)
         with pytest.raises(TraceValidationError, match="earlier op"):
             validate_trace(sym.trace)
+
+    def test_a_hoisted_handle_feeds_only_a_hoisted_method(self, sym):
+        """A ``hoist`` output is a handle, not a ciphertext: an
+        ``he_add`` of it would fail at replay, so it does not compile."""
+        ct = sym.fresh(level=4)
+        hoisted = sym.hoist(ct)
+        sym.he_add(hoisted, ct)
+        with pytest.raises(TraceValidationError,
+                           match="input 1 is a hoisted handle; he_add"):
+            validate_trace(sym.trace)
+
+    def test_a_hoisted_handle_may_be_rotated_or_copied(self, sym):
+        ct = sym.fresh(level=4)
+        sym.hoisted_rotations(ct, [0, 1, 2])
+        sym.conjugate_hoisted(sym.hoist(ct))
+        sym.rotate_hoisted(sym.hoist(ct), 0)
+        assert validate_trace(sym.trace) is sym.trace
 
     def test_level_out_of_range_rejected(self, sym):
         sym.he_square(sym.fresh(level=2), rescale=False)
@@ -89,62 +106,22 @@ class TestExpandImplicitRescales:
         assert out is sym.trace
 
 
-class TestInferHoistGroups:
-    def test_rotations_of_one_ciphertext_share_a_group(self, sym):
-        ct = sym.fresh(level=4)
-        sym.he_rotate(ct, 1)
-        sym.he_rotate(ct, 2)
-        sym.he_conjugate(ct)
-        out = infer_hoist_groups(sym.trace)
-        groups = {op.hoist_group for op in out.ops
-                  if op.kind in (OpKind.HE_ROTATE, OpKind.CONJUGATE)}
-        assert len(groups) == 1 and None not in groups
-        assert all(op.meta.get("inferred_hoist") for op in out.ops
-                   if op.hoist_group is not None)
-
-    def test_chained_rotations_stay_ungrouped(self, sym):
-        ct = sym.fresh(level=4)
-        ct = sym.he_rotate(ct, 1)
-        ct = sym.he_rotate(ct, 2)
-        out = infer_hoist_groups(sym.trace)
-        assert out is sym.trace
-
-    def test_recorded_hoist_groups_untouched(self, sym):
-        ct = sym.fresh(level=4)
-        sym.hoisted_rotations(ct, [1, 2, 3])
-        recorded = {op.op_id: op.hoist_group for op in sym.trace.ops}
-        out = infer_hoist_groups(sym.trace)
-        for op in out.ops:
-            if recorded[op.op_id] is not None:
-                assert op.hoist_group == recorded[op.op_id]
-
-    def test_inferred_numbering_continues_after_recorded(self, sym):
-        ct = sym.fresh(level=4)
-        sym.hoisted_rotations(ct, [1, 2])
-        other = sym.fresh(level=4)
-        sym.he_rotate(other, 1)
-        sym.he_rotate(other, 5)
-        out = infer_hoist_groups(sym.trace)
-        recorded = {op.hoist_group for op in sym.trace.ops
-                    if op.hoist_group is not None}
-        inferred = {op.hoist_group for op in out.ops
-                    if op.meta.get("inferred_hoist")}
-        assert inferred and not (inferred & recorded)
-
-
 class TestPipeline:
     def test_default_pipeline_runs_in_order(self, sym):
+        """Rescales are expanded; two rotations of one ciphertext stay
+        two plain rotations of it: no pass adds a hoist."""
         ct = sym.fresh(level=4)
         sym.he_mult(ct, ct, rescale=True)
         sym.he_rotate(ct, 1)
         sym.he_rotate(ct, 2)
         out = run_passes(sym.trace, DEFAULT_PASSES)
         kinds = _kinds(out)
-        assert OpKind.RESCALE in kinds
+        assert OpKind.RESCALE in kinds and OpKind.HOIST not in kinds
         rotations = [op for op in out.ops
                      if op.kind is OpKind.HE_ROTATE]
-        assert rotations[0].hoist_group == rotations[1].hoist_group \
-            is not None
+        assert [(op.inputs, op.meta) for op in rotations] \
+            == [(op.inputs, op.meta) for op in sym.trace.ops
+                if op.kind is OpKind.HE_ROTATE]
 
     def test_empty_pipeline_is_identity(self, sym):
         sym.fresh(level=2)

@@ -76,8 +76,12 @@ class TestRealEvaluatorTracing:
                 if op.kind is OpKind.HE_ROTATE]
         assert len(hoists) == 1
         assert len(rots) == 2
-        assert {op.hoist_group for op in rots} \
-            == {hoists[0].hoist_group}
+        # the group is the data flow: both rotations read the one HOIST
+        assert {op.inputs for op in rots} == {(hoists[0].op_id,)}
+        assert all(op.meta == {"rotation": op.meta["rotation"],
+                               "dnum": ctx.params.dnum,
+                               "digits": ctx.params.digits_at(op.level)}
+                   for op in rots)
         assert [op for op in tev.trace.ops
                 if op.kind is OpKind.COPY]      # the rotation-by-0
         # Bit-exactness with the untraced sequential path.
