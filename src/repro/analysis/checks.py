@@ -21,10 +21,8 @@ from typing import Callable, Iterable, Sequence
 
 from repro.fhe.noise import NOISE_FLOOR_LOG2
 from repro.fhe.params import CkksParameters
-from repro.gme.features import GME_FULL, FeatureSet
 from repro.trace.ir import OpKind, OpTrace, TraceOp
-from repro.trace.ops import (MAX_SCALE, OPS, expected_out_level,
-                             hoisted_input_problems, key_id,
+from repro.trace.ops import (MAX_SCALE, OPS, expected_out_level, key_id,
                              structural_problems)
 
 from .diagnostics import Diagnostic, DiagnosticReport, make
@@ -64,8 +62,7 @@ def check_structure(trace: OpTrace) -> list[Diagnostic]:
     findings: list[Diagnostic] = []
     for position, op in enumerate(trace.ops):
         findings.extend(make("HE050", problem, op)
-                        for problem in structural_problems(op, position)
-                        + hoisted_input_problems(op, position, trace.ops))
+                        for problem in structural_problems(op, position))
     if (trace.output_op_id is not None
             and not 0 <= trace.output_op_id < len(trace.ops)):
         findings.append(make(
@@ -302,79 +299,12 @@ def check_liveness(trace: OpTrace) -> list[Diagnostic]:
     for op in trace.ops:
         if op.op_id in live:
             continue
-        if op.kind in (OpKind.SOURCE, OpKind.HOIST):
-            # unused inputs are a caller concern; HOIST nodes are
-            # shared prefixes whose liveness follows their rotations
-            continue
+        if op.kind is OpKind.SOURCE:
+            continue        # unused inputs are a caller concern
         findings.append(make(
             "HE120", "result never reaches the program output "
             f"(op {trace.output_op_id if trace.output_op_id is not None else trace.ops[-1].op_id})",
             op))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# missed hoists (HE130)
-
-def _canonical_source(trace: OpTrace, op_id: int) -> int:
-    """Follow COPY chains back to the ciphertext actually rotated."""
-    seen: set[int] = set()
-    while op_id not in seen:
-        seen.add(op_id)
-        op = trace.op(op_id)
-        if op.kind is OpKind.COPY and len(op.inputs) == 1:
-            op_id = op.inputs[0]
-            continue
-        break
-    return op_id
-
-
-def check_hoists(trace: OpTrace,
-                 features: FeatureSet = GME_FULL) -> list[Diagnostic]:
-    """HE130: rotation batches that redo a shareable Decomp+ModUp.
-
-    Rotations of one (COPY-canonicalized) source at one level pay one
-    Decomp+ModUp stage per ``HOIST`` op they read, plus one per rotation
-    op that reads none; a rotation group (``rotate_add``) is one stage.
-    ``k`` separate stages where one would do waste ``k - 1`` of them;
-    the message prices that with BlockSim's cost model under
-    ``features``.
-    """
-    from repro.blocksim.analytical import AnalyticalTimingModel
-    from repro.blocksim.blocks import BlockCostModel, BlockType
-
-    # (source, level) -> (rotation op, id of the op that ran its stage)
-    buckets: dict[tuple[int, int], list[tuple[TraceOp, int]]] = {}
-    for op in trace.ops:
-        if OPS[op.kind].block is not BlockType.HE_ROTATE \
-                or len(op.inputs) != 1:
-            continue
-        source, stage = _canonical_source(trace, op.inputs[0]), op.op_id
-        if trace.op(source).kind is OpKind.HOIST:
-            # every rotation of one handle shares the HOIST's stage
-            stage = source
-            source = _canonical_source(trace, trace.op(stage).inputs[0])
-        buckets.setdefault((source, op.level), []).append((op, stage))
-
-    findings: list[Diagnostic] = []
-    cost_model: BlockCostModel | None = None
-    timing: AnalyticalTimingModel | None = None
-    for (source, level), entries in sorted(buckets.items()):
-        stages = len({stage for _, stage in entries})
-        if stages < 2 or not 0 <= level <= trace.params.max_level:
-            continue
-        if cost_model is None:
-            cost_model = BlockCostModel(trace.params)
-            timing = AnalyticalTimingModel(features)
-        assert timing is not None
-        cycles = timing.block_timing(
-            cost_model.mod_up_cost(level)).total_cycles
-        wasted = (stages - 1) * cycles
-        findings.append(make(
-            "HE130", f"{len(entries)} rotation ops of op {source} at level "
-            f"{level} run {stages} Decomp+ModUp stages where one "
-            f"hoisted stage would do; ~{wasted:,.0f} cycles wasted "
-            f"({stages - 1} x {cycles:,.0f})", entries[0][0]))
     return findings
 
 
@@ -428,7 +358,6 @@ Check = Callable[[OpTrace], list[Diagnostic]]
 
 def lint_trace(trace: OpTrace, *, normalized: bool = False,
                available_keys: Iterable[str] | None = None,
-               features: FeatureSet = GME_FULL,
                name: str | None = None) -> DiagnosticReport:
     """Run every static check over ``trace`` and return the report.
 
@@ -453,7 +382,6 @@ def lint_trace(trace: OpTrace, *, normalized: bool = False,
     report.extend(check_scales(trace))
     report.extend(check_keys(trace, available_keys))
     report.extend(check_liveness(trace))
-    report.extend(check_hoists(trace, features))
     report.extend(check_windows(trace))
     return report
 
@@ -467,10 +395,9 @@ def _normalize(trace: OpTrace) -> OpTrace:
 
 
 def lint_traces(traces: Sequence[OpTrace], *, normalized: bool = False,
-                available_keys: Iterable[str] | None = None,
-                features: FeatureSet = GME_FULL
+                available_keys: Iterable[str] | None = None
                 ) -> list[DiagnosticReport]:
     """Lint several traces (the catalog path of the CLI and CI lane)."""
     return [lint_trace(trace, normalized=normalized,
-                       available_keys=available_keys, features=features)
+                       available_keys=available_keys)
             for trace in traces]

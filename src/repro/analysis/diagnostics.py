@@ -108,11 +108,6 @@ CODES: dict[str, CodeInfo] = dict([
     _info("HE120", Severity.WARNING, "dead op",
           "The op's result never reaches the program output — wasted "
           "cycles on every execution (and every served batch)."),
-    _info("HE130", Severity.HINT, "missed hoist",
-          "Rotations of one source ciphertext at one level run separate "
-          "Decomp+ModUp stages that hoisting could share (a rotation "
-          "group is one stage); the message quotes the BlockSim cycle "
-          "cost left on the table."),
 ])
 
 

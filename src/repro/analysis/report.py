@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.trace.ir import OpKind, OpTrace
-from repro.trace.ops import OPS
+from repro.trace.ops import OPS, galois_groups
 
 from .checks import lint_trace
 from .diagnostics import DiagnosticReport
@@ -37,7 +37,7 @@ def op_mix(trace: OpTrace) -> dict[str, Any]:
         "distinct_keys": sorted(trace.keys_used()),
         "level_min": min(levels) if levels else None,
         "level_max": max(levels) if levels else None,
-        "hoists": by_kind[OpKind.HOIST] + by_kind[OpKind.ROTATE_ADD],
+        "hoists": len(galois_groups(trace)) + by_kind[OpKind.ROTATE_ADD],
     }
 
 

@@ -239,7 +239,9 @@ def decode_trace_ops(payload: bytes, params: CkksParameters, name: str,
     if output_op_id is not None and not 0 <= output_op_id < n:
         raise ArtifactFormatError(f"{where}: output_op_id {output_op_id} "
                                   f"outside the {n} ops")
-    by_value = {kind.value: kind for kind in OpKind}
+    # A ``hoist`` row (files written before replay derived hoisting)
+    # reads as the copy of its input: its rotations then read one value.
+    by_value = {kind.value: kind for kind in OpKind} | {"hoist": OpKind.COPY}
     flags = [(key, c[f"meta_{key}"]) for key in _META_BOOL_COLUMNS]
     ints = [(key, sentinel, c[f"meta_{key}"])
             for key, (_, sentinel) in _META_INT_COLUMNS.items()]

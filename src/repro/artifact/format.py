@@ -55,9 +55,9 @@ CONTAINER_VERSION = 1
 
 #: Schema version of the columnar trace tables, stamped into HEADER as
 #: ``schema_version``; readers refuse newer schemas.  Version 2 dropped
-#: the per-op hoist-group and ``meta_hoisted`` columns (the ``HOIST`` op
-#: in the data flow is the record); the decoder reads only the columns
-#: it names, so version 1 files still load.
+#: the per-op hoist-group and ``meta_hoisted`` columns; the decoder reads
+#: only the columns it names, so version 1 files still load, and reads
+#: their ``hoist`` rows as copies.
 TRACE_FORMAT_VERSION = 2
 
 _VERSION_STRUCT = struct.Struct("<H")

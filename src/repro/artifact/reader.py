@@ -13,8 +13,7 @@ This is the one way outside bytes become a trace or a plan: it raises
 only :class:`~repro.artifact.format.ArtifactError` subclasses naming the
 file and the block, holds the blocks to the HEADER's promises, and
 refuses a trace no data-flow check could read or replay could run
-(:func:`repro.trace.ops.structural_problems`,
-:func:`~repro.trace.ops.hoisted_input_problems`).  A plan is its trace:
+(:func:`repro.trace.ops.structural_problems`).  A plan is its trace:
 :func:`load_plan` lowers the block graph again.  Files written while
 the format still stored that graph carry it as block type 3, which this
 reader skips like any unrecognized block.
@@ -28,7 +27,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Callable
 
 from repro.fhe.params import CkksParameters
 from repro.trace.ir import OpTrace
-from repro.trace.ops import hoisted_input_problems, structural_problems
+from repro.trace.ops import structural_problems
 
 from .columnar import decode_payloads, decode_trace_ops
 from .format import (TRACE_FORMAT_VERSION, ArtifactBlockType, ArtifactError,
@@ -106,8 +105,7 @@ def _handle_trace_ops(payload: bytes, artifact: Artifact) -> None:
         payload, _params_from_header(header), str(header.get("name", "")),
         output_op_id)
     for position, op in enumerate(trace.ops):
-        problems = structural_problems(op, position) \
-            or hoisted_input_problems(op, position, trace.ops)
+        problems = structural_problems(op, position)
         if problems:
             raise ArtifactFormatError(f"TRACE_OPS: op {position}: "
                                       f"{problems[0]}")

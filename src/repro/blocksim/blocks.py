@@ -157,14 +157,11 @@ class BlockCostModel:
     def mod_up_cost(self, level: int) -> BlockCost:
         """Decomp+ModUp stage of one hybrid key switch at ``level``.
 
-        This is the stage rotation hoisting shares across a batch
-        (``CkksEvaluator.hoist``): iNTT of the ciphertext limbs, the
-        exact base conversion of every digit into the raised basis, and
-        the NTTs of the new limbs.  :meth:`_key_switch` takes its ModUp
-        counts from here, so static analysis (:mod:`repro.analysis`)
-        prices a *missed* hoist with the key switch's own numbers —
-        ``k`` rotations of one source that each redo this stage waste
-        ``(k - 1)`` of these blocks.
+        This is the stage rotation hoisting shares across a Galois
+        group (:func:`repro.trace.ops.galois_groups`): iNTT of the
+        ciphertext limbs, the exact base conversion of every digit into
+        the raised basis, and the NTTs of the new limbs.
+        :meth:`_key_switch` takes its ModUp counts from here.
         """
         if level < 0 or level > self.params.max_level:
             raise ValueError(f"level {level} out of range")

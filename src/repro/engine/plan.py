@@ -38,7 +38,7 @@ from repro.trace import (DEFAULT_PASSES, OpKind, OpTrace,
                          assert_workload_dag, lower_expanded_trace,
                          run_passes)
 from repro.trace.ir import TraceOp
-from repro.trace.ops import OPS
+from repro.trace.ops import OPS, galois_groups
 
 #: An HE program: any callable issuing evaluator ops on its argument.
 HeProgram = Callable
@@ -169,6 +169,14 @@ class ExecutablePlan:
         (worked out at the first execute: a plan that is only simulated
         never needs them)."""
         return tuple(sorted(self.trace.keys_used()))
+
+    @functools.cached_property
+    def _galois_reads(self) -> dict[int, tuple[int, int]]:
+        """Galois op id -> (the value its group reads, the group's last
+        op id), over :func:`~repro.trace.ops.galois_groups`."""
+        return {op_id: (value, ops[-1])
+                for value, ops in galois_groups(self.trace).items()
+                for op_id in ops}
 
     def lint(self, **kwargs):
         """Lint this plan's trace (:func:`repro.analysis.analyze_trace`).
@@ -313,9 +321,11 @@ class ExecutablePlan:
         ops: a single ciphertext (one source), a sequence in source
         order, or a mapping of source op id to ciphertext.  The replay
         follows the recorded op stream exactly — same implicit-rescale
-        placement, same hoisting structure — so given the same source
-        ciphertexts and keys it is bit-identical to running the program
-        directly against ``ctx.evaluator`` (see :func:`bit_identical`).
+        placement — and raises c1 once for every Galois group
+        (:func:`~repro.trace.ops.galois_groups`), so given the same
+        source ciphertexts and keys it is bit-identical to running the
+        program directly against ``ctx.evaluator`` (see
+        :func:`bit_identical`).
         Every switching key the trace names that the context does not
         hold yet is drawn first, as one batch
         (:meth:`repro.fhe.keys.KeyGenerator.switching_keys`).
@@ -328,9 +338,11 @@ class ExecutablePlan:
         ev = ctx.evaluator
         ev.keygen.switching_keys(self._key_ids)
         values: dict[int, object] = {}
+        raised: dict[int, object] = {}
         for op in self.trace.ops:
             args = [values[i] for i in op.inputs]
-            values[op.op_id] = self._replay_op(ev, op, args, source_map)
+            values[op.op_id] = self._replay_op(ev, op, args, source_map,
+                                               raised)
         return PlanExecution(trace=self.trace, values=values)
 
     def _source_map(self, sources) -> dict[int, object]:
@@ -349,10 +361,13 @@ class ExecutablePlan:
         # A single ciphertext for a single-source trace.
         return dict(zip(source_ids, [sources]))
 
-    def _replay_op(self, ev, op: TraceOp, args: list, source_map: dict):
-        """Apply one recorded op the way its row of the op table says,
-        through the row's ``hoisted_method`` when the op reads a
-        ``HOIST`` op's handle.
+    def _replay_op(self, ev, op: TraceOp, args: list, source_map: dict,
+                   raised: dict):
+        """Apply one recorded op the way its row of the op table says.
+
+        A Galois op of a group applies its map to the value's raised
+        digits: the group's first op raises them into ``raised``, its
+        last drops them.
 
         The method is looked up on ``ev`` at call time, so a proxy
         evaluator sees every replayed call.
@@ -378,8 +393,8 @@ class ExecutablePlan:
                 f"op {op.op_id} ({op.kind.value}) cannot replay: it has "
                 f"{len(args)} ciphertext inputs, the call takes "
                 f"{spec.arity}")
-        if spec.method is None:     # COPY, of a ciphertext or a handle
-            return getattr(args[0], "ct", args[0]).copy()
+        if spec.method is None:     # COPY
+            return args[0].copy()
         if spec.payload:
             payload = self.trace.payloads.get(op.op_id)
             if payload is None:
@@ -396,10 +411,15 @@ class ExecutablePlan:
                             f"replay: no meta[{missing}]") from None
         if spec.fused_rescale:
             args.append(meta.get("rescaled", False))
-        hoisted = any(self._ops_by_id[i].kind is OpKind.HOIST
-                      for i in op.inputs)
-        return getattr(ev, spec.hoisted_method if hoisted
-                       else spec.method)(*args)
+        if op.op_id not in self._galois_reads:
+            return getattr(ev, spec.method)(*args)
+        value, last = self._galois_reads[op.op_id]
+        if value not in raised:
+            raised[value] = ev._hoist(args[0])
+        hoisted = raised.pop(value) if op.op_id == last else raised[value]
+        if op.kind is OpKind.CONJUGATE:
+            return ev._conjugate_hoisted(hoisted)
+        return ev._rotate_hoisted(hoisted, *args[1:])
 
 
 # ---------------------------------------------------------------------------

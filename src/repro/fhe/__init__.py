@@ -18,7 +18,7 @@ from .backend import (ComputeBackend, available_backends, create_backend,
 from .ciphertext import Ciphertext
 from .encoder import CkksEncoder, Plaintext
 from .encryptor import CkksDecryptor, CkksEncryptor
-from .evaluator import CkksEvaluator, HoistedCiphertext
+from .evaluator import CkksEvaluator
 from .keys import KeyGenerator, SecretKey, SwitchingKey
 from .noise import LevelBudget, circuit_depth
 from .packing import SlotLayout
@@ -30,9 +30,9 @@ from .rns import KeySwitchContext, RnsBasis
 __all__ = [
     "Ciphertext", "CkksContext", "CkksDecryptor", "CkksEncoder",
     "CkksEncryptor", "CkksEvaluator", "CkksParameters", "ComputeBackend",
-    "HoistedCiphertext", "KeyGenerator", "KeySwitchContext", "LevelBudget",
-    "Plaintext", "PolyContext", "Polynomial", "Representation",
-    "RnsBasis", "SecretKey", "SlotLayout", "SwitchingKey",
+    "KeyGenerator", "KeySwitchContext", "LevelBudget", "Plaintext",
+    "PolyContext", "Polynomial", "Representation", "RnsBasis", "SecretKey",
+    "SlotLayout", "SwitchingKey",
     "available_backends",
     "circuit_depth", "conjugation_galois_element", "create_backend",
     "register_backend", "resolve_backend_name", "rotation_galois_element",

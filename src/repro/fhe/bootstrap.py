@@ -130,13 +130,14 @@ class Bootstrapper:
         """Move coefficients into slots: t_j = (a_j + i*a_{n+j}) / q0.
 
         The conjugation and the CtS-1 baby-step rotations all act on the
-        same input ciphertext, so one hoisted Decomp+ModUp of c1 serves
-        the conjugation and the whole rotation batch.
+        same input ciphertext: replaying a traced bootstrap
+        (:meth:`repro.engine.ExecutablePlan.execute`) serves them all
+        with one hoisted Decomp+ModUp of c1; a direct call hoists the
+        baby steps and key-switches the conjugation on its own.
         """
         self._build_linear_transforms()
-        hoisted = self.evaluator.hoist(ct)
-        conj = self.evaluator.conjugate_hoisted(hoisted)
-        part1 = self._cts1.apply(ct, hoisted=hoisted)
+        conj = self.evaluator.he_conjugate(ct)
+        part1 = self._cts1.apply(ct)
         part2 = self._cts2.apply(conj)
         return self.evaluator.he_add(part1, part2)
 

@@ -37,7 +37,7 @@ SCALE_TOLERANCE = 1e-7
 
 
 @dataclass
-class HoistedCiphertext:
+class _HoistedCiphertext:
     """A ciphertext with the hoistable half of KeySwitch precomputed.
 
     ``raised`` holds the ModUp'ed digits of c1 over the extended basis in
@@ -46,20 +46,14 @@ class HoistedCiphertext:
     and per component + key product + ModDown each, skipping the repeated
     digit decompose, base conversion *and* forward transforms.  Results
     are bit-exact with the sequential :meth:`CkksEvaluator.he_rotate`
-    path.
+    path.  Private: :meth:`CkksEvaluator.hoisted_rotations` and plan
+    replay (:meth:`repro.engine.ExecutablePlan.execute`, which hoists
+    every value two or more Galois ops read) are its only users.
     """
 
     ct: Ciphertext
     raised: list[Polynomial]
     ksctx: KeySwitchContext
-
-    @property
-    def level(self) -> int:
-        return self.ct.level
-
-    @property
-    def scale(self) -> float:
-        return self.ct.scale
 
 
 class CkksEvaluator:
@@ -193,20 +187,20 @@ class CkksEvaluator:
 
     # -- hoisted rotations -------------------------------------------------
 
-    def hoist(self, ct: Ciphertext) -> HoistedCiphertext:
+    def _hoist(self, ct: Ciphertext) -> _HoistedCiphertext:
         """Precompute the shared half of KeySwitch for a rotation batch.
 
         Runs digit decompose + ModUp + NTT on c1 once; the returned handle
-        feeds :meth:`rotate_hoisted` / :meth:`conjugate_hoisted`, each of
-        which then costs only gathers + key product + ModDown.
+        feeds :meth:`_rotate_hoisted` / :meth:`_conjugate_hoisted`, each
+        of which then costs only gathers + key product + ModDown.
         """
         ksctx = self.context.backend.keyswitch_context(ct.level)
-        return HoistedCiphertext(
+        return _HoistedCiphertext(
             ct=ct, raised=raise_digits(ct.c1, ksctx),
             ksctx=ksctx)
 
-    def rotate_hoisted(self, hoisted: HoistedCiphertext,
-                       rotation: int) -> Ciphertext:
+    def _rotate_hoisted(self, hoisted: _HoistedCiphertext,
+                        rotation: int) -> Ciphertext:
         """HERotate from a hoisted handle (bit-exact with he_rotate)."""
         rotation %= self.params.num_slots
         if rotation == 0:
@@ -215,7 +209,7 @@ class CkksEvaluator:
         key = self.keygen.rotation_key(rotation)
         return self._apply_galois_hoisted(hoisted, galois, key)
 
-    def conjugate_hoisted(self, hoisted: HoistedCiphertext) -> Ciphertext:
+    def _conjugate_hoisted(self, hoisted: _HoistedCiphertext) -> Ciphertext:
         """Complex conjugation from a hoisted handle."""
         galois = conjugation_galois_element(self.params.ring_degree)
         key = self.keygen.conjugation_key()
@@ -230,16 +224,16 @@ class CkksEvaluator:
         maps to ``he_rotate(ct, 0)``, a copy.  The digit decompose + ModUp
         of c1 runs once for the whole batch — the dominant algorithmic win
         for the BSGS linear transforms and bootstrapping rotation batches.
-        Written against the call surface alone (``he_rotate``, ``hoist``,
-        ``rotate_hoisted``), so the tracing and symbolic evaluators share
-        it.
+        A recorder writes the batch as one plain ``he_rotate`` per amount;
+        replay hoists them again because they read one value.
         """
         wanted = sorted({r % self.params.num_slots for r in rotations})
         out = {0: self.he_rotate(ct, 0)} if 0 in wanted else {}
         nonzero = [r for r in wanted if r != 0]
         if nonzero:
-            hoisted = self.hoist(ct)
-            out.update((r, self.rotate_hoisted(hoisted, r)) for r in nonzero)
+            hoisted = self._hoist(ct)
+            out.update((r, self._rotate_hoisted(hoisted, r))
+                       for r in nonzero)
         return out
 
     def rotate_add(self, ct: Ciphertext,
@@ -274,8 +268,8 @@ class CkksEvaluator:
                           c1=ct.c1 + mod_down_poly(acc[1], ksctx),
                           level=ct.level, scale=ct.scale)
 
-    def _apply_galois_hoisted(self, hoisted: HoistedCiphertext, galois: int,
-                              key) -> Ciphertext:
+    def _apply_galois_hoisted(self, hoisted: _HoistedCiphertext,
+                              galois: int, key) -> Ciphertext:
         """Automorphism of the *raised digits* + key product + ModDown.
 
         The automorphism commutes exactly with decompose + centered ModUp
@@ -285,8 +279,9 @@ class CkksEvaluator:
         """
         raised = [d_j.automorphism(galois) for d_j in hoisted.raised]
         ks0, ks1 = inner_product_keyswitch(raised, key, hoisted.ksctx)
-        return Ciphertext(c0=hoisted.ct.c0.automorphism(galois) + ks0,
-                          c1=ks1, level=hoisted.level, scale=hoisted.scale)
+        ct = hoisted.ct
+        return Ciphertext(c0=ct.c0.automorphism(galois) + ks0, c1=ks1,
+                          level=ct.level, scale=ct.scale)
 
     # -- scale and level management ---------------------------------------
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .ciphertext import Ciphertext
 from .encoder import Plaintext
-from .evaluator import CkksEvaluator, HoistedCiphertext
+from .evaluator import CkksEvaluator
 from .poly import Polynomial
 
 #: Diagonals with max |entry| below this are treated as structurally zero.
@@ -69,18 +69,9 @@ class LinearTransform:
     def _giant_step(self) -> int:
         return max(1, int(math.ceil(math.sqrt(len(self.diagonals)))))
 
-    def apply(self, ct: Ciphertext,
-              hoisted: HoistedCiphertext | None = None) -> Ciphertext:
-        """Compute Enc(M @ z) from Enc(z); consumes one level.
-
-        ``hoisted`` optionally supplies an existing hoisting handle for
-        ``ct`` (e.g. shared with a conjugation by the bootstrap pipeline);
-        otherwise the baby-step batch hoists internally.
-        """
+    def apply(self, ct: Ciphertext) -> Ciphertext:
+        """Compute Enc(M @ z) from Enc(z); consumes one level."""
         evaluator = self.evaluator
-        if hoisted is not None and hoisted.ct is not ct:
-            raise ValueError(
-                "hoisted handle was not built from this ciphertext")
         if not self.diagonals:
             zero = evaluator.scalar_mult_int(ct, 0)
             return evaluator.rescale(
@@ -89,13 +80,8 @@ class LinearTransform:
         giant = self._giant_step()
         # Baby rotations rot_j(ct) for every needed j = k mod giant: one
         # hoisted Decomp+ModUp of c1 shared across the whole batch.
-        baby_steps = sorted({k % giant for k in self.diagonals})
-        if hoisted is None and len([j for j in baby_steps if j != 0]) > 1:
-            hoisted = evaluator.hoist(ct)
-        babies = {j: (ct if j == 0 else
-                      evaluator.rotate_hoisted(hoisted, j) if hoisted
-                      else evaluator.he_rotate(ct, j))
-                  for j in baby_steps}
+        babies = {0: ct, **evaluator.hoisted_rotations(
+            ct, {k % giant for k in self.diagonals} - {0})}
         # Group diagonals by giant step i*giant.
         groups: dict[int, list[int]] = {}
         for k in self.diagonals:

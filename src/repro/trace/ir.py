@@ -50,7 +50,6 @@ class OpKind(enum.Enum):
     # -- plumbing (transparent to lowering) ------------------------------
     SOURCE = "source"           # fresh ciphertext entering the trace
     MOD_DROP = "mod_drop"       # limb drop, no block-level work
-    HOIST = "hoist"             # shared Decomp+ModUp of a rotation batch
     COPY = "copy"               # rotation by 0 / explicit copy
     REFRESH = "refresh"         # symbolic level reset (implicit bootstrap)
 
@@ -62,9 +61,10 @@ class TraceOp:
     ``level`` is the operating level (operand level after alignment);
     ``out_level`` the level of the produced ciphertext.  ``key`` names the
     switching key for key-switch ops (``rot-<amount>``, ``conj``,
-    ``relin``; a rotation group's ids joined by ``,``).  Rotations that
-    share one hoisted Decomp+ModUp read the same ``HOIST`` op: the data
-    flow is the only record of hoisting.  ``meta`` carries op-specific
+    ``relin``; a rotation group's ids joined by ``,``).  Galois ops that
+    read one value share one hoisted Decomp+ModUp at replay
+    (:func:`repro.trace.ops.galois_groups`): the data flow is the only
+    record of hoisting.  ``meta`` carries op-specific
     detail (rotation amount, key-switch digit count, whether an implicit
     rescale ran).
     """

@@ -3,8 +3,8 @@
 Each non-transparent trace op becomes one
 :class:`~repro.blocksim.blocks.BlockInstance` node — a rotation group
 (``rotate_add``) one rotation block per key, plus the adds of its sum;
-plumbing ops (``SOURCE``/``MOD_DROP``/``HOIST``/``COPY``/``REFRESH``)
-are routed through, so data-flow edges connect real blocks directly.  Implicit
+plumbing ops (``SOURCE``/``MOD_DROP``/``COPY``/``REFRESH``) are
+routed through, so data-flow edges connect real blocks directly.  Implicit
 rescales (``he_mult(..., rescale=True)`` etc.) are expanded into
 explicit ``RESCALE`` ops by :func:`repro.trace.passes.
 expand_implicit_rescales` before lowering — :func:`lower_trace` applies

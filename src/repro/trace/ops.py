@@ -19,7 +19,7 @@ from typing import Any, NamedTuple
 from repro.blocksim.blocks import BlockType
 from repro.fhe.params import CkksParameters
 
-from .ir import OpKind, TraceOp
+from .ir import OpKind, OpTrace, TraceOp
 
 
 class LevelRule(NamedTuple):
@@ -89,9 +89,6 @@ class OpSpec:
     #: per entry, the entry filling the template under the list's own
     #: name, and one block per key, summed onto the input.
     group: str | None = None
-    #: The method that applies the op to a hoisted handle, which replay
-    #: calls when the op's input is a ``HOIST`` op.
-    hoisted_method: str | None = None
     level: LevelRule = SAME_LEVEL
     scale: ScaleRule = KEEP_SCALE
     #: The :class:`TraceOp` field that is the lowered block's level.
@@ -119,14 +116,13 @@ OPS: dict[OpKind, OpSpec] = {spec.kind: spec for spec in (
     OpSpec(_K.HE_SQUARE, "he_square", 1, _B.HE_MULT, "mult",
            fused_rescale=True, key="relin", scale=PRODUCT_SCALE),
     OpSpec(_K.HE_ROTATE, "he_rotate", 1, _B.HE_ROTATE, "rot",
-           meta_args=("rotation",), key="rot-{rotation}",
-           hoisted_method="rotate_hoisted"),
+           meta_args=("rotation",), key="rot-{rotation}"),
     # ct + sum_r rot_r(ct): one hoist, one ModDown per component.
     OpSpec(_K.ROTATE_ADD, "rotate_add", 1, _B.HE_ROTATE, "rot",
            meta_args=("rotations",), key="rot-{rotations}",
            group="rotations"),
     OpSpec(_K.CONJUGATE, "he_conjugate", 1, _B.HE_ROTATE, "conj",
-           key="conj", hoisted_method="conjugate_hoisted"),
+           key="conj"),
     OpSpec(_K.RESCALE, "rescale", 1, _B.HE_RESCALE, "rescale",
            level=ONE_DOWN, scale=RESCALED_SCALE),
     # MOD_RAISE works over the full chain: its block sits at the raised
@@ -136,7 +132,6 @@ OPS: dict[OpKind, OpSpec] = {spec.kind: spec for spec in (
     OpSpec(_K.SOURCE, None, 0),
     OpSpec(_K.MOD_DROP, "mod_drop", 1, meta_args=("levels",),
            level=DROPPED),
-    OpSpec(_K.HOIST, "hoist", 1),
     OpSpec(_K.COPY, None, 1),
     # refresh(ct, level): the one parameter no trace records.
     OpSpec(_K.REFRESH, "refresh", 1, level=ASKED_LEVEL, scale=RESET_SCALE,
@@ -211,17 +206,21 @@ def structural_problems(op: TraceOp, position: int) -> list[str]:
     return problems
 
 
-def hoisted_input_problems(op: TraceOp, position: int,
-                           ops: Sequence[TraceOp]) -> list[str]:
-    """What makes the op at ``position`` of ``ops`` read a hoisted
-    handle it cannot take: a ``HOIST`` output feeds only an op with a
-    ``hoisted_method`` or a ``COPY``."""
-    if OPS[op.kind].hoisted_method is not None or op.kind is OpKind.COPY:
-        return []
-    return [f"input {input_id} is a hoisted handle; {op.kind.value} "
-            "takes a ciphertext" for input_id in op.inputs
-            if 0 <= input_id < position
-            and ops[input_id].kind is OpKind.HOIST]
+def galois_groups(trace: OpTrace) -> dict[int, tuple[int, ...]]:
+    """Each value two or more ``he_rotate`` / ``conjugate`` ops read,
+    mapped to those ops' ids in op order.
+
+    The one decision about hoisting: a group shares one Decomp+ModUp of
+    its value's c1, which replay raises at the group's first op.  A
+    ``rotate_add`` is a group of its own and joins none.
+    """
+    readers: dict[int, list[int]] = {}
+    for op in trace.ops:
+        if op.kind in (OpKind.HE_ROTATE, OpKind.CONJUGATE) \
+                and len(op.inputs) == 1:
+            readers.setdefault(op.inputs[0], []).append(op.op_id)
+    return {value: tuple(ops) for value, ops in readers.items()
+            if len(ops) > 1}
 
 
 # -- the evaluator call surface ----------------------------------------------
@@ -237,9 +236,8 @@ def install_methods(cls: type) -> None:
     where the op fuses none).  Operands and ``rescale`` bind by position
     or by name."""
     for spec in OPS.values():
-        for name in (spec.method, spec.hoisted_method):
-            if name is not None and name not in vars(cls):
-                setattr(cls, name, _method(spec, name))
+        if spec.method is not None and spec.method not in vars(cls):
+            setattr(cls, spec.method, _method(spec, spec.method))
 
 
 def _method(spec: OpSpec, name: str) -> Callable[..., Any]:
@@ -282,14 +280,13 @@ def render_table() -> str:
               "out scale", "block", "replays")
     rows = [header, ("---",) * len(header)]
     for spec in OPS.values():
-        methods = [m for m in (spec.method, spec.hoisted_method) if m]
         operand = "`trace.payloads`" if spec.payload else \
             '`meta["value"]`' if "value" in spec.meta_args else "—"
         block = "—" if spec.block is None else \
             f"{spec.block.value}, `{spec.stem}N` at `{spec.block_level}`"
         rows.append((
             f"`{spec.kind.value}`",
-            ", ".join(f"`{m}`" for m in methods) or "—", str(spec.arity),
+            f"`{spec.method}`" if spec.method else "—", str(spec.arity),
             ", ".join(f"`{a}`" for a in spec.meta_args) or "—", operand,
             "yes" if spec.fused_rescale else "—",
             (f"`{spec.key}`" if spec.key else "—")

@@ -8,17 +8,16 @@ engine (:mod:`repro.engine`) runs when compiling a program:
   counterpart of :mod:`repro.trace.invariants`' DAG checks): op ids are
   dense and ordered, inputs reference earlier ops, levels are in range,
   every op has the input count, key and output level its row of the
-  op table (:mod:`repro.trace.ops`) prescribes, and a hoisted handle
-  feeds only an op that takes one;
+  op table (:mod:`repro.trace.ops`) prescribes;
 * :func:`expand_implicit_rescales` — ops recorded with an implicit
   rescale (``he_mult(..., rescale=True)`` etc.) are split into the op
   plus an explicit ``RESCALE`` op, because that work is really executed.
   Historically this expansion lived inside ``lowering.py``; as a pass it
   is visible to every backend (simulation *and* replay) uniformly.
 
-No pass adds hoisting: rotations share a Decomp+ModUp exactly when the
-program read them off one ``HOIST`` op, and replay runs what the data
-flow says.  The linter's HE130 reports the rotations that could.
+No pass touches hoisting: Galois ops share a Decomp+ModUp exactly when
+they read one value (:func:`repro.trace.ops.galois_groups`), which
+replay derives from the data flow.
 
 Passes never mutate their input: they return either the input unchanged
 (pure validation) or a rebuilt :class:`OpTrace`.
@@ -30,8 +29,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import replace
 
 from .ir import OpKind, OpTrace, TraceOp
-from .ops import (OPS, expected_out_level, hoisted_input_problems,
-                  structural_problems)
+from .ops import OPS, expected_out_level, structural_problems
 
 
 class TraceValidationError(ValueError):
@@ -47,8 +45,7 @@ def validate_trace(trace: OpTrace) -> OpTrace:
     max_level = trace.params.max_level
     for position, op in enumerate(trace.ops):
         where = f"op {op.op_id} ({op.kind.value})"
-        malformed = structural_problems(op, position) \
-            + hoisted_input_problems(op, position, trace.ops)
+        malformed = structural_problems(op, position)
         problems += [f"{where}: {problem}" for problem in malformed]
         for label, level in (("level", op.level),
                              ("out_level", op.out_level)):

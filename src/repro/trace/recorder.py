@@ -26,8 +26,6 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from typing import Any
 
-from repro.fhe.evaluator import CkksEvaluator
-
 from .ir import OpKind, OpTrace, TraceOp
 from .ops import OPS, OpSpec, install_methods, key_id, keyswitch_meta
 
@@ -46,7 +44,7 @@ class TracingEvaluator:
         self.inner = inner
         self.params = inner.params
         self.trace = OpTrace(params=inner.params, name=name)
-        #: id(ciphertext-or-hoisted-handle) -> producing op id.
+        #: id(ciphertext) -> producing op id.
         self._producers: dict[int, int] = {}
         #: Strong refs to every tracked object so ids stay unique.
         self._keepalive: list[Any] = []
@@ -106,8 +104,7 @@ class TracingEvaluator:
     #
     # One method per row of the op table, installed below
     # (:func:`repro.trace.ops.install_methods`); the explicit ones are
-    # rotation by 0, the two methods on a hoisted handle, ``rotate_add``
-    # and ``refresh``.
+    # rotation by 0, ``rotate_add``, ``refresh`` and the rotation batch.
 
     def _apply(self, spec: OpSpec, cts: tuple[Any, ...],
                operands: tuple[Any, ...], rescale: bool | None) -> Any:
@@ -146,25 +143,19 @@ class TracingEvaluator:
         return self._emit(OpKind.REFRESH, (ct,),
                           self.inner.refresh(ct, level))
 
-    # -- hoisted rotations -------------------------------------------------
-    #
-    # ``hoist`` is a row of the table; an op that reads its handle is
-    # recorded as the plain op, and the ``HOIST`` input is what makes it
-    # hoisted.
-
-    def rotate_hoisted(self, hoisted: Any, rotation: int) -> Any:
-        amount = rotation % self.params.num_slots
-        result = self.inner.rotate_hoisted(hoisted, rotation)
-        if amount == 0:
-            return self._emit(OpKind.COPY, (hoisted,), result)
-        return self._emit(OpKind.HE_ROTATE, (hoisted,), result,
-                          rotation=amount)
-
-    def conjugate_hoisted(self, hoisted: Any) -> Any:
-        return self._emit(OpKind.CONJUGATE, (hoisted,),
-                          self.inner.conjugate_hoisted(hoisted))
-
-    hoisted_rotations = CkksEvaluator.hoisted_rotations
+    def hoisted_rotations(self, ct: Any,
+                          rotations: Iterable[int]) -> dict[int, Any]:
+        """The inner evaluator's batch (hoisted, for a real one), recorded
+        as one plain op per amount: replay hoists the rotations again
+        because they read one value."""
+        rotated: dict[int, Any] = self.inner.hoisted_rotations(ct, rotations)
+        for amount, result in rotated.items():
+            if amount == 0:
+                self._emit(OpKind.COPY, (ct,), result)
+            else:
+                self._emit(OpKind.HE_ROTATE, (ct,), result,
+                           rotation=amount)
+        return rotated
 
 
 install_methods(TracingEvaluator)

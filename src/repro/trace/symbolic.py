@@ -20,10 +20,10 @@ Two extra ops exist only symbolically:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
-from repro.fhe.evaluator import CkksEvaluator
 from repro.fhe.params import CkksParameters
 
 from .ir import OpKind
@@ -97,12 +97,14 @@ class SymbolicEvaluator:
         return SymbolicCiphertext(out_level, out_scale(
             spec, self.params, level, scales, bool(rescale)))
 
-    # -- hoisted rotations -------------------------------------------------
-    #
-    # A hoisted handle is one more (level, scale) handle: ``hoist`` and
-    # the ``*_hoisted`` methods are rows of the table too.
-
-    hoisted_rotations = CkksEvaluator.hoisted_rotations
+    def hoisted_rotations(self, ct: SymbolicCiphertext,
+                          rotations: Iterable[int]
+                          ) -> dict[int, SymbolicCiphertext]:
+        """One ``he_rotate`` handle per distinct amount mod
+        ``num_slots``: hoisted or not, a rotation is the same shape."""
+        spec = OPS[OpKind.HE_ROTATE]
+        return {r: self._apply(spec, (ct,), (r,), None) for r in
+                sorted({r % self.params.num_slots for r in rotations})}
 
     # -- symbolic-only ops -------------------------------------------------
     #

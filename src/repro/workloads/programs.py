@@ -1,7 +1,7 @@
 """The paper workloads as *evaluator programs* (traced, not transcribed).
 
 Each function here is an ordinary program against the evaluator call
-surface (``he_mult`` / ``hoisted rotations`` / ``rescale`` / ...).  Run
+surface (``he_mult`` / ``he_rotate`` / ``rescale`` / ...).  Run
 one through a :class:`~repro.trace.TracingEvaluator` wrapping a
 :class:`~repro.trace.SymbolicEvaluator` and the recorded trace lowers to
 the BlockSim DAG — the block multiplicities are *measured from the
@@ -51,20 +51,19 @@ def _bsgs_stage(ev, ct, radix: int, rotations_per_stage: int,
     """One BSGS linear-transform stage: hoisted rotation batch, one
     diagonal multiply per radix entry, an accumulation tree, one rescale.
 
-    All rotations act on the stage input, so a single hoisted
-    Decomp+ModUp serves the whole batch (the evaluator's hoisting path).
-    Baby-step amounts cycle through 1..4 (shared across stages and with
-    SlotToCoeff); giant steps are multiples of ``radix``.
+    All rotations act on the stage input, so replay serves the whole
+    batch with one hoisted Decomp+ModUp.  Baby-step amounts cycle
+    through 1..4 (shared across stages and with SlotToCoeff); giant
+    steps are multiples of ``radix``.
     """
     pt = ev.plaintext()
-    hoisted = ev.hoist(ct)
     rotated = []
     for j in range(rotations_per_stage):
         if with_giant_steps and j >= rotations_per_stage // 2:
             amount = ((j % 4) + 1) * radix
         else:
             amount = (j % 4) + 1
-        rotated.append(ev.rotate_hoisted(hoisted, amount))
+        rotated.append(ev.he_rotate(ct, amount))
     products = [ev.poly_mult(rotated[j % len(rotated)], pt, rescale=False)
                 for j in range(radix)]
     acc = products[0]
@@ -169,9 +168,7 @@ def resnet20_program(ev):
                 level = params.max_level - 3
             with ev.region(f"conv{layer}"):
                 src = _to_level(ev, frontier, level)
-                hoisted = ev.hoist(src)
-                rotated = [ev.rotate_hoisted(hoisted, (r % 9) + 1)
-                           for r in
+                rotated = [ev.he_rotate(src, (r % 9) + 1) for r in
                            range(cal.RESNET_ROTATIONS_PER_CONV)]
                 products = []
                 for m in range(cal.RESNET_MULTS_PER_CONV):

@@ -8,12 +8,13 @@ misses.  Clean traces must lint empty.
 
 import pytest
 
-from repro.analysis import (CODES, Severity, lint_trace)
-from repro.analysis.checks import (check_hoists, check_structure,
-                                   check_windows, live_op_ids)
+from repro.analysis import CODES, Severity, lint_trace, op_mix
+from repro.analysis.checks import (check_structure, check_windows,
+                                   live_op_ids)
 from repro.analysis.diagnostics import Diagnostic, make
 from repro.fhe.params import CkksParameters
 from repro.trace.ir import OpKind, OpTrace, TraceOp
+from repro.trace.ops import galois_groups
 
 TOY = CkksParameters.toy()  # max_level 5, scale_bits 29, num_slots 512
 DELTA = 2.0 ** TOY.scale_bits
@@ -283,83 +284,37 @@ class TestLiveness:
 
 
 class TestHoists:
-    def _rotation_pair(self, hoists=(False, False)):
-        """Two rotations of one source; each reads it through a ``HOIST``
-        op where ``hoists`` says so, all such reads through one."""
-        t = _trace()
-        src = _add(t, OpKind.SOURCE, level=4)
-        handle = _add(t, OpKind.HOIST, [src], level=4) if any(hoists) \
-            else None
-        rots = [_add(t, OpKind.HE_ROTATE, [handle if hoisted else src],
-                     level=4, key=f"rot-{i + 1}",
-                     meta={"rotation": i + 1, **_mult_meta(4)})
-                for i, hoisted in enumerate(hoists)]
-        _add(t, OpKind.HE_ADD, rots, level=4)
-        return t
+    """Hoisting is replay's, decided by ``galois_groups``: the linter
+    has nothing to find, and the op mix counts one Decomp+ModUp stage
+    per Galois group and per ``rotate_add``."""
 
-    def test_he130_separate_modup_stages(self):
-        t = self._rotation_pair((False, False))
-        assert _codes(t) == {"HE130": 1}
+    def _rotations_of(self, t, src, amounts):
+        return [_add(t, OpKind.HE_ROTATE, [src], level=4, key=f"rot-{r}",
+                     meta={"rotation": r, **_mult_meta(4)})
+                for r in amounts]
 
     def test_shared_hoist_group_is_silent(self):
-        """Rotations that read one ``HOIST`` op share its stage."""
-        t = self._rotation_pair((True, True))
+        t = _trace()
+        src = _add(t, OpKind.SOURCE, level=4)
+        _add(t, OpKind.HE_ADD, self._rotations_of(t, src, (1, 2)), level=4)
         assert _codes(t) == {}
+        assert galois_groups(t) == {src: (1, 2)}
+        assert op_mix(t)["hoists"] == 1
 
-    def test_a_hoist_beside_a_plain_rotation_is_two_stages(self):
-        (finding,) = check_hoists(self._rotation_pair((True, False)))
-        assert "2 Decomp+ModUp stages" in finding.message
-
-    def test_two_hoists_of_one_source_are_two_stages(self):
+    def test_a_rotation_group_is_one_stage(self):
+        """A ``rotate_add`` is one hoisted stage of its own and joins no
+        group: an ``he_rotate`` of the same source beside it stays a
+        plain key switch."""
         t = _trace()
         src = _add(t, OpKind.SOURCE, level=4)
-        rots = [_add(t, OpKind.HE_ROTATE,
-                     [_add(t, OpKind.HOIST, [src], level=4)], level=4,
-                     key=f"rot-{r}", meta={"rotation": r, **_mult_meta(4)})
-                for r in (1, 2)]
-        _add(t, OpKind.HE_ADD, rots, level=4)
-        assert _codes(t) == {"HE130": 1}
-
-    def test_he130_message_prices_the_waste_in_cycles(self):
-        report = lint_trace(self._rotation_pair((False, False)),
-                            normalized=True)
-        (finding,) = report.hints
-        assert finding.code == "HE130"
-        assert "cycles wasted" in finding.message
-
-    def test_copies_do_not_hide_the_shared_source(self):
-        t = _trace()
-        src = _add(t, OpKind.SOURCE, level=4)
-        alias = _add(t, OpKind.COPY, [src], level=4)
-        r1 = _add(t, OpKind.HE_ROTATE, [src], level=4, key="rot-1",
-                  meta={"rotation": 1, **_mult_meta(4)})
-        r2 = _add(t, OpKind.HE_ROTATE, [alias], level=4, key="rot-2",
-                  meta={"rotation": 2, **_mult_meta(4)})
-        _add(t, OpKind.HE_ADD, [r1, r2], level=4)
-        assert len(check_hoists(t)) == 1
-
-
-    def _group_and_rotation(self, same_source=True):
-        t = _trace()
-        src = _add(t, OpKind.SOURCE, level=4)
-        other = _add(t, OpKind.SOURCE, level=4)
         group = _add(t, OpKind.ROTATE_ADD, [src], level=4,
                      key="rot-1,rot-2,rot-3",
                      meta={"rotations": [1, 2, 3], **_mult_meta(4)})
-        rot = _add(t, OpKind.HE_ROTATE, [src if same_source else other],
-                   level=4, key="rot-4",
-                   meta={"rotation": 4, **_mult_meta(4)})
+        (rot,) = self._rotations_of(t, src, (4,))
         _add(t, OpKind.HE_ADD, [group, rot], level=4)
-        return t
-
-    def test_a_rotation_group_is_one_stage(self):
-        """One ``rotate_add`` of a source is one hoisted stage: silent
-        alone, the second of two stages beside an ``he_rotate`` of the
-        same source."""
-        (finding,) = check_hoists(self._group_and_rotation())
-        assert "2 Decomp+ModUp stages" in finding.message
-        assert check_hoists(self._group_and_rotation(same_source=False)) \
-            == []
+        assert _codes(t) == {}
+        assert galois_groups(t) == {}
+        assert op_mix(t)["hoists"] == 1
 
 
 class TestNoise:
@@ -420,29 +375,6 @@ class TestStructure:
         t.output_op_id = 9
         assert _codes(t) == {"HE050": 1}
 
-    @pytest.mark.parametrize("kind,arity,key,meta", [
-        (OpKind.HE_ADD, 2, None, {}),
-        (OpKind.ROTATE_ADD, 1, "rot-1", {"rotations": [1], **_mult_meta(4)}),
-        (OpKind.HOIST, 1, None, {})], ids=["he_add", "rotate_add", "hoist"])
-    def test_he050_a_hoisted_handle_read_by_an_op_that_takes_none(
-            self, kind, arity, key, meta):
-        """A ``HOIST`` output feeds only an op with a hoisted method or a
-        ``COPY``; anything else would fail at replay."""
-        t = _trace()
-        src = _add(t, OpKind.SOURCE, level=4)
-        handle = _add(t, OpKind.HOIST, [src], level=4)
-        _add(t, kind, [handle, src][:arity], level=4, key=key, meta=meta)
-        report = lint_trace(t, normalized=True)
-        assert report.codes() == {"HE050": 1}
-        assert "is a hoisted handle" in report.errors[0].message
-
-    def test_a_hoisted_handle_may_be_copied(self):
-        t = _trace()
-        src = _add(t, OpKind.SOURCE, level=4)
-        _add(t, OpKind.COPY, [_add(t, OpKind.HOIST, [src], level=4)],
-             level=4)
-        assert check_structure(t) == []
-
     def test_structural_findings_suppress_dataflow_checks(self):
         """A malformed trace reports HE050 only, never a crash."""
         t = _trace()
@@ -482,11 +414,13 @@ class TestDiagnosticsFramework:
                   meta={"rotation": 1, **_mult_meta(4)})
         r2 = _add(t, OpKind.HE_ROTATE, [src], level=4, key=None,
                   meta={"rotation": 2, **_mult_meta(4)})
+        _add(t, OpKind.HE_ADD, [r1, r1], level=4)
         _add(t, OpKind.HE_ADD, [r1, r2], level=4)
+        t.output_op_id = 3
         report = lint_trace(t, normalized=True)
         ranks = [d.severity.rank for d in report.sorted()]
         assert ranks == sorted(ranks)
-        assert report.codes() == {"HE022": 1, "HE130": 1}
+        assert report.codes() == {"HE022": 1, "HE120": 2}
 
     def test_to_json_roundtrips_the_contract_fields(self):
         diag = Diagnostic(code="HE010", message="m", op_id=3,

@@ -21,9 +21,9 @@ from repro.artifact import corpus_path
 from repro.fhe.params import CkksParameters
 
 CORPUS_SHA256 = {
-    "boot": "b160718b81d9652c7141be623d062ce062f22456bcd8edaf3d3c5a445e055181",
-    "helr": "dc72f3710a149d5f4359a4c0da0faa9af9a777d36572e4d91b6ab7f2ecb98da6",
-    "resnet": "0c0a995eb51e529257760f4d95edfd26e1c6c60baf9a9a5cd8d0005c8ee8524e",
+    "boot": "54504915212d404a03e7265ae37b97fb79dce53c33a63d5029f1196f644f013e",
+    "helr": "bc2e8e915f915c86b5ee3a856ea5a7965c38db94a8ecece2704e0881d74e2a31",
+    "resnet": "bb9a281765d09c662572ddf00ad971ee7433079c374da3b04d4cd002691b6e65",
 }
 
 

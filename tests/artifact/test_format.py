@@ -24,12 +24,16 @@ from repro.artifact.format import (pack_arrays, pack_json, read_container,
                                    write_container)
 from repro.fhe.params import CkksParameters
 from repro.gme.features import figure7_configs
-from repro.trace import OpTrace, SymbolicEvaluator, TracingEvaluator
+from repro.trace import OpKind, OpTrace, SymbolicEvaluator, TracingEvaluator
+from repro.trace.ops import galois_groups
 
 #: The catalog's ``boot`` plan at paper parameters as the last version 1
 #: writer saved it, with the per-op hoist-group and ``meta_hoisted``
 #: columns that version 2 dropped.
 V1_BOOT = pathlib.Path(__file__).parent / "fixtures" / "boot_v1.rpa"
+#: The same plan as the last writer whose programs named their hoists
+#: saved it: version 2, with ``hoist`` rows.
+V2_BOOT = pathlib.Path(__file__).parent / "fixtures" / "boot_v2.rpa"
 
 
 def _toy_trace() -> OpTrace:
@@ -166,14 +170,55 @@ class TestUnknownBlocks:
             read_artifact(str(path))
 
 
-class TestVersionOneFiles:
-    """Version 1 files load through the one decoder, which reads only the
-    columns it names, and lower to the plan a fresh compile builds."""
+def _data_flow(trace) -> list[tuple]:
+    """``(kind, inputs, level, key)`` per op, copies routed through and
+    ids renumbered over the ops that remain."""
+    position, rows = {}, []
+    for op in trace.ops:
+        inputs = tuple(position[i] for i in op.inputs)
+        if op.kind is OpKind.COPY:
+            position[op.op_id] = inputs[0]
+            continue
+        position[op.op_id] = len(rows)
+        rows.append((op.kind, inputs, op.level, op.key))
+    return rows
+
+
+class _OldFile:
+    """An old file loads through the one decoder, which reads only the
+    columns it names and reads a ``hoist`` row as a copy, and lowers to
+    the plan a fresh compile builds."""
+
+    path: pathlib.Path
 
     @pytest.fixture(scope="class")
     def plans(self):
-        return (load_plan(str(V1_BOOT)),
+        return (load_plan(str(self.path)),
                 engine.compile("boot", CkksParameters.paper()))
+
+    def test_it_loads_the_fresh_data_flow(self, plans):
+        loaded, fresh = plans
+        assert _data_flow(loaded.trace) == _data_flow(fresh.trace)
+
+    def test_its_hoists_are_the_fresh_galois_groups(self, plans):
+        """Eight BSGS stages, whose rotations read one copy, and
+        EvalMod's conjugation pair."""
+        loaded, fresh = plans
+        sizes = [len(ops) for ops in galois_groups(loaded.trace).values()]
+        assert len(sizes) == 9
+        assert sizes == [len(ops) for ops in
+                         galois_groups(fresh.trace).values()]
+
+    @pytest.mark.parametrize("features", figure7_configs(),
+                             ids=lambda features: features.name)
+    def test_it_simulates_to_a_fresh_compiles_cycles(self, plans, features):
+        loaded, fresh = plans
+        assert loaded.simulate(features).cycles \
+            == fresh.simulate(features).cycles
+
+
+class TestVersionOneFiles(_OldFile):
+    path = V1_BOOT
 
     def test_the_fixture_is_a_version_1_file(self):
         with open(V1_BOOT, "rb") as stream:
@@ -183,19 +228,17 @@ class TestVersionOneFiles:
             <= set(unpack_arrays(payload)[1])
         assert read_artifact(str(V1_BOOT)).header["schema_version"] == 1
 
-    def test_it_loads_the_fresh_data_flow(self, plans):
-        loaded, fresh = plans
-        assert [(op.kind, op.inputs, op.level, op.key)
-                for op in loaded.trace.ops] \
-            == [(op.kind, op.inputs, op.level, op.key)
-                for op in fresh.trace.ops]
 
-    @pytest.mark.parametrize("features", figure7_configs(),
-                             ids=lambda features: features.name)
-    def test_it_simulates_to_a_fresh_compiles_cycles(self, plans, features):
-        loaded, fresh = plans
-        assert loaded.simulate(features).cycles \
-            == fresh.simulate(features).cycles
+class TestVersionTwoHoistFiles(_OldFile):
+    path = V2_BOOT
+
+    def test_the_fixture_is_a_version_2_file_with_hoist_rows(self):
+        with open(V2_BOOT, "rb") as stream:
+            (payload,) = [payload for kind, payload in read_container(stream)
+                          if kind == ArtifactBlockType.TRACE_OPS]
+        scalars, _ = unpack_arrays(payload)
+        assert "hoist" in scalars["kinds"]
+        assert read_artifact(str(V2_BOOT)).header["schema_version"] == 2
 
 
 class TestParamsDocument:

@@ -4,14 +4,18 @@ Every golden-corpus file is truncated at every offset, bit-flipped at
 every byte within 16 of each block boundary, and rewritten with crafted
 blocks whose CRCs are valid but whose contents lie: a missing column or
 scalar, a scalar of the wrong type, an index outside its table, an input
-that reads a later op, an ``he_add`` that reads a hoisted handle, a
-modulus the parameters refuse.  Each
-must raise an :class:`ArtifactError` subclass whose message names the
-block (or, inside the 10-byte preamble, the magic / version field).
-Nothing else may escape, and nothing may load.
+that reads a later op, a modulus the parameters refuse.  Each must raise
+an :class:`ArtifactError` subclass whose message names the block (or,
+inside the 10-byte preamble, the magic / version field).  Nothing else
+may escape, and nothing may load.
+
+A ``hoist`` row of an old file reads as a copy: one that lies about its
+input is refused like any other row, and one an ``he_add`` reads loads
+as the valid copy it now is.
 """
 
 import io
+import pathlib
 import re
 import struct
 import warnings
@@ -28,6 +32,7 @@ from repro.artifact.format import (MAGIC, pack_arrays, pack_json,
                                    read_container, unpack_arrays,
                                    unpack_json, write_container)
 from repro.fhe.encoder import Plaintext
+from repro.trace.ir import OpKind
 from repro.trace.ops import OPS
 
 NAMES = ("boot", "helr", "resnet")
@@ -117,25 +122,13 @@ def _with_payloads(data: bytes) -> bytes:
     return stream.getvalue()
 
 
-def _he_add_reads_a_hoist(scalars, arrays) -> None:
-    """The first ``he_add`` after a ``hoist`` reads the hoisted handle
-    instead of its first operand."""
-    kinds = [scalars["kinds"][k] for k in arrays["kind"].tolist()]
-    hoist = kinds.index("hoist")
-    add = kinds.index("he_add", hoist)
-    arrays["inputs"][arrays["input_offsets"][add]] = hoist
-
-
 #: Crafted, CRC-valid lies: (block, mutation).  Before the reader
 #: checked its tables, the first five escaped as KeyError /
 #: AttributeError / ValueError / TypeError / IndexError and the input
 #: offset past the inputs loaded as a truncated input list; so did a
 #: modulus of 2**56 or more (the largest prime below 2**62) before the
 #: parameters refused one, and the first op with inputs reading the
-#: last op before the reader ran ``structural_problems``.  An ``he_add``
-#: reading a hoisted handle loaded, compiled and linted with no error,
-#: then failed at ``execute`` with an AttributeError, before the reader
-#: ran ``hoisted_input_problems``.
+#: last op before the reader ran ``structural_problems``.
 CRAFTED = {
     "payloads-without-offsets":
         (PAYLOADS, _tables(lambda s, a: a.pop("offsets"))),
@@ -154,8 +147,6 @@ CRAFTED = {
     "input-points-at-a-later-op":
         (TRACE_OPS, _tables(lambda s, a: a["inputs"].__setitem__(
             0, s["num_ops"] - 1))),
-    "he-add-reads-a-hoisted-handle":
-        (TRACE_OPS, _tables(_he_add_reads_a_hoist)),
     "modulus-of-2-56-or-more":
         (HEADER, _header(lambda header: header["params"]["moduli"]
                          .__setitem__(1, (1 << 62) - 57))),
@@ -223,3 +214,50 @@ def test_every_bit_flip_near_a_block_boundary_is_refused(name):
             flipped = bytearray(data)
             flipped[offset] ^= 1 << bit
             _refusal(bytes(flipped))
+
+
+# -- the ``hoist`` rows of old files -----------------------------------------
+
+#: ``boot`` at paper parameters, saved by a writer that recorded hoists.
+V2_BOOT = pathlib.Path(__file__).parent / "fixtures" / "boot_v2.rpa"
+
+
+def _at_first_hoist(edit):
+    """A TRACE_OPS mutation through ``edit(arrays, hoist row, kinds)``."""
+    def mutate(scalars, arrays) -> None:
+        kinds = [scalars["kinds"][k] for k in arrays["kind"].tolist()]
+        edit(arrays, kinds.index("hoist"), kinds)
+    return _tables(mutate)
+
+
+def _reads_itself(arrays, hoist, kinds) -> None:
+    arrays["inputs"][arrays["input_offsets"][hoist]] = hoist
+
+
+def _takes_two(arrays, hoist, kinds) -> None:
+    arrays["input_offsets"][hoist + 1] += 1
+
+
+def _he_add_reads_it(arrays, hoist, kinds) -> None:
+    add = kinds.index("he_add", hoist)
+    arrays["inputs"][arrays["input_offsets"][add]] = hoist
+
+
+@pytest.mark.parametrize("edit", [_reads_itself, _takes_two],
+                         ids=["dangling-input", "wrong-arity"])
+def test_a_lying_hoist_row_is_refused_by_name(edit):
+    message = _refusal(_rewrite(V2_BOOT.read_bytes(), TRACE_OPS,
+                                _at_first_hoist(edit)))
+    assert "TRACE_OPS" in message, message
+
+
+def test_a_hoist_row_an_he_add_reads_is_a_valid_copy(tmp_path):
+    """The handle a ``hoist`` row once named could not be added; the
+    copy it now reads as can, so the file loads and lowers."""
+    path = tmp_path / "boot.rpa"
+    path.write_bytes(_rewrite(V2_BOOT.read_bytes(), TRACE_OPS,
+                              _at_first_hoist(_he_add_reads_it)))
+    trace = _read(path.read_bytes()).trace
+    (add,) = [op for op in trace.ops if op.kind is OpKind.HE_ADD
+              and trace.op(op.inputs[0]).kind is OpKind.COPY]
+    assert load_plan(str(path)).trace.op(add.op_id) == add

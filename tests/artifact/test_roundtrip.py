@@ -27,9 +27,7 @@ def _meta_rich_trace(params) -> OpTrace:
     ct = ev.fresh(level=4)
     scaled = ev.scalar_mult(ct, 0.5 + 0.25j, rescale=True)   # complex
     prod = ev.he_mult(scaled, scaled, rescale=True)
-    hoisted = ev.hoist(prod)
-    ev.rotate_hoisted(hoisted, 1)
-    ev.rotate_hoisted(hoisted, 3)
+    ev.hoisted_rotations(prod, [1, 3])
     out = ev.he_rotate(prod, 5)
     ev.trace.output_op_id = ev.trace.ops[-1].op_id
     del out

@@ -201,10 +201,11 @@ class TestExecuteReplay:
         direct = ctx.evaluator.he_rotate(ct, 1)
         assert engine.bit_identical(replay.output, direct)
 
-    def test_replay_reads_hoisting_off_the_data_flow(self, ctx):
-        """A rotation replays through ``rotate_hoisted`` exactly when it
-        reads a ``HOIST`` op: a stray ``hoisted`` flag on a rotation of a
-        plain ciphertext changes nothing."""
+    def test_replay_reads_hoisting_off_the_data_flow(self, ctx,
+                                                     monkeypatch):
+        """The program names no hoist: a batch member and a plain
+        rotation of the same ciphertext read one value, so replay raises
+        its c1 once for both, bit-identical to the direct run."""
         ct = ctx.encrypt([0.3, -0.2])
 
         def rotate_twice(ev):
@@ -212,12 +213,13 @@ class TestExecuteReplay:
             return ev.he_add(hoisted, ev.he_rotate(ct, 2))
 
         plan = engine.compile(rotate_twice, context=ctx, name="rot12")
-        plain = plan.trace.ops[-2]
-        assert plain.meta["rotation"] == 2
-        plain.meta["hoisted"] = True
+        ev = ctx.evaluator
+        raises = []
+        monkeypatch.setattr(ev, "_hoist", lambda c: raises.append(c)
+                            or type(ev)._hoist(ev, c))
         replay = plan.execute(ctx, sources=[ct])
-        direct = ctx.evaluator.he_add(ctx.evaluator.he_rotate(ct, 1),
-                                      ctx.evaluator.he_rotate(ct, 2))
+        assert raises == [ct]
+        direct = ev.he_add(ev.he_rotate(ct, 1), ev.he_rotate(ct, 2))
         assert engine.bit_identical(replay.output, direct)
 
     def test_profile_seeds_the_simulate_cache(self, conv_setup):

@@ -1,101 +1,14 @@
-"""What crosses a batch's two edges, pinned against the parent commit.
+"""What crosses a batch's two edges, pinned.
 
 ``encode`` -> lift -> encrypt on the way in and decrypt -> compose ->
-``decode`` on the way out used to push each of the N coefficients
-through a Python integer; they now stay in int64 wherever the values
-allow.  The digests below were recorded at commit fd7307e (per-coefficient
-``int(round(c))``, ``compose_centered_vec`` through word planes,
-``[float(c) for c in ...]``) by running this very file
-(``python tests/fhe/test_edge_pins.py`` prints the tables), before any
-file under ``src/`` changed; they pass unchanged on both commits.
+``decode`` on the way out stay in int64 wherever the values allow; the
+digests below hold every coefficient, ciphertext bit and decoded byte
+of both edges.  Coefficients are hashed as
+``','.join(str(int(c)) for c in pt.coeffs)``, so one pin reads a list
+of Python integers and an int64 array alike.
 
-Coefficients are hashed as ``','.join(str(int(c)) for c in pt.coeffs)``,
-so one pin reads a list of Python integers and an int64 array alike.
-
-Encryption became the key owner's secret-key form,
-``(NTT(m + e) - a*s, a)``, in place of the public-key form: a fresh
-ciphertext draws ``a`` and one ``e`` where it drew ``u``, ``e0`` and
-``e1``, and a key generator no longer draws a public key.  Every
-``ENCRYPT_PINS`` and ``DECRYPT_PINS`` entry was recorded at commit
-693746e, before that change, and re-recorded after it; ``ENCODE_PINS``
-held.  Old -> new:
-
-* encrypt pw54: ``864f5950…`` -> ``43937c64…``;
-* encrypt test: ``b2e38036…`` -> ``8beca2f8…``;
-* encrypt toy: ``59d851e2…`` -> ``a22c08fc…``;
-* decrypt pw54 fresh_l5: ``6e4425e1…`` -> ``45d122c1…``;
-* decrypt pw54 fresh_l3: ``3c5ab819…`` -> ``ce3b3b2f…``;
-* decrypt pw54 fresh_l0: ``c669cbb4…`` -> ``aeda5697…``;
-* decrypt pw54 fresh_complex: ``ef044198…`` -> ``ea7452a5…``;
-* decrypt pw54 fresh_2_80: ``a99eda04…`` -> ``1a7cb6ab…``;
-* decrypt pw54 scoring: ``45f61c24…`` -> ``2e46aada…``;
-* decrypt pw54 affine: ``c9e34822…`` -> ``910fba2a…``;
-* decrypt test fresh_l7: ``a8260bb1…`` -> ``318f76ad…``;
-* decrypt test fresh_l3: ``070f978a…`` -> ``5c856b73…``;
-* decrypt test fresh_l0: ``eea7ad50…`` -> ``d2033954…``;
-* decrypt test fresh_complex: ``7c25c228…`` -> ``c02aee7d…``;
-* decrypt test fresh_2_80: ``83ee663c…`` -> ``aa7d3394…``;
-* decrypt toy fresh_l5: ``cd11c558…`` -> ``ca02381c…``;
-* decrypt toy fresh_l3: ``2383d6ce…`` -> ``9fb5b091…``;
-* decrypt toy fresh_l0: ``4eed4b52…`` -> ``a03a1b7a…``;
-* decrypt toy fresh_complex: ``bf769edf…`` -> ``e8999941…``;
-* decrypt toy fresh_2_80: ``25eea560…`` -> ``c9f8a712…``;
-* decrypt toy scoring: ``eec481e3…`` -> ``da9b5174…``;
-* decrypt toy affine: ``f8e27fe4…`` -> ``3a6356b2…``.
-
-``rotate_sum`` became two radix-4 ``rotate_add`` groups, one hoist and
-one ModDown each, in place of a log-tree of four ``he_rotate``: the
-scoring result carries one ModDown rounding per group, and the context
-draws six rotation keys where it drew four.  The affine case encrypts
-its input on that same context after the scoring case, so the two
-extra keys move its randomness too; the parent reproduces the new
-affine digests once it draws ``rot-3`` and ``rot-12`` before that
-encryption.  Recorded at commit 9084715, before that change, and
-re-recorded after it; every other entry held.  Old -> new:
-
-* decrypt pw54 scoring: ``2e46aada…`` -> ``63fd61f1…``;
-* decrypt pw54 affine: ``910fba2a…`` -> ``0359ef29…``;
-* decrypt toy scoring: ``da9b5174…`` -> ``c72b1391…``;
-* decrypt toy affine: ``3a6356b2…`` -> ``df89d839…``.
-
-A switching key became one key per id, drawn once at ``max_level``
-over the CRT-idempotent gadget: digit j's key carries ``P * 1_j * s'``
-where it carried ``P * hat{Q}_j * s'``, and the digit is the unscaled
-residue ``[c]_{Q_j}`` where it was ``[c * hat{Q}_j^{-1}]_{Q_j}``.  The
-scoring result carries other key-switch noise, and every key now draws
-over the whole top-level basis where a key for a lower level drew fewer
-rows, so the affine case, encrypted on the same context after the
-scoring case, draws other randomness too.  Recorded at commit 5c8a22f,
-before that change, and re-recorded after it; every other entry held.
-Old -> new:
-
-* decrypt pw54 scoring: ``63fd61f1…`` -> ``d337dad8…``;
-* decrypt pw54 affine: ``0359ef29…`` -> ``e2499eb8…``;
-* decrypt toy scoring: ``c72b1391…`` -> ``8e190b90…``;
-* decrypt toy affine: ``df89d839…`` -> ``5ea6ae8a…``.
-
-Switching keys became batch draws (``KeyGenerator.switching_keys``): a
-plan draws every key it names as one batch before it replays, one
-bounded uniform draw per modulus of C_L + P and one Gaussian draw for
-all of their digits, so the scoring results carry other key-switch
-noise and the affine case, encrypted on the same context after them,
-draws other randomness.  The 54-bit tier's uniform sampler became one
-bounded ``rng.integers(0, q)`` draw, as the int64 tier's already was,
-where it composed two 32-bit draws: every ``pw54`` ``a`` and every
-error drawn after it moved, while ``toy`` and ``test`` encryptions held.
-Recorded at commit b703b70, before that change, and re-recorded after
-it; every other entry held.  Old -> new:
-
-* encrypt pw54: ``43937c64…`` -> ``af719404…``;
-* decrypt pw54 fresh_l5: ``45d122c1…`` -> ``10abcdba…``;
-* decrypt pw54 fresh_l3: ``ce3b3b2f…`` -> ``ad64d4a0…``;
-* decrypt pw54 fresh_l0: ``aeda5697…`` -> ``04e12416…``;
-* decrypt pw54 fresh_complex: ``ea7452a5…`` -> ``d6d70b22…``;
-* decrypt pw54 fresh_2_80: ``1a7cb6ab…`` -> ``c9f8a712…``;
-* decrypt pw54 scoring: ``d337dad8…`` -> ``162dd2c3…``;
-* decrypt pw54 affine: ``e2499eb8…`` -> ``25d167f8…``;
-* decrypt toy scoring: ``8e190b90…`` -> ``e39739d3…``;
-* decrypt toy affine: ``5ea6ae8a…`` -> ``e7c56417…``.
+Re-pin only deliberately: ``python tests/fhe/test_edge_pins.py`` prints
+the tables; CHANGES.md records every old -> new.
 """
 
 import hashlib

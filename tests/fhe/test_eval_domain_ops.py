@@ -223,13 +223,13 @@ class TestHoistedDigitsInEvalForm:
         ctx = CkksContext(PRESETS[preset], seed=5, backend=backend)
         ev = ctx.evaluator
         ct = ctx.encrypt([1.0, -2.0, 3.5, 0.25])
-        hoisted = ev.hoist(ct)
+        hoisted = ev._hoist(ct)
         assert all(d.rep is Representation.EVAL for d in hoisted.raised)
         assert not hasattr(hoisted, "c0_coeff")
         for r in (1, 2, 7):
-            assert ct_equal(ev.rotate_hoisted(hoisted, r),
+            assert ct_equal(ev._rotate_hoisted(hoisted, r),
                             ev.he_rotate(ct, r))
-        assert ct_equal(ev.conjugate_hoisted(hoisted), ev.he_conjugate(ct))
+        assert ct_equal(ev._conjugate_hoisted(hoisted), ev.he_conjugate(ct))
 
 
 class TestPreparedPlaintext:

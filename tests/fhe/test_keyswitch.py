@@ -447,8 +447,8 @@ class TestHoistedRotations:
         for ctx in contexts:
             ev = ctx.evaluator
             ct = ctx.encrypt([0.5 + 0.25j, -1.0 - 2.0j])
-            hoisted = ev.hoist(ct)
-            assert ct_equal(ev.conjugate_hoisted(hoisted),
+            hoisted = ev._hoist(ct)
+            assert ct_equal(ev._conjugate_hoisted(hoisted),
                             ev.he_conjugate(ct))
 
     def test_hoisted_handle_reusable_across_galois(self, contexts):
@@ -456,10 +456,10 @@ class TestHoistedRotations:
         _, stk = contexts
         ev = stk.evaluator
         ct = stk.encrypt([1.0, 2.0, 3.0, 4.0])
-        hoisted = ev.hoist(ct)
-        assert ct_equal(ev.rotate_hoisted(hoisted, 3), ev.he_rotate(ct, 3))
-        assert ct_equal(ev.conjugate_hoisted(hoisted), ev.he_conjugate(ct))
-        assert ct_equal(ev.rotate_hoisted(hoisted, 5), ev.he_rotate(ct, 5))
+        hoisted = ev._hoist(ct)
+        assert ct_equal(ev._rotate_hoisted(hoisted, 3), ev.he_rotate(ct, 3))
+        assert ct_equal(ev._conjugate_hoisted(hoisted), ev.he_conjugate(ct))
+        assert ct_equal(ev._rotate_hoisted(hoisted, 5), ev.he_rotate(ct, 5))
 
     def test_decrypted_rotation_is_correct(self, contexts):
         for ctx in contexts:
@@ -471,7 +471,9 @@ class TestHoistedRotations:
 
 
 class TestLinearTransformHoisting:
-    def test_apply_with_external_hoist_matches_internal(self, contexts):
+    def test_apply_hoists_its_baby_steps_once(self, contexts, monkeypatch):
+        """The baby steps are one ``hoisted_rotations`` batch: one raise
+        of c1, and the result of rotating them one by one."""
         from repro.fhe.linear import LinearTransform
         _, stk = contexts
         ev = stk.evaluator
@@ -483,6 +485,12 @@ class TestLinearTransformHoisting:
             matrix[idx, (idx + k) % n] = rng.normal(size=n) * 0.1
         transform = LinearTransform(ev, matrix)
         ct = stk.encrypt(rng.normal(size=n) * 0.1)
-        internal = transform.apply(ct)
-        external = transform.apply(ct, hoisted=ev.hoist(ct))
-        assert ct_equal(internal, external)
+        raises = []
+        monkeypatch.setattr(ev, "_hoist", lambda c: raises.append(c)
+                            or type(ev)._hoist(ev, c))
+        hoisted = transform.apply(ct)
+        assert raises == [ct]
+        monkeypatch.setattr(ev, "hoisted_rotations", lambda c, rotations: {
+            r: ev.he_rotate(c, r) for r in rotations})
+        assert ct_equal(hoisted, transform.apply(ct))
+        assert raises == [ct]

@@ -1,58 +1,12 @@
-"""Ciphertext bits pinned against the commit before the EVAL-domain rewrite.
+"""Ciphertext bits, pinned.
 
 The oracle tests in ``test_eval_domain_ops.py`` compare the EVAL-domain
 automorphism, rescale and ModDown with this repo's own COEFF kernels;
-this module compares them with what shipped.  The four digests below
-were recorded at commit 5af5927 (COEFF round trips everywhere) by running
-this very file; any later change to the integers a scoring replay, a
-hoisted rotation batch, a conjugation or an HEMult produces — at the
-int64 tier (``toy``) or the double-word tier (``pw54``) — changes one.
-
-Encryption became the key owner's secret-key form,
-``(NTT(m + e) - a*s, a)``, in place of the public-key form: a fresh
-ciphertext draws ``a`` and one ``e`` where it drew ``u``, ``e0`` and
-``e1``, and a key generator no longer draws a public key.  The encrypted
-inputs moved, so all four digests were recorded at commit 693746e,
-before that change, and re-recorded after it.  Old -> new:
-
-* scoring, toy: ``c1c54bc3…`` -> ``dd16d78f…``;
-* scoring, pw54: ``935455a5…`` -> ``400abb6e…``;
-* galois_mult, toy: ``97a44f17…`` -> ``b076c9a9…``;
-* galois_mult, pw54: ``1fb9312f…`` -> ``64813f77…``.
-
-``rotate_sum`` became two radix-4 ``rotate_add`` groups (one hoist and
-one ModDown each) in place of a log-tree of four ``he_rotate``, so the
-scoring digests were recorded at commit 9084715, before that change,
-and re-recorded after it; both ``galois_mult`` digests held.  Old ->
-new:
-
-* scoring, toy: ``dd16d78f…`` -> ``b8724dea…``;
-* scoring, pw54: ``400abb6e…`` -> ``00da5f94…``.
-
-A switching key became one key per id, drawn once at ``max_level``
-over the CRT-idempotent gadget: digit j's key carries ``P * 1_j * s'``
-where it carried ``P * hat{Q}_j * s'``, and the digit is the unscaled
-residue ``[c]_{Q_j}`` where it was ``[c * hat{Q}_j^{-1}]_{Q_j}``.  Every
-key product moved, so all four digests were recorded at commit 5c8a22f,
-before that change, and re-recorded after it.  Old -> new:
-
-* scoring, toy: ``b8724dea…`` -> ``aa0ec64f…``;
-* scoring, pw54: ``00da5f94…`` -> ``019b02f2…``;
-* galois_mult, toy: ``b076c9a9…`` -> ``7fe05ddd…``;
-* galois_mult, pw54: ``64813f77…`` -> ``ffa04d32…``.
-
-Switching keys became batch draws (``KeyGenerator.switching_keys``):
-one bounded uniform draw per modulus of C_L + P and one Gaussian draw
-for every digit of a batch, and a plan draws every key it names as one
-batch before it replays, so every key moved; the 54-bit tier's uniform
-sampler became one bounded draw, so the ``pw54`` inputs moved too.  All
-four digests were recorded at commit b703b70, before that change, and
-re-recorded after it.  Old -> new:
-
-* scoring, toy: ``aa0ec64f…`` -> ``fa9d158c…``;
-* scoring, pw54: ``019b02f2…`` -> ``b664060c…``;
-* galois_mult, toy: ``7fe05ddd…`` -> ``84d570b3…``;
-* galois_mult, pw54: ``ffa04d32…`` -> ``eb5d2ce0…``.
+this module holds them to recorded digests.  Any change to the integers
+a scoring replay, a hoisted rotation batch, a conjugation or an HEMult
+produces — at the int64 tier (``toy``) or the double-word tier
+(``pw54``) — changes one.  Re-pin only deliberately, by running this
+very file; CHANGES.md records every old -> new.
 """
 
 import hashlib

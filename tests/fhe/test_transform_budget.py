@@ -16,7 +16,7 @@ import pytest
 
 from repro.fhe import CkksContext, CkksParameters, register_backend
 from repro.fhe.backend.stacked import StackedBackend
-from repro.fhe.keys import key_switch
+from repro.fhe.keys import key_switch, raise_digits
 from repro.serve.workloads import scoring_workload
 
 
@@ -179,18 +179,65 @@ def test_further_hoisted_rotations_only_pay_mod_down(budget):
 
     def hoist():
         nonlocal hoisted
-        hoisted = ev.hoist(ct)
+        hoisted = ev._hoist(ct)
 
     # The hoist: c1 to COEFF once, d raised digits to EVAL once — the
     # digits' own limbs are c1's evaluations, scaled.
     assert budget.rows(hoist) == d * (n + k)
     for rotation in (1, 2, 3):
         assert budget.rows(
-            lambda: ev.rotate_hoisted(hoisted, rotation)) == 2 * (k + n)
-    assert budget.rows(lambda: ev.conjugate_hoisted(hoisted)) == 2 * (k + n)
+            lambda: ev._rotate_hoisted(hoisted, rotation)) == 2 * (k + n)
+    assert budget.rows(lambda: ev._conjugate_hoisted(hoisted)) \
+        == 2 * (k + n)
     # A batch of m rotations: one key switch + (m - 1) ModDown pairs.
     assert budget.rows(lambda: ev.hoisted_rotations(ct, [1, 2, 3])) \
         == budget.key_switch + 2 * 2 * (k + n)
+
+
+def test_replay_hoists_every_galois_op_of_one_value_once(monkeypatch):
+    """A ``toy`` program reads one value with two ``he_conjugate`` and
+    three ``he_rotate`` calls and names no hoist: replay raises its c1
+    once — one hoist and five hoisted tails by the closed forms above —
+    and reproduces the direct run's residues."""
+    from repro import engine
+    from repro.fhe import evaluator, keys
+    budget = Budget(CkksParameters.toy(), level=5)
+    ev, ct, n, k, d = budget.ev, budget.ct, budget.n, budget.k, budget.d
+
+    def five_galois(ev):
+        parts = [ev.he_conjugate(ct), ev.he_rotate(ct, 1),
+                 ev.he_conjugate(ct), ev.he_rotate(ct, 2),
+                 ev.he_rotate(ct, 3)]
+        total = parts[0]
+        for part in parts[1:]:
+            total = ev.he_add(total, part)
+        return total
+
+    plan = engine.compile(five_galois, context=budget.ctx)
+    raises = []
+    for module in (evaluator, keys):
+        monkeypatch.setattr(module, "raise_digits", lambda *args: raises
+                            .append(args) or raise_digits(*args))
+    run = None
+
+    def replay():
+        nonlocal run
+        run = plan.execute(budget.ctx, sources=[ct])
+
+    assert budget.rows(replay) == d * (n + k) + 5 * 2 * (k + n)
+    assert len(raises) == 1
+    assert engine.bit_identical(run.output, five_galois(ev))
+
+
+@pytest.mark.parametrize("workload, groups",
+                         [("boot", 9), ("helr", 9), ("resnet", 181)])
+def test_the_catalog_has_one_raise_per_galois_group(workload, groups):
+    """At ``paper``: every BSGS stage or convolution's rotations, and
+    each bootstrap's EvalMod pair of conjugations, read one value."""
+    from repro.trace.ops import galois_groups
+    from repro.workloads import compile_workload
+    trace = compile_workload(workload, CkksParameters.paper()).trace
+    assert len(galois_groups(trace)) == groups
 
 
 @pytest.mark.parametrize("rotations", [[1], [1, 2, 3], [4, 8, 12, 1, 2, 3]],

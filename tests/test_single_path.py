@@ -16,9 +16,9 @@ question: a floor is a test id.  One encryption: the key owner's, under
 the secret key, with no public key.  One switching key per id, drawn once
 at ``max_level``: no level on a key and no per-level digit scaling.  One
 keygen path: a batch draw, a single key being a batch of one.  One
-record of a hoist: the ``HOIST`` op a rotation reads, with no group
-number, flag or inference pass beside it.  Each case pins the absence
-of the fork it names.
+decision about a hoist: ``galois_groups`` over the data flow, with no
+hoist op, handle, group number, flag, pass or lint code beside it.
+Each case pins the absence of the fork it names.
 """
 
 import ast
@@ -487,17 +487,30 @@ def test_a_plan_artifact_is_its_trace():
 # -- one record of a hoist ---------------------------------------------------
 
 def test_a_hoist_is_its_data_flow():
-    """No group number on an op, no pass that invents groups, and no
-    ``TRACE_OPS`` column for either: a rotation is hoisted exactly when
-    it reads a ``HOIST`` op."""
+    """No hoist op, column, handle or lint code: ``galois_groups`` is the
+    one decision, and replay and the op-mix report both read it."""
+    from repro.analysis import report
     from repro.artifact.columnar import encode_trace_ops
     from repro.artifact.format import unpack_arrays
+    from repro.trace import ops
+    assert "HOIST" not in repro.trace.OpKind.__members__
+    assert "hoisted_method" not in {
+        f.name for f in dataclasses.fields(ops.OpSpec)}
+    assert not hasattr(ops, "hoisted_input_problems")
+    assert "HE130" not in diagnostics.CODES
+    assert not hasattr(repro.fhe, "HoistedCiphertext")
+    for cls in (repro.fhe.CkksEvaluator, repro.trace.TracingEvaluator,
+                repro.trace.SymbolicEvaluator):
+        for name in ("hoist", "rotate_hoisted", "conjugate_hoisted"):
+            assert not hasattr(cls, name), (cls, name)
     assert not hasattr(repro.trace, "infer_hoist_groups")
-    assert "infer_hoist_groups" not in repro.trace.__all__
     assert "hoist_group" not in {
         f.name for f in dataclasses.fields(repro.trace.TraceOp)}
+    assert engine.ExecutablePlan.__module__ == "repro.engine.plan"
+    assert sys.modules["repro.engine.plan"].galois_groups \
+        is ops.galois_groups
+    assert report.galois_groups is ops.galois_groups
     trace = compile_workload("boot", CkksParameters.paper()).trace
-    assert any(op.kind is repro.trace.OpKind.HOIST for op in trace.ops)
     _, columns = unpack_arrays(encode_trace_ops(trace))
     assert not {"hoist_group", "meta_hoisted"} & set(columns)
     assert not any({"hoisted", "inferred_hoist"} & set(op.meta)
@@ -505,11 +518,17 @@ def test_a_hoist_is_its_data_flow():
 
 
 def test_one_hoisted_rotations():
-    """The batch is written once, against the call surface, and every
-    evaluator shares it."""
+    """The batch is hoisted once, by the real evaluator; the recorder
+    delegates to it and writes plain rotations, and the symbolic
+    evaluator has nothing to hoist."""
     shared = repro.fhe.CkksEvaluator.hoisted_rotations
-    assert repro.trace.TracingEvaluator.hoisted_rotations is shared
-    assert repro.trace.SymbolicEvaluator.hoisted_rotations is shared
+    assert repro.trace.TracingEvaluator.hoisted_rotations is not shared
+    assert repro.trace.SymbolicEvaluator.hoisted_rotations is not shared
+    recorder = repro.trace.TracingEvaluator(
+        repro.trace.SymbolicEvaluator(CkksParameters.toy()))
+    recorder.hoisted_rotations(recorder.fresh(), [0, 1, 2])
+    assert [op.kind.value for op in recorder.trace.ops] \
+        == ["source", "copy", "he_rotate", "he_rotate"]
 
 
 #: What the IR would need to write files again.

@@ -6,11 +6,15 @@ The strategy does not know any op: it walks ``repro.trace.ops.OPS``.  A
 step is any row that replays on a real evaluator, applied to values the
 program already holds, and it is kept when the table's own level and
 scale rules — evaluated by the table-driven ``SymbolicEvaluator`` — land
-inside the modulus chain.  The real ``CkksEvaluator`` is then held to
-what the walk promised.
+inside the modulus chain.  Sometimes the step is a fan-out instead:
+two or three Galois ops of one value the program holds, which replay
+hoists as one group (``repro.trace.ops.galois_groups``).  The real
+``CkksEvaluator`` is then held to what the walk promised, value by
+value.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +25,8 @@ from repro import engine
 from repro.fhe import CkksContext, CkksParameters
 from repro.fhe.evaluator import SCALE_TOLERANCE
 from repro.fhe.noise import NOISE_FLOOR_LOG2
-from repro.trace import SymbolicEvaluator
-from repro.trace.ops import MAX_SCALE, OPS
+from repro.trace import SymbolicEvaluator, TracingEvaluator
+from repro.trace.ops import MAX_SCALE, OPS, galois_groups
 
 TOY = CkksParameters.toy()
 SLOTS = np.linspace(-0.75, 0.75, TOY.num_slots)
@@ -33,6 +37,10 @@ OPERANDS = {"value": (0.5, -1.25), "rotation": (0, 1, 5, TOY.num_slots - 2),
             "rotations": ([1, 2, 3], [4], [TOY.num_slots - 2, 1]),
             "levels": (1, 2)}
 REAL = [spec for spec in OPS.values() if spec.real and spec.method]
+#: The Galois calls a fan-out draws from (a rotation by 0 is a copy).
+GALOIS = [("he_rotate", (r,)) for r in OPERANDS["rotation"] if r] \
+    + [("he_conjugate", ())]
+FAN_OUT = "galois fan-out"
 
 
 def _log2_q(level: int) -> float:
@@ -51,36 +59,32 @@ def _operand_choices(spec):
     return choices
 
 
-def _candidates(sym, handles, hoisted):
+def _candidates(sym, handles):
     """``(method, input indices, operands, kwargs, result handle)`` for
     every call the table's rules accept on the values held so far."""
-    plain = [i for i in range(len(handles)) if i not in hoisted]
     for spec in REAL:
-        on_handles = [(spec.method, plain)]
-        if spec.hoisted_method:
-            on_handles.append((spec.hoisted_method, sorted(hoisted)))
-        for method, pool in on_handles:
-            pairs = [(i,) for i in pool] if spec.arity == 1 else \
-                [(i, j) for i in pool for j in pool]
-            for inputs in pairs:
-                cts = [handles[i] for i in inputs]
-                if spec.scale is MAX_SCALE and abs(
-                        cts[0].scale - cts[1].scale) > SCALE_TOLERANCE \
-                        * max(cts[0].scale, cts[1].scale):
-                    continue    # additive operands share a scale
-                for operands in _operand_choices(spec):
-                    for kwargs in ([{"rescale": True}, {"rescale": False}]
-                                   if spec.fused_rescale else [{}]):
-                        args = [sym.plaintext() if o == "pt" else o
-                                for o in operands]
-                        try:
-                            out = getattr(sym, method)(*cts, *args,
-                                                       **kwargs)
-                        except ValueError:
-                            continue    # below level 0
-                        if NOISE_FLOOR_LOG2 < math.log2(out.scale) \
-                                < _log2_q(out.level) - 1:
-                            yield method, inputs, operands, kwargs, out
+        pairs = [(i,) for i in range(len(handles))] if spec.arity == 1 \
+            else [(i, j) for i in range(len(handles))
+                  for j in range(len(handles))]
+        for inputs in pairs:
+            cts = [handles[i] for i in inputs]
+            if spec.scale is MAX_SCALE and abs(
+                    cts[0].scale - cts[1].scale) > SCALE_TOLERANCE \
+                    * max(cts[0].scale, cts[1].scale):
+                continue    # additive operands share a scale
+            for operands in _operand_choices(spec):
+                for kwargs in ([{"rescale": True}, {"rescale": False}]
+                               if spec.fused_rescale else [{}]):
+                    args = [sym.plaintext() if o == "pt" else o
+                            for o in operands]
+                    try:
+                        out = getattr(sym, spec.method)(*cts, *args,
+                                                        **kwargs)
+                    except ValueError:
+                        continue    # below level 0
+                    if NOISE_FLOOR_LOG2 < math.log2(out.scale) \
+                            < _log2_q(out.level) - 1:
+                        yield spec.method, inputs, operands, kwargs, out
 
 
 @st.composite
@@ -89,29 +93,32 @@ def programs(draw, max_ops):
     sym = SymbolicEvaluator(TOY)
     levels = draw(st.lists(st.integers(2, TOY.max_level), min_size=1,
                            max_size=2))
-    handles, hoisted, steps = [sym.fresh(level=l) for l in levels], set(), []
+    handles, steps = [sym.fresh(level=l) for l in levels], []
     for _ in range(draw(st.integers(1, max_ops))):
-        by_method = {}
-        for candidate in _candidates(sym, handles, hoisted):
+        by_method = {FAN_OUT: [(FAN_OUT, (i,)) for i in range(len(handles))]}
+        for candidate in _candidates(sym, handles):
             by_method.setdefault(candidate[0], []).append(candidate)
-        if not by_method:
-            break
         # The method first, so a row with many operand choices is no
         # likelier than one with a single call.
-        method, inputs, operands, kwargs, out = draw(st.sampled_from(
+        method, inputs, *call = draw(st.sampled_from(
             by_method[draw(st.sampled_from(sorted(by_method)))]))
-        if method == "hoist":
-            hoisted.add(len(handles))
+        if method == FAN_OUT:
+            for name, operands in draw(st.lists(st.sampled_from(GALOIS),
+                                                min_size=2, max_size=3)):
+                handles.append(getattr(sym, name)(handles[inputs[0]],
+                                                  *operands))
+                steps.append((name, inputs, operands, {}))
+            continue
+        operands, kwargs, out = call
         handles.append(out)
         steps.append((method, inputs, operands, kwargs))
-    if len(handles) - 1 in hoisted:     # a program returns a ciphertext
-        steps.append(("rotate_hoisted", (len(handles) - 1,), (1,), {}))
     return levels, steps
 
 
 def _run(ev, sources, steps):
-    """The program against any evaluator; also which sources it read,
-    in first-use order (the order their SOURCE ops are recorded in)."""
+    """The program against any evaluator: every value it holds, and
+    which sources it read, in first-use order (the order their SOURCE
+    ops are recorded in)."""
     values, used = list(sources), []
     for method, inputs, operands, kwargs in steps:
         used.extend(i for i in inputs
@@ -122,7 +129,7 @@ def _run(ev, sources, steps):
                                   if method == "poly_add" else None)
                 if o == "pt" else o for o in operands]
         values.append(getattr(ev, method)(*cts, *args, **kwargs))
-    return values[-1], used
+    return values, used
 
 
 @pytest.fixture(scope="module")
@@ -131,12 +138,26 @@ def ctx():
 
 
 def _check(ctx, levels, steps):
+    """Replay reproduces every value of a direct run bit for bit (a
+    value a fused rescale produced is its expanded ``RESCALE`` op's)."""
     sources = [ctx.encrypt(SLOTS, level=level) for level in levels]
     direct, used = _run(ctx.evaluator, sources, steps)
-    plan = engine.compile(lambda ev: _run(ev, sources, steps)[0],
-                          context=ctx, name="generated")
+    recorded = {}
+
+    def program(ev):
+        recorded["ev"], recorded["values"] = ev, _run(ev, sources, steps)[0]
+        return recorded["values"][-1]
+
+    plan = engine.compile(program, context=ctx, name="generated")
     replay = plan.execute(ctx, sources=[sources[i] for i in used])
-    assert engine.bit_identical(replay.output, direct)
+    assert engine.bit_identical(replay.output, direct[-1])
+    recorder = recorded["ev"]
+    rescaled = [bool(op.meta.get("rescaled")) for op in recorder.trace.ops]
+    for value, expected in zip(recorded["values"][len(sources):],
+                               direct[len(sources):]):
+        op_id = recorder.producer_of(value)
+        replayed = replay.values[op_id + sum(rescaled[:op_id + 1])]
+        assert engine.bit_identical(replayed, expected)
     report = plan.lint()
     assert not report.has_errors, report.render()
 
@@ -162,14 +183,37 @@ def test_deeper_generated_programs(ctx, program):
 
 def test_the_walk_reaches_every_real_row():
     """The strategy is only as good as its coverage: from two fresh
-    ciphertexts and a hoisted handle every replayable method is a
-    candidate (a rescale only of an unrescaled product: elsewhere it
-    would sink the scale below the noise floor)."""
+    ciphertexts every replayable method is a candidate (a rescale only
+    of an unrescaled product: elsewhere it would sink the scale below
+    the noise floor)."""
     sym = SymbolicEvaluator(TOY)
     fresh = sym.fresh(level=4)
-    handles = [fresh, sym.fresh(level=3), sym.hoist(fresh),
+    handles = [fresh, sym.fresh(level=3),
                sym.he_square(fresh, rescale=False)]
-    offered = {c[0] for c in _candidates(sym, handles, {2})}
-    wanted = {s.method for s in REAL} \
-        | {s.hoisted_method for s in REAL if s.hoisted_method}
-    assert offered == wanted
+    offered = {c[0] for c in _candidates(sym, handles)}
+    assert offered == {s.method for s in REAL}
+
+
+def _groups(program):
+    """The Galois groups of ``program``, recorded symbolically."""
+    levels, steps = program
+    recorder = TracingEvaluator(SymbolicEvaluator(TOY))
+    recorder.encoder = SimpleNamespace(
+        encode=lambda values, scale=None: recorder.plaintext(scale))
+    _run(recorder, [recorder.fresh(level=level) for level in levels], steps)
+    return galois_groups(recorder.trace)
+
+
+def test_the_walk_gives_a_value_several_galois_readers():
+    """Some drawn program holds a group of two or more Galois ops, so
+    the replay walk above runs the hoisted group path."""
+    sizes = []
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(programs(max_ops=8))
+    def walk(program):
+        sizes.extend(len(ops) for ops in _groups(program).values())
+
+    walk()
+    assert sizes and min(sizes) >= 2

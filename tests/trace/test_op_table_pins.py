@@ -1,95 +1,12 @@
-"""Traces, lowered DAGs and replayed residues pinned against the commit
-before the op table.
+"""Traces, lowered DAGs and replayed residues, pinned.
 
-Record, replay, the symbolic rules and lowering each used to restate per
-``OpKind`` what an op is; they now read ``repro.trace.ops.OPS``.  A
-change of owner must leave every recorded row, every lowered block and
-every replayed residue where it was, so the digests below were recorded
-at commit f81a58d — hand-written recorder / symbolic methods, the
-``_replay_op`` ladder, ``KIND_TO_BLOCK`` / ``_KIND_STEM`` — by running
-this very file (``PYTHONPATH=src python tests/trace/test_op_table_pins.py``
-prints the tables), before any file under ``src/`` changed; they pass
-unchanged on both commits.  Floats are hashed by ``repr``: bit-identical
-or not at all.
-
-Encryption became the key owner's secret-key form,
-``(NTT(m + e) - a*s, a)``, in place of the public-key form: a fresh
-ciphertext draws ``a`` and one ``e`` where it drew ``u``, ``e0`` and
-``e1``, and a key generator no longer draws a public key.  The replayed
-residues of ``REPLAY_PINS`` were recorded at commit 693746e, before
-that change, and re-recorded after it; the trace digests beside them and
-every ``OFFLINE_PINS`` entry held.  Old -> new:
-
-* scoring, toy: ``8a660cc4…`` -> ``930db78e…``;
-* scoring, pw54: ``6fc94f2c…`` -> ``888977e2…``;
-* affine, toy: ``8811e9c2…`` -> ``ac57ac5c…``;
-* affine, pw54: ``6164ae50…`` -> ``214cb819…``.
-
-``rotate_sum`` became two radix-4 ``rotate_add`` ops (one hoist and one
-ModDown each) in place of four ``he_rotate`` + ``he_add`` pairs: the
-scoring trace is 7 ops where it was 13, and its replayed residues
-moved.  Both scoring entries — trace digest and residues — were
-recorded at commit 9084715, before that change, and re-recorded after
-it; the affine entries and every ``OFFLINE_PINS`` entry held.  Old ->
-new:
-
-* scoring, toy: ``5b0185bb…`` / ``930db78e…`` -> ``0e314e3e…`` /
-  ``55cfb6eb…``;
-* scoring, pw54: ``fb71a45d…`` / ``888977e2…`` -> ``294db2ef…`` /
-  ``60a6ec28…``.
-
-A switching key became one key per id, drawn once at ``max_level``
-over the CRT-idempotent gadget: digit j's key carries ``P * 1_j * s'``
-where it carried ``P * hat{Q}_j * s'``, and the digit is the unscaled
-residue ``[c]_{Q_j}`` where it was ``[c * hat{Q}_j^{-1}]_{Q_j}``.  The
-scoring residues moved; both scoring residue digests were recorded at
-commit 5c8a22f, before that change, and re-recorded after it.  The
-trace digests beside them, the affine entries and every
-``OFFLINE_PINS`` entry held.  Old -> new:
-
-* scoring, toy: ``55cfb6eb…`` -> ``83842333…``;
-* scoring, pw54: ``60a6ec28…`` -> ``b80707a5…``.
-
-Switching keys became batch draws (``KeyGenerator.switching_keys``): a
-plan draws every key it names as one batch before it replays, with one
-bounded uniform draw per modulus of C_L + P and one Gaussian draw for
-all of their digits, so the scoring residues moved.  The 54-bit tier's
-uniform sampler became one bounded draw, so the encrypted ``pw54``
-input, and with it the affine ``pw54`` residues, moved too.  The three
-residue digests were recorded at commit b703b70, before that change,
-and re-recorded after it; the trace digests beside them, the affine
-``toy`` entry and every ``OFFLINE_PINS`` entry held.  Old -> new:
-
-* scoring, toy: ``83842333…`` -> ``506fcb28…``;
-* scoring, pw54: ``b80707a5…`` -> ``0bff4134…``;
-* affine, pw54: ``214cb819…`` -> ``8940b35c…``.
-
-``TraceOp.hoist_group``, the ``hoisted`` meta flag, the
-``infer_hoist_groups`` pass (and its ``inferred_hoist`` flag) and the
-blocks' ``hoist_group`` metadata left the trace stack: a rotation is
-hoisted exactly when it reads a ``HOIST`` op.  The digest helper no
-longer hashes the field, so every trace and DAG digest moved; every
-residue digest held.  Recomputed at commit d4fabed, before that change,
-with the field, those two flags and that metadata left out, each new
-digest is the old commit's.  Old -> new (trace / DAG; replay lanes
-trace only):
-
-* boot, paper: ``76d818e2…`` / ``01de880c…`` -> ``ffb8c721…`` /
-  ``4d0c608c…``;
-* boot, test: ``8a597b0b…`` / ``ef2b61bc…`` -> ``e98a567a…`` /
-  ``dba861ef…``;
-* helr, paper: ``c33c0320…`` / ``41be1ad0…`` -> ``7b1d9450…`` /
-  ``ea2feef4…``;
-* helr, test: ``2ad3cf54…`` / ``a68a6d2b…`` -> ``f7f70ed5…`` /
-  ``cd9b3ce2…``;
-* resnet, paper: ``637555ca…`` / ``03fe4e07…`` -> ``693991a6…`` /
-  ``d8e13c5c…``;
-* resnet, test: ``39e38779…`` / ``1a44f999…`` -> ``2ddeef3b…`` /
-  ``521c17e1…``;
-* scoring, toy: ``0e314e3e…`` -> ``f24ce007…``;
-* scoring, pw54: ``294db2ef…`` -> ``9dd3c778…``;
-* affine, toy: ``583fd192…`` -> ``cec91df1…``;
-* affine, pw54: ``940813f3…`` -> ``5fe28200…``.
+Record, replay, the symbolic rules and lowering read
+``repro.trace.ops.OPS``; a change to any of them must leave every
+recorded row, every lowered block and every replayed residue where it
+was, or move the pins below on purpose.  Floats are hashed by ``repr``:
+bit-identical or not at all.  Re-pin only deliberately:
+``PYTHONPATH=src python tests/trace/test_op_table_pins.py`` prints the
+tables; CHANGES.md records every old -> new.
 """
 
 import hashlib
@@ -150,23 +67,23 @@ def _dag_digest(graph) -> str:
 #: (workload, preset) -> (trace digest, DAG digest).
 OFFLINE_PINS = {
     ("boot", "paper"): (
-        "ffb8c721852ca561dc94586b1b22d89cc8ffc2801dcfe0459e1378da4516597b",
-        "4d0c608c3852e3ea75a6d0d3f6a958e1b9deca813a21983ca523b4da5dfdd0d6"),
+        "6d30271dfc0a4a6379498ede11c9aedb3b6065a916c9e257b560ad9dada50c9c",
+        "c34b16f7eb4c6575d5bb502784ef80e9c0259d11922cc816430145a5650eace6"),
     ("boot", "test"): (
-        "e98a567adb015b9248694b25cb40bc98978141bcb7ff86970b0530ac228835b7",
-        "dba861ef7951f9d01c47a1ed0d120c01d467ecaaf1840a8b7d5d9d8a8732dbf2"),
+        "82287a3b3e6ab7652cd95c96be5b9f42f507be26853afa7295f31f971a4b7de6",
+        "4e99cc015ce21bf41e8c9c41f97b5f2a1eb1452e2217ec494aa5fa98b5d68270"),
     ("helr", "paper"): (
-        "7b1d945095bc083c58a49ad7364875b02d2b0be87fae40f8b766ca9667c7a9e6",
-        "ea2feef4c300043d24b35586addba6e19b9932bbf1cc9ca3018bdc1c7d400a82"),
+        "c5020a1203111561e90763bd8bee6eb6b5e6c7fd61d82168726a4cc1e866cab7",
+        "1cbec15175ae298c16b964c5a958b49898768a95d7172cbf1cd556949471e7e5"),
     ("helr", "test"): (
-        "f7f70ed5e7f8cbde66e8c8e47567e2595c27564b604a22b318ad764b8696a2ed",
-        "cd9b3ce224123e38938e4e75d07af249637efae5449edb80d199d1269b66015c"),
+        "e40211ad78689cadc21a1eb52c27a191b378ec03cecb3336251c191414d3429c",
+        "5bd4b087ce42a7e66b2652bcf758197a800dcd6b67dc8fb18924ab3c5f5b7b92"),
     ("resnet", "paper"): (
-        "693991a6da15b985a4f55c8cf65e672db4bffc229116500e73671814dec7d450",
-        "d8e13c5c9f28ace78381434c2259b133080550f2b584677727f210836c39d442"),
+        "041625e9da289d2e9d99ce611af82457887290ddcf6d7d931d6ac0b7670fb476",
+        "0128156f414fd357c8da7aa4223c066cb20084b2b2068b147b4f2d32dbd901d6"),
     ("resnet", "test"): (
-        "2ddeef3b3aa2c5f65d172d1c6067ba89641b59e0523abbce274ef87ffc2ad254",
-        "521c17e11151c2b14ef431dd828fa567990f8863a98e9bbe559cde7db920dba7"),
+        "46477101dd4f584c653a7fdb7fd083a042c86bc5197df4ec36e18b73d0e98027",
+        "9d1881eb903612ae53ca4b23fb13687c6223550403b6df345edcd9043e9f3f3a"),
 }
 
 
@@ -218,9 +135,8 @@ def _replay_digests(workload: str, preset: str) -> tuple[str, str]:
     sha = hashlib.sha256()
     for op in plan.trace.ops:
         value = run.values[op.op_id]
-        ct = getattr(value, "ct", value)      # a HOIST yields a handle
-        sha.update(f"{op.op_id}:{ct.level}:{ct.scale!r};".encode())
-        for poly in (ct.c0, ct.c1):
+        sha.update(f"{op.op_id}:{value.level}:{value.scale!r};".encode())
+        for poly in (value.c0, value.c1):
             for limb in poly.limbs:
                 sha.update(np.ascontiguousarray(limb, dtype=np.int64)
                            .tobytes())

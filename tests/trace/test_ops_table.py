@@ -32,11 +32,9 @@ def test_one_row_per_kind():
 
 @pytest.mark.parametrize("spec", WITH_METHOD, ids=lambda s: s.kind.value)
 def test_every_method_exists_where_the_table_says(spec):
-    names = [spec.method] + [spec.hoisted_method] * bool(spec.hoisted_method)
-    for name in names:
-        assert callable(getattr(SymbolicEvaluator, name))
-        assert callable(getattr(TracingEvaluator, name))
-        assert hasattr(CkksEvaluator, name) == spec.real
+    assert callable(getattr(SymbolicEvaluator, spec.method))
+    assert callable(getattr(TracingEvaluator, spec.method))
+    assert hasattr(CkksEvaluator, spec.method) == spec.real
 
 
 def test_rows_without_a_method_need_no_evaluator():
@@ -46,8 +44,8 @@ def test_rows_without_a_method_need_no_evaluator():
 
 def test_plumbing_is_the_rows_without_a_block():
     plumbing = {kind for kind, spec in OPS.items() if spec.block is None}
-    assert plumbing == {OpKind.SOURCE, OpKind.MOD_DROP, OpKind.HOIST,
-                        OpKind.COPY, OpKind.REFRESH}
+    assert plumbing == {OpKind.SOURCE, OpKind.MOD_DROP, OpKind.COPY,
+                        OpKind.REFRESH}
     assert all(spec.stem for spec in OPS.values() if spec.block)
 
 
@@ -107,13 +105,6 @@ def test_symbolic_level_and_scale_are_the_real_ones(spec, ctx):
         sym = getattr(sym_ev, spec.method)(*s_args, **kwargs)
         assert sym.level == real.level
         assert sym.scale == pytest.approx(real.scale, rel=SCALE_TOLERANCE)
-        if spec.hoisted_method:
-            hoisted = getattr(real_ev, spec.hoisted_method)(
-                real_ev.hoist(real_ct), *r_args[1:])
-            sym_hoisted = getattr(sym_ev, spec.hoisted_method)(
-                sym_ev.hoist(sym_ct), *s_args[1:])
-            assert (sym_hoisted.level, sym_hoisted.scale) \
-                == (hoisted.level, hoisted.scale)
 
 
 # -- the arity / missing-operand hole ----------------------------------------

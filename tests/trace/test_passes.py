@@ -8,6 +8,7 @@ from repro.trace import (DEFAULT_PASSES, OpKind, SymbolicEvaluator,
                          expand_implicit_rescales, run_passes,
                          validate_trace)
 from repro.trace.ir import TraceOp
+from repro.trace.ops import galois_groups
 
 
 @pytest.fixture()
@@ -32,22 +33,17 @@ class TestValidateTrace:
         with pytest.raises(TraceValidationError, match="earlier op"):
             validate_trace(sym.trace)
 
-    def test_a_hoisted_handle_feeds_only_a_hoisted_method(self, sym):
-        """A ``hoist`` output is a handle, not a ciphertext: an
-        ``he_add`` of it would fail at replay, so it does not compile."""
-        ct = sym.fresh(level=4)
-        hoisted = sym.hoist(ct)
-        sym.he_add(hoisted, ct)
-        with pytest.raises(TraceValidationError,
-                           match="input 1 is a hoisted handle; he_add"):
-            validate_trace(sym.trace)
-
     def test_a_hoisted_handle_may_be_rotated_or_copied(self, sym):
+        """A batch is plain ops on one value — a copy for amount 0 — and
+        another Galois op of the value joins its group."""
         ct = sym.fresh(level=4)
         sym.hoisted_rotations(ct, [0, 1, 2])
-        sym.conjugate_hoisted(sym.hoist(ct))
-        sym.rotate_hoisted(sym.hoist(ct), 0)
+        sym.he_conjugate(ct)
         assert validate_trace(sym.trace) is sym.trace
+        assert _kinds(sym.trace) == [OpKind.SOURCE, OpKind.COPY,
+                                     OpKind.HE_ROTATE, OpKind.HE_ROTATE,
+                                     OpKind.CONJUGATE]
+        assert galois_groups(sym.trace) == {0: (2, 3, 4)}
 
     def test_level_out_of_range_rejected(self, sym):
         sym.he_square(sym.fresh(level=2), rescale=False)
@@ -109,16 +105,17 @@ class TestExpandImplicitRescales:
 class TestPipeline:
     def test_default_pipeline_runs_in_order(self, sym):
         """Rescales are expanded; two rotations of one ciphertext stay
-        two plain rotations of it: no pass adds a hoist."""
+        two plain rotations of it, one Galois group."""
         ct = sym.fresh(level=4)
         sym.he_mult(ct, ct, rescale=True)
         sym.he_rotate(ct, 1)
         sym.he_rotate(ct, 2)
         out = run_passes(sym.trace, DEFAULT_PASSES)
-        kinds = _kinds(out)
-        assert OpKind.RESCALE in kinds and OpKind.HOIST not in kinds
+        assert OpKind.RESCALE in _kinds(out)
         rotations = [op for op in out.ops
                      if op.kind is OpKind.HE_ROTATE]
+        assert galois_groups(out) == {0: tuple(op.op_id
+                                               for op in rotations)}
         assert [(op.inputs, op.meta) for op in rotations] \
             == [(op.inputs, op.meta) for op in sym.trace.ops
                 if op.kind is OpKind.HE_ROTATE]

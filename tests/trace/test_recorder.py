@@ -8,6 +8,7 @@ import pytest
 from repro.fhe import CkksContext
 from repro.fhe.params import CkksParameters
 from repro.trace import (OpKind, SymbolicEvaluator, TracingEvaluator)
+from repro.trace.ops import galois_groups
 from repro.workloads.programs import bootstrap_program
 
 
@@ -71,13 +72,12 @@ class TestRealEvaluatorTracing:
         tev = TracingEvaluator(ctx.evaluator)
         ct = ctx.encrypt(np.arange(6) / 6)
         rotated = tev.hoisted_rotations(ct, [0, 1, 2])
-        hoists = [op for op in tev.trace.ops if op.kind is OpKind.HOIST]
         rots = [op for op in tev.trace.ops
                 if op.kind is OpKind.HE_ROTATE]
-        assert len(hoists) == 1
         assert len(rots) == 2
-        # the group is the data flow: both rotations read the one HOIST
-        assert {op.inputs for op in rots} == {(hoists[0].op_id,)}
+        # the group is the data flow: both rotations read the one value
+        assert galois_groups(tev.trace) == {0: tuple(
+            op.op_id for op in rots)}
         assert all(op.meta == {"rotation": op.meta["rotation"],
                                "dnum": ctx.params.dnum,
                                "digits": ctx.params.digits_at(op.level)}
@@ -119,4 +119,5 @@ class TestSymbolicTracingSpeed:
         assert len(tev.trace) > 300
         counts = tev.trace.counts_by_kind()
         assert counts[OpKind.MOD_RAISE] == 1
-        assert counts[OpKind.HOIST] == 2 * params.fft_iterations
+        assert len(galois_groups(tev.trace)) \
+            == 2 * params.fft_iterations + 1     # + EvalMod's conjugations

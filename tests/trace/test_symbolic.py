@@ -100,10 +100,7 @@ class TestHoisting:
 
     def test_rotate_hoisted_matches_plain_shape(self, ev):
         ct = ev.fresh(level=4)
-        hoisted = ev.hoist(ct)
         direct = ev.he_rotate(ct, 3)
-        via_hoist = ev.rotate_hoisted(hoisted, 3)
+        via_hoist = ev.hoisted_rotations(ct, [3])[3]
         assert (direct.level, direct.scale) \
             == (via_hoist.level, via_hoist.scale)
-        conj = ev.conjugate_hoisted(hoisted)
-        assert conj.level == 4
