@@ -2,8 +2,8 @@
 
 ``repro.analysis`` lints :class:`~repro.trace.OpTrace` programs before
 anything executes: level/depth budgets, scale management, key
-availability, liveness, noise budgets, and serve slot
-windows, reported as stable ``HE0xx``/``HE1xx`` diagnostic codes (see
+availability, liveness, noise budgets, result headroom, and serve
+slot windows, reported as stable ``HE0xx``/``HE1xx`` diagnostic codes (see
 :data:`~repro.analysis.diagnostics.CODES` or the engine README's code
 table).  Three front doors:
 
@@ -16,9 +16,9 @@ table).  Three front doors:
   zero-error budget against checked-in expected-warning goldens.
 """
 
-from .checks import (check_keys, check_levels, check_liveness,
-                     check_scales, check_structure, check_windows,
-                     lint_trace, lint_traces)
+from .checks import (check_headroom, check_keys, check_levels,
+                     check_liveness, check_scales, check_structure,
+                     check_windows, lint_trace, lint_traces)
 from .diagnostics import (CODES, Diagnostic, DiagnosticReport, LintError,
                           LintWarning, Severity)
 from .report import analyze_trace, op_mix, render_report
@@ -31,6 +31,7 @@ __all__ = [
     "LintWarning",
     "Severity",
     "analyze_trace",
+    "check_headroom",
     "check_keys",
     "check_levels",
     "check_liveness",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Sequence
 
-from repro.fhe.noise import NOISE_FLOOR_LOG2
+from repro.fhe.noise import NOISE_FLOOR_LOG2, result_headroom
 from repro.fhe.params import CkksParameters
 from repro.trace.ir import OpKind, OpTrace, TraceOp
 from repro.trace.ops import (MAX_SCALE, OPS, expected_out_level, key_id,
@@ -192,6 +192,35 @@ def check_scales(trace: OpTrace) -> list[Diagnostic]:
                 "HE110", f"rescaled scale 2^{log_scale:.1f} has drifted "
                 f"{abs(log_scale - scale_bits):.1f} bits from Delta = "
                 f"2^{scale_bits:.0f}", op))
+    return findings
+
+
+def check_headroom(trace: OpTrace) -> list[Diagnostic]:
+    """HE031: a declared result bound fits under the output modulus.
+
+    Serving (:mod:`repro.serve`) stamps ``meta["result_bound"]`` — the
+    largest |result| its workload declares — on a plan's output op.
+    ``Q`` at the op's level must hold ``scale * bound`` with
+    :data:`~repro.fhe.noise.HEADROOM_BITS` to spare, or a result near
+    the bound decrypts wrapped.  Traces without the annotation pass
+    vacuously.
+    """
+    findings: list[Diagnostic] = []
+    params = trace.params
+    for op in trace.ops:
+        bound = op.meta.get("result_bound")
+        if (bound is None or _log2_scale(op) is None
+                or not 0 <= op.out_level <= params.max_level):
+            continue
+        spare = result_headroom(params, op.out_level, op.out_scale,
+                                float(bound))
+        if spare < 0:
+            findings.append(make(
+                "HE031", f"a result up to {float(bound):g} at scale "
+                f"2^{math.log2(op.out_scale):.1f} needs "
+                f"{-spare:.1f} more bits than the level-{op.out_level} "
+                f"modulus 2^{_log2_q_at(params, op.out_level):.1f} "
+                "leaves; it decrypts wrapped", op))
     return findings
 
 
@@ -380,6 +409,7 @@ def lint_trace(trace: OpTrace, *, normalized: bool = False,
 
     report.extend(check_levels(trace))
     report.extend(check_scales(trace))
+    report.extend(check_headroom(trace))
     report.extend(check_keys(trace, available_keys))
     report.extend(check_liveness(trace))
     report.extend(check_windows(trace))

@@ -89,6 +89,11 @@ CODES: dict[str, CodeInfo] = dict([
           "The propagated scale falls below the noise floor "
           "(repro.fhe.noise.NOISE_FLOOR_LOG2): the message is smaller "
           "than the rescale rounding noise and cannot be recovered."),
+    _info("HE031", Severity.ERROR, "result headroom exhausted",
+          "The output modulus cannot hold the declared result bound "
+          "(meta['result_bound']) at the output scale with "
+          "repro.fhe.noise.HEADROOM_BITS to spare: a result near the "
+          "bound wraps around Q and decrypts as garbage."),
     _info("HE040", Severity.ERROR, "serve windows overlap",
           "Two slot windows of a served batch overlap; queries packed "
           "into them would read each other's slots."),

@@ -171,6 +171,16 @@ class ExecutablePlan:
         return tuple(sorted(self.trace.keys_used()))
 
     @functools.cached_property
+    def entry_level(self) -> int:
+        """The level the plan's first SOURCE op was recorded at: where a
+        caller encrypts its input.  Replay drops a source above it to
+        it, and refuses one below."""
+        for op in self.trace.ops:
+            if op.kind is OpKind.SOURCE:
+                return op.level
+        raise PlanError(f"plan {self.name!r} has no SOURCE op")
+
+    @functools.cached_property
     def _galois_reads(self) -> dict[int, tuple[int, int]]:
         """Galois op id -> (the value its group reads, the group's last
         op id), over :func:`~repro.trace.ops.galois_groups`."""
@@ -319,7 +329,9 @@ class ExecutablePlan:
 
         ``sources`` supplies the ciphertexts for the trace's ``SOURCE``
         ops: a single ciphertext (one source), a sequence in source
-        order, or a mapping of source op id to ciphertext.  The replay
+        order, or a mapping of source op id to ciphertext; one above its
+        op's recorded level is ``mod_drop``\\ ped to it (:attr:`entry_level`
+        for a single source), one below is a :class:`PlanError`.  The replay
         follows the recorded op stream exactly — same implicit-rescale
         placement — and raises c1 once for every Galois group
         (:func:`~repro.trace.ops.galois_groups`), so given the same
@@ -379,11 +391,15 @@ class ExecutablePlan:
                     f"no source ciphertext supplied for SOURCE op "
                     f"{op.op_id} (level {op.level})")
             ct = source_map[op.op_id]
-            if ct.level != op.level:
+            if ct.level < op.level:
                 raise PlanError(
                     f"source for op {op.op_id} is at level {ct.level}, "
-                    f"trace recorded level {op.level}")
-            return ct
+                    f"below the recorded level {op.level}")
+            if ct.level == op.level:
+                return ct
+            # A ciphertext mod Q_l is one mod Q_l' for l' < l: dropping
+            # the extra limbs is exact.
+            return ev.mod_drop(ct, ct.level - op.level)
         if not spec.real:
             raise PlanError(
                 f"op {op.op_id} ({op.kind.value}) is symbolic-only and "

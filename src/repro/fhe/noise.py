@@ -25,6 +25,23 @@ from .params import CkksParameters
 #: floor so planning and linting agree on when the budget is exhausted.
 NOISE_FLOOR_LOG2 = 10.0
 
+#: Bits a result keeps free below its ciphertext modulus: one for the
+#: sign (decryption centres the residues in (-Q/2, Q/2]) and one for the
+#: noise riding on ``scale * |result|``, which may carry a value at the
+#: bound past a power of two.  A served plan's entry level
+#: (:meth:`repro.serve.ServedWorkload.entry_level`) and the static
+#: headroom check (``HE031`` in :mod:`repro.analysis`) share it.
+HEADROOM_BITS = 2.0
+
+
+def result_headroom(params: CkksParameters, level: int, scale: float,
+                    bound: float) -> float:
+    """Spare bits of ``Q_level`` over a result of magnitude up to
+    ``bound`` encoded at ``scale``, after :data:`HEADROOM_BITS`; below
+    zero the decrypted value can wrap around the modulus."""
+    log_q = sum(math.log2(q) for q in params.moduli[:level + 1])
+    return log_q - math.log2(scale) - math.log2(bound) - HEADROOM_BITS
+
 
 @dataclass
 class LevelBudget:

@@ -39,8 +39,8 @@ from .faults import FaultInjectingExecutor, FaultPlan, window_checksum
 from .metrics import LATENCY_RESERVOIR, ServeMetrics, percentile
 from .resilience import (BreakerState, CircuitBreaker, CircuitOpen,
                          CorruptedResult, DeadlineExceeded,
-                         HealthMonitor, HealthState, LoadShed,
-                         PoisonedQueryError, QuotaExceeded,
+                         HealthMonitor, HealthState, InputOutOfDomain,
+                         LoadShed, PoisonedQueryError, QuotaExceeded,
                          ResilienceConfig, RetryPolicy, ServeError,
                          ServerSaturated, TokenBucket, TransientFault)
 from .server import (PlanServer, RealExecutor, ServeConfig,
@@ -58,6 +58,7 @@ __all__ = [
     "FaultPlan",
     "HealthMonitor",
     "HealthState",
+    "InputOutOfDomain",
     "LATENCY_RESERVOIR",
     "LoadShed",
     "PlanServer",

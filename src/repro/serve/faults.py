@@ -94,6 +94,7 @@ class FaultInjectingExecutor:
         self.faults = faults
         self.layout = inner.layout
         self.plan = getattr(inner, "plan", None)
+        self.input_bound = getattr(inner, "input_bound", None)
         self.checksum_decimals = checksum_decimals
         self._rng = random.Random(faults.seed)
         self.injected = {"poisoned": 0, "transient": 0,

@@ -53,6 +53,11 @@ class LoadShed(ServerSaturated):
     """Degraded/draining server shed this low-priority submission."""
 
 
+class InputOutOfDomain(ServeError):
+    """A query slot lies outside the workload's declared input domain;
+    its result could wrap the plan's output modulus."""
+
+
 class QuotaExceeded(ServeError):
     """The tenant's token-bucket QPS quota is exhausted."""
 

@@ -66,9 +66,10 @@ from .batcher import Batch, Query, SlotBatcher
 from .cache import TenantKeyCache, shared_plan
 from .metrics import ServeMetrics
 from .resilience import (CircuitBreaker, CircuitOpen, DeadlineExceeded,
-                         HealthMonitor, LoadShed, PoisonedQueryError,
-                         QuotaExceeded, ResilienceConfig, ServeError,
-                         ServerSaturated, TokenBucket, TransientFault)
+                         HealthMonitor, InputOutOfDomain, LoadShed,
+                         PoisonedQueryError, QuotaExceeded,
+                         ResilienceConfig, ServeError, ServerSaturated,
+                         TokenBucket, TransientFault)
 from .workloads import ServedWorkload
 
 __all__ = [
@@ -127,6 +128,8 @@ class RealExecutor:
         self.keys = key_cache or TenantKeyCache()
         self.round_decimals = round_decimals
         self.plan = shared_plan(workload, params, artifact=artifact)
+        #: The query domain admission checks (``PlanServer.submit``).
+        self.input_bound = workload.input_bound
         #: Same-tenant batches serialize (they share evaluator caches);
         #: different tenants execute in parallel across workers.
         self._tenant_locks: dict[str, threading.Lock] = {}
@@ -141,7 +144,8 @@ class RealExecutor:
         start = time.perf_counter()
         with self._tenant_lock(batch.tenant):
             ctx = self.keys.get(batch.tenant, self.params)
-            ct = ctx.encrypt(batch.packed_values())
+            ct = ctx.encrypt(batch.packed_values(),
+                             level=self.plan.entry_level)
             out = self.plan.execute(ctx, sources=[ct]).output
             decoded = ctx.decrypt(out).real
         results = self.layout.unpack_many(
@@ -197,6 +201,9 @@ class PlanServer:
         #: snapshot (survives the metrics reset in :meth:`start`).
         self.plan_fingerprint = _plan_fingerprint(
             getattr(executor, "plan", None))
+        #: Largest |x| a query slot may carry; ``None`` admits anything.
+        self.input_bound: float | None = getattr(executor, "input_bound",
+                                                 None)
         self.metrics = ServeMetrics(
             plan_fingerprint=self.plan_fingerprint)
         resilience = self.config.resilience
@@ -364,6 +371,8 @@ class PlanServer:
         :class:`DeadlineExceeded` and is never executed.
 
         Typed admission failures, tried in order:
+        :class:`InputOutOfDomain` (a slot past the workload's
+        ``input_bound``, before the query can join a batch),
         :class:`LoadShed` (degraded server, priority below the floor),
         :class:`QuotaExceeded` (tenant token bucket empty),
         :class:`ServerSaturated` (``max_queue_depth`` reached),
@@ -378,6 +387,12 @@ class PlanServer:
             raise ValueError(
                 f"query payload has {len(values)} entries, the layout "
                 f"window is {self.layout.width} slots")
+        if self.input_bound is not None and not np.all(
+                np.abs(values) <= self.input_bound):
+            self.metrics.record_reject("domain")
+            raise InputOutOfDomain(
+                f"tenant {tenant!r}: a query slot exceeds the workload's "
+                f"input bound |x| <= {self.input_bound:g}")
         self._observe_load()
         floor = self.health.min_priority
         if floor is not None and priority < floor:

@@ -58,8 +58,16 @@ class SymbolicEvaluator:
 
     def __init__(self, params: CkksParameters) -> None:
         self.params = params
+        #: The encoder surface served programs call
+        #: (``ev.encoder.encode(values, scale)``).
+        self.encoder = self
 
     # -- handle construction ----------------------------------------------
+
+    def encode(self, values: Any,
+               scale: float | None = None) -> SymbolicPlaintext:
+        """An encoded plaintext of ``values`` (dropped) at ``scale``."""
+        return self.plaintext(scale)
 
     def fresh(self, level: int | None = None,
               scale: float | None = None) -> SymbolicCiphertext:

@@ -114,6 +114,16 @@ class TestScaleChecks:
         _add(t, OpKind.SOURCE, level=1, out_scale=2.0 ** 5)
         assert _codes(t) == {"HE030": 1}
 
+    @pytest.mark.parametrize("level, codes",
+                             [(0, {"HE031": 1}), (1, {})])
+    def test_he031_result_bound_needs_headroom_under_q(self, level, codes):
+        """2^29 scale x a 2^7.1 bound + 2 bits overflows q_0 ~ 2^31, not
+        q_0 q_1 ~ 2^60."""
+        t = _trace()
+        _add(t, OpKind.SOURCE, level=level,
+             meta={"result_bound": 11.75 ** 2})
+        assert _codes(t) == codes
+
     def test_he110_rescale_drift_warns(self):
         t = _trace()
         src = _add(t, OpKind.SOURCE, level=3, out_scale=2.0 ** 36)

@@ -179,6 +179,32 @@ class TestExecuteReplay:
         with pytest.raises(engine.PlanError, match="level"):
             plan.execute(ctx, sources=[shallow])
 
+    def test_a_source_above_the_entry_level_is_dropped_to_it(self, ctx,
+                                                             conv_setup):
+        """A plan traced from level 3 replays a level-5 source exactly
+        as the same source ``mod_drop``ped to 3 first."""
+        _, ct_in, _ = conv_setup
+        ev = ctx.evaluator
+        low = ev.mod_drop(ct_in, ct_in.level - 3)
+
+        def program(ev):
+            return ev.rotate_add(ev.he_square(low, rescale=True), [1, 2])
+
+        plan = engine.compile(program, context=ctx, name="low-entry")
+        assert (ct_in.level, plan.entry_level) == (5, 3)
+        high = plan.execute(ctx, sources=[ct_in])
+        dropped = plan.execute(ctx, sources=[ev.mod_drop(ct_in, 2)])
+        assert engine.bit_identical(high.output, dropped.output)
+        assert engine.bit_identical(high.output, program(ev))
+
+    def test_a_source_below_the_entry_level_is_refused(self, ctx,
+                                                       conv_setup):
+        plan, ct_in, _ = conv_setup
+        assert plan.entry_level == ct_in.level
+        with pytest.raises(engine.PlanError,
+                           match="below the recorded level 5"):
+            plan.execute(ctx, sources=[ctx.evaluator.mod_drop(ct_in)])
+
     def test_params_mismatch_raises(self, conv_setup):
         plan, _, _ = conv_setup
         other = CkksContext.test()

@@ -233,7 +233,7 @@ DECRYPT_PINS = {
     ("pw54", "fresh_l5"):
         "10abcdba9b6654bb945b18bd850cc9e6912a4b0029899ca73e16114a7e942c38",
     ("pw54", "scoring"):
-        "162dd2c3057943497e515441315ae1b5b614dd3d7aaa78af734d28db2b8eea53",
+        "2c3bd1f17ff503ed9cf161f98ac15d7ca12966bc8a40874881a906f89a7861e8",
     ("test", "fresh_2_80"):
         "aa7d3394fe185d4cd2972d2e54c97004fb7411c565dcbed918ada8ff04efe7ef",
     ("test", "fresh_complex"):
@@ -257,7 +257,7 @@ DECRYPT_PINS = {
     ("toy", "fresh_l5"):
         "ca02381c37a4a36368c2b35854dd9e6a5422fc7d3b4860833281d14c531f95b3",
     ("toy", "scoring"):
-        "e39739d3fa96a20f5541c0dbb9b3fab6bb27898bc29dcff8c5bdb725d636da84",
+        "a43fad662712361fcf6241f5d588d2ac0ebc8fbf9350772084d5065ff8d19962",
 }
 
 

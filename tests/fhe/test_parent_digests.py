@@ -29,9 +29,9 @@ PRESETS = {"toy": CkksParameters.toy, "pw54": _pw54}
 
 PARENT_DIGESTS = {
     ("scoring", "toy"):
-        "fa9d158c32a657de97bd11a102e59ad2e0289d0e9dac4fab0bf258bad16d37fa",
+        "2b21a8a55e6f5f0d388834099e1aac10000df140417635e85e6a63a7ba8ccbd9",
     ("scoring", "pw54"):
-        "b664060cf44cfedcf3292fddbb607aae9fc1511c86659e5ee816abd42e94d6bc",
+        "647796b4fc4f72e5596905ab2b9e01c9e7935738441ec0fb251603794de1ff4a",
     ("galois_mult", "toy"):
         "84d570b30090d4d340174a17573c32e370f44128d02fb1404076c46631c97676",
     ("galois_mult", "pw54"):

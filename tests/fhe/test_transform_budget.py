@@ -257,24 +257,45 @@ def test_a_rotation_group_raises_once_and_moddowns_once(budget, rotations):
 
 @pytest.mark.parametrize("preset", ["toy", "pw54"])
 def test_a_warm_scoring_batch(preset):
-    """Encrypt, replay the width-16 scoring plan and decrypt on a warm
-    tenant: forward / inverse calls, limb rows, ModUp and ModDown calls
-    are (20, 14, 140, 6, 6) — two rotation groups and one
-    relinearization, each one raise and one ModDown per component.  The
-    count twin of the wall-clock hoisting floor in
-    ``benchmarks/test_keyswitch_speedup.py``; ``bench --trace 1`` reports
-    the same five numbers per batch."""
+    """Encrypt at the plan's entry level, as the server does, replay the
+    width-16 scoring plan and decrypt on a warm tenant.
+
+    With n = entry + 1 limbs at entry, k = 4 special limbs and d digits
+    at level entry - 1 (one at both presets: the two-level program
+    key-switches on n - 1 <= 3 limbs, one digit of dnum = 2 at
+    L = 5), the batch sweeps
+
+    * ``encrypt``: n rows, one forward call;
+    * the weight product's rescale: 2n rows, two forward + two inverse;
+    * two rotation groups and one relinearization, three key switches
+      at n - 1 limbs: 3(d(n - 1 + k) + 2(k + n - 1)) rows, each d + 2
+      forward and three inverse calls, d ModUp and two ModDown;
+    * the square's rescale: 2(n - 1) rows, two forward + two inverse;
+    * ``decrypt`` at n - 2 limbs: n - 2 rows, one inverse call.
+
+    That is (14, 14, 83, 3, 6) at ``toy`` (n = 4) and (14, 14, 68, 3, 6)
+    at ``pw54`` (n = 3) for forward / inverse calls, limb rows, ModUp
+    and ModDown calls; from ``max_level`` it was (20, 14, 140, 6, 6).
+    The count twin of the wall-clock hoisting floor in
+    ``benchmarks/test_keyswitch_speedup.py``; ``bench --trace 1``
+    reports the same five numbers per batch plus the two rows of its
+    ``max_level`` encryption, which replay drops to the entry level."""
     params = CkksParameters.toy() if preset == "toy" else \
         CkksParameters._build(ring_degree=1 << 10, scale_bits=50,
                               prime_bits=54, max_level=5, boot_levels=2,
                               dnum=2, fft_iterations=1)
     plan = scoring_workload(16).compile(params)
+    entry = plan.entry_level
+    assert entry == {"toy": 3, "pw54": 2}[preset]
     ctx = CkksContext(params, seed=3, backend="count-transforms")
     backend = ctx.keygen.context.backend
     slots = np.random.default_rng(5).uniform(-1, 1, params.num_slots)
+    n, k = entry + 1, len(params.special_moduli)
+    d = len(backend.keyswitch_context(entry - 1).digit_spans)
+    assert d == 1
 
     def batch():
-        ct = ctx.encrypt(slots)
+        ct = ctx.encrypt(slots, level=plan.entry_level)
         ctx.decrypt(plan.execute(ctx, sources=[ct]).output)
 
     batch()     # keys and the plaintext operand are built once
@@ -282,5 +303,9 @@ def test_a_warm_scoring_batch(preset):
     calls = Counter(backend.calls)
     batch()
     calls = backend.calls - calls
+    key_switch = d * (n - 1 + k) + 2 * (k + n - 1)
     assert (calls["ntt_forward"], calls["ntt_inverse"], backend.rows - rows,
-            calls["mod_up"], calls["mod_down"]) == (20, 14, 140, 6, 6)
+            calls["mod_up"], calls["mod_down"]) == (
+        1 + 2 + 3 * (d + 2) + 2, 2 + 3 * 3 + 2 + 1,
+        n + 2 * n + 3 * key_switch + 2 * (n - 1) + n - 2, 3 * d, 6)
+    assert backend.rows - rows == {"toy": 83, "pw54": 68}[preset]

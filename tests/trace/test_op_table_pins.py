@@ -147,11 +147,11 @@ def _replay_digests(workload: str, preset: str) -> tuple[str, str]:
 #: (workload, preset) -> (trace digest, digest of the replayed residues).
 REPLAY_PINS = {
     ("scoring", "toy"): (
-        "f24ce00766388a303209568ad26e42d034b2b9a95175a41f50bd1ac0ff5247cc",
-        "506fcb28bf9c1074d253dd5d8f00eb3d3a88d844b9e8a13e8cdadf22718e36df"),
+        "e288f1d3ccfaf5c81f4552e813906ed28e49d628beb63c543b6a01c1472f688f",
+        "3c98e26e774e10f8521791c2f95a604da3f98f01aac6d12f5956d140e7ef06b7"),
     ("scoring", "pw54"): (
-        "9dd3c77850dd8187725dfe7cb6ab8787fdf87c5cb36644b9bd7735b7404ee2a2",
-        "0bff4134c0db743a04f1e82627f678f040638886f7dafdda50fadde1f15ed10c"),
+        "a2379f01e26f00308c51bcbdc057904f82ff53d975e933fce6e2886744351f7e",
+        "ea843143b0002e6ffb402d18074f553e6e767dd06487cdbc2401d91f4eb0ec36"),
     ("affine", "toy"): (
         "cec91df1af2749ab712efe9d9666efb6e07632c87a76c7e1078e8ea8f38573d8",
         "ac57ac5c21c2ce5dd6971667c9715b11df41ae61adb2d87c3be736ca180d4360"),
