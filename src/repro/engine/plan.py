@@ -171,6 +171,13 @@ class ExecutablePlan:
         return tuple(sorted(self.trace.keys_used()))
 
     @functools.cached_property
+    def _key_level(self) -> int:
+        """The plan's highest key-switch level: its keys are drawn over
+        C_k + P for this k, and serve every lower level by restriction."""
+        return max((op.level for op in self.trace.keyswitch_ops()),
+                   default=0)
+
+    @functools.cached_property
     def entry_level(self) -> int:
         """The level the plan's first SOURCE op was recorded at: where a
         caller encrypts its input.  Replay drops a source above it to
@@ -339,7 +346,8 @@ class ExecutablePlan:
         program directly against ``ctx.evaluator`` (see
         :func:`bit_identical`).
         Every switching key the trace names that the context does not
-        hold yet is drawn first, as one batch
+        hold at the plan's highest key-switch level is drawn first, at
+        that level, as one batch
         (:meth:`repro.fhe.keys.KeyGenerator.switching_keys`).
         """
         if ctx.params != self.params:
@@ -348,7 +356,7 @@ class ExecutablePlan:
                 "program at the context's parameters first")
         source_map = self._source_map(sources)
         ev = ctx.evaluator
-        ev.keygen.switching_keys(self._key_ids)
+        ev.keygen.switching_keys(self._key_ids, self._key_level)
         values: dict[int, object] = {}
         raised: dict[int, object] = {}
         for op in self.trace.ops:

@@ -144,7 +144,7 @@ class CkksEvaluator:
         d0 = ct1.c0 * ct2.c0
         d1 = ct1.c0 * ct2.c1 + ct1.c1 * ct2.c0
         d2 = ct1.c1 * ct2.c1
-        evk = self.keygen.relinearization_key()
+        evk = self.keygen.relinearization_key(ct1.level)
         ks0, ks1 = key_switch(d2, evk)
         out = Ciphertext(c0=d0 + ks0, c1=d1 + ks1, level=ct1.level,
                          scale=ct1.scale * ct2.scale)
@@ -156,7 +156,7 @@ class CkksEvaluator:
         cross = ct.c0 * ct.c1
         d1 = cross + cross
         d2 = ct.c1 * ct.c1
-        evk = self.keygen.relinearization_key()
+        evk = self.keygen.relinearization_key(ct.level)
         ks0, ks1 = key_switch(d2, evk)
         out = Ciphertext(c0=d0 + ks0, c1=d1 + ks1, level=ct.level,
                          scale=ct.scale * ct.scale)
@@ -168,13 +168,13 @@ class CkksEvaluator:
         if rotation == 0:
             return ct.copy()
         galois = rotation_galois_element(rotation, self.params.ring_degree)
-        key = self.keygen.rotation_key(rotation)
+        key = self.keygen.rotation_key(rotation, ct.level)
         return self._apply_galois(ct, galois, key)
 
     def he_conjugate(self, ct: Ciphertext) -> Ciphertext:
         """Complex conjugation of every slot."""
         galois = conjugation_galois_element(self.params.ring_degree)
-        key = self.keygen.conjugation_key()
+        key = self.keygen.conjugation_key(ct.level)
         return self._apply_galois(ct, galois, key)
 
     def _apply_galois(self, ct: Ciphertext, galois: int,
@@ -206,13 +206,13 @@ class CkksEvaluator:
         if rotation == 0:
             return hoisted.ct.copy()
         galois = rotation_galois_element(rotation, self.params.ring_degree)
-        key = self.keygen.rotation_key(rotation)
+        key = self.keygen.rotation_key(rotation, hoisted.ct.level)
         return self._apply_galois_hoisted(hoisted, galois, key)
 
     def _conjugate_hoisted(self, hoisted: _HoistedCiphertext) -> Ciphertext:
         """Complex conjugation from a hoisted handle."""
         galois = conjugation_galois_element(self.params.ring_degree)
-        key = self.keygen.conjugation_key()
+        key = self.keygen.conjugation_key(hoisted.ct.level)
         return self._apply_galois_hoisted(hoisted, galois, key)
 
     def hoisted_rotations(self, ct: Ciphertext,
@@ -260,7 +260,7 @@ class CkksEvaluator:
         for rotation in amounts:
             galois = rotation_galois_element(rotation,
                                              self.params.ring_degree)
-            key = self.keygen.rotation_key(rotation)
+            key = self.keygen.rotation_key(rotation, ct.level)
             acc = key_product([d_j.automorphism(galois) for d_j in raised],
                               key, acc)
             c0 = c0 + ct.c0.automorphism(galois)

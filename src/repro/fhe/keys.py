@@ -7,29 +7,40 @@ multiplied with the corresponding switching-key component, and finally the
 accumulated pair is brought back down by dividing by P (ModDown).
 
 A switching key is named by its id alone — ``relin``, ``rot-{r}`` or
-``conj``, as the trace and the simulator name it — and drawn once, at
-``max_level``, over the CRT-idempotent gadget production libraries use
-for hybrid key switching: digit j's key carries ``P * 1_j * s'``, where
+``conj``, as the trace and the simulator name it — and built over the
+CRT-idempotent gadget production libraries use for hybrid key
+switching: digit j's key carries ``P * 1_j * s'``, where
 ``1_j = hat{Q}_j * [hat{Q}_j^{-1}]_{Q_j} mod Q_L`` is 1 on digit j's
 primes and 0 on every other ciphertext prime.  The digit is then the
 unscaled residue ``[c]_{Q_j}``, and every term of the key relation
-``b_j + a_j*s = e_j + P*1_j*s'`` holds prime by prime, so the key
-restricted to C_l + P is a valid key at every level l, a truncated last
-digit included.  That is the key
-:meth:`repro.fhe.params.CkksParameters.switching_key_bytes` prices.
+``b_j + a_j*s = e_j + P*1_j*s'`` holds prime by prime, so a key over
+C_k + P restricted to C_l + P is a valid key at every level l <= k, a
+truncated last digit included.
+
+A key is drawn at a level k: its ``digits_at(k)`` digits over C_k + P,
+the key :meth:`repro.blocksim.blocks.BlockCostModel.switching_key_bytes`
+prices at k.  Each (id, digit) has its own random stream, seeded from the
+key generator's seed and nothing else; it draws the digit's N error
+coefficients first, then one uniform limb per modulus, the special
+primes first and then C_0, C_1, ... upward.  A draw at k is therefore a
+prefix of the draw at ``max_level``: the key drawn at k is, bit for bit,
+the ``max_level`` key restricted to C_k + P, whatever batch it is drawn
+in and whatever was drawn before it.
 
 There is no public key: the key owner encrypts under the secret
 (:class:`~repro.fhe.encryptor.CkksEncryptor`), and every other key is a
 switching key.  Keys are drawn in batches
 (:meth:`KeyGenerator.switching_keys`): a plan asks for every key its
-trace names before it replays, so a tenant's keys are one batch — one
-bounded uniform draw per modulus of C_L + P and one Gaussian draw for
-all of their digits — and a key asked for alone is a batch of one.
+trace names, at its highest key-switch level, before it replays, so a
+tenant's keys are one batch — one ``(rows, limbs, N)`` uniform array and
+one ``(rows, N)`` error array, a row per digit — and a key asked for
+alone is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -53,15 +64,22 @@ class SecretKey:
 class SwitchingKey:
     """Hybrid switching key: one (b_j, a_j) pair per digit (EVAL).
 
-    Components live over the top-level extended basis C_L + P as plain
-    residues, ``dnum`` pairs; a key switch at level l multiplies by their
-    restriction to C_l + P (:func:`key_product`).  Each key product is one
-    ``%`` on the int64 tier, one :func:`repro.fhe.modmath._mulmod_f64` on
-    the double-word tier.
+    Components live over the extended basis C_k + P of the level k they
+    were drawn at, as plain residues, ``digits_at(k)`` pairs; a key
+    switch at level l <= k multiplies by their restriction to C_l + P
+    (:func:`key_product`).  Each key product is one ``%`` on the int64
+    tier, one :func:`repro.fhe.modmath._mulmod_f64` on the double-word
+    tier.
     """
 
     bs: list[Polynomial]
     as_: list[Polynomial]
+
+    @property
+    def level(self) -> int:
+        """The highest level the key switches at: its basis is C_k + P."""
+        b_0 = self.bs[0]
+        return b_0.num_limbs - b_0.context.params.num_special_limbs - 1
 
 
 class KeyGenerator:
@@ -69,8 +87,10 @@ class KeyGenerator:
 
     Keys are named by the ids the trace records (``relin``, ``rot-{r}``,
     ``conj``) and drawn in batches: :meth:`switching_keys` draws every
-    id of a call it does not hold yet in one batch, and each getter is a
-    one-id call of it.  A key is drawn once and held from then on.
+    id of a call it does not hold at the level asked for in one batch,
+    and each getter is a one-id call of it.  A key is a function of the
+    seed, its id and its level alone, and a held key serves every level
+    up to its own.
     """
 
     def __init__(self, params: CkksParameters, seed: int | None = 2023,
@@ -79,6 +99,9 @@ class KeyGenerator:
         self.params = params
         self.context = PolyContext(params, seed=seed, backend=backend)
         self.sigma = sigma
+        # The root of every key's stream: taken once, so a ``None`` seed
+        # still gives one key per (id, level).
+        self._key_entropy = np.random.SeedSequence(seed).entropy
         full_basis = params.moduli + params.special_moduli
         self.secret_key = SecretKey(s=self.context.random_ternary(
             full_basis, hamming_weight).to_eval())
@@ -86,35 +109,47 @@ class KeyGenerator:
 
     # -- switching keys ---------------------------------------------------
 
-    def relinearization_key(self) -> SwitchingKey:
-        """Key switching s^2 -> s (for HEMult)."""
-        return self.switching_keys(["relin"])[0]
+    def relinearization_key(self, level: int | None = None) -> SwitchingKey:
+        """Key switching s^2 -> s (for HEMult), valid at ``level``."""
+        return self.switching_keys(["relin"], level)[0]
 
-    def rotation_key(self, rotation: int) -> SwitchingKey:
-        """Key switching psi_r(s) -> s (for HERotate by ``rotation``)."""
-        return self.switching_keys([f"rot-{rotation}"])[0]
+    def rotation_key(self, rotation: int,
+                     level: int | None = None) -> SwitchingKey:
+        """Key switching psi_r(s) -> s (for HERotate by ``rotation``),
+        valid at ``level``."""
+        return self.switching_keys([f"rot-{rotation}"], level)[0]
 
-    def conjugation_key(self) -> SwitchingKey:
-        """Key switching conj(s) -> s (for complex conjugation)."""
-        return self.switching_keys(["conj"])[0]
+    def conjugation_key(self, level: int | None = None) -> SwitchingKey:
+        """Key switching conj(s) -> s (for complex conjugation), valid at
+        ``level``."""
+        return self.switching_keys(["conj"], level)[0]
 
-    def switching_keys(self, key_ids: Iterable[str]) -> list[SwitchingKey]:
-        """The keys ``key_ids`` name, in order.
+    def switching_keys(self, key_ids: Iterable[str],
+                       level: int | None = None) -> list[SwitchingKey]:
+        """The keys ``key_ids`` name, in order, each valid at ``level``
+        (``None``: ``max_level``).
 
-        Every id not held yet is drawn in one batch, in sorted id order,
-        so the keys a call draws are a function of its id set: order and
-        repeats do not move a bit.  A rotation amount is taken mod
+        A held key at ``level`` or above is reused; every other id is
+        drawn at ``level`` in one batch.  A key's bits are a function of
+        the seed, its id and ``level`` alone — order, repeats and batch
+        do not move one — and a redraw above a held key agrees with it
+        on every limb they share.  A rotation amount is taken mod
         ``num_slots``.
         """
+        max_level = self.params.max_level
+        level = max_level if level is None else level
+        if not 0 <= level <= max_level:
+            raise ValueError(f"switching keys are drawn at levels 0 .. "
+                             f"{max_level}, not {level}")
         held = self._switching_keys
         # A held id is canonical already.
         ids = [key_id if key_id in held else self._canonical(key_id)
                for key_id in key_ids]
-        missing = sorted({key_id for key_id in ids if key_id not in held})
+        missing = sorted({key_id for key_id in ids if key_id not in held
+                          or held[key_id].level < level})
         if missing:
-            drawn = self._draw_switching_keys(
-                [self._target(key_id) for key_id in missing])
-            held.update(zip(missing, drawn))
+            held.update(zip(missing,
+                            self._draw_switching_keys(missing, level)))
         return [held[key_id] for key_id in ids]
 
     def _canonical(self, key_id: str) -> str:
@@ -129,9 +164,10 @@ class KeyGenerator:
         raise ValueError(f"{key_id!r} names no switching key: ids are "
                          "'relin', 'rot-<r>' and 'conj'")
 
-    def _target(self, key_id: str) -> Polynomial:
-        """The key's target secret s' (EVAL over C_L + P)."""
-        s, n = self.secret_key.s, self.params.ring_degree
+    def _target(self, key_id: str, s: Polynomial) -> Polynomial:
+        """The key's target secret s', from the secret ``s`` (EVAL, over
+        the key's basis)."""
+        n = self.params.ring_degree
         if key_id == "relin":
             return s * s
         # In EVAL form x -> x^g is a gather: no transform per key.
@@ -140,30 +176,44 @@ class KeyGenerator:
         return s.automorphism(rotation_galois_element(
             int(key_id.removeprefix("rot-")), n))
 
-    def _draw_switching_keys(self, targets: list[Polynomial]
-                             ) -> list[SwitchingKey]:
-        """One key per target s', all drawn in one batch over C_L + P:
+    def _stream(self, key_id: str, digit: int) -> np.random.Generator:
+        """Digit ``digit`` of key ``key_id``'s random stream."""
+        return np.random.default_rng(np.random.SeedSequence(
+            self._key_entropy, spawn_key=(zlib.crc32(key_id.encode()),
+                                          digit)))
+
+    def _draw_switching_keys(self, key_ids: list[str],
+                             level: int) -> list[SwitchingKey]:
+        """One key per id, all drawn in one batch over C_level + P:
         ``evk_j = (e_j - a_j*s + P*1_j*s', a_j)``.
 
-        One bounded uniform draw per modulus and one Gaussian draw cover
-        every digit of every key; each ``a_j`` is a row of the uniform
-        batch.  ``P*1_j`` is ``P`` modulo digit j's primes and 0 modulo
-        every other prime of C_L + P (the CRT-idempotent gadget), so the
-        gadget term is added on digit j's own limbs alone.
+        Each digit's stream (:meth:`_stream`) draws its error, then its
+        uniform limbs, the special primes first and C_0 .. C_level after
+        them, into one row of the batch's arrays; each ``a_j`` is a row
+        of the uniform array.  ``P*1_j`` is ``P`` modulo digit j's
+        primes and 0 modulo every other prime of C_level + P (the
+        CRT-idempotent gadget), so the gadget term is added on digit j's
+        own limbs alone.
         """
         params, context = self.params, self.context
-        backend, rng = context.backend, context.rng
-        s = self.secret_key.s
-        basis = s.moduli
-        spans = digit_spans(params.max_level, params.alpha)
-        rows, n = len(targets) * len(spans), params.ring_degree
+        backend = context.backend
+        basis = params.moduli[:level + 1] + params.special_moduli
+        s = self.secret_key.s.at_basis(basis)
+        spans = digit_spans(level, params.alpha)
+        rows, n = len(key_ids) * len(spans), params.ring_degree
+        # Stream order: the special primes, then C_0 upward.
+        order = range(-params.num_special_limbs, level + 1)
         uniform = np.empty((rows, len(basis), n), dtype=np.int64)
-        for i, q in enumerate(basis):
-            uniform[:, i] = random_residues((rows, n), q, rng)
-        errors = context.gaussian_coeffs(self.sigma, rows)
+        errors = np.empty((rows, n), dtype=np.int64)
+        for row in range(rows):
+            rng = self._stream(key_ids[row // len(spans)], row % len(spans))
+            errors[row] = context.gaussian_coeffs(self.sigma, rng)
+            for i in order:
+                uniform[row, i] = random_residues(n, basis[i], rng)
         p_prod = math.prod(params.special_moduli)
         keys, row = [], 0
-        for target in targets:
+        for key_id in key_ids:
+            target = self._target(key_id, s)
             bs, as_ = [], []
             for start, stop in spans:
                 a_j = Polynomial(context, uniform[row], basis,
@@ -238,11 +288,15 @@ def key_product(raised: list[Polynomial], key: SwitchingKey,
     ``raised`` are the EVAL digits of :func:`raise_digits` (or a gather
     of them); ``acc`` is a pair to add to, ``None`` for zero.  A rotation
     group sums every rotation's product here and divides by P once.
-    The top-level key is restricted to the digits' basis C_l + P, one
-    gather per key polynomial, and only the digits live at level l take
-    part.
+    The key, drawn at level l or above, is restricted to the digits'
+    basis C_l + P, one gather per key polynomial (none when it was drawn
+    at l), and only the digits live at level l take part.
     """
     basis = raised[0].moduli
+    level = len(basis) - raised[0].context.params.num_special_limbs - 1
+    if key.level < level:
+        raise ValueError(f"a key drawn at level {key.level} cannot switch "
+                         f"at level {level}")
     acc0, acc1 = (None, None) if acc is None else acc
     for d_j, b_j, a_j in zip(raised, key.bs, key.as_):
         t0, t1 = d_j * b_j.at_basis(basis), d_j * a_j.at_basis(basis)

@@ -132,12 +132,13 @@ class PolyContext:
         return self.from_signed_coeffs(coeffs, moduli)
 
     def gaussian_coeffs(self, sigma: float = 3.2,
-                        rows: int | None = None) -> np.ndarray:
-        """Signed discrete-Gaussian error coefficients: one draw of N, or
-        one of ``(rows, N)`` for ``rows`` polynomials."""
-        n = self.params.ring_degree
-        size = n if rows is None else (rows, n)
-        return np.rint(self.rng.normal(0.0, sigma, size=size)).astype(np.int64)
+                        rng: np.random.Generator | None = None
+                        ) -> np.ndarray:
+        """N signed discrete-Gaussian error coefficients, drawn from
+        ``rng`` (``None``: this context's generator)."""
+        rng = self.rng if rng is None else rng
+        return np.rint(rng.normal(0.0, sigma, size=self.params.ring_degree)
+                       ).astype(np.int64)
 
     def from_signed_coeffs(self, coeffs: np.ndarray | list[int],
                            moduli: Iterable[int]) -> "Polynomial":

@@ -261,3 +261,71 @@ class TestExecuteReplay:
         ct = ctx.encrypt([0.1], level=1)
         with pytest.raises(engine.PlanError, match="symbolic-only"):
             plan.execute(ctx, sources=[ct])
+
+
+def _pw54() -> CkksParameters:
+    """The 54-bit paper word on a toy ring (``bench.workloads.pw54``)."""
+    return CkksParameters._build(ring_degree=1 << 10, scale_bits=50,
+                                 prime_bits=54, max_level=5, boot_levels=2,
+                                 dnum=2, fft_iterations=1)
+
+
+class TestFreshContexts:
+    """A switching key is a function of (seed, id): a replay and a
+    direct run on fresh same-seed contexts agree bit for bit, whichever
+    runs first.  The replay draws each key once, at its plan's highest
+    key-switch level; the direct run draws a key at the level it is
+    first asked for, and ``branch`` asks for ``rot-1`` at level 2 before
+    level 4, so its key is redrawn higher mid-run."""
+
+    PRESETS = {"toy": CkksParameters.toy, "pw54": _pw54}
+
+    @staticmethod
+    def _branch(ev, ct):
+        low = ev.he_rotate(ev.mod_drop(ct, ct.level - 2), 1)
+        high = ev.he_rotate(ct, 1)
+        return ev.he_square(ev.he_add(high, low))
+
+    def _setup(self, program, params):
+        if program == "scoring":
+            from repro.serve.workloads import scoring_workload
+
+            workload = scoring_workload(16)
+            return (workload.compile(params),
+                    workload.build_program(workload.layout(params)))
+        sample = CkksContext(params, seed=3).encrypt([0.0], level=4)
+        plan = engine.compile(lambda ev: self._branch(ev, sample),
+                              context=CkksContext(params, seed=3),
+                              name="branch")
+        return plan, self._branch
+
+    @pytest.mark.parametrize("order",
+                             ["replay-first", "direct-first", "one-context"])
+    @pytest.mark.parametrize("program", ["scoring", "branch"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_replay_matches_a_direct_run(self, preset, program, order):
+        params = self.PRESETS[preset]()
+        plan, run = self._setup(program, params)
+        x = np.random.default_rng(5).uniform(-0.5, 0.5, params.num_slots)
+
+        def fresh():
+            ctx = CkksContext(params, seed=47)
+            return ctx, ctx.encrypt(x, level=plan.entry_level)
+
+        def replay(ctx, ct):
+            return plan.execute(ctx, sources=[ct]).output
+
+        def direct(ctx, ct):
+            return run(ctx.evaluator, ct)
+
+        if order == "replay-first":
+            first, second = replay(*fresh()), direct(*fresh())
+        elif order == "direct-first":
+            second, first = direct(*fresh()), replay(*fresh())
+        else:
+            ctx, ct = fresh()
+            second, first = direct(ctx, ct), replay(ctx, ct)
+        assert engine.bit_identical(first, second)
+        levels = {op.level for op in plan.trace.keyswitch_ops()}
+        assert levels == {"scoring": {{"toy": 2, "pw54": 1}[preset]},
+                          "branch": {2, 4}}[program]

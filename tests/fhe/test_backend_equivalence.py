@@ -196,28 +196,10 @@ class TestPaperWordBitExact:
     acceptance bar for the native-kernel rewrite.  ``SEED_OBJECT_DIGEST``
     is that arithmetic's pipeline, recorded under the object-dtype tier
     the library had until a modulus of 2**56 or more was refused.
-
-    Encryption then became the key owner's secret-key form,
-    ``(NTT(m + e) - a*s, a)``: the pipeline's inputs draw ``a`` and one
-    ``e`` where they drew ``u``, ``e0`` and ``e1``, and no public key is
-    drawn first.  The digest was recorded at commit 693746e, before
-    that change, and re-recorded after it: ``e26afb94…`` -> ``89e5762e…``.
-
-    Switching keys then became one key per id, drawn once at
-    ``max_level`` over the CRT-idempotent gadget (``P * 1_j * s'``, the
-    digit the unscaled residue ``[c]_{Q_j}``), so every key product of
-    the pipeline moved.  Recorded at commit 5c8a22f, before that change,
-    and re-recorded after it: ``89e5762e…`` -> ``e69b19df…``.
-
-    Switching keys then became batch draws
-    (``KeyGenerator.switching_keys``: one bounded uniform draw per
-    modulus of C_L + P and one Gaussian draw per batch), and the 54-bit
-    uniform sampler one bounded draw, so the pipeline's inputs and keys
-    moved.  Recorded at commit b703b70, before that change, and
-    re-recorded after it: ``e69b19df…`` -> ``98437b02…``."""
+    Re-pin only deliberately; CHANGES.md records every old -> new."""
 
     SEED_OBJECT_DIGEST = \
-        "98437b027a4db1a36fef096bd9537a9df4f259a011c845e77f47c256a9cf8111"
+        "e9a8d21a0d5f2fb54c4db1ff9ff02d45d15c8d8ddc8546196a3dcdcebeb22ba9"
 
     PARAMS_54 = CkksParameters._build(ring_degree=1 << 8, scale_bits=50,
                                       prime_bits=54, max_level=4,

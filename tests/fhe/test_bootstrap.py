@@ -86,15 +86,16 @@ class TestEndToEnd:
     excluded from the fast CI lane."""
 
     def test_one_bootstrap_builds_one_key_per_id(self, monkeypatch):
-        """A key is drawn once, at ``max_level``, and serves every level
-        the bootstrap switches keys at: 46 ids, 46 keys (99 while keys
-        were drawn per level)."""
+        """A key is drawn at the level it is first asked for and serves
+        every level below it; the bootstrap asks for each id at its
+        highest level first, so none is drawn twice: 46 ids, 46 keys
+        (99 while keys were drawn per level)."""
         drawn = []
         draw = keys.KeyGenerator._draw_switching_keys
 
-        def counting(self, targets):
-            drawn.extend(targets)
-            return draw(self, targets)
+        def counting(self, key_ids, level):
+            drawn.extend(key_ids)
+            return draw(self, key_ids, level)
 
         monkeypatch.setattr(keys.KeyGenerator, "_draw_switching_keys",
                             counting)

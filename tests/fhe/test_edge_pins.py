@@ -221,7 +221,7 @@ def _decrypt_digests(params, backend) -> dict[str, str]:
 
 DECRYPT_PINS = {
     ("pw54", "affine"):
-        "25d167f84005dc9cfa77448bf5b03df504b7a95f7e7b7e65148506b08612412f",
+        "afd684633c7c2fcff243d538295200174f36d422446952edcfc5479b7e8ea2c2",
     ("pw54", "fresh_2_80"):
         "c9f8a712be6a065c220ec3818847d00d025914bcd10737e055524c200b6c83ea",
     ("pw54", "fresh_complex"):
@@ -233,7 +233,7 @@ DECRYPT_PINS = {
     ("pw54", "fresh_l5"):
         "10abcdba9b6654bb945b18bd850cc9e6912a4b0029899ca73e16114a7e942c38",
     ("pw54", "scoring"):
-        "2c3bd1f17ff503ed9cf161f98ac15d7ca12966bc8a40874881a906f89a7861e8",
+        "3831462eaee6cd5e13e962482f9e81f158bce5c40c27659466d08a1bef31eb16",
     ("test", "fresh_2_80"):
         "aa7d3394fe185d4cd2972d2e54c97004fb7411c565dcbed918ada8ff04efe7ef",
     ("test", "fresh_complex"):
@@ -245,7 +245,7 @@ DECRYPT_PINS = {
     ("test", "fresh_l7"):
         "318f76ada9068ef5e003143c1c4844f0b7b96658489488f924c38ba5d95f0415",
     ("toy", "affine"):
-        "e7c56417a1084be420c62e3d1a8a30e0b40baf533cac8d4fd26f371097eb6652",
+        "24f6a994f207fe1515000c764c585d39ac0232fd7a33a419b66d082b221d6318",
     ("toy", "fresh_2_80"):
         "c9f8a712be6a065c220ec3818847d00d025914bcd10737e055524c200b6c83ea",
     ("toy", "fresh_complex"):
@@ -257,7 +257,7 @@ DECRYPT_PINS = {
     ("toy", "fresh_l5"):
         "ca02381c37a4a36368c2b35854dd9e6a5422fc7d3b4860833281d14c531f95b3",
     ("toy", "scoring"):
-        "a43fad662712361fcf6241f5d588d2ac0ebc8fbf9350772084d5065ff8d19962",
+        "fb1928b02107c3cb492d081b581517646a26c0909aadcdfd080acb314e2941fa",
 }
 
 

@@ -4,15 +4,17 @@ The ``digit_decompose`` / ``mod_up`` / ``mod_down`` backend ops must be
 bit-exact across backends, the per-level ``KeySwitchContext`` tables
 must be cached, and rotations from a hoisted handle must reproduce the
 sequential ``he_rotate`` path bit for bit (centered ModUp makes the
-raised digits commute with automorphisms).  A switching key is drawn
-once, at ``max_level``, over the CRT-idempotent gadget: its relation
-holds prime by prime, so it is a valid key at every level.
+raised digits commute with automorphisms).  A switching key is built
+over the CRT-idempotent gadget: its relation holds prime by prime, so a
+key drawn at level k is a valid key at every level up to k, and it is
+the ``max_level`` key restricted to C_k + P.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fhe import (CkksContext, CkksParameters, PolyContext,
                        Representation)
@@ -154,21 +156,31 @@ def _key_ids(keygen) -> set[str]:
     return set(keygen._switching_keys)
 
 
-def _drawn_targets(monkeypatch) -> list[int]:
-    """Target counts of every batch the key generators draw from here on."""
+def _drawn_batches(monkeypatch) -> list[tuple[list[str], int]]:
+    """(ids, level) of every batch the key generators draw from here on."""
     batches = []
     draw = keys.KeyGenerator._draw_switching_keys
 
-    def counting(self, targets):
-        batches.append(len(targets))
-        return draw(self, targets)
+    def counting(self, key_ids, level):
+        batches.append((list(key_ids), level))
+        return draw(self, key_ids, level)
 
     monkeypatch.setattr(keys.KeyGenerator, "_draw_switching_keys", counting)
     return batches
 
 
+def _restricted(key, level):
+    """``key``'s digits live at ``level``, over C_level + P."""
+    params = key.bs[0].context.params
+    basis = params.moduli[:level + 1] + params.special_moduli
+    digits = params.digits_at(level)
+    return keys.SwitchingKey(
+        bs=[b_j.at_basis(basis) for b_j in key.bs[:digits]],
+        as_=[a_j.at_basis(basis) for a_j in key.as_[:digits]])
+
+
 class TestTopLevelKeys:
-    """One key per id, drawn at ``max_level``, valid at every level."""
+    """One key per id; the ``max_level`` key is valid at every level."""
 
     @pytest.mark.parametrize("backend", ["reference", "stacked"])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -219,20 +231,33 @@ class TestTopLevelKeys:
         assert _key_ids(ctx.keygen) == {"relin", "rot-1"}
 
     def test_no_key_is_drawn_at_a_new_level(self, monkeypatch):
-        batches = _drawn_targets(monkeypatch)
+        """A key asked for at or below the level it was drawn at is not
+        drawn again; asked for above it, it is redrawn there, and the
+        redraw agrees with the old key on every limb they share."""
+        batches = _drawn_batches(monkeypatch)
         ctx = CkksContext(TOY, seed=21)
-        for level in (5, 3, 1):
+        ev, keygen = ctx.evaluator, ctx.keygen
+        for level in (3, 2, 1):
             ct = ctx.encrypt([0.5, -0.25, 1.0], level=level)
-            ctx.evaluator.he_square(ctx.evaluator.he_rotate(ct, 1))
-        assert sum(batches) == 2
+            ev.he_square(ev.he_rotate(ct, 1))
+        assert batches == [(["rot-1"], 3), (["relin"], 3)]
+        low = keygen.rotation_key(1, 3)
+        assert low.level == 3 and len(low.bs) == TOY.digits_at(3)
+        high = keygen.rotation_key(1)
+        assert batches[2:] == [(["rot-1"], TOY.max_level)]
+        assert high.level == TOY.max_level and len(high.bs) == TOY.dnum
+        assert _same_keys([_restricted(high, 3)], [low])
+        assert keygen.rotation_key(1, 0) is high and len(batches) == 3
 
 
 class TestLibraryModelKeyParity:
     """The keys the library holds are the keys the model names and
-    prices: one per id, each ``dnum`` digits over C_L + P."""
+    prices: one per id, each ``digits_at(k)`` digits over C_k + P for
+    the plan's highest key-switch level k."""
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_scoring_builds_the_keys_its_trace_names(self, preset):
+        from repro.blocksim.blocks import BlockCostModel
         from repro.serve.workloads import scoring_workload
 
         params = PRESETS[preset]()
@@ -240,12 +265,19 @@ class TestLibraryModelKeyParity:
         ctx = CkksContext(params, seed=23)
         plan.execute(ctx, sources=[ctx.encrypt([0.5] * 16)])
         assert _key_ids(ctx.keygen) == plan.trace.keys_used()
-        limbs = params.num_limbs + params.num_special_limbs
+        level = max(op.level for op in plan.trace.keyswitch_ops())
+        assert level == {"toy": 2, "pw54": 1}[preset]
+        limbs = level + 1 + params.num_special_limbs
+        model = BlockCostModel(params).switching_key_bytes(level)
         for key in ctx.keygen._switching_keys.values():
-            assert len(key.bs) == len(key.as_) == params.dnum
+            assert key.level == level
+            assert len(key.bs) == len(key.as_) == params.digits_at(level)
             assert all(poly.num_limbs == limbs for poly in key.bs + key.as_)
+            assert len(key.bs) * 2 * limbs * params.limb_bytes() == model
         assert params.switching_key_bytes() \
-            == params.dnum * 2 * limbs * params.limb_bytes()
+            == params.dnum * 2 * (params.num_limbs
+                                  + params.num_special_limbs) \
+            * params.limb_bytes()
 
 
 class _CountingRng:
@@ -275,22 +307,111 @@ def _same_keys(first, second) -> bool:
                for a, b in zip(first, second, strict=True))
 
 
+_IDS = ("conj", "relin", "rot-1", "rot-3", "rot-12")
+_TOP_KEYS: dict[tuple[str, str], dict] = {}
+
+
+def _top_keys(preset, backend):
+    """Every id of ``_IDS`` drawn at ``max_level`` in one batch, seed 41."""
+    if (preset, backend) not in _TOP_KEYS:
+        keygen = CkksContext(PRESETS[preset](), seed=41,
+                             backend=backend).keygen
+        _TOP_KEYS[preset, backend] = dict(zip(
+            _IDS, keygen.switching_keys(_IDS)))
+    return _TOP_KEYS[preset, backend]
+
+
+class TestKeyStreams:
+    """A key is a function of (seed, id) alone: drawn at any level, in
+    any batch, in any order, after any other draw of the context, it is
+    the ``max_level`` key restricted to C_level + P, bit for bit."""
+
+    @pytest.mark.parametrize("backend", ["reference", "stacked"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_key_is_the_top_key_restricted(self, preset, backend, data):
+        params = PRESETS[preset]()
+        top = _top_keys(preset, backend)
+        level = data.draw(st.integers(0, params.max_level), label="level")
+        order = data.draw(st.permutations(_IDS), label="order")
+        split = data.draw(st.integers(0, len(_IDS)), label="split")
+        ctx = CkksContext(params, seed=41, backend=backend)
+        if data.draw(st.booleans(), label="encrypt first"):
+            ctx.encrypt([0.25, -0.5])
+        got = {}
+        for batch in (order[:split], order[split:]):
+            got.update(zip(batch, ctx.keygen.switching_keys(batch, level)))
+        for key_id in _IDS:
+            assert got[key_id].level == level
+            assert _same_keys([got[key_id]],
+                              [_restricted(top[key_id], level)])
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_every_level_on_both_backends(self, preset):
+        """Level by level, one batch each, the two backends draw the
+        same bits, and each key is the top key restricted."""
+        params = PRESETS[preset]()
+        top = _top_keys(preset, "reference")
+        for level in range(params.max_level + 1):
+            drawn = [CkksContext(params, seed=41, backend=backend)
+                     .keygen.switching_keys(_IDS[::-1], level)
+                     for backend in ("reference", "stacked")]
+            want = [_restricted(top[key_id], level) for key_id in _IDS[::-1]]
+            assert _same_keys(drawn[0], want)
+            assert _same_keys(drawn[1], want)
+
+    def test_the_seed_names_the_keys(self):
+        first, second = (CkksContext(TOY, seed=seed).keygen
+                         .relinearization_key(2) for seed in (41, 42))
+        assert not _same_keys([first], [second])
+
+    @pytest.mark.parametrize("level", [-1, TOY.max_level + 1])
+    def test_a_level_outside_the_chain_is_refused(self, level):
+        keygen = CkksContext(TOY, seed=5).keygen
+        with pytest.raises(ValueError, match="levels 0 .. 5"):
+            keygen.switching_keys(["relin"], level)
+        assert not keygen._switching_keys
+
+    @pytest.mark.parametrize("held, level", [(1, 3), (4, 5)])
+    def test_a_key_below_the_switch_level_is_refused(self, held, level):
+        """Fewer digits (1 -> 3) or the same digits over fewer limbs
+        (4 -> 5): either way the key cannot switch there."""
+        ctx = CkksContext(TOY, seed=5)
+        low = ctx.keygen.relinearization_key(held)
+        ct = ctx.encrypt([1.0], level=level)
+        with pytest.raises(ValueError, match=f"drawn at level {held} "
+                           f"cannot switch at level {level}"):
+            key_switch(ct.c1, low)
+
+
 class TestKeyBatch:
     """A plan's switching keys are one batch: drawn together the first
     time it runs on a context, a function of the id set alone."""
 
     def test_a_plan_draws_its_keys_in_one_batch(self, monkeypatch):
-        """Width-16 scoring at ``toy``: one batch of 7 keys (14 digits),
-        one bounded draw per modulus of C_L + P and one Gaussian draw
-        for all of them, and one forward transform of L + 1 + k rows
-        per digit's error; a second execute draws nothing."""
+        """Width-16 scoring at ``toy`` switches keys at level 2 alone:
+        one batch of 7 keys of ``digits_at(2) = 1`` digit over C_2 + P
+        (3 + 4 = 7 limbs), one stream per (id, digit) — N Gaussian
+        coefficients, then one bounded draw per limb — and one forward
+        transform of 7 rows per digit's error; the context's shared
+        generator draws nothing, and a second execute draws nothing."""
         from repro.serve.workloads import scoring_workload
 
         plan = scoring_workload(16).compile(TOY)
         ctx = CkksContext(TOY, seed=23)
         ct = ctx.encrypt([0.5] * 16)
-        batches = _drawn_targets(monkeypatch)
+        batches = _drawn_batches(monkeypatch)
         rng = ctx.keygen.context.rng = _CountingRng(ctx.keygen.context.rng)
+        streams: dict[tuple[str, int], _CountingRng] = {}
+        stream = keys.KeyGenerator._stream
+
+        def counting_stream(self, key_id, digit):
+            counted = streams[key_id, digit] = \
+                _CountingRng(stream(self, key_id, digit))
+            return counted
+
+        monkeypatch.setattr(keys.KeyGenerator, "_stream", counting_stream)
         backend = ctx.keygen.context.backend
         forward = backend.ntt_forward
         rows: list[int] = []
@@ -304,11 +425,14 @@ class TestKeyBatch:
         cold, rows[:] = rows[:], []
         plan.execute(ctx, sources=[ct])
         warm = rows[:]
-        digits, basis = 7 * TOY.dnum, TOY.num_limbs + TOY.num_special_limbs
-        assert batches == [7]
-        assert rng.calls == [("integers", (digits, TOY.ring_degree))] \
-            * basis + [("normal", (digits, TOY.ring_degree))]
-        assert sorted(cold) == sorted(warm + [basis] * digits)
+        ids, basis, n = sorted(plan.trace.keys_used()), 3 + 4, TOY.ring_degree
+        assert len(ids) == 7 and TOY.num_special_limbs == 4
+        assert batches == [(ids, 2)]
+        assert list(streams) == [(key_id, 0) for key_id in ids]
+        for counted in streams.values():
+            assert counted.calls == [("normal", n)] + [("integers", n)] * basis
+        assert rng.calls == []
+        assert sorted(cold) == sorted(warm + [basis] * len(ids))
 
     def test_keys_are_a_function_of_the_id_set(self):
         """Order, repeats and a rotation's representative do not move a

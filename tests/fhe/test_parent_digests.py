@@ -29,13 +29,13 @@ PRESETS = {"toy": CkksParameters.toy, "pw54": _pw54}
 
 PARENT_DIGESTS = {
     ("scoring", "toy"):
-        "2b21a8a55e6f5f0d388834099e1aac10000df140417635e85e6a63a7ba8ccbd9",
+        "201ee439e656353f64f404d71ef42ddbf1738f6ce4e3b61f6f31d32a3a892db9",
     ("scoring", "pw54"):
-        "647796b4fc4f72e5596905ab2b9e01c9e7935738441ec0fb251603794de1ff4a",
+        "262aab5e5710ea7342236e772cc3c3f1f57f0f3104ac8905e6cb81ca554271d5",
     ("galois_mult", "toy"):
-        "84d570b30090d4d340174a17573c32e370f44128d02fb1404076c46631c97676",
+        "ebb27cb80b4d7dfba928a7dfbd619bb719c2e3880e1da0307a82cd54ddb5cb88",
     ("galois_mult", "pw54"):
-        "eb5d2ce074edca60db1bd947a77b929c7e532ac12d34d9106bdbc1604af8961c",
+        "c778f48853c8aa3d364563c5bbe0df08e6efd9e6129e01892109e3f23a8e291f",
 }
 
 

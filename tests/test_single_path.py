@@ -593,18 +593,22 @@ def test_the_key_owner_encrypts_and_there_is_no_public_key():
 # -- one switching key per id ------------------------------------------------
 
 def test_a_switching_key_is_named_by_its_id_alone():
-    """A key is drawn once, at ``max_level``, over the CRT-idempotent
-    gadget: it carries no level or digit layout, the key-switch tables
-    hold no digit scaling, a key getter takes no level, and digit
+    """A key is named by its id and drawn over the CRT-idempotent
+    gadget: it stores no level or digit layout (its level is read off
+    its basis), the key-switch tables hold no digit scaling, a key
+    getter takes the level it must serve and nothing else, and digit
     decomposition is one limb-slicing method shared by both backends."""
     assert {field.name for field in dataclasses.fields(keys.SwitchingKey)} \
         == {"bs", "as_"}
+    assert isinstance(keys.SwitchingKey.level, property)
     ksctx = rns.KeySwitchContext(CkksParameters.toy(), 5)
     for gone in ("digit_scale", "digit_hat", "digit_hat_inv"):
         assert not hasattr(ksctx, gone), gone
-    for getter in ("relinearization_key", "rotation_key", "conjugation_key"):
+    for getter, head in (("relinearization_key", ["self"]),
+                         ("rotation_key", ["self", "rotation"]),
+                         ("conjugation_key", ["self"])):
         signature = inspect.signature(getattr(keys.KeyGenerator, getter))
-        assert "level" not in signature.parameters, getter
+        assert list(signature.parameters) == head + ["level"], getter
     assert not hasattr(keys.KeyGenerator, "digit_spans")
     assert not hasattr(keys, "mod_down")
     assert list(inspect.signature(keys.key_switch).parameters) \
@@ -620,10 +624,12 @@ def test_a_single_key_is_a_batch_of_one(monkeypatch):
     for gone in ("_generate_switching_key", "_switching_key"):
         assert not hasattr(keys.KeyGenerator, gone), gone
     asked = []
-    monkeypatch.setattr(keys.KeyGenerator, "switching_keys",
-                        lambda self, ids: asked.append(list(ids)) or [None])
+    monkeypatch.setattr(
+        keys.KeyGenerator, "switching_keys",
+        lambda self, ids, level=None: asked.append((list(ids), level))
+        or [None])
     keygen = repro.fhe.CkksContext(CkksParameters.toy(), seed=1).keygen
     keygen.relinearization_key()
-    keygen.rotation_key(5)
-    keygen.conjugation_key()
-    assert asked == [["relin"], ["rot-5"], ["conj"]]
+    keygen.rotation_key(5, 3)
+    keygen.conjugation_key(2)
+    assert asked == [(["relin"], None), (["rot-5"], 3), (["conj"], 2)]

@@ -148,10 +148,10 @@ def _replay_digests(workload: str, preset: str) -> tuple[str, str]:
 REPLAY_PINS = {
     ("scoring", "toy"): (
         "e288f1d3ccfaf5c81f4552e813906ed28e49d628beb63c543b6a01c1472f688f",
-        "3c98e26e774e10f8521791c2f95a604da3f98f01aac6d12f5956d140e7ef06b7"),
+        "d4aad1e47b73030616e5da497976fe6c31444db9dd4a4873ed13f6f8a8a0c2dc"),
     ("scoring", "pw54"): (
         "a2379f01e26f00308c51bcbdc057904f82ff53d975e933fce6e2886744351f7e",
-        "ea843143b0002e6ffb402d18074f553e6e767dd06487cdbc2401d91f4eb0ec36"),
+        "ad37228e395371bd4481c656a6293093e38ce3e156581e7e99564efa7b902e5a"),
     ("affine", "toy"): (
         "cec91df1af2749ab712efe9d9666efb6e07632c87a76c7e1078e8ea8f38573d8",
         "ac57ac5c21c2ce5dd6971667c9715b11df41ae61adb2d87c3be736ca180d4360"),
