@@ -38,7 +38,7 @@ from repro.trace import (DEFAULT_PASSES, OpKind, OpTrace,
                          assert_workload_dag, lower_expanded_trace,
                          run_passes)
 from repro.trace.ir import TraceOp
-from repro.trace.ops import OPS, galois_groups
+from repro.trace.ops import OPS, fused_rescales, galois_groups
 
 #: An HE program: any callable issuing evaluator ops on its argument.
 HeProgram = Callable
@@ -109,7 +109,13 @@ class PlanProfile:
 
 @dataclass
 class PlanExecution:
-    """Result of replaying a plan's trace on a real context."""
+    """Result of replaying a plan's trace on a real context.
+
+    ``values`` maps an op id to the ciphertext replay produced for it:
+    every op but the products replay fuses into their rescale
+    (:func:`~repro.trace.ops.fused_rescales`), whose unrescaled value is
+    never made — the rescale op's entry holds the fused result.
+    """
 
     trace: OpTrace
     values: dict[int, object]
@@ -186,6 +192,13 @@ class ExecutablePlan:
             if op.kind is OpKind.SOURCE:
                 return op.level
         raise PlanError(f"plan {self.name!r} has no SOURCE op")
+
+    @functools.cached_property
+    def _fused(self) -> dict[int, TraceOp]:
+        """Rescale op id -> the product it replays with ``rescale=True``,
+        over :func:`~repro.trace.ops.fused_rescales`."""
+        return {rescale: self._ops_by_id[product]
+                for product, rescale in fused_rescales(self.trace).items()}
 
     @functools.cached_property
     def _galois_reads(self) -> dict[int, tuple[int, int]]:
@@ -341,10 +354,13 @@ class ExecutablePlan:
         for a single source), one below is a :class:`PlanError`.  The replay
         follows the recorded op stream exactly — same implicit-rescale
         placement — and raises c1 once for every Galois group
-        (:func:`~repro.trace.ops.galois_groups`), so given the same
+        (:func:`~repro.trace.ops.galois_groups`) and runs a product
+        whose only reader is a rescale as one rescaled product
+        (:func:`~repro.trace.ops.fused_rescales`), so given the same
         source ciphertexts and keys it is bit-identical to running the
         program directly against ``ctx.evaluator`` (see
-        :func:`bit_identical`).
+        :func:`bit_identical`); :attr:`PlanExecution.values` has no entry
+        for a fused product.
         Every switching key the trace names that the context does not
         hold at the plan's highest key-switch level is drawn first, at
         that level, as one batch
@@ -359,10 +375,15 @@ class ExecutablePlan:
         ev.keygen.switching_keys(self._key_ids, self._key_level)
         values: dict[int, object] = {}
         raised: dict[int, object] = {}
+        fused = self._fused
+        products = {product.op_id for product in fused.values()}
         for op in self.trace.ops:
-            args = [values[i] for i in op.inputs]
-            values[op.op_id] = self._replay_op(ev, op, args, source_map,
-                                               raised)
+            if op.op_id in products:
+                continue
+            source = fused.get(op.op_id, op)
+            args = [values[i] for i in source.inputs]
+            values[op.op_id] = self._replay_op(ev, source, args, source_map,
+                                               raised, source is not op)
         return PlanExecution(trace=self.trace, values=values)
 
     def _source_map(self, sources) -> dict[int, object]:
@@ -382,12 +403,13 @@ class ExecutablePlan:
         return dict(zip(source_ids, [sources]))
 
     def _replay_op(self, ev, op: TraceOp, args: list, source_map: dict,
-                   raised: dict):
+                   raised: dict, rescale: bool = False):
         """Apply one recorded op the way its row of the op table says.
 
         A Galois op of a group applies its map to the value's raised
         digits: the group's first op raises them into ``raised``, its
-        last drops them.
+        last drops them.  ``rescale`` runs a product fused into the
+        rescale that reads it.
 
         The method is looked up on ``ev`` at call time, so a proxy
         evaluator sees every replayed call.
@@ -434,7 +456,7 @@ class ExecutablePlan:
             raise PlanError(f"op {op.op_id} ({op.kind.value}) cannot "
                             f"replay: no meta[{missing}]") from None
         if spec.fused_rescale:
-            args.append(meta.get("rescaled", False))
+            args.append(rescale or meta.get("rescaled", False))
         if op.op_id not in self._galois_reads:
             return getattr(ev, spec.method)(*args)
         value, last = self._galois_reads[op.op_id]

@@ -139,18 +139,20 @@ class ComputeBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def rescale_last(self, data: Any, moduli: tuple[int, ...]) -> Any:
+    def rescale_last(self, data: list[Any],
+                     moduli: tuple[int, ...]) -> list[Any]:
         """Exact RNS divide-and-round by the last modulus, EVAL to EVAL.
 
-        Input is evaluation-form storage over ``moduli``; the result is
-        evaluation-form storage over ``moduli[:-1]`` holding
-        ``round(x / q_last)`` (centered lift of the dropped limb, then
-        exact division via ``q_last^{-1} mod q_i``).  Only the dropped
-        limb is taken to coefficient form: its centered lift is
-        transformed modulo each remaining prime and subtracted from the
-        evaluations, so the cost is one inverse row plus one forward row
-        per remaining limb, run through :meth:`ntt_inverse` /
-        :meth:`ntt_forward`.
+        ``data`` holds evaluation-form storage over ``moduli``, one per
+        component of a ciphertext; each result is evaluation-form storage
+        over ``moduli[:-1]`` holding ``round(x / q_last)`` (centered lift
+        of the dropped limb, then exact division via
+        ``q_last^{-1} mod q_i``).  Only the dropped limbs are taken to
+        coefficient form: their centered lifts are transformed modulo
+        each remaining prime and subtracted from the evaluations, so the
+        cost is one inverse row plus one forward row per remaining limb
+        and component — every component's rows in one
+        :meth:`ntt_inverse` and one :meth:`ntt_forward` call.
         """
 
     # -- key switching -----------------------------------------------------
@@ -199,19 +201,36 @@ class ComputeBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def mod_down(self, data: Any, ksctx: KeySwitchContext) -> Any:
+    def mod_down(self, data: list[Any], ksctx: KeySwitchContext,
+                 plus: list[Any] | None = None) -> list[Any]:
         """Divide extended-basis storage by P, back to C_level; EVAL to EVAL.
 
-        ``x' = (x - lift([x]_P)) * P^{-1} mod q_i`` using the precomputed
-        ``ksctx.p_inv`` scalars.  Input is evaluation-form storage over
-        ``ksctx.extended``, output evaluation-form storage over
-        ``ksctx.ct_moduli``.  Only the special-prime limbs are taken to
-        coefficient form (through :meth:`ntt_inverse`); their lift to the
-        ciphertext basis comes back through one :meth:`ntt_forward` and
-        the subtraction and scaling run on evaluations.  The lift is
-        ``sum_j y_j * hat{p}_j - e * P`` with the true quotient
-        ``e = round(sum_j y_j / p_j)``: the exact centered CRT lift,
-        identical across backends.
+        ``data`` holds one evaluation-form storage over ``ksctx.extended``
+        per component of a ciphertext, and the result one per component
+        over ``ksctx.ct_moduli``:
+        ``x' = (x - lift([x]_P)) * P^{-1} mod q_i`` with the precomputed
+        ``ksctx.p_inv`` scalars.  Only the special-prime limbs are taken
+        to coefficient form, every component's in one :meth:`ntt_inverse`
+        call; their lifts to the ciphertext basis come back through one
+        :meth:`ntt_forward` call and the subtraction and scaling run on
+        evaluations.  The lift is ``sum_j y_j * hat{p}_j - e * P`` with
+        the true quotient ``e = round(sum_j y_j / p_j)``: the exact
+        centered CRT lift, identical across backends.
+
+        ``plus`` (one storage over ``ksctx.ct_moduli`` per component,
+        level >= 1) fuses a rescale: each result is
+        ``round((d + round(x / P)) / q_l)`` over C_{l-1}, computed as the
+        single division ``round(Z / (P * q_l))`` of ``Z = x + P * d`` —
+        exact, because both roundings take centered lifts and P and q_l
+        are odd.  The inverse call takes the run ``q_l, p_1 .. p_k`` of
+        C_l + P (Z is x on the special primes), the special rows lift to
+        ``s = [Z]_P`` on C_l, the q_l row gives
+        ``u = [(Z - s) / P]_{q_l}`` (centered) and
+        ``G = s + P * u = [Z]_{P * q_l}``, and one forward call over
+        C_{l-1} takes G to evaluations:
+        ``d * q_l^{-1} + (x - G) * (P * q_l)^{-1}``.  That is l + 1
+        forward rows and two calls per component fewer than ModDown then
+        rescale.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

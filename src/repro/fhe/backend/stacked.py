@@ -134,16 +134,60 @@ class StackedBackend(ComputeBackend):
                          ksctx.digit_half_col[digit_index]),
             ksctx.extended_col, ksctx.extended_inv_col)
 
-    def mod_down(self, data, ksctx):
-        # Only the special-prime rows leave EVAL form: their lift to the
-        # ciphertext basis is transformed back and the subtract + P^{-1}
-        # scaling run on evaluations (the NTT is linear per limb, so the
-        # integers equal the COEFF-domain ModDown's, transformed).
-        special = self.ntt_inverse(data[ksctx.num_ct:],
-                                   ksctx.special_moduli)
-        lift = self.ntt_forward(self.lift_special(special, ksctx),
-                                ksctx.ct_moduli)
-        return ksctx.p_inv_scale.sub_mul(data[:ksctx.num_ct], lift)
+    def mod_down(self, data, ksctx, plus=None):
+        # Only the special-prime rows leave EVAL form, every component's
+        # in one inverse call; their lifts come back in one forward call
+        # and the subtract + P^{-1} scaling run on evaluations (the NTT
+        # is linear per limb, so the integers equal the COEFF-domain
+        # ModDown's).
+        if plus is not None:
+            return self._mod_down_rescale(data, ksctx, plus)
+        n, k, comps = ksctx.num_ct, len(ksctx.special_moduli), len(data)
+        special = self.ntt_inverse(np.concatenate([x[n:] for x in data]),
+                                   ksctx.special_moduli * comps)
+        lift = self.ntt_forward(
+            _by_component(self.lift_special(
+                _side_by_side(special.reshape(comps, k, -1)), ksctx), comps),
+            ksctx.ct_moduli * comps).reshape(comps, n, -1)
+        return list(ksctx.p_inv_scale(_minus(data, lift)))
+
+    def _mod_down_rescale(self, data, ksctx, plus):
+        """``round((d + x / P) / q_l)`` per component: one division by
+        ``P * q_l`` (:meth:`ComputeBackend.mod_down`)."""
+        n, k, comps = ksctx.num_ct, len(ksctx.special_moduli), len(data)
+        l = n - 1
+        last = ksctx.ct_col[l:]
+        # Z = x + P*d is x on the special primes; on q_l its row joins
+        # them, the run q_l, p_1 .. p_k of C_l + P.
+        runs = np.empty((comps, k + 1, data[0].shape[1]), dtype=np.int64)
+        runs[:, 0] = addmod_stack(
+            ksctx.last_p(np.stack([d[l] for d in plus])),
+            np.stack([x[l] for x in data]), ksctx.ct_moduli[l:])
+        for c, x in enumerate(data):
+            runs[c, 1:] = x[n:]
+        coeff = self.ntt_inverse(runs.reshape(comps * (k + 1), -1),
+                                 ksctx.extended[l:] * comps)
+        coeff = coeff.reshape(comps, k + 1, -1)
+        # s = [Z]_P, centered, on C_l; Z - s = P*r, and r = q_l*t + u with
+        # u centered, so s + P*u is [Z]_{P*q_l}, centered: G.
+        lift = self.lift_special(_side_by_side(coeff[:, 1:]), ksctx)
+        u = center_stack(
+            ksctx.last_p_inv.sub_mul(coeff[:, 0].reshape(1, -1), lift[l:]),
+            last, last // 2)
+        # |u| <= q_l / 2 may pass a narrower q_i: reduce it first.
+        rest = ksctx.ct_col[:l]
+        g = addmod_stack(lift[:l], ksctx.rest_p(np.remainder(u, rest)),
+                         ksctx.ct_moduli[:l])
+        g = self.ntt_forward(_by_component(g, comps),
+                             ksctx.ct_moduli[:l] * comps)
+        # t = (Z - G) / (P*q_l) = d / q_l + (x - G) / (P*q_l).
+        over_q = rescale_constants(ksctx.ct_moduli)(
+            np.stack([d[:l] for d in plus]))
+        t = ksctx.rest_pq_inv(_minus(data, g.reshape(comps, l, -1)))
+        t = addmod_stack(t.reshape(comps * l, -1),
+                         over_q.reshape(comps * l, -1),
+                         ksctx.ct_moduli[:l] * comps)
+        return list(t.reshape(comps, l, -1))
 
     def lift_special(self, special, ksctx):
         """Centered lift of the special-prime part to the ciphertext basis.
@@ -176,15 +220,40 @@ class StackedBackend(ComputeBackend):
                            ksctx.ct_col, ksctx.ct_inv_col)
 
     def rescale_last(self, data, moduli):
+        moduli = tuple(moduli)
         q_last = int(moduli[-1])
-        rest_moduli = moduli[:-1]
-        # Only the dropped limb leaves EVAL form.  Its centered lift is
-        # the same polynomial modulo every remaining q_i, so one forward
-        # sweep (which reduces each row modulo its own prime first) gives
-        # the evaluations to subtract.
-        last = self.ntt_inverse(data[-1:], moduli[-1:])[0]
+        rest = moduli[:-1]
+        # Only the dropped limbs leave EVAL form, every component's in one
+        # call.  A centered lift is the same polynomial modulo every
+        # remaining q_i, so one forward sweep (which reduces each row
+        # modulo its own prime first) gives the evaluations to subtract.
+        last = self.ntt_inverse(np.stack([x[-1] for x in data]),
+                                moduli[-1:] * len(data))
         centered = last - np.where(last > q_last // 2, q_last, 0)
-        lift = self.ntt_forward(
-            np.broadcast_to(centered, (len(rest_moduli), len(centered))),
-            rest_moduli)
-        return rescale_constants(tuple(moduli)).sub_mul(data[:-1], lift)
+        lift = self.ntt_forward(np.repeat(centered, len(rest), axis=0),
+                                rest * len(data))
+        return list(rescale_constants(moduli)(
+            _minus(data, lift.reshape(len(data), len(rest), -1))))
+
+
+def _minus(data, lifts):
+    """``x - lift`` per component, over ``lifts``' rows (``(comps, rows,
+    N)``, overwritten): reduced operands, so ``|x - lift| < q`` — what a
+    :class:`~repro.fhe.modmath.BoundScalarMul` then scales."""
+    for x, lift in zip(data, lifts):
+        np.subtract(x[:len(lift)], lift, out=lift)
+    return lifts
+
+
+def _side_by_side(stacks):
+    """``(comps, rows, N)`` component stacks as one ``(rows, comps * N)``
+    stack: the lift's matmul takes every component at once."""
+    return stacks.transpose(1, 0, 2).reshape(stacks.shape[1], -1)
+
+
+def _by_component(stack, comps):
+    """The inverse of :func:`_side_by_side`: ``(rows, comps * N)`` back
+    to one ``(rows, N)`` stack per component, stacked."""
+    rows = len(stack)
+    return stack.reshape(rows, comps, -1).transpose(1, 0, 2) \
+        .reshape(comps * rows, -1)

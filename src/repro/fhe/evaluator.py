@@ -24,9 +24,9 @@ from typing import Iterable
 from .ciphertext import Ciphertext
 from .encoder import CkksEncoder, Plaintext
 from .keys import (KeyGenerator, inner_product_keyswitch, key_product,
-                   key_switch, mod_down_poly, raise_digits)
+                   key_switch, mod_down_polys, raise_digits)
 from .params import CkksParameters
-from .poly import (Polynomial, conjugation_galois_element,
+from .poly import (Polynomial, conjugation_galois_element, rescale_last,
                    rotation_galois_element)
 from .rns import KeySwitchContext
 
@@ -141,26 +141,39 @@ class CkksEvaluator:
         levels are aligned by dropping limbs.
         """
         ct1, ct2 = self._align(ct1, ct2, check_scale=False)
+        self._check_rescalable(ct1, rescale)
         d0 = ct1.c0 * ct2.c0
         d1 = ct1.c0 * ct2.c1 + ct1.c1 * ct2.c0
         d2 = ct1.c1 * ct2.c1
-        evk = self.keygen.relinearization_key(ct1.level)
-        ks0, ks1 = key_switch(d2, evk)
-        out = Ciphertext(c0=d0 + ks0, c1=d1 + ks1, level=ct1.level,
-                         scale=ct1.scale * ct2.scale)
-        return self.rescale(out) if rescale else out
+        return self._relinearize(d0, d1, d2, ct1.level,
+                                 ct1.scale * ct2.scale, rescale)
 
     def he_square(self, ct: Ciphertext, rescale: bool = True) -> Ciphertext:
         """Squaring (saves one polynomial product vs he_mult)."""
+        self._check_rescalable(ct, rescale)
         d0 = ct.c0 * ct.c0
         cross = ct.c0 * ct.c1
         d1 = cross + cross
         d2 = ct.c1 * ct.c1
-        evk = self.keygen.relinearization_key(ct.level)
-        ks0, ks1 = key_switch(d2, evk)
-        out = Ciphertext(c0=d0 + ks0, c1=d1 + ks1, level=ct.level,
-                         scale=ct.scale * ct.scale)
-        return self.rescale(out) if rescale else out
+        return self._relinearize(d0, d1, d2, ct.level, ct.scale * ct.scale,
+                                 rescale)
+
+    def _relinearize(self, d0: Polynomial, d1: Polynomial, d2: Polynomial,
+                     level: int, scale: float, rescale: bool) -> Ciphertext:
+        """``(d0, d1) + KeySwitch(d2, evk_mult)``; with ``rescale``, the
+        sum divided by P * q_level at once — ModDown and rescale in one
+        rounding, bit for bit the two (:func:`~repro.fhe.keys.
+        mod_down_polys`)."""
+        evk = self.keygen.relinearization_key(level)
+        ksctx = self.context.backend.keyswitch_context(level)
+        acc = key_product(raise_digits(d2, ksctx), evk)
+        if rescale:
+            c0, c1 = mod_down_polys(acc, ksctx, plus=(d0, d1))
+            return Ciphertext(c0=c0, c1=c1, level=level - 1,
+                              scale=scale / self.params.moduli[level])
+        ks0, ks1 = mod_down_polys(acc, ksctx)
+        return Ciphertext(c0=d0 + ks0, c1=d1 + ks1, level=level,
+                          scale=scale)
 
     def he_rotate(self, ct: Ciphertext, rotation: int) -> Ciphertext:
         """HERotate: Jm <<< rK via automorphism psi_r + KeySwitch."""
@@ -264,9 +277,9 @@ class CkksEvaluator:
             acc = key_product([d_j.automorphism(galois) for d_j in raised],
                               key, acc)
             c0 = c0 + ct.c0.automorphism(galois)
-        return Ciphertext(c0=c0 + mod_down_poly(acc[0], ksctx),
-                          c1=ct.c1 + mod_down_poly(acc[1], ksctx),
-                          level=ct.level, scale=ct.scale)
+        ks0, ks1 = mod_down_polys(acc, ksctx)
+        return Ciphertext(c0=c0 + ks0, c1=ct.c1 + ks1, level=ct.level,
+                          scale=ct.scale)
 
     def _apply_galois_hoisted(self, hoisted: _HoistedCiphertext,
                               galois: int, key) -> Ciphertext:
@@ -287,20 +300,22 @@ class CkksEvaluator:
 
     def rescale(self, ct: Ciphertext) -> Ciphertext:
         """HERescale: exact RNS rescale, divides the scale by q_level."""
-        if ct.level == 0:
-            raise ValueError("cannot rescale at level 0")
+        self._check_rescalable(ct, True)
         q_last = self.params.moduli[ct.level]
-        c0 = self._rescale_poly(ct.c0, q_last)
-        c1 = self._rescale_poly(ct.c1, q_last)
+        if ct.c0.moduli[-1] != q_last:
+            raise ValueError("rescale modulus does not match the last limb")
+        # Divide-and-round by q_last runs in the compute backend, EVAL to
+        # EVAL: only the dropped limbs are inverse-transformed, both
+        # components' in one call.
+        c0, c1 = rescale_last((ct.c0, ct.c1))
         return Ciphertext(c0=c0, c1=c1, level=ct.level - 1,
                           scale=ct.scale / q_last)
 
-    def _rescale_poly(self, poly: Polynomial, q_last: int) -> Polynomial:
-        if poly.moduli[-1] != q_last:
-            raise ValueError("rescale modulus does not match the last limb")
-        # Divide-and-round by q_last runs in the compute backend, EVAL to
-        # EVAL: only the dropped limb is inverse-transformed.
-        return poly.rescale_last()
+    @staticmethod
+    def _check_rescalable(ct: Ciphertext, rescale: bool) -> None:
+        # Before any transform: a product at level 0 has no limb to drop.
+        if rescale and ct.level == 0:
+            raise ValueError("cannot rescale at level 0")
 
     def mod_drop(self, ct: Ciphertext, levels: int = 1) -> Ciphertext:
         """Drop limbs without scaling (level switch)."""

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -312,8 +312,8 @@ def inner_product_keyswitch(raised: list[Polynomial], key: SwitchingKey,
 
     ``raised`` are the EVAL digits of :func:`raise_digits`.
     """
-    acc0, acc1 = key_product(raised, key)
-    return mod_down_poly(acc0, ksctx), mod_down_poly(acc1, ksctx)
+    ks0, ks1 = mod_down_polys(key_product(raised, key), ksctx)
+    return ks0, ks1
 
 
 def key_switch(poly: Polynomial,
@@ -335,16 +335,32 @@ def key_switch(poly: Polynomial,
     return inner_product_keyswitch(raised, key, ksctx)
 
 
-def mod_down_poly(poly: Polynomial, ksctx: KeySwitchContext) -> Polynomial:
+def mod_down_polys(polys: Sequence[Polynomial], ksctx: KeySwitchContext,
+                   plus: Sequence[Polynomial] | None = None
+                   ) -> list[Polynomial]:
     """ModDown via the compute backend: EVAL over ``ksctx.extended`` in,
-    EVAL over ``ksctx.ct_moduli`` out.
+    EVAL over ``ksctx.ct_moduli`` out, every component of a ciphertext in
+    one call.
 
-    Only the special-prime limbs leave EVAL form on the way (see
-    :meth:`ComputeBackend.mod_down`).
+    Only the special-prime limbs leave EVAL form on the way, in one
+    inverse and one forward transform for all of ``polys`` (see
+    :meth:`ComputeBackend.mod_down`).  With ``plus`` (one EVAL
+    polynomial over ``ksctx.ct_moduli`` per component) the result is
+    rescaled too: ``round((d + x / P) / q_l)`` over C_{l-1}, one division
+    by ``P * q_l``, bit for bit ModDown, the add and then
+    :func:`~repro.fhe.poly.rescale_last`.
     """
-    if poly.rep is not Representation.EVAL:
+    if any(poly.rep is not Representation.EVAL
+           for poly in (*polys, *(plus or ()))):
         raise ValueError("ModDown requires EVAL form")
-    context = poly.context
-    data = context.backend.mod_down(poly.data, ksctx)
-    return Polynomial(context, data, ksctx.ct_moduli, Representation.EVAL)
-
+    context = polys[0].context
+    moduli = ksctx.ct_moduli
+    if plus is not None:
+        if not ksctx.level:
+            raise ValueError("cannot rescale at level 0")
+        moduli = moduli[:-1]
+        plus = [poly.data for poly in plus]
+    data = context.backend.mod_down([poly.data for poly in polys], ksctx,
+                                    plus)
+    return [Polynomial(context, out, moduli, Representation.EVAL)
+            for out in data]

@@ -457,7 +457,9 @@ class BoundScalarMul:
         self.col_f64 = self.col.astype(np.float64)
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
-        """Limb i of the 2-D stack ``a`` times ``scalars[i] mod q_i``."""
+        """Limb i of the stack ``a`` times ``scalars[i] mod q_i``; ``a`` is
+        ``(L, N)``, or ``(comps, L, N)`` for a ciphertext's components
+        (reduced or signed, ``|a| < q``)."""
         if self.klass == "int64":
             out = a * self.col
             out %= self.q_col

@@ -251,8 +251,11 @@ class BatchedNttContext:
     def __init__(self, moduli, n: int):
         self.moduli = tuple(moduli)
         self.n = n
-        #: The context whose storage this one views (``rows``), if any.
+        #: The context whose storage this one views (``rows``,
+        #: ``repeated``), if any.
         self.owner = None
+        #: Copies of the basis stacked in one call (``repeated``).
+        self.reps = 1
         for name in self._PER_ROW:
             setattr(self, name, None)
         self.klass = stack_native_class(self.moduli)
@@ -398,6 +401,29 @@ class BatchedNttContext:
             setattr(out, name, view(getattr(self, name)))
         return out
 
+    def repeated(self, times: int) -> "BatchedNttContext":
+        """Context for ``times`` copies of this basis stacked in one
+        call, sharing every table.
+
+        A ciphertext's components cross a transform together: the copies
+        ride along as a leading batch axis of every step, and each
+        step's tables broadcast over it.  Only the modulus columns the
+        reductions sweep row by row are laid out once per copy.
+        """
+        out = object.__new__(BatchedNttContext)
+        out.__dict__.update(self.__dict__)
+        out.moduli = self.moduli * times
+        out.owner = self.owner or self
+        out.nbytes = 0
+        out.reps = times
+        for name in ("q_col", "q_inv_col"):
+            column = getattr(self, name)
+            if column is not None:
+                column = np.tile(column, (times, 1))
+                column.setflags(write=False)
+                setattr(out, name, column)
+        return out
+
     def _transform(self, stack: np.ndarray, direction: int, matrices,
                    twiddles, twiddles_f64) -> np.ndarray:
         """One direction's chain over the int64 ``stack``, reduced or
@@ -413,6 +439,8 @@ class BatchedNttContext:
         else:
             a = np.empty(stack.shape, dtype=np.int64)
             np.remainder(stack, self.q_col, out=a)
+        if self.reps > 1:
+            a = a.reshape(self.reps, -1, self.n)
         return self._steps(a, direction, matrices, twiddles,
                            twiddles_f64).reshape(stack.shape)
 
@@ -435,25 +463,27 @@ class BatchedNttContext:
         first going back (-1).  Each step contracts its axis of the grid
         with its matrix, then scales by the twiddle that sits between
         that axis and the next one to go — over both and everything
-        after them, broadcast over the axes before."""
-        rows, grid, kernel = len(a), self.grid, self.matmul
+        after them, broadcast over the axes before.  ``a`` is ``(rows,
+        N)``, or ``(reps, rows, N)`` for a :meth:`repeated` context."""
+        rows, grid, kernel = a.shape[:-1], self.grid, self.matmul
         q_col, q_inv_col = self.q_col, self.q_inv_col
         last = len(grid) - 1
         for j in self.axes[::direction]:
             if j == 0:
-                a = kernel.left(matrices[0], a.reshape(rows, grid[0], -1),
+                a = kernel.left(matrices[0], a.reshape(*rows, grid[0], -1),
                                 q_col, q_inv_col)
             elif j == last:
-                a = kernel.right(a.reshape(rows, -1, grid[j]), matrices[j],
-                                 q_col, q_inv_col)
+                a = kernel.right(a.reshape(*rows, -1, grid[j]),
+                                 matrices[j], q_col, q_inv_col)
             else:
                 a = kernel.left(
-                    matrices[j], a.reshape(rows, self.leads[j], grid[j], -1),
+                    matrices[j],
+                    a.reshape(*rows, self.leads[j], grid[j], -1),
                     q_col, q_inv_col)
             between = j if direction > 0 else j - 1
             if not 0 <= between < last:
                 continue
-            a = a.reshape(rows, self.leads[between], -1)
+            a = a.reshape(*rows, self.leads[between], -1)
             if twiddles_f64:
                 a = _mulmod_f64(a, twiddles[between], twiddles_f64[between],
                                 self.q_grid, self.q_inv_grid)
@@ -472,6 +502,13 @@ def _find_run(basis: tuple[int, ...], run: tuple[int, ...]) -> int | None:
     return start if basis[start:start + len(run)] == run else None
 
 
+def _period(basis: tuple[int, ...]) -> int:
+    """Length of the shortest run ``basis`` is copies of."""
+    size = len(basis)
+    return next(p for p in range(1, size + 1)
+                if size % p == 0 and basis == basis[:p] * (size // p))
+
+
 class _TableCache:
     """Process-wide LRU of NTT tables, bounded in bytes.
 
@@ -483,8 +520,9 @@ class _TableCache:
     * ``(q, N)`` -> :class:`NttContext`: the bit-reversed power tables,
       ``16 * N`` bytes;
     * ``(moduli, N)`` -> :class:`BatchedNttContext`.  A basis that is a
-      run of limbs of a cached stack is a view of it and owns nothing;
-      any other basis copies its limbs' tables into a fresh stack.  Per
+      run of limbs of a cached stack, or copies of one run, is a view of
+      it and owns nothing; any other basis copies its limbs' tables into
+      a fresh stack.  Per
       limb that is a twiddle of ``8 * N / lead_j`` bytes per direction
       after every step but the last (``lead_j`` the product of the
       factors before n_j: the first one, N entries, dominates) and a
@@ -534,7 +572,13 @@ class _TableCache:
     def stack_or_view(self, moduli: tuple[int, ...],
                       n: int) -> BatchedNttContext:
         """A view of a cached stack that holds ``moduli`` as a run of its
-        limbs on the same kernel tier, else a fresh stack."""
+        limbs on the same kernel tier, else a fresh stack; a basis that
+        is copies of one run (a ciphertext's components stacked) is that
+        run's context, :meth:`~BatchedNttContext.repeated`."""
+        period = _period(moduli)
+        if period < len(moduli):
+            return self.get((moduli[:period], n), self.stack_or_view) \
+                .repeated(len(moduli) // period)
         want = stack_native_class(moduli)
         with self._lock:
             for cached in self._entries.values():

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -267,21 +267,6 @@ class Polynomial:
 
     # -- basis management --------------------------------------------------
 
-    def rescale_last(self) -> "Polynomial":
-        """Exact divide-and-round by the last limb's modulus (EVAL form).
-
-        The HERescale workhorse: drops the last limb and returns
-        ``round(x / q_last)`` over the remaining basis, still in EVAL
-        form — only the dropped limb is ever taken to coefficient form
-        (see :meth:`ComputeBackend.rescale_last`).
-        """
-        if self.rep is not Representation.EVAL:
-            raise ValueError("rescale_last requires EVAL form")
-        if len(self.moduli) < 2:
-            raise ValueError("cannot rescale away the only limb")
-        data = self.context.backend.rescale_last(self.data, self.moduli)
-        return self._wrap(data, moduli=self.moduli[:-1])
-
     def at_basis(self, moduli: tuple[int, ...]) -> "Polynomial":
         """Restrict to a sub-basis (any subset of this basis, by value).
 
@@ -314,6 +299,27 @@ class Polynomial:
         return (f"Polynomial(limbs={self.num_limbs}, rep={self.rep.value}, "
                 f"n={self.context.params.ring_degree}, "
                 f"backend={self.context.backend.name})")
+
+
+def rescale_last(polys: Sequence[Polynomial]) -> list[Polynomial]:
+    """Exact divide-and-round by the last limb's modulus (EVAL form).
+
+    The HERescale workhorse: each polynomial — the components of one
+    ciphertext, over one basis — drops its last limb and becomes
+    ``round(x / q_last)`` over the remaining basis, still in EVAL form.
+    Only the dropped limbs are ever taken to coefficient form, all of
+    them in one backend call (see :meth:`ComputeBackend.rescale_last`).
+    """
+    head = polys[0]
+    if any(poly.rep is not Representation.EVAL for poly in polys):
+        raise ValueError("rescale_last requires EVAL form")
+    if any(poly.moduli != head.moduli for poly in polys):
+        raise ValueError("rescale_last takes polynomials over one basis")
+    if len(head.moduli) < 2:
+        raise ValueError("cannot rescale away the only limb")
+    data = head.context.backend.rescale_last([poly.data for poly in polys],
+                                             head.moduli)
+    return [head._wrap(out, moduli=head.moduli[:-1]) for out in data]
 
 
 def rotation_galois_element(rotation: int, ring_degree: int) -> int:

@@ -282,6 +282,13 @@ class KeySwitchContext:
     * ``ct_col`` — the ciphertext basis as a column, ``ct_inv_col`` its
       float64 reciprocals.
 
+    ModDown·rescale (level >= 1: ``round((d + x / P) / q_l)`` as one
+    division by ``P * q_l``, bound to the last prime q_l and C_{l-1})
+
+    * ``last_p`` / ``last_p_inv`` — ``P`` and ``P^{-1}`` modulo q_l,
+    * ``rest_p`` — ``P mod q_i`` on C_{l-1}, ``rest_pq_inv`` —
+      ``(P * q_l)^{-1} mod q_i``; ``None`` at level 0.
+
     The tables are backend-agnostic: the ``reference`` backend walks the
     plain lists limb by limb, the ``stacked`` backend sweeps the bound
     columns across whole limb stacks.  Both consume identical integers,
@@ -301,6 +308,15 @@ class KeySwitchContext:
         self.p_prod = self.p_basis.big_modulus
         self.p_inv = [invmod(self.p_prod % q, q) for q in ct_moduli]
         self.p_inv_scale = BoundScalarMul(self.p_inv, ct_moduli)
+        self.last_p = self.last_p_inv = None
+        self.rest_p = self.rest_pq_inv = None
+        if level:
+            last, rest = ct_moduli[-1:], ct_moduli[:-1]
+            self.last_p = BoundScalarMul([self.p_prod], last)
+            self.last_p_inv = BoundScalarMul(self.p_inv[-1:], last)
+            self.rest_p = BoundScalarMul([self.p_prod] * level, rest)
+            self.rest_pq_inv = BoundScalarMul(
+                [invmod(self.p_prod * last[0] % q, q) for q in rest], rest)
 
         def column(values) -> np.ndarray:
             return np.array(list(values), dtype=np.int64).reshape(-1, 1)

@@ -223,6 +223,32 @@ def galois_groups(trace: OpTrace) -> dict[int, tuple[int, ...]]:
             if len(ops) > 1}
 
 
+def fused_rescales(trace: OpTrace) -> dict[int, int]:
+    """Each key-switching product (``he_mult`` / ``he_square``) whose
+    value exactly one op reads, a ``rescale``, mapped to that rescale's
+    id; a product that is the trace's output is never fused.
+
+    The one decision about fusing ModDown with rescale: replay runs the
+    product with ``rescale=True`` — one division by P * q_l, bit for bit
+    the two ops — and binds the result to the rescale's id; the
+    unrescaled product is never made.
+    """
+    readers: dict[int, list[TraceOp]] = {}
+    for op in trace.ops:
+        for input_id in set(op.inputs):
+            readers.setdefault(input_id, []).append(op)
+    fused: dict[int, int] = {}
+    for op in trace.ops:
+        spec = OPS[op.kind]
+        reads = readers.get(op.op_id, [])
+        if (spec.fused_rescale and spec.key is not None
+                and not op.meta.get("rescaled")
+                and op.op_id != trace.output_op_id and len(reads) == 1
+                and reads[0].kind is OpKind.RESCALE):
+            fused[op.op_id] = reads[0].op_id
+    return fused
+
+
 # -- the evaluator call surface ----------------------------------------------
 
 #: The only defaults on the call surface.

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from repro.fhe import (CkksContext, CkksParameters, Plaintext, PolyContext,
                        Polynomial, Representation)
-from repro.fhe.keys import mod_down_poly
+from repro.fhe.keys import mod_down_polys
+from repro.fhe.poly import rescale_last
 from repro.fhe.rns import RnsBasis
 
 TOY = CkksParameters.toy()
@@ -123,7 +124,7 @@ class TestRescale:
         context = PolyContext(PRESETS[preset], seed=11, backend=backend)
         a = context.random_uniform(context.params.moduli[:limbs],
                                    Representation.EVAL)
-        out = a.rescale_last()
+        (out,) = rescale_last([a])
         assert out.rep is Representation.EVAL
         assert out.moduli == a.moduli[:-1]
         assert_limbs(out.to_coeff(), exact_rescale(a.to_coeff()))
@@ -132,9 +133,9 @@ class TestRescale:
         context = PolyContext(TOY, seed=11, backend="stacked")
         a = context.random_uniform(TOY.moduli[:2], Representation.EVAL)
         with pytest.raises(ValueError, match="EVAL"):
-            a.to_coeff().rescale_last()
+            rescale_last([a.to_coeff()])
         with pytest.raises(ValueError, match="only limb"):
-            a.at_basis(TOY.moduli[:1]).rescale_last()
+            rescale_last([a.at_basis(TOY.moduli[:1])])
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +164,7 @@ class TestModDown:
         context = PolyContext(PRESETS[preset], seed=17, backend=backend)
         ksctx = context.backend.keyswitch_context(level)
         a = context.random_uniform(ksctx.extended, Representation.EVAL)
-        out = mod_down_poly(a, ksctx)
+        (out,) = mod_down_polys([a], ksctx)
         assert out.rep is Representation.EVAL
         assert out.moduli == ksctx.ct_moduli
         assert_limbs(out.to_coeff(), coeff_mod_down(a.to_coeff(), ksctx))
@@ -173,7 +174,7 @@ class TestModDown:
         ksctx = context.backend.keyswitch_context(2)
         a = context.random_uniform(ksctx.extended, Representation.EVAL)
         with pytest.raises(ValueError, match="EVAL"):
-            mod_down_poly(a.to_coeff(), ksctx)
+            mod_down_polys([a.to_coeff()], ksctx)
 
 
 # ---------------------------------------------------------------------------

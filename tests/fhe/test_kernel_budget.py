@@ -15,8 +15,9 @@ product is one int64 multiply and two float64 quotient estimates.
 Since the int64 tier binds the same kernel for its conversions — it had
 an int64 ``@`` for narrow digits, a broadcast sweep for wide ones and
 ``convert_exact`` past a row-sum bound — the count is one for both
-tiers: a warm key switch is ``len(digit_spans) + 2`` ``left`` calls on
-the context's own kernels (``toy`` made none on the commit before).
+tiers: a warm key switch is ``len(digit_spans) + 1`` ``left`` calls on
+the context's own kernels (``toy`` made none on the commit before; the
+lift took one call per polynomial of the pair until the pair shared it).
 """
 
 import inspect
@@ -113,9 +114,9 @@ def test_a_warm_key_switch_is_one_matmul_per_digit_and_one_per_lift(
     got = key_switch(ct.c1, key)
     digits = len(ksctx.digit_spans)
     assert digits == 2
-    # One ModUp per digit, one lift per polynomial of the pair.
+    # One ModUp per digit, one lift for both polynomials of the pair.
     assert [conversions.count(kind) for kind in ("modup", "lift")] \
-        == [digits, 2]
+        == [digits, 1]
     assert convert_exact.count == 0
     for a, b in zip(got, want):
         assert all(np.array_equal(x, y) for x, y in zip(a.limbs, b.limbs))

@@ -30,6 +30,8 @@ class CountingBackend(StackedBackend):
         self.rows = 0
         self.forwards: list[int] = []       # rows of each forward call
         self.calls = Counter()
+        #: The transform calls each ModDown / rescale made.
+        self.inside: list[tuple[str, Counter]] = []
 
     def ntt_forward(self, data, moduli):
         self.rows += len(data)
@@ -46,9 +48,21 @@ class CountingBackend(StackedBackend):
         self.calls["mod_up"] += 1
         return super().mod_up(digit, digit_index, ksctx)
 
-    def mod_down(self, data, ksctx):
+    def mod_down(self, data, ksctx, plus=None):
         self.calls["mod_down"] += 1
-        return super().mod_down(data, ksctx)
+        return self._noting("mod_down", super().mod_down, data, ksctx, plus)
+
+    def rescale_last(self, data, moduli):
+        return self._noting("rescale_last", super().rescale_last, data,
+                            moduli)
+
+    def _noting(self, kernel, run, *args):
+        before = Counter(self.calls)
+        out = run(*args)
+        self.inside.append((kernel, Counter({
+            name: count for name, count in (self.calls - before).items()
+            if name.startswith("ntt_")})))
+        return out
 
     def mul(self, a, b, moduli):
         self.calls["mul"] += 1
@@ -91,7 +105,8 @@ class Budget:
     def key_switch(self) -> int:
         n, k, d = self.n, self.k, self.d
         # c1 to COEFF (n), d raised digits to EVAL except on their own
-        # limbs (d(n+k) - n), 2 ModDowns (k in, n out).
+        # limbs (d(n+k) - n), one ModDown of both components (k in, n
+        # out, each).
         return d * (n + k) + 2 * (k + n)
 
     @property
@@ -129,15 +144,52 @@ def test_rescale_reads_one_limb_per_component(budget):
 
 
 def test_mult_and_square(budget):
+    """A rescaled product divides by P * q_l at once: the ModDown's k
+    special rows and the q_l row in, l rows out per component — the
+    rescale's 2n rows vanish."""
     ev, ct = budget.ev, budget.ct
     assert budget.rows(lambda: ev.he_mult(ct, ct, rescale=False)) \
         == budget.key_switch
-    assert budget.rows(lambda: ev.he_mult(ct, ct)) \
-        == budget.key_switch + budget.rescale
+    assert budget.rows(lambda: ev.he_mult(ct, ct)) == budget.key_switch
     assert budget.rows(lambda: ev.he_square(ct, rescale=False)) \
         == budget.key_switch
-    assert budget.rows(lambda: ev.he_square(ct)) \
-        == budget.key_switch + budget.rescale
+    assert budget.rows(lambda: ev.he_square(ct)) == budget.key_switch
+
+
+def test_a_moddown_or_rescale_is_one_transform_each_way(budget):
+    """Both components of a ciphertext cross every ModDown and rescale
+    together: one inverse and one forward call, whatever the op."""
+    ev, ct, backend = budget.ev, budget.ct, budget.backend
+    raw = ev.scalar_mult(ct, 1.5, rescale=False)
+    backend.inside.clear()
+    for op in (lambda: ev.rescale(raw), lambda: ev.he_mult(ct, ct),
+               lambda: ev.he_square(ct, rescale=False),
+               lambda: ev.he_rotate(ct, 1), lambda: ev.he_conjugate(ct),
+               lambda: ev.rotate_add(ct, [1, 2, 3]),
+               lambda: ev.hoisted_rotations(ct, [1, 2])):
+        op()
+    assert [kernel for kernel, _ in backend.inside] == [
+        "rescale_last"] + ["mod_down"] * 7
+    assert all(calls == {"ntt_forward": 1, "ntt_inverse": 1}
+               for _, calls in backend.inside)
+
+
+@pytest.mark.parametrize("method", ["he_mult", "he_square"])
+def test_a_rescaled_product_at_level_zero_is_refused_first(method):
+    """No limb is left to drop: the product is refused before any
+    transform or key product, not after a whole key switch."""
+    budget = Budget(CkksParameters.toy(), level=0)
+    ev, ct = budget.ev, budget.ct
+    cts = (ct, ct) if method == "he_mult" else (ct,)
+    calls = Counter(budget.backend.calls)
+    rows = budget.backend.rows
+    with pytest.raises(ValueError, match="cannot rescale at level 0"):
+        getattr(ev, method)(*cts)
+    assert budget.backend.rows == rows
+    assert budget.backend.calls == calls
+    # Unrescaled, level 0 key-switches as any level does.
+    assert budget.rows(lambda: getattr(ev, method)(*cts, rescale=False)) \
+        == budget.key_switch
 
 
 def test_plaintext_operands_are_prepared_once(budget):
@@ -243,16 +295,16 @@ def test_the_catalog_has_one_raise_per_galois_group(workload, groups):
 @pytest.mark.parametrize("rotations", [[1], [1, 2, 3], [4, 8, 12, 1, 2, 3]],
                          ids=["one", "three", "six"])
 def test_a_rotation_group_raises_once_and_moddowns_once(budget, rotations):
-    """``rotate_add``: one raise of c1 (one ModUp per digit) and two
-    ModDown calls, whatever ``|R|``; ``|R|`` key products of ``d`` digits
-    by two key components each."""
+    """``rotate_add``: one raise of c1 (one ModUp per digit) and one
+    ModDown call for both components, whatever ``|R|``; ``|R|`` key
+    products of ``d`` digits by two key components each."""
     ev, ct, d = budget.ev, budget.ct, budget.d
     # The transforms of one key switch, however many rotations.
     assert budget.rows(lambda: ev.rotate_add(ct, rotations)) \
         == budget.key_switch
     calls = budget.calls(lambda: ev.rotate_add(ct, rotations))
     assert (calls["mod_up"], calls["mod_down"], calls["mul"]) \
-        == (d, 2, 2 * d * len(rotations))
+        == (d, 1, 2 * d * len(rotations))
 
 
 @pytest.mark.parametrize("preset", ["toy", "pw54"])
@@ -266,20 +318,23 @@ def test_a_warm_scoring_batch(preset):
     L = 5), the batch sweeps
 
     * ``encrypt``: n rows, one forward call;
-    * the weight product's rescale: 2n rows, two forward + two inverse;
+    * the weight product's rescale: 2n rows, one forward + one inverse;
     * two rotation groups and one relinearization, three key switches
-      at n - 1 limbs: 3(d(n - 1 + k) + 2(k + n - 1)) rows, each d + 2
-      forward and three inverse calls, d ModUp and two ModDown;
-    * the square's rescale: 2(n - 1) rows, two forward + two inverse;
+      at n - 1 limbs: 3(d(n - 1 + k) + 2(k + n - 1)) rows, each d + 1
+      forward and two inverse calls, d ModUp and one ModDown — the
+      square's rescale is its ModDown (one division by P * q_l), whose
+      l = n - 2 rows out per component replace the n - 1 a ModDown
+      sends out and the rescale's n - 1 in and out;
     * ``decrypt`` at n - 2 limbs: n - 2 rows, one inverse call.
 
-    That is (14, 14, 83, 3, 6) at ``toy`` (n = 4) and (14, 14, 68, 3, 6)
+    That is (8, 8, 77, 3, 3) at ``toy`` (n = 4) and (8, 8, 64, 3, 3)
     at ``pw54`` (n = 3) for forward / inverse calls, limb rows, ModUp
-    and ModDown calls; from ``max_level`` it was (20, 14, 140, 6, 6).
-    The count twin of the wall-clock hoisting floor in
-    ``benchmarks/test_keyswitch_speedup.py``; ``bench --trace 1``
-    reports the same five numbers per batch plus the two rows of its
-    ``max_level`` encryption, which replay drops to the entry level."""
+    and ModDown calls; with a ModDown and a rescale per component it was
+    (14, 14, 83, 3, 6) and (14, 14, 68, 3, 6).  The count twin of the
+    wall-clock hoisting floor in ``benchmarks/test_keyswitch_speedup.py``;
+    ``bench --trace 1`` reports the same five numbers per batch plus the
+    two rows of its ``max_level`` encryption, which replay drops to the
+    entry level."""
     params = CkksParameters.toy() if preset == "toy" else \
         CkksParameters._build(ring_degree=1 << 10, scale_bits=50,
                               prime_bits=54, max_level=5, boot_levels=2,
@@ -306,6 +361,6 @@ def test_a_warm_scoring_batch(preset):
     key_switch = d * (n - 1 + k) + 2 * (k + n - 1)
     assert (calls["ntt_forward"], calls["ntt_inverse"], backend.rows - rows,
             calls["mod_up"], calls["mod_down"]) == (
-        1 + 2 + 3 * (d + 2) + 2, 2 + 3 * 3 + 2 + 1,
-        n + 2 * n + 3 * key_switch + 2 * (n - 1) + n - 2, 3 * d, 6)
-    assert backend.rows - rows == {"toy": 83, "pw54": 68}[preset]
+        1 + 1 + 3 * (d + 1), 1 + 3 * 2 + 1,
+        n + 2 * n + 3 * key_switch + n - 2, 3 * d, 3)
+    assert backend.rows - rows == {"toy": 77, "pw54": 64}[preset]

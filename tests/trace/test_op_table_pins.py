@@ -124,16 +124,28 @@ SERVED = {"scoring": lambda: scoring_workload(WIDTH),
           "affine": _affine_workload}
 
 
+#: (workload, preset) -> the op ids ``plan.execute`` makes no value for:
+#: the square of scoring, replayed with ``rescale=True`` as the rescale
+#: that reads it (``repro.trace.ops.fused_rescales``).
+REPLAY_OMITS = {("scoring", "toy"): {5}, ("scoring", "pw54"): {5},
+                ("affine", "toy"): set(), ("affine", "pw54"): set()}
+
+
 def _replay_digests(workload: str, preset: str) -> tuple[str, str]:
     """(digest of the served plan's trace rows, digest of every value
-    ``plan.execute`` produced, op by op) for one seeded context."""
+    ``plan.execute`` produced, op by op) for one seeded context.  Replay
+    makes a value for every op but those of :data:`REPLAY_OMITS`."""
     params = REAL_PRESETS[preset]()
     plan = SERVED[workload]().compile(params)
     ctx = CkksContext(params, seed=123)
     slots = np.random.default_rng(7).uniform(-1.0, 1.0, params.num_slots)
     run = plan.execute(ctx, sources=[ctx.encrypt(slots)])
+    assert {op.op_id for op in plan.trace.ops} - set(run.values) \
+        == REPLAY_OMITS[workload, preset]
     sha = hashlib.sha256()
     for op in plan.trace.ops:
+        if op.op_id not in run.values:
+            continue
         value = run.values[op.op_id]
         sha.update(f"{op.op_id}:{value.level}:{value.scale!r};".encode())
         for poly in (value.c0, value.c1):
@@ -148,10 +160,10 @@ def _replay_digests(workload: str, preset: str) -> tuple[str, str]:
 REPLAY_PINS = {
     ("scoring", "toy"): (
         "e288f1d3ccfaf5c81f4552e813906ed28e49d628beb63c543b6a01c1472f688f",
-        "d4aad1e47b73030616e5da497976fe6c31444db9dd4a4873ed13f6f8a8a0c2dc"),
+        "990251f6ab714db144757d3a4fd8d307502fe2742f697d5accb234207dce037e"),
     ("scoring", "pw54"): (
         "a2379f01e26f00308c51bcbdc057904f82ff53d975e933fce6e2886744351f7e",
-        "ad37228e395371bd4481c656a6293093e38ce3e156581e7e99564efa7b902e5a"),
+        "3ad30751c4ad16d024d152a839465615333d66c1855f92d6b3590ae9b8bdced0"),
     ("affine", "toy"): (
         "cec91df1af2749ab712efe9d9666efb6e07632c87a76c7e1078e8ea8f38573d8",
         "ac57ac5c21c2ce5dd6971667c9715b11df41ae61adb2d87c3be736ca180d4360"),
