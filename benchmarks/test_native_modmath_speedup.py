@@ -95,21 +95,22 @@ def test_dword_exact_lift_speedup():
     import numpy as np
 
     from repro.fhe import PolyContext
+    from repro.fhe.rns import division
 
     backend = PolyContext(PARAMS_54, seed=1, backend="stacked").backend
     ksctx = backend.keyswitch_context(PARAMS_54.max_level)
-    assert ksctx.moddown_lift_matmul is not None
+    moddown = division(ksctx.extended, ksctx.num_ct)
+    assert moddown.lift_matmul is not None
     _, special = _pw54_stack(10)
     special = special[ksctx.num_ct:]
     targets = list(ksctx.ct_moduli)
 
     def oracle():
-        return ksctx.p_basis.convert_exact(list(special), targets)
+        return moddown.basis.convert_exact(list(special), targets)
 
-    assert np.array_equal(backend.lift_special(special, ksctx),
-                          np.stack(oracle()))
+    assert np.array_equal(moddown.lift(special), np.stack(oracle()))
     t_lift, t_oracle = _interleaved_best(
-        lambda: backend.lift_special(special, ksctx), oracle)
+        lambda: moddown.lift(special), oracle)
     speedup = t_oracle / t_lift
     print(f"\n54-bit exact ModDown lift: matmul {speedup:.1f}x over "
           "convert_exact")

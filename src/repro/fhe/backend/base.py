@@ -138,22 +138,35 @@ class ComputeBackend(abc.ABC):
         arithmetic at all — and returns EVAL storage.
         """
 
+    # -- the division ----------------------------------------------------
+    #
+    # Rescale divides by q_l, ModDown by P, and a rescaled key switch by
+    # P * q_l: each is round(x / D) for D the product of the trailing
+    # limbs of a basis, one kernel per backend.
+
     @abc.abstractmethod
-    def rescale_last(self, data: list[Any],
-                     moduli: tuple[int, ...]) -> list[Any]:
-        """Exact RNS divide-and-round by the last modulus, EVAL to EVAL.
+    def divide_round(self, data: list[Any], moduli: tuple[int, ...],
+                     keep: int) -> list[Any]:
+        """Exact RNS divide-and-round, EVAL to EVAL.
 
         ``data`` holds evaluation-form storage over ``moduli``, one per
         component of a ciphertext; each result is evaluation-form storage
-        over ``moduli[:-1]`` holding ``round(x / q_last)`` (centered lift
-        of the dropped limb, then exact division via
-        ``q_last^{-1} mod q_i``).  Only the dropped limbs are taken to
-        coefficient form: their centered lifts are transformed modulo
-        each remaining prime and subtracted from the evaluations, so the
-        cost is one inverse row plus one forward row per remaining limb
-        and component — every component's rows in one
-        :meth:`ntt_inverse` and one :meth:`ntt_forward` call.
+        over ``moduli[:keep]`` holding ``round(x / D)``, where ``D`` is
+        the product of the dropped primes ``moduli[keep:]``:
+        ``(x - lift) * D^{-1} mod q_i`` with ``lift`` the exact centered
+        lift of ``[x]_D`` (:class:`~repro.fhe.rns.Division`, whose tables
+        :func:`~repro.fhe.rns.division` caches per process).  Only the
+        dropped rows are taken to coefficient form, every component's in
+        one :meth:`ntt_inverse` call; their lifts come back through one
+        :meth:`ntt_forward` call over the kept rows and the subtract and
+        scaling run on evaluations (the NTT is linear per limb).
         """
+
+    def rescale_last(self, data: list[Any],
+                     moduli: tuple[int, ...]) -> list[Any]:
+        """Rescale: divide by the last modulus, ``round(x / q_last)`` over
+        ``moduli[:-1]`` (:meth:`divide_round`, one dropped prime)."""
+        return self.divide_round(data, tuple(moduli), len(moduli) - 1)
 
     # -- key switching -----------------------------------------------------
     #
@@ -200,38 +213,40 @@ class ComputeBackend(abc.ABC):
         key switching absorbs the overshoot in ModDown.
         """
 
-    @abc.abstractmethod
     def mod_down(self, data: list[Any], ksctx: KeySwitchContext,
                  plus: list[Any] | None = None) -> list[Any]:
-        """Divide extended-basis storage by P, back to C_level; EVAL to EVAL.
+        """ModDown: divide extended-basis storage by P, back to C_level.
 
         ``data`` holds one evaluation-form storage over ``ksctx.extended``
         per component of a ciphertext, and the result one per component
-        over ``ksctx.ct_moduli``:
-        ``x' = (x - lift([x]_P)) * P^{-1} mod q_i`` with the precomputed
-        ``ksctx.p_inv`` scalars.  Only the special-prime limbs are taken
-        to coefficient form, every component's in one :meth:`ntt_inverse`
-        call; their lifts to the ciphertext basis come back through one
-        :meth:`ntt_forward` call and the subtraction and scaling run on
-        evaluations.  The lift is ``sum_j y_j * hat{p}_j - e * P`` with
-        the true quotient ``e = round(sum_j y_j / p_j)``: the exact
-        centered CRT lift, identical across backends.
+        over ``ksctx.ct_moduli``: ``round(x / P)``, the
+        :meth:`divide_round` of C_l + P that keeps C_l.
 
         ``plus`` (one storage over ``ksctx.ct_moduli`` per component,
         level >= 1) fuses a rescale: each result is
-        ``round((d + round(x / P)) / q_l)`` over C_{l-1}, computed as the
-        single division ``round(Z / (P * q_l))`` of ``Z = x + P * d`` —
-        exact, because both roundings take centered lifts and P and q_l
-        are odd.  The inverse call takes the run ``q_l, p_1 .. p_k`` of
-        C_l + P (Z is x on the special primes), the special rows lift to
-        ``s = [Z]_P`` on C_l, the q_l row gives
-        ``u = [(Z - s) / P]_{q_l}`` (centered) and
-        ``G = s + P * u = [Z]_{P * q_l}``, and one forward call over
-        C_{l-1} takes G to evaluations:
-        ``d * q_l^{-1} + (x - G) * (P * q_l)^{-1}``.  That is l + 1
-        forward rows and two calls per component fewer than ModDown then
+        ``round((d + round(x / P)) / q_l)`` over C_{l-1}, which is
+        ``round(Z / (P * q_l))`` for ``Z = x + P * d`` — exact, because
+        both roundings take centered lifts and P and q_l are odd.  Z is
+        x on the special primes, and ``extended[l:]`` is the run
+        ``q_l, p_1 .. p_k``, so ``P * q_l`` is again the trailing limbs:
+        the division of C_l + P that keeps C_{l-1}, l + 1 forward rows
+        and two transform calls per component fewer than ModDown then
         rescale.
         """
+        n = ksctx.num_ct
+        if plus is None:
+            return self.divide_round(data, ksctx.extended, n)
+        # Z is x - (-P) * d on C_l's rows, formed by ``sub`` and
+        # ``scalar_mul``: ``add`` and ``mul`` are the ring operations a
+        # traced run counts, and Z is the division's own input.
+        minus_p = [-ksctx.p_prod] * n
+        z = [self.concat_limbs([
+            self.sub(self.select_limbs(x, range(n)),
+                     self.scalar_mul(d, minus_p, ksctx.ct_moduli),
+                     ksctx.ct_moduli),
+            self.select_limbs(x, range(n, len(ksctx.extended)))])
+            for x, d in zip(data, plus)]
+        return self.divide_round(z, ksctx.extended, n - 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"

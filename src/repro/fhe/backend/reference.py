@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..modmath import (addmod_vec, mulmod_vec, negmod_vec, rescale_constants,
-                       submod_vec)
+from ..modmath import addmod_vec, mulmod_vec, negmod_vec, submod_vec
+from ..rns import division
 from .base import ComputeBackend
 from .registry import register_backend
 
@@ -103,71 +103,22 @@ class ReferenceBackend(ComputeBackend):
             out.append(acc)
         return out
 
-    def mod_down(self, data, ksctx, plus=None):
-        # Only the special-prime limbs leave EVAL form (with ``plus``, the
-        # q_l limb of x + P*d beside them); the lifts come back through
-        # one forward transform and the rest runs on evaluations (the NTT
-        # is linear per limb).  The formulas are the stacked backend's,
-        # limb by limb, over the exact CRT lift.
-        n, k, comps = ksctx.num_ct, len(ksctx.special_moduli), len(data)
-        ct_moduli = list(ksctx.ct_moduli)
-        if plus is None:
-            special = self.ntt_inverse([limb for x in data
-                                        for limb in x[n:]],
-                                       ksctx.special_moduli * comps)
-            lift = self.ntt_forward(
-                [limb for c in range(comps)
-                 for limb in ksctx.p_basis.convert_exact(
-                     special[c * k:(c + 1) * k], ct_moduli)],
-                ksctx.ct_moduli * comps)
-            return [[mulmod_vec(submod_vec(limb, lift_limb, q), p_inv, q)
-                     for limb, lift_limb, p_inv, q in zip(
-                         x[:n], lift[c * n:], ksctx.p_inv, ct_moduli)]
-                    for c, x in enumerate(data)]
-        l = n - 1
-        q_l, rest = ct_moduli[l], ct_moduli[:l]
-        runs = []
-        for x, d in zip(data, plus):
-            runs.append(addmod_vec(
-                x[l], mulmod_vec(d[l], ksctx.last_p.scalars[0], q_l), q_l))
-            runs += x[n:]
-        coeff = self.ntt_inverse(runs, ksctx.extended[l:] * comps)
-        g = []
-        for c in range(comps):
-            z_l, *special = coeff[c * (k + 1):(c + 1) * (k + 1)]
-            lift = ksctx.p_basis.convert_exact(special, ct_moduli)
-            r = mulmod_vec(submod_vec(z_l, lift[l], q_l),
-                           ksctx.last_p_inv.scalars[0], q_l)
-            u = r - np.where(r > q_l // 2, q_l, 0)
-            g += [addmod_vec(lift_limb,
-                             mulmod_vec(np.remainder(u, q), p_mod_q, q), q)
-                  for lift_limb, p_mod_q, q in zip(
-                      lift, ksctx.rest_p.scalars, rest)]
-        g = self.ntt_forward(g, ksctx.ct_moduli[:l] * comps)
-        q_invs = rescale_constants(ksctx.ct_moduli).scalars
-        return [[addmod_vec(mulmod_vec(d_limb, q_inv, q),
-                            mulmod_vec(submod_vec(limb, g_limb, q),
-                                       pq_inv, q), q)
-                 for limb, d_limb, g_limb, q_inv, pq_inv, q in zip(
-                     x, d, g[c * l:], q_invs, ksctx.rest_pq_inv.scalars,
-                     rest)]
-                for c, (x, d) in enumerate(zip(data, plus))]
+    # -- the division ------------------------------------------------------
 
-    def rescale_last(self, data, moduli):
-        q_last = int(moduli[-1])
-        rest = tuple(moduli[:-1])
-        # Only the dropped limbs leave EVAL form; each centered lift
-        # (which keeps the rounding error small) is reduced modulo every
-        # remaining prime by the forward transform itself.
-        last = self.ntt_inverse([x[-1] for x in data],
-                                (q_last,) * len(data))
+    def divide_round(self, data, moduli, keep):
+        div = division(tuple(moduli), keep)
+        k = len(div.dropped)
+        # Only the dropped limbs leave EVAL form; each component's lift is
+        # the exact CRT composition, centered, reduced modulo every kept
+        # prime, and comes back through one forward transform.
+        coeff = self.ntt_inverse([limb for x in data for limb in x[keep:]],
+                                 div.dropped * len(data))
         lifts = self.ntt_forward(
-            [centered for limb in last
-             for centered in [limb - np.where(limb > q_last // 2,
-                                              q_last, 0)] * len(rest)],
-            rest * len(data))
-        invs = rescale_constants(tuple(moduli)).scalars
-        return [[mulmod_vec(submod_vec(limb, lift_limb, q), inv, q)
-                 for limb, lift_limb, q, inv in zip(
-                     x[:-1], lifts[c * len(rest):], rest, invs)]
+            [limb for c in range(len(data))
+             for limb in div.basis.convert_exact(coeff[c * k:(c + 1) * k],
+                                                 list(div.kept))],
+            div.kept * len(data))
+        return [[mulmod_vec(submod_vec(limb, lift, q), inv, q)
+                 for limb, lift, inv, q in zip(
+                     x[:keep], lifts[c * keep:], div.scale.scalars, div.kept)]
                 for c, x in enumerate(data)]

@@ -22,11 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..modmath import (addmod_stack, center_stack, mulmod_stack, negmod_stack,
-                       reduce_stack, rescale_constants, scalar_add_stack,
-                       scalar_mul_stack, stack_residues, submod_stack,
-                       unstack_residues)
+                       reduce_stack, scalar_add_stack, scalar_mul_stack,
+                       stack_residues, submod_stack, unstack_residues)
 from ..ntt import BatchedNttContext, batched_ntt_context
-from ..rns import exact_moddown_quotient
+from ..rns import division
 from .base import ComputeBackend
 from .registry import register_backend
 
@@ -134,106 +133,18 @@ class StackedBackend(ComputeBackend):
                          ksctx.digit_half_col[digit_index]),
             ksctx.extended_col, ksctx.extended_inv_col)
 
-    def mod_down(self, data, ksctx, plus=None):
-        # Only the special-prime rows leave EVAL form, every component's
-        # in one inverse call; their lifts come back in one forward call
-        # and the subtract + P^{-1} scaling run on evaluations (the NTT
-        # is linear per limb, so the integers equal the COEFF-domain
-        # ModDown's).
-        if plus is not None:
-            return self._mod_down_rescale(data, ksctx, plus)
-        n, k, comps = ksctx.num_ct, len(ksctx.special_moduli), len(data)
-        special = self.ntt_inverse(np.concatenate([x[n:] for x in data]),
-                                   ksctx.special_moduli * comps)
+    # -- the division ------------------------------------------------------
+
+    def divide_round(self, data, moduli, keep):
+        div = division(tuple(moduli), keep)
+        comps, k = len(data), len(div.dropped)
+        coeff = self.ntt_inverse(np.concatenate([x[keep:] for x in data]),
+                                 div.dropped * comps)
+        # One lift for every component, side by side.
         lift = self.ntt_forward(
-            _by_component(self.lift_special(
-                _side_by_side(special.reshape(comps, k, -1)), ksctx), comps),
-            ksctx.ct_moduli * comps).reshape(comps, n, -1)
-        return list(ksctx.p_inv_scale(_minus(data, lift)))
-
-    def _mod_down_rescale(self, data, ksctx, plus):
-        """``round((d + x / P) / q_l)`` per component: one division by
-        ``P * q_l`` (:meth:`ComputeBackend.mod_down`)."""
-        n, k, comps = ksctx.num_ct, len(ksctx.special_moduli), len(data)
-        l = n - 1
-        last = ksctx.ct_col[l:]
-        # Z = x + P*d is x on the special primes; on q_l its row joins
-        # them, the run q_l, p_1 .. p_k of C_l + P.
-        runs = np.empty((comps, k + 1, data[0].shape[1]), dtype=np.int64)
-        runs[:, 0] = addmod_stack(
-            ksctx.last_p(np.stack([d[l] for d in plus])),
-            np.stack([x[l] for x in data]), ksctx.ct_moduli[l:])
-        for c, x in enumerate(data):
-            runs[c, 1:] = x[n:]
-        coeff = self.ntt_inverse(runs.reshape(comps * (k + 1), -1),
-                                 ksctx.extended[l:] * comps)
-        coeff = coeff.reshape(comps, k + 1, -1)
-        # s = [Z]_P, centered, on C_l; Z - s = P*r, and r = q_l*t + u with
-        # u centered, so s + P*u is [Z]_{P*q_l}, centered: G.
-        lift = self.lift_special(_side_by_side(coeff[:, 1:]), ksctx)
-        u = center_stack(
-            ksctx.last_p_inv.sub_mul(coeff[:, 0].reshape(1, -1), lift[l:]),
-            last, last // 2)
-        # |u| <= q_l / 2 may pass a narrower q_i: reduce it first.
-        rest = ksctx.ct_col[:l]
-        g = addmod_stack(lift[:l], ksctx.rest_p(np.remainder(u, rest)),
-                         ksctx.ct_moduli[:l])
-        g = self.ntt_forward(_by_component(g, comps),
-                             ksctx.ct_moduli[:l] * comps)
-        # t = (Z - G) / (P*q_l) = d / q_l + (x - G) / (P*q_l).
-        over_q = rescale_constants(ksctx.ct_moduli)(
-            np.stack([d[:l] for d in plus]))
-        t = ksctx.rest_pq_inv(_minus(data, g.reshape(comps, l, -1)))
-        t = addmod_stack(t.reshape(comps * l, -1),
-                         over_q.reshape(comps * l, -1),
-                         ksctx.ct_moduli[:l] * comps)
-        return list(t.reshape(comps, l, -1))
-
-    def lift_special(self, special, ksctx):
-        """Centered lift of the special-prime part to the ciphertext basis.
-
-        ``special`` is the COEFF ``(k, N)`` stack over the special primes;
-        the result is the ``(n, N)`` stack of
-        ``sum_j y_j * hat{p}_j - e * P mod q_i`` with centered
-        ``y_j = [x_j * hat{p}_j^{-1}]_{p_j}`` and the true quotient ``e``
-        (:func:`~repro.fhe.rns.exact_moddown_quotient`): the exact
-        centered CRT lift.  That is one ``(n, k + 1) @ (k + 1, N)``
-        matmul over split float64 words on either tier; where the context
-        bound none (a quotient sum too long for the guard band) it is
-        :meth:`RnsBasis.convert_exact` — the same integers, shared with
-        the reference backend.
-        """
-        matmul = ksctx.moddown_lift_matmul
-        if matmul is None:
-            ct_moduli = ksctx.ct_moduli
-            return stack_residues(
-                ksctx.p_basis.convert_exact(list(special), list(ct_moduli)),
-                ct_moduli)
-        k = len(special)
-        operands = np.empty((k + 1, special.shape[1]), dtype=np.int64)
-        operands[:k] = center_stack(ksctx.special_unpuncture(special),
-                                    ksctx.special_col,
-                                    ksctx.special_half_col)
-        operands[k] = exact_moddown_quotient(
-            operands[:k], ksctx.moddown_prime_fracs, ksctx.p_basis)
-        return matmul.left(ksctx.moddown_lift_table, operands,
-                           ksctx.ct_col, ksctx.ct_inv_col)
-
-    def rescale_last(self, data, moduli):
-        moduli = tuple(moduli)
-        q_last = int(moduli[-1])
-        rest = moduli[:-1]
-        # Only the dropped limbs leave EVAL form, every component's in one
-        # call.  A centered lift is the same polynomial modulo every
-        # remaining q_i, so one forward sweep (which reduces each row
-        # modulo its own prime first) gives the evaluations to subtract.
-        last = self.ntt_inverse(np.stack([x[-1] for x in data]),
-                                moduli[-1:] * len(data))
-        centered = last - np.where(last > q_last // 2, q_last, 0)
-        lift = self.ntt_forward(np.repeat(centered, len(rest), axis=0),
-                                rest * len(data))
-        return list(rescale_constants(moduli)(
-            _minus(data, lift.reshape(len(data), len(rest), -1))))
+            _by_component(div.lift(_side_by_side(
+                coeff.reshape(comps, k, -1))), comps), div.kept * comps)
+        return list(div.scale(_minus(data, lift.reshape(comps, keep, -1))))
 
 
 def _minus(data, lifts):
@@ -247,13 +158,14 @@ def _minus(data, lifts):
 
 def _side_by_side(stacks):
     """``(comps, rows, N)`` component stacks as one ``(rows, comps * N)``
-    stack: the lift's matmul takes every component at once."""
+    stack: the division's lift takes every component at once."""
     return stacks.transpose(1, 0, 2).reshape(stacks.shape[1], -1)
 
 
 def _by_component(stack, comps):
     """The inverse of :func:`_side_by_side`: ``(rows, comps * N)`` back
-    to one ``(rows, N)`` stack per component, stacked."""
+    to one ``(rows, N)`` stack per component, stacked (a copy, also of a
+    broadcast lift)."""
     rows = len(stack)
     return stack.reshape(rows, comps, -1).transpose(1, 0, 2) \
         .reshape(comps * rows, -1)

@@ -342,9 +342,9 @@ def mod_down_polys(polys: Sequence[Polynomial], ksctx: KeySwitchContext,
     EVAL over ``ksctx.ct_moduli`` out, every component of a ciphertext in
     one call.
 
-    Only the special-prime limbs leave EVAL form on the way, in one
-    inverse and one forward transform for all of ``polys`` (see
-    :meth:`ComputeBackend.mod_down`).  With ``plus`` (one EVAL
+    It is one division (:meth:`ComputeBackend.divide_round`): only the
+    dropped limbs leave EVAL form on the way, in one inverse and one
+    forward transform for all of ``polys``.  With ``plus`` (one EVAL
     polynomial over ``ksctx.ct_moduli`` per component) the result is
     rescaled too: ``round((d + x / P) / q_l)`` over C_{l-1}, one division
     by ``P * q_l``, bit for bit ModDown, the add and then

@@ -436,10 +436,10 @@ def scalar_mul_stack(a: np.ndarray, scalars: list[int], moduli) -> np.ndarray:
 class BoundScalarMul:
     """:func:`scalar_mul_stack` for per-limb constants that never change.
 
-    The per-level constants of the key-switch datapath (``hat{q}_i^{-1}``,
-    ``P^{-1}``, ``q_last^{-1}``) are fixed per modulus
-    chain, so everything :func:`scalar_mul_stack` re-derives per call is
-    resolved here once: the reduced scalars, the kernel class of the
+    The per-level constants of the key-switch datapath and the division
+    (``hat{q}_i^{-1}``, ``D^{-1}``) are fixed per modulus chain, so
+    everything :func:`scalar_mul_stack` re-derives per call is resolved
+    here once: the reduced scalars, the kernel class of the
     basis, and the ready ``(L, 1)`` columns — on the double-word tier the
     constants as float64 too, and the float64 reciprocals of the moduli,
     all :func:`_mulmod_f64` needs.  A call is then a straight line of
@@ -465,20 +465,6 @@ class BoundScalarMul:
             out %= self.q_col
             return out
         return _mulmod_f64(a, self.col, self.col_f64, self.q_col,
-                           self.q_inv_col)
-
-    def sub_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Limb i of ``a - b`` times ``scalars[i] mod q_i`` (reduced
-        operands): the subtract-and-scale tail of rescale and ModDown."""
-        # |a - b| < q: both tiers multiply the signed difference.
-        out = a - b
-        if self.klass == "int64":
-            # The product fits, and the floor remainder lands in [0, q)
-            # without a sign fix-up.
-            out *= self.col
-            out %= self.q_col
-            return out
-        return _mulmod_f64(out, self.col, self.col_f64, self.q_col,
                            self.q_inv_col)
 
 
@@ -634,61 +620,53 @@ class BoundModMatmul:
     def _multiply(self, table, words, table_first: bool, q, q_inv):
         """One matmul per table word, recombined mod q.
 
-        The reductions sweep one row per modulus, so a column broadcasts
-        along whole rows instead of along the product's last axis.
+        With one table word the product is ``R_0 % q``.  Otherwise the
+        products are made top word first and each is folded into a
+        Horner sum as soon as it is made — in wrap-around int64 and in
+        float64 side by side — so at most one partial product is live
+        beside the two sums, and the int64 sum is cast only once the
+        second product is made (``words`` go as soon as the last one
+        is): past a dozen limbs every intermediate is beyond malloc's
+        mmap threshold, where holding one longer than needed is paid in
+        page faults.  The reductions sweep one row per modulus, so a
+        column broadcasts along whole rows instead of along the
+        product's last axis.
         """
-        parts = [np.matmul(word, words) if table_first
-                 else np.matmul(words, word) for word in table]
+        def product(word):
+            return (np.matmul(word, words) if table_first
+                    else np.matmul(words, word))
+
         rows = len(q)
+        estimate = product(table[-1])
         # Every R_t is an integer below 2**53: the casts are exact.
-        if len(parts) == 1:
-            out = parts.pop().astype(np.int64)
+        if len(table) == 1:
+            out = estimate.astype(np.int64)
             flat = out.reshape(rows, -1)
             flat %= q
             return out
-        del words       # spent; see _recombine
-        shape = parts[0].shape
-        parts = [part.reshape(rows, -1) for part in parts]
-        return self._recombine(parts, q, q_inv).reshape(shape)
-
-    def _recombine(self, parts: list, q, q_inv) -> np.ndarray:
-        """``sum_t R_t * 2**(t * table_bits) mod q`` through the quotient
-        estimate; consumes ``parts``, letting each go as soon as it is
-        spent — past a dozen limbs every intermediate is beyond malloc's
-        mmap threshold, where holding one longer than needed is paid in
-        page faults."""
-        estimate = parts.pop()
-        y = estimate.astype(np.int64)
+        shape = estimate.shape
+        estimate = estimate.reshape(rows, -1)
+        y = None
         scale = float(1 << self.table_bits)
-        while parts:
-            # Horner, in wrap-around int64 and in float64 side by side.
-            part = parts.pop()
+        for t in range(len(table) - 2, -1, -1):
+            part = product(table[t]).reshape(rows, -1)
+            if not t:
+                del words       # spent
+            if y is None:
+                y = estimate.astype(np.int64)
             y <<= self.table_bits
             y += part.astype(np.int64)
             estimate *= scale
             estimate += part
+            del part
         estimate *= q_inv
         # |y / q - estimate| < 1/4, so rounding it leaves |r| < q.
         y -= np.rint(estimate, out=estimate).astype(np.int64) * q
         u = y.view(np.uint64)
         # A negative r reads as r + 2**64: adding q wraps it into [0, q),
         # below itself; a non-negative one only grows.
-        return np.minimum(u, u + q.view(np.uint64)).view(np.int64)
-
-
-@functools.lru_cache(maxsize=256)
-def rescale_constants(moduli: tuple[int, ...]) -> BoundScalarMul:
-    """The bound ``q_last^{-1} mod q_i`` scaling for dropping ``moduli[-1]``.
-
-    ``.scalars[i]`` is the inverse for each remaining limb (what the
-    per-limb reference backend reads); calling the result scales a whole
-    ``(L - 1, N)`` stack.  Cached per modulus chain so the
-    ``pow(q_last, -1, q)`` inversions and the columns are paid once per
-    level.
-    """
-    q_last = int(moduli[-1])
-    rest = [int(q) for q in moduli[:-1]]
-    return BoundScalarMul([invmod(q_last % q, q) for q in rest], rest)
+        return np.minimum(u, u + q.view(np.uint64)).view(np.int64) \
+            .reshape(shape)
 
 
 def scalar_add_stack(a: np.ndarray, scalars: list[int], moduli) -> np.ndarray:

@@ -4,10 +4,11 @@ Implements the limb decomposition described in paper section 2.2: the
 ciphertext modulus Q is a product of word-sized primes and every big-integer
 coefficient is carried as its tuple of residues (its *limbs*).  Also provides
 the per-level tables of hybrid key switching (:class:`KeySwitchContext`,
-following the standard RNS-CKKS construction): ModUp's approximate fast
-base conversion and the exact ModDown lift, each bound to one modular
-matmul on both kernel tiers, with :meth:`RnsBasis.convert_exact` as the
-lift of the ``reference`` backend.
+following the standard RNS-CKKS construction) and the tables of the one
+division ModDown and rescale share (:class:`Division`): ModUp's
+approximate fast base conversion and the division's exact lift, each
+bound to one modular matmul on both kernel tiers, with
+:meth:`RnsBasis.convert_exact` as the lift of the ``reference`` backend.
 
 The big-integer lifts (``decompose_vec``, ``compose_vec``,
 ``compose_centered_vec`` and :meth:`RnsBasis.convert_exact`) are the
@@ -20,10 +21,13 @@ prime.  A warm batch reaches none of it (``test_kernel_budget.py``).
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
-from .modmath import (BoundModMatmul, BoundScalarMul, invmod, mulmod_vec,
-                      reduce_vec, submod_vec)
+from .modmath import (BoundModMatmul, BoundScalarMul, center_stack, invmod,
+                      mulmod_vec, reduce_vec, stack_residues, submod_vec)
 
 #: Integers strictly inside ``+-WORD_BOUND`` cross a batch's edges as
 #: int64 (the ``.rpa`` wire format's own bound on a coefficient); one
@@ -199,27 +203,26 @@ def digit_spans(level: int, alpha: int) -> list[tuple[int, int]]:
 
 
 #: A float64 quotient sum whose fractional part is within this distance of
-#: 1/2 is not trusted to round the right way; see
-#: :func:`exact_moddown_quotient`.
+#: 1/2 is not trusted to round the right way; see :func:`exact_quotient`.
 QUOTIENT_GUARD = 2.0 ** -40
 
 
-def exact_moddown_quotient(centered_rows: np.ndarray,
-                           prime_fracs: np.ndarray,
-                           basis: RnsBasis) -> np.ndarray:
-    """The quotient ``e = round(sum_j y_j / p_j)`` of the ModDown lift.
+def exact_quotient(centered_rows: np.ndarray, prime_fracs: np.ndarray,
+                   basis: RnsBasis) -> np.ndarray:
+    """The quotient ``e = round(sum_j y_j / p_j)`` of an exact lift.
 
-    ``centered_rows`` holds the centered scaled residues ``y_j`` of the
-    special-prime part, one row per special prime; the value they stand
-    for satisfies ``sum_j y_j * hat{p}_j = v + e * P`` with
-    ``|v| <= P / 2``.  The sum is taken in float64: each term is off by
-    at most ``2**-53`` (``|y_j / p_j| <= 1/2``, two roundings) and the
-    k - 1 sequential additions by at most ``(k - 1) * (k / 2) * 2**-53``
-    in all, so it is within ``k * (k + 1) * 2**-54`` of the true value —
-    far below :data:`QUOTIENT_GUARD` — and rounding it is exact wherever
-    the fractional part keeps that distance from 1/2.  The remaining
-    columns — about ``2**-39`` of them on uniform input — are rounded in
-    Python integers (:meth:`RnsBasis.round_quotient`; P is odd, so no tie
+    ``centered_rows`` holds the centered scaled residues ``y_j`` over
+    ``basis``, one row per prime; with P the product of its primes, the
+    value they stand for satisfies ``sum_j y_j * hat{p}_j = v + e * P``
+    with ``|v| <= P / 2``.  The sum
+    is taken in float64: each term is off by at most ``2**-53``
+    (``|y_j / p_j| <= 1/2``, two roundings) and the k - 1 sequential
+    additions by at most ``(k - 1) * (k / 2) * 2**-53`` in all, so it is
+    within ``k * (k + 1) * 2**-54`` of the true value — far below
+    :data:`QUOTIENT_GUARD` — and rounding it is exact wherever the
+    fractional part keeps that distance from 1/2.  The remaining columns
+    — about ``2**-39`` of them on uniform input — are rounded in Python
+    integers (:meth:`RnsBasis.round_quotient`; P is odd, so no tie
     exists).
     """
     v = (centered_rows.astype(np.float64)
@@ -229,6 +232,109 @@ def exact_moddown_quotient(centered_rows: np.ndarray,
     if near.size:
         e[near] = basis.round_quotient(centered_rows[:, near])
     return e
+
+
+def _column(values) -> np.ndarray:
+    return np.array(list(values), dtype=np.int64).reshape(-1, 1)
+
+
+class Division:
+    """The tables of ``round(x / D)`` over ``moduli[:keep]``, where ``D``
+    is the product of the dropped primes ``moduli[keep:]``.
+
+    ModDown (``D = P`` over C_l + P), rescale (``D = q_l`` over C_l) and
+    the fused ModDown·rescale (``D = P * q_l`` over C_l + P, whose run
+    ``q_l, p_1 .. p_k`` is again the trailing limbs) are this one
+    division (:meth:`repro.fhe.backend.ComputeBackend.divide_round`):
+    ``x - lift`` is a multiple of D, where ``lift`` is the exact centered
+    lift of ``[x]_D`` — the value in ``(-D/2, D/2]`` — and scaling it by
+    ``D^{-1} mod q_i`` gives the rounded quotient.  Built once per
+    ``(moduli, keep)`` and process (:func:`division`), read-only:
+
+    * ``kept`` / ``dropped`` — the two parts of ``moduli``,
+    * ``basis`` — the dropped primes with their exact-CRT tables,
+    * ``unpuncture`` / ``dropped_col`` / ``dropped_half_col`` — the
+      centered scaled residues ``y_j = [x_j * hat{p}_j^{-1}]_{p_j}``,
+    * ``prime_fracs`` — ``1 / p_j`` in float64, for the quotient
+      ``e = round(sum_j y_j / p_j)`` (:func:`exact_quotient`),
+    * ``lift_matmul`` / ``lift_table`` — the ``(keep, k + 1)`` matrix
+      ``[ [hat{p}_j]_{q_i} | -[D]_{q_i} ]`` as a split-word matmul
+      (:class:`~repro.fhe.modmath.BoundModMatmul`) and its table: the
+      lift ``sum_j y_j * hat{p}_j - e * D`` is ``matrix @ [y; e] mod
+      q_i``.  ``None`` for one dropped prime, whose lift is its centered
+      residue, and where the float64 quotient sum could drift to within
+      reach of the guard band (some 90 dropped primes); there the lift
+      stays :meth:`RnsBasis.convert_exact`,
+    * ``kept_col`` / ``kept_inv_col`` — the kept primes as a column and
+      their float64 reciprocals,
+    * ``scale`` — the bound ``D^{-1} mod q_i`` scaling (``.scalars`` per
+      kept prime for the per-limb backend).
+    """
+
+    def __init__(self, moduli: tuple[int, ...], keep: int):
+        if not 0 < keep < len(moduli):
+            raise ValueError(f"a division keeps 1 .. {len(moduli) - 1} of "
+                             f"{len(moduli)} limbs, not {keep}")
+        self.keep = keep
+        self.kept, self.dropped = moduli[:keep], moduli[keep:]
+        self.basis = RnsBasis(list(self.dropped))
+        divisor = self.basis.big_modulus
+        self.unpuncture = BoundScalarMul(self.basis.punctured_inv,
+                                         self.dropped)
+        self.dropped_col = _column(self.dropped)
+        self.dropped_half_col = _column(p // 2 for p in self.dropped)
+        self.prime_fracs = np.array([1.0 / p for p in self.dropped])
+        self.kept_col = _column(self.kept)
+        self.kept_inv_col = 1.0 / self.kept_col
+        self.scale = BoundScalarMul(
+            [invmod(divisor % q, q) for q in self.kept], self.kept)
+        self.lift_matmul = self.lift_table = None
+        k = len(self.dropped)
+        if 1 < k and k * (k + 1) * 2.0 ** -54 < QUOTIENT_GUARD / 2:
+            # Operands: centered residues of the dropped primes, and the
+            # quotient |e| <= k/2 + 1, far smaller.
+            self.lift_matmul = BoundModMatmul(max(self.kept), k + 1,
+                                              max(self.dropped))
+            self.lift_table = self.lift_matmul.table(
+                np.array([[hat % q for hat in self.basis.punctured]
+                          + [-divisor % q] for q in self.kept],
+                         dtype=np.int64), self.kept, -1)
+
+    def lift(self, coeff: np.ndarray) -> np.ndarray:
+        """The exact centered lift of COEFF rows over :attr:`dropped` to
+        the kept primes: a ``(keep, M)`` int64 stack for the ``(k, M)``
+        stack ``coeff``, row i congruent to the lift modulo ``kept[i]``.
+
+        That is ``sum_j y_j * hat{p}_j - e * D`` with the true quotient
+        ``e``: one split-word matmul, or :meth:`RnsBasis.convert_exact`
+        where none is bound — the same integers, reduced.  A one-prime
+        divisor's lift is its centered residue itself (``hat{p} = 1``,
+        ``e = 0``), unreduced: the forward transform reduces it.
+        """
+        if len(coeff) == 1:
+            return np.broadcast_to(
+                center_stack(coeff, self.dropped_col, self.dropped_half_col),
+                (self.keep, coeff.shape[1]))
+        if self.lift_matmul is None:
+            return stack_residues(
+                self.basis.convert_exact(list(coeff), list(self.kept)),
+                self.kept)
+        k = len(coeff)
+        operands = np.empty((k + 1, coeff.shape[1]), dtype=np.int64)
+        operands[:k] = center_stack(self.unpuncture(coeff), self.dropped_col,
+                                    self.dropped_half_col)
+        operands[k] = exact_quotient(operands[:k], self.prime_fracs,
+                                     self.basis)
+        return self.lift_matmul.left(self.lift_table, operands,
+                                     self.kept_col, self.kept_inv_col)
+
+
+@functools.lru_cache(maxsize=256)
+def division(moduli: tuple[int, ...], keep: int) -> Division:
+    """The :class:`Division` tables of ``round(x / D)`` from ``moduli``
+    to ``moduli[:keep]``; built once per process (the tables are a pure
+    function of their arguments) and shared by every backend."""
+    return Division(moduli, keep)
 
 
 class KeySwitchContext:
@@ -261,33 +367,12 @@ class KeySwitchContext:
     * ``extended_col`` — the extended basis as a column,
       ``extended_inv_col`` its float64 reciprocals.
 
-    ModDown
+    ModDown and ModDown·rescale
 
-    * ``p_inv`` — ``P^{-1} mod q_i`` per ciphertext limb; ``p_inv_scale``
-      is the same scaling bound to its columns,
-    * ``p_basis`` — the special-prime basis with its exact-CRT tables,
-    * ``special_unpuncture`` / ``special_col`` / ``special_half_col`` —
-      the centered scaled residues ``y_j = [x_j * hat{p}_j^{-1}]_{p_j}``
-      of the special limbs,
-    * ``moddown_prime_fracs`` — ``1 / p_j`` in float64, for the quotient
-      ``e = round(sum_j y_j / p_j)`` (:func:`exact_moddown_quotient`),
-    * ``moddown_lift_matmul`` / ``moddown_lift_table`` — the
-      ``(n, k + 1)`` matrix ``[ [hat{p}_j]_{q_i} | -[P]_{q_i} ]`` as the
-      same kernel and its table: the lift of the special part,
-      ``sum_j y_j * hat{p}_j - e * P``, is ``matrix @ [y; e] mod q_i`` —
-      the exact centered lift, bit-identical to exact CRT composition.
-      ``None`` where the float64 quotient sum could drift to within
-      reach of the guard band (some 90 special primes); there the lift
-      stays :meth:`RnsBasis.convert_exact`,
-    * ``ct_col`` — the ciphertext basis as a column, ``ct_inv_col`` its
-      float64 reciprocals.
-
-    ModDown·rescale (level >= 1: ``round((d + x / P) / q_l)`` as one
-    division by ``P * q_l``, bound to the last prime q_l and C_{l-1})
-
-    * ``last_p`` / ``last_p_inv`` — ``P`` and ``P^{-1}`` modulo q_l,
-    * ``rest_p`` — ``P mod q_i`` on C_{l-1}, ``rest_pq_inv`` —
-      ``(P * q_l)^{-1} mod q_i``; ``None`` at level 0.
+    * ``p_prod`` — ``P``, the product of the special primes.  ModDown is
+      the :class:`Division` of C_l + P by P (``keep = l + 1``); a fused
+      rescale forms ``Z = x + P * d`` on C_l's rows and divides it by
+      ``P * q_l`` (``keep = l``).  Their tables are :func:`division`'s.
 
     The tables are backend-agnostic: the ``reference`` backend walks the
     plain lists limb by limb, the ``stacked`` backend sweeps the bound
@@ -304,35 +389,15 @@ class KeySwitchContext:
         self.extended = ct_moduli + special
         self.num_ct = len(ct_moduli)
         self.digit_spans = digit_spans(level, params.alpha)
-        self.p_basis = RnsBasis(list(special))
-        self.p_prod = self.p_basis.big_modulus
-        self.p_inv = [invmod(self.p_prod % q, q) for q in ct_moduli]
-        self.p_inv_scale = BoundScalarMul(self.p_inv, ct_moduli)
-        self.last_p = self.last_p_inv = None
-        self.rest_p = self.rest_pq_inv = None
-        if level:
-            last, rest = ct_moduli[-1:], ct_moduli[:-1]
-            self.last_p = BoundScalarMul([self.p_prod], last)
-            self.last_p_inv = BoundScalarMul(self.p_inv[-1:], last)
-            self.rest_p = BoundScalarMul([self.p_prod] * level, rest)
-            self.rest_pq_inv = BoundScalarMul(
-                [invmod(self.p_prod * last[0] % q, q) for q in rest], rest)
-
-        def column(values) -> np.ndarray:
-            return np.array(list(values), dtype=np.int64).reshape(-1, 1)
-
-        # Both tiers run ModUp and the ModDown lift through one kernel,
-        # bound here.
-        self.extended_col = column(self.extended)
-        self.ct_col = column(ct_moduli)
+        self.p_prod = math.prod(special)
+        # ModUp's kernel, bound here.
+        self.extended_col = _column(self.extended)
         self.extended_inv_col = 1.0 / self.extended_col
-        self.ct_inv_col = self.extended_inv_col[:self.num_ct]
         # Operands: centered residues of the ciphertext primes.
         self.modup_matmul = BoundModMatmul(
             max(self.extended),
             max(stop - start for start, stop in self.digit_spans),
             max(ct_moduli))
-        self.moddown_lift_matmul = self.moddown_lift_table = None
         self.digit_bases: list[RnsBasis] = []
         self.digit_unpuncture: list[BoundScalarMul] = []
         self.digit_q_col: list[np.ndarray] = []
@@ -344,29 +409,13 @@ class KeySwitchContext:
             self.digit_bases.append(basis)
             self.digit_unpuncture.append(
                 BoundScalarMul(basis.punctured_inv, basis.primes))
-            self.digit_q_col.append(column(basis.primes))
-            self.digit_half_col.append(column(q // 2 for q in basis.primes))
+            self.digit_q_col.append(_column(basis.primes))
+            self.digit_half_col.append(_column(q // 2 for q in basis.primes))
             weights = np.array([[hat % p for hat in basis.punctured]
                                 for p in self.extended], dtype=np.int64)
             self.modup_weights.append(weights)
             self.modup_tables.append(
                 self.modup_matmul.table(weights, self.extended, -1))
-        self.special_unpuncture = BoundScalarMul(self.p_basis.punctured_inv,
-                                                 special)
-        self.special_col = column(special)
-        self.special_half_col = column(p // 2 for p in special)
-        self.moddown_prime_fracs = np.array([1.0 / p for p in special],
-                                            dtype=np.float64)
-        k = len(special)
-        if k * (k + 1) * 2.0 ** -54 < QUOTIENT_GUARD / 2:
-            # Operands: centered residues of the special primes, and the
-            # quotient |e| <= k/2 + 1, far smaller.
-            self.moddown_lift_matmul = BoundModMatmul(
-                max(ct_moduli), k + 1, max(special))
-            self.moddown_lift_table = self.moddown_lift_matmul.table(
-                np.array([[hat % q for hat in self.p_basis.punctured]
-                          + [-self.p_prod % q] for q in ct_moduli],
-                         dtype=np.int64), ct_moduli, -1)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"KeySwitchContext(level={self.level}, "

@@ -3,8 +3,9 @@ tier's conversions became split-word matrix products.
 
 ``test_parent_digests.py`` pins whole ciphertexts and
 ``test_transform_pins.py`` the transforms; this module pins the two
-kernels in between: what ``StackedBackend.lift_special`` (the ModDown
-lift) and ``StackedBackend.mod_up`` (every digit) return.  The digests
+kernels in between: what ModDown's ``Division.lift`` (its exact lift,
+:mod:`repro.fhe.rns`) and ``StackedBackend.mod_up`` (every digit)
+return.  The digests
 were recorded at commit 27cb4ec — the double-word tier lifting through
 ``RnsBasis.convert_exact`` word planes and raising digits by per-limb
 Shoup sweeps, the int64 tier already on its integer matmuls — by running
@@ -28,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.fhe import CkksParameters, PolyContext
-from repro.fhe.rns import RnsBasis
+from repro.fhe.rns import RnsBasis, division
 from test_parent_digests import PRESETS as _SCORING_PRESETS
 
 
@@ -260,7 +261,8 @@ def baseconv_digest(preset: str, level: int, kind: str) -> str:
         assert array.dtype == np.int64
         sha.update(np.ascontiguousarray(array).tobytes())
 
-    update(backend.lift_special(inputs(ksctx.p_basis, n)[kind], ksctx))
+    moddown = division(ksctx.extended, ksctx.num_ct)
+    update(moddown.lift(inputs(moddown.basis, n)[kind]))
     for j, basis in enumerate(ksctx.digit_bases):
         update(backend.mod_up(inputs(basis, n)[kind], j, ksctx))
     return sha.hexdigest()
@@ -288,8 +290,9 @@ def test_a_digit_too_wide_for_int64_sums_takes_the_same_matmul():
     stacked = PolyContext(params, seed=1, backend="stacked").backend
     reference = PolyContext(params, seed=1, backend="reference").backend
     ksctx = stacked.keyswitch_context(params.max_level)
+    moddown = division(ksctx.extended, ksctx.num_ct)
     for kernel, width, pieces in ((ksctx.modup_matmul, 32, 2),
-                                  (ksctx.moddown_lift_matmul, 34, 3)):
+                                  (moddown.lift_matmul, 34, 3)):
         assert (kernel.width, kernel.pieces, kernel.table_pieces) \
             == (width, pieces, 1)
     digit = inputs(ksctx.digit_bases[0], params.ring_degree)["seeded"]
@@ -310,13 +313,14 @@ def test_reference_backend_converts_to_the_same_integers(preset, level):
     reference = PolyContext(params, seed=1, backend="reference").backend
     ksctx = stacked.keyswitch_context(level)
     ks_ref = reference.keyswitch_context(level)
+    moddown = division(ksctx.extended, ksctx.num_ct)
     n = params.ring_degree
     for kind in ("seeded", "y_half", "y_half_plus_1"):
-        special = inputs(ksctx.p_basis, n)[kind]
+        special = inputs(moddown.basis, n)[kind]
         assert np.array_equal(
-            stacked.lift_special(special, ksctx),
-            np.stack(ks_ref.p_basis.convert_exact(list(special),
-                                                  list(ks_ref.ct_moduli))))
+            moddown.lift(special),
+            np.stack(moddown.basis.convert_exact(list(special),
+                                                 list(ks_ref.ct_moduli))))
         for j, basis in enumerate(ksctx.digit_bases):
             digit = inputs(basis, n)[kind]
             raised = reference.mod_up(list(digit), j, ks_ref)

@@ -146,7 +146,8 @@ def coeff_mod_down(poly_coeff: Polynomial, ksctx) -> list[np.ndarray]:
     """(x - lift([x]_P)) * P^-1 mod q_i on big integers, the lift being
     the centered CRT value of the special-prime residues."""
     p_prod = ksctx.p_prod
-    lift = [centered(int(v), p_prod) for v in ksctx.p_basis.compose_vec(
+    special = RnsBasis(list(ksctx.special_moduli))
+    lift = [centered(int(v), p_prod) for v in special.compose_vec(
         poly_coeff.limbs[ksctx.num_ct:])]
     return [np.array([(int(x) - v) * pow(p_prod, -1, q) % q
                       for x, v in zip(limb, lift)], dtype=object)

@@ -83,27 +83,44 @@ def test_a_pair_is_two_single_components(preset, backend, seed):
                      [out for d in plus for out in rescale_last([d])])
 
 
-@pytest.mark.parametrize("preset", sorted(PARAMS))
-def test_fused_is_the_big_integer_division(preset):
-    """``round(Z / (P * q_l))`` with ``Z = x + P * d``, composed in
-    Python integers: the definition, apart from both backends."""
+DIVISIONS = ("mod_down", "rescale", "mod_down_rescale")
+
+
+def _integers(poly) -> list[int]:
+    """The integers in ``[0, Q)`` a polynomial stands for over its basis."""
+    return RnsBasis(list(poly.moduli)).compose_vec(poly.to_coeff().limbs)
+
+
+@pytest.mark.parametrize("division,preset,backend", [
+    (division, preset, backend) for division in DIVISIONS
+    for preset in sorted(PARAMS) for backend in BACKENDS])
+def test_each_division_is_the_big_integer_division(division, preset,
+                                                   backend):
+    """``round(x / D)`` composed in Python integers, the definition:
+    ModDown divides x over C_l + P by P, rescale d over C_l by q_l, and
+    the fused product ``Z = x + P * d`` by ``P * q_l``.  Any
+    representative of x modulo its basis gives the same quotient modulo
+    the kept primes: the basis over D is their product."""
     params = PARAMS[preset]
     for level in (1, params.max_level):
-        ksctx, acc, plus = _inputs(preset, "stacked", level, level, comps=1)
-        (out,) = mod_down_polys(acc, ksctx, plus=plus)
-        divisor = ksctx.p_prod * ksctx.ct_moduli[-1]
-        basis = RnsBasis(list(ksctx.extended))
-        z = basis.compose_vec(acc[0].to_coeff().limbs)
-        d = RnsBasis(list(ksctx.ct_moduli)).compose_vec(
-            plus[0].to_coeff().limbs)
-        big = basis.big_modulus
-        want = []
-        for x, y in zip(z, d):
-            value = (int(x) + ksctx.p_prod * int(y)) % big
-            value -= big if value > big // 2 else 0
-            want.append((2 * value + divisor) // (2 * divisor))
-        got = out.to_coeff().limbs
-        for limb, q in zip(got, ksctx.ct_moduli[:-1]):
+        ksctx, acc, plus = _inputs(preset, backend, level, level, comps=1)
+        p_prod, q_l = ksctx.p_prod, ksctx.ct_moduli[-1]
+        if division == "mod_down":
+            (out,) = mod_down_polys(acc, ksctx)
+            values, divisor = _integers(acc[0]), p_prod
+        elif division == "rescale":
+            (out,) = rescale_last(plus)
+            values, divisor = _integers(plus[0]), q_l
+        else:
+            (out,) = mod_down_polys(acc, ksctx, plus=plus)
+            values = [x + p_prod * d for x, d in zip(_integers(acc[0]),
+                                                     _integers(plus[0]))]
+            divisor = p_prod * q_l
+        want = [(2 * v + divisor) // (2 * divisor) for v in values]
+        assert out.rep is Representation.EVAL
+        assert out.moduli == ksctx.ct_moduli[
+            :None if division == "mod_down" else -1]
+        for limb, q in zip(out.to_coeff().limbs, out.moduli, strict=True):
             assert [int(v) for v in limb] == [w % q for w in want]
 
 

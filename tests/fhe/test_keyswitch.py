@@ -21,7 +21,7 @@ from repro.fhe import (CkksContext, CkksParameters, PolyContext,
 from repro.fhe import keys
 from repro.fhe.keys import key_switch, mod_down_polys, raise_digits
 from repro.fhe.poly import rotation_galois_element
-from repro.fhe.rns import KeySwitchContext, digit_spans
+from repro.fhe.rns import KeySwitchContext, digit_spans, division
 from test_parent_digests import PRESETS
 
 TOY = CkksParameters.toy()
@@ -60,7 +60,10 @@ class TestKeySwitchContext:
 
     def test_tables_match_direct_computation(self):
         ksctx = KeySwitchContext(TOY, TOY.max_level)
-        for q, p_inv in zip(ksctx.ct_moduli, ksctx.p_inv):
+        moddown = division(ksctx.extended, ksctx.num_ct)
+        assert moddown.kept == ksctx.ct_moduli
+        for q, p_inv in zip(ksctx.ct_moduli, moddown.scale.scalars,
+                            strict=True):
             assert (p_inv * ksctx.p_prod) % q == 1
 
     def test_digit_spans_cover_every_limb_once(self):

@@ -1,12 +1,13 @@
-"""The stacked ModDown lift is the exact centered CRT lift.
+"""The division's lift is the exact centered CRT lift.
 
-``StackedBackend.lift_special`` evaluates
-``sum_j y_j * hat{p}_j - e * P mod q_i`` as one split-word matmul with
+``Division.lift`` (:mod:`repro.fhe.rns`) evaluates
+``sum_j y_j * hat{p}_j - e * D mod q_i`` as one split-word matmul with
 the quotient ``e = round(sum_j y_j / p_j)`` taken from a float64 sum and,
 in a guard band around the half-integers, from Python integers.  It is
-held here to ``RnsBasis.convert_exact`` (what the reference backend
-runs) and to the definition — the big integer itself,
-centered, reduced modulo each target prime.
+held here, on ModDown's division (``D = P``), to
+``RnsBasis.convert_exact`` (what the reference backend runs) and to the
+definition — the big integer itself, centered, reduced modulo each
+target prime.
 """
 
 import numpy as np
@@ -15,15 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fhe import CkksParameters, PolyContext
-from repro.fhe.rns import KeySwitchContext, RnsBasis
+from repro.fhe.rns import KeySwitchContext, RnsBasis, division
 
 PRESETS = {"toy": CkksParameters.toy(), "boot_test": CkksParameters.boot_test()}
 
 
-def lift_setup(params: CkksParameters, backend: str = "stacked"):
-    """A backend and its top-level key-switch tables."""
-    backend = PolyContext(params, seed=1, backend=backend).backend
-    return backend, backend.keyswitch_context(params.max_level)
+def lift_setup(params: CkksParameters):
+    """The top-level key-switch tables and ModDown's division."""
+    backend = PolyContext(params, seed=1, backend="stacked").backend
+    ksctx = backend.keyswitch_context(params.max_level)
+    return ksctx, division(ksctx.extended, ksctx.num_ct)
 
 
 def special_stack(values: list[int], ksctx: KeySwitchContext) -> np.ndarray:
@@ -55,24 +57,24 @@ def boundary_values(p_prod: int) -> list[int]:
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 class TestExactLift:
     def test_presets_take_the_matmul(self, preset):
-        _, ksctx = lift_setup(PRESETS[preset])
+        ksctx, moddown = lift_setup(PRESETS[preset])
         n, k = ksctx.num_ct, len(ksctx.special_moduli)
-        kernel = ksctx.moddown_lift_matmul
+        kernel = moddown.lift_matmul
         assert (kernel.width, kernel.table_pieces) == (k + 1, 1)
-        table, = ksctx.moddown_lift_table
+        table, = moddown.lift_table
         assert table.shape == (n, kernel.pieces * (k + 1))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_convert_exact_and_the_definition(self, preset, data):
-        backend, ksctx = lift_setup(PRESETS[preset])
+        ksctx, moddown = lift_setup(PRESETS[preset])
         values = data.draw(st.lists(st.integers(0, ksctx.p_prod - 1),
                                     min_size=1, max_size=24))
         special = special_stack(values, ksctx)
-        got = backend.lift_special(special, ksctx)
+        got = moddown.lift(special)
         assert got.dtype == np.int64
         assert np.array_equal(got, centered_crt(values, ksctx))
-        assert np.array_equal(got, np.stack(ksctx.p_basis.convert_exact(
+        assert np.array_equal(got, np.stack(moddown.basis.convert_exact(
             list(special), list(ksctx.ct_moduli))))
 
     def test_half_integer_quotients_take_the_integer_fallback(
@@ -80,7 +82,7 @@ class TestExactLift:
         """Around +-P/2 the quotient sum sits within 1/(2P) of a
         half-integer, far inside the guard band: float64 cannot round it,
         the Python-integer rule must — and only there."""
-        backend, ksctx = lift_setup(PRESETS[preset])
+        ksctx, moddown = lift_setup(PRESETS[preset])
         values = random_values(11, 40, ksctx.p_prod)
         positions = [0, 5, 6, 17, 18, 31, 39]
         for position, x in zip(positions, boundary_values(ksctx.p_prod)):
@@ -93,7 +95,7 @@ class TestExactLift:
             return round_quotient(self, columns)
 
         monkeypatch.setattr(RnsBasis, "round_quotient", counting)
-        got = backend.lift_special(special_stack(values, ksctx), ksctx)
+        got = moddown.lift(special_stack(values, ksctx))
         # (P-1)/2 - 1 .. (P+1)/2 + 1; 0, 1 and P - 1 sit at integers.
         assert flagged == [4]
         assert np.array_equal(got, centered_crt(values, ksctx))
@@ -109,10 +111,10 @@ class TestOverflowBound:
                                    boot_levels=4, fft_iterations=2)
 
     def test_the_lift_stays_exact_past_the_int64_row_sum(self):
-        backend, ksctx = lift_setup(self.PARAMS)
+        ksctx, moddown = lift_setup(self.PARAMS)
         assert len(ksctx.special_moduli) == 33
-        assert ksctx.moddown_lift_matmul.pieces == 3
+        assert moddown.lift_matmul.pieces == 3
         values = random_values(17, 16, ksctx.p_prod)
         values[:7] = boundary_values(ksctx.p_prod)
-        got = backend.lift_special(special_stack(values, ksctx), ksctx)
+        got = moddown.lift(special_stack(values, ksctx))
         assert np.array_equal(got, centered_crt(values, ksctx))

@@ -229,7 +229,7 @@ class TestMulmodF64:
     def test_array_and_constant_multiplicands(self, data, q, signed):
         a = data.draw(kernel_operands(q))
         if signed:
-            # ``sub_mul`` hands the kernel the difference of two residues.
+            # The division scales the difference of two residues.
             a = [x - q if x and data.draw(st.booleans()) else x for x in a]
         b = data.draw(kernel_operands(q))
         w = data.draw(kernel_operands(q, 1))[0]

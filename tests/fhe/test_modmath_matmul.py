@@ -89,7 +89,7 @@ def exact(kernel, matrix, operands, moduli) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Estimates:
-    """Captures the quotient estimates ``BoundModMatmul._recombine``
+    """Captures the quotient estimates ``BoundModMatmul._multiply``
     rounds — and no other ``np.rint``: building a table multiplies
     through ``_mulmod_f64``, which rounds estimates of its own."""
 
@@ -97,22 +97,22 @@ class Estimates:
         self.seen = []
         inside = []
         rint = np.rint
-        recombine = BoundModMatmul._recombine
+        multiply = BoundModMatmul._multiply
 
         def capturing(x, *args, **kwargs):
             if inside:
                 self.seen.append(x.copy())
             return rint(x, *args, **kwargs)
 
-        def recombining(kernel, *args):
+        def multiplying(kernel, *args):
             inside.append(kernel)
             try:
-                return recombine(kernel, *args)
+                return multiply(kernel, *args)
             finally:
                 inside.pop()
 
         monkeypatch.setattr(np, "rint", capturing)
-        monkeypatch.setattr(BoundModMatmul, "_recombine", recombining)
+        monkeypatch.setattr(BoundModMatmul, "_multiply", multiplying)
 
     def assert_within(self, sums, moduli) -> None:
         """Every estimate within 1/4 of the true ``y / q`` — so the

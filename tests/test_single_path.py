@@ -126,7 +126,35 @@ def test_a_key_switch_context_binds_one_kernel_per_conversion():
                  "mont"):
         assert not hasattr(ksctx, gone), gone
     assert isinstance(ksctx.modup_matmul, modmath.BoundModMatmul)
-    assert isinstance(ksctx.moddown_lift_matmul, modmath.BoundModMatmul)
+    assert isinstance(rns.division(ksctx.extended, ksctx.num_ct).lift_matmul,
+                      modmath.BoundModMatmul)
+
+
+def test_one_division():
+    """ModDown, ModDown·rescale and rescale are one ``round(x / D)``
+    kernel, ``divide_round``, over the tables of ``rns.division``: the
+    three algorithms each backend had, their per-level constants and
+    ``rescale_constants`` are gone, and ``mod_down`` / ``rescale_last``
+    are defined once, on the base class."""
+    ksctx = rns.KeySwitchContext(CkksParameters.toy(), 5)
+    for gone in ("p_inv", "p_inv_scale", "special_unpuncture",
+                 "special_col", "special_half_col", "moddown_prime_fracs",
+                 "moddown_lift_matmul", "moddown_lift_table", "ct_inv_col",
+                 "last_p", "last_p_inv", "rest_p", "rest_pq_inv", "p_basis",
+                 "ct_col"):
+        assert not hasattr(ksctx, gone), gone
+    for owner, names in (
+            (modmath, ["rescale_constants"]),
+            (rns, ["exact_moddown_quotient"]),
+            (StackedBackend, ["_mod_down_rescale", "lift_special"])):
+        for name in names:
+            assert not hasattr(owner, name), name
+    for backend in (ReferenceBackend, StackedBackend):
+        defined = vars(backend)
+        assert "divide_round" in defined, backend
+        for name in ("mod_down", "rescale_last"):
+            assert name not in defined, (backend, name)
+    assert {"mod_down", "rescale_last"} <= set(vars(ComputeBackend))
 
 
 def test_the_double_word_tier_has_one_product():
