@@ -8,7 +8,7 @@ slot windows, reported as stable ``HE0xx``/``HE1xx`` diagnostic codes (see
 table).  Three front doors:
 
 - ``engine.compile(program, params, lint="warn" | "strict")`` lints the
-  normalized trace of every compiled plan;
+  trace of every compiled plan;
 - ``python -m repro.analysis <workload | file.rpa>`` lints anything in
   the workload catalog or a saved ``.rpa`` trace / plan (``--json`` for
   the machine-readable report, ``--catalog`` for everything at once);

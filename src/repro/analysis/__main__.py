@@ -41,8 +41,7 @@ def _lint_target(target: str, params: CkksParameters,
     from repro.workloads.registry import compile_workload, workload_names
     if target in workload_names():
         plan = compile_workload(target, params)
-        return analyze_trace(plan.trace, normalized=True,
-                             name=f"{target}@{preset}")
+        return analyze_trace(plan.trace, name=f"{target}@{preset}")
     if not os.path.exists(target):
         raise FileNotFoundError(
             f"{target!r} is neither a catalog workload "
@@ -56,7 +55,7 @@ def _lint_catalog(params: CkksParameters,
                   preset: str) -> list[DiagnosticReport]:
     from repro.workloads.registry import compile_workload, workload_names
     return [analyze_trace(compile_workload(name, params).trace,
-                          normalized=True, name=f"{name}@{preset}")
+                          name=f"{name}@{preset}")
             for name in workload_names()]
 
 

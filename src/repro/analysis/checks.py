@@ -96,12 +96,6 @@ def check_levels(trace: OpTrace) -> list[Diagnostic]:
                 "HE001", "rescale at level 0 has no limb left to drop",
                 op))
             continue
-        if (OPS[op.kind].fused_rescale and op.level == 0
-                and op.meta.get("rescaled")):
-            findings.append(make(
-                "HE001", "fused multiply+rescale at level 0 has no limb "
-                "left to drop", op))
-            continue
         # operating level must match the aligned operand levels
         if op.inputs and op.kind is not OpKind.REFRESH:
             operand_level = min(trace.op(i).out_level for i in op.inputs)
@@ -390,11 +384,9 @@ def lint_trace(trace: OpTrace, *, normalized: bool = False,
                name: str | None = None) -> DiagnosticReport:
     """Run every static check over ``trace`` and return the report.
 
-    ``normalized=True`` promises the trace already went through the
-    engine's pass pipeline (rescales expanded); otherwise the linter
-    expands a copy's rescales first so fused-rescale ops do not produce
-    noise findings.  A trace too malformed to normalize is linted raw —
-    HE050/HE001/... findings then explain why.
+    ``normalized`` has no effect: every trace is linted as recorded
+    (the recorder writes a ``rescale=True`` call as the product and its
+    ``RESCALE``).  The keyword stays for callers that still pass it.
     """
     report = DiagnosticReport(name=name or trace.name)
 
@@ -403,9 +395,6 @@ def lint_trace(trace: OpTrace, *, normalized: bool = False,
     if structural:
         # dangling references make data-flow checks unsafe
         return report
-
-    if not normalized:
-        trace = _normalize(trace)
 
     report.extend(check_levels(trace))
     report.extend(check_scales(trace))
@@ -416,18 +405,9 @@ def lint_trace(trace: OpTrace, *, normalized: bool = False,
     return report
 
 
-def _normalize(trace: OpTrace) -> OpTrace:
-    from repro.trace.passes import expand_implicit_rescales
-    try:
-        return expand_implicit_rescales(trace)
-    except Exception:
-        return trace
-
-
-def lint_traces(traces: Sequence[OpTrace], *, normalized: bool = False,
+def lint_traces(traces: Sequence[OpTrace], *,
                 available_keys: Iterable[str] | None = None
                 ) -> list[DiagnosticReport]:
     """Lint several traces (the catalog path of the CLI and CI lane)."""
-    return [lint_trace(trace, normalized=normalized,
-                       available_keys=available_keys)
+    return [lint_trace(trace, available_keys=available_keys)
             for trace in traces]

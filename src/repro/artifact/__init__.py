@@ -1,8 +1,8 @@
 """``repro.artifact``: versioned binary plan/trace containers (``.rpa``).
 
-One compiled HE program — the columnar op trace as the compile passes
-left it, the pass pipeline that produced it, and (optionally) the
-plaintext payloads needed for real-mode replay — travels as a single
+One compiled HE program — the columnar op trace as the recorder wrote
+it, the tool that wrote it, and (optionally) the plaintext payloads
+needed for real-mode replay — travels as a single
 magic-tagged, block-framed, CRC-checked binary file, the only on-disk
 form of a trace or a plan.  A plan is its trace: :func:`load_plan`
 lowers the BlockSim DAG again rather than reading one.  Readers skip

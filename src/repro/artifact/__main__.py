@@ -45,7 +45,6 @@ def _inspect_doc(artifact: Artifact) -> dict[str, Any]:
         "counts": header.get("counts", {}),
         "blocks": artifact.block_sizes,
         "skipped_blocks": artifact.skipped_blocks,
-        "passes": (artifact.provenance or {}).get("passes"),
     }
 
 
@@ -70,8 +69,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         print(f"    {name:10s} {size:10d} bytes")
     for block_type in artifact.skipped_blocks:
         print(f"    type-{block_type}  (skipped: unrecognized)")
-    if doc["passes"]:
-        print(f"  passes:      {', '.join(doc['passes'])}")
     return 0
 
 

@@ -42,7 +42,10 @@ _META_INT_COLUMNS: dict[str, tuple[str, int]] = {
     "rotation": ("<i8", -1),
     "levels": ("<i4", -1),
 }
-#: Boolean meta columns: -1 absent, 0 False, 1 True.
+#: Boolean meta columns: -1 absent, 0 False, 1 True.  ``rescaled`` is
+#: only ever False (a declared manual rescale): the recorder writes a
+#: ``rescale=True`` call as the product and its ``RESCALE``, and a file
+#: holding a True (one op for both) is refused.
 _META_BOOL_COLUMNS = ("rescaled",)
 
 
@@ -178,7 +181,7 @@ def encode_trace_ops(trace: OpTrace) -> bytes:
         if op.op_id != i:
             raise ArtifactError(
                 f"op at index {i} has op_id {op.op_id}; only dense, "
-                "ordered traces (the engine's normalized form) are "
+                "ordered traces (as the recorder writes them) are "
                 "serializable")
         kind_idx[i] = kinds.add(op.kind.value)
         level[i] = op.level
@@ -256,6 +259,10 @@ def decode_trace_ops(payload: bytes, params: CkksParameters, name: str,
                 f"(known: {', '.join(by_value)})")
         meta: dict[str, Any] = {key: bool(flag[i])
                                 for key, flag in flags if flag[i] != -1}
+        if meta.get("rescaled"):
+            raise ArtifactFormatError(
+                f"{where}: op {i} ({kind.value}) is a product and its "
+                "rescale recorded as one op; re-record the program")
         meta.update((key, column[i]) for key, sentinel, column in ints
                     if column[i] != sentinel)
         for meta_key, tagged in residual.get(str(i), {}).items():

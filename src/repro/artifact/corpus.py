@@ -3,8 +3,8 @@
 ``tests/artifact/corpus/`` holds one ``.rpa`` plan artifact per
 registered workload, compiled at paper parameters.  CI recompiles the
 catalog and diffs it per block against these goldens
-(:func:`check_corpus`): a structural regression in tracing or passes
-fails a sub-second artifact diff instead of a full re-simulation.  The
+(:func:`check_corpus`): a structural regression in tracing fails a
+sub-second artifact diff instead of a full re-simulation.  The
 goldens store no block graph (loading lowers the trace again), so a
 lowering change shows in ``tests/trace/test_op_table_pins.py``
 instead.  After an *intentional* workload change, regenerate with

@@ -1,18 +1,18 @@
 """Per-block structural diffing of ``.rpa`` artifacts.
 
 This is the cheap CI regression gate: instead of re-simulating a
-workload to notice that tracing or the passes changed, two artifacts are
-compared block by block — header counts and parameter fingerprints, op
+workload to notice that tracing changed, two artifacts are compared
+block by block — header counts and parameter fingerprints, and op
 streams (per-kind / per-level count deltas plus an exact structural
-hash), and pass provenance.  A delta anywhere is a structural change and
+hash).  A delta anywhere is a structural change and
 exits 1; byte-level differences that decode to identical structures
 (e.g. a different compression level) are *not* deltas.  The block graph
 is a function of the op stream, so there is no graph section: lowering
 itself is pinned by ``tests/trace/test_op_table_pins.py``.
 
-Sections one side cannot have (a ``trace`` artifact has no provenance)
-are compared only when both sides carry them, except that two ``plan``
-artifacts must agree on which blocks they carry.
+Sections one side cannot have are compared only when both sides carry
+them, except that two ``plan`` artifacts must agree on which blocks they
+carry.
 ``python -m repro.artifact diff`` is the command-line front door.
 """
 
@@ -127,13 +127,6 @@ def _diff_trace(a: OpTrace, b: OpTrace) -> BlockDiff:
     return block
 
 
-def _diff_provenance(a: dict[str, Any], b: dict[str, Any]) -> BlockDiff:
-    block = BlockDiff("PROVENANCE")
-    if a.get("passes") != b.get("passes"):
-        block.rows["passes"] = (a.get("passes"), b.get("passes"))
-    return block
-
-
 def diff_artifacts(a: Artifact, b: Artifact) -> ArtifactDiff:
     """Per-block structural diff; sections both sides carry compared,
     plus block-presence itself when both sides are plan artifacts."""
@@ -152,8 +145,6 @@ def diff_artifacts(a: Artifact, b: Artifact) -> ArtifactDiff:
         diff.blocks.append(presence)
     if a.trace is not None and b.trace is not None:
         diff.blocks.append(_diff_trace(a.trace, b.trace))
-    if a.provenance is not None and b.provenance is not None:
-        diff.blocks.append(_diff_provenance(a.provenance, b.provenance))
     return diff
 
 

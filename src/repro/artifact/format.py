@@ -81,7 +81,7 @@ class ArtifactBlockType(enum.IntEnum):
     TRACE_OPS = 2    #: columnar OpTrace tables
     # 3 is retired (it held the lowered block graph, which load_plan
     # lowers from TRACE_OPS); never reuse it.
-    PROVENANCE = 4   #: JSON: pass pipeline + producing tool
+    PROVENANCE = 4   #: JSON: producing tool + plan name
     PAYLOADS = 5     #: columnar plaintext payloads (real-mode replay)
 
 

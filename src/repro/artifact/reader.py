@@ -214,22 +214,21 @@ def load_plan(path: str) -> "ExecutablePlan":
     with a payload block, executes bit-identically to) the plan
     :func:`repro.engine.compile` produced before saving.
 
-    The stored trace is already past the compile passes, so its block
-    graph is lowered again (:func:`~repro.trace.lower_expanded_trace`,
-    the call compile made) and checked against the workload-DAG
-    invariants: a violation is an :class:`ArtifactFormatError` naming
-    TRACE_OPS and the first.  The loaded plan's provenance (pass names,
-    producing tool) is kept on
+    The stored trace is the one compile lowered, so its block graph is
+    lowered again (:func:`~repro.trace.lower_trace`, the call compile
+    made) and checked against the workload-DAG invariants: a violation
+    is an :class:`ArtifactFormatError` naming TRACE_OPS and the first.
+    The loaded plan's provenance (producing tool, plan name) is kept on
     :attr:`~repro.engine.ExecutablePlan.provenance`.
     """
     from repro.engine.plan import ExecutablePlan
-    from repro.trace import dag_violations, lower_expanded_trace
+    from repro.trace import dag_violations, lower_trace
 
     artifact = read_artifact(path)
     trace = artifact.trace
     assert trace is not None                # every kind carries TRACE_OPS
     params = trace.params
-    graph = lower_expanded_trace(trace)
+    graph = lower_trace(trace)
     problems = dag_violations(graph, params=params,
                               require_keyswitch_meta=True)
     if problems:

@@ -8,8 +8,8 @@ Two writers share one block pipeline:
   everything :func:`repro.artifact.reader.load_plan` needs to rebuild
   an :class:`~repro.engine.ExecutablePlan` that simulates, profiles,
   and (with payloads) executes identically to the freshly compiled one.
-  The stored trace is the post-pass one, so the block graph is not
-  stored: loading lowers it again.
+  The stored trace is the recorded one compile lowered, so the block
+  graph is not stored: loading lowers it again.
 
 Writes are atomic (temp file in the destination directory +
 ``os.replace``): a crash mid-export never leaves a truncated container
@@ -81,10 +81,7 @@ def trace_blocks(trace: OpTrace, *,
 
 def plan_provenance(plan: "ExecutablePlan") -> dict[str, Any]:
     """The PROVENANCE block document for one plan."""
-    return {"tool": "repro.artifact",
-            "passes": [getattr(p, "__name__", repr(p))
-                       for p in plan.passes],
-            "plan_name": plan.name}
+    return {"tool": "repro.artifact", "plan_name": plan.name}
 
 
 def plan_blocks(plan: "ExecutablePlan", *,

@@ -3,8 +3,8 @@
 An *HE program* is any callable taking one argument — an evaluator
 exposing the :class:`~repro.fhe.evaluator.CkksEvaluator` call surface —
 and issuing operations against it.  :func:`compile_program` records one
-execution through the trace recorder, runs the trace pass pipeline
-(:mod:`repro.trace.passes`), lowers the result to a validated BlockSim
+execution through the trace recorder, validates the trace
+(:func:`~repro.trace.validate_trace`), lowers it to a checked BlockSim
 DAG, and returns an :class:`ExecutablePlan` that owns the whole
 artifact chain and retargets it:
 
@@ -33,10 +33,9 @@ from repro.blocksim import BlockGraphSimulator, WorkloadMetrics
 from repro.dag import DiGraph
 from repro.fhe.params import CkksParameters
 from repro.gme.features import FeatureSet
-from repro.trace import (DEFAULT_PASSES, OpKind, OpTrace,
-                         SymbolicEvaluator, TracingEvaluator,
-                         assert_workload_dag, lower_expanded_trace,
-                         run_passes)
+from repro.trace import (OpKind, OpTrace, SymbolicEvaluator,
+                         TracingEvaluator, assert_workload_dag,
+                         lower_trace, validate_trace)
 from repro.trace.ir import TraceOp
 from repro.trace.ops import OPS, fused_rescales, galois_groups
 
@@ -144,20 +143,18 @@ class ExecutablePlan:
 
     def __init__(self, params: CkksParameters, graph: DiGraph,
                  name: str, trace: OpTrace,
-                 program: HeProgram | None = None,
-                 passes: tuple = ()):
+                 program: HeProgram | None = None):
         self.params = params
         self.graph = graph
         self.name = name
         self.trace = trace
         self.program = program
-        self.passes = passes
         #: The most recent lint report (:class:`repro.analysis.
         #: DiagnosticReport`) of this plan's trace; ``None`` until the
         #: plan is compiled or re-checked with ``lint=`` requested.
         self.lint_report = None
-        #: Artifact provenance (tool, pass names, fingerprint, source
-        #: path) for plans loaded from an ``.rpa`` container via
+        #: Artifact provenance (tool, fingerprint, source path) for
+        #: plans loaded from an ``.rpa`` container via
         #: :func:`repro.artifact.load_plan`; ``None`` for freshly
         #: compiled plans.
         self.provenance: dict | None = None
@@ -216,12 +213,9 @@ class ExecutablePlan:
         """
         from repro.analysis import analyze_trace
         if kwargs:
-            return analyze_trace(self.trace, normalized=True,
-                                 name=self.name, **kwargs)
+            return analyze_trace(self.trace, name=self.name, **kwargs)
         if self.lint_report is None:
-            self.lint_report = analyze_trace(self.trace,
-                                             normalized=True,
-                                             name=self.name)
+            self.lint_report = analyze_trace(self.trace, name=self.name)
         return self.lint_report
 
     def __repr__(self) -> str:
@@ -247,9 +241,9 @@ class ExecutablePlan:
     def save(self, path: str, *, include_payloads: bool = True) -> None:
         """Write this plan as an ``.rpa`` artifact.
 
-        The container carries the trace op tables, the pass-pipeline
-        provenance, and (for real-mode compiles, unless
-        ``include_payloads=False``) the recorded plaintext payloads.
+        The container carries the trace op tables, the provenance, and
+        (for real-mode compiles, unless ``include_payloads=False``) the
+        recorded plaintext payloads.
         :func:`repro.engine.load_plan` lowers the trace again into a plan
         that simulates and profiles identically and — with payloads —
         executes bit-identically.
@@ -352,10 +346,9 @@ class ExecutablePlan:
         order, or a mapping of source op id to ciphertext; one above its
         op's recorded level is ``mod_drop``\\ ped to it (:attr:`entry_level`
         for a single source), one below is a :class:`PlanError`.  The replay
-        follows the recorded op stream exactly — same implicit-rescale
-        placement — and raises c1 once for every Galois group
-        (:func:`~repro.trace.ops.galois_groups`) and runs a product
-        whose only reader is a rescale as one rescaled product
+        follows the recorded op stream exactly, raises c1 once for every
+        Galois group (:func:`~repro.trace.ops.galois_groups`) and runs a
+        product whose only reader is a rescale as one rescaled product
         (:func:`~repro.trace.ops.fused_rescales`), so given the same
         source ciphertexts and keys it is bit-identical to running the
         program directly against ``ctx.evaluator`` (see
@@ -456,7 +449,7 @@ class ExecutablePlan:
             raise PlanError(f"op {op.op_id} ({op.kind.value}) cannot "
                             f"replay: no meta[{missing}]") from None
         if spec.fused_rescale:
-            args.append(rescale or meta.get("rescaled", False))
+            args.append(rescale)
         if op.op_id not in self._galois_reads:
             return getattr(ev, spec.method)(*args)
         value, last = self._galois_reads[op.op_id]
@@ -474,8 +467,7 @@ class ExecutablePlan:
 
 def compile_program(program: "HeProgram | str | OpTrace",
                     params: CkksParameters | None = None, *,
-                    passes=DEFAULT_PASSES, name: str | None = None,
-                    context=None,
+                    name: str | None = None, context=None,
                     lint: str | None = None) -> ExecutablePlan:
     """Compile an HE program into an :class:`ExecutablePlan`.
 
@@ -493,15 +485,15 @@ def compile_program(program: "HeProgram | str | OpTrace",
     :class:`~repro.analysis.LintWarning`, ``"strict"`` raises
     :class:`~repro.analysis.LintError` on any error-severity finding.
     For an :class:`~repro.trace.OpTrace` input the linter runs *before*
-    the pass pipeline, so strict mode reports malformed traces as
-    diagnostics rather than a pass-pipeline exception.  The report is
+    validation, so strict mode reports malformed traces as diagnostics
+    rather than a :class:`~repro.trace.TraceValidationError`.  The report is
     kept on :attr:`ExecutablePlan.lint_report`; linting does not affect
     plan memoization.
 
     Without ``context``, the program is traced through the shape-only
     :class:`~repro.trace.SymbolicEvaluator` at ``params`` (default:
     paper parameters) — milliseconds even at paper scale — and the
-    result is memoized: the same (program, params, passes, name)
+    result is memoized: the same (program, params, name)
     tuple returns the same plan object (``name`` defaults to the
     program's ``__name__``, so call sites that label the same program
     differently get distinct plans).
@@ -523,24 +515,23 @@ def compile_program(program: "HeProgram | str | OpTrace",
                 "callable instead")
         from repro.workloads.registry import compile_workload
         return _apply_lint(compile_workload(program, params), lint)
-    passes = tuple(passes)
     if isinstance(program, OpTrace):
         if context is not None:
             raise ValueError("a pre-recorded trace cannot take a "
                              "real-mode context")
         if params is not None and params != program.params:
             raise ValueError("params and trace.params disagree")
-        return _plan_from_trace(program, passes, name, lint)
+        return _plan_from_trace(program, name, lint)
     if context is not None:
         if params is not None and params != context.params:
             raise ValueError("params and context.params disagree")
         resolved_name = name or getattr(program, "__name__", "program")
-        return _apply_lint(_build_plan(program, context.params, passes,
+        return _apply_lint(_build_plan(program, context.params,
                                        resolved_name, context), lint)
     params = params or CkksParameters.paper()
     resolved_name = name or getattr(program, "__name__", "program")
     return _apply_lint(
-        _compile_symbolic(program, params, passes, resolved_name), lint)
+        _compile_symbolic(program, params, resolved_name), lint)
 
 
 def _apply_lint(plan: ExecutablePlan,
@@ -565,44 +556,43 @@ def _report_lint(report, lint: str) -> None:
         warnings.warn(report.render(), LintWarning, stacklevel=4)
 
 
-def _plan_from_trace(trace: OpTrace, passes: tuple, name: str | None,
+def _plan_from_trace(trace: OpTrace, name: str | None,
                      lint: str | None) -> ExecutablePlan:
-    """Compile a pre-recorded trace (lint first, then the pipeline)."""
+    """Compile a pre-recorded trace (lint first, then validate)."""
     report = None
     if lint is not None:
         from repro.analysis import analyze_trace
         report = analyze_trace(trace, name=name or trace.name)
         _report_lint(report, lint)
-    normalized = run_passes(trace, passes)
-    graph = lower_expanded_trace(normalized)
-    assert_workload_dag(graph, params=trace.params,
-                        require_keyswitch_meta=True)
-    plan = ExecutablePlan(params=trace.params, graph=graph,
-                          name=name or trace.name, trace=normalized,
-                          passes=passes)
+    plan = _plan(trace, name or trace.name)
     plan.lint_report = report
     return plan
 
 
 @functools.lru_cache(maxsize=64)
 def _compile_symbolic(program: HeProgram, params: CkksParameters,
-                      passes: tuple, name: str) -> ExecutablePlan:
-    return _build_plan(program, params, passes, name, context=None)
+                      name: str) -> ExecutablePlan:
+    return _build_plan(program, params, name, context=None)
 
 
-def _build_plan(program: HeProgram, params: CkksParameters,
-                passes: tuple, name: str, context) -> ExecutablePlan:
+def _build_plan(program: HeProgram, params: CkksParameters, name: str,
+                context) -> ExecutablePlan:
     inner = SymbolicEvaluator(params) if context is None \
         else context.evaluator
     recorder = TracingEvaluator(inner, name=name)
     result = program(recorder)
     recorder.trace.output_op_id = recorder.producer_of(result)
-    trace = run_passes(recorder.trace, passes)
-    graph = lower_expanded_trace(trace)
-    assert_workload_dag(graph, params=params,
+    return _plan(recorder.trace, name, program)
+
+
+def _plan(trace: OpTrace, name: str,
+          program: HeProgram | None = None) -> ExecutablePlan:
+    """Validate ``trace``, lower it and check the block DAG."""
+    graph = lower_trace(validate_trace(trace))
+    assert_workload_dag(graph, params=trace.params,
                         require_keyswitch_meta=True)
-    return ExecutablePlan(params=params, graph=graph, name=name,
-                          trace=trace, program=program, passes=passes)
+    return ExecutablePlan(params=trace.params, graph=graph, name=name,
+                          trace=trace, program=program)
 
 
 def clear_plan_cache() -> None:

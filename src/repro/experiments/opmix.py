@@ -19,7 +19,7 @@ def run(params_name: str = "paper") -> dict[str, Any]:
     table: dict[str, Any] = {}
     for name in workload_names():
         plan = compile_workload(name, params)
-        report = analyze_trace(plan.trace, normalized=True, name=name)
+        report = analyze_trace(plan.trace, name=name)
         table[name] = {"op_mix": report.op_mix,
                        "diagnostics": report.codes(),
                        "errors": len(report.errors)}

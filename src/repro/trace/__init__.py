@@ -13,19 +13,16 @@ See README.md in this directory for the architecture.  Quick use::
 from .invariants import (KEYSWITCH_BLOCKS, assert_workload_dag,
                          dag_violations)
 from .ir import OpKind, OpTrace, TraceOp
-from .lowering import lower_expanded_trace, lower_trace
-from .passes import (DEFAULT_PASSES, TraceValidationError,
-                     expand_implicit_rescales, run_passes,
-                     validate_trace)
+from .lowering import lower_trace
+from .passes import TraceValidationError, validate_trace
 from .recorder import TracingEvaluator
 from .symbolic import (SymbolicCiphertext, SymbolicEvaluator,
                        SymbolicPlaintext)
 
 __all__ = [
-    "DEFAULT_PASSES", "KEYSWITCH_BLOCKS", "OpKind", "OpTrace",
+    "KEYSWITCH_BLOCKS", "OpKind", "OpTrace",
     "SymbolicCiphertext", "SymbolicEvaluator", "SymbolicPlaintext",
     "TraceOp", "TraceValidationError",
     "TracingEvaluator", "assert_workload_dag", "dag_violations",
-    "expand_implicit_rescales", "lower_expanded_trace", "lower_trace",
-    "run_passes", "validate_trace",
+    "lower_trace", "validate_trace",
 ]

@@ -93,9 +93,8 @@ class OpTrace:
 
     ``output_op_id`` names the op that produced the value the traced
     program *returned* (``None`` when the program returned nothing the
-    recorder tracked).  Renumbering passes maintain it, and replay uses
-    it to report the program's true output rather than assuming the
-    final op produced it.
+    recorder tracked).  Replay uses it to report the program's true
+    output rather than assuming the final op produced it.
     """
 
     params: CkksParameters

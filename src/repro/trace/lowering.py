@@ -4,13 +4,10 @@ Each non-transparent trace op becomes one
 :class:`~repro.blocksim.blocks.BlockInstance` node — a rotation group
 (``rotate_add``) one rotation block per key, plus the adds of its sum;
 plumbing ops (``SOURCE``/``MOD_DROP``/``COPY``/``REFRESH``) are
-routed through, so data-flow edges connect real blocks directly.  Implicit
-rescales (``he_mult(..., rescale=True)`` etc.) are expanded into
-explicit ``RESCALE`` ops by :func:`repro.trace.passes.
-expand_implicit_rescales` before lowering — :func:`lower_trace` applies
-that pass itself for backwards compatibility, while the engine
-(:mod:`repro.engine`) runs its full pass pipeline and calls
-:func:`lower_expanded_trace` directly.
+routed through, so data-flow edges connect real blocks directly.  A
+``rescale=True`` call is already two ops in the trace (the recorder
+writes the product and its ``RESCALE``), so each lowers to its own
+block.
 
 Node metadata carries what the simulator's locality features consume:
 
@@ -44,18 +41,7 @@ _SUM = OPS[OpKind.HE_ADD]
 
 
 def lower_trace(trace: OpTrace) -> DiGraph:
-    """Build the BlockSim DAG for one recorded execution.
-
-    Convenience wrapper: expands implicit rescales first, then lowers.
-    Compiled plans go through :func:`repro.engine.compile`, which runs
-    the full pass pipeline before calling :func:`lower_expanded_trace`.
-    """
-    from .passes import expand_implicit_rescales
-    return lower_expanded_trace(expand_implicit_rescales(trace))
-
-
-def lower_expanded_trace(trace: OpTrace) -> DiGraph:
-    """Lower a trace whose implicit rescales are already expanded."""
+    """Build the BlockSim DAG for one recorded execution."""
     params = trace.params
     graph = DiGraph()
     # op id -> (node id or None, went-through-refresh flag)

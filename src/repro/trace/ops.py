@@ -79,8 +79,10 @@ class OpSpec:
     #: The method takes an encoded plaintext ``pt`` instead, kept in
     #: ``trace.payloads``.
     payload: bool = False
-    #: The method ends in ``rescale=True``, recorded as
-    #: ``meta["rescaled"]``: one more level down, scale over q_level.
+    #: The method ends in ``rescale=True``: the call also applies the
+    #: ``RESCALE`` row, and is recorded as the product and its
+    #: ``RESCALE``.  ``rescale=False`` is recorded as
+    #: ``meta["rescaled"] = False``, a declared manual rescale.
     fused_rescale: bool = False
     #: Id of the switching key the op streams, as a template over
     #: ``meta`` (``None``: no key switch).
@@ -145,16 +147,13 @@ def expected_out_level(spec: OpSpec, level: int, meta: Mapping[str, Any],
                        max_level: int) -> int | None:
     """Level an op at operating level ``level`` must produce (``None``:
     the table has no expectation)."""
-    if spec.fused_rescale and meta.get("rescaled"):
-        return level - 1
     return spec.level.apply(level, meta, max_level)
 
 
 def out_scale(spec: OpSpec, params: CkksParameters, level: int,
-              scales: Sequence[float], rescaled: bool = False) -> float:
+              scales: Sequence[float]) -> float:
     """Scale of the result; ``scales`` as :class:`ScaleRule` takes them."""
-    scale = spec.scale.apply(scales, params, level)
-    return scale / params.moduli[level] if rescaled else scale
+    return spec.scale.apply(scales, params, level)
 
 
 def key_ids(spec: OpSpec, meta: Mapping[str, Any]) -> tuple[str, ...]:
@@ -242,7 +241,6 @@ def fused_rescales(trace: OpTrace) -> dict[int, int]:
         spec = OPS[op.kind]
         reads = readers.get(op.op_id, [])
         if (spec.fused_rescale and spec.key is not None
-                and not op.meta.get("rescaled")
                 and op.op_id != trace.output_op_id and len(reads) == 1
                 and reads[0].kind is OpKind.RESCALE):
             fused[op.op_id] = reads[0].op_id

@@ -5,8 +5,13 @@
 test-scale parameters) or a
 :class:`~repro.trace.symbolic.SymbolicEvaluator` (shape-only handles,
 paper-scale parameters) behind the same call surface.  Every public op
-call is delegated to the wrapped evaluator and recorded as one
-:class:`~repro.trace.ir.TraceOp`; data-flow dependencies are recovered
+call is delegated to the wrapped evaluator, once, and recorded as what
+it computes: one :class:`~repro.trace.ir.TraceOp`, or two for a call
+with ``rescale=True`` — the product and a ``RESCALE`` of it, the
+primitives the paper counts (replay runs them as one call again where
+the data flow allows, :func:`repro.trace.ops.fused_rescales`), so the
+trace needs no rewriting before lowering.  Data-flow dependencies are
+recovered
 from *ciphertext identity* — each returned ciphertext object is mapped to
 the op that produced it, and operands the recorder has never seen enter
 the trace as ``SOURCE`` ops (fresh encryptions).
@@ -83,20 +88,31 @@ class TracingEvaluator:
 
     def _emit(self, kind: OpKind, operands: tuple[Any, ...], result: Any,
               **meta: Any) -> Any:
-        """Record one op over ciphertext operands and track its result;
-        the key id and key-switch shape are its table row's."""
-        spec = OPS[kind]
+        """Record one op over ciphertext operands and track its result."""
         inputs = tuple([self._resolve(operand) for operand in operands])
         level = min([o.level for o in operands], default=result.level)
+        return self._track(result, self._append(
+            kind, inputs, level, result.level,
+            getattr(result, "scale", 0.0), meta))
+
+    def _append(self, kind: OpKind, inputs: tuple[int, ...], level: int,
+                out_level: int, out_scale: float,
+                meta: dict[str, Any]) -> int:
+        """Append one op; the key id and key-switch shape are its table
+        row's.  Returns its id."""
+        spec = OPS[kind]
         if spec.key is not None:
             meta.update(keyswitch_meta(self.params, level))
         op = TraceOp(op_id=len(self.trace.ops), kind=kind, inputs=inputs,
-                     level=level, out_level=result.level,
-                     out_scale=getattr(result, "scale", 0.0),
+                     level=level, out_level=out_level, out_scale=out_scale,
                      key=key_id(spec, meta), region=self.current_region,
                      meta=meta)
         self.trace.append(op)
-        self._producers[id(result)] = op.op_id
+        return op.op_id
+
+    def _track(self, result: Any, op_id: int) -> Any:
+        """Map ``result`` to the op that produced it."""
+        self._producers[id(result)] = op_id
         self._keepalive.append(result)
         return result
 
@@ -112,15 +128,35 @@ class TracingEvaluator:
         operands in ``meta`` (JSON-safe), an encoded plaintext in
         ``trace.payloads``, so that
         :meth:`repro.engine.ExecutablePlan.execute` can replay the
-        trace against a real context bit-identically."""
+        trace against a real context bit-identically.
+
+        ``rescale=True`` is one call, recorded as what it computes: the
+        product at its operating level (the payload stays on it) and a
+        ``RESCALE`` of it, which the result maps to.  ``rescale=False``
+        is recorded as ``meta["rescaled"] = False``, the program's
+        declaration that it manages this product's scale itself
+        (:func:`repro.analysis.check_scales`)."""
         assert spec.method is not None
         fused = () if rescale is None else (rescale,)
         result = getattr(self.inner, spec.method)(*cts, *operands, *fused)
-        meta = {} if rescale is None else {"rescaled": rescale}
+        meta: dict[str, Any] = {"rescaled": False} if rescale is False \
+            else {}
         meta.update(zip(spec.meta_args, operands))
-        self._emit(spec.kind, cts, result, **meta)
+        inputs = tuple([self._resolve(ct) for ct in cts])
+        level = min([ct.level for ct in cts])
+        if rescale:
+            op_id = self._append(spec.kind, inputs, level, level,
+                                 result.scale * self.params.moduli[level],
+                                 meta)
+            self._track(result, self._append(
+                OpKind.RESCALE, (op_id,), level, result.level,
+                result.scale, {}))
+        else:
+            op_id = self._append(spec.kind, inputs, level, result.level,
+                                 result.scale, meta)
+            self._track(result, op_id)
         if spec.payload:
-            self.trace.payloads[self._producers[id(result)]] = operands[0]
+            self.trace.payloads[op_id] = operands[0]
         return result
 
     def he_rotate(self, ct: Any, rotation: int) -> Any:

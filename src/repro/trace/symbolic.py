@@ -93,8 +93,8 @@ class SymbolicEvaluator:
                rescale: bool | None) -> SymbolicCiphertext:
         level = min([ct.level for ct in cts])
         out_level = expected_out_level(
-            spec, level, dict(zip(spec.meta_args, operands),
-                              rescaled=rescale), self.params.max_level)
+            spec, level, dict(zip(spec.meta_args, operands)),
+            self.params.max_level)
         assert out_level is not None
         self._check_level(out_level)
         scales = [ct.scale for ct in cts]
@@ -102,8 +102,11 @@ class SymbolicEvaluator:
             scales.append(operands[0].scale)
         elif "value" in spec.meta_args:
             scales.append(self.params.scale)
-        return SymbolicCiphertext(out_level, out_scale(
-            spec, self.params, level, scales, bool(rescale)))
+        result = SymbolicCiphertext(out_level, out_scale(
+            spec, self.params, level, scales))
+        if rescale:
+            return self._apply(OPS[OpKind.RESCALE], (result,), (), None)
+        return result
 
     def hoisted_rotations(self, ct: SymbolicCiphertext,
                           rotations: Iterable[int]

@@ -3,11 +3,13 @@
 Every test hand-builds a minimal synthetic :class:`OpTrace` containing
 one defect and asserts ``lint_trace`` reports *exactly* the expected
 code (``report.codes() == {code: n}``) — no collateral findings, no
-misses.  Clean traces must lint empty.
+misses.  Clean traces must lint empty.  The declared-chain cases compile
+a program instead, so what they lint is what the recorder writes.
 """
 
 import pytest
 
+from repro import engine
 from repro.analysis import CODES, Severity, lint_trace, op_mix
 from repro.analysis.checks import (check_structure, check_windows,
                                    live_op_ids)
@@ -42,7 +44,6 @@ def _mult_meta(level, params=TOY):
 
 
 def _codes(trace, **kwargs):
-    kwargs.setdefault("normalized", True)
     return lint_trace(trace, **kwargs).codes()
 
 
@@ -138,6 +139,25 @@ class TestScaleChecks:
         _add(t, OpKind.HE_MULT, [a, a], level=2, out_scale=2.0 ** 116,
              key="relin", meta={**_mult_meta(2), "rescaled": False})
         assert _codes(t) == {}
+
+    @pytest.mark.parametrize("mixed", [False, True],
+                             ids=["alone", "beside-a-rescaled-product"])
+    def test_a_declared_chain_lints_clean_whatever_else_rescales(self,
+                                                                 mixed):
+        """Three declared ``rescale=False`` squares overflow q unmanaged;
+        a ``rescale=True`` product elsewhere in the program leaves their
+        declarations standing."""
+        def program(ev):
+            ct = ev.fresh(level=4)
+            for _ in range(3):
+                ct = ev.he_square(ct, rescale=False)
+            if mixed:
+                ct = ev.he_add(ct, ev.he_square(ev.fresh(level=4),
+                                                rescale=True))
+            return ct
+
+        plan = engine.compile(program, TOY, name=f"declared-{mixed}")
+        assert plan.lint().codes() == {}
 
     def test_taint_propagates_and_clears_at_managed_rescale(self):
         t = _trace()
@@ -390,7 +410,7 @@ class TestStructure:
         t = _trace()
         t.append(TraceOp(op_id=0, kind=OpKind.RESCALE, inputs=(7,),
                          level=0, out_level=0))
-        report = lint_trace(t, normalized=True)
+        report = lint_trace(t)
         assert report.codes() == {"HE050": 1}
         assert check_structure(t)
 
@@ -412,7 +432,7 @@ class TestDiagnosticsFramework:
         t = _trace()
         src = _add(t, OpKind.SOURCE, level=0)
         _add(t, OpKind.RESCALE, [src], level=0)
-        report = lint_trace(t, normalized=True)
+        report = lint_trace(t)
         (finding,) = report.errors
         text = finding.render()
         assert "HE001" in text and "op 1 rescale @L0" in text
@@ -427,7 +447,7 @@ class TestDiagnosticsFramework:
         _add(t, OpKind.HE_ADD, [r1, r1], level=4)
         _add(t, OpKind.HE_ADD, [r1, r2], level=4)
         t.output_op_id = 3
-        report = lint_trace(t, normalized=True)
+        report = lint_trace(t)
         ranks = [d.severity.rank for d in report.sorted()]
         assert ranks == sorted(ranks)
         assert report.codes() == {"HE022": 1, "HE120": 2}

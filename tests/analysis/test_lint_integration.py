@@ -202,7 +202,7 @@ class TestOpMixReport:
     def test_report_carries_the_op_mix_table(self):
         from repro.analysis import analyze_trace
         plan = compile_workload("boot", TOY)
-        report = analyze_trace(plan.trace, normalized=True)
+        report = analyze_trace(plan.trace)
         mix = report.op_mix
         assert mix["ops"] == len(plan.trace)
         assert mix["keyswitch_ops"] == len(plan.trace.keyswitch_ops())

@@ -21,9 +21,9 @@ from repro.artifact import corpus_path
 from repro.fhe.params import CkksParameters
 
 CORPUS_SHA256 = {
-    "boot": "54504915212d404a03e7265ae37b97fb79dce53c33a63d5029f1196f644f013e",
-    "helr": "bc2e8e915f915c86b5ee3a856ea5a7965c38db94a8ecece2704e0881d74e2a31",
-    "resnet": "bb9a281765d09c662572ddf00ad971ee7433079c374da3b04d4cd002691b6e65",
+    "boot": "613c0c72cd4c83e353f24888ab55620da4927ca6a53618ad3d6abeaf5f94a8f5",
+    "helr": "5944aac063494e0a187c3159e041f2fe0f593a2b2cfd52542a437c0168deb8fd",
+    "resnet": "14735b70f2b056171461fb11db9cc70f6bb86d1dc876a9f96da9d8dfeb7e20bc",
 }
 
 

@@ -151,7 +151,7 @@ class TestUnknownBlocks:
         path = tmp_path / "headless.rpa"
         stream = io.BytesIO()
         write_container(stream, [(int(ArtifactBlockType.PROVENANCE),
-                                  pack_json({"passes": []}))])
+                                  pack_json({"tool": "x"}))])
         path.write_bytes(stream.getvalue())
         with pytest.raises(ArtifactFormatError, match="HEADER"):
             read_artifact(str(path))

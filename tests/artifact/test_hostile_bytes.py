@@ -11,7 +11,9 @@ may escape, and nothing may load.
 
 A ``hoist`` row of an old file reads as a copy: one that lies about its
 input is refused like any other row, and one an ``he_add`` reads loads
-as the valid copy it now is.
+as the valid copy it now is.  A row flagged ``rescaled`` True (a product
+and its rescale in one op, as an old recorder wrote a ``rescale=True``
+call) is refused naming the op.
 """
 
 import io
@@ -122,6 +124,13 @@ def _with_payloads(data: bytes) -> bytes:
     return stream.getvalue()
 
 
+def _fuse_first_declared(scalars, arrays) -> None:
+    """The first declared ``rescale=False`` product, flagged the way an
+    old recorder wrote a ``rescale=True`` call."""
+    flags = arrays["meta_rescaled"]
+    flags[np.flatnonzero(flags == 0)[0]] = 1
+
+
 #: Crafted, CRC-valid lies: (block, mutation).  Before the reader
 #: checked its tables, the first five escaped as KeyError /
 #: AttributeError / ValueError / TypeError / IndexError and the input
@@ -147,6 +156,8 @@ CRAFTED = {
     "input-points-at-a-later-op":
         (TRACE_OPS, _tables(lambda s, a: a["inputs"].__setitem__(
             0, s["num_ops"] - 1))),
+    "a-product-and-its-rescale-in-one-op":
+        (TRACE_OPS, _tables(_fuse_first_declared)),
     "modulus-of-2-56-or-more":
         (HEADER, _header(lambda header: header["params"]["moduli"]
                          .__setitem__(1, (1 << 62) - 57))),
@@ -171,6 +182,16 @@ def test_a_crafted_block_is_refused_by_name(name, case):
     message = _refusal(_rewrite(_with_payloads(_corpus(name)), block_type,
                                 mutate))
     assert ArtifactBlockType(block_type).name in message, message
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_fused_product_is_refused_naming_its_op(name):
+    data = _corpus(name)
+    _, arrays = unpack_arrays(read_container(io.BytesIO(data))[1][1])
+    op = int(np.flatnonzero(arrays["meta_rescaled"] == 0)[0])
+    message = _refusal(_rewrite(data, TRACE_OPS,
+                                _tables(_fuse_first_declared)))
+    assert f"TRACE_OPS: op {op} (" in message, message
 
 
 def _first_block_op(data: bytes) -> int:

@@ -79,10 +79,10 @@ def test_the_catalog_dags_iterate_as_networkx_would(name, monkeypatch):
     """The same lowering, once into each container: construction order
     is what sets the adjacency orders."""
     plan = compile_workload(name)
-    ours = lowering.lower_expanded_trace(plan.trace)
+    ours = lowering.lower_trace(plan.trace)
     assert type(ours) is type(plan.graph) is dag.DiGraph
     monkeypatch.setattr(lowering, "DiGraph", nx.DiGraph)
-    theirs = lowering.lower_expanded_trace(plan.trace)
+    theirs = lowering.lower_trace(plan.trace)
     assert isinstance(theirs, nx.DiGraph)
     _same_surface(ours, theirs)
     _same_orders(ours, theirs)

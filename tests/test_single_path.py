@@ -17,7 +17,10 @@ the secret key, with no public key.  One switching key per id, drawn once
 at ``max_level``: no level on a key and no per-level digit scaling.  One
 keygen path: a batch draw, a single key being a batch of one.  One
 decision about a hoist: ``galois_groups`` over the data flow, with no
-hoist op, handle, group number, flag, pass or lint code beside it.
+hoist op, handle, group number, flag, pass or lint code beside it.  One
+record of a rescale: the recorder writes a ``rescale=True`` call as its
+product and its ``RESCALE``, and no pass rewrites a trace before
+lowering.
 Each case pins the absence of the fork it names.
 """
 
@@ -29,6 +32,7 @@ import pathlib
 import re
 import sys
 
+import numpy as np
 import pytest
 
 import repro.artifact
@@ -38,6 +42,7 @@ import repro.gpusim
 import repro.trace
 from repro import engine
 from repro.analysis import diagnostics
+from repro.dag import DiGraph
 from repro.fhe import keys, modmath, noise, ntt, rns
 from repro.fhe.backend.base import ComputeBackend
 from repro.fhe.backend.reference import ReferenceBackend
@@ -557,6 +562,46 @@ def test_one_hoisted_rotations():
     recorder.hoisted_rotations(recorder.fresh(), [0, 1, 2])
     assert [op.kind.value for op in recorder.trace.ops] \
         == ["source", "copy", "he_rotate", "he_rotate"]
+
+
+# -- one record of a rescale -------------------------------------------------
+
+def test_a_rescale_is_recorded_unfused():
+    """No pass pipeline and no second lowering: what the recorder writes
+    is what lowers, replays and lints, and no recorded op is a product
+    and its rescale in one."""
+    from repro.serve.workloads import scoring_workload
+    for module in (repro.trace, repro.trace.passes, repro.trace.lowering):
+        for gone in ("expand_implicit_rescales", "lower_expanded_trace",
+                     "run_passes", "DEFAULT_PASSES"):
+            assert not hasattr(module, gone), (module.__name__, gone)
+    assert "passes" not in inspect.signature(
+        engine.ExecutablePlan).parameters
+    toy = CkksParameters.toy()
+    assert not hasattr(engine.ExecutablePlan(
+        toy, DiGraph(), "empty", repro.trace.OpTrace(toy)), "passes")
+    assert "passes" not in inspect.signature(engine.compile).parameters
+    scoring = scoring_workload(16).build_program(
+        scoring_workload(16).layout(toy))
+
+    def affine(ev, ct):
+        """``bench``'s key-switch-free lane: ``(x*a + b)*c + d``."""
+        encode, a = ev.encoder.encode, np.full(toy.num_slots, 0.5)
+        y = ev.poly_mult(ct, encode(a), rescale=True)
+        y = ev.poly_add(y, encode(a, y.scale))
+        y = ev.poly_mult(y, encode(a), rescale=True)
+        return ev.poly_add(y, encode(a, y.scale))
+
+    served = [engine.compile(lambda ev, body=body: body(
+        ev, ev.fresh(level=toy.max_level)), toy, name=name)
+        for name, body in (("scoring", scoring), ("affine", affine))]
+    for plan in served:     # two ``rescale=True`` calls each
+        assert [op.kind for op in plan.trace.ops].count(
+            repro.trace.OpKind.RESCALE) == 2, plan.name
+    for plan in served + [compile_workload(name, CkksParameters.test())
+                          for name in workload_names()]:
+        assert not any(op.meta.get("rescaled") for op in plan.trace.ops), \
+            plan.name
 
 
 #: What the IR would need to write files again.

@@ -66,7 +66,7 @@ class TestDiffCliEdgeCases:
         assert diff_main([a, b]) == 1
         out = capsys.readouterr().out
         assert "he_rotate" in out
-        assert "4 ops" in out and "7 ops" in out
+        assert "5 ops" in out and "8 ops" in out
 
     def test_empty_trace_file_exits_two(self, tmp_path, capsys):
         a = _save_trace(tmp_path, "a", num_rotations=1)

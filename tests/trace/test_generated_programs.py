@@ -138,10 +138,10 @@ def ctx():
 
 
 def _check(ctx, levels, steps):
-    """Replay reproduces every value of a direct run bit for bit (a
-    value a fused rescale produced is its expanded ``RESCALE`` op's),
-    but for the products it fuses into their rescale, which it never
-    makes."""
+    """The plan's trace is the recorder's, and replay reproduces every
+    value of a direct run bit for bit (a ``rescale=True`` call's value
+    is its ``RESCALE`` op's), but for the products it fuses into their
+    rescale, which it never makes."""
     sources = [ctx.encrypt(SLOTS, level=level) for level in levels]
     direct, used = _run(ctx.evaluator, sources, steps)
     recorded = {}
@@ -154,14 +154,13 @@ def _check(ctx, levels, steps):
     replay = plan.execute(ctx, sources=[sources[i] for i in used])
     assert engine.bit_identical(replay.output, direct[-1])
     recorder = recorded["ev"]
-    rescaled = [bool(op.meta.get("rescaled")) for op in recorder.trace.ops]
+    assert plan.trace == recorder.trace
     fused = fused_rescales(plan.trace)
     assert set(replay.values) == {op.op_id for op in plan.trace.ops} \
         - set(fused)
     for value, expected in zip(recorded["values"][len(sources):],
                                direct[len(sources):]):
         op_id = recorder.producer_of(value)
-        op_id += sum(rescaled[:op_id + 1])
         if op_id not in fused:
             assert engine.bit_identical(replay.values[op_id], expected)
     report = plan.lint()

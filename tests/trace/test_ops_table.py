@@ -9,6 +9,7 @@ import pytest
 import repro.trace
 from repro import engine
 from repro.analysis import LintError, lint_trace
+from repro.dag import DiGraph
 from repro.fhe import CkksContext, CkksParameters
 from repro.fhe.evaluator import SCALE_TOLERANCE, CkksEvaluator
 from repro.trace import (SymbolicEvaluator, TraceValidationError,
@@ -151,14 +152,17 @@ def test_a_missing_method_operand_is_structural(kind, key):
 
 
 def test_replay_raises_plan_error_for_an_op_it_cannot_apply(ctx):
+    """Replay's own guards, on plans built the way ``load_plan`` builds
+    them, past validation."""
     ct = ctx.encrypt([0.5], level=4)
-    plan = engine.compile(_two_defect_trace(), passes=())
+    plan = engine.ExecutablePlan(TOY, DiGraph(), "defects",
+                                 _two_defect_trace())
     with pytest.raises(engine.PlanError, match="op 1 .he_add. cannot"):
         plan.execute(ctx, sources=[ct])
     rotate_only = _two_defect_trace()
     rotate_only.ops[1] = TraceOp(1, OpKind.COPY, (0,), 4, 4,
                                  out_scale=DELTA)
-    plan = engine.compile(rotate_only, passes=())
+    plan = engine.ExecutablePlan(TOY, DiGraph(), "defects", rotate_only)
     with pytest.raises(engine.PlanError, match=r"no meta\['rotation'\]"):
         plan.execute(ctx, sources=[ct])
 

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import engine
 from repro.fhe import CkksContext
 from repro.fhe.params import CkksParameters
 from repro.trace import (OpKind, SymbolicEvaluator, TracingEvaluator)
@@ -29,12 +30,13 @@ class TestRealEvaluatorTracing:
         rot = tev.he_rotate(prod, 3)
         tev.he_add(rot, prod)
         kinds = _kinds(tev.trace)
-        assert kinds == [OpKind.SOURCE, OpKind.HE_MULT, OpKind.HE_ROTATE,
-                         OpKind.HE_ADD]
-        mult, rot_op, add = tev.trace.ops[1:]
+        assert kinds == [OpKind.SOURCE, OpKind.HE_MULT, OpKind.RESCALE,
+                         OpKind.HE_ROTATE, OpKind.HE_ADD]
+        mult, rescale, rot_op, add = tev.trace.ops[1:]
         assert mult.inputs == (0, 0)           # both operands = source
-        assert rot_op.inputs == (1,)
-        assert add.inputs == (2, 1)
+        assert rescale.inputs == (1,)
+        assert rot_op.inputs == (2,)
+        assert add.inputs == (3, 2)
         assert rot_op.key == "rot-3"
         assert rot_op.meta["rotation"] == 3
         assert mult.key == "relin"
@@ -63,10 +65,12 @@ class TestRealEvaluatorTracing:
         tev = TracingEvaluator(ctx.evaluator)
         ct = ctx.encrypt([0.5] * 4)
         out = tev.he_mult(ct, ct)               # implicit rescale
-        op = tev.trace.ops[-1]
-        assert op.level == ct.level
-        assert op.out_level == out.level == ct.level - 1
-        assert op.meta["rescaled"] is True
+        mult, rescale = tev.trace.ops[-2:]
+        assert mult.level == mult.out_level == rescale.level == ct.level
+        assert rescale.out_level == out.level == ct.level - 1
+        assert rescale.out_scale == out.scale
+        assert mult.out_scale == out.scale * ctx.params.moduli[ct.level]
+        assert "rescaled" not in mult.meta
 
     def test_hoisted_batch_shares_group_and_matches_sequential(self, ctx):
         tev = TracingEvaluator(ctx.evaluator)
@@ -104,6 +108,59 @@ class TestRealEvaluatorTracing:
         tev.he_conjugate(ct)
         assert tev.trace.keys_used() == {"rot-1", "conj"}
         assert len(tev.trace.keyswitch_ops()) == 2
+
+
+class TestRescaleRecording:
+    """A ``rescale=True`` call is one call to the evaluator, recorded as
+    what it computes: the product and a ``RESCALE`` of it."""
+
+    @pytest.fixture()
+    def sym(self):
+        return TracingEvaluator(SymbolicEvaluator(CkksParameters.toy()))
+
+    def test_a_rescaled_call_is_its_product_and_a_rescale(self, sym):
+        ct = sym.fresh(level=4)
+        out = sym.he_mult(ct, ct, rescale=True)
+        assert _kinds(sym.trace) == [OpKind.SOURCE, OpKind.HE_MULT,
+                                     OpKind.RESCALE]
+        mult, rescale = sym.trace.ops[1:]
+        assert "rescaled" not in mult.meta
+        assert mult.level == mult.out_level == 4
+        assert rescale.inputs == (mult.op_id,)
+        assert rescale.level == 4 and rescale.out_level == 3 == out.level
+        assert rescale.out_scale == out.scale
+        assert rescale.key is None and rescale.meta == {}
+
+    def test_consumers_read_the_rescale(self, sym):
+        ct = sym.fresh(level=4)
+        with sym.region("r"):
+            prod = sym.he_mult(ct, ct, rescale=True)
+        sym.he_rotate(prod, 1)
+        rot = sym.trace.ops[-1]
+        assert rot.kind is OpKind.HE_ROTATE
+        assert sym.trace.ops[rot.inputs[0]].kind is OpKind.RESCALE
+        assert [op.region for op in sym.trace.ops[1:3]] == ["r", "r"]
+
+    def test_the_payload_stays_on_the_product(self, sym):
+        ct = sym.fresh(level=4)
+        sym.poly_mult(ct, sym.plaintext(), rescale=True)
+        (payload_id,) = sym.trace.payloads
+        assert sym.trace.ops[payload_id].kind is OpKind.POLY_MULT
+
+    def test_an_explicit_rescale_is_recorded_as_written(self, sym):
+        ct = sym.fresh(level=4)
+        sym.rescale(sym.he_square(ct, rescale=False))
+        assert _kinds(sym.trace) == [OpKind.SOURCE, OpKind.HE_SQUARE,
+                                     OpKind.RESCALE]
+        assert sym.trace.ops[1].meta["rescaled"] is False
+
+    def test_the_output_is_the_rescale(self):
+        plan = engine.compile(
+            lambda ev: ev.scalar_mult(ev.fresh(level=4), 0.5),
+            CkksParameters.toy(), name="scaled")
+        assert _kinds(plan.trace) == [OpKind.SOURCE, OpKind.SCALAR_MULT,
+                                      OpKind.RESCALE]
+        assert plan.trace.output_op_id == 2
 
 
 class TestSymbolicTracingSpeed:
