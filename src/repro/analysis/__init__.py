@@ -2,8 +2,9 @@
 
 ``repro.analysis`` lints :class:`~repro.trace.OpTrace` programs before
 anything executes: level/depth budgets, scale management, key
-availability, liveness, noise budgets, result headroom, and serve
-slot windows, reported as stable ``HE0xx``/``HE1xx`` diagnostic codes (see
+availability, unrelinearized products, liveness, noise budgets, result
+headroom, and serve slot windows, reported as stable ``HE0xx``/``HE1xx``
+diagnostic codes (see
 :data:`~repro.analysis.diagnostics.CODES` or the engine README's code
 table).  Three front doors:
 
@@ -17,8 +18,9 @@ table).  Three front doors:
 """
 
 from .checks import (check_headroom, check_keys, check_levels,
-                     check_liveness, check_scales, check_structure,
-                     check_windows, lint_trace, lint_traces)
+                     check_liveness, check_relinearization, check_scales,
+                     check_structure, check_windows, lint_trace,
+                     lint_traces)
 from .diagnostics import (CODES, Diagnostic, DiagnosticReport, LintError,
                           LintWarning, Severity)
 from .report import analyze_trace, op_mix, render_report
@@ -35,6 +37,7 @@ __all__ = [
     "check_keys",
     "check_levels",
     "check_liveness",
+    "check_relinearization",
     "check_scales",
     "check_structure",
     "check_windows",

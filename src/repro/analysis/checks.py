@@ -23,7 +23,7 @@ from repro.fhe.noise import NOISE_FLOOR_LOG2, result_headroom
 from repro.fhe.params import CkksParameters
 from repro.trace.ir import OpKind, OpTrace, TraceOp
 from repro.trace.ops import (MAX_SCALE, OPS, expected_out_level, key_id,
-                             structural_problems)
+                             structural_problems, switches_key)
 
 from .diagnostics import Diagnostic, DiagnosticReport, make
 
@@ -224,12 +224,18 @@ def check_headroom(trace: OpTrace) -> list[Diagnostic]:
 def check_keys(trace: OpTrace,
                available_keys: Iterable[str] | None = None
                ) -> list[Diagnostic]:
-    """Key-switch ops name keys a keygen for these params would hold."""
+    """Key-switch ops name keys a keygen for these params would hold; an
+    op that switches none (:func:`~repro.trace.ops.switches_key`) names
+    none."""
     findings: list[Diagnostic] = []
     params = trace.params
     key_set = set(available_keys) if available_keys is not None else None
     for op in trace.ops:
-        if OPS[op.kind].key is None:
+        if not switches_key(OPS[op.kind], op.meta):
+            if op.key is not None and OPS[op.kind].key is not None:
+                findings.append(make(
+                    "HE020", f"an unrelinearized product names key "
+                    f"{op.key!r}; it switches no key", op))
             continue
         if op.key is None:
             findings.append(make(
@@ -291,6 +297,30 @@ def _check_ks_shape(op: TraceOp, params: CkksParameters
             "HE021", f"recorded {digits} decomposition digits but "
             f"level {op.level} needs {expected_digits} (alpha = "
             f"{params.alpha})", op))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# unrelinearized products (HE023)
+
+def check_relinearization(trace: OpTrace) -> list[Diagnostic]:
+    """HE023: a product left unrelinearized (``meta["relinearized"] =
+    False``) is a degree-2 ciphertext, and so is every rescale of one;
+    like the evaluators, only ``rescale`` (and decryption) takes such a
+    value."""
+    findings: list[Diagnostic] = []
+    degree_two: set[int] = set()
+    for op in trace.ops:
+        read = next((i for i in op.inputs if i in degree_two), None)
+        if read is not None and op.kind is not OpKind.RESCALE:
+            findings.append(make(
+                "HE023", f"reads op {read}, a product left unrelinearized "
+                "or a rescale of one; only rescale and decryption take "
+                "it", op))
+        spec = OPS[op.kind]
+        if (read is not None and op.kind is OpKind.RESCALE) or (
+                spec.relinearize and not switches_key(spec, op.meta)):
+            degree_two.add(op.op_id)
     return findings
 
 
@@ -400,6 +430,7 @@ def lint_trace(trace: OpTrace, *, normalized: bool = False,
     report.extend(check_scales(trace))
     report.extend(check_headroom(trace))
     report.extend(check_keys(trace, available_keys))
+    report.extend(check_relinearization(trace))
     report.extend(check_liveness(trace))
     report.extend(check_windows(trace))
     return report

@@ -85,6 +85,11 @@ CODES: dict[str, CodeInfo] = dict([
     _info("HE022", Severity.ERROR, "key-switch without key id",
           "A key-switch op carries no key id at all; lowering and LABS "
           "grouping cannot place its key traffic."),
+    _info("HE023", Severity.ERROR, "unrelinearized product read",
+          "A product recorded with meta['relinearized'] = False is a "
+          "degree-2 ciphertext (c0, c1, c2), as is every rescale of "
+          "one; only rescale and decryption take it, and an op other "
+          "than rescale reads it."),
     _info("HE030", Severity.ERROR, "noise budget exhausted",
           "The propagated scale falls below the noise floor "
           "(repro.fhe.noise.NOISE_FLOOR_LOG2): the message is smaller "

@@ -37,7 +37,8 @@ from repro.trace import (OpKind, OpTrace, SymbolicEvaluator,
                          TracingEvaluator, assert_workload_dag,
                          lower_trace, validate_trace)
 from repro.trace.ir import TraceOp
-from repro.trace.ops import OPS, fused_rescales, galois_groups
+from repro.trace.ops import (OPS, fused_rescales, galois_groups,
+                             switches_key)
 
 #: An HE program: any callable issuing evaluator ops on its argument.
 HeProgram = Callable
@@ -451,7 +452,10 @@ class ExecutablePlan:
         if spec.fused_rescale:
             args.append(rescale)
         if op.op_id not in self._galois_reads:
-            return getattr(ev, spec.method)(*args)
+            # A product that switches no key was recorded unrelinearized.
+            flags = {"relinearize": False} \
+                if spec.relinearize and not switches_key(spec, meta) else {}
+            return getattr(ev, spec.method)(*args, **flags)
         value, last = self._galois_reads[op.op_id]
         if value not in raised:
             raised[value] = ev._hoist(args[0])
@@ -618,8 +622,10 @@ def polynomials_equal(a, b) -> bool:
 
 
 def bit_identical(ct_a, ct_b) -> bool:
-    """Exact (residue-for-residue) equality of two ciphertexts."""
+    """Exact (residue-for-residue) equality of two ciphertexts, a
+    degree-2 product's ``c2`` included."""
+    parts_a, parts_b = ct_a.components, ct_b.components
     return (ct_a.level == ct_b.level
             and ct_a.scale == ct_b.scale
-            and polynomials_equal(ct_a.c0, ct_b.c0)
-            and polynomials_equal(ct_a.c1, ct_b.c1))
+            and len(parts_a) == len(parts_b)
+            and all(map(polynomials_equal, parts_a, parts_b)))

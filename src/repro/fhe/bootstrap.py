@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ciphertext import Ciphertext
+from .ciphertext import Ciphertext, require_relinearized
 from .encoder import CkksEncoder
 from .evaluator import CkksEvaluator
 from .keys import KeyGenerator
@@ -108,6 +108,7 @@ class Bootstrapper:
         The lifted message becomes m + q0*I for a small integer polynomial
         I (paper: the reason EvalMod must remove multiples of q0).
         """
+        require_relinearized("mod_raise", ct)
         if ct.level != 0:
             raise ValueError("mod_raise expects a level-0 ciphertext")
         params = self.params

@@ -12,7 +12,7 @@ from .ciphertext import Ciphertext
 from .encoder import CkksEncoder, Plaintext
 from .keys import KeyGenerator
 from .params import CkksParameters
-from .poly import PolyContext, coeff_array
+from .poly import PolyContext, Polynomial, coeff_array
 from .rns import RnsBasis
 
 
@@ -52,12 +52,18 @@ class CkksEncryptor:
 
 
 class CkksDecryptor:
-    """Secret-key decryptor."""
+    """Secret-key decryptor.
+
+    Decrypts with ``(1, s)``, or with ``(1, s, s^2)`` a degree-2 product
+    that was never relinearized (a ciphertext with ``c2``); s^2 is made
+    once per level and kept.
+    """
 
     def __init__(self, params: CkksParameters, keygen: KeyGenerator):
         self.params = params
         self.keygen = keygen
         self._bases: dict[int, RnsBasis] = {}
+        self._s_squares: dict[int, Polynomial] = {}
 
     def _basis(self, level: int) -> RnsBasis:
         """CRT tables of {q_0 .. q_level} (built on first use, kept)."""
@@ -67,8 +73,16 @@ class CkksDecryptor:
                 list(self.params.moduli[:level + 1]))
         return basis
 
+    def _s_squared(self, level: int, s: Polynomial) -> Polynomial:
+        """s^2 over {q_0 .. q_level}, EVAL (made on first use, kept)."""
+        square = self._s_squares.get(level)
+        if square is None:
+            square = self._s_squares[level] = s * s
+        return square
+
     def decrypt_centered(self, ct: Ciphertext) -> np.ndarray:
-        """m ~ c0 + c1*s as centered coefficients, in one array.
+        """m ~ c0 + c1*s (+ c2*s^2) as centered coefficients, in one
+        array.
 
         int64 wherever the data shows every coefficient inside the word
         bound (:meth:`RnsBasis.compose_centered_words`: a message is
@@ -77,13 +91,17 @@ class CkksDecryptor:
         """
         moduli = self.params.moduli[:ct.level + 1]
         s = self.keygen.secret_key.s.at_basis(moduli)
-        limbs = (ct.c0 + ct.c1 * s).to_coeff().limbs
+        m = ct.c0 + ct.c1 * s
+        if ct.c2 is not None:
+            m = m + ct.c2 * self._s_squared(ct.level, s)
+        limbs = m.to_coeff().limbs
         basis = self._basis(ct.level)
         words = basis.compose_centered_words(limbs)
         return basis.compose_centered_vec(limbs) if words is None else words
 
     def decrypt_to_coeffs(self, ct: Ciphertext) -> list[int]:
-        """m ~ c0 + c1*s, returned as centered big-integer coefficients."""
+        """m ~ c0 + c1*s (+ c2*s^2), returned as centered big-integer
+        coefficients."""
         return self.decrypt_centered(ct).tolist()
 
     def decrypt(self, ct: Ciphertext, encoder: CkksEncoder) -> np.ndarray:

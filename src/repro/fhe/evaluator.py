@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ciphertext import Ciphertext
+from .ciphertext import Ciphertext, require_relinearized
 from .encoder import CkksEncoder, Plaintext
 from .keys import (KeyGenerator, inner_product_keyswitch, key_product,
                    key_switch, mod_down_polys, raise_digits)
@@ -71,6 +71,7 @@ class CkksEvaluator:
     def scalar_add(self, ct: Ciphertext, value: float | complex
                    ) -> Ciphertext:
         """ScalarAdd: Jm + cK = (B + c, A); c broadcast to every slot."""
+        require_relinearized("scalar_add", ct)
         if isinstance(value, complex) and value.imag != 0:
             pt = self.encoder.encode([value] * self.params.num_slots,
                                      ct.scale)
@@ -86,6 +87,7 @@ class CkksEvaluator:
     def scalar_mult(self, ct: Ciphertext, value: float,
                     rescale: bool = True) -> Ciphertext:
         """ScalarMult: Jm*cK = (B*c, A*c); consumes one level if rescaled."""
+        require_relinearized("scalar_mult", ct)
         encoded = int(round(float(value) * self.params.scale))
         c0 = ct.c0.scalar_mul(encoded)
         c1 = ct.c1.scalar_mul(encoded)
@@ -95,12 +97,14 @@ class CkksEvaluator:
 
     def scalar_mult_int(self, ct: Ciphertext, value: int) -> Ciphertext:
         """Multiply by a small integer without consuming scale."""
+        require_relinearized("scalar_mult_int", ct)
         return Ciphertext(c0=ct.c0.scalar_mul(value),
                           c1=ct.c1.scalar_mul(value),
                           level=ct.level, scale=ct.scale)
 
     def poly_add(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """PolyAdd: add an unencrypted polynomial to a ciphertext."""
+        require_relinearized("poly_add", ct)
         self._check_scale(ct.scale, pt.scale)
         m = pt.as_eval(self.context, self.params.moduli[:ct.level + 1])
         return Ciphertext(c0=ct.c0 + m, c1=ct.c1.copy(), level=ct.level,
@@ -112,6 +116,7 @@ class CkksEvaluator:
 
         Followed by HERescale (paper: restores scale Delta^2 -> Delta).
         """
+        require_relinearized("poly_mult", ct)
         # The EVAL operand is prepared once per plaintext and basis; it
         # serves both ciphertext components of every replay.
         m = pt.as_eval(self.context, self.params.moduli[:ct.level + 1])
@@ -123,47 +128,65 @@ class CkksEvaluator:
 
     def he_add(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         """HEAdd: pairwise polynomial addition."""
+        require_relinearized("he_add", ct1, ct2)
         ct1, ct2 = self._align(ct1, ct2)
         return Ciphertext(c0=ct1.c0 + ct2.c0, c1=ct1.c1 + ct2.c1,
                           level=ct1.level, scale=ct1.scale)
 
     def he_sub(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         """Pairwise polynomial subtraction (HEAdd with negation)."""
+        require_relinearized("he_sub", ct1, ct2)
         ct1, ct2 = self._align(ct1, ct2)
         return Ciphertext(c0=ct1.c0 - ct2.c0, c1=ct1.c1 - ct2.c1,
                           level=ct1.level, scale=ct1.scale)
 
     def he_mult(self, ct1: Ciphertext, ct2: Ciphertext,
-                rescale: bool = True) -> Ciphertext:
+                rescale: bool = True, *,
+                relinearize: bool = True) -> Ciphertext:
         """HEMult: tensor product + KeySwitch(evk_mult), then rescale.
 
         Operand scales need not match (the product scale is tracked);
-        levels are aligned by dropping limbs.
+        levels are aligned by dropping limbs.  ``relinearize=False``
+        skips the KeySwitch and returns the degree-2 product
+        ``(d0, d1, d2)`` (:class:`~repro.fhe.ciphertext.Ciphertext`'s
+        ``c2``), for a result that is only rescaled and decrypted.
         """
+        require_relinearized("he_mult", ct1, ct2)
         ct1, ct2 = self._align(ct1, ct2, check_scale=False)
         self._check_rescalable(ct1, rescale)
         d0 = ct1.c0 * ct2.c0
         d1 = ct1.c0 * ct2.c1 + ct1.c1 * ct2.c0
         d2 = ct1.c1 * ct2.c1
-        return self._relinearize(d0, d1, d2, ct1.level,
-                                 ct1.scale * ct2.scale, rescale)
+        return self._product(d0, d1, d2, ct1.level, ct1.scale * ct2.scale,
+                             rescale, relinearize)
 
-    def he_square(self, ct: Ciphertext, rescale: bool = True) -> Ciphertext:
-        """Squaring (saves one polynomial product vs he_mult)."""
+    def he_square(self, ct: Ciphertext, rescale: bool = True, *,
+                  relinearize: bool = True) -> Ciphertext:
+        """Squaring (saves one polynomial product vs he_mult);
+        ``relinearize`` as for :meth:`he_mult`."""
+        require_relinearized("he_square", ct)
         self._check_rescalable(ct, rescale)
         d0 = ct.c0 * ct.c0
         cross = ct.c0 * ct.c1
         d1 = cross + cross
         d2 = ct.c1 * ct.c1
-        return self._relinearize(d0, d1, d2, ct.level, ct.scale * ct.scale,
-                                 rescale)
+        return self._product(d0, d1, d2, ct.level, ct.scale * ct.scale,
+                             rescale, relinearize)
 
-    def _relinearize(self, d0: Polynomial, d1: Polynomial, d2: Polynomial,
-                     level: int, scale: float, rescale: bool) -> Ciphertext:
-        """``(d0, d1) + KeySwitch(d2, evk_mult)``; with ``rescale``, the
-        sum divided by P * q_level at once — ModDown and rescale in one
-        rounding, bit for bit the two (:func:`~repro.fhe.keys.
-        mod_down_polys`)."""
+    def _product(self, d0: Polynomial, d1: Polynomial, d2: Polynomial,
+                 level: int, scale: float, rescale: bool,
+                 relinearize: bool) -> Ciphertext:
+        """The tensor product ``(d0, d1, d2)`` as a ciphertext.
+
+        Relinearized, ``(d0, d1) + KeySwitch(d2, evk_mult)``; with
+        ``rescale``, the sum divided by P * q_level at once — ModDown and
+        rescale in one rounding, bit for bit the two
+        (:func:`~repro.fhe.keys.mod_down_polys`).  Unrelinearized, the
+        degree-2 ciphertext as it is, its three components rescaled in
+        one call with ``rescale``."""
+        if not relinearize:
+            out = Ciphertext(c0=d0, c1=d1, level=level, scale=scale, c2=d2)
+            return self.rescale(out) if rescale else out
         evk = self.keygen.relinearization_key(level)
         ksctx = self.context.backend.keyswitch_context(level)
         acc = key_product(raise_digits(d2, ksctx), evk)
@@ -177,6 +200,7 @@ class CkksEvaluator:
 
     def he_rotate(self, ct: Ciphertext, rotation: int) -> Ciphertext:
         """HERotate: Jm <<< rK via automorphism psi_r + KeySwitch."""
+        require_relinearized("he_rotate", ct)
         rotation %= self.params.num_slots
         if rotation == 0:
             return ct.copy()
@@ -186,6 +210,7 @@ class CkksEvaluator:
 
     def he_conjugate(self, ct: Ciphertext) -> Ciphertext:
         """Complex conjugation of every slot."""
+        require_relinearized("he_conjugate", ct)
         galois = conjugation_galois_element(self.params.ring_degree)
         key = self.keygen.conjugation_key(ct.level)
         return self._apply_galois(ct, galois, key)
@@ -207,6 +232,7 @@ class CkksEvaluator:
         feeds :meth:`_rotate_hoisted` / :meth:`_conjugate_hoisted`, each
         of which then costs only gathers + key product + ModDown.
         """
+        require_relinearized("_hoist", ct)
         ksctx = self.context.backend.keyswitch_context(ct.level)
         return _HoistedCiphertext(
             ct=ct, raised=raise_digits(ct.c1, ksctx),
@@ -240,6 +266,7 @@ class CkksEvaluator:
         A recorder writes the batch as one plain ``he_rotate`` per amount;
         replay hoists them again because they read one value.
         """
+        require_relinearized("hoisted_rotations", ct)
         wanted = sorted({r % self.params.num_slots for r in rotations})
         out = {0: self.he_rotate(ct, 0)} if 0 in wanted else {}
         nonzero = [r for r in wanted if r != 0]
@@ -262,6 +289,7 @@ class CkksEvaluator:
         ``len(rotations)``.  Every amount must be non-zero mod
         ``num_slots``; repeats are summed as often as they appear.
         """
+        require_relinearized("rotate_add", ct)
         amounts = [r % self.params.num_slots for r in rotations]
         if not amounts or 0 in amounts:
             raise ValueError("rotate_add takes rotation amounts that are "
@@ -299,17 +327,21 @@ class CkksEvaluator:
     # -- scale and level management ---------------------------------------
 
     def rescale(self, ct: Ciphertext) -> Ciphertext:
-        """HERescale: exact RNS rescale, divides the scale by q_level."""
+        """HERescale: exact RNS rescale, divides the scale by q_level.
+
+        The one op that also takes a degree-2 product: its ``c2`` is
+        divided with the other two components.
+        """
         self._check_rescalable(ct, True)
         q_last = self.params.moduli[ct.level]
         if ct.c0.moduli[-1] != q_last:
             raise ValueError("rescale modulus does not match the last limb")
         # Divide-and-round by q_last runs in the compute backend, EVAL to
-        # EVAL: only the dropped limbs are inverse-transformed, both
-        # components' in one call.
-        c0, c1 = rescale_last((ct.c0, ct.c1))
+        # EVAL: only the dropped limbs are inverse-transformed, every
+        # component's in one call.
+        c0, c1, *c2 = rescale_last(ct.components)
         return Ciphertext(c0=c0, c1=c1, level=ct.level - 1,
-                          scale=ct.scale / q_last)
+                          scale=ct.scale / q_last, c2=c2[0] if c2 else None)
 
     @staticmethod
     def _check_rescalable(ct: Ciphertext, rescale: bool) -> None:
@@ -319,6 +351,7 @@ class CkksEvaluator:
 
     def mod_drop(self, ct: Ciphertext, levels: int = 1) -> Ciphertext:
         """Drop limbs without scaling (level switch)."""
+        require_relinearized("mod_drop", ct)
         if levels <= 0:
             return ct.copy()
         if ct.level - levels < 0:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .ciphertext import Ciphertext
+from .ciphertext import Ciphertext, require_relinearized
 from .encoder import Plaintext
 from .evaluator import CkksEvaluator
 from .poly import Polynomial
@@ -130,6 +130,7 @@ def multiply_by_i(evaluator: CkksEvaluator, ct: Ciphertext) -> Ciphertext:
     satisfies e_j = 5^j === 1 (mod 4), so this is exactly *i in all slots.
     No scale is consumed and no noise is added beyond a permutation.
     """
+    require_relinearized("multiply_by_i", ct)
     params = evaluator.params
     n = params.ring_degree
     monomial = _monomial_eval(evaluator, n // 2, ct.c0.moduli)

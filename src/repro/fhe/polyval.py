@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .ciphertext import Ciphertext
+from .ciphertext import Ciphertext, require_relinearized
 from .evaluator import CkksEvaluator
 
 #: Coefficients below this magnitude are skipped entirely.
@@ -26,6 +26,7 @@ def match_scale_level(evaluator: CkksEvaluator, ct: Ciphertext,
     ``scale * q_level / ct.scale`` followed by one rescale, which costs one
     level but leaves the plaintext value untouched.
     """
+    require_relinearized("match_scale_level", ct)
     if ct.level < level:
         raise ValueError(f"cannot raise level {ct.level} -> {level}")
     needs_adjust = abs(ct.scale - scale) > 1e-9 * max(ct.scale, scale)

@@ -57,7 +57,8 @@ def _poly_from_arrays(context: PolyContext, header: dict, prefix: str,
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
-    """Pack a ciphertext into a self-describing binary blob."""
+    """Pack a ciphertext into a self-describing binary blob (a degree-2
+    product's ``c2`` too)."""
     arrays: dict = {}
     header = {
         "level": ct.level,
@@ -66,6 +67,8 @@ def serialize_ciphertext(ct: Ciphertext) -> bytes:
         "c0": _poly_to_arrays(ct.c0, "c0", arrays),
         "c1": _poly_to_arrays(ct.c1, "c1", arrays),
     }
+    if ct.c2 is not None:
+        header["c2"] = _poly_to_arrays(ct.c2, "c2", arrays)
     buffer = io.BytesIO()
     np.savez_compressed(buffer,
                         header=np.frombuffer(
@@ -87,7 +90,10 @@ def deserialize_ciphertext(blob: bytes,
         level = header["level"]
         c0 = _poly_from_arrays(context, header["c0"], "c0", arrays, level)
         c1 = _poly_from_arrays(context, header["c1"], "c1", arrays, level)
-    return Ciphertext(c0=c0, c1=c1, level=level, scale=header["scale"])
+        c2 = None if "c2" not in header else _poly_from_arrays(
+            context, header["c2"], "c2", arrays, level)
+    return Ciphertext(c0=c0, c1=c1, level=level, scale=header["scale"],
+                      c2=c2)
 
 
 def serialized_size_matches_model(ct: Ciphertext,

@@ -150,8 +150,11 @@ def scoring_workload(width: int,
 
     One plaintext multiply (the weight vector tiled across windows), a
     window-local rotate-and-add reduction, and a squaring activation;
-    each query's score lands in its window's first slot.  ``weights``
-    defaults to a deterministic ramp of length ``width``.
+    each query's score lands in its window's first slot.  The square is
+    left unrelinearized (``relinearize=False``): the server only
+    decrypts it, with ``(1, s, s^2)``, so a batch key-switches only in
+    its two rotation groups and a tenant holds no relinearization key.
+    ``weights`` defaults to a deterministic ramp of length ``width``.
     """
     if weights is None:
         weights = 0.5 + np.arange(width) / (2.0 * width)
@@ -166,7 +169,7 @@ def scoring_workload(width: int,
             pt = ev.encoder.encode(tiled)
             prod = ev.poly_mult(ct, pt, rescale=True)
             acc = layout.rotate_sum(ev, prod)
-            return ev.he_square(acc, rescale=True)
+            return ev.he_square(acc, rescale=True, relinearize=False)
 
         return score
 

@@ -119,9 +119,11 @@ class OpTrace:
         return Counter(op.kind for op in self.ops)
 
     def keyswitch_ops(self) -> list[TraceOp]:
-        """The ops that stream switching-key material."""
-        from .ops import OPS
-        return [op for op in self.ops if OPS[op.kind].key is not None]
+        """The ops that stream switching-key material
+        (:func:`repro.trace.ops.switches_key`)."""
+        from .ops import OPS, switches_key
+        return [op for op in self.ops
+                if switches_key(OPS[op.kind], op.meta)]
 
     def keys_used(self) -> set[str]:
         """Distinct switching-key ids the execution touched."""

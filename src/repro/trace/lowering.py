@@ -16,7 +16,10 @@ Node metadata carries what the simulator's locality features consume:
   key-residency window in the simulator tracks (relinearization keys
   are not LABS grouping candidates);
 * ``keyswitch`` — dnum / digit-count / key id for *every* key-switch
-  block, including HEMult relinearizations;
+  block, including HEMult relinearizations; a product left
+  unrelinearized (no key switch, :func:`~repro.trace.ops.switches_key`)
+  still lowers to the HEMult block, priced as a full HEMult, its entry
+  naming no key and no shape;
 * ``refresh`` — the block consumes a value whose level was reset by a
   schematic refresh (an elided bootstrap), exempting the edge from the
   level-monotonicity invariant.

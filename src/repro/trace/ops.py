@@ -87,6 +87,11 @@ class OpSpec:
     #: Id of the switching key the op streams, as a template over
     #: ``meta`` (``None``: no key switch).
     key: str | None = None
+    #: The method takes keyword-only ``relinearize=`` (default True).
+    #: ``relinearize=False`` skips the key switch and returns the
+    #: degree-2 product, recorded as ``meta["relinearized"] = False``:
+    #: such an op switches no key (:func:`switches_key`).
+    relinearize: bool = False
     #: A ``meta`` list the op runs over (``None``: a single op): one key
     #: per entry, the entry filling the template under the list's own
     #: name, and one block per key, summed onto the input.
@@ -113,10 +118,13 @@ OPS: dict[OpKind, OpSpec] = {spec.kind: spec for spec in (
            payload=True, fused_rescale=True, scale=PRODUCT_SCALE),
     OpSpec(_K.HE_ADD, "he_add", 2, _B.HE_ADD, "add", scale=MAX_SCALE),
     OpSpec(_K.HE_SUB, "he_sub", 2, _B.HE_ADD, "sub", scale=MAX_SCALE),
+    # An unrelinearized product still lowers to the HEMult block.
     OpSpec(_K.HE_MULT, "he_mult", 2, _B.HE_MULT, "mult",
-           fused_rescale=True, key="relin", scale=PRODUCT_SCALE),
+           fused_rescale=True, key="relin", relinearize=True,
+           scale=PRODUCT_SCALE),
     OpSpec(_K.HE_SQUARE, "he_square", 1, _B.HE_MULT, "mult",
-           fused_rescale=True, key="relin", scale=PRODUCT_SCALE),
+           fused_rescale=True, key="relin", relinearize=True,
+           scale=PRODUCT_SCALE),
     OpSpec(_K.HE_ROTATE, "he_rotate", 1, _B.HE_ROTATE, "rot",
            meta_args=("rotation",), key="rot-{rotation}"),
     # ct + sum_r rot_r(ct): one hoist, one ModDown per component.
@@ -156,10 +164,20 @@ def out_scale(spec: OpSpec, params: CkksParameters, level: int,
     return spec.scale.apply(scales, params, level)
 
 
+def switches_key(spec: OpSpec, meta: Mapping[str, Any]) -> bool:
+    """Whether the op key-switches: its kind has a key, and it is not a
+    product recorded with ``meta["relinearized"] = False``.
+
+    The one rule: :func:`key_ids`, the recorder, replay's key draw, the
+    linter, validation and :func:`fused_rescales` read it."""
+    return spec.key is not None and not (
+        spec.relinearize and meta.get("relinearized") is False)
+
+
 def key_ids(spec: OpSpec, meta: Mapping[str, Any]) -> tuple[str, ...]:
     """Ids of every switching key the op streams, one per block it lowers
-    to (empty: no key switch)."""
-    if spec.key is None:
+    to (empty: no key switch, :func:`switches_key`)."""
+    if spec.key is None or not switches_key(spec, meta):
         return ()
     if spec.group is None:
         return (spec.key.format_map(meta),)
@@ -223,9 +241,11 @@ def galois_groups(trace: OpTrace) -> dict[int, tuple[int, ...]]:
 
 
 def fused_rescales(trace: OpTrace) -> dict[int, int]:
-    """Each key-switching product (``he_mult`` / ``he_square``) whose
-    value exactly one op reads, a ``rescale``, mapped to that rescale's
-    id; a product that is the trace's output is never fused.
+    """Each key-switching product (``he_mult`` / ``he_square``,
+    :func:`switches_key`) whose value exactly one op reads, a
+    ``rescale``, mapped to that rescale's id; a product that is the
+    trace's output is never fused, and neither is an unrelinearized one
+    (it has no ModDown to fuse with).
 
     The one decision about fusing ModDown with rescale: replay runs the
     product with ``rescale=True`` — one division by P * q_l, bit for bit
@@ -240,7 +260,7 @@ def fused_rescales(trace: OpTrace) -> dict[int, int]:
     for op in trace.ops:
         spec = OPS[op.kind]
         reads = readers.get(op.op_id, [])
-        if (spec.fused_rescale and spec.key is not None
+        if (spec.fused_rescale and switches_key(spec, op.meta)
                 and op.op_id != trace.output_op_id and len(reads) == 1
                 and reads[0].kind is OpKind.RESCALE):
             fused[op.op_id] = reads[0].op_id
@@ -255,10 +275,12 @@ _DEFAULTS = {"rescale": True, "levels": 1}
 
 def install_methods(cls: type) -> None:
     """Give ``cls`` every evaluator method of the table it does not define
-    itself, as ``method(*cts, *operands[, rescale])`` forwarding to
-    ``cls._apply(spec, cts, operands, rescale)`` (``rescale`` is ``None``
-    where the op fuses none).  Operands and ``rescale`` bind by position
-    or by name."""
+    itself, as ``method(*cts, *operands[, rescale][, *, relinearize])``
+    forwarding to ``cls._apply(spec, cts, operands, rescale,
+    relinearize)`` (``rescale`` is ``None`` where the op fuses none,
+    ``relinearize`` True where the op takes no such keyword).  Operands
+    and ``rescale`` bind by position or by name, ``relinearize`` by name
+    only."""
     for spec in OPS.values():
         if spec.method is not None and spec.method not in vars(cls):
             setattr(cls, spec.method, _method(spec, spec.method))
@@ -270,11 +292,15 @@ def _method(spec: OpSpec, name: str) -> Callable[..., Any]:
     arity, fused = spec.arity, spec.fused_rescale
 
     def method(self: Any, *args: Any, **kwargs: Any) -> Any:
+        relinearize = kwargs.pop("relinearize", True) \
+            if spec.relinearize else True
         if kwargs or len(args) != arity + len(names):
             args = _bind(name, arity, names, args, kwargs)
         if fused:
-            return self._apply(spec, args[:arity], args[arity:-1], args[-1])
-        return self._apply(spec, args[:arity], args[arity:], None)
+            return self._apply(spec, args[:arity], args[arity:-1], args[-1],
+                               relinearize)
+        return self._apply(spec, args[:arity], args[arity:], None,
+                           relinearize)
 
     method.__name__ = name
     return method
@@ -314,7 +340,8 @@ def render_table() -> str:
             ", ".join(f"`{a}`" for a in spec.meta_args) or "—", operand,
             "yes" if spec.fused_rescale else "—",
             (f"`{spec.key}`" if spec.key else "—")
-            + (f" per `{spec.group}` entry" if spec.group else ""),
+            + (f" per `{spec.group}` entry" if spec.group else "")
+            + (" unless `relinearize=False`" if spec.relinearize else ""),
             spec.level.name,
             spec.scale.name, block,
             "yes" if spec.real else "symbolic only"))

@@ -15,7 +15,8 @@ that replay hoists (:func:`repro.trace.ops.galois_groups`).
 from __future__ import annotations
 
 from .ir import OpTrace
-from .ops import OPS, expected_out_level, structural_problems
+from .ops import (OPS, expected_out_level, structural_problems,
+                  switches_key)
 
 
 class TraceValidationError(ValueError):
@@ -39,7 +40,7 @@ def validate_trace(trace: OpTrace) -> OpTrace:
                 problems.append(f"{where}: {label} {level} outside "
                                 f"[0, {max_level}]")
         spec = OPS[op.kind]
-        if spec.key is not None and not op.key:
+        if switches_key(spec, op.meta) and not op.key:
             problems.append(f"{where}: key-switch op without a key id")
         if malformed:
             continue    # the level rule may read what is missing

@@ -99,14 +99,14 @@ class TracingEvaluator:
                 out_level: int, out_scale: float,
                 meta: dict[str, Any]) -> int:
         """Append one op; the key id and key-switch shape are its table
-        row's.  Returns its id."""
-        spec = OPS[kind]
-        if spec.key is not None:
+        row's (none for a product left unrelinearized).  Returns its
+        id."""
+        key = key_id(OPS[kind], meta)
+        if key is not None:
             meta.update(keyswitch_meta(self.params, level))
         op = TraceOp(op_id=len(self.trace.ops), kind=kind, inputs=inputs,
                      level=level, out_level=out_level, out_scale=out_scale,
-                     key=key_id(spec, meta), region=self.current_region,
-                     meta=meta)
+                     key=key, region=self.current_region, meta=meta)
         self.trace.append(op)
         return op.op_id
 
@@ -123,7 +123,8 @@ class TracingEvaluator:
     # rotation by 0, ``rotate_add``, ``refresh`` and the rotation batch.
 
     def _apply(self, spec: OpSpec, cts: tuple[Any, ...],
-               operands: tuple[Any, ...], rescale: bool | None) -> Any:
+               operands: tuple[Any, ...], rescale: bool | None,
+               relinearize: bool = True) -> Any:
         """Delegate one call and record it the way its row says: scalar
         operands in ``meta`` (JSON-safe), an encoded plaintext in
         ``trace.payloads``, so that
@@ -135,12 +136,19 @@ class TracingEvaluator:
         ``RESCALE`` of it, which the result maps to.  ``rescale=False``
         is recorded as ``meta["rescaled"] = False``, the program's
         declaration that it manages this product's scale itself
-        (:func:`repro.analysis.check_scales`)."""
+        (:func:`repro.analysis.check_scales`).  ``relinearize=False``
+        is passed on by name and recorded as ``meta["relinearized"] =
+        False``: the product switches no key
+        (:func:`repro.trace.ops.switches_key`)."""
         assert spec.method is not None
         fused = () if rescale is None else (rescale,)
-        result = getattr(self.inner, spec.method)(*cts, *operands, *fused)
+        flags = {} if relinearize else {"relinearize": False}
+        result = getattr(self.inner, spec.method)(*cts, *operands, *fused,
+                                                  **flags)
         meta: dict[str, Any] = {"rescaled": False} if rescale is False \
             else {}
+        if not relinearize:
+            meta["relinearized"] = False
         meta.update(zip(spec.meta_args, operands))
         inputs = tuple([self._resolve(ct) for ct in cts])
         level = min([ct.level for ct in cts])

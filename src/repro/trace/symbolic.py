@@ -24,6 +24,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
+from repro.fhe.ciphertext import require_relinearized
 from repro.fhe.params import CkksParameters
 
 from .ir import OpKind
@@ -33,17 +34,20 @@ from .ops import (OPS, OpSpec, expected_out_level, install_methods,
 
 @dataclass
 class SymbolicCiphertext:
-    """A ciphertext handle: level + scale, no data."""
+    """A ciphertext handle: level + scale, no data.  ``relinearized`` is
+    False on a product made with ``relinearize=False`` and its rescale:
+    like a real degree-2 ciphertext, only ``rescale`` takes it."""
 
     level: int
     scale: float
+    relinearized: bool = True
 
     @property
     def num_limbs(self) -> int:
         return self.level + 1
 
     def copy(self) -> "SymbolicCiphertext":
-        return SymbolicCiphertext(self.level, self.scale)
+        return SymbolicCiphertext(self.level, self.scale, self.relinearized)
 
 
 @dataclass
@@ -89,8 +93,10 @@ class SymbolicEvaluator:
     # level, its scale rule over the operand scales.
 
     def _apply(self, spec: OpSpec, cts: tuple[SymbolicCiphertext, ...],
-               operands: tuple[Any, ...],
-               rescale: bool | None) -> SymbolicCiphertext:
+               operands: tuple[Any, ...], rescale: bool | None,
+               relinearize: bool = True) -> SymbolicCiphertext:
+        if spec.kind is not OpKind.RESCALE:
+            require_relinearized(spec.method, *cts)
         level = min([ct.level for ct in cts])
         out_level = expected_out_level(
             spec, level, dict(zip(spec.meta_args, operands)),
@@ -103,7 +109,8 @@ class SymbolicEvaluator:
         elif "value" in spec.meta_args:
             scales.append(self.params.scale)
         result = SymbolicCiphertext(out_level, out_scale(
-            spec, self.params, level, scales))
+            spec, self.params, level, scales),
+            relinearize and all(ct.relinearized for ct in cts))
         if rescale:
             return self._apply(OPS[OpKind.RESCALE], (result,), (), None)
         return result
@@ -125,6 +132,7 @@ class SymbolicEvaluator:
     def refresh(self, ct: SymbolicCiphertext,
                 level: int) -> SymbolicCiphertext:
         """Schematic level reset (an elided bootstrap in a program)."""
+        require_relinearized("refresh", ct)
         self._check_level(level)
         return SymbolicCiphertext(level, out_scale(
             OPS[OpKind.REFRESH], self.params, ct.level, [ct.scale]))

@@ -285,6 +285,56 @@ class TestRotationGroupKeys:
         assert _codes(t) == {"HE050": 1}
 
 
+class TestUnrelinearizedProducts:
+    """A product recorded with ``meta["relinearized"] = False`` switches
+    no key and is a degree-2 value, as is every rescale of one: only a
+    rescale may read it (HE023), the evaluators' own rule."""
+
+    def _square(self, key=None):
+        t = _trace()
+        src = _add(t, OpKind.SOURCE, level=4)
+        prod = _add(t, OpKind.HE_SQUARE, [src], level=4,
+                    out_scale=DELTA * DELTA, key=key,
+                    meta={"relinearized": False})
+        return t, prod
+
+    def test_a_product_only_rescaled_is_silent(self):
+        t, prod = self._square()
+        _add(t, OpKind.RESCALE, [prod], level=4, out_level=3,
+             out_scale=DELTA)
+        assert _codes(t) == {}
+
+    def test_a_chain_of_rescales_compiles_strict(self):
+        """The evaluators rescale a degree-2 value as often as it has
+        levels, so the strict lint takes the chain too."""
+        def chain(ev):
+            ct = ev.scalar_mult(ev.fresh(level=4), 2.0, rescale=False)
+            square = ev.he_square(ct, rescale=False, relinearize=False)
+            return ev.rescale(ev.rescale(square))
+
+        plan = engine.compile(chain, TOY, lint="strict")
+        assert plan.lint_report is None or not plan.lint_report.codes()
+
+    @pytest.mark.parametrize("rescales", [0, 1, 2])
+    def test_he023_a_degree_two_value_read(self, rescales):
+        t, value = self._square()
+        level = 4
+        for _ in range(rescales):
+            value = _add(t, OpKind.RESCALE, [value], level=level,
+                         out_level=level - 1, out_scale=DELTA)
+            level -= 1
+        _add(t, OpKind.HE_ADD, [value, value], level=level)
+        report = lint_trace(t)
+        assert report.codes() == {"HE023": 1}
+        assert "unrelinearized" in report.errors[0].message
+
+    def test_he020_an_unrelinearized_product_names_a_key(self):
+        t, prod = self._square(key="relin")
+        _add(t, OpKind.RESCALE, [prod], level=4, out_level=3,
+             out_scale=DELTA)
+        assert _codes(t) == {"HE020": 1}
+
+
 class TestLiveness:
     def test_he120_dead_op(self):
         t = _trace()

@@ -233,7 +233,7 @@ DECRYPT_PINS = {
     ("pw54", "fresh_l5"):
         "10abcdba9b6654bb945b18bd850cc9e6912a4b0029899ca73e16114a7e942c38",
     ("pw54", "scoring"):
-        "3831462eaee6cd5e13e962482f9e81f158bce5c40c27659466d08a1bef31eb16",
+        "c21555277ad6f65790776622e9c09b8997e289af4444825206556b93712e4c33",
     ("test", "fresh_2_80"):
         "aa7d3394fe185d4cd2972d2e54c97004fb7411c565dcbed918ada8ff04efe7ef",
     ("test", "fresh_complex"):
@@ -257,7 +257,7 @@ DECRYPT_PINS = {
     ("toy", "fresh_l5"):
         "ca02381c37a4a36368c2b35854dd9e6a5422fc7d3b4860833281d14c531f95b3",
     ("toy", "scoring"):
-        "fb1928b02107c3cb492d081b581517646a26c0909aadcdfd080acb314e2941fa",
+        "3b6155affc92576ec71b48a5a13c6ae9c17f0d4c03faefd0fab6d25af00437bc",
 }
 
 

@@ -175,8 +175,10 @@ def _square_then(ct, tail):
 
 
 @pytest.mark.parametrize("case", ["rescaled", "read-twice", "output",
-                                  "fused-by-the-program"])
+                                  "fused-by-the-program", "unrelinearized"])
 def test_replay_fuses_only_a_product_nothing_else_sees(toy, case):
+    """... and that key-switches: an unrelinearized product has no
+    ModDown to fuse, and replays as itself and its rescale."""
     ctx, ct = toy
 
     def read_twice(ev, product):
@@ -191,7 +193,8 @@ def test_replay_fuses_only_a_product_nothing_else_sees(toy, case):
     tails = {"rescaled": lambda ev, product: ev.rescale(product),
              "read-twice": read_twice, "output": output}
     program = (_square_then(ct, tails[case]) if case in tails
-               else lambda ev: ev.he_square(ct))
+               else lambda ev: ev.he_square(
+                   ct, relinearize=case != "unrelinearized"))
     plan = engine.compile(program, context=ctx, name=case)
     fused = fused_rescales(plan.trace)
     # The product is op 1, its rescale op 2 (a fused recording expands
@@ -203,5 +206,6 @@ def test_replay_fuses_only_a_product_nothing_else_sees(toy, case):
         - set(fused)
     assert engine.bit_identical(run.output, program(ctx.evaluator))
     if 1 in run.values:
-        assert engine.bit_identical(
-            run.values[1], ctx.evaluator.he_square(ct, rescale=False))
+        assert engine.bit_identical(run.values[1], ctx.evaluator.he_square(
+            ct, rescale=False, relinearize=case != "unrelinearized"))
+

@@ -395,8 +395,9 @@ class TestKeyBatch:
     time it runs on a context, a function of the id set alone."""
 
     def test_a_plan_draws_its_keys_in_one_batch(self, monkeypatch):
-        """Width-16 scoring at ``toy`` switches keys at level 2 alone:
-        one batch of 7 keys of ``digits_at(2) = 1`` digit over C_2 + P
+        """Width-16 scoring at ``toy`` switches keys at level 2 alone,
+        in its two rotation groups (the square is left unrelinearized):
+        one batch of 6 keys of ``digits_at(2) = 1`` digit over C_2 + P
         (3 + 4 = 7 limbs), one stream per (id, digit) — N Gaussian
         coefficients, then one bounded draw per limb — and one forward
         transform of 7 rows per digit's error; the context's shared
@@ -431,7 +432,7 @@ class TestKeyBatch:
         plan.execute(ctx, sources=[ct])
         warm = rows[:]
         ids, basis, n = sorted(plan.trace.keys_used()), 3 + 4, TOY.ring_degree
-        assert len(ids) == 7 and TOY.num_special_limbs == 4
+        assert len(ids) == 6 and TOY.num_special_limbs == 4
         assert batches == [(ids, 2)]
         assert list(streams) == [(key_id, 0) for key_id in ids]
         for counted in streams.values():

@@ -29,9 +29,9 @@ PRESETS = {"toy": CkksParameters.toy, "pw54": _pw54}
 
 PARENT_DIGESTS = {
     ("scoring", "toy"):
-        "201ee439e656353f64f404d71ef42ddbf1738f6ce4e3b61f6f31d32a3a892db9",
+        "9feaa383c3342665d17bc3137a2b9204cfd4e87b7da39ccc5856ea89cd96cf05",
     ("scoring", "pw54"):
-        "262aab5e5710ea7342236e772cc3c3f1f57f0f3104ac8905e6cb81ca554271d5",
+        "2aeacffdb30935d6b53af63da2978f8585a9288eff6df9fde011d9f1f3186603",
     ("galois_mult", "toy"):
         "ebb27cb80b4d7dfba928a7dfbd619bb719c2e3880e1da0307a82cd54ddb5cb88",
     ("galois_mult", "pw54"):
@@ -43,7 +43,7 @@ def _digest(ciphertexts) -> str:
     sha = hashlib.sha256()
     for ct in ciphertexts:
         sha.update(f"{ct.level}:{ct.scale!r};".encode())
-        for poly in (ct.c0, ct.c1):
+        for poly in ct.components:
             for limb in poly.limbs:
                 sha.update(np.ascontiguousarray(limb, dtype=np.int64)
                            .tobytes())

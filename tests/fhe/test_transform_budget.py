@@ -319,17 +319,21 @@ def test_a_warm_scoring_batch(preset):
 
     * ``encrypt``: n rows, one forward call;
     * the weight product's rescale: 2n rows, one forward + one inverse;
-    * two rotation groups and one relinearization, three key switches
-      at n - 1 limbs: 3(d(n - 1 + k) + 2(k + n - 1)) rows, each d + 1
-      forward and two inverse calls, d ModUp and one ModDown — the
-      square's rescale is its ModDown (one division by P * q_l), whose
-      l = n - 2 rows out per component replace the n - 1 a ModDown
-      sends out and the rescale's n - 1 in and out;
-    * ``decrypt`` at n - 2 limbs: n - 2 rows, one inverse call.
+    * two rotation groups, two key switches at n - 1 limbs:
+      2(d(n - 1 + k) + 2(k + n - 1)) rows, each d + 1 forward and two
+      inverse calls, d ModUp and one ModDown;
+    * the square, left unrelinearized (no key switch), and its rescale
+      of three components at n - 1 limbs: 3(n - 1) rows — each
+      component's dropped row in, its lift out on n - 2 rows — one
+      forward and one inverse call;
+    * ``decrypt`` (with s^2) at n - 2 limbs: n - 2 rows, one inverse
+      call.
 
-    That is (8, 8, 77, 3, 3) at ``toy`` (n = 4) and (8, 8, 64, 3, 3)
+    That is (7, 7, 65, 2, 2) at ``toy`` (n = 4) and (7, 7, 52, 2, 2)
     at ``pw54`` (n = 3) for forward / inverse calls, limb rows, ModUp
-    and ModDown calls; with a ModDown and a rescale per component it was
+    and ModDown calls; with the square relinearized, its rescale fused
+    into its ModDown, it was (8, 8, 77, 3, 3) and (8, 8, 64, 3, 3), and
+    with a ModDown and a rescale per component before that
     (14, 14, 83, 3, 6) and (14, 14, 68, 3, 6).  The count twin of the
     wall-clock hoisting floor in ``benchmarks/test_keyswitch_speedup.py``;
     ``bench --trace 1`` reports the same five numbers per batch plus the
@@ -361,6 +365,6 @@ def test_a_warm_scoring_batch(preset):
     key_switch = d * (n - 1 + k) + 2 * (k + n - 1)
     assert (calls["ntt_forward"], calls["ntt_inverse"], backend.rows - rows,
             calls["mod_up"], calls["mod_down"]) == (
-        1 + 1 + 3 * (d + 1), 1 + 3 * 2 + 1,
-        n + 2 * n + 3 * key_switch + n - 2, 3 * d, 3)
-    assert backend.rows - rows == {"toy": 77, "pw54": 64}[preset]
+        1 + 1 + 2 * (d + 1) + 1, 1 + 2 * 2 + 1 + 1,
+        n + 2 * n + 2 * key_switch + 3 * (n - 1) + n - 2, 2 * d, 2)
+    assert backend.rows - rows == {"toy": 65, "pw54": 52}[preset]
