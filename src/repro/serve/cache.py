@@ -18,8 +18,9 @@ plans per process; this module adds the two service-level caches:
   how many tenants' switching-key sets stay resident; an evicted tenant
   pays keygen again on return.  A tenant holds the keys its plans name,
   each drawn at its plan's highest key-switch level: width-16 scoring
-  holds seven one-digit keys over 7 limbs at ``toy``, 0.77 MiB of int64
-  residues (0.66 MiB at the 54-bit word, 6 limbs), plus its secret.
+  holds six one-digit rotation keys over 7 limbs at ``toy``, 0.66 MiB of
+  int64 residues (0.56 MiB at the 54-bit word, 6 limbs), plus its
+  secret.
 
 What a context needs that does *not* depend on the tenant — the NTT
 tables of its moduli — is not in either cache: :mod:`repro.fhe.ntt`

@@ -44,6 +44,8 @@ class Ntt:
     def __init__(self, q: int, n: int):
         self.q, self.n = q, n
         psi = primitive_nth_root(q, 2 * n)
+        # The root is the code under test's: check it is one of order 2N.
+        assert pow(psi, n, q) == q - 1, (q, n)
         rev = bit_reverse_permutation(n).tolist()
         self.psi_rev = big([pow(psi, e, q) for e in rev])
         self.psi_inv_rev = big([pow(psi, -e, q) for e in rev])

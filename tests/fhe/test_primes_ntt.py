@@ -5,11 +5,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fhe import modmath
+from repro.fhe import CkksParameters, modmath
 from repro.fhe.ntt import (NttContext, bit_reverse, bit_reverse_permutation,
                            negacyclic_convolution_naive)
-from repro.fhe.primes import (find_primitive_root, generate_ntt_primes,
-                              is_prime, primitive_nth_root)
+from repro.fhe.primes import (_factorize, find_primitive_root,
+                              generate_ntt_primes, is_prime,
+                              primitive_nth_root)
+from test_parent_digests import PRESETS
+
+#: Every preset's moduli, ciphertext and special.
+PRESET_MODULI = {
+    name: tuple(params.moduli) + tuple(params.special_moduli)
+    for name, params in (
+        ("toy", CkksParameters.toy()), ("test", CkksParameters.test()),
+        ("boot_test", CkksParameters.boot_test()), ("pw54", PRESETS["pw54"]()),
+        ("paper", CkksParameters.paper()))}
+
+#: psi, the primitive 2N-th root of unity each ``pw54`` modulus's NTT
+#: tables are built from, recorded when the root finder still factored
+#: q - 1 by trial division.
+PW54_PSI = (7862708603817584, 7823349333301925, 2762422508560009,
+            3361898575365940, 8960610004468639, 8129458225417071,
+            1798431904026580, 21601706080539864, 25569428027229755,
+            29180063780949092)
+
+
+def trial_division(n: int) -> set[int]:
+    """The prime factors of ``n``, by dividing by 2, 3, 5, 7, 9, ... while
+    the divisor's square is at most what is left."""
+    factors, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            factors.add(d)
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors.add(n)
+    return factors
+
+
+def prime_below(n: int) -> int:
+    """The largest prime below ``n``, by the trial-division oracle."""
+    n -= 1
+    while trial_division(n) != {n}:
+        n -= 1
+    return n
+
+
+def smallest_generator(q: int) -> int:
+    """The smallest g whose powers g**0 .. g**(q - 2) mod q are all
+    different from 1 but the first: a brute-force primitive root."""
+    for g in range(2, q):
+        powers = np.array([1], dtype=np.int64)
+        while len(powers) < q - 1:
+            powers = np.concatenate(
+                [powers, powers * pow(g, len(powers), q) % q])
+        if np.count_nonzero(powers[:q - 1] == 1) == 1:
+            return g
+    raise AssertionError(f"{q} has no primitive root")
 
 
 class TestPrimes:
@@ -50,6 +103,51 @@ class TestPrimes:
 
     def test_find_primitive_root_small(self):
         assert find_primitive_root(17) == 3
+
+
+class TestRootFinder:
+    """``_factorize`` and ``find_primitive_root`` against oracles that
+    share none of their code."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_MODULI))
+    def test_factors_of_every_preset_modulus_minus_one(self, preset):
+        for q in PRESET_MODULI[preset]:
+            assert _factorize(q - 1) == trial_division(q - 1), q
+
+    def test_factors_of_the_largest_ntt_prime_below_2_to_the_56(self):
+        q, = generate_ntt_primes(1, 56, 1 << 10)
+        assert q.bit_length() == 56
+        assert _factorize(q - 1) == trial_division(q - 1) \
+            == {2, 7, 17, 19609, 15078127}
+
+    def test_factors_of_hard_inputs(self):
+        p = prime_below(1 << 26)
+        r = prime_below(p)
+        mersenne = (1 << 31) - 1
+        assert trial_division(mersenne) == {mersenne}
+        cases = {1: set(), 2: {2}, 4: {2}, mersenne: {mersenne},
+                 p * p: {p}, (1 << 11) * mersenne: {2, mersenne},
+                 p * r: {p, r}, 3 ** 5 * p * p * r: {3, p, r}}
+        for n, factors in cases.items():
+            assert _factorize(n) == factors, n
+        with pytest.raises(ValueError, match="cannot factor 0"):
+            _factorize(0)
+
+    def test_smallest_root_of_every_small_ntt_prime(self):
+        # Every prime below 2**16 a ring of degree 64 or more transforms
+        # over: q = 1 (mod 128).
+        primes = [q for q in range(129, 1 << 16, 128)
+                  if trial_division(q) == {q}]
+        assert len(primes) == 99
+        for q in primes:
+            assert find_primitive_root(q) == smallest_generator(q), q
+
+    def test_pw54_roots_are_pinned(self):
+        n = PRESETS["pw54"]().ring_degree
+        moduli = PRESET_MODULI["pw54"]
+        psi = tuple(primitive_nth_root(q, 2 * n) for q in moduli)
+        assert psi == PW54_PSI
+        assert all(pow(root, n, q) == q - 1 for root, q in zip(psi, moduli))
 
 
 class TestBitReverse:

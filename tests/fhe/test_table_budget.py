@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.fhe import CkksContext, CkksParameters
-from repro.fhe import ntt
+from repro.fhe import ntt, primes
 from repro.fhe.ntt import BatchedNttContext, NttContext, _TableCache
 from repro.serve import TenantKeyCache, clear_serve_caches
 from test_keyswitch import ct_equal
@@ -141,6 +141,32 @@ def test_key_cache_churn_builds_tables_for_the_first_tenant_only(
 def test_dword_key_cache_churn_builds_tables_for_the_first_tenant_only(
         monkeypatch):
     assert_churn_builds_for_the_first_tenant_only(monkeypatch, PW54)
+
+
+def test_a_cold_dword_table_build_factors_in_few_steps(monkeypatch):
+    """Each modulus's tables start from its primitive root, and finding
+    that factors q - 1.  A cold ``pw54`` build factors its ten moduli in
+    542 steps: 120 trial divisions (the twelve small primes, each
+    modulus) and 422 steps of Brent's rho walk.  Trial division alone,
+    the root finder before, tried 1 029 405 divisors for the same ten.
+    """
+    steps, factorizations = [], []
+    step, factorize = primes._rho_step, primes._factorize
+
+    def counting_step(x, c, n):
+        steps.append(n)
+        return step(x, c, n)
+
+    def counting_factorize(n):
+        factorizations.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(primes, "_rho_step", counting_step)
+    monkeypatch.setattr(primes, "_factorize", counting_factorize)
+    drive(context(0, params=PW54))
+    assert sorted(factorizations) == sorted(q - 1 for q in PW54_MODULI)
+    trial = len(factorizations) * len(primes._SMALL_PRIMES)
+    assert trial + len(steps) <= 542
 
 
 def test_clear_serve_caches_makes_the_next_context_cold(monkeypatch):
