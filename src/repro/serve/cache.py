@@ -5,12 +5,12 @@ across requests: plan compilation, NTT tables, and key material dominate
 setup but are query-independent.  The engine already memoizes *symbolic*
 plans per process; this module adds the two service-level caches:
 
-* :func:`shared_plan` — real-mode compiled plans (which
-  ``engine.compile`` deliberately does not memoize, because they embed
-  payloads) keyed by (workload, params, width, artifact), compiled once
-  per process against a service-owned compile context — or loaded from
-  a saved ``.rpa`` artifact (:mod:`repro.artifact`) — and then executed
-  by every worker against every tenant context;
+* :func:`shared_plan` — served plans (which ``engine.compile`` does
+  not memoize, because they embed payloads) keyed by (workload, params,
+  width, artifact), recorded once per process on the symbolic evaluator
+  with a real encoder — no keys, encryption or transforms — or loaded
+  from a saved ``.rpa`` artifact (:mod:`repro.artifact`), and then
+  executed by every worker against every tenant context;
 * :class:`TenantKeyCache` — an LRU of per-tenant
   :class:`~repro.fhe.CkksContext` objects (secret and switching
   keys).  ``max_resident`` is the service-level analogue of the LABS
@@ -101,7 +101,7 @@ class TenantKeyCache:
                     "max_resident": self.max_resident}
 
 
-#: (workload name, params, width, artifact path) -> real-mode plan.
+#: (workload name, params, width, artifact path) -> served plan.
 _PLAN_CACHE: dict = {}
 _PLAN_LOCK = threading.Lock()
 
@@ -129,19 +129,18 @@ def _load_artifact_plan(workload, params: CkksParameters,
 
 def shared_plan(workload, params: CkksParameters,
                 artifact: str | None = None):
-    """The process-wide real-mode plan for one served workload.
+    """The process-wide plan for one served workload.
 
-    Compiled once against a service-owned compile context (tenant id
-    ``"_service"`` key material, never used for user data); the plan is
-    immutable and every worker replays it against per-tenant contexts.
+    Recorded once, symbolically with a real encoder
+    (:meth:`~repro.serve.workloads.ServedWorkload.compile`), it holds
+    payloads and no key; every worker replays it for every tenant.
 
     With ``artifact`` set, the plan is loaded from a saved ``.rpa``
     container (:func:`repro.artifact.load_plan`) instead of compiled —
     the deploy-from-artifact path.  The artifact must carry plaintext
-    payloads (real-mode save), serve this workload at these parameters,
-    and pass the same strict lint a fresh compile does; its header
-    fingerprint is surfaced on
-    :attr:`~repro.serve.metrics.ServeMetrics.plan_fingerprint`.
+    payloads, serve this workload at these parameters, and pass the
+    same strict lint a fresh compile does; its header fingerprint is
+    surfaced on :attr:`~repro.serve.metrics.ServeMetrics.plan_fingerprint`.
     """
     key = (workload.name, params, workload.width, artifact)
     with _PLAN_LOCK:

@@ -17,8 +17,8 @@ Two executors implement the batch-execution seam:
 
 * :class:`RealExecutor` — functional serving at small parameters:
   per-tenant contexts from the shared :class:`TenantKeyCache`, one
-  shared real-mode :class:`~repro.engine.ExecutablePlan`
-  (:func:`~repro.serve.cache.shared_plan`), real encrypt / replay /
+  shared :class:`~repro.engine.ExecutablePlan` carrying plaintext
+  payloads (:func:`~repro.serve.cache.shared_plan`), real encrypt / replay /
   decrypt per batch;
 * :class:`SimulatedExecutor` — throughput modeling at paper parameters:
   the batch "costs" the plan's simulated cycles under a GME feature set

@@ -18,19 +18,17 @@ scenarios, exercising plaintext multiply, rotations, and key switching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro import engine
-from repro.fhe import CkksContext
+from repro.fhe.encoder import CkksEncoder
 from repro.fhe.noise import result_headroom
 from repro.fhe.packing import SlotLayout
 from repro.fhe.params import CkksParameters
-from repro.trace import SymbolicEvaluator
-
-from .cache import tenant_seed
+from repro.trace import SymbolicEvaluator, TracingEvaluator
 
 #: A served program: ``program(ev, source_ct) -> result_ct``.
 ServedProgram = Callable
@@ -60,7 +58,6 @@ class ServedWorkload:
     width: int
     build_program: Callable[[SlotLayout], ServedProgram]
     result_slots: int = 1
-    compile_kwargs: dict = field(default_factory=dict)
     input_bound: float | None = None
     result_bound: float | None = None
 
@@ -88,13 +85,13 @@ class ServedWorkload:
         return params.max_level
 
     def compile(self, params: CkksParameters) -> engine.ExecutablePlan:
-        """Real-mode compile at :meth:`entry_level`, strictly linted.
+        """The plan recorded at :meth:`entry_level`, strictly linted.
 
-        The compile context's key material (tenant id ``"_service"``)
-        only ever sees the all-zeros sample ciphertext used to record
-        the trace; per-tenant execution replays the plan against each
-        tenant's own keys (``ExecutablePlan.execute`` is key-agnostic —
-        recorded payloads are plaintexts).
+        Recording runs nothing: the program is traced on the shape-only
+        :class:`~repro.trace.SymbolicEvaluator` with a real encoder, so
+        the payloads are real plaintexts and no key, encryption or
+        transform is made.  Every tenant replays the plan against its
+        own keys (``ExecutablePlan.execute`` is key-agnostic).
         """
         plan = self._compile_at(params, self.entry_level(params))
         # Serve plans are replayed for many tenants per batch, so a
@@ -105,19 +102,15 @@ class ServedWorkload:
 
     def _compile_at(self, params: CkksParameters,
                     level: int) -> engine.ExecutablePlan:
-        """The plan traced from a sample encrypted at ``level``, with
-        the annotations the deploy lint reads."""
-        ctx = CkksContext(params, seed=tenant_seed("_service"),
-                          **self.compile_kwargs)
+        """The plan recorded from a source at ``level``, with the
+        annotations the deploy lint reads."""
         layout = self.layout(params)
-        sample = ctx.encrypt(np.zeros(params.num_slots), level=level)
-        body = self.build_program(layout)
-
-        def program(ev):
-            return body(ev, sample)
-
-        plan = engine.compile(program, context=ctx,
-                              name=f"serve/{self.name}")
+        name = f"serve/{self.name}"
+        ev = TracingEvaluator(SymbolicEvaluator(
+            params, encoder=CkksEncoder(params)), name=name)
+        result = self.build_program(layout)(ev, ev.fresh(level))
+        ev.trace.output_op_id = ev.producer_of(result)
+        plan = engine.compile(ev.trace, name=name)
         self._annotate(plan, layout)
         return plan
 

@@ -10,6 +10,10 @@ scales, binary ops align to the lower operand level), which is what the
 trace recorder and the BlockSim lowering need; slot values are never
 computed.
 
+Given a real ``encoder``, a recorder keeps payloads a real context
+replays bit-identically, with no key, encryption or transform made:
+how a served plan is compiled.
+
 Two extra ops exist only symbolically:
 
 * :meth:`SymbolicEvaluator.mod_raise` — the bootstrap entry lift
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.fhe.ciphertext import require_relinearized
+from repro.fhe.encoder import CkksEncoder
 from repro.fhe.params import CkksParameters
 
 from .ir import OpKind
@@ -60,11 +65,13 @@ class SymbolicPlaintext:
 class SymbolicEvaluator:
     """Level/scale-faithful evaluator over :class:`SymbolicCiphertext`."""
 
-    def __init__(self, params: CkksParameters) -> None:
+    def __init__(self, params: CkksParameters,
+                 encoder: CkksEncoder | None = None) -> None:
         self.params = params
-        #: The encoder surface served programs call
-        #: (``ev.encoder.encode(values, scale)``).
-        self.encoder = self
+        #: The encoder programs call (``ev.encoder.encode(values,
+        #: scale)``): this evaluator's scale-only one, or a real one.
+        self.encoder: CkksEncoder | SymbolicEvaluator = \
+            self if encoder is None else encoder
 
     # -- handle construction ----------------------------------------------
 

@@ -401,12 +401,19 @@ class TestKeyBatch:
         (3 + 4 = 7 limbs), one stream per (id, digit) — N Gaussian
         coefficients, then one bounded draw per limb — and one forward
         transform of 7 rows per digit's error; the context's shared
-        generator draws nothing, and a second execute draws nothing."""
+        generator draws nothing, and a second execute draws nothing.
+
+        The plan is recorded without running (``ServedWorkload.compile``
+        traces symbolically), so its one payload is first prepared by
+        the first execute in the process: one more forward transform,
+        of the entry level's 3 + 1 = 4 rows.  A second context's first
+        execute adds only its own six key transforms: a payload is
+        prepared once per process, keys once per tenant."""
         from repro.serve.workloads import scoring_workload
 
         plan = scoring_workload(16).compile(TOY)
-        ctx = CkksContext(TOY, seed=23)
-        ct = ctx.encrypt([0.5] * 16)
+        ctx, other = CkksContext(TOY, seed=23), CkksContext(TOY, seed=29)
+        ct, other_ct = ctx.encrypt([0.5] * 16), other.encrypt([0.5] * 16)
         batches = _drawn_batches(monkeypatch)
         rng = ctx.keygen.context.rng = _CountingRng(ctx.keygen.context.rng)
         streams: dict[tuple[str, int], _CountingRng] = {}
@@ -418,19 +425,23 @@ class TestKeyBatch:
             return counted
 
         monkeypatch.setattr(keys.KeyGenerator, "_stream", counting_stream)
-        backend = ctx.keygen.context.backend
-        forward = backend.ntt_forward
         rows: list[int] = []
 
-        def counting_forward(data, moduli):
-            rows.append(len(moduli))
-            return forward(data, moduli)
+        def count_forward(backend):
+            forward = backend.ntt_forward
 
-        monkeypatch.setattr(backend, "ntt_forward", counting_forward)
+            def counting_forward(data, moduli):
+                rows.append(len(moduli))
+                return forward(data, moduli)
+
+            monkeypatch.setattr(backend, "ntt_forward", counting_forward)
+
+        count_forward(ctx.keygen.context.backend)
+        count_forward(other.keygen.context.backend)
         plan.execute(ctx, sources=[ct])
         cold, rows[:] = rows[:], []
         plan.execute(ctx, sources=[ct])
-        warm = rows[:]
+        warm, rows[:] = rows[:], []
         ids, basis, n = sorted(plan.trace.keys_used()), 3 + 4, TOY.ring_degree
         assert len(ids) == 6 and TOY.num_special_limbs == 4
         assert batches == [(ids, 2)]
@@ -438,7 +449,11 @@ class TestKeyBatch:
         for counted in streams.values():
             assert counted.calls == [("normal", n)] + [("integers", n)] * basis
         assert rng.calls == []
-        assert sorted(cold) == sorted(warm + [basis] * len(ids))
+        assert plan.entry_level == 3 and len(plan.trace.payloads) == 1
+        assert sorted(cold) == sorted(warm + [basis] * len(ids) + [3 + 1])
+        plan.execute(other, sources=[other_ct])
+        assert batches == [(ids, 2)] * 2
+        assert sorted(rows) == sorted(warm + [basis] * len(ids))
 
     def test_keys_are_a_function_of_the_id_set(self):
         """Order, repeats and a rotation's representative do not move a

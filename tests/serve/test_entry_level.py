@@ -1,7 +1,7 @@
 """A served plan enters at the lowest level its declared result needs.
 
 ``ServedWorkload.entry_level`` searches the levels on the symbolic
-evaluator; the plan is compiled once, from a sample encrypted there,
+evaluator; the plan is recorded once, from a source at that level,
 with the declared ``result_bound`` stamped on its output op, where the
 deploy lint (``HE031``) holds it.  Admission refuses a query outside the
 declared ``input_bound`` before it can join a batch.

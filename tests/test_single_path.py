@@ -20,7 +20,8 @@ decision about a hoist: ``galois_groups`` over the data flow, with no
 hoist op, handle, group number, flag, pass or lint code beside it.  One
 record of a rescale: the recorder writes a ``rescale=True`` call as its
 product and its ``RESCALE``, and no pass rewrites a trace before
-lowering.
+lowering.  One served compile: a recording on the symbolic evaluator
+with a real encoder, and no service context to run it on.
 Each case pins the absence of the fork it names.
 """
 
@@ -706,3 +707,21 @@ def test_a_single_key_is_a_batch_of_one(monkeypatch):
     keygen.rotation_key(5, 3)
     keygen.conjugation_key(2)
     assert asked == [(["relin"], None), (["rot-5"], 3), (["conj"], 2)]
+
+
+# -- one served compile -------------------------------------------------------
+
+def test_a_served_plan_is_recorded_on_no_service_context():
+    """A served workload compiles by recording its program symbolically
+    (``ServedWorkload._compile_at``): it takes no options for a compile
+    context, and nothing under ``repro/serve/`` names the ``"_service"``
+    tenant whose context the compile once ran on."""
+    from repro.serve.workloads import ServedWorkload
+
+    fields = {field.name for field in dataclasses.fields(ServedWorkload)}
+    assert "compile_kwargs" not in fields
+    root = SRC / "repro" / "serve"
+    offenders = [path.name for path in sorted(root.rglob("*.py"))
+                 if re.search(r"[\"']_service[\"']",
+                              path.read_text(encoding="utf-8"))]
+    assert not offenders, offenders
