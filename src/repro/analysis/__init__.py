@@ -18,7 +18,7 @@ table).  Three front doors:
 """
 
 from .checks import (check_headroom, check_keys, check_levels,
-                     check_liveness, check_relinearization, check_scales,
+                     check_liveness, check_preconditions, check_scales,
                      check_structure, check_windows, lint_trace,
                      lint_traces)
 from .diagnostics import (CODES, Diagnostic, DiagnosticReport, LintError,
@@ -37,7 +37,7 @@ __all__ = [
     "check_keys",
     "check_levels",
     "check_liveness",
-    "check_relinearization",
+    "check_preconditions",
     "check_scales",
     "check_structure",
     "check_windows",

@@ -17,26 +17,17 @@ skipped rather than crash on dangling references.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.fhe.noise import NOISE_FLOOR_LOG2, result_headroom
 from repro.fhe.params import CkksParameters
 from repro.trace.ir import OpKind, OpTrace, TraceOp
-from repro.trace.ops import (MAX_SCALE, OPS, expected_out_level, key_id,
+from repro.trace.ops import (OPS, RESCALE_DRIFT_TOLERANCE_LOG2, Refusal,
+                             check, expected_out_level, handle_flags, key_id,
                              structural_problems, switches_key)
+from repro.trace.symbolic import SymbolicCiphertext, SymbolicPlaintext
 
 from .diagnostics import Diagnostic, DiagnosticReport, make
-
-#: Additions tolerate this much log2-scale mismatch between operands
-#: before HE011 fires.  Rescale drift at 30-bit toy moduli is ~1 bit per
-#: level; 8 bits of headroom keeps every catalog workload clean while a
-#: genuinely missing rescale (a full Delta of mismatch) still trips.
-ADD_SCALE_TOLERANCE_LOG2 = 8.0
-
-#: HE110 fires when a rescale output's scale drifts from Delta by more
-#: than this many bits.  Chained toy-modulus rescales drift ~1 bit each;
-#: 4 bits flags only sustained one-directional drift.
-RESCALE_DRIFT_TOLERANCE_LOG2 = 4.0
 
 #: What a key-switch op with a fixed key id is called in HE020.
 _FIXED_KEY_WORDS = {"relin": ("multiply", "products"),
@@ -52,6 +43,36 @@ def _log2_scale(op: TraceOp) -> float | None:
     if op.out_scale and op.out_scale > 0:
         return math.log2(op.out_scale)
     return None
+
+
+def _replay(trace: OpTrace) -> tuple[list[SymbolicCiphertext],
+                                     list[Diagnostic]]:
+    """Each op's result handle, rebuilt from the recorded rows as the
+    symbolic evaluator makes it, and each op's refusal by
+    :func:`~repro.trace.ops.check`, as the evaluators refuse the call
+    the op records.  A missing payload stands in at its ciphertext's
+    scale; a ``rescale=True`` call is recorded as its own RESCALE."""
+    handles: list[SymbolicCiphertext] = []
+    refusals: list[Diagnostic] = []
+    params = trace.params
+    for op in trace.ops:
+        spec, meta = OPS[op.kind], op.meta
+        cts = [handles[i] for i in op.inputs]
+        operands = [meta[name] for name in spec.meta_args]
+        if spec.payload:
+            pt = trace.payloads.get(op.op_id)
+            operands.append(SymbolicPlaintext(cts[0].scale) if pt is None
+                            else pt)
+        rescale = False if meta.get("rescaled") is False else None
+        try:
+            check(spec, cts, operands, params, rescale)
+        except Refusal as refusal:
+            refusals.append(make(refusal.code, str(refusal), op))
+        handles.append(SymbolicCiphertext(
+            op.out_level, op.out_scale, *handle_flags(
+                spec, cts, rescale, meta.get("relinearized") is not False,
+                op.out_scale, params)))
+    return handles, refusals
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +112,6 @@ def check_levels(trace: OpTrace) -> list[Diagnostic]:
                 "0; the modulus chain is exhausted before the program "
                 "ends", op))
             continue
-        if op.kind is OpKind.RESCALE and op.level == 0:
-            findings.append(make(
-                "HE001", "rescale at level 0 has no limb left to drop",
-                op))
-            continue
         # operating level must match the aligned operand levels
         if op.inputs and op.kind is not OpKind.REFRESH:
             operand_level = min(trace.op(i).out_level for i in op.inputs)
@@ -116,39 +132,34 @@ def check_levels(trace: OpTrace) -> list[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# scale management (HE010/HE011/HE110) and noise floor (HE030)
+# scale management (HE010/HE110) and noise floor (HE030)
 
 def check_scales(trace: OpTrace) -> list[Diagnostic]:
-    """Abstract-interpret the scale; flag overflow, mismatch, drift.
+    """Abstract-interpret the scale; flag overflow, noise floor, drift.
 
     A program that passes ``rescale=False`` at an evaluator surface
     offering a fused rescale has *declared* manual scale management at
     that op (the catalog's shape-only workload programs do this
     throughout — their symbolic scales model op counts, not numerics).
-    The checker honors the declaration: the op's value is marked
-    unmanaged and scale findings are suppressed along its data flow
-    until a rescale or refresh lands the scale back within drift
-    tolerance of Delta.  Ops that simply *omit* a rescale — no
-    declaration recorded — are checked in full, which is exactly the
-    missing-rescale defect HE010 exists for.
+    The checker honors the declaration: scale findings are suppressed
+    along the value's data flow (the handle's ``manual_scale``,
+    :func:`~repro.trace.ops.handle_flags`) until a rescale or refresh
+    lands the scale back within drift tolerance of Delta.  Ops that
+    simply *omit* a rescale — no declaration recorded — are checked in
+    full, which is exactly the missing-rescale defect HE010 exists for.
     """
+    return _scale_findings(trace, _replay(trace)[0])
+
+
+def _scale_findings(trace: OpTrace, handles: list[SymbolicCiphertext]
+                    ) -> list[Diagnostic]:
     findings: list[Diagnostic] = []
     params = trace.params
     scale_bits = float(params.scale_bits)
-    unmanaged: set[int] = set()
-    for op in trace.ops:
-        log_scale = _log2_scale(op)
-        tainted = any(i in unmanaged for i in op.inputs)
-        if (tainted and op.kind in (OpKind.RESCALE, OpKind.REFRESH)
-                and log_scale is not None
-                and abs(log_scale - scale_bits)
-                <= RESCALE_DRIFT_TOLERANCE_LOG2):
-            tainted = False  # scale is back under management
-        if op.meta.get("rescaled") is False:
-            tainted = True  # declared rescale opt-out
-        if tainted:
-            unmanaged.add(op.op_id)
+    for op, handle in zip(trace.ops, handles):
+        if handle.manual_scale:
             continue
+        log_scale = _log2_scale(op)
         if log_scale is None:
             continue  # scale-free op (bootstrap plumbing, untracked)
         if not 0 <= op.out_level <= params.max_level:
@@ -166,19 +177,6 @@ def check_scales(trace: OpTrace) -> list[Diagnostic]:
                 f"2^{NOISE_FLOOR_LOG2:.0f} noise floor; the message is "
                 "lost in rescale rounding noise", op))
             continue
-        if OPS[op.kind].scale is MAX_SCALE:
-            in_scales = [s for s in (_log2_scale(trace.op(i))
-                                     for i in op.inputs)
-                         if s is not None]
-            if len(in_scales) == 2:
-                lo, hi = sorted(in_scales)
-                if hi - lo > ADD_SCALE_TOLERANCE_LOG2:
-                    findings.append(make(
-                        "HE011", f"operand scales 2^{lo:.1f} and "
-                        f"2^{hi:.1f} differ by {hi - lo:.1f} bits "
-                        f"(tolerance {ADD_SCALE_TOLERANCE_LOG2:.0f})",
-                        op))
-                    continue
         if (op.kind is OpKind.RESCALE
                 and abs(log_scale - scale_bits)
                 > RESCALE_DRIFT_TOLERANCE_LOG2):
@@ -301,27 +299,13 @@ def _check_ks_shape(op: TraceOp, params: CkksParameters
 
 
 # ---------------------------------------------------------------------------
-# unrelinearized products (HE023)
+# the evaluators' refusals (HE001/HE011/HE020/HE023)
 
-def check_relinearization(trace: OpTrace) -> list[Diagnostic]:
-    """HE023: a product left unrelinearized (``meta["relinearized"] =
-    False``) is a degree-2 ciphertext, and so is every rescale of one;
-    like the evaluators, only ``rescale`` (and decryption) takes such a
-    value."""
-    findings: list[Diagnostic] = []
-    degree_two: set[int] = set()
-    for op in trace.ops:
-        read = next((i for i in op.inputs if i in degree_two), None)
-        if read is not None and op.kind is not OpKind.RESCALE:
-            findings.append(make(
-                "HE023", f"reads op {read}, a product left unrelinearized "
-                "or a rescale of one; only rescale and decryption take "
-                "it", op))
-        spec = OPS[op.kind]
-        if (read is not None and op.kind is OpKind.RESCALE) or (
-                spec.relinearize and not switches_key(spec, op.meta)):
-            degree_two.add(op.op_id)
-    return findings
+def check_preconditions(trace: OpTrace) -> list[Diagnostic]:
+    """Each op's call, refused where the evaluators refuse it
+    (:func:`repro.trace.ops.check`), under the refusal's code and with
+    the evaluator's message: a plan that passes runs these ops."""
+    return _replay(trace)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +389,6 @@ def check_windows(trace: OpTrace) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # the composed linter
 
-#: The default check suite, in report order.
-Check = Callable[[OpTrace], list[Diagnostic]]
-
-
 def lint_trace(trace: OpTrace, *, normalized: bool = False,
                available_keys: Iterable[str] | None = None,
                name: str | None = None) -> DiagnosticReport:
@@ -426,13 +406,16 @@ def lint_trace(trace: OpTrace, *, normalized: bool = False,
         # dangling references make data-flow checks unsafe
         return report
 
-    report.extend(check_levels(trace))
-    report.extend(check_scales(trace))
-    report.extend(check_headroom(trace))
-    report.extend(check_keys(trace, available_keys))
-    report.extend(check_relinearization(trace))
-    report.extend(check_liveness(trace))
-    report.extend(check_windows(trace))
+    # A refused op never ran: its refusal is all there is to say of it.
+    handles, refusals = _replay(trace)
+    refused = {finding.op_id for finding in refusals}
+    report.extend(refusals)
+    for findings in (check_levels(trace), _scale_findings(trace, handles),
+                     check_headroom(trace),
+                     check_keys(trace, available_keys),
+                     check_liveness(trace), check_windows(trace)):
+        report.extend(finding for finding in findings
+                      if finding.op_id not in refused)
     return report
 
 

@@ -54,8 +54,9 @@ def _info(code: str, severity: Severity, title: str,
 CODES: dict[str, CodeInfo] = dict([
     _info("HE001", Severity.ERROR, "level underflow",
           "An op consumes a level that does not exist: a rescale or "
-          "fused-rescale multiply at level 0, or a recorded level below "
-          "0.  The program runs out of modulus before it ends."),
+          "fused-rescale multiply at level 0, a mod_drop below 0, or a "
+          "recorded level below 0.  The program runs out of modulus "
+          "before it ends."),
     _info("HE002", Severity.ERROR, "level inconsistency",
           "An op's operating or output level disagrees with its inputs "
           "or its kind's level rule (rescale drops exactly one level, "
@@ -69,13 +70,15 @@ CODES: dict[str, CodeInfo] = dict([
           "message wraps around Q and decryption is garbage.  A rescale "
           "is missing upstream."),
     _info("HE011", Severity.ERROR, "operand scale mismatch",
-          "An addition/subtraction combines ciphertexts whose scales "
-          "differ by far more than rescale drift; the smaller operand "
-          "is effectively multiplied by a large constant."),
+          "An addition/subtraction (or poly_add's plaintext) pairs "
+          "scales more than the evaluators' SCALE_TOLERANCE apart, "
+          "outside a declared rescale=False region; the evaluators "
+          "refuse it."),
     _info("HE020", Severity.ERROR, "switching key unavailable",
           "A key-switch op names a key no keygen for these parameters "
           "would hold: a malformed key id, a rotation amount outside "
-          "[1, num_slots), a key id disagreeing with the recorded "
+          "[1, num_slots), a rotate_add with no amount, a key id "
+          "disagreeing with the recorded "
           "rotation amount(s) of a rotation or rotation group, or a key "
           "missing from an explicitly provided available-key set."),
     _info("HE021", Severity.ERROR, "key-switch shape mismatch",

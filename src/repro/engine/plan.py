@@ -460,9 +460,9 @@ class ExecutablePlan:
         if value not in raised:
             raised[value] = ev._hoist(args[0])
         hoisted = raised.pop(value) if op.op_id == last else raised[value]
-        if op.kind is OpKind.CONJUGATE:
-            return ev._conjugate_hoisted(hoisted)
-        return ev._rotate_hoisted(hoisted, *args[1:])
+        # A conjugation is the Galois op with no rotation amount.
+        return ev._galois(hoisted.ct, args[1] if len(args) > 1 else None,
+                          hoisted)
 
 
 # ---------------------------------------------------------------------------

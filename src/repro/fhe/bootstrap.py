@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ciphertext import Ciphertext, require_relinearized
+from repro.trace.ops import require_relinearized
+
+from .ciphertext import Ciphertext
 from .encoder import CkksEncoder
 from .evaluator import CkksEvaluator
 from .keys import KeyGenerator

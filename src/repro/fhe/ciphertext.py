@@ -18,8 +18,8 @@ class Ciphertext:
 
     ``c2`` is set only on the degree-2 product an unrelinearized
     ``he_mult`` / ``he_square`` returns: m ~ c0 + c1*s + c2*s^2.  It
-    can be rescaled and decrypted, and every other evaluator op refuses
-    it.
+    can be rescaled and decrypted; every other op refuses it
+    (:func:`repro.trace.ops.require_relinearized`, HE023).
     """
 
     c0: Polynomial
@@ -53,13 +53,3 @@ class Ciphertext:
         log_scale = math.log2(self.scale) if self.scale > 0 else float("-inf")
         return f"Ciphertext(level={self.level}, scale=2^{log_scale:.2f})"
 
-
-def require_relinearized(op: str | None, *cts) -> None:
-    """Refuse a degree-2 ciphertext at ``op``: only rescale and
-    decryption read one.  Any handle with ``relinearized`` will do, the
-    symbolic evaluator's too."""
-    if not all(ct.relinearized for ct in cts):
-        raise ValueError(
-            f"{op} takes a relinearized ciphertext; this one is a product "
-            "made with relinearize=False, which can only be rescaled and "
-            "decrypted")

@@ -356,8 +356,6 @@ def mod_down_polys(polys: Sequence[Polynomial], ksctx: KeySwitchContext,
     context = polys[0].context
     moduli = ksctx.ct_moduli
     if plus is not None:
-        if not ksctx.level:
-            raise ValueError("cannot rescale at level 0")
         moduli = moduli[:-1]
         plus = [poly.data for poly in plus]
     data = context.backend.mod_down([poly.data for poly in polys], ksctx,

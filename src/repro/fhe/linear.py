@@ -17,7 +17,9 @@ import math
 
 import numpy as np
 
-from .ciphertext import Ciphertext, require_relinearized
+from repro.trace.ops import require_relinearized
+
+from .ciphertext import Ciphertext
 from .encoder import Plaintext
 from .evaluator import CkksEvaluator
 from .poly import Polynomial

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 
-from .ciphertext import Ciphertext, require_relinearized
+from repro.trace.ops import require_relinearized
+
+from .ciphertext import Ciphertext
 from .evaluator import CkksEvaluator
 
 #: Coefficients below this magnitude are skipped entirely.
@@ -37,8 +39,6 @@ def match_scale_level(evaluator: CkksEvaluator, ct: Ciphertext,
         ct = evaluator.mod_drop(ct, ct.level - floor)
     if not needs_adjust:
         return ct
-    if ct.level == 0:
-        raise ValueError("cannot adjust scale at level 0")
     q_next = evaluator.params.moduli[ct.level]
     adjust_scale = scale * q_next / ct.scale
     one = int(round(adjust_scale))

@@ -10,11 +10,11 @@ See README.md in this directory for the architecture.  Quick use::
     graph = lower_trace(ev.trace)              # BlockSim-ready DAG
 """
 
-from .invariants import (KEYSWITCH_BLOCKS, assert_workload_dag,
-                         dag_violations)
+from .invariants import (KEYSWITCH_BLOCKS, TraceValidationError,
+                         assert_workload_dag, dag_violations,
+                         validate_trace)
 from .ir import OpKind, OpTrace, TraceOp
 from .lowering import lower_trace
-from .passes import TraceValidationError, validate_trace
 from .recorder import TracingEvaluator
 from .symbolic import (SymbolicCiphertext, SymbolicEvaluator,
                        SymbolicPlaintext)

@@ -1,10 +1,15 @@
-"""Structural invariants every BlockSim workload DAG must satisfy.
+"""Structural invariants of a recorded trace and of its lowered DAG.
 
-Checked on every compiled or loaded plan and by the lowering tests:
-:func:`dag_violations` returns the list of structural problems (empty =
-healthy), and :func:`assert_workload_dag` raises with the full list.
+The engine (:mod:`repro.engine`) compiles a program as record ->
+:func:`validate_trace` -> lower -> :func:`assert_workload_dag`; nothing
+rewrites a trace in between.  :func:`validate_trace` holds the op stream
+to its rows of the op table (:mod:`repro.trace.ops`): dense, ordered
+ids, inputs that reference earlier ops, levels in range, every op with
+the input count, key and output level its row prescribes.
 
-Invariants:
+:func:`dag_violations` returns the list of structural problems of a
+workload DAG (empty = healthy), and :func:`assert_workload_dag` raises
+with the full list.  DAG invariants:
 
 * the graph is a DAG and every node carries a ``BlockInstance``;
 * every edge carries positive ``bytes``;
@@ -25,6 +30,10 @@ from __future__ import annotations
 from repro.blocksim.blocks import BlockInstance, BlockType
 from repro.dag import DiGraph, is_directed_acyclic_graph
 from repro.fhe.params import CkksParameters
+
+from .ir import OpTrace
+from .ops import (OPS, expected_out_level, structural_problems,
+                  switches_key)
 
 #: Block types that perform a key switch.
 KEYSWITCH_BLOCKS = frozenset({BlockType.HE_MULT, BlockType.HE_ROTATE})
@@ -81,9 +90,47 @@ def assert_workload_dag(graph: DiGraph,
         graph, params=params,
         require_keyswitch_meta=require_keyswitch_meta)
     if problems:
-        summary = "\n  ".join(problems[:20])
-        more = f"\n  ... {len(problems) - 20} more" \
-            if len(problems) > 20 else ""
-        raise AssertionError(
-            f"{len(problems)} DAG invariant violations:\n  "
-            f"{summary}{more}")
+        raise AssertionError(_summary(problems, "DAG"))
+
+
+class TraceValidationError(ValueError):
+    """A recorded trace violates a structural invariant."""
+
+
+def validate_trace(trace: OpTrace) -> OpTrace:
+    """Check trace-level invariants; returns the trace unchanged.
+
+    Raises :class:`TraceValidationError` listing every violation.
+    """
+    problems: list[str] = []
+    max_level = trace.params.max_level
+    for position, op in enumerate(trace.ops):
+        where = f"op {op.op_id} ({op.kind.value})"
+        malformed = structural_problems(op, position)
+        problems += [f"{where}: {problem}" for problem in malformed]
+        for label, level in (("level", op.level),
+                             ("out_level", op.out_level)):
+            if not 0 <= level <= max_level:
+                problems.append(f"{where}: {label} {level} outside "
+                                f"[0, {max_level}]")
+        spec = OPS[op.kind]
+        if switches_key(spec, op.meta) and not op.key:
+            problems.append(f"{where}: key-switch op without a key id")
+        if malformed:
+            continue    # the level rule may read what is missing
+        expected = expected_out_level(spec, op.level, op.meta, max_level)
+        if expected is not None and op.out_level != expected:
+            step = "one level" if expected == op.level - 1 \
+                else f"level {expected}"
+            problems.append(f"{where}: {op.kind.value} {op.level} -> "
+                            f"{op.out_level} is not {step}")
+    if problems:
+        raise TraceValidationError(_summary(problems, "trace"))
+    return trace
+
+
+def _summary(problems: list[str], what: str) -> str:
+    more = f"\n  ... {len(problems) - 20} more" if len(problems) > 20 \
+        else ""
+    return (f"{len(problems)} {what} invariant violations:\n  "
+            + "\n  ".join(problems[:20]) + more)

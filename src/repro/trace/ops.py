@@ -3,16 +3,18 @@
 :data:`OPS` holds one :class:`OpSpec` per kind — the evaluator method
 that applies it, its ciphertext arity, where its plaintext operand
 lives, its switching key, its level and scale rules, the BlockSim block
-it lowers to.  The recorder, the symbolic evaluator, replay
+it lowers to.  The recorder, both evaluators, replay
 (:meth:`repro.engine.ExecutablePlan.execute`), lowering, the
 ``validate_trace`` pass and the linter read this table and the rule
 functions below; none of them restates a per-kind fact.  ``README.md``
-in this directory carries :func:`render_table`'s output.
+in this directory carries :func:`render_table`'s output.  :func:`check`
+is the one precondition: both evaluators and the linter refuse by it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+import math
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -200,7 +202,7 @@ def structural_problems(op: TraceOp, position: int) -> list[str]:
     """What makes the op at ``position`` unreadable to every data-flow
     check and to its own replay: an id out of sequence, a dangling
     input, a wrong input count, a missing ``meta_args`` key, a group
-    that is not a non-empty list."""
+    that is not a list (what its amounts may be is :func:`check`'s)."""
     spec = OPS[op.kind]
     problems = []
     if op.op_id != position:
@@ -216,10 +218,9 @@ def structural_problems(op: TraceOp, position: int) -> list[str]:
     for key in spec.meta_args:
         if key not in op.meta:
             problems.append(f"{op.kind.value} op carries no meta[{key!r}]")
-    if spec.group in op.meta and not (
-            isinstance(op.meta[spec.group], list) and op.meta[spec.group]):
+    if spec.group in op.meta and not isinstance(op.meta[spec.group], list):
         problems.append(f"{op.kind.value} op's meta[{spec.group!r}] is "
-                        "not a non-empty list")
+                        "not a list")
     return problems
 
 
@@ -267,21 +268,107 @@ def fused_rescales(trace: OpTrace) -> dict[int, int]:
     return fused
 
 
+# -- the one precondition ----------------------------------------------------
+
+#: Relative scale mismatch an addition tolerates: above the ~2^-29 error
+#: of a mult-by-one scale adjustment rounded near q ~ 2^30.
+SCALE_TOLERANCE = 1e-7
+#: A declared ``rescale=False`` region ends where a rescale or refresh
+#: lands within this many bits of Delta (toy rescales drift ~1 bit each).
+RESCALE_DRIFT_TOLERANCE_LOG2 = 4.0
+#: The kinds the rules below name, bound once: an ``OpKind.X`` lookup
+#: takes ~0.1 us, and the rules run on every op.
+_RESCALE, _REFRESH, _MOD_DROP, _POLY_ADD = (
+    OpKind.RESCALE, OpKind.REFRESH, OpKind.MOD_DROP, OpKind.POLY_ADD)
+
+
+class Refusal(ValueError):
+    """A refused call, with the lint code that reports it."""
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def require_relinearized(name: str | None, *cts: Any) -> None:
+    """HE023: only rescale and decryption read a degree-2 ciphertext."""
+    if not all(ct.relinearized for ct in cts):
+        raise Refusal(
+            "HE023", f"{name} takes a relinearized ciphertext; this one is "
+            "a product made with relinearize=False, which can only be "
+            "rescaled and decrypted")
+
+
+def check(spec: OpSpec, cts: Sequence[Any], operands: Sequence[Any],
+          params: CkksParameters, rescale: bool | None) -> None:
+    """Refuse a call of ``spec``'s row before any work, raising a
+    :class:`Refusal` under its code: HE023 an operand not relinearized
+    (any row but ``RESCALE``); HE001 a rescale, fused or not, at level 0,
+    or a ``mod_drop`` below it; HE011 additive scales (``poly_add``'s
+    plaintext too) more than :data:`SCALE_TOLERANCE` apart outside a
+    declared region (which no real ciphertext is in); HE020
+    ``rotate_add`` amounts empty or zero mod ``num_slots``."""
+    kind, level = spec.kind, cts[0].level if cts else 0
+    for ct in cts:
+        if not ct.relinearized and kind is not _RESCALE:
+            require_relinearized(spec.method or kind.value, ct)
+        level = min(level, ct.level)
+    if (rescale or kind is _RESCALE) and level <= 0:
+        raise Refusal("HE001", "cannot rescale at level 0")
+    if kind is _MOD_DROP and level - operands[0] < 0:
+        raise Refusal("HE001", "cannot drop below level 0")
+    if spec.scale is MAX_SCALE or kind is _POLY_ADD:
+        first = cts[0].scale
+        second = (operands[0] if spec.payload else cts[1]).scale
+        if abs(first - second) > SCALE_TOLERANCE * max(first, second) \
+                and not any(getattr(ct, "manual_scale", False)
+                            for ct in cts):
+            raise Refusal("HE011", f"scale mismatch: {first:.6g} vs "
+                          f"{second:.6g}; rescale or re-encode first")
+    if spec.group is not None:
+        amounts = [r % params.num_slots for r in operands[0]]
+        if not amounts or 0 in amounts:
+            raise Refusal(
+                "HE020", f"{spec.method} takes rotation amounts that are "
+                f"non-zero mod {params.num_slots}, got {amounts} after "
+                "reduction")
+
+
+def handle_flags(spec: OpSpec, cts: Sequence[Any], rescale: bool | None,
+                 relinearize: bool, scale: float, params: CkksParameters
+                 ) -> tuple[bool, bool]:
+    """``(relinearized, manual_scale)`` of what a call of ``spec`` makes
+    from ``cts`` at ``scale``, as symbolic handles carry it and the
+    linter rebuilds it: a ``relinearize=False`` product and its rescales
+    are degree 2; ``rescale=False`` declares a region, which ends where
+    a rescale or refresh lands within the drift tolerance of Delta."""
+    relinearized = cts[0].relinearized if spec.kind is _RESCALE \
+        else relinearize or not spec.relinearize
+    if rescale is False:
+        return relinearized, True
+    if not any([ct.manual_scale for ct in cts]):
+        return relinearized, False
+    landed = spec.kind in (_RESCALE, _REFRESH) and scale > 0 \
+        and abs(math.log2(scale) - params.scale_bits) \
+        <= RESCALE_DRIFT_TOLERANCE_LOG2
+    return relinearized, not landed
+
+
 # -- the evaluator call surface ----------------------------------------------
 
 #: The only defaults on the call surface.
 _DEFAULTS = {"rescale": True, "levels": 1}
 
 
-def install_methods(cls: type) -> None:
-    """Give ``cls`` every evaluator method of the table it does not define
-    itself, as ``method(*cts, *operands[, rescale][, *, relinearize])``
-    forwarding to ``cls._apply(spec, cts, operands, rescale,
-    relinearize)`` (``rescale`` is ``None`` where the op fuses none,
-    ``relinearize`` True where the op takes no such keyword).  Operands
-    and ``rescale`` bind by position or by name, ``relinearize`` by name
-    only."""
-    for spec in OPS.values():
+def install_methods(cls: type, specs: Iterable[OpSpec]) -> None:
+    """Give ``cls`` the evaluator method of every row in ``specs`` it does
+    not define itself, as ``method(*cts, *operands[, rescale][, *,
+    relinearize])`` forwarding to ``cls._apply(spec, cts, operands,
+    rescale, relinearize)`` (``rescale`` is ``None`` where the op fuses
+    none, ``relinearize`` True where the op takes no such keyword).
+    Operands and ``rescale`` bind by position or by name,
+    ``relinearize`` by name only."""
+    for spec in specs:
         if spec.method is not None and spec.method not in vars(cls):
             setattr(cls, spec.method, _method(spec, spec.method))
 

@@ -202,4 +202,4 @@ class TracingEvaluator:
         return rotated
 
 
-install_methods(TracingEvaluator)
+install_methods(TracingEvaluator, OPS.values())

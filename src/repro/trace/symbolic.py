@@ -25,34 +25,37 @@ Two extra ops exist only symbolically:
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.fhe.ciphertext import require_relinearized
 from repro.fhe.encoder import CkksEncoder
 from repro.fhe.params import CkksParameters
 
 from .ir import OpKind
-from .ops import (OPS, OpSpec, expected_out_level, install_methods,
-                  out_scale)
+from .ops import (OPS, OpSpec, check, expected_out_level, handle_flags,
+                  install_methods, out_scale)
 
 
-@dataclass
+@dataclass(slots=True)
 class SymbolicCiphertext:
     """A ciphertext handle: level + scale, no data.  ``relinearized`` is
     False on a product made with ``relinearize=False`` and its rescale:
-    like a real degree-2 ciphertext, only ``rescale`` takes it."""
+    like a real degree-2 ciphertext, only ``rescale`` takes it.
+    ``manual_scale`` is True inside a declared ``rescale=False`` region,
+    where additions of unequal scales are the program's own business
+    (:func:`repro.trace.ops.handle_flags`)."""
 
     level: int
     scale: float
     relinearized: bool = True
+    manual_scale: bool = False
 
     @property
     def num_limbs(self) -> int:
         return self.level + 1
 
     def copy(self) -> "SymbolicCiphertext":
-        return SymbolicCiphertext(self.level, self.scale, self.relinearized)
+        return replace(self)
 
 
 @dataclass
@@ -95,29 +98,28 @@ class SymbolicEvaluator:
     # -- the evaluator call surface ----------------------------------------
     #
     # One method per row of the op table, installed below
-    # (:func:`repro.trace.ops.install_methods`); each result handle is
-    # what the row prescribes: its level rule over the aligned operand
-    # level, its scale rule over the operand scales.
+    # (:func:`repro.trace.ops.install_methods`); each call is checked as
+    # the real evaluator checks it, and each result handle is what the
+    # row prescribes: its level rule over the aligned operand level, its
+    # scale rule over the operand scales.
 
     def _apply(self, spec: OpSpec, cts: tuple[SymbolicCiphertext, ...],
                operands: tuple[Any, ...], rescale: bool | None,
                relinearize: bool = True) -> SymbolicCiphertext:
-        if spec.kind is not OpKind.RESCALE:
-            require_relinearized(spec.method, *cts)
+        check(spec, cts, operands, self.params, rescale)
         level = min([ct.level for ct in cts])
         out_level = expected_out_level(
             spec, level, dict(zip(spec.meta_args, operands)),
             self.params.max_level)
         assert out_level is not None
-        self._check_level(out_level)
         scales = [ct.scale for ct in cts]
         if spec.payload:
             scales.append(operands[0].scale)
         elif "value" in spec.meta_args:
             scales.append(self.params.scale)
-        result = SymbolicCiphertext(out_level, out_scale(
-            spec, self.params, level, scales),
-            relinearize and all(ct.relinearized for ct in cts))
+        scale = out_scale(spec, self.params, level, scales)
+        result = SymbolicCiphertext(out_level, scale, *handle_flags(
+            spec, cts, rescale, relinearize, scale, self.params))
         if rescale:
             return self._apply(OPS[OpKind.RESCALE], (result,), (), None)
         return result
@@ -138,11 +140,13 @@ class SymbolicEvaluator:
 
     def refresh(self, ct: SymbolicCiphertext,
                 level: int) -> SymbolicCiphertext:
-        """Schematic level reset (an elided bootstrap in a program)."""
-        require_relinearized("refresh", ct)
+        """Schematic level reset (an elided bootstrap in a program): a
+        fresh handle at Delta, so no declared region reaches past it."""
+        spec = OPS[OpKind.REFRESH]
+        check(spec, (ct,), (), self.params, None)
         self._check_level(level)
         return SymbolicCiphertext(level, out_scale(
-            OPS[OpKind.REFRESH], self.params, ct.level, [ct.scale]))
+            spec, self.params, ct.level, [ct.scale]))
 
     def _check_level(self, level: int) -> None:
         if level < 0 or level > self.params.max_level:
@@ -150,4 +154,4 @@ class SymbolicEvaluator:
                              f"[0, {self.params.max_level}]")
 
 
-install_methods(SymbolicEvaluator)
+install_methods(SymbolicEvaluator, OPS.values())

@@ -15,6 +15,7 @@ from repro.analysis.checks import (check_structure, check_windows,
                                    live_op_ids)
 from repro.analysis.diagnostics import Diagnostic, make
 from repro.fhe.params import CkksParameters
+from repro.trace import SymbolicEvaluator, TracingEvaluator
 from repro.trace.ir import OpKind, OpTrace, TraceOp
 from repro.trace.ops import galois_groups
 
@@ -108,6 +109,29 @@ class TestScaleChecks:
         a = _add(t, OpKind.SOURCE, level=3, out_scale=2.0 ** 29)
         b = _add(t, OpKind.SOURCE, level=3, out_scale=2.0 ** 50)
         _add(t, OpKind.HE_ADD, [a, b], level=3, out_scale=2.0 ** 50)
+        assert _codes(t) == {"HE011": 1}
+
+    def test_a_strict_clean_plan_cannot_fail_its_replay(self):
+        """HE011 is the evaluators' own scale rule: an add of Delta and
+        Delta^2 / q_3 (a drift of 1e-4) is refused at compile with the
+        real evaluator's message, and its recorded trace lints HE011."""
+        def drift(ev):
+            x = ev.fresh(level=3)
+            return ev.he_add(ev.mod_drop(x, 1), ev.he_square(x))
+
+        with pytest.raises(ValueError, match=r"^scale mismatch: "
+                           r"5\.36871e\+08 vs 5\.36818e\+08; rescale or "
+                           r"re-encode first$"):
+            engine.compile(drift, TOY, name="drift")
+        recorder = TracingEvaluator(SymbolicEvaluator(TOY))
+        x = recorder.fresh(level=3)
+        dropped = recorder.mod_drop(x, 1)
+        squared = recorder.he_square(x)
+        t = recorder.trace
+        t.output_op_id = _add(
+            t, OpKind.HE_ADD, [recorder.producer_of(dropped),
+                               recorder.producer_of(squared)],
+            level=2, out_scale=max(dropped.scale, squared.scale))
         assert _codes(t) == {"HE011": 1}
 
     def test_he030_scale_below_noise_floor(self):
@@ -259,8 +283,8 @@ class TestRotationGroupKeys:
                       available_keys=["rot-4", "rot-8", "rot-12"]) == {}
 
     @pytest.mark.parametrize("rotations", [[1, 0, 3],
-                                           [1, TOY.num_slots + 2]],
-                             ids=["zero", "past-num-slots"])
+                                           [1, TOY.num_slots + 2], []],
+                             ids=["zero", "past-num-slots", "empty"])
     def test_he020_any_amount_without_a_key(self, rotations):
         assert _codes(self._group(rotations)) == {"HE020": 1}
 
@@ -276,7 +300,7 @@ class TestRotationGroupKeys:
         t = self._group([1, 2], key=None)
         assert _codes(t) == {"HE022": 1}
 
-    @pytest.mark.parametrize("rotations", [[], 3], ids=["empty", "scalar"])
+    @pytest.mark.parametrize("rotations", [3], ids=["scalar"])
     def test_he050_a_group_that_is_not_a_non_empty_list(self, rotations):
         t = _trace()
         src = _add(t, OpKind.SOURCE, level=4)
@@ -326,7 +350,8 @@ class TestUnrelinearizedProducts:
         _add(t, OpKind.HE_ADD, [value, value], level=level)
         report = lint_trace(t)
         assert report.codes() == {"HE023": 1}
-        assert "unrelinearized" in report.errors[0].message
+        assert report.errors[0].message.startswith(
+            "he_add takes a relinearized ciphertext")
 
     def test_he020_an_unrelinearized_product_names_a_key(self):
         t, prod = self._square(key="relin")

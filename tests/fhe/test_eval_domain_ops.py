@@ -229,9 +229,9 @@ class TestHoistedDigitsInEvalForm:
         assert all(d.rep is Representation.EVAL for d in hoisted.raised)
         assert not hasattr(hoisted, "c0_coeff")
         for r in (1, 2, 7):
-            assert ct_equal(ev._rotate_hoisted(hoisted, r),
+            assert ct_equal(ev._galois(ct, r, hoisted),
                             ev.he_rotate(ct, r))
-        assert ct_equal(ev._conjugate_hoisted(hoisted), ev.he_conjugate(ct))
+        assert ct_equal(ev._galois(ct, None, hoisted), ev.he_conjugate(ct))
 
 
 class TestPreparedPlaintext:

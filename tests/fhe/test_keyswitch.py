@@ -593,7 +593,7 @@ class TestHoistedRotations:
             ev = ctx.evaluator
             ct = ctx.encrypt([0.5 + 0.25j, -1.0 - 2.0j])
             hoisted = ev._hoist(ct)
-            assert ct_equal(ev._conjugate_hoisted(hoisted),
+            assert ct_equal(ev._galois(ct, None, hoisted),
                             ev.he_conjugate(ct))
 
     def test_hoisted_handle_reusable_across_galois(self, contexts):
@@ -602,9 +602,9 @@ class TestHoistedRotations:
         ev = stk.evaluator
         ct = stk.encrypt([1.0, 2.0, 3.0, 4.0])
         hoisted = ev._hoist(ct)
-        assert ct_equal(ev._rotate_hoisted(hoisted, 3), ev.he_rotate(ct, 3))
-        assert ct_equal(ev._conjugate_hoisted(hoisted), ev.he_conjugate(ct))
-        assert ct_equal(ev._rotate_hoisted(hoisted, 5), ev.he_rotate(ct, 5))
+        assert ct_equal(ev._galois(ct, 3, hoisted), ev.he_rotate(ct, 3))
+        assert ct_equal(ev._galois(ct, None, hoisted), ev.he_conjugate(ct))
+        assert ct_equal(ev._galois(ct, 5, hoisted), ev.he_rotate(ct, 5))
 
     def test_decrypted_rotation_is_correct(self, contexts):
         for ctx in contexts:

@@ -238,8 +238,8 @@ def test_further_hoisted_rotations_only_pay_mod_down(budget):
     assert budget.rows(hoist) == d * (n + k)
     for rotation in (1, 2, 3):
         assert budget.rows(
-            lambda: ev._rotate_hoisted(hoisted, rotation)) == 2 * (k + n)
-    assert budget.rows(lambda: ev._conjugate_hoisted(hoisted)) \
+            lambda: ev._galois(ct, rotation, hoisted)) == 2 * (k + n)
+    assert budget.rows(lambda: ev._galois(ct, None, hoisted)) \
         == 2 * (k + n)
     # A batch of m rotations: one key switch + (m - 1) ModDown pairs.
     assert budget.rows(lambda: ev.hoisted_rotations(ct, [1, 2, 3])) \

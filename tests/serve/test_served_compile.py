@@ -167,32 +167,6 @@ class TestCountBudget:
                                  "ntt_forward", "ntt_inverse"]
 
 
-class TestRefusalParity:
-    """A served program the real evaluator refuses is refused at
-    compile, with the real evaluator's message."""
-
-    @pytest.mark.parametrize("rotate", [
-        lambda ev, ct: ev.he_rotate(ct, 1),
-        lambda ev, ct: ev.rotate_add(ct, [1, 2, 3]),
-    ], ids=["he_rotate", "rotate_add"])
-    def test_a_rotated_unrelinearized_square_is_refused(self, rotate):
-        def build(layout: SlotLayout):
-            def program(ev, ct):
-                return rotate(ev, ev.he_square(ct, relinearize=False))
-            return program
-
-        params = CkksParameters.toy()
-        workload = ServedWorkload(name="rotated-square", width=WIDTH,
-                                  build_program=build)
-        ctx = CkksContext(params, seed=5)
-        with pytest.raises(ValueError) as real:
-            build(None)(ctx.evaluator, ctx.encrypt([0.5]))
-        with pytest.raises(ValueError) as served:
-            workload.compile(params)
-        assert str(served.value) == str(real.value)
-        assert "relinearize" in str(served.value)
-
-
 def _reachable_types(root) -> dict[type, int]:
     """How many objects of each type ``gc.get_referents`` reaches from
     ``root``, not entering modules, classes or a function's globals."""

@@ -21,7 +21,9 @@ hoist op, handle, group number, flag, pass or lint code beside it.  One
 record of a rescale: the recorder writes a ``rescale=True`` call as its
 product and its ``RESCALE``, and no pass rewrites a trace before
 lowering.  One served compile: a recording on the symbolic evaluator
-with a real encoder, and no service context to run it on.
+with a real encoder, and no service context to run it on.  One refusal
+rule per op: ``repro.trace.ops.check``, run by both evaluators and the
+linter.
 Each case pins the absence of the fork it names.
 """
 
@@ -572,7 +574,7 @@ def test_a_rescale_is_recorded_unfused():
     is what lowers, replays and lints, and no recorded op is a product
     and its rescale in one."""
     from repro.serve.workloads import scoring_workload
-    for module in (repro.trace, repro.trace.passes, repro.trace.lowering):
+    for module in (repro.trace, repro.trace.invariants, repro.trace.lowering):
         for gone in ("expand_implicit_rescales", "lower_expanded_trace",
                      "run_passes", "DEFAULT_PASSES"):
             assert not hasattr(module, gone), (module.__name__, gone)
@@ -725,3 +727,25 @@ def test_a_served_plan_is_recorded_on_no_service_context():
                  if re.search(r"[\"']_service[\"']",
                               path.read_text(encoding="utf-8"))]
     assert not offenders, offenders
+
+
+# -- one refusal rule per op --------------------------------------------------
+
+def test_both_evaluators_and_the_linter_refuse_through_one_check():
+    """Neither evaluator restates a precondition of ``repro.trace.ops.
+    check`` and the linter keeps no second tolerance or degree-2 walk;
+    the real evaluator has only the rows that replay."""
+    from repro.analysis import checks
+    from repro.fhe.evaluator import CkksEvaluator
+    for owner, names in (
+            (CkksEvaluator, ["_check_scale", "_check_rescalable", "_align",
+                             "refresh", "mod_raise"]),
+            (checks, ["check_relinearization", "ADD_SCALE_TOLERANCE_LOG2"]),
+            (repro.analysis, ["check_relinearization"]),
+            (repro.fhe.ciphertext, ["require_relinearized"])):
+        for name in names:
+            assert not hasattr(owner, name), name
+    for path in (SRC / "repro" / "fhe" / "evaluator.py",
+                 SRC / "repro" / "trace" / "symbolic.py"):
+        assert "require_relinearized" not in path.read_text(
+            encoding="utf-8"), path.name

@@ -4,8 +4,9 @@ well-typed lints without an error.
 
 The strategy does not know any op: it walks ``repro.trace.ops.OPS``.  A
 step is any row that replays on a real evaluator, applied to values the
-program already holds, and it is kept when the table's own level and
-scale rules — evaluated by the table-driven ``SymbolicEvaluator`` — land
+program already holds, and it is kept when the table-driven
+``SymbolicEvaluator`` accepts it (``repro.trace.ops.check``, the real
+evaluator's own refusals) and the table's level and scale rules land
 inside the modulus chain.  Sometimes the step is a fan-out instead:
 two or three Galois ops of one value the program holds, which replay
 hoists as one group (``repro.trace.ops.galois_groups``).  The real
@@ -23,10 +24,10 @@ from hypothesis import strategies as st
 
 from repro import engine
 from repro.fhe import CkksContext, CkksParameters
-from repro.fhe.evaluator import SCALE_TOLERANCE
 from repro.fhe.noise import NOISE_FLOOR_LOG2
-from repro.trace import SymbolicEvaluator, TracingEvaluator
-from repro.trace.ops import MAX_SCALE, OPS, fused_rescales, galois_groups
+from repro.trace import (SymbolicCiphertext, SymbolicEvaluator,
+                         TracingEvaluator)
+from repro.trace.ops import OPS, fused_rescales, galois_groups
 
 TOY = CkksParameters.toy()
 SLOTS = np.linspace(-0.75, 0.75, TOY.num_slots)
@@ -68,20 +69,19 @@ def _candidates(sym, handles):
                   for j in range(len(handles))]
         for inputs in pairs:
             cts = [handles[i] for i in inputs]
-            if spec.scale is MAX_SCALE and abs(
-                    cts[0].scale - cts[1].scale) > SCALE_TOLERANCE \
-                    * max(cts[0].scale, cts[1].scale):
-                continue    # additive operands share a scale
             for operands in _operand_choices(spec):
                 for kwargs in ([{"rescale": True}, {"rescale": False}]
                                if spec.fused_rescale else [{}]):
-                    args = [sym.plaintext() if o == "pt" else o
-                            for o in operands]
+                    # A plaintext added is encoded at its ciphertext's
+                    # scale, as ``_run`` encodes it.
+                    args = [sym.plaintext(cts[0].scale if spec.method
+                                          == "poly_add" else None)
+                            if o == "pt" else o for o in operands]
                     try:
                         out = getattr(sym, spec.method)(*cts, *args,
                                                         **kwargs)
                     except ValueError:
-                        continue    # below level 0
+                        continue    # refused (repro.trace.ops.check)
                     if NOISE_FLOOR_LOG2 < math.log2(out.scale) \
                             < _log2_q(out.level) - 1:
                         yield spec.method, inputs, operands, kwargs, out
@@ -110,7 +110,10 @@ def programs(draw, max_ops):
                 steps.append((name, inputs, operands, {}))
             continue
         operands, kwargs, out = call
-        handles.append(out)
+        # What a real ciphertext knows: no rescale=False declaration
+        # exempts it from the additive scale rule.
+        handles.append(SymbolicCiphertext(out.level, out.scale,
+                                          out.relinearized))
         steps.append((method, inputs, operands, kwargs))
     return levels, steps
 

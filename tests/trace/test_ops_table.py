@@ -11,11 +11,11 @@ from repro import engine
 from repro.analysis import LintError, lint_trace
 from repro.dag import DiGraph
 from repro.fhe import CkksContext, CkksParameters
-from repro.fhe.evaluator import SCALE_TOLERANCE, CkksEvaluator
+from repro.fhe.evaluator import CkksEvaluator
 from repro.trace import (SymbolicEvaluator, TraceValidationError,
                          TracingEvaluator, validate_trace)
 from repro.trace.ir import OpKind, OpTrace, TraceOp
-from repro.trace.ops import OPS, render_table
+from repro.trace.ops import OPS, SCALE_TOLERANCE, render_table
 
 TOY = CkksParameters.toy()
 DELTA = TOY.scale
