@@ -20,7 +20,7 @@ from .encoder import CkksEncoder, Plaintext
 from .encryptor import CkksDecryptor, CkksEncryptor
 from .evaluator import CkksEvaluator
 from .keys import KeyGenerator, SecretKey, SwitchingKey
-from .noise import LevelBudget, circuit_depth
+from .noise import circuit_depth
 from .packing import SlotLayout
 from .params import CkksParameters
 from .poly import (PolyContext, Polynomial, Representation,
@@ -30,7 +30,7 @@ from .rns import KeySwitchContext, RnsBasis
 __all__ = [
     "Ciphertext", "CkksContext", "CkksDecryptor", "CkksEncoder",
     "CkksEncryptor", "CkksEvaluator", "CkksParameters", "ComputeBackend",
-    "KeyGenerator", "KeySwitchContext", "LevelBudget", "Plaintext",
+    "KeyGenerator", "KeySwitchContext", "Plaintext",
     "PolyContext", "Polynomial", "Representation", "RnsBasis", "SecretKey",
     "SlotLayout", "SwitchingKey",
     "available_backends",

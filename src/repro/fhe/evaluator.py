@@ -137,14 +137,15 @@ class CkksEvaluator:
     # -- ciphertext-ciphertext blocks --------------------------------------
 
     def _he_add(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
-        """HEAdd: pairwise polynomial addition."""
+        """HEAdd: pairwise polynomial addition, labelled with the larger
+        scale in either operand order (the row's ``MAX_SCALE``)."""
         return Ciphertext(c0=ct1.c0 + ct2.c0, c1=ct1.c1 + ct2.c1,
-                          level=ct1.level, scale=ct1.scale)
+                          level=ct1.level, scale=max(ct1.scale, ct2.scale))
 
     def _he_sub(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         """Pairwise polynomial subtraction (HEAdd with negation)."""
         return Ciphertext(c0=ct1.c0 - ct2.c0, c1=ct1.c1 - ct2.c1,
-                          level=ct1.level, scale=ct1.scale)
+                          level=ct1.level, scale=max(ct1.scale, ct2.scale))
 
     def _he_mult(self, ct1: Ciphertext, ct2: Ciphertext, rescale: bool,
                  relinearize: bool) -> Ciphertext:

@@ -1,17 +1,15 @@
-"""Noise-budget estimation for CKKS circuit planning.
+"""Noise-budget constants and planning aids for CKKS circuits.
 
-Applications (and the paper's workload DAG builders) need to know how many
-levels a circuit can consume before bootstrapping.  This module provides a
-static budget tracker mirroring the evaluator's level/scale rules without
-touching ciphertexts, plus an empirical noise probe used by tests.
+The level and scale a circuit reaches are the op table's to say
+(:data:`repro.trace.ops.OPS`, run shape-only by
+:class:`~repro.trace.SymbolicEvaluator`); this module holds the noise
+floor and result headroom the linter and the served entry level check
+them against, and the multiplicative depth of a workload DAG.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from repro.dag import topological_sort
 
@@ -20,9 +18,8 @@ from .params import CkksParameters
 
 #: Log2 of the smallest usable encoding scale.  Below ~10 bits the
 #: message is indistinguishable from the rescale rounding noise a CKKS
-#: ciphertext carries; :meth:`LevelBudget.multiplications_remaining`
-#: and the static noise checker (:mod:`repro.analysis`) share this
-#: floor so planning and linting agree on when the budget is exhausted.
+#: ciphertext carries; the static noise checker (HE030 in
+#: :mod:`repro.analysis`) reports a scale below it.
 NOISE_FLOOR_LOG2 = 10.0
 
 #: Bits a result keeps free below its ciphertext modulus: one for the
@@ -41,57 +38,6 @@ def result_headroom(params: CkksParameters, level: int, scale: float,
     zero the decrypted value can wrap around the modulus."""
     log_q = sum(math.log2(q) for q in params.moduli[:level + 1])
     return log_q - math.log2(scale) - math.log2(bound) - HEADROOM_BITS
-
-
-@dataclass
-class LevelBudget:
-    """Static (level, scale) tracker for planning a circuit."""
-
-    params: CkksParameters
-    level: int
-    log_scale: float
-
-    @classmethod
-    def fresh(cls, params: CkksParameters) -> "LevelBudget":
-        return cls(params=params, level=params.max_level,
-                   log_scale=float(params.scale_bits))
-
-    def after_mult(self) -> "LevelBudget":
-        """HEMult followed by rescale: one level, scale renormalized."""
-        if self.level < 1:
-            raise ValueError("no level left for a multiplication")
-        q_next = self.params.moduli[self.level]
-        new_log_scale = 2 * self.log_scale - math.log2(q_next)
-        return LevelBudget(self.params, self.level - 1, new_log_scale)
-
-    def after_rotation(self) -> "LevelBudget":
-        """Rotations preserve level and scale."""
-        return LevelBudget(self.params, self.level, self.log_scale)
-
-    def multiplications_remaining(self) -> int:
-        """Levels usable before the scale underflows or level 0."""
-        budget = self
-        count = 0
-        while budget.level >= 1 and budget.log_scale > NOISE_FLOOR_LOG2:
-            budget = budget.after_mult()
-            count += 1
-        return count
-
-
-def measure_fresh_noise(ctx, trials: int = 5) -> float:
-    """Empirical fresh-encryption noise (max abs slot error).
-
-    Used by tests to pin the noise floor assumptions documented in
-    bootstrap.py.
-    """
-    rng = np.random.default_rng(123)
-    worst = 0.0
-    for _ in range(trials):
-        values = rng.uniform(-1, 1, ctx.params.num_slots)
-        ct = ctx.encrypt(values)
-        err = float(np.max(np.abs(ctx.decrypt(ct).real - values)))
-        worst = max(worst, err)
-    return worst
 
 
 def circuit_depth(graph) -> int:

@@ -1,9 +1,10 @@
 """Slot-packing utilities: the rotate-and-add idioms of FHE applications.
 
 These are the reusable building blocks the paper's workloads lean on:
-slot reductions (HE-LR batch sums), replication (broadcasting a scalar
-result), masking, and encrypted matrix-vector products.  Reductions and
-replication run radix-4: one :meth:`CkksEvaluator.rotate_add` (one key
+slot reductions (HE-LR batch sums) and replication (broadcasting a
+scalar result); a matrix-vector product is
+:class:`~repro.fhe.linear.LinearTransform`.  Reductions and replication
+run radix-4: one :meth:`CkksEvaluator.rotate_add` (one key
 switch) per group of three rotations, so a width-16 window costs two
 key switches and a tenant holds six rotation keys plus the
 relinearization key.
@@ -24,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .ciphertext import Ciphertext
-from .encoder import CkksEncoder
 from .evaluator import CkksEvaluator
 
 
@@ -174,35 +174,3 @@ def replicate(evaluator: CkksEvaluator, ct: Ciphertext,
     for group in rotation_groups(width):
         ct = evaluator.rotate_add(ct, [n - r for r in group])
     return ct
-
-
-def mask_slots(evaluator: CkksEvaluator, encoder: CkksEncoder,
-               ct: Ciphertext, keep: np.ndarray) -> Ciphertext:
-    """Zero all slots where ``keep`` is falsy (one plaintext multiply)."""
-    mask = np.zeros(evaluator.params.num_slots)
-    keep = np.asarray(keep)
-    mask[:len(keep)] = keep.astype(float)
-    pt = encoder.encode(mask)
-    return evaluator.poly_mult(ct, pt)
-
-
-def inner_product(evaluator: CkksEvaluator, ct1: Ciphertext,
-                  ct2: Ciphertext, width: int) -> Ciphertext:
-    """Encrypted dot product over the first ``width`` slots.
-
-    Result lands in slot 0 (and every ``width``-aligned slot).  Consumes
-    one multiplicative level plus :func:`rotate_sum`'s rotation groups.
-    """
-    prod = evaluator.he_mult(ct1, ct2)
-    return rotate_sum(evaluator, prod, width)
-
-
-def matrix_vector(evaluator: CkksEvaluator, encoder: CkksEncoder,
-                  matrix: np.ndarray, ct: Ciphertext) -> Ciphertext:
-    """Plaintext matrix x encrypted vector via the diagonal method.
-
-    Thin convenience over :class:`repro.fhe.linear.LinearTransform` for
-    one-shot use (no diagonal caching).
-    """
-    from .linear import LinearTransform
-    return LinearTransform(evaluator, matrix).apply(ct)

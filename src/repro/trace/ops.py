@@ -282,6 +282,12 @@ _RESCALE, _REFRESH, _MOD_DROP, _POLY_ADD = (
     OpKind.RESCALE, OpKind.REFRESH, OpKind.MOD_DROP, OpKind.POLY_ADD)
 
 
+def same_scale(a: float, b: float) -> bool:
+    """Whether an addition takes scales ``a`` and ``b`` as one: within
+    :data:`SCALE_TOLERANCE` of each other (HE011's rule)."""
+    return abs(a - b) <= SCALE_TOLERANCE * max(a, b)
+
+
 class Refusal(ValueError):
     """A refused call, with the lint code that reports it."""
 
@@ -320,7 +326,7 @@ def check(spec: OpSpec, cts: Sequence[Any], operands: Sequence[Any],
     if spec.scale is MAX_SCALE or kind is _POLY_ADD:
         first = cts[0].scale
         second = (operands[0] if spec.payload else cts[1]).scale
-        if abs(first - second) > SCALE_TOLERANCE * max(first, second) \
+        if not same_scale(first, second) \
                 and not any(getattr(ct, "manual_scale", False)
                             for ct in cts):
             raise Refusal("HE011", f"scale mismatch: {first:.6g} vs "

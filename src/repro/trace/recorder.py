@@ -20,9 +20,11 @@ Because code like :class:`~repro.fhe.linear.LinearTransform` and
 :class:`~repro.fhe.bootstrap.Bootstrapper` takes the evaluator as a
 dependency, passing a ``TracingEvaluator`` in their place records their
 whole execution with no changes to the library.  Granularity is the
-evaluator API: polynomial arithmetic done behind the evaluator's back
-(e.g. the raw ``c0 * pt`` products inside BSGS inner loops) is invisible,
-and its results re-enter the trace as sources.
+evaluator API: ``fhe.polyval`` and ``fhe.linear`` compute only through
+it (the BSGS products are unrescaled ``poly_mult`` rows), so a recording
+of them has one ``SOURCE`` per input.  The one computation left outside
+the rows is :meth:`~repro.fhe.bootstrap.Bootstrapper.mod_raise`, whose
+result re-enters a trace as a source.
 """
 
 from __future__ import annotations

@@ -72,7 +72,8 @@ class SymbolicEvaluator:
                  encoder: CkksEncoder | None = None) -> None:
         self.params = params
         #: The encoder programs call (``ev.encoder.encode(values,
-        #: scale)``): this evaluator's scale-only one, or a real one.
+        #: scale)``, ``encode_constant(value, scale)``): this
+        #: evaluator's scale-only one, or a real one.
         self.encoder: CkksEncoder | SymbolicEvaluator = \
             self if encoder is None else encoder
 
@@ -81,6 +82,12 @@ class SymbolicEvaluator:
     def encode(self, values: Any,
                scale: float | None = None) -> SymbolicPlaintext:
         """An encoded plaintext of ``values`` (dropped) at ``scale``."""
+        return self.plaintext(scale)
+
+    def encode_constant(self, value: float,
+                        scale: float | None = None) -> SymbolicPlaintext:
+        """The all-``value`` plaintext (dropped) at ``scale``, as
+        :meth:`~repro.fhe.encoder.CkksEncoder.encode_constant`."""
         return self.plaintext(scale)
 
     def fresh(self, level: int | None = None,

@@ -115,20 +115,26 @@ REFUSING = {
     "mod_drop": lambda ev, d, f: ev.mod_drop(d),
     "_hoist": lambda ev, d, f: ev._hoist(d),
 }
-#: A rotation batch is refused as the ``he_rotate`` rows it runs and
-#: records.
-ROW_OF = {"hoisted_rotations": "he_rotate", "_hoist": "he_rotate"}
-#: Library code that reads a ciphertext's components itself.
-COMPONENT_READERS = {
+#: Library functions, each refused by the first row it runs.
+LIBRARY = {
     "match_scale_level": lambda ev, d, f: match_scale_level(
-        ev, d, d.level, d.scale),
+        ev, d, d.level - 1, d.scale),
     "multiply_by_i": lambda ev, d, f: multiply_by_i(ev, d),
+}
+#: The one function that computes outside the rows: it reads the
+#: components itself, and refuses under its own name.
+COMPONENT_READERS = {
     "mod_raise": lambda ev, d, f: Bootstrapper(
         ev.params, ev.keygen, ev.encoder, ev).mod_raise(d),
 }
+#: A rotation batch is refused as the ``he_rotate`` rows it runs and
+#: records; a library function as the row it runs.
+ROW_OF = {"hoisted_rotations": "he_rotate", "_hoist": "he_rotate",
+          "match_scale_level": "mod_drop", "multiply_by_i": "poly_mult"}
 
 
-@pytest.mark.parametrize("op", sorted(REFUSING) + sorted(COMPONENT_READERS))
+@pytest.mark.parametrize(
+    "op", sorted(REFUSING) + sorted(LIBRARY) + sorted(COMPONENT_READERS))
 def test_every_other_op_refuses_a_degree_two_ciphertext(op):
     """Nothing but ``rescale`` and decryption drops or misreads c2."""
     ctx = _context("toy", "stacked")
@@ -137,11 +143,23 @@ def test_every_other_op_refuses_a_degree_two_ciphertext(op):
                                          relinearize=False)
     with pytest.raises(ValueError,
                        match=rf"^{ROW_OF.get(op, op)} takes a relinearized"):
-        {**REFUSING, **COMPONENT_READERS}[op](ctx.evaluator, degree_two,
-                                              fresh)
+        {**REFUSING, **LIBRARY, **COMPONENT_READERS}[op](
+            ctx.evaluator, degree_two, fresh)
 
 
-@pytest.mark.parametrize("op", sorted(set(REFUSING) - {"_hoist"}))
+def test_a_call_that_runs_no_row_returns_its_input():
+    """``match_scale_level`` to the level and scale a ciphertext already
+    has runs no row, so nothing refuses: it hands the input back."""
+    ctx = _context("toy", "stacked")
+    fresh = ctx.encrypt(_values(ctx, 5), level=3)
+    degree_two = ctx.evaluator.he_square(fresh, rescale=False,
+                                         relinearize=False)
+    assert match_scale_level(ctx.evaluator, degree_two, degree_two.level,
+                             degree_two.scale) is degree_two
+
+
+@pytest.mark.parametrize("op", sorted(set(REFUSING) - {"_hoist"})
+                         + sorted(LIBRARY))
 def test_the_symbolic_evaluator_refuses_alike(op):
     """The shape-only evaluator carries the flag on its handles, so a
     program refused at run time is refused when it is compiled."""
@@ -150,8 +168,9 @@ def test_the_symbolic_evaluator_refuses_alike(op):
     degree_two = ev.he_square(fresh, rescale=False, relinearize=False)
     assert not degree_two.relinearized
     assert not ev.rescale(degree_two).relinearized
-    with pytest.raises(ValueError, match="takes a relinearized"):
-        REFUSING[op](ev, degree_two, fresh)
+    with pytest.raises(ValueError,
+                       match=rf"^{ROW_OF.get(op, op)} takes a relinearized"):
+        {**REFUSING, **LIBRARY}[op](ev, degree_two, fresh)
 
 
 @pytest.mark.parametrize("ev", ["real", "symbolic"])

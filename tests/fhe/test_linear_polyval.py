@@ -127,6 +127,14 @@ class TestScaleManagement:
         out = match_scale_level(ctx.evaluator, ct, ct.level - 2, ct.scale)
         assert out.level == ct.level - 2
 
+    def test_a_scale_within_the_tolerance_keeps_its_level(self, ctx):
+        """Scales 5e-8 apart are one scale to ``he_add``
+        (``SCALE_TOLERANCE``), so matching them burns no level."""
+        ct = ctx.encrypt([0.5], level=3)
+        out = match_scale_level(ctx.evaluator, ct, 3, ct.scale * (1 + 5e-8))
+        assert out.level == 3
+        assert out is ct
+
     def test_cannot_raise_level(self, ctx):
         ct = ctx.encrypt([1.0], level=1)
         with pytest.raises(ValueError):

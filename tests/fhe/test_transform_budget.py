@@ -17,6 +17,7 @@ import pytest
 from repro.fhe import CkksContext, CkksParameters, register_backend
 from repro.fhe.backend.stacked import StackedBackend
 from repro.fhe.keys import key_switch, raise_digits
+from repro.fhe.polyval import match_scale_level
 from repro.serve.workloads import scoring_workload
 
 
@@ -201,6 +202,22 @@ def test_plaintext_operands_are_prepared_once(budget):
     assert budget.rows(lambda: ev.poly_mult(ct, pt, rescale=False)) == 0
     # One prepared entry serves PolyAdd too.
     assert budget.rows(lambda: ev.poly_add(ct, pt)) == 0
+
+
+def test_a_scale_fix_prepares_its_constant(budget):
+    """``match_scale_level`` fixes a scale by a rescaled ``poly_mult``
+    with the constant 1 at the adjusting scale: one forward call over the
+    level's n rows prepares the fresh constant, then the rescale's own."""
+    ev, ct, backend = budget.ev, budget.ct, budget.backend
+
+    def forwards(op):
+        before = len(backend.forwards)
+        op()
+        return backend.forwards[before:]
+
+    rescale = forwards(lambda: ev.rescale(ct))
+    assert forwards(lambda: match_scale_level(
+        ev, ct, ct.level, ct.scale * 1.37)) == [budget.n] + rescale
 
 
 def test_encrypt_and_decrypt(budget):

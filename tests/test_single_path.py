@@ -23,7 +23,9 @@ product and its ``RESCALE``, and no pass rewrites a trace before
 lowering.  One served compile: a recording on the symbolic evaluator
 with a real encoder, and no service context to run it on.  One refusal
 rule per op: ``repro.trace.ops.check``, run by both evaluators and the
-linter.
+linter.  One computation path for polynomial evaluation and the BSGS
+transform: the evaluator's rows, with no ciphertext made beside them
+and no copy of the level rules kept for planning or tests.
 Each case pins the absence of the fork it names.
 """
 
@@ -46,7 +48,7 @@ import repro.trace
 from repro import engine
 from repro.analysis import diagnostics
 from repro.dag import DiGraph
-from repro.fhe import keys, modmath, noise, ntt, rns
+from repro.fhe import keys, modmath, noise, ntt, packing, rns
 from repro.fhe.backend.base import ComputeBackend
 from repro.fhe.backend.reference import ReferenceBackend
 from repro.fhe.backend.stacked import StackedBackend
@@ -749,3 +751,43 @@ def test_both_evaluators_and_the_linter_refuse_through_one_check():
                  SRC / "repro" / "trace" / "symbolic.py"):
         assert "require_relinearized" not in path.read_text(
             encoding="utf-8"), path.name
+
+
+# -- one computation path for the library -------------------------------------
+
+#: A numeric literal in e-notation on a line that reads a scale.
+_SCALE_LITERAL = re.compile(r"scale.*\d(\.\d*)?[eE]-\d|\d(\.\d*)?[eE]-\d.*scale")
+
+
+def test_the_scale_literal_guard_sees_what_it_is_there_to_stop():
+    assert _SCALE_LITERAL.search(
+        "needs_adjust = abs(ct.scale - scale) > 1e-9 * max(ct.scale, scale)")
+    assert not _SCALE_LITERAL.search("COEFF_TOLERANCE = 1e-13")
+
+
+def test_polyval_and_the_bsgs_transform_compute_through_the_rows():
+    """``fhe/polyval.py`` and ``fhe/linear.py`` build no ciphertext from
+    components, run no guard of their own and restate no scale
+    tolerance: each step is an evaluator call.  The monomial cache on
+    the evaluator, the planner that restated the level rules
+    (``LevelBudget``) and the packing wrappers only tests called are
+    gone."""
+    for name in ("polyval.py", "linear.py"):
+        text = (SRC / "repro" / "fhe" / name).read_text(encoding="utf-8")
+        assert "Ciphertext(" not in text, name
+        assert "require_relinearized" not in text, name
+        assert not _SCALE_LITERAL.search(text), name
+    gone = re.compile(r"\b(_monomial_cache|LevelBudget|mask_slots|"
+                      r"inner_product|matrix_vector|measure_fresh_noise)\b")
+    offenders = [f"{path.relative_to(SRC)}:{number}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for number, line in enumerate(
+                     path.read_text(encoding="utf-8").splitlines(), 1)
+                 if gone.search(line)]
+    assert not offenders, offenders
+    assert "LevelBudget" not in repro.fhe.__all__
+    for owner, names in ((noise, ["LevelBudget", "measure_fresh_noise"]),
+                         (packing, ["mask_slots", "inner_product",
+                                    "matrix_vector"])):
+        for name in names:
+            assert not hasattr(owner, name), name

@@ -15,7 +15,8 @@ from repro.fhe.evaluator import CkksEvaluator
 from repro.trace import (SymbolicEvaluator, TraceValidationError,
                          TracingEvaluator, validate_trace)
 from repro.trace.ir import OpKind, OpTrace, TraceOp
-from repro.trace.ops import OPS, SCALE_TOLERANCE, render_table
+from repro.trace.ops import (OPS, SCALE_TOLERANCE, expected_out_level,
+                             out_scale, render_table)
 
 TOY = CkksParameters.toy()
 DELTA = TOY.scale
@@ -106,6 +107,33 @@ def test_symbolic_level_and_scale_are_the_real_ones(spec, ctx):
         sym = getattr(sym_ev, spec.method)(*s_args, **kwargs)
         assert sym.level == real.level
         assert sym.scale == pytest.approx(real.scale, rel=SCALE_TOLERANCE)
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in WITH_METHOD if s.real and s.arity == 2],
+    ids=lambda s: s.kind.value)
+def test_a_two_operand_row_labels_its_result_in_either_order(spec, ctx):
+    """The real result's level and scale are the row's whichever operand
+    comes first: here scales 5e-8 apart (inside ``SCALE_TOLERANCE``,
+    26.8 at Delta = 2^29) on levels one apart."""
+    ev = ctx.evaluator
+    values = [0.25, -0.5, 0.125]
+    a = ctx.encrypt(values, level=4)
+    b = ev.mod_drop(ctx.encrypt(values, level=4,
+                                scale=DELTA * (1 + 5e-8)), 1)
+    rescale = OPS[OpKind.RESCALE]
+    for x, y in ((a, b), (b, a)):
+        level = min(x.level, y.level)
+        want_level = expected_out_level(spec, level, {}, TOY.max_level)
+        want_scale = out_scale(spec, TOY, level, [x.scale, y.scale])
+        flags = {"rescale": False} if spec.fused_rescale else {}
+        out = getattr(ev, spec.method)(x, y, **flags)
+        assert (out.level, out.scale) == (want_level, want_scale)
+        if spec.fused_rescale:
+            out = getattr(ev, spec.method)(x, y)
+            assert (out.level, out.scale) == (
+                expected_out_level(rescale, level, {}, TOY.max_level),
+                out_scale(rescale, TOY, level, [want_scale]))
 
 
 # -- the arity / missing-operand hole ----------------------------------------
