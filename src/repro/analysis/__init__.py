@@ -19,8 +19,7 @@ table).  Three front doors:
 
 from .checks import (check_headroom, check_keys, check_levels,
                      check_liveness, check_preconditions, check_scales,
-                     check_structure, check_windows, lint_trace,
-                     lint_traces)
+                     check_structure, check_windows, lint_trace)
 from .diagnostics import (CODES, Diagnostic, DiagnosticReport, LintError,
                           LintWarning, Severity)
 from .report import analyze_trace, op_mix, render_report
@@ -42,7 +41,6 @@ __all__ = [
     "check_structure",
     "check_windows",
     "lint_trace",
-    "lint_traces",
     "op_mix",
     "render_report",
 ]

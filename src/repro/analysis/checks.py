@@ -17,7 +17,7 @@ skipped rather than crash on dangling references.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.fhe.noise import NOISE_FLOOR_LOG2, result_headroom
 from repro.fhe.params import CkksParameters
@@ -417,11 +417,3 @@ def lint_trace(trace: OpTrace, *, normalized: bool = False,
         report.extend(finding for finding in findings
                       if finding.op_id not in refused)
     return report
-
-
-def lint_traces(traces: Sequence[OpTrace], *,
-                available_keys: Iterable[str] | None = None
-                ) -> list[DiagnosticReport]:
-    """Lint several traces (the catalog path of the CLI and CI lane)."""
-    return [lint_trace(trace, available_keys=available_keys)
-            for trace in traces]

@@ -74,13 +74,21 @@ class Plaintext:
         any tenant's context with the same backend — wrap the stored
         limbs, which are shared and must be treated as read-only like all
         kernel inputs.  Two threads that miss together both compute the
-        same integers; the second store wins and nothing is lost.
+        same integers; the second store wins and nothing is lost.  A
+        constant polynomial c evaluates to c at every root, so its rows
+        are ``c mod q_i`` with no lift and no transform.
         """
         key = (moduli, context.backend.name)
         data = self._prepared.get(key)
         if data is None:
-            data = context.from_big_coeffs(self.coeffs,
-                                           moduli).to_eval().data
+            if np.any(self.coeffs[1:]):
+                data = context.from_big_coeffs(self.coeffs,
+                                               moduli).to_eval().data
+            else:
+                n, c = len(self.coeffs), int(self.coeffs[0])
+                data = context.backend.as_native(
+                    [np.full(n, c % q, dtype=np.int64) for q in moduli],
+                    moduli)
             self._prepared[key] = data
         return Polynomial(context, data, moduli, Representation.EVAL)
 

@@ -33,8 +33,8 @@ re-exports this module lazily).
 """
 
 from .batcher import Batch, Query, SlotBatcher
-from .cache import (TenantKeyCache, clear_serve_caches, plan_cache_stats,
-                    shared_plan, tenant_seed)
+from .cache import (TenantKeyCache, clear_serve_caches, shared_plan,
+                    tenant_seed)
 from .faults import FaultInjectingExecutor, FaultPlan, window_checksum
 from .metrics import LATENCY_RESERVOIR, ServeMetrics, percentile
 from .resilience import (BreakerState, CircuitBreaker, CircuitOpen,
@@ -81,7 +81,6 @@ __all__ = [
     "TransientFault",
     "clear_serve_caches",
     "percentile",
-    "plan_cache_stats",
     "scoring_workload",
     "serve",
     "shared_plan",

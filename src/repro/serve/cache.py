@@ -154,11 +154,6 @@ def shared_plan(workload, params: CkksParameters,
         return plan
 
 
-def plan_cache_stats() -> dict:
-    with _PLAN_LOCK:
-        return {"plans": len(_PLAN_CACHE)}
-
-
 def clear_serve_caches() -> None:
     """Drop everything tenants share — compiled plans and the
     process-wide NTT tables — so the next deployment starts cold (tests /

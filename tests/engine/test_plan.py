@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import pins
 from repro import engine
 from repro.blocksim import BlockGraphSimulator
 from repro.fhe import CkksContext
@@ -263,13 +264,6 @@ class TestExecuteReplay:
             plan.execute(ctx, sources=[ct])
 
 
-def _pw54() -> CkksParameters:
-    """The 54-bit paper word on a toy ring (``bench.workloads.pw54``)."""
-    return CkksParameters._build(ring_degree=1 << 10, scale_bits=50,
-                                 prime_bits=54, max_level=5, boot_levels=2,
-                                 dnum=2, fft_iterations=1)
-
-
 class TestFreshContexts:
     """A switching key is a function of (seed, id): a replay and a
     direct run on fresh same-seed contexts agree bit for bit, whichever
@@ -278,7 +272,7 @@ class TestFreshContexts:
     first asked for, and ``branch`` asks for ``rot-1`` at level 2 before
     level 4, so its key is redrawn higher mid-run."""
 
-    PRESETS = {"toy": CkksParameters.toy, "pw54": _pw54}
+    PRESETS = pins.PRESETS
 
     @staticmethod
     def _branch(ev, ct):

@@ -6,14 +6,16 @@ Table 2 evaluator blocks (including key switching and rescale), the
 batched NTT, and the double-word (54-bit word) regime.
 
 Also covers the registry itself: registration, unknown-name errors, and
-the ``REPRO_FHE_BACKEND`` environment override.
+the ``REPRO_FHE_BACKEND`` environment override.  The 54-bit pipeline's
+bits are pin ``arithmetic/native_pipeline/pw54_n256`` of
+``tests/pins.json``, re-pinned only deliberately with
+``PYTHONPATH=src python -m tests.pins --record``.
 """
-
-import hashlib
 
 import numpy as np
 import pytest
 
+import pins
 from repro.fhe import (CkksContext, CkksParameters, PolyContext,
                        available_backends, create_backend,
                        resolve_backend_name)
@@ -190,54 +192,59 @@ class TestPipelineBitExact:
         assert ref_coeffs == stk_coeffs
 
 
+#: The 54-bit word on a 2^8 ring.
+PARAMS_54 = CkksParameters._build(ring_degree=1 << 8, scale_bits=50,
+                                  prime_bits=54, max_level=4, boot_levels=2,
+                                  dnum=2, fft_iterations=1)
+
+
+def _pipeline(backend):
+    """An HEMult, a rotation of it, their sum, a conjugation and a
+    rescale, on the fixture's keys and encryptions."""
+    ctx = pins.fixture(PARAMS_54, "arithmetic/native_pipeline/pw54_n256",
+                       backend=backend)
+    ev = ctx.evaluator
+    a = ctx.encrypt([1.5, -2.0, 0.25])
+    b = ctx.encrypt([0.5, 3.0, -1.0])
+    outs = [ev.he_mult(a, b)]
+    outs.append(ev.he_rotate(outs[0], 1))
+    outs.append(ev.he_add(outs[1], outs[0]))
+    outs.append(ev.he_conjugate(a))
+    outs.append(ev.rescale(ev.scalar_mult(a, 1.5, rescale=False)))
+    return outs
+
+
+@pins.family("arithmetic/native_pipeline", [("pw54_n256",)])
+def pipeline_digest(preset: str, backend: str | None = None) -> str:
+    return pins.ct_digest(_pipeline(backend))
+
+
 class TestPaperWordBitExact:
     """The 54-bit preset: both backends on the native double-word path
     must reproduce, bit for bit, the seed's object-dtype arithmetic — the
-    acceptance bar for the native-kernel rewrite.  ``SEED_OBJECT_DIGEST``
-    is that arithmetic's pipeline, recorded under the object-dtype tier
-    the library had until a modulus of 2**56 or more was refused.
-    Re-pin only deliberately; CHANGES.md records every old -> new."""
-
-    SEED_OBJECT_DIGEST = \
-        "e9a8d21a0d5f2fb54c4db1ff9ff02d45d15c8d8ddc8546196a3dcdcebeb22ba9"
-
-    PARAMS_54 = CkksParameters._build(ring_degree=1 << 8, scale_bits=50,
-                                      prime_bits=54, max_level=4,
-                                      boot_levels=2, dnum=2,
-                                      fft_iterations=1)
-
-    def _pipeline_limbs(self, backend):
-        ctx = CkksContext(self.PARAMS_54, seed=29, backend=backend)
-        ev = ctx.evaluator
-        a = ctx.encrypt([1.5, -2.0, 0.25])
-        b = ctx.encrypt([0.5, 3.0, -1.0])
-        outs = [ev.he_mult(a, b)]
-        outs.append(ev.he_rotate(outs[0], 1))
-        outs.append(ev.he_add(outs[1], outs[0]))
-        outs.append(ev.he_conjugate(a))
-        outs.append(ev.rescale(ev.scalar_mult(a, 1.5, rescale=False)))
-        return [np.asarray(limb, dtype=object)
-                for ct in outs for poly in (ct.c0, ct.c1)
-                for limb in poly.limbs]
+    acceptance bar for the native-kernel rewrite.  Pin
+    ``arithmetic/native_pipeline/pw54_n256`` of ``tests/pins.json`` is
+    that pipeline's output on the sampler-free fixture's keys and
+    encryptions.  Re-pin only deliberately:
+    ``PYTHONPATH=src python -m tests.pins --record``."""
 
     @pytest.fixture(scope="class")
     def native_reference(self):
-        return self._pipeline_limbs("reference")
+        return _pipeline("reference")
 
     @pytest.mark.parametrize("backend", ["reference", "stacked"])
     def test_native_matches_seed_object_path(self, backend):
-        sha = hashlib.sha256()
-        for limb in self._pipeline_limbs(backend):
-            sha.update(np.ascontiguousarray(limb, dtype=np.int64).tobytes())
-        assert sha.hexdigest() == self.SEED_OBJECT_DIGEST
+        assert pipeline_digest("pw54_n256", backend) \
+            == pins.expected("arithmetic/native_pipeline", "pw54_n256")
 
     def test_backends_bit_exact_at_54_bits(self, native_reference):
-        stacked = self._pipeline_limbs("stacked")
+        stacked = _pipeline("stacked")
         for a, b in zip(native_reference, stacked):
-            assert np.array_equal(a, b)
+            for pa, pb in zip(a.components, b.components):
+                assert limbs_equal(pa, pb)
 
     def test_native_storage_is_int64(self):
-        ctx = CkksContext(self.PARAMS_54, seed=29, backend="stacked")
+        ctx = CkksContext(PARAMS_54, seed=29, backend="stacked")
         ct = ctx.encrypt([1.0])
         assert ct.c0.data.dtype == np.int64
         for limb, q in zip(ct.c0.limbs, ct.c0.moduli):

@@ -2,13 +2,17 @@
 
 The full end-to-end bootstrap is the most expensive functional test in the
 suite (about 2.5 s a bootstrap on ``stacked``); individual stages are
-tested separately and cheaply.
+tested separately and cheaply.  One bootstrap on the sampler-free
+fixture's keys (``pins.fixture``) is pinned bit for bit:
+``arithmetic/bootstrap/boot_test`` of ``tests/pins.json``, re-pinned
+only deliberately with ``PYTHONPATH=src python -m tests.pins --record``.
 """
 
 import numpy as np
 import pytest
 
-from repro.fhe import CkksContext, keys
+import pins
+from repro.fhe import CkksContext, CkksParameters, keys
 from repro.fhe.bootstrap import BootstrapConfig, Bootstrapper
 
 
@@ -132,3 +136,31 @@ class TestEndToEnd:
                               scale=boot_ctx.params.scale * 4)
         with pytest.raises(ValueError):
             bootstrapper.bootstrap(ct)
+
+
+def _refresh(backend: str):
+    """A complex message at level 1, bootstrapped on fixture keys at the
+    sparse secret's Hamming weight (12)."""
+    ctx = pins.fixture(CkksParameters.boot_test(),
+                       "arithmetic/bootstrap/boot_test", hamming_weight=12,
+                       backend=backend)
+    rng = np.random.default_rng(2)
+    n = ctx.params.num_slots
+    z = rng.uniform(-0.05, 0.05, n) + 1j * rng.uniform(-0.05, 0.05, n)
+    return ctx, z, ctx.bootstrapper().bootstrap(ctx.encrypt(z, level=1))
+
+
+@pins.family("arithmetic/bootstrap", [("boot_test",)])
+def bootstrap_digest(preset: str) -> str:
+    return pins.ct_digest([_refresh("stacked")[2]])
+
+
+@pytest.mark.parametrize("backend", [
+    "stacked", pytest.param("reference", marks=pytest.mark.slow)])
+def test_a_fixture_bootstrap_is_the_pinned_bits(backend):
+    ctx, z, out = _refresh(backend)
+    assert out.level > 1
+    # The tolerance of ``TestEndToEnd::test_full_bootstrap_refreshes_level``.
+    assert np.max(np.abs(ctx.decrypt(out) - z)) < 5e-2
+    assert pins.ct_digest([out]) \
+        == pins.expected("arithmetic/bootstrap", "boot_test")

@@ -36,7 +36,7 @@ import pytest
 
 from repro.fhe import CkksContext
 from repro.serve.workloads import scoring_workload
-from test_parent_digests import PRESETS
+from pins import PRESETS
 
 #: Bytes of Python objects a measured call may make beyond its pin.
 OBJECTS = 4096

@@ -22,7 +22,7 @@ from repro.trace import SymbolicEvaluator
 from repro.trace.ir import OpKind
 
 import bignum
-from test_parent_digests import PRESETS
+from pins import PRESETS
 
 BACKENDS = ("reference", "stacked")
 cases = pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from repro.fhe.encoder import round_coeffs
 from repro.fhe.modmath import reduce_vec
 from repro.fhe.primes import generate_ntt_primes
 from repro.fhe.rns import WORD_BOUND, RnsBasis
-from test_parent_digests import PRESETS
+from pins import PRESETS
 
 N = 64
 POOLS = {

@@ -22,7 +22,7 @@ from repro.fhe.keys import mod_down_polys
 from repro.fhe.poly import rescale_last
 from repro.fhe.rns import RnsBasis
 from repro.trace.ops import fused_rescales
-from test_parent_digests import PRESETS
+from pins import PRESETS
 
 PARAMS = {name: build() for name, build in
           {**PRESETS, "boot_test": CkksParameters.boot_test}.items()}

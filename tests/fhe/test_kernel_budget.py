@@ -34,7 +34,7 @@ from repro.fhe.modmath import BoundModMatmul
 from repro.fhe.ntt import BatchedNttContext
 from repro.fhe.primes import generate_ntt_primes
 from repro.serve.workloads import scoring_workload
-from test_parent_digests import PRESETS
+from pins import PRESETS
 
 PW54 = PRESETS["pw54"]()
 

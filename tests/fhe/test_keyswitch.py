@@ -22,7 +22,7 @@ from repro.fhe import keys
 from repro.fhe.keys import key_switch, mod_down_polys, raise_digits
 from repro.fhe.poly import rotation_galois_element
 from repro.fhe.rns import KeySwitchContext, digit_spans, division
-from test_parent_digests import PRESETS
+from pins import PRESETS
 
 TOY = CkksParameters.toy()
 

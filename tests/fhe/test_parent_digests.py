@@ -2,11 +2,15 @@
 
 The oracle tests in ``test_eval_domain_ops.py`` compare the EVAL-domain
 automorphism, rescale and ModDown with this repo's own COEFF kernels;
-this module holds them to recorded digests.  Any change to the integers
-a scoring replay, a hoisted rotation batch, a conjugation or an HEMult
-produces — at the int64 tier (``toy``) or the double-word tier
-(``pw54``) — changes one.  Re-pin only deliberately, by running this
-very file; CHANGES.md records every old -> new.
+this module holds them to recorded digests (family ``arithmetic`` of
+``tests/pins.json``).  Any change to the integers a scoring replay, a
+hoisted rotation batch, a conjugation, an HEMult or one HE-LR training
+step produces — at the int64 tier (``toy``, and ``test`` for HE-LR) or
+the double-word tier (``pw54``) — changes one.  Keys and encryptions
+come from the sampler-free fixture (``pins.fixture``), so a change of
+the library's samplers moves none.  Re-pin only deliberately:
+``PYTHONPATH=src python -m tests.pins --record``; CHANGES.md records
+every old -> new.
 """
 
 import hashlib
@@ -14,68 +18,72 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.fhe import CkksContext, CkksParameters
+import pins
+from repro.fhe import CkksParameters
 from repro.serve.workloads import scoring_workload
-
-
-def _pw54() -> CkksParameters:
-    """The 54-bit paper word on a toy ring (``bench.workloads.pw54``)."""
-    return CkksParameters._build(ring_degree=1 << 10, scale_bits=50,
-                                 prime_bits=54, max_level=5, boot_levels=2,
-                                 dnum=2, fft_iterations=1)
-
-
-PRESETS = {"toy": CkksParameters.toy, "pw54": _pw54}
-
-PARENT_DIGESTS = {
-    ("scoring", "toy"):
-        "9feaa383c3342665d17bc3137a2b9204cfd4e87b7da39ccc5856ea89cd96cf05",
-    ("scoring", "pw54"):
-        "2aeacffdb30935d6b53af63da2978f8585a9288eff6df9fde011d9f1f3186603",
-    ("galois_mult", "toy"):
-        "ebb27cb80b4d7dfba928a7dfbd619bb719c2e3880e1da0307a82cd54ddb5cb88",
-    ("galois_mult", "pw54"):
-        "c778f48853c8aa3d364563c5bbe0df08e6efd9e6129e01892109e3f23a8e291f",
-}
-
-
-def _digest(ciphertexts) -> str:
-    sha = hashlib.sha256()
-    for ct in ciphertexts:
-        sha.update(f"{ct.level}:{ct.scale!r};".encode())
-        for poly in ct.components:
-            for limb in poly.limbs:
-                sha.update(np.ascontiguousarray(limb, dtype=np.int64)
-                           .tobytes())
-    return sha.hexdigest()
+from repro.workloads import EncryptedLogisticRegression
 
 
 def _inputs(params: CkksParameters) -> np.ndarray:
     return np.random.default_rng(7).uniform(-1.0, 1.0, params.num_slots)
 
 
-def _scoring(params: CkksParameters) -> str:
+def _scoring(params: CkksParameters, tag: str) -> str:
     plan = scoring_workload(16).compile(params)
-    ctx = CkksContext(params, seed=123)
+    ctx = pins.fixture(params, tag)
     ct = ctx.encrypt(_inputs(params))
-    return _digest([plan.execute(ctx, sources=[ct]).output])
+    return pins.ct_digest([plan.execute(ctx, sources=[ct]).output])
 
 
-def _galois_mult(params: CkksParameters) -> str:
-    ctx = CkksContext(params, seed=123)
+def _galois_mult(params: CkksParameters, tag: str) -> str:
+    ctx = pins.fixture(params, tag)
     ev = ctx.evaluator
     ct = ctx.encrypt(_inputs(params))
     other = ctx.encrypt(_inputs(params)[::-1])
     rotated = ev.hoisted_rotations(ct, [1, 2, 5])
-    return _digest([rotated[1], rotated[2], rotated[5],
-                    ev.he_conjugate(ct), ev.he_mult(ct, other)])
+    return pins.ct_digest([rotated[1], rotated[2], rotated[5],
+                           ev.he_conjugate(ct), ev.he_mult(ct, other)])
 
 
 WORKLOADS = {"scoring": _scoring, "galois_mult": _galois_mult}
 
 
-@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pins.family("arithmetic", [(workload, preset) for workload in WORKLOADS
+                            for preset in pins.PRESETS])
+def workload_digest(workload: str, preset: str) -> str:
+    return WORKLOADS[workload](pins.PRESETS[preset](),
+                               pins.pin_id("arithmetic", workload, preset))
+
+
+@pytest.mark.parametrize("preset", sorted(pins.PRESETS))
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_bits_match_the_parent_commit(workload, preset):
-    got = WORKLOADS[workload](PRESETS[preset]())
-    assert got == PARENT_DIGESTS[(workload, preset)]
+    assert workload_digest(workload, preset) \
+        == pins.expected("arithmetic", workload, preset)
+
+
+#: At ``toy`` every ``he_add`` of a step meets its larger scale first,
+#: so only ``pw54`` and ``test`` read how a sum's scale is labelled.
+HELR_PRESETS = {**pins.PRESETS, "test": CkksParameters.test}
+
+
+@pins.family("arithmetic/helr_train_step", [(p,) for p in HELR_PRESETS])
+def helr_digest(preset: str) -> str:
+    """The bytes of the weights one HE-LR step decrypts, from weights
+    that are not zero, so every term of the weighted sum is computed."""
+    params = HELR_PRESETS[preset]()
+    ctx = pins.fixture(params, pins.pin_id("arithmetic/helr_train_step",
+                                           preset))
+    rng = np.random.default_rng(5)
+    features = rng.uniform(-1, 1, size=(16, 3))
+    labels = (features @ np.array([1.0, -1.5, 0.5]) > 0).astype(float)
+    model = EncryptedLogisticRegression(ctx, num_features=3)
+    model.weights = np.array([0.5, -0.25, 0.75])
+    weights = model.train_step(features, labels)
+    return hashlib.sha256(weights.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("preset", sorted(HELR_PRESETS))
+def test_one_helr_step_decrypts_to_the_pinned_weights(preset):
+    assert helr_digest(preset) \
+        == pins.expected("arithmetic/helr_train_step", preset)

@@ -11,7 +11,7 @@ from repro.fhe.ntt import (NttContext, bit_reverse, bit_reverse_permutation,
 from repro.fhe.primes import (_factorize, find_primitive_root,
                               generate_ntt_primes, is_prime,
                               primitive_nth_root)
-from test_parent_digests import PRESETS
+from pins import PRESETS
 
 #: Every preset's moduli, ciphertext and special.
 PRESET_MODULI = {

@@ -6,19 +6,12 @@ compute backends, and an error no worse than twice the log-tree's."""
 import numpy as np
 import pytest
 
+from pins import PRESETS
 from repro import engine
-from repro.fhe import CkksContext, CkksParameters, SlotLayout
+from repro.fhe import CkksContext, SlotLayout
 from repro.fhe.packing import replicate, rotate_sum, rotation_groups
 
 
-def _pw54() -> CkksParameters:
-    """The 54-bit paper word on a toy ring (``bench.workloads.pw54``)."""
-    return CkksParameters._build(ring_degree=1 << 10, scale_bits=50,
-                                 prime_bits=54, max_level=5, boot_levels=2,
-                                 dnum=2, fft_iterations=1)
-
-
-PRESETS = {"toy": CkksParameters.toy, "pw54": _pw54}
 WIDTHS = [1, 2, 4, 8, 16, 32, 64]
 
 

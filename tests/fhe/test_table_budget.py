@@ -28,7 +28,7 @@ from repro.fhe import ntt, primes
 from repro.fhe.ntt import BatchedNttContext, NttContext, _TableCache
 from repro.serve import TenantKeyCache, clear_serve_caches
 from test_keyswitch import ct_equal
-from test_parent_digests import PRESETS
+from pins import PRESETS
 
 TOY = CkksParameters.toy()
 MODULI = tuple(TOY.moduli) + tuple(TOY.special_moduli)

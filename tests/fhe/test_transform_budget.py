@@ -19,6 +19,7 @@ from repro.fhe.backend.stacked import StackedBackend
 from repro.fhe.keys import key_switch, raise_digits
 from repro.fhe.polyval import match_scale_level
 from repro.serve.workloads import scoring_workload
+from pins import PRESETS
 
 
 @register_backend("count-transforms")
@@ -206,8 +207,9 @@ def test_plaintext_operands_are_prepared_once(budget):
 
 def test_a_scale_fix_prepares_its_constant(budget):
     """``match_scale_level`` fixes a scale by a rescaled ``poly_mult``
-    with the constant 1 at the adjusting scale: one forward call over the
-    level's n rows prepares the fresh constant, then the rescale's own."""
+    with the constant 1 at the adjusting scale: a constant's EVAL form is
+    the constant in every row, so its preparation transforms nothing and
+    the rescale's own forward call is the only one."""
     ev, ct, backend = budget.ev, budget.ct, budget.backend
 
     def forwards(op):
@@ -217,7 +219,7 @@ def test_a_scale_fix_prepares_its_constant(budget):
 
     rescale = forwards(lambda: ev.rescale(ct))
     assert forwards(lambda: match_scale_level(
-        ev, ct, ct.level, ct.scale * 1.37)) == [budget.n] + rescale
+        ev, ct, ct.level, ct.scale * 1.37)) == rescale
 
 
 def test_encrypt_and_decrypt(budget):
@@ -356,10 +358,7 @@ def test_a_warm_scoring_batch(preset):
     ``bench --trace 1`` reports the same five numbers per batch plus the
     two rows of its ``max_level`` encryption, which replay drops to the
     entry level."""
-    params = CkksParameters.toy() if preset == "toy" else \
-        CkksParameters._build(ring_degree=1 << 10, scale_bits=50,
-                              prime_bits=54, max_level=5, boot_levels=2,
-                              dnum=2, fft_iterations=1)
+    params = PRESETS[preset]()
     plan = scoring_workload(16).compile(params)
     entry = plan.entry_level
     assert entry == {"toy": 3, "pw54": 2}[preset]

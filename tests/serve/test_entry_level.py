@@ -12,6 +12,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from pins import PRESETS
 from repro.analysis import LintError
 from repro.artifact import load_plan
 from repro.fhe.packing import SlotLayout
@@ -26,14 +27,6 @@ WIDTH = 16
 WEIGHTS = 0.5 + np.arange(WIDTH) / (2.0 * WIDTH)
 
 
-def _pw54(backend: str = "stacked") -> CkksParameters:
-    """The 54-bit paper word on a toy ring (``bench.workloads.pw54``)."""
-    return CkksParameters._build(ring_degree=1 << 10, scale_bits=50,
-                                 prime_bits=54, max_level=5, boot_levels=2,
-                                 dnum=2, fft_iterations=1, backend=backend)
-
-
-PRESETS = {"toy": CkksParameters.toy, "pw54": _pw54}
 ENTRY = {"toy": 3, "pw54": 2}
 
 

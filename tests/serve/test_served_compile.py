@@ -17,51 +17,21 @@ import types
 import numpy as np
 import pytest
 
+import pins
 from repro import engine
 from repro.fhe import CkksContext, CkksParameters, keys
 from repro.fhe.backend.reference import ReferenceBackend
 from repro.fhe.backend.stacked import StackedBackend
 from repro.fhe.ciphertext import Ciphertext
-from repro.fhe.packing import SlotLayout
 from repro.fhe.poly import PolyContext
 from repro.serve import ServedWorkload, scoring_workload, shared_plan
 from repro.serve.cache import clear_serve_caches
 
-WIDTH = 16
-AFFINE = tuple(np.linspace(lo, hi, WIDTH) for lo, hi in
-               ((0.5, 1.0), (-0.5, 0.5), (1.0, 0.25), (0.25, -0.25)))
+WIDTH = pins.WIDTH
 
-
-def _pw54() -> CkksParameters:
-    """The 54-bit paper word on a toy ring (``bench.workloads.pw54``)."""
-    return CkksParameters._build(ring_degree=1 << 10, scale_bits=50,
-                                 prime_bits=54, max_level=5, boot_levels=2,
-                                 dnum=2, fft_iterations=1)
-
-
-def _affine_workload() -> ServedWorkload:
-    """``bench``'s key-switch-free lane: ``(x*a + b)*c + d`` slot-wise."""
-
-    def build(layout: SlotLayout):
-        a, b, c, d = (np.tile(v, layout.capacity) for v in AFFINE)
-
-        def affine(ev, ct):
-            encode = ev.encoder.encode
-            y = ev.poly_mult(ct, encode(a), rescale=True)
-            y = ev.poly_add(y, encode(b, y.scale))
-            y = ev.poly_mult(y, encode(c), rescale=True)
-            return ev.poly_add(y, encode(d, y.scale))
-
-        return affine
-
-    return ServedWorkload(name=f"affine-w{WIDTH}", width=WIDTH,
-                          build_program=build, result_slots=WIDTH)
-
-
-CASES = {("scoring", "toy"): (lambda: scoring_workload(WIDTH),
-                              CkksParameters.toy),
-         ("scoring", "pw54"): (lambda: scoring_workload(WIDTH), _pw54),
-         ("affine", "toy"): (_affine_workload, CkksParameters.toy)}
+CASES = {("scoring", "toy"): (pins.SERVED["scoring"], CkksParameters.toy),
+         ("scoring", "pw54"): (pins.SERVED["scoring"], pins.pw54),
+         ("affine", "toy"): (pins.affine_workload, CkksParameters.toy)}
 
 
 @pytest.fixture(autouse=True)
@@ -155,7 +125,7 @@ class TestCountBudget:
         for backend in (StackedBackend, ReferenceBackend):
             counted(backend, "ntt_forward")
             counted(backend, "ntt_inverse")
-        params = CkksParameters.toy() if preset == "toy" else _pw54()
+        params = pins.PRESETS[preset]()
         workload = scoring_workload(WIDTH)
         plan = workload.compile(params)
         assert calls == {}

@@ -791,3 +791,75 @@ def test_polyval_and_the_bsgs_transform_compute_through_the_rows():
                                     "matrix_vector"])):
         for name in names:
             assert not hasattr(owner, name), name
+
+
+# -- one home for a bit pin ---------------------------------------------------
+
+TESTS = SRC.parent / "tests"
+_HEX64 = re.compile(r"\b[0-9a-f]{64}\b")
+#: ``pins.pw54``'s arguments, as written.
+_PW54 = {"ring_degree": "1 << 10", "scale_bits": "50", "prime_bits": "54",
+         "max_level": "5", "boot_levels": "2", "dnum": "2",
+         "fft_iterations": "1"}
+
+
+def _pin_forks(source: str) -> list[str]:
+    """What a module holds beside the one pin table: a sha256 literal, a
+    ``__main__`` recorder, a ``pw54`` preset, or an import from the test
+    module that once lent its presets and digest out."""
+    found = ["sha256 literal"] if _HEX64.search(source) else []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) \
+                and ast.unparse(node) == "__name__ == '__main__'":
+            found.append("__main__ recorder")
+        elif isinstance(node, ast.FunctionDef) \
+                and node.name.strip("_") == "pw54":
+            found.append("pw54 preset")
+        elif isinstance(node, ast.Call) and _PW54.items() <= {
+                (kw.arg, ast.unparse(kw.value))
+                for kw in node.keywords}:
+            found.append("pw54 preset")
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module == "test_parent_digests":
+            found.append("test_parent_digests import")
+    return found
+
+
+def test_the_pin_guard_sees_what_it_is_there_to_stop():
+    assert _pin_forks(f'PIN = "{"ab" * 32}"') == ["sha256 literal"]
+    assert _pin_forks('if __name__ == "__main__":\n    print()\n') \
+        == ["__main__ recorder"]
+    assert _pin_forks("def _pw54():\n    return CkksParameters._build("
+                      + ", ".join(f"{k}={v}" for k, v in _PW54.items())
+                      + ")\n") == ["pw54 preset", "pw54 preset"]
+    assert _pin_forks("from test_parent_digests import PRESETS, _digest\n") \
+        == ["test_parent_digests import"]
+    assert sorted(_pin_forks((TESTS / "pins.py").read_text(
+        encoding="utf-8"))) == ["__main__ recorder", "pw54 preset",
+                                "pw54 preset"]
+
+
+def test_every_bit_pin_reads_the_one_table():
+    """Every sha256 pin is a line of ``tests/pins.json``, rewritten by the
+    one recorder (``python -m tests.pins --record``); ``pins.pw54`` is
+    the one ``pw54`` preset.  The simulator's model rows
+    (``test_parent_cycles.py``) and the byte budgets
+    (``test_byte_budget.py``) keep their own tables and recorders."""
+    own = {"pins.py", "test_parent_cycles.py", "test_byte_budget.py"}
+    offenders = {str(path.relative_to(TESTS)): forks
+                 for path in sorted(TESTS.rglob("*.py"))
+                 if path.name not in own
+                 and (forks := _pin_forks(path.read_text(encoding="utf-8")))}
+    assert not offenders, offenders
+
+
+def test_two_dead_entry_points_are_gone():
+    """Nothing called the batch linter or the plan-cache count."""
+    from repro import analysis, serve
+    from repro.analysis import checks
+    from repro.serve import cache
+    for owner, name in ((analysis, "lint_traces"), (checks, "lint_traces"),
+                        (serve, "plan_cache_stats"),
+                        (cache, "plan_cache_stats")):
+        assert not hasattr(owner, name), name
+        assert name not in getattr(owner, "__all__", ()), name
