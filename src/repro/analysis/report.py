@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.trace.ir import OpKind, OpTrace
-from repro.trace.ops import OPS, galois_groups
+from repro.trace.ops import OPS, schedule
 
 from .checks import lint_trace
 from .diagnostics import DiagnosticReport
@@ -25,19 +25,19 @@ def op_mix(trace: OpTrace) -> dict[str, Any]:
     counts = {kind.value: count
               for kind, count in sorted(by_kind.items(),
                                         key=lambda kv: kv[0].value)}
-    keyswitches = len(trace.keyswitch_ops())
+    sched = schedule(trace)
     block_ops = sum(1 for op in trace.ops
                     if OPS[op.kind].block is not None)
     levels = [op.level for op in trace.ops]
     return {
         "ops": len(trace.ops),
         "block_ops": block_ops,
-        "keyswitch_ops": keyswitches,
+        "keyswitch_ops": len(sched.keyswitch_ops),
         "counts_by_kind": counts,
-        "distinct_keys": sorted(trace.keys_used()),
+        "distinct_keys": list(sched.key_ids),
         "level_min": min(levels) if levels else None,
         "level_max": max(levels) if levels else None,
-        "hoists": len(galois_groups(trace)) + by_kind[OpKind.ROTATE_ADD],
+        "hoists": len(sched.galois_groups) + by_kind[OpKind.ROTATE_ADD],
     }
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.trace.ir import OpTrace
+from repro.trace.ops import schedule
 
 from .reader import Artifact
 from .writer import build_header, plan_provenance, real_payloads
@@ -115,7 +116,7 @@ def _diff_trace(a: OpTrace, b: OpTrace) -> BlockDiff:
                 Counter(op.kind.value for op in b.ops))
     _count_rows(block, "level", Counter(op.level for op in a.ops),
                 Counter(op.level for op in b.ops))
-    keys_a, keys_b = a.keys_used(), b.keys_used()
+    keys_a, keys_b = (set(schedule(trace).key_ids) for trace in (a, b))
     if keys_a != keys_b:
         block.rows["keys_used"] = (len(keys_a), len(keys_b))
     if a.output_op_id != b.output_op_id:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable
 
 from repro.fhe.params import CkksParameters
+from repro.trace.invariants import TraceValidationError
 from repro.trace.ir import OpTrace
 from repro.trace.ops import structural_problems
 
@@ -214,29 +215,22 @@ def load_plan(path: str) -> "ExecutablePlan":
     with a payload block, executes bit-identically to) the plan
     :func:`repro.engine.compile` produced before saving.
 
-    The stored trace is the one compile lowered, so its block graph is
-    lowered again (:func:`~repro.trace.lower_trace`, the call compile
-    made) and checked against the workload-DAG invariants: a violation
-    is an :class:`ArtifactFormatError` naming TRACE_OPS and the first.
+    The plan is built the one way a plan is built
+    (:class:`~repro.engine.ExecutablePlan` validates, lowers and checks
+    the stored trace), so a trace that ``engine.compile`` refuses is an
+    :class:`ArtifactFormatError` naming TRACE_OPS and the op.
+    :func:`load_trace` stays lenient: the linter reads a broken trace.
     The loaded plan's provenance (producing tool, plan name) is kept on
     :attr:`~repro.engine.ExecutablePlan.provenance`.
     """
     from repro.engine.plan import ExecutablePlan
-    from repro.trace import dag_violations, lower_trace
 
     artifact = read_artifact(path)
-    trace = artifact.trace
-    assert trace is not None                # every kind carries TRACE_OPS
-    params = trace.params
-    graph = lower_trace(trace)
-    problems = dag_violations(graph, params=params,
-                              require_keyswitch_meta=True)
-    if problems:
-        raise ArtifactFormatError(
-            f"{path}: TRACE_OPS: lowers to {len(problems)} block-graph "
-            f"invariant violation(s), first {problems[0]}")
-    plan = ExecutablePlan(params=params, graph=graph,
-                          name=artifact.name, trace=trace)
+    assert artifact.trace is not None       # every kind carries TRACE_OPS
+    try:
+        plan = ExecutablePlan(artifact.trace, artifact.name)
+    except TraceValidationError as exc:
+        raise ArtifactFormatError(f"{path}: TRACE_OPS: {exc}") from None
     plan.provenance = dict(artifact.provenance or {})
     plan.provenance.setdefault("fingerprint", artifact.fingerprint)
     plan.provenance.setdefault("artifact_path", path)

@@ -158,7 +158,7 @@ class BlockCostModel:
         """Decomp+ModUp stage of one hybrid key switch at ``level``.
 
         This is the stage rotation hoisting shares across a Galois
-        group (:func:`repro.trace.ops.galois_groups`): iNTT of the
+        group (:attr:`repro.trace.Schedule.galois_groups`): iNTT of the
         ciphertext limbs, the exact base conversion of every digit into
         the raised basis, and the NTTs of the new limbs.
         :meth:`_key_switch` takes its ModUp counts from here.

@@ -25,23 +25,29 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.blocksim import BlockGraphSimulator, WorkloadMetrics
-from repro.dag import DiGraph
 from repro.fhe.params import CkksParameters
 from repro.gme.features import FeatureSet
-from repro.trace import (OpKind, OpTrace, SymbolicEvaluator,
-                         TracingEvaluator, assert_workload_dag,
-                         lower_trace, validate_trace)
+from repro.trace import (OpKind, OpTrace, Schedule, SymbolicEvaluator,
+                         TraceValidationError, TracingEvaluator,
+                         dag_violations, lower_trace, schedule,
+                         validate_trace)
+from repro.trace.invariants import _summary
 from repro.trace.ir import TraceOp
-from repro.trace.ops import (OPS, fused_rescales, galois_groups,
-                             switches_key)
+from repro.trace.ops import OPS
+
+if TYPE_CHECKING:
+    from repro.analysis import DiagnosticReport
+    from repro.fhe.ciphertext import Ciphertext
+    from repro.fhe.poly import Polynomial
+    from repro.gpusim.config import GpuConfig
 
 #: An HE program: any callable issuing evaluator ops on its argument.
-HeProgram = Callable
+HeProgram = Callable[[Any], Any]
 
 
 class PlanError(RuntimeError):
@@ -89,14 +95,14 @@ class PlanProfile:
 
     def by_kind(self) -> dict[str, float]:
         """Cycles aggregated per op kind (descending)."""
-        totals: Counter = Counter()
+        totals: Counter[str] = Counter()
         for op in self.ops:
             totals[op.kind] += op.cycles
         return dict(totals.most_common())
 
     def by_region(self) -> dict[str, float]:
         """Cycles aggregated per recorded program region (descending)."""
-        totals: Counter = Counter()
+        totals: Counter[str] = Counter()
         for op in self.ops:
             totals[op.region] += op.cycles
         return dict(totals.most_common())
@@ -113,15 +119,15 @@ class PlanExecution:
 
     ``values`` maps an op id to the ciphertext replay produced for it:
     every op but the products replay fuses into their rescale
-    (:func:`~repro.trace.ops.fused_rescales`), whose unrescaled value is
-    never made — the rescale op's entry holds the fused result.
+    (:attr:`~repro.trace.ops.Schedule.fused_rescales`), whose unrescaled
+    value is never made — the rescale op's entry holds the fused result.
     """
 
     trace: OpTrace
-    values: dict[int, object]
+    values: dict[int, Any]
 
     @property
-    def output(self):
+    def output(self) -> Any:
         """The value the traced program returned.
 
         Uses the trace's recorded ``output_op_id`` (the program's actual
@@ -140,73 +146,47 @@ class PlanExecution:
 # ---------------------------------------------------------------------------
 
 class ExecutablePlan:
-    """A compiled HE program: trace + lowered DAG + retargetable runs."""
+    """A compiled HE program: trace + lowered DAG + retargetable runs.
 
-    def __init__(self, params: CkksParameters, graph: DiGraph,
-                 name: str, trace: OpTrace,
-                 program: HeProgram | None = None):
-        self.params = params
+    Built one way: the constructor validates the trace
+    (:func:`~repro.trace.validate_trace`), lowers it and checks the block
+    DAG, and refuses either defect with a
+    :class:`~repro.trace.TraceValidationError`.
+    """
+
+    def __init__(self, trace: OpTrace, name: str) -> None:
+        graph = lower_trace(validate_trace(trace))
+        problems = dag_violations(graph, params=trace.params,
+                                  require_keyswitch_meta=True)
+        if problems:
+            raise TraceValidationError(_summary(problems, "DAG"))
+        self.params = trace.params
         self.graph = graph
         self.name = name
         self.trace = trace
-        self.program = program
         #: The most recent lint report (:class:`repro.analysis.
         #: DiagnosticReport`) of this plan's trace; ``None`` until the
         #: plan is compiled or re-checked with ``lint=`` requested.
-        self.lint_report = None
+        self.lint_report: DiagnosticReport | None = None
         #: Artifact provenance (tool, fingerprint, source path) for
         #: plans loaded from an ``.rpa`` container via
         #: :func:`repro.artifact.load_plan`; ``None`` for freshly
         #: compiled plans.
-        self.provenance: dict | None = None
-        self._ops_by_id: dict[int, TraceOp] = \
-            {op.op_id: op for op in trace.ops}
+        self.provenance: dict[str, Any] | None = None
         self._sim_cache: dict[FeatureSet, WorkloadMetrics] = {}
         self._profile_cache: dict[FeatureSet, PlanProfile] = {}
         #: LABS on / off -> block issue order.  Nothing else a feature
         #: set carries moves the order, so a sweep schedules once.
-        self._orders: dict[bool, list] = {}
+        self._orders: dict[bool, list[Any]] = {}
 
     @functools.cached_property
-    def _key_ids(self) -> tuple[str, ...]:
-        """Every switching key the replay uses, drawn as one batch first
-        (worked out at the first execute: a plan that is only simulated
-        never needs them)."""
-        return tuple(sorted(self.trace.keys_used()))
+    def schedule(self) -> Schedule:
+        """Replay's decisions about the trace (:func:`~repro.trace.
+        schedule`), made at the first execute: a plan that is only
+        simulated never needs them."""
+        return schedule(self.trace)
 
-    @functools.cached_property
-    def _key_level(self) -> int:
-        """The plan's highest key-switch level: its keys are drawn over
-        C_k + P for this k, and serve every lower level by restriction."""
-        return max((op.level for op in self.trace.keyswitch_ops()),
-                   default=0)
-
-    @functools.cached_property
-    def entry_level(self) -> int:
-        """The level the plan's first SOURCE op was recorded at: where a
-        caller encrypts its input.  Replay drops a source above it to
-        it, and refuses one below."""
-        for op in self.trace.ops:
-            if op.kind is OpKind.SOURCE:
-                return op.level
-        raise PlanError(f"plan {self.name!r} has no SOURCE op")
-
-    @functools.cached_property
-    def _fused(self) -> dict[int, TraceOp]:
-        """Rescale op id -> the product it replays with ``rescale=True``,
-        over :func:`~repro.trace.ops.fused_rescales`."""
-        return {rescale: self._ops_by_id[product]
-                for product, rescale in fused_rescales(self.trace).items()}
-
-    @functools.cached_property
-    def _galois_reads(self) -> dict[int, tuple[int, int]]:
-        """Galois op id -> (the value its group reads, the group's last
-        op id), over :func:`~repro.trace.ops.galois_groups`."""
-        return {op_id: (value, ops[-1])
-                for value, ops in galois_groups(self.trace).items()
-                for op_id in ops}
-
-    def lint(self, **kwargs):
+    def lint(self, **kwargs: Any) -> DiagnosticReport:
         """Lint this plan's trace (:func:`repro.analysis.analyze_trace`).
 
         The report is cached on :attr:`lint_report` (plans are
@@ -255,7 +235,7 @@ class ExecutablePlan:
     # -- back-end: architectural simulation --------------------------------
 
     def simulate(self, features: FeatureSet,
-                 config=None) -> WorkloadMetrics:
+                 config: GpuConfig | None = None) -> WorkloadMetrics:
         """Run the plan's DAG through BlockSim under ``features``.
 
         Results are cached per feature set (plans are immutable), so
@@ -272,7 +252,7 @@ class ExecutablePlan:
         return self._sim_cache[features]
 
     def _run(self, features: FeatureSet,
-             record: list | None = None) -> WorkloadMetrics:
+             record: list[dict[str, Any]] | None = None) -> WorkloadMetrics:
         """One BlockSim run in this plan's block order for ``features``,
         computed by the first run that needs it."""
         simulator = BlockGraphSimulator(features, params=self.params)
@@ -300,9 +280,9 @@ class ExecutablePlan:
         # raw records are folded into OpProfile rows and released, and
         # the run's metrics seed the simulate cache (simulation is
         # deterministic, so a prior simulate() saw identical cycles).
-        records: list[dict] = []
+        records: list[dict[str, Any]] = []
         metrics = self._run(features, record=records)
-        rows: dict[int, dict] = {}
+        rows: dict[int, dict[str, Any]] = {}
         for record in records:
             row = rows.setdefault(record["op_id"], {
                 "blocks": 0, "cycles": 0.0,
@@ -317,7 +297,7 @@ class ExecutablePlan:
             row["dram_bytes"] += record["dram_bytes"]
         ops = []
         for op_id, row in rows.items():
-            trace_op = self._ops_by_id[op_id]
+            trace_op = self.trace.ops[op_id]
             ops.append(OpProfile(
                 op_id=op_id,
                 kind=trace_op.kind.value,
@@ -339,22 +319,21 @@ class ExecutablePlan:
 
     # -- back-end: functional replay ----------------------------------------
 
-    def execute(self, ctx, sources=None) -> PlanExecution:
+    def execute(self, ctx: Any, sources: Any = None) -> PlanExecution:
         """Replay the recorded trace against a real CKKS context.
 
         ``sources`` supplies the ciphertexts for the trace's ``SOURCE``
         ops: a single ciphertext (one source), a sequence in source
         order, or a mapping of source op id to ciphertext; one above its
-        op's recorded level is ``mod_drop``\\ ped to it (:attr:`entry_level`
-        for a single source), one below is a :class:`PlanError`.  The replay
-        follows the recorded op stream exactly, raises c1 once for every
-        Galois group (:func:`~repro.trace.ops.galois_groups`) and runs a
-        product whose only reader is a rescale as one rescaled product
-        (:func:`~repro.trace.ops.fused_rescales`), so given the same
-        source ciphertexts and keys it is bit-identical to running the
-        program directly against ``ctx.evaluator`` (see
-        :func:`bit_identical`); :attr:`PlanExecution.values` has no entry
-        for a fused product.
+        op's recorded level is ``mod_drop``\\ ped to it (the schedule's
+        ``entry_level`` for a single source), one below is a
+        :class:`PlanError`.  The replay follows the recorded op stream as
+        :attr:`schedule` decides it: it raises c1 once for every Galois
+        group and runs a product whose only reader is a rescale as one
+        rescaled product, so given the same source ciphertexts and keys
+        it is bit-identical to running the program directly against
+        ``ctx.evaluator`` (see :func:`bit_identical`);
+        :attr:`PlanExecution.values` has no entry for a fused product.
         Every switching key the trace names that the context does not
         hold at the plan's highest key-switch level is drawn first, at
         that level, as one batch
@@ -364,25 +343,25 @@ class ExecutablePlan:
             raise PlanError(
                 "context parameters differ from the plan's; compile the "
                 "program at the context's parameters first")
-        source_map = self._source_map(sources)
+        sched = self.schedule
+        source_map = self._source_map(sched.sources, sources)
         ev = ctx.evaluator
-        ev.keygen.switching_keys(self._key_ids, self._key_level)
-        values: dict[int, object] = {}
-        raised: dict[int, object] = {}
-        fused = self._fused
-        products = {product.op_id for product in fused.values()}
+        ev.keygen.switching_keys(sched.key_ids, sched.key_level)
+        values: dict[int, Any] = {}
+        raised: dict[int, Any] = {}
         for op in self.trace.ops:
-            if op.op_id in products:
-                continue
-            source = fused.get(op.op_id, op)
-            args = [values[i] for i in source.inputs]
-            values[op.op_id] = self._replay_op(ev, source, args, source_map,
-                                               raised, source is not op)
+            if op.op_id in values:
+                continue        # a fused rescale, made with its product
+            rescale = sched.fused_rescales.get(op.op_id)
+            args = [values[i] for i in op.inputs]
+            values[op.op_id if rescale is None else rescale] = \
+                self._replay_op(ev, op, args, source_map, raised,
+                                rescale is not None)
         return PlanExecution(trace=self.trace, values=values)
 
-    def _source_map(self, sources) -> dict[int, object]:
-        source_ids = [op.op_id for op in self.trace.ops
-                      if op.kind is OpKind.SOURCE]
+    @staticmethod
+    def _source_map(source_ids: tuple[int, ...],
+                    sources: Any) -> dict[int, Any]:
         if sources is None:
             return {}
         if isinstance(sources, dict):
@@ -396,19 +375,21 @@ class ExecutablePlan:
         # A single ciphertext for a single-source trace.
         return dict(zip(source_ids, [sources]))
 
-    def _replay_op(self, ev, op: TraceOp, args: list, source_map: dict,
-                   raised: dict, rescale: bool = False):
+    def _replay_op(self, ev: Any, op: TraceOp, args: list[Any],
+                   source_map: dict[int, Any], raised: dict[int, Any],
+                   rescale: bool = False) -> Any:
         """Apply one recorded op the way its row of the op table says.
 
         A Galois op of a group applies its map to the value's raised
         digits: the group's first op raises them into ``raised``, its
         last drops them.  ``rescale`` runs a product fused into the
-        rescale that reads it.
+        rescale that reads it.  The trace passed validation, so every
+        op has its row's inputs and ``meta``.
 
         The method is looked up on ``ev`` at call time, so a proxy
         evaluator sees every replayed call.
         """
-        spec, meta = OPS[op.kind], op.meta
+        spec = OPS[op.kind]
         if op.kind is OpKind.SOURCE:
             if op.op_id not in source_map:
                 raise PlanError(
@@ -428,11 +409,6 @@ class ExecutablePlan:
             raise PlanError(
                 f"op {op.op_id} ({op.kind.value}) is symbolic-only and "
                 "cannot replay on a real evaluator")
-        if len(args) != spec.arity:
-            raise PlanError(
-                f"op {op.op_id} ({op.kind.value}) cannot replay: it has "
-                f"{len(args)} ciphertext inputs, the call takes "
-                f"{spec.arity}")
         if spec.method is None:     # COPY
             return args[0].copy()
         if spec.payload:
@@ -444,22 +420,20 @@ class ExecutablePlan:
                     "recorded in real mode or a plan loaded from an "
                     ".rpa that carries the PAYLOADS section")
             args.append(payload)
-        try:
-            args += [meta[key] for key in spec.meta_args]
-        except KeyError as missing:
-            raise PlanError(f"op {op.op_id} ({op.kind.value}) cannot "
-                            f"replay: no meta[{missing}]") from None
+        args += [op.meta[key] for key in spec.meta_args]
         if spec.fused_rescale:
             args.append(rescale)
-        if op.op_id not in self._galois_reads:
-            # A product that switches no key was recorded unrelinearized.
+        sched = self.schedule
+        group = sched.galois_groups.get(op.inputs[0])
+        if group is None or op.op_id not in group:
             flags = {"relinearize": False} \
-                if spec.relinearize and not switches_key(spec, meta) else {}
+                if op.op_id in sched.unrelinearized else {}
             return getattr(ev, spec.method)(*args, **flags)
-        value, last = self._galois_reads[op.op_id]
+        value = op.inputs[0]
         if value not in raised:
             raised[value] = ev._hoist(args[0])
-        hoisted = raised.pop(value) if op.op_id == last else raised[value]
+        hoisted = raised.pop(value) if op.op_id == group[-1] \
+            else raised[value]
         # A conjugation is the Galois op with no rotation amount.
         return ev._galois(hoisted.ct, args[1] if len(args) > 1 else None,
                           hoisted)
@@ -469,9 +443,9 @@ class ExecutablePlan:
 # compilation
 # ---------------------------------------------------------------------------
 
-def compile_program(program: "HeProgram | str | OpTrace",
+def compile_program(program: HeProgram | str | OpTrace,
                     params: CkksParameters | None = None, *,
-                    name: str | None = None, context=None,
+                    name: str | None = None, context: Any = None,
                     lint: str | None = None) -> ExecutablePlan:
     """Compile an HE program into an :class:`ExecutablePlan`.
 
@@ -547,7 +521,7 @@ def _apply_lint(plan: ExecutablePlan,
     return plan
 
 
-def _report_lint(report, lint: str) -> None:
+def _report_lint(report: DiagnosticReport, lint: str) -> None:
     """Raise on errors (``"strict"``) or warn with the rendered report
     (``"warn"``).  Called one frame below :func:`compile_program`, so
     ``stacklevel=4`` attributes the warning to its caller."""
@@ -563,12 +537,12 @@ def _report_lint(report, lint: str) -> None:
 def _plan_from_trace(trace: OpTrace, name: str | None,
                      lint: str | None) -> ExecutablePlan:
     """Compile a pre-recorded trace (lint first, then validate)."""
-    report = None
+    report: DiagnosticReport | None = None
     if lint is not None:
         from repro.analysis import analyze_trace
         report = analyze_trace(trace, name=name or trace.name)
         _report_lint(report, lint)
-    plan = _plan(trace, name or trace.name)
+    plan = ExecutablePlan(trace, name or trace.name)
     plan.lint_report = report
     return plan
 
@@ -580,23 +554,13 @@ def _compile_symbolic(program: HeProgram, params: CkksParameters,
 
 
 def _build_plan(program: HeProgram, params: CkksParameters, name: str,
-                context) -> ExecutablePlan:
+                context: Any) -> ExecutablePlan:
     inner = SymbolicEvaluator(params) if context is None \
         else context.evaluator
     recorder = TracingEvaluator(inner, name=name)
     result = program(recorder)
     recorder.trace.output_op_id = recorder.producer_of(result)
-    return _plan(recorder.trace, name, program)
-
-
-def _plan(trace: OpTrace, name: str,
-          program: HeProgram | None = None) -> ExecutablePlan:
-    """Validate ``trace``, lower it and check the block DAG."""
-    graph = lower_trace(validate_trace(trace))
-    assert_workload_dag(graph, params=trace.params,
-                        require_keyswitch_meta=True)
-    return ExecutablePlan(params=trace.params, graph=graph, name=name,
-                          trace=trace, program=program)
+    return ExecutablePlan(recorder.trace, name)
 
 
 def clear_plan_cache() -> None:
@@ -604,7 +568,7 @@ def clear_plan_cache() -> None:
     _compile_symbolic.cache_clear()
 
 
-def plan_cache_info():
+def plan_cache_info() -> functools._CacheInfo:
     """``lru_cache`` statistics for the symbolic plan cache."""
     return _compile_symbolic.cache_info()
 
@@ -613,7 +577,7 @@ def plan_cache_info():
 # bit-identity helpers
 # ---------------------------------------------------------------------------
 
-def polynomials_equal(a, b) -> bool:
+def polynomials_equal(a: Polynomial, b: Polynomial) -> bool:
     """Exact residue-level equality of two ring elements."""
     if a.moduli != b.moduli or a.rep is not b.rep:
         return False
@@ -621,7 +585,7 @@ def polynomials_equal(a, b) -> bool:
                for la, lb in zip(a.limbs, b.limbs))
 
 
-def bit_identical(ct_a, ct_b) -> bool:
+def bit_identical(ct_a: Ciphertext, ct_b: Ciphertext) -> bool:
     """Exact (residue-for-residue) equality of two ciphertexts, a
     degree-2 product's ``c2`` included."""
     parts_a, parts_b = ct_a.components, ct_b.components

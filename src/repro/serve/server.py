@@ -145,7 +145,7 @@ class RealExecutor:
         with self._tenant_lock(batch.tenant):
             ctx = self.keys.get(batch.tenant, self.params)
             ct = ctx.encrypt(batch.packed_values(),
-                             level=self.plan.entry_level)
+                             level=self.plan.schedule.entry_level)
             out = self.plan.execute(ctx, sources=[ct]).output
             decoded = ctx.decrypt(out).real
         results = self.layout.unpack_many(

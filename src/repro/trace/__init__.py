@@ -15,14 +15,15 @@ from .invariants import (KEYSWITCH_BLOCKS, TraceValidationError,
                          validate_trace)
 from .ir import OpKind, OpTrace, TraceOp
 from .lowering import lower_trace
+from .ops import Schedule, schedule
 from .recorder import TracingEvaluator
 from .symbolic import (SymbolicCiphertext, SymbolicEvaluator,
                        SymbolicPlaintext)
 
 __all__ = [
-    "KEYSWITCH_BLOCKS", "OpKind", "OpTrace",
+    "KEYSWITCH_BLOCKS", "OpKind", "OpTrace", "Schedule",
     "SymbolicCiphertext", "SymbolicEvaluator", "SymbolicPlaintext",
     "TraceOp", "TraceValidationError",
     "TracingEvaluator", "assert_workload_dag", "dag_violations",
-    "lower_trace", "validate_trace",
+    "lower_trace", "schedule", "validate_trace",
 ]

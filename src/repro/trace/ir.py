@@ -63,9 +63,9 @@ class TraceOp:
     switching key for key-switch ops (``rot-<amount>``, ``conj``,
     ``relin``; a rotation group's ids joined by ``,``).  Galois ops that
     read one value share one hoisted Decomp+ModUp at replay
-    (:func:`repro.trace.ops.galois_groups`): the data flow is the only
-    record of hoisting.  ``meta`` carries op-specific
-    detail (rotation amount, key-switch digit count, whether an implicit
+    (:attr:`repro.trace.ops.Schedule.galois_groups`): the data flow is
+    the only record of hoisting.  ``meta`` carries op-specific detail
+    (rotation amount, key-switch digit count, whether an implicit
     rescale ran).
     """
 
@@ -117,15 +117,3 @@ class OpTrace:
     def counts_by_kind(self) -> Counter[OpKind]:
         """Multiplicity of each op kind (plumbing included)."""
         return Counter(op.kind for op in self.ops)
-
-    def keyswitch_ops(self) -> list[TraceOp]:
-        """The ops that stream switching-key material
-        (:func:`repro.trace.ops.switches_key`)."""
-        from .ops import OPS, switches_key
-        return [op for op in self.ops
-                if switches_key(OPS[op.kind], op.meta)]
-
-    def keys_used(self) -> set[str]:
-        """Distinct switching-key ids the execution touched."""
-        return {key for op in self.keyswitch_ops() if op.key is not None
-                for key in op.key.split(",")}

@@ -9,6 +9,8 @@ it lowers to.  The recorder, both evaluators, replay
 functions below; none of them restates a per-kind fact.  ``README.md``
 in this directory carries :func:`render_table`'s output.  :func:`check`
 is the one precondition: both evaluators and the linter refuse by it.
+:func:`schedule` makes replay's decisions about a whole trace — its
+hoists, fused rescales and keys — once, as one :class:`Schedule`.
 """
 
 from __future__ import annotations
@@ -151,6 +153,14 @@ OPS: dict[OpKind, OpSpec] = {spec.kind: spec for spec in (
 )}
 
 
+#: The kinds the rules below name, bound once: an ``OpKind.X`` lookup
+#: takes ~0.1 us, and the rules run on every op.
+_RESCALE, _REFRESH, _MOD_DROP, _POLY_ADD, _SOURCE = (
+    OpKind.RESCALE, OpKind.REFRESH, OpKind.MOD_DROP, OpKind.POLY_ADD,
+    OpKind.SOURCE)
+_GALOIS = (OpKind.HE_ROTATE, OpKind.CONJUGATE)
+
+
 # -- the rules over a spec ---------------------------------------------------
 
 def expected_out_level(spec: OpSpec, level: int, meta: Mapping[str, Any],
@@ -170,8 +180,8 @@ def switches_key(spec: OpSpec, meta: Mapping[str, Any]) -> bool:
     """Whether the op key-switches: its kind has a key, and it is not a
     product recorded with ``meta["relinearized"] = False``.
 
-    The one rule: :func:`key_ids`, the recorder, replay's key draw, the
-    linter, validation and :func:`fused_rescales` read it."""
+    The one rule: :func:`key_ids`, the recorder, :func:`schedule`, the
+    linter and validation read it."""
     return spec.key is not None and not (
         spec.relinearize and meta.get("relinearized") is False)
 
@@ -224,48 +234,83 @@ def structural_problems(op: TraceOp, position: int) -> list[str]:
     return problems
 
 
-def galois_groups(trace: OpTrace) -> dict[int, tuple[int, ...]]:
-    """Each value two or more ``he_rotate`` / ``conjugate`` ops read,
-    mapped to those ops' ids in op order.
+@dataclass(frozen=True)
+class Schedule:
+    """Replay's decisions about one trace, made once by :func:`schedule`:
+    the order replay applies keys and hoists in, not LABS's block order
+    (:meth:`repro.gme.labs.LabsScheduler.schedule`)."""
 
-    The one decision about hoisting: a group shares one Decomp+ModUp of
-    its value's c1, which replay raises at the group's first op.  A
-    ``rotate_add`` is a group of its own and joins none.
-    """
+    #: The ``SOURCE`` op ids in op order, and the first one's level, where
+    #: a caller encrypts its input (``None``: the trace has no source).
+    sources: tuple[int, ...]
+    entry_level: int | None
+    #: Each value two or more ``he_rotate`` / ``conjugate`` ops read,
+    #: mapped to those ops' ids in op order: replay raises the value's c1
+    #: (Decomp+ModUp) at the group's first op and drops it at its last.
+    #: A ``rotate_add`` is a group of its own and joins none.
+    galois_groups: dict[int, tuple[int, ...]]
+    #: Each key-switching product whose value one op reads, a
+    #: ``rescale``, and that is not the output, mapped to that rescale:
+    #: replay runs the product with ``rescale=True`` (one division by
+    #: P * q_l, bit for bit the two ops) and never makes the product.
+    fused_rescales: dict[int, int]
+    #: The products recorded with ``relinearize=False``: they switch no
+    #: key, so none is fused, and replay leaves them degree 2.
+    unrelinearized: frozenset[int]
+    #: The ops that stream switching-key material (:func:`switches_key`),
+    #: the key ids they stream, sorted, and the highest level they run at
+    #: (0: none): replay draws every key over C_k + P for this k first, as
+    #: one batch, and a key serves every lower level by restriction.
+    keyswitch_ops: tuple[int, ...]
+    key_ids: tuple[str, ...]
+    key_level: int
+
+
+def schedule(trace: OpTrace) -> Schedule:
+    """Replay's :class:`Schedule` of ``trace``, in one walk over its ops.
+
+    The walk reads only what every trace has, so the op-mix report and
+    the artifact diff take the schedule of a trace that fails
+    validation too."""
+    sources: list[TraceOp] = []
     readers: dict[int, list[int]] = {}
+    #: product -> its one reader so far, a rescale; -1: not fusable.
+    products: dict[int, int | None] = {}
+    unrelinearized: list[int] = []
+    keyswitch: list[TraceOp] = []
+    keys: set[str] = set()
     for op in trace.ops:
-        if op.kind in (OpKind.HE_ROTATE, OpKind.CONJUGATE) \
-                and len(op.inputs) == 1:
-            readers.setdefault(op.inputs[0], []).append(op.op_id)
-    return {value: tuple(ops) for value, ops in readers.items()
-            if len(ops) > 1}
-
-
-def fused_rescales(trace: OpTrace) -> dict[int, int]:
-    """Each key-switching product (``he_mult`` / ``he_square``,
-    :func:`switches_key`) whose value exactly one op reads, a
-    ``rescale``, mapped to that rescale's id; a product that is the
-    trace's output is never fused, and neither is an unrelinearized one
-    (it has no ModDown to fuse with).
-
-    The one decision about fusing ModDown with rescale: replay runs the
-    product with ``rescale=True`` — one division by P * q_l, bit for bit
-    the two ops — and binds the result to the rescale's id; the
-    unrescaled product is never made.
-    """
-    readers: dict[int, list[TraceOp]] = {}
-    for op in trace.ops:
-        for input_id in set(op.inputs):
-            readers.setdefault(input_id, []).append(op)
-    fused: dict[int, int] = {}
-    for op in trace.ops:
-        spec = OPS[op.kind]
-        reads = readers.get(op.op_id, [])
-        if (spec.fused_rescale and switches_key(spec, op.meta)
-                and op.op_id != trace.output_op_id and len(reads) == 1
-                and reads[0].kind is OpKind.RESCALE):
-            fused[op.op_id] = reads[0].op_id
-    return fused
+        kind, op_id = op.kind, op.op_id
+        for input_id in op.inputs:
+            if input_id in products:
+                products[input_id] = op_id if kind is _RESCALE \
+                    and products[input_id] is None else -1
+        if kind is _SOURCE:
+            sources.append(op)
+        elif kind in _GALOIS and len(op.inputs) == 1:
+            readers.setdefault(op.inputs[0], []).append(op_id)
+        spec = OPS[kind]
+        if spec.key is None:
+            continue
+        if not switches_key(spec, op.meta):
+            unrelinearized.append(op_id)
+            continue
+        keyswitch.append(op)
+        keys.update(op.key.split(",") if op.key else ())
+        if spec.fused_rescale and op_id != trace.output_op_id:
+            products[op_id] = None
+    return Schedule(
+        sources=tuple(op.op_id for op in sources),
+        entry_level=sources[0].level if sources else None,
+        galois_groups={value: tuple(ops) for value, ops in readers.items()
+                       if len(ops) > 1},
+        fused_rescales={product: rescale
+                        for product, rescale in products.items()
+                        if rescale is not None and rescale >= 0},
+        unrelinearized=frozenset(unrelinearized),
+        keyswitch_ops=tuple(op.op_id for op in keyswitch),
+        key_ids=tuple(sorted(keys)),
+        key_level=max((op.level for op in keyswitch), default=0))
 
 
 # -- the one precondition ----------------------------------------------------
@@ -276,10 +321,6 @@ SCALE_TOLERANCE = 1e-7
 #: A declared ``rescale=False`` region ends where a rescale or refresh
 #: lands within this many bits of Delta (toy rescales drift ~1 bit each).
 RESCALE_DRIFT_TOLERANCE_LOG2 = 4.0
-#: The kinds the rules below name, bound once: an ``OpKind.X`` lookup
-#: takes ~0.1 us, and the rules run on every op.
-_RESCALE, _REFRESH, _MOD_DROP, _POLY_ADD = (
-    OpKind.RESCALE, OpKind.REFRESH, OpKind.MOD_DROP, OpKind.POLY_ADD)
 
 
 def same_scale(a: float, b: float) -> bool:

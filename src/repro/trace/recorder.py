@@ -9,12 +9,11 @@ call is delegated to the wrapped evaluator, once, and recorded as what
 it computes: one :class:`~repro.trace.ir.TraceOp`, or two for a call
 with ``rescale=True`` — the product and a ``RESCALE`` of it, the
 primitives the paper counts (replay runs them as one call again where
-the data flow allows, :func:`repro.trace.ops.fused_rescales`), so the
-trace needs no rewriting before lowering.  Data-flow dependencies are
-recovered
-from *ciphertext identity* — each returned ciphertext object is mapped to
-the op that produced it, and operands the recorder has never seen enter
-the trace as ``SOURCE`` ops (fresh encryptions).
+the data flow allows, :attr:`repro.trace.Schedule.fused_rescales`), so
+the trace needs no rewriting before lowering.  Data-flow dependencies
+are recovered from *ciphertext identity* — each returned ciphertext
+object is mapped to the op that produced it, and operands the recorder
+has never seen enter the trace as ``SOURCE`` ops (fresh encryptions).
 
 Because code like :class:`~repro.fhe.linear.LinearTransform` and
 :class:`~repro.fhe.bootstrap.Bootstrapper` takes the evaluator as a

@@ -17,7 +17,7 @@ from repro.analysis.diagnostics import Diagnostic, make
 from repro.fhe.params import CkksParameters
 from repro.trace import SymbolicEvaluator, TracingEvaluator
 from repro.trace.ir import OpKind, OpTrace, TraceOp
-from repro.trace.ops import galois_groups
+from repro.trace.ops import schedule
 
 TOY = CkksParameters.toy()  # max_level 5, scale_bits 29, num_slots 512
 DELTA = 2.0 ** TOY.scale_bits
@@ -389,7 +389,7 @@ class TestLiveness:
 
 
 class TestHoists:
-    """Hoisting is replay's, decided by ``galois_groups``: the linter
+    """Hoisting is replay's, decided by ``schedule``: the linter
     has nothing to find, and the op mix counts one Decomp+ModUp stage
     per Galois group and per ``rotate_add``."""
 
@@ -403,7 +403,7 @@ class TestHoists:
         src = _add(t, OpKind.SOURCE, level=4)
         _add(t, OpKind.HE_ADD, self._rotations_of(t, src, (1, 2)), level=4)
         assert _codes(t) == {}
-        assert galois_groups(t) == {src: (1, 2)}
+        assert schedule(t).galois_groups == {src: (1, 2)}
         assert op_mix(t)["hoists"] == 1
 
     def test_a_rotation_group_is_one_stage(self):
@@ -418,7 +418,7 @@ class TestHoists:
         (rot,) = self._rotations_of(t, src, (4,))
         _add(t, OpKind.HE_ADD, [group, rot], level=4)
         assert _codes(t) == {}
-        assert galois_groups(t) == {}
+        assert schedule(t).galois_groups == {}
         assert op_mix(t)["hoists"] == 1
 
 

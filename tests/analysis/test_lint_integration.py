@@ -15,7 +15,6 @@ from repro import engine
 from repro.analysis import LintError, LintWarning
 from repro.fhe.params import CkksParameters
 from repro.trace.ir import OpKind, OpTrace, TraceOp
-from repro.trace.ops import galois_groups
 from repro.workloads import compile_workload, workload_names
 
 TOY = CkksParameters.toy()
@@ -135,7 +134,7 @@ class TestEngineCompileLint:
 
         plan = engine.compile(two_rotations, TOY)
         assert plan.lint().codes() == {}
-        assert galois_groups(plan.trace) == {0: (1, 2)}
+        assert plan.schedule.galois_groups == {0: (1, 2)}
         assert analyze_trace(plan.trace).op_mix["hoists"] == 1
 
     def test_lint_mode_is_validated(self):
@@ -205,11 +204,11 @@ class TestOpMixReport:
         report = analyze_trace(plan.trace)
         mix = report.op_mix
         assert mix["ops"] == len(plan.trace)
-        assert mix["keyswitch_ops"] == len(plan.trace.keyswitch_ops())
+        assert mix["keyswitch_ops"] == len(plan.schedule.keyswitch_ops)
         assert set(mix["counts_by_kind"]) <= {k.value for k in OpKind}
         assert mix["level_min"] >= 0
         assert mix["level_max"] <= TOY.max_level
-        assert mix["hoists"] == len(galois_groups(plan.trace)) \
+        assert mix["hoists"] == len(plan.schedule.galois_groups) \
             + mix["counts_by_kind"].get("rotate_add", 0) > 0
 
     def test_boot_hoists_its_stages_and_the_evalmod_pair(self):

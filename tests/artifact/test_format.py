@@ -25,7 +25,6 @@ from repro.artifact.format import (pack_arrays, pack_json, read_container,
 from repro.fhe.params import CkksParameters
 from repro.gme.features import figure7_configs
 from repro.trace import OpKind, OpTrace, SymbolicEvaluator, TracingEvaluator
-from repro.trace.ops import galois_groups
 
 #: The catalog's ``boot`` plan at paper parameters as the last version 1
 #: writer saved it, with the per-op hoist-group and ``meta_hoisted``
@@ -204,10 +203,10 @@ class _OldFile:
         """Eight BSGS stages, whose rotations read one copy, and
         EvalMod's conjugation pair."""
         loaded, fresh = plans
-        sizes = [len(ops) for ops in galois_groups(loaded.trace).values()]
+        sizes = [len(ops) for ops in loaded.schedule.galois_groups.values()]
         assert len(sizes) == 9
         assert sizes == [len(ops) for ops in
-                         galois_groups(fresh.trace).values()]
+                         fresh.schedule.galois_groups.values()]
 
     @pytest.mark.parametrize("features", figure7_configs(),
                              ids=lambda features: features.name)

@@ -14,6 +14,11 @@ input is refused like any other row, and one an ``he_add`` reads loads
 as the valid copy it now is.  A row flagged ``rescaled`` True (a product
 and its rescale in one op, as an old recorder wrote a ``rescale=True``
 call) is refused naming the op.
+
+``load_plan`` builds its plan the one way a plan is built, so a trace
+that breaks a rule of the op table is refused naming TRACE_OPS and the
+op, as ``engine.compile`` refuses it: a rescale that keeps its level, a
+``rotate_add`` with no key id.
 """
 
 import io
@@ -26,6 +31,7 @@ import zlib
 import numpy as np
 import pytest
 
+import pins
 from repro.artifact import (ArtifactBlockType, ArtifactError,
                             UnknownBlockWarning, corpus_path, load_plan,
                             read_artifact_stream)
@@ -33,6 +39,7 @@ from repro.artifact.columnar import encode_payloads
 from repro.artifact.format import (MAGIC, pack_arrays, pack_json,
                                    read_container, unpack_arrays,
                                    unpack_json, write_container)
+from repro.fhe import CkksParameters
 from repro.fhe.encoder import Plaintext
 from repro.trace.ir import OpKind
 from repro.trace.ops import OPS
@@ -201,20 +208,58 @@ def _first_block_op(data: bytes) -> int:
                 and OPS[op.kind].block_level == "level")
 
 
+def _refused_at_load_plan(tmp_path, data: bytes, op: int, kind: str):
+    """``data`` reads, and ``load_plan`` refuses it naming TRACE_OPS and
+    the op."""
+    assert _read(data).trace is not None
+    path = tmp_path / "lying.rpa"
+    path.write_bytes(data)
+    with pytest.raises(ArtifactError) as refused:
+        load_plan(str(path))
+    message = str(refused.value)
+    assert re.search(rf"TRACE_OPS: (?s:.*)op {op} \({kind}\)", message), \
+        message
+    return message
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_a_level_past_max_level_is_refused_at_load_plan(tmp_path, name):
     """The reader checks structure only (the linter must still load a
-    trace that breaks a level rule); ``load_plan`` lowers the trace and
-    refuses the block graph, naming TRACE_OPS."""
+    trace that breaks a level rule); ``load_plan`` validates the trace
+    and refuses it, naming TRACE_OPS."""
     data = _corpus(name)
-    lying = _rewrite(data, TRACE_OPS, _set("level", _first_block_op(data),
-                                           99))
-    assert _read(lying).trace is not None
-    path = tmp_path / f"{name}.rpa"
-    path.write_bytes(lying)
-    with pytest.raises(ArtifactError,
-                       match=r"TRACE_OPS: .* level 99 > max 23"):
-        load_plan(str(path))
+    op = _first_block_op(data)
+    message = _refused_at_load_plan(
+        tmp_path, _rewrite(data, TRACE_OPS, _set("level", op, 99)), op,
+        _read(data).trace.op(op).kind.value)
+    assert re.search(r"TRACE_OPS: (?s:.*) level 99 outside \[0, 23\]",
+                     message), message
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_rescale_that_keeps_its_level_is_refused_at_load_plan(tmp_path,
+                                                                name):
+    """A rescale block sits at its operating level, so the block graph
+    of this trace is whole: only validation sees the level it keeps."""
+    data = _corpus(name)
+    rescale = next(op for op in _read(data).trace.ops
+                   if op.kind is OpKind.RESCALE)
+    _refused_at_load_plan(tmp_path, _rewrite(
+        data, TRACE_OPS, _set("out_level", rescale.op_id, rescale.level)),
+        rescale.op_id, "rescale")
+
+
+def test_a_rotate_add_without_its_key_is_refused_at_load_plan(tmp_path):
+    """Lowering names a group's keys from its amounts, so the block graph
+    of this trace is whole: only validation sees the missing key id."""
+    plan = pins.SERVED["scoring"]().compile(CkksParameters.toy())
+    plan.save(str(tmp_path / "scoring.rpa"))
+    (op, *_) = [op.op_id for op in plan.trace.ops
+                if op.kind is OpKind.ROTATE_ADD]
+    data = _rewrite((tmp_path / "scoring.rpa").read_bytes(), TRACE_OPS,
+                    _set("key", op, -1))
+    assert _read(data).trace.op(op).key is None
+    _refused_at_load_plan(tmp_path, data, op, "rotate_add")
 
 
 @pytest.mark.parametrize("name", NAMES)

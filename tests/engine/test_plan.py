@@ -192,7 +192,7 @@ class TestExecuteReplay:
             return ev.rotate_add(ev.he_square(low, rescale=True), [1, 2])
 
         plan = engine.compile(program, context=ctx, name="low-entry")
-        assert (ct_in.level, plan.entry_level) == (5, 3)
+        assert (ct_in.level, plan.schedule.entry_level) == (5, 3)
         high = plan.execute(ctx, sources=[ct_in])
         dropped = plan.execute(ctx, sources=[ev.mod_drop(ct_in, 2)])
         assert engine.bit_identical(high.output, dropped.output)
@@ -201,7 +201,7 @@ class TestExecuteReplay:
     def test_a_source_below_the_entry_level_is_refused(self, ctx,
                                                        conv_setup):
         plan, ct_in, _ = conv_setup
-        assert plan.entry_level == ct_in.level
+        assert plan.schedule.entry_level == ct_in.level
         with pytest.raises(engine.PlanError,
                            match="below the recorded level 5"):
             plan.execute(ctx, sources=[ctx.evaluator.mod_drop(ct_in)])
@@ -304,7 +304,7 @@ class TestFreshContexts:
 
         def fresh():
             ctx = CkksContext(params, seed=47)
-            return ctx, ctx.encrypt(x, level=plan.entry_level)
+            return ctx, ctx.encrypt(x, level=plan.schedule.entry_level)
 
         def replay(ctx, ct):
             return plan.execute(ctx, sources=[ct]).output
@@ -320,6 +320,7 @@ class TestFreshContexts:
             ctx, ct = fresh()
             second, first = direct(ctx, ct), replay(ctx, ct)
         assert engine.bit_identical(first, second)
-        levels = {op.level for op in plan.trace.keyswitch_ops()}
+        levels = {plan.trace.ops[i].level
+                  for i in plan.schedule.keyswitch_ops}
         assert levels == {"scoring": {{"toy": 2, "pw54": 1}[preset]},
                           "branch": {2, 4}}[program]

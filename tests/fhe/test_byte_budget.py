@@ -151,7 +151,7 @@ def replay_peak(preset: str, backend: str) -> int:
     plan = scoring_workload(16).compile(params)
     ctx = CkksContext(params, seed=3, backend=backend)
     slots = np.random.default_rng(5).uniform(-1, 1, params.num_slots)
-    ct = ctx.encrypt(slots, level=plan.entry_level)
+    ct = ctx.encrypt(slots, level=plan.schedule.entry_level)
     return settled_peak(lambda: plan.execute(ctx, sources=[ct]).output)
 
 

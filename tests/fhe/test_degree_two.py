@@ -228,14 +228,14 @@ def test_the_scoring_replay_is_the_direct_program(preset, backend):
     square = next(op for op in plan.trace.ops
                   if op.kind is OpKind.HE_SQUARE)
     assert square.key is None and square.meta == {"relinearized": False}
-    assert "relin" not in plan.trace.keys_used()
+    assert "relin" not in plan.schedule.key_ids
     ctx = CkksContext(params, seed=123, backend=backend)
-    ct = ctx.encrypt(_values(ctx, 8), level=plan.entry_level)
+    ct = ctx.encrypt(_values(ctx, 8), level=plan.schedule.entry_level)
     out = plan.execute(ctx, sources=[ct]).output
     direct = workload.build_program(workload.layout(params))(
         ctx.evaluator, ct)
     assert out.c2 is not None and engine.bit_identical(out, direct)
-    assert set(ctx.keygen._switching_keys) == plan.trace.keys_used()
+    assert set(ctx.keygen._switching_keys) == set(plan.schedule.key_ids)
 
 
 def test_a_saved_scoring_plan_keeps_the_flag(tmp_path):
@@ -249,7 +249,7 @@ def test_a_saved_scoring_plan_keeps_the_flag(tmp_path):
     loaded = load_plan(path)
     assert [op.meta for op in loaded.trace.ops] \
         == [op.meta for op in plan.trace.ops]
-    assert loaded.trace.keys_used() == plan.trace.keys_used()
+    assert loaded.schedule.key_ids == plan.schedule.key_ids
     ctx = CkksContext(params, seed=9)
     ct = ctx.encrypt(_values(ctx, 9))
     assert engine.bit_identical(loaded.execute(ctx, sources=[ct]).output,

@@ -21,7 +21,6 @@ from repro.fhe import CkksContext, CkksParameters, PolyContext, Representation
 from repro.fhe.keys import mod_down_polys
 from repro.fhe.poly import rescale_last
 from repro.fhe.rns import RnsBasis
-from repro.trace.ops import fused_rescales
 from pins import PRESETS
 
 PARAMS = {name: build() for name, build in
@@ -196,7 +195,7 @@ def test_replay_fuses_only_a_product_nothing_else_sees(toy, case):
                else lambda ev: ev.he_square(
                    ct, relinearize=case != "unrelinearized"))
     plan = engine.compile(program, context=ctx, name=case)
-    fused = fused_rescales(plan.trace)
+    fused = plan.schedule.fused_rescales
     # The product is op 1, its rescale op 2 (a fused recording expands
     # into the same two ops).
     assert fused == ({1: 2} if case in ("rescaled", "fused-by-the-program")

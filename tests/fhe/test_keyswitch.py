@@ -269,8 +269,9 @@ class TestLibraryModelKeyParity:
         plan = scoring_workload(16).compile(params)
         ctx = CkksContext(params, seed=23)
         plan.execute(ctx, sources=[ctx.encrypt([0.5] * 16)])
-        assert _key_ids(ctx.keygen) == plan.trace.keys_used()
-        level = max(op.level for op in plan.trace.keyswitch_ops())
+        assert _key_ids(ctx.keygen) == set(plan.schedule.key_ids)
+        level = max(plan.trace.ops[i].level
+                    for i in plan.schedule.keyswitch_ops)
         assert level == {"toy": 2, "pw54": 1}[preset]
         limbs = level + 1 + params.num_special_limbs
         model = BlockCostModel(params).switching_key_bytes(level)
@@ -442,14 +443,14 @@ class TestKeyBatch:
         cold, rows[:] = rows[:], []
         plan.execute(ctx, sources=[ct])
         warm, rows[:] = rows[:], []
-        ids, basis, n = sorted(plan.trace.keys_used()), 3 + 4, TOY.ring_degree
+        ids, basis, n = list(plan.schedule.key_ids), 3 + 4, TOY.ring_degree
         assert len(ids) == 6 and TOY.num_special_limbs == 4
         assert batches == [(ids, 2)]
         assert list(streams) == [(key_id, 0) for key_id in ids]
         for counted in streams.values():
             assert counted.calls == [("normal", n)] + [("integers", n)] * basis
         assert rng.calls == []
-        assert plan.entry_level == 3 and len(plan.trace.payloads) == 1
+        assert plan.schedule.entry_level == 3 and len(plan.trace.payloads) == 1
         assert sorted(cold) == sorted(warm + [basis] * len(ids) + [3 + 1])
         plan.execute(other, sources=[other_ct])
         assert batches == [(ids, 2)] * 2

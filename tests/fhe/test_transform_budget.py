@@ -305,10 +305,9 @@ def test_replay_hoists_every_galois_op_of_one_value_once(monkeypatch):
 def test_the_catalog_has_one_raise_per_galois_group(workload, groups):
     """At ``paper``: every BSGS stage or convolution's rotations, and
     each bootstrap's EvalMod pair of conjugations, read one value."""
-    from repro.trace.ops import galois_groups
     from repro.workloads import compile_workload
-    trace = compile_workload(workload, CkksParameters.paper()).trace
-    assert len(galois_groups(trace)) == groups
+    plan = compile_workload(workload, CkksParameters.paper())
+    assert len(plan.schedule.galois_groups) == groups
 
 
 @pytest.mark.parametrize("rotations", [[1], [1, 2, 3], [4, 8, 12, 1, 2, 3]],
@@ -360,7 +359,7 @@ def test_a_warm_scoring_batch(preset):
     entry level."""
     params = PRESETS[preset]()
     plan = scoring_workload(16).compile(params)
-    entry = plan.entry_level
+    entry = plan.schedule.entry_level
     assert entry == {"toy": 3, "pw54": 2}[preset]
     ctx = CkksContext(params, seed=3, backend="count-transforms")
     backend = ctx.keygen.context.backend
@@ -370,7 +369,7 @@ def test_a_warm_scoring_batch(preset):
     assert d == 1
 
     def batch():
-        ct = ctx.encrypt(slots, level=plan.entry_level)
+        ct = ctx.encrypt(slots, level=plan.schedule.entry_level)
         ctx.decrypt(plan.execute(ctx, sources=[ct]).output)
 
     batch()     # keys and the plaintext operand are built once

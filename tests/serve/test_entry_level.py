@@ -52,7 +52,7 @@ class TestEntryLevel:
         params = PRESETS[preset]()
         plan = scoring_workload(WIDTH).compile(params)
         assert scoring_workload(WIDTH).entry_level(params) \
-            == plan.entry_level == ENTRY[preset]
+            == plan.schedule.entry_level == ENTRY[preset]
         assert not _codes(plan) & {"HE031"}
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -74,7 +74,7 @@ class TestEntryLevel:
         workload = ServedWorkload(name="unbounded", width=WIDTH,
                                   build_program=base.build_program)
         plan = workload.compile(params)
-        assert workload.entry_level(params) == plan.entry_level == 5
+        assert workload.entry_level(params) == plan.schedule.entry_level == 5
         assert all("result_bound" not in op.meta for op in plan.trace.ops)
 
 
@@ -104,7 +104,7 @@ class TestHeadroomLint:
         loaded = load_plan(path)
         output = loaded.trace.op(loaded.trace.output_op_id)
         assert output.meta["result_bound"] == pytest.approx(11.75 ** 2)
-        assert loaded.entry_level == level
+        assert loaded.schedule.entry_level == level
         assert _codes(loaded) == codes
 
     def test_deploying_a_wrapping_artifact_is_refused(self, tmp_path):
@@ -140,7 +140,7 @@ class TestHeadroomLint:
         plan.save(path)
         server = PlanServer.real(workload, CkksParameters.toy(),
                                  artifact=path)
-        assert server.executor.plan.entry_level == 5
+        assert server.executor.plan.schedule.entry_level == 5
         query = np.linspace(0.1, 1.0, WIDTH)
         (result,), _ = serve(workload, [query], server=server)
         assert result[0] == pytest.approx(np.dot(WEIGHTS, query) ** 2,

@@ -72,22 +72,22 @@ class TestIdentity:
         make, preset_params = CASES[workload, preset]
         served, params = make(), preset_params()
         plan = served.compile(params)
-        oracle = _oracle(served, params, plan.entry_level)
+        oracle = _oracle(served, params, plan.schedule.entry_level)
         assert _rows(plan) == _rows(oracle)
         assert _payloads(plan) == _payloads(oracle)
         assert plan.trace.output_op_id == oracle.trace.output_op_id
         assert plan.fingerprint == oracle.fingerprint
-        assert plan.program is None
+        assert not hasattr(plan, "program")
 
     def test_a_tenant_replays_the_same_bits(self, workload, preset):
         make, preset_params = CASES[workload, preset]
         served, params = make(), preset_params()
         plan = served.compile(params)
-        oracle = _oracle(served, params, plan.entry_level)
+        oracle = _oracle(served, params, plan.schedule.entry_level)
         tenant = CkksContext(params, seed=77)
         slots = np.random.default_rng(3).uniform(-1.0, 1.0,
                                                  params.num_slots)
-        source = tenant.encrypt(slots, level=plan.entry_level)
+        source = tenant.encrypt(slots, level=plan.schedule.entry_level)
         got = plan.execute(tenant, sources=[source]).output
         want = oracle.execute(tenant, sources=[source]).output
         direct = served.build_program(served.layout(params))(
@@ -129,10 +129,10 @@ class TestCountBudget:
         workload = scoring_workload(WIDTH)
         plan = workload.compile(params)
         assert calls == {}
-        assert len(plan.trace.keys_used()) == 6
+        assert len(plan.schedule.key_ids) == 6
         # The counters see what they are there to see: a real run does
         # all four.
-        _oracle(workload, params, plan.entry_level)
+        _oracle(workload, params, plan.schedule.entry_level)
         assert sorted(calls) == ["__init__", "_draw_switching_keys",
                                  "ntt_forward", "ntt_inverse"]
 
@@ -156,10 +156,30 @@ def _reachable_types(root) -> dict[type, int]:
 
 
 def test_the_shared_plan_pins_nothing_from_compile_time():
-    """The parent's plan reached 1 ``Ciphertext`` and 1 ``PolyContext``:
-    the ``"_service"`` sample, held by ``plan.program``'s closure."""
+    """A plan compiled on a ``"_service"`` context once reached 1
+    ``Ciphertext`` and 1 ``PolyContext``: the service sample, held by the
+    closure the plan kept as ``program``."""
     plan = shared_plan(scoring_workload(WIDTH), CkksParameters.toy())
     reached = _reachable_types(plan)
     for pinned in (Ciphertext, PolyContext, keys.KeyGenerator):
         assert reached.get(pinned, 0) == 0, pinned.__name__
     assert reached[np.ndarray] >= 1     # the payload's coefficients
+
+
+def test_a_real_mode_plan_pins_nothing_of_its_context():
+    """A plan keeps no program: compiled on a real context, it once held
+    the program, whose closure reached 1 ``SecretKey``,
+    ``KeyGenerator``, ``CkksContext`` and sample ``Ciphertext``."""
+    params = CkksParameters.toy()
+    ctx = CkksContext(params, seed=4242)
+    sample = ctx.encrypt(np.zeros(params.num_slots))
+
+    def program(ev):
+        return ev.he_add(sample, ctx.encrypt(np.ones(params.num_slots)))
+
+    plan = engine.compile(program, context=ctx)
+    reached = _reachable_types(plan)
+    for pinned in (keys.SecretKey, keys.KeyGenerator, CkksContext,
+                   Ciphertext):
+        assert reached.get(pinned, 0) == 0, pinned.__name__
+    assert reached[type(plan.trace.ops[0])] == 3    # the walk sees ops

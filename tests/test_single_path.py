@@ -16,8 +16,9 @@ question: a floor is a test id.  One encryption: the key owner's, under
 the secret key, with no public key.  One switching key per id, drawn once
 at ``max_level``: no level on a key and no per-level digit scaling.  One
 keygen path: a batch draw, a single key being a batch of one.  One
-decision about a hoist: ``galois_groups`` over the data flow, with no
-hoist op, handle, group number, flag, pass or lint code beside it.  One
+decision about a hoist: the schedule's Galois groups over the data flow,
+with no hoist op, handle, group number, flag, pass or lint code beside
+it.  One
 record of a rescale: the recorder writes a ``rescale=True`` call as its
 product and its ``RESCALE``, and no pass rewrites a trace before
 lowering.  One served compile: a recording on the symbolic evaluator
@@ -25,12 +26,16 @@ with a real encoder, and no service context to run it on.  One refusal
 rule per op: ``repro.trace.ops.check``, run by both evaluators and the
 linter.  One computation path for polynomial evaluation and the BSGS
 transform: the evaluator's rows, with no ciphertext made beside them
-and no copy of the level rules kept for planning or tests.
+and no copy of the level rules kept for planning or tests.  One
+schedule, one plan constructor: ``repro.trace.schedule`` makes replay's
+decisions in one walk, and ``ExecutablePlan(trace, name)`` validates,
+lowers and checks every plan, compiled or loaded.
 Each case pins the absence of the fork it names.
 """
 
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import pathlib
@@ -47,7 +52,6 @@ import repro.gpusim
 import repro.trace
 from repro import engine
 from repro.analysis import diagnostics
-from repro.dag import DiGraph
 from repro.fhe import keys, modmath, noise, ntt, packing, rns
 from repro.fhe.backend.base import ComputeBackend
 from repro.fhe.backend.reference import ReferenceBackend
@@ -70,7 +74,7 @@ def test_a_plan_cannot_exist_without_a_trace():
     assert not hasattr(engine.ExecutablePlan, "from_graph")
     plan = compile_workload("boot", CkksParameters.test())
     with pytest.raises(TypeError, match="trace"):
-        engine.ExecutablePlan(plan.params, plan.graph, plan.name)
+        engine.ExecutablePlan(name=plan.name)
 
 
 def test_runner_rejects_the_source_flag(capsys):
@@ -525,8 +529,9 @@ def test_a_plan_artifact_is_its_trace():
 # -- one record of a hoist ---------------------------------------------------
 
 def test_a_hoist_is_its_data_flow():
-    """No hoist op, column, handle or lint code: ``galois_groups`` is the
-    one decision, and replay and the op-mix report both read it."""
+    """No hoist op, column, handle or lint code: the schedule's Galois
+    groups are the one decision, and replay and the op-mix report both
+    read them."""
     from repro.analysis import report
     from repro.artifact.columnar import encode_trace_ops
     from repro.artifact.format import unpack_arrays
@@ -545,9 +550,9 @@ def test_a_hoist_is_its_data_flow():
     assert "hoist_group" not in {
         f.name for f in dataclasses.fields(repro.trace.TraceOp)}
     assert engine.ExecutablePlan.__module__ == "repro.engine.plan"
-    assert sys.modules["repro.engine.plan"].galois_groups \
-        is ops.galois_groups
-    assert report.galois_groups is ops.galois_groups
+    assert sys.modules["repro.engine.plan"].schedule is ops.schedule
+    assert report.schedule is ops.schedule
+    assert repro.artifact.diffing.schedule is ops.schedule
     trace = compile_workload("boot", CkksParameters.paper()).trace
     _, columns = unpack_arrays(encode_trace_ops(trace))
     assert not {"hoist_group", "meta_hoisted"} & set(columns)
@@ -584,7 +589,7 @@ def test_a_rescale_is_recorded_unfused():
         engine.ExecutablePlan).parameters
     toy = CkksParameters.toy()
     assert not hasattr(engine.ExecutablePlan(
-        toy, DiGraph(), "empty", repro.trace.OpTrace(toy)), "passes")
+        repro.trace.OpTrace(toy), "empty"), "passes")
     assert "passes" not in inspect.signature(engine.compile).parameters
     scoring = scoring_workload(16).build_program(
         scoring_workload(16).layout(toy))
@@ -791,6 +796,38 @@ def test_polyval_and_the_bsgs_transform_compute_through_the_rows():
                                     "matrix_vector"])):
         for name in names:
             assert not hasattr(owner, name), name
+
+
+# -- one schedule, one plan constructor ---------------------------------------
+
+def test_replay_reads_one_schedule():
+    """Replay's decisions are one ``Schedule``: the plan caches nothing
+    else, the op table keeps no per-decision walk and the trace no key
+    walk."""
+    from repro.trace import ops
+    for gone in ("_key_ids", "_key_level", "_fused", "_galois_reads",
+                 "entry_level", "_ops_by_id", "program"):
+        assert not hasattr(engine.ExecutablePlan, gone), gone
+    assert isinstance(engine.ExecutablePlan.schedule,
+                      functools.cached_property)
+    for gone in ("galois_groups", "fused_rescales"):
+        assert not hasattr(ops, gone), gone
+    for gone in ("keyswitch_ops", "keys_used"):
+        assert not hasattr(repro.trace.OpTrace, gone), gone
+    assert repro.trace.schedule is ops.schedule
+    plan = compile_workload("boot", CkksParameters.test())
+    for gone in ("program", "_ops_by_id"):
+        assert not hasattr(plan, gone), gone
+
+
+def test_a_plan_is_made_one_way():
+    """``ExecutablePlan(trace, name)`` validates, lowers and checks the
+    DAG; no helper builds a plan beside it and nothing hands it a
+    graph."""
+    from repro.engine import plan
+    assert list(inspect.signature(engine.ExecutablePlan).parameters) \
+        == ["trace", "name"]
+    assert not hasattr(plan, "_plan")
 
 
 # -- one home for a bit pin ---------------------------------------------------

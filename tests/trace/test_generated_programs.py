@@ -9,7 +9,7 @@ program already holds, and it is kept when the table-driven
 evaluator's own refusals) and the table's level and scale rules land
 inside the modulus chain.  Sometimes the step is a fan-out instead:
 two or three Galois ops of one value the program holds, which replay
-hoists as one group (``repro.trace.ops.galois_groups``).  The real
+hoists as one group (``repro.trace.Schedule.galois_groups``).  The real
 ``CkksEvaluator`` is then held to what the walk promised, value by
 value.
 """
@@ -26,8 +26,8 @@ from repro import engine
 from repro.fhe import CkksContext, CkksParameters
 from repro.fhe.noise import NOISE_FLOOR_LOG2
 from repro.trace import (SymbolicCiphertext, SymbolicEvaluator,
-                         TracingEvaluator)
-from repro.trace.ops import OPS, fused_rescales, galois_groups
+                         TracingEvaluator, schedule)
+from repro.trace.ops import OPS
 
 TOY = CkksParameters.toy()
 SLOTS = np.linspace(-0.75, 0.75, TOY.num_slots)
@@ -158,7 +158,7 @@ def _check(ctx, levels, steps):
     assert engine.bit_identical(replay.output, direct[-1])
     recorder = recorded["ev"]
     assert plan.trace == recorder.trace
-    fused = fused_rescales(plan.trace)
+    fused = plan.schedule.fused_rescales
     assert set(replay.values) == {op.op_id for op in plan.trace.ops} \
         - set(fused)
     for value, expected in zip(recorded["values"][len(sources):],
@@ -209,7 +209,7 @@ def _groups(program):
     recorder.encoder = SimpleNamespace(
         encode=lambda values, scale=None: recorder.plaintext(scale))
     _run(recorder, [recorder.fresh(level=level) for level in levels], steps)
-    return galois_groups(recorder.trace)
+    return schedule(recorder.trace).galois_groups
 
 
 def test_the_walk_gives_a_value_several_galois_readers():

@@ -9,7 +9,8 @@ from repro.fhe import CkksContext
 from repro.fhe.params import CkksParameters
 from repro.gme.features import GME_FULL, cumulative_configs
 from repro.trace import (OpKind, SymbolicEvaluator, TracingEvaluator,
-                         assert_workload_dag, dag_violations, lower_trace)
+                         assert_workload_dag, dag_violations, lower_trace,
+                         schedule)
 from repro.workloads import EncryptedConvLayer
 
 
@@ -104,7 +105,8 @@ class TestLowering:
         assert all(list(graph.predecessors(n)) == ["mult0"] for n in rots)
         assert [sorted(graph.predecessors(n)) for n in adds] \
             == [["mult0", "rot0"], ["add0", "rot1"], ["add1", "rot2"]]
-        assert sym.trace.keys_used() == {"relin", "rot-1", "rot-2", "rot-3"}
+        assert schedule(sym.trace).key_ids == ("relin", "rot-1", "rot-2",
+                                               "rot-3")
 
     def test_edge_bytes_use_producer_level(self, sym):
         ct = sym.fresh(level=4)

@@ -12,12 +12,14 @@ CHANGES.md records every old -> new.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 import pins
 from repro.fhe import CkksParameters
+from repro.trace import schedule
 from repro.workloads import compile_workload
 
 CATALOG = ("boot", "helr", "resnet")
@@ -77,7 +79,7 @@ def test_recorded_rows_and_lowered_blocks_are_the_parents(workload, preset):
 
 #: (workload, preset) -> the op ids ``plan.execute`` makes no value for:
 #: a key-switching product replayed with ``rescale=True`` as the rescale
-#: that reads it (``repro.trace.ops.fused_rescales``).  Scoring's square
+#: that reads it (``repro.trace.Schedule.fused_rescales``).  Scoring's square
 #: is left unrelinearized, so it is not fused: replay makes its value.
 REPLAY_OMITS = {("scoring", "toy"): set(), ("scoring", "pw54"): set(),
                 ("affine", "toy"): set(), ("affine", "pw54"): set()}
@@ -120,3 +122,33 @@ def test_replayed_residues_are_the_parents(workload, preset):
         == pins.expected("trace", workload, preset)
     assert replay_digest(workload, preset) \
         == pins.expected("replay", workload, preset)
+
+
+# -- replay's schedule --------------------------------------------------------
+
+SCHEDULED = REAL + [(workload, "paper") for workload in CATALOG]
+
+
+@pins.family("schedule", SCHEDULED)
+def schedule_digest(workload: str, preset: str) -> str:
+    """Replay's decisions about a plan, as canonical JSON: its Galois
+    groups, fused (product, rescale) pairs, unrelinearized products,
+    key ids, key level and entry level."""
+    plan = _plan(workload, preset) if preset in pins.PRESETS \
+        else compile_workload(workload, OFFLINE_PRESETS[preset]())
+    sched = schedule(plan.trace)
+    doc = {"groups": sorted([value, list(ops)] for value, ops
+                            in sched.galois_groups.items()),
+           "fused": sorted([product, rescale] for product, rescale
+                           in sched.fused_rescales.items()),
+           "unrelinearized": sorted(sched.unrelinearized),
+           "key_ids": list(sched.key_ids), "key_level": sched.key_level,
+           "entry_level": sched.entry_level}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()) \
+        .hexdigest()
+
+
+@pytest.mark.parametrize("workload,preset", sorted(SCHEDULED))
+def test_the_schedule_is_the_parents(workload, preset):
+    assert schedule_digest(workload, preset) \
+        == pins.expected("schedule", workload, preset)

@@ -9,7 +9,6 @@ import pytest
 import repro.trace
 from repro import engine
 from repro.analysis import LintError, lint_trace
-from repro.dag import DiGraph
 from repro.fhe import CkksContext, CkksParameters
 from repro.fhe.evaluator import CkksEvaluator
 from repro.trace import (SymbolicEvaluator, TraceValidationError,
@@ -179,20 +178,19 @@ def test_a_missing_method_operand_is_structural(kind, key):
         engine.compile(trace, lint="strict")
 
 
-def test_replay_raises_plan_error_for_an_op_it_cannot_apply(ctx):
-    """Replay's own guards, on plans built the way ``load_plan`` builds
-    them, past validation."""
-    ct = ctx.encrypt([0.5], level=4)
-    plan = engine.ExecutablePlan(TOY, DiGraph(), "defects",
-                                 _two_defect_trace())
-    with pytest.raises(engine.PlanError, match="op 1 .he_add. cannot"):
-        plan.execute(ctx, sources=[ct])
+def test_a_plan_cannot_be_built_over_an_op_replay_cannot_apply():
+    """The one plan constructor (``engine.compile`` and ``load_plan``
+    alike) validates its trace, so replay never meets a wrong input
+    count or a missing method operand."""
+    with pytest.raises(TraceValidationError,
+                       match=r"op 1 \(he_add\): he_add op has inputs"):
+        engine.ExecutablePlan(_two_defect_trace(), "defects")
     rotate_only = _two_defect_trace()
     rotate_only.ops[1] = TraceOp(1, OpKind.COPY, (0,), 4, 4,
                                  out_scale=DELTA)
-    plan = engine.ExecutablePlan(TOY, DiGraph(), "defects", rotate_only)
-    with pytest.raises(engine.PlanError, match=r"no meta\['rotation'\]"):
-        plan.execute(ctx, sources=[ct])
+    with pytest.raises(TraceValidationError,
+                       match=r"op 2 \(he_rotate\): .*meta\['rotation'\]"):
+        engine.ExecutablePlan(rotate_only, "defects")
 
 
 def test_a_level_rule_missing_its_meta_is_structural():

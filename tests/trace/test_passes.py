@@ -6,7 +6,7 @@ from repro.fhe.params import CkksParameters
 from repro.trace import (OpKind, SymbolicEvaluator, TraceValidationError,
                          TracingEvaluator, validate_trace)
 from repro.trace.ir import TraceOp
-from repro.trace.ops import galois_groups
+from repro.trace.ops import schedule
 
 
 @pytest.fixture()
@@ -41,7 +41,7 @@ class TestValidateTrace:
         assert _kinds(sym.trace) == [OpKind.SOURCE, OpKind.COPY,
                                      OpKind.HE_ROTATE, OpKind.HE_ROTATE,
                                      OpKind.CONJUGATE]
-        assert galois_groups(sym.trace) == {0: (2, 3, 4)}
+        assert schedule(sym.trace).galois_groups == {0: (2, 3, 4)}
 
     def test_a_product_and_its_rescale_in_one_op_are_rejected(self, sym):
         """The one-op form an old recorder wrote: a product that lands a

@@ -9,7 +9,7 @@ from repro import engine
 from repro.fhe import CkksContext
 from repro.fhe.params import CkksParameters
 from repro.trace import (OpKind, SymbolicEvaluator, TracingEvaluator)
-from repro.trace.ops import galois_groups
+from repro.trace.ops import schedule
 from repro.workloads.programs import bootstrap_program
 
 
@@ -80,7 +80,7 @@ class TestRealEvaluatorTracing:
                 if op.kind is OpKind.HE_ROTATE]
         assert len(rots) == 2
         # the group is the data flow: both rotations read the one value
-        assert galois_groups(tev.trace) == {0: tuple(
+        assert schedule(tev.trace).galois_groups == {0: tuple(
             op.op_id for op in rots)}
         assert all(op.meta == {"rotation": op.meta["rotation"],
                                "dnum": ctx.params.dnum,
@@ -106,8 +106,8 @@ class TestRealEvaluatorTracing:
         ct = ctx.encrypt([0.2] * 4)
         tev.he_rotate(ct, 1)
         tev.he_conjugate(ct)
-        assert tev.trace.keys_used() == {"rot-1", "conj"}
-        assert len(tev.trace.keyswitch_ops()) == 2
+        assert schedule(tev.trace).key_ids == ("conj", "rot-1")
+        assert schedule(tev.trace).keyswitch_ops == (1, 2)
 
 
 class TestRescaleRecording:
@@ -176,5 +176,5 @@ class TestSymbolicTracingSpeed:
         assert len(tev.trace) > 300
         counts = tev.trace.counts_by_kind()
         assert counts[OpKind.MOD_RAISE] == 1
-        assert len(galois_groups(tev.trace)) \
+        assert len(schedule(tev.trace).galois_groups) \
             == 2 * params.fft_iterations + 1     # + EvalMod's conjugations

@@ -176,8 +176,8 @@ class TestRegistry:
             assert plans[name] is compile_workload(name, params)
 
     def test_trace_exposes_keyswitch_shape(self, params):
-        trace = compile_workload("boot", params).trace
-        ks = trace.keyswitch_ops()
+        plan = compile_workload("boot", params)
+        ks = [plan.trace.ops[i] for i in plan.schedule.keyswitch_ops]
         assert ks
         assert all(op.meta["dnum"] == params.dnum for op in ks)
 
