@@ -16,7 +16,12 @@ from repro.fhe.params import CkksParameters
 
 
 class BlockType(enum.Enum):
-    """The CKKS building blocks of Table 2, plus bootstrap plumbing."""
+    """The CKKS building blocks of Table 2, plus bootstrap plumbing.
+
+    Members hash by identity, as :class:`repro.trace.OpKind`'s do.
+    """
+
+    __hash__ = object.__hash__
 
     SCALAR_ADD = "ScalarAdd"
     SCALAR_MULT = "ScalarMult"       # "CMult" in Table 7

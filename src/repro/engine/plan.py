@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.blocksim import BlockGraphSimulator, WorkloadMetrics
+from repro.blocksim import BlockGraphSimulator, BlockTable, WorkloadMetrics
 from repro.fhe.params import CkksParameters
 from repro.gme.features import FeatureSet
 from repro.trace import (OpKind, OpTrace, Schedule, SymbolicEvaluator,
@@ -175,9 +175,16 @@ class ExecutablePlan:
         self.provenance: dict[str, Any] | None = None
         self._sim_cache: dict[FeatureSet, WorkloadMetrics] = {}
         self._profile_cache: dict[FeatureSet, PlanProfile] = {}
-        #: LABS on / off -> block issue order.  Nothing else a feature
-        #: set carries moves the order, so a sweep schedules once.
-        self._orders: dict[bool, list[Any]] = {}
+        #: LABS on / off -> block issue order (rows of :attr:`table`).
+        #: Nothing else a feature set carries moves the order, so a
+        #: sweep schedules once.
+        self._orders: dict[bool, list[int]] = {}
+
+    @functools.cached_property
+    def table(self) -> BlockTable:
+        """The block DAG as BlockSim walks it, built at the first
+        simulate or profile and read by every run after it."""
+        return BlockTable(self.graph)
 
     @functools.cached_property
     def schedule(self) -> Schedule:
@@ -245,58 +252,45 @@ class ExecutablePlan:
         """
         if config is not None:
             return BlockGraphSimulator(features, params=self.params,
-                                       config=config).run(self.graph,
+                                       config=config).run(self.table,
                                                           self.name)
         if features not in self._sim_cache:
             self._sim_cache[features] = self._run(features)
         return self._sim_cache[features]
 
     def _run(self, features: FeatureSet,
-             record: list[dict[str, Any]] | None = None) -> WorkloadMetrics:
-        """One BlockSim run in this plan's block order for ``features``,
-        computed by the first run that needs it."""
+             per_op: dict[Any, list[float]] | None = None,
+             ) -> WorkloadMetrics:
+        """One BlockSim run over :attr:`table` in this plan's block order
+        for ``features``, computed by the first run that needs it."""
         simulator = BlockGraphSimulator(features, params=self.params)
+        table = self.table
         order = self._orders.get(features.labs)
         if order is None:
-            order = self._orders[features.labs] = \
-                simulator._order(self.graph)
-        return simulator.run(self.graph, self.name, record=record,
-                             order=order)
+            order = self._orders[features.labs] = simulator._order(table)
+        return simulator.run(table, self.name, order=order, per_op=per_op)
 
     # -- back-end: per-op attribution --------------------------------------
 
     def profile(self, features: FeatureSet) -> PlanProfile:
         """Simulate under ``features`` and attribute cycles to trace ops.
 
-        Joins the simulator's per-block records back onto the OpTrace via
-        the ``op_id`` metadata lowering stamps on every block, giving
+        The run folds each block into the row of the trace op it lowers
+        (the ``op_id`` metadata lowering stamps on every block), giving
         per-HE-op (and per-region) cycle/byte attribution.  The profile's
         ``total_cycles`` equals :meth:`simulate`'s cycle count for the
         same feature set.
         """
         if features in self._profile_cache:
             return self._profile_cache[features]
-        # One recorded run per (plan, features), first profile only; the
-        # raw records are folded into OpProfile rows and released, and
-        # the run's metrics seed the simulate cache (simulation is
-        # deterministic, so a prior simulate() saw identical cycles).
-        records: list[dict[str, Any]] = []
-        metrics = self._run(features, record=records)
-        rows: dict[int, dict[str, Any]] = {}
-        for record in records:
-            row = rows.setdefault(record["op_id"], {
-                "blocks": 0, "cycles": 0.0,
-                "compute_cycles": 0.0, "dram_cycles": 0.0,
-                "onchip_cycles": 0.0, "dram_bytes": 0.0,
-            })
-            row["blocks"] += 1
-            row["cycles"] += record["end_cycle"] - record["start_cycle"]
-            row["compute_cycles"] += record["compute_cycles"]
-            row["dram_cycles"] += record["dram_cycles"]
-            row["onchip_cycles"] += record["onchip_cycles"]
-            row["dram_bytes"] += record["dram_bytes"]
+        # One folding run per (plan, features), first profile only; its
+        # metrics seed the simulate cache (simulation is deterministic,
+        # so a prior simulate() saw identical cycles).
+        per_op: dict[Any, list[float]] = {}
+        metrics = self._run(features, per_op=per_op)
         ops = []
-        for op_id, row in rows.items():
+        for op_id, (blocks, cycles, compute_cycles, dram_cycles,
+                    onchip_cycles, dram_bytes) in per_op.items():
             trace_op = self.trace.ops[op_id]
             ops.append(OpProfile(
                 op_id=op_id,
@@ -304,12 +298,12 @@ class ExecutablePlan:
                 region=trace_op.region,
                 key=trace_op.key,
                 level=trace_op.level,
-                blocks=row["blocks"],
-                cycles=row["cycles"],
-                compute_cycles=row["compute_cycles"],
-                dram_cycles=row["dram_cycles"],
-                onchip_cycles=row["onchip_cycles"],
-                dram_bytes=row["dram_bytes"],
+                blocks=int(blocks),
+                cycles=cycles,
+                compute_cycles=compute_cycles,
+                dram_cycles=dram_cycles,
+                onchip_cycles=onchip_cycles,
+                dram_bytes=dram_bytes,
             ))
         profile = PlanProfile(name=self.name, features=features,
                               metrics=metrics, ops=tuple(ops))

@@ -8,6 +8,7 @@ GAS with a hash of the lower address bits.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 from repro.gpusim.config import GpuConfig, mi100
@@ -128,9 +129,11 @@ class GlobalLds:
     """The unified LDS address space (GAS) the cNoC exposes.
 
     Tracks capacity and residency of named buffers (ciphertext limbs,
-    switching keys) so BlockSim can decide which inter-block transfers hit
-    the global LDS instead of DRAM.  Addresses hash onto routers by their
-    low bits, spreading consecutive lines across the machine.
+    switching keys; BlockSim names a block's output by its row in the
+    :class:`~repro.blocksim.simulator.BlockTable`) so BlockSim can
+    decide which inter-block transfers hit the global LDS instead of
+    DRAM.  Addresses hash onto routers by their low bits, spreading
+    consecutive lines across the machine.
     """
 
     def __init__(self, torus: ConcentratedTorus,
@@ -139,7 +142,7 @@ class GlobalLds:
         config = torus.config
         self.capacity_bytes = (config.num_cus * config.lds_kb_per_cu
                                * 1024 * lds_scale)
-        self._resident: dict[str, float] = {}
+        self._resident: dict[Hashable, float] = {}
         # Running total of ``_resident``'s values: buffer sizes are
         # integer-valued floats far below 2**53, so it is exact.
         self._used = 0.0
@@ -159,14 +162,14 @@ class GlobalLds:
     def free_bytes(self) -> float:
         return self.capacity_bytes - self.used_bytes
 
-    def is_resident(self, name: str) -> bool:
+    def is_resident(self, name: Hashable) -> bool:
         return name in self._resident
 
-    def resident_bytes(self, name: str, default: float = 0.0) -> float:
+    def resident_bytes(self, name: Hashable, default: float = 0.0) -> float:
         """Bytes pinned under ``name``; ``default`` if it is not resident."""
         return self._resident.get(name, default)
 
-    def put(self, name: str, num_bytes: float) -> bool:
+    def put(self, name: Hashable, num_bytes: float) -> bool:
         """Pin a buffer; evicts LRU-ish (insertion order) on pressure.
 
         Returns True if the buffer fits (possibly after evictions); a
@@ -187,7 +190,7 @@ class GlobalLds:
         self._used += num_bytes
         return True
 
-    def drop(self, name: str) -> None:
+    def drop(self, name: Hashable) -> None:
         self._used -= self._resident.pop(name, 0.0)
 
     def clear(self) -> None:

@@ -7,7 +7,10 @@ Two cooperating compile-time algorithms:
    ``Phi = sum of cut-edge weights`` using the multilevel mesh-partitioning
    scheme of Walshaw and Cross [85]: heavy-edge-matching coarsening, greedy
    initial partitioning, and Kernighan--Lin boundary refinement at every
-   uncoarsening level.
+   uncoarsening level.  The refinement touches the boundary only: a sweep
+   weighs moves for the nodes with a neighbour in another part (no other
+   node can move), and a level counts those neighbours only for the
+   nodes whose coarse node was on the coarser level's boundary.
 
 2. **Architecture-aware mapping** -- map parts onto the cNoC torus routers
    with simulated annealing, minimizing
@@ -166,11 +169,17 @@ class MultilevelPartitioner:
             return PartitionResult({}, self.num_parts, 0.0,
                                    [0.0] * self.num_parts)
         levels, coarsest = self._coarsen(work)
-        parts = self._refine(coarsest, self._initial_partition(coarsest))
-        # Project back up through the levels, refining at each.
+        parts, outside = self._refine(coarsest,
+                                      self._initial_partition(coarsest),
+                                      coarsest.nodes)
+        # Project back up through the levels, refining at each.  A node
+        # whose coarse node has no neighbour in another part has none
+        # either: its neighbours share its coarse node or are in the
+        # coarse node's neighbours.
         for finer, matching in reversed(levels):
-            parts = self._refine(finer, {node: parts[matching[node]]
-                                         for node in finer.nodes})
+            parts, outside = self._refine(
+                finer, {node: parts[matching[node]] for node in finer.nodes},
+                [node for node in finer.nodes if outside[matching[node]]])
         weights = [0.0] * self.num_parts
         for node, part in parts.items():
             weights[part] += work.nodes[node]
@@ -244,24 +253,41 @@ class MultilevelPartitioner:
             loads[best] += graph.nodes[node]
         return parts
 
-    def _refine(self, graph: WeightedGraph,
-                parts: dict[Any, int]) -> dict[Any, int]:
-        """Kernighan--Lin style boundary refinement (greedy passes)."""
+    def _refine(self, graph: WeightedGraph, parts: dict[Any, int],
+                frontier: Iterable[Any],
+                ) -> tuple[dict[Any, int], dict[Any, int]]:
+        """Kernighan--Lin boundary refinement (greedy passes): the
+        refined parts, and each node's count of neighbours in another
+        part under them.
+
+        Only a boundary node can move: one with no neighbour in another
+        part has no attraction but its own part's.  So each node keeps
+        that count, a move updates the counts of the node and its
+        neighbours, and a sweep builds attractions for boundary nodes
+        only.  The sweep still visits the nodes in order, so the moves
+        and tie-breaks are those of a sweep over every node.  Counts
+        start at 0 but for the ``frontier`` nodes: the caller knows the
+        rest have no neighbour in another part.
+        """
         parts = dict(parts)
+        adj = graph.adj
         target = sum(graph.nodes.values()) / self.num_parts
         limit = target * (1 + self.balance_tolerance)
         loads = [0.0] * self.num_parts
         for node, part in parts.items():
             loads[part] += graph.nodes[node]
+        outside = dict.fromkeys(graph.nodes, 0)
+        for node in frontier:
+            here = parts[node]
+            outside[node] = sum(1 for nbr in adj[node] if parts[nbr] != here)
         for _ in range(3):                      # bounded number of passes
             improved = False
             for node, node_w in graph.nodes.items():
+                if not outside[node]:
+                    continue
                 here = parts[node]
                 # Gain of moving node to each neighbouring part.
-                attraction: dict[int, float] = {}
-                for nbr, w in graph.adj[node].items():
-                    part = parts[nbr]
-                    attraction[part] = attraction.get(part, 0.0) + w
+                attraction = _attraction(adj[node], parts)
                 internal = attraction.get(here, 0.0)
                 best_part, best_gain = here, 0.0
                 for part, weight in attraction.items():
@@ -277,9 +303,32 @@ class MultilevelPartitioner:
                     loads[here] -= node_w
                     loads[best_part] += node_w
                     improved = True
+                    # The node's own count is recounted, not adjusted: a
+                    # self-loop would adjust it as a neighbour's.
+                    away = 0
+                    for nbr in adj[node]:
+                        there = parts[nbr]
+                        if there == here:
+                            outside[nbr] += 1
+                        elif there == best_part:
+                            outside[nbr] -= 1
+                        if there != best_part:
+                            away += 1
+                    outside[node] = away
             if not improved:
                 break
-        return parts
+        return parts, outside
+
+
+def _attraction(nbrs: dict[Any, float],
+                parts: dict[Any, int]) -> dict[int, float]:
+    """Edge weight from a node to each part its neighbours are in, in
+    neighbour order."""
+    attraction: dict[int, float] = {}
+    for nbr, w in nbrs.items():
+        part = parts[nbr]
+        attraction[part] = attraction.get(part, 0.0) + w
+    return attraction
 
 
 class SimulatedAnnealingMapper:

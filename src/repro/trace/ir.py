@@ -31,7 +31,13 @@ class OpKind(enum.Enum):
     block-level work.  What each kind *is*
     — arity, operands, key, level and scale rule, block — is its row of
     :data:`repro.trace.ops.OPS`, and nowhere else.
+
+    Members hash by identity (``object.__hash__``): they are singletons
+    that compare by identity, and ``Enum.__hash__`` runs in Python on
+    every ``OPS[op.kind]``.
     """
+
+    __hash__ = object.__hash__
 
     SCALAR_ADD = "scalar_add"
     SCALAR_MULT = "scalar_mult"

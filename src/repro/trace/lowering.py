@@ -31,6 +31,7 @@ onto HE ops (:meth:`repro.engine.ExecutablePlan.profile`).
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 from repro.blocksim.blocks import BlockInstance, BlockType
@@ -50,6 +51,10 @@ def lower_trace(trace: OpTrace) -> DiGraph:
     # op id -> (node id or None, went-through-refresh flag)
     resolved: dict[int, tuple[str | None, bool]] = {}
     counters: dict[tuple[str, str], int] = {}
+    # node id -> level; an edge carries its producer's ciphertext, whose
+    # bytes are computed once per level.
+    levels: dict[str, int] = {}
+    edge_bytes = functools.cache(params.ciphertext_bytes)
 
     def add_block(op: TraceOp, block: OpSpec, preds: list[str],
                   metadata: dict[str, Any]) -> str:
@@ -60,14 +65,12 @@ def lower_trace(trace: OpTrace) -> DiGraph:
         counters[(op.region, stem)] = seq + 1
         node_id = f"{op.region}/{stem}{seq}" if op.region \
             else f"{stem}{seq}"
+        level = levels[node_id] = getattr(op, OPS[op.kind].block_level)
         graph.add_node(node_id, block=BlockInstance(
-            block_id=node_id, block_type=block.block,
-            level=getattr(op, OPS[op.kind].block_level),
+            block_id=node_id, block_type=block.block, level=level,
             metadata={"op_id": op.op_id, **metadata}))
         for pred in preds:
-            pred_level = graph.nodes[pred]["block"].level
-            graph.add_edge(pred, node_id,
-                           bytes=params.ciphertext_bytes(pred_level))
+            graph.add_edge(pred, node_id, bytes=edge_bytes(levels[pred]))
         return node_id
 
     for op in trace.ops:

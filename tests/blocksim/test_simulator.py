@@ -5,8 +5,8 @@ import re
 import networkx as nx
 import pytest
 
-from repro.blocksim import (BlockGraphSimulator, BlockInstance, BlockType,
-                            make_block_node)
+from repro.blocksim import (BlockGraphSimulator, BlockInstance, BlockTable,
+                            BlockType, make_block_node)
 from repro.blocksim import calibration as cal
 from repro.dag import is_directed_acyclic_graph
 from repro.gme.features import BASELINE, FeatureSet, GME_FULL
@@ -48,7 +48,8 @@ class TestSimulator:
     def test_labs_order_is_topological(self):
         graph = compile_workload("boot").graph
         sim = BlockGraphSimulator(GME_FULL)
-        order = sim._order(graph)
+        nodes = list(graph.nodes)
+        order = [nodes[row] for row in sim._order(BlockTable(graph))]
         position = {b: i for i, b in enumerate(order)}
         for u, v in graph.edges:
             assert position[u] < position[v]
@@ -137,3 +138,15 @@ class TestWorkloadGraphs:
         iterations = {op.region for op in trace.ops
                       if re.fullmatch(r"helr/it\d+", op.region)}
         assert len(iterations) == cal.HELR_ITERATIONS == 30
+
+
+def test_a_table_rows_a_graph_whose_producers_come_later():
+    """A block table indexes every node before it reads an edge, so a
+    graph whose nodes were inserted out of topological order runs."""
+    graph = nx.DiGraph()
+    make_block_node(graph, BlockInstance("late", BlockType.HE_ADD, 10))
+    make_block_node(graph, BlockInstance("early", BlockType.HE_MULT, 10))
+    graph.add_edge("early", "late", bytes=1.0)
+    table = BlockTable(graph)
+    assert table.preds == [((1, 1.0),), ()]
+    assert BlockGraphSimulator(GME_FULL).run(graph).blocks == 2

@@ -5,11 +5,11 @@ count and a fixed seed; a block cost of ``(type, level)`` and the
 parameters.  A feature-set sweep over one plan changes none of them, so
 the sweep below — the five cumulative configs, full GME at two more LDS
 sizes, a profile, a repeated simulate — may partition the graph once,
-sort it topologically once, never map parts to routers (no cycle
-depends on where they land), never deep-copy a block, and price each
-block kind once per run.  Before the plan owned its orders the same
-sweep made 2 partitions, 2 ``map_parts`` calls, 4 topological sorts and
-6 500 deep copies.
+sort it topologically once, build its block table once, never map parts
+to routers (no cycle depends on where they land), never deep-copy a
+block, and price each block kind once per run.  Before the plan owned
+its orders the same sweep made 2 partitions, 2 ``map_parts`` calls, 4
+topological sorts and 6 500 deep copies.
 """
 
 import copy
@@ -17,6 +17,7 @@ import copy
 import pytest
 
 from repro import dag, engine
+from repro.blocksim import BlockTable
 from repro.blocksim.blocks import BlockCostModel
 from repro.fhe.params import CkksParameters
 from repro.gme import (LabsScheduler, MultilevelPartitioner,
@@ -56,6 +57,7 @@ class Budget:
                               "map_parts")
         self.sorts = Calls(monkeypatch, dag, "topological_sort")
         self.copies = Calls(monkeypatch, copy, "deepcopy")
+        self.tables = Calls(monkeypatch, BlockTable, "__init__")
         self.builders = [Calls(monkeypatch, BlockCostModel._BUILDERS, kind)
                          for kind in list(BlockCostModel._BUILDERS)]
 
@@ -94,6 +96,7 @@ def test_a_sweep_schedules_once_and_prices_each_kind_once(plan,
     assert budget.partitions.count == 1
     assert budget.mappings.count == 0
     assert budget.sorts.count == 1
+    assert budget.tables.count == 1
     assert budget.deep_copies == 0
     assert 0 < budget.builder_calls <= SWEEP_RUNS * block_kinds(plan)
 
@@ -108,6 +111,7 @@ def test_a_loaded_plan_pays_its_own_partition(plan, monkeypatch, tmp_path):
         plan.simulate(GME_FULL).cycles
     loaded.profile(GME_FULL)
     assert budget.partitions.count == 1
+    assert budget.tables.count == 1
     assert budget.mappings.count == 0
     assert budget.deep_copies == 0
 

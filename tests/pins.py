@@ -49,12 +49,12 @@ HERE = pathlib.Path(__file__).resolve().parent
 PATH = HERE / "pins.json"
 
 #: The modules that register pins, relative to ``tests/``.
-MODULES = ("artifact/test_corpus_pins.py", "fhe/test_backend_equivalence.py",
-           "fhe/test_baseconv_pins.py", "fhe/test_bootstrap.py",
-           "fhe/test_crt_pins.py", "fhe/test_edge_pins.py",
-           "fhe/test_key_digests.py", "fhe/test_parent_digests.py",
-           "fhe/test_routed_programs.py", "fhe/test_transform_pins.py",
-           "trace/test_op_table_pins.py")
+MODULES = ("artifact/test_corpus_pins.py", "engine/test_simulate_pins.py",
+           "fhe/test_backend_equivalence.py", "fhe/test_baseconv_pins.py",
+           "fhe/test_bootstrap.py", "fhe/test_crt_pins.py",
+           "fhe/test_edge_pins.py", "fhe/test_key_digests.py",
+           "fhe/test_parent_digests.py", "fhe/test_routed_programs.py",
+           "fhe/test_transform_pins.py", "trace/test_op_table_pins.py")
 
 
 # -- presets and served workloads ---------------------------------------------

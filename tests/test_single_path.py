@@ -29,7 +29,9 @@ transform: the evaluator's rows, with no ciphertext made beside them
 and no copy of the level rules kept for planning or tests.  One
 schedule, one plan constructor: ``repro.trace.schedule`` makes replay's
 decisions in one walk, and ``ExecutablePlan(trace, name)`` validates,
-lowers and checks every plan, compiled or loaded.
+lowers and checks every plan, compiled or loaded.  One walk of a plan's
+blocks: its ``BlockTable``, with a profile's per-op rows folded inside
+the run and no record dict per block.
 Each case pins the absence of the fork it names.
 """
 
@@ -900,3 +902,41 @@ def test_two_dead_entry_points_are_gone():
                         (cache, "plan_cache_stats")):
         assert not hasattr(owner, name), name
         assert name not in getattr(owner, "__all__", ()), name
+
+
+# -- one block table per plan -------------------------------------------------
+
+class _Untouchable:
+    """A graph no run may read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a run read graph.{name}")
+
+
+def test_a_run_walks_one_block_table_and_makes_no_record_per_block():
+    """A simulate or profile walks the plan's :class:`BlockTable` — no
+    node attribute dict, block metadata or edge dict per block — and a
+    profile folds its per-op rows inside the run: no ``record`` list of
+    one dict per block is made and read back."""
+    from repro.blocksim import BlockGraphSimulator, BlockTable
+    from repro.gme.features import GME_FULL
+    assert list(inspect.signature(BlockGraphSimulator.run).parameters) \
+        == ["self", "blocks", "name", "order", "per_op"]
+    assert "record" not in inspect.signature(
+        engine.ExecutablePlan._run).parameters
+    walks = "".join(inspect.getsource(method) for method in (
+        BlockGraphSimulator.run, engine.ExecutablePlan._run,
+        engine.ExecutablePlan.profile))
+    for gone in ("record", "start_cycle", "end_cycle", "graph.nodes[",
+                 "graph.pred[", ".metadata", 'get("bytes"'):
+        assert gone not in walks, gone
+    plan = compile_workload("helr", CkksParameters.test())
+    table = BlockTable(plan.graph)
+    sim = BlockGraphSimulator(GME_FULL, params=plan.params)
+    order = sim._order(table)
+    table.graph = _Untouchable()
+    per_op: dict = {}
+    metrics = sim.run(table, "helr", order=order, per_op=per_op)
+    assert metrics.cycles == plan.simulate(GME_FULL).cycles
+    assert sum(row[0] for row in per_op.values()) == len(table.rows) \
+        == plan.num_blocks

@@ -2,13 +2,16 @@
 with the real evaluator's levels and scales, closes the arity /
 missing-operand hole, and is what the README prints."""
 
+import copy
 import pathlib
+import pickle
 
 import pytest
 
 import repro.trace
 from repro import engine
 from repro.analysis import LintError, lint_trace
+from repro.blocksim.blocks import BlockType
 from repro.fhe import CkksContext, CkksParameters
 from repro.fhe.evaluator import CkksEvaluator
 from repro.trace import (SymbolicEvaluator, TraceValidationError,
@@ -29,6 +32,23 @@ def test_one_row_per_kind():
     assert set(OPS) == set(OpKind)
     assert all(spec.kind is kind for kind, spec in OPS.items())
     assert [kind for kind in OPS] == list(OpKind)
+
+
+@pytest.mark.parametrize("kinds", [OpKind, BlockType],
+                         ids=lambda kinds: kinds.__name__)
+def test_a_kind_hashes_by_identity_and_round_trips_to_itself(kinds):
+    """``OPS[op.kind]`` and a run's priced cases hash a kind per op: by
+    identity, not by ``Enum.__hash__`` in Python.  A member is a
+    singleton, so a pickle or copy round trip hands back the member that
+    keys the table."""
+    assert kinds.__hash__ is object.__hash__
+    for kind in kinds:
+        assert hash(kind) == object.__hash__(kind)
+        for twin in (pickle.loads(pickle.dumps(kind)), copy.copy(kind),
+                     copy.deepcopy(kind), kinds(kind.value)):
+            assert twin is kind
+            assert {kind: True}[twin]
+    assert len({*kinds, *kinds}) == len(kinds)
 
 
 @pytest.mark.parametrize("spec", WITH_METHOD, ids=lambda s: s.kind.value)
