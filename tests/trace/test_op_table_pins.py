@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import pins
+from repro.blocksim import BlockTable
 from repro.fhe import CkksParameters
 from repro.trace import schedule
 from repro.workloads import compile_workload
@@ -67,12 +68,34 @@ def dag_digest(workload: str, preset: str) -> str:
                                         OFFLINE_PRESETS[preset]()).graph)
 
 
+def _table_digest(table) -> str:
+    """Each row of a block table with its node id and its predecessors,
+    the bytes by ``repr``."""
+    sha = hashlib.sha256()
+    for node_id, (block_type, *row), preds in zip(
+            list(table.index), table.rows, table.preds):
+        sha.update(repr((node_id, block_type.value, *row,
+                         [(pred, repr(edge_bytes))
+                          for pred, edge_bytes in preds])).encode())
+        sha.update(b"\n")
+    return sha.hexdigest()
+
+
+@pins.family("table", OFFLINE)
+def table_digest(workload: str, preset: str) -> str:
+    """The block table a run walks, as built from the plan's graph."""
+    return _table_digest(BlockTable(compile_workload(
+        workload, OFFLINE_PRESETS[preset]()).graph))
+
+
 @pytest.mark.parametrize("workload,preset", sorted(OFFLINE))
 def test_recorded_rows_and_lowered_blocks_are_the_parents(workload, preset):
     plan = compile_workload(workload, OFFLINE_PRESETS[preset]())
     assert _trace_digest(plan.trace) == pins.expected("trace", workload,
                                                       preset)
     assert _dag_digest(plan.graph) == pins.expected("dag", workload, preset)
+    assert _table_digest(BlockTable(plan.graph)) \
+        == pins.expected("table", workload, preset)
 
 
 # -- real record -> replay ----------------------------------------------------
