@@ -8,7 +8,8 @@ DAGs with global-LDS residency and LABS scheduling.
 from .analytical import AnalyticalTimingModel, BlockTiming
 from .blocks import BlockCost, BlockCostModel, BlockInstance, BlockType
 from .metrics import WorkloadMetrics, amortized_mult_time_per_slot_ns
-from .simulator import BlockGraphSimulator, BlockTable, make_block_node
+from .simulator import BlockGraphSimulator, make_block_node
+from .table import BlockTable
 
 __all__ = [
     "AnalyticalTimingModel", "BlockCost", "BlockCostModel", "BlockInstance",

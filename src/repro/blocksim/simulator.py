@@ -1,23 +1,23 @@
 """BlockSim: block-graph simulation with global-LDS residency tracking.
 
-Executes a workload DAG of :class:`~repro.blocksim.blocks.BlockInstance`
-nodes.  With cNoC enabled, producer outputs are registered in the global
+Executes a workload DAG of blocks.  With cNoC enabled, producer outputs are registered in the global
 LDS and consumers whose operands are still resident skip the DRAM fetch;
 LABS reorders the schedule so those hits actually happen and groups blocks
 that share switching keys.
 
-A run walks a :class:`BlockTable`, not the graph: one tuple row per block
-(type, level, repeat, key, op id) and each block's predecessors as (row,
-edge bytes) pairs, built once per plan.  A profiling run folds each block
-into its op's row as it goes (``per_op``); no record is made per block.
+A run walks a :class:`BlockTable`: one tuple row per block (type, level,
+repeat, key, op id) and each block's predecessors as (row, edge bytes)
+pairs, which lowering writes once per plan; a hand-built graph of
+:class:`~repro.blocksim.blocks.BlockInstance` nodes is read into one.  A
+profiling run folds each block into its op's row as it goes
+(``per_op``); no record is made per block.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import Any
 
-from repro import dag
+from repro.dag import DiGraph
 from repro.fhe.params import CkksParameters
 from repro.gme.cnoc import ConcentratedTorus, GlobalLds
 from repro.gme.features import FeatureSet
@@ -27,49 +27,13 @@ from repro.gpusim.config import GpuConfig, mi100
 from .analytical import AnalyticalTimingModel, BlockTiming
 from .blocks import BlockCostModel, BlockInstance, BlockType
 from .metrics import WorkloadMetrics
+from .table import BlockTable
 
 
-def make_block_node(graph: dag.DiGraph, instance: BlockInstance) -> str:
+def make_block_node(graph: DiGraph, instance: BlockInstance) -> str:
     """Insert a block instance as a graph node; returns its id."""
     graph.add_node(instance.block_id, block=instance)
     return instance.block_id
-
-
-#: A block as a run reads it: type, level, repeat, the switching key
-#: LABS groups it on (``metadata["key"]``) and the trace op it lowers
-#: (``metadata["op_id"]``).
-BlockRow = tuple[BlockType, int, int, Any, Any]
-
-
-class BlockTable:
-    """A block DAG as :meth:`BlockGraphSimulator.run` walks it.
-
-    One row per node in graph node order (:data:`BlockRow`), and each
-    node's predecessors as ``(index, edge bytes)`` pairs, so a run reads
-    tuples instead of every block's attribute dict, metadata and in-edge
-    attributes.  A plan builds its table once
-    (:attr:`repro.engine.ExecutablePlan.table`); a run handed a bare
-    graph builds one for itself.
-    """
-
-    __slots__ = ("graph", "index", "rows", "preds")
-
-    def __init__(self, graph: dag.DiGraph) -> None:
-        self.graph = graph
-        #: node id -> row index.
-        self.index = index = {node: row for row, node
-                              in enumerate(graph.nodes)}
-        self.rows: list[BlockRow] = []
-        self.preds: list[tuple[tuple[int, float], ...]] = []
-        pred = graph.pred
-        for node, attrs in graph.nodes(data=True):
-            block: BlockInstance = attrs["block"]
-            meta = block.metadata
-            self.rows.append((block.block_type, block.level, block.repeat,
-                              meta.get("key"), meta.get("op_id")))
-            self.preds.append(tuple(
-                (index[u], edge.get("bytes", 0.0))
-                for u, edge in pred[node].items()))
 
 
 #: What one block of a (type, level, repeat, resident bytes, key grouped)
@@ -102,32 +66,22 @@ class BlockGraphSimulator:
     # -- scheduling ---------------------------------------------------------
 
     def _order(self, table: BlockTable) -> list[int]:
-        """The block issue order, as row indices: a function of the
-        graph, LABS on or off, the router count and the seed — of
-        nothing else in the feature set, so one order serves a whole
-        sweep (:meth:`run`'s ``order``).  Only the ordering half of LABS
-        runs here; no cycle depends on where the annealer places the
-        parts."""
-        graph, index = table.graph, table.index
-        nodes: Iterable[Any]
+        """The block issue order, as rows: a function of the table, LABS
+        on or off, the router count and the seed — of nothing else in
+        the feature set, so one order serves a whole sweep (:meth:`run`'s
+        ``order``).  Only the ordering half of LABS runs here; no cycle
+        depends on where the annealer places the parts."""
         if self.features.labs:
-            rows = table.rows
-
-            def key_of(node: Any) -> Any:
-                return rows[index[node]][3]
             scheduler = LabsScheduler(
                 self.torus or ConcentratedTorus(self.config),
                 seed=self.seed)
-            nodes = scheduler.order(graph, key_of=key_of)[0]
-        else:
-            # Greedy baseline: plain topological order (stream issue
-            # order).
-            nodes = dag.topological_sort(graph)
-        return [index[node] for node in nodes]
+            return scheduler.order(table)[0]
+        # Greedy baseline: plain topological order (stream issue order).
+        return table.topological_order()
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, blocks: dag.DiGraph | BlockTable, name: str = "workload",
+    def run(self, blocks: DiGraph | BlockTable, name: str = "workload",
             order: list[int] | None = None,
             per_op: dict[Any, list[float]] | None = None,
             ) -> WorkloadMetrics:
@@ -256,7 +210,7 @@ class BlockGraphSimulator:
     def run_blocks(self, instances: list[BlockInstance],
                    name: str = "chain") -> WorkloadMetrics:
         """Convenience: run a linear chain of blocks."""
-        graph = dag.DiGraph()
+        graph = DiGraph()
         prev = None
         for instance in instances:
             make_block_node(graph, instance)

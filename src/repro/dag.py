@@ -1,20 +1,28 @@
-"""A directed graph on plain dicts: the block DAG's container.
+"""A directed graph on plain dicts: the block DAG as a graph.
 
-Lowering, the simulator, LABS, the linter and the ``.rpa`` codec need a
-node table, an edge table with attributes, both adjacency directions and
-a topological order: one ``dict`` of nodes and two of neighbours.  This
-module is that, under the names of the slice of ``networkx.DiGraph`` the
-repo uses, so code written against the surface — ``WeightedGraph.of``,
-the simulator — also takes a networkx graph where a caller has one,
-while nothing under ``src/`` imports networkx (some 340 modules and
-15 MB in every process, for one container and three functions).
+A plan never builds one: lowering writes a
+:class:`~repro.blocksim.BlockTable`, and the DAG check, LABS's order and
+every simulation read its rows.  The graph is for whoever asks for one:
+``plan.graph`` (the table's :attr:`~repro.blocksim.BlockTable.graph`,
+derived at its first read), the hand-built graphs of ``run_blocks`` and
+``BlockTable(graph)``, LABS's graph API (``schedule`` / ``place`` /
+``cut_cost`` / ``mapping_cost`` / ``WeightedGraph.of``) and
+``noise.circuit_depth``.  It needs a node table, an edge table with
+attributes, both adjacency directions and a topological order: one
+``dict`` of nodes and two of neighbours.  This module is that, under the
+names of the slice of ``networkx.DiGraph`` the repo uses, so code
+written against the surface also takes a networkx graph where a caller
+has one, while nothing under ``src/`` imports networkx (some 340 modules
+and 15 MB in every process, for one container and three functions).
 
 Orders are the contract, not an accident: nodes iterate in insertion
 order, edges in (source insertion, neighbour insertion) order, and
 :func:`topological_sort` yields generation by generation exactly as
-networkx does — block ids, LABS tie-breaks, artifact bytes and every
-simulated cycle count depend on them
-(``tests/test_dag.py`` holds all three to networkx itself).
+networkx does — a table read from a graph, LABS tie-breaks and every
+simulated cycle count of a graph depend on them
+(``tests/test_dag.py`` holds all three to networkx itself, and a lowered
+table's derived graph and its own orders to a networkx graph derived
+from the same table).
 """
 
 from __future__ import annotations

@@ -29,7 +29,8 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.blocksim import BlockGraphSimulator, BlockTable, WorkloadMetrics
+from repro.blocksim import BlockGraphSimulator, WorkloadMetrics
+from repro.dag import DiGraph
 from repro.fhe.params import CkksParameters
 from repro.gme.features import FeatureSet
 from repro.trace import (OpKind, OpTrace, Schedule, SymbolicEvaluator,
@@ -155,13 +156,15 @@ class ExecutablePlan:
     """
 
     def __init__(self, trace: OpTrace, name: str) -> None:
-        graph = lower_trace(validate_trace(trace))
-        problems = dag_violations(graph, params=trace.params,
+        table = lower_trace(validate_trace(trace))
+        problems = dag_violations(table, params=trace.params,
                                   require_keyswitch_meta=True)
         if problems:
             raise TraceValidationError(_summary(problems, "DAG"))
         self.params = trace.params
-        self.graph = graph
+        #: The block DAG as lowering wrote it: what every simulate and
+        #: profile walks.
+        self.table = table
         self.name = name
         self.trace = trace
         #: The most recent lint report (:class:`repro.analysis.
@@ -180,11 +183,13 @@ class ExecutablePlan:
         #: sweep schedules once.
         self._orders: dict[bool, list[int]] = {}
 
-    @functools.cached_property
-    def table(self) -> BlockTable:
-        """The block DAG as BlockSim walks it, built at the first
-        simulate or profile and read by every run after it."""
-        return BlockTable(self.graph)
+    @property
+    def graph(self) -> DiGraph:
+        """The block DAG as a :class:`~repro.dag.DiGraph` of
+        ``BlockInstance`` nodes, derived from :attr:`table` at the first
+        read (:attr:`BlockTable.graph <repro.blocksim.BlockTable.graph>`):
+        nothing a plan runs needs it."""
+        return self.table.graph
 
     @functools.cached_property
     def schedule(self) -> Schedule:
@@ -208,12 +213,12 @@ class ExecutablePlan:
 
     def __repr__(self) -> str:
         return (f"ExecutablePlan({self.name!r}, "
-                f"{self.graph.number_of_nodes()} blocks, "
+                f"{self.num_blocks} blocks, "
                 f"{len(self.trace)} ops)")
 
     @property
     def num_blocks(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.table.rows)
 
     @property
     def fingerprint(self) -> str:

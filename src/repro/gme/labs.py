@@ -23,29 +23,41 @@ the global LDS across blocks.
 
 :class:`LabsScheduler` keeps the two apart.  :meth:`LabsScheduler.order`
 (partition, then an affinity topological order) is the half BlockSim
-consumes: the simulator issues blocks serially and models residency by
-*when* a block runs, so its cycles depend on the parts and never on the
-routers they land on.  :meth:`LabsScheduler.place` (annealing, Gamma) is
-for whoever wants the placement — :meth:`LabsScheduler.schedule` composes
-both into a :class:`LabsSchedule` — and is not on the simulate path.
+consumes, and it reads a plan's block table
+(:class:`~repro.blocksim.BlockTable`): the simulator issues blocks
+serially and models residency by *when* a block runs, so its cycles
+depend on the parts and never on the routers they land on.
+:meth:`LabsScheduler.place` (annealing, Gamma) is for whoever wants the
+placement — :meth:`LabsScheduler.schedule` composes both into a
+:class:`LabsSchedule` for a block DAG given as a graph — and is not on
+the simulate path.
 
-Both algorithms read a graph's node and edge ``weight`` attributes only
-(default 1.0), so they run on a :class:`WeightedGraph` — two plain dicts —
-rather than on a copy of the block graph.
+Both algorithms read node and edge weights only (a graph's ``weight``
+attributes, default 1.0; a table's are all 1.0), so they run on a
+:class:`WeightedGraph` — two plain dicts — rather than on a copy of the
+block graph.  The partitioner works on rows ``0..n-1``: a graph's nodes
+are numbered in node order, coarsening numbers its super-nodes as it
+makes them, and the parts go back to the node names at the end.  The
+affinity order works on rows too: the nodes' ids break ties, through
+one sort of the rows by id.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.dag import DiGraph
 
 from .cnoc import ConcentratedTorus
+
+if TYPE_CHECKING:
+    from repro.blocksim.table import BlockTable
 
 #: One edge as the cost functions read it: (u, v, weight).
 Edge = tuple[Any, Any, float]
@@ -87,6 +99,33 @@ class WeightedGraph:
                 weight = data.get("weight", adj[u].get(v, 1.0))
                 adj[u][v] = adj[v][u] = weight
         return cls(nodes, adj)
+
+    @classmethod
+    def of_successors(cls, successors: list[list[int]]) -> WeightedGraph:
+        """The unit weights of a DAG on rows ``0..n-1`` given each row's
+        successors: what :meth:`of` reads from the same DAG as a graph
+        (for a table whose rows are in topological order, each row's
+        neighbours are its predecessors, ascending, then its
+        successors, ascending)."""
+        adj: dict[Any, dict[Any, float]] = {row: {} for row
+                                            in range(len(successors))}
+        for u, children in enumerate(successors):
+            for v in children:
+                adj[u][v] = adj[v][u] = 1.0
+        return cls(dict.fromkeys(adj, 1.0), adj)
+
+    def indexed(self) -> WeightedGraph:
+        """The same graph on rows ``0..n-1`` in node order (itself, if
+        its nodes are those rows already)."""
+        index = {node: row for row, node in enumerate(self.nodes)}
+        if all(node == row and type(node) is int
+               for node, row in index.items()):
+            return self
+        return WeightedGraph(
+            dict(enumerate(self.nodes.values())),
+            {row: {index[nbr]: weight
+                   for nbr, weight in self.adj[node].items()}
+             for node, row in index.items()})
 
     def edges(self) -> Iterator[Edge]:
         """Every edge once, in ``networkx.Graph.edges()`` order."""
@@ -142,9 +181,10 @@ class PartitionResult:
         return max(self.part_weights) / avg - 1.0 if avg else 0.0
 
 
-#: One level of the multilevel hierarchy: its graph and the map of each
-#: of its nodes to the representative in the next (coarser) level.
-_Level = tuple[WeightedGraph, dict[Any, Any]]
+#: One level of the multilevel hierarchy: its graph (on rows
+#: ``0..n-1``) and each row's super-node, a row of the next (coarser)
+#: level.
+_Level = tuple[WeightedGraph, list[int]]
 
 
 class MultilevelPartitioner:
@@ -161,13 +201,15 @@ class MultilevelPartitioner:
 
     # -- public API ----------------------------------------------------------
 
-    def partition(self, graph: DiGraph) -> PartitionResult:
+    def partition(self, graph: DiGraph | WeightedGraph) -> PartitionResult:
         """Partition a weighted graph (a directed one by its undirected
         weights) into num_parts parts."""
-        work = WeightedGraph.of(graph)
-        if not work.nodes:
+        named = graph if isinstance(graph, WeightedGraph) \
+            else WeightedGraph.of(graph)
+        if not named.nodes:
             return PartitionResult({}, self.num_parts, 0.0,
                                    [0.0] * self.num_parts)
+        work = named.indexed()
         levels, coarsest = self._coarsen(work)
         parts, outside = self._refine(coarsest,
                                       self._initial_partition(coarsest),
@@ -183,51 +225,63 @@ class MultilevelPartitioner:
         weights = [0.0] * self.num_parts
         for node, part in parts.items():
             weights[part] += work.nodes[node]
+        phi = _cut(work.edges(), parts)
+        if work is not named:
+            names = list(named.nodes)
+            parts = {names[row]: part for row, part in parts.items()}
         return PartitionResult(parts=parts, num_parts=self.num_parts,
-                               phi=_cut(work.edges(), parts),
-                               part_weights=weights)
+                               phi=phi, part_weights=weights)
 
     # -- multilevel machinery -----------------------------------------------
 
     def _coarsen(self, graph: WeightedGraph
                  ) -> tuple[list[_Level], WeightedGraph]:
-        """Heavy-edge matching coarsening: the levels that were matched,
-        finest first, and the coarsest graph they end in."""
+        """Heavy-edge matching coarsening of a graph on rows ``0..n-1``:
+        the levels that were matched, finest first, and the coarsest
+        graph they end in.  Super-nodes are rows too, numbered as they
+        are made."""
         rng = np.random.default_rng(self.seed)
         levels: list[_Level] = []
         current = graph
         while len(current.nodes) > self.coarsen_floor:
-            matching: dict[Any, Any] = {}
-            nodes = list(current.nodes)
+            adj, size = current.adj, len(current.nodes)
+            matching = [-1] * size
+            made = 0
+            nodes = list(range(size))
             rng.shuffle(nodes)
             for node in nodes:
-                if node in matching:
+                if matching[node] >= 0:
                     continue
                 # Heaviest incident edge to an unmatched neighbour.
-                best, best_w = None, -1.0
-                for nbr, w in current.adj[node].items():
-                    if nbr in matching or nbr == node:
+                best, best_w = -1, -1.0
+                for nbr, w in adj[node].items():
+                    if matching[nbr] >= 0 or nbr == node:
                         continue
                     if w > best_w:
                         best, best_w = nbr, w
-                super_node = ("m", len(matching))
-                matching[node] = super_node
-                if best is not None:
-                    matching[best] = super_node
-            weights: dict[Any, float] = {}
-            for node, super_node in matching.items():
-                weights[super_node] = weights.get(super_node, 0.0) \
-                    + current.nodes[node]
-            # Adjacency inserted in edge order, as ``add_edge`` would.
-            adj: dict[Any, dict[Any, float]] = {s: {} for s in weights}
-            for u, v, w in current.edges():
-                su, sv = matching[u], matching[v]
-                if su != sv:
-                    adj[su][sv] = adj[sv][su] = adj[su].get(sv, 0.0) + w
-            if len(weights) >= len(current.nodes):
+                matching[node] = made
+                if best >= 0:
+                    matching[best] = made
+                made += 1
+            if made >= size:
                 break   # no progress (e.g. fully disconnected)
+            weights = [0.0] * made
+            for node, node_w in current.nodes.items():
+                weights[matching[node]] += node_w
+            # Adjacency inserted in edge order (``edges()``: each edge
+            # from its earlier row), as ``add_edge`` would.
+            coarse: dict[Any, dict[Any, float]] = {s: {} for s
+                                                   in range(made)}
+            for u, nbrs in adj.items():
+                su = matching[u]
+                for v, w in nbrs.items():
+                    if v > u:
+                        sv = matching[v]
+                        if su != sv:
+                            coarse[su][sv] = coarse[sv][su] = \
+                                coarse[su].get(sv, 0.0) + w
             levels.append((current, matching))
-            current = WeightedGraph(weights, adj)
+            current = WeightedGraph(dict(enumerate(weights)), coarse)
         return levels, current
 
     def _initial_partition(self, graph: WeightedGraph) -> dict[Any, int]:
@@ -433,23 +487,33 @@ class LabsScheduler:
         self.torus = torus or ConcentratedTorus()
         self.seed = seed
 
-    def order(self, block_graph: DiGraph,
-              key_of: Callable[[Any], Any] | None = None,
-              ) -> tuple[list[Any], PartitionResult]:
-        """The ordering half: partition the block DAG, then order it.
+    def order(self, table: BlockTable) -> tuple[list[int], PartitionResult]:
+        """The ordering half, over a block table's rows: partition the
+        DAG, then order it.
 
         Blocks are ordered topologically with partition affinity as the
-        primary tiebreak and shared switching keys (``key_of(node)``) as
-        the secondary one, so blocks sharing data or keys run back-to-back
-        and their shared state stays live in the global LDS.  The order
-        reads the parts only, never the routers they are mapped to.
+        primary tiebreak and shared switching keys (each row's key) as
+        the secondary one, so blocks sharing data or keys run
+        back-to-back and their shared state stays live in the global
+        LDS.  The order and the parts name rows; the order reads the
+        parts only, never the routers they are mapped to.
         """
-        num_parts = min(self.torus.num_routers,
-                        max(1, len(block_graph.nodes) // 4))
+        successors = table.successors()
+        return self._order(WeightedGraph.of_successors(successors),
+                           successors, [row[3] for row in table.rows],
+                           table.ids)
+
+    def _order(self, work: WeightedGraph, successors: list[list[int]],
+               keys: Sequence[Any], ids: Sequence[Any],
+               ) -> tuple[list[int], PartitionResult]:
+        """Partition ``work`` (a DAG's weights, its nodes in row order)
+        and order its rows (:func:`_affinity_order`)."""
+        num_parts = min(self.torus.num_routers, max(1, len(ids) // 4))
         result = MultilevelPartitioner(num_parts, seed=self.seed) \
-            .partition(block_graph)
-        return self._affinity_topological_order(
-            block_graph, result.parts, key_of), result
+            .partition(work)
+        parts = result.parts
+        part_of = [parts[node] for node in work.nodes]
+        return _affinity_order(successors, part_of, keys, ids), result
 
     def place(self, block_graph: DiGraph,
               parts: dict[Any, int]) -> tuple[dict[Any, int], float]:
@@ -465,56 +529,106 @@ class LabsScheduler:
     def schedule(self, block_graph: DiGraph,
                  key_of: Callable[[Any], Any] | None = None,
                  ) -> LabsSchedule:
-        """Produce a locality-aware schedule for a block DAG: its
-        :meth:`order` and its :meth:`place`-ment."""
-        block_order, result = self.order(block_graph, key_of)
+        """Produce a locality-aware schedule for a block DAG given as a
+        graph, its nodes grouped on ``key_of(node)``: the
+        :meth:`order` of its rows, named by node, and its
+        :meth:`place`-ment."""
+        names = list(block_graph.nodes)
+        index = {node: row for row, node in enumerate(names)}
+        successors = [[index[child] for child in block_graph.succ[node]]
+                      for node in names]
+        keys = [key_of(node) for node in names] if key_of is not None \
+            else [None] * len(names)
+        rows, result = self._order(WeightedGraph.of(block_graph),
+                                   successors, keys, names)
         block_router, gamma = self.place(block_graph, result.parts)
         # Reference cost: every block on its own part (total edge weight).
         phi_all = sum(weight for _, _, weight
                       in block_graph.edges(data="weight", default=1.0))
-        return LabsSchedule(block_order=block_order,
+        return LabsSchedule(block_order=[names[row] for row in rows],
                             block_router=block_router, parts=result.parts,
                             phi=result.phi, gamma=gamma,
                             phi_unpartitioned=phi_all)
 
-    @staticmethod
-    def _affinity_topological_order(
-            graph: DiGraph, parts: dict[Any, int],
-            key_of: Callable[[Any], Any] | None = None) -> list[Any]:
-        """Kahn's algorithm; ready blocks from the active part go first,
-        and among those, blocks sharing the active switching key."""
-        indeg = dict(graph.in_degree())
-        keys = {n: key_of(n) for n in graph.nodes} \
-            if key_of is not None else {}
-        ready = sorted(n for n, d in indeg.items() if d == 0)
-        order: list[Any] = []
-        current_part = None
-        current_key = None
-        while ready:
-            pick = None
-            if current_key is not None:
-                for candidate in ready:
-                    if parts.get(candidate) == current_part \
-                            and keys[candidate] == current_key:
-                        pick = candidate
-                        break
-            if pick is None:
-                for candidate in ready:
-                    if parts.get(candidate) == current_part:
-                        pick = candidate
-                        break
-            if pick is None:
-                pick = ready[0]
-                current_part = parts.get(pick)
-            ready.remove(pick)
-            order.append(pick)
-            key = keys.get(pick)
-            if key is not None:
-                current_key = key
-            for succ in sorted(graph.successors(pick)):
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    ready.append(succ)
-        if len(order) != graph.number_of_nodes():
-            raise ValueError("block graph contains a cycle")
-        return order
+
+def _affinity_order(successors: list[list[int]], parts: list[int],
+                    keys: Sequence[Any], ids: Sequence[Any]) -> list[int]:
+    """Kahn's algorithm over rows; ready blocks from the active part go
+    first, and among those, blocks sharing the active switching key.
+
+    The ready blocks form one queue in the order they became ready: the
+    sources by id, then each pick's successors by id.  A pick is the
+    first of them in the active part with the active key, else the first
+    in the active part, else the first of all, whose part becomes the
+    active one.  Each of those firsts heads a queue of its own (every
+    ready row, the part's, the part and key's), so a pick drops the
+    already-picked rows off a head instead of scanning the ready blocks.
+    """
+    size = len(ids)
+    # Successors presorted by id: one sort of the rows, and each row's
+    # successors appended in that order.
+    by_id = sorted(range(size), key=ids.__getitem__)
+    preds: list[list[int]] = [[] for _ in range(size)]
+    for u, children in enumerate(successors):
+        for v in children:
+            preds[v].append(u)
+    released: list[list[int]] = [[] for _ in range(size)]
+    for v in by_id:
+        for u in preds[v]:
+            released[u].append(v)
+    waiting = [len(rows) for rows in preds]
+
+    picked = [False] * size
+    everyone: deque[int] = deque()
+    by_part: dict[int, deque[int]] = {}
+    by_key: dict[tuple[int, Any], deque[int]] = {}
+
+    def ready(row: int) -> None:
+        everyone.append(row)
+        part, key = parts[row], keys[row]
+        queue = by_part.get(part)
+        if queue is None:
+            queue = by_part[part] = deque()
+        queue.append(row)
+        if key is not None:
+            queue = by_key.get((part, key))
+            if queue is None:
+                queue = by_key[part, key] = deque()
+            queue.append(row)
+
+    def head(queue: deque[int] | None) -> int:
+        """The first unpicked row of ``queue``; -1 for none."""
+        if queue is None:
+            return -1
+        while queue and picked[queue[0]]:
+            queue.popleft()
+        return queue[0] if queue else -1
+
+    for row in by_id:
+        if not waiting[row]:
+            ready(row)
+    order: list[int] = []
+    current_part, current_key = -1, None
+    while True:
+        pick = -1
+        if current_key is not None:
+            pick = head(by_key.get((current_part, current_key)))
+        if pick < 0:
+            pick = head(by_part.get(current_part))
+        if pick < 0:
+            pick = head(everyone)
+            if pick < 0:
+                break
+            current_part = parts[pick]
+        picked[pick] = True
+        order.append(pick)
+        key = keys[pick]
+        if key is not None:
+            current_key = key
+        for child in released[pick]:
+            waiting[child] -= 1
+            if not waiting[child]:
+                ready(child)
+    if len(order) != size:
+        raise ValueError("block graph contains a cycle")
+    return order

@@ -8,27 +8,33 @@ ids, inputs that reference earlier ops, levels in range, every op with
 the input count, key and output level its row prescribes.
 
 :func:`dag_violations` returns the list of structural problems of a
-workload DAG (empty = healthy), and :func:`assert_workload_dag` raises
-with the full list.  DAG invariants:
+block table (empty = healthy), and :func:`assert_workload_dag` raises
+with the full list; a hand-built graph is read into a table
+(``BlockTable(graph)``) and checked the same way.  DAG invariants:
 
-* the graph is a DAG and every node carries a ``BlockInstance``;
+* the table is acyclic (Kahn's algorithm over its predecessor rows) and
+  every node carries a ``BlockInstance``;
 * every edge carries positive ``bytes``;
 * block levels are within the parameter range;
 * levels are monotone non-increasing along edges, except into
   ``ModRaise`` blocks (the bootstrap entry lift) and blocks marked
-  ``metadata["refresh"]`` (a schematic level reset / elided bootstrap);
-* every ``HERotate`` block names its switching key
-  (``metadata["key"]``), which LABS grouping and the key-residency
-  window depend on;
-* optionally (lowered graphs), every key-switch block — rotations *and*
-  HEMult relinearizations — carries ``metadata["keyswitch"]`` with the
-  hybrid-decomposition shape.
+  ``refresh`` (a schematic level reset / elided bootstrap);
+* every ``HERotate`` block names its switching key, which LABS grouping
+  and the key-residency window depend on;
+* optionally (lowered tables), every key-switch block — rotations *and*
+  HEMult relinearizations — carries its ``keyswitch`` shape (the
+  hybrid decomposition).
+
+A problem names its node ids; problems come in the order a walk of the
+graph would find them: the cycle, then each node's, then each edge's
+(by source, then by the order its edges were added).
 """
 
 from __future__ import annotations
 
-from repro.blocksim.blocks import BlockInstance, BlockType
-from repro.dag import DiGraph, is_directed_acyclic_graph
+from repro.blocksim.blocks import BlockType
+from repro.blocksim.table import BlockTable
+from repro.dag import DiGraph
 from repro.fhe.params import CkksParameters
 
 from .ir import OpTrace
@@ -39,55 +45,64 @@ from .ops import (OPS, expected_out_level, structural_problems,
 KEYSWITCH_BLOCKS = frozenset({BlockType.HE_MULT, BlockType.HE_ROTATE})
 
 
-def dag_violations(graph: DiGraph,
+def dag_violations(blocks: BlockTable | DiGraph,
                    params: CkksParameters | None = None,
                    require_keyswitch_meta: bool = False) -> list[str]:
-    """All structural problems found in a workload DAG."""
+    """All structural problems found in a block table (or graph)."""
+    table = blocks if isinstance(blocks, BlockTable) \
+        else BlockTable(blocks)
     problems: list[str] = []
-    if not is_directed_acyclic_graph(graph):
+    try:
+        table.topological_order()
+    except ValueError:
         problems.append("graph contains a cycle")
     max_level = params.max_level if params is not None else None
-    for node, data in graph.nodes(data=True):
-        block = data.get("block")
-        if not isinstance(block, BlockInstance):
-            problems.append(f"{node}: missing BlockInstance")
+    ids, rows, missing = table.ids, table.rows, table.missing
+    for row, ((block_type, level, _, key, _), shape) in enumerate(
+            zip(rows, table.keyswitch)):
+        if row in missing:
+            problems.append(f"{ids[row]}: missing BlockInstance")
             continue
-        if block.level < 0:
-            problems.append(f"{node}: negative level {block.level}")
-        if max_level is not None and block.level > max_level:
-            problems.append(
-                f"{node}: level {block.level} > max {max_level}")
-        if block.block_type is BlockType.HE_ROTATE \
-                and not block.metadata.get("key"):
-            problems.append(f"{node}: HERotate without key metadata")
-        if require_keyswitch_meta \
-                and block.block_type in KEYSWITCH_BLOCKS \
-                and "keyswitch" not in block.metadata:
-            problems.append(f"{node}: key-switch block without "
+        if level < 0:
+            problems.append(f"{ids[row]}: negative level {level}")
+        if max_level is not None and level > max_level:
+            problems.append(f"{ids[row]}: level {level} > max {max_level}")
+        if block_type is BlockType.HE_ROTATE and not key:
+            problems.append(f"{ids[row]}: HERotate without key metadata")
+        if require_keyswitch_meta and shape is None \
+                and block_type in KEYSWITCH_BLOCKS:
+            problems.append(f"{ids[row]}: key-switch block without "
                             "keyswitch metadata")
-    for u, v, data in graph.edges(data=True):
-        if data.get("bytes", 0.0) <= 0.0:
-            problems.append(f"{u} -> {v}: non-positive edge bytes")
-        u_block = graph.nodes[u].get("block")
-        v_block = graph.nodes[v].get("block")
-        if not isinstance(u_block, BlockInstance) \
-                or not isinstance(v_block, BlockInstance):
-            continue
-        if v_block.level > u_block.level \
-                and v_block.block_type is not BlockType.MOD_RAISE \
-                and not v_block.metadata.get("refresh"):
-            problems.append(
-                f"{u} -> {v}: level rises {u_block.level} -> "
-                f"{v_block.level} without ModRaise/refresh")
+    # (source, target, problem), found target by target.
+    edges: list[tuple[int, int, str]] = []
+    refresh, mod_raise = table.refresh, BlockType.MOD_RAISE
+    for v, pairs in enumerate(table.preds):
+        v_type, v_level = rows[v][0], rows[v][1]
+        rises = v_type is not mod_raise and not refresh[v] \
+            and v not in missing
+        for u, edge_bytes in pairs:
+            if edge_bytes <= 0.0:
+                edges.append((u, v, f"{ids[u]} -> {ids[v]}: "
+                              "non-positive edge bytes"))
+            if rises and v_level > rows[u][1] and u not in missing:
+                edges.append((u, v, f"{ids[u]} -> {ids[v]}: level rises "
+                              f"{rows[u][1]} -> {v_level} without "
+                              "ModRaise/refresh"))
+    if edges:
+        position = {(u, v): k
+                    for u, children in enumerate(table.successors())
+                    for k, v in enumerate(children)}
+        edges.sort(key=lambda edge: (edge[0], position[edge[:2]]))
+        problems += [problem for _, _, problem in edges]
     return problems
 
 
-def assert_workload_dag(graph: DiGraph,
+def assert_workload_dag(blocks: BlockTable | DiGraph,
                         params: CkksParameters | None = None,
                         require_keyswitch_meta: bool = False) -> None:
     """Raise ``AssertionError`` listing every violated invariant."""
     problems = dag_violations(
-        graph, params=params,
+        blocks, params=params,
         require_keyswitch_meta=require_keyswitch_meta)
     if problems:
         raise AssertionError(_summary(problems, "DAG"))

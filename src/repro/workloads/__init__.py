@@ -9,13 +9,13 @@ functional encrypted trainer and convolution layer.
 
 from .helr import EncryptedLogisticRegression, SIGMOID_COEFFS
 from .programs import bootstrap_program, helr_program, resnet20_program
-from .registry import (build_workload, compile_workload,
-                       register_workload, workload_names, workload_plans)
+from .registry import (compile_workload, register_workload,
+                       workload_names, workload_plans)
 from .resnet20 import EncryptedConvLayer
 
 __all__ = [
     "EncryptedConvLayer", "EncryptedLogisticRegression", "SIGMOID_COEFFS",
-    "bootstrap_program", "build_workload", "compile_workload",
+    "bootstrap_program", "compile_workload",
     "helr_program", "register_workload", "resnet20_program",
     "workload_names", "workload_plans",
 ]

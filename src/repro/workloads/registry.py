@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro import engine
-from repro.dag import DiGraph
 from repro.fhe.params import CkksParameters
 
 from .programs import bootstrap_program, helr_program, resnet20_program
@@ -82,12 +81,6 @@ def workload_plans(params: CkksParameters | None = None
                    ) -> dict[str, engine.ExecutablePlan]:
     """Every registered workload as a compiled plan."""
     return {name: compile_workload(name, params) for name in _REGISTRY}
-
-
-def build_workload(name: str,
-                   params: CkksParameters | None = None) -> DiGraph:
-    """The lowered BlockSim DAG of one workload."""
-    return compile_workload(name, params).graph
 
 
 register_workload("boot", _boot_program)

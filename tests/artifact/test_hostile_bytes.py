@@ -41,8 +41,10 @@ from repro.artifact.format import (MAGIC, pack_arrays, pack_json,
                                    unpack_json, write_container)
 from repro.fhe import CkksParameters
 from repro.fhe.encoder import Plaintext
+from repro.trace import dag_violations, lower_trace
 from repro.trace.ir import OpKind
 from repro.trace.ops import OPS
+from table_oracles import graph_dag_violations
 
 NAMES = ("boot", "helr", "resnet")
 HEADER, TRACE_OPS, PAYLOADS = (
@@ -260,6 +262,41 @@ def test_a_rotate_add_without_its_key_is_refused_at_load_plan(tmp_path):
                     _set("key", op, -1))
     assert _read(data).trace.op(op).key is None
     _refused_at_load_plan(tmp_path, data, op, "rotate_add")
+
+
+def _lies(tmp_path, name: str) -> dict:
+    """The traces of the lies above, read but not validated."""
+    data = _corpus(name)
+    op = _first_block_op(data)
+    rescale = next(op for op in _read(data).trace.ops
+                   if op.kind is OpKind.RESCALE)
+    scoring = pins.SERVED["scoring"]().compile(CkksParameters.toy())
+    scoring.save(str(tmp_path / "scoring.rpa"))
+    (group, *_) = [op.op_id for op in scoring.trace.ops
+                   if op.kind is OpKind.ROTATE_ADD]
+    lies = {"level-99": _rewrite(data, TRACE_OPS, _set("level", op, 99)),
+            "rescale-keeps-its-level": _rewrite(data, TRACE_OPS, _set(
+                "out_level", rescale.op_id, rescale.level)),
+            "rotate-add-without-key": _rewrite(
+                (tmp_path / "scoring.rpa").read_bytes(), TRACE_OPS,
+                _set("key", group, -1))}
+    return {lie: _read(lied).trace for lie, lied in lies.items()}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_lying_trace_lowers_to_the_graph_walks_problems(tmp_path, name):
+    """Lowered anyway, each lie's block table gets the problems the graph
+    walk finds in the graph it derives: the level past max, and the
+    level it rises by, name their blocks; the other two lies are whole
+    DAGs."""
+    found = {}
+    for lie, trace in _lies(tmp_path, name).items():
+        table = lower_trace(trace)
+        found[lie] = dag_violations(table, trace.params, True)
+        assert found[lie] == graph_dag_violations(table.graph,
+                                                  trace.params, True)
+    assert found["level-99"] and found["rescale-keeps-its-level"] \
+        == found["rotate-add-without-key"] == []
 
 
 @pytest.mark.parametrize("name", NAMES)

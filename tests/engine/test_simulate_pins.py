@@ -32,17 +32,18 @@ def _plan(workload: str, preset: str):
 
 @pins.family("labs", CATALOG)
 def labs_digest(workload: str, preset: str) -> str:
-    """The block order and the parts LABS gives a plan's DAG, as the
-    simulator asks for them: the default GPU's torus, seed 2023, blocks
-    grouped on their switching key."""
-    graph = _plan(workload, preset).graph
+    """The block order and the parts LABS gives a plan's block table, as
+    the simulator asks for them (the default GPU's torus, seed 2023,
+    blocks grouped on their switching key): the node ids in order, and
+    each node's part by id."""
+    table = _plan(workload, preset).table
     order, result = LabsScheduler(ConcentratedTorus(mi100()), seed=2023) \
-        .order(graph, key_of=lambda node:
-               graph.nodes[node]["block"].metadata.get("key"))
+        .order(table)
     sha = hashlib.sha256()
-    sha.update(repr(order).encode())
+    sha.update(repr([table.ids[row] for row in order]).encode())
     sha.update(b"\n")
-    sha.update(repr(list(result.parts.items())).encode())
+    sha.update(repr([(table.ids[row], part)
+                     for row, part in result.parts.items()]).encode())
     return sha.hexdigest()
 
 
@@ -77,8 +78,6 @@ def test_a_plan_simulates_in_the_pinned_order(workload, preset):
     walk its block table in."""
     plan = _plan(workload, preset)
     plan.simulate(GME_FULL)
-    graph, nodes = plan.graph, list(plan.graph.nodes)
     order, _ = LabsScheduler(ConcentratedTorus(mi100()), seed=2023) \
-        .order(graph, key_of=lambda node:
-               graph.nodes[node]["block"].metadata.get("key"))
-    assert [nodes[row] for row in plan._orders[True]] == order
+        .order(plan.table)
+    assert plan._orders[True] == order

@@ -168,7 +168,7 @@ def full_scan_builds():
 
 
 def test_resnet_builds_an_attraction_for_boundary_nodes_only(monkeypatch):
-    graph = _catalog_graph("resnet")
+    table = compile_workload("resnet", CkksParameters.paper()).table
     builds = [0]
     attraction = labs._attraction
 
@@ -177,7 +177,7 @@ def test_resnet_builds_an_attraction_for_boundary_nodes_only(monkeypatch):
         return attraction(nbrs, parts)
 
     monkeypatch.setattr(labs, "_attraction", counting)
-    LabsScheduler(ConcentratedTorus(mi100()), seed=2023).order(graph)
+    LabsScheduler(ConcentratedTorus(mi100()), seed=2023).order(table)
     assert builds[0] == RESNET_ATTRACTIONS
     monkeypatch.undo()
     assert full_scan_builds() == RESNET_FULL_SCAN

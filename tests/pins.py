@@ -110,6 +110,24 @@ def ct_digest(ciphertexts: Iterable[Ciphertext]) -> str:
     return sha.hexdigest()
 
 
+def graph_digest(graph) -> str:
+    """A block graph's nodes (id, block id, type, level and metadata) and
+    its edges (ends and ``repr`` of the bytes), in iteration order: the
+    ``dag`` pins."""
+    sha = hashlib.sha256()
+    for node_id, attrs in graph.nodes(data=True):
+        block = attrs["block"]
+        sha.update(repr((node_id, block.block_id, block.block_type.value,
+                         block.level,
+                         sorted(block.metadata.items(),
+                                key=lambda item: item[0]))).encode())
+        sha.update(b"\n")
+    for u, v, attrs in graph.edges(data=True):
+        sha.update(repr((u, v, repr(attrs["bytes"]))).encode())
+        sha.update(b"\n")
+    return sha.hexdigest()
+
+
 # -- the sampler-free fixture -------------------------------------------------
 
 def words(tag: str, count: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import dag
+from repro.blocksim import table
 from repro.gme.labs import WeightedGraph
 from repro.trace import lowering
 from repro.workloads import compile_workload
@@ -76,19 +77,31 @@ def _same_orders(ours: dag.DiGraph, theirs: nx.DiGraph) -> None:
 
 @pytest.mark.parametrize("name", ["boot", "helr", "resnet"])
 def test_the_catalog_dags_iterate_as_networkx_would(name, monkeypatch):
-    """The same lowering, once into each container: construction order
-    is what sets the adjacency orders."""
+    """The same lowered table, derived once into each container:
+    construction order is what sets the adjacency orders.  The table's
+    own orders are networkx's too: its topological order, and the
+    weights LABS reads off its rows."""
     plan = compile_workload(name)
-    ours = lowering.lower_trace(plan.trace)
-    assert type(ours) is type(plan.graph) is dag.DiGraph
-    monkeypatch.setattr(lowering, "DiGraph", nx.DiGraph)
-    theirs = lowering.lower_trace(plan.trace)
+    ours = plan.graph
+    assert type(ours) is dag.DiGraph
+    monkeypatch.setattr(table, "DiGraph", nx.DiGraph)
+    rows = lowering.lower_trace(plan.trace)
+    theirs = rows.graph
     assert isinstance(theirs, nx.DiGraph)
     _same_surface(ours, theirs)
     _same_orders(ours, theirs)
     # The functions agree on either container.
     assert list(dag.topological_sort(theirs)) \
         == list(nx.topological_sort(theirs))
+    assert [rows.ids[row] for row in rows.topological_order()] \
+        == list(nx.topological_sort(theirs))
+    named = WeightedGraph.of(theirs)
+    weights = WeightedGraph.of_successors(rows.successors())
+    assert list(weights.nodes.items()) \
+        == [(row, weight) for row, weight in enumerate(named.nodes.values())]
+    assert [(rows.ids[u], [(rows.ids[v], w) for v, w in nbrs.items()])
+            for u, nbrs in weights.adj.items()] \
+        == [(u, list(nbrs.items())) for u, nbrs in named.adj.items()]
 
 
 @st.composite

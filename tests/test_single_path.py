@@ -906,14 +906,8 @@ def test_two_dead_entry_points_are_gone():
 
 # -- one block table per plan -------------------------------------------------
 
-class _Untouchable:
-    """A graph no run may read."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"a run read graph.{name}")
-
-
-def test_a_run_walks_one_block_table_and_makes_no_record_per_block():
+def test_a_run_walks_one_block_table_and_makes_no_record_per_block(
+        monkeypatch):
     """A simulate or profile walks the plan's :class:`BlockTable` — no
     node attribute dict, block metadata or edge dict per block — and a
     profile folds its per-op rows inside the run: no ``record`` list of
@@ -931,12 +925,29 @@ def test_a_run_walks_one_block_table_and_makes_no_record_per_block():
                  "graph.pred[", ".metadata", 'get("bytes"'):
         assert gone not in walks, gone
     plan = compile_workload("helr", CkksParameters.test())
-    table = BlockTable(plan.graph)
+    table = plan.table
+
+    def untouchable(self):
+        raise AssertionError("a run read the table's graph")
+
+    monkeypatch.setattr(BlockTable, "graph", property(untouchable))
     sim = BlockGraphSimulator(GME_FULL, params=plan.params)
     order = sim._order(table)
-    table.graph = _Untouchable()
     per_op: dict = {}
     metrics = sim.run(table, "helr", order=order, per_op=per_op)
     assert metrics.cycles == plan.simulate(GME_FULL).cycles
     assert sum(row[0] for row in per_op.values()) == len(table.rows) \
         == plan.num_blocks
+
+
+def test_a_plan_is_built_and_ordered_over_rows():
+    """Lowering writes the block table, the plan checks it and LABS
+    orders it: none of them reads a node's attribute dict or a block's
+    metadata, or adds a graph edge."""
+    from repro.gme import LabsScheduler, labs
+    from repro.trace import lowering
+    reads = "".join(inspect.getsource(function) for function in (
+        lowering.lower_trace, engine.ExecutablePlan.__init__,
+        LabsScheduler.order, LabsScheduler._order, labs._affinity_order))
+    for gone in ("graph.nodes[", ".metadata", "add_edge"):
+        assert gone not in reads, gone

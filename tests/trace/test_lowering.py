@@ -1,4 +1,5 @@
-"""Lowering tests: trace -> BlockSim DAG, and the full round trip."""
+"""Lowering tests: trace -> block table (read as its graph), and the full
+round trip."""
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ class TestLowering:
         a = sym.he_square(ct, rescale=False)
         dropped = sym.mod_drop(a, 2)
         sym.he_square(dropped, rescale=False)
-        graph = lower_trace(sym.trace)
+        graph = lower_trace(sym.trace).graph
         blocks = _blocks(graph)
         assert len(blocks) == 2                 # sources + drops elided
         (first, second) = sorted(blocks, key=lambda n:
@@ -40,7 +41,7 @@ class TestLowering:
     def test_implicit_rescale_expands(self, sym):
         ct = sym.fresh(level=4)
         sym.he_mult(ct, ct, rescale=True)
-        graph = lower_trace(sym.trace)
+        graph = lower_trace(sym.trace).graph
         types = [b.block_type for b in _blocks(graph).values()]
         assert sorted(t.value for t in types) \
             == [BlockType.HE_MULT.value, BlockType.HE_RESCALE.value]
@@ -49,7 +50,7 @@ class TestLowering:
         ct = sym.fresh(level=4)
         prod = sym.he_mult(ct, ct, rescale=True)
         sym.he_rotate(prod, 1)
-        graph = lower_trace(sym.trace)
+        graph = lower_trace(sym.trace).graph
         blocks = _blocks(graph)
         rot = next(n for n, b in blocks.items()
                    if b.block_type is BlockType.HE_ROTATE)
@@ -60,7 +61,7 @@ class TestLowering:
         ct = sym.fresh(level=1)
         raised = sym.refresh(ct, 5)
         sym.he_square(raised, rescale=False)
-        graph = lower_trace(sym.trace)
+        graph = lower_trace(sym.trace).graph
         (mult,) = [b for b in _blocks(graph).values()
                    if b.block_type is BlockType.HE_MULT]
         assert mult.metadata.get("refresh") is True
@@ -70,7 +71,7 @@ class TestLowering:
         ct = sym.fresh(level=4)
         sym.he_rotate(ct, 7)
         sym.he_conjugate(ct)
-        graph = lower_trace(sym.trace)
+        graph = lower_trace(sym.trace).graph
         keys = {b.metadata.get("key")
                 for b in _blocks(graph).values()}
         assert keys == {"rot-7", "conj"}
@@ -88,7 +89,7 @@ class TestLowering:
                     if op.kind is OpKind.ROTATE_ADD]
         assert (group.key, group.meta["rotations"]) \
             == ("rot-1,rot-2,rot-3", [1, 2, 3])
-        graph = lower_trace(sym.trace)
+        graph = lower_trace(sym.trace).graph
         assert_workload_dag(graph, params=sym.params,
                             require_keyswitch_meta=True)
         blocks = _blocks(graph)
@@ -112,7 +113,7 @@ class TestLowering:
         ct = sym.fresh(level=4)
         a = sym.he_square(ct, rescale=False)
         sym.rescale(a)
-        graph = lower_trace(sym.trace)
+        graph = lower_trace(sym.trace).graph
         blocks = _blocks(graph)
         mult = next(n for n, b in blocks.items()
                     if b.block_type is BlockType.HE_MULT)
@@ -127,7 +128,7 @@ class TestLowering:
         prefix of its own, so a loaded plan's ids are the compiled ones."""
         with sym.region("stage0"):
             sym.he_rotate(sym.fresh(level=2), 1)
-        graph = lower_trace(sym.trace)
+        graph = lower_trace(sym.trace).graph
         assert list(graph.nodes) == ["stage0/rot0"]
         with pytest.raises(TypeError, match="prefix"):
             lower_trace(sym.trace, prefix="wl")
@@ -135,7 +136,7 @@ class TestLowering:
     def test_mod_raise_level_is_output_level(self, sym):
         ct = sym.fresh(level=0)
         sym.mod_raise(ct)
-        graph = lower_trace(sym.trace)
+        graph = lower_trace(sym.trace).graph
         (block,) = _blocks(graph).values()
         assert block.block_type is BlockType.MOD_RAISE
         assert block.level == sym.params.max_level
@@ -168,7 +169,7 @@ class TestRoundTrip:
 
     def test_lowered_dag_structure(self, ctx, traced_conv):
         tev, *_ = traced_conv
-        graph = lower_trace(tev.trace)
+        graph = lower_trace(tev.trace).graph
         assert_workload_dag(graph, params=ctx.params,
                             require_keyswitch_meta=True)
         types = [b.block_type for b in _blocks(graph).values()]
@@ -181,7 +182,7 @@ class TestRoundTrip:
     def test_simulates_under_every_cumulative_config(self, ctx,
                                                      traced_conv):
         tev, *_ = traced_conv
-        graph = lower_trace(tev.trace)
+        graph = lower_trace(tev.trace).graph
         for features in cumulative_configs() + [GME_FULL]:
             metrics = BlockGraphSimulator(
                 features, params=ctx.params).run(graph, "conv")
@@ -191,7 +192,7 @@ class TestRoundTrip:
     def test_lowered_graph_is_dag_with_positive_edges(self, ctx,
                                                       traced_conv):
         tev, *_ = traced_conv
-        graph = lower_trace(tev.trace)
+        graph = lower_trace(tev.trace).graph
         assert is_directed_acyclic_graph(graph)
         assert all(d["bytes"] > 0
                    for _, _, d in graph.edges(data=True))

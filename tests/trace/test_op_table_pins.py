@@ -4,8 +4,8 @@ Record, replay, the symbolic rules and lowering read
 ``repro.trace.ops.OPS``; a change to any of them must leave every
 recorded row, every lowered block and every replayed residue where it
 was, or move its pins on purpose.  Floats are hashed by ``repr``:
-bit-identical or not at all.  The pins are families ``trace``, ``dag``
-and ``replay`` of ``tests/pins.json``; a replay runs on the
+bit-identical or not at all.  The pins are families ``trace``, ``dag``,
+``table`` and ``replay`` of ``tests/pins.json``; a replay runs on the
 sampler-free fixture's keys and encryption (``pins.fixture``).  Re-pin
 only deliberately: ``PYTHONPATH=src python -m tests.pins --record``;
 CHANGES.md records every old -> new.
@@ -43,28 +43,13 @@ def _trace_digest(trace) -> str:
     return sha.hexdigest()
 
 
-def _dag_digest(graph) -> str:
-    sha = hashlib.sha256()
-    for node_id, attrs in graph.nodes(data=True):
-        block = attrs["block"]
-        sha.update(repr((node_id, block.block_id, block.block_type.value,
-                         block.level,
-                         sorted(block.metadata.items(),
-                                key=lambda item: item[0]))).encode())
-        sha.update(b"\n")
-    for u, v, attrs in graph.edges(data=True):
-        sha.update(repr((u, v, repr(attrs["bytes"]))).encode())
-        sha.update(b"\n")
-    return sha.hexdigest()
-
-
 OFFLINE = [(workload, preset) for workload in CATALOG
            for preset in OFFLINE_PRESETS]
 
 
 @pins.family("dag", OFFLINE)
 def dag_digest(workload: str, preset: str) -> str:
-    return _dag_digest(compile_workload(workload,
+    return pins.graph_digest(compile_workload(workload,
                                         OFFLINE_PRESETS[preset]()).graph)
 
 
@@ -73,7 +58,7 @@ def _table_digest(table) -> str:
     the bytes by ``repr``."""
     sha = hashlib.sha256()
     for node_id, (block_type, *row), preds in zip(
-            list(table.index), table.rows, table.preds):
+            table.ids, table.rows, table.preds):
         sha.update(repr((node_id, block_type.value, *row,
                          [(pred, repr(edge_bytes))
                           for pred, edge_bytes in preds])).encode())
@@ -93,9 +78,9 @@ def test_recorded_rows_and_lowered_blocks_are_the_parents(workload, preset):
     plan = compile_workload(workload, OFFLINE_PRESETS[preset]())
     assert _trace_digest(plan.trace) == pins.expected("trace", workload,
                                                       preset)
-    assert _dag_digest(plan.graph) == pins.expected("dag", workload, preset)
-    assert _table_digest(BlockTable(plan.graph)) \
-        == pins.expected("table", workload, preset)
+    assert pins.graph_digest(plan.graph) == pins.expected("dag", workload, preset)
+    assert _table_digest(plan.table) == _table_digest(BlockTable(
+        plan.graph)) == pins.expected("table", workload, preset)
 
 
 # -- real record -> replay ----------------------------------------------------

@@ -72,8 +72,8 @@ class TestRoundTrip:
         trace = _record_toy_trace()
         path = str(tmp_path / "toy.rpa")
         save_trace(trace, path)
-        original = lower_trace(trace)
-        reloaded = lower_trace(load_trace(path))
+        original = lower_trace(trace).graph
+        reloaded = lower_trace(load_trace(path)).graph
         assert sorted(original.nodes) == sorted(reloaded.nodes)
         assert sorted(original.edges) == sorted(reloaded.edges)
 

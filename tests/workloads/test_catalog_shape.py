@@ -14,8 +14,8 @@ import pytest
 from repro.blocksim.blocks import BlockType
 from repro.fhe.params import CkksParameters
 from repro.trace import assert_workload_dag
-from repro.workloads import (build_workload, compile_workload,
-                             workload_names, workload_plans)
+from repro.workloads import (compile_workload, workload_names,
+                             workload_plans)
 
 WORKLOADS = ("boot", "helr", "resnet")
 
@@ -91,7 +91,8 @@ def params():
 
 @pytest.fixture(scope="module")
 def graphs(params):
-    return {name: build_workload(name, params) for name in WORKLOADS}
+    return {name: compile_workload(name, params).graph
+            for name in WORKLOADS}
 
 
 def _type_counts(graph):
@@ -186,15 +187,16 @@ class TestRegistry:
         (CI smoke lane) builds healthy DAGs too."""
         params = CkksParameters.test()
         for name in WORKLOADS:
-            graph = build_workload(name, params)
+            graph = compile_workload(name, params).graph
             assert_workload_dag(graph, params=params,
                                 require_keyswitch_meta=True)
             assert graph.number_of_nodes() > 50
 
 
 class TestDeprecationShimsRemoved:
-    """The one-release shims (trace_workload/workload_graphs) are gone;
-    the engine surface is the only entry point."""
+    """The one-release shims (trace_workload/workload_graphs) are gone,
+    and so is ``build_workload`` (a plan's ``.graph``); the engine
+    surface is the only entry point."""
 
     def test_shims_are_gone(self):
         import repro.workloads as wl
@@ -202,6 +204,7 @@ class TestDeprecationShimsRemoved:
         for module in (wl, registry):
             assert not hasattr(module, "trace_workload")
             assert not hasattr(module, "workload_graphs")
+            assert not hasattr(module, "build_workload")
 
     def test_replacement_surface_covers_shim_uses(self, params):
         trace = compile_workload("boot", params).trace
