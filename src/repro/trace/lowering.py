@@ -45,6 +45,9 @@ from .ops import OPS, OpSpec, key_ids
 
 #: The block a rotation group's sum lowers to.
 _SUM = OPS[OpKind.HE_ADD]
+#: Bound once: an enum member lookup costs more than the rest of a
+#: row's test.
+_ROTATE, _REFRESH = BlockType.HE_ROTATE, OpKind.REFRESH
 
 
 def lower_trace(trace: OpTrace) -> BlockTable:
@@ -59,27 +62,22 @@ def lower_trace(trace: OpTrace) -> BlockTable:
     # computed once per level.
     edge_bytes = functools.cache(trace.params.ciphertext_bytes)
 
-    def add_block(op: TraceOp, block: OpSpec, inputs: list[int],
-                  key: str | None, refresh: bool) -> int:
-        """One ``block.block`` of ``op`` fed by rows ``inputs``,
-        streaming switching key ``key``; its row."""
-        assert block.block is not None
-        stem = block.stem
-        seq = counters.get((op.region, stem), 0)
-        counters[(op.region, stem)] = seq + 1
-        ids.append(f"{op.region}/{stem}{seq}" if op.region
-                   else f"{stem}{seq}")
-        spec = OPS[op.kind]
-        shape = _keyswitch_shape(op, key) \
-            if block is spec and spec.key is not None else None
+    def add_block(op: TraceOp, spec: OpSpec, block: OpSpec,
+                  inputs: list[int], key: str | None, refresh: bool) -> int:
+        """One ``block.block`` of ``op`` (whose row is ``spec``) fed by
+        rows ``inputs``, streaming switching key ``key``; its row."""
+        region, stem = op.region, block.stem
+        seq = counters.get((region, stem), 0)
+        counters[region, stem] = seq + 1
+        ids.append(f"{region}/{stem}{seq}" if region else f"{stem}{seq}")
+        switches = block is spec and spec.key is not None
         rows.append((block.block, getattr(op, spec.block_level), 1,
-                     key if shape is not None and key
-                     and block.block is BlockType.HE_ROTATE else None,
-                     op.op_id))
+                     key if switches and key and block.block is _ROTATE
+                     else None, op.op_id))
         # Each producer once, in the order it is first read.
-        preds.append(tuple((pred, edge_bytes(rows[pred][1]))
-                           for pred in dict.fromkeys(inputs)))
-        shapes.append(shape)
+        preds.append(tuple([(pred, edge_bytes(rows[pred][1]))
+                            for pred in dict.fromkeys(inputs)]))
+        shapes.append(_keyswitch_shape(op, key) if switches else None)
         refreshes.append(refresh)
         return len(rows) - 1
 
@@ -90,7 +88,7 @@ def lower_trace(trace: OpTrace) -> BlockTable:
                 row, refreshed = resolved[op.inputs[0]]
             else:
                 row, refreshed = -1, False
-            if op.kind is OpKind.REFRESH:
+            if op.kind is _REFRESH:
                 refreshed = True
             resolved[op.op_id] = (row, refreshed)
             continue
@@ -103,15 +101,15 @@ def lower_trace(trace: OpTrace) -> BlockTable:
             if row >= 0:
                 inputs.append(row)
         if spec.group is None:
-            resolved[op.op_id] = (add_block(op, spec, inputs, op.key,
+            resolved[op.op_id] = (add_block(op, spec, spec, inputs, op.key,
                                             refresh), False)
             continue
         # A rotation group: one block per key off the shared input, then
         # ``input + rot_1 + ... + rot_m`` as a chain of adds.
         total = inputs[0] if inputs else -1
         for key in key_ids(spec, op.meta):
-            rotated = add_block(op, spec, inputs, key, refresh)
-            total = add_block(op, _SUM, [rotated] if total < 0
+            rotated = add_block(op, spec, spec, inputs, key, refresh)
+            total = add_block(op, spec, _SUM, [rotated] if total < 0
                               else [total, rotated], None, refresh)
         resolved[op.op_id] = (total, False)
     return table
