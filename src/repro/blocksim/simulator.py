@@ -1,9 +1,9 @@
 """BlockSim: block-graph simulation with global-LDS residency tracking.
 
-Executes a workload DAG of blocks.  With cNoC enabled, producer outputs are registered in the global
-LDS and consumers whose operands are still resident skip the DRAM fetch;
-LABS reorders the schedule so those hits actually happen and groups blocks
-that share switching keys.
+Executes a workload DAG of blocks.  With cNoC enabled, producer outputs
+are registered in the global LDS and consumers whose operands are still
+resident skip the DRAM fetch; LABS reorders the schedule so those hits
+actually happen and groups blocks that share switching keys.
 
 A run walks a :class:`BlockTable`: one tuple row per block (type, level,
 repeat, key, op id) and each block's predecessors as (row, edge bytes)

@@ -5,7 +5,7 @@ exposing the :class:`~repro.fhe.evaluator.CkksEvaluator` call surface —
 and issuing operations against it.  :func:`compile_program` records one
 execution through the trace recorder, validates the trace
 (:func:`~repro.trace.validate_trace`), lowers it to a checked BlockSim
-DAG, and returns an :class:`ExecutablePlan` that owns the whole
+block table, and returns an :class:`ExecutablePlan` that owns the whole
 artifact chain and retargets it:
 
 * :meth:`ExecutablePlan.simulate` — BlockSim under a feature set;
@@ -147,11 +147,12 @@ class PlanExecution:
 # ---------------------------------------------------------------------------
 
 class ExecutablePlan:
-    """A compiled HE program: trace + lowered DAG + retargetable runs.
+    """A compiled HE program: trace + lowered block table + retargetable
+    runs.
 
     Built one way: the constructor validates the trace
     (:func:`~repro.trace.validate_trace`), lowers it and checks the block
-    DAG, and refuses either defect with a
+    table, and refuses either defect with a
     :class:`~repro.trace.TraceValidationError`.
     """
 
@@ -248,7 +249,7 @@ class ExecutablePlan:
 
     def simulate(self, features: FeatureSet,
                  config: GpuConfig | None = None) -> WorkloadMetrics:
-        """Run the plan's DAG through BlockSim under ``features``.
+        """Run the plan's block table through BlockSim under ``features``.
 
         Results are cached per feature set (plans are immutable), so
         sweeps re-simulate only new configurations.  Pass ``config`` (a

@@ -130,7 +130,7 @@ class GlobalLds:
 
     Tracks capacity and residency of named buffers (ciphertext limbs,
     switching keys; BlockSim names a block's output by its row in the
-    :class:`~repro.blocksim.simulator.BlockTable`) so BlockSim can
+    :class:`~repro.blocksim.table.BlockTable`) so BlockSim can
     decide which inter-block transfers hit the global LDS instead of
     DRAM.  Addresses hash onto routers by their low bits, spreading
     consecutive lines across the machine.

@@ -7,7 +7,7 @@ See README.md in this directory for the architecture.  Quick use::
     ev = TracingEvaluator(SymbolicEvaluator(params), name="my-workload")
     ct = ev.fresh(level=params.max_level)
     ct = ev.he_mult(ct, ct)                    # ... any evaluator program
-    graph = lower_trace(ev.trace)              # BlockSim-ready DAG
+    table = lower_trace(ev.trace)              # BlockSim-ready block table
 """
 
 from .invariants import (KEYSWITCH_BLOCKS, TraceValidationError,

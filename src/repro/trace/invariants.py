@@ -1,7 +1,7 @@
 """Structural invariants of a recorded trace and of its lowered DAG.
 
 The engine (:mod:`repro.engine`) compiles a program as record ->
-:func:`validate_trace` -> lower -> :func:`assert_workload_dag`; nothing
+:func:`validate_trace` -> lower -> :func:`dag_violations`; nothing
 rewrites a trace in between.  :func:`validate_trace` holds the op stream
 to its rows of the op table (:mod:`repro.trace.ops`): dense, ordered
 ids, inputs that reference earlier ops, levels in range, every op with

@@ -1,7 +1,7 @@
 """Lower an :class:`OpTrace` into the BlockSim block table.
 
 Each non-transparent trace op becomes one row of a
-:class:`~repro.blocksim.simulator.BlockTable` — a rotation group
+:class:`~repro.blocksim.table.BlockTable` — a rotation group
 (``rotate_add``) one rotation block per key, plus the adds of its sum;
 plumbing ops (``SOURCE``/``MOD_DROP``/``COPY``/``REFRESH``) are
 routed through, so data-flow edges connect real blocks directly.  A

@@ -168,5 +168,6 @@ def test_the_offline_path_makes_no_graph_and_one_table_per_plan(
     assert repr(loaded).startswith(f"ExecutablePlan('helr', "
                                    f"{plan.num_blocks} blocks")
     assert (graphs.count, instances.count, tables.count) == (0, 0, 2)
-    assert pins.graph_digest(plan.graph) == pins.expected("dag", "helr", "test")
+    assert pins.graph_digest(plan.graph) \
+        == pins.expected("dag", "helr", "test")
     assert (graphs.count, instances.count) == (1, plan.num_blocks)

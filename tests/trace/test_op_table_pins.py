@@ -78,7 +78,8 @@ def test_recorded_rows_and_lowered_blocks_are_the_parents(workload, preset):
     plan = compile_workload(workload, OFFLINE_PRESETS[preset]())
     assert _trace_digest(plan.trace) == pins.expected("trace", workload,
                                                       preset)
-    assert pins.graph_digest(plan.graph) == pins.expected("dag", workload, preset)
+    assert pins.graph_digest(plan.graph) \
+        == pins.expected("dag", workload, preset)
     assert _table_digest(plan.table) == _table_digest(BlockTable(
         plan.graph)) == pins.expected("table", workload, preset)
 
